@@ -204,14 +204,14 @@ func BenchmarkFullPipelineOpenldap(b *testing.B) {
 }
 
 // Pipeline throughput: the full staged analysis (record, four-scheme
-// replay, sharded classification, quantification, report) serial vs
-// parallel, so future PRs have a perf trajectory to compare against.
-func benchPipelineWorkers(b *testing.B, workers int) {
+// replay, classification, quantification, report) on the serial path.
+// Worker scaling is bench/'s pipeline.workers4_speedup metric.
+func BenchmarkPipelineSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := pipeline.Run(pipeline.Request{
 			App: "mysql", Threads: 4, Scale: benchScale, Seed: 42,
-			Workers: workers, Schemes: true,
+			Workers: 1, Schemes: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -219,11 +219,6 @@ func benchPipelineWorkers(b *testing.B, workers int) {
 		b.ReportMetric(float64(res.Analysis.Report.NumULCPs()), "ulcps")
 	}
 }
-
-func BenchmarkPipelineSerial(b *testing.B)   { benchPipelineWorkers(b, 1) }
-func BenchmarkPipelineWorkers2(b *testing.B) { benchPipelineWorkers(b, 2) }
-func BenchmarkPipelineWorkers4(b *testing.B) { benchPipelineWorkers(b, 4) }
-func BenchmarkPipelineWorkers8(b *testing.B) { benchPipelineWorkers(b, 8) }
 
 // Ablation: lockset replay with and without the dynamic locking strategy.
 func benchLocksetReplay(b *testing.B, dls bool) {

@@ -431,9 +431,7 @@ func replayFile(path, scheme string) error {
 		tr.App, len(tr.Events), tr.NumThreads, sched)
 	fmt.Printf(" recorded total: %v   replayed total: %v\n", tr.TotalTime, res.Total)
 	css := tr.ExtractCS()
-	// Sharded identification, so the counts agree with what -app and
-	// the daemon report for the same recording.
-	rep := ulcp.IdentifySharded(tr, css, ulcp.Options{})
+	rep := ulcp.Identify(tr, css, ulcp.Options{})
 	fmt.Printf(" critical sections: %d  ULCPs: %d  TLCPs: %d\n",
 		len(css), rep.NumULCPs(), rep.Counts[ulcp.TLCP])
 	return nil

@@ -8,11 +8,8 @@ import (
 	"time"
 
 	"perfplay/internal/journal"
-	"perfplay/internal/pipeline"
 	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
-	"perfplay/internal/trace"
-	"perfplay/internal/workload"
 )
 
 // This file is the daemon half of crash durability (the log itself
@@ -135,9 +132,15 @@ func (s *Server) openJournal(cfg Config) error {
 		if n, ok := jobSeq(j.ID); ok && n > s.seq {
 			s.seq = n
 		}
-		req, err := s.requestForRecovered(spec)
+		// An empty (unstealable) spec means the trace lived only in the
+		// dead process's memory — unrecoverable by construction.
+		if !spec.Stealable() {
+			s.failRecoveredLocked(j, fmt.Errorf("job lost in restart: its uploaded trace existed only in the previous process's memory (store traces via POST /traces to survive restarts)"))
+			continue
+		}
+		req, err := s.requestFor("", spec, spanCtx{})
 		if err != nil {
-			s.failRecoveredLocked(j, err)
+			s.failRecoveredLocked(j, fmt.Errorf("job not recovered: %w", err))
 			continue
 		}
 		j.req = req
@@ -216,49 +219,6 @@ func (s *Server) failRecoveredLocked(j *job, err error) {
 	s.jrecovered.With("lost").Inc()
 	s.journalTerminal(journal.OpFailed, j.ID)
 	s.logger.Warn("journaled job not recoverable", "job", j.ID, "err", err)
-}
-
-// requestForRecovered is requestFor without a victim: the pipeline
-// request for a journaled spec, resolved purely locally. An empty
-// (unstealable) spec means the trace lived only in the dead process's
-// memory — unrecoverable by construction.
-func (s *Server) requestForRecovered(spec scheduler.Spec) (pipeline.Request, error) {
-	if !spec.Stealable() {
-		return pipeline.Request{}, fmt.Errorf("job lost in restart: its uploaded trace existed only in the previous process's memory (store traces via POST /traces to survive restarts)")
-	}
-	req := pipeline.Request{
-		TopK:        spec.TopK,
-		Schemes:     spec.Schemes,
-		DetectRaces: spec.Races,
-		Workers:     s.cfg.PipelineWorkers,
-		Distributor: s.dist,
-	}
-	if spec.App != "" {
-		if _, ok := workload.Get(spec.App); !ok {
-			return pipeline.Request{}, fmt.Errorf("job not recovered: unknown workload %q", spec.App)
-		}
-		req.App = spec.App
-		req.Threads = spec.Threads
-		req.Input = workload.InputSize(spec.Input)
-		req.Scale = spec.Scale
-		req.Seed = spec.Seed
-		return req, nil
-	}
-	if s.corpus == nil {
-		return pipeline.Request{}, fmt.Errorf("job not recovered: it references stored trace %s but the corpus is disabled", spec.TraceDigest)
-	}
-	digest := spec.TraceDigest
-	meta, err := s.corpus.Touch(digest)
-	if err != nil {
-		return pipeline.Request{}, fmt.Errorf("job not recovered: stored trace %s: %v", digest, err)
-	}
-	req.TraceDigest = digest
-	req.TraceBytes = meta.Size
-	req.TraceLoader = func() (*trace.Trace, error) {
-		tr, _, err := s.corpus.Load(digest)
-		return tr, err
-	}
-	return req, nil
 }
 
 // jobSeq parses the numeric suffix of a "job-N" ID so recovery can

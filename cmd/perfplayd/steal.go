@@ -68,13 +68,15 @@ func specFor(req pipeline.Request) scheduler.Spec {
 // the steal and the victim's lease requeues the job.
 var errStolenTraceUnavailable = errors.New("stolen trace unavailable")
 
-// requestFor is specFor's inverse on the thief: the pipeline request
-// that reproduces the victim's job byte-for-byte. Digest specs resolve
-// their trace from the local corpus, else a hash-verified fetch from
-// the victim — performed eagerly, both so the request can carry the
-// trace's size (the result cache weighs trace-backed entries against
-// its byte budget) and so an unfetchable blob aborts the steal before
-// anything is reported.
+// requestFor is specFor's inverse: the pipeline request that reproduces
+// the spec's job byte-for-byte, on a thief or on the node that journaled
+// it. Digest specs resolve their trace from the local corpus, else a
+// hash-verified fetch from the victim — performed eagerly, both so the
+// request can carry the trace's size (the result cache weighs
+// trace-backed entries against its byte budget) and so an unfetchable
+// blob aborts the steal before anything is reported. An empty victim
+// (boot recovery) resolves purely locally: a trace the corpus cannot
+// produce is an error, never a fetch.
 func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pipeline.Request, error) {
 	req := pipeline.Request{
 		TopK:        spec.TopK,
@@ -110,9 +112,12 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 				return tr, nil
 			}
 			return req, nil
-		} else if !errors.Is(err, corpus.ErrNotFound) {
+		} else if victim == "" || !errors.Is(err, corpus.ErrNotFound) {
 			return pipeline.Request{}, fmt.Errorf("%w: %v", errStolenTraceUnavailable, err)
 		}
+	}
+	if victim == "" {
+		return pipeline.Request{}, fmt.Errorf("it references stored trace %s but the corpus is disabled", digest)
 	}
 	remote := &corpus.Remote{
 		Base:    victim,

@@ -362,6 +362,28 @@ func TestStolenTraceFetchFailureAbandons(t *testing.T) {
 	}
 }
 
+// TestRequestForWithoutVictimResolvesLocally: boot recovery resolves a
+// journaled digest spec with no victim to fall back on — a trace the
+// local corpus cannot produce (missing blob, or no corpus at all) is an
+// error, never a remote fetch.
+func TestRequestForWithoutVictimResolvesLocally(t *testing.T) {
+	spec := scheduler.Spec{TraceDigest: "sha256:" + strings.Repeat("ab", 32)}
+
+	srv, _ := testServer(t, Config{})
+	if _, err := srv.requestFor("", spec, spanCtx{}); err == nil || strings.Contains(err.Error(), "fetch from") {
+		t.Fatalf("missing blob: err = %v, want a local not-found error", err)
+	}
+
+	bare, err := NewServer(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	if _, err := bare.requestFor("", spec, spanCtx{}); err == nil || !strings.Contains(err.Error(), "corpus is disabled") {
+		t.Fatalf("no corpus: err = %v, want a corpus-disabled error", err)
+	}
+}
+
 func mustGet(t *testing.T, url string) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)

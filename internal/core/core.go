@@ -1,7 +1,7 @@
-// Package core is the public face of PerfPlay: it wires the record →
-// identify → transform → replay → debug pipeline of Fig. 5 into a single
-// call and exposes the per-stage artifacts for tools, examples and the
-// experiment harness.
+// Package core holds the artifact bundle of one PerfPlay analysis — the
+// per-stage outputs of Fig. 5's record → identify → transform → replay →
+// debug pipeline — and its report rendering. internal/pipeline is the
+// bundle's only producer.
 package core
 
 import (
@@ -15,29 +15,7 @@ import (
 	"perfplay/internal/transform"
 	"perfplay/internal/ulcp"
 	"perfplay/internal/verify"
-	"perfplay/internal/vtime"
 )
-
-// Config tunes a PerfPlay analysis.
-type Config struct {
-	// Sim configures the recording run (seed, cost model).
-	Sim sim.Config
-	// Identify configures ULCP identification.
-	Identify ulcp.Options
-	// LocksetCost enables the lockset maintenance cost model in the
-	// ULCP-free replay (Table 3); zero disables it.
-	LocksetCost vtime.Duration
-	// DLS applies the dynamic locking strategy in the ULCP-free replay.
-	DLS bool
-	// DetectRaces runs the happens-before detector over the transformed
-	// replay (Theorem 1's fallback reporting).
-	DetectRaces bool
-	// MaxRaces caps reported races (0 = 32).
-	MaxRaces int
-	// VerifyTheorem1 runs the full Theorem 1 check (outcome comparison
-	// plus race attribution) and stores the report on the analysis.
-	VerifyTheorem1 bool
-}
 
 // Analysis bundles every artifact of one pipeline run.
 type Analysis struct {
@@ -61,74 +39,6 @@ type Analysis struct {
 	Races []race.Race
 	// Theorem1 is the correctness verdict, if VerifyTheorem1 was set.
 	Theorem1 *verify.Report
-}
-
-// Analyze records the program and runs the full PerfPlay pipeline on the
-// resulting trace.
-func Analyze(p *sim.Program, cfg Config) (*Analysis, error) {
-	rec := sim.Run(p, cfg.Sim)
-	a, err := AnalyzeTrace(rec.Trace, cfg)
-	if err != nil {
-		return nil, err
-	}
-	a.Recorded = rec
-	return a, nil
-}
-
-// AnalyzeTrace runs the pipeline on an existing trace (e.g. one loaded
-// from disk): identification, transformation, the two ELSC replays, and
-// performance debugging.
-func AnalyzeTrace(tr *trace.Trace, cfg Config) (*Analysis, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("core: input trace: %w", err)
-	}
-	a := &Analysis{App: tr.App}
-
-	a.CSs = tr.ExtractCS()
-	// Sharded identification (per-lock reversed-replay budget) is the
-	// repo's canonical semantics: it is what the concurrent pipeline
-	// computes, so every front end — core, CLI, daemon, experiments —
-	// reports the same counts for the same recording.
-	a.Report = ulcp.IdentifySharded(tr, a.CSs, cfg.Identify)
-
-	var err error
-	a.Transformed, err = transform.Apply(tr, a.CSs, a.Report)
-	if err != nil {
-		return nil, err
-	}
-
-	// Replay the original trace under ELSC (performance fidelity,
-	// Sec. 5.2) and the ULCP-free trace under the same discipline.
-	a.OrigReplay, err = replay.Run(tr, replay.Options{Sched: replay.ELSCS})
-	if err != nil {
-		return nil, fmt.Errorf("core: original replay: %w", err)
-	}
-	a.FreeReplay, err = replay.Run(a.Transformed.Trace, replay.Options{
-		Sched:       replay.ELSCS,
-		DLS:         cfg.DLS,
-		LocksetCost: cfg.LocksetCost,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: ULCP-free replay: %w", err)
-	}
-
-	a.Debug = perfdbg.Evaluate(tr, a.CSs, a.Report, a.OrigReplay, a.FreeReplay, tr.NumThreads)
-
-	if cfg.DetectRaces {
-		limit := cfg.MaxRaces
-		if limit == 0 {
-			limit = 32
-		}
-		order := race.OrderByStart(a.FreeReplay.EventStart)
-		a.Races = race.Detect(a.Transformed.Trace, order, limit)
-	}
-	if cfg.VerifyTheorem1 {
-		a.Theorem1, err = verify.Check(tr, a.Transformed.Trace, cfg.MaxRaces)
-		if err != nil {
-			return nil, fmt.Errorf("core: theorem 1 check: %w", err)
-		}
-	}
-	return a, nil
 }
 
 // Summary returns a compact multi-line report: overall impact plus the

@@ -1,13 +1,26 @@
-package core
+package core_test
 
 import (
 	"strings"
 	"testing"
 
+	"perfplay/internal/core"
+	"perfplay/internal/pipeline"
 	"perfplay/internal/sim"
 	"perfplay/internal/ulcp"
 	"perfplay/internal/vtime"
 )
+
+// analyze runs the request through pipeline.Run — the bundle's only
+// producer — and returns the artifacts these tests inspect.
+func analyze(t *testing.T, req pipeline.Request) *core.Analysis {
+	t.Helper()
+	res, err := pipeline.Run(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Analysis
+}
 
 // readHeavy builds a program whose threads repeatedly read shared data
 // under one lock — pure read-read ULCPs whose serialization the
@@ -56,10 +69,7 @@ func writeConflict(threads, iters int) *sim.Program {
 }
 
 func TestPipelineFindsAndRemovesReadReadULCPs(t *testing.T) {
-	a, err := Analyze(readHeavy(4, 10), Config{Sim: sim.Config{Seed: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, pipeline.Request{Program: readHeavy(4, 10), Seed: 5})
 	if a.Report.Counts[ulcp.ReadRead] == 0 {
 		t.Fatal("no read-read ULCPs found in a read-heavy workload")
 	}
@@ -82,10 +92,7 @@ func TestPipelineFindsAndRemovesReadReadULCPs(t *testing.T) {
 }
 
 func TestPipelineKeepsTrueContention(t *testing.T) {
-	a, err := Analyze(writeConflict(3, 8), Config{Sim: sim.Config{Seed: 5}, DetectRaces: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, pipeline.Request{Program: writeConflict(3, 8), Seed: 5, DetectRaces: true})
 	if a.Report.Counts[ulcp.TLCP] == 0 {
 		t.Fatal("no TLCPs found in a write-conflict workload")
 	}
@@ -122,10 +129,7 @@ func TestPipelineNullLocks(t *testing.T) {
 			}
 		})
 	}
-	a, err := Analyze(p, Config{Sim: sim.Config{Seed: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, pipeline.Request{Program: p, Seed: 2})
 	if a.Report.Counts[ulcp.NullLock] == 0 {
 		t.Fatal("no null-locks identified")
 	}
@@ -138,10 +142,7 @@ func TestPipelineNullLocks(t *testing.T) {
 }
 
 func TestSummaryRendering(t *testing.T) {
-	a, err := Analyze(readHeavy(2, 4), Config{Sim: sim.Config{Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, pipeline.Request{Program: readHeavy(2, 4), Seed: 1})
 	s := a.Summary(3)
 	for _, want := range []string{"PerfPlay analysis", "read-heavy", "ULCPs:", "recommendations"} {
 		if !strings.Contains(s, want) {
@@ -150,13 +151,12 @@ func TestSummaryRendering(t *testing.T) {
 	}
 }
 
+// A Trace request over a recording replays to the total the recording
+// run itself measured: the trace and program entry points agree.
 func TestAnalyzeTraceMatchesAnalyze(t *testing.T) {
 	p := readHeavy(3, 6)
 	rec := sim.Run(p, sim.Config{Seed: 9})
-	a, err := AnalyzeTrace(rec.Trace, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, pipeline.Request{Trace: rec.Trace})
 	if a.Debug.Tut != rec.Total {
 		t.Fatalf("ELSC original replay %v != recorded %v", a.Debug.Tut, rec.Total)
 	}
@@ -181,10 +181,7 @@ func TestDisjointWritePipeline(t *testing.T) {
 			}
 		})
 	}
-	a, err := Analyze(p, Config{Sim: sim.Config{Seed: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, pipeline.Request{Program: p, Seed: 3})
 	if a.Report.Counts[ulcp.DisjointWrite] == 0 {
 		t.Fatal("no disjoint-write ULCPs identified")
 	}
@@ -214,10 +211,7 @@ func TestBenignCommutativePipeline(t *testing.T) {
 			}
 		})
 	}
-	a, err := Analyze(p, Config{Sim: sim.Config{Seed: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, pipeline.Request{Program: p, Seed: 4})
 	if a.Report.Counts[ulcp.Benign] == 0 {
 		t.Fatalf("no benign ULCPs found; counts = %v", a.Report.Counts)
 	}
@@ -227,10 +221,7 @@ func TestBenignCommutativePipeline(t *testing.T) {
 }
 
 func TestVerifyTheorem1Integration(t *testing.T) {
-	a, err := Analyze(readHeavy(3, 6), Config{Sim: sim.Config{Seed: 5}, VerifyTheorem1: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, pipeline.Request{Program: readHeavy(3, 6), Seed: 5, VerifyTheorem1: true})
 	if a.Theorem1 == nil {
 		t.Fatal("Theorem1 report missing")
 	}
@@ -243,19 +234,13 @@ func TestVerifyTheorem1Integration(t *testing.T) {
 }
 
 func TestAnalyzeWithDLSAndLocksetCost(t *testing.T) {
-	a, err := Analyze(readHeavy(2, 6), Config{Sim: sim.Config{Seed: 5}, DLS: true, LocksetCost: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, pipeline.Request{Program: readHeavy(2, 6), Seed: 5, DLS: true, LocksetCost: 8})
 	// Read-only workloads have no causal edges, so no locksets and no
 	// overhead; the options must still be accepted.
 	if a.FreeReplay.LocksetOverhead != 0 {
 		t.Fatalf("lockset overhead = %v on a lockset-free trace", a.FreeReplay.LocksetOverhead)
 	}
-	b, err := Analyze(writeConflict(3, 6), Config{Sim: sim.Config{Seed: 5}, DLS: true, LocksetCost: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := analyze(t, pipeline.Request{Program: writeConflict(3, 6), Seed: 5, DLS: true, LocksetCost: 8})
 	if b.Transformed.LocksetNodes > 0 && b.FreeReplay.LocksetAcqs == 0 {
 		t.Fatal("lockset acquisitions not counted")
 	}

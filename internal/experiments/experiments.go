@@ -9,6 +9,7 @@ import (
 
 	"perfplay/internal/core"
 	"perfplay/internal/elision"
+	"perfplay/internal/pipeline"
 	"perfplay/internal/replay"
 	"perfplay/internal/report"
 	"perfplay/internal/sim"
@@ -54,16 +55,18 @@ func (c Config) withDefaults() Config {
 func identify(app *workload.App, wcfg workload.Config) (*sim.Result, *ulcp.Report) {
 	p := app.Build(wcfg)
 	rec := sim.Run(p, sim.Config{Seed: wcfg.Seed})
-	css := rec.Trace.ExtractCS()
-	rep := ulcp.IdentifySharded(rec.Trace, css, ulcp.Options{})
-	return rec, rep
+	return rec, ulcp.Identify(rec.Trace, rec.Trace.ExtractCS(), ulcp.Options{})
 }
 
 // analyze runs the full pipeline on an app.
-func analyze(app *workload.App, wcfg workload.Config, ccfg core.Config) (*core.Analysis, error) {
-	p := app.Build(wcfg)
-	ccfg.Sim.Seed = wcfg.Seed
-	return core.Analyze(p, ccfg)
+func analyze(app *workload.App, wcfg workload.Config) (*core.Analysis, error) {
+	res, err := pipeline.Run(pipeline.Request{
+		App: app.Name, Threads: wcfg.Threads, Input: wcfg.Input, Scale: wcfg.Scale, Seed: wcfg.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Analysis, nil
 }
 
 // Table1 reproduces Table 1: the ULCP breakdown of all sixteen
@@ -148,7 +151,7 @@ func Figure14(cfg Config) *report.Figure {
 	var sumDeg, sumWaste float64
 	n := 0
 	for _, app := range workload.All() {
-		a, err := analyze(app, workload.Config{Threads: 2, Scale: cfg.Scale, Seed: cfg.Seed}, core.Config{})
+		a, err := analyze(app, workload.Config{Threads: 2, Scale: cfg.Scale, Seed: cfg.Seed})
 		if err != nil {
 			deg.AddPoint(app.Name, 0, 0)
 			waste.AddPoint(app.Name, 0, 0)
@@ -183,7 +186,7 @@ func Table2(cfg Config) *report.Table {
 		"application", "#grouped ULCPs", "ULCP1.P")
 	for _, name := range table2Apps {
 		app, _ := workload.Get(name)
-		a, err := analyze(app, workload.Config{Threads: 2, Scale: cfg.Scale, Seed: cfg.Seed}, core.Config{})
+		a, err := analyze(app, workload.Config{Threads: 2, Scale: cfg.Scale, Seed: cfg.Seed})
 		if err != nil {
 			t.AddRow(name, "error", err.Error())
 			continue
@@ -205,7 +208,7 @@ func Table3(cfg Config) *report.Table {
 	t := report.NewTable("Table 3: lockset runtime overhead w/o and w/ DLS",
 		"application", "w/o DLS", "w/ DLS")
 	for _, app := range workload.Parsec() {
-		a, err := analyze(app, workload.Config{Threads: 2, Scale: cfg.Scale, Seed: cfg.Seed}, core.Config{})
+		a, err := analyze(app, workload.Config{Threads: 2, Scale: cfg.Scale, Seed: cfg.Seed})
 		if err != nil {
 			t.AddRow(app.Name, "error", err.Error())
 			continue
@@ -241,7 +244,7 @@ func TableLE(cfg Config) *report.Table {
 		"application", "locked", "ULCP-free", "elided", "LE aborts", "LE abort rate", "LE wasted work")
 	for _, name := range []string{"openldap", "mysql", "handbrake", "bodytrack", "canneal", "dedup", "facesim", "fluidanimate", "vips", "x264"} {
 		app, _ := workload.Get(name)
-		a, err := analyze(app, workload.Config{Threads: 2, Scale: cfg.Scale, Seed: cfg.Seed}, core.Config{})
+		a, err := analyze(app, workload.Config{Threads: 2, Scale: cfg.Scale, Seed: cfg.Seed})
 		if err != nil {
 			t.AddRow(name, "error", err.Error())
 			continue
@@ -276,8 +279,7 @@ func TableStatic(cfg Config) *report.Table {
 		p := app.Build(workload.Config{Threads: 2, Scale: cfg.Scale, Seed: cfg.Seed})
 		rec := sim.Run(p, sim.Config{Seed: cfg.Seed})
 		static := staticcheck.Analyze(rec.Trace)
-		css := rec.Trace.ExtractCS()
-		dyn := ulcp.IdentifySharded(rec.Trace, css, ulcp.Options{})
+		dyn := ulcp.Identify(rec.Trace, rec.Trace.ExtractCS(), ulcp.Options{})
 		static.CompareWithDynamic(dyn)
 		claims := 0
 		for _, f := range static.Findings {
@@ -305,7 +307,7 @@ func Figure15(cfg Config) []*report.Figure {
 		app, _ := workload.Get(name)
 		sa, sb := fa.Add(name), fb.Add(name)
 		for _, th := range []int{2, 4, 6, 8} {
-			a, err := analyze(app, workload.Config{Threads: th, Scale: cfg.Scale, Seed: cfg.Seed}, core.Config{})
+			a, err := analyze(app, workload.Config{Threads: th, Scale: cfg.Scale, Seed: cfg.Seed})
 			if err != nil {
 				continue
 			}
@@ -326,7 +328,7 @@ func Figure16(cfg Config) []*report.Figure {
 		app, _ := workload.Get(name)
 		sa, sb := fa.Add(name), fb.Add(name)
 		for _, in := range inputs {
-			a, err := analyze(app, workload.Config{Threads: 2, Input: in, Scale: cfg.Scale, Seed: cfg.Seed}, core.Config{})
+			a, err := analyze(app, workload.Config{Threads: 2, Input: in, Scale: cfg.Scale, Seed: cfg.Seed})
 			if err != nil {
 				continue
 			}

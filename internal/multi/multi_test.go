@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"perfplay/internal/core"
+	"perfplay/internal/pipeline"
 	"perfplay/internal/sim"
 	"perfplay/internal/vtime"
 )
@@ -36,11 +37,11 @@ func build(seed int64, wide bool) *core.Analysis {
 			}
 		})
 	}
-	a, err := core.Analyze(p, core.Config{Sim: sim.Config{Seed: seed}})
+	res, err := pipeline.Run(pipeline.Request{Program: p, Seed: seed})
 	if err != nil {
 		panic(err)
 	}
-	return a
+	return res.Analysis
 }
 
 func TestMergeConsistentAcrossSeeds(t *testing.T) {

@@ -10,9 +10,10 @@
 // sorted lock order), so a run with Workers: 8 produces byte-identical
 // reports to the serial path for the same seed. A Pipeline value adds an
 // LRU result cache keyed by (workload, input, threads, seed, config) on
-// top; cmd/perfplay, cmd/experiments, the examples, the bench harness
-// and the perfplayd daemon all drive their analyses through this
-// package instead of hand-rolling the stage glue.
+// top. exec is the module's single definition of the stage order:
+// cmd/perfplay, cmd/experiments (every paper table and figure), the
+// examples, the bench harness and the perfplayd daemon all drive their
+// analyses through this package.
 package pipeline
 
 import (
@@ -89,18 +90,25 @@ type Request struct {
 	// schedulers (ORIG/ELSC/SYNC/MEM), in parallel.
 	Schemes bool
 
-	// DetectRaces, MaxRaces, DLS, LocksetCost, VerifyTheorem1 and
-	// Identify mirror core.Config. Classification builds one shared
-	// verdict table per trace (ulcp.BuildVerdictTable) and runs shards
-	// against it, so Identify.MaxReversedReplays budgets reversed
-	// replays per trace — Identify's semantics — and recurring region
-	// pairs are replayed once instead of once per contended lock.
-	DetectRaces    bool
-	MaxRaces       int
-	DLS            bool
-	LocksetCost    vtime.Duration
+	// DetectRaces runs the happens-before detector over the ULCP-free
+	// replay (Theorem 1's fallback reporting); MaxRaces caps the
+	// reported races (0 = 32).
+	DetectRaces bool
+	MaxRaces    int
+	// DLS applies the dynamic locking strategy in the ULCP-free replay,
+	// and LocksetCost its lockset maintenance cost model (Table 3);
+	// zero disables the cost model.
+	DLS         bool
+	LocksetCost vtime.Duration
+	// VerifyTheorem1 runs the full Theorem 1 check (outcome comparison
+	// plus race attribution) and stores the report on the analysis.
 	VerifyTheorem1 bool
-	Identify       ulcp.Options
+	// Identify configures ULCP identification. Classification builds
+	// one shared verdict table per trace (ulcp.BuildVerdictTable) and
+	// runs shards against it, so Identify.MaxReversedReplays budgets
+	// reversed replays per trace and recurring region pairs are
+	// replayed once instead of once per contended lock.
+	Identify ulcp.Options
 
 	// TraceID and SpanID carry the job's distributed-tracing context so
 	// a Distributor can propagate it to peer nodes. Both are excluded

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"perfplay/internal/replay"
 	"perfplay/internal/trace"
 	"perfplay/internal/vtime"
 )
@@ -338,6 +339,64 @@ func TestSkipRangeRecordsDelta(t *testing.T) {
 	}
 	if skip.Cost != 5000 {
 		t.Fatalf("skip cost = %v, want 5000", skip.Cost)
+	}
+}
+
+// TestSelectiveRecordingSavesTraceFootprint compares a workload that
+// selectively records a heavy library call (KSkip delta) against the same
+// workload recorded completely: the selective trace must be much smaller
+// while replaying to the same final state (Sec. 5.1).
+func TestSelectiveRecordingSavesTraceFootprint(t *testing.T) {
+	build := func(selective bool) *Result {
+		p := NewProgram("sel")
+		l := p.NewLock("L")
+		buf := p.Mem.AllocN("iobuf", 8, 0)
+		s := site(p, 1)
+		for i := 0; i < 2; i++ {
+			p.AddThread(func(th *Thread) {
+				for j := 0; j < 10; j++ {
+					// A "library call" that touches many cells.
+					if selective {
+						j := j
+						th.SkipRange(2000, func(m *memmodel.Memory) {
+							for k, a := range buf {
+								m.Store(a, int64(j*10+k))
+							}
+						})
+					} else {
+						for k, a := range buf {
+							th.Write(a, int64(j*10+k), s)
+							th.Compute(2000/vtime.Duration(len(buf)) - 15)
+						}
+					}
+					th.Lock(l, s)
+					th.Read(buf[0], s)
+					th.Unlock(l, s)
+				}
+			})
+		}
+		return Run(p, Config{Seed: 4})
+	}
+	sel := build(true)
+	full := build(false)
+	if len(sel.Trace.Events) >= len(full.Trace.Events) {
+		t.Fatalf("selective trace has %d events, complete has %d; expected savings",
+			len(sel.Trace.Events), len(full.Trace.Events))
+	}
+	if skips := sel.Trace.CountKind(trace.KSkip); skips != 20 {
+		t.Fatalf("skips = %d, want 20", skips)
+	}
+	// Both record the same final buffer contents.
+	if !sel.Trace.FinalMem.Equal(full.Trace.FinalMem) {
+		t.Fatal("selective and complete recordings disagree on final state")
+	}
+	// And the selective trace replays to that state too.
+	res, err := replay.Run(sel.Trace, replay.Options{Sched: replay.ELSCS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.FinalMem.Equal(sel.Trace.FinalMem) {
+		t.Fatal("selective replay lost the skipped state")
 	}
 }
 

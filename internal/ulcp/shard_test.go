@@ -1,8 +1,8 @@
 package ulcp
 
 import (
+	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"perfplay/internal/sim"
@@ -11,56 +11,74 @@ import (
 )
 
 // recordedCS records one workload and extracts its critical sections.
-func recordedCS(t *testing.T, app string, seed int64) (*trace.Trace, []*trace.CritSec) {
+func recordedCS(t *testing.T, app string, threads int, seed int64) (*trace.Trace, []*trace.CritSec) {
 	t.Helper()
 	a := workload.MustGet(app)
-	p := a.Build(workload.Config{Threads: 2, Scale: 0.2, Seed: seed})
+	p := a.Build(workload.Config{Threads: threads, Scale: 0.2, Seed: seed})
 	res := sim.Run(p, sim.Config{Seed: seed})
 	return res.Trace, res.Trace.ExtractCS()
 }
 
-// TestShardMergeMatchesIdentify: with a non-binding reversed-replay
-// budget, running each lock group through IdentifyShard and merging in
-// sorted lock order must reproduce Identify exactly (same pairs in the
-// same order, same counts and causal edges) — the per-lock vs per-trace
-// budget difference only matters when the budget binds.
-func TestShardMergeMatchesIdentify(t *testing.T) {
-	for _, app := range []string{"pbzip2", "mysql"} {
-		tr, css := recordedCS(t, app, 7)
-		opts := Options{MaxReversedReplays: 1 << 30}
+// mergeShards runs every sorted lock group through
+// IdentifyShardWithVerdicts and merges in group order. The merged
+// ReversedReplays is the shards' own total (table replays excluded).
+func mergeShards(tr *trace.Trace, css []*trace.CritSec, opts Options, table *VerdictTable) *Report {
+	groups := SortedLockGroups(css)
+	shards := make([]*Report, len(groups))
+	for i, g := range groups {
+		shards[i] = IdentifyShardWithVerdicts(tr, g, opts, table)
+	}
+	return MergeReports(shards...)
+}
 
-		serial := Identify(tr, css, opts)
+// sameClassification fails unless got classifies exactly as want: same
+// pairs in the same order, same counts and causal edges.
+func sameClassification(t *testing.T, what string, got, want *Report) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Pairs, want.Pairs) {
+		t.Fatalf("%s: pairs differ from Identify (%d vs %d pairs)", what, len(got.Pairs), len(want.Pairs))
+	}
+	if !reflect.DeepEqual(got.Counts, want.Counts) {
+		t.Fatalf("%s: counts differ: %v vs %v", what, got.Counts, want.Counts)
+	}
+	if !reflect.DeepEqual(got.CausalEdges, want.CausalEdges) {
+		t.Fatalf("%s: causal edges differ", what)
+	}
+	if got.Truncated != want.Truncated {
+		t.Fatalf("%s: truncated %d vs %d", what, got.Truncated, want.Truncated)
+	}
+}
 
-		byLock := trace.CSByLock(css)
-		locks := make([]trace.LockID, 0, len(byLock))
-		for l := range byLock {
-			locks = append(locks, l)
-		}
-		sort.Slice(locks, func(i, j int) bool { return locks[i] < locks[j] })
-		shards := make([]*Report, len(locks))
-		for i, l := range locks {
-			shards[i] = IdentifyShard(tr, byLock[l], opts)
-		}
-		merged := MergeReports(shards...)
-
-		if !reflect.DeepEqual(merged.Pairs, serial.Pairs) {
-			t.Fatalf("%s: shard-merged pairs differ from Identify (%d vs %d pairs)",
-				app, len(merged.Pairs), len(serial.Pairs))
-		}
-		if !reflect.DeepEqual(merged.Counts, serial.Counts) {
-			t.Fatalf("%s: counts differ: %v vs %v", app, merged.Counts, serial.Counts)
-		}
-		if !reflect.DeepEqual(merged.CausalEdges, serial.CausalEdges) {
-			t.Fatalf("%s: causal edges differ", app)
+// everyWorkload runs f over every registered workload at 2 and 4
+// threads.
+func everyWorkload(t *testing.T, f func(t *testing.T, tr *trace.Trace, css []*trace.CritSec)) {
+	for _, app := range workload.Names() {
+		for _, threads := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/t%d", app, threads), func(t *testing.T) {
+				tr, css := recordedCS(t, app, threads, 7)
+				f(t, tr, css)
+			})
 		}
 	}
+}
+
+// TestShardMergeMatchesIdentify: with a non-binding reversed-replay
+// budget, running each lock group through a table-less shard (nil
+// table: shard-local memo and budget) and merging in sorted lock order
+// must reproduce Identify exactly — the per-lock vs per-trace budget
+// difference only matters when the budget binds.
+func TestShardMergeMatchesIdentify(t *testing.T) {
+	everyWorkload(t, func(t *testing.T, tr *trace.Trace, css []*trace.CritSec) {
+		opts := Options{MaxReversedReplays: 1 << 30}
+		sameClassification(t, "table-less shards", mergeShards(tr, css, opts, nil), Identify(tr, css, opts))
+	})
 }
 
 // TestIdentifyDeterministic: two runs over the same trace produce
 // identical reports (sorted lock/thread iteration removed the map-order
 // dependence that made budget consumption racy).
 func TestIdentifyDeterministic(t *testing.T) {
-	tr, css := recordedCS(t, "mysql", 3)
+	tr, css := recordedCS(t, "mysql", 2, 3)
 	a := Identify(tr, css, Options{})
 	b := Identify(tr, css, Options{})
 	if !reflect.DeepEqual(a, b) {

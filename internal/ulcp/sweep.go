@@ -155,8 +155,14 @@ func outcomesEqual(fwd, rev *pairOutcome) bool {
 	return true
 }
 
-// reversedReplayEqual is the batched form of the package-level function:
-// the prefix comes from the identifier's forward sweep and the two
+// reversedReplayEqual performs the reversed replay localized to the pair:
+// it takes the recorded memory state at c1's acquisition, replays the
+// two critical sections in both orders (c1;c2 and c2;c1), and reports
+// whether both orders produce the same result — identical writes applied
+// and identical values observed by every read. Localizing the reversal
+// keeps the check deterministic: a whole-trace reversal would perturb
+// unrelated lock races and misattribute their differences to the pair.
+// The prefix comes from the identifier's forward sweep and the two
 // orders execute against overlays, with all scratch reused across the
 // run's pairs.
 func (id *identifier) reversedReplayEqual(c1, c2 *trace.CritSec) bool {
@@ -170,9 +176,14 @@ func (id *identifier) reversedReplayEqual(c1, c2 *trace.CritSec) bool {
 	return outcomesEqual(&id.scratch.fwd, &id.scratch.rev)
 }
 
-// pairKey is regionPairKey built into the identifier's reusable buffer;
-// the two must remain byte-identical (pinned by test) because verdict
-// tables built from either must interoperate.
+// pairKey identifies the memoization class of a conflicting pair: the
+// two code regions plus the write-op signature of the conflicting
+// addresses. The signature matters because one code region can emit both
+// commutative updates (benign) and order-sensitive stores (TLCP); a shared
+// key would let one verdict shadow the other. The key is built into the
+// identifier's reusable buffer and pinned by test against an allocating
+// reference, because it is the wire format of shipped and cached verdict
+// tables.
 func (id *identifier) pairKey(c1, c2 *trace.CritSec) string {
 	if id.scratch == nil {
 		id.scratch = &pairScratch{}
@@ -203,8 +214,10 @@ func appendRegion(b []byte, r trace.Region) []byte {
 	return b
 }
 
-// appendConflictSig renders conflictSig into b using the scratch's
-// reusable address set and slice.
+// appendConflictSig summarizes, per conflicting address, how each side
+// touches it: r=read, and one letter per write-op kind (s/a/&/|),
+// deduplicated. It renders into b using the scratch's reusable address
+// set and slice.
 func appendConflictSig(b []byte, sc *pairScratch, c1, c2 *trace.CritSec) []byte {
 	if sc.conflicting == nil {
 		sc.conflicting = make(map[memmodel.Addr]struct{}, 8)

@@ -1,6 +1,7 @@
 package ulcp
 
 import (
+	"sort"
 	"testing"
 
 	"perfplay/internal/memmodel"
@@ -78,6 +79,68 @@ func refReversedReplayEqual(tr *trace.Trace, c1, c2 *trace.CritSec) bool {
 	fwd := refExecPair(tr, pre, c1, c2)
 	rev := refExecPair(tr, pre, c2, c1)
 	return outcomesEqual(&fwd, &rev)
+}
+
+// regionPairKey is the allocating reference for the identifier's
+// scratch-built pairKey: the two code regions plus the write-op
+// signature of the conflicting addresses.
+func regionPairKey(c1, c2 *trace.CritSec) string {
+	return c1.Region.String() + "|" + c2.Region.String() + "|" + conflictSig(c1, c2)
+}
+
+// conflictSig is the allocating reference for appendConflictSig: per
+// conflicting address, how each side touches it — r=read, and one
+// letter per write-op kind (s/a/&/|), deduplicated.
+func conflictSig(c1, c2 *trace.CritSec) string {
+	touch := func(cs *trace.CritSec, a memmodel.Addr) string {
+		var b []byte
+		if _, ok := cs.Reads[a]; ok {
+			b = append(b, 'r')
+		}
+		seen := [4]bool{}
+		for _, op := range cs.WriteOps[a] {
+			if !seen[op] {
+				seen[op] = true
+				b = append(b, "sa&|"[op])
+			}
+		}
+		return string(b)
+	}
+	conflicting := make(map[memmodel.Addr]struct{})
+	for a := range c1.Writes {
+		if _, ok := c2.Writes[a]; ok {
+			conflicting[a] = struct{}{}
+		}
+		if _, ok := c2.Reads[a]; ok {
+			conflicting[a] = struct{}{}
+		}
+	}
+	for a := range c2.Writes {
+		if _, ok := c1.Reads[a]; ok {
+			conflicting[a] = struct{}{}
+		}
+	}
+	addrs := make([]memmodel.Addr, 0, len(conflicting))
+	for a := range conflicting {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	var b []byte
+	for _, a := range addrs {
+		b = append(b, touch(c1, a)...)
+		b = append(b, ':')
+		b = append(b, touch(c2, a)...)
+		b = append(b, ';')
+	}
+	return string(b)
+}
+
+// reversedReplayEqual is the one-pair form of the identifier method: it
+// builds fresh sweep state per call instead of batching the prefix walk
+// across a lock group's pairs.
+func reversedReplayEqual(tr *trace.Trace, c1, c2 *trace.CritSec) bool {
+	id := &identifier{tr: tr}
+	return id.reversedReplayEqual(c1, c2)
 }
 
 // TestSweepMatchesNaiveReplay drives the batched sweep through every

@@ -156,78 +156,52 @@ type identifier struct {
 	scratch *pairScratch
 }
 
+// newIdentifier starts one identification run over css with a fresh
+// report and memo.
+func newIdentifier(tr *trace.Trace, css []*trace.CritSec, opts Options, table *VerdictTable) *identifier {
+	return &identifier{
+		tr:         tr,
+		css:        css,
+		opts:       opts.withDefaults(),
+		rep:        &Report{Counts: make(map[Category]int)},
+		benignMemo: make(map[string]bool),
+		table:      table,
+	}
+}
+
 // Identify runs the full identification pass over a recorded trace.
 // Locks and peer threads are visited in sorted order, so the report —
 // including the reversed-replay budget's consumption order — is a
 // deterministic function of (trace, critical sections, options).
+// MaxReversedReplays budgets replays per trace.
 func Identify(tr *trace.Trace, css []*trace.CritSec, opts Options) *Report {
-	opts = opts.withDefaults()
-	id := &identifier{
-		tr:   tr,
-		css:  css,
-		opts: opts,
-		rep: &Report{
-			Counts: make(map[Category]int),
-		},
-		benignMemo: make(map[string]bool),
-	}
-	id.run()
-	return id.rep
+	_, rep := BuildVerdictTable(tr, css, opts)
+	return rep
 }
 
-// IdentifyShard runs identification over a single lock's critical
-// sections (one group of trace.CSByLock) with a shard-local memo and
-// reversed-replay budget. Shards are independent — the result is a pure
-// function of (trace, lock group, options) — so callers may run them
-// concurrently and combine them with MergeReports; merging in sorted
-// lock order reproduces Identify's pair order. Note the budget semantics
-// differ from Identify: MaxReversedReplays caps replays per lock rather
-// than per trace.
-func IdentifyShard(tr *trace.Trace, lockCSs []*trace.CritSec, opts Options) *Report {
-	opts = opts.withDefaults()
-	id := &identifier{
-		tr:   tr,
-		css:  lockCSs,
-		opts: opts,
-		rep: &Report{
-			Counts: make(map[Category]int),
-		},
-		benignMemo: make(map[string]bool),
-	}
-	id.runLock(lockCSs)
-	return id.rep
-}
-
-// IdentifyShardWithVerdicts is IdentifyShard with a precomputed verdict
-// table (see BuildVerdictTable): conflicting pairs whose region-pair
-// class is in the table reuse its verdict without a replay, so shards
-// sharing one table — across goroutines or across nodes — stop
-// re-paying the O(events) prefix walk for classes that recur under
-// many locks. Classes absent from the table (a table built over
-// different groups) fall back to the shard-local memo and budget. With
-// a table built over the same sorted lock groups and options, shards
-// perform zero replays and the merged classification is a pure
-// function of (trace, groups, options, table).
+// IdentifyShardWithVerdicts runs identification over a single lock's
+// critical sections (one group of SortedLockGroups) against a
+// precomputed verdict table (see BuildVerdictTable): conflicting pairs
+// whose region-pair class is in the table reuse its verdict without a
+// replay, so shards sharing one table — across goroutines or across
+// nodes — stop re-paying the O(events) prefix walk for classes that
+// recur under many locks. Classes absent from the table (a table built
+// over different groups, or a nil table) fall back to a shard-local
+// memo and budget. With a table built over the same sorted lock groups
+// and options, shards perform zero replays and the merged
+// classification is a pure function of (trace, groups, options,
+// table); merging in sorted lock order with MergeReports reproduces
+// Identify's pair order.
 func IdentifyShardWithVerdicts(tr *trace.Trace, lockCSs []*trace.CritSec, opts Options, table *VerdictTable) *Report {
-	opts = opts.withDefaults()
-	id := &identifier{
-		tr:   tr,
-		css:  lockCSs,
-		opts: opts,
-		rep: &Report{
-			Counts: make(map[Category]int),
-		},
-		benignMemo: make(map[string]bool),
-		table:      table,
-	}
+	id := newIdentifier(tr, lockCSs, opts, table)
 	id.runLock(lockCSs)
 	return id.rep
 }
 
 // SortedLockGroups returns CSByLock's groups in ascending lock order —
-// the canonical shard decomposition shared by Identify, IdentifySharded
-// and the concurrent pipeline. Keeping it in one place is what keeps
-// the serial and parallel paths byte-identical.
+// the canonical shard decomposition shared by Identify and the
+// concurrent pipeline. Keeping it in one place is what keeps the serial
+// and parallel paths byte-identical.
 func SortedLockGroups(css []*trace.CritSec) [][]*trace.CritSec {
 	byLock := trace.CSByLock(css)
 	locks := make([]trace.LockID, 0, len(byLock))
@@ -240,20 +214,6 @@ func SortedLockGroups(css []*trace.CritSec) [][]*trace.CritSec {
 		groups[i] = byLock[l]
 	}
 	return groups
-}
-
-// IdentifySharded is the serial convenience over the shard API: every
-// lock group through IdentifyShard, merged in sorted lock order. It has
-// the pipeline's per-lock budget semantics (unlike Identify's per-trace
-// budget), so serial tools that must agree with pipeline-produced
-// reports should use it.
-func IdentifySharded(tr *trace.Trace, css []*trace.CritSec, opts Options) *Report {
-	groups := SortedLockGroups(css)
-	reports := make([]*Report, len(groups))
-	for i, g := range groups {
-		reports[i] = IdentifyShard(tr, g, opts)
-	}
-	return MergeReports(reports...)
 }
 
 // MergeReports combines shard reports in call order into one report.
@@ -364,76 +324,6 @@ func (id *identifier) benign(c1, c2 *trace.CritSec) bool {
 	v := id.reversedReplayEqual(c1, c2)
 	id.benignMemo[key] = v
 	return v
-}
-
-// regionPairKey identifies the memoization class of a conflicting pair:
-// the two code regions plus the write-op signature of the conflicting
-// addresses. The signature matters because one code region can emit both
-// commutative updates (benign) and order-sensitive stores (TLCP); a shared
-// key would let one verdict shadow the other.
-func regionPairKey(c1, c2 *trace.CritSec) string {
-	return c1.Region.String() + "|" + c2.Region.String() + "|" + conflictSig(c1, c2)
-}
-
-// conflictSig summarizes, per conflicting address, how each side touches
-// it: r=read, and one letter per write-op kind (s/a/&/|), deduplicated.
-func conflictSig(c1, c2 *trace.CritSec) string {
-	touch := func(cs *trace.CritSec, a memmodel.Addr) string {
-		var b []byte
-		if _, ok := cs.Reads[a]; ok {
-			b = append(b, 'r')
-		}
-		seen := [4]bool{}
-		for _, op := range cs.WriteOps[a] {
-			if !seen[op] {
-				seen[op] = true
-				b = append(b, "sa&|"[op])
-			}
-		}
-		return string(b)
-	}
-	conflicting := make(map[memmodel.Addr]struct{})
-	for a := range c1.Writes {
-		if _, ok := c2.Writes[a]; ok {
-			conflicting[a] = struct{}{}
-		}
-		if _, ok := c2.Reads[a]; ok {
-			conflicting[a] = struct{}{}
-		}
-	}
-	for a := range c2.Writes {
-		if _, ok := c1.Reads[a]; ok {
-			conflicting[a] = struct{}{}
-		}
-	}
-	addrs := make([]memmodel.Addr, 0, len(conflicting))
-	for a := range conflicting {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	var b []byte
-	for _, a := range addrs {
-		b = append(b, touch(c1, a)...)
-		b = append(b, ':')
-		b = append(b, touch(c2, a)...)
-		b = append(b, ';')
-	}
-	return string(b)
-}
-
-// reversedReplayEqual performs the reversed replay localized to the pair:
-// it reconstructs the recorded memory state at c1's acquisition, replays
-// the two critical sections in both orders (c1;c2 and c2;c1), and reports
-// whether both orders produce the same result — identical writes applied
-// and identical values observed by every read. Localizing the reversal
-// keeps the check deterministic: a whole-trace reversal would perturb
-// unrelated lock races and misattribute their differences to the pair.
-// This standalone form builds fresh sweep state per call; Identify's
-// inner loop uses the identifier method, which batches the prefix walk
-// across a lock group's pairs (sweep.go).
-func reversedReplayEqual(tr *trace.Trace, c1, c2 *trace.CritSec) bool {
-	id := &identifier{tr: tr}
-	return id.reversedReplayEqual(c1, c2)
 }
 
 // pairOutcome is the observable result of executing the two critical

@@ -275,8 +275,9 @@ func TestConflictSigDistinguishesOps(t *testing.T) {
 	addC := cs(nil, []memmodel.Addr{1})
 	addC.WriteOps[1] = []trace.WriteOp{trace.WAdd}
 	setC := cs(nil, []memmodel.Addr{1})
-	k1 := regionPairKey(addC, addC)
-	k2 := regionPairKey(addC, setC)
+	id := &identifier{}
+	k1 := id.pairKey(addC, addC)
+	k2 := id.pairKey(addC, setC)
 	if k1 == k2 {
 		t.Fatal("conflict signatures must distinguish add/add from add/set pairs")
 	}

@@ -20,20 +20,11 @@ import (
 // shard-local replays and merges to a report pair-for-pair identical to
 // Identify's, regardless of which goroutine or machine ran each shard.
 type VerdictTable struct {
-	// Verdicts maps regionPairKey → benign. Every class Identify's walk
+	// Verdicts maps pairKey → benign. Every class Identify's walk
 	// replayed (or budget-defaulted) has an entry.
 	Verdicts map[string]bool `json:"verdicts"`
 	// Replays counts the reversed replays spent building the table.
 	Replays int `json:"replays"`
-}
-
-// Lookup returns the memoized verdict for a conflicting pair.
-func (vt *VerdictTable) Lookup(c1, c2 *trace.CritSec) (benign, ok bool) {
-	if vt == nil {
-		return false, false
-	}
-	benign, ok = vt.Verdicts[regionPairKey(c1, c2)]
-	return benign, ok
 }
 
 // Classes reports how many region-pair classes the table memoizes.
@@ -51,23 +42,14 @@ func (vt *VerdictTable) Classes() int {
 // precedes, their classification); distributed callers ship the table
 // with each shard request and merge the shard reports, which reproduce
 // this report byte-for-byte. MaxReversedReplays budgets replays per
-// trace (Identify's semantics, not IdentifyShard's per-lock one).
+// trace.
 //
 // The table is also the unit of cross-job reuse: it depends only on
 // (trace content, Options), so a daemon analyzing the same stored trace
 // under different reporting flags can reuse a cached table and skip
 // every replay (see the pipeline's digest-keyed table cache).
 func BuildVerdictTable(tr *trace.Trace, css []*trace.CritSec, opts Options) (*VerdictTable, *Report) {
-	opts = opts.withDefaults()
-	id := &identifier{
-		tr:   tr,
-		css:  css,
-		opts: opts,
-		rep: &Report{
-			Counts: make(map[Category]int),
-		},
-		benignMemo: make(map[string]bool),
-	}
+	id := newIdentifier(tr, css, opts, nil)
 	id.run()
 	return &VerdictTable{Verdicts: id.benignMemo, Replays: id.rep.ReversedReplays}, id.rep
 }

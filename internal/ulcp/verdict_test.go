@@ -5,56 +5,64 @@ import (
 	"reflect"
 	"testing"
 
-	"perfplay/internal/sim"
 	"perfplay/internal/trace"
-	"perfplay/internal/workload"
 )
 
 // openldapFixture records the contended openldap workload — the ROADMAP
-// fixture where the per-lock memo re-pays replays for region pairs that
+// fixture where a per-lock memo re-pays replays for region pairs that
 // recur under many locks.
 func openldapFixture(t *testing.T) (*trace.Trace, []*trace.CritSec) {
 	t.Helper()
-	a := workload.MustGet("openldap")
-	p := a.Build(workload.Config{Threads: 4, Scale: 0.2, Seed: 7})
-	res := sim.Run(p, sim.Config{Seed: 7})
-	return res.Trace, res.Trace.ExtractCS()
+	return recordedCS(t, "openldap", 4, 7)
 }
 
 // TestVerdictTableReducesReplays pins the reversed-replay counters on
-// the openldap fixture: the per-lock memo re-replays recurring region
-// pairs (39 replays), while one shared table pays each class once (24)
-// and the table-backed shards pay nothing. The exact values are
-// deterministic functions of the fixture; a change means the walk or
-// the memo key changed and must be deliberate.
+// the openldap fixture: table-less shards, each with its own per-lock
+// memo, re-replay recurring region pairs (39 replays), while one shared
+// table pays each class once (24) and the table-backed shards pay
+// nothing. The exact values are deterministic functions of the fixture;
+// a change means the walk or the memo key changed and must be
+// deliberate.
 func TestVerdictTableReducesReplays(t *testing.T) {
 	tr, css := openldapFixture(t)
 	opts := Options{}
 
-	sharded := IdentifySharded(tr, css, opts)
+	perLock := mergeShards(tr, css, opts, nil).ReversedReplays
 	table, rep := BuildVerdictTable(tr, css, opts)
+	shardReplays := mergeShards(tr, css, opts, table).ReversedReplays
 
-	groups := SortedLockGroups(css)
-	var shardReplays int
-	for _, g := range groups {
-		shardReplays += IdentifyShardWithVerdicts(tr, g, opts, table).ReversedReplays
-	}
-
-	if table.Replays >= sharded.ReversedReplays {
-		t.Fatalf("shared table spent %d replays, per-lock memo %d — table must reduce them",
-			table.Replays, sharded.ReversedReplays)
-	}
 	if shardReplays != 0 {
 		t.Fatalf("table-backed shards performed %d replays, want 0", shardReplays)
 	}
 	// Pin the exact trajectory (the ROADMAP's measured 24 → 39).
-	if table.Replays != 24 || sharded.ReversedReplays != 39 {
+	if table.Replays != 24 || perLock != 39 {
 		t.Fatalf("replay counters moved: table=%d (want 24), per-lock=%d (want 39)",
-			table.Replays, sharded.ReversedReplays)
+			table.Replays, perLock)
 	}
 	if rep.ReversedReplays != table.Replays {
 		t.Fatalf("build report counts %d replays, table %d", rep.ReversedReplays, table.Replays)
 	}
+}
+
+// shardsMatchIdentify checks the three ways one classification is
+// produced — Identify, the table build pass (the pipeline's fresh-table
+// path), and table-backed shards merged in lock order (its cached-table
+// path) — against each other, and that the shards paid no replay.
+func shardsMatchIdentify(t *testing.T, tr *trace.Trace, css []*trace.CritSec, opts Options) *VerdictTable {
+	t.Helper()
+	serial := Identify(tr, css, opts)
+	table, buildRep := BuildVerdictTable(tr, css, opts)
+	merged := mergeShards(tr, css, opts, table)
+
+	sameClassification(t, "table-backed shards", merged, serial)
+	sameClassification(t, "build-pass report", buildRep, serial)
+	if merged.ReversedReplays != 0 {
+		t.Fatalf("table-backed shards performed %d replays, want 0", merged.ReversedReplays)
+	}
+	if serial.ReversedReplays != table.Replays {
+		t.Fatalf("Identify spent %d replays, the table build %d", serial.ReversedReplays, table.Replays)
+	}
+	return table
 }
 
 // TestVerdictTableShardsMatchIdentify: shards consulting the shared
@@ -63,38 +71,20 @@ func TestVerdictTableReducesReplays(t *testing.T) {
 // verdicts, including the early stops they imply. This is what makes a
 // distributed run mergeable into a byte-identical report.
 func TestVerdictTableShardsMatchIdentify(t *testing.T) {
-	for _, app := range []string{"openldap", "pbzip2", "mysql"} {
-		a := workload.MustGet(app)
-		p := a.Build(workload.Config{Threads: 4, Scale: 0.2, Seed: 7})
-		res := sim.Run(p, sim.Config{Seed: 7})
-		tr := res.Trace
-		css := tr.ExtractCS()
-		opts := Options{}
+	everyWorkload(t, func(t *testing.T, tr *trace.Trace, css []*trace.CritSec) {
+		shardsMatchIdentify(t, tr, css, Options{})
+	})
 
-		serial := Identify(tr, css, opts)
-		table, buildRep := BuildVerdictTable(tr, css, opts)
-
-		groups := SortedLockGroups(css)
-		shards := make([]*Report, len(groups))
-		for i, g := range groups {
-			shards[i] = IdentifyShardWithVerdicts(tr, g, opts, table)
+	// A binding budget is where a per-lock budget would diverge from the
+	// per-trace one: the table must carry the budget-defaulted verdicts
+	// too, so the re-derivation still agrees without replaying.
+	t.Run("binding-budget", func(t *testing.T) {
+		tr, css := openldapFixture(t)
+		table := shardsMatchIdentify(t, tr, css, Options{MaxReversedReplays: 3})
+		if table.Replays != 3 {
+			t.Fatalf("table spent %d replays under a budget of 3 — the budget did not bind", table.Replays)
 		}
-		merged := MergeReports(shards...)
-
-		if !reflect.DeepEqual(merged.Pairs, serial.Pairs) {
-			t.Fatalf("%s: table-shard pairs differ from Identify (%d vs %d)",
-				app, len(merged.Pairs), len(serial.Pairs))
-		}
-		if !reflect.DeepEqual(merged.Counts, serial.Counts) {
-			t.Fatalf("%s: counts differ: %v vs %v", app, merged.Counts, serial.Counts)
-		}
-		if !reflect.DeepEqual(merged.CausalEdges, serial.CausalEdges) {
-			t.Fatalf("%s: causal edges differ", app)
-		}
-		if !reflect.DeepEqual(buildRep.Pairs, serial.Pairs) {
-			t.Fatalf("%s: build-pass report differs from Identify", app)
-		}
-	}
+	})
 }
 
 // TestVerdictTableJSONRoundTrip: the table survives the JSON transport

@@ -1,32 +1,34 @@
-package workload
+package workload_test
 
 import (
 	"testing"
 
 	"perfplay/internal/core"
+	"perfplay/internal/pipeline"
 	"perfplay/internal/sim"
 	"perfplay/internal/ulcp"
+	"perfplay/internal/workload"
 )
 
 // analyzeCase runs the pipeline on an appendix case.
 func analyzeCase(t *testing.T, n, threads int) *core.Analysis {
 	t.Helper()
-	p, err := BuildCase(n, Config{Threads: threads, Scale: 1, Seed: 17})
+	p, err := workload.BuildCase(n, workload.Config{Threads: threads, Scale: 1, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.Analyze(p, core.Config{Sim: sim.Config{Seed: 17}})
+	res, err := pipeline.Run(pipeline.Request{Program: p, Seed: 17})
 	if err != nil {
 		t.Fatalf("case %d: %v", n, err)
 	}
-	return a
+	return res.Analysis
 }
 
 func TestCaseUnknown(t *testing.T) {
-	if _, err := BuildCase(0, Config{}); err == nil {
+	if _, err := workload.BuildCase(0, workload.Config{}); err == nil {
 		t.Fatal("case 0 must error")
 	}
-	if _, err := BuildCase(11, Config{}); err == nil {
+	if _, err := workload.BuildCase(11, workload.Config{}); err == nil {
 		t.Fatal("case 11 must error")
 	}
 }
@@ -94,7 +96,7 @@ func TestCase6CoarseLock(t *testing.T) {
 }
 
 func TestCase7SpinWaste(t *testing.T) {
-	p, err := BuildCase(7, Config{Threads: 4, Scale: 1, Seed: 17})
+	p, err := workload.BuildCase(7, workload.Config{Threads: 4, Scale: 1, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +123,11 @@ func TestCase8HashLookupSerialization(t *testing.T) {
 func TestCase9TimeoutInflation(t *testing.T) {
 	// The effective wait per thread grows with the number of threads
 	// because the re-acquisitions serialize.
-	single, err := BuildCase(9, Config{Threads: 1, Scale: 1, Seed: 17})
+	single, err := workload.BuildCase(9, workload.Config{Threads: 1, Scale: 1, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := BuildCase(9, Config{Threads: 6, Scale: 1, Seed: 17})
+	many, err := workload.BuildCase(9, workload.Config{Threads: 6, Scale: 1, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestAllCasesValidateAndAnalyze(t *testing.T) {
 		n := n
 		t.Run(caseName(n), func(t *testing.T) {
 			t.Parallel()
-			p, err := BuildCase(n, Config{Threads: 2, Scale: 1, Seed: 5})
+			p, err := workload.BuildCase(n, workload.Config{Threads: 2, Scale: 1, Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +160,7 @@ func TestAllCasesValidateAndAnalyze(t *testing.T) {
 			if err := res.Trace.Validate(); err != nil {
 				t.Fatalf("invalid trace: %v", err)
 			}
-			if _, err := core.AnalyzeTrace(res.Trace, core.Config{DetectRaces: true}); err != nil {
+			if _, err := pipeline.Run(pipeline.Request{Trace: res.Trace, DetectRaces: true}); err != nil {
 				t.Fatalf("pipeline failed: %v", err)
 			}
 		})

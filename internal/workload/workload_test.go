@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"perfplay/internal/core"
 	"perfplay/internal/sim"
 	"perfplay/internal/trace"
 )
@@ -156,26 +155,5 @@ func TestMixRegionSitesSpread(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatal("lock sites not distinct")
-	}
-}
-
-// TestTheorem1HoldsForAllApps is the strongest end-to-end correctness
-// assertion: for every modelled application, the ULCP-free transformation
-// either preserves the observable semantics or explains the divergence
-// with reported races (Theorem 1).
-func TestTheorem1HoldsForAllApps(t *testing.T) {
-	for _, app := range All() {
-		app := app
-		t.Run(app.Name, func(t *testing.T) {
-			t.Parallel()
-			p := app.Build(Config{Threads: 2, Scale: 0.05, Seed: 11})
-			a, err := core.Analyze(p, core.Config{Sim: sim.Config{Seed: 11}, VerifyTheorem1: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !a.Theorem1.Ok() {
-				t.Fatalf("Theorem 1 violated:\n%s", a.Theorem1)
-			}
-		})
 	}
 }
