@@ -10,7 +10,7 @@ import (
 
 // runSim is the `perfplay sim` subcommand: the offline policy lab.
 // It runs seeded cluster scenarios through internal/clustersim —
-// the real scheduler and ledger policy code over a simulated fabric —
+// the real scheduler and cache policy code over a simulated fabric —
 // and prints the deterministic report (same seed, same bytes). With
 // -sweep it grids the policy knobs instead and prints the ranked
 // table.
@@ -19,7 +19,7 @@ func runSim(argv []string) int {
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: perfplay sim [flags]\n\n"+
 			"Runs a seeded, deterministic cluster-scheduling scenario against the real\n"+
-			"perfplayd policy code (queue, stealer, gossip, range ledger) on an in-memory\n"+
+			"perfplayd policy code (queue, stealer, gossip, cache probes) on an in-memory\n"+
 			"transport. Same seed, byte-identical output.\n\n")
 		fs.PrintDefaults()
 	}
@@ -35,7 +35,6 @@ func runSim(argv []string) int {
 		arrival  = fs.Int64("arrival", 0, "mean inter-arrival gap, ms (0 = scenario default)")
 		interval = fs.Int64("steal-interval", 0, "stealer tick cadence, ms (0 = scenario default)")
 		lease    = fs.Int64("lease", 0, "steal lease, ms (0 = scenario default)")
-		chunk    = fs.Int("chunk-factor", -1, "range-ledger chunk factor (-1 = scenario default)")
 		hints    = fs.Bool("hints", true, "hint-driven steal ordering (prefer cache-warm victims)")
 		slow     = fs.Int64("slow-factor", 0, "slow-node cost multiplier for slownode (0 = default)")
 		crashN   = fs.Int("crash-node", -1, "crash scenario: node to kill (-1 = busiest thief)")
@@ -79,9 +78,6 @@ func runSim(argv []string) int {
 		}
 		if *lease > 0 {
 			cfg.LeaseMS = *lease
-		}
-		if *chunk >= 0 {
-			cfg.ChunkFactor = *chunk
 		}
 		cfg.HintSteals = *hints
 		if *slow > 0 {

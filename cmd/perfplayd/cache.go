@@ -287,8 +287,7 @@ func (s *Server) fetchWireTable(peer, key string, tc spanCtx) (*pipeline.WireTab
 
 // summaryFromWire settles a job from a peer's cached result: the same
 // fields a local summarize would fill, with the ULCP count re-tallied
-// from the wire pairs (the one artifact shipped structurally, exercising
-// the same wire round-trip the shard protocol trusts).
+// from the wire pairs (the one artifact shipped structurally).
 func summaryFromWire(wr *pipeline.WireResult) jobSummary {
 	sum := jobSummary{
 		App:            wr.App,

@@ -16,7 +16,6 @@
 //	POST   /jobs/claim        a peer claims a whole queued job (work stealing)
 //	POST   /jobs/{id}/result  the thief reports the finished job back
 //	GET    /steal             stealable-backlog + cache-hint probe
-//	POST   /shards            execute classification shard ranges (cluster)
 //	GET    /cache/results/{key}  export a cached analysis result (wire form)
 //	GET    /cache/tables/{key}   export a cached verdict table
 //	GET    /healthz           liveness, occupancy, cluster gossip
@@ -32,8 +31,7 @@
 //	          [-queue 64] [-cache 128] [-max-jobs 1024]
 //	          [-corpus perfplay-corpus] [-corpus-max-bytes 1073741824]
 //	          [-journal-dir auto|DIR|""]
-//	          [-role standalone|worker|coordinator]
-//	          [-peers http://h1:8080,http://h2:8080] [-shard-timeout 120s]
+//	          [-peers http://h1:8080,http://h2:8080]
 //	          [-advertise http://me:8080] [-steal-interval 1s]
 //	          [-steal-lease 2m] [-cache-probe-timeout 250ms]
 //	          [-cache-probe-fanout 2] [-cache-hint-keys 32]
@@ -60,20 +58,19 @@
 // what the last boot recovered. -journal-dir "" disables durability.
 //
 // Cluster mode: give every node the same -corpus-backed setup and point
-// each at its peers with -peers. Each node then both fans its jobs'
-// classification shards out across the peers (pull-based range
-// work-stealing; dead peers fall back to local execution) and runs a
-// whole-job stealer: when idle it claims entire queued jobs from the
-// busiest peer, executes them locally (fetching the trace blob by
-// content digest when needed), and reports the results back — so the
-// cluster is a symmetric pool, not a star. Cached analysis results are
-// a cluster resource too: before executing a cache-missed job over a
+// each at its peers with -peers. Each node then runs a whole-job
+// stealer: when idle it claims entire queued jobs from the busiest
+// peer, executes them locally (fetching the trace blob by content
+// digest when needed), and reports the results back — so the cluster
+// is a symmetric pool, not a star. Cached analysis results are a
+// cluster resource too: before executing a cache-missed job over a
 // stored trace, a node probes its peers' result caches by content-
 // addressed key (gossip-ordered, bounded fan-out) and a hit settles the
 // job with zero replays; a full node's 503 redirects submitters to the
-// idlest peer via the Retry-Peer header. -role remains as an
-// observability label. See docs/ARCHITECTURE.md for the topology and
-// README "Cluster mode" for a quickstart.
+// idlest peer via the Retry-Peer header. Those are the only ways work
+// moves between nodes: a job never leaves its node mid-run. See
+// docs/ARCHITECTURE.md for the topology and README "Cluster mode" for
+// a quickstart.
 package main
 
 import (
@@ -111,9 +108,7 @@ func main() {
 		corpusDir     = flag.String("corpus", "perfplay-corpus", "trace corpus directory (same layout as perfplay -corpus; empty disables /traces)")
 		corpusBytes   = flag.Int64("corpus-max-bytes", 0, "corpus byte budget; LRU-evicts unpinned traces beyond it (0 = 1 GiB)")
 		journalDir    = flag.String("journal-dir", "auto", `crash-durable job journal directory; "auto" derives <corpus>-journal next to the corpus, empty disables durability`)
-		role          = flag.String("role", "", "cluster role label: standalone, worker, or coordinator (default standalone; coordinator when -peers is set)")
-		peers         = flag.String("peers", "", "comma-separated peer base URLs for shard fan-out and whole-job stealing")
-		shardTimeout  = flag.Duration("shard-timeout", 0, "per-peer shard call timeout (0 = 120s)")
+		peers         = flag.String("peers", "", "comma-separated peer base URLs for whole-job stealing, cache probes and admission redirects")
 		advertise     = flag.String("advertise", "", "base URL peers should see this node as (default http://<addr>)")
 		stealInterval = flag.Duration("steal-interval", 0, "idle poll cadence of the whole-job stealer (0 = 1s; negative disables stealing)")
 		stealLease    = flag.Duration("steal-lease", 0, "how long a thief may hold a claimed job before it re-queues locally (0 = 2m)")
@@ -139,19 +134,8 @@ func main() {
 			peerList = append(peerList, strings.TrimRight(p, "/"))
 		}
 	}
-	switch *role {
-	case "", roleStandalone, roleWorker, roleCoordinator:
-	default:
-		log.Fatalf("perfplayd: unknown -role %q (want standalone, worker, or coordinator)", *role)
-	}
-	if *role == roleCoordinator && len(peerList) == 0 {
-		log.Fatal("perfplayd: -role=coordinator requires -peers")
-	}
 	if len(peerList) > 0 && *corpusDir == "" {
 		log.Fatal("perfplayd: -peers requires a -corpus (cluster transfers reference traces by digest)")
-	}
-	if *role == roleWorker && *corpusDir == "" {
-		log.Fatal("perfplayd: -role=worker requires a -corpus (shard requests reference traces by digest)")
 	}
 
 	// "auto" puts the journal next to the corpus: both are the node's
@@ -175,9 +159,7 @@ func main() {
 		CorpusDir:         *corpusDir,
 		CorpusMaxBytes:    *corpusBytes,
 		JournalDir:        jdir,
-		Role:              *role,
 		Peers:             peerList,
-		ShardTimeout:      *shardTimeout,
 		StealInterval:     *stealInterval,
 		StealLease:        *stealLease,
 		CacheProbeTimeout: *probeTimeout,
@@ -195,8 +177,6 @@ func main() {
 	cluster := ""
 	if len(peerList) > 0 {
 		cluster = " in a pool with " + strings.Join(peerList, ", ")
-	} else if srv.cfg.Role != roleStandalone {
-		cluster = " as " + srv.cfg.Role
 	}
 	srv.logger.Info(fmt.Sprintf("perfplayd listening on %s (%d job workers × %d pipeline workers, queue %d)%s",
 		*addr, *workers, *plWorkers, *queueDepth, cluster))

@@ -65,25 +65,13 @@ type Config struct {
 	// — a restart then loses the queue, the pre-journal behavior. The
 	// perfplayd binary defaults it next to the corpus (-journal-dir).
 	JournalDir string
-	// Role names the daemon's cluster role (standalone, worker,
-	// coordinator) — observability only; the HTTP surface is identical.
-	// Empty means standalone, or coordinator when Peers are set.
-	Role string
 	// Peers lists peer daemon base URLs ("http://host:8080"). When
-	// non-empty every job's classification shards fan out across them
-	// (one range always stays local), with per-peer fallback to local
-	// execution, so a dead peer degrades throughput, never correctness.
+	// non-empty this node steals whole queued jobs from them when idle,
+	// probes their result/table caches before running a cache-missed
+	// job, and redirects submitters to the idlest of them when its own
+	// queue is full. A job never leaves its node mid-run, so a dead
+	// peer degrades throughput, never correctness.
 	Peers []string
-	// ShardTimeout bounds each peer shard call, including the one-time
-	// blob push to a peer that misses the trace (0 = 120s).
-	ShardTimeout time.Duration
-	// MaxShardRequests bounds concurrent POST /shards executions; a
-	// worker answering several coordinators must not run unbounded
-	// CPU-bound classification in parallel just because /shards skips
-	// the job queue. Excess requests get 503 and the coordinator falls
-	// back locally (0 = Workers, the same parallelism the job path
-	// allows; negative disables the bound).
-	MaxShardRequests int
 	// StealLease bounds how long a peer that claimed a whole job
 	// (POST /jobs/claim) may hold it before reporting a result; past
 	// the lease the job is re-enqueued locally at the front of the
@@ -148,12 +136,6 @@ func (c Config) withDefaults() Config {
 	if c.CorpusMaxBytes == 0 {
 		c.CorpusMaxBytes = 1 << 30
 	}
-	if c.ShardTimeout == 0 {
-		c.ShardTimeout = 120 * time.Second
-	}
-	if c.MaxShardRequests == 0 {
-		c.MaxShardRequests = c.Workers
-	}
 	if c.StealLease == 0 {
 		c.StealLease = 2 * time.Minute
 	}
@@ -172,12 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheHintKeys == 0 {
 		c.CacheHintKeys = d.HintKeys
-	}
-	if c.Role == "" {
-		c.Role = roleStandalone
-		if len(c.Peers) > 0 {
-			c.Role = roleCoordinator
-		}
 	}
 	if c.NodeName == "" {
 		c.NodeName = defaultNodeName()
@@ -214,7 +190,7 @@ type job struct {
 	CachePeer string `json:"cache_peer,omitempty"`
 	// TraceID is the job's distributed trace — minted at submit (or
 	// adopted from the client's X-Perfplay-Trace header) and propagated
-	// across every steal, cache probe and shard hop. GET
+	// across every steal and cache probe. GET
 	// /jobs/{id}/trace serves the recorded timeline.
 	TraceID string `json:"trace_id,omitempty"`
 
@@ -316,21 +292,15 @@ type analyzeSpec struct {
 type Server struct {
 	cfg    Config
 	pl     *pipeline.Pipeline
-	corpus *corpus.Store         // nil when Config.CorpusDir is empty
-	dist   *pipeline.Distributor // nil unless Config.Peers is non-empty
+	corpus *corpus.Store // nil when Config.CorpusDir is empty
 	queue  *scheduler.Queue
 	gossip *scheduler.Gossip
-	// shardSem admission-controls POST /shards (see MaxShardRequests);
-	// nil disables the bound.
-	shardSem chan struct{}
-	// shardTraces caches parsed traces (plus their extracted critical
-	// sections and sorted lock groups) across shard requests, so a
-	// worker serving many ranges of the same stored trace parses it
-	// once, not once per request.
-	shardTraces *shardTraceCache
 	// cacheClient issues cluster-cache and admission probes under the
-	// short CacheProbeTimeout.
+	// short CacheProbeTimeout; peerClient carries the calls that move a
+	// whole job or a trace blob (steal probe/claim/settle, trace fetch)
+	// under peerCallTimeout.
 	cacheClient *http.Client
+	peerClient  *http.Client
 	// cacheStats counts cluster-cache traffic (see cache.go); its
 	// counters live in the metrics registry, so /healthz and /metrics
 	// render the same numbers.
@@ -382,8 +352,8 @@ func NewServer(cfg Config) (*Server, error) {
 		queue:       scheduler.NewQueue(cfg.QueueDepth),
 		gossip:      scheduler.NewGossip(),
 		jobs:        make(map[string]*job),
-		shardTraces: newShardTraceCache(shardTraceCacheCap),
 		cacheClient: &http.Client{Timeout: cfg.CacheProbeTimeout},
+		peerClient:  &http.Client{Timeout: peerCallTimeout},
 		stop:        make(chan struct{}),
 	}
 	// The registry must exist before any subsystem that registers
@@ -393,9 +363,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.pl = pipeline.New(pipeline.Options{CacheSize: cfg.CacheSize, Metrics: s.metrics})
 	s.queue.Metrics = s.schedMetrics
 	s.cacheStats = newCacheStats(s.metrics)
-	if cfg.MaxShardRequests > 0 {
-		s.shardSem = make(chan struct{}, cfg.MaxShardRequests)
-	}
 	if cfg.CorpusDir != "" {
 		st, err := corpus.Open(cfg.CorpusDir, corpus.Options{MaxBytes: cfg.CorpusMaxBytes, Metrics: s.metrics})
 		if err != nil {
@@ -403,27 +370,9 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.corpus = st
 	}
-	if len(cfg.Peers) > 0 {
-		peers := make([]pipeline.ShardExecutor, len(cfg.Peers))
-		for i, base := range cfg.Peers {
-			peers[i] = newPeerExecutor(base, cfg.ShardTimeout, s)
-		}
-		s.dist = &pipeline.Distributor{
-			Peers: peers,
-			OnFallback: func(job *pipeline.ShardJob, peer string, rng pipeline.ShardRange, err error) {
-				s.logger.Warn("shard fallback: re-running range locally",
-					"peer", peer, "start", rng.Start, "end", rng.End,
-					"trace", job.TraceID, "span", job.SpanID, "err", err)
-				now := time.Now()
-				s.span(spanCtx{trace: job.TraceID, parent: job.SpanID}, "shard_fallback",
-					now, now, map[string]string{"peer": peer, "error": err.Error()})
-			},
-		}
-	}
 	// The journal replays last: recovery needs the corpus (digest jobs
-	// reload their traces from it) and the distributor (recovered
-	// requests shard out like fresh ones), and must finish before Start
-	// lets a worker pop anything.
+	// reload their traces from it), and must finish before Start lets a
+	// worker pop anything.
 	if cfg.JournalDir != "" {
 		if err := s.openJournal(cfg); err != nil {
 			return nil, err
@@ -460,15 +409,13 @@ func (s *Server) StartStealer(self string) {
 		return
 	}
 	s.stealer = &scheduler.Stealer{
-		Self:     self,
-		Peers:    s.cfg.Peers,
-		Interval: s.cfg.StealInterval,
-		Idle:     s.idle,
-		Execute:  s.executeStolen,
-		Gossip:   s.gossip,
-		Transport: &scheduler.HTTPTransport{
-			Client: &http.Client{Timeout: s.cfg.ShardTimeout},
-		},
+		Self:      self,
+		Peers:     s.cfg.Peers,
+		Interval:  s.cfg.StealInterval,
+		Idle:      s.idle,
+		Execute:   s.executeStolen,
+		Gossip:    s.gossip,
+		Transport: s.stealTransport(),
 		// Hint-driven victim ordering: prefer stealing jobs whose trace
 		// artifacts (result or verdict table) are already cached here.
 		HasCached: s.pl.HasDigestCached,
@@ -644,10 +591,8 @@ func (s *Server) executeJob(req pipeline.Request, tc spanCtx) (jobSummary, strin
 		}
 		s.probePeerTables(req, tc)
 	}
-	// The pipeline records per-stage timings and the request carries the
-	// trace context into any shard fan-out; execution itself is one span
-	// with a stage:<name> child per pipeline stage actually run.
-	req.TraceID, req.SpanID = tc.trace, tc.parent
+	// The pipeline records per-stage timings; execution itself is one
+	// span with a stage:<name> child per pipeline stage actually run.
 	execStart := time.Now()
 	res, err := func() (res *pipeline.Result, err error) {
 		defer func() {
@@ -695,7 +640,6 @@ type route struct {
 func (s *Server) routes() []route {
 	return []route{
 		{"POST /analyze", s.handleAnalyze},
-		{"POST /shards", s.handleShards},
 		{"GET /steal", s.handleSteal},
 		{"POST /jobs/claim", s.handleClaim},
 		{"POST /jobs/{id}/result", s.handleJobResult},
@@ -1087,10 +1031,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	req.Workers = s.cfg.PipelineWorkers
-	// A coordinator fans every job's classification shards out to its
-	// peers; the determinism contract keeps the output byte-identical
-	// to a local run, so this changes placement, never results.
-	req.Distributor = s.dist
 
 	s.mu.Lock()
 	if s.closed {
@@ -1264,10 +1204,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		corpusTraces = s.corpus.Len()
 		corpusBytes = s.corpus.TotalBytes()
 	}
-	var fallbacks int
-	if s.dist != nil {
-		fallbacks = s.dist.Fallbacks()
-	}
 	// The steal section gossips this node's own depth alongside its
 	// last-known view of every peer's, so one healthz poll anywhere in
 	// the cluster shows where the backlog lives.
@@ -1298,7 +1234,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":                 true,
-		"role":               s.cfg.Role,
 		"jobs":               counts,
 		"queue_depth":        s.cfg.QueueDepth,
 		"queue_len":          s.queue.Len(),
@@ -1313,7 +1248,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"corpus_traces":      corpusTraces,
 		"corpus_bytes":       corpusBytes,
 		"peers":              len(s.cfg.Peers),
-		"shard_fallbacks":    fallbacks,
 		"steal":              steal,
 		"journal":            jnl,
 	})

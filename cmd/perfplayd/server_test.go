@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -33,6 +35,59 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		s.Close()
 	})
 	return s, ts
+}
+
+// goldenSpecs are the committed pipeline goldens, expressed as daemon
+// analyze specs. The cluster contract under test: however a job is
+// served — locally, stolen, from a peer's cache, after a restart — its
+// report is the bytes these goldens pin.
+//
+// warmup is the same analysis with different reporting flags: it misses
+// the result cache for the golden spec but shares its verdict-table
+// key, so the golden job that follows classifies against a cached
+// table instead of the build pass's own report.
+var goldenSpecs = []struct {
+	name   string
+	warmup string
+	spec   string
+}{
+	{"pbzip2",
+		`{"app":"pbzip2","threads":2,"scale":0.2,"seed":3,"top":5}`,
+		`{"app":"pbzip2","threads":2,"scale":0.2,"seed":3,"top":5,"schemes":true}`},
+	{"mysql",
+		`{"app":"mysql","threads":4,"scale":0.2,"seed":7,"top":5}`,
+		`{"app":"mysql","threads":4,"scale":0.2,"seed":7,"top":5,"races":true}`},
+}
+
+func goldenReport(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "pipeline", "testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// runJob submits a spec, waits for it and returns the finished job.
+func runJob(t *testing.T, base, spec string) map[string]any {
+	t.Helper()
+	resp := postJSON(t, base+"/analyze", spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	sub := decode[map[string]string](t, resp)
+	j := waitDone(t, base, sub["id"])
+	if j["status"] != statusDone {
+		t.Fatalf("job failed: %v", j["error"])
+	}
+	return j
+}
+
+// runJobReport submits a spec and returns the finished job's report.
+func runJobReport(t *testing.T, base, spec string) string {
+	t.Helper()
+	report, _ := runJob(t, base, spec)["report"].(string)
+	return report
 }
 
 func postJSON(t *testing.T, url, body string) *http.Response {

@@ -28,8 +28,7 @@ import (
 // A stolen job's trace ships content-addressed: the claim carries only
 // the corpus digest, and the thief fetches the blob from the victim
 // (GET /traces/{digest}, hash-verified) only when its own corpus misses
-// it — the same 404-style lazy transfer the shard protocol uses, in the
-// pull direction.
+// it.
 
 // specFor derives the wire-stealable description of a request. Uploaded
 // traces held only in this process's memory yield a zero (unstealable)
@@ -83,7 +82,6 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 		Schemes:     spec.Schemes,
 		DetectRaces: spec.Races,
 		Workers:     s.cfg.PipelineWorkers,
-		Distributor: s.dist,
 	}
 	if spec.App != "" {
 		if _, ok := workload.Get(spec.App); !ok {
@@ -121,7 +119,7 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 	}
 	remote := &corpus.Remote{
 		Base:    victim,
-		Client:  &http.Client{Timeout: s.cfg.ShardTimeout},
+		Client:  s.peerClient,
 		TraceID: tc.trace,
 		SpanID:  tc.parent,
 	}
@@ -247,17 +245,15 @@ func (s *Server) executeStolen(victim string, sj scheduler.StolenJob) error {
 	return s.stealTransport().Settle(victim, sj.ID, wire)
 }
 
-// stealTransport returns the transport the stealer claims over, so
-// settles take the same path; a server whose stealer never started
-// (peer-less tests driving executeStolen directly) falls back to a
-// fresh HTTP transport with the shard timeout.
+// peerCallTimeout bounds each call that moves a whole job or a trace
+// blob between nodes: steal probe, claim and settle, and the thief's
+// trace fetch from the victim.
+const peerCallTimeout = 120 * time.Second
+
+// stealTransport is the transport the stealer probes and claims over
+// and stolen jobs settle over.
 func (s *Server) stealTransport() scheduler.Transport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stealer != nil && s.stealer.Transport != nil {
-		return s.stealer.Transport
-	}
-	return &scheduler.HTTPTransport{Client: &http.Client{Timeout: s.cfg.ShardTimeout}}
+	return &scheduler.HTTPTransport{Client: s.peerClient}
 }
 
 // handleSteal (GET /steal) is the probe half of the steal protocol: a

@@ -280,57 +280,6 @@ func TestClaimEndpointEdges(t *testing.T) {
 	}
 }
 
-// slowShards wraps a worker handler so each POST /shards stalls — the
-// induced load skew for the range-migration test.
-type slowShards struct {
-	inner http.Handler
-	delay time.Duration
-}
-
-func (s *slowShards) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost && r.URL.Path == "/shards" {
-		time.Sleep(s.delay)
-	}
-	s.inner.ServeHTTP(w, r)
-}
-
-// TestShardRangeMigratesUnderSkew is the mid-classify work-stealing
-// acceptance test at the HTTP layer: with one worker slowed to a crawl,
-// the shard ranges a static cost split would have parked behind it
-// drain through the fast worker and the local pool instead — and the
-// merged report still matches the committed golden byte-for-byte.
-func TestShardRangeMigratesUnderSkew(t *testing.T) {
-	_, fast := clusterServer(t, Config{Role: roleWorker})
-
-	slowSrv, err := NewServer(Config{Role: roleWorker, CorpusDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := httptest.NewServer(&slowShards{inner: slowSrv.Handler(), delay: 400 * time.Millisecond})
-	t.Cleanup(func() {
-		slow.Close()
-		slowSrv.Close()
-	})
-	slowSrv.Start()
-
-	coordSrv, coord := clusterServer(t, Config{Peers: []string{fast.URL, slow.URL}})
-	runJobReport(t, coord.URL, goldenSpecs[1].warmup) // arm distribution (cached verdict table)
-	report := runJobReport(t, coord.URL, goldenSpecs[1].spec)
-	if want := goldenReport(t, goldenSpecs[1].name); report != want {
-		t.Fatalf("skewed-cluster report differs from golden:\nwant:\n%s\ngot:\n%s", want, report)
-	}
-	if coordSrv.dist.Fallbacks() != 0 {
-		t.Fatalf("slow-but-healthy worker caused %d fallbacks", coordSrv.dist.Fallbacks())
-	}
-	a := coordSrv.dist.Assignments()
-	if a[slow.URL] == 0 {
-		t.Fatalf("slow worker never engaged: %v", a)
-	}
-	if a[fast.URL]+a["local"] <= a[slow.URL] {
-		t.Fatalf("no migration under skew: %v", a)
-	}
-}
-
 // TestStolenTraceFetchFailureAbandons: a thief that cannot obtain the
 // stolen job's trace must abandon the steal (so the victim's lease
 // recovers the job) rather than settle it as failed — and for a trace

@@ -18,7 +18,7 @@ import (
 // behind GET /jobs/{id}/trace, the per-route HTTP instrumentation, and
 // the structured logger every subsystem shares. The instruments
 // themselves live where the work happens (pipeline, scheduler, corpus,
-// the steal/cache/shard handlers); this file owns their one registry
+// the steal/cache handlers); this file owns their one registry
 // so /metrics and /healthz are two renderings of the same counters.
 
 // Trace-store bounds: enough for every retained job (MaxJobs default)
@@ -161,8 +161,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleJobTrace (GET /jobs/{id}/trace) serves a job's distributed span
 // timeline: every span this node recorded or imported for the job's
 // trace ID, sorted by start time — including spans shipped back by the
-// thief that stole the job or by shard workers, so one request to the
-// submitting node reconstructs the whole cross-node story.
+// thief that stole the job, so one request to the submitting node
+// reconstructs the whole cross-node story.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()

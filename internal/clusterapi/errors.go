@@ -50,12 +50,6 @@ const (
 	// CodeDigestMismatch means a pushed blob hashed to a different
 	// digest than its URL claimed.
 	CodeDigestMismatch ErrorCode = "digest_mismatch"
-	// CodeRangeOutOfBounds rejects a shard request whose lock-group
-	// range exceeds the trace's group count.
-	CodeRangeOutOfBounds ErrorCode = "range_out_of_bounds"
-	// CodeShardBusy means the shard executor is at its concurrent
-	// request bound; retry later.
-	CodeShardBusy ErrorCode = "shard_busy"
 	// CodeLeaseExpired rejects a stolen-job result reported after the
 	// victim's lease ran out (the job was re-enqueued; the late result
 	// is discarded).

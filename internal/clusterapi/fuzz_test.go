@@ -8,8 +8,9 @@ import (
 
 // FuzzDecodeError hammers the error-body decoder with arbitrary bytes.
 // DecodeError sits on every cluster client path — admission redirects,
-// cache probes, shard fan-out all parse peer error bodies through it —
-// and a peer mid-crash (or a proxy in between) can hand back anything.
+// cache probes, steal claims and trace fetches all parse peer error
+// bodies through it — and a peer mid-crash (or a proxy in between) can
+// hand back anything.
 // The contract under fuzz: never panic, and any non-nil result must be
 // a usable error — a non-empty Error() string that round-trips through
 // the envelope encoding without changing meaning.
@@ -17,7 +18,7 @@ func FuzzDecodeError(f *testing.F) {
 	// The documented envelope form.
 	f.Add([]byte(`{"error":{"code":"queue_full","message":"queue full (8 queued)"}}`))
 	// The legacy pre-envelope string form.
-	f.Add([]byte(`{"error":"shard executor busy"}`))
+	f.Add([]byte(`{"error":"queue full"}`))
 	// Near-misses the decoder must reject, not misread.
 	f.Add([]byte(`{"error":{"code":"queue_full","message":""}}`))
 	f.Add([]byte(`{"error":{}}`))

@@ -3,9 +3,8 @@
 // perfplayd nodes and runs seeded workload scenarios against the REAL
 // policy code — scheduler.Queue admission and leases, scheduler.Stealer
 // probe/claim ordering, scheduler.Gossip views, scheduler.IdlestPeer
-// admission redirects, pipeline.RangeLedger guided self-scheduling,
-// and (in the cache scenarios) the cluster cache layer —
-// cachepolicy.Prober probe ordering/fan-out and the
+// admission redirects, and (in the cache scenarios) the cluster cache
+// layer — cachepolicy.Prober probe ordering/fan-out and the
 // cachepolicy.FollowRedirects multi-hop admission chain — with only
 // the transport and the clock replaced. The same Stealer loop that
 // steals over HTTP in production steals over an in-memory fabric here,
@@ -105,9 +104,6 @@ type Config struct {
 	StealIntervalMS int64
 	// LeaseMS is the steal-lease duration granted by victims.
 	LeaseMS int64
-	// ChunkFactor is the RangeLedger guided self-scheduling factor
-	// (0 = the pipeline's default).
-	ChunkFactor int
 	// HintSteals wires Stealer.HasCached so thieves aim at victims
 	// advertising digests the thief has warm.
 	HintSteals bool
@@ -172,7 +168,6 @@ func DefaultConfig(scenario string, seed int64) Config {
 		ArrivalEveryMS:  arrival,
 		StealIntervalMS: 250,
 		LeaseMS:         2_000,
-		ChunkFactor:     0,
 		HintSteals:      true,
 		SlowFactor:      4,
 		CrashNode:       -1,

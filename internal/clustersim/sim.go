@@ -6,7 +6,6 @@ import (
 
 	"perfplay/internal/cachepolicy"
 	"perfplay/internal/clusterapi"
-	"perfplay/internal/pipeline"
 	"perfplay/internal/scheduler"
 )
 
@@ -47,7 +46,7 @@ type simJob struct {
 // and how many chunks are in flight on workers.
 type activeJob struct {
 	job         *simJob
-	ledger      *pipeline.RangeLedger
+	ledger      *chunkLedger
 	outstanding int
 	warm        bool
 	// cached marks a job settled straight from a result cache (local or
@@ -733,8 +732,8 @@ func (c *Cluster) admit(j *simJob, origin *node) {
 	c.assign(accepted)
 }
 
-// startJob registers a job as executing on n, building its real
-// RangeLedger sized to the node's worker pool. victim is non-nil for
+// startJob registers a job as executing on n, building its chunk
+// ledger sized to the node's worker pool. victim is non-nil for
 // stolen jobs. With the cache layer on, the job first consults the
 // result caches exactly like the daemon's executeJob: local result hit
 // settles instantly, a probed remote hit settles after the probe round
@@ -762,7 +761,7 @@ func (c *Cluster) startJob(n *node, j *simJob, victim *node) {
 		victim: victim,
 		warm:   n.cache[j.digest],
 		pre:    pre,
-		ledger: pipeline.NewRangeLedger(j.groups, c.cfg.WorkersPerNode, c.cfg.ChunkFactor),
+		ledger: newChunkLedger(j.groups, c.cfg.WorkersPerNode),
 	}
 	if aj.warm {
 		n.warmRuns++
@@ -773,8 +772,7 @@ func (c *Cluster) startJob(n *node, j *simJob, victim *node) {
 // assign puts every free worker to work: first on already-active
 // ledgers (in start order — finish what you started), then by popping
 // the queue. Each pulled chunk schedules its completion after the
-// chunk's cost, scaled by node speed and cache warmth — the guided
-// self-scheduling drain of pipeline.RangeLedger, run for real.
+// chunk's cost, scaled by node speed and cache warmth.
 func (c *Cluster) assign(n *node) {
 	if n.crashed {
 		return
@@ -782,7 +780,7 @@ func (c *Cluster) assign(n *node) {
 	for n.freeWorkers > 0 {
 		var aj *activeJob
 		for _, a := range n.active {
-			if !a.cached && a.ledger.Remaining() > 0 {
+			if !a.cached && a.ledger.unclaimed() > 0 {
 				aj = a
 				break
 			}
@@ -799,12 +797,12 @@ func (c *Cluster) assign(n *node) {
 			c.startJob(n, j, nil)
 			continue
 		}
-		rng, ok := aj.ledger.Next()
+		start, end, ok := aj.ledger.nextChunk()
 		if !ok {
 			continue
 		}
 		var costSum int64
-		for _, g := range aj.job.groups[rng.Start:rng.End] {
+		for _, g := range aj.job.groups[start:end] {
 			costSum += g
 		}
 		dur := costSum * n.speed
@@ -834,7 +832,7 @@ func (c *Cluster) chunkDone(n *node, aj *activeJob) {
 	}
 	n.freeWorkers++
 	aj.outstanding--
-	if aj.outstanding == 0 && aj.ledger.Remaining() == 0 {
+	if aj.outstanding == 0 && aj.ledger.unclaimed() == 0 {
 		c.finishJob(n, aj)
 	}
 	c.assign(n)

@@ -8,45 +8,40 @@ import (
 )
 
 // Sweep knob grids. Small on purpose: the sweep is a ranking aid, not
-// an optimizer — 18 deterministic runs an operator can eyeball.
+// an optimizer — 6 deterministic runs an operator can eyeball.
 var (
 	sweepIntervals = []int64{100, 250, 500}
-	sweepChunks    = []int{1, 3, 6}
 	sweepHints     = []bool{false, true}
 )
 
 // SweepResult is one grid point's knobs and outcome.
 type SweepResult struct {
 	StealIntervalMS int64
-	ChunkFactor     int
 	HintSteals      bool
 	Report          *Report
 }
 
-// Sweep grids steal interval × ledger chunk factor × hint-driven
-// stealing over one scenario and seed, returning results ranked best
-// first: lowest p90 job latency, ties broken by makespan, then by grid
-// order. Every grid point sees the byte-identical workload (the
-// partitioned RNG pins arrivals and costs to the seed), so differences
-// in the ranking are attributable to the knobs alone.
+// Sweep grids steal interval × hint-driven stealing over one scenario
+// and seed, returning results ranked best first: lowest p90 job
+// latency, ties broken by makespan, then by grid order. Every grid
+// point sees the byte-identical workload (the partitioned RNG pins
+// arrivals and costs to the seed), so differences in the ranking are
+// attributable to the knobs alone.
 func Sweep(base Config) ([]SweepResult, error) {
 	if err := base.validate(); err != nil {
 		return nil, err
 	}
 	var out []SweepResult
 	for _, iv := range sweepIntervals {
-		for _, cf := range sweepChunks {
-			for _, h := range sweepHints {
-				cfg := base
-				cfg.StealIntervalMS = iv
-				cfg.ChunkFactor = cf
-				cfg.HintSteals = h
-				r, err := Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, SweepResult{iv, cf, h, r})
+		for _, h := range sweepHints {
+			cfg := base
+			cfg.StealIntervalMS = iv
+			cfg.HintSteals = h
+			r, err := Run(cfg)
+			if err != nil {
+				return nil, err
 			}
+			out = append(out, SweepResult{iv, h, r})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -147,15 +142,15 @@ func RenderSweep(scenario string, seed int64, rs []SweepResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "policy sweep scenario=%s seed=%d (%d runs; best first by latency p90, then makespan)\n",
 		scenario, seed, len(rs))
-	fmt.Fprintf(&b, "%4s  %12s  %5s  %5s  %7s  %7s  %8s  %6s  %6s  %9s\n",
-		"rank", "steal-int-ms", "chunk", "hints", "p50-ms", "p90-ms", "makespan", "claims", "hinted", "completed")
+	fmt.Fprintf(&b, "%4s  %12s  %5s  %7s  %7s  %8s  %6s  %6s  %9s\n",
+		"rank", "steal-int-ms", "hints", "p50-ms", "p90-ms", "makespan", "claims", "hinted", "completed")
 	for i, r := range rs {
 		hints := "off"
 		if r.HintSteals {
 			hints = "on"
 		}
-		fmt.Fprintf(&b, "%4d  %12d  %5d  %5s  %7d  %7d  %8d  %6d  %6d  %9d\n",
-			i+1, r.StealIntervalMS, r.ChunkFactor, hints,
+		fmt.Fprintf(&b, "%4d  %12d  %5s  %7d  %7d  %8d  %6d  %6d  %9d\n",
+			i+1, r.StealIntervalMS, hints,
 			r.Report.LatencyP50, r.Report.LatencyP90, r.Report.MakespanMS,
 			r.Report.Claims, r.Report.HintedClaims, r.Report.Completed)
 	}

@@ -13,12 +13,10 @@ import (
 )
 
 // Remote is a client for another node's corpus — the /traces endpoints
-// a perfplayd daemon serves. A coordinator uses it to push a job's
-// trace blob to peers whose store misses the digest, and any node can
-// pull a blob it has only heard referenced. Content addressing makes
-// both directions safe to retry: pushing identical bytes twice dedupes
-// server-side, and every fetched blob is verified against its digest
-// before being trusted.
+// a perfplayd daemon serves — plus its POST /analyze. Any node can
+// pull a blob it has only heard referenced (a thief fetching a stolen
+// job's trace from the victim); every fetched blob is verified against
+// its digest before being trusted.
 type Remote struct {
 	// Base is the peer's base URL, e.g. "http://host:8080".
 	Base string
@@ -30,7 +28,7 @@ type Remote struct {
 	MaxFetchBytes int64
 	// TraceID and SpanID, when set, ride every request as
 	// X-Perfplay-Trace/-Span headers so a cross-node hop (submit
-	// redirect, blob fetch, push) stays on the originating job's
+	// redirect, blob fetch) stays on the originating job's
 	// distributed trace.
 	TraceID string
 	SpanID  string
@@ -61,15 +59,13 @@ func (r *Remote) do(method, url, contentType string, body io.Reader) (*http.Resp
 	return r.client().Do(req)
 }
 
-// RemoteError decodes a perfplayd error body — the documented
+// remoteError decodes a perfplayd error body — the documented
 // {"error": {"code", "message"}} envelope, or the legacy
 // {"error": "..."} string a pre-envelope node still sends — into an
 // error tagged with the local sentinel matching the remote status, so
 // callers can errors.Is a peer's ErrNotFound exactly like a local
-// store's. It is exported because every client of the daemon's JSON
-// surface (not just this package) wants the same mapping — notably the
-// cluster shard protocol, whose 404 means "push the blob and retry".
-func RemoteError(op string, resp *http.Response) error {
+// store's.
+func remoteError(op string, resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	msg := resp.Status
 	if apiErr := clusterapi.DecodeError(raw); apiErr != nil {
@@ -123,33 +119,12 @@ func (r *Remote) submitOnce(spec []byte) cachepolicy.SubmitFunc {
 			}
 			return cachepolicy.SubmitReply{ID: body.ID}, nil
 		}
-		reply := cachepolicy.SubmitReply{Reject: RemoteError("submit to "+base, resp)}
+		reply := cachepolicy.SubmitReply{Reject: remoteError("submit to "+base, resp)}
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			reply.RetryPeer = resp.Header.Get("Retry-Peer")
 		}
 		return reply, nil
 	}
-}
-
-// Push stores raw trace bytes in the peer's corpus and returns the
-// stored metadata. Pushing already-present content is a cheap dedupe on
-// the peer (200 instead of 201), so callers need not probe first.
-func (r *Remote) Push(data []byte) (Meta, error) {
-	resp, err := r.do(http.MethodPost, r.Base+"/traces", "application/octet-stream", bytes.NewReader(data))
-	if err != nil {
-		return Meta{}, fmt.Errorf("corpus: push to %s: %w", r.Base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		return Meta{}, RemoteError("push to "+r.Base, resp)
-	}
-	var body struct {
-		Trace Meta `json:"trace"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return Meta{}, fmt.Errorf("corpus: push to %s: decode response: %w", r.Base, err)
-	}
-	return body.Trace, nil
 }
 
 // Fetch downloads a blob by digest and verifies the bytes actually hash
@@ -165,7 +140,7 @@ func (r *Remote) Fetch(digest string) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, RemoteError("fetch "+digest+" from "+r.Base, resp)
+		return nil, remoteError("fetch "+digest+" from "+r.Base, resp)
 	}
 	maxBytes := r.MaxFetchBytes
 	if maxBytes <= 0 {

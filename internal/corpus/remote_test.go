@@ -14,39 +14,12 @@ import (
 	"perfplay/internal/workload"
 )
 
-// tracesStub serves a perfplayd-shaped /traces surface over a real
+// tracesStub serves a perfplayd-shaped GET /traces/{digest} over a real
 // Store, so Remote is tested against the store semantics it will meet
 // in production without importing the daemon.
 func tracesStub(t *testing.T, st *Store) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /traces", func(w http.ResponseWriter, r *http.Request) {
-		data, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		meta, created, err := st.Put(data, false)
-		if err != nil {
-			code := http.StatusInternalServerError
-			switch {
-			case errors.Is(err, ErrInvalid):
-				code = http.StatusBadRequest
-			case errors.Is(err, ErrBudget):
-				code = http.StatusInsufficientStorage
-			}
-			w.WriteHeader(code)
-			_, _ = w.Write([]byte(`{"error":` + `"` + strings.ReplaceAll(err.Error(), `"`, `'`) + `"}`))
-			return
-		}
-		code := http.StatusOK
-		if created {
-			code = http.StatusCreated
-		}
-		w.WriteHeader(code)
-		_, _ = w.Write([]byte(`{"trace":{"digest":"` + meta.Digest + `","size":` +
-			"0" + `}}`))
-	})
 	mux.HandleFunc("GET /traces/{digest}", func(w http.ResponseWriter, r *http.Request) {
 		data, _, err := st.Get(r.PathValue("digest"))
 		if err != nil {
@@ -72,10 +45,9 @@ func remotePayload(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestRemotePushFetch: the push/pull halves round-trip against a real
-// store, fetched bytes verify against their digest, and unknown digests
-// surface as ErrNotFound.
-func TestRemotePushFetch(t *testing.T) {
+// TestRemoteFetch: a blob stored on the peer fetches back verified
+// against its digest, and unknown digests surface as ErrNotFound.
+func TestRemoteFetch(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -84,12 +56,9 @@ func TestRemotePushFetch(t *testing.T) {
 	rem := &Remote{Base: ts.URL}
 
 	payload := remotePayload(t)
-	meta, err := rem.Push(payload)
+	meta, _, err := st.Put(payload, false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if meta.Digest != Digest(payload) {
-		t.Fatalf("pushed digest %s, want %s", meta.Digest, Digest(payload))
 	}
 
 	got, err := rem.Fetch(meta.Digest)
@@ -97,7 +66,7 @@ func TestRemotePushFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatalf("fetched %d bytes differ from pushed %d", len(got), len(payload))
+		t.Fatalf("fetched %d bytes differ from stored %d", len(got), len(payload))
 	}
 
 	if _, err := rem.Fetch(Digest([]byte("never stored"))); !errors.Is(err, ErrNotFound) {

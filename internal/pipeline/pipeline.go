@@ -2,8 +2,10 @@
 // PerfPlay stages — Record → Replay → Classify → Quantify → Report — as
 // one staged job with a typed Request/Result API, sharding the
 // embarrassingly parallel work (the four replay schemes, per-lock ULCP
-// pair enumeration with its per-pair reversed replays, and the
-// original/ULCP-free quantification replays) across a worker pool.
+// pair enumeration against a cached verdict table, and the
+// original/ULCP-free quantification replays) across an in-process
+// worker pool. A job never leaves its node mid-run: the cluster moves
+// whole jobs (stealing) and finished results/tables (cache probes).
 //
 // Determinism is a hard contract: results are merged by task index in a
 // fixed order (schemes in scheduler order, classification shards in
@@ -18,7 +20,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"perfplay/internal/core"
@@ -80,12 +81,6 @@ type Request struct {
 	// Workers is the pool width for the parallel stages; 0 or 1 runs
 	// the serial path. Output bytes do not depend on it.
 	Workers int
-	// Distributor, when set, fans the classification shards out across
-	// its peer nodes (one range stays local; failed peer ranges re-run
-	// locally). Like Workers it is excluded from the cache key: the
-	// determinism contract makes distributed output byte-identical to
-	// the local path.
-	Distributor *Distributor
 	// Schemes additionally replays the recorded trace under all four
 	// schedulers (ORIG/ELSC/SYNC/MEM), in parallel.
 	Schemes bool
@@ -109,12 +104,6 @@ type Request struct {
 	// reversed replays per trace and recurring region pairs are
 	// replayed once instead of once per contended lock.
 	Identify ulcp.Options
-
-	// TraceID and SpanID carry the job's distributed-tracing context so
-	// a Distributor can propagate it to peer nodes. Both are excluded
-	// from CacheKey — tracing identifies a run, never its output.
-	TraceID string
-	SpanID  string
 }
 
 // normalize applies defaults so equivalent requests share a cache key.
@@ -214,16 +203,6 @@ type Pipeline struct {
 	cache  *lruCache[*Result]
 	tables *tableCache
 
-	// digests memoizes each stored trace's canonical binary digest (the
-	// one the cluster shard protocol references), keyed by the corpus
-	// digest the request arrived with — which may address a different
-	// (JSON) encoding of the same events. With it, steady-state
-	// distributed jobs skip re-serializing and re-hashing the trace
-	// just to name it to peers. Bounded by brute force: the entries are
-	// ~150 bytes, so past digestMemoMax the map is simply reset.
-	mu      sync.Mutex
-	digests map[string]string
-
 	// Cache traffic and stage timings live in telemetry instruments so
 	// /metrics and /healthz read the same numbers (see CacheStats).
 	resultHits, resultMisses *telemetry.Counter
@@ -251,9 +230,6 @@ func (p *Pipeline) Stats() CacheStats {
 		TableMisses:  p.tableMisses.Int(),
 	}
 }
-
-// digestMemoMax bounds the canonical-digest memo before it is reset.
-const digestMemoMax = 4096
 
 // Options configures a Pipeline.
 type Options struct {
@@ -293,7 +269,6 @@ func New(opts Options) *Pipeline {
 	return &Pipeline{
 		cache:        newLRU[*Result](opts.CacheSize, opts.CacheTraceBytes),
 		tables:       newLRU[*ulcp.VerdictTable](opts.TableCacheSize, 0),
-		digests:      make(map[string]string),
 		resultHits:   cacheReqs.With("result", "hit"),
 		resultMisses: cacheReqs.With("result", "miss"),
 		tableHits:    cacheReqs.With("table", "hit"),
@@ -301,27 +276,6 @@ func New(opts Options) *Pipeline {
 		stageDur: reg.NewHistogramVec("perfplay_pipeline_stage_duration_seconds",
 			"Wall time of each pipeline stage.", telemetry.DurationBuckets, "stage"),
 	}
-}
-
-// canonicalDigest returns the memoized canonical binary digest for a
-// corpus digest, if known.
-func (p *Pipeline) canonicalDigest(corpusDigest string) (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	d, ok := p.digests[corpusDigest]
-	return d, ok
-}
-
-func (p *Pipeline) rememberDigest(corpusDigest, canonical string) {
-	if corpusDigest == "" || canonical == "" {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.digests) >= digestMemoMax {
-		p.digests = make(map[string]string)
-	}
-	p.digests[corpusDigest] = canonical
 }
 
 // CacheLen reports how many results the cache currently holds.
@@ -500,13 +454,12 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 
 	// Stage 3 — Classify: extract critical sections, obtain the shared
 	// reversed-replay verdict table (cached by trace digest, or built by
-	// one identification pass), run the per-lock shards against it —
-	// locally on the pool, or fanned out across peer nodes when a
-	// Distributor is configured — merge shard reports in sorted lock
-	// order, and build the ULCP-free trace. Every path below produces
-	// the same report bytes: shards with the table are pure functions of
-	// (trace, group, options, table), and the table itself is a pure
-	// function of (trace, options).
+	// one identification pass), run the per-lock shards against it on
+	// the pool, merge shard reports in sorted lock order, and build the
+	// ULCP-free trace. Both paths below produce the same report bytes:
+	// shards with the table are pure functions of (trace, group,
+	// options, table), and the table itself is a pure function of
+	// (trace, options).
 	if err := stage("classify", func() error {
 		a.CSs = tr.ExtractCS()
 		var table *ulcp.VerdictTable
@@ -527,35 +480,14 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 				p.tables.put(key, table, 0)
 			}
 		}
-		switch {
-		case buildRep != nil:
+		if buildRep != nil {
 			// Fresh table: the build pass's report already is the
-			// complete classification — using it beats both a second
-			// local walk and a fan-out that could only reproduce it.
-			// Consequently a cluster distributes nothing for the first
-			// analysis of a trace (the table build is inherently one
-			// local pass); peers engage from the second job on, when
-			// the cached table makes shards replay-free.
+			// complete classification — a second walk could only
+			// reproduce it.
 			a.Report = buildRep
-		case req.Distributor != nil && len(req.Distributor.Peers) > 0:
-			// Cached table + cluster: ship the table with each shard
-			// range and merge in group order.
-			groups := ulcp.SortedLockGroups(a.CSs)
-			job := NewShardJob(tr, groups, req.Identify, table)
-			job.TraceID, job.SpanID = req.TraceID, req.SpanID
-			if req.TraceDigest != "" {
-				if d, ok := p.canonicalDigest(req.TraceDigest); ok {
-					job.PresetDigest(d)
-				}
-			}
-			a.Report = req.Distributor.Run(job, pool)
-			if req.TraceDigest != "" {
-				p.rememberDigest(req.TraceDigest, job.CanonicalDigest())
-			}
-			a.Report.ReversedReplays += table.Replays
-		default:
-			// Cached table, single node: shards re-derive the report in
-			// parallel without a single reversed replay.
+		} else {
+			// Cached table: shards re-derive the report in parallel
+			// without a single reversed replay.
 			groups := ulcp.SortedLockGroups(a.CSs)
 			shards := make([]*ulcp.Report, len(groups))
 			pool.Each(len(groups), func(i int) {

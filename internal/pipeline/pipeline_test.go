@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -386,5 +387,55 @@ func TestUnknownWorkload(t *testing.T) {
 func TestEmptyTraceRejected(t *testing.T) {
 	if _, err := Run(Request{Trace: trace.New("empty", 2)}); err == nil {
 		t.Fatal("empty trace accepted")
+	}
+}
+
+// TestTableCacheSkipsReplays: the second job over the same digest —
+// with different reporting flags, so the result cache misses — reuses
+// the cached verdict table and performs zero reversed replays.
+func TestTableCacheSkipsReplays(t *testing.T) {
+	app := workload.MustGet("openldap")
+	res := sim.Run(app.Build(workload.Config{Threads: 4, Scale: 0.2, Seed: 7}), sim.Config{Seed: 7})
+	p := New(Options{CacheSize: 8})
+
+	req := Request{Trace: res.Trace, TraceDigest: "sha256:testfixture", TopK: 5}
+	first, err := p.Run(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CacheHit {
+		t.Fatal("first run claims a cache hit")
+	}
+	if p.TableCacheLen() != 1 {
+		t.Fatalf("table cache holds %d entries, want 1", p.TableCacheLen())
+	}
+
+	req2 := req
+	req2.DetectRaces = true // different result-cache key, same table key
+	second, err := p.Run(req2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.CacheHit {
+		t.Fatal("second run must miss the result cache (flags differ)")
+	}
+	if got, want := second.Analysis.Report.ReversedReplays, first.Analysis.Report.ReversedReplays; got != want {
+		t.Fatalf("cached-table run reports %d replays, want %d (table's)", got, want)
+	}
+	// DetectRaces only adds a races line; the classification itself must
+	// be pair-for-pair what the build pass produced. The two runs
+	// extracted separate CritSec values, so compare by ID, not pointer.
+	fw, sw := first.Analysis.Report.Wire(), second.Analysis.Report.Wire()
+	if len(fw.Pairs) != len(sw.Pairs) {
+		t.Fatalf("cached-table run: %d pairs, want %d", len(sw.Pairs), len(fw.Pairs))
+	}
+	for i := range fw.Pairs {
+		if fw.Pairs[i] != sw.Pairs[i] {
+			t.Fatalf("cached-table pair %d differs: %+v vs %+v", i, sw.Pairs[i], fw.Pairs[i])
+		}
+	}
+	if !maps.Equal(second.Analysis.Report.Counts, first.Analysis.Report.Counts) {
+		t.Fatalf("cached-table counts differ: %v vs %v",
+			second.Analysis.Report.Counts, first.Analysis.Report.Counts)
 	}
 }

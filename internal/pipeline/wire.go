@@ -127,8 +127,8 @@ func (w *WireTable) Validate(key string) error {
 }
 
 // ExportTable serves one cached verdict table (refreshing its recency).
-// The table itself is already wire-shaped — the shard protocol ships
-// tables with every request — so the only addition is the key echo.
+// The table itself is already wire-shaped, so the only addition is the
+// key echo.
 func (p *Pipeline) ExportTable(key string) (*WireTable, bool) {
 	t, ok := p.tables.get(key)
 	if !ok {

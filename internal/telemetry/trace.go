@@ -11,7 +11,7 @@ import (
 
 // HTTP headers that carry trace context between cluster nodes. Every
 // hop perfplayd makes on behalf of a job — steal claim, result settle,
-// cache probe, admission redirect, shard fan-out — forwards these so a
+// cache probe, admission redirect, trace fetch — forwards these so a
 // job keeps one identity across the whole cluster.
 const (
 	// TraceHeader carries the job's trace ID.
@@ -23,8 +23,8 @@ const (
 
 // Span is one named, timed event in a job's distributed timeline. The
 // Node attribute is what lets a single trace tell a cross-machine
-// story: spans recorded by the victim, the thief, and a shard worker
-// all land under the same trace ID with different Node values.
+// story: spans recorded by the victim, the thief, and a probed cache
+// peer all land under the same trace ID with different Node values.
 type Span struct {
 	ID     string            `json:"id"`
 	Parent string            `json:"parent,omitempty"`
