@@ -14,6 +14,7 @@ import (
 
 	"perfplay/internal/elision"
 	"perfplay/internal/experiments"
+	"perfplay/internal/perfdbg"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/replay"
 	"perfplay/internal/sim"
@@ -120,11 +121,16 @@ func BenchmarkFigure19(b *testing.B) {
 
 // ---- pipeline-stage micro-benchmarks (ablation view) ----
 
-// recordFluidanimate records the most lock-intensive PARSEC benchmark.
+// recordApp records a modelled application on two threads.
 func recordApp(b *testing.B, name string) *sim.Result {
 	b.Helper()
+	return recordAppThreads(b, name, 2)
+}
+
+func recordAppThreads(b *testing.B, name string, threads int) *sim.Result {
+	b.Helper()
 	app := workload.MustGet(name)
-	p := app.Build(workload.Config{Threads: 2, Scale: benchScale, Seed: 42})
+	p := app.Build(workload.Config{Threads: threads, Scale: benchScale, Seed: 42})
 	return sim.Run(p, sim.Config{Seed: 42})
 }
 
@@ -157,6 +163,55 @@ func BenchmarkIdentify(b *testing.B) {
 		rep := ulcp.Identify(rec.Trace, css, ulcp.Options{})
 		b.ReportMetric(float64(rep.NumULCPs()), "ulcps")
 	}
+}
+
+// The shard path every table-hit re-run takes: each sorted lock group
+// classified against a prebuilt verdict table (zero replays), merged in
+// lock order.
+func BenchmarkIdentifyTableHit(b *testing.B) {
+	rec := recordAppThreads(b, "mysql", 4) // BenchmarkPipelineSerial's input
+	css := rec.Trace.ExtractCS()
+	groups := ulcp.SortedLockGroups(css)
+	table, _ := ulcp.BuildVerdictTable(rec.Trace, css, ulcp.Options{})
+	shards := make([]*ulcp.Report, len(groups))
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j, g := range groups {
+			shards[j] = ulcp.IdentifyShardWithVerdicts(rec.Trace, g, ulcp.Options{}, table)
+		}
+		rep := ulcp.MergeReports(shards...)
+		if rep.ReversedReplays != 0 {
+			b.Fatalf("table-backed shards performed %d replays", rep.ReversedReplays)
+		}
+		b.ReportMetric(float64(len(rep.Pairs)), "pairs")
+	}
+}
+
+// Quantification alone (Eq. 1, Algorithm 2, Eq. 2) over replays made once.
+func BenchmarkEvaluate(b *testing.B) {
+	rec := recordAppThreads(b, "mysql", 4) // BenchmarkPipelineSerial's input
+	css := rec.Trace.ExtractCS()
+	rep := ulcp.Identify(rec.Trace, css, ulcp.Options{})
+	tres, err := transform.Apply(rec.Trace, css, rep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	orig, err := replay.Run(rec.Trace, replay.Options{Sched: replay.ELSCS})
+	if err != nil {
+		b.Fatal(err)
+	}
+	free, err := replay.Run(tres.Trace, replay.Options{Sched: replay.ELSCS})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d := perfdbg.Evaluate(rec.Trace, css, rep, orig, free, rec.Trace.NumThreads)
+		b.ReportMetric(float64(len(d.Groups)), "groups")
+	}
+	b.ReportMetric(float64(rep.NumULCPs()), "ulcps")
 }
 
 func BenchmarkTransform(b *testing.B) {

@@ -15,13 +15,6 @@ import (
 	"perfplay/internal/vtime"
 )
 
-// PairPerf is the Eq. 1 measurement of one ULCP.
-type PairPerf struct {
-	Pair ulcp.Pair
-	// DeltaT is ∆T_ULCP = ∆MAX{Time2, Time3} − ∆Time1, clamped at zero.
-	DeltaT vtime.Duration
-}
-
 // Group is a fused set of ULCPs produced by one code-region pair
 // (Algorithm 2's synthetic ULCP).
 type Group struct {
@@ -31,8 +24,9 @@ type Group struct {
 	DeltaT vtime.Duration
 	// Count is the number of dynamic ULCPs fused into the group.
 	Count int
-	// Cats tallies the categories of the fused pairs.
-	Cats map[ulcp.Category]int
+	// Cats tallies the categories of the fused pairs, indexed by
+	// ulcp.Category; ΣCats = Count.
+	Cats [ulcp.NumCategories]int
 	// P is Eq. 2's relative optimizable value within the whole group set.
 	P float64
 }
@@ -64,8 +58,6 @@ type Debug struct {
 	// SpinWasteSaved is the directly measured reduction in spin-lock CPU
 	// burn between the two replays (a second, direct view of Trw).
 	SpinWasteSaved vtime.Duration
-	// PerPair holds Eq. 1 per dynamic ULCP.
-	PerPair []PairPerf
 	// Groups are the fused code-region groups, sorted by P descending;
 	// Groups[0] is the recommended most performance-critical ULCP.
 	Groups []*Group
@@ -98,61 +90,122 @@ func (d *Debug) Recommend(k int) []*Group {
 	return d.Groups[:k]
 }
 
-// segment boundaries of a critical section within its thread, expressed as
-// event indices usable against both replays (the transformed trace is
-// index-aligned).
-type csBounds struct {
+// csEntry is what Evaluate knows about one critical section: its segment
+// boundaries within its thread, expressed as event indices usable against
+// both replays (the transformed trace is index-aligned), and the interned
+// identity of its code region.
+type csEntry struct {
+	cs      *trace.CritSec
 	prevRel int32 // release event of the previous CS on the thread, or -1
 	nextAcq int32 // acquire event of the next CS on the thread, or -1
 	lastEv  int32 // final event of the thread
+	region  int32 // fuser identity of cs.Region
 }
 
-// bounds computes per-CS segment boundaries.
-func bounds(tr *trace.Trace, css []*trace.CritSec) map[int]csBounds {
-	perThread := make(map[int32][]*trace.CritSec)
+// csTable holds one csEntry per critical section, indexed by CritSec.ID.
+// ExtractCS hands out IDs as dense extraction indices, but the table does
+// not rely on it: it spans the largest ID present, and an ID it has no
+// critical section for reads as the zero entry.
+type csTable struct {
+	byID []csEntry
+	f    *fuser
+}
+
+// newCSTable computes the segment boundaries of every critical section
+// and interns its region with f. css in global event order (as ExtractCS
+// returns it) is ascending in AcqEv within each thread, so one pass links
+// each section to its thread's previous one; css in any other order is
+// put in that order first.
+func newCSTable(tr *trace.Trace, css []*trace.CritSec, f *fuser) csTable {
+	byAcq := func(i, j int) bool { return css[i].AcqEv < css[j].AcqEv }
+	if !sort.SliceIsSorted(css, byAcq) {
+		css = append([]*trace.CritSec(nil), css...)
+		sort.Slice(css, byAcq)
+	}
+	pt := tr.PerThread()
+	maxID, threads := -1, len(pt)
 	for _, cs := range css {
-		perThread[cs.Thread] = append(perThread[cs.Thread], cs)
+		maxID = max(maxID, cs.ID)
+		threads = max(threads, int(cs.Thread)+1)
 	}
-	lastEv := make(map[int32]int32)
-	for t, evs := range tr.PerThread() {
-		if len(evs) > 0 {
-			lastEv[int32(t)] = evs[len(evs)-1]
+	byID := make([]csEntry, maxID+1)
+	prev := make([]*csEntry, threads) // each thread's latest section so far
+	for _, cs := range css {
+		if cs.ID < 0 {
+			continue
 		}
-	}
-	out := make(map[int]csBounds, len(css))
-	for t, list := range perThread {
-		sort.Slice(list, func(i, j int) bool { return list[i].AcqEv < list[j].AcqEv })
-		for i, cs := range list {
-			b := csBounds{prevRel: -1, nextAcq: -1, lastEv: lastEv[t]}
-			if i > 0 {
-				b.prevRel = list[i-1].RelEv
-			}
-			if i+1 < len(list) {
-				b.nextAcq = list[i+1].AcqEv
-			}
-			out[cs.ID] = b
+		e := &byID[cs.ID]
+		*e = csEntry{cs: cs, prevRel: -1, nextAcq: -1, region: f.intern(cs.Region)}
+		if t := int(cs.Thread); t < len(pt) && len(pt[t]) > 0 {
+			e.lastEv = pt[t][len(pt[t])-1]
 		}
+		if p := prev[cs.Thread]; p != nil {
+			e.prevRel = p.cs.RelEv
+			p.nextAcq = cs.AcqEv
+		}
+		prev[cs.Thread] = e
 	}
-	return out
+	return csTable{byID: byID, f: f}
+}
+
+// lookup returns the entry recorded under cs's ID — the zero boundaries
+// when the table has none — with the region identity of cs itself, which
+// for a pair rehydrated against other critical sections is not the
+// table's.
+func (tab csTable) lookup(cs *trace.CritSec) csEntry {
+	var e csEntry
+	if id := cs.ID; id >= 0 && id < len(tab.byID) {
+		e = tab.byID[id]
+	}
+	if e.cs != cs {
+		e.region = tab.f.intern(cs.Region)
+	}
+	return e
 }
 
 // times resolves (Time1, Time2) for a CS under one replay: the start of
 // its precursor segment and the end of its successor segment (Fig. 10).
-func times(b csBounds, res *replay.Result) (t1, t2 vtime.Time) {
-	if b.prevRel >= 0 {
-		t1 = res.EventEnd[b.prevRel]
+func (e *csEntry) times(res *replay.Result) (t1, t2 vtime.Time) {
+	if e.prevRel >= 0 {
+		t1 = res.EventEnd[e.prevRel]
 	}
-	if b.nextAcq >= 0 {
-		t2 = res.EventStart[b.nextAcq]
-	} else if b.lastEv >= 0 {
-		t2 = res.EventEnd[b.lastEv]
+	if e.nextAcq >= 0 {
+		t2 = res.EventStart[e.nextAcq]
+	} else if e.lastEv >= 0 {
+		t2 = res.EventEnd[e.lastEv]
 	}
 	return t1, t2
 }
 
+// eachULCP computes Eq. 1 for every ULCP of rep, in report order, and
+// hands visit the pair, the interned regions of its two critical sections
+// and ∆T_ULCP = ∆MAX{Time2, Time3} − ∆Time1, clamped at zero.
+func (tab csTable) eachULCP(rep *ulcp.Report, orig, free *replay.Result,
+	visit func(p *ulcp.Pair, r1, r2 int32, dt vtime.Duration)) {
+
+	for i := range rep.Pairs {
+		p := &rep.Pairs[i]
+		if !p.Cat.IsULCP() {
+			continue
+		}
+		a, b := tab.lookup(p.C1), tab.lookup(p.C2)
+		t1o, t2o := a.times(orig)
+		_, t3o := b.times(orig)
+		t1n, t2n := a.times(free)
+		_, t3n := b.times(free)
+		dt := vtime.Max(t2o, t3o).Sub(vtime.Max(t2n, t3n)) - t1o.Sub(t1n)
+		if dt < 0 {
+			dt = 0
+		}
+		visit(p, a.region, b.region, dt)
+	}
+}
+
 // Evaluate computes Eq. 1 for every ULCP from the original-trace replay
 // (orig) and ULCP-free-trace replay (free), fuses the results per code
-// region (Algorithm 2) and ranks them (Eq. 2).
+// region (Algorithm 2) and ranks them (Eq. 2). It is one pass over the
+// report's pairs: each ΔT folds straight into its group, and the work per
+// pair is integer compares, table indexing and one map probe.
 func Evaluate(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report,
 	orig, free *replay.Result, threads int) *Debug {
 
@@ -168,52 +221,44 @@ func Evaluate(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report,
 	if d.SpinWasteSaved < 0 {
 		d.SpinWasteSaved = 0
 	}
-
-	bds := bounds(tr, css)
-	for _, p := range rep.Pairs {
-		if !p.Cat.IsULCP() {
-			continue
-		}
-		ba, bb := bds[p.C1.ID], bds[p.C2.ID]
-		t1o, t2o := times(ba, orig)
-		_, t3o := times(bb, orig)
-		t1n, t2n := times(ba, free)
-		_, t3n := times(bb, free)
-		dmax := vtime.Max(t2o, t3o).Sub(vtime.Max(t2n, t3n))
-		d1 := t1o.Sub(t1n)
-		dt := dmax - d1
-		if dt < 0 {
-			dt = 0
-		}
-		d.PerPair = append(d.PerPair, PairPerf{Pair: p, DeltaT: dt})
-		d.SumDelta += dt
-	}
 	d.Trw = (orig.Waited + orig.SpinWaste) - (free.Waited + free.SpinWaste)
 	if d.Trw < 0 {
 		d.Trw = 0
 	}
 
-	d.Groups = fuse(d.PerPair)
+	f := newFuser()
+	newCSTable(tr, css, f).eachULCP(rep, orig, free,
+		func(p *ulcp.Pair, r1, r2 int32, dt vtime.Duration) {
+			d.SumDelta += dt
+			f.add(r1, r2, p.Cat, dt)
+		})
+	d.Groups = rank(fuseOverlaps(f.groups))
+	_ = threads
+	return d
+}
+
+// rank sets every group's Eq. 2 share and sorts the groups by it,
+// descending, ties broken by region.
+func rank(groups []*Group) []*Group {
 	total := vtime.Duration(0)
-	for _, g := range d.Groups {
+	for _, g := range groups {
 		total += g.DeltaT
 	}
-	for _, g := range d.Groups {
+	for _, g := range groups {
 		if total > 0 {
 			g.P = float64(g.DeltaT) / float64(total)
 		}
 	}
-	sort.SliceStable(d.Groups, func(i, j int) bool {
-		if d.Groups[i].DeltaT != d.Groups[j].DeltaT {
-			return d.Groups[i].DeltaT > d.Groups[j].DeltaT
+	sort.SliceStable(groups, func(i, j int) bool {
+		if groups[i].DeltaT != groups[j].DeltaT {
+			return groups[i].DeltaT > groups[j].DeltaT
 		}
-		if !d.Groups[i].CR1.Less(d.Groups[j].CR1) && !d.Groups[j].CR1.Less(d.Groups[i].CR1) {
-			return d.Groups[i].CR2.Less(d.Groups[j].CR2)
+		if !groups[i].CR1.Less(groups[j].CR1) && !groups[j].CR1.Less(groups[i].CR1) {
+			return groups[i].CR2.Less(groups[j].CR2)
 		}
-		return d.Groups[i].CR1.Less(d.Groups[j].CR1)
+		return groups[i].CR1.Less(groups[j].CR1)
 	})
-	_ = threads
-	return d
+	return groups
 }
 
 // normPair orders a region pair canonically so (A,B) and (B,A) fuse.
@@ -224,28 +269,55 @@ func normPair(a, b trace.Region) (trace.Region, trace.Region) {
 	return a, b
 }
 
-// fuse implements Algorithm 2: ULCPs whose code-region pairs overlap
-// (directly or crossed) merge into one synthetic ULCP whose ΔT
-// accumulates, iterated to fixpoint so no two groups remain fusable.
-func fuse(pairs []PairPerf) []*Group {
-	// Stage 1: exact region-pair grouping (covers the vast majority and
-	// keeps the fixpoint small).
-	byKey := make(map[string]*Group)
-	var groups []*Group
-	for _, pp := range pairs {
-		cr1, cr2 := normPair(pp.Pair.C1.Region, pp.Pair.C2.Region)
-		key := cr1.String() + "|" + cr2.String()
-		g, ok := byKey[key]
-		if !ok {
-			g = &Group{CR1: cr1, CR2: cr2, Cats: make(map[ulcp.Category]int)}
-			byKey[key] = g
-			groups = append(groups, g)
-		}
-		g.DeltaT += pp.DeltaT
-		g.Count++
-		g.Cats[pp.Pair.Cat]++
+// fuser is stage 1 of Algorithm 2: exact region-pair grouping, which
+// covers the vast majority of pairs and keeps the fixpoint small. Regions
+// are interned to dense integers once per critical section, so grouping a
+// pair is one probe on the unordered pair of its two identities; a region
+// is ordered and formatted as text only when a group or a report line is
+// made.
+type fuser struct {
+	ids     map[trace.Region]int32
+	regions []trace.Region
+	byKey   map[uint64]*Group
+	groups  []*Group // in first-seen pair order
+}
+
+func newFuser() *fuser {
+	return &fuser{ids: make(map[trace.Region]int32), byKey: make(map[uint64]*Group)}
+}
+
+// intern returns r's dense identity, assigning the next one on first sight.
+func (f *fuser) intern(r trace.Region) int32 {
+	id, ok := f.ids[r]
+	if !ok {
+		id = int32(len(f.regions))
+		f.ids[r] = id
+		f.regions = append(f.regions, r)
 	}
-	// Stage 2: Algorithm 2 fixpoint over overlapping regions.
+	return id
+}
+
+// add folds one ULCP between interned regions r1 and r2 into its group.
+func (f *fuser) add(r1, r2 int32, cat ulcp.Category, dt vtime.Duration) {
+	key := uint64(min(r1, r2))<<32 | uint64(max(r1, r2))
+	g := f.byKey[key]
+	if g == nil {
+		g = &Group{}
+		g.CR1, g.CR2 = normPair(f.regions[r1], f.regions[r2])
+		f.byKey[key] = g
+		f.groups = append(f.groups, g)
+	}
+	g.DeltaT += dt
+	g.Count++
+	if cat >= 0 && cat < ulcp.NumCategories {
+		g.Cats[cat]++
+	}
+}
+
+// fuseOverlaps is stage 2 of Algorithm 2: groups whose code-region pairs
+// overlap (directly or crossed) merge into one synthetic ULCP whose ΔT
+// accumulates, iterated to fixpoint so no two groups remain fusable.
+func fuseOverlaps(groups []*Group) []*Group {
 	for {
 		merged := false
 	outer:

@@ -181,10 +181,10 @@ func (id *identifier) reversedReplayEqual(c1, c2 *trace.CritSec) bool {
 // addresses. The signature matters because one code region can emit both
 // commutative updates (benign) and order-sensitive stores (TLCP); a shared
 // key would let one verdict shadow the other. The key is built into the
-// identifier's reusable buffer and pinned by test against an allocating
-// reference, because it is the wire format of shipped and cached verdict
-// tables.
-func (id *identifier) pairKey(c1, c2 *trace.CritSec) string {
+// identifier's reusable buffer — the returned bytes are valid until the
+// next pairKey call — and pinned by test against an allocating reference,
+// because it is the wire format of shipped and cached verdict tables.
+func (id *identifier) pairKey(c1, c2 *trace.CritSec) []byte {
 	if id.scratch == nil {
 		id.scratch = &pairScratch{}
 	}
@@ -196,7 +196,7 @@ func (id *identifier) pairKey(c1, c2 *trace.CritSec) string {
 	b = append(b, '|')
 	b = appendConflictSig(b, sc, c1, c2)
 	sc.keyBuf = b
-	return string(b)
+	return b
 }
 
 // appendRegion renders r exactly as trace.Region.String does.

@@ -258,7 +258,7 @@ func TestPairKeyMatchesRegionPairKey(t *testing.T) {
 						continue
 					}
 					checked++
-					if got, want := id.pairKey(c1, c2), regionPairKey(c1, c2); got != want {
+					if got, want := string(id.pairKey(c1, c2)), regionPairKey(c1, c2); got != want {
 						t.Fatalf("%s: pairKey %q != regionPairKey %q", app, got, want)
 					}
 				}
@@ -267,6 +267,47 @@ func TestPairKeyMatchesRegionPairKey(t *testing.T) {
 		if checked == 0 {
 			t.Fatalf("%s: no pairs checked", app)
 		}
+	}
+}
+
+// TestBenignLookupsAllocateNothing pins the two paths nearly every
+// conflicting pair takes — a class this run already memoised, and a class
+// the shared verdict table holds — at zero allocations: the key is looked
+// up straight from the scratch bytes, and becomes a string only when a
+// new class is memoised.
+func TestBenignLookupsAllocateNothing(t *testing.T) {
+	tr, css := recordedCS(t, "openldap", 4, 7)
+	table, rep := BuildVerdictTable(tr, css, Options{})
+	var c1, c2 *trace.CritSec
+	for _, p := range rep.Pairs {
+		if Classify(p.C1, p.C2) == TLCP {
+			c1, c2 = p.C1, p.C2
+			break
+		}
+	}
+	if c1 == nil {
+		t.Fatal("fixture has no conflicting pair")
+	}
+
+	memo := newIdentifier(tr, css, Options{}, nil)
+	want := memo.benign(c1, c2) // replays, and memoises the class
+	if memo.rep.ReversedReplays != 1 {
+		t.Fatalf("first sight performed %d replays, want 1", memo.rep.ReversedReplays)
+	}
+	hit := newIdentifier(tr, css, Options{}, table)
+	hit.benign(c1, c2) // sizes the scratch
+	for name, id := range map[string]*identifier{"memoised class": memo, "table hit": hit} {
+		if allocs := testing.AllocsPerRun(20, func() {
+			if id.benign(c1, c2) != want {
+				t.Fatalf("%s: verdict changed", name)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: benign allocates %v times per pair, want 0", name, allocs)
+		}
+	}
+	if memo.rep.ReversedReplays != 1 || hit.rep.ReversedReplays != 0 {
+		t.Fatalf("lookups replayed: memo %d (want 1), table %d (want 0)",
+			memo.rep.ReversedReplays, hit.rep.ReversedReplays)
 	}
 }
 

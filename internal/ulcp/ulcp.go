@@ -27,9 +27,12 @@ const (
 	DisjointWrite
 	Benign
 	TLCP
+
+	// NumCategories sizes arrays indexed by Category.
+	NumCategories = iota
 )
 
-var catNames = [...]string{"null-lock", "read-read", "disjoint-write", "benign", "tlcp"}
+var catNames = [NumCategories]string{"null-lock", "read-read", "disjoint-write", "benign", "tlcp"}
 
 // String names the category.
 func (c Category) String() string {
@@ -219,6 +222,21 @@ func SortedLockGroups(css []*trace.CritSec) [][]*trace.CritSec {
 // MergeReports combines shard reports in call order into one report.
 func MergeReports(reports ...*Report) *Report {
 	out := &Report{Counts: make(map[Category]int)}
+	pairs, edges := 0, 0
+	for _, r := range reports {
+		if r != nil {
+			pairs += len(r.Pairs)
+			edges += len(r.CausalEdges)
+		}
+	}
+	// Sized only when non-empty: an empty merge keeps the nil slices
+	// Identify's report has.
+	if pairs > 0 {
+		out.Pairs = make([]Pair, 0, pairs)
+	}
+	if edges > 0 {
+		out.CausalEdges = make([]Edge, 0, edges)
+	}
 	for _, r := range reports {
 		if r == nil {
 			continue
@@ -303,13 +321,16 @@ func (id *identifier) scan(cur *trace.CritSec, peer []*trace.CritSec) {
 // code-region pair; once the replay budget is exhausted, unseen region
 // pairs conservatively classify as true contention.
 func (id *identifier) benign(c1, c2 *trace.CritSec) bool {
+	// key aliases the identifier's scratch buffer: lookups convert it in
+	// place (no allocation), and only a newly memoized class pays for a
+	// string of its own.
 	key := id.pairKey(c1, c2)
 	if id.table != nil {
-		if v, ok := id.table.Verdicts[key]; ok {
+		if v, ok := id.table.Verdicts[string(key)]; ok {
 			return v
 		}
 	}
-	if v, ok := id.benignMemo[key]; ok {
+	if v, ok := id.benignMemo[string(key)]; ok {
 		return v
 	}
 	// Fast pre-filter: order-sensitive only if some conflicting address
@@ -317,12 +338,12 @@ func (id *identifier) benign(c1, c2 *trace.CritSec) bool {
 	// conflicts (adds, or-bits) are benign without a replay; we still
 	// verify a sample of them through the replayer when budget allows.
 	if id.rep.ReversedReplays >= id.opts.MaxReversedReplays {
-		id.benignMemo[key] = false
+		id.benignMemo[string(key)] = false
 		return false
 	}
 	id.rep.ReversedReplays++
 	v := id.reversedReplayEqual(c1, c2)
-	id.benignMemo[key] = v
+	id.benignMemo[string(key)] = v
 	return v
 }
 

@@ -276,8 +276,8 @@ func TestConflictSigDistinguishesOps(t *testing.T) {
 	addC.WriteOps[1] = []trace.WriteOp{trace.WAdd}
 	setC := cs(nil, []memmodel.Addr{1})
 	id := &identifier{}
-	k1 := id.pairKey(addC, addC)
-	k2 := id.pairKey(addC, setC)
+	k1 := string(id.pairKey(addC, addC))
+	k2 := string(id.pairKey(addC, setC))
 	if k1 == k2 {
 		t.Fatal("conflict signatures must distinguish add/add from add/set pairs")
 	}
