@@ -423,6 +423,9 @@ func replayFile(path, scheme string) error {
 	default:
 		return fmt.Errorf("unknown scheduler %q", scheme)
 	}
+	if err := tr.Validate(); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	res, err := replay.Run(tr, replay.Options{Sched: sched})
 	if err != nil {
 		return err

@@ -54,15 +54,18 @@ func (s Set) Intersects(o Set) bool {
 func MutuallyExclusive(a, b Set) bool { return a.Intersects(b) }
 
 // Assignment is the RULE-3 outcome: the lockset of every causal node,
-// with per-member provenance for the dynamic locking strategy.
+// with per-member provenance for the dynamic locking strategy. Its
+// slices are indexed by node ID (CritSec.ID) and span every node of the
+// graph.
 type Assignment struct {
-	// Own maps a node ID to its fresh auxiliary lock (outdegree > 0 only).
-	Own map[int]trace.LockID
-	// Sets maps node IDs to their locksets, sorted.
-	Sets map[int]Set
+	// Own is a node's fresh auxiliary lock; trace.NoLock for a node
+	// without out-degree.
+	Own []trace.LockID
+	// Sets holds the locksets, sorted; nil for standalone nodes.
+	Sets []Set
 	// Sources parallels Sets: Sources[id][i] is the source node whose own
 	// lock is Sets[id][i], or -1 when the lock is the node's own.
-	Sources map[int][]int
+	Sources [][]int
 	// NumAux is the count of auxiliary locks allocated.
 	NumAux int
 }
@@ -72,10 +75,11 @@ type Assignment struct {
 // in-degree node. Standalone nodes receive empty locksets (their lock
 // operations will be removed).
 func Assign(g *topo.Graph) *Assignment {
+	n := g.NumNodes()
 	a := &Assignment{
-		Own:     make(map[int]trace.LockID),
-		Sets:    make(map[int]Set),
-		Sources: make(map[int][]int),
+		Own:     make([]trace.LockID, n),
+		Sets:    make([]Set, n),
+		Sources: make([][]int, n),
 	}
 	// Deterministic allocation: walk causal nodes in ascending ID order.
 	for _, id := range g.CausalNodes() {
@@ -84,32 +88,37 @@ func Assign(g *topo.Graph) *Assignment {
 			a.Own[id] = trace.AuxLockBase + trace.LockID(a.NumAux)
 		}
 	}
+	// A lockset is the node's own lock plus one lock per incoming edge
+	// (every source has out-degree, hence a lock), so all of them fit two
+	// arrays of known size.
+	locks, srcs := make(Set, a.NumAux+g.NumEdges()), make([]int, a.NumAux+g.NumEdges())
 	for _, id := range g.CausalNodes() {
-		type member struct {
-			lock trace.LockID
-			src  int
-		}
-		var members []member
-		if own, ok := a.Own[id]; ok {
-			members = append(members, member{lock: own, src: -1})
+		set, from := locks[:0], srcs[:0]
+		if a.Own[id] != trace.NoLock {
+			set, from = append(set, a.Own[id]), append(from, -1)
 		}
 		for _, src := range g.Sources(id) {
-			if own, ok := a.Own[src]; ok {
-				members = append(members, member{lock: own, src: src})
+			set, from = append(set, a.Own[src]), append(from, src)
+		}
+		m := len(set)
+		locks, srcs = locks[m:], srcs[m:]
+		// Sort both by lock; a handful of members, so by insertion.
+		for i := 1; i < m; i++ {
+			for j := i; j > 0 && set[j] < set[j-1]; j-- {
+				set[j], set[j-1] = set[j-1], set[j]
+				from[j], from[j-1] = from[j-1], from[j]
 			}
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i].lock < members[j].lock })
-		set := make(Set, len(members))
-		srcs := make([]int, len(members))
-		for i, m := range members {
-			set[i] = m.lock
-			srcs[i] = m.src
-		}
-		a.Sets[id] = set
-		a.Sources[id] = srcs
+		a.Sets[id], a.Sources[id] = set[:m:m], from[:m:m] // an append must not reach the next node's
 	}
 	return a
 }
 
-// LS returns the lockset of a node (empty for standalone nodes).
-func (a *Assignment) LS(id int) Set { return a.Sets[id] }
+// LS returns the lockset of a node (empty for standalone nodes and for
+// IDs outside the graph).
+func (a *Assignment) LS(id int) Set {
+	if uint(id) >= uint(len(a.Sets)) {
+		return nil
+	}
+	return a.Sets[id]
+}

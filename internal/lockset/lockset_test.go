@@ -1,12 +1,16 @@
 package lockset
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"perfplay/internal/sim"
 	"perfplay/internal/topo"
 	"perfplay/internal/trace"
 	"perfplay/internal/ulcp"
+	"perfplay/internal/workload"
 )
 
 func TestSetOps(t *testing.T) {
@@ -57,7 +61,8 @@ func TestIntersectsQuick(t *testing.T) {
 }
 
 // fig8 reproduces the paper's Fig. 8 assignment over the Fig. 7 topology.
-func fig8Graph() *topo.Graph {
+func fig8Graph(t *testing.T) *topo.Graph {
+	t.Helper()
 	l := trace.LockID(1)
 	mk := func(id int, th int32, seq int) *trace.CritSec {
 		return &trace.CritSec{ID: id, Thread: th, Lock: l, SeqInLock: seq,
@@ -74,11 +79,15 @@ func fig8Graph() *topo.Graph {
 		{From: 0, To: 2}, {From: 0, To: 1},
 		{From: 1, To: 2}, {From: 2, To: 3},
 	}
-	return topo.Build(css, edges)
+	g, err := topo.Build(css, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestAssignFig8(t *testing.T) {
-	g := fig8Graph()
+	g := fig8Graph(t)
 	a := Assign(g)
 
 	// Out-degree nodes R1, W1st, W1 each get a fresh auxiliary lock.
@@ -86,15 +95,15 @@ func TestAssignFig8(t *testing.T) {
 		t.Fatalf("aux locks = %d, want 3", a.NumAux)
 	}
 	for _, id := range []int{0, 1, 2} {
-		own, ok := a.Own[id]
-		if !ok {
+		own := a.Own[id]
+		if own == trace.NoLock {
 			t.Fatalf("node %d missing own lock", id)
 		}
 		if !own.IsAux() {
 			t.Fatalf("own lock %v of node %d is not auxiliary", own, id)
 		}
 	}
-	if _, ok := a.Own[3]; ok {
+	if a.Own[3] != trace.NoLock {
 		t.Fatal("W2nd has no outdegree and must not own a lock")
 	}
 
@@ -147,8 +156,8 @@ func TestAssignFig8(t *testing.T) {
 }
 
 func TestAssignDeterministic(t *testing.T) {
-	a1 := Assign(fig8Graph())
-	a2 := Assign(fig8Graph())
+	a1 := Assign(fig8Graph(t))
+	a2 := Assign(fig8Graph(t))
 	if a1.NumAux != a2.NumAux {
 		t.Fatal("aux allocation not deterministic")
 	}
@@ -162,5 +171,97 @@ func TestAssignDeterministic(t *testing.T) {
 				t.Fatalf("node %d: sets differ", id)
 			}
 		}
+	}
+}
+
+// refAssignment is Assign as it was with map-typed fields keyed by node
+// ID; TestAssignMatchesMapReference holds the slice code to it.
+type refAssignment struct {
+	own     map[int]trace.LockID
+	sets    map[int]Set
+	sources map[int][]int
+	numAux  int
+}
+
+func assignRef(g *topo.Graph) *refAssignment {
+	a := &refAssignment{own: make(map[int]trace.LockID), sets: make(map[int]Set), sources: make(map[int][]int)}
+	for _, id := range g.CausalNodes() {
+		if g.OutDeg(id) > 0 {
+			a.numAux++
+			a.own[id] = trace.AuxLockBase + trace.LockID(a.numAux)
+		}
+	}
+	for _, id := range g.CausalNodes() {
+		type member struct {
+			lock trace.LockID
+			src  int
+		}
+		var members []member
+		if own, ok := a.own[id]; ok {
+			members = append(members, member{lock: own, src: -1})
+		}
+		for _, src := range g.Sources(id) {
+			if own, ok := a.own[src]; ok {
+				members = append(members, member{lock: own, src: src})
+			}
+		}
+		sort.Slice(members, func(i, j int) bool { return members[i].lock < members[j].lock })
+		set := make(Set, len(members))
+		srcs := make([]int, len(members))
+		for i, m := range members {
+			set[i] = m.lock
+			srcs[i] = m.src
+		}
+		a.sets[id] = set
+		a.sources[id] = srcs
+	}
+	return a
+}
+
+func TestAssignMatchesMapReference(t *testing.T) {
+	members := 0
+	for _, app := range workload.SortedNames() {
+		for _, threads := range []int{2, 4} {
+			for _, seed := range []int64{7, 42} {
+				what := fmt.Sprintf("%s/threads=%d/seed=%d", app, threads, seed)
+				p := workload.MustGet(app).Build(workload.Config{Threads: threads, Scale: 0.1, Seed: seed})
+				tr := sim.Run(p, sim.Config{Seed: seed}).Trace
+				css := tr.ExtractCS()
+				g, err := topo.Build(css, ulcp.Identify(tr, css, ulcp.Options{}).CausalEdges)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, ref := Assign(g), assignRef(g)
+				if a.NumAux != ref.numAux || len(a.Own) != len(css) || len(a.Sets) != len(css) || len(a.Sources) != len(css) {
+					t.Fatalf("%s: %d aux locks over %d/%d/%d nodes, reference %d over %d", what, a.NumAux, len(a.Own), len(a.Sets), len(a.Sources), ref.numAux, len(css))
+				}
+				for id := range css {
+					// A node the maps had no entry for reads as no lock
+					// and an empty set.
+					if a.Own[id] != ref.own[id] {
+						t.Fatalf("%s: node %d owns %v, reference %v", what, id, a.Own[id], ref.own[id])
+					}
+					set, srcs := ref.sets[id], ref.sources[id]
+					if len(a.LS(id)) != len(set) || len(a.Sources[id]) != len(srcs) {
+						t.Fatalf("%s: node %d lockset %v from %v, reference %v from %v", what, id, a.LS(id), a.Sources[id], set, srcs)
+					}
+					for i := range set {
+						if a.Sets[id][i] != set[i] || a.Sources[id][i] != srcs[i] {
+							t.Fatalf("%s: node %d lockset %v from %v, reference %v from %v", what, id, a.LS(id), a.Sources[id], set, srcs)
+						}
+					}
+					if cap(a.Sets[id]) != len(set) || cap(a.Sources[id]) != len(srcs) {
+						t.Fatalf("%s: node %d: an append to its lockset would write into the next node's", what, id)
+					}
+					members += len(set)
+				}
+			}
+		}
+	}
+	if members == 0 {
+		t.Fatal("no workload produced a lockset")
+	}
+	if ls := Assign(fig8Graph(t)).LS(99); ls != nil {
+		t.Fatalf("lockset of a node outside the graph = %v", ls)
 	}
 }

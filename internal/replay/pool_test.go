@@ -131,3 +131,52 @@ func BenchmarkPooledReplay(b *testing.B) {
 		}
 	}
 }
+
+// TestReplayAllocsIndependentOfEvents: an engine that has seen the trace
+// allocates what escapes a replay — the Result, its four arrays and the
+// memory snapshot — and nothing inside the stepping loop, so the count
+// does not follow the event count. The engine is held out of the pool:
+// the pool drops engines at collections (and at random under -race). The
+// count is not exactly constant either: clear() reseeds the episode-slot
+// map, and refilling a map of a thousand episodes under a new seed now
+// and then grows one of its tables.
+func TestReplayAllocsIndependentOfEvents(t *testing.T) {
+	type variant struct {
+		name string
+		free bool
+		opts Options
+	}
+	for _, app := range []struct {
+		name   string
+		scales [2]float64
+	}{{"fluidanimate", [2]float64{0.05, 0.1}}, {"mysql", [2]float64{0.25, 0.5}}} {
+		for _, v := range []variant{
+			{"elsc", false, Options{Sched: ELSCS}},
+			{"free-dls", true, Options{Sched: ELSCS, DLS: true, LocksetCost: 40}},
+		} {
+			var allocs [2]float64
+			var events [2]int
+			for i, scale := range app.scales {
+				tr := workloadTrace(app.name, 4, scale, 42)
+				if v.free {
+					tr = freeTrace(t, tr).Warm()
+				}
+				events[i] = len(tr.Events)
+				e := enginePool.Get().(*engine)
+				allocs[i] = testing.AllocsPerRun(5, func() {
+					if _, err := e.run(tr, v.opts); err != nil {
+						t.Fatal(err)
+					}
+				})
+				e.release()
+			}
+			if events[1] < events[0]*3/2 {
+				t.Fatalf("%s/%s: %d then %d events: the scales do not separate", app.name, v.name, events[0], events[1])
+			}
+			if diff := allocs[1] - allocs[0]; diff < -3 || diff > 3 || allocs[0] > 16 || allocs[1] > 16 {
+				t.Errorf("%s/%s: %v allocations for %d events, %v for %d; want <= 16 and within 3 of each other",
+					app.name, v.name, allocs[0], events[0], allocs[1], events[1])
+			}
+		}
+	}
+}

@@ -141,10 +141,27 @@ func (r *Result) CPUTotal() vtime.Duration {
 	return s
 }
 
+// lockState is one lock's replay state, found by slot (see engine.evSlot).
 type lockState struct {
 	held   bool
 	freeAt vtime.Time
+	// ELSC: the enforced acquisition order of this lock and the cursor
+	// into it. A lock the order does not name is not enforced.
+	enforced bool
+	order    []int32
+	pos      int
 }
+
+// episode is one barrier episode: how many recorded participants it
+// has, how many are parked at it, and the latest arrival clock.
+type episode struct {
+	members, arrived int
+	maxAt            vtime.Time
+}
+
+// openSet is the member subset a lockset acquisition actually took:
+// engine.setSlots[off : off+n].
+type openSet struct{ off, n int32 }
 
 type threadState struct {
 	id    int32
@@ -152,50 +169,12 @@ type threadState struct {
 	pos   int
 	clock vtime.Time
 	cpu   vtime.Duration
-}
-
-type engine struct {
-	tr   *trace.Trace
-	opts Options
-	mem  *memmodel.Memory
-
-	threads []*threadState
-	locks   map[trace.LockID]*lockState
-
-	// ELSC per-lock cursors: position in the enforced acquisition order.
-	elscOrder map[trace.LockID][]int32
-	elscPos   map[trace.LockID]int
-
-	// MEM-S: the recorded total order over every event.
-	memOrder   []int32
-	memPos     int
-	memLastEnd vtime.Time
-
-	// Constraint bookkeeping.
-	prereqs map[int32][]int32
-	done    []bool
-
-	// Lockset bookkeeping: acquired member subset per open lockset-acq
-	// event, and a per-thread stack of open acquisitions (transform emits
-	// them well nested).
-	heldSets map[int32][]trace.LockID
-	openSets [][]int32
-
-	// Barrier bookkeeping: episode key -> member event indices, and the
-	// set of members whose thread has arrived (is pending at the event),
-	// with arrival clocks.
-	barGroups  map[barKey][]int32
-	barArrived map[barKey]map[int32]vtime.Time
-	// newArrival notes that an eligibility pass registered a barrier
-	// arrival: the pass must be retried before declaring the replay stuck,
-	// since the registration may have completed an episode.
-	newArrival bool
-
-	res *Result
-
-	// threadBuf backs the threads pointer slice so recycled engines
-	// reuse the threadState allocations.
-	threadBuf []threadState
+	// barMark is the barrier event this thread last registered at.
+	barMark int32
+	// open stacks the thread's unreleased lockset acquisitions (transform
+	// emits them well nested); nsets sizes it before the run.
+	open  []openSet
+	nsets int
 }
 
 // barKey identifies one barrier episode.
@@ -204,117 +183,213 @@ type barKey struct {
 	gen int64
 }
 
+// engine replays one trace. reset gives every lock and barrier episode
+// the trace names a dense slot, so the stepping loop (loop, eligible,
+// exec, kendoBarrier) indexes slices only.
+type engine struct {
+	tr   *trace.Trace
+	opts Options
+	mem  *memmodel.Memory
+
+	threads []threadState
+	locks   []lockState
+	// evSlot[i] is event i's index into locks (KLockAcq, KLockRel), the
+	// offset of its member slots in setSlots (KLocksetAcq) or its index
+	// into episodes (KBarrier); other kinds never read it.
+	evSlot   []int32
+	setSlots []int32
+	episodes []episode
+	openBuf  []openSet // backs every threadState.open
+
+	// Constraints in CSR form: event i must wait for
+	// preTgt[preOff[i]:preOff[i+1]]. preOff is empty without constraints.
+	preOff, preTgt []int32
+	done           []bool
+
+	// executed counts the events run so far and lastEnd is when the latest
+	// of them ended: under MEM-S, the next event of the recorded total
+	// order and the time it may start.
+	executed int
+	lastEnd  vtime.Time
+
+	// newArrival notes that an eligibility pass registered a barrier
+	// arrival: the pass must be retried before declaring the replay stuck,
+	// since the registration may have completed an episode.
+	newArrival bool
+
+	res *Result
+
+	// Slot assignment scratch, touched by reset only.
+	lockSlot map[trace.LockID]int32
+	epSlot   map[barKey]int32
+}
+
 // enginePool recycles engine scratch state across replays. The ULCP
 // pipeline replays the same trace hundreds of times (per scheme, per
 // transformed variant, per quantification sample); everything the
 // engine allocates except the escaping Result is reusable.
-var enginePool = sync.Pool{New: func() any { return new(engine) }}
-
-// reset prepares a (possibly recycled) engine for one run. Every field
-// is either rebuilt from (tr, opts) or cleared in place, keeping map
-// and slice capacity from previous runs.
-func (e *engine) reset(tr *trace.Trace, opts Options) {
-	e.tr, e.opts = tr, opts
-	if e.mem == nil {
-		e.mem = memmodel.New()
-	} else {
-		e.mem.Reset()
+var enginePool = sync.Pool{New: func() any {
+	return &engine{
+		mem:      memmodel.New(),
+		lockSlot: make(map[trace.LockID]int32),
+		epSlot:   make(map[barKey]int32),
 	}
-	if e.locks == nil {
-		e.locks = make(map[trace.LockID]*lockState)
-	} else {
-		// Keep the entries: lock IDs recur across replays of one trace,
-		// and lock() lazily revives whatever the next trace needs.
-		for _, ls := range e.locks {
-			ls.held = false
-			ls.freeAt = 0
+}}
+
+// sized returns s with length n, reusing its array when it is large
+// enough. The contents are unspecified.
+func sized[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// slot returns the lock's index into e.locks, assigning the next free
+// one on first sight.
+func (e *engine) slot(l trace.LockID) int32 {
+	s, ok := e.lockSlot[l]
+	if !ok {
+		s = int32(len(e.locks))
+		e.lockSlot[l] = s
+		e.locks = append(e.locks, lockState{})
+	}
+	return s
+}
+
+// reset prepares a (possibly recycled) engine for one run: one pass over
+// the events assigns the slots, and is also the input check — a thread
+// id, lockset source or constraint index the trace cannot back is an
+// error here rather than an index panic in the loop. Every field is
+// rebuilt from (tr, opts) or cleared in place, keeping capacity from
+// previous runs.
+func (e *engine) reset(tr *trace.Trace, opts Options) error {
+	e.tr, e.opts = tr, opts
+	e.mem.Reset()
+	nev, nt := len(tr.Events), tr.NumThreads
+	if nt < 0 {
+		return fmt.Errorf("replay: thread count %d", nt)
+	}
+	e.threads = sized(e.threads, nt)
+	clear(e.threads)
+	e.evSlot = sized(e.evSlot, nev)
+	e.done = sized(e.done, nev)
+	clear(e.done)
+	clear(e.lockSlot)
+	clear(e.epSlot)
+	e.locks, e.setSlots, e.episodes = e.locks[:0], e.setSlots[:0], e.episodes[:0]
+	e.executed, e.lastEnd, e.newArrival = 0, 0, false
+
+	nsets := 0
+	for i := range tr.Events {
+		ev := &tr.Events[i]
+		if uint(ev.Thread) >= uint(nt) {
+			return fmt.Errorf("replay: event %d: thread %d out of range [0,%d)", i, ev.Thread, nt)
+		}
+		switch ev.Kind {
+		case trace.KLockAcq, trace.KLockRel:
+			e.evSlot[i] = e.slot(ev.Lock)
+		case trace.KLocksetAcq:
+			e.evSlot[i] = int32(len(e.setSlots))
+			for _, l := range ev.Locks {
+				e.setSlots = append(e.setSlots, e.slot(l))
+			}
+			for _, src := range ev.Sources {
+				if int(src) >= nev {
+					return fmt.Errorf("replay: event %d: lockset source %d out of range [0,%d)", i, src, nev)
+				}
+			}
+			e.threads[ev.Thread].nsets++
+			nsets++
+		case trace.KBarrier:
+			k := barKey{bar: ev.Lock, gen: ev.Value}
+			s, ok := e.epSlot[k]
+			if !ok {
+				s = int32(len(e.episodes))
+				e.epSlot[k] = s
+				e.episodes = append(e.episodes, episode{})
+			}
+			e.episodes[s].members++
+			e.evSlot[i] = s
 		}
 	}
 
-	nev, nt := len(tr.Events), tr.NumThreads
+	e.openBuf = sized(e.openBuf, nsets)
+	open := e.openBuf
+	for t, evs := range tr.PerThread() {
+		ts := &e.threads[t]
+		ts.id, ts.evs, ts.barMark = int32(t), evs, -1
+		ts.open, open = open[:0:ts.nsets], open[ts.nsets:]
+	}
+
+	if opts.Sched == ELSCS {
+		order := opts.LockOrder
+		if order == nil {
+			order = tr.LockOrder()
+		}
+		for l, acqs := range order {
+			if s, ok := e.lockSlot[l]; ok {
+				e.locks[s].enforced, e.locks[s].order = true, acqs
+			}
+		}
+	}
+
+	e.preOff = e.preOff[:0]
+	cons := [2][]trace.Constraint{tr.Constraints, opts.ExtraConstraints}
+	if n := len(cons[0]) + len(cons[1]); n > 0 {
+		e.preOff = sized(e.preOff, nev+1)
+		clear(e.preOff)
+		e.preTgt = sized(e.preTgt, n)
+		for _, cs := range cons {
+			for _, c := range cs {
+				if uint(c.After) >= uint(nev) || uint(c.Before) >= uint(nev) {
+					return fmt.Errorf("replay: constraint %v out of range [0,%d)", c, nev)
+				}
+				e.preOff[c.Before]++
+			}
+		}
+		// Prefix sums leave preOff[i] at the end of i's range; filling
+		// backwards walks it down to the start, which is where i+1's
+		// range must end.
+		for i := 1; i <= nev; i++ {
+			e.preOff[i] += e.preOff[i-1]
+		}
+		for _, cs := range cons {
+			for _, c := range cs {
+				e.preOff[c.Before]--
+				e.preTgt[e.preOff[c.Before]] = c.After
+			}
+		}
+	}
+
 	e.res = &Result{
 		EventEnd:     make([]vtime.Time, nev),
 		EventStart:   make([]vtime.Time, nev),
 		PerThreadCPU: make([]vtime.Duration, nt),
 		readHashes:   make([]uint64, nt),
 	}
-	if cap(e.done) >= nev {
-		e.done = e.done[:nev]
-		clear(e.done)
-	} else {
-		e.done = make([]bool, nev)
-	}
-	if e.heldSets == nil {
-		e.heldSets = make(map[int32][]trace.LockID)
-	} else {
-		clear(e.heldSets)
-	}
-	if cap(e.openSets) >= nt {
-		e.openSets = e.openSets[:nt]
-		for i := range e.openSets {
-			e.openSets[i] = e.openSets[i][:0]
-		}
-	} else {
-		e.openSets = make([][]int32, nt)
-	}
-	if e.barGroups != nil {
-		clear(e.barGroups)
-		clear(e.barArrived)
-	}
-
-	if cap(e.threadBuf) >= nt {
-		e.threadBuf = e.threadBuf[:nt]
-	} else {
-		e.threadBuf = make([]threadState, nt)
-	}
-	e.threads = e.threads[:0]
-	for t, evs := range tr.PerThread() {
-		e.threadBuf[t] = threadState{id: int32(t), evs: evs}
-		e.threads = append(e.threads, &e.threadBuf[t])
-	}
-
-	e.elscOrder = nil
-	if e.elscPos != nil {
-		clear(e.elscPos)
-	}
-	e.memOrder, e.memPos, e.memLastEnd = e.memOrder[:0], 0, 0
-	e.newArrival = false
-	if e.prereqs != nil {
-		clear(e.prereqs)
-	}
+	return nil
 }
 
 // release returns the engine to the pool, dropping every reference that
 // would otherwise keep the trace, the caller's options, or the escaping
 // Result alive while the engine idles in the pool.
 func (e *engine) release() {
-	e.tr = nil
-	e.opts = Options{}
-	e.res = nil
-	e.elscOrder = nil
-	e.threads = e.threads[:0]
-	for i := range e.threadBuf {
-		e.threadBuf[i].evs = nil
-	}
+	e.tr, e.opts, e.res = nil, Options{}, nil
+	clear(e.threads)
+	clear(e.locks)
 	enginePool.Put(e)
-}
-
-// takeHeldSet pops the thread's innermost open lockset acquisition and
-// returns the member subset it actually acquired.
-func (e *engine) takeHeldSet(ts *threadState, _ *trace.Event) ([]trace.LockID, bool) {
-	stack := e.openSets[ts.id]
-	if len(stack) == 0 {
-		return nil, false
-	}
-	acq := stack[len(stack)-1]
-	e.openSets[ts.id] = stack[:len(stack)-1]
-	members := e.heldSets[acq]
-	delete(e.heldSets, acq)
-	return members, true
 }
 
 // Run replays the trace under the given options.
 func Run(tr *trace.Trace, opts Options) (*Result, error) {
+	e := enginePool.Get().(*engine)
+	defer e.release()
+	return e.run(tr, opts)
+}
+
+// run is Run on this engine, whatever it replayed before.
+func (e *engine) run(tr *trace.Trace, opts Options) (*Result, error) {
 	if opts.JitterWindow == 0 {
 		opts.JitterWindow = 200
 	}
@@ -324,62 +399,19 @@ func Run(tr *trace.Trace, opts Options) (*Result, error) {
 			opts.DLSCheckCost = 1
 		}
 	}
-	e := enginePool.Get().(*engine)
-	defer e.release()
-	e.reset(tr, opts)
-	for i := range tr.Events {
-		if tr.Events[i].Kind == trace.KBarrier {
-			if e.barGroups == nil {
-				e.barGroups = make(map[barKey][]int32)
-				e.barArrived = make(map[barKey]map[int32]vtime.Time)
-			}
-			k := barKey{bar: tr.Events[i].Lock, gen: tr.Events[i].Value}
-			e.barGroups[k] = append(e.barGroups[k], int32(i))
-		}
+	if err := e.reset(tr, opts); err != nil {
+		return nil, err
 	}
 	for a, v := range tr.InitMem {
 		e.mem.Store(a, v)
 	}
-
-	switch opts.Sched {
-	case ELSCS:
-		e.elscOrder = opts.LockOrder
-		if e.elscOrder == nil {
-			e.elscOrder = tr.LockOrder()
-		}
-		if e.elscPos == nil {
-			e.elscPos = make(map[trace.LockID]int, len(e.elscOrder))
-		}
-	case MemS:
-		// Deterministic-everything: the recorded order of every event.
-		if cap(e.memOrder) < len(tr.Events) {
-			e.memOrder = make([]int32, len(tr.Events))
-		} else {
-			e.memOrder = e.memOrder[:len(tr.Events)]
-		}
-		for i := range e.memOrder {
-			e.memOrder[i] = int32(i)
-		}
-	}
-
-	if len(tr.Constraints)+len(opts.ExtraConstraints) > 0 {
-		if e.prereqs == nil {
-			e.prereqs = make(map[int32][]int32, len(tr.Constraints)+len(opts.ExtraConstraints))
-		}
-		for _, c := range tr.Constraints {
-			e.prereqs[c.Before] = append(e.prereqs[c.Before], c.After)
-		}
-		for _, c := range opts.ExtraConstraints {
-			e.prereqs[c.Before] = append(e.prereqs[c.Before], c.After)
-		}
-	}
-
 	if err := e.loop(); err != nil {
 		return nil, err
 	}
 	res := e.res
 	var total vtime.Time
-	for i, ts := range e.threads {
+	for i := range e.threads {
+		ts := &e.threads[i]
 		if ts.clock > total {
 			total = ts.clock
 		}
@@ -405,16 +437,15 @@ func (ts *threadState) next() int32 {
 	return ts.evs[ts.pos]
 }
 
+// loop steps the replay: each pass polls every thread's pending event
+// and executes the one that can start earliest. Threads are few, so
+// polling beats keeping a ready queue equal to this rule.
 func (e *engine) loop() error {
-	remaining := 0
-	for _, ts := range e.threads {
-		remaining += len(ts.evs)
-	}
-	for remaining > 0 {
+	for e.executed < len(e.tr.Events) {
 		best := -1
-		var bestStart vtime.Time
-		var bestPrio vtime.Time
-		for i, ts := range e.threads {
+		var bestStart, bestPrio vtime.Time
+		for i := range e.threads {
+			ts := &e.threads[i]
 			idx := ts.next()
 			if idx < 0 {
 				continue
@@ -427,7 +458,7 @@ func (e *engine) loop() error {
 			if e.opts.Sched == OrigS && e.tr.Events[idx].Kind == trace.KLockAcq {
 				prio = start.Add(e.jitter(idx))
 			}
-			if best == -1 || prio < bestPrio || (prio == bestPrio && i < best) {
+			if best == -1 || prio < bestPrio {
 				best, bestStart, bestPrio = i, start, prio
 			}
 		}
@@ -438,18 +469,17 @@ func (e *engine) loop() error {
 			}
 			return e.stuckErr()
 		}
-		e.exec(e.threads[best], bestStart)
-		remaining--
+		e.exec(&e.threads[best], bestStart)
 	}
 	return nil
 }
 
 func (e *engine) stuckErr() error {
 	var pend []string
-	for _, ts := range e.threads {
+	for i := range e.threads {
+		ts := &e.threads[i]
 		if idx := ts.next(); idx >= 0 {
-			ev := &e.tr.Events[idx]
-			pend = append(pend, fmt.Sprintf("T%d@ev%d(%v)", ts.id, idx, ev.Kind))
+			pend = append(pend, fmt.Sprintf("T%d@ev%d(%v)", ts.id, idx, e.tr.Events[idx].Kind))
 		}
 	}
 	return fmt.Errorf("replay stuck under %v: pending %v", e.opts.Sched, pend)
@@ -471,29 +501,28 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 	ev := &e.tr.Events[idx]
 	start := ts.clock
 
-	for _, p := range e.prereqs[idx] {
-		if !e.done[p] {
-			return 0, false
-		}
-		if e.res.EventEnd[p] > start {
-			start = e.res.EventEnd[p]
+	if len(e.preOff) > 0 {
+		for _, p := range e.preTgt[e.preOff[idx]:e.preOff[idx+1]] {
+			if !e.done[p] {
+				return 0, false
+			}
+			if e.res.EventEnd[p] > start {
+				start = e.res.EventEnd[p]
+			}
 		}
 	}
 
 	// Barrier arrivals register unconditionally (before any enforcement
 	// gate): other participants' eligibility depends on seeing this
 	// thread parked at the episode.
-	if ev.Kind == trace.KBarrier {
-		k := barKey{bar: ev.Lock, gen: ev.Value}
-		arr := e.barArrived[k]
-		if arr == nil {
-			arr = make(map[int32]vtime.Time)
-			e.barArrived[k] = arr
+	if ev.Kind == trace.KBarrier && ts.barMark != idx {
+		ts.barMark = idx
+		ep := &e.episodes[e.evSlot[idx]]
+		if ep.arrived == 0 || start > ep.maxAt {
+			ep.maxAt = start
 		}
-		if _, ok := arr[idx]; !ok {
-			arr[idx] = start
-			e.newArrival = true
-		}
+		ep.arrived++
+		e.newArrival = true
 	}
 
 	// MEM-S enforces a total order over all shared-memory access points:
@@ -502,21 +531,19 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 	// the whole execution serializes, which is exactly the 2x-20x
 	// PinPlay/CoreDet regime the paper cites.
 	if e.opts.Sched == MemS {
-		if e.memPos >= len(e.memOrder) || e.memOrder[e.memPos] != idx {
+		if int(idx) != e.executed {
 			return 0, false
 		}
-		if e.memLastEnd > start {
-			start = e.memLastEnd
+		if e.lastEnd > start {
+			start = e.lastEnd
 		}
 	}
 
 	switch ev.Kind {
 	case trace.KLockAcq:
-		if order, ok := e.elscOrderFor(ev.Lock); ok {
-			pos := e.elscPos[ev.Lock]
-			if pos >= len(order) || order[pos] != idx {
-				return 0, false
-			}
+		ls := &e.locks[e.evSlot[idx]]
+		if ls.enforced && (ls.pos >= len(ls.order) || ls.order[ls.pos] != idx) {
+			return 0, false
 		}
 		if e.opts.Sched == SyncS {
 			// Kendo-style input-driven determinism: a thread may acquire
@@ -531,7 +558,6 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 				start = wait
 			}
 		}
-		ls := e.lock(ev.Lock)
 		if ls.held {
 			return 0, false
 		}
@@ -539,9 +565,12 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 			start = ls.freeAt
 		}
 	case trace.KLocksetAcq:
-		members := e.effectiveLockset(ev)
-		for _, l := range members {
-			ls := e.lock(l)
+		off := int(e.evSlot[idx])
+		for i := range ev.Locks {
+			if e.dropped(ev, i) {
+				continue
+			}
+			ls := &e.locks[e.setSlots[off+i]]
 			if ls.held {
 				return 0, false
 			}
@@ -550,26 +579,15 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 			}
 		}
 	case trace.KBarrier:
-		k := barKey{bar: ev.Lock, gen: ev.Value}
-		arr := e.barArrived[k]
-		if len(arr) < len(e.barGroups[k]) {
+		ep := &e.episodes[e.evSlot[idx]]
+		if ep.arrived < ep.members {
 			return 0, false // waiting for the other participants
 		}
-		for _, at := range arr {
-			if at > start {
-				start = at
-			}
+		if ep.maxAt > start {
+			start = ep.maxAt
 		}
 	}
 	return start, true
-}
-
-func (e *engine) elscOrderFor(l trace.LockID) ([]int32, bool) {
-	if e.elscOrder == nil {
-		return nil, false
-	}
-	order, ok := e.elscOrder[l]
-	return order, ok
 }
 
 // kendoBarrier implements SYNC-S's logical-clock gate for a thread about
@@ -581,18 +599,15 @@ func (e *engine) elscOrderFor(l trace.LockID) ([]int32, bool) {
 func (e *engine) kendoBarrier(ts *threadState) (vtime.Time, bool) {
 	p := ts.pos
 	var wait vtime.Time
-	for _, o := range e.threads {
+	for i := range e.threads {
+		o := &e.threads[i]
 		if o == ts {
 			continue
 		}
-		limit := p
-		if limit > len(o.evs) {
-			limit = len(o.evs)
-		}
+		limit := min(p, len(o.evs))
 		if o.pos < limit {
 			idx := o.next()
-			ev := &e.tr.Events[idx]
-			if ev.Kind == trace.KLockAcq && e.lock(ev.Lock).held {
+			if e.tr.Events[idx].Kind == trace.KLockAcq && e.locks[e.evSlot[idx]].held {
 				continue // spinning: its logical clock advances
 			}
 			return 0, false
@@ -606,31 +621,27 @@ func (e *engine) kendoBarrier(ts *threadState) (vtime.Time, bool) {
 	return wait, true
 }
 
-// effectiveLockset returns the member locks actually acquired, applying
-// the dynamic locking strategy when enabled: a source critical section
-// that already finished (its release event executed) contributes no lock.
-func (e *engine) effectiveLockset(ev *trace.Event) []trace.LockID {
-	if !e.opts.DLS || len(ev.Sources) != len(ev.Locks) {
-		return ev.Locks
-	}
-	members := make([]trace.LockID, 0, len(ev.Locks))
-	for i, l := range ev.Locks {
-		src := ev.Sources[i]
-		if src >= 0 && e.done[src] {
-			continue // source END flag is set: exclude its lock
-		}
-		members = append(members, l)
-	}
-	return members
+// dropped applies the dynamic locking strategy to member i of a lockset
+// acquisition: a source critical section that already finished (its
+// release event executed) contributes no lock.
+func (e *engine) dropped(ev *trace.Event, i int) bool {
+	return e.opts.DLS && len(ev.Sources) == len(ev.Locks) && ev.Sources[i] >= 0 && e.done[ev.Sources[i]]
 }
 
-func (e *engine) lock(l trace.LockID) *lockState {
-	ls, ok := e.locks[l]
-	if !ok {
-		ls = &lockState{}
-		e.locks[l] = ls
+// maintenance is the modelled bookkeeping cost of acquiring or releasing
+// a lockset of full members of which taken are actually held. Without
+// DLS, RULE-4 bookkeeping walks the full lockset. With DLS every member
+// costs one END check (on acquisition; a release checks nothing) and only
+// the members beyond the degenerate single-lock case pay full maintenance
+// (a one-lock set is a plain mutex, whose cost the event already carries).
+func (e *engine) maintenance(full, taken int, check vtime.Duration) vtime.Duration {
+	switch {
+	case e.opts.LocksetCost <= 0:
+		return 0
+	case !e.opts.DLS:
+		return e.opts.LocksetCost * vtime.Duration(full)
 	}
-	return ls
+	return check*vtime.Duration(full) + e.opts.LocksetCost*vtime.Duration(max(taken-1, 0))
 }
 
 // exec runs one event starting at the given time.
@@ -644,10 +655,7 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 			e.res.SpinWaste += wait
 		} else {
 			e.res.Waited += wait
-			if e.opts.Sched == SyncS && ev.Kind == trace.KLockAcq {
-				e.res.EnforceWait += wait
-			}
-			if e.opts.Sched == MemS {
+			if e.opts.Sched == MemS || (e.opts.Sched == SyncS && ev.Kind == trace.KLockAcq) {
 				e.res.EnforceWait += wait
 			}
 		}
@@ -657,69 +665,49 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 	case trace.KThreadStart, trace.KThreadEnd:
 		cost = 0
 	case trace.KLockAcq:
-		e.lock(ev.Lock).held = true
-		if e.elscPos != nil {
-			if _, ok := e.elscOrderFor(ev.Lock); ok {
-				e.elscPos[ev.Lock]++
-			}
+		ls := &e.locks[e.evSlot[idx]]
+		ls.held = true
+		if ls.enforced {
+			ls.pos++
 		}
 	case trace.KLockRel:
-		ls := e.lock(ev.Lock)
+		ls := &e.locks[e.evSlot[idx]]
 		ls.held = false
 		ls.freeAt = start.Add(cost)
 	case trace.KLocksetAcq:
-		members := e.effectiveLockset(ev)
-		for _, l := range members {
-			e.lock(l).held = true
-		}
-		// Maintenance cost model: without DLS, RULE-4 bookkeeping walks
-		// the full lockset; with DLS, each member costs one cheap END
-		// check and only extra members beyond the degenerate single-lock
-		// case pay full maintenance (a one-lock set is a plain mutex,
-		// whose cost the event already carries).
-		var maint vtime.Duration
-		if e.opts.LocksetCost > 0 {
-			if e.opts.DLS {
-				maint = e.opts.DLSCheckCost * vtime.Duration(len(ev.Locks))
-				if extra := len(members) - 1; extra > 0 {
-					maint += e.opts.LocksetCost * vtime.Duration(extra)
-				}
-			} else {
-				maint = e.opts.LocksetCost * vtime.Duration(len(ev.Locks))
+		// Take the effective members, compacting their slots to the front
+		// of this event's setSlots range: the matching release frees
+		// exactly that subset, and no later step reads the range again.
+		off := e.evSlot[idx]
+		n := off
+		for i := range ev.Locks {
+			if e.dropped(ev, i) {
+				continue
 			}
+			s := e.setSlots[int(off)+i]
+			e.locks[s].held = true
+			e.setSlots[n] = s
+			n++
 		}
+		maint := e.maintenance(len(ev.Locks), int(n-off), e.opts.DLSCheckCost)
 		cost += maint
 		e.res.LocksetOverhead += maint
 		e.res.LocksetAcqs++
-		e.res.LocksetMembers += len(members)
-		// Remember the acquired subset for the matching release.
-		e.heldSets[idx] = members
-		e.openSets[ts.id] = append(e.openSets[ts.id], idx)
+		e.res.LocksetMembers += int(n - off)
+		ts.open = append(ts.open, openSet{off: off, n: n - off})
 	case trace.KLocksetRel:
-		// The matching acquisition is the latest unreleased lockset-acq of
-		// this thread; transform emits them well nested, and we track the
-		// acquired subset by scanning our open map.
-		if members, ok := e.takeHeldSet(ts, ev); ok {
-			// Release-side maintenance mirrors acquisition: without DLS
-			// the whole lockset is walked, with DLS only the members that
-			// were actually acquired.
-			var maint vtime.Duration
-			if e.opts.LocksetCost > 0 {
-				if e.opts.DLS {
-					if extra := len(members) - 1; extra > 0 {
-						maint = e.opts.LocksetCost * vtime.Duration(extra)
-					}
-				} else {
-					maint = e.opts.LocksetCost * vtime.Duration(len(ev.Locks))
-				}
-			}
+		// The matching acquisition is the thread's innermost open one; a
+		// release with nothing open frees nothing.
+		if top := len(ts.open) - 1; top >= 0 {
+			held := ts.open[top]
+			ts.open = ts.open[:top]
+			maint := e.maintenance(len(ev.Locks), int(held.n), 0)
 			cost += maint
 			e.res.LocksetOverhead += maint
 			end := start.Add(cost)
-			for _, l := range members {
-				ls := e.lock(l)
-				ls.held = false
-				ls.freeAt = end
+			for _, s := range e.setSlots[held.off : held.off+held.n] {
+				e.locks[s].held = false
+				e.locks[s].freeAt = end
 			}
 		}
 	case trace.KRead:
@@ -736,21 +724,13 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 		for a, v := range ev.Delta {
 			e.mem.Store(a, v)
 		}
-	case trace.KSleep:
-		// Time passes without CPU.
 	}
 
 	end := start.Add(cost)
-	switch ev.Kind {
-	case trace.KSleep, trace.KThreadStart, trace.KThreadEnd:
-		// no CPU
-	default:
-		ts.cpu += cost
+	if ev.Kind != trace.KSleep && ev.Kind != trace.KThreadStart && ev.Kind != trace.KThreadEnd {
+		ts.cpu += cost // a sleep passes time without CPU
 	}
-	if e.opts.Sched == MemS {
-		e.memPos++
-		e.memLastEnd = end
-	}
+	e.executed, e.lastEnd = e.executed+1, end
 	ts.clock = end
 	e.res.EventStart[idx] = start
 	e.res.EventEnd[idx] = end

@@ -165,3 +165,56 @@ func TestSpinLockWaitBurnsCPUInReplay(t *testing.T) {
 		t.Fatalf("spin wait misclassified as blocking: %v", res.Waited)
 	}
 }
+
+// TestRunRejectsWhatTheTraceCannotBack: a thread id, constraint index or
+// lockset source outside the trace is an error from Run under every
+// scheme — the engine's slot-assignment pass is its input check — and
+// the pooled engine replays a good trace afterwards.
+func TestRunRejectsWhatTheTraceCannotBack(t *testing.T) {
+	one := func(threads int, evs ...trace.Event) *trace.Trace {
+		tr := trace.New("bad", threads)
+		for _, ev := range evs {
+			tr.Events = append(tr.Events, ev) // not Append: PerThread must not index first
+		}
+		return tr
+	}
+	compute := trace.Event{Thread: 0, Kind: trace.KCompute, Cost: 10}
+	aux := []trace.LockID{trace.AuxLockBase + 1}
+	constrained := func(c trace.Constraint) *trace.Trace {
+		tr := one(1, compute)
+		tr.Constraints = []trace.Constraint{c}
+		return tr
+	}
+	cases := []struct {
+		name string
+		tr   *trace.Trace
+		opts Options
+	}{
+		{"thread id past the count", one(1, trace.Event{Thread: 3, Kind: trace.KCompute}), Options{}},
+		{"negative thread id", one(2, trace.Event{Thread: -1, Kind: trace.KCompute}), Options{}},
+		{"negative thread count", one(-1), Options{}},
+		{"constraint after past the events", constrained(trace.Constraint{After: 99, Before: 0}), Options{}},
+		{"constraint before past the events", constrained(trace.Constraint{After: 0, Before: 99}), Options{}},
+		{"negative constraint index", constrained(trace.Constraint{After: -1, Before: 0}), Options{}},
+		{"extra constraint past the events", one(1, compute), Options{ExtraConstraints: []trace.Constraint{{After: 0, Before: 5}}}},
+		{"lockset source past the events", one(1,
+			trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: aux, Sources: []int32{77}},
+			trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: aux}), Options{DLS: true}},
+	}
+	good := buildContended(2, 2).Trace
+	want, err := Run(good, Options{Sched: ELSCS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		for _, sch := range allScheds {
+			c.opts.Sched = sch
+			if res, err := Run(c.tr, c.opts); err == nil {
+				t.Errorf("%s under %v: replayed to %v, want an error", c.name, sch, res.Total)
+			}
+		}
+		if got, err := Run(good, Options{Sched: ELSCS}); err != nil || got.Total != want.Total || got.ReadHash != want.ReadHash {
+			t.Fatalf("after %s: good trace replayed to %v, %v", c.name, got, err)
+		}
+	}
+}

@@ -6,6 +6,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"perfplay/internal/trace"
@@ -13,33 +14,58 @@ import (
 )
 
 // Graph is the causal-order topology over critical sections. Node IDs are
-// CritSec.ID values.
+// CritSec.ID values, which extraction hands out as the dense indices
+// 0..n-1 of css; the adjacency lists are indexed by them.
 type Graph struct {
-	css   []*trace.CritSec
-	out   map[int][]int
-	in    map[int][]int
-	edges []ulcp.Edge
+	css     []*trace.CritSec
+	out, in [][]int
+	edges   []ulcp.Edge
+	causal  []int
 }
 
 // Build constructs the ULCP-free topology from the identification report's
 // causal edges (RULE 1 already filtered out non-causal ULCP relations).
-func Build(css []*trace.CritSec, edges []ulcp.Edge) *Graph {
-	g := &Graph{
-		css: css,
-		out: make(map[int][]int),
-		in:  make(map[int][]int),
+// Duplicate edges are dropped, first occurrence kept. It is an error for
+// css not to be indexed by ID or for an edge to name a node outside it.
+func Build(css []*trace.CritSec, edges []ulcp.Edge) (*Graph, error) {
+	n := len(css)
+	for i, cs := range css {
+		if cs.ID != i {
+			return nil, fmt.Errorf("topo: critical section at index %d has ID %d", i, cs.ID)
+		}
 	}
-	seen := make(map[ulcp.Edge]bool, len(edges))
+	// Degrees, duplicates included, size every adjacency list inside one
+	// array: out-degree of id at deg[id], in-degree at deg[n+id].
+	deg := make([]int, 2*n)
 	for _, e := range edges {
-		if seen[e] {
+		if uint(e.From) >= uint(n) || uint(e.To) >= uint(n) {
+			return nil, fmt.Errorf("topo: edge %d->%d names a node outside [0,%d)", e.From, e.To, n)
+		}
+		deg[e.From]++
+		deg[n+e.To]++
+	}
+	adj, buf := make([][]int, 2*n), make([]int, 2*len(edges))
+	for i, d := range deg {
+		adj[i], buf = buf[:0:d], buf[d:]
+	}
+	g := &Graph{css: css, out: adj[:n], in: adj[n:], edges: make([]ulcp.Edge, 0, len(edges))}
+	for _, e := range edges {
+		// A node's out-degree is below the thread count for edges ulcp
+		// produces, so scanning its list is the cheap duplicate test.
+		if slices.Contains(g.out[e.From], e.To) {
 			continue
 		}
-		seen[e] = true
 		g.edges = append(g.edges, e)
 		g.out[e.From] = append(g.out[e.From], e.To)
 		g.in[e.To] = append(g.in[e.To], e.From)
 	}
-	return g
+	g.causal = make([]int, 0, min(n, 2*len(g.edges)))
+	for id := range css {
+		if !g.Standalone(id) {
+			g.causal = append(g.causal, id)
+		}
+	}
+	return g, nil
 }
 
 // NumNodes returns the node count (all critical sections).
@@ -52,72 +78,60 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 func (g *Graph) Edges() []ulcp.Edge { return g.edges }
 
 // OutDeg returns the out-degree of a node.
-func (g *Graph) OutDeg(id int) int { return len(g.out[id]) }
+func (g *Graph) OutDeg(id int) int { return len(g.Targets(id)) }
 
 // InDeg returns the in-degree of a node.
-func (g *Graph) InDeg(id int) int { return len(g.in[id]) }
+func (g *Graph) InDeg(id int) int { return len(g.Sources(id)) }
 
 // Sources returns the causal predecessors of a node.
-func (g *Graph) Sources(id int) []int { return g.in[id] }
+func (g *Graph) Sources(id int) []int { return list(g.in, id) }
 
 // Targets returns the causal successors of a node.
-func (g *Graph) Targets(id int) []int { return g.out[id] }
+func (g *Graph) Targets(id int) []int { return list(g.out, id) }
+
+// list is adj[id], or nothing for an ID outside the graph.
+func list(adj [][]int, id int) []int {
+	if uint(id) >= uint(len(adj)) {
+		return nil
+	}
+	return adj[id]
+}
 
 // Standalone reports whether the node participates in no causal edge;
 // PerfPlay removes the lock operations of such nodes entirely (Sec. 3.2).
 func (g *Graph) Standalone(id int) bool {
-	return len(g.out[id]) == 0 && len(g.in[id]) == 0
+	return g.OutDeg(id) == 0 && g.InDeg(id) == 0
 }
 
 // CausalNodes returns the IDs of nodes with at least one causal edge, in
-// ascending order.
-func (g *Graph) CausalNodes() []int {
-	set := make(map[int]struct{})
-	for _, e := range g.edges {
-		set[e.From] = struct{}{}
-		set[e.To] = struct{}{}
-	}
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
+// ascending order. Callers must not mutate it.
+func (g *Graph) CausalNodes() []int { return g.causal }
 
 // TopoSort returns the nodes in a topological order of the causal edges,
 // or an error if the edges contain a cycle (which would indicate a RULE-1
 // construction bug, since causal edges always point forward in the
 // original acquisition order).
 func (g *Graph) TopoSort() ([]int, error) {
-	indeg := make(map[int]int, len(g.css))
-	for _, cs := range g.css {
-		indeg[cs.ID] = 0
-	}
-	for _, e := range g.edges {
-		indeg[e.To]++
-	}
-	var queue []int
-	for _, cs := range g.css {
-		if indeg[cs.ID] == 0 {
-			queue = append(queue, cs.ID)
+	n := len(g.css)
+	indeg := make([]int, n)
+	// order doubles as the FIFO work queue: everything from head on is
+	// ordered but not yet expanded.
+	order := make([]int, 0, n)
+	for id := range indeg {
+		if indeg[id] = len(g.in[id]); indeg[id] == 0 {
+			order = append(order, id)
 		}
 	}
-	sort.Ints(queue)
-	var order []int
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, m := range g.out[n] {
+	for head := 0; head < len(order); head++ {
+		for _, m := range g.out[order[head]] {
 			indeg[m]--
 			if indeg[m] == 0 {
-				queue = append(queue, m)
+				order = append(order, m)
 			}
 		}
 	}
-	if len(order) != len(g.css) {
-		return nil, fmt.Errorf("topo: causal graph has a cycle (%d of %d nodes ordered)", len(order), len(g.css))
+	if len(order) != n {
+		return nil, fmt.Errorf("topo: causal graph has a cycle (%d of %d nodes ordered)", len(order), n)
 	}
 	return order, nil
 }
@@ -128,16 +142,9 @@ func (g *Graph) TopoSort() ([]int, error) {
 // realizes as happens-before constraints between consecutive chain
 // elements.
 func (g *Graph) Rule2Chains() map[trace.LockID][]*trace.CritSec {
-	causal := make(map[int]bool)
-	for _, e := range g.edges {
-		causal[e.From] = true
-		causal[e.To] = true
-	}
 	chains := make(map[trace.LockID][]*trace.CritSec)
-	for _, cs := range g.css {
-		if causal[cs.ID] {
-			chains[cs.Lock] = append(chains[cs.Lock], cs)
-		}
+	for _, id := range g.causal {
+		chains[g.css[id].Lock] = append(chains[g.css[id].Lock], g.css[id])
 	}
 	for _, chain := range chains {
 		sort.Slice(chain, func(i, j int) bool { return chain[i].SeqInLock < chain[j].SeqInLock })

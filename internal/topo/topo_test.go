@@ -1,10 +1,15 @@
 package topo
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
+	"perfplay/internal/sim"
 	"perfplay/internal/trace"
 	"perfplay/internal/ulcp"
+	"perfplay/internal/workload"
 )
 
 // mkCS builds a minimal critical section for graph tests.
@@ -33,9 +38,19 @@ func fig7() ([]*trace.CritSec, []ulcp.Edge) {
 	return css, edges
 }
 
+// mustBuild is Build for inputs the test knows are well formed.
+func mustBuild(t *testing.T, css []*trace.CritSec, edges []ulcp.Edge) *Graph {
+	t.Helper()
+	g, err := Build(css, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestBuildFig7(t *testing.T) {
 	css, edges := fig7()
-	g := Build(css, edges)
+	g := mustBuild(t, css, edges)
 	if g.NumNodes() != 6 {
 		t.Fatalf("nodes = %d, want 6", g.NumNodes())
 	}
@@ -65,7 +80,7 @@ func TestBuildFig7(t *testing.T) {
 
 func TestBuildDeduplicatesEdges(t *testing.T) {
 	css, _ := fig7()
-	g := Build(css, []ulcp.Edge{{From: 0, To: 2}, {From: 0, To: 2}})
+	g := mustBuild(t, css, []ulcp.Edge{{From: 0, To: 2}, {From: 0, To: 2}})
 	if g.NumEdges() != 1 {
 		t.Fatalf("edges = %d, want 1 after dedup", g.NumEdges())
 	}
@@ -73,7 +88,7 @@ func TestBuildDeduplicatesEdges(t *testing.T) {
 
 func TestTopoSortAcyclic(t *testing.T) {
 	css, edges := fig7()
-	g := Build(css, edges)
+	g := mustBuild(t, css, edges)
 	order, err := g.TopoSort()
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +106,7 @@ func TestTopoSortAcyclic(t *testing.T) {
 
 func TestTopoSortDetectsCycle(t *testing.T) {
 	css, _ := fig7()
-	g := Build(css, []ulcp.Edge{{From: 0, To: 2}, {From: 2, To: 0}})
+	g := mustBuild(t, css, []ulcp.Edge{{From: 0, To: 2}, {From: 2, To: 0}})
 	if _, err := g.TopoSort(); err == nil {
 		t.Fatal("cycle not detected")
 	}
@@ -99,7 +114,7 @@ func TestTopoSortDetectsCycle(t *testing.T) {
 
 func TestRule2ChainsOrderedBySeq(t *testing.T) {
 	css, edges := fig7()
-	g := Build(css, edges)
+	g := mustBuild(t, css, edges)
 	chains := g.Rule2Chains()
 	chain := chains[trace.LockID(1)]
 	if len(chain) != 4 {
@@ -116,7 +131,7 @@ func TestRule2ChainsOrderedBySeq(t *testing.T) {
 
 func TestSourcesAndTargets(t *testing.T) {
 	css, edges := fig7()
-	g := Build(css, edges)
+	g := mustBuild(t, css, edges)
 	if srcs := g.Sources(2); len(srcs) != 2 {
 		t.Errorf("sources(W1-T2) = %v, want 2", srcs)
 	}
@@ -128,5 +143,142 @@ func TestSourcesAndTargets(t *testing.T) {
 	}
 	if g.CS(99) != nil {
 		t.Error("out-of-range CS lookup should be nil")
+	}
+}
+
+// refGraph is the map-keyed topology Build produced before the adjacency
+// lists became slices indexed by CritSec.ID; the tests below hold the
+// slice code to it on every workload's real causal edges.
+type refGraph struct {
+	out, in map[int][]int
+	edges   []ulcp.Edge
+}
+
+func buildRef(edges []ulcp.Edge) *refGraph {
+	g := &refGraph{out: make(map[int][]int), in: make(map[int][]int)}
+	seen := make(map[ulcp.Edge]bool, len(edges))
+	for _, e := range edges {
+		if seen[e] {
+			continue
+		}
+		seen[e] = true
+		g.edges = append(g.edges, e)
+		g.out[e.From] = append(g.out[e.From], e.To)
+		g.in[e.To] = append(g.in[e.To], e.From)
+	}
+	return g
+}
+
+func (g *refGraph) causalNodes() []int {
+	set := make(map[int]struct{})
+	for _, e := range g.edges {
+		set[e.From] = struct{}{}
+		set[e.To] = struct{}{}
+	}
+	out := make([]int, 0, len(set))
+	for id := range set {
+		out = append(out, id)
+	}
+	sort.Ints(out)
+	return out
+}
+
+func (g *refGraph) topoSort(css []*trace.CritSec) []int {
+	indeg := make(map[int]int, len(css))
+	for _, cs := range css {
+		indeg[cs.ID] = 0
+	}
+	for _, e := range g.edges {
+		indeg[e.To]++
+	}
+	var queue []int
+	for _, cs := range css {
+		if indeg[cs.ID] == 0 {
+			queue = append(queue, cs.ID)
+		}
+	}
+	sort.Ints(queue)
+	var order []int
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		order = append(order, n)
+		for _, m := range g.out[n] {
+			indeg[m]--
+			if indeg[m] == 0 {
+				queue = append(queue, m)
+			}
+		}
+	}
+	return order
+}
+
+// sameInts treats a missing list and an empty one alike: the map code
+// had no entry where the slice code has an empty list.
+func sameInts(a, b []int) bool { return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b)) }
+
+func TestBuildMatchesMapReference(t *testing.T) {
+	causal := 0
+	for _, app := range workload.SortedNames() {
+		for _, threads := range []int{2, 4} {
+			for _, seed := range []int64{7, 42} {
+				p := workload.MustGet(app).Build(workload.Config{Threads: threads, Scale: 0.1, Seed: seed})
+				tr := sim.Run(p, sim.Config{Seed: seed}).Trace
+				css := tr.ExtractCS()
+				edges := ulcp.Identify(tr, css, ulcp.Options{}).CausalEdges
+				// Every edge twice over, the copies apart: Build must
+				// drop them and keep first-seen order.
+				for _, in := range [][]ulcp.Edge{edges, append(append([]ulcp.Edge(nil), edges...), edges...)} {
+					what := fmt.Sprintf("%s/threads=%d/seed=%d/%d edges", app, threads, seed, len(in))
+					g, ref := mustBuild(t, css, in), buildRef(in)
+					if !reflect.DeepEqual(g.Edges(), ref.edges) && len(ref.edges) > 0 {
+						t.Fatalf("%s: edges differ", what)
+					}
+					if g.NumEdges() != len(ref.edges) || !sameInts(g.CausalNodes(), ref.causalNodes()) {
+						t.Fatalf("%s: %d edges, causal %v; reference %d, %v", what, g.NumEdges(), g.CausalNodes(), len(ref.edges), ref.causalNodes())
+					}
+					for id := range css {
+						if !sameInts(g.Targets(id), ref.out[id]) || !sameInts(g.Sources(id), ref.in[id]) {
+							t.Fatalf("%s: node %d: out %v in %v, reference out %v in %v", what, id, g.Targets(id), g.Sources(id), ref.out[id], ref.in[id])
+						}
+						if g.Standalone(id) != (len(ref.out[id])+len(ref.in[id]) == 0) {
+							t.Fatalf("%s: node %d standalone = %v", what, id, g.Standalone(id))
+						}
+					}
+					order, err := g.TopoSort()
+					if err != nil || !sameInts(order, ref.topoSort(css)) {
+						t.Fatalf("%s: topological order differs from the reference (%v)", what, err)
+					}
+					causal += len(g.CausalNodes())
+				}
+			}
+		}
+	}
+	if causal == 0 {
+		t.Fatal("no workload produced a causal edge")
+	}
+}
+
+// TestBuildRejectsUnknownNodes: what the map code answered with a nil
+// critical section later on is an error up front.
+func TestBuildRejectsUnknownNodes(t *testing.T) {
+	css, _ := fig7()
+	for _, e := range []ulcp.Edge{{From: 0, To: 6}, {From: 6, To: 0}, {From: -1, To: 2}, {From: 1, To: -3}} {
+		if _, err := Build(css, []ulcp.Edge{{From: 0, To: 1}, e}); err == nil {
+			t.Errorf("edge %v accepted over %d nodes", e, len(css))
+		}
+	}
+	css[2], css[3] = css[3], css[2]
+	if _, err := Build(css, nil); err == nil {
+		t.Error("critical sections out of ID order accepted")
+	}
+	g := mustBuild(t, nil, nil)
+	if order, err := g.TopoSort(); err != nil || len(order) != 0 || len(g.CausalNodes()) != 0 {
+		t.Errorf("empty graph: order %v, %v", order, err)
+	}
+	for _, id := range []int{-1, 0, 99} {
+		if g.OutDeg(id) != 0 || g.InDeg(id) != 0 || !g.Standalone(id) || g.CS(id) != nil {
+			t.Errorf("node %d of an empty graph is not absent", id)
+		}
 	}
 }

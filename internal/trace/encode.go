@@ -79,27 +79,29 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	return &tr, nil
 }
 
+// binWriter and binReader keep the scratch a fixed-width field passes
+// through in the struct: a local array handed to an io interface escapes,
+// which cost one heap object per field.
 type binWriter struct {
 	w   *bufio.Writer
 	err error
+	buf [8]byte
 }
 
 func (b *binWriter) u32(v uint32) {
 	if b.err != nil {
 		return
 	}
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, b.err = b.w.Write(buf[:])
+	binary.LittleEndian.PutUint32(b.buf[:4], v)
+	_, b.err = b.w.Write(b.buf[:4])
 }
 
 func (b *binWriter) i64(v int64) {
 	if b.err != nil {
 		return
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	_, b.err = b.w.Write(buf[:])
+	binary.LittleEndian.PutUint64(b.buf[:], uint64(v))
+	_, b.err = b.w.Write(b.buf[:])
 }
 
 func (b *binWriter) str(s string) {
@@ -113,24 +115,27 @@ func (b *binWriter) str(s string) {
 type binReader struct {
 	r   *bufio.Reader
 	err error
+	buf [8]byte
 }
 
 func (b *binReader) u32() uint32 {
 	if b.err != nil {
 		return 0
 	}
-	var buf [4]byte
-	_, b.err = io.ReadFull(b.r, buf[:])
-	return binary.LittleEndian.Uint32(buf[:])
+	if _, b.err = io.ReadFull(b.r, b.buf[:4]); b.err != nil {
+		return 0 // not whatever the scratch held before
+	}
+	return binary.LittleEndian.Uint32(b.buf[:4])
 }
 
 func (b *binReader) i64() int64 {
 	if b.err != nil {
 		return 0
 	}
-	var buf [8]byte
-	_, b.err = io.ReadFull(b.r, buf[:])
-	return int64(binary.LittleEndian.Uint64(buf[:]))
+	if _, b.err = io.ReadFull(b.r, b.buf[:]); b.err != nil {
+		return 0
+	}
+	return int64(binary.LittleEndian.Uint64(b.buf[:]))
 }
 
 // maxStr bounds string lengths in untrusted input; no recorder-produced

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
+
+	"perfplay/internal/vtime"
 )
 
 func TestReadBinaryBadMagic(t *testing.T) {
@@ -78,4 +81,36 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatal("nil trace without error")
 		}
 	})
+}
+
+// TestBinaryCodecAllocsPerEvent pins the row-binary codec to a fixed
+// handful of allocations per call (header tables, the event slice), not
+// one per field: the fixed-width scratch lives in the reader and writer.
+func TestBinaryCodecAllocsPerEvent(t *testing.T) {
+	const n = 10000
+	tr := New("allocs", 2)
+	s := tr.Sites.Intern(Site{File: "a.c", Line: 10, Func: "f"})
+	kinds := []Kind{KLockAcq, KRead, KWrite, KLockRel, KCompute}
+	for i := 0; i < n; i++ {
+		tr.Append(Event{Thread: int32(i / len(kinds) % 2), Kind: kinds[i%len(kinds)], Lock: 1, Addr: 7,
+			Value: int64(i), Cost: 5, Time: vtime.Time(i), Site: s})
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	encode := testing.AllocsPerRun(5, func() {
+		if err := tr.WriteBinary(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decode := testing.AllocsPerRun(5, func() {
+		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if encode/n > 0.1 || decode/n > 0.1 {
+		t.Fatalf("allocs per event: encode %.4f, decode %.4f, want <= 0.1 each", encode/n, decode/n)
+	}
 }

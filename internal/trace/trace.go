@@ -138,10 +138,13 @@ func (tr *Trace) CountKind(k Kind) int {
 func (tr *Trace) DynamicLocks() int { return tr.CountKind(KLockAcq) }
 
 // Validate checks structural invariants: thread IDs in range, lock
-// acquire/release nesting well-formed per thread, constraint indices in
-// range. A trace that fails validation indicates a recorder or
-// transformation bug.
+// acquire/release nesting well-formed per thread, constraint indices and
+// lockset sources in range. A trace that fails validation indicates a
+// recorder or transformation bug, or a file nothing here wrote.
 func (tr *Trace) Validate() error {
+	if tr.NumThreads < 0 {
+		return fmt.Errorf("thread count %d", tr.NumThreads)
+	}
 	held := make([]map[LockID]int, tr.NumThreads)
 	for i := range held {
 		held[i] = make(map[LockID]int)
@@ -165,6 +168,11 @@ func (tr *Trace) Validate() error {
 		case KLocksetAcq:
 			if len(e.Sources) != 0 && len(e.Sources) != len(e.Locks) {
 				return fmt.Errorf("event %d: lockset sources/locks length mismatch", i)
+			}
+			for _, src := range e.Sources {
+				if int(src) >= len(tr.Events) {
+					return fmt.Errorf("event %d: lockset source %d out of range [0,%d)", i, src, len(tr.Events))
+				}
 			}
 		}
 	}

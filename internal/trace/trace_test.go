@@ -317,3 +317,26 @@ func max16(a, b uint16) uint16 {
 	}
 	return b
 }
+
+func TestValidateCatchesDanglingIndices(t *testing.T) {
+	cons := New("cons", 1)
+	cons.Append(Event{Thread: 0, Kind: KCompute})
+	cons.Constraints = []Constraint{{After: 99, Before: 0}}
+	if err := cons.Validate(); err == nil {
+		t.Fatal("constraint past the event count must fail validation")
+	}
+	src := New("src", 1)
+	src.Append(Event{Thread: 0, Kind: KLocksetAcq, Locks: []LockID{AuxLockBase + 1}, Sources: []int32{77}})
+	src.Append(Event{Thread: 0, Kind: KLocksetRel, Locks: []LockID{AuxLockBase + 1}})
+	if err := src.Validate(); err == nil {
+		t.Fatal("lockset source past the event count must fail validation")
+	}
+	src.Events[0].Sources[0] = 1 // the set's own release: in range
+	if err := src.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	neg := New("neg", -1)
+	if err := neg.Validate(); err == nil {
+		t.Fatal("negative thread count must fail validation")
+	}
+}

@@ -31,6 +31,9 @@ type RegionStat struct {
 
 // Profile replays the trace under ELSC and aggregates per-region stats.
 func Profile(tr *trace.Trace) (map[string]*RegionStat, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("tracediff: %w", err)
+	}
 	res, err := replay.Run(tr, replay.Options{Sched: replay.ELSCS})
 	if err != nil {
 		return nil, fmt.Errorf("tracediff: %w", err)

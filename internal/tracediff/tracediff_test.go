@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"perfplay/internal/sim"
+	"perfplay/internal/trace"
 	"perfplay/internal/workload"
 )
 
@@ -75,5 +76,36 @@ func TestCompareBugVsFix(t *testing.T) {
 				t.Fatalf("spin region not eliminated in fixed build: %s", line)
 			}
 		}
+	}
+}
+
+// TestCompareRejectsMalformedTraces: a decodable trace naming a thread,
+// constraint target or lockset source it does not have is an error on
+// either side of a diff, not an index panic in the replay under it.
+func TestCompareRejectsMalformedTraces(t *testing.T) {
+	good := sim.Run(workload.MustGet("pbzip2").Build(workload.Config{Threads: 2, Scale: 0.1, Seed: 3}), sim.Config{Seed: 3}).Trace
+
+	thread := trace.New("thread", 1)
+	thread.Append(trace.Event{Thread: 3, Kind: trace.KCompute, Cost: 10})
+
+	constraint := trace.New("constraint", 1)
+	constraint.Append(trace.Event{Thread: 0, Kind: trace.KCompute, Cost: 10})
+	constraint.Constraints = []trace.Constraint{{After: 99, Before: 0}}
+
+	source := trace.New("source", 1)
+	aux := []trace.LockID{trace.AuxLockBase + 1}
+	source.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: aux, Sources: []int32{77}})
+	source.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: aux})
+
+	for _, bad := range []*trace.Trace{thread, constraint, source} {
+		if _, err := Compare("bad", bad, "good", good); err == nil {
+			t.Errorf("%s: malformed left side compared", bad.App)
+		}
+		if _, err := Compare("good", good, "bad", bad); err == nil {
+			t.Errorf("%s: malformed right side compared", bad.App)
+		}
+	}
+	if _, err := Compare("good", good, "good", good); err != nil {
+		t.Fatal(err)
 	}
 }

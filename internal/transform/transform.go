@@ -44,24 +44,32 @@ type Result struct {
 
 // Apply performs the transformation.
 func Apply(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*Result, error) {
-	g := topo.Build(css, rep.CausalEdges)
-	if _, err := g.TopoSort(); err != nil {
+	g, err := topo.Build(css, rep.CausalEdges)
+	if err == nil {
+		_, err = g.TopoSort()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("transform: %w", err)
 	}
 	assign := lockset.Assign(g)
 
-	out := trace.New(tr.App, tr.NumThreads)
-	out.Sites = tr.Sites
-	out.MemNames = tr.MemNames
-	out.InitMem = tr.InitMem
-	out.FinalMem = tr.FinalMem
-	out.SpinLocks = tr.SpinLocks
-	out.TotalTime = tr.TotalTime
-	out.Events = make([]trace.Event, len(tr.Events))
+	out := &trace.Trace{
+		App:        tr.App,
+		NumThreads: tr.NumThreads,
+		Events:     make([]trace.Event, len(tr.Events)),
+		Sites:      tr.Sites,
+		MemNames:   tr.MemNames,
+		InitMem:    tr.InitMem,
+		FinalMem:   tr.FinalMem,
+		SpinLocks:  tr.SpinLocks,
+		TotalTime:  tr.TotalTime,
+	}
 	copy(out.Events, tr.Events)
-
 	res := &Result{Trace: out, Graph: g, Assignment: assign}
 
+	// One array backs every lockset's Sources; it holds as many entries
+	// as the locksets have members.
+	srcBuf := make([]int32, assign.NumAux+g.NumEdges())
 	for _, cs := range css {
 		if cs.RelEv < 0 {
 			return nil, fmt.Errorf("transform: %v has no release event", cs)
@@ -78,12 +86,12 @@ func Apply(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*Result, er
 			continue
 		}
 		srcs := assign.Sources[cs.ID]
-		sources := make([]int32, len(srcs))
+		sources := srcBuf[:len(srcs):len(srcs)]
+		srcBuf = srcBuf[len(srcs):]
 		for i, src := range srcs {
-			if src < 0 {
-				sources[i] = -1
-			} else {
-				sources[i] = g.CS(src).RelEv
+			sources[i] = -1 // the node's own lock
+			if src >= 0 {
+				sources[i] = css[src].RelEv
 			}
 		}
 		acq := &out.Events[cs.AcqEv]
@@ -107,17 +115,13 @@ func Apply(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*Result, er
 	// RULE 2 requires (the {R1 ≺ W1 ≺ W1 ≺ W1} chain of Fig. 7 arises
 	// from the edges alone). Non-conflicting causal nodes stay unordered
 	// and may overlap: that is the parallelism the transformation exposes.
-	consSeen := make(map[trace.Constraint]bool)
-	addCons := func(after, before int32) {
-		c := trace.Constraint{After: after, Before: before}
-		if consSeen[c] {
-			return
+	// The graph's edges are distinct and every node has its own boundary
+	// events, so the constraints are distinct too.
+	if edges := g.Edges(); len(edges) > 0 {
+		out.Constraints = make([]trace.Constraint, len(edges))
+		for i, e := range edges {
+			out.Constraints[i] = trace.Constraint{After: css[e.From].RelEv, Before: css[e.To].AcqEv}
 		}
-		consSeen[c] = true
-		out.Constraints = append(out.Constraints, c)
-	}
-	for _, e := range g.Edges() {
-		addCons(g.CS(e.From).RelEv, g.CS(e.To).AcqEv)
 	}
 	res.Constraints = len(out.Constraints)
 
