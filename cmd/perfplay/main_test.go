@@ -23,12 +23,21 @@ func malformedTraces() map[string]*trace.Trace {
 	source.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: aux, Sources: []int32{77}})
 	source.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: aux})
 
-	return map[string]*trace.Trace{"thread id": thread, "constraint index": constraint, "lockset source": source}
+	op := trace.New("op", 2)
+	for th := int32(0); th < 2; th++ { // two sections of one lock writing one address: a conflicting pair
+		op.Append(trace.Event{Thread: th, Kind: trace.KLockAcq, Lock: 1})
+		op.Append(trace.Event{Thread: th, Kind: trace.KWrite, Addr: 5, Value: 1, Op: 7})
+		op.Append(trace.Event{Thread: th, Kind: trace.KLockRel, Lock: 1})
+	}
+
+	return map[string]*trace.Trace{
+		"thread id": thread, "constraint index": constraint, "lockset source": source, "write op": op,
+	}
 }
 
 // TestMalformedTraceFilesAreErrors: -replay and -diff on a decodable but
 // inconsistent trace file report an error; they used to index out of
-// range inside the replayer.
+// range inside the replayer, or (the write op) inside identification.
 func TestMalformedTraceFilesAreErrors(t *testing.T) {
 	dir := t.TempDir()
 	for name, tr := range malformedTraces() {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -390,6 +389,35 @@ func TestEmptyTraceRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownWriteOpRejected: a decodable trace whose write names an
+// operation past WOr fails the record stage's Validate; it used to reach
+// identification, whose memo key has no letter for it.
+func TestUnknownWriteOpRejected(t *testing.T) {
+	tr := trace.New("op", 2)
+	for th := int32(0); th < 2; th++ {
+		tr.Append(trace.Event{Thread: th, Kind: trace.KLockAcq, Lock: 1})
+		tr.Append(trace.Event{Thread: th, Kind: trace.KWrite, Addr: 5, Value: 1, Op: 7})
+		tr.Append(trace.Event{Thread: th, Kind: trace.KLockRel, Lock: 1})
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := trace.ReadAny(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Request{Trace: decoded}); err == nil || !strings.Contains(err.Error(), "write op") {
+		t.Fatalf("Run = %v, want the unknown write op reported", err)
+	}
+	for i := range decoded.Events {
+		decoded.Events[i].Op = trace.WOr
+	}
+	if _, err := Run(Request{Trace: decoded}); err != nil {
+		t.Fatalf("the same trace with a known op: %v", err)
+	}
+}
+
 // TestTableCacheSkipsReplays: the second job over the same digest —
 // with different reporting flags, so the result cache misses — reuses
 // the cached verdict table and performs zero reversed replays.
@@ -434,7 +462,7 @@ func TestTableCacheSkipsReplays(t *testing.T) {
 			t.Fatalf("cached-table pair %d differs: %+v vs %+v", i, sw.Pairs[i], fw.Pairs[i])
 		}
 	}
-	if !maps.Equal(second.Analysis.Report.Counts, first.Analysis.Report.Counts) {
+	if second.Analysis.Report.Counts != first.Analysis.Report.Counts {
 		t.Fatalf("cached-table counts differ: %v vs %v",
 			second.Analysis.Report.Counts, first.Analysis.Report.Counts)
 	}

@@ -13,7 +13,6 @@ package staticcheck
 import (
 	"sort"
 
-	"perfplay/internal/memmodel"
 	"perfplay/internal/trace"
 	"perfplay/internal/ulcp"
 )
@@ -23,8 +22,9 @@ import (
 type RegionSummary struct {
 	Region trace.Region
 	Lock   trace.LockID
-	Reads  map[memmodel.Addr]struct{}
-	Writes map[memmodel.Addr]struct{}
+	// Union is the region as one critical section that touches whatever
+	// any of its dynamic instances did.
+	Union trace.CritSec
 	// Dynamic counts how many dynamic critical sections the region had.
 	Dynamic int
 }
@@ -54,27 +54,20 @@ type Report struct {
 func Analyze(tr *trace.Trace) *Report {
 	css := tr.ExtractCS()
 	byKey := make(map[string]*RegionSummary)
+	raw := make(map[*RegionSummary][]trace.Access) // the instances' access lists
 	for _, cs := range css {
 		key := cs.Lock.String() + "|" + cs.Region.String()
 		rs, ok := byKey[key]
 		if !ok {
-			rs = &RegionSummary{
-				Region: cs.Region, Lock: cs.Lock,
-				Reads:  make(map[memmodel.Addr]struct{}),
-				Writes: make(map[memmodel.Addr]struct{}),
-			}
+			rs = &RegionSummary{Region: cs.Region, Lock: cs.Lock}
 			byKey[key] = rs
 		}
 		rs.Dynamic++
-		for a := range cs.Reads {
-			rs.Reads[a] = struct{}{}
-		}
-		for a := range cs.Writes {
-			rs.Writes[a] = struct{}{}
-		}
+		raw[rs] = append(raw[rs], cs.Acc...)
 	}
 	rep := &Report{}
 	for _, rs := range byKey {
+		rs.Union.SetAccesses(nil, raw[rs])
 		rep.Regions = append(rep.Regions, rs)
 	}
 	sort.Slice(rep.Regions, func(i, j int) bool {
@@ -92,7 +85,8 @@ func Analyze(tr *trace.Trace) *Report {
 	for l, regions := range byLock {
 		for i := 0; i < len(regions); i++ {
 			for j := i; j < len(regions); j++ {
-				cat := classifyStatic(regions[i], regions[j])
+				// Algorithm 1 over the merged summaries.
+				cat := ulcp.Classify(&regions[i].Union, &regions[j].Union)
 				rep.Findings = append(rep.Findings, Finding{
 					R1: regions[i].Region, R2: regions[j].Region, Lock: l, Cat: cat,
 				})
@@ -100,35 +94,6 @@ func Analyze(tr *trace.Trace) *Report {
 		}
 	}
 	return rep
-}
-
-// classifyStatic applies Algorithm 1 to merged region summaries.
-func classifyStatic(a, b *RegionSummary) ulcp.Category {
-	emptyA := len(a.Reads) == 0 && len(a.Writes) == 0
-	emptyB := len(b.Reads) == 0 && len(b.Writes) == 0
-	switch {
-	case emptyA || emptyB:
-		return ulcp.NullLock
-	case len(a.Writes) == 0 && len(b.Writes) == 0:
-		return ulcp.ReadRead
-	case !intersects(a.Reads, b.Writes) && !intersects(a.Writes, b.Reads) &&
-		!intersects(a.Writes, b.Writes):
-		return ulcp.DisjointWrite
-	default:
-		return ulcp.TLCP
-	}
-}
-
-func intersects(a, b map[memmodel.Addr]struct{}) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for x := range a {
-		if _, ok := b[x]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // CompareWithDynamic fills the confusion matrix against a dynamic report:

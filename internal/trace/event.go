@@ -124,10 +124,6 @@ func (op WriteOp) Apply(cur, v int64) int64 {
 	}
 }
 
-// Commutative reports whether two applications of ops of this kind commute
-// with each other (used as a fast pre-filter before reversed replay).
-func (op WriteOp) Commutative() bool { return op != WSet }
-
 // String names the op.
 func (op WriteOp) String() string {
 	switch op {
@@ -179,15 +175,6 @@ type Event struct {
 
 // IsShared reports whether the event touches shared memory.
 func (e *Event) IsShared() bool { return e.Kind == KRead || e.Kind == KWrite }
-
-// IsSync reports whether the event is a synchronization operation.
-func (e *Event) IsSync() bool {
-	switch e.Kind {
-	case KLockAcq, KLockRel, KLocksetAcq, KLocksetRel:
-		return true
-	}
-	return false
-}
 
 // String renders a compact human-readable form for debugging output.
 func (e *Event) String() string {

@@ -5,49 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzReadAny: the shared loader behind trace uploads, corpus blobs and
-// the CLI's -replay path must never panic on arbitrary bytes, and any
-// trace it accepts must survive the binary re-encode + re-parse round
-// trip the corpus performs when it canonicalizes blobs.
-func FuzzReadAny(f *testing.F) {
-	tr := buildSample()
-	var bin, js bytes.Buffer
-	if err := tr.WriteBinary(&bin); err != nil {
-		f.Fatal(err)
-	}
-	if err := tr.WriteJSON(&js); err != nil {
-		f.Fatal(err)
-	}
-	var col bytes.Buffer
-	if err := tr.WriteColumnar(&col); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bin.Bytes())
-	f.Add(col.Bytes())
-	f.Add(js.Bytes())
-	f.Add(bin.Bytes()[:len(bin.Bytes())/2]) // truncated binary
-	f.Add(col.Bytes()[:len(col.Bytes())/2]) // truncated columnar
-	f.Add([]byte{})
-	f.Add([]byte(`{"events": []}`))
-	f.Add([]byte(`{"app": "x", "threads": -1, "events": [{}]}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadAny(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if got == nil {
-			t.Fatal("nil trace without error")
-		}
-		var buf bytes.Buffer
-		if err := got.WriteBinary(&buf); err != nil {
-			t.Fatalf("re-encode accepted trace: %v", err)
-		}
-		if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatalf("re-parse re-encoded trace: %v", err)
-		}
-	})
-}
-
 // FuzzDetectFormat: the format sniffer must be total and deterministic,
 // and must agree with the magic-guarded decoders — anything it calls
 // JSON has to be refused by both ReadBinary and ParseColumnar, and

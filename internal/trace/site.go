@@ -10,7 +10,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -122,11 +121,6 @@ type Region struct {
 // EmptyRegion reports whether the region covers no code.
 func (r Region) Empty() bool { return r.File == "" }
 
-// Contains reports whether the region covers the site.
-func (r Region) Contains(s Site) bool {
-	return r.File == s.File && s.Line >= r.StartLine && s.Line <= r.EndLine
-}
-
 // Overlaps implements Algorithm 2's ⊓: whether two regions share code.
 func (r Region) Overlaps(o Region) bool {
 	if r.Empty() || o.Empty() || r.File != o.File {
@@ -195,9 +189,4 @@ func (r Region) Less(o Region) bool {
 		return r.StartLine < o.StartLine
 	}
 	return r.EndLine < o.EndLine
-}
-
-// SortRegions sorts a slice of regions in place for deterministic output.
-func SortRegions(rs []Region) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Less(rs[j]) })
 }

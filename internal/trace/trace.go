@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"perfplay/internal/memmodel"
 	"perfplay/internal/vtime"
@@ -138,9 +140,10 @@ func (tr *Trace) CountKind(k Kind) int {
 func (tr *Trace) DynamicLocks() int { return tr.CountKind(KLockAcq) }
 
 // Validate checks structural invariants: thread IDs in range, lock
-// acquire/release nesting well-formed per thread, constraint indices and
-// lockset sources in range. A trace that fails validation indicates a
-// recorder or transformation bug, or a file nothing here wrote.
+// acquire/release nesting well-formed per thread, write operations known,
+// constraint indices and lockset sources in range. A trace that fails
+// validation indicates a recorder or transformation bug, or a file nothing
+// here wrote.
 func (tr *Trace) Validate() error {
 	if tr.NumThreads < 0 {
 		return fmt.Errorf("thread count %d", tr.NumThreads)
@@ -165,6 +168,10 @@ func (tr *Trace) Validate() error {
 				return fmt.Errorf("event %d: T%d releases unheld %v", i, e.Thread, e.Lock)
 			}
 			held[e.Thread][e.Lock]--
+		case KWrite:
+			if e.Op > WOr {
+				return fmt.Errorf("event %d: unknown write op %d", i, e.Op)
+			}
 		case KLocksetAcq:
 			if len(e.Sources) != 0 && len(e.Sources) != len(e.Locks) {
 				return fmt.Errorf("event %d: lockset sources/locks length mismatch", i)
@@ -191,6 +198,61 @@ func (tr *Trace) Validate() error {
 	return nil
 }
 
+// Access is one shared address a critical section touches, and how.
+type Access struct {
+	Addr  memmodel.Addr
+	Touch Touch
+}
+
+// Touch packs how a critical section touches one address: bit 0 is
+// "read", and above it sit up to four 3-bit slots holding WriteOp+1, one
+// per distinct write operation in first-seen order, zero-terminated. The
+// order is kept because ulcp's memo key — the wire format of verdict
+// tables — spells the operations in it.
+type Touch uint16
+
+// TouchRead is the Touch of a read.
+const TouchRead Touch = 1
+
+// Read reports whether the address is read.
+func (t Touch) Read() bool { return t&TouchRead != 0 }
+
+// Writes reports whether the address is written.
+func (t Touch) Writes() bool { return t>>1 != 0 }
+
+// Ops returns the distinct write operations applied to the address, in
+// first-seen order, as ops[:n].
+func (t Touch) Ops() (ops [4]WriteOp, n int) {
+	for s := t >> 1; s != 0; s >>= 3 {
+		ops[n] = WriteOp(s&7 - 1)
+		n++
+	}
+	return ops, n
+}
+
+// WithOp adds a write operation unless it is already present. Validate
+// rejects operations past WOr; on a trace that skipped it they alias.
+func (t Touch) WithOp(op WriteOp) Touch {
+	slot := Touch(op&3) + 1
+	shift := 1
+	for s := t >> 1; s != 0; s >>= 3 {
+		if s&7 == slot {
+			return t
+		}
+		shift += 3
+	}
+	return t | slot<<shift
+}
+
+// merge folds a later touch of the same address into t.
+func (t Touch) merge(u Touch) Touch {
+	t |= u & TouchRead
+	for s := u >> 1; s != 0; s >>= 3 {
+		t = t.WithOp(WriteOp(s&7 - 1))
+	}
+	return t
+}
+
 // CritSec is a dynamic critical section: one acquire/release span of one
 // lock on one thread, with its shadow read/write sets (Sec. 3.1).
 type CritSec struct {
@@ -206,25 +268,60 @@ type CritSec struct {
 	Start, End vtime.Time
 	// SeqInLock is the CS's position in the lock's acquisition order.
 	SeqInLock int
-	// Reads and Writes are the shadow sets C.Srd and C.Swr.
-	Reads, Writes map[memmodel.Addr]struct{}
-	// WriteOps records the operation kinds applied per written address
-	// (used by the benign pre-filter).
-	WriteOps map[memmodel.Addr][]WriteOp
+	// Acc holds the shadow sets C.Srd and C.Swr as one list: every
+	// address the CS touches, strictly ascending, with how it is touched.
+	// NumReads and NumWrites count the entries that read and that write
+	// (an address doing both counts in each).
+	Acc                 []Access
+	NumReads, NumWrites int32
 	// Region is the merged code region spanned by the CS's events.
 	Region Region
 }
 
 // Empty reports whether the CS performed no shared access — the paper's
 // null-lock candidate condition (Algorithm 1, line 1).
-func (cs *CritSec) Empty() bool { return len(cs.Reads) == 0 && len(cs.Writes) == 0 }
+func (cs *CritSec) Empty() bool { return len(cs.Acc) == 0 }
 
 // ReadOnly reports whether the CS performed reads but no writes.
-func (cs *CritSec) ReadOnly() bool { return len(cs.Writes) == 0 && len(cs.Reads) > 0 }
+func (cs *CritSec) ReadOnly() bool { return cs.NumWrites == 0 && cs.NumReads > 0 }
 
 // String renders a compact identifier.
 func (cs *CritSec) String() string {
 	return fmt.Sprintf("CS#%d(T%d,%v,%s)", cs.ID, cs.Thread, cs.Lock, cs.Region)
+}
+
+// SetAccesses makes raw — one entry per access, in program order — the
+// section's shadow sets: it sorts raw by address in place (stably, so an
+// address's write operations fold in first-seen order), appends one
+// entry per address to arena, points Acc at them and counts them. It
+// returns the grown arena.
+func (cs *CritSec) SetAccesses(arena, raw []Access) []Access {
+	slices.SortStableFunc(raw, func(a, b Access) int { return cmp.Compare(a.Addr, b.Addr) })
+	start := len(arena)
+	for _, a := range raw {
+		if n := len(arena); n > start && arena[n-1].Addr == a.Addr {
+			arena[n-1].Touch = arena[n-1].Touch.merge(a.Touch)
+		} else {
+			arena = append(arena, a)
+		}
+	}
+	cs.Acc = arena[start:len(arena):len(arena)]
+	cs.NumReads, cs.NumWrites = 0, 0
+	for _, a := range cs.Acc {
+		if a.Touch.Read() {
+			cs.NumReads++
+		}
+		if a.Touch.Writes() {
+			cs.NumWrites++
+		}
+	}
+	return arena
+}
+
+// openCS is a critical section still collecting its accesses.
+type openCS struct {
+	cs  *CritSec
+	raw []Access
 }
 
 // ExtractCS walks the trace and returns every critical section of every
@@ -232,19 +329,71 @@ func (cs *CritSec) String() string {
 // overall. Shared accesses performed while multiple locks are held are
 // attributed to every open critical section (the nesting case Algorithm 2
 // later fuses).
+//
+// The sections live in one slab and their access lists in one arena,
+// both sized by a counting pass. The arena holds every access once, which
+// is all a trace without nested sections needs; where sections nest, an
+// append past it merely leaves the earlier lists on the previous array.
 func (tr *Trace) ExtractCS() []*CritSec {
-	var out []*CritSec
-	open := make([]map[LockID]*CritSec, tr.NumThreads)
-	for i := range open {
-		open[i] = make(map[LockID]*CritSec)
+	sections, accesses := 0, 0
+	for i := range tr.Events {
+		switch tr.Events[i].Kind {
+		case KLockAcq:
+			sections++
+		case KRead, KWrite:
+			accesses++
+		}
 	}
-	seq := make(map[LockID]int)
-	sites := tr.Sites
+	slab := make([]CritSec, sections)
+	out := make([]*CritSec, 0, sections)
+	arena := make([]Access, 0, accesses)
+	// open[t] holds thread t's open sections; a slot past its length
+	// keeps the raw buffer of a section sealed earlier, for the next one.
+	// Two slots per thread, with room for eight accesses each, come from
+	// two arrays; deeper nesting and longer sections append.
+	open := make([][]openCS, tr.NumThreads)
+	slots := make([]openCS, 2*tr.NumThreads)
+	raws := make([]Access, 8*len(slots))
+	for k := range slots {
+		slots[k].raw = raws[8*k : 8*k : 8*k+8]
+	}
+	for t := range open {
+		open[t] = slots[2*t : 2*t : 2*t+2]
+	}
+	seq := make(map[LockID]int, len(tr.lockOrder)) // sized when the trace is warm
+	var sites []Site
+	if tr.Sites != nil {
+		sites = tr.Sites.All()
+	}
+	extend := func(cs *CritSec, id SiteID) {
+		if id < 0 || int(id) >= len(sites) {
+			id = NoSite // as SiteTable.At resolves it
+		}
+		if len(sites) > 0 {
+			cs.Region = cs.Region.Extend(sites[id])
+		}
+	}
+	// seal closes thread t's open section of lock l, if it has one, and
+	// keeps the slot's raw buffer past the list's length.
+	seal := func(t int32, l LockID) *CritSec {
+		ot := open[t]
+		for k := range ot {
+			if cs := ot[k].cs; cs.Lock == l {
+				arena = cs.SetAccesses(arena, ot[k].raw)
+				last := len(ot) - 1
+				ot[k], ot[last] = ot[last], ot[k]
+				open[t] = ot[:last]
+				return cs
+			}
+		}
+		return nil
+	}
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		switch e.Kind {
 		case KLockAcq:
-			cs := &CritSec{
+			cs := &slab[len(out)]
+			*cs = CritSec{
 				ID:        len(out),
 				Thread:    e.Thread,
 				Lock:      e.Lock,
@@ -252,40 +401,43 @@ func (tr *Trace) ExtractCS() []*CritSec {
 				RelEv:     -1,
 				Start:     e.Time,
 				SeqInLock: seq[e.Lock],
-				Reads:     make(map[memmodel.Addr]struct{}),
-				Writes:    make(map[memmodel.Addr]struct{}),
-				WriteOps:  make(map[memmodel.Addr][]WriteOp),
 			}
-			if sites != nil {
-				cs.Region = cs.Region.Extend(sites.At(e.Site))
-			}
+			extend(cs, e.Site)
 			seq[e.Lock]++
-			open[e.Thread][e.Lock] = cs
 			out = append(out, cs)
+			// Re-acquired while held (an unvalidated trace): the first
+			// section keeps what it collected and stays unreleased.
+			seal(e.Thread, e.Lock)
+			ot := open[e.Thread]
+			n := len(ot)
+			if n < cap(ot) {
+				ot = ot[:n+1]
+			} else {
+				ot = append(ot, openCS{})
+			}
+			ot[n].cs, ot[n].raw = cs, ot[n].raw[:0]
+			open[e.Thread] = ot
 		case KLockRel:
-			if cs := open[e.Thread][e.Lock]; cs != nil {
+			if cs := seal(e.Thread, e.Lock); cs != nil {
 				cs.RelEv = int32(i)
 				cs.End = e.Time
-				if sites != nil {
-					cs.Region = cs.Region.Extend(sites.At(e.Site))
-				}
-				delete(open[e.Thread], e.Lock)
+				extend(cs, e.Site)
 			}
-		case KRead:
-			for _, cs := range open[e.Thread] {
-				cs.Reads[e.Addr] = struct{}{}
-				if sites != nil {
-					cs.Region = cs.Region.Extend(sites.At(e.Site))
-				}
+		case KRead, KWrite:
+			touch := TouchRead
+			if e.Kind == KWrite {
+				touch = Touch(0).WithOp(e.Op)
 			}
-		case KWrite:
-			for _, cs := range open[e.Thread] {
-				cs.Writes[e.Addr] = struct{}{}
-				cs.WriteOps[e.Addr] = append(cs.WriteOps[e.Addr], e.Op)
-				if sites != nil {
-					cs.Region = cs.Region.Extend(sites.At(e.Site))
-				}
+			ot := open[e.Thread]
+			for k := range ot {
+				ot[k].raw = append(ot[k].raw, Access{Addr: e.Addr, Touch: touch})
+				extend(ot[k].cs, e.Site)
 			}
+		}
+	}
+	for _, ot := range open {
+		for k := range ot {
+			arena = ot[k].cs.SetAccesses(arena, ot[k].raw) // left open at end of trace
 		}
 	}
 	return out

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -106,14 +108,11 @@ func TestExtractCS(t *testing.T) {
 	if a.Thread != 0 || b.Thread != 1 {
 		t.Fatalf("threads = %d,%d", a.Thread, b.Thread)
 	}
-	if _, ok := a.Reads[1]; !ok {
-		t.Error("CS0 should have read addr 1")
+	if want := []Access{{Addr: 1, Touch: TouchRead}}; !reflect.DeepEqual(a.Acc, want) || !a.ReadOnly() {
+		t.Errorf("CS0 accesses = %v, want the read of addr 1 only", a.Acc)
 	}
-	if len(a.Writes) != 0 {
-		t.Error("CS0 should have no writes")
-	}
-	if _, ok := b.Writes[2]; !ok {
-		t.Error("CS1 should have written addr 2")
+	if want := []Access{{Addr: 2, Touch: Touch(0).WithOp(WSet)}}; !reflect.DeepEqual(b.Acc, want) || b.NumWrites != 1 {
+		t.Errorf("CS1 accesses = %v, want the store to addr 2 only", b.Acc)
 	}
 	if a.SeqInLock != 0 || b.SeqInLock != 1 {
 		t.Errorf("seq = %d,%d", a.SeqInLock, b.SeqInLock)
@@ -139,8 +138,8 @@ func TestExtractCSNested(t *testing.T) {
 		t.Fatalf("extracted %d CSs, want 2", len(css))
 	}
 	for _, cs := range css {
-		if _, ok := cs.Writes[9]; !ok {
-			t.Errorf("nested write must attribute to %v", cs)
+		if len(cs.Acc) != 1 || cs.Acc[0].Addr != 9 || !cs.Acc[0].Touch.Writes() {
+			t.Errorf("nested write must attribute to %v, has %v", cs, cs.Acc)
 		}
 	}
 }
@@ -338,5 +337,49 @@ func TestValidateCatchesDanglingIndices(t *testing.T) {
 	neg := New("neg", -1)
 	if err := neg.Validate(); err == nil {
 		t.Fatal("negative thread count must fail validation")
+	}
+}
+
+// TestValidateRejectsUnknownWriteOp: every decoder accepts any op byte,
+// and identification's memo key has a letter for four of them — two
+// threads writing one address under one lock with op 7 used to index out
+// of range there. Validate refuses the trace, whichever format carried it.
+func TestValidateRejectsUnknownWriteOp(t *testing.T) {
+	build := func(op WriteOp) *Trace {
+		tr := New("op", 2)
+		for th := int32(0); th < 2; th++ {
+			tr.Append(Event{Thread: th, Kind: KLockAcq, Lock: 1})
+			tr.Append(Event{Thread: th, Kind: KWrite, Addr: 5, Value: 1, Op: op})
+			tr.Append(Event{Thread: th, Kind: KLockRel, Lock: 1})
+		}
+		return tr
+	}
+	writers := map[string]func(*Trace, io.Writer) error{
+		"binary": (*Trace).WriteBinary, "columnar": (*Trace).WriteColumnar, "json": (*Trace).WriteJSON,
+	}
+	for format, write := range writers {
+		for _, tc := range []struct {
+			op  WriteOp
+			bad bool
+		}{{WOr, false}, {WOr + 1, true}, {7, true}, {255, true}} {
+			var buf bytes.Buffer
+			if err := write(build(tc.op), &buf); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadAny(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("%s op %d: %v", format, tc.op, err)
+			}
+			if got.Events[1].Op != tc.op {
+				t.Fatalf("%s: op %d decoded as %d", format, tc.op, got.Events[1].Op)
+			}
+			err = got.Validate()
+			if tc.bad && (err == nil || !strings.Contains(err.Error(), "event 1:")) {
+				t.Errorf("%s op %d: Validate = %v, want an error naming event 1", format, tc.op, err)
+			}
+			if !tc.bad && err != nil {
+				t.Errorf("%s op %d: %v", format, tc.op, err)
+			}
+		}
 	}
 }

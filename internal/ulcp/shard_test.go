@@ -1,7 +1,9 @@
 package ulcp
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -83,5 +85,71 @@ func TestIdentifyDeterministic(t *testing.T) {
 	b := Identify(tr, css, Options{})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Identify is not deterministic across runs")
+	}
+}
+
+// TestParentBuiltTablesStillHit: verdict tables are cached and shipped
+// between nodes keyed by pairKey's bytes, so a table built before the
+// key was assembled from interned regions and a merge-collected
+// signature must remain a full hit. The fixture holds the tables commit
+// 8db1af1 (map-based shadow sets, strconv-rendered regions) built for
+// these recordings: shards against them replay nothing and reproduce
+// today's Identify, and today's tables are the same bytes.
+func TestParentBuiltTablesStillHit(t *testing.T) {
+	data, err := os.ReadFile("testdata/verdict_tables_8db1af1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tables map[string]*VerdictTable
+	if err := json.Unmarshal(data, &tables); err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) == 0 {
+		t.Fatal("fixture holds no tables")
+	}
+	for app, old := range tables {
+		tr, css := recordedCS(t, app, 4, 7)
+		table, want := BuildVerdictTable(tr, css, Options{})
+		if !reflect.DeepEqual(table, old) {
+			t.Errorf("%s: table differs from the one the parent commit built:\n%v\n%v", app, table.Verdicts, old.Verdicts)
+		}
+		got := mergeShards(tr, css, Options{}, old)
+		if got.ReversedReplays != 0 {
+			t.Errorf("%s: %d replays against the parent-built table, want a full hit", app, got.ReversedReplays)
+		}
+		sameClassification(t, app, got, want)
+	}
+}
+
+// TestScanAllocsIndependentOfPairs: a table-hit shard pass allocates per
+// lock group (its report, its per-thread lists, the report slices sized
+// from the group, and three times per distinct code region it interns),
+// never per pair.
+func TestScanAllocsIndependentOfPairs(t *testing.T) {
+	pass := func(scale float64) (allocs float64, groups, pairs int) {
+		p := workload.MustGet("fluidanimate").Build(workload.Config{Threads: 4, Scale: scale, Seed: 42})
+		tr := sim.Run(p, sim.Config{Seed: 42}).Trace
+		css := tr.ExtractCS()
+		table, rep := BuildVerdictTable(tr, css, Options{})
+		lockGroups := SortedLockGroups(css)
+		return testing.AllocsPerRun(5, func() {
+			for _, g := range lockGroups {
+				if IdentifyShardWithVerdicts(tr, g, Options{}, table).ReversedReplays != 0 {
+					t.Fatal("table-hit shard replayed")
+				}
+			}
+		}), len(lockGroups), len(rep.Pairs)
+	}
+	small, gSmall, pSmall := pass(0.1)
+	large, gLarge, pLarge := pass(0.4)
+	if pLarge < 3*pSmall {
+		t.Fatalf("fixture: %d and %d pairs, want the larger trace to enumerate several times as many", pSmall, pLarge)
+	}
+	perGroup := func(allocs float64, groups int) float64 { return allocs / float64(groups) }
+	t.Logf("%v allocations over %d groups and %d pairs; %v over %d groups and %d pairs",
+		small, gSmall, pSmall, large, gLarge, pLarge)
+	if a, b := perGroup(small, gSmall), perGroup(large, gLarge); a > 32 || b > 32 || b > a+4 {
+		t.Errorf("table-hit shards allocate %.1f times per lock group over %d pairs and %.1f over %d, want O(lock groups)",
+			a, pSmall, b, pLarge)
 	}
 }

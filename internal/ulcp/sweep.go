@@ -1,8 +1,6 @@
 package ulcp
 
 import (
-	"strconv"
-
 	"perfplay/internal/memmodel"
 	"perfplay/internal/trace"
 )
@@ -72,16 +70,11 @@ func (s *prefixSweeper) stateAt(before int32) map[memmodel.Addr]int64 {
 }
 
 // pairScratch is the reusable state for one identifier's reversed
-// replays: the two outcome buffers, their read slices, and the buffers
-// backing memo-key construction. One instance serves a whole
-// identification run; nothing here escapes to the report.
+// replays: the two outcome buffers and their read slices. One instance
+// serves a whole identification run; nothing here escapes to the report.
 type pairScratch struct {
 	fwd, rev pairOutcome
 	r1, r2   []int64
-
-	sigAddrs    []memmodel.Addr
-	conflicting map[memmodel.Addr]struct{}
-	keyBuf      []byte
 }
 
 // execPairOverlay re-executes first's then second's shared accesses
@@ -178,98 +171,17 @@ func (id *identifier) reversedReplayEqual(c1, c2 *trace.CritSec) bool {
 
 // pairKey identifies the memoization class of a conflicting pair: the
 // two code regions plus the write-op signature of the conflicting
-// addresses. The signature matters because one code region can emit both
-// commutative updates (benign) and order-sensitive stores (TLCP); a shared
-// key would let one verdict shadow the other. The key is built into the
-// identifier's reusable buffer — the returned bytes are valid until the
-// next pairKey call — and pinned by test against an allocating reference,
-// because it is the wire format of shipped and cached verdict tables.
-func (id *identifier) pairKey(c1, c2 *trace.CritSec) []byte {
-	if id.scratch == nil {
-		id.scratch = &pairScratch{}
-	}
-	sc := id.scratch
-	b := sc.keyBuf[:0]
-	b = appendRegion(b, c1.Region)
-	b = append(b, '|')
-	b = appendRegion(b, c2.Region)
-	b = append(b, '|')
-	b = appendConflictSig(b, sc, c1, c2)
-	sc.keyBuf = b
+// addresses (id.sig, as classify left it). The signature matters because
+// one code region can emit both commutative updates (benign) and
+// order-sensitive stores (TLCP); a shared key would let one verdict shadow
+// the other. The key is built into the identifier's reusable buffer — the
+// returned bytes are valid until the next pairKey call — and pinned by
+// test against an allocating reference, because it is the wire format of
+// shipped and cached verdict tables.
+func (id *identifier) pairKey(r1, r2 int32) []byte {
+	b := append(id.key[:0], id.regionKey[r1]...)
+	b = append(b, id.regionKey[r2]...)
+	b = append(b, id.sig...)
+	id.key = b
 	return b
-}
-
-// appendRegion renders r exactly as trace.Region.String does.
-func appendRegion(b []byte, r trace.Region) []byte {
-	if r.Empty() {
-		return append(b, "<none>"...)
-	}
-	b = append(b, r.File...)
-	b = append(b, ':')
-	b = strconv.AppendInt(b, int64(r.StartLine), 10)
-	if r.StartLine != r.EndLine {
-		b = append(b, '-')
-		b = strconv.AppendInt(b, int64(r.EndLine), 10)
-	}
-	return b
-}
-
-// appendConflictSig summarizes, per conflicting address, how each side
-// touches it: r=read, and one letter per write-op kind (s/a/&/|),
-// deduplicated. It renders into b using the scratch's reusable address
-// set and slice.
-func appendConflictSig(b []byte, sc *pairScratch, c1, c2 *trace.CritSec) []byte {
-	if sc.conflicting == nil {
-		sc.conflicting = make(map[memmodel.Addr]struct{}, 8)
-	} else {
-		clear(sc.conflicting)
-	}
-	for a := range c1.Writes {
-		if _, ok := c2.Writes[a]; ok {
-			sc.conflicting[a] = struct{}{}
-		}
-		if _, ok := c2.Reads[a]; ok {
-			sc.conflicting[a] = struct{}{}
-		}
-	}
-	for a := range c2.Writes {
-		if _, ok := c1.Reads[a]; ok {
-			sc.conflicting[a] = struct{}{}
-		}
-	}
-	sc.sigAddrs = sc.sigAddrs[:0]
-	for a := range sc.conflicting {
-		sc.sigAddrs = append(sc.sigAddrs, a)
-	}
-	sortAddrs(sc.sigAddrs)
-	touch := func(b []byte, cs *trace.CritSec, a memmodel.Addr) []byte {
-		if _, ok := cs.Reads[a]; ok {
-			b = append(b, 'r')
-		}
-		seen := [4]bool{}
-		for _, op := range cs.WriteOps[a] {
-			if !seen[op] {
-				seen[op] = true
-				b = append(b, "sa&|"[op])
-			}
-		}
-		return b
-	}
-	for _, a := range sc.sigAddrs {
-		b = touch(b, c1, a)
-		b = append(b, ':')
-		b = touch(b, c2, a)
-		b = append(b, ';')
-	}
-	return b
-}
-
-// sortAddrs is an insertion sort: conflict sets are tiny (usually 1-3
-// addresses), where this beats sort.Slice and allocates nothing.
-func sortAddrs(a []memmodel.Addr) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -81,24 +81,79 @@ func refReversedReplayEqual(tr *trace.Trace, c1, c2 *trace.CritSec) bool {
 	return outcomesEqual(&fwd, &rev)
 }
 
+// refSets are a critical section's shadow sets as three maps — the
+// representation trace.CritSec had before the sorted access lists —
+// rebuilt from the section's own events, not from Acc, so the references
+// below share nothing with what they pin.
+type refSets struct {
+	reads, writes map[memmodel.Addr]struct{}
+	writeOps      map[memmodel.Addr][]trace.WriteOp
+}
+
+func setsOf(tr *trace.Trace, cs *trace.CritSec) refSets {
+	s := refSets{
+		reads:    make(map[memmodel.Addr]struct{}),
+		writes:   make(map[memmodel.Addr]struct{}),
+		writeOps: make(map[memmodel.Addr][]trace.WriteOp),
+	}
+	for i := cs.AcqEv; i <= cs.RelEv; i++ {
+		e := &tr.Events[i]
+		if e.Thread != cs.Thread {
+			continue
+		}
+		switch e.Kind {
+		case trace.KRead:
+			s.reads[e.Addr] = struct{}{}
+		case trace.KWrite:
+			s.writes[e.Addr] = struct{}{}
+			s.writeOps[e.Addr] = append(s.writeOps[e.Addr], e.Op)
+		}
+	}
+	return s
+}
+
+func intersects(a, b map[memmodel.Addr]struct{}) bool {
+	for x := range a {
+		if _, ok := b[x]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// classifyRef is Algorithm 1 as three set intersections — Classify
+// before it became a merge.
+func classifyRef(s1, s2 refSets) Category {
+	switch {
+	case len(s1.reads)+len(s1.writes) == 0 || len(s2.reads)+len(s2.writes) == 0:
+		return NullLock
+	case len(s1.writes) == 0 && len(s2.writes) == 0:
+		return ReadRead
+	case !intersects(s1.reads, s2.writes) && !intersects(s1.writes, s2.reads) && !intersects(s1.writes, s2.writes):
+		return DisjointWrite
+	default:
+		return TLCP
+	}
+}
+
 // regionPairKey is the allocating reference for the identifier's
 // scratch-built pairKey: the two code regions plus the write-op
 // signature of the conflicting addresses.
-func regionPairKey(c1, c2 *trace.CritSec) string {
-	return c1.Region.String() + "|" + c2.Region.String() + "|" + conflictSig(c1, c2)
+func regionPairKey(c1, c2 *trace.CritSec, s1, s2 refSets) string {
+	return c1.Region.String() + "|" + c2.Region.String() + "|" + conflictSig(s1, s2)
 }
 
-// conflictSig is the allocating reference for appendConflictSig: per
-// conflicting address, how each side touches it — r=read, and one
-// letter per write-op kind (s/a/&/|), deduplicated.
-func conflictSig(c1, c2 *trace.CritSec) string {
-	touch := func(cs *trace.CritSec, a memmodel.Addr) string {
+// conflictSig is the allocating reference for the signature classify
+// collects: per conflicting address, how each side touches it — r=read,
+// and one letter per write-op kind (s/a/&/|), deduplicated.
+func conflictSig(c1, c2 refSets) string {
+	touch := func(cs refSets, a memmodel.Addr) string {
 		var b []byte
-		if _, ok := cs.Reads[a]; ok {
+		if _, ok := cs.reads[a]; ok {
 			b = append(b, 'r')
 		}
 		seen := [4]bool{}
-		for _, op := range cs.WriteOps[a] {
+		for _, op := range cs.writeOps[a] {
 			if !seen[op] {
 				seen[op] = true
 				b = append(b, "sa&|"[op])
@@ -107,16 +162,16 @@ func conflictSig(c1, c2 *trace.CritSec) string {
 		return string(b)
 	}
 	conflicting := make(map[memmodel.Addr]struct{})
-	for a := range c1.Writes {
-		if _, ok := c2.Writes[a]; ok {
+	for a := range c1.writes {
+		if _, ok := c2.writes[a]; ok {
 			conflicting[a] = struct{}{}
 		}
-		if _, ok := c2.Reads[a]; ok {
+		if _, ok := c2.reads[a]; ok {
 			conflicting[a] = struct{}{}
 		}
 	}
-	for a := range c2.Writes {
-		if _, ok := c1.Reads[a]; ok {
+	for a := range c2.writes {
+		if _, ok := c1.reads[a]; ok {
 			conflicting[a] = struct{}{}
 		}
 	}
@@ -135,11 +190,18 @@ func conflictSig(c1, c2 *trace.CritSec) string {
 	return string(b)
 }
 
+// keyOf builds a pair's memo key the way scan does: classify leaves the
+// signature, pairKey prefixes the interned regions.
+func (id *identifier) keyOf(c1, c2 *trace.CritSec) []byte {
+	_, id.sig = classify(c1, c2, id.sig[:0])
+	return id.pairKey(id.intern(c1.Region), id.intern(c2.Region))
+}
+
 // reversedReplayEqual is the one-pair form of the identifier method: it
 // builds fresh sweep state per call instead of batching the prefix walk
 // across a lock group's pairs.
 func reversedReplayEqual(tr *trace.Trace, c1, c2 *trace.CritSec) bool {
-	id := &identifier{tr: tr}
+	id := newIdentifier(tr, nil, Options{}, nil)
 	return id.reversedReplayEqual(c1, c2)
 }
 
@@ -155,7 +217,7 @@ func TestSweepMatchesNaiveReplay(t *testing.T) {
 			res := sim.Run(p, sim.Config{Seed: 7})
 			tr, css := res.Trace, res.Trace.ExtractCS()
 
-			id := &identifier{tr: tr}
+			id := newIdentifier(tr, nil, Options{}, nil)
 			pairs := 0
 			for _, g := range SortedLockGroups(css) {
 				for i, c1 := range g {
@@ -238,18 +300,38 @@ func TestSkipDeltaInsideCriticalSection(t *testing.T) {
 	}
 }
 
+// checkPairAgainstReferences compares the merge with the
+// three-intersection Algorithm 1, and the scratch-built memo key with the
+// allocating reference, on one pair.
+func checkPairAgainstReferences(t *testing.T, id *identifier, sets []refSets, c1, c2 *trace.CritSec) {
+	t.Helper()
+	want := classifyRef(sets[c1.ID], sets[c2.ID])
+	if got := Classify(c1, c2); got != want {
+		t.Fatalf("Classify(cs%d, cs%d) = %v, reference %v", c1.ID, c2.ID, got, want)
+	}
+	wantKey := regionPairKey(c1, c2, sets[c1.ID], sets[c2.ID])
+	if got := string(id.keyOf(c1, c2)); got != wantKey {
+		t.Fatalf("pairKey %q != regionPairKey %q", got, wantKey)
+	}
+}
+
+func allSetsOf(tr *trace.Trace, css []*trace.CritSec) []refSets {
+	sets := make([]refSets, len(css))
+	for i, cs := range css {
+		sets[i] = setsOf(tr, cs)
+	}
+	return sets
+}
+
 // TestPairKeyMatchesRegionPairKey pins the scratch-built memo key to the
 // allocating reference over every same-lock cross-thread pair of the
 // example workloads: verdict tables built by either form must
 // interoperate byte-for-byte.
 func TestPairKeyMatchesRegionPairKey(t *testing.T) {
 	for _, app := range []string{"openldap", "mysql", "pbzip2", "transmissionBT"} {
-		a := workload.MustGet(app)
-		p := a.Build(workload.Config{Threads: 4, Scale: 0.2, Seed: 7})
-		res := sim.Run(p, sim.Config{Seed: 7})
-		css := res.Trace.ExtractCS()
-
-		id := &identifier{tr: res.Trace}
+		tr, css := recordedCS(t, app, 4, 7)
+		sets := allSetsOf(tr, css)
+		id := newIdentifier(tr, nil, Options{}, nil)
 		checked := 0
 		for _, g := range SortedLockGroups(css) {
 			for i, c1 := range g {
@@ -258,14 +340,34 @@ func TestPairKeyMatchesRegionPairKey(t *testing.T) {
 						continue
 					}
 					checked++
-					if got, want := string(id.pairKey(c1, c2)), regionPairKey(c1, c2); got != want {
-						t.Fatalf("%s: pairKey %q != regionPairKey %q", app, got, want)
-					}
+					checkPairAgainstReferences(t, id, sets, c1, c2)
 				}
 			}
 		}
 		if checked == 0 {
 			t.Fatalf("%s: no pairs checked", app)
+		}
+	}
+}
+
+// TestMergeMatchesSetReferences runs the same two comparisons on every
+// pair identification enumerates, over every registered workload.
+func TestMergeMatchesSetReferences(t *testing.T) {
+	for _, app := range workload.All() {
+		for _, threads := range []int{2, 4} {
+			for _, seed := range []int64{7, 42} {
+				p := app.Build(workload.Config{Threads: threads, Scale: 0.1, Seed: seed})
+				tr := sim.Run(p, sim.Config{Seed: seed}).Trace
+				css := tr.ExtractCS()
+				sets := allSetsOf(tr, css)
+				id := newIdentifier(tr, nil, Options{}, nil)
+				for _, p := range Identify(tr, css, Options{}).Pairs {
+					checkPairAgainstReferences(t, id, sets, p.C1, p.C2)
+					if alg1 := Classify(p.C1, p.C2); (alg1 == TLCP) != (p.Cat == TLCP || p.Cat == Benign) || (alg1 != TLCP && alg1 != p.Cat) {
+						t.Fatalf("%s: pair (cs%d, cs%d) reported %v, Algorithm 1 says %v", app.Name, p.C1.ID, p.C2.ID, p.Cat, alg1)
+					}
+				}
+			}
 		}
 	}
 }
@@ -290,15 +392,19 @@ func TestBenignLookupsAllocateNothing(t *testing.T) {
 	}
 
 	memo := newIdentifier(tr, css, Options{}, nil)
-	want := memo.benign(c1, c2) // replays, and memoises the class
+	benign := func(id *identifier) bool { // a conflicting pair as scan handles it
+		_, id.sig = classify(c1, c2, id.sig[:0])
+		return id.benign(member{c1, id.intern(c1.Region)}, member{c2, id.intern(c2.Region)})
+	}
+	want := benign(memo) // replays, and memoises the class
 	if memo.rep.ReversedReplays != 1 {
 		t.Fatalf("first sight performed %d replays, want 1", memo.rep.ReversedReplays)
 	}
 	hit := newIdentifier(tr, css, Options{}, table)
-	hit.benign(c1, c2) // sizes the scratch
+	benign(hit) // sizes the scratch
 	for name, id := range map[string]*identifier{"memoised class": memo, "table hit": hit} {
 		if allocs := testing.AllocsPerRun(20, func() {
-			if id.benign(c1, c2) != want {
+			if benign(id) != want {
 				t.Fatalf("%s: verdict changed", name)
 			}
 		}); allocs != 0 {
@@ -361,7 +467,7 @@ func BenchmarkReversedReplayPairs(b *testing.B) {
 	b.ResetTimer()
 	var pairs int
 	for i := 0; i < b.N; i++ {
-		id := &identifier{tr: tr}
+		id := newIdentifier(tr, nil, Options{}, nil)
 		pairs = 0
 		for _, g := range groups {
 			for j, c1 := range g {

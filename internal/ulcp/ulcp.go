@@ -10,10 +10,10 @@ package ulcp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"perfplay/internal/memmodel"
-	"perfplay/internal/shadow"
 	"perfplay/internal/trace"
 )
 
@@ -58,9 +58,9 @@ type Edge struct {
 	To   int `json:"to"`
 }
 
-// Options tunes identification. The JSON tags are the cluster wire
-// format: a coordinator ships options verbatim with each shard request
-// so every node classifies under identical settings.
+// Options tunes identification. The JSON tags are the job-spec wire
+// format: a stolen or recovered job carries its options verbatim, so
+// whichever node runs it classifies under identical settings.
 type Options struct {
 	// MaxScanPerThread caps the RULE-1 sequential search ahead of each
 	// critical section within one peer thread. Zero selects 4096. Scans
@@ -90,8 +90,8 @@ type Report struct {
 	// Pairs holds every classified pair (ULCPs and the first-matched
 	// TLCPs that terminate each RULE-1 scan).
 	Pairs []Pair
-	// Counts tallies pairs per category.
-	Counts map[Category]int
+	// Counts tallies pairs per category, indexed by Category.
+	Counts [NumCategories]int
 	// CausalEdges are the RULE-1 first-matched TLCP edges feeding the
 	// topology construction.
 	CausalEdges []Edge
@@ -116,7 +116,7 @@ func (r *Report) ULCPs() []Pair {
 func (r *Report) NumULCPs() int {
 	n := 0
 	for c, k := range r.Counts {
-		if c.IsULCP() {
+		if Category(c).IsULCP() {
 			n += k
 		}
 	}
@@ -127,19 +127,60 @@ func (r *Report) NumULCPs() int {
 // shadow sets alone, reporting TLCP for any conflicting access (the caller
 // refines conflicts into benign/TLCP with the reversed replay).
 func Classify(c1, c2 *trace.CritSec) Category {
-	s1r, s1w := shadow.Set(c1.Reads), shadow.Set(c1.Writes)
-	s2r, s2w := shadow.Set(c2.Reads), shadow.Set(c2.Writes)
+	cat, _ := classify(c1, c2, nil)
+	return cat
+}
+
+// classify is Algorithm 1 as one merge over the two ascending access
+// lists: an address both sections touch conflicts when either writes it.
+// It appends to sig the pair's conflict signature — per conflicting
+// address, in ascending order, how each side touches it: r=read, then one
+// letter per distinct write op (s/a/&/|) in first-seen order.
+func classify(c1, c2 *trace.CritSec, sig []byte) (Category, []byte) {
 	switch {
 	case c1.Empty() || c2.Empty():
-		return NullLock
-	case shadow.Empty(s1w) && shadow.Empty(s2w):
-		return ReadRead
-	case !shadow.Intersects(s1r, s2w) && !shadow.Intersects(s1w, s2r) &&
-		!shadow.Intersects(s1w, s2w):
-		return DisjointWrite
-	default:
-		return TLCP
+		return NullLock, sig
+	case c1.NumWrites == 0 && c2.NumWrites == 0:
+		return ReadRead, sig
 	}
+	cat := DisjointWrite
+	a1, a2 := c1.Acc, c2.Acc
+	for i, j := 0, 0; i < len(a1) && j < len(a2); {
+		x, y := a1[i], a2[j]
+		switch {
+		case x.Addr < y.Addr:
+			i++
+		case x.Addr > y.Addr:
+			j++
+		default:
+			if x.Touch.Writes() || y.Touch.Writes() {
+				cat = TLCP
+				sig = append(appendTouch(sig, x.Touch), ':')
+				sig = append(appendTouch(sig, y.Touch), ';')
+			}
+			i++
+			j++
+		}
+	}
+	return cat, sig
+}
+
+func appendTouch(b []byte, t trace.Touch) []byte {
+	if t.Read() {
+		b = append(b, 'r')
+	}
+	ops, n := t.Ops()
+	for _, op := range ops[:n] {
+		b = append(b, "sa&|"[op&3])
+	}
+	return b
+}
+
+// member is one critical section of the lock group being scanned, with
+// the identifier's id for its code region.
+type member struct {
+	cs     *trace.CritSec
+	region int32
 }
 
 // identifier carries the state of one identification run.
@@ -157,6 +198,12 @@ type identifier struct {
 	// sweep.go), created on the first conflicting pair.
 	sweep   *prefixSweeper
 	scratch *pairScratch
+	// regions interns code regions; regionKey[r] is region r as pairKey
+	// spells it, rendered once. sig and key are the buffers the current
+	// pair's conflict signature and memo key are built in.
+	regions   map[trace.Region]int32
+	regionKey [][]byte
+	sig, key  []byte
 }
 
 // newIdentifier starts one identification run over css with a fresh
@@ -166,8 +213,9 @@ func newIdentifier(tr *trace.Trace, css []*trace.CritSec, opts Options, table *V
 		tr:         tr,
 		css:        css,
 		opts:       opts.withDefaults(),
-		rep:        &Report{Counts: make(map[Category]int)},
+		rep:        &Report{},
 		benignMemo: make(map[string]bool),
+		regions:    make(map[trace.Region]int32),
 		table:      table,
 	}
 }
@@ -221,7 +269,7 @@ func SortedLockGroups(css []*trace.CritSec) [][]*trace.CritSec {
 
 // MergeReports combines shard reports in call order into one report.
 func MergeReports(reports ...*Report) *Report {
-	out := &Report{Counts: make(map[Category]int)}
+	out := &Report{}
 	pairs, edges := 0, 0
 	for _, r := range reports {
 		if r != nil {
@@ -259,56 +307,84 @@ func (id *identifier) run() {
 }
 
 // runLock scans one lock's critical sections: per thread in acquisition
-// order, with peer threads visited in sorted order.
+// order, with peer threads visited in ascending order.
 func (id *identifier) runLock(lockCSs []*trace.CritSec) {
-	perThread := make(map[int32][]*trace.CritSec)
+	threads := 0
 	for _, cs := range lockCSs {
-		perThread[cs.Thread] = append(perThread[cs.Thread], cs)
+		threads = max(threads, int(cs.Thread)+1)
 	}
-	if len(perThread) < 2 {
+	// next[t] counts thread t's sections, then walks them.
+	next := make([]int, threads)
+	active := 0
+	for _, cs := range lockCSs {
+		if next[cs.Thread] == 0 {
+			active++
+		}
+		next[cs.Thread]++
+	}
+	if active < 2 {
 		return // single-thread lock: no cross-thread pairs
 	}
-	threads := make([]int32, 0, len(perThread))
-	for t := range perThread {
-		threads = append(threads, t)
+	members := make([]member, len(lockCSs))
+	perThread := make([][]member, threads)
+	off := 0
+	for t, n := range next {
+		perThread[t] = members[off : off : off+n]
+		off += n
+		next[t] = 0
 	}
-	sort.Slice(threads, func(i, j int) bool { return threads[i] < threads[j] })
-	for _, cur := range lockCSs {
-		for _, t := range threads {
-			if t == cur.Thread {
-				continue
+	for _, cs := range lockCSs {
+		perThread[cs.Thread] = append(perThread[cs.Thread], member{cs, id.intern(cs.Region)})
+	}
+	id.rep.Pairs = slices.Grow(id.rep.Pairs, len(lockCSs)*(active-1))
+	id.rep.CausalEdges = slices.Grow(id.rep.CausalEdges, len(lockCSs))
+	for _, cs := range lockCSs {
+		cur := perThread[cs.Thread][next[cs.Thread]]
+		next[cs.Thread]++
+		for t, peer := range perThread {
+			if int32(t) != cs.Thread && len(peer) > 0 {
+				id.scan(cur, peer)
 			}
-			id.scan(cur, perThread[t])
 		}
 	}
+}
+
+// intern returns the identifier's id for a code region.
+func (id *identifier) intern(r trace.Region) int32 {
+	if x, ok := id.regions[r]; ok {
+		return x
+	}
+	x := int32(len(id.regionKey))
+	id.regions[r] = x
+	id.regionKey = append(id.regionKey, []byte(r.String()+"|"))
+	return x
 }
 
 // scan performs the RULE-1 sequential search: walk the peer thread's
 // critical sections after cur in the lock's acquisition order, classify
 // each pair, and stop at the first true contention (which becomes a
 // causal edge).
-func (id *identifier) scan(cur *trace.CritSec, peer []*trace.CritSec) {
+func (id *identifier) scan(cur member, peer []member) {
 	// peer is in acquisition order; start just past cur's position.
-	lo := sort.Search(len(peer), func(i int) bool { return peer[i].SeqInLock > cur.SeqInLock })
+	lo := sort.Search(len(peer), func(i int) bool { return peer[i].cs.SeqInLock > cur.cs.SeqInLock })
 	steps := 0
-	for _, cs := range peer[lo:] {
+	for _, p := range peer[lo:] {
 		steps++
 		if steps > id.opts.MaxScanPerThread {
 			id.rep.Truncated++
 			return
 		}
-		cat := Classify(cur, cs)
-		if cat == TLCP && !id.opts.DisableReversedReplay {
-			if id.benign(cur, cs) {
-				cat = Benign
-			}
+		var cat Category
+		cat, id.sig = classify(cur.cs, p.cs, id.sig[:0])
+		if cat == TLCP && !id.opts.DisableReversedReplay && id.benign(cur, p) {
+			cat = Benign
 		}
-		id.rep.Pairs = append(id.rep.Pairs, Pair{C1: cur, C2: cs, Cat: cat})
+		id.rep.Pairs = append(id.rep.Pairs, Pair{C1: cur.cs, C2: p.cs, Cat: cat})
 		id.rep.Counts[cat]++
 		if cat == TLCP {
 			// Matched: first true contention establishes the causal edge
 			// and ends this thread's scan (RULE 1).
-			id.rep.CausalEdges = append(id.rep.CausalEdges, Edge{From: cur.ID, To: cs.ID})
+			id.rep.CausalEdges = append(id.rep.CausalEdges, Edge{From: cur.cs.ID, To: p.cs.ID})
 			return
 		}
 	}
@@ -319,12 +395,13 @@ func (id *identifier) scan(cur *trace.CritSec, peer []*trace.CritSec) {
 // comparing final memory states (the reversed-replay extension of
 // Narayanasamy et al. the paper adopts). Verdicts are memoized per
 // code-region pair; once the replay budget is exhausted, unseen region
-// pairs conservatively classify as true contention.
-func (id *identifier) benign(c1, c2 *trace.CritSec) bool {
+// pairs conservatively classify as true contention. classify has left the
+// pair's conflict signature in id.sig.
+func (id *identifier) benign(c1, c2 member) bool {
 	// key aliases the identifier's scratch buffer: lookups convert it in
 	// place (no allocation), and only a newly memoized class pays for a
 	// string of its own.
-	key := id.pairKey(c1, c2)
+	key := id.pairKey(c1.region, c2.region)
 	if id.table != nil {
 		if v, ok := id.table.Verdicts[string(key)]; ok {
 			return v
@@ -342,7 +419,7 @@ func (id *identifier) benign(c1, c2 *trace.CritSec) bool {
 		return false
 	}
 	id.rep.ReversedReplays++
-	v := id.reversedReplayEqual(c1, c2)
+	v := id.reversedReplayEqual(c1.cs, c2.cs)
 	id.benignMemo[string(key)] = v
 	return v
 }

@@ -9,19 +9,18 @@ import (
 	"perfplay/internal/trace"
 )
 
+// cs hand-builds a critical section that reads and stores (WSet) the
+// given addresses.
 func cs(reads, writes []memmodel.Addr) *trace.CritSec {
-	c := &trace.CritSec{
-		Reads:    make(map[memmodel.Addr]struct{}),
-		Writes:   make(map[memmodel.Addr]struct{}),
-		WriteOps: make(map[memmodel.Addr][]trace.WriteOp),
-	}
+	var raw []trace.Access
 	for _, a := range reads {
-		c.Reads[a] = struct{}{}
+		raw = append(raw, trace.Access{Addr: a, Touch: trace.TouchRead})
 	}
 	for _, a := range writes {
-		c.Writes[a] = struct{}{}
-		c.WriteOps[a] = []trace.WriteOp{trace.WSet}
+		raw = append(raw, trace.Access{Addr: a, Touch: trace.Touch(0).WithOp(trace.WSet)})
 	}
+	c := &trace.CritSec{}
+	c.SetAccesses(nil, raw)
 	return c
 }
 
@@ -258,7 +257,7 @@ func TestIdentifyScanCap(t *testing.T) {
 }
 
 func TestNumULCPsAndULCPs(t *testing.T) {
-	rep := &Report{Counts: map[Category]int{ReadRead: 3, TLCP: 2, NullLock: 1}}
+	rep := &Report{Counts: [NumCategories]int{ReadRead: 3, TLCP: 2, NullLock: 1}}
 	rep.Pairs = []Pair{
 		{Cat: ReadRead}, {Cat: ReadRead}, {Cat: ReadRead},
 		{Cat: TLCP}, {Cat: TLCP}, {Cat: NullLock},
@@ -273,13 +272,27 @@ func TestNumULCPsAndULCPs(t *testing.T) {
 
 func TestConflictSigDistinguishesOps(t *testing.T) {
 	addC := cs(nil, []memmodel.Addr{1})
-	addC.WriteOps[1] = []trace.WriteOp{trace.WAdd}
+	addC.Acc[0].Touch = trace.Touch(0).WithOp(trace.WAdd)
 	setC := cs(nil, []memmodel.Addr{1})
-	id := &identifier{}
-	k1 := string(id.pairKey(addC, addC))
-	k2 := string(id.pairKey(addC, setC))
+	id := newIdentifier(nil, nil, Options{}, nil)
+	k1 := string(id.keyOf(addC, addC))
+	k2 := string(id.keyOf(addC, setC))
 	if k1 == k2 {
 		t.Fatal("conflict signatures must distinguish add/add from add/set pairs")
+	}
+
+	// The key spells each side's ops in the order the section first
+	// applied them: the same four ops in two orders are two classes.
+	fwd, rev := cs(nil, []memmodel.Addr{1}), cs(nil, []memmodel.Addr{1})
+	for i, op := range []trace.WriteOp{trace.WAdd, trace.WAnd, trace.WOr} {
+		fwd.Acc[0].Touch = fwd.Acc[0].Touch.WithOp(op)
+		rev.Acc[0].Touch = rev.Acc[0].Touch.WithOp(trace.WOr - trace.WriteOp(i))
+	}
+	if k := string(id.keyOf(fwd, setC)); k != "<none>|<none>|sa&|:s;" {
+		t.Fatalf("key %q, want the ops in first-seen order", k)
+	}
+	if k := string(id.keyOf(rev, setC)); k != "<none>|<none>|s|&a:s;" {
+		t.Fatalf("key %q, want the ops in first-seen order", k)
 	}
 }
 

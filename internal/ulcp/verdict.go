@@ -6,8 +6,8 @@ import (
 
 // VerdictTable is the cross-shard reversed-replay memo: one benign/TLCP
 // verdict per conflicting region-pair class, shared by every shard of a
-// trace — and, in cluster mode, shipped with each shard request — so a
-// region pair recurring under many locks pays the O(events) prefix walk
+// trace — and cached by trace digest, locally and for peers to probe — so
+// a region pair recurring under many locks pays the O(events) prefix walk
 // once per trace instead of once per lock shard (the ROADMAP's measured
 // 39 → 24 replays on openldap).
 //
@@ -27,22 +27,14 @@ type VerdictTable struct {
 	Replays int `json:"replays"`
 }
 
-// Classes reports how many region-pair classes the table memoizes.
-func (vt *VerdictTable) Classes() int {
-	if vt == nil {
-		return 0
-	}
-	return len(vt.Verdicts)
-}
-
 // BuildVerdictTable runs one full identification pass over the trace —
 // Identify's walk and budget semantics exactly — and returns both its
 // verdict memo and the complete report the pass produced along the way.
-// Single-node callers use the report directly (the pass replaces, not
-// precedes, their classification); distributed callers ship the table
-// with each shard request and merge the shard reports, which reproduce
-// this report byte-for-byte. MaxReversedReplays budgets replays per
-// trace.
+// A caller without a table uses the report directly (the pass replaces,
+// not precedes, its classification); a caller handed a cached table runs
+// the per-lock shards against it and merges the shard reports, which
+// reproduce this report byte-for-byte. MaxReversedReplays budgets replays
+// per trace.
 //
 // The table is also the unit of cross-job reuse: it depends only on
 // (trace content, Options), so a daemon analyzing the same stored trace

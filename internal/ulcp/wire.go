@@ -43,23 +43,25 @@ func (r *Report) Wire() *WireReport {
 
 // Tally rebuilds the per-category counts from the wire pairs — the same
 // Counts a rehydrated report carries, computable without the receiver's
-// critical sections. Cluster cache importers use it to summarize a
-// remotely-computed report they will never rehydrate (they hold the
-// digest, not the parsed trace).
-func (w *WireReport) Tally() map[Category]int {
-	counts := make(map[Category]int)
+// critical sections. A category no node produces (the wire is peer
+// input) is not tallied; Rehydrate refuses such a report.
+func (w *WireReport) Tally() (counts [NumCategories]int) {
 	for _, p := range w.Pairs {
-		counts[p.Cat]++
+		if p.Cat >= 0 && p.Cat < NumCategories {
+			counts[p.Cat]++
+		}
 	}
 	return counts
 }
 
-// NumULCPs counts the wire report's unnecessary pairs.
+// NumULCPs counts the wire report's unnecessary pairs. Cluster cache
+// importers use it to summarize a remotely-computed report they will
+// never rehydrate (they hold the digest, not the parsed trace).
 func (w *WireReport) NumULCPs() int {
 	n := 0
-	for c, k := range w.Tally() {
-		if c.IsULCP() {
-			n += k
+	for _, p := range w.Pairs {
+		if p.Cat.IsULCP() {
+			n++
 		}
 	}
 	return n
@@ -77,10 +79,9 @@ func CSByID(css []*trace.CritSec) map[int]*trace.CritSec {
 // Rehydrate rebuilds a full report from its wire form against the
 // receiver's own critical sections (see CSByID). An ID the receiver
 // does not know means the two sides analyzed different traces — that is
-// an error, never a silent drop.
+// an error, never a silent drop — and so is a category outside the five.
 func (w *WireReport) Rehydrate(byID map[int]*trace.CritSec) (*Report, error) {
 	r := &Report{
-		Counts:          make(map[Category]int),
 		CausalEdges:     w.CausalEdges,
 		Truncated:       w.Truncated,
 		ReversedReplays: w.ReversedReplays,
@@ -91,6 +92,9 @@ func (w *WireReport) Rehydrate(byID map[int]*trace.CritSec) (*Report, error) {
 		c2, ok2 := byID[p.C2]
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("ulcp: wire pair references unknown critical section (%d, %d)", p.C1, p.C2)
+		}
+		if p.Cat < 0 || p.Cat >= NumCategories {
+			return nil, fmt.Errorf("ulcp: wire pair (%d, %d) has unknown category %d", p.C1, p.C2, int(p.Cat))
 		}
 		r.Pairs[i] = Pair{C1: c1, C2: c2, Cat: p.Cat}
 		r.Counts[p.Cat]++

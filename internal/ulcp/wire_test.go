@@ -22,13 +22,13 @@ func TestWireReportRoundTripShapes(t *testing.T) {
 		name string
 		rep  *Report
 	}{
-		{"empty", &Report{Counts: map[Category]int{}}},
+		{"empty", &Report{Counts: [NumCategories]int{}}},
 		{"one-pair", &Report{
-			Counts: map[Category]int{ReadRead: 1},
+			Counts: [NumCategories]int{ReadRead: 1},
 			Pairs:  []Pair{{C1: cs[0], C2: cs[1], Cat: ReadRead}},
 		}},
 		{"full", &Report{
-			Counts: map[Category]int{NullLock: 1, TLCP: 1, Benign: 1},
+			Counts: [NumCategories]int{NullLock: 1, TLCP: 1, Benign: 1},
 			Pairs: []Pair{
 				{C1: cs[0], C2: cs[1], Cat: NullLock},
 				{C1: cs[1], C2: cs[2], Cat: TLCP},
@@ -98,6 +98,18 @@ func TestWireReportUnknownFieldTolerance(t *testing.T) {
 	if _, err := w.Rehydrate(CSByID([]*trace.CritSec{wireCS(0)})); err == nil {
 		t.Fatal("unknown CS ID rehydrated without error")
 	}
+
+	// Counts is an array indexed by Category: a category no node
+	// produces is peer input to refuse, not an index.
+	for _, cat := range []Category{-1, NumCategories, 42} {
+		w.Pairs[0].Cat = cat
+		if _, err := w.Rehydrate(CSByID([]*trace.CritSec{wireCS(0), wireCS(1)})); err == nil {
+			t.Fatalf("category %d rehydrated without error", cat)
+		}
+		if got := w.Tally(); got != [NumCategories]int{} {
+			t.Fatalf("category %d tallied: %v", cat, got)
+		}
+	}
 }
 
 // TestCSByIDDuplicateIDs pins CSByID's behavior when two critical
@@ -124,7 +136,7 @@ func TestWireTallyAndNumULCPs(t *testing.T) {
 		{C1: 2, C2: 3, Cat: ReadRead},
 		{C1: 3, C2: 4, Cat: TLCP},
 	}}
-	want := map[Category]int{NullLock: 1, ReadRead: 2, TLCP: 1}
+	want := [NumCategories]int{NullLock: 1, ReadRead: 2, TLCP: 1}
 	if got := w.Tally(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Tally = %v, want %v", got, want)
 	}
@@ -142,7 +154,7 @@ func TestWireTallyAndNumULCPs(t *testing.T) {
 // and a clean rehydration must agree with the wire tally.
 func FuzzWireReportDecode(f *testing.F) {
 	seed, _ := json.Marshal((&Report{
-		Counts: map[Category]int{ReadRead: 1, TLCP: 1},
+		Counts: [NumCategories]int{ReadRead: 1, TLCP: 1},
 		Pairs: []Pair{
 			{C1: wireCS(0), C2: wireCS(1), Cat: ReadRead},
 			{C1: wireCS(1), C2: wireCS(2), Cat: TLCP},
@@ -152,6 +164,7 @@ func FuzzWireReportDecode(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"pairs":[{"c1":-1,"c2":99,"cat":42}]}`))
+	f.Add([]byte(`{"pairs":[{"c1":0,"c2":1,"cat":42},{"c1":1,"c2":2,"cat":-3}]}`))
 	f.Add([]byte(`not json`))
 	byID := CSByID([]*trace.CritSec{wireCS(0), wireCS(1), wireCS(2)})
 	f.Fuzz(func(t *testing.T, data []byte) {
