@@ -374,7 +374,6 @@ func analyzeDigest(dir, digest string, req pipeline.Request) error {
 	}
 	req.Trace = tr
 	req.TraceDigest = meta.Digest
-	req.TraceBytes = meta.Size
 	res, err := pipeline.Run(req)
 	if err != nil {
 		return err

@@ -27,8 +27,8 @@ import (
 // Before executing a cache-missed job whose trace is content-addressed,
 // the job runner probes peers for the finished result by cache key —
 // gossip-ordered (peers hinting the key first, then the idlest), with
-// bounded fan-out and a short timeout. A hit imports the wire report
-// and settles the job with zero replays; the determinism contract
+// bounded fan-out and a short timeout. A hit imports the peer's rendered
+// summary and settles the job with zero replays; the determinism contract
 // (byte-identical reports regardless of where work lands) is what makes
 // serving a peer's bytes indistinguishable from running locally. Every
 // failure on this path degrades to local execution, never to an error.
@@ -204,8 +204,9 @@ func (s *Server) probePeerCaches(req pipeline.Request, tc spanCtx) (*pipeline.Wi
 
 // probeGet issues one cluster-cache probe with the job's trace context
 // riding as headers, so the serving peer's span lands on the same
-// timeline as the probe span recorded here.
-func (s *Server) probeGet(urlStr string, tc spanCtx) (*http.Response, error) {
+// timeline as the probe span recorded here, and returns the body of a
+// 200; anything else is an error — a miss.
+func (s *Server) probeGet(urlStr string, tc spanCtx) (io.ReadCloser, error) {
 	req, err := http.NewRequest(http.MethodGet, urlStr, nil)
 	if err != nil {
 		return nil, err
@@ -214,28 +215,28 @@ func (s *Server) probeGet(urlStr string, tc spanCtx) (*http.Response, error) {
 		req.Header.Set(telemetry.TraceHeader, tc.trace)
 		req.Header.Set(telemetry.SpanHeader, tc.parent)
 	}
-	return s.cacheClient.Do(req)
-}
-
-// fetchWireResult fetches and validates one peer's cached result.
-func (s *Server) fetchWireResult(peer, key string, topK int, tc spanCtx) (*pipeline.WireResult, error) {
-	resp, err := s.probeGet(peer+"/cache/results/"+url.PathEscape(key)+"?top="+strconv.Itoa(topK), tc)
+	resp, err := s.cacheClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("cache probe %s: status %d", peer, resp.StatusCode)
+		resp.Body.Close()
+		return nil, fmt.Errorf("cache probe %s: status %d", urlStr, resp.StatusCode)
 	}
-	var wr pipeline.WireResult
-	if err := json.NewDecoder(io.LimitReader(resp.Body, s.cfg.MaxTraceBytes)).Decode(&wr); err != nil {
-		return nil, fmt.Errorf("cache probe %s: %w", peer, err)
-	}
-	if err := wr.Validate(key, topK); err != nil {
+	return resp.Body, nil
+}
+
+// fetchWireResult fetches and validates one peer's cached result. A body
+// past maxSummaryBytes, or in any shape but the current one, fails to
+// decode and so reads as a miss.
+func (s *Server) fetchWireResult(peer, key string, topK int, tc spanCtx) (*pipeline.WireResult, error) {
+	body, err := s.probeGet(peer+"/cache/results/"+url.PathEscape(key)+"?top="+strconv.Itoa(topK), tc)
+	if err != nil {
 		return nil, err
 	}
-	return &wr, nil
+	defer body.Close()
+	return pipeline.ReadWireResult(io.LimitReader(body, maxSummaryBytes), key, topK)
 }
 
 // probePeerTables tries to import the job's verdict table from a peer
@@ -269,46 +270,16 @@ func (s *Server) probePeerTables(req pipeline.Request, tc spanCtx) {
 // prober matched by digest, and adoption (ImportTable) is the real
 // acceptance test.
 func (s *Server) fetchWireTable(peer, key string, tc spanCtx) (*pipeline.WireTable, error) {
-	resp, err := s.probeGet(peer+"/cache/tables/"+url.PathEscape(key), tc)
+	body, err := s.probeGet(peer+"/cache/tables/"+url.PathEscape(key), tc)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("table probe %s: status %d", peer, resp.StatusCode)
-	}
+	defer body.Close()
 	var wt pipeline.WireTable
-	if err := json.NewDecoder(io.LimitReader(resp.Body, s.cfg.MaxTraceBytes)).Decode(&wt); err != nil {
+	if err := json.NewDecoder(io.LimitReader(body, s.cfg.MaxTraceBytes)).Decode(&wt); err != nil {
 		return nil, fmt.Errorf("table probe %s: %w", peer, err)
 	}
 	return &wt, nil
-}
-
-// summaryFromWire settles a job from a peer's cached result: the same
-// fields a local summarize would fill, with the ULCP count re-tallied
-// from the wire pairs (the one artifact shipped structurally).
-func summaryFromWire(wr *pipeline.WireResult) jobSummary {
-	sum := jobSummary{
-		App:            wr.App,
-		Threads:        wr.Threads,
-		CritSecs:       wr.CritSecs,
-		ULCPs:          wr.Ulcp.NumULCPs(),
-		DegradationPct: wr.DegradationPct,
-		CacheHit:       true,
-		Report:         wr.Report,
-	}
-	if len(wr.Schemes) > 0 {
-		sum.Schemes = make(map[string]string, len(wr.Schemes))
-		for _, sc := range wr.Schemes {
-			sum.Schemes[sc.Sched] = sc.Total
-		}
-	}
-	sum.Timings = make([]stageTiming, len(wr.Timings))
-	for i, st := range wr.Timings {
-		sum.Timings[i] = stageTiming{Stage: st.Stage, WallNS: st.Wall.Nanoseconds(), Wall: st.Wall.String()}
-	}
-	return sum
 }
 
 // rejectQueueFull answers a submit that found the queue full. With a

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"perfplay/internal/core"
 	"perfplay/internal/journal"
 	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
@@ -211,13 +212,10 @@ func (s *Server) recoveredJob(lj journal.LiveJob) *job {
 // and records the loss. Called from NewServer, before any concurrency;
 // "Locked" in the sense that s.mu protection is not yet needed.
 func (s *Server) failRecoveredLocked(j *job, err error) {
-	j.Status = statusFailed
-	j.Error = err.Error()
-	j.Finished = time.Now()
-	s.order = append(s.order, j.ID)
+	s.journalTerminal(journal.OpFailed, j.ID)
+	s.finishLocked(j, core.Rendered{}, err)
 	s.recovered.Lost++
 	s.jrecovered.With("lost").Inc()
-	s.journalTerminal(journal.OpFailed, j.ID)
 	s.logger.Warn("journaled job not recoverable", "job", j.ID, "err", err)
 }
 

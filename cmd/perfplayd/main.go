@@ -84,6 +84,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -97,7 +98,23 @@ import (
 // true, sweep-backed defaults instead of a "0 means N" convention.
 var cacheKnobs = cachepolicy.Defaults()
 
+// gcPercent is the daemon's GC pacing unless the operator sets GOGC. A
+// finished job leaves only its summary behind, so the live heap is the
+// in-flight jobs plus queued uploads — tens of MiB — which Go's default
+// of 100 collects every few jobs. daemon-reuse, seed 60, median of three
+// runs, GOGC → cpu_ms_per_kevent / op_p50_ms / peak_rss_mb: 100 → 2.22 /
+// 12.6 / 48, 200 → 1.62 / 9.3 / 72, 400 → 1.53 / 8.9 / 121, 800 → 1.30 /
+// 8.1 / 209; the parent commit, whose result cache pinned ~250 MiB of
+// analyses as an accidental ballast, 1.54 / 8.4 / 595. 400 keeps the
+// parent's CPU per event at a fifth of its footprint.
+// Worst case the heap goal is 5× that live heap, which -workers and
+// MaxQueuedTraceBytes bound (docs/PERF.md entry 4).
+const gcPercent = 400
+
 func main() {
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(gcPercent)
+	}
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		workers       = flag.Int("workers", 2, "concurrent analysis jobs")

@@ -17,6 +17,7 @@ import (
 
 	"perfplay/internal/cachepolicy"
 	"perfplay/internal/clusterapi"
+	"perfplay/internal/core"
 	"perfplay/internal/corpus"
 	"perfplay/internal/journal"
 	"perfplay/internal/pipeline"
@@ -169,9 +170,9 @@ const (
 	statusFailed  = "failed"
 )
 
-// job is one submitted analysis. Only the rendered report and summary
-// numbers are retained after completion — never the traces — so a
-// long-running daemon's footprint is bounded by MaxJobs small records.
+// job is one submitted analysis. Only the rendered summary is retained
+// after completion — never the traces — so a long-running daemon's
+// footprint is bounded by MaxJobs small records.
 type job struct {
 	ID        string    `json:"id"`
 	Status    string    `json:"status"`
@@ -194,7 +195,12 @@ type job struct {
 	// /jobs/{id}/trace serves the recorded timeline.
 	TraceID string `json:"trace_id,omitempty"`
 
-	jobSummary
+	// Rendered is the finished summary at the job's report depth — the
+	// same struct whether a local worker filled it, a thief posted it
+	// back (POST /jobs/{id}/result) or a peer's cache exported it, which
+	// is what makes the job's JSON field for field the same wherever it
+	// was computed.
+	core.Rendered
 
 	req pipeline.Request
 	// traceBytes is the uploaded body size (an estimate of the parsed
@@ -209,58 +215,6 @@ type job struct {
 	// (queue wait, execution — local, stolen or cache-served) can
 	// parent onto it before the root itself is recorded at completion.
 	spanID string
-}
-
-// jobSummary is everything a finished analysis reports — the fields a
-// thief computes remotely and ships back verbatim (POST
-// /jobs/{id}/result), and a local worker fills via summarize. Keeping
-// them one struct is what guarantees a stolen job's JSON is
-// field-for-field what a local run would have produced.
-type jobSummary struct {
-	App            string            `json:"app,omitempty"`
-	Threads        int               `json:"threads,omitempty"`
-	CritSecs       int               `json:"critical_sections,omitempty"`
-	ULCPs          int               `json:"ulcps,omitempty"`
-	DegradationPct float64           `json:"degradation_pct,omitempty"`
-	Schemes        map[string]string `json:"schemes,omitempty"`
-	CacheHit       bool              `json:"cache_hit,omitempty"`
-	Report         string            `json:"report,omitempty"`
-	// Timings are the pipeline's per-stage wall clocks. A cache-hit job
-	// reports the timings of the run that originally computed the
-	// result — the hit itself did no stage work.
-	Timings []stageTiming `json:"timings,omitempty"`
-}
-
-// summarize distills a pipeline result into the job's retained summary.
-func summarize(res *pipeline.Result) jobSummary {
-	a := res.Analysis
-	s := jobSummary{
-		App:      a.App,
-		Threads:  a.Threads(),
-		CritSecs: len(a.CSs),
-		ULCPs:    a.Report.NumULCPs(),
-		CacheHit: res.CacheHit,
-		Report:   res.Report,
-	}
-	s.DegradationPct = a.Debug.NormalizedDegradation() * 100
-	s.Timings = make([]stageTiming, len(res.Timings))
-	for i, st := range res.Timings {
-		s.Timings[i] = stageTiming{Stage: st.Stage, WallNS: st.Wall.Nanoseconds(), Wall: st.Wall.String()}
-	}
-	if len(res.Schemes) > 0 {
-		s.Schemes = make(map[string]string, len(res.Schemes))
-		for _, sr := range res.Schemes {
-			s.Schemes[sr.Sched.String()] = sr.Result.Total.String()
-		}
-	}
-	return s
-}
-
-// stageTiming is one pipeline stage's wall clock in the job JSON.
-type stageTiming struct {
-	Stage  string `json:"stage"`
-	WallNS int64  `json:"wall_ns"`
-	Wall   string `json:"wall"`
 }
 
 // notifyLocked broadcasts a job state change: every waiting long-poll
@@ -516,14 +470,9 @@ func (s *Server) reaper() {
 				s.mu.Lock()
 				for _, qj := range dropped {
 					j := qj.Payload.(*job)
-					j.Status = statusFailed
-					j.Error = "abandoned: steal lease expired while the server was shutting down"
-					j.Finished = time.Now()
-					j.notifyLocked()
-					s.order = append(s.order, j.ID)
+					s.finishLocked(j, core.Rendered{}, errors.New("abandoned: steal lease expired while the server was shutting down"))
 					s.logger.Warn("expired-lease job abandoned: queue closed", "job", j.ID)
 				}
-				s.evictLocked()
 				s.mu.Unlock()
 			}
 		}
@@ -547,28 +496,36 @@ func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running--
-	j.Finished = time.Now()
-	j.req = pipeline.Request{} // release any uploaded trace
-	if err != nil {
-		j.Status = statusFailed
-		j.Error = err.Error()
-	} else {
-		j.Status = statusDone
-		j.jobSummary = sum
-		j.CachePeer = cachePeer
-	}
-	j.notifyLocked()
+	j.CachePeer = cachePeer
 	// The pop left the job live in the journal on purpose — a crash
 	// mid-run replays it as queued and re-runs it. Only a terminal
 	// status retires the record.
-	if j.Status == statusFailed {
+	if err != nil {
 		s.journalTerminal(journal.OpFailed, j.ID)
 	} else {
 		s.journalTerminal(journal.OpSettled, j.ID)
 	}
+	s.finishLocked(j, sum, err)
+}
+
+// finishLocked is the one place a job becomes terminal, whichever path
+// ended it — a local run, a thief's report, a lease that expired into a
+// closed queue, a loss at boot: status with summary or error, waiters,
+// the completed counter, the root span and retention. Journal appends
+// stay with the callers, where they differ. Call with Server.mu held
+// (or before any concurrency, from NewServer).
+func (s *Server) finishLocked(j *job, sum core.Rendered, err error) {
+	j.Finished = time.Now()
+	j.req = pipeline.Request{} // release any uploaded trace
+	if err != nil {
+		j.Status, j.Error = statusFailed, err.Error()
+	} else {
+		j.Status, j.Rendered = statusDone, sum
+	}
+	j.notifyLocked()
 	s.jobsDone.With(j.Status).Inc()
-	s.recordSpan(tc, telemetry.Span{
-		ID: j.spanID, Name: "job", Start: submitted, End: j.Finished,
+	s.recordSpan(spanCtx{trace: j.TraceID, parent: j.spanID}, telemetry.Span{
+		ID: j.spanID, Name: "job", Start: j.Submitted, End: j.Finished,
 		Attrs: map[string]string{"job": j.ID, "status": j.Status},
 	})
 	s.order = append(s.order, j.ID)
@@ -577,17 +534,19 @@ func (s *Server) runJob(j *job) {
 
 // executeJob produces one job's summary: settled from a peer's cluster
 // cache when the local cache misses but a peer's hits (zero replays,
-// zero parses — the wire report ships finished bytes), else by running
+// zero parses — the wire result is the finished summary), else by running
 // the pipeline locally — after best-effort importing the job's verdict
 // table from a peer, so even the local run can skip every reversed
 // replay. A job the local result cache can already answer probes no
 // one: the run below settles instantly without consulting the table
 // cache, so even an evicted table would be wasted network I/O. The
 // returned peer is non-empty only for remote cache hits.
-func (s *Server) executeJob(req pipeline.Request, tc spanCtx) (jobSummary, string, error) {
+func (s *Server) executeJob(req pipeline.Request, tc spanCtx) (core.Rendered, string, error) {
 	if key, ok := s.pl.CacheKeyFor(req); !ok || !s.pl.HasResult(key) {
 		if wr, peer, ok := s.probePeerCaches(req, tc); ok {
-			return summaryFromWire(wr), peer, nil
+			sum := wr.Rendered
+			sum.CacheHit = true
+			return sum, peer, nil
 		}
 		s.probePeerTables(req, tc)
 	}
@@ -603,7 +562,7 @@ func (s *Server) executeJob(req pipeline.Request, tc spanCtx) (jobSummary, strin
 		return s.pl.Run(req)
 	}()
 	if err != nil {
-		return jobSummary{}, "", err
+		return core.Rendered{}, "", err
 	}
 	execID := s.span(tc, "execute", execStart, time.Now(),
 		map[string]string{"cache_hit": strconv.FormatBool(res.CacheHit)})
@@ -617,7 +576,9 @@ func (s *Server) executeJob(req pipeline.Request, tc spanCtx) (jobSummary, strin
 			}
 		}
 	}
-	return summarize(res), "", nil
+	sum := res.Summary.At(res.Request.TopK)
+	sum.CacheHit = res.CacheHit
+	return sum, "", nil
 }
 
 // evictLocked drops the oldest finished jobs beyond MaxJobs.
@@ -969,7 +930,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		req = pipeline.Request{
 			Trace:       tr,
 			TraceDigest: corpus.Digest(buf.Bytes()),
-			TraceBytes:  uploadBytes,
 			TopK:        top,
 			Schemes:     q.Get("schemes") == "true",
 			DetectRaces: q.Get("races") == "true",
@@ -1008,7 +968,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 					return tr, err
 				},
 				TraceDigest: digest,
-				TraceBytes:  meta.Size,
 				TopK:        spec.Top,
 				Schemes:     spec.Schemes,
 				DetectRaces: spec.Races,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"perfplay/internal/clusterapi"
+	"perfplay/internal/core"
 	"perfplay/internal/corpus"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/scheduler"
@@ -70,12 +71,10 @@ var errStolenTraceUnavailable = errors.New("stolen trace unavailable")
 // requestFor is specFor's inverse: the pipeline request that reproduces
 // the spec's job byte-for-byte, on a thief or on the node that journaled
 // it. Digest specs resolve their trace from the local corpus, else a
-// hash-verified fetch from the victim — performed eagerly, both so the
-// request can carry the trace's size (the result cache weighs
-// trace-backed entries against its byte budget) and so an unfetchable
-// blob aborts the steal before anything is reported. An empty victim
-// (boot recovery) resolves purely locally: a trace the corpus cannot
-// produce is an error, never a fetch.
+// hash-verified fetch from the victim — performed eagerly, so an
+// unfetchable blob aborts the steal before anything is reported. An
+// empty victim (boot recovery) resolves purely locally: a trace the
+// corpus cannot produce is an error, never a fetch.
 func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pipeline.Request, error) {
 	req := pipeline.Request{
 		TopK:        spec.TopK,
@@ -100,8 +99,7 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 		// Touch, not Stat: a stolen job referencing a locally stored
 		// trace counts as use for LRU purposes, exactly like the
 		// victim's own digest path.
-		if meta, err := s.corpus.Touch(digest); err == nil {
-			req.TraceBytes = meta.Size
+		if _, err := s.corpus.Touch(digest); err == nil {
 			req.TraceLoader = func() (*trace.Trace, error) {
 				tr, _, err := s.corpus.Load(digest)
 				if err != nil {
@@ -137,7 +135,6 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 				"digest", digest, "victim", victim, "err", err)
 		}
 	}
-	req.TraceBytes = int64(len(data))
 	req.TraceLoader = func() (*trace.Trace, error) { return trace.ReadAny(bytes.NewReader(data)) }
 	return req, nil
 }
@@ -146,9 +143,9 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 // identity, either an analysis error or the finished summary, exactly
 // as a local run would have recorded it.
 type stealResult struct {
-	Thief   string     `json:"thief"`
-	Error   string     `json:"error,omitempty"`
-	Summary jobSummary `json:"summary"`
+	Thief   string        `json:"thief"`
+	Error   string        `json:"error,omitempty"`
+	Summary core.Rendered `json:"summary"`
 	// Spans are the spans the thief recorded while executing the job —
 	// shipped back so the victim's GET /jobs/{id}/trace shows the whole
 	// cross-node timeline, not a hole where the stolen execution went.
@@ -213,11 +210,7 @@ func (s *Server) executeStolen(victim string, sj scheduler.StolenJob) error {
 		// deserves the same peer-cache probe as a local one — a third
 		// node (or the victim itself) may hold the finished result,
 		// and a steal must not re-pay a pipeline the cluster already ran.
-		var sum jobSummary
-		sum, _, err = s.executeJob(req, tc)
-		if err == nil {
-			result.Summary = sum
-		}
+		result.Summary, _, err = s.executeJob(req, tc)
 	}
 	s.recordSpan(tc, telemetry.Span{
 		ID: execSpanID, Parent: sj.Span, Name: "steal_execute",
@@ -317,6 +310,11 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxSummaryBytes bounds a peer-supplied summary: a thief's settle body
+// (summary plus spans) or a cluster-cache export. Neither grows with the
+// trace it derives from, so neither is read under the upload bound.
+const maxSummaryBytes = 4 << 20
+
 // handleJobResult (POST /jobs/{id}/result) settles a stolen job with
 // the thief's outcome. A job that is no longer on lease — the lease
 // expired and the reaper re-queued it — answers 409 and the late result
@@ -325,7 +323,13 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var result stealResult
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxTraceBytes)).Decode(&result); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSummaryBytes)).Decode(&result); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, clusterapi.CodeBodyTooLarge,
+				"result body exceeds limit %d", maxSummaryBytes)
+			return
+		}
 		httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "bad result body: %v", err)
 		return
 	}
@@ -337,33 +341,21 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j := qj.Payload.(*job)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j.Finished = time.Now()
-	j.req = pipeline.Request{} // release any retained request state
 	if result.Thief != "" {
 		j.StolenBy = result.Thief
 	}
+	var failure error
 	if result.Error != "" {
-		j.Status = statusFailed
-		j.Error = result.Error
-	} else {
-		j.Status = statusDone
-		j.jobSummary = result.Summary
+		failure = errors.New(result.Error)
 	}
-	j.notifyLocked()
-	s.jobsDone.With(j.Status).Inc()
 	// Adopt the thief's spans onto the job's timeline, then close it
-	// out exactly like a local run: a settle marker and the root span.
+	// out exactly like a local run, plus a settle marker.
 	tc := spanCtx{trace: j.TraceID, parent: j.spanID}
 	for _, sp := range result.Spans {
 		s.recordSpan(tc, sp)
 	}
+	s.finishLocked(j, result.Summary, failure)
 	s.span(tc, "steal_settle", j.Finished, j.Finished,
 		map[string]string{"thief": j.StolenBy, "status": j.Status})
-	s.recordSpan(tc, telemetry.Span{
-		ID: j.spanID, Name: "job", Start: j.Submitted, End: j.Finished,
-		Attrs: map[string]string{"job": j.ID, "status": j.Status},
-	})
-	s.order = append(s.order, j.ID)
-	s.evictLocked()
 	writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": j.Status})
 }

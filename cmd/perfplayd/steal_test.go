@@ -282,9 +282,8 @@ func TestClaimEndpointEdges(t *testing.T) {
 
 // TestStolenTraceFetchFailureAbandons: a thief that cannot obtain the
 // stolen job's trace must abandon the steal (so the victim's lease
-// recovers the job) rather than settle it as failed — and for a trace
-// the thief does hold, the request must carry the blob size so the
-// result cache can weigh the retained trace.
+// recovers the job) rather than settle it as failed — while a trace the
+// thief does hold resolves from its own corpus, dead victim or not.
 func TestStolenTraceFetchFailureAbandons(t *testing.T) {
 	srv, _ := testServer(t, Config{})
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -306,8 +305,8 @@ func TestStolenTraceFetchFailureAbandons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.TraceBytes != meta.Size {
-		t.Fatalf("TraceBytes = %d, want the blob size %d (cache weight)", req.TraceBytes, meta.Size)
+	if req.TraceDigest != meta.Digest || req.TraceLoader == nil {
+		t.Fatalf("locally held trace did not resolve to a loader: %+v", req)
 	}
 }
 

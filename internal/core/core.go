@@ -1,12 +1,10 @@
 // Package core holds the artifact bundle of one PerfPlay analysis — the
 // per-stage outputs of Fig. 5's record → identify → transform → replay →
-// debug pipeline — and its report rendering. internal/pipeline is the
-// bundle's only producer.
+// debug pipeline — and the trace-free Summary it distills to, which
+// renders the report. internal/pipeline is the bundle's only producer.
 package core
 
 import (
-	"fmt"
-
 	"perfplay/internal/perfdbg"
 	"perfplay/internal/race"
 	"perfplay/internal/replay"
@@ -41,52 +39,27 @@ type Analysis struct {
 	Theorem1 *verify.Report
 }
 
-// Summary returns a compact multi-line report: overall impact plus the
-// top-k recommended code regions, the list Fig. 5's final stage hands to
-// the programmer.
-func (a *Analysis) Summary(topK int) string {
-	d := a.Debug
-	s := fmt.Sprintf("PerfPlay analysis of %s (%d threads)\n", a.App, a.Threads())
-	s += fmt.Sprintf(" dynamic locks: %d  critical sections: %d\n",
-		dynamicLocks(a), len(a.CSs))
-	s += fmt.Sprintf(" ULCPs: %d (null-lock %d, read-read %d, disjoint-write %d, benign %d), TLCPs: %d\n",
-		a.Report.NumULCPs(),
-		a.Report.Counts[ulcp.NullLock], a.Report.Counts[ulcp.ReadRead],
-		a.Report.Counts[ulcp.DisjointWrite], a.Report.Counts[ulcp.Benign],
-		a.Report.Counts[ulcp.TLCP])
-	s += fmt.Sprintf(" replayed: original %v, ULCP-free %v  => degradation %.2f%%\n",
-		d.Tut, d.Tuft, d.NormalizedDegradation()*100)
-	s += fmt.Sprintf(" resource waste: %v (%.2f%%/thread)\n",
-		d.Trw, d.CPUWastePerThread(a.Threads())*100)
-	if len(a.Races) > 0 {
-		s += fmt.Sprintf(" data races reported in transformed trace: %d\n", len(a.Races))
+// Summarize distills the bundle into its trace-free Summary. The thread
+// and dynamic-lock counts are the recording's when this analysis
+// recorded, else the replay's view of a loaded trace.
+func (a *Analysis) Summarize() *Summary {
+	s := &Summary{
+		App:          a.App,
+		DynamicLocks: len(a.CSs),
+		CritSecs:     len(a.CSs),
+		Counts:       a.Report.Counts,
+		ULCPs:        a.Report.NumULCPs(),
+		Debug:        a.Debug,
+		Races:        a.Races,
+		Theorem1:     a.Theorem1,
 	}
-	if len(d.Groups) > 0 {
-		s += fmt.Sprintf(" grouped ULCP code regions: %d; top recommendations:\n", len(d.Groups))
-		for i, g := range d.Recommend(topK) {
-			s += fmt.Sprintf("  #%d %s\n", i+1, g)
-		}
+	if a.Recorded != nil {
+		s.Threads, s.DynamicLocks = a.Recorded.Trace.NumThreads, a.Recorded.Trace.DynamicLocks()
+	} else if a.OrigReplay != nil {
+		s.Threads = len(a.OrigReplay.PerThreadCPU)
 	}
 	return s
 }
 
-// Threads is the analyzed execution's thread count: the recording's
-// when this analysis recorded, else the replay's view for loaded
-// traces. The single source every summary — local, daemon, or wire —
-// derives the number from.
-func (a *Analysis) Threads() int {
-	if a.Recorded != nil {
-		return a.Recorded.Trace.NumThreads
-	}
-	if a.OrigReplay != nil {
-		return len(a.OrigReplay.PerThreadCPU)
-	}
-	return 0
-}
-
-func dynamicLocks(a *Analysis) int {
-	if a.Recorded != nil {
-		return a.Recorded.Trace.DynamicLocks()
-	}
-	return len(a.CSs)
-}
+// Summary returns the report text at depth topK (see Summary.Render).
+func (a *Analysis) Summary(topK int) string { return a.Summarize().Render(topK) }

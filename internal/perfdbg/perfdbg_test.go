@@ -454,8 +454,8 @@ func TestEvaluateMatchesReferenceCrossedRegions(t *testing.T) {
 }
 
 // TestEvaluateUntrustedIDs pins the slice-indexed boundary table to the
-// reference's map lookup on inputs ExtractCS and Rehydrate never produce
-// together: CritSec.IDs that are not the dense extraction indices, css
+// reference's map lookup on inputs ExtractCS never produces:
+// CritSec.IDs that are not the dense extraction indices, css
 // out of event order, and report pairs whose critical sections are not in
 // css at all. An ID without an entry reads as the zero boundaries; none
 // of it may panic or index out of range.

@@ -4,47 +4,34 @@ import (
 	"container/list"
 	"strings"
 	"sync"
-
-	"perfplay/internal/ulcp"
 )
 
-// lruCache is a thread-safe fixed-capacity LRU with optional per-entry
-// byte weights. One implementation backs both of the pipeline's caches:
-//
-//   - the result cache, keyed by the normalized request (see
-//     Request.CacheKey), whose trace-backed entries carry their
-//     serialized trace size as weight so a count-bounded cache cannot
-//     pin cap×MaxTraceBytes of parsed traces in memory; and
-//   - the verdict-table cache, keyed by (trace digest, identify
-//     options), whose entries are small and all zero-weight.
-//
-// Besides the entry-count cap, a non-zero maxBytes enforces a byte
-// budget over weighted entries; the coldest weighted entries are
-// evicted beyond it.
+// lruCache is a thread-safe fixed-capacity LRU. One implementation
+// backs both of the pipeline's caches: the result cache, keyed by the
+// normalized request (see Request.CacheKey), and the verdict-table
+// cache, keyed by (trace digest, identify options). Entries of both are
+// small — a summary, a table of booleans — and independent of the size
+// of the trace they derive from, so the entry count is the only bound.
 type lruCache[V any] struct {
-	mu       sync.Mutex
-	cap      int
-	maxBytes int64      // weighted-entry budget; 0 = no byte bound
-	bytes    int64      // current weighted total
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 }
 
 type lruEntry[V any] struct {
-	key  string
-	val  V
-	cost int64
+	key string
+	val V
 }
 
-func newLRU[V any](capacity int, maxBytes int64) *lruCache[V] {
+func newLRU[V any](capacity int) *lruCache[V] {
 	if capacity <= 0 {
 		return nil
 	}
 	return &lruCache[V]{
-		cap:      capacity,
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element, capacity),
+		cap:   capacity,
+		ll:    list.New(),
+		items: make(map[string]*list.Element, capacity),
 	}
 }
 
@@ -63,48 +50,22 @@ func (c *lruCache[V]) get(key string) (V, bool) {
 	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put inserts a value with its weight (0 for unweighted entries).
-func (c *lruCache[V]) put(key string, val V, cost int64) {
+func (c *lruCache[V]) put(key string, val V) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*lruEntry[V])
-		c.bytes += cost - e.cost
-		e.val, e.cost = val, cost
+		el.Value.(*lruEntry[V]).val = val
 		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val, cost: cost})
-		c.bytes += cost
+		return
 	}
-	// Evict past either bound. Over the count cap, the cold end goes
-	// regardless of weight; over only the byte budget, evict the
-	// coldest entry that actually carries weight — removing zero-cost
-	// entries would destroy valid entries without freeing a byte. The
-	// most recent entry always survives even if it alone exceeds the
-	// byte budget — at worst one oversized result is retained, still
-	// bounded by the front end's per-upload size limit.
-	for c.ll.Len() > 1 {
-		overCount := c.ll.Len() > c.cap
-		overBytes := c.maxBytes > 0 && c.bytes > c.maxBytes
-		if !overCount && !overBytes {
-			break
-		}
+	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
+	if c.ll.Len() > c.cap {
 		victim := c.ll.Back()
-		if !overCount {
-			for victim != nil && victim != c.ll.Front() && victim.Value.(*lruEntry[V]).cost == 0 {
-				victim = victim.Prev()
-			}
-			if victim == nil || victim == c.ll.Front() {
-				break // all remaining weight sits in the most recent entry
-			}
-		}
-		e := victim.Value.(*lruEntry[V])
 		c.ll.Remove(victim)
-		c.bytes -= e.cost
-		delete(c.items, e.key)
+		delete(c.items, victim.Value.(*lruEntry[V]).key)
 	}
 }
 
@@ -163,13 +124,3 @@ func (c *lruCache[V]) hasKeyPrefix(prefix string) bool {
 	}
 	return false
 }
-
-// tableCache memoizes verdict tables across jobs, keyed by (trace
-// digest, identify options). The result cache misses whenever any
-// reporting flag differs (schemes, races, top-k), yet the verdict table
-// — the replay-heavy part of classification — depends only on the
-// trace content and the identify options; caching it separately means a
-// second job over the same stored trace skips every reversed replay
-// even on a result-cache miss. Entries are small (one bool per
-// conflicting region-pair class), so they carry no byte weight.
-type tableCache = lruCache[*ulcp.VerdictTable]

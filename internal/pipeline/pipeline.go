@@ -12,7 +12,8 @@
 // sorted lock order), so a run with Workers: 8 produces byte-identical
 // reports to the serial path for the same seed. A Pipeline value adds an
 // LRU result cache keyed by (workload, input, threads, seed, config) on
-// top. exec is the module's single definition of the stage order:
+// top; it retains each finished job's core.Summary and nothing the job
+// analyzed. exec is the module's single definition of the stage order:
 // cmd/perfplay, cmd/experiments (every paper table and figure), the
 // examples, the bench harness and the perfplayd daemon all drive their
 // analyses through this package.
@@ -56,10 +57,8 @@ type Request struct {
 	// parsed separate *trace.Trace values. Callers must only pass a
 	// digest that really identifies Trace's content.
 	TraceDigest string
-	// TraceBytes is the serialized size of Trace (upload body or corpus
-	// blob). It is excluded from the cache key and used only to weigh
-	// trace-backed results against the cache's byte budget; zero means
-	// "unknown" and weighs nothing.
+	// TraceBytes is unread: it stays declared only because bench/layers.go
+	// still sets it (see ROADMAP "Keep the spine honest").
 	TraceBytes int64
 	// TraceLoader, set with TraceDigest instead of Trace, defers
 	// loading to the moment the pipeline actually needs the events: a
@@ -114,17 +113,22 @@ func (r Request) normalize() Request {
 	if r.Scale == 0 {
 		r.Scale = 1.0
 	}
-	// Clamp (not just default) TopK: negative depths would panic the
-	// recommendation slice locally while the cluster-cache wire path
-	// maps them to 5 — the same job must behave identically wherever
-	// and however it is served.
-	if r.TopK <= 0 {
-		r.TopK = 5
-	}
+	r.TopK = depthOrDefault(r.TopK)
 	if r.Workers < 1 {
 		r.Workers = 1
 	}
 	return r
+}
+
+// depthOrDefault maps a report depth to the one actually rendered.
+// Clamped, not just defaulted: a negative depth would panic the
+// recommendation slice, and the same job must behave identically
+// whether a local run, a cache hit or a peer's export serves it.
+func depthOrDefault(topK int) int {
+	if topK <= 0 {
+		return 5
+	}
+	return topK
 }
 
 // cacheable reports whether the request is a pure function of its cache
@@ -166,42 +170,33 @@ type SchemeReplay struct {
 	Result *replay.Result
 }
 
-// StageTiming records one stage's wall-clock time (observability only —
-// not part of the deterministic report). It is JSON-tagged because wire
-// results carry the exporting run's timings across nodes. Start lets
-// the daemon rebuild per-stage spans on a job's trace timeline; it is
-// zero on wire results imported from peers that predate the field.
-type StageTiming struct {
-	Stage string        `json:"stage"`
-	Wall  time.Duration `json:"wall"`
-	Start time.Time     `json:"start,omitempty"`
-}
-
-// Result bundles a finished job: the full analysis artifacts, the
-// optional scheme replays, and the rendered ranked report whose bytes
-// are identical for serial and parallel runs of the same request.
-// Results are read-only: a cache hit returns a copy of the struct that
-// still shares the Analysis artifacts and slices with every other
-// holder of the same key, so mutating them would poison the cache.
+// Result bundles a finished job: its summary, the ranked report
+// rendered from it at Request.TopK — bytes identical for serial and
+// parallel runs of the same request — and, for a job this call actually
+// executed, the full analysis artifacts and optional scheme replays.
+//
+// A cache hit has no artifacts: Analysis and Schemes are nil, because
+// the cache retains summaries, never traces or replays. Callers that
+// read artifacts run uncached (Run, or a Pipeline with CacheSize 0).
+// Summary is shared with every other holder of the same key and must
+// not be mutated.
 type Result struct {
 	Request  Request
 	Analysis *core.Analysis
 	Schemes  []SchemeReplay
+	Summary  *core.Summary
 	Report   string
-	Timings  []StageTiming
+	// Timings are Summary.Timings: on a cache hit, those of the run that
+	// computed the summary.
+	Timings  []core.StageTiming
 	CacheHit bool
-
-	// traceTotal is the analyzed trace's own recorded wall time,
-	// captured at run time so cache hits can re-render the report
-	// without holding (or re-loading) the trace itself.
-	traceTotal vtime.Duration
 }
 
 // Pipeline is a long-lived orchestrator with a result cache. The zero
 // value is not usable; construct with New.
 type Pipeline struct {
-	cache  *lruCache[*Result]
-	tables *tableCache
+	cache  *lruCache[*core.Summary]
+	tables *lruCache[*ulcp.VerdictTable]
 
 	// Cache traffic and stage timings live in telemetry instruments so
 	// /metrics and /healthz read the same numbers (see CacheStats).
@@ -235,16 +230,6 @@ func (p *Pipeline) Stats() CacheStats {
 type Options struct {
 	// CacheSize bounds the LRU result cache (0 disables caching).
 	CacheSize int
-	// CacheTraceBytes additionally bounds the summed Request.TraceBytes
-	// of cached trace-backed results, since those retain their parsed
-	// traces; the coldest are evicted beyond it (0 = 256 MiB, negative
-	// disables the byte bound).
-	CacheTraceBytes int64
-	// TableCacheSize bounds the digest-keyed verdict-table cache, which
-	// lets jobs over the same stored trace skip every reversed replay
-	// even when their reporting flags miss the result cache (0 = 64,
-	// negative disables it).
-	TableCacheSize int
 	// Metrics, when set, hosts the pipeline's instruments (stage
 	// duration histograms, cache hit/miss counters). Nil uses a private
 	// registry so the instruments always exist — Stats() reads them
@@ -252,14 +237,15 @@ type Options struct {
 	Metrics *telemetry.Registry
 }
 
+// tableCacheSize bounds the verdict-table cache, keyed by (trace digest,
+// identify options). The result cache misses whenever a reporting flag
+// differs, yet the table — the replay-heavy part of classification —
+// depends on neither, so a second job over the same trace skips every
+// reversed replay even on a result-cache miss.
+const tableCacheSize = 64
+
 // New constructs a Pipeline.
 func New(opts Options) *Pipeline {
-	if opts.CacheTraceBytes == 0 {
-		opts.CacheTraceBytes = 256 << 20
-	}
-	if opts.TableCacheSize == 0 {
-		opts.TableCacheSize = 64
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -267,8 +253,8 @@ func New(opts Options) *Pipeline {
 	cacheReqs := reg.NewCounterVec("perfplay_pipeline_cache_requests_total",
 		"Result/table cache lookups by outcome.", "cache", "outcome")
 	return &Pipeline{
-		cache:        newLRU[*Result](opts.CacheSize, opts.CacheTraceBytes),
-		tables:       newLRU[*ulcp.VerdictTable](opts.TableCacheSize, 0),
+		cache:        newLRU[*core.Summary](opts.CacheSize),
+		tables:       newLRU[*ulcp.VerdictTable](tableCacheSize),
 		resultHits:   cacheReqs.With("result", "hit"),
 		resultMisses: cacheReqs.With("result", "miss"),
 		tableHits:    cacheReqs.With("table", "hit"),
@@ -291,15 +277,14 @@ func (p *Pipeline) Run(req Request) (*Result, error) {
 	var key string
 	if p.cache != nil && req.cacheable() {
 		key = req.CacheKey()
-		if cached, ok := p.cache.get(key); ok {
+		if sum, ok := p.cache.get(key); ok {
 			p.resultHits.Add(1)
-			hit := *cached
-			hit.Request = req
 			// TopK is outside the key — it only shapes the rendered
-			// report, so a hit re-renders at the requested depth.
-			hit.Report = render(&hit)
-			hit.CacheHit = true
-			return &hit, nil
+			// report, so a hit renders at the requested depth.
+			return &Result{
+				Request: req, Summary: sum, Report: sum.Render(req.TopK),
+				Timings: sum.Timings, CacheHit: true,
+			}, nil
 		}
 		p.resultMisses.Add(1)
 	}
@@ -308,18 +293,15 @@ func (p *Pipeline) Run(req Request) (*Result, error) {
 		return nil, err
 	}
 	if key != "" {
-		var cost int64
-		if req.Trace != nil || req.TraceLoader != nil {
-			cost = req.TraceBytes
-		}
-		p.cache.put(key, res, cost)
+		p.cache.put(key, res.Summary)
 	}
 	return res, nil
 }
 
 // RunSeeds runs the same request across several seeds — the multi-trace
 // mode of Sec. 6.7 — spreading whole jobs over the pool (each job runs
-// its own stages serially) and returning results in seed order.
+// its own stages serially) and returning results in seed order. Like
+// Run, a seed served from the result cache comes back without artifacts.
 func (p *Pipeline) RunSeeds(req Request, seeds []int64) ([]*Result, error) {
 	req = req.normalize()
 	pool := NewPool(req.Workers)
@@ -372,7 +354,7 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 		start := time.Now()
 		err := f()
 		wall := time.Since(start)
-		res.Timings = append(res.Timings, StageTiming{Stage: name, Wall: wall, Start: start})
+		res.Timings = append(res.Timings, core.StageTiming{Stage: name, Wall: wall, Start: start})
 		p.stageDur.With(name).Observe(wall.Seconds())
 		return err
 	}
@@ -418,7 +400,6 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 		return nil, err
 	}
 	a.App = tr.App
-	res.traceTotal = tr.TotalTime
 
 	// Stage 2 — Replay: the independent scheduler replays of the
 	// recorded trace. The ELSC run doubles as the quantification
@@ -477,7 +458,7 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 			// total (recurring region pairs pay once, not once per lock).
 			table, buildRep = ulcp.BuildVerdictTable(tr, a.CSs, req.Identify)
 			if key != "" {
-				p.tables.put(key, table, 0)
+				p.tables.put(key, table)
 			}
 		}
 		if buildRep != nil {
@@ -558,47 +539,22 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 		return nil, err
 	}
 
-	// Stage 5 — Report: render the ranked report. Everything in it is a
-	// deterministic function of the merged artifacts.
+	// Stage 5 — Report: distill the artifacts into the summary and render
+	// the ranked report from it. Everything in it is a deterministic
+	// function of the merged artifacts.
 	_ = stage("report", func() error {
-		res.Report = render(res)
+		sum := a.Summarize()
+		// The recording's own wall time comes from the trace header, not
+		// from a re-replay (which can differ whenever ELSC reorders
+		// contended acquisitions).
+		sum.Recorded = tr.TotalTime
+		for _, sr := range res.Schemes {
+			sum.Schemes = append(sum.Schemes, core.SchemeTotal{Sched: sr.Sched, Total: sr.Result.Total})
+		}
+		res.Summary = sum
+		res.Report = sum.Render(req.TopK)
 		return nil
 	})
+	res.Summary.Timings = res.Timings
 	return res, nil
-}
-
-// render produces the job's human-readable ranked report.
-func render(res *Result) string {
-	a := res.Analysis
-	s := a.Summary(res.Request.TopK)
-	if a.Theorem1 != nil {
-		s += " " + a.Theorem1.String() + "\n"
-	}
-	if len(res.Schemes) > 0 {
-		s += fmt.Sprintf(" scheme replays (recorded %v):", recordedTotal(res))
-		for _, sr := range res.Schemes {
-			s += fmt.Sprintf("  %v %v", sr.Sched, sr.Result.Total)
-		}
-		s += "\n"
-	}
-	for _, r := range a.Races {
-		s += fmt.Sprintf(" race: %s\n", r)
-	}
-	return s
-}
-
-// recordedTotal is the recording's own wall time — for uploaded traces
-// it comes from the trace header, not from a re-replay (which can
-// differ whenever ELSC reorders contended acquisitions).
-func recordedTotal(res *Result) vtime.Duration {
-	if a := res.Analysis; a.Recorded != nil {
-		return a.Recorded.Trace.TotalTime
-	}
-	if res.traceTotal != 0 {
-		return res.traceTotal
-	}
-	if res.Request.Trace != nil {
-		return res.Request.Trace.TotalTime
-	}
-	return res.Analysis.OrigReplay.Total
 }

@@ -1,13 +1,16 @@
 package pipeline
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
+	"perfplay/internal/core"
 	"perfplay/internal/ulcp"
 )
 
-// This file is the pipeline's cluster-cache surface: cached results and
-// verdict tables exported in a JSON-serializable wire form, so peer
+// This file is the pipeline's cluster-cache surface: cached summaries
+// and verdict tables exported in a JSON-serializable wire form, so peer
 // nodes can import a finished analysis by cache key instead of
 // re-running the whole replay pipeline. The exchange is only sound
 // because cache keys are stable content addresses — a digest-keyed key
@@ -15,39 +18,37 @@ import (
 // determinism contract makes the exporter's artifacts byte-identical to
 // what the importer's own run would have produced.
 
-// WireScheme is one scheduler replay's summary in wire form.
-type WireScheme struct {
-	Sched string `json:"sched"`
-	Total string `json:"total"`
-}
-
-// WireResult is the cross-node serialization of one cached Result,
-// rendered at one requested TopK. It carries the classification report
-// in ulcp wire form (critical sections by ID) plus the summary numbers
-// and the rendered report bytes — everything a peer needs to settle an
-// identical job with zero replays, and nothing that only makes sense in
-// the exporter's memory (no traces, no replay artifacts).
+// WireResult is the cross-node serialization of one cached result: the
+// key and depth it answers for, plus the summary rendered at that depth
+// — the same core.Rendered a local job record holds, so a peer settles
+// an identical job with zero replays and identical JSON. Only the
+// exporter renders; an importer never re-renders at another depth.
 type WireResult struct {
 	// Key echoes the result-cache key the exporter served, so an
 	// importer can reject a mismatched or misrouted response.
 	Key string `json:"key"`
-	// TopK is the report depth the Report field was rendered at.
+	// TopK is the report depth Report was rendered at.
 	TopK int `json:"top"`
+	core.Rendered
+}
 
-	App      string `json:"app,omitempty"`
-	Threads  int    `json:"threads"`
-	CritSecs int    `json:"critical_sections"`
-	// Ulcp is the classification report with critical sections
-	// referenced by ID; Counts rebuild from the pair tally on arrival.
-	Ulcp           *ulcp.WireReport `json:"ulcp"`
-	DegradationPct float64          `json:"degradation_pct"`
-	Schemes        []WireScheme     `json:"schemes,omitempty"`
-	// Report is the rendered ranked report — byte-identical to what a
-	// local (serial or parallel) run of the same request would print.
-	Report string `json:"report"`
-	// Timings are the exporting run's per-stage wall clocks
-	// (observability only, like a local cache hit's).
-	Timings []StageTiming `json:"timings,omitempty"`
+// ReadWireResult decodes one peer-supplied wire result and validates it
+// against the key and depth it was requested for. Decoding is strict: a
+// body with a field this shape does not have — such as the pair list
+// ("ulcp") older peers shipped in place of the "ulcps" count — is an
+// error, so a peer on another version reads as a miss rather than as a
+// summary with zeroed fields.
+func ReadWireResult(r io.Reader, key string, topK int) (*WireResult, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var w WireResult
+	if err := dec.Decode(&w); err != nil {
+		return nil, fmt.Errorf("pipeline: wire result: %w", err)
+	}
+	if err := w.Validate(key, topK); err != nil {
+		return nil, err
+	}
+	return &w, nil
 }
 
 // Validate sanity-checks an imported wire result against the key and
@@ -56,9 +57,7 @@ type WireResult struct {
 // imported — a wrong report here would break the byte-identical
 // contract silently.
 func (w *WireResult) Validate(key string, topK int) error {
-	if topK <= 0 {
-		topK = 5
-	}
+	topK = depthOrDefault(topK)
 	switch {
 	case w.Key != key:
 		return fmt.Errorf("pipeline: wire result for key %q, requested %q", w.Key, key)
@@ -66,42 +65,21 @@ func (w *WireResult) Validate(key string, topK int) error {
 		return fmt.Errorf("pipeline: wire result rendered at top %d, requested %d", w.TopK, topK)
 	case w.Report == "":
 		return fmt.Errorf("pipeline: wire result carries no report")
-	case w.Ulcp == nil:
-		return fmt.Errorf("pipeline: wire result carries no ulcp report")
 	}
 	return nil
 }
 
-// Export serves one cached result in wire form, re-rendered at the
-// requested TopK (0 = 5; TopK is outside the cache key, so the exporter
-// — who still holds the full artifacts — renders at whatever depth the
-// prober's job asked for). ok=false is a cache miss.
+// Export serves one cached result in wire form, rendered from the
+// cached summary at the requested TopK (TopK is outside the cache key,
+// so the exporter renders at whatever depth the prober's job asked
+// for). ok=false is a cache miss.
 func (p *Pipeline) Export(key string, topK int) (*WireResult, bool) {
-	cached, ok := p.cache.get(key)
+	sum, ok := p.cache.get(key)
 	if !ok {
 		return nil, false
 	}
-	hit := *cached
-	if topK <= 0 {
-		topK = 5
-	}
-	hit.Request.TopK = topK
-	a := hit.Analysis
-	w := &WireResult{
-		Key:            key,
-		TopK:           topK,
-		App:            a.App,
-		Threads:        a.Threads(),
-		CritSecs:       len(a.CSs),
-		Ulcp:           a.Report.Wire(),
-		DegradationPct: a.Debug.NormalizedDegradation() * 100,
-		Report:         render(&hit),
-		Timings:        hit.Timings,
-	}
-	for _, sr := range hit.Schemes {
-		w.Schemes = append(w.Schemes, WireScheme{Sched: sr.Sched.String(), Total: sr.Result.Total.String()})
-	}
-	return w, true
+	topK = depthOrDefault(topK)
+	return &WireResult{Key: key, TopK: topK, Rendered: sum.At(topK)}, true
 }
 
 // WireTable wraps an exported verdict table with the key it was served
@@ -147,7 +125,7 @@ func (p *Pipeline) ImportTable(key string, t *ulcp.VerdictTable) bool {
 	if p.tables == nil || key == "" || t == nil || t.Verdicts == nil {
 		return false
 	}
-	p.tables.put(key, t, 0)
+	p.tables.put(key, t)
 	return true
 }
 

@@ -3,8 +3,11 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
+	"time"
 
+	"perfplay/internal/core"
 	"perfplay/internal/corpus"
 	"perfplay/internal/sim"
 	"perfplay/internal/ulcp"
@@ -25,18 +28,19 @@ func recordedDigestRequest(t *testing.T, seed int64) Request {
 	return Request{
 		Trace:       rec.Trace,
 		TraceDigest: corpus.Digest(buf.Bytes()),
-		TraceBytes:  int64(buf.Len()),
 	}
 }
 
 // TestExportWireRoundTrip: a cached result exported in wire form, JSON
-// round-tripped, validates against its key and carries the exact report
-// bytes a local hit at the same depth renders.
+// round-tripped through the strict reader, validates against its key
+// and is field for field the summary a local hit at the same depth
+// renders.
 func TestExportWireRoundTrip(t *testing.T) {
 	p := New(Options{CacheSize: 4})
 	req := recordedDigestRequest(t, 3)
 	req.Schemes = true
-	if _, err := p.Run(req); err != nil {
+	fresh, err := p.Run(req)
+	if err != nil {
 		t.Fatal(err)
 	}
 	key, ok := p.CacheKeyFor(req)
@@ -56,11 +60,8 @@ func TestExportWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back WireResult
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
-		}
-		if err := back.Validate(key, topK); err != nil {
+		back, err := ReadWireResult(bytes.NewReader(data), key, topK)
+		if err != nil {
 			t.Fatalf("round-tripped wire result invalid: %v", err)
 		}
 		// The exported report must be byte-identical to a local cache
@@ -78,11 +79,19 @@ func TestExportWireRoundTrip(t *testing.T) {
 			t.Fatalf("wire report differs from local hit at top %d:\nwire:\n%s\nlocal:\n%s",
 				topK, back.Report, hit.Report)
 		}
-		if back.Ulcp == nil || back.Ulcp.NumULCPs() != hit.Analysis.Report.NumULCPs() {
-			t.Fatalf("wire ULCP tally differs from the analysis")
+		if back.ULCPs != fresh.Analysis.Report.NumULCPs() {
+			t.Fatalf("wire ULCP count %d differs from the analysis's %d", back.ULCPs, fresh.Analysis.Report.NumULCPs())
 		}
-		if len(back.Schemes) != len(hit.Schemes) {
-			t.Fatalf("wire carries %d schemes, want %d", len(back.Schemes), len(hit.Schemes))
+		if len(back.Schemes) != len(fresh.Schemes) {
+			t.Fatalf("wire carries %d schemes, want %d", len(back.Schemes), len(fresh.Schemes))
+		}
+		// Start never crosses the wire; everything else does.
+		want := hit.Summary.At(hit.Request.TopK)
+		for i := range want.Timings {
+			want.Timings[i].Start = time.Time{}
+		}
+		if !reflect.DeepEqual(back.Rendered, want) {
+			t.Fatalf("wire summary differs from the local hit's at top %d:\nwire:  %+v\nlocal: %+v", topK, back.Rendered, want)
 		}
 	}
 
@@ -117,12 +126,12 @@ func TestNegativeTopKClamped(t *testing.T) {
 }
 
 // TestWireResultValidate pins the import guards: mismatched key,
-// mismatched depth, missing report or ulcp section — each must be
-// rejected, because importing any of them would silently break the
-// byte-identical contract.
+// mismatched depth, missing report — each must be rejected, because
+// importing any of them would silently break the byte-identical
+// contract.
 func TestWireResultValidate(t *testing.T) {
 	good := func() *WireResult {
-		return &WireResult{Key: "k", TopK: 5, Report: "r", Ulcp: &ulcp.WireReport{}}
+		return &WireResult{Key: "k", TopK: 5, Rendered: core.Rendered{Report: "r"}}
 	}
 	if err := good().Validate("k", 0); err != nil {
 		t.Fatalf("valid wire result rejected: %v", err)
@@ -131,10 +140,9 @@ func TestWireResultValidate(t *testing.T) {
 		t.Fatalf("valid wire result rejected at explicit depth: %v", err)
 	}
 	cases := map[string]*WireResult{
-		"wrong key":   {Key: "other", TopK: 5, Report: "r", Ulcp: &ulcp.WireReport{}},
-		"wrong depth": {Key: "k", TopK: 3, Report: "r", Ulcp: &ulcp.WireReport{}},
-		"no report":   {Key: "k", TopK: 5, Ulcp: &ulcp.WireReport{}},
-		"no ulcp":     {Key: "k", TopK: 5, Report: "r"},
+		"wrong key":   {Key: "other", TopK: 5, Rendered: core.Rendered{Report: "r"}},
+		"wrong depth": {Key: "k", TopK: 3, Rendered: core.Rendered{Report: "r"}},
+		"no report":   {Key: "k", TopK: 5},
 	}
 	for name, wr := range cases {
 		if err := wr.Validate("k", 5); err == nil {

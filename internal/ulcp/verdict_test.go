@@ -111,41 +111,3 @@ func TestVerdictTableJSONRoundTrip(t *testing.T) {
 		t.Fatal("shard report differs under round-tripped table")
 	}
 }
-
-// TestWireReportRoundTrip: a report crosses the CS-ID wire format and
-// rehydrates into an equal report against the receiver's own critical
-// sections; unknown IDs are an error.
-func TestWireReportRoundTrip(t *testing.T) {
-	tr, css := openldapFixture(t)
-	rep := Identify(tr, css, Options{})
-
-	data, err := json.Marshal(rep.Wire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w WireReport
-	if err := json.Unmarshal(data, &w); err != nil {
-		t.Fatal(err)
-	}
-	back, err := w.Rehydrate(CSByID(css))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.Pairs, rep.Pairs) {
-		t.Fatalf("rehydrated pairs differ (%d vs %d)", len(back.Pairs), len(rep.Pairs))
-	}
-	if !reflect.DeepEqual(back.Counts, rep.Counts) {
-		t.Fatalf("rehydrated counts differ: %v vs %v", back.Counts, rep.Counts)
-	}
-	if !reflect.DeepEqual(back.CausalEdges, rep.CausalEdges) {
-		t.Fatal("rehydrated causal edges differ")
-	}
-	if back.Truncated != rep.Truncated || back.ReversedReplays != rep.ReversedReplays {
-		t.Fatal("rehydrated counters differ")
-	}
-
-	bad := &WireReport{Pairs: []WirePair{{C1: 1 << 30, C2: 0}}}
-	if _, err := bad.Rehydrate(CSByID(css)); err == nil {
-		t.Fatal("rehydrating an unknown CS ID must fail")
-	}
-}
