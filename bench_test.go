@@ -10,6 +10,7 @@
 package perfplay_test
 
 import (
+	"bytes"
 	"testing"
 
 	"perfplay/internal/elision"
@@ -311,14 +312,28 @@ func BenchmarkTraceBinaryRoundTrip(b *testing.B) {
 	}
 }
 
+// Decoding a stored trace from the bytes in hand, as corpus.Load does.
+func BenchmarkTraceBinaryDecode(b *testing.B) {
+	var buf bytes.Buffer
+	if err := recordApp(b, "x264").Trace.WriteBinary(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.Decode(buf.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 type writeCounter struct{ n int }
 
 func (w *writeCounter) Write(p []byte) (int, error) {
 	w.n += len(p)
 	return len(p), nil
 }
-
-var _ = trace.NoLock
 
 func BenchmarkTableLE(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -9,7 +9,12 @@ import (
 )
 
 // malformedTraces are files no recorder writes but any decoder accepts:
-// each names something the trace does not have.
+// each names something the trace does not have. An extension index
+// outside Trace.Exts is not among them because no file can say one — no
+// encoding stores the index, every decoder assigns it — so that row lives
+// where traces are built in memory (replay's
+// TestRunRejectsWhatTheTraceCannotBack, trace's
+// TestValidateCatchesDanglingIndices).
 func malformedTraces() map[string]*trace.Trace {
 	thread := trace.New("thread", 1)
 	thread.Append(trace.Event{Thread: 3, Kind: trace.KCompute, Cost: 10})
@@ -20,8 +25,8 @@ func malformedTraces() map[string]*trace.Trace {
 
 	source := trace.New("source", 1)
 	aux := []trace.LockID{trace.AuxLockBase + 1}
-	source.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: aux, Sources: []int32{77}})
-	source.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: aux})
+	source.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq}, trace.EventExt{Locks: aux, Sources: []int32{77}})
+	source.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel}, trace.EventExt{Locks: aux})
 
 	op := trace.New("op", 2)
 	for th := int32(0); th < 2; th++ { // two sections of one lock writing one address: a conflicting pair

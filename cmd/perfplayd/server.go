@@ -909,7 +909,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			backlogFull()
 			return
 		}
-		tr, err := trace.ReadAny(bytes.NewReader(buf.Bytes()))
+		tr, err := trace.Decode(buf.Bytes())
 		if err != nil {
 			httpError(w, http.StatusBadRequest, clusterapi.CodeInvalidTrace, "%v", err)
 			return

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -135,7 +134,7 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 				"digest", digest, "victim", victim, "err", err)
 		}
 	}
-	req.TraceLoader = func() (*trace.Trace, error) { return trace.ReadAny(bytes.NewReader(data)) }
+	req.TraceLoader = func() (*trace.Trace, error) { return trace.Decode(data) }
 	return req, nil
 }
 

@@ -18,7 +18,6 @@
 package corpus
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -175,7 +174,9 @@ func (s *Store) loadIndex() error {
 
 // reconcile makes the in-memory index agree with the blobs directory,
 // and sweeps the store's own crash leftovers (tmp-* files abandoned
-// between CreateTemp and rename) so they cannot accumulate.
+// between CreateTemp and rename) so they cannot accumulate. It rewrites
+// index.json only when it changed an entry: opening a store that needed
+// no repair writes nothing.
 func (s *Store) reconcile() error {
 	for _, sub := range []string{s.dir, filepath.Join(s.dir, "blobs")} {
 		entries, err := os.ReadDir(sub)
@@ -206,18 +207,19 @@ func (s *Store) reconcile() error {
 		}
 		onDisk[e.Name()] = info.Size()
 	}
+	changed := false
 	for d, m := range s.metas {
 		hexPart, err := parseDigest(d)
-		if err != nil {
-			delete(s.metas, d)
-			continue
-		}
 		size, ok := onDisk[hexPart]
-		if !ok {
-			delete(s.metas, d) // blob vanished out from under the index
+		if err != nil || !ok { // not a digest, or the blob vanished out from under the index
+			delete(s.metas, d)
+			changed = true
 			continue
 		}
-		m.Size = size
+		if m.Size != size {
+			m.Size = size
+			changed = true
+		}
 		s.total += size
 		delete(onDisk, hexPart)
 	}
@@ -229,7 +231,7 @@ func (s *Store) reconcile() error {
 		if err != nil || Digest(data) != DigestPrefix+hexPart {
 			continue
 		}
-		tr, err := trace.ReadAny(bytes.NewReader(data))
+		tr, err := trace.Decode(data)
 		if err != nil {
 			continue
 		}
@@ -245,6 +247,10 @@ func (s *Store) reconcile() error {
 			LastUsed: now,
 		}
 		s.total += int64(len(data))
+		changed = true
+	}
+	if !changed {
+		return nil
 	}
 	return s.saveIndexLocked()
 }
@@ -296,7 +302,7 @@ func atomicWrite(path string, data []byte) error {
 // present (the digest matched), which refreshes its LRU recency and,
 // when pin is set, pins it.
 func (s *Store) Put(data []byte, pin bool) (Meta, bool, error) {
-	tr, err := trace.ReadAny(bytes.NewReader(data))
+	tr, err := trace.Decode(data)
 	if err != nil {
 		return Meta{}, false, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
@@ -528,7 +534,7 @@ func (s *Store) Load(digest string) (*trace.Trace, Meta, error) {
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	tr, err := trace.ReadAny(bytes.NewReader(data))
+	tr, err := trace.Decode(data)
 	if err != nil {
 		return nil, Meta{}, fmt.Errorf("corpus: stored blob %s: %w", digest, err)
 	}

@@ -397,3 +397,93 @@ func TestPutColumnarTrace(t *testing.T) {
 		t.Fatalf("loaded %s/%d events, want %s/%d", tr.App, len(tr.Events), rec.Trace.App, len(rec.Trace.Events))
 	}
 }
+
+// TestOpenRewritesIndexOnlyWhenReconcileChangedIt: opening a store that
+// needs no repair leaves index.json alone (every CLI run and daemon boot
+// used to pay a temp file, an fsync and a rename for it), while each of
+// reconcile's three repairs — a dropped entry, a corrected size, an
+// adopted blob — still persists.
+func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ma, _, _ := s.Put(sampleTrace(t, 40), false)
+	mb, _, _ := s.Put(sampleTrace(t, 41), false)
+	index := filepath.Join(dir, "index.json")
+	stat := func() os.FileInfo {
+		t.Helper()
+		info, err := os.Stat(index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	reopen := func() *Store {
+		t.Helper()
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	blob := func(m Meta) string { return filepath.Join(dir, "blobs", strings.TrimPrefix(m.Digest, DigestPrefix)) }
+
+	before := stat()
+	if s2 := reopen(); s2.Len() != 2 {
+		t.Fatalf("reopened %d traces, want 2", s2.Len())
+	}
+	if after := stat(); !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+		t.Fatal("opening an unchanged corpus rewrote index.json")
+	}
+
+	// A corrected size: the blob grew behind the index's back.
+	f, err := os.OpenFile(blob(ma), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before = stat()
+	reopen()
+	if os.SameFile(before, stat()) {
+		t.Fatal("a corrected size was not persisted")
+	}
+
+	// A dropped entry: the blob vanished.
+	if err := os.Remove(blob(ma)); err != nil {
+		t.Fatal(err)
+	}
+	before = stat()
+	if s2 := reopen(); s2.Len() != 1 {
+		t.Fatalf("%d traces after a blob vanished, want 1", s2.Len())
+	}
+	if os.SameFile(before, stat()) {
+		t.Fatal("a dropped entry was not persisted")
+	}
+
+	// An adopted blob: on disk, absent from the index.
+	if err := os.WriteFile(index, []byte("[]"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before = stat()
+	if s2 := reopen(); s2.Len() != 1 {
+		t.Fatalf("%d traces adopted, want 1", s2.Len())
+	}
+	if os.SameFile(before, stat()) {
+		t.Fatal("an adopted blob was not persisted")
+	}
+	// And what was persisted is the repaired index: nothing left to do.
+	before = stat()
+	if _, err := reopen().Stat(mb.Digest); err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, stat()) {
+		t.Fatal("reopening the repaired corpus rewrote index.json")
+	}
+}

@@ -297,7 +297,7 @@ func (e *engine) exec(th *thread) bool {
 			e.mem.Store(ev.Addr, ev.Op.Apply(cur, ev.Value))
 		}
 	case trace.KSkip:
-		for a, v := range ev.Delta {
+		for a, v := range e.tr.Ext(ev).Delta {
 			e.mem.Store(a, v)
 		}
 		th.clock = th.clock.Add(ev.Cost)

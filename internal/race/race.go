@@ -158,13 +158,13 @@ func Detect(tr *trace.Trace, order []int32, limit int) []Race {
 			lockVC[e.Lock] = vc.Copy()
 			vc.Tick(t)
 		case trace.KLocksetAcq:
-			for _, l := range e.Locks {
+			for _, l := range tr.Ext(e).Locks {
 				if lv, ok := lockVC[l]; ok {
 					vc.Join(lv)
 				}
 			}
 		case trace.KLocksetRel:
-			for _, l := range e.Locks {
+			for _, l := range tr.Ext(e).Locks {
 				lockVC[l] = vc.Copy()
 			}
 			vc.Tick(t)

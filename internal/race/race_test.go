@@ -63,12 +63,12 @@ func TestDifferentLocksDoNotOrder(t *testing.T) {
 func TestLocksetOrderingSuppressesRace(t *testing.T) {
 	aux := trace.AuxLockBase + 1
 	tr := trace.New("r", 2)
-	tr.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: []trace.LockID{aux}})
+	tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq}, trace.EventExt{Locks: []trace.LockID{aux}})
 	tr.Append(trace.Event{Thread: 0, Kind: trace.KWrite, Addr: 3, Value: 5})
-	tr.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: []trace.LockID{aux}})
-	tr.Append(trace.Event{Thread: 1, Kind: trace.KLocksetAcq, Locks: []trace.LockID{aux}})
+	tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel}, trace.EventExt{Locks: []trace.LockID{aux}})
+	tr.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetAcq}, trace.EventExt{Locks: []trace.LockID{aux}})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KWrite, Addr: 3, Value: 6})
-	tr.Append(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Locks: []trace.LockID{aux}})
+	tr.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetRel}, trace.EventExt{Locks: []trace.LockID{aux}})
 	if races := Detect(tr, nil, 0); len(races) != 0 {
 		t.Fatalf("lockset-protected accesses raced: %v", races)
 	}

@@ -182,17 +182,17 @@ func TestEngineMatchesReferenceHandBuilt(t *testing.T) {
 	// acquisitions, and sources whose lengths do not parallel the locks.
 	ls := trace.New("ls", 2)
 	a1, a2 := trace.AuxLockBase+1, trace.AuxLockBase+2
-	ls.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: []trace.LockID{a1}, Cost: 5})
-	acq0 := ls.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: []trace.LockID{a1, a2}, Sources: []int32{-1, -1}, Cost: 10})
+	ls.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Cost: 5}, trace.EventExt{Locks: []trace.LockID{a1}})
+	acq0 := ls.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a1, a2}, Sources: []int32{-1, -1}})
 	ls.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Cost: 10})
 	ls.Append(trace.Event{Thread: 0, Kind: trace.KCompute, Cost: 400})
 	ls.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Cost: 10})
-	rel0 := ls.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: []trace.LockID{a1, a2}, Cost: 10})
+	rel0 := ls.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a1, a2}})
 	ls.Append(trace.Event{Thread: 1, Kind: trace.KCompute, Cost: 100})
-	ls.Append(trace.Event{Thread: 1, Kind: trace.KLocksetAcq, Locks: []trace.LockID{a1, a2}, Sources: []int32{rel0, acq0}, Cost: 10})
-	ls.Append(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Locks: []trace.LockID{a1, a2}, Cost: 10})
-	ls.Append(trace.Event{Thread: 1, Kind: trace.KLocksetAcq, Locks: []trace.LockID{a2}, Sources: []int32{rel0, rel0}, Cost: 10})
-	ls.Append(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Locks: []trace.LockID{a2}, Cost: 10})
+	ls.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a1, a2}, Sources: []int32{rel0, acq0}})
+	ls.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a1, a2}})
+	ls.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a2}, Sources: []int32{rel0, rel0}})
+	ls.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a2}})
 	for i, opts := range locksetVariants {
 		for _, sch := range allScheds {
 			opts.Sched = sch

@@ -453,12 +453,13 @@ func (e *refEngine) kendoBarrier(ts *refThreadState) (vtime.Time, bool) {
 // the dynamic locking strategy when enabled: a source critical section
 // that already finished (its release event executed) contributes no lock.
 func (e *refEngine) effectiveLockset(ev *trace.Event) []trace.LockID {
-	if !e.opts.DLS || len(ev.Sources) != len(ev.Locks) {
-		return ev.Locks
+	x := e.tr.Ext(ev)
+	if !e.opts.DLS || len(x.Sources) != len(x.Locks) {
+		return x.Locks
 	}
-	members := make([]trace.LockID, 0, len(ev.Locks))
-	for i, l := range ev.Locks {
-		src := ev.Sources[i]
+	members := make([]trace.LockID, 0, len(x.Locks))
+	for i, l := range x.Locks {
+		src := x.Sources[i]
 		if src >= 0 && e.done[src] {
 			continue // source END flag is set: exclude its lock
 		}
@@ -523,12 +524,12 @@ func (e *refEngine) exec(ts *refThreadState, start vtime.Time) {
 		var maint vtime.Duration
 		if e.opts.LocksetCost > 0 {
 			if e.opts.DLS {
-				maint = e.opts.DLSCheckCost * vtime.Duration(len(ev.Locks))
+				maint = e.opts.DLSCheckCost * vtime.Duration(len(e.tr.Ext(ev).Locks))
 				if extra := len(members) - 1; extra > 0 {
 					maint += e.opts.LocksetCost * vtime.Duration(extra)
 				}
 			} else {
-				maint = e.opts.LocksetCost * vtime.Duration(len(ev.Locks))
+				maint = e.opts.LocksetCost * vtime.Duration(len(e.tr.Ext(ev).Locks))
 			}
 		}
 		cost += maint
@@ -553,7 +554,7 @@ func (e *refEngine) exec(ts *refThreadState, start vtime.Time) {
 						maint = e.opts.LocksetCost * vtime.Duration(extra)
 					}
 				} else {
-					maint = e.opts.LocksetCost * vtime.Duration(len(ev.Locks))
+					maint = e.opts.LocksetCost * vtime.Duration(len(e.tr.Ext(ev).Locks))
 				}
 			}
 			cost += maint
@@ -576,7 +577,7 @@ func (e *refEngine) exec(ts *refThreadState, start vtime.Time) {
 		cur := e.mem.Load(ev.Addr)
 		e.mem.Store(ev.Addr, ev.Op.Apply(cur, ev.Value))
 	case trace.KSkip:
-		for a, v := range ev.Delta {
+		for a, v := range e.tr.Ext(ev).Delta {
 			e.mem.Store(a, v)
 		}
 	case trace.KSleep:

@@ -259,10 +259,10 @@ func (e *engine) slot(l trace.LockID) int32 {
 
 // reset prepares a (possibly recycled) engine for one run: one pass over
 // the events assigns the slots, and is also the input check — a thread
-// id, lockset source or constraint index the trace cannot back is an
-// error here rather than an index panic in the loop. Every field is
-// rebuilt from (tr, opts) or cleared in place, keeping capacity from
-// previous runs.
+// id, extension index, lockset source or constraint index the trace
+// cannot back is an error here rather than an index panic in the loop.
+// Every field is rebuilt from (tr, opts) or cleared in place, keeping
+// capacity from previous runs.
 func (e *engine) reset(tr *trace.Trace, opts Options) error {
 	e.tr, e.opts = tr, opts
 	e.mem.Reset()
@@ -286,15 +286,19 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 		if uint(ev.Thread) >= uint(nt) {
 			return fmt.Errorf("replay: event %d: thread %d out of range [0,%d)", i, ev.Thread, nt)
 		}
+		if uint(ev.Ext) > uint(len(tr.Exts)) {
+			return fmt.Errorf("replay: event %d: extension %d out of range [0,%d]", i, ev.Ext, len(tr.Exts))
+		}
 		switch ev.Kind {
 		case trace.KLockAcq, trace.KLockRel:
 			e.evSlot[i] = e.slot(ev.Lock)
 		case trace.KLocksetAcq:
 			e.evSlot[i] = int32(len(e.setSlots))
-			for _, l := range ev.Locks {
+			x := tr.Ext(ev)
+			for _, l := range x.Locks {
 				e.setSlots = append(e.setSlots, e.slot(l))
 			}
-			for _, src := range ev.Sources {
+			for _, src := range x.Sources {
 				if int(src) >= nev {
 					return fmt.Errorf("replay: event %d: lockset source %d out of range [0,%d)", i, src, nev)
 				}
@@ -566,8 +570,9 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 		}
 	case trace.KLocksetAcq:
 		off := int(e.evSlot[idx])
-		for i := range ev.Locks {
-			if e.dropped(ev, i) {
+		x := e.tr.Ext(ev)
+		for i := range x.Locks {
+			if e.dropped(x, i) {
 				continue
 			}
 			ls := &e.locks[e.setSlots[off+i]]
@@ -624,8 +629,8 @@ func (e *engine) kendoBarrier(ts *threadState) (vtime.Time, bool) {
 // dropped applies the dynamic locking strategy to member i of a lockset
 // acquisition: a source critical section that already finished (its
 // release event executed) contributes no lock.
-func (e *engine) dropped(ev *trace.Event, i int) bool {
-	return e.opts.DLS && len(ev.Sources) == len(ev.Locks) && ev.Sources[i] >= 0 && e.done[ev.Sources[i]]
+func (e *engine) dropped(x *trace.EventExt, i int) bool {
+	return e.opts.DLS && len(x.Sources) == len(x.Locks) && x.Sources[i] >= 0 && e.done[x.Sources[i]]
 }
 
 // maintenance is the modelled bookkeeping cost of acquiring or releasing
@@ -680,8 +685,9 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 		// exactly that subset, and no later step reads the range again.
 		off := e.evSlot[idx]
 		n := off
-		for i := range ev.Locks {
-			if e.dropped(ev, i) {
+		x := e.tr.Ext(ev)
+		for i := range x.Locks {
+			if e.dropped(x, i) {
 				continue
 			}
 			s := e.setSlots[int(off)+i]
@@ -689,7 +695,7 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 			e.setSlots[n] = s
 			n++
 		}
-		maint := e.maintenance(len(ev.Locks), int(n-off), e.opts.DLSCheckCost)
+		maint := e.maintenance(len(x.Locks), int(n-off), e.opts.DLSCheckCost)
 		cost += maint
 		e.res.LocksetOverhead += maint
 		e.res.LocksetAcqs++
@@ -701,7 +707,7 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 		if top := len(ts.open) - 1; top >= 0 {
 			held := ts.open[top]
 			ts.open = ts.open[:top]
-			maint := e.maintenance(len(ev.Locks), int(held.n), 0)
+			maint := e.maintenance(len(e.tr.Ext(ev).Locks), int(held.n), 0)
 			cost += maint
 			e.res.LocksetOverhead += maint
 			end := start.Add(cost)
@@ -721,7 +727,7 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 		cur := e.mem.Load(ev.Addr)
 		e.mem.Store(ev.Addr, ev.Op.Apply(cur, ev.Value))
 	case trace.KSkip:
-		for a, v := range ev.Delta {
+		for a, v := range e.tr.Ext(ev).Delta {
 			e.mem.Store(a, v)
 		}
 	}

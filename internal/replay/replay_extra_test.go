@@ -69,8 +69,8 @@ func TestORIGSeedStable(t *testing.T) {
 func TestDLSCheckCostDefault(t *testing.T) {
 	aux := trace.AuxLockBase + 1
 	tr := trace.New("d", 1)
-	tr.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: []trace.LockID{aux}, Sources: []int32{-1}, Cost: 10})
-	tr.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: []trace.LockID{aux}, Cost: 10})
+	tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux}, Sources: []int32{-1}})
+	tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux}})
 	res, err := Run(tr, Options{Sched: OrigS, DLS: true, LocksetCost: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +166,8 @@ func TestSpinLockWaitBurnsCPUInReplay(t *testing.T) {
 	}
 }
 
-// TestRunRejectsWhatTheTraceCannotBack: a thread id, constraint index or
-// lockset source outside the trace is an error from Run under every
+// TestRunRejectsWhatTheTraceCannotBack: a thread id, constraint index,
+// extension index or lockset source outside the trace is an error from Run under every
 // scheme — the engine's slot-assignment pass is its input check — and
 // the pooled engine replays a good trace afterwards.
 func TestRunRejectsWhatTheTraceCannotBack(t *testing.T) {
@@ -180,6 +180,8 @@ func TestRunRejectsWhatTheTraceCannotBack(t *testing.T) {
 	}
 	compute := trace.Event{Thread: 0, Kind: trace.KCompute, Cost: 10}
 	aux := []trace.LockID{trace.AuxLockBase + 1}
+	badSource := one(1, trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Ext: 1}, trace.Event{Thread: 0, Kind: trace.KLocksetRel, Ext: 2})
+	badSource.Exts = []trace.EventExt{{Locks: aux, Sources: []int32{77}}, {Locks: aux}}
 	constrained := func(c trace.Constraint) *trace.Trace {
 		tr := one(1, compute)
 		tr.Constraints = []trace.Constraint{c}
@@ -197,9 +199,9 @@ func TestRunRejectsWhatTheTraceCannotBack(t *testing.T) {
 		{"constraint before past the events", constrained(trace.Constraint{After: 0, Before: 99}), Options{}},
 		{"negative constraint index", constrained(trace.Constraint{After: -1, Before: 0}), Options{}},
 		{"extra constraint past the events", one(1, compute), Options{ExtraConstraints: []trace.Constraint{{After: 0, Before: 5}}}},
-		{"lockset source past the events", one(1,
-			trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: aux, Sources: []int32{77}},
-			trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: aux}), Options{DLS: true}},
+		{"lockset source past the events", badSource, Options{DLS: true}},
+		{"extension past the table", one(1, trace.Event{Thread: 0, Kind: trace.KSkip, Ext: 1}), Options{}},
+		{"negative extension", one(1, trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Ext: -1}), Options{}},
 	}
 	good := buildContended(2, 2).Trace
 	want, err := Run(good, Options{Sched: ELSCS})

@@ -216,12 +216,12 @@ func TestLocksetMutualExclusion(t *testing.T) {
 	aux3 := trace.AuxLockBase + 3
 
 	tr := trace.New("ls", 2)
-	a0 := tr.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: []trace.LockID{aux1}, Cost: 10})
+	a0 := tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux1}})
 	tr.Append(trace.Event{Thread: 0, Kind: trace.KCompute, Cost: 1000})
-	r0 := tr.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: []trace.LockID{aux1}, Cost: 10})
-	a1 := tr.Append(trace.Event{Thread: 1, Kind: trace.KLocksetAcq, Locks: []trace.LockID{aux1, aux2}, Cost: 10})
+	r0 := tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux1}})
+	a1 := tr.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux1, aux2}})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KCompute, Cost: 1000})
-	tr.Append(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Locks: []trace.LockID{aux1, aux2}, Cost: 10})
+	tr.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux1, aux2}})
 	res, err := Run(tr, Options{Sched: OrigS})
 	if err != nil {
 		t.Fatal(err)
@@ -235,12 +235,12 @@ func TestLocksetMutualExclusion(t *testing.T) {
 
 	// Disjoint locksets: must run in parallel (total << serialized sum).
 	tr2 := trace.New("ls2", 2)
-	tr2.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: []trace.LockID{aux1}, Cost: 10})
+	tr2.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux1}})
 	tr2.Append(trace.Event{Thread: 0, Kind: trace.KCompute, Cost: 1000})
-	tr2.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: []trace.LockID{aux1}, Cost: 10})
-	tr2.Append(trace.Event{Thread: 1, Kind: trace.KLocksetAcq, Locks: []trace.LockID{aux3}, Cost: 10})
+	tr2.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux1}})
+	tr2.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux3}})
 	tr2.Append(trace.Event{Thread: 1, Kind: trace.KCompute, Cost: 1000})
-	tr2.Append(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Locks: []trace.LockID{aux3}, Cost: 10})
+	tr2.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux3}})
 	res2, err := Run(tr2, Options{Sched: OrigS})
 	if err != nil {
 		t.Fatal(err)
@@ -255,14 +255,14 @@ func TestDLSSkipsFinishedSources(t *testing.T) {
 	aux2 := trace.AuxLockBase + 2
 	tr := trace.New("dls", 2)
 	// Source CS on T0 (owns aux1).
-	tr.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: []trace.LockID{aux1}, Sources: []int32{-1}, Cost: 10})
+	tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux1}, Sources: []int32{-1}})
 	tr.Append(trace.Event{Thread: 0, Kind: trace.KCompute, Cost: 100})
-	rel := tr.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: []trace.LockID{aux1}, Cost: 10})
+	rel := tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux1}})
 	// Target CS on T1 much later: lockset {aux1 (from source), aux2 (own)}.
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KSleep, Cost: 10000})
-	acq := tr.Append(trace.Event{Thread: 1, Kind: trace.KLocksetAcq,
-		Locks: []trace.LockID{aux1, aux2}, Sources: []int32{rel, -1}, Cost: 10})
-	tr.Append(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Locks: []trace.LockID{aux1, aux2}, Cost: 10})
+	acq := tr.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetAcq, Cost: 10},
+		trace.EventExt{Locks: []trace.LockID{aux1, aux2}, Sources: []int32{rel, -1}})
+	tr.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{aux1, aux2}})
 	tr.Constraints = []trace.Constraint{{After: rel, Before: acq}}
 
 	with, err := Run(tr, Options{Sched: OrigS, DLS: true, LocksetCost: 100})

@@ -584,7 +584,7 @@ func (m *machine) exec(ts *threadState) {
 		}
 		ts.clock = ts.clock.Add(r.cost)
 		ts.cpu += r.cost
-		m.tr.Append(trace.Event{Thread: id, Kind: trace.KSkip, Cost: r.cost, Time: ts.clock, Site: r.site, Delta: delta})
+		m.tr.AppendExt(trace.Event{Thread: id, Kind: trace.KSkip, Cost: r.cost, Time: ts.clock, Site: r.site}, trace.EventExt{Delta: delta})
 		m.respond(ts, response{})
 	default:
 		panic(fmt.Sprintf("sim: unknown request kind %d", r.kind))

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"perfplay/internal/memmodel"
-	"reflect"
 	"testing"
 
 	"perfplay/internal/replay"
@@ -132,9 +131,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("event counts differ: %d vs %d", len(r1.Trace.Events), len(r2.Trace.Events))
 	}
 	for i := range r1.Trace.Events {
-		e1, e2 := r1.Trace.Events[i], r2.Trace.Events[i]
-		e1.Delta, e2.Delta = nil, nil
-		if !reflect.DeepEqual(e1, e2) {
+		if e1, e2 := r1.Trace.Events[i], r2.Trace.Events[i]; e1 != e2 {
 			t.Fatalf("event %d differs: %v vs %v", i, e1, e2)
 		}
 	}
@@ -334,8 +331,8 @@ func TestSkipRangeRecordsDelta(t *testing.T) {
 	if skip == nil {
 		t.Fatal("no KSkip event recorded")
 	}
-	if skip.Delta[y] != 42 {
-		t.Fatalf("skip delta = %v, want y=42", skip.Delta)
+	if delta := res.Trace.Ext(skip).Delta; delta[y] != 42 {
+		t.Fatalf("skip delta = %v, want y=42", delta)
 	}
 	if skip.Cost != 5000 {
 		t.Fatalf("skip cost = %v, want 5000", skip.Cost)

@@ -109,14 +109,14 @@ func Render(tr *trace.Trace, opts Options) string {
 			put(row, cell(e.Time), 'w')
 		case trace.KLockAcq, trace.KLocksetAcq:
 			l := e.Lock
-			if e.Kind == trace.KLocksetAcq && len(e.Locks) > 0 {
-				l = e.Locks[0]
+			if x := tr.Ext(e); e.Kind == trace.KLocksetAcq && len(x.Locks) > 0 {
+				l = x.Locks[0]
 			}
 			held[e.Thread][l] = e.Time
 		case trace.KLockRel, trace.KLocksetRel:
 			l := e.Lock
-			if e.Kind == trace.KLocksetRel && len(e.Locks) > 0 {
-				l = e.Locks[0]
+			if x := tr.Ext(e); e.Kind == trace.KLocksetRel && len(x.Locks) > 0 {
+				l = x.Locks[0]
 			}
 			if start, ok := held[e.Thread][l]; ok {
 				fill(row, cell(start), cell(e.Time), glyph(l))

@@ -82,9 +82,9 @@ func TestRenderWindow(t *testing.T) {
 func TestRenderAuxLocks(t *testing.T) {
 	tr := trace.New("aux", 1)
 	aux := trace.AuxLockBase + 1
-	tr.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: []trace.LockID{aux}, Time: 10})
+	tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Time: 10}, trace.EventExt{Locks: []trace.LockID{aux}})
 	tr.Append(trace.Event{Thread: 0, Kind: trace.KCompute, Cost: 80, Time: 90})
-	tr.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: []trace.LockID{aux}, Time: 100})
+	tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Time: 100}, trace.EventExt{Locks: []trace.LockID{aux}})
 	tr.TotalTime = 100
 	out := Render(tr, Options{Width: 20})
 	if !strings.Contains(out, "@") {

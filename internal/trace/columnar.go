@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"perfplay/internal/memmodel"
@@ -130,9 +131,10 @@ func (c *Columnar) Cost(i int) vtime.Duration { return vtime.Duration(c.i64At(c.
 // Time returns event i's recorded completion timestamp.
 func (c *Columnar) Time(i int) vtime.Time { return vtime.Time(c.i64At(c.time, i)) }
 
-// Event materializes event i, including its sidecar payloads.
+// Event materializes event i's row. Its sidecar payloads are not part of
+// the row; Trace attaches them.
 func (c *Columnar) Event(i int) Event {
-	e := Event{
+	return Event{
 		Thread: c.Thread(i),
 		Kind:   c.Kind(i),
 		Spin:   c.Spin(i),
@@ -144,13 +146,6 @@ func (c *Columnar) Event(i int) Event {
 		Time:   c.Time(i),
 		Site:   c.Site(i),
 	}
-	if ls, ok := c.locksets[int32(i)]; ok {
-		e.Locks, e.Sources = ls.locks, ls.sources
-	}
-	if d, ok := c.deltas[int32(i)]; ok {
-		e.Delta = d
-	}
-	return e
 }
 
 // WriteColumnar writes the trace in the columnar format.
@@ -248,7 +243,7 @@ func (tr *Trace) WriteColumnar(w io.Writer) error {
 	var lsIdx, dIdx []int32
 	for i := range tr.Events {
 		e := &tr.Events[i]
-		if len(e.Locks) > 0 || len(e.Sources) > 0 {
+		if x := tr.Ext(e); len(x.Locks) > 0 || len(x.Sources) > 0 {
 			lsIdx = append(lsIdx, int32(i))
 		}
 		if e.Kind == KSkip {
@@ -257,21 +252,21 @@ func (tr *Trace) WriteColumnar(w io.Writer) error {
 	}
 	b.u32(uint32(len(lsIdx)))
 	for _, i := range lsIdx {
-		e := &tr.Events[i]
+		x := tr.Ext(&tr.Events[i])
 		b.u32(uint32(i))
-		b.u32(uint32(len(e.Locks)))
-		for _, l := range e.Locks {
+		b.u32(uint32(len(x.Locks)))
+		for _, l := range x.Locks {
 			b.u32(uint32(l))
 		}
-		b.u32(uint32(len(e.Sources)))
-		for _, s := range e.Sources {
+		b.u32(uint32(len(x.Sources)))
+		for _, s := range x.Sources {
 			b.u32(uint32(s))
 		}
 	}
 	b.u32(uint32(len(dIdx)))
 	for _, i := range dIdx {
 		b.u32(uint32(i))
-		writeSnapshot(b, tr.Events[i].Delta)
+		writeSnapshot(b, tr.Ext(&tr.Events[i]).Delta)
 	}
 
 	// Side indexes: what Warm would compute, stored so readers don't.
@@ -313,17 +308,20 @@ type sliceReader struct {
 
 // take returns a view of the next n bytes.
 func (r *sliceReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.data)-r.off < n {
-		r.err = fmt.Errorf("trace: columnar data truncated at offset %d (need %d bytes, have %d)",
-			r.off, n, len(r.data)-r.off)
+	if r.err != nil || n < 0 || len(r.data)-r.off < n {
+		r.short(int64(n))
 		return nil
 	}
 	b := r.data[r.off : r.off+n]
 	r.off += n
 	return b
+}
+
+// short records that the next n bytes are not there.
+func (r *sliceReader) short(n int64) {
+	if r.err == nil {
+		r.err = fmt.Errorf("trace: data truncated at offset %d (need %d bytes, have %d)", r.off, n, len(r.data)-r.off)
+	}
 }
 
 func (r *sliceReader) u32() uint32 {
@@ -372,6 +370,48 @@ func (r *sliceReader) snapshot() memmodel.Snapshot {
 	return s
 }
 
+// u32s reads n 32-bit values. The count is untrusted: one the remaining
+// bytes cannot back is an error before anything is allocated for it.
+func u32s[T ~int32](r *sliceReader, n uint32) []T {
+	if n == 0 || r.err != nil {
+		return nil
+	}
+	if uint64(n) > uint64(len(r.data)-r.off)/4 {
+		r.short(int64(n) * 4)
+		return nil
+	}
+	out := make([]T, n)
+	for i, b := 0, r.take(int(n)*4); i < len(out); i++ {
+		out[i] = T(binary.LittleEndian.Uint32(b[i*4:]))
+	}
+	return out
+}
+
+func (r *sliceReader) sites() []Site {
+	n := r.u32()
+	sites := make([]Site, 0, min(n, 65536)) // untrusted count: cap the preallocation
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		var s Site
+		s.File = r.str()
+		s.Line = int(r.u32())
+		s.Func = r.str()
+		sites = append(sites, s)
+	}
+	return sites
+}
+
+func (r *sliceReader) constraints() []Constraint {
+	var cons []Constraint
+	n := r.u32()
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		var c Constraint
+		c.After = int32(r.u32())
+		c.Before = int32(r.u32())
+		cons = append(cons, c)
+	}
+	return cons
+}
+
 // ParseColumnar builds a zero-copy Columnar view over raw columnar
 // bytes. The metadata (sites, snapshots, indexes) is decoded eagerly —
 // it is small — while the event columns stay as views into data, so the
@@ -398,19 +438,7 @@ func ParseColumnar(data []byte) (*Columnar, error) {
 	c.numThreads = int(nt)
 	c.totalTime = vtime.Duration(r.i64())
 
-	nsites := r.u32()
-	pre := nsites
-	if pre > 65536 {
-		pre = 65536
-	}
-	c.sites = make([]Site, 0, pre)
-	for i := uint32(0); i < nsites && r.err == nil; i++ {
-		var s Site
-		s.File = r.str()
-		s.Line = int(r.u32())
-		s.Func = r.str()
-		c.sites = append(c.sites, s)
-	}
+	c.sites = r.sites()
 
 	nnames := r.u32()
 	for i := uint32(0); i < nnames && r.err == nil; i++ {
@@ -426,13 +454,7 @@ func ParseColumnar(data []byte) (*Columnar, error) {
 	c.initMem = r.snapshot()
 	c.finalMem = r.snapshot()
 
-	ncons := r.u32()
-	for i := uint32(0); i < ncons && r.err == nil; i++ {
-		var con Constraint
-		con.After = int32(r.u32())
-		con.Before = int32(r.u32())
-		c.constraints = append(c.constraints, con)
-	}
+	c.constraints = r.constraints()
 
 	nev := r.u32()
 	if r.err == nil {
@@ -470,14 +492,8 @@ func ParseColumnar(data []byte) (*Columnar, error) {
 			return nil, fmt.Errorf("trace: lockset sidecar references event %d of %d", idx, nev)
 		}
 		var ls locksetEntry
-		nl := r.u32()
-		for j := uint32(0); j < nl && r.err == nil; j++ {
-			ls.locks = append(ls.locks, LockID(r.u32()))
-		}
-		ns := r.u32()
-		for j := uint32(0); j < ns && r.err == nil; j++ {
-			ls.sources = append(ls.sources, int32(r.u32()))
-		}
+		ls.locks = u32s[LockID](r, r.u32())
+		ls.sources = u32s[int32](r, r.u32())
 		c.locksets[int32(idx)] = ls
 	}
 
@@ -566,6 +582,22 @@ func (c *Columnar) Trace() (*Trace, error) {
 		events[i] = c.Event(i)
 	}
 	tr.Events = events
+	// The sidecars become the extension table in event order, whatever
+	// order the file listed them in.
+	withExt := make([]int32, 0, len(c.locksets)+len(c.deltas))
+	for i := range c.locksets {
+		withExt = append(withExt, i)
+	}
+	for i := range c.deltas {
+		if _, both := c.locksets[i]; !both {
+			withExt = append(withExt, i)
+		}
+	}
+	slices.Sort(withExt)
+	for _, i := range withExt {
+		ls := c.locksets[i]
+		tr.setExt(int(i), EventExt{Locks: ls.locks, Sources: ls.sources, Delta: c.deltas[i]})
+	}
 	if err := c.validateIndexes(); err != nil {
 		return nil, err
 	}
@@ -635,7 +667,7 @@ func (c *Columnar) validateIndexes() error {
 // into memory first; use ParseColumnar directly over mapped or already
 // in-memory bytes to keep the load zero-copy).
 func ReadColumnar(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: read columnar: %w", err)
 	}

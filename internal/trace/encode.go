@@ -39,16 +39,63 @@ func checkEventCount(n uint64) error {
 	return nil
 }
 
+// jsonEvent and jsonTrace are the JSON shape of a trace: an event is
+// written with its extension inline, and the keys keep the order files
+// already stored (and content-addressed) were written in.
+type jsonEvent struct {
+	Thread  int32             `json:"t"`
+	Kind    Kind              `json:"k"`
+	Lock    LockID            `json:"l,omitempty"`
+	Locks   []LockID          `json:"ls,omitempty"`
+	Addr    memmodel.Addr     `json:"a,omitempty"`
+	Value   int64             `json:"v,omitempty"`
+	Op      WriteOp           `json:"op,omitempty"`
+	Cost    vtime.Duration    `json:"c,omitempty"`
+	Time    vtime.Time        `json:"tm"`
+	Site    SiteID            `json:"s,omitempty"`
+	Spin    bool              `json:"sp,omitempty"`
+	Sources []int32           `json:"src,omitempty"`
+	Delta   memmodel.Snapshot `json:"d,omitempty"`
+}
+
 type jsonTrace struct {
-	Trace
-	JSONSites []Site `json:"sites"`
+	App         string                   `json:"app"`
+	NumThreads  int                      `json:"threads"`
+	Events      []jsonEvent              `json:"events"`
+	MemNames    map[memmodel.Addr]string `json:"memnames,omitempty"`
+	InitMem     memmodel.Snapshot        `json:"initmem,omitempty"`
+	FinalMem    memmodel.Snapshot        `json:"finalmem,omitempty"`
+	TotalTime   vtime.Duration           `json:"total"`
+	Constraints []Constraint             `json:"constraints,omitempty"`
+	SpinLocks   map[LockID]bool          `json:"spinlocks,omitempty"`
+	Sites       []Site                   `json:"sites"`
 }
 
 // WriteJSON writes the trace as indented JSON.
 func (tr *Trace) WriteJSON(w io.Writer) error {
-	jt := jsonTrace{Trace: *tr}
+	jt := jsonTrace{
+		App:         tr.App,
+		NumThreads:  tr.NumThreads,
+		MemNames:    tr.MemNames,
+		InitMem:     tr.InitMem,
+		FinalMem:    tr.FinalMem,
+		TotalTime:   tr.TotalTime,
+		Constraints: tr.Constraints,
+		SpinLocks:   tr.SpinLocks,
+	}
+	if tr.Events != nil {
+		jt.Events = make([]jsonEvent, len(tr.Events))
+	}
+	for i := range tr.Events {
+		e := &tr.Events[i]
+		x := tr.Ext(e)
+		jt.Events[i] = jsonEvent{
+			Thread: e.Thread, Kind: e.Kind, Lock: e.Lock, Locks: x.Locks, Addr: e.Addr, Value: e.Value, Op: e.Op,
+			Cost: e.Cost, Time: e.Time, Site: e.Site, Spin: e.Spin, Sources: x.Sources, Delta: x.Delta,
+		}
+	}
 	if tr.Sites != nil {
-		jt.JSONSites = tr.Sites.All()
+		jt.Sites = tr.Sites.All()
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -61,13 +108,33 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	if err := json.NewDecoder(r).Decode(&jt); err != nil {
 		return nil, fmt.Errorf("trace: decode json: %w", err)
 	}
-	tr := jt.Trace
-	if err := checkEventCount(uint64(len(tr.Events))); err != nil {
+	if err := checkEventCount(uint64(len(jt.Events))); err != nil {
 		return nil, err
 	}
-	tr.Sites = NewSiteTable()
-	if len(jt.JSONSites) > 0 {
-		tr.Sites.sites = jt.JSONSites
+	tr := &Trace{
+		App:         jt.App,
+		NumThreads:  jt.NumThreads,
+		Sites:       NewSiteTable(),
+		MemNames:    jt.MemNames,
+		InitMem:     jt.InitMem,
+		FinalMem:    jt.FinalMem,
+		TotalTime:   jt.TotalTime,
+		Constraints: jt.Constraints,
+		SpinLocks:   jt.SpinLocks,
+	}
+	if jt.Events != nil {
+		tr.Events = make([]Event, len(jt.Events))
+	}
+	for i := range jt.Events {
+		je := &jt.Events[i]
+		tr.Events[i] = Event{
+			Thread: je.Thread, Kind: je.Kind, Lock: je.Lock, Addr: je.Addr, Value: je.Value, Op: je.Op,
+			Cost: je.Cost, Time: je.Time, Site: je.Site, Spin: je.Spin,
+		}
+		tr.setExt(i, EventExt{Locks: je.Locks, Sources: je.Sources, Delta: je.Delta})
+	}
+	if len(jt.Sites) > 0 {
+		tr.Sites.sites = jt.Sites
 		tr.Sites.rebuildIndex()
 	}
 	if tr.MemNames == nil {
@@ -76,12 +143,12 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	if tr.SpinLocks == nil {
 		tr.SpinLocks = make(map[LockID]bool)
 	}
-	return &tr, nil
+	return tr, nil
 }
 
-// binWriter and binReader keep the scratch a fixed-width field passes
-// through in the struct: a local array handed to an io interface escapes,
-// which cost one heap object per field.
+// binWriter keeps the scratch a fixed-width field passes through in the
+// struct: a local array handed to an io interface escapes, which cost one
+// heap object per field.
 type binWriter struct {
 	w   *bufio.Writer
 	err error
@@ -112,49 +179,9 @@ func (b *binWriter) str(s string) {
 	_, b.err = b.w.WriteString(s)
 }
 
-type binReader struct {
-	r   *bufio.Reader
-	err error
-	buf [8]byte
-}
-
-func (b *binReader) u32() uint32 {
-	if b.err != nil {
-		return 0
-	}
-	if _, b.err = io.ReadFull(b.r, b.buf[:4]); b.err != nil {
-		return 0 // not whatever the scratch held before
-	}
-	return binary.LittleEndian.Uint32(b.buf[:4])
-}
-
-func (b *binReader) i64() int64 {
-	if b.err != nil {
-		return 0
-	}
-	if _, b.err = io.ReadFull(b.r, b.buf[:]); b.err != nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(b.buf[:]))
-}
-
 // maxStr bounds string lengths in untrusted input; no recorder-produced
 // string (file names, variable names) comes anywhere near it.
 const maxStr = 1 << 20
-
-func (b *binReader) str() string {
-	n := b.u32()
-	if b.err != nil || n == 0 {
-		return ""
-	}
-	if n > maxStr {
-		b.err = fmt.Errorf("trace: string length %d exceeds limit", n)
-		return ""
-	}
-	buf := make([]byte, n)
-	_, b.err = io.ReadFull(b.r, buf)
-	return string(buf)
-}
 
 func writeSnapshot(b *binWriter, s memmodel.Snapshot) {
 	addrs := make([]memmodel.Addr, 0, len(s))
@@ -167,26 +194,6 @@ func writeSnapshot(b *binWriter, s memmodel.Snapshot) {
 		b.u32(uint32(a))
 		b.i64(s[a])
 	}
-}
-
-func readSnapshot(b *binReader) memmodel.Snapshot {
-	n := b.u32()
-	if b.err != nil {
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	pre := n
-	if pre > 65536 {
-		pre = 65536 // untrusted count: cap the preallocation
-	}
-	s := make(memmodel.Snapshot, pre)
-	for i := uint32(0); i < n && b.err == nil; i++ {
-		a := memmodel.Addr(b.u32())
-		s[a] = b.i64()
-	}
-	return s
 }
 
 // WriteBinary writes the trace in the compact binary format.
@@ -257,16 +264,17 @@ func (tr *Trace) WriteBinary(w io.Writer) error {
 		b.i64(int64(e.Cost))
 		b.i64(int64(e.Time))
 		b.u32(uint32(e.Site))
-		b.u32(uint32(len(e.Locks)))
-		for _, l := range e.Locks {
+		x := tr.Ext(e)
+		b.u32(uint32(len(x.Locks)))
+		for _, l := range x.Locks {
 			b.u32(uint32(l))
 		}
-		b.u32(uint32(len(e.Sources)))
-		for _, s := range e.Sources {
+		b.u32(uint32(len(x.Sources)))
+		for _, s := range x.Sources {
 			b.u32(uint32(s))
 		}
 		if e.Kind == KSkip {
-			writeSnapshot(b, e.Delta)
+			writeSnapshot(b, x.Delta)
 		}
 	}
 	if b.err != nil {
@@ -275,13 +283,22 @@ func (tr *Trace) WriteBinary(w io.Writer) error {
 	return b.w.Flush()
 }
 
-// ReadBinary parses a trace previously written by WriteBinary.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	b := &binReader{r: bufio.NewReader(r)}
-	if m := b.u32(); b.err == nil && m != binMagic {
+// binEventFixed is the fixed part of a v3 binary event up to and
+// including its lock count (the lock ids sit between the two counts), and
+// binEventMin the least any event occupies: that plus the source count.
+const (
+	binEventFixed = 5*4 + 3*8 + 4
+	binEventMin   = binEventFixed + 4
+)
+
+// DecodeBinary parses a trace previously written by WriteBinary. It keeps
+// no reference to data.
+func DecodeBinary(data []byte) (*Trace, error) {
+	r := &sliceReader{data: data}
+	if m := r.u32(); r.err == nil && m != binMagic {
 		return nil, fmt.Errorf("trace: bad magic %#x", m)
 	}
-	if v := b.u32(); b.err == nil && v != binVersion {
+	if v := r.u32(); r.err == nil && v != binVersion {
 		return nil, fmt.Errorf("trace: unsupported version %d", v)
 	}
 	tr := &Trace{
@@ -289,92 +306,82 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		MemNames:  make(map[memmodel.Addr]string),
 		SpinLocks: make(map[LockID]bool),
 	}
-	tr.App = b.str()
-	tr.NumThreads = int(b.u32())
-	tr.TotalTime = vtime.Duration(b.i64())
+	tr.App = r.str()
+	tr.NumThreads = int(r.u32())
+	tr.TotalTime = vtime.Duration(r.i64())
 
-	nsites := b.u32()
-	presites := nsites
-	if presites > 65536 {
-		presites = 65536
-	}
-	sites := make([]Site, 0, presites)
-	for i := uint32(0); i < nsites && b.err == nil; i++ {
-		var s Site
-		s.File = b.str()
-		s.Line = int(b.u32())
-		s.Func = b.str()
-		sites = append(sites, s)
-	}
-	if len(sites) > 0 {
+	if sites := r.sites(); len(sites) > 0 {
 		tr.Sites.sites = sites
 		tr.Sites.rebuildIndex()
 	}
 
-	nnames := b.u32()
-	for i := uint32(0); i < nnames && b.err == nil; i++ {
-		a := memmodel.Addr(b.u32())
-		tr.MemNames[a] = b.str()
+	nnames := r.u32()
+	for i := uint32(0); i < nnames && r.err == nil; i++ {
+		a := memmodel.Addr(r.u32())
+		tr.MemNames[a] = r.str()
 	}
 
-	nspin := b.u32()
-	for i := uint32(0); i < nspin && b.err == nil; i++ {
-		tr.SpinLocks[LockID(b.u32())] = true
+	nspin := r.u32()
+	for i := uint32(0); i < nspin && r.err == nil; i++ {
+		tr.SpinLocks[LockID(r.u32())] = true
 	}
 
-	tr.InitMem = readSnapshot(b)
-	tr.FinalMem = readSnapshot(b)
+	tr.InitMem = r.snapshot()
+	tr.FinalMem = r.snapshot()
+	tr.Constraints = r.constraints()
 
-	ncons := b.u32()
-	for i := uint32(0); i < ncons && b.err == nil; i++ {
-		var c Constraint
-		c.After = int32(b.u32())
-		c.Before = int32(b.u32())
-		tr.Constraints = append(tr.Constraints, c)
-	}
-
-	nev := b.u32()
-	if b.err == nil {
+	nev := r.u32()
+	if r.err == nil {
 		if err := checkEventCount(uint64(nev)); err != nil {
 			return nil, err
 		}
-		// Cap the preallocation: the count is untrusted input, and a
-		// hostile prefix must not force a huge allocation before the
-		// truncated payload is noticed.
-		pre := nev
-		if pre > 65536 {
-			pre = 65536
+		// The count is untrusted input: one the remaining bytes cannot
+		// back is refused before anything is allocated for it.
+		if rest := len(data) - r.off; int64(nev) > int64(rest/binEventMin) {
+			return nil, fmt.Errorf("trace: read binary: %d events need at least %d bytes, have %d", nev, int64(nev)*binEventMin, rest)
 		}
-		tr.Events = make([]Event, 0, pre)
+		tr.Events = make([]Event, nev)
 	}
-	for i := uint32(0); i < nev && b.err == nil; i++ {
-		var e Event
-		e.Thread = int32(b.u32())
-		flags := b.u32()
-		e.Kind = Kind(flags & 0xff)
-		e.Spin = flags&(1<<8) != 0
-		e.Op = WriteOp(flags >> 9)
-		e.Lock = LockID(b.u32())
-		e.Addr = memmodel.Addr(b.u32())
-		e.Value = b.i64()
-		e.Cost = vtime.Duration(b.i64())
-		e.Time = vtime.Time(b.i64())
-		e.Site = SiteID(b.u32())
-		nl := b.u32()
-		for j := uint32(0); j < nl && b.err == nil; j++ {
-			e.Locks = append(e.Locks, LockID(b.u32()))
+	for i := range tr.Events {
+		// One bounds check per event: the fixed part and both counts.
+		if len(data)-r.off < binEventMin {
+			r.short(binEventMin)
+			break
 		}
-		ns := b.u32()
-		for j := uint32(0); j < ns && b.err == nil; j++ {
-			e.Sources = append(e.Sources, int32(b.u32()))
+		b := data[r.off : r.off+binEventMin]
+		flags := binary.LittleEndian.Uint32(b[4:])
+		e := &tr.Events[i]
+		*e = Event{
+			Thread: int32(binary.LittleEndian.Uint32(b)),
+			Kind:   Kind(flags & 0xff),
+			Spin:   flags&(1<<8) != 0,
+			Op:     WriteOp(flags >> 9),
+			Lock:   LockID(binary.LittleEndian.Uint32(b[8:])),
+			Addr:   memmodel.Addr(binary.LittleEndian.Uint32(b[12:])),
+			Value:  int64(binary.LittleEndian.Uint64(b[16:])),
+			Cost:   vtime.Duration(binary.LittleEndian.Uint64(b[24:])),
+			Time:   vtime.Time(binary.LittleEndian.Uint64(b[32:])),
+			Site:   SiteID(binary.LittleEndian.Uint32(b[40:])),
 		}
+		nl := binary.LittleEndian.Uint32(b[44:])
+		if nl == 0 && e.Kind != KSkip && binary.LittleEndian.Uint32(b[48:]) == 0 {
+			r.off += binEventMin
+			continue // what all but a few events look like: no extension
+		}
+		// The lock ids sit between the two counts.
+		r.off += binEventFixed
+		x := EventExt{Locks: u32s[LockID](r, nl)}
+		x.Sources = u32s[int32](r, r.u32())
 		if e.Kind == KSkip {
-			e.Delta = readSnapshot(b)
+			x.Delta = r.snapshot()
 		}
-		tr.Events = append(tr.Events, e)
+		tr.setExt(i, x)
+		if r.err != nil {
+			break
+		}
 	}
-	if b.err != nil {
-		return nil, fmt.Errorf("trace: read binary: %w", b.err)
+	if r.err != nil {
+		return nil, fmt.Errorf("trace: read binary: %w", r.err)
 	}
 	return tr, nil
 }

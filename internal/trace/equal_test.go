@@ -1,0 +1,28 @@
+package trace
+
+import (
+	"fmt"
+	"reflect"
+)
+
+// tracesEqual compares two traces event by event: the fixed fields, and
+// the contents of each event's extension rather than its index — the
+// index says where in Exts the entry sits, which a transformed trace and
+// its decoded copy order differently.
+func tracesEqual(a, b *Trace) error {
+	if len(a.Events) != len(b.Events) {
+		return fmt.Errorf("%d events vs %d", len(a.Events), len(b.Events))
+	}
+	for i := range a.Events {
+		ea, eb := a.Events[i], b.Events[i]
+		xa, xb := a.Ext(&ea), b.Ext(&eb)
+		ea.Ext, eb.Ext = 0, 0
+		if ea != eb {
+			return fmt.Errorf("event %d: %+v vs %+v", i, ea, eb)
+		}
+		if !reflect.DeepEqual(*xa, *xb) {
+			return fmt.Errorf("event %d: extension %+v vs %+v", i, *xa, *xb)
+		}
+	}
+	return nil
+}

@@ -138,40 +138,55 @@ func (op WriteOp) String() string {
 	}
 }
 
-// Event is one recorded step of one thread.
+// Event is one recorded step of one thread: a 48-byte row without
+// pointers, so an event array is memory the collector never scans and a
+// copy of it is a plain memmove.
 //
 // The meaning of the fields depends on Kind:
 //
 //	KCompute:     Cost
 //	KLockAcq/Rel: Lock, Site, Cost (lock-op overhead), Spin (acq only)
-//	KLocksetAcq:  Locks, Sources (parallel slices), Site, Cost
+//	KLocksetAcq:  Ext (Locks, Sources), Site, Cost
+//	KLocksetRel:  Ext (Locks), Site, Cost
 //	KRead:        Addr, Value (observed), Site, Cost
 //	KWrite:       Addr, Value, Op, Site, Cost
 //	KSleep:       Cost (the timeout)
-//	KSkip:        Delta (restored state), Cost (elapsed virtual time)
+//	KSkip:        Ext (Delta, the restored state), Cost (elapsed virtual time)
 //
 // Time is the completion timestamp from the recording run; replays compute
 // their own times but use recorded times for ELSC ordering and RULE 2.
 type Event struct {
-	Thread int32          `json:"t"`
-	Kind   Kind           `json:"k"`
-	Lock   LockID         `json:"l,omitempty"`
-	Locks  []LockID       `json:"ls,omitempty"`
-	Addr   memmodel.Addr  `json:"a,omitempty"`
-	Value  int64          `json:"v,omitempty"`
-	Op     WriteOp        `json:"op,omitempty"`
-	Cost   vtime.Duration `json:"c,omitempty"`
-	Time   vtime.Time     `json:"tm"`
-	Site   SiteID         `json:"s,omitempty"`
-	Spin   bool           `json:"sp,omitempty"`
+	Thread int32
+	Lock   LockID
+	Addr   memmodel.Addr
+	Site   SiteID
+	Value  int64
+	Cost   vtime.Duration
+	Time   vtime.Time
+	// Ext is the 1-based index of the event's entry in Trace.Exts, or 0:
+	// most events have none. Read it through Trace.Ext.
+	Ext  int32
+	Kind Kind
+	Op   WriteOp
+	Spin bool
+}
+
+// EventExt holds the variable-length payloads only lockset and skip
+// events carry, kept out of Event so that the row stays pointer-free.
+type EventExt struct {
+	// Locks are the members of a KLocksetAcq/KLocksetRel's lockset.
+	Locks []LockID
 	// Sources parallels Locks on KLocksetAcq events: Sources[i] is the
 	// global event index of the release event of the source critical
 	// section that contributed Locks[i], or -1 for the node's own lock.
 	// The dynamic locking strategy (Fig. 9) consults it at replay time.
-	Sources []int32 `json:"src,omitempty"`
+	Sources []int32
 	// Delta holds the restored memory state for KSkip events.
-	Delta memmodel.Snapshot `json:"d,omitempty"`
+	Delta memmodel.Snapshot
 }
+
+// empty reports whether the entry carries nothing an encoding would write.
+func (x *EventExt) empty() bool { return len(x.Locks) == 0 && len(x.Sources) == 0 && len(x.Delta) == 0 }
 
 // IsShared reports whether the event touches shared memory.
 func (e *Event) IsShared() bool { return e.Kind == KRead || e.Kind == KWrite }
@@ -185,10 +200,6 @@ func (e *Event) String() string {
 		return fmt.Sprintf("T%d lock %v", e.Thread, e.Lock)
 	case KLockRel:
 		return fmt.Sprintf("T%d unlock %v", e.Thread, e.Lock)
-	case KLocksetAcq:
-		return fmt.Sprintf("T%d lockset-acq %v", e.Thread, e.Locks)
-	case KLocksetRel:
-		return fmt.Sprintf("T%d lockset-rel %v", e.Thread, e.Locks)
 	case KRead:
 		return fmt.Sprintf("T%d read a%d=%d", e.Thread, e.Addr, e.Value)
 	case KWrite:

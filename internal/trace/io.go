@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -17,7 +18,7 @@ const (
 
 // DetectFormat reports which encoding raw trace bytes carry, by the
 // magic numbers of the two binary formats. Anything without a magic is
-// assumed JSON; whether it actually parses is ReadAny's job.
+// assumed JSON; whether it actually parses is Decode's job.
 func DetectFormat(data []byte) string {
 	if len(data) >= 4 {
 		switch binary.LittleEndian.Uint32(data) {
@@ -30,39 +31,73 @@ func DetectFormat(data []byte) string {
 	return FormatJSON
 }
 
-// ReadAny decodes a trace in the row-binary, columnar, or JSON
-// encoding, sniffing the format by attempting the magic-guarded binary
-// formats first and falling back to JSON. This is the loader every
-// consumer of on-disk or uploaded traces shares — the CLI's -replay and
-// -diff paths and the analysis daemon's trace upload endpoint.
-func ReadAny(r io.ReadSeeker) (*Trace, error) {
-	tr, berr := ReadBinary(r)
+// Decode decodes a trace in the row-binary, columnar, or JSON encoding,
+// sniffing the format by attempting the magic-guarded binary formats
+// first and falling back to JSON. This is the loader every consumer of
+// stored or uploaded traces shares — the corpus, the analysis daemon's
+// upload and steal paths, and (through ReadFile) the CLI's -replay and
+// -diff. The trace keeps no reference to data.
+func Decode(data []byte) (*Trace, error) {
+	tr, berr := DecodeBinary(data)
 	if berr == nil {
 		return tr, nil
 	}
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return nil, berr
-	}
-	tr, cerr := ReadColumnar(r)
-	if cerr == nil {
+	var cerr error
+	if c, err := ParseColumnar(data); err != nil {
+		cerr = err
+	} else if tr, cerr = c.Trace(); cerr == nil {
 		return tr, nil
 	}
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return nil, cerr
-	}
-	tr, jerr := ReadJSON(r)
+	tr, jerr := ReadJSON(bytes.NewReader(data))
 	if jerr != nil {
 		return nil, fmt.Errorf("trace: neither binary (%v), columnar (%v), nor JSON (%v)", berr, cerr, jerr)
 	}
 	return tr, nil
 }
 
-// ReadFile loads a trace file in either encoding.
+// readAll reads r to its end, into one buffer of the right size when r
+// can tell how much is left.
+func readAll(r io.Reader) ([]byte, error) {
+	var size int64
+	if s, ok := r.(io.Seeker); ok {
+		if cur, err := s.Seek(0, io.SeekCurrent); err == nil {
+			if end, err := s.Seek(0, io.SeekEnd); err == nil {
+				size = end - cur
+			}
+			if _, err := s.Seek(cur, io.SeekStart); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// MinRead spare bytes let ReadFrom see the end without growing.
+	buf := bytes.NewBuffer(make([]byte, 0, max(size, 0)+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// ReadAny is Decode over everything left in r.
+func ReadAny(r io.ReadSeeker) (*Trace, error) {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	return Decode(data)
+}
+
+// ReadBinary is DecodeBinary over everything left in r.
+func ReadBinary(r io.Reader) (*Trace, error) {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: read binary: %w", err)
+	}
+	return DecodeBinary(data)
+}
+
+// ReadFile loads a trace file in any encoding.
 func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadAny(f)
+	return Decode(data)
 }

@@ -22,28 +22,33 @@ type Constraint struct {
 // Trace is a recorded (or transformed) execution.
 type Trace struct {
 	// App names the workload that produced the trace.
-	App string `json:"app"`
+	App string
 	// NumThreads is the thread count of the recorded run.
-	NumThreads int `json:"threads"`
+	NumThreads int
 	// Events holds all events in recorded global time order. Transformed
 	// traces preserve per-thread subsequences of the original.
-	Events []Event `json:"events"`
+	Events []Event
+	// Exts holds the lockset and skip payloads, addressed by Event.Ext.
+	// Decoders and the recorder append entries in ascending event order;
+	// transform.Apply keeps the source trace's entries first and appends
+	// its own behind them.
+	Exts []EventExt
 	// Sites resolves SiteIDs.
-	Sites *SiteTable `json:"-"`
+	Sites *SiteTable
 	// MemNames maps addresses to workload variable names for reports.
-	MemNames map[memmodel.Addr]string `json:"memnames,omitempty"`
+	MemNames map[memmodel.Addr]string
 	// InitMem is the initial memory image (non-zero cells only).
-	InitMem memmodel.Snapshot `json:"initmem,omitempty"`
+	InitMem memmodel.Snapshot
 	// FinalMem is the memory image at the end of the recording run.
-	FinalMem memmodel.Snapshot `json:"finalmem,omitempty"`
+	FinalMem memmodel.Snapshot
 	// TotalTime is the recorded wall (virtual) time of the run.
-	TotalTime vtime.Duration `json:"total"`
+	TotalTime vtime.Duration
 	// Constraints are explicit happens-before edges (transformed traces).
-	Constraints []Constraint `json:"constraints,omitempty"`
+	Constraints []Constraint
 	// SpinLocks marks locks whose waiters burn CPU (spin) rather than
 	// block; the recorder fills it from the simulator's lock metadata so
 	// CPU-waste accounting survives into replay.
-	SpinLocks map[LockID]bool `json:"spinlocks,omitempty"`
+	SpinLocks map[LockID]bool
 
 	perThread [][]int32 // lazily built thread → event indices
 	lockOrder map[LockID][]int32
@@ -66,6 +71,38 @@ func (tr *Trace) Append(e Event) int32 {
 	tr.perThread = nil
 	tr.lockOrder = nil
 	return int32(len(tr.Events) - 1)
+}
+
+// AppendExt adds an event that carries x — a lockset's members and
+// sources, or a skip's delta — and returns its global index. An x that
+// holds nothing leaves the event without an entry, as a decoder would.
+func (tr *Trace) AppendExt(e Event, x EventExt) int32 {
+	e.Ext = 0
+	i := tr.Append(e)
+	tr.setExt(int(i), x)
+	return i
+}
+
+// setExt gives event i the entry x unless x holds nothing. Decoders and
+// AppendExt call it in ascending event order.
+func (tr *Trace) setExt(i int, x EventExt) {
+	if !x.empty() {
+		tr.Exts = append(tr.Exts, x)
+		tr.Events[i].Ext = int32(len(tr.Exts))
+	}
+}
+
+// noExt is what Ext returns for an event without an entry.
+var noExt EventExt
+
+// Ext returns the event's lockset or skip payload, or a shared empty
+// value when it has none (or names one the trace cannot back, which
+// Validate and replay.Run reject); callers must not modify it.
+func (tr *Trace) Ext(e *Event) *EventExt {
+	if i := uint(e.Ext) - 1; i < uint(len(tr.Exts)) {
+		return &tr.Exts[i]
+	}
+	return &noExt
 }
 
 // Warm populates the lazily-built indices (PerThread, LockOrder) so the
@@ -141,9 +178,9 @@ func (tr *Trace) DynamicLocks() int { return tr.CountKind(KLockAcq) }
 
 // Validate checks structural invariants: thread IDs in range, lock
 // acquire/release nesting well-formed per thread, write operations known,
-// constraint indices and lockset sources in range. A trace that fails
-// validation indicates a recorder or transformation bug, or a file nothing
-// here wrote.
+// extension indices, constraint indices and lockset sources in range. A
+// trace that fails validation indicates a recorder or transformation bug,
+// or a file nothing here wrote.
 func (tr *Trace) Validate() error {
 	if tr.NumThreads < 0 {
 		return fmt.Errorf("thread count %d", tr.NumThreads)
@@ -156,6 +193,9 @@ func (tr *Trace) Validate() error {
 		e := &tr.Events[i]
 		if e.Thread < 0 || int(e.Thread) >= tr.NumThreads {
 			return fmt.Errorf("event %d: thread %d out of range [0,%d)", i, e.Thread, tr.NumThreads)
+		}
+		if uint(e.Ext) > uint(len(tr.Exts)) {
+			return fmt.Errorf("event %d: extension %d out of range [0,%d]", i, e.Ext, len(tr.Exts))
 		}
 		switch e.Kind {
 		case KLockAcq:
@@ -173,10 +213,11 @@ func (tr *Trace) Validate() error {
 				return fmt.Errorf("event %d: unknown write op %d", i, e.Op)
 			}
 		case KLocksetAcq:
-			if len(e.Sources) != 0 && len(e.Sources) != len(e.Locks) {
+			x := tr.Ext(e)
+			if len(x.Sources) != 0 && len(x.Sources) != len(x.Locks) {
 				return fmt.Errorf("event %d: lockset sources/locks length mismatch", i)
 			}
-			for _, src := range e.Sources {
+			for _, src := range x.Sources {
 				if int(src) >= len(tr.Events) {
 					return fmt.Errorf("event %d: lockset source %d out of range [0,%d)", i, src, len(tr.Events))
 				}

@@ -181,8 +181,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 	tr.MemNames[1] = "x"
 	tr.SpinLocks[1] = true
 	tr.Constraints = []Constraint{{After: 2, Before: 5}}
-	tr.Events[6].Locks = []LockID{AuxLockBase + 1, AuxLockBase + 2}
-	tr.Events[6].Sources = []int32{-1, 4}
+	tr.Exts = []EventExt{{Locks: []LockID{AuxLockBase + 1, AuxLockBase + 2}, Sources: []int32{-1, 4}}}
+	tr.Events[6].Ext = 1
 
 	var buf bytes.Buffer
 	if err := tr.WriteBinary(&buf); err != nil {
@@ -215,14 +215,8 @@ func assertTraceEqual(t *testing.T, want, got *Trace) {
 		t.Fatalf("header mismatch: %s/%d/%v vs %s/%d/%v",
 			got.App, got.NumThreads, got.TotalTime, want.App, want.NumThreads, want.TotalTime)
 	}
-	if len(got.Events) != len(want.Events) {
-		t.Fatalf("event count %d, want %d", len(got.Events), len(want.Events))
-	}
-	for i := range want.Events {
-		w, g := want.Events[i], got.Events[i]
-		if !reflect.DeepEqual(w, g) {
-			t.Fatalf("event %d: got %+v, want %+v", i, g, w)
-		}
+	if err := tracesEqual(want, got); err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Constraints, want.Constraints) {
 		t.Fatalf("constraints: got %v, want %v", got.Constraints, want.Constraints)
@@ -267,15 +261,7 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(got.Events) != len(tr.Events) {
-			return false
-		}
-		for i := range tr.Events {
-			if !reflect.DeepEqual(tr.Events[i], got.Events[i]) {
-				return false
-			}
-		}
-		return true
+		return tracesEqual(tr, got) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -325,14 +311,20 @@ func TestValidateCatchesDanglingIndices(t *testing.T) {
 		t.Fatal("constraint past the event count must fail validation")
 	}
 	src := New("src", 1)
-	src.Append(Event{Thread: 0, Kind: KLocksetAcq, Locks: []LockID{AuxLockBase + 1}, Sources: []int32{77}})
-	src.Append(Event{Thread: 0, Kind: KLocksetRel, Locks: []LockID{AuxLockBase + 1}})
+	src.AppendExt(Event{Thread: 0, Kind: KLocksetAcq}, EventExt{Locks: []LockID{AuxLockBase + 1}, Sources: []int32{77}})
+	src.AppendExt(Event{Thread: 0, Kind: KLocksetRel}, EventExt{Locks: []LockID{AuxLockBase + 1}})
 	if err := src.Validate(); err == nil {
 		t.Fatal("lockset source past the event count must fail validation")
 	}
-	src.Events[0].Sources[0] = 1 // the set's own release: in range
+	src.Exts[0].Sources[0] = 1 // the set's own release: in range
 	if err := src.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	for _, ext := range []int32{3, -1} {
+		src.Events[1].Ext = ext
+		if err := src.Validate(); err == nil {
+			t.Fatalf("extension index %d of %d must fail validation", ext, len(src.Exts))
+		}
 	}
 	neg := New("neg", -1)
 	if err := neg.Validate(); err == nil {

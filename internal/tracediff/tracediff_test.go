@@ -94,8 +94,8 @@ func TestCompareRejectsMalformedTraces(t *testing.T) {
 
 	source := trace.New("source", 1)
 	aux := []trace.LockID{trace.AuxLockBase + 1}
-	source.Append(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Locks: aux, Sources: []int32{77}})
-	source.Append(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Locks: aux})
+	source.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq}, trace.EventExt{Locks: aux, Sources: []int32{77}})
+	source.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel}, trace.EventExt{Locks: aux})
 
 	for _, bad := range []*trace.Trace{thread, constraint, source} {
 		if _, err := Compare("bad", bad, "good", good); err == nil {

@@ -72,6 +72,7 @@ func applyRef(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*trace.T
 	res.SpinLocks, res.TotalTime = tr.SpinLocks, tr.TotalTime
 	res.Events = make([]trace.Event, len(tr.Events))
 	copy(res.Events, tr.Events)
+	res.Exts = append([]trace.EventExt{}, tr.Exts...)
 	var counts [3]int // RemovedSync, LocksetNodes, Constraints
 	for _, cs := range css {
 		members := locksets[cs.ID]
@@ -89,8 +90,9 @@ func applyRef(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*trace.T
 			}
 		}
 		acq, rel := &res.Events[cs.AcqEv], &res.Events[cs.RelEv]
-		acq.Kind, acq.Lock, acq.Locks, acq.Sources, acq.Spin = trace.KLocksetAcq, trace.NoLock, locks, sources, false
-		rel.Kind, rel.Lock, rel.Locks = trace.KLocksetRel, trace.NoLock, locks
+		res.Exts = append(res.Exts, trace.EventExt{Locks: locks, Sources: sources}, trace.EventExt{Locks: locks})
+		acq.Kind, acq.Lock, acq.Ext, acq.Spin = trace.KLocksetAcq, trace.NoLock, int32(len(res.Exts)-1), false
+		rel.Kind, rel.Lock, rel.Ext = trace.KLocksetRel, trace.NoLock, int32(len(res.Exts))
 		counts[1]++
 	}
 	consSeen := make(map[trace.Constraint]bool)
@@ -181,10 +183,11 @@ func contendedWriters(p *sim.Program) {
 }
 
 // TestTransformAllocsPerCS: Apply allocates a few dozen objects — the
-// output trace and its event array, the graph's and the assignment's
-// shared arrays, Validate's per-thread maps (which grow with the locks a
-// thread touches) — not a number that follows the critical sections,
-// edges or locksets of the trace.
+// output trace, its event array and its extension table (made once, at
+// exactly two entries per lockset node past the source's), the graph's
+// and the assignment's shared arrays, Validate's per-thread maps (which
+// grow with the locks a thread touches) — not a number that follows the
+// critical sections, edges or locksets of the trace.
 func TestTransformAllocsPerCS(t *testing.T) {
 	for _, app := range []string{"fluidanimate", "mysql"} {
 		var allocs [2]float64
@@ -200,6 +203,10 @@ func TestTransformAllocsPerCS(t *testing.T) {
 			}
 			if res.LocksetNodes == 0 {
 				t.Fatalf("%s x%v: no lockset node", app, scale)
+			}
+			if exts, want := res.Trace.Exts, len(tr.Exts)+2*res.LocksetNodes; len(exts) != want || cap(exts) != want {
+				t.Fatalf("%s x%v: extension table len %d cap %d for %d lockset nodes, want exactly %d",
+					app, scale, len(exts), cap(exts), res.LocksetNodes, want)
 			}
 			sections[i] = len(css)
 			allocs[i] = testing.AllocsPerRun(5, func() {

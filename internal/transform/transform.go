@@ -66,6 +66,19 @@ func Apply(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*Result, er
 	}
 	copy(out.Events, tr.Events)
 	res := &Result{Trace: out, Graph: g, Assignment: assign}
+	for _, cs := range css {
+		if len(assign.LS(cs.ID)) > 0 {
+			res.LocksetNodes++
+		}
+	}
+	// The extension table keeps the source's entries, so a KSkip's index
+	// survives the copy, and gains an acquire and a release entry per
+	// lockset node, in css order.
+	out.Exts = append(make([]trace.EventExt, 0, len(tr.Exts)+2*res.LocksetNodes), tr.Exts...)
+	resync := func(e *trace.Event, kind trace.Kind, x trace.EventExt) {
+		out.Exts = append(out.Exts, x)
+		e.Kind, e.Lock, e.Spin, e.Ext = kind, trace.NoLock, false, int32(len(out.Exts))
+	}
 
 	// One array backs every lockset's Sources; it holds as many entries
 	// as the locksets have members.
@@ -94,17 +107,8 @@ func Apply(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*Result, er
 				sources[i] = css[src].RelEv
 			}
 		}
-		acq := &out.Events[cs.AcqEv]
-		acq.Kind = trace.KLocksetAcq
-		acq.Lock = trace.NoLock
-		acq.Locks = []trace.LockID(ls)
-		acq.Sources = sources
-		acq.Spin = false
-		rel := &out.Events[cs.RelEv]
-		rel.Kind = trace.KLocksetRel
-		rel.Lock = trace.NoLock
-		rel.Locks = []trace.LockID(ls)
-		res.LocksetNodes++
+		resync(&out.Events[cs.AcqEv], trace.KLocksetAcq, trace.EventExt{Locks: ls, Sources: sources})
+		resync(&out.Events[cs.RelEv], trace.KLocksetRel, trace.EventExt{Locks: ls})
 	}
 
 	// RULE 1 + RULE 2: every causal edge becomes a happens-before
@@ -136,8 +140,7 @@ func Apply(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*Result, er
 func noop(e *trace.Event) {
 	e.Kind = trace.KCompute
 	e.Lock = trace.NoLock
-	e.Locks = nil
-	e.Sources = nil
+	e.Ext = 0
 	e.Cost = 0
 	e.Spin = false
 }

@@ -3,6 +3,7 @@ package transform
 import (
 	"testing"
 
+	"perfplay/internal/memmodel"
 	"perfplay/internal/replay"
 	"perfplay/internal/sim"
 	"perfplay/internal/trace"
@@ -165,12 +166,11 @@ func TestTransformLocksetStructure(t *testing.T) {
 		}
 	})
 	// Two conflicting CSs: source gets its own aux lock; target inherits.
-	var acq *trace.Event
+	var acq *trace.EventExt
 	for i := range res.Trace.Events {
-		if res.Trace.Events[i].Kind == trace.KLocksetAcq && len(res.Trace.Events[i].Locks) == 1 {
-			if len(res.Trace.Events[i].Sources) == 1 && res.Trace.Events[i].Sources[0] >= 0 {
-				acq = &res.Trace.Events[i]
-			}
+		e := &res.Trace.Events[i]
+		if x := res.Trace.Ext(e); e.Kind == trace.KLocksetAcq && len(x.Locks) == 1 && len(x.Sources) == 1 && x.Sources[0] >= 0 {
+			acq = x
 		}
 	}
 	if acq == nil {
@@ -270,5 +270,54 @@ func TestTransformTheorem1Quick(t *testing.T) {
 		if chk.Speedup > 1.0001 {
 			t.Fatalf("seed %d: transformation slowed the replay (%.4fx)", seed, chk.Speedup)
 		}
+	}
+}
+
+// TestTransformKeepsSkipDeltas: a selectively recorded range survives the
+// transformation — its event keeps the extension entry it had (the
+// transformed table starts with the source's), so it restores the same
+// delta, and the two traces replay to the same final memory.
+func TestTransformKeepsSkipDeltas(t *testing.T) {
+	rec, _, _, res := pipeline(t, func(p *sim.Program) {
+		l := p.NewLock("L")
+		x, y := p.Mem.Alloc("x", 0), p.Mem.Alloc("y", 0)
+		s := p.Site("f.c", 1, "n")
+		for i := 0; i < 2; i++ {
+			i := i
+			p.AddThread(func(th *sim.Thread) {
+				th.SkipRange(500, func(m *memmodel.Memory) { m.Store(y, m.Load(y)+int64(i)+1) })
+				th.Lock(l, s)
+				th.Write(x, th.Read(x, s)+1, s)
+				th.Unlock(l, s)
+			})
+		}
+	})
+	if res.LocksetNodes == 0 {
+		t.Fatal("fixture has no lockset node: the table gained nothing behind the skips")
+	}
+	skips := 0
+	for i := range rec.Trace.Events {
+		if rec.Trace.Events[i].Kind != trace.KSkip {
+			continue
+		}
+		skips++
+		before, after := rec.Trace.Ext(&rec.Trace.Events[i]).Delta, res.Trace.Ext(&res.Trace.Events[i]).Delta
+		if len(before) == 0 || !before.Equal(after) {
+			t.Fatalf("event %d: skip delta %v became %v", i, before, after)
+		}
+	}
+	if skips != 2 {
+		t.Fatalf("%d skip events, want 2", skips)
+	}
+	orig, err := replay.Run(rec.Trace, replay.Options{Sched: replay.ELSCS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, err := replay.Run(res.Trace, replay.Options{Sched: replay.ELSCS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !orig.FinalMem.Equal(free.FinalMem) || !free.FinalMem.Equal(rec.Trace.FinalMem) {
+		t.Fatalf("final memory: original replay %v, transformed replay %v, recorded %v", orig.FinalMem, free.FinalMem, rec.Trace.FinalMem)
 	}
 }

@@ -61,7 +61,7 @@ func (s *prefixSweeper) stateAt(before int32) map[memmodel.Addr]int64 {
 		case trace.KWrite:
 			s.mem[e.Addr] = e.Op.Apply(s.mem[e.Addr], e.Value)
 		case trace.KSkip:
-			for a, v := range e.Delta {
+			for a, v := range s.tr.Ext(e).Delta {
 				s.mem[a] = v
 			}
 		}
@@ -109,7 +109,7 @@ func execPairOverlay(tr *trace.Trace, base map[memmodel.Addr]int64, first, secon
 			case trace.KWrite:
 				out.writes[e.Addr] = e.Op.Apply(load(e.Addr), e.Value)
 			case trace.KSkip:
-				for a, v := range e.Delta {
+				for a, v := range tr.Ext(e).Delta {
 					out.writes[a] = v
 				}
 			}

@@ -23,7 +23,7 @@ func refPrefixState(tr *trace.Trace, before int32) map[memmodel.Addr]int64 {
 		case trace.KWrite:
 			mem[e.Addr] = e.Op.Apply(mem[e.Addr], e.Value)
 		case trace.KSkip:
-			for a, v := range e.Delta {
+			for a, v := range tr.Ext(e).Delta {
 				mem[a] = v
 			}
 		}
@@ -53,7 +53,7 @@ func refExecPair(tr *trace.Trace, pre map[memmodel.Addr]int64, first, second *tr
 				mem[e.Addr] = e.Op.Apply(mem[e.Addr], e.Value)
 				out.writes[e.Addr] = mem[e.Addr]
 			case trace.KSkip:
-				for a, v := range e.Delta {
+				for a, v := range tr.Ext(e).Delta {
 					mem[a] = v
 					out.writes[a] = v
 				}
@@ -259,7 +259,7 @@ func skipPairTrace() (*trace.Trace, []*trace.CritSec) {
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KThreadStart})
 	tr.Append(trace.Event{Thread: 0, Kind: trace.KLockAcq, Lock: l, Time: 10})
 	tr.Append(trace.Event{Thread: 0, Kind: trace.KWrite, Addr: y, Value: 1, Op: trace.WAdd, Time: 20})
-	tr.Append(trace.Event{Thread: 0, Kind: trace.KSkip, Delta: memmodel.Snapshot{y: 10}, Cost: 5, Time: 25})
+	tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KSkip, Cost: 5, Time: 25}, trace.EventExt{Delta: memmodel.Snapshot{y: 10}})
 	tr.Append(trace.Event{Thread: 0, Kind: trace.KLockRel, Lock: l, Time: 30})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KLockAcq, Lock: l, Time: 40})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KWrite, Addr: y, Value: 2, Op: trace.WAdd, Time: 50})
@@ -294,7 +294,7 @@ func TestSkipDeltaInsideCriticalSection(t *testing.T) {
 	// machinery must call the pair benign, proving the TLCP verdict above
 	// comes from the delta and not from the adds.
 	tr2, css2 := skipPairTrace()
-	tr2.Events[4].Delta = nil
+	tr2.Events[4].Ext = 0
 	if !reversedReplayEqual(tr2, css2[0], css2[1]) {
 		t.Fatal("commutative adds without a delta judged order-sensitive")
 	}
