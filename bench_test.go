@@ -228,6 +228,21 @@ func BenchmarkTransform(b *testing.B) {
 	}
 }
 
+// The transformation as the default run takes it: the plan alone, no
+// second trace.
+func BenchmarkTransformPlan(b *testing.B) {
+	rec := recordApp(b, "mysql")
+	css := rec.Trace.ExtractCS()
+	rep := ulcp.Identify(rec.Trace, css, ulcp.Options{})
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := transform.Plan(css, rep); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Replay micro-benchmarks: one per scheduler, measuring events/op.
 func benchReplay(b *testing.B, sched replay.Scheduler) {
 	rec := recordApp(b, "vips")
@@ -297,6 +312,25 @@ func benchLocksetReplay(b *testing.B, dls bool) {
 
 func BenchmarkLocksetReplayNoDLS(b *testing.B) { benchLocksetReplay(b, false) }
 func BenchmarkLocksetReplayDLS(b *testing.B)   { benchLocksetReplay(b, true) }
+
+// BenchmarkLocksetReplayDLS's replay as the default run takes it: the
+// recording under the plan, not the materialised trace.
+func BenchmarkPlanReplay(b *testing.B) {
+	rec := recordApp(b, "dedup")
+	css := rec.Trace.ExtractCS()
+	tf, err := transform.Plan(css, ulcp.Identify(rec.Trace, css, ulcp.Options{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := replay.Run(rec.Trace, replay.Options{Sched: replay.ELSCS, DLS: true, LocksetCost: 8, Plan: tf.Plan})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.LocksetOverhead), "overhead-ticks")
+	}
+}
 
 // Trace serialization round-trip throughput.
 func BenchmarkTraceBinaryRoundTrip(b *testing.B) {

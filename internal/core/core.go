@@ -25,7 +25,9 @@ type Analysis struct {
 	CSs []*trace.CritSec
 	// Report is the ULCP identification outcome.
 	Report *ulcp.Report
-	// Transformed is the ULCP-free trace and its construction artifacts.
+	// Transformed is the ULCP-free schedule and its construction
+	// artifacts: always the plan over the recording, and its Trace only
+	// when the run verified Theorem 1 or detected races.
 	Transformed *transform.Result
 	// OrigReplay and FreeReplay are the two ELSC replays PerfPlay
 	// compares (Sec. 4).

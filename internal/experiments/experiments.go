@@ -218,8 +218,9 @@ func Table3(cfg Config) *report.Table {
 			if base == 0 {
 				return "0" // no locks at all (blackscholes)
 			}
-			res, err := replay.Run(a.Transformed.Trace, replay.Options{
+			res, err := replay.Run(a.Recorded.Trace, replay.Options{
 				Sched: replay.ELSCS, DLS: dls, LocksetCost: cfg.LocksetCost,
+				Plan: a.Transformed.Plan,
 			})
 			if err != nil {
 				return "error"

@@ -437,10 +437,12 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 	// reversed-replay verdict table (cached by trace digest, or built by
 	// one identification pass), run the per-lock shards against it on
 	// the pool, merge shard reports in sorted lock order, and build the
-	// ULCP-free trace. Both paths below produce the same report bytes:
-	// shards with the table are pure functions of (trace, group,
-	// options, table), and the table itself is a pure function of
-	// (trace, options).
+	// ULCP-free schedule as a plan over the recording — written out as a
+	// second trace only for the two readers that need events, the
+	// Theorem 1 check and the race detector. Both paths below produce the
+	// same report bytes: shards with the table are pure functions of
+	// (trace, group, options, table), and the table itself is a pure
+	// function of (trace, options).
 	if err := stage("classify", func() error {
 		a.CSs = tr.ExtractCS()
 		var table *ulcp.VerdictTable
@@ -478,21 +480,21 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 			a.Report.ReversedReplays += table.Replays
 		}
 		var err error
-		a.Transformed, err = transform.Apply(tr, a.CSs, a.Report)
-		if err != nil {
-			return err
+		if req.VerifyTheorem1 || req.DetectRaces {
+			a.Transformed, err = transform.Apply(tr, a.CSs, a.Report)
+		} else {
+			a.Transformed, err = transform.Plan(a.CSs, a.Report)
 		}
-		// The quantify stage replays this trace concurrently with the
-		// Theorem 1 check.
-		a.Transformed.Trace.Warm()
-		return nil
+		return err
 	}); err != nil {
 		return nil, err
 	}
 
-	// Stage 4 — Quantify: replay the ULCP-free trace under ELSC (in
-	// parallel with the Theorem 1 check when requested), then evaluate
-	// Eq. 1/Eq. 2 and optionally the happens-before detector.
+	// Stage 4 — Quantify: replay the recording under the ULCP-free plan
+	// and ELSC (in parallel with the Theorem 1 check when requested), then
+	// evaluate Eq. 1/Eq. 2 and optionally the happens-before detector,
+	// which reads the materialised trace in the order the plan replay
+	// started its events: the two are index-aligned.
 	if err := stage("quantify", func() error {
 		maxRaces := req.MaxRaces
 		if maxRaces == 0 {
@@ -501,10 +503,11 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 		tasks := []func() error{
 			func() error {
 				var err error
-				a.FreeReplay, err = replay.Run(a.Transformed.Trace, replay.Options{
+				a.FreeReplay, err = replay.Run(tr, replay.Options{
 					Sched:       replay.ELSCS,
 					DLS:         req.DLS,
 					LocksetCost: req.LocksetCost,
+					Plan:        a.Transformed.Plan,
 				})
 				if err != nil {
 					return fmt.Errorf("pipeline: ULCP-free replay: %w", err)

@@ -3,6 +3,7 @@ package replay
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"perfplay/internal/sim"
@@ -40,15 +41,22 @@ func summary(r *Result) string {
 		r.Total, r.Waited, r.SpinWaste, r.EnforceWait, r.LocksetOverhead, r.LocksetAcqs, r.LocksetMembers, r.ReadHash)
 }
 
-// freeTrace is the ULCP-free trace of a recording.
-func freeTrace(t *testing.T, tr *trace.Trace) *trace.Trace {
+// transformed is the ULCP-free schedule of a recording, as plan and as
+// trace.
+func transformed(t *testing.T, tr *trace.Trace) *transform.Result {
 	t.Helper()
 	css := tr.ExtractCS()
 	tres, err := transform.Apply(tr, css, ulcp.Identify(tr, css, ulcp.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tres.Trace
+	return tres
+}
+
+// freeTrace is the ULCP-free trace of a recording.
+func freeTrace(t *testing.T, tr *trace.Trace) *trace.Trace {
+	t.Helper()
+	return transformed(t, tr).Trace
 }
 
 // locksetVariants are the lockset-replay option sets a transformed trace
@@ -201,14 +209,19 @@ func TestEngineMatchesReferenceHandBuilt(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesReferencePooled: recycled engines cross trace shapes
-// (thread counts, lock sets, constraints, barriers, locksets) and still
-// equal a reference engine that starts from nothing every time.
+// TestEngineMatchesReferencePooled: one recycled engine crosses trace
+// shapes (thread counts, lock sets, constraints, barriers, locksets) and
+// forms (a transformed trace, then the recording under its plan, then a
+// plain recording) and still equals a reference engine that starts from
+// nothing every time — which, knowing no plans, replays the plan's
+// materialised trace.
 func TestEngineMatchesReferencePooled(t *testing.T) {
 	big := buildContended(4, 8).Trace
 	small, l := twoWriters()
 	order := small.LockOrder()[l]
-	free := freeTrace(t, workloadTrace("mysql", 4, 0.1, 42))
+	rec := workloadTrace("mysql", 4, 0.1, 42)
+	tres := transformed(t, rec)
+	free := tres.Trace
 	runs := []struct {
 		name string
 		tr   *trace.Trace
@@ -218,13 +231,30 @@ func TestEngineMatchesReferencePooled(t *testing.T) {
 		{"free-dls", free, Options{Sched: ELSCS, DLS: true, LocksetCost: 40}},
 		{"stuck-small", small, Options{Sched: ELSCS, LockOrder: map[trace.LockID][]int32{l: {order[1], order[0], order[2], order[3]}}}},
 		{"mems-big", big, Options{Sched: MemS}},
+		{"plan-dls", rec, Options{Sched: ELSCS, DLS: true, LocksetCost: 40, Plan: tres.Plan}},
 		{"constrained-small", small, Options{Sched: OrigS, Seed: 5, ExtraConstraints: []trace.Constraint{{After: order[2], Before: order[0]}}}},
 		{"free-plain", free, Options{Sched: ELSCS}},
+		{"plan-plain", rec, Options{Sched: ELSCS, Plan: tres.Plan}},
+		{"elsc-recording", rec, Options{Sched: ELSCS}},
 		{"sync-small", small, Options{Sched: SyncS}},
 	}
+	e := enginePool.Get().(*engine)
+	defer e.release()
 	for round := 0; round < 3; round++ {
 		for _, r := range runs {
-			requireMatchesRef(t, fmt.Sprintf("round %d %s", round, r.name), r.tr, r.opts)
+			what := fmt.Sprintf("round %d %s", round, r.name)
+			got, gotErr := e.run(r.tr, r.opts)
+			refTr, refOpts := r.tr, r.opts
+			if r.opts.Plan != nil {
+				refTr, refOpts.Plan = free, nil
+			}
+			want, wantErr := runRef(refTr, refOpts)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("%s: engine error %v, reference error %v", what, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: engine diverged from the reference engine\n got %+v\nwant %+v", what, summary(got), summary(want))
+			}
 		}
 	}
 }
@@ -232,4 +262,47 @@ func TestEngineMatchesReferencePooled(t *testing.T) {
 func workloadTrace(app string, threads int, scale float64, seed int64) *trace.Trace {
 	p := workload.MustGet(app).Build(workload.Config{Threads: threads, Scale: scale, Seed: seed})
 	return sim.Run(p, sim.Config{Seed: seed}).Trace.Warm()
+}
+
+// TestLockSlotLookupDoesNotShow: reset finds an auxiliary lock's slot
+// through an array over the ordinals transform hands out and every other
+// lock's through a map. Which of the two serves a lock changes no replay:
+// a recording whose lock is renamed into the auxiliary range keeps its
+// enforced order under every scheme, and a transformed trace whose
+// auxiliary locks are renamed past the array keeps its locksets.
+func TestLockSlotLookupDoesNotShow(t *testing.T) {
+	rec := buildContended(3, 5).Trace
+	renamed := rec.Aligned(0)
+	for i := range renamed.Events {
+		if e := &renamed.Events[i]; e.Kind == trace.KLockAcq || e.Kind == trace.KLockRel {
+			e.Lock += trace.AuxLockBase
+		}
+	}
+	for _, sched := range allScheds {
+		opts := Options{Sched: sched, Seed: 3}
+		want := requireMatchesRef(t, fmt.Sprintf("map/%v", sched), rec, opts)
+		if got := requireMatchesRef(t, fmt.Sprintf("array/%v", sched), renamed, opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: renaming the lock into the auxiliary range changed the replay", sched)
+		}
+	}
+
+	p := workload.MustGet("mysql").Build(workload.Config{Threads: 4, Scale: 0.05, Seed: 7})
+	free := freeTrace(t, sim.Run(p, sim.Config{Seed: 7}).Trace)
+	far := free.Aligned(0)
+	for i := range far.Exts {
+		locks := slices.Clone(far.Exts[i].Locks)
+		for j := range locks {
+			locks[j] += trace.LockID(len(far.Events))
+		}
+		far.Exts[i].Locks = locks
+	}
+	for i, opts := range locksetVariants {
+		want := requireMatchesRef(t, fmt.Sprintf("array/variant %d", i), free, opts)
+		if want.LocksetAcqs == 0 {
+			t.Fatal("the transformed trace acquires no lockset")
+		}
+		if got := requireMatchesRef(t, fmt.Sprintf("map/variant %d", i), far, opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("variant %d: renaming the auxiliary locks past the array changed the replay", i)
+		}
+	}
 }

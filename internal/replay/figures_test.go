@@ -1,11 +1,11 @@
 package replay
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"perfplay/internal/sim"
+	"perfplay/internal/simtest"
 	"perfplay/internal/trace"
 	"perfplay/internal/vtime"
 )
@@ -119,53 +119,10 @@ func TestFigure12ELSCvsKendo(t *testing.T) {
 	}
 }
 
-// randomProgram builds a random but deadlock-free program for property
-// tests: every thread acquires at most one lock at a time.
+// randomProgram is the shared generator's plain form: critical sections
+// only.
 func randomProgram(seed int64, threads, locks, iters int) *sim.Result {
-	p := sim.NewProgram("rand")
-	rng := rand.New(rand.NewSource(seed))
-	var ls []trace.LockID
-	for i := 0; i < locks; i++ {
-		ls = append(ls, p.NewLock("L"))
-	}
-	cells := p.Mem.AllocN("c", 4, 0)
-	s := p.Site("rand.c", 1, "f")
-	type step struct {
-		gap, cs vtime.Duration
-		lock    trace.LockID
-		cell    int
-		op      int
-	}
-	for i := 0; i < threads; i++ {
-		var steps []step
-		for j := 0; j < iters; j++ {
-			steps = append(steps, step{
-				gap:  vtime.Duration(50 + rng.Intn(400)),
-				cs:   vtime.Duration(50 + rng.Intn(300)),
-				lock: ls[rng.Intn(len(ls))],
-				cell: rng.Intn(len(cells)),
-				op:   rng.Intn(3),
-			})
-		}
-		p.AddThread(func(th *sim.Thread) {
-			for _, st := range steps {
-				th.Compute(st.gap)
-				th.Lock(st.lock, s)
-				switch st.op {
-				case 0:
-					th.Read(cells[st.cell], s)
-				case 1:
-					th.Add(cells[st.cell], 1, s)
-				default:
-					th.Read(cells[st.cell], s)
-					th.Add(cells[st.cell], 2, s)
-				}
-				th.Compute(st.cs)
-				th.Unlock(st.lock, s)
-			}
-		})
-	}
-	return sim.Run(p, sim.Config{Seed: seed})
+	return simtest.RandomProgram(seed, threads, locks, iters, 0)
 }
 
 // Property: for any program, ELSC reproduces the recorded makespan and

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -95,8 +96,9 @@ type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "concurrent pooled replay diverged" }
 
-// TestPooledEngineAfterError: a failed replay (stuck schedule) must
-// still recycle cleanly and not poison the next run.
+// TestPooledEngineAfterError: a failed replay (stuck schedule, or a plan
+// rejected halfway through laying it out) must still recycle cleanly and
+// not poison the next run, planned or plain.
 func TestPooledEngineAfterError(t *testing.T) {
 	rec := buildContended(2, 2)
 	good, err := Run(rec.Trace, Options{Sched: ELSCS})
@@ -115,6 +117,32 @@ func TestPooledEngineAfterError(t *testing.T) {
 	}
 	if again.Total != good.Total || again.ReadHash != good.ReadHash {
 		t.Fatal("run after a failed replay diverged")
+	}
+
+	writers, _ := twoWriters()
+	tres := transformed(t, writers)
+	planned, err := Run(writers, Options{Sched: ELSCS, Plan: tres.Plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last section claims the first one's acquisition: every section
+	// before it is laid out by the time the plan is rejected.
+	broken := *tres.Plan
+	broken.Acq = slices.Clone(broken.Acq)
+	broken.Acq[len(broken.Acq)-1] = broken.Acq[0]
+	if _, err := Run(writers, Options{Sched: ELSCS, Plan: &broken}); err == nil {
+		t.Fatal("a plan claiming one acquisition twice replayed successfully")
+	}
+	for _, opts := range []Options{{Sched: ELSCS, Plan: tres.Plan}, {Sched: ELSCS}} {
+		want := planned
+		if opts.Plan == nil {
+			if want, err = runRef(writers, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := Run(writers, opts); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("run after a rejected plan (planned=%t) diverged: %v", opts.Plan != nil, err)
+		}
 	}
 }
 
@@ -142,17 +170,18 @@ func BenchmarkPooledReplay(b *testing.B) {
 // and then grows one of its tables.
 func TestReplayAllocsIndependentOfEvents(t *testing.T) {
 	type variant struct {
-		name string
-		free bool
-		opts Options
+		name       string
+		free, plan bool
+		opts       Options
 	}
 	for _, app := range []struct {
 		name   string
 		scales [2]float64
 	}{{"fluidanimate", [2]float64{0.05, 0.1}}, {"mysql", [2]float64{0.25, 0.5}}} {
 		for _, v := range []variant{
-			{"elsc", false, Options{Sched: ELSCS}},
-			{"free-dls", true, Options{Sched: ELSCS, DLS: true, LocksetCost: 40}},
+			{"elsc", false, false, Options{Sched: ELSCS}},
+			{"free-dls", true, false, Options{Sched: ELSCS, DLS: true, LocksetCost: 40}},
+			{"plan-dls", false, true, Options{Sched: ELSCS, DLS: true, LocksetCost: 40}},
 		} {
 			var allocs [2]float64
 			var events [2]int
@@ -160,6 +189,9 @@ func TestReplayAllocsIndependentOfEvents(t *testing.T) {
 				tr := workloadTrace(app.name, 4, scale, 42)
 				if v.free {
 					tr = freeTrace(t, tr).Warm()
+				}
+				if v.plan {
+					v.opts.Plan = transformed(t, tr).Plan
 				}
 				events[i] = len(tr.Events)
 				e := enginePool.Get().(*engine)

@@ -24,6 +24,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"perfplay/internal/memmodel"
@@ -88,6 +89,15 @@ type Options struct {
 	// trace. The reversed replay of Sec. 3.1 forces "C2 releases before C1
 	// acquires" this way while leaving every other ordering natural.
 	ExtraConstraints []trace.Constraint
+	// Plan, when set, replays the recording's ULCP-free schedule: every
+	// critical section's lock operations act as the plan's lockset
+	// acquisition and release (or cost nothing, where its lockset is
+	// empty), under the plan's constraints — event for event what
+	// replaying transform.Apply's trace yields, without that trace. The
+	// trace must be the recording the plan was built from; a plan it
+	// cannot back is an error. No lock order is enforced: under a plan
+	// no original acquisition is left, so LockOrder is inert.
+	Plan *trace.Plan
 }
 
 // Result is the outcome of one replay.
@@ -163,6 +173,11 @@ type episode struct {
 // engine.setSlots[off : off+n].
 type openSet struct{ off, n int32 }
 
+// kRemoved is the effective kind of a lock operation whose critical
+// section the plan gives no lockset: it takes no time and no CPU, as the
+// zero-cost compute event transform.Apply writes in its place.
+const kRemoved trace.Kind = 0xff
+
 type threadState struct {
 	id    int32
 	evs   []int32 // global indices of this thread's events
@@ -184,8 +199,10 @@ type barKey struct {
 }
 
 // engine replays one trace. reset gives every lock and barrier episode
-// the trace names a dense slot, so the stepping loop (loop, eligible,
-// exec, kendoBarrier) indexes slices only.
+// the trace names a dense slot and lays every lockset out in its own
+// arrays — from the trace's extensions or from Options.Plan — so the
+// stepping loop (loop, eligible, exec, kendoBarrier) indexes slices only
+// and is the same loop for a transformed trace and a planned recording.
 type engine struct {
 	tr   *trace.Trace
 	opts Options
@@ -193,13 +210,20 @@ type engine struct {
 
 	threads []threadState
 	locks   []lockState
+	// kind[i] is what event i replays as: its recorded kind, or what the
+	// plan makes of a lock operation (KLocksetAcq, KLocksetRel, kRemoved).
+	kind []trace.Kind
 	// evSlot[i] is event i's index into locks (KLockAcq, KLockRel), the
-	// offset of its member slots in setSlots (KLocksetAcq) or its index
-	// into episodes (KBarrier); other kinds never read it.
-	evSlot   []int32
-	setSlots []int32
-	episodes []episode
-	openBuf  []openSet // backs every threadState.open
+	// offset of its lockset in setSlots (KLocksetAcq), its lockset's size
+	// (KLocksetRel) or its index into episodes (KBarrier); other kinds
+	// never read it.
+	evSlot []int32
+	// A lockset of n members is n at setSlots[off] and the members' lock
+	// slots behind it; setSrc parallels setSlots with each member's
+	// source release event, or -1 for one DLS never drops.
+	setSlots, setSrc []int32
+	episodes         []episode
+	openBuf          []openSet // backs every threadState.open
 
 	// Constraints in CSR form: event i must wait for
 	// preTgt[preOff[i]:preOff[i+1]]. preOff is empty without constraints.
@@ -219,8 +243,9 @@ type engine struct {
 
 	res *Result
 
-	// Slot assignment scratch, touched by reset only.
+	// Slot assignment scratch, touched by reset only (see find).
 	lockSlot map[trace.LockID]int32
+	auxSlot  []int32
 	epSlot   map[barKey]int32
 }
 
@@ -245,24 +270,46 @@ func sized[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// slot returns the lock's index into e.locks, assigning the next free
-// one on first sight.
-func (e *engine) slot(l trace.LockID) int32 {
+// find returns the lock's index into e.locks, if it has one. transform
+// numbers auxiliary locks densely from AuxLockBase+1, at most one per
+// critical section, so an array over the ordinals holds theirs (slot+1;
+// 0 is none); the map holds every other lock's.
+func (e *engine) find(l trace.LockID) (int32, bool) {
+	if ord := uint(l - trace.AuxLockBase - 1); ord < uint(len(e.auxSlot)) {
+		return e.auxSlot[ord] - 1, e.auxSlot[ord] != 0
+	}
 	s, ok := e.lockSlot[l]
-	if !ok {
-		s = int32(len(e.locks))
+	return s, ok
+}
+
+// slot returns the lock's index into e.locks, assigning the next free
+// one on first sight. The first auxiliary lock of a run sizes the array
+// find reads, so a recording, which has none, does not pay for it.
+func (e *engine) slot(l trace.LockID) int32 {
+	s, ok := e.find(l)
+	if ok {
+		return s
+	}
+	s = int32(len(e.locks))
+	e.locks = append(e.locks, lockState{})
+	if len(e.auxSlot) == 0 && l.IsAux() {
+		e.auxSlot = sized(e.auxSlot, len(e.kind))
+		clear(e.auxSlot)
+	}
+	if ord := uint(l - trace.AuxLockBase - 1); ord < uint(len(e.auxSlot)) {
+		e.auxSlot[ord] = s + 1
+	} else {
 		e.lockSlot[l] = s
-		e.locks = append(e.locks, lockState{})
 	}
 	return s
 }
 
 // reset prepares a (possibly recycled) engine for one run: one pass over
 // the events assigns the slots, and is also the input check — a thread
-// id, extension index, lockset source or constraint index the trace
-// cannot back is an error here rather than an index panic in the loop.
-// Every field is rebuilt from (tr, opts) or cleared in place, keeping
-// capacity from previous runs.
+// id, extension index, lockset source, constraint index or plan the
+// trace cannot back is an error here rather than an index panic in the
+// loop. Every field is rebuilt from (tr, opts) or cleared in place,
+// keeping capacity from previous runs.
 func (e *engine) reset(tr *trace.Trace, opts Options) error {
 	e.tr, e.opts = tr, opts
 	e.mem.Reset()
@@ -272,15 +319,19 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 	}
 	e.threads = sized(e.threads, nt)
 	clear(e.threads)
+	e.kind = sized(e.kind, nev)
 	e.evSlot = sized(e.evSlot, nev)
 	e.done = sized(e.done, nev)
 	clear(e.done)
 	clear(e.lockSlot)
 	clear(e.epSlot)
-	e.locks, e.setSlots, e.episodes = e.locks[:0], e.setSlots[:0], e.episodes[:0]
+	e.auxSlot = e.auxSlot[:0]
+	e.locks, e.episodes = e.locks[:0], e.episodes[:0]
+	e.setSlots, e.setSrc = e.setSlots[:0], e.setSrc[:0]
 	e.executed, e.lastEnd, e.newArrival = 0, 0, false
 
-	nsets := 0
+	planned := opts.Plan != nil
+	lockOps := 0
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		if uint(ev.Thread) >= uint(nt) {
@@ -289,12 +340,22 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 		if uint(ev.Ext) > uint(len(tr.Exts)) {
 			return fmt.Errorf("replay: event %d: extension %d out of range [0,%d]", i, ev.Ext, len(tr.Exts))
 		}
+		if planned && (ev.Kind == trace.KLocksetAcq || ev.Kind == trace.KLocksetRel) {
+			return fmt.Errorf("replay: event %d: %v in a trace replayed under a plan", i, ev.Kind)
+		}
+		e.kind[i] = ev.Kind
 		switch ev.Kind {
 		case trace.KLockAcq, trace.KLockRel:
-			e.evSlot[i] = e.slot(ev.Lock)
+			if planned {
+				lockOps++ // the plan gives it a lockset, or removes it
+			} else {
+				e.evSlot[i] = e.slot(ev.Lock)
+			}
+		case trace.KLocksetRel:
+			e.evSlot[i] = int32(len(tr.Ext(ev).Locks))
 		case trace.KLocksetAcq:
-			e.evSlot[i] = int32(len(e.setSlots))
 			x := tr.Ext(ev)
+			e.evSlot[i] = e.openLockset(ev.Thread, len(x.Locks))
 			for _, l := range x.Locks {
 				e.setSlots = append(e.setSlots, e.slot(l))
 			}
@@ -303,8 +364,13 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 					return fmt.Errorf("replay: event %d: lockset source %d out of range [0,%d)", i, src, nev)
 				}
 			}
-			e.threads[ev.Thread].nsets++
-			nsets++
+			if len(x.Sources) == len(x.Locks) {
+				e.setSrc = append(e.setSrc, x.Sources...)
+			} else {
+				for range x.Locks {
+					e.setSrc = append(e.setSrc, -1) // sources that name no member drop none
+				}
+			}
 		case trace.KBarrier:
 			k := barKey{bar: ev.Lock, gen: ev.Value}
 			s, ok := e.epSlot[k]
@@ -317,7 +383,16 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 			e.evSlot[i] = s
 		}
 	}
+	if planned {
+		if err := e.layPlan(opts.Plan, lockOps); err != nil {
+			return err
+		}
+	}
 
+	nsets := 0
+	for i := range e.threads {
+		nsets += e.threads[i].nsets
+	}
 	e.openBuf = sized(e.openBuf, nsets)
 	open := e.openBuf
 	for t, evs := range tr.PerThread() {
@@ -326,21 +401,24 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 		ts.open, open = open[:0:ts.nsets], open[ts.nsets:]
 	}
 
-	if opts.Sched == ELSCS {
+	if opts.Sched == ELSCS && !planned {
 		order := opts.LockOrder
 		if order == nil {
 			order = tr.LockOrder()
 		}
 		for l, acqs := range order {
-			if s, ok := e.lockSlot[l]; ok {
+			if s, ok := e.find(l); ok {
 				e.locks[s].enforced, e.locks[s].order = true, acqs
 			}
 		}
 	}
 
 	e.preOff = e.preOff[:0]
-	cons := [2][]trace.Constraint{tr.Constraints, opts.ExtraConstraints}
-	if n := len(cons[0]) + len(cons[1]); n > 0 {
+	cons := [3][]trace.Constraint{tr.Constraints, nil, opts.ExtraConstraints}
+	if planned {
+		cons[1] = opts.Plan.Constraints
+	}
+	if n := len(cons[0]) + len(cons[1]) + len(cons[2]); n > 0 {
 		e.preOff = sized(e.preOff, nev+1)
 		clear(e.preOff)
 		e.preTgt = sized(e.preTgt, n)
@@ -371,6 +449,73 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 		EventStart:   make([]vtime.Time, nev),
 		PerThreadCPU: make([]vtime.Duration, nt),
 		readHashes:   make([]uint64, nt),
+	}
+	return nil
+}
+
+// openLockset starts the layout of a lockset of n members acquired by
+// thread t: the count goes down here, the caller appends the n member
+// slots and sources behind it. It returns the lockset's offset.
+func (e *engine) openLockset(t int32, n int) int32 {
+	off := int32(len(e.setSlots))
+	e.setSlots = append(e.setSlots, int32(n))
+	e.setSrc = append(e.setSrc, -1)
+	e.threads[t].nsets++
+	return off
+}
+
+// layPlan makes the recording's lock operations replay as the plan says
+// and checks that the trace backs the plan: the columns agree in length,
+// every section names a lock acquisition and a release no other section
+// names, the lockOps lock operations of the trace are all named, and
+// every lock is an auxiliary one — whose ordinal is its slot, so no map
+// is consulted.
+func (e *engine) layPlan(p *trace.Plan, lockOps int) error {
+	n, nev := len(p.Acq), len(e.kind)
+	if len(p.Rel) != n || len(p.Off) != n+1 || len(p.Sources) != len(p.Locks) {
+		return fmt.Errorf("replay: plan: %d acquisitions, %d releases, %d offsets; %d locks, %d sources",
+			n, len(p.Rel), len(p.Off), len(p.Locks), len(p.Sources))
+	}
+	if 2*n != lockOps {
+		return fmt.Errorf("replay: plan: %d critical sections for the trace's %d lock operations", n, lockOps)
+	}
+	numAux := 0
+	for i, l := range p.Locks {
+		// A lockset member is its owner's own lock somewhere, so the
+		// ordinals cannot outnumber the members.
+		ord := int(l) - int(trace.AuxLockBase)
+		if ord < 1 || ord > len(p.Locks) {
+			return fmt.Errorf("replay: plan: member %d: %v is not an auxiliary lock of the plan", i, l)
+		}
+		if int(p.Sources[i]) >= nev {
+			return fmt.Errorf("replay: plan: member %d: lockset source %d out of range [0,%d)", i, p.Sources[i], nev)
+		}
+		numAux = max(numAux, ord)
+	}
+	e.locks = sized(e.locks, numAux)
+	clear(e.locks)
+	// Every member and at most one count per section: no append below
+	// grows either array.
+	e.setSlots = slices.Grow(e.setSlots, len(p.Locks)+n)
+	e.setSrc = slices.Grow(e.setSrc, len(p.Locks)+n)
+	for i := range p.Acq {
+		acq, rel, lo, hi := p.Acq[i], p.Rel[i], p.Off[i], p.Off[i+1]
+		if uint(acq) >= uint(nev) || e.kind[acq] != trace.KLockAcq || uint(rel) >= uint(nev) || e.kind[rel] != trace.KLockRel {
+			return fmt.Errorf("replay: plan: critical section %d: events %d and %d are not a lock acquisition and release of its own", i, acq, rel)
+		}
+		if lo < 0 || lo > hi || int(hi) > len(p.Locks) {
+			return fmt.Errorf("replay: plan: critical section %d: lockset [%d,%d) of %d members", i, lo, hi, len(p.Locks))
+		}
+		if lo == hi {
+			e.kind[acq], e.kind[rel] = kRemoved, kRemoved
+			continue
+		}
+		e.kind[acq], e.kind[rel] = trace.KLocksetAcq, trace.KLocksetRel
+		e.evSlot[acq], e.evSlot[rel] = e.openLockset(e.tr.Events[acq].Thread, int(hi-lo)), hi-lo
+		for _, l := range p.Locks[lo:hi] {
+			e.setSlots = append(e.setSlots, int32(l-trace.AuxLockBase-1))
+		}
+		e.setSrc = append(e.setSrc, p.Sources[lo:hi]...)
 	}
 	return nil
 }
@@ -459,7 +604,7 @@ func (e *engine) loop() error {
 				continue
 			}
 			prio := start
-			if e.opts.Sched == OrigS && e.tr.Events[idx].Kind == trace.KLockAcq {
+			if e.opts.Sched == OrigS && e.kind[idx] == trace.KLockAcq {
 				prio = start.Add(e.jitter(idx))
 			}
 			if best == -1 || prio < bestPrio {
@@ -483,7 +628,7 @@ func (e *engine) stuckErr() error {
 	for i := range e.threads {
 		ts := &e.threads[i]
 		if idx := ts.next(); idx >= 0 {
-			pend = append(pend, fmt.Sprintf("T%d@ev%d(%v)", ts.id, idx, e.tr.Events[idx].Kind))
+			pend = append(pend, fmt.Sprintf("T%d@ev%d(%v)", ts.id, idx, e.kind[idx]))
 		}
 	}
 	return fmt.Errorf("replay stuck under %v: pending %v", e.opts.Sched, pend)
@@ -502,7 +647,7 @@ func (e *engine) jitter(idx int32) vtime.Duration {
 // eligible reports whether the event can execute now and the earliest
 // virtual time it may start.
 func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
-	ev := &e.tr.Events[idx]
+	kind := e.kind[idx]
 	start := ts.clock
 
 	if len(e.preOff) > 0 {
@@ -519,7 +664,7 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 	// Barrier arrivals register unconditionally (before any enforcement
 	// gate): other participants' eligibility depends on seeing this
 	// thread parked at the episode.
-	if ev.Kind == trace.KBarrier && ts.barMark != idx {
+	if kind == trace.KBarrier && ts.barMark != idx {
 		ts.barMark = idx
 		ep := &e.episodes[e.evSlot[idx]]
 		if ep.arrived == 0 || start > ep.maxAt {
@@ -543,7 +688,7 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 		}
 	}
 
-	switch ev.Kind {
+	switch kind {
 	case trace.KLockAcq:
 		ls := &e.locks[e.evSlot[idx]]
 		if ls.enforced && (ls.pos >= len(ls.order) || ls.order[ls.pos] != idx) {
@@ -569,13 +714,12 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 			start = ls.freeAt
 		}
 	case trace.KLocksetAcq:
-		off := int(e.evSlot[idx])
-		x := e.tr.Ext(ev)
-		for i := range x.Locks {
-			if e.dropped(x, i) {
+		off := e.evSlot[idx]
+		for i, end := off+1, off+e.setSlots[off]; i <= end; i++ {
+			if e.dropped(i) {
 				continue
 			}
-			ls := &e.locks[e.setSlots[off+i]]
+			ls := &e.locks[e.setSlots[i]]
 			if ls.held {
 				return 0, false
 			}
@@ -612,7 +756,7 @@ func (e *engine) kendoBarrier(ts *threadState) (vtime.Time, bool) {
 		limit := min(p, len(o.evs))
 		if o.pos < limit {
 			idx := o.next()
-			if e.tr.Events[idx].Kind == trace.KLockAcq && e.locks[e.evSlot[idx]].held {
+			if e.kind[idx] == trace.KLockAcq && e.locks[e.evSlot[idx]].held {
 				continue // spinning: its logical clock advances
 			}
 			return 0, false
@@ -626,11 +770,11 @@ func (e *engine) kendoBarrier(ts *threadState) (vtime.Time, bool) {
 	return wait, true
 }
 
-// dropped applies the dynamic locking strategy to member i of a lockset
-// acquisition: a source critical section that already finished (its
+// dropped applies the dynamic locking strategy to the lockset member at
+// setSlots[i]: a source critical section that already finished (its
 // release event executed) contributes no lock.
-func (e *engine) dropped(x *trace.EventExt, i int) bool {
-	return e.opts.DLS && len(x.Sources) == len(x.Locks) && x.Sources[i] >= 0 && e.done[x.Sources[i]]
+func (e *engine) dropped(i int32) bool {
+	return e.opts.DLS && e.setSrc[i] >= 0 && e.done[e.setSrc[i]]
 }
 
 // maintenance is the modelled bookkeeping cost of acquiring or releasing
@@ -652,22 +796,22 @@ func (e *engine) maintenance(full, taken int, check vtime.Duration) vtime.Durati
 // exec runs one event starting at the given time.
 func (e *engine) exec(ts *threadState, start vtime.Time) {
 	idx := ts.next()
-	ev := &e.tr.Events[idx]
+	ev, kind := &e.tr.Events[idx], e.kind[idx]
 	wait := start.Sub(ts.clock)
 	if wait > 0 {
-		if ev.Kind == trace.KLockAcq && ev.Spin {
+		if kind == trace.KLockAcq && ev.Spin {
 			ts.cpu += wait
 			e.res.SpinWaste += wait
 		} else {
 			e.res.Waited += wait
-			if e.opts.Sched == MemS || (e.opts.Sched == SyncS && ev.Kind == trace.KLockAcq) {
+			if e.opts.Sched == MemS || (e.opts.Sched == SyncS && kind == trace.KLockAcq) {
 				e.res.EnforceWait += wait
 			}
 		}
 	}
 	cost := ev.Cost
-	switch ev.Kind {
-	case trace.KThreadStart, trace.KThreadEnd:
+	switch kind {
+	case trace.KThreadStart, trace.KThreadEnd, kRemoved:
 		cost = 0
 	case trace.KLockAcq:
 		ls := &e.locks[e.evSlot[idx]]
@@ -681,21 +825,21 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 		ls.freeAt = start.Add(cost)
 	case trace.KLocksetAcq:
 		// Take the effective members, compacting their slots to the front
-		// of this event's setSlots range: the matching release frees
-		// exactly that subset, and no later step reads the range again.
-		off := e.evSlot[idx]
+		// of this lockset's members: the matching release frees exactly
+		// that subset, and no later step reads the members again.
+		off := e.evSlot[idx] + 1
+		full := e.setSlots[off-1]
 		n := off
-		x := e.tr.Ext(ev)
-		for i := range x.Locks {
-			if e.dropped(x, i) {
+		for i := off; i < off+full; i++ {
+			if e.dropped(i) {
 				continue
 			}
-			s := e.setSlots[int(off)+i]
+			s := e.setSlots[i]
 			e.locks[s].held = true
 			e.setSlots[n] = s
 			n++
 		}
-		maint := e.maintenance(len(x.Locks), int(n-off), e.opts.DLSCheckCost)
+		maint := e.maintenance(int(full), int(n-off), e.opts.DLSCheckCost)
 		cost += maint
 		e.res.LocksetOverhead += maint
 		e.res.LocksetAcqs++
@@ -707,7 +851,7 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 		if top := len(ts.open) - 1; top >= 0 {
 			held := ts.open[top]
 			ts.open = ts.open[:top]
-			maint := e.maintenance(len(e.tr.Ext(ev).Locks), int(held.n), 0)
+			maint := e.maintenance(int(e.evSlot[idx]), int(held.n), 0)
 			cost += maint
 			e.res.LocksetOverhead += maint
 			end := start.Add(cost)
@@ -733,7 +877,7 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 	}
 
 	end := start.Add(cost)
-	if ev.Kind != trace.KSleep && ev.Kind != trace.KThreadStart && ev.Kind != trace.KThreadEnd {
+	if kind != trace.KSleep && kind != trace.KThreadStart && kind != trace.KThreadEnd {
 		ts.cpu += cost // a sleep passes time without CPU
 	}
 	e.executed, e.lastEnd = e.executed+1, end

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"slices"
 	"testing"
 
 	"perfplay/internal/sim"
@@ -167,9 +168,11 @@ func TestSpinLockWaitBurnsCPUInReplay(t *testing.T) {
 }
 
 // TestRunRejectsWhatTheTraceCannotBack: a thread id, constraint index,
-// extension index or lockset source outside the trace is an error from Run under every
-// scheme — the engine's slot-assignment pass is its input check — and
-// the pooled engine replays a good trace afterwards.
+// extension index or lockset source outside the trace, or a plan whose
+// columns disagree, that names events or locks the trace does not have,
+// that leaves a lock operation unnamed or names one twice, is an error
+// from Run under every scheme — the engine's slot-assignment pass is its
+// input check — and the pooled engine replays a good trace afterwards.
 func TestRunRejectsWhatTheTraceCannotBack(t *testing.T) {
 	one := func(threads int, evs ...trace.Event) *trace.Trace {
 		tr := trace.New("bad", threads)
@@ -187,11 +190,12 @@ func TestRunRejectsWhatTheTraceCannotBack(t *testing.T) {
 		tr.Constraints = []trace.Constraint{c}
 		return tr
 	}
-	cases := []struct {
+	type reject struct {
 		name string
 		tr   *trace.Trace
 		opts Options
-	}{
+	}
+	cases := []reject{
 		{"thread id past the count", one(1, trace.Event{Thread: 3, Kind: trace.KCompute}), Options{}},
 		{"negative thread id", one(2, trace.Event{Thread: -1, Kind: trace.KCompute}), Options{}},
 		{"negative thread count", one(-1), Options{}},
@@ -208,6 +212,61 @@ func TestRunRejectsWhatTheTraceCannotBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// The plan rows: a recording of true contention and its own plan, each
+	// time with one thing the recording cannot back.
+	rec, _ := twoWriters()
+	tres := transformed(t, rec)
+	base := tres.Plan
+	n, nev := len(base.Acq), int32(len(rec.Events))
+	if _, err := Run(rec, Options{Sched: ELSCS, Plan: base}); err != nil || len(base.Locks) < 2 || len(base.Constraints) == 0 {
+		t.Fatalf("fixture: plan of %d members and %d constraints replays to %v", len(base.Locks), len(base.Constraints), err)
+	}
+	withLockset := 0 // a section that has one
+	for base.Off[withLockset+1] == base.Off[withLockset] {
+		withLockset++
+	}
+	notALock := int32(0)
+	for rec.Events[notALock].Kind != trace.KCompute {
+		notALock++
+	}
+	for _, c := range []struct {
+		name string
+		edit func(p *trace.Plan)
+	}{
+		{"plan: a release short", func(p *trace.Plan) { p.Rel = p.Rel[:n-1] }},
+		{"plan: an offset short", func(p *trace.Plan) { p.Off = p.Off[:n] }},
+		{"plan: offsets decreasing", func(p *trace.Plan) {
+			p.Off[withLockset], p.Off[withLockset+1] = p.Off[withLockset+1], p.Off[withLockset]
+		}},
+		{"plan: offset past the locks", func(p *trace.Plan) { p.Off[n] = int32(len(p.Locks)) + 1 }},
+		{"plan: negative offset", func(p *trace.Plan) { p.Off[0] = -1 }},
+		{"plan: a source short", func(p *trace.Plan) { p.Sources = p.Sources[:len(p.Sources)-1] }},
+		{"plan: section names a compute event", func(p *trace.Plan) { p.Acq[0] = notALock }},
+		{"plan: section names a negative event", func(p *trace.Plan) { p.Rel[0] = -1 }},
+		{"plan: section names an event past the trace", func(p *trace.Plan) { p.Acq[0] = nev }},
+		{"plan: two sections claim one event", func(p *trace.Plan) { p.Acq[1] = p.Acq[0] }},
+		{"plan: a lock operation no section claims", func(p *trace.Plan) {
+			p.Acq, p.Rel, p.Off = p.Acq[:n-1], p.Rel[:n-1], p.Off[:n]
+		}},
+		{"plan: source past the events", func(p *trace.Plan) { p.Sources[0] = nev }},
+		{"plan: an original lock as member", func(p *trace.Plan) { p.Locks[0] = 1 }},
+		{"plan: auxiliary lock past the ordinals", func(p *trace.Plan) {
+			p.Locks[0] = trace.AuxLockBase + trace.LockID(len(p.Locks)) + 1
+		}},
+		{"plan: constraint past the events", func(p *trace.Plan) {
+			p.Constraints = append(p.Constraints, trace.Constraint{After: 0, Before: nev})
+		}},
+	} {
+		p := &trace.Plan{
+			Acq: slices.Clone(base.Acq), Rel: slices.Clone(base.Rel), Off: slices.Clone(base.Off),
+			Locks: slices.Clone(base.Locks), Sources: slices.Clone(base.Sources), Constraints: slices.Clone(base.Constraints),
+		}
+		c.edit(p)
+		cases = append(cases, reject{c.name, rec, Options{Plan: p}})
+	}
+	cases = append(cases, reject{"plan: over the already transformed trace", tres.Trace, Options{Plan: base}})
+
 	for _, c := range cases {
 		for _, sch := range allScheds {
 			c.opts.Sched = sch

@@ -19,6 +19,33 @@ type Constraint struct {
 	Before int32 `json:"b"` // event that must wait
 }
 
+// Plan is the ULCP-free schedule of a recording, as data about the
+// recording rather than a second trace: which lockset replaces each
+// critical section's lock operations (RULES 3 and 4) and which
+// happens-before edges join them (RULES 1 and 2). transform.Plan builds
+// it, replay.Run steps the recording under it, and transform.Apply
+// writes it out as events for the readers that need a trace. It lives
+// here, beside Constraint, because transform builds it and replay — whose
+// tests import transform — consumes it. Nothing mutates a built plan.
+type Plan struct {
+	// Acq and Rel are each critical section's boundary events, in
+	// extraction order. Together they name every KLockAcq and KLockRel of
+	// the recording exactly once.
+	Acq, Rel []int32
+	// Off has one entry more than Acq: section i's lockset is
+	// Locks[Off[i]:Off[i+1]], sorted. An empty lockset removes the
+	// section's lock operations.
+	Off   []int32
+	Locks []LockID
+	// Sources parallels Locks: the release event of the critical section
+	// whose auxiliary lock the member is, or -1 for the section's own
+	// lock (see EventExt.Sources).
+	Sources []int32
+	// Constraints are the RULE-1/RULE-2 edges: the source section's
+	// release completes before the target's acquisition starts.
+	Constraints []Constraint
+}
+
 // Trace is a recorded (or transformed) execution.
 type Trace struct {
 	// App names the workload that produced the trace.
@@ -103,6 +130,19 @@ func (tr *Trace) Ext(e *Event) *EventExt {
 		return &tr.Exts[i]
 	}
 	return &noExt
+}
+
+// Aligned returns a copy of tr whose events may be rewritten in place —
+// kind, lock, cost, extension; never the thread. The events and an
+// extension table with room for extra more entries are the copy's own;
+// everything else is shared, the per-thread index included if tr has
+// built it: the copy has the same threads at the same indices.
+func (tr *Trace) Aligned(extra int) *Trace {
+	out := *tr
+	out.Events = slices.Clone(tr.Events)
+	out.Exts = append(make([]EventExt, 0, len(tr.Exts)+extra), tr.Exts...)
+	out.lockOrder = nil
+	return &out
 }
 
 // Warm populates the lazily-built indices (PerThread, LockOrder) so the

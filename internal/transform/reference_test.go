@@ -185,16 +185,17 @@ func contendedWriters(p *sim.Program) {
 // TestTransformAllocsPerCS: Apply allocates a few dozen objects — the
 // output trace, its event array and its extension table (made once, at
 // exactly two entries per lockset node past the source's), the graph's
-// and the assignment's shared arrays, Validate's per-thread maps (which
-// grow with the locks a thread touches) — not a number that follows the
-// critical sections, edges or locksets of the trace.
+// and the assignment's shared arrays, the plan's columns, Validate's
+// per-thread maps (which grow with the locks a thread touches) — not a
+// number that follows the critical sections, edges or locksets of the
+// trace.
 func TestTransformAllocsPerCS(t *testing.T) {
 	for _, app := range []string{"fluidanimate", "mysql"} {
 		var allocs [2]float64
 		var sections [2]int
 		for i, scale := range []float64{0.05, 0.1} {
 			p := workload.MustGet(app).Build(workload.Config{Threads: 4, Scale: scale, Seed: 42})
-			tr := sim.Run(p, sim.Config{Seed: 42}).Trace
+			tr := sim.Run(p, sim.Config{Seed: 42}).Trace.Warm()
 			css := tr.ExtractCS()
 			rep := ulcp.Identify(tr, css, ulcp.Options{})
 			res, err := Apply(tr, css, rep)
@@ -207,6 +208,11 @@ func TestTransformAllocsPerCS(t *testing.T) {
 			if exts, want := res.Trace.Exts, len(tr.Exts)+2*res.LocksetNodes; len(exts) != want || cap(exts) != want {
 				t.Fatalf("%s x%v: extension table len %d cap %d for %d lockset nodes, want exactly %d",
 					app, scale, len(exts), cap(exts), res.LocksetNodes, want)
+			}
+			// Same threads at the same indices: the copy indexes its events
+			// by thread through the recording's index, not one of its own.
+			if own, shared := res.Trace.PerThread(), tr.PerThread(); &own[0][0] != &shared[0][0] {
+				t.Fatalf("%s x%v: the transformed trace built a per-thread index of its own", app, scale)
 			}
 			sections[i] = len(css)
 			allocs[i] = testing.AllocsPerRun(5, func() {

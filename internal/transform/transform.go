@@ -1,5 +1,5 @@
 // Package transform turns a recorded trace with ULCPs into the ULCP-free
-// trace of Sec. 3, applying the four rules end to end:
+// schedule of Sec. 3, applying the four rules end to end:
 //
 //	RULE 1 — causal edges come from the identification report (first-
 //	         matched true contentions).
@@ -9,14 +9,18 @@
 //	RULE 4 — mutual exclusion becomes lockset intersection, realized by
 //	         the replayer acquiring all member locks atomically.
 //
-// The transformed trace is index-aligned with the original: every event
-// keeps its global index (removed synchronization becomes a zero-cost
-// no-op), so per-event timestamps from the two replays can be compared
-// directly when evaluating Eq. 1.
+// The rules run once, in Plan, and yield a trace.Plan: data about the
+// recording that replay.Run steps the recording under. Apply writes the
+// same plan out as a second trace for the readers that need events. Either
+// way the ULCP-free schedule is index-aligned with the original — every
+// event keeps its global index (removed synchronization becomes a
+// zero-cost no-op) — so per-event timestamps from the two replays can be
+// compared directly when evaluating Eq. 1.
 package transform
 
 import (
 	"fmt"
+	"slices"
 
 	"perfplay/internal/lockset"
 	"perfplay/internal/topo"
@@ -26,7 +30,11 @@ import (
 
 // Result is the transformation outcome.
 type Result struct {
-	// Trace is the ULCP-free trace, index-aligned with the original.
+	// Plan is the ULCP-free schedule as data about the recording: what
+	// replay.Run takes beside the recording (replay.Options.Plan).
+	Plan *trace.Plan
+	// Trace is the plan written out as a ULCP-free trace, index-aligned
+	// with the original. Apply fills it; Plan leaves it nil.
 	Trace *trace.Trace
 	// Graph is the causal topology the rules were applied to.
 	Graph *topo.Graph
@@ -42,8 +50,11 @@ type Result struct {
 	Constraints int
 }
 
-// Apply performs the transformation.
-func Apply(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*Result, error) {
+// Plan applies the four rules and returns the ULCP-free schedule as a
+// plan over the recording css was extracted from. Nothing here reads or
+// copies the events: the plan's columns share one array sized by the
+// critical sections and the lockset members.
+func Plan(css []*trace.CritSec, rep *ulcp.Report) (*Result, error) {
 	g, err := topo.Build(css, rep.CausalEdges)
 	if err == nil {
 		_, err = g.TopoSort()
@@ -53,63 +64,41 @@ func Apply(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*Result, er
 	}
 	assign := lockset.Assign(g)
 
-	out := &trace.Trace{
-		App:        tr.App,
-		NumThreads: tr.NumThreads,
-		Events:     make([]trace.Event, len(tr.Events)),
-		Sites:      tr.Sites,
-		MemNames:   tr.MemNames,
-		InitMem:    tr.InitMem,
-		FinalMem:   tr.FinalMem,
-		SpinLocks:  tr.SpinLocks,
-		TotalTime:  tr.TotalTime,
+	// A lockset is the node's own lock plus one per incoming edge.
+	n, members := len(css), assign.NumAux+g.NumEdges()
+	cols := make([]int32, 3*n+1+members)
+	p := &trace.Plan{
+		Acq:     cols[:n:n],
+		Rel:     cols[n : 2*n : 2*n],
+		Off:     cols[2*n : 3*n+1 : 3*n+1],
+		Sources: cols[3*n+1:][:0],
+		Locks:   make([]trace.LockID, 0, members),
 	}
-	copy(out.Events, tr.Events)
-	res := &Result{Trace: out, Graph: g, Assignment: assign}
-	for _, cs := range css {
-		if len(assign.LS(cs.ID)) > 0 {
-			res.LocksetNodes++
-		}
-	}
-	// The extension table keeps the source's entries, so a KSkip's index
-	// survives the copy, and gains an acquire and a release entry per
-	// lockset node, in css order.
-	out.Exts = append(make([]trace.EventExt, 0, len(tr.Exts)+2*res.LocksetNodes), tr.Exts...)
-	resync := func(e *trace.Event, kind trace.Kind, x trace.EventExt) {
-		out.Exts = append(out.Exts, x)
-		e.Kind, e.Lock, e.Spin, e.Ext = kind, trace.NoLock, false, int32(len(out.Exts))
-	}
-
-	// One array backs every lockset's Sources; it holds as many entries
-	// as the locksets have members.
-	srcBuf := make([]int32, assign.NumAux+g.NumEdges())
-	for _, cs := range css {
+	res := &Result{Plan: p, Graph: g, Assignment: assign}
+	for i, cs := range css {
 		if cs.RelEv < 0 {
 			return nil, fmt.Errorf("transform: %v has no release event", cs)
 		}
-		ls := assign.LS(cs.ID)
+		p.Acq[i], p.Rel[i], p.Off[i] = cs.AcqEv, cs.RelEv, int32(len(p.Locks))
+		ls := assign.LS(i)
 		if len(ls) == 0 {
-			// Null-locks and standalone nodes: remove the lock/unlock
-			// events ("PerfPlay removes lock/unlock events of all
-			// null-locks and all standalone nodes", Sec. 3.2). A zero-cost
-			// no-op keeps event indices aligned.
-			noop(&out.Events[cs.AcqEv])
-			noop(&out.Events[cs.RelEv])
+			// Null-locks and standalone nodes: "PerfPlay removes
+			// lock/unlock events of all null-locks and all standalone
+			// nodes" (Sec. 3.2).
 			res.RemovedSync++
 			continue
 		}
-		srcs := assign.Sources[cs.ID]
-		sources := srcBuf[:len(srcs):len(srcs)]
-		srcBuf = srcBuf[len(srcs):]
-		for i, src := range srcs {
-			sources[i] = -1 // the node's own lock
+		res.LocksetNodes++
+		p.Locks = append(p.Locks, ls...)
+		for _, src := range assign.Sources[i] {
+			rel := int32(-1) // the node's own lock
 			if src >= 0 {
-				sources[i] = css[src].RelEv
+				rel = css[src].RelEv
 			}
+			p.Sources = append(p.Sources, rel)
 		}
-		resync(&out.Events[cs.AcqEv], trace.KLocksetAcq, trace.EventExt{Locks: ls, Sources: sources})
-		resync(&out.Events[cs.RelEv], trace.KLocksetRel, trace.EventExt{Locks: ls})
 	}
+	p.Off[n] = int32(len(p.Locks))
 
 	// RULE 1 + RULE 2: every causal edge becomes a happens-before
 	// constraint (release of the source before acquisition of the
@@ -122,13 +111,52 @@ func Apply(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*Result, er
 	// The graph's edges are distinct and every node has its own boundary
 	// events, so the constraints are distinct too.
 	if edges := g.Edges(); len(edges) > 0 {
-		out.Constraints = make([]trace.Constraint, len(edges))
+		p.Constraints = make([]trace.Constraint, len(edges))
 		for i, e := range edges {
-			out.Constraints[i] = trace.Constraint{After: css[e.From].RelEv, Before: css[e.To].AcqEv}
+			p.Constraints[i] = trace.Constraint{After: css[e.From].RelEv, Before: css[e.To].AcqEv}
 		}
 	}
-	res.Constraints = len(out.Constraints)
+	res.Constraints = len(p.Constraints)
+	return res, nil
+}
 
+// Apply performs the transformation and writes the plan out as a trace,
+// for what reads events rather than replays them: the Theorem 1 check,
+// the race detector, trace export.
+func Apply(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*Result, error) {
+	res, err := Plan(css, rep)
+	if err != nil {
+		return nil, err
+	}
+	p := res.Plan
+	// The extension table keeps the source's entries, so a KSkip's index
+	// survives the copy, and gains an acquire and a release entry per
+	// lockset node, in css order. The entries share the plan's arrays.
+	out := tr.Aligned(2 * res.LocksetNodes)
+	// A recording's own constraints hold under the plan as well —
+	// replay.Run adds the plan's to the trace's — so they stay, first.
+	out.Constraints = p.Constraints
+	if len(tr.Constraints) > 0 {
+		out.Constraints = slices.Concat(tr.Constraints, p.Constraints)
+	}
+	resync := func(e *trace.Event, kind trace.Kind, x trace.EventExt) {
+		out.Exts = append(out.Exts, x)
+		e.Kind, e.Lock, e.Spin, e.Ext = kind, trace.NoLock, false, int32(len(out.Exts))
+	}
+	for i := range p.Acq {
+		acq, rel := &out.Events[p.Acq[i]], &out.Events[p.Rel[i]]
+		lo, hi := p.Off[i], p.Off[i+1]
+		if lo == hi {
+			// A zero-cost no-op keeps event indices aligned.
+			noop(acq)
+			noop(rel)
+			continue
+		}
+		locks := p.Locks[lo:hi:hi]
+		resync(acq, trace.KLocksetAcq, trace.EventExt{Locks: locks, Sources: p.Sources[lo:hi:hi]})
+		resync(rel, trace.KLocksetRel, trace.EventExt{Locks: locks})
+	}
+	res.Trace = out
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("transform: produced invalid trace: %w", err)
 	}
