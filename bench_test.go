@@ -275,14 +275,13 @@ func BenchmarkFullPipelineOpenldap(b *testing.B) {
 }
 
 // Pipeline throughput: the full staged analysis (record, four-scheme
-// replay, classification, quantification, report) on the serial path.
-// Worker scaling is bench/'s pipeline.workers4_speedup metric.
+// replay, classification, quantification, report).
 func BenchmarkPipelineSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := pipeline.Run(pipeline.Request{
 			App: "mysql", Threads: 4, Scale: benchScale, Seed: 42,
-			Workers: 1, Schemes: true,
+			Schemes: true,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -1,6 +1,6 @@
 // Command experiments regenerates the paper's evaluation tables and
 // figures (Sec. 6) on the simulated substrate. Selected experiments run
-// concurrently on the pipeline's worker pool; their artifacts are
+// concurrently, one whole experiment per worker; their artifacts are
 // buffered and printed in the canonical order, so output is identical
 // at any -workers width.
 //

@@ -1,12 +1,12 @@
 // Command perfplay runs the PerfPlay pipeline on a modelled workload and
 // prints the ranked list of ULCP optimization opportunities — the
 // "List: ULCP optimization benefits" of the paper's Fig. 5. All analysis
-// goes through the concurrent internal/pipeline orchestrator; -workers
-// sets the pool width (the report bytes are the same at any width).
+// goes through internal/pipeline, one job on one goroutine; -runs N is
+// the only mode that uses more than one core (N whole jobs side by side).
 //
 // Usage:
 //
-//	perfplay -app mysql -threads 2 [-scale 0.5] [-top 5] [-workers 8]
+//	perfplay -app mysql -threads 2 [-scale 0.5] [-top 5]
 //	         [-trace out.trace] [-trace-format columnar] [-races] [-schemes]
 //	perfplay -trace-digest sha256:... [-corpus dir]
 //	perfplay -daemon http://host:8080 -app mysql | -trace-digest sha256:...
@@ -22,7 +22,8 @@
 // re-recording. With -daemon the job is submitted to a perfplayd node
 // instead of running locally — following any 503 Retry-Peer admission
 // redirect to an idler cluster node — and the daemon's (byte-identical)
-// report is printed.
+// report is printed. Each mode honours a fixed set of flags (modes); a
+// flag outside it is a usage error (exit 2), never a silent no-op.
 package main
 
 import (
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 
 	"perfplay/internal/core"
@@ -47,43 +49,93 @@ import (
 	"perfplay/internal/workload"
 )
 
+var (
+	appName   = flag.String("app", "", "workload to analyze (see -list)")
+	threads   = flag.Int("threads", 2, "worker thread count")
+	scale     = flag.Float64("scale", 1.0, "workload scale relative to the paper's setup")
+	input     = flag.String("input", "simlarge", "input size: simsmall, simmedium, simlarge")
+	seed      = flag.Int64("seed", 42, "recording seed")
+	top       = flag.Int("top", 5, "number of recommendations to print")
+	schemes   = flag.Bool("schemes", false, "also replay the recording under all four schedulers")
+	traceOut  = flag.String("trace", "", "write the recorded trace to this file")
+	jsonOut   = flag.Bool("json", false, "write the trace as JSON instead of binary (shorthand for -trace-format json)")
+	traceFmt  = flag.String("trace-format", "", "on-disk encoding for -trace: binary, json, or columnar (default binary)")
+	replayIn  = flag.String("replay", "", "replay an existing trace file instead of recording")
+	races     = flag.Bool("races", false, "run the happens-before detector on the transformed trace")
+	list      = flag.Bool("list", false, "list available workloads")
+	scheduler = flag.String("sched", "elsc", "replay scheme for -replay: orig, elsc, sync, mem")
+	runs      = flag.Int("runs", 1, "aggregate the analysis over N differently-seeded traces (multi-trace mode)")
+	timeline  = flag.Bool("timeline", false, "print an ASCII per-thread timeline of the recorded trace")
+	caseNum   = flag.Int("case", 0, "analyze an appendix real-world case (1-10) instead of a full workload")
+	diffA     = flag.String("diff", "", "diff two trace files per code region: -diff a.trace -with b.trace")
+	diffB     = flag.String("with", "", "second trace file for -diff")
+	corpusDir = flag.String("corpus", "perfplay-corpus", "content-addressed trace corpus directory (shared layout with perfplayd)")
+	saveTrace = flag.Bool("save-trace", false, "store the recorded trace in the corpus and print its sha256 digest")
+	digestIn  = flag.String("trace-digest", "", "analyze a stored trace from the corpus by sha256 digest instead of recording")
+	le        = flag.Bool("le", false, "also run the speculative lock elision baseline on the recording")
+	verifyT1  = flag.Bool("verify", false, "run the Theorem 1 correctness check on the transformation")
+	daemon    = flag.String("daemon", "", "submit the job to a perfplayd daemon at this base URL instead of analyzing locally (follows 503 Retry-Peer admission redirects)")
+)
+
+// modes lists every mode in dispatch order — the first whose selector
+// holds wins — with the flags it honours. Any other flag on the command
+// line is an error, not a silent no-op: a user asking for -verify must
+// not get an unverified run that exits 0. Daemon mode ships the job
+// description, not the work, so it honours only what the daemon's spec
+// can express; -runs merges quantification artifacts only, so scheme
+// replays, Theorem 1 checks and race reports would be discarded.
+var modes = []struct {
+	name     string
+	selected func() bool
+	honours  string
+}{
+	{"-list", func() bool { return *list }, "list"},
+	{"-replay", func() bool { return *replayIn != "" }, "replay sched"},
+	{"-daemon -trace-digest", func() bool { return *daemon != "" && *digestIn != "" }, "daemon trace-digest top schemes races"},
+	{"-daemon", func() bool { return *daemon != "" }, "daemon app threads input scale seed top schemes races"},
+	{"-trace-digest", func() bool { return *digestIn != "" }, "trace-digest corpus top schemes races verify"},
+	{"-diff", func() bool { return *diffA != "" }, "diff with"},
+	{"-case", func() bool { return *caseNum != 0 }, "case threads scale seed top schemes races verify"},
+	{"-runs", func() bool { return *runs > 1 }, "runs app threads input scale seed top"},
+	{"-app", func() bool { return true }, "app runs threads input scale seed top schemes races verify " +
+		"le timeline trace json trace-format save-trace corpus"},
+}
+
+// checkFlags picks the mode the flag values select and reports the first
+// of the flags set on the command line that it does not honour.
+func checkFlags(set []string) (mode string, err error) {
+	for _, m := range modes {
+		if !m.selected() {
+			continue
+		}
+		honoured := strings.Fields(m.honours)
+		for _, name := range set {
+			if !slices.Contains(honoured, name) {
+				return m.name, fmt.Errorf("-%s has no effect in %s mode (it honours: -%s)",
+					name, m.name, strings.Join(honoured, " -"))
+			}
+		}
+		return m.name, nil
+	}
+	panic("unreachable: the last mode always selects")
+}
+
 func main() {
 	// Subcommand dispatch before the legacy flag surface: `perfplay sim`
 	// is the offline cluster-policy lab (see sim.go).
 	if len(os.Args) > 1 && os.Args[1] == "sim" {
 		os.Exit(runSim(os.Args[2:]))
 	}
-	var (
-		appName   = flag.String("app", "", "workload to analyze (see -list)")
-		threads   = flag.Int("threads", 2, "worker thread count")
-		scale     = flag.Float64("scale", 1.0, "workload scale relative to the paper's setup")
-		input     = flag.String("input", "simlarge", "input size: simsmall, simmedium, simlarge")
-		seed      = flag.Int64("seed", 42, "recording seed")
-		top       = flag.Int("top", 5, "number of recommendations to print")
-		workers   = flag.Int("workers", 1, "pipeline worker-pool width (1 = serial)")
-		schemes   = flag.Bool("schemes", false, "also replay the recording under all four schedulers")
-		traceOut  = flag.String("trace", "", "write the recorded trace to this file")
-		jsonOut   = flag.Bool("json", false, "write the trace as JSON instead of binary (shorthand for -trace-format json)")
-		traceFmt  = flag.String("trace-format", "", "on-disk encoding for -trace: binary, json, or columnar (default binary)")
-		replayIn  = flag.String("replay", "", "replay an existing trace file instead of recording")
-		races     = flag.Bool("races", false, "run the happens-before detector on the transformed trace")
-		list      = flag.Bool("list", false, "list available workloads")
-		scheduler = flag.String("sched", "elsc", "replay scheme for -replay: orig, elsc, sync, mem")
-		runs      = flag.Int("runs", 1, "aggregate the analysis over N differently-seeded traces (multi-trace mode)")
-		timeline  = flag.Bool("timeline", false, "print an ASCII per-thread timeline of the recorded trace")
-		caseNum   = flag.Int("case", 0, "analyze an appendix real-world case (1-10) instead of a full workload")
-		diffA     = flag.String("diff", "", "diff two trace files per code region: -diff a.trace -with b.trace")
-		diffB     = flag.String("with", "", "second trace file for -diff")
-		corpusDir = flag.String("corpus", "perfplay-corpus", "content-addressed trace corpus directory (shared layout with perfplayd)")
-		saveTrace = flag.Bool("save-trace", false, "store the recorded trace in the corpus and print its sha256 digest")
-		digestIn  = flag.String("trace-digest", "", "analyze a stored trace from the corpus by sha256 digest instead of recording")
-		le        = flag.Bool("le", false, "also run the speculative lock elision baseline on the recording")
-		verifyT1  = flag.Bool("verify", false, "run the Theorem 1 correctness check on the transformation")
-		daemon    = flag.String("daemon", "", "submit the job to a perfplayd daemon at this base URL instead of analyzing locally (follows 503 Retry-Peer admission redirects)")
-	)
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	mode, err := checkFlags(set)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "perfplay:", err)
+		os.Exit(2)
+	}
 
-	if *list {
+	if mode == "-list" {
 		fmt.Println("available workloads:")
 		for _, a := range workload.All() {
 			fmt.Printf("  %-15s (%s)\n", a.Name, a.Kind)
@@ -91,29 +143,17 @@ func main() {
 		return
 	}
 
-	if *replayIn != "" {
+	if mode == "-replay" {
 		if err := replayFile(*replayIn, *scheduler); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	if *daemon != "" {
-		// Daemon mode ships the job description, not the work: a
-		// workload spec or a stored-trace digest the daemon resolves
+	if strings.HasPrefix(mode, "-daemon") {
+		// A workload spec or a stored-trace digest the daemon resolves
 		// from its own corpus. The accepting node may differ from the
-		// submitted one under steal-aware admission. Flags the daemon
-		// spec cannot express are rejected rather than silently dropped
-		// — a user asking for -verify must not get an unverified run
-		// that exits 0.
-		switch {
-		case *le, *verifyT1, *timeline:
-			fatal(fmt.Errorf("-le, -verify and -timeline run local-only analyses; drop them or drop -daemon"))
-		case *traceOut != "", *jsonOut, *traceFmt != "", *saveTrace:
-			fatal(fmt.Errorf("-trace/-json/-trace-format/-save-trace write local recordings; the daemon records remotely"))
-		case *runs > 1, *caseNum != 0:
-			fatal(fmt.Errorf("-runs and -case are not supported with -daemon"))
-		}
+		// submitted one under steal-aware admission.
 		spec := map[string]any{"top": *top, "schemes": *schemes, "races": *races}
 		switch {
 		case *digestIn != "":
@@ -133,10 +173,9 @@ func main() {
 		return
 	}
 
-	if *digestIn != "" {
+	if mode == "-trace-digest" {
 		if err := analyzeDigest(*corpusDir, *digestIn, pipeline.Request{
 			TopK:           *top,
-			Workers:        *workers,
 			Schemes:        *schemes,
 			DetectRaces:    *races,
 			VerifyTheorem1: *verifyT1,
@@ -146,7 +185,7 @@ func main() {
 		return
 	}
 
-	if *diffA != "" {
+	if mode == "-diff" {
 		if *diffB == "" {
 			fatal(fmt.Errorf("-diff requires -with"))
 		}
@@ -161,13 +200,12 @@ func main() {
 		Scale:          *scale,
 		Seed:           *seed,
 		TopK:           *top,
-		Workers:        *workers,
 		Schemes:        *schemes,
 		DetectRaces:    *races,
 		VerifyTheorem1: *verifyT1,
 	}
 
-	if *caseNum != 0 {
+	if mode == "-case" {
 		p, err := workload.BuildCase(*caseNum, workload.Config{Threads: *threads, Scale: *scale, Seed: *seed})
 		if err != nil {
 			fatal(err)
@@ -197,19 +235,15 @@ func main() {
 	}
 	req.Input = in
 
-	if *runs > 1 {
+	if mode == "-runs" {
 		// Multi-trace mode (Sec. 6.7 extension): analyze several
-		// differently-seeded recordings — spread over the pool — and
+		// differently-seeded recordings, one whole job per core, and
 		// recommend only the code regions whose opportunity holds in
 		// every one.
 		seeds := make([]int64, *runs)
 		for r := range seeds {
 			seeds[r] = *seed + int64(r)
 		}
-		// multi.Merge consumes only the quantification artifacts, so
-		// don't pay for per-seed scheme replays or Theorem 1 checks
-		// whose output would be discarded.
-		req.Schemes, req.VerifyTheorem1, req.DetectRaces = false, false, false
 		results, err := pipeline.New(pipeline.Options{}).RunSeeds(req, seeds)
 		if err != nil {
 			fatal(err)

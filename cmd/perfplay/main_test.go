@@ -1,8 +1,11 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"perfplay/internal/trace"
@@ -67,6 +70,83 @@ func TestMalformedTraceFilesAreErrors(t *testing.T) {
 			}
 			if err := diffFiles(path, path); err == nil {
 				t.Errorf("%s (%s): -diff succeeded", name, format)
+			}
+		}
+	}
+}
+
+// TestUnhonouredFlagIsAnError walks every mode × every flag: starting
+// from the arguments that select a mode, adding one more flag either is
+// honoured (listed here) or is an error naming the flag and the mode —
+// never a run that silently drops it. A flag that selects an
+// earlier-dispatched mode switches to it; that is accepted only when the
+// new mode honours the original arguments too (-app + -daemon).
+func TestUnhonouredFlagIsAnError(t *testing.T) {
+	const recording = " threads scale seed"
+	const reporting = " top schemes races"
+	// The value each mode-selecting flag gets; every other flag is set to
+	// its default, which Visit still reports as set.
+	values := map[string]string{
+		"list": "true", "replay": "a.trace", "daemon": "http://h", "trace-digest": "sha256:0",
+		"diff": "a.trace", "case": "1", "runs": "3", "app": "mysql",
+	}
+	var all []string
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			all = append(all, f.Name)
+		}
+	})
+	if len(all) != 25 {
+		t.Fatalf("perfplay defines %d flags, the table was written for 25: %v", len(all), all)
+	}
+	// check sets the named flags, asks checkFlags, and restores defaults.
+	check := func(set []string) (string, error) {
+		for _, name := range set {
+			v := values[name]
+			if v == "" {
+				v = flag.Lookup(name).DefValue
+			}
+			if err := flag.Set(name, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer func() {
+			for _, name := range set {
+				flag.Set(name, flag.Lookup(name).DefValue)
+			}
+		}()
+		return checkFlags(set)
+	}
+
+	for _, m := range []struct {
+		mode, selectors, accepted string
+	}{
+		{"-list", "list", "list"},
+		{"-replay", "replay", "replay sched"},
+		{"-daemon", "daemon app", "daemon app input" + recording + reporting},
+		{"-daemon -trace-digest", "daemon trace-digest", "daemon trace-digest" + reporting},
+		{"-trace-digest", "trace-digest", "trace-digest daemon corpus verify" + reporting},
+		{"-diff", "diff", "diff with"},
+		{"-case", "case", "case verify" + recording + reporting},
+		{"-runs", "app runs", "app runs input top" + recording},
+		{"-app", "app", "app runs input verify le timeline trace json trace-format " +
+			"save-trace corpus daemon" + recording + reporting},
+	} {
+		selectors := strings.Fields(m.selectors)
+		if got, err := check(selectors); got != m.mode || err != nil {
+			t.Fatalf("%v selects mode %q (%v), want %q", selectors, got, err, m.mode)
+		}
+		for _, name := range all {
+			set := append(slices.Clone(selectors), name)
+			mode, err := check(set)
+			if slices.Contains(strings.Fields(m.accepted), name) {
+				if err != nil {
+					t.Errorf("%v: %v", set, err)
+				}
+			} else if err == nil {
+				t.Errorf("%v: accepted, but %s mode drops -%s", set, mode, name)
+			} else if !strings.Contains(err.Error(), " has no effect in "+mode+" mode") {
+				t.Errorf("%v: error does not name the flag and the mode: %v", set, err)
 			}
 		}
 	}

@@ -95,7 +95,11 @@ func (c *cacheStats) snapshot() map[string]int64 {
 func (s *Server) handleCacheResult(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	key := r.PathValue("key")
-	top, _ := strconv.Atoi(r.URL.Query().Get("top"))
+	top, err := queryInt(r.URL.Query(), "top")
+	if err != nil {
+		httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "%v", err)
+		return
+	}
 	wr, ok := s.pl.Export(key, top)
 	s.span(s.incomingTrace(r), "cache_serve", start, time.Now(),
 		map[string]string{"kind": "result", "outcome": probeOutcome(ok)})

@@ -183,6 +183,11 @@ func TestCacheEndpoints(t *testing.T) {
 			t.Fatalf("GET %s: status %d, want 404", path, miss.StatusCode)
 		}
 	}
+
+	bad := mustGet(t, ts.URL+"/cache/results/"+url.PathEscape(key)+"?top=abc")
+	if e := apiError(t, bad); bad.StatusCode != http.StatusBadRequest || !strings.Contains(e.Message, "bad top ") {
+		t.Fatalf("?top=abc: status %d, error %+v: want a 400 naming the parameter", bad.StatusCode, e)
+	}
 }
 
 // TestAdmissionRedirectLandsOnIdlestPeer is the steal-aware admission

@@ -1,8 +1,8 @@
 // Command perfplayd is the PerfPlay analysis daemon: a long-running
 // HTTP service that accepts analysis jobs — a workload spec or an
-// uploaded trace file — runs them through the concurrent
-// internal/pipeline orchestrator on a bounded job queue, and serves the
-// ranked reports back as JSON.
+// uploaded trace file — runs up to -workers of them at once through
+// internal/pipeline, one goroutine each, off a bounded job queue, and
+// serves the ranked reports back as JSON.
 //
 // The full HTTP API reference — every route, request/response schema,
 // error code and curl example — lives in docs/API.md (kept in sync with
@@ -27,7 +27,7 @@
 //
 // Usage:
 //
-//	perfplayd [-addr :8080] [-workers 2] [-pipeline-workers 4]
+//	perfplayd [-addr :8080] [-workers 2]
 //	          [-queue 64] [-cache 128] [-max-jobs 1024]
 //	          [-corpus perfplay-corpus] [-corpus-max-bytes 1073741824]
 //	          [-journal-dir auto|DIR|""]
@@ -117,8 +117,7 @@ func main() {
 	}
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		workers       = flag.Int("workers", 2, "concurrent analysis jobs")
-		plWorkers     = flag.Int("pipeline-workers", 4, "worker-pool width inside each job")
+		workers       = flag.Int("workers", 2, "concurrent analysis jobs, each on one goroutine")
 		queueDepth    = flag.Int("queue", 64, "pending-job queue depth (further submits get 503)")
 		cacheSize     = flag.Int("cache", 128, "LRU result cache capacity")
 		maxJobs       = flag.Int("max-jobs", 1024, "finished jobs retained before eviction")
@@ -169,7 +168,6 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	srv, err := NewServer(Config{
 		Workers:           *workers,
-		PipelineWorkers:   *plWorkers,
 		QueueDepth:        *queueDepth,
 		CacheSize:         *cacheSize,
 		MaxJobs:           *maxJobs,
@@ -195,8 +193,8 @@ func main() {
 	if len(peerList) > 0 {
 		cluster = " in a pool with " + strings.Join(peerList, ", ")
 	}
-	srv.logger.Info(fmt.Sprintf("perfplayd listening on %s (%d job workers × %d pipeline workers, queue %d)%s",
-		*addr, *workers, *plWorkers, *queueDepth, cluster))
+	srv.logger.Info(fmt.Sprintf("perfplayd listening on %s (%d job workers, queue %d)%s",
+		*addr, *workers, *queueDepth, cluster))
 
 	// Graceful shutdown: SIGINT/SIGTERM stops the listener, drains
 	// in-flight HTTP requests, then waits for running jobs. A second

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,10 +31,9 @@ import (
 
 // Config sizes the daemon.
 type Config struct {
-	// Workers is the number of job-executor goroutines (0 = 2).
+	// Workers is the number of job-executor goroutines (0 = 2), each
+	// running one analysis at a time.
 	Workers int
-	// PipelineWorkers is the pool width inside each job (0 = 4).
-	PipelineWorkers int
 	// QueueDepth bounds the pending-job queue; submissions beyond it
 	// are rejected with 503 so memory stays bounded under load (0 = 64).
 	QueueDepth int
@@ -115,9 +116,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 2
-	}
-	if c.PipelineWorkers == 0 {
-		c.PipelineWorkers = 4
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
@@ -239,10 +237,10 @@ type analyzeSpec struct {
 }
 
 // Server is the perfplayd HTTP front end: a bounded *stealable* job
-// queue drained by a fixed set of workers, each running the concurrent
-// pipeline. Idle peers may claim whole queued jobs over HTTP and run
-// them remotely (see internal/scheduler); the server's own stealer loop
-// does the same against its peers.
+// queue drained by a fixed set of workers, each running one job's
+// pipeline at a time. Idle peers may claim whole queued jobs over HTTP
+// and run them remotely (see internal/scheduler); the server's own
+// stealer loop does the same against its peers.
 type Server struct {
 	cfg    Config
 	pl     *pipeline.Pipeline
@@ -926,13 +924,19 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// the result cache, so re-uploading identical bytes — or
 		// analyzing the same content stored in the corpus — is a hit.
 		q := r.URL.Query()
-		top, _ := strconv.Atoi(q.Get("top"))
+		top, terr := queryInt(q, "top")
+		schemes, serr := queryBool(q, "schemes")
+		races, rerr := queryBool(q, "races")
+		if err := cmp.Or(terr, serr, rerr); err != nil {
+			httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "%v", err)
+			return
+		}
 		req = pipeline.Request{
 			Trace:       tr,
 			TraceDigest: corpus.Digest(buf.Bytes()),
 			TopK:        top,
-			Schemes:     q.Get("schemes") == "true",
-			DetectRaces: q.Get("races") == "true",
+			Schemes:     schemes,
+			DetectRaces: races,
 		}
 	} else {
 		var spec analyzeSpec
@@ -989,7 +993,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	req.Workers = s.cfg.PipelineWorkers
 
 	s.mu.Lock()
 	if s.closed {
@@ -1202,7 +1205,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cached_tables":      s.pl.TableCacheLen(),
 		"cache":              cache,
 		"workers":            s.cfg.Workers,
-		"pool_workers":       s.cfg.PipelineWorkers,
 		"corpus_enabled":     s.corpus != nil,
 		"corpus_traces":      corpusTraces,
 		"corpus_bytes":       corpusBytes,
@@ -1230,4 +1232,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // docs/API.md.
 func httpError(w http.ResponseWriter, status int, code clusterapi.ErrorCode, format string, args ...any) {
 	writeJSON(w, status, clusterapi.Envelope{Err: *clusterapi.NewError(code, format, args...)})
+}
+
+// queryInt and queryBool read one optional query parameter: absent is
+// the zero value, malformed an error naming the parameter.
+func queryInt(q url.Values, name string) (int, error) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q: want an integer", name, v)
+	}
+	return n, nil
+}
+
+func queryBool(q url.Values, name string) (bool, error) {
+	v := q.Get(name)
+	if v == "" {
+		return false, nil
+	}
+	b, err := strconv.ParseBool(v)
+	if err != nil {
+		return false, fmt.Errorf("bad %s %q: want true or false", name, v)
+	}
+	return b, nil
 }

@@ -353,6 +353,28 @@ func TestAnalyzeRejectsBadInput(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage trace: status %d", resp.StatusCode)
 	}
+
+	// Options on a trace upload ride in the query: a malformed one is a
+	// 400 naming the parameter; every spelling ParseBool takes is honoured.
+	payload := recordedPayload(t, 3)
+	upload := func(query string) *http.Response {
+		resp, err := http.Post(ts.URL+"/analyze?"+query, "application/octet-stream", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for query, param := range map[string]string{"top=abc": "top", "schemes=yes": "schemes", "top=3&races=on": "races"} {
+		resp := upload(query)
+		if e := apiError(t, resp); resp.StatusCode != http.StatusBadRequest ||
+			e.Code != clusterapi.CodeBadRequest || !strings.Contains(e.Message, "bad "+param+" ") {
+			t.Fatalf("?%s: status %d, error %+v: want a 400 naming %q", query, resp.StatusCode, e, param)
+		}
+	}
+	j := waitDone(t, ts.URL, decode[map[string]string](t, upload("schemes=1&races=True"))["id"])
+	if report, _ := j["report"].(string); !strings.Contains(report, "scheme replays") {
+		t.Fatalf("?schemes=1 was accepted and ignored: %v", j)
+	}
 }
 
 func TestJobNotFound(t *testing.T) {

@@ -79,7 +79,6 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 		TopK:        spec.TopK,
 		Schemes:     spec.Schemes,
 		DetectRaces: spec.Races,
-		Workers:     s.cfg.PipelineWorkers,
 	}
 	if spec.App != "" {
 		if _, ok := workload.Get(spec.App); !ok {

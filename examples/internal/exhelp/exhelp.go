@@ -1,7 +1,7 @@
 // Package exhelp is the shared glue for the runnable examples: one
-// helper that drives the concurrent analysis pipeline and exits on
-// error, so every example declares only its workload parameters and the
-// paper-specific inspection it demonstrates.
+// helper that drives the analysis pipeline and exits on error, so every
+// example declares only its workload parameters and the paper-specific
+// inspection it demonstrates.
 package exhelp
 
 import (
@@ -22,8 +22,7 @@ func Analyze(req pipeline.Request) *pipeline.Result {
 	return res
 }
 
-// AnalyzeApp analyzes one registered workload with the examples'
-// default pool width.
+// AnalyzeApp analyzes one registered workload.
 func AnalyzeApp(app string, cfg workload.Config) *core.Analysis {
 	return Analyze(pipeline.Request{
 		App:     app,
@@ -31,13 +30,12 @@ func AnalyzeApp(app string, cfg workload.Config) *core.Analysis {
 		Input:   cfg.Input,
 		Scale:   cfg.Scale,
 		Seed:    cfg.Seed,
-		Workers: 4,
 	}).Analysis
 }
 
 // AnalyzeProgram analyzes a hand-built simulator program.
 func AnalyzeProgram(p *sim.Program, seed int64) *core.Analysis {
-	return Analyze(pipeline.Request{Program: p, Seed: seed, Workers: 4}).Analysis
+	return Analyze(pipeline.Request{Program: p, Seed: seed}).Analysis
 }
 
 // AnalyzeAppRaces is AnalyzeApp with the happens-before detector on.
@@ -48,7 +46,6 @@ func AnalyzeAppRaces(app string, cfg workload.Config) *core.Analysis {
 		Input:       cfg.Input,
 		Scale:       cfg.Scale,
 		Seed:        cfg.Seed,
-		Workers:     4,
 		DetectRaces: true,
 	}).Analysis
 }

@@ -222,6 +222,21 @@ func TestInvariantProbeBoundFires(t *testing.T) {
 	}
 }
 
+func TestInvariantWorkerBoundFires(t *testing.T) {
+	c, inv := invHarness()
+	for i := 0; i < c.cfg.WorkersPerNode; i++ {
+		inv.jobStarted(c.nodes[0])
+	}
+	inv.jobStarted(c.nodes[1]) // another node's run is not this node's
+	if len(inv.violations) != 0 {
+		t.Fatalf("a full node flagged: %v", inv.violations)
+	}
+	inv.jobStarted(c.nodes[0])
+	if len(inv.violations) != 1 || !strings.Contains(inv.violations[0], "jobs at once") {
+		t.Fatalf("over-subscribed node not flagged: %v", inv.violations)
+	}
+}
+
 func TestInvariantChainChecksFire(t *testing.T) {
 	_, inv := invHarness()
 	cc := inv.chain("job-1")

@@ -107,7 +107,7 @@ type Config struct {
 	// HintSteals wires Stealer.HasCached so thieves aim at victims
 	// advertising digests the thief has warm.
 	HintSteals bool
-	// SlowFactor multiplies the slow node's chunk durations
+	// SlowFactor multiplies the slow node's run durations
 	// (ScenarioSlowNode).
 	SlowFactor int64
 	// CrashNode / CrashAtMS pick the dying node (ScenarioCrash).

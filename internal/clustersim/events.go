@@ -4,7 +4,7 @@ import "container/heap"
 
 // Event kinds, in same-timestamp execution order. When several events
 // share a millisecond the order below resolves them: arrivals land
-// before stolen work starts, chunk completions free workers before the
+// before stolen work starts, job completions free workers before the
 // reaper looks for expired leases, and steal ticks observe the queue
 // after all of that settled. Any fixed order would be deterministic;
 // this one is also the least surprising — it matches the order a real
@@ -12,7 +12,7 @@ import "container/heap"
 const (
 	kindArrival = iota
 	kindStolenStart
-	kindChunkDone
+	kindJobDone
 	kindReaper
 	kindStealTick
 	kindSample
@@ -21,7 +21,7 @@ const (
 
 // event is one scheduled simulator action. seq breaks (at, kind) ties
 // in scheduling order, which closes the last determinism gap: two
-// chunk completions on the same millisecond run in the order they were
+// job completions on the same millisecond run in the order they were
 // scheduled, never in heap-internal order.
 type event struct {
 	at   int64 // simulated milliseconds since the epoch

@@ -8,11 +8,11 @@ import "fmt"
 // OWN record of which node computed or imported which artifact — never
 // reading the nodes' cache maps — so a regression where the transport
 // serves a result the serving node never held, or the policy probes
-// wider than its fan-out, or an admission chain revisits a node, is
-// caught at the moment it happens rather than laundered into a
-// plausible-looking latency number. Violations are deterministic
-// strings rendered on the report; every shipped scenario must produce
-// none.
+// wider than its fan-out, or an admission chain revisits a node, or a
+// node runs more jobs than it has workers, is caught at the moment it
+// happens rather than laundered into a plausible-looking latency
+// number. Violations are deterministic strings rendered on the report;
+// every shipped scenario must produce none.
 type invariants struct {
 	c *Cluster
 	// terminal maps job id → how it reached its terminal account
@@ -24,6 +24,9 @@ type invariants struct {
 	// computed or imported.
 	results map[string]map[string]bool
 	warm    map[string]map[string]bool
+	// running is the shadow worker book: how many jobs each node (by
+	// URL) is executing right now.
+	running map[string]int
 
 	violations []string
 }
@@ -39,6 +42,7 @@ func newInvariants(c *Cluster) *invariants {
 		terminal: make(map[string]string),
 		results:  make(map[string]map[string]bool),
 		warm:     make(map[string]map[string]bool),
+		running:  make(map[string]int),
 	}
 }
 
@@ -59,6 +63,18 @@ func (v *invariants) terminalOnce(id, how string) {
 	}
 	v.terminal[id] = how
 }
+
+// jobStarted and jobStopped bracket one job's run on a worker: a node
+// never runs more than WorkersPerNode jobs at once. (A crashed node's
+// runs are never stopped — nor does it start another.)
+func (v *invariants) jobStarted(n *node) {
+	v.running[n.url]++
+	if got := v.running[n.url]; got > v.c.cfg.WorkersPerNode {
+		v.violatef("%s runs %d jobs at once on %d workers (t=%d)", n.url, got, v.c.cfg.WorkersPerNode, v.c.now)
+	}
+}
+
+func (v *invariants) jobStopped(n *node) { v.running[n.url]-- }
 
 func markSet(m map[string]map[string]bool, url, key string) {
 	s := m[url]

@@ -33,8 +33,7 @@ type simJob struct {
 	digest  string
 	arrival int64 // submitted at (sim ms)
 	origin  int   // node it first arrived at
-	groups  []int64
-	total   int64 // summed group cost, ms of cold single-worker work
+	total   int64 // ms of cold work on a nominal-speed worker
 	done    bool  // completed (or orphaned) — resolved for accounting
 	// penalty is latency charged outside the event clock: the link time
 	// a multi-hop admission chain spent before the job landed anywhere.
@@ -42,18 +41,17 @@ type simJob struct {
 	penalty int64
 }
 
-// activeJob is a job currently executing on a node: its ledger frontier
-// and how many chunks are in flight on workers.
+// activeJob is a job a node has started: waiting for a worker, or
+// running whole on one, as a daemon worker runs it.
 type activeJob struct {
-	job         *simJob
-	ledger      *chunkLedger
-	outstanding int
-	warm        bool
+	job     *simJob
+	running bool
+	warm    bool
 	// cached marks a job settled straight from a result cache (local or
-	// probed off a peer): no ledger, no worker — just a settle event.
+	// probed off a peer): no worker — just a settle event.
 	cached bool
-	// pre is virtual time already spent before the first chunk can run
-	// (the cache-probe round that missed); charged to the first chunk.
+	// pre is virtual time already spent before the run can begin (the
+	// cache-probe round that missed); charged on top of the run.
 	pre int64
 	// victim is the node this job was stolen from (nil for local runs);
 	// completion settles the lease back through the transport.
@@ -84,7 +82,7 @@ type node struct {
 	// recent is the MRU tail of those keys, gossiped as cache hints.
 	results map[string]bool
 	recent  []string
-	speed   int64 // chunk-duration multiplier (1 = nominal)
+	speed   int64 // run-duration multiplier (1 = nominal)
 	crashed bool
 
 	// Simulation-side stats.
@@ -509,12 +507,12 @@ func (c *Cluster) probeCaches(n *node, j *simJob) (hit bool, elapsed int64) {
 }
 
 // settleCached completes a job from a result cache after delay: no
-// ledger, no worker — the activeJob exists only so a crash between now
-// and the settle drops it like any other in-flight work.
+// worker — the activeJob exists only so a crash between now and the
+// settle drops it like any other in-flight work.
 func (c *Cluster) settleCached(n *node, j *simJob, victim *node, delay int64) {
 	aj := &activeJob{job: j, victim: victim, cached: true}
 	n.active = append(n.active, aj)
-	c.schedule(c.now+delay, kindChunkDone, func() {
+	c.schedule(c.now+delay, kindJobDone, func() {
 		if n.crashed {
 			return
 		}
@@ -537,22 +535,19 @@ func (c *Cluster) generateWorkload() {
 			break
 		}
 		origin := c.pickOrigin(arr.Float64(), arr.IntN(c.cfg.Nodes))
-		// Mean job ≈ 10.5 groups × ~35ms ≈ 360ms of cold single-worker
-		// work — against the default 100ms mean arrival this oversubscribes
-		// a skewed-at node several workers deep, which is the regime work
-		// stealing exists for.
-		groups := make([]int64, 6+cost.IntN(10))
+		// Mean job ≈ 10.5 lock groups × ~35ms ≈ 360ms of cold work —
+		// against the default 100ms mean arrival this oversubscribes a
+		// skewed-at node several workers deep, which is the regime work
+		// stealing exists for. One cost draw per group, as ever.
 		var total int64
-		for i := range groups {
-			groups[i] = 10 + cost.Int64N(50)
-			total += groups[i]
+		for g := 6 + cost.IntN(10); g > 0; g-- {
+			total += 10 + cost.Int64N(50)
 		}
 		j := &simJob{
 			id:      fmt.Sprintf("job-%05d", idx),
 			digest:  digests[cost.IntN(len(digests))],
 			arrival: t,
 			origin:  origin,
-			groups:  groups,
 			total:   total,
 		}
 		c.jobs = append(c.jobs, j)
@@ -732,10 +727,9 @@ func (c *Cluster) admit(j *simJob, origin *node) {
 	c.assign(accepted)
 }
 
-// startJob registers a job as executing on n, building its chunk
-// ledger sized to the node's worker pool. victim is non-nil for
-// stolen jobs. With the cache layer on, the job first consults the
-// result caches exactly like the daemon's executeJob: local result hit
+// startJob registers a job as started on n, waiting for a worker.
+// victim is non-nil for stolen jobs. With the cache layer on, the job
+// first consults the result caches like the daemon's executeJob: local hit
 // settles instantly, a probed remote hit settles after the probe round
 // trip, a table hit warms the run, and a miss everywhere degrades to
 // the cold run with the probe time charged up front.
@@ -761,7 +755,6 @@ func (c *Cluster) startJob(n *node, j *simJob, victim *node) {
 		victim: victim,
 		warm:   n.cache[j.digest],
 		pre:    pre,
-		ledger: newChunkLedger(j.groups, c.cfg.WorkersPerNode),
 	}
 	if aj.warm {
 		n.warmRuns++
@@ -769,10 +762,10 @@ func (c *Cluster) startJob(n *node, j *simJob, victim *node) {
 	n.active = append(n.active, aj)
 }
 
-// assign puts every free worker to work: first on already-active
-// ledgers (in start order — finish what you started), then by popping
-// the queue. Each pulled chunk schedules its completion after the
-// chunk's cost, scaled by node speed and cache warmth.
+// assign puts every free worker to work: first on the oldest started
+// job still waiting for one (finish what you started), then by popping
+// the queue. A worker runs its job whole: the job's cost, scaled by node
+// speed and cache warmth, plus the probe round that missed.
 func (c *Cluster) assign(n *node) {
 	if n.crashed {
 		return
@@ -780,7 +773,7 @@ func (c *Cluster) assign(n *node) {
 	for n.freeWorkers > 0 {
 		var aj *activeJob
 		for _, a := range n.active {
-			if !a.cached && a.ledger.unclaimed() > 0 {
+			if !a.cached && !a.running {
 				aj = a
 				break
 			}
@@ -790,51 +783,30 @@ func (c *Cluster) assign(n *node) {
 			if !ok {
 				return
 			}
-			j := c.byID[qj.ID]
-			if j == nil || j.done {
-				continue
+			if j := c.byID[qj.ID]; j != nil && !j.done {
+				c.startJob(n, j, nil)
 			}
-			c.startJob(n, j, nil)
 			continue
 		}
-		start, end, ok := aj.ledger.nextChunk()
-		if !ok {
-			continue
-		}
-		var costSum int64
-		for _, g := range aj.job.groups[start:end] {
-			costSum += g
-		}
-		dur := costSum * n.speed
+		dur := aj.job.total * n.speed
 		if aj.warm {
 			dur /= warmRunDivisor
 		}
-		if dur < 1 {
-			dur = 1
-		}
-		if aj.pre > 0 {
-			// The probe round that missed delayed the start; charge it to
-			// the job's first chunk.
-			dur += aj.pre
-			aj.pre = 0
-		}
 		n.freeWorkers--
-		aj.outstanding++
-		c.schedule(c.now+dur, kindChunkDone, func() { c.chunkDone(n, aj) })
+		aj.running = true
+		c.inv.jobStarted(n)
+		c.schedule(c.now+max(dur, 1)+aj.pre, kindJobDone, func() { c.jobDone(n, aj) })
 	}
 }
 
-// chunkDone returns a worker and, when the job's ledger is fully
-// drained with nothing in flight, completes the job.
-func (c *Cluster) chunkDone(n *node, aj *activeJob) {
+// jobDone returns the worker and completes its job.
+func (c *Cluster) jobDone(n *node, aj *activeJob) {
 	if n.crashed {
-		return // the worker died mid-chunk with the node
+		return // the worker died mid-job with the node
 	}
 	n.freeWorkers++
-	aj.outstanding--
-	if aj.outstanding == 0 && aj.ledger.unclaimed() == 0 {
-		c.finishJob(n, aj)
-	}
+	c.inv.jobStopped(n)
+	c.finishJob(n, aj)
 	c.assign(n)
 }
 

@@ -13,8 +13,7 @@ import (
 // TestReportIdenticalAcrossTraceFormats runs the full analysis over the
 // same recording loaded from all three on-disk encodings. The report —
 // the repo's determinism currency — must be byte-identical regardless
-// of which format carried the trace, serial and parallel alike; a
-// columnar load that adopted a wrong side index or dropped a sidecar
+// of which format carried the trace; a columnar load that adopted a wrong side index or dropped a sidecar
 // field would surface here as report drift.
 func TestReportIdenticalAcrossTraceFormats(t *testing.T) {
 	app := workload.MustGet("mysql")
@@ -27,27 +26,25 @@ func TestReportIdenticalAcrossTraceFormats(t *testing.T) {
 	}
 
 	var want string
-	for _, workers := range []int{1, 4} {
-		for name, write := range encoders {
-			var buf bytes.Buffer
-			if err := write(rec.Trace, &buf); err != nil {
-				t.Fatalf("%s: write: %v", name, err)
-			}
-			tr, err := trace.ReadAny(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("%s: load: %v", name, err)
-			}
-			res, err := Run(Request{Trace: tr.Warm(), TopK: 5, Workers: workers, Schemes: true})
-			if err != nil {
-				t.Fatalf("%s: pipeline: %v", name, err)
-			}
-			if want == "" {
-				want = res.Report
-			}
-			if res.Report != want {
-				t.Fatalf("%s (workers=%d): report differs across trace formats:\nwant:\n%s\ngot:\n%s",
-					name, workers, want, res.Report)
-			}
+	for name, write := range encoders {
+		var buf bytes.Buffer
+		if err := write(rec.Trace, &buf); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		tr, err := trace.ReadAny(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: load: %v", name, err)
+		}
+		res, err := Run(Request{Trace: tr.Warm(), TopK: 5, Schemes: true})
+		if err != nil {
+			t.Fatalf("%s: pipeline: %v", name, err)
+		}
+		if want == "" {
+			want = res.Report
+		}
+		if res.Report != want {
+			t.Fatalf("%s: report differs across trace formats:\nwant:\n%s\ngot:\n%s",
+				name, want, res.Report)
 		}
 	}
 }

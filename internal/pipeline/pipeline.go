@@ -1,19 +1,17 @@
-// Package pipeline is the concurrent analysis orchestrator: it runs the
-// PerfPlay stages — Record → Replay → Classify → Quantify → Report — as
-// one staged job with a typed Request/Result API, sharding the
-// embarrassingly parallel work (the four replay schemes, per-lock ULCP
-// pair enumeration against a cached verdict table, and the
-// original/ULCP-free quantification replays) across an in-process
-// worker pool. A job never leaves its node mid-run: the cluster moves
-// whole jobs (stealing) and finished results/tables (cache probes).
+// Package pipeline is the analysis orchestrator: it runs the PerfPlay
+// stages — Record → Replay → Classify → Quantify → Report — as one
+// staged job with a typed Request/Result API. One job runs on one
+// goroutine, start to finish; parallelism lives across whole jobs
+// (RunSeeds, cmd/experiments, perfplayd -workers), never inside one. A
+// job never leaves its node mid-run: the cluster moves whole jobs
+// (stealing) and finished results/tables (cache probes).
 //
-// Determinism is a hard contract: results are merged by task index in a
-// fixed order (schemes in scheduler order, classification shards in
-// sorted lock order), so a run with Workers: 8 produces byte-identical
-// reports to the serial path for the same seed. A Pipeline value adds an
-// LRU result cache keyed by (workload, input, threads, seed, config) on
-// top; it retains each finished job's core.Summary and nothing the job
-// analyzed. exec is the module's single definition of the stage order:
+// The stage order is the contract: schemes replay in scheduler order,
+// classification shards run in sorted lock order, and the report is a
+// pure function of the request. A Pipeline value adds an LRU result
+// cache keyed by (workload, input, threads, seed, config) on top; it
+// retains each finished job's core.Summary and nothing the job analyzed.
+// exec is the module's single definition of the stage order:
 // cmd/perfplay, cmd/experiments (every paper table and figure), the
 // examples, the bench harness and the perfplayd daemon all drive their
 // analyses through this package.
@@ -21,6 +19,7 @@ package pipeline
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"perfplay/internal/core"
@@ -77,11 +76,11 @@ type Request struct {
 	// TopK bounds the ranked recommendations in the rendered report
 	// (0 = 5).
 	TopK int
-	// Workers is the pool width for the parallel stages; 0 or 1 runs
-	// the serial path. Output bytes do not depend on it.
+	// Workers is unread: it stays declared only because bench/layers.go
+	// still sets it (see ROADMAP "Keep the spine honest").
 	Workers int
 	// Schemes additionally replays the recorded trace under all four
-	// schedulers (ORIG/ELSC/SYNC/MEM), in parallel.
+	// schedulers (ORIG/ELSC/SYNC/MEM).
 	Schemes bool
 
 	// DetectRaces runs the happens-before detector over the ULCP-free
@@ -114,9 +113,6 @@ func (r Request) normalize() Request {
 		r.Scale = 1.0
 	}
 	r.TopK = depthOrDefault(r.TopK)
-	if r.Workers < 1 {
-		r.Workers = 1
-	}
 	return r
 }
 
@@ -146,13 +142,11 @@ func (r Request) cacheable() bool {
 }
 
 // CacheKey canonically encodes every field that affects the computed
-// artifacts. Two fields are deliberately excluded: Workers (the
-// determinism contract makes the output identical at any pool width)
-// and TopK (it only affects report rendering, which a cache hit redoes
-// at the requested depth). For digest-keyed trace requests the
-// record-stage fields (Input, Threads, Scale, Seed) are inert — the
-// Record stage is skipped — but they stay in the key, so callers should
-// leave them zero to share entries.
+// artifacts. TopK is deliberately excluded: it only affects report
+// rendering, which a cache hit redoes at the requested depth. For
+// digest-keyed trace requests the record-stage fields (Input, Threads,
+// Scale, Seed) are inert — the Record stage is skipped — but they stay
+// in the key, so callers should leave them zero to share entries.
 func (r Request) CacheKey() string {
 	src := r.App
 	if r.TraceDigest != "" {
@@ -171,8 +165,7 @@ type SchemeReplay struct {
 }
 
 // Result bundles a finished job: its summary, the ranked report
-// rendered from it at Request.TopK — bytes identical for serial and
-// parallel runs of the same request — and, for a job this call actually
+// rendered from it at Request.TopK and, for a job this call actually
 // executed, the full analysis artifacts and optional scheme replays.
 //
 // A cache hit has no artifacts: Analysis and Schemes are nil, because
@@ -299,18 +292,15 @@ func (p *Pipeline) Run(req Request) (*Result, error) {
 }
 
 // RunSeeds runs the same request across several seeds — the multi-trace
-// mode of Sec. 6.7 — spreading whole jobs over the pool (each job runs
-// its own stages serially) and returning results in seed order. Like
-// Run, a seed served from the result cache comes back without artifacts.
+// mode of Sec. 6.7 — spreading whole jobs over the machine's cores and
+// returning results in seed order. Like Run, a seed served from the
+// result cache comes back without artifacts.
 func (p *Pipeline) RunSeeds(req Request, seeds []int64) ([]*Result, error) {
-	req = req.normalize()
-	pool := NewPool(req.Workers)
 	results := make([]*Result, len(seeds))
 	errs := make([]error, len(seeds))
-	pool.Each(len(seeds), func(i int) {
+	NewPool(runtime.GOMAXPROCS(0)).Each(len(seeds), func(i int) {
 		r := req
 		r.Seed = seeds[i]
-		r.Workers = 1
 		results[i], errs[i] = p.Run(r)
 	})
 	for _, err := range errs {
@@ -343,9 +333,9 @@ func tableKey(req Request) string {
 		req.Identify.MaxScanPerThread, req.Identify.DisableReversedReplay, req.Identify.MaxReversedReplays)
 }
 
-// exec is the staged orchestrator.
+// exec is the staged orchestrator: straight-line code on the calling
+// goroutine.
 func (p *Pipeline) exec(req Request) (*Result, error) {
-	pool := NewPool(req.Workers)
 	res := &Result{Request: req}
 	a := &core.Analysis{}
 	res.Analysis = a
@@ -361,7 +351,7 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 
 	// Stage 1 — Record: build and run the workload under the recording
 	// simulator, unless the caller supplied a trace. The trace is warmed
-	// here because the later stages replay it from several goroutines.
+	// here, once, for every later stage that indexes it.
 	tr := req.Trace
 	if err := stage("record", func() error {
 		if tr == nil && req.TraceLoader != nil {
@@ -401,31 +391,25 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 	}
 	a.App = tr.App
 
-	// Stage 2 — Replay: the independent scheduler replays of the
-	// recorded trace. The ELSC run doubles as the quantification
-	// baseline (core's OrigReplay), so it always runs; the other three
-	// schemes join the fan-out when requested.
+	// Stage 2 — Replay: the scheduler replays of the recorded trace. The
+	// ELSC run doubles as the quantification baseline (core's
+	// OrigReplay), so it always runs; the other three schemes run beside
+	// it, in scheduler order, when requested.
 	if err := stage("replay", func() error {
 		scheds := []replay.Scheduler{replay.ELSCS}
 		if req.Schemes {
 			scheds = []replay.Scheduler{replay.OrigS, replay.ELSCS, replay.SyncS, replay.MemS}
 		}
-		results := make([]*replay.Result, len(scheds))
-		errs := make([]error, len(scheds))
-		pool.Each(len(scheds), func(i int) {
-			results[i], errs[i] = replay.Run(tr, replay.Options{Sched: scheds[i]})
-		})
-		for i, err := range errs {
+		for _, s := range scheds {
+			r, err := replay.Run(tr, replay.Options{Sched: s})
 			if err != nil {
-				return fmt.Errorf("pipeline: %v replay: %w", scheds[i], err)
+				return fmt.Errorf("pipeline: %v replay: %w", s, err)
 			}
-		}
-		for i, s := range scheds {
 			if s == replay.ELSCS {
-				a.OrigReplay = results[i]
+				a.OrigReplay = r
 			}
 			if req.Schemes {
-				res.Schemes = append(res.Schemes, SchemeReplay{Sched: s, Result: results[i]})
+				res.Schemes = append(res.Schemes, SchemeReplay{Sched: s, Result: r})
 			}
 		}
 		return nil
@@ -435,8 +419,8 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 
 	// Stage 3 — Classify: extract critical sections, obtain the shared
 	// reversed-replay verdict table (cached by trace digest, or built by
-	// one identification pass), run the per-lock shards against it on
-	// the pool, merge shard reports in sorted lock order, and build the
+	// one identification pass), run the per-lock shards against it and
+	// merge their reports in sorted lock order, and build the
 	// ULCP-free schedule as a plan over the recording — written out as a
 	// second trace only for the two readers that need events, the
 	// Theorem 1 check and the race detector. Both paths below produce the
@@ -469,13 +453,13 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 			// reproduce it.
 			a.Report = buildRep
 		} else {
-			// Cached table: shards re-derive the report in parallel
-			// without a single reversed replay.
+			// Cached table: shards re-derive the report without a single
+			// reversed replay.
 			groups := ulcp.SortedLockGroups(a.CSs)
 			shards := make([]*ulcp.Report, len(groups))
-			pool.Each(len(groups), func(i int) {
-				shards[i] = ulcp.IdentifyShardWithVerdicts(tr, groups[i], req.Identify, table)
-			})
+			for i, g := range groups {
+				shards[i] = ulcp.IdentifyShardWithVerdicts(tr, g, req.Identify, table)
+			}
 			a.Report = ulcp.MergeReports(shards...)
 			a.Report.ReversedReplays += table.Replays
 		}
@@ -491,45 +475,29 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 	}
 
 	// Stage 4 — Quantify: replay the recording under the ULCP-free plan
-	// and ELSC (in parallel with the Theorem 1 check when requested), then
-	// evaluate Eq. 1/Eq. 2 and optionally the happens-before detector,
-	// which reads the materialised trace in the order the plan replay
-	// started its events: the two are index-aligned.
+	// and ELSC, run the Theorem 1 check when requested, then evaluate
+	// Eq. 1/Eq. 2 and optionally the happens-before detector, which reads
+	// the materialised trace in the order the plan replay started its
+	// events: the two are index-aligned.
 	if err := stage("quantify", func() error {
 		maxRaces := req.MaxRaces
 		if maxRaces == 0 {
 			maxRaces = 32
 		}
-		tasks := []func() error{
-			func() error {
-				var err error
-				a.FreeReplay, err = replay.Run(tr, replay.Options{
-					Sched:       replay.ELSCS,
-					DLS:         req.DLS,
-					LocksetCost: req.LocksetCost,
-					Plan:        a.Transformed.Plan,
-				})
-				if err != nil {
-					return fmt.Errorf("pipeline: ULCP-free replay: %w", err)
-				}
-				return nil
-			},
+		var err error
+		a.FreeReplay, err = replay.Run(tr, replay.Options{
+			Sched:       replay.ELSCS,
+			DLS:         req.DLS,
+			LocksetCost: req.LocksetCost,
+			Plan:        a.Transformed.Plan,
+		})
+		if err != nil {
+			return fmt.Errorf("pipeline: ULCP-free replay: %w", err)
 		}
 		if req.VerifyTheorem1 {
-			tasks = append(tasks, func() error {
-				var err error
-				a.Theorem1, err = verify.Check(tr, a.Transformed.Trace, req.MaxRaces)
-				if err != nil {
-					return fmt.Errorf("pipeline: theorem 1 check: %w", err)
-				}
-				return nil
-			})
-		}
-		errs := make([]error, len(tasks))
-		pool.Each(len(tasks), func(i int) { errs[i] = tasks[i]() })
-		for _, err := range errs {
+			a.Theorem1, err = verify.Check(tr, a.Transformed.Trace, req.MaxRaces)
 			if err != nil {
-				return err
+				return fmt.Errorf("pipeline: theorem 1 check: %w", err)
 			}
 		}
 		a.Debug = perfdbg.Evaluate(tr, a.CSs, a.Report, a.OrigReplay, a.FreeReplay, tr.NumThreads)
@@ -544,7 +512,7 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 
 	// Stage 5 — Report: distill the artifacts into the summary and render
 	// the ranked report from it. Everything in it is a deterministic
-	// function of the merged artifacts.
+	// function of the artifacts.
 	_ = stage("report", func() error {
 		sum := a.Summarize()
 		// The recording's own wall time comes from the trace header, not

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,48 +15,10 @@ import (
 	"perfplay/internal/workload"
 )
 
-// TestParallelByteIdentical is the determinism contract: for the same
-// request and seed, the parallel pipeline must produce byte-identical
-// ranked reports to the serial path — across several seeds and
-// workloads, and stably across repeated parallel runs.
-func TestParallelByteIdentical(t *testing.T) {
-	for _, app := range []string{"mysql", "pbzip2"} {
-		for _, seed := range []int64{1, 7, 42} {
-			req := Request{
-				App: app, Threads: 4, Scale: 0.2, Seed: seed,
-				Schemes: true, DetectRaces: true,
-			}
-
-			serialReq := req
-			serialReq.Workers = 1
-			serial, err := Run(serialReq)
-			if err != nil {
-				t.Fatalf("%s/seed %d serial: %v", app, seed, err)
-			}
-
-			parReq := req
-			parReq.Workers = 8
-			for round := 0; round < 2; round++ {
-				par, err := Run(parReq)
-				if err != nil {
-					t.Fatalf("%s/seed %d workers=8: %v", app, seed, err)
-				}
-				if par.Report != serial.Report {
-					t.Fatalf("%s/seed %d round %d: parallel report differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s",
-						app, seed, round, serial.Report, par.Report)
-				}
-			}
-			if serial.Report == "" || !strings.Contains(serial.Report, "PerfPlay analysis") {
-				t.Fatalf("%s/seed %d: implausible report: %q", app, seed, serial.Report)
-			}
-		}
-	}
-}
-
 // TestSchemesAndStages checks the stage plumbing: four scheme replays in
 // scheduler order, all five stage timings, and a populated analysis.
 func TestSchemesAndStages(t *testing.T) {
-	res, err := Run(Request{App: "pbzip2", Scale: 0.2, Seed: 3, Workers: 4, Schemes: true})
+	res, err := Run(Request{App: "pbzip2", Scale: 0.2, Seed: 3, Schemes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +55,7 @@ func TestTraceRequest(t *testing.T) {
 	p := app.Build(workload.Config{Threads: 2, Scale: 0.2, Seed: 5})
 	rec := sim.Run(p, sim.Config{Seed: 5})
 
-	fromTrace, err := Run(Request{Trace: rec.Trace, Workers: 4, TopK: 3})
+	fromTrace, err := Run(Request{Trace: rec.Trace, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +73,7 @@ func TestTraceRequest(t *testing.T) {
 func TestRunSeeds(t *testing.T) {
 	p := New(Options{})
 	seeds := []int64{1, 2, 3}
-	results, err := p.RunSeeds(Request{App: "pbzip2", Scale: 0.2, Workers: 4}, seeds)
+	results, err := p.RunSeeds(Request{App: "pbzip2", Scale: 0.2}, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +83,33 @@ func TestRunSeeds(t *testing.T) {
 	for i, r := range results {
 		if r.Request.Seed != seeds[i] {
 			t.Fatalf("result %d has seed %d, want %d", i, r.Request.Seed, seeds[i])
+		}
+	}
+}
+
+// TestRunSeedsWidthIndependent: RunSeeds spreads whole jobs over
+// GOMAXPROCS goroutines; the reports, in seed order, must not depend on
+// that width. Every optional stage is on.
+func TestRunSeedsWidthIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	req := Request{App: "mysql", Threads: 4, Scale: 0.2, Schemes: true, DetectRaces: true, VerifyTheorem1: true}
+	seeds := []int64{1, 2, 3}
+	var want []string
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		results, err := New(Options{}).RunSeeds(req, seeds)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		for i, r := range results {
+			if r.Request.Seed != seeds[i] || !strings.Contains(r.Report, "PerfPlay analysis") {
+				t.Fatalf("GOMAXPROCS=%d: result %d is seed %d, report %q", procs, i, r.Request.Seed, r.Report)
+			}
+			if procs == 1 {
+				want = append(want, r.Report)
+			} else if r.Report != want[i] {
+				t.Fatalf("seed %d: GOMAXPROCS=4 report differs from GOMAXPROCS=1:\n%s\n---\n%s", seeds[i], want[i], r.Report)
+			}
 		}
 	}
 }
@@ -136,9 +126,6 @@ func TestCache(t *testing.T) {
 		t.Fatal("first run reported a cache hit")
 	}
 
-	// Same request at a different worker count must hit: workers are
-	// excluded from the key by the determinism contract.
-	req.Workers = 8
 	second, err := p.Run(req)
 	if err != nil {
 		t.Fatal(err)

@@ -6,18 +6,17 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a fixed-width worker-pool executor for index-addressed tasks.
-// It is the pipeline's only concurrency primitive: every parallel stage
-// writes its result into a caller-owned slot picked by task index, so
-// merge order never depends on goroutine scheduling.
+// Pool is a fixed-width parallel-for over index-addressed tasks, used
+// only at the job level: RunSeeds spreads whole seeds over it and
+// cmd/experiments whole experiments; a single job never touches it. Each
+// task writes its result into a caller-owned slot picked by task index,
+// so output order never depends on goroutine scheduling.
 type Pool struct {
 	workers int
 }
 
 // NewPool returns a pool running at most workers tasks concurrently.
-// Width 1 (or less) degenerates to a plain serial loop over the same
-// code path, which is what makes parallel output bit-comparable to the
-// serial baseline.
+// Width 1 (or less) is a plain loop on the calling goroutine.
 func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
@@ -25,14 +24,11 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers reports the pool width.
-func (p *Pool) Workers() int { return p.workers }
-
 // Each runs fn(0..n-1), blocking until all calls return. With width 1
 // the tasks run in index order on the calling goroutine; otherwise they
 // are claimed from a shared counter by up to Workers goroutines. A
 // panicking task is captured and re-raised on the caller after the
-// remaining workers drain, so a daemon can recover it in one place.
+// remaining workers drain.
 func (p *Pool) Each(n int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -38,8 +38,7 @@ func (s Site) String() string {
 // SiteTable interns Sites and hands out stable SiteIDs. It is safe for
 // concurrent use: simulated application threads run as real goroutines
 // and may intern sites while recording (e.g. workloads that resolve
-// sites inside their thread bodies), and replay/analysis stages resolve
-// IDs from several pool workers at once.
+// sites inside their thread bodies).
 type SiteTable struct {
 	mu    sync.RWMutex
 	sites []Site
