@@ -11,6 +11,7 @@ package perfplay_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"perfplay/internal/elision"
@@ -135,14 +136,23 @@ func recordAppThreads(b *testing.B, name string, threads int) *sim.Result {
 	return sim.Run(p, sim.Config{Seed: 42})
 }
 
-func BenchmarkRecordFluidanimate(b *testing.B) {
-	app := workload.MustGet("fluidanimate")
+// The record layer as bench/ measures it (sim.record_ns_per_event,
+// sim.record_bytes_per_event): build and record at four threads.
+func BenchmarkRecordFluidanimate(b *testing.B) { benchRecord(b, "fluidanimate", 4) }
+
+func benchRecord(b *testing.B, name string, threads int) {
 	b.ReportAllocs()
+	var events int
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	for i := 0; i < b.N; i++ {
-		p := app.Build(workload.Config{Threads: 2, Scale: benchScale, Seed: 42})
-		res := sim.Run(p, sim.Config{Seed: 42})
-		b.ReportMetric(float64(len(res.Trace.Events)), "events")
+		events = len(recordAppThreads(b, name, threads).Trace.Events)
 	}
+	runtime.ReadMemStats(&m1)
+	recorded := float64(events) * float64(b.N)
+	b.ReportMetric(float64(events), "events")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recorded, "ns/event")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/recorded, "B/event")
 }
 
 func BenchmarkExtractCS(b *testing.B) {
@@ -394,15 +404,6 @@ func benchElision(b *testing.B, app string) {
 func BenchmarkElisionMySQL(b *testing.B)     { benchElision(b, "mysql") }
 func BenchmarkElisionBodytrack(b *testing.B) { benchElision(b, "bodytrack") }
 
-// Simulator throughput: events recorded per second.
-func BenchmarkSimThroughput(b *testing.B) {
-	app := workload.MustGet("vips")
-	b.ReportAllocs()
-	var events int
-	for i := 0; i < b.N; i++ {
-		p := app.Build(workload.Config{Threads: 2, Scale: benchScale, Seed: 42})
-		res := sim.Run(p, sim.Config{Seed: 42})
-		events = len(res.Trace.Events)
-	}
-	b.ReportMetric(float64(events), "events")
-}
+// Simulator throughput on a second profile: vips, where one hot
+// conflicting lock keeps a waiter queued at most releases.
+func BenchmarkSimThroughput(b *testing.B) { benchRecord(b, "vips", 2) }

@@ -379,6 +379,10 @@ func saveToCorpus(dir string, tr *trace.Trace) error {
 		return err
 	}
 	var buf bytes.Buffer
+	// Sized once: the events are all but a few KiB of a recording (header,
+	// site table, memory images), and an unsized buffer doubles its way
+	// there, copying as it goes.
+	buf.Grow(trace.BinaryEventMin*len(tr.Events) + 8<<10)
 	if err := tr.WriteBinary(&buf); err != nil {
 		return err
 	}

@@ -325,6 +325,25 @@ func TestPoolPanicPropagates(t *testing.T) {
 	})
 }
 
+// TestProgramPanicReachesCaller: the record stage runs the program's
+// bodies on the goroutine that called Run, so a body that panics unwinds
+// through Run — where perfplayd's executeJob recovers it into a failed
+// job — rather than killing the process from a goroutine of its own.
+func TestProgramPanicReachesCaller(t *testing.T) {
+	p := sim.NewProgram("boom")
+	p.AddThread(func(th *sim.Thread) {
+		th.Compute(10)
+		panic("boom")
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want the body's panic", r)
+		}
+	}()
+	Run(Request{Program: p})
+	t.Fatal("Run returned")
+}
+
 func TestUnknownWorkload(t *testing.T) {
 	if _, err := Run(Request{App: "no-such-app"}); err == nil {
 		t.Fatal("unknown workload accepted")

@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
-	"sort"
 
 	"perfplay/internal/memmodel"
 	"perfplay/internal/trace"
@@ -87,7 +87,6 @@ const (
 	opBroadcast
 	opBarrier
 	opSkip
-	opDone
 )
 
 type request struct {
@@ -111,14 +110,22 @@ type response struct {
 
 // Thread is the handle a ThreadBody uses to execute simulated
 // instructions. All methods are synchronous in virtual time.
+//
+// Each body runs as a coroutine of the goroutine that called Run: an
+// instruction yields its request to the machine, and the machine stores
+// the response in resp before it resumes the body.
 type Thread struct {
-	id     int32
-	m      *machine
-	rng    *rand.Rand
-	reqCh  chan request
-	respCh chan response
-	now    vtime.Time
+	id    int32
+	rng   *rand.Rand
+	yield func(request) bool
+	resp  response
+	now   vtime.Time
 }
+
+// stopped is what do panics with when the machine has stopped the thread
+// (Run is returning or panicking): it unwinds the body, deferred calls
+// included, to the coroutine's wrapper, which recovers it.
+type stopped struct{}
 
 // ID returns the thread's index.
 func (t *Thread) ID() int32 { return t.id }
@@ -133,10 +140,27 @@ func (t *Thread) Intn(n int) int { return t.rng.Intn(n) }
 func (t *Thread) Float64() float64 { return t.rng.Float64() }
 
 func (t *Thread) do(r request) response {
-	t.reqCh <- r
-	resp := <-t.respCh
-	t.now = resp.now
-	return resp
+	if !t.yield(r) {
+		panic(stopped{})
+	}
+	t.now = t.resp.now
+	return t.resp
+}
+
+// requests is the coroutine of one thread: the body's instructions as a
+// sequence of requests, ending when the body returns.
+func (t *Thread) requests(body ThreadBody) iter.Seq[request] {
+	return func(yield func(request) bool) {
+		t.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(stopped); !ok {
+					panic(r)
+				}
+			}
+		}()
+		body(t)
+	}
 }
 
 // Compute burns d ticks of CPU with no shared access (a program segment).
@@ -241,7 +265,10 @@ const (
 )
 
 type threadState struct {
-	th        *Thread
+	th *Thread
+	// next resumes the thread's body until its next request, and reports
+	// false once the body has returned.
+	next      func() (request, bool)
 	clock     vtime.Time
 	cpu       vtime.Duration
 	waitDur   vtime.Duration
@@ -301,11 +328,46 @@ type machine struct {
 	conds   [][]condWaiter
 	bars    []barrierState
 	active  int
+	// chunks holds the recorded events until Run joins them into the
+	// trace's array, and events counts them. See record.
+	chunks [][]trace.Event
+	events int
+}
+
+// maxChunk bounds a recorder chunk (384 KiB of events).
+const maxChunk = 8192
+
+// record appends an event to the recording. Events collect in chunks —
+// each as large as everything recorded before it, up to maxChunk — and
+// are copied once, into an array of exactly their number, when the run
+// ends: an array grown by append is copied about five times on its way
+// to 141k events (Go grows large slices by a quarter), each time onto
+// fresh pages.
+func (m *machine) record(e trace.Event) {
+	n := len(m.chunks)
+	if n == 0 || len(m.chunks[n-1]) == cap(m.chunks[n-1]) {
+		m.chunks = append(m.chunks, make([]trace.Event, 0, min(max(m.events, 64), maxChunk)))
+		n++
+	}
+	m.chunks[n-1] = append(m.chunks[n-1], e)
+	m.events++
 }
 
 // Run executes the program to completion and returns the recorded trace
-// and measurements.
+// and measurements. The thread bodies run as coroutines of the calling
+// goroutine, one at a time, so a panic in a body — like a deadlock or a
+// misuse the machine detects — panics out of Run on that goroutine, and
+// every body still suspended is unwound first.
 func Run(p *Program, cfg Config) *Result {
+	return run(p, cfg, iter.Pull[request])
+}
+
+// run is Run over a given coroutine transport: pull starts a thread's
+// request sequence suspended and returns the function that resumes it
+// until its next request and the function that unwinds it. Production
+// passes iter.Pull; the tests also pass a goroutine-and-channels
+// implementation of the same signature, as the reference.
+func run(p *Program, cfg Config, pull func(iter.Seq[request]) (next func() (request, bool), stop func())) *Result {
 	cfg = cfg.withDefaults()
 	m := &machine{
 		prog:  p,
@@ -331,20 +393,15 @@ func Run(p *Program, cfg Config) *Result {
 
 	for i, body := range p.bodies {
 		th := &Thread{
-			id:     int32(i),
-			m:      m,
-			rng:    rand.New(rand.NewSource(cfg.Seed ^ (int64(i)+1)*0x9e3779b97f4a7c)),
-			reqCh:  make(chan request),
-			respCh: make(chan response),
+			id:  int32(i),
+			rng: rand.New(rand.NewSource(cfg.Seed ^ (int64(i)+1)*0x9e3779b97f4a7c)),
 		}
-		ts := &threadState{th: th, deadline: vtime.Infinity}
-		m.threads = append(m.threads, ts)
-		m.tr.Append(trace.Event{Thread: int32(i), Kind: trace.KThreadStart})
-		b := body
-		go func() {
-			b(th)
-			th.reqCh <- request{kind: opDone}
-		}()
+		next, stop := pull(th.requests(body))
+		// Whichever way run ends, no body outlives it: stop unwinds one
+		// that is suspended and does nothing to one that has returned.
+		defer stop()
+		m.threads = append(m.threads, &threadState{th: th, next: next, deadline: vtime.Infinity})
+		m.record(trace.Event{Thread: int32(i), Kind: trace.KThreadStart})
 	}
 	m.active = len(m.threads)
 	for _, ts := range m.threads {
@@ -352,6 +409,10 @@ func Run(p *Program, cfg Config) *Result {
 	}
 	m.loop()
 
+	m.tr.Events = make([]trace.Event, 0, m.events)
+	for _, c := range m.chunks {
+		m.tr.Events = append(m.tr.Events, c...)
+	}
 	m.tr.FinalMem = p.Mem.Snapshot()
 	res := &Result{Trace: m.tr}
 	var total vtime.Time
@@ -369,14 +430,14 @@ func Run(p *Program, cfg Config) *Result {
 	return res
 }
 
-// fetch receives the next request from a thread (or registers completion).
+// fetch resumes a thread until its next request (or registers completion).
 func (m *machine) fetch(ts *threadState) {
-	r := <-ts.th.reqCh
-	if r.kind == opDone {
+	r, ok := ts.next()
+	if !ok {
 		ts.done = true
 		ts.hasReq = false
 		m.active--
-		m.tr.Append(trace.Event{Thread: ts.th.id, Kind: trace.KThreadEnd, Time: ts.clock})
+		m.record(trace.Event{Thread: ts.th.id, Kind: trace.KThreadEnd, Time: ts.clock})
 		return
 	}
 	ts.req = r
@@ -387,7 +448,7 @@ func (m *machine) fetch(ts *threadState) {
 func (m *machine) respond(ts *threadState, resp response) {
 	ts.hasReq = false
 	resp.now = ts.clock
-	ts.th.respCh <- resp
+	ts.th.resp = resp
 	m.fetch(ts)
 }
 
@@ -456,7 +517,7 @@ func (m *machine) fireTimeout(ts *threadState) {
 	// Record the wait as think-time so replays reproduce it: the paper
 	// only guarantees partial-order fidelity for non-mutex semaphores
 	// (Sec. 5.1), and a recorded sleep is exactly that.
-	m.tr.Append(trace.Event{Thread: ts.th.id, Kind: trace.KSleep, Cost: waited, Time: wake, Site: ts.req.site})
+	m.record(trace.Event{Thread: ts.th.id, Kind: trace.KSleep, Cost: waited, Time: wake, Site: ts.req.site})
 	ts.blocked = blockNone
 	ts.condTimed = false
 	ts.deadline = vtime.Infinity
@@ -470,11 +531,11 @@ func (m *machine) exec(ts *threadState) {
 	case opCompute:
 		ts.clock = ts.clock.Add(r.cost)
 		ts.cpu += r.cost
-		m.tr.Append(trace.Event{Thread: id, Kind: trace.KCompute, Cost: r.cost, Time: ts.clock, Site: r.site})
+		m.record(trace.Event{Thread: id, Kind: trace.KCompute, Cost: r.cost, Time: ts.clock, Site: r.site})
 		m.respond(ts, response{})
 	case opSleep:
 		ts.clock = ts.clock.Add(r.cost)
-		m.tr.Append(trace.Event{Thread: id, Kind: trace.KSleep, Cost: r.cost, Time: ts.clock, Site: r.site})
+		m.record(trace.Event{Thread: id, Kind: trace.KSleep, Cost: r.cost, Time: ts.clock, Site: r.site})
 		m.respond(ts, response{})
 	case opLock:
 		m.prog.checkLock(r.lock)
@@ -488,11 +549,11 @@ func (m *machine) exec(ts *threadState) {
 		// release lies in the requester's future.
 		if ls.heldBy == -1 && ts.clock >= ls.freeAt {
 			ls.heldBy = id
-			m.tr.Append(trace.Event{Thread: id, Kind: trace.KLockAcq, Lock: r.lock, Cost: m.cfg.LockCost, Time: ts.clock, Site: r.site, Spin: m.prog.lockSpin(r.lock)})
+			m.record(trace.Event{Thread: id, Kind: trace.KLockAcq, Lock: r.lock, Cost: m.cfg.LockCost, Time: ts.clock, Site: r.site, Spin: m.prog.lockSpin(r.lock)})
 			m.respond(ts, response{ok: true})
 		} else {
 			// Failed trylock: time passes, no sync event.
-			m.tr.Append(trace.Event{Thread: id, Kind: trace.KCompute, Cost: m.cfg.LockCost, Time: ts.clock, Site: r.site})
+			m.record(trace.Event{Thread: id, Kind: trace.KCompute, Cost: m.cfg.LockCost, Time: ts.clock, Site: r.site})
 			m.respond(ts, response{ok: false})
 		}
 	case opUnlock:
@@ -502,14 +563,14 @@ func (m *machine) exec(ts *threadState) {
 		v := m.prog.Mem.Load(r.addr)
 		ts.clock = ts.clock.Add(m.cfg.MemCost)
 		ts.cpu += m.cfg.MemCost
-		m.tr.Append(trace.Event{Thread: id, Kind: trace.KRead, Addr: r.addr, Value: v, Cost: m.cfg.MemCost, Time: ts.clock, Site: r.site})
+		m.record(trace.Event{Thread: id, Kind: trace.KRead, Addr: r.addr, Value: v, Cost: m.cfg.MemCost, Time: ts.clock, Site: r.site})
 		m.respond(ts, response{val: v})
 	case opWrite:
 		cur := m.prog.Mem.Load(r.addr)
 		m.prog.Mem.Store(r.addr, r.wop.Apply(cur, r.val))
 		ts.clock = ts.clock.Add(m.cfg.MemCost)
 		ts.cpu += m.cfg.MemCost
-		m.tr.Append(trace.Event{Thread: id, Kind: trace.KWrite, Addr: r.addr, Value: r.val, Op: r.wop, Cost: m.cfg.MemCost, Time: ts.clock, Site: r.site})
+		m.record(trace.Event{Thread: id, Kind: trace.KWrite, Addr: r.addr, Value: r.val, Op: r.wop, Cost: m.cfg.MemCost, Time: ts.clock, Site: r.site})
 		m.respond(ts, response{})
 	case opWait, opTimedWait:
 		m.prog.checkCond(r.cond)
@@ -528,14 +589,14 @@ func (m *machine) exec(ts *threadState) {
 		m.prog.checkCond(r.cond)
 		ts.clock = ts.clock.Add(m.cfg.SyncCost)
 		ts.cpu += m.cfg.SyncCost
-		m.tr.Append(trace.Event{Thread: id, Kind: trace.KCompute, Cost: m.cfg.SyncCost, Time: ts.clock, Site: r.site})
+		m.record(trace.Event{Thread: id, Kind: trace.KCompute, Cost: m.cfg.SyncCost, Time: ts.clock, Site: r.site})
 		m.wakeCond(r.cond, 1, ts.clock)
 		m.respond(ts, response{})
 	case opBroadcast:
 		m.prog.checkCond(r.cond)
 		ts.clock = ts.clock.Add(m.cfg.SyncCost)
 		ts.cpu += m.cfg.SyncCost
-		m.tr.Append(trace.Event{Thread: id, Kind: trace.KCompute, Cost: m.cfg.SyncCost, Time: ts.clock, Site: r.site})
+		m.record(trace.Event{Thread: id, Kind: trace.KCompute, Cost: m.cfg.SyncCost, Time: ts.clock, Site: r.site})
 		m.wakeCond(r.cond, len(m.conds[r.cond]), ts.clock)
 		m.respond(ts, response{})
 	case opBarrier:
@@ -554,22 +615,24 @@ func (m *machine) exec(ts *threadState) {
 			// participant records a KBarrier event tagged with the
 			// episode number so replays re-derive the wait semantically.
 			rel := bs.maxAt.Add(m.cfg.SyncCost)
-			arrived, sites := bs.arrived, bs.sites
 			gen := bs.generation
-			bs.arrived, bs.sites, bs.maxAt = nil, nil, 0
+			bs.maxAt = 0
 			bs.generation++
-			for i, tid := range arrived {
+			for i, tid := range bs.arrived {
 				wts := m.threads[tid]
 				wts.waitDur += rel.Sub(wts.clock)
-				m.tr.Append(trace.Event{
+				m.record(trace.Event{
 					Thread: tid, Kind: trace.KBarrier,
 					Lock: trace.LockID(r.bar), Value: int64(gen),
-					Cost: m.cfg.SyncCost, Time: rel, Site: sites[i],
+					Cost: m.cfg.SyncCost, Time: rel, Site: bs.sites[i],
 				})
 				wts.clock = rel
 				wts.blocked = blockNone
 				m.respond(wts, response{})
 			}
+			// respond only fetches, so nobody arrived meanwhile: the next
+			// episode reuses both arrays.
+			bs.arrived, bs.sites = bs.arrived[:0], bs.sites[:0]
 		}
 		// Otherwise stay parked; the last arrival releases us.
 	case opSkip:
@@ -584,7 +647,8 @@ func (m *machine) exec(ts *threadState) {
 		}
 		ts.clock = ts.clock.Add(r.cost)
 		ts.cpu += r.cost
-		m.tr.AppendExt(trace.Event{Thread: id, Kind: trace.KSkip, Cost: r.cost, Time: ts.clock, Site: r.site}, trace.EventExt{Delta: delta})
+		m.record(trace.Event{Thread: id, Kind: trace.KSkip, Cost: r.cost, Time: ts.clock, Site: r.site,
+			Ext: m.tr.AddExt(trace.EventExt{Delta: delta})})
 		m.respond(ts, response{})
 	default:
 		panic(fmt.Sprintf("sim: unknown request kind %d", r.kind))
@@ -610,7 +674,7 @@ func (m *machine) acquire(ts *threadState, l trace.LockID, site trace.SiteID, fr
 		}
 		ts.clock = start.Add(m.cfg.LockCost)
 		ts.cpu += m.cfg.LockCost
-		m.tr.Append(trace.Event{Thread: ts.th.id, Kind: trace.KLockAcq, Lock: l, Cost: m.cfg.LockCost, Time: ts.clock, Site: site, Spin: m.prog.lockSpin(l)})
+		m.record(trace.Event{Thread: ts.th.id, Kind: trace.KLockAcq, Lock: l, Cost: m.cfg.LockCost, Time: ts.clock, Site: site, Spin: m.prog.lockSpin(l)})
 		m.respond(ts, response{ok: ok})
 		return
 	}
@@ -629,21 +693,21 @@ func (m *machine) release(ts *threadState, l trace.LockID, site trace.SiteID) {
 	}
 	ts.clock = ts.clock.Add(m.cfg.UnlockCost)
 	ts.cpu += m.cfg.UnlockCost
-	m.tr.Append(trace.Event{Thread: ts.th.id, Kind: trace.KLockRel, Lock: l, Cost: m.cfg.UnlockCost, Time: ts.clock, Site: site})
+	m.record(trace.Event{Thread: ts.th.id, Kind: trace.KLockRel, Lock: l, Cost: m.cfg.UnlockCost, Time: ts.clock, Site: site})
 	ls.heldBy = -1
 	ls.freeAt = ts.clock
 	if len(ls.queue) == 0 {
 		return
 	}
 	// Wake the earliest-arrival waiter (FIFO in time, tie-break by id).
-	sort.SliceStable(ls.queue, func(i, j int) bool {
-		if ls.queue[i].arrival != ls.queue[j].arrival {
-			return ls.queue[i].arrival < ls.queue[j].arrival
+	q, k := ls.queue, 0
+	for i := 1; i < len(q); i++ {
+		if q[i].arrival < q[k].arrival || q[i].arrival == q[k].arrival && q[i].tid < q[k].tid {
+			k = i
 		}
-		return ls.queue[i].tid < ls.queue[j].tid
-	})
-	w := ls.queue[0]
-	ls.queue = ls.queue[1:]
+	}
+	w := q[k]
+	ls.queue = append(q[:k], q[k+1:]...)
 	wts := m.threads[w.tid]
 	wake := vtime.Max(w.arrival, ts.clock)
 	waited := wake.Sub(w.arrival)
@@ -659,7 +723,7 @@ func (m *machine) release(ts *threadState, l trace.LockID, site trace.SiteID) {
 	wts.condTimed = false
 	wts.deadline = vtime.Infinity
 	ls.heldBy = w.tid
-	m.tr.Append(trace.Event{Thread: w.tid, Kind: trace.KLockAcq, Lock: l, Cost: m.cfg.LockCost, Time: wts.clock, Site: w.site, Spin: m.prog.lockSpin(l)})
+	m.record(trace.Event{Thread: w.tid, Kind: trace.KLockAcq, Lock: l, Cost: m.cfg.LockCost, Time: wts.clock, Site: w.site, Spin: m.prog.lockSpin(l)})
 	m.respond(wts, response{ok: w.ok})
 }
 
@@ -674,7 +738,7 @@ func (m *machine) wakeCond(c CondID, n int, at vtime.Time) {
 		wts.waitDur += waited
 		wts.clock = wake
 		if waited > 0 {
-			m.tr.Append(trace.Event{Thread: w.tid, Kind: trace.KSleep, Cost: waited, Time: wake, Site: w.site})
+			m.record(trace.Event{Thread: w.tid, Kind: trace.KSleep, Cost: waited, Time: wake, Site: w.site})
 		}
 		wts.blocked = blockNone
 		wts.condTimed = false

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -146,10 +147,18 @@ func TestDeadlockPanics(t *testing.T) {
 			t.Fatalf("panic = %v", r)
 		}
 	}()
+	Run(deadlockProgram(new(int)), Config{Seed: 1})
+}
+
+// deadlockProgram is the classic two-lock inversion; each body counts
+// itself into unwound from a deferred call.
+func deadlockProgram(unwound *int) *Program {
 	p := NewProgram("dead")
 	l1, l2 := p.NewLock("L1"), p.NewLock("L2")
 	s := p.Site("f.c", 1, "f")
+	count := func() { *unwound++ }
 	p.AddThread(func(th *Thread) {
+		defer count()
 		th.Lock(l1, s)
 		th.Compute(100)
 		th.Lock(l2, s)
@@ -157,13 +166,73 @@ func TestDeadlockPanics(t *testing.T) {
 		th.Unlock(l1, s)
 	})
 	p.AddThread(func(th *Thread) {
+		defer count()
 		th.Lock(l2, s)
 		th.Compute(100)
 		th.Lock(l1, s)
 		th.Unlock(l1, s)
 		th.Unlock(l2, s)
 	})
-	Run(p, Config{Seed: 1})
+	return p
+}
+
+// TestDeadlockLeavesNoGoroutines: Run stops every suspended body on its
+// way out, so a recovered deadlock — a failed job in perfplayd — leaves
+// nothing parked behind it, and the bodies' deferred calls have run.
+func TestDeadlockLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	unwound := 0
+	for i := 0; i < 20; i++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("deadlock did not panic")
+				}
+			}()
+			Run(deadlockProgram(&unwound), Config{Seed: 1})
+		}()
+	}
+	if unwound != 40 {
+		t.Errorf("%d bodies unwound, want 40", unwound)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before 20 recovered deadlocks, %d after", before, after)
+	}
+}
+
+// TestBodyPanicReachesCaller: a panic inside a thread body comes out of
+// Run on the calling goroutine, where a recover can turn it into a failed
+// job, and the other threads are unwound.
+func TestBodyPanicReachesCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := NewProgram("boom")
+	l := p.NewLock("L")
+	s := p.Site("f.c", 1, "f")
+	unwound := false
+	p.AddThread(func(th *Thread) {
+		defer func() { unwound = true }()
+		th.Lock(l, s)
+		th.Compute(1000)
+		th.Unlock(l, s)
+	})
+	p.AddThread(func(th *Thread) {
+		th.Compute(100)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the body's panic", r)
+			}
+		}()
+		Run(p, Config{Seed: 1})
+	}()
+	if !unwound {
+		t.Error("the other thread's body was not unwound")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before, %d after", before, after)
+	}
 }
 
 func TestSpinWaitAccountedOnLateGrant(t *testing.T) {

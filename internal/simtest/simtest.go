@@ -26,6 +26,12 @@ const (
 	// recorded range (a KSkip event) that rewrites a cell of the thread's
 	// own.
 	Skips
+	// Conds follows every fourth critical section with a timed wait on a
+	// condition variable the thread signals or broadcasts after every
+	// other one, so waits end both ways: woken and timed out.
+	Conds
+	// SpinLocks declares every other lock as a spin lock.
+	SpinLocks
 )
 
 // RandomProgram records a random but deadlock-free program: every thread
@@ -33,11 +39,22 @@ const (
 // reads or commutatively updates one of four shared cells inside each.
 // The same arguments give the same recording.
 func RandomProgram(seed int64, threads, locks, iters int, with Feature) *sim.Result {
+	return sim.Run(Program(seed, threads, locks, iters, with), sim.Config{Seed: seed})
+}
+
+// Program builds the program RandomProgram records. A program runs once
+// (running it changes its memory), so a test that records it twice
+// builds it twice.
+func Program(seed int64, threads, locks, iters int, with Feature) *sim.Program {
 	p := sim.NewProgram("rand")
 	rng := rand.New(rand.NewSource(seed))
 	var ls []trace.LockID
 	for i := 0; i < locks; i++ {
-		ls = append(ls, p.NewLock("L"))
+		if with&SpinLocks != 0 && i%2 == 1 {
+			ls = append(ls, p.NewSpinLock("S"))
+		} else {
+			ls = append(ls, p.NewLock("L"))
+		}
 	}
 	cells := p.Mem.AllocN("c", 4, 0)
 	s := p.Site("rand.c", 1, "f")
@@ -48,6 +65,10 @@ func RandomProgram(seed int64, threads, locks, iters int, with Feature) *sim.Res
 	var bar sim.BarrierID
 	if with&Barriers != 0 {
 		bar = p.NewBarrier("B", threads)
+	}
+	var cond sim.CondID
+	if with&Conds != 0 {
+		cond = p.NewCond("C")
 	}
 	type step struct {
 		gap, cs vtime.Duration
@@ -88,8 +109,20 @@ func RandomProgram(seed int64, threads, locks, iters int, with Feature) *sim.Res
 				if with&Barriers != 0 && j%3 == 2 {
 					th.Barrier(bar, s)
 				}
+				if with&Conds != 0 {
+					switch j % 4 {
+					case 0:
+						th.Signal(cond, s)
+					case 2:
+						th.Broadcast(cond, s)
+					case 3:
+						th.Lock(st.lock, s)
+						th.TimedWait(cond, st.lock, 4*st.gap, s)
+						th.Unlock(st.lock, s)
+					}
+				}
 			}
 		})
 	}
-	return sim.Run(p, sim.Config{Seed: seed})
+	return p
 }

@@ -285,10 +285,12 @@ func (tr *Trace) WriteBinary(w io.Writer) error {
 
 // binEventFixed is the fixed part of a v3 binary event up to and
 // including its lock count (the lock ids sit between the two counts), and
-// binEventMin the least any event occupies: that plus the source count.
+// BinaryEventMin the least any event occupies: that plus the source
+// count. A recording's events occupy exactly that, its skips' deltas
+// aside, which lets a writer size its buffer from the event count.
 const (
-	binEventFixed = 5*4 + 3*8 + 4
-	binEventMin   = binEventFixed + 4
+	binEventFixed  = 5*4 + 3*8 + 4
+	BinaryEventMin = binEventFixed + 4
 )
 
 // DecodeBinary parses a trace previously written by WriteBinary. It keeps
@@ -337,18 +339,18 @@ func DecodeBinary(data []byte) (*Trace, error) {
 		}
 		// The count is untrusted input: one the remaining bytes cannot
 		// back is refused before anything is allocated for it.
-		if rest := len(data) - r.off; int64(nev) > int64(rest/binEventMin) {
-			return nil, fmt.Errorf("trace: read binary: %d events need at least %d bytes, have %d", nev, int64(nev)*binEventMin, rest)
+		if rest := len(data) - r.off; int64(nev) > int64(rest/BinaryEventMin) {
+			return nil, fmt.Errorf("trace: read binary: %d events need at least %d bytes, have %d", nev, int64(nev)*BinaryEventMin, rest)
 		}
 		tr.Events = make([]Event, nev)
 	}
 	for i := range tr.Events {
 		// One bounds check per event: the fixed part and both counts.
-		if len(data)-r.off < binEventMin {
-			r.short(binEventMin)
+		if len(data)-r.off < BinaryEventMin {
+			r.short(BinaryEventMin)
 			break
 		}
-		b := data[r.off : r.off+binEventMin]
+		b := data[r.off : r.off+BinaryEventMin]
 		flags := binary.LittleEndian.Uint32(b[4:])
 		e := &tr.Events[i]
 		*e = Event{
@@ -365,7 +367,7 @@ func DecodeBinary(data []byte) (*Trace, error) {
 		}
 		nl := binary.LittleEndian.Uint32(b[44:])
 		if nl == 0 && e.Kind != KSkip && binary.LittleEndian.Uint32(b[48:]) == 0 {
-			r.off += binEventMin
+			r.off += BinaryEventMin
 			continue // what all but a few events look like: no extension
 		}
 		// The lock ids sit between the two counts.

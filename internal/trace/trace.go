@@ -113,10 +113,21 @@ func (tr *Trace) AppendExt(e Event, x EventExt) int32 {
 // setExt gives event i the entry x unless x holds nothing. Decoders and
 // AppendExt call it in ascending event order.
 func (tr *Trace) setExt(i int, x EventExt) {
-	if !x.empty() {
-		tr.Exts = append(tr.Exts, x)
-		tr.Events[i].Ext = int32(len(tr.Exts))
+	if ext := tr.AddExt(x); ext != 0 {
+		tr.Events[i].Ext = ext
 	}
+}
+
+// AddExt stores x in the extension table and returns the Event.Ext that
+// names it, or 0 — no entry — when x holds nothing. It is for a recorder
+// that keeps its events outside Events while it runs; like setExt, it is
+// called in ascending event order.
+func (tr *Trace) AddExt(x EventExt) int32 {
+	if x.empty() {
+		return 0
+	}
+	tr.Exts = append(tr.Exts, x)
+	return int32(len(tr.Exts))
 }
 
 // noExt is what Ext returns for an event without an entry.
