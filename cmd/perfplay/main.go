@@ -14,12 +14,12 @@
 //
 // With -trace the recorded execution is also written to disk, replayable
 // later via -replay; -trace-format selects the encoding (binary, json,
-// or the mmap-friendly columnar layout — -json remains as shorthand for
-// -trace-format json). All readers sniff the format, so any encoding
-// works with -replay, -diff, and the corpus. With -save-trace it is stored in the local content-addressed
-// corpus (-corpus, the same on-disk layout perfplayd serves), and
-// -trace-digest re-analyzes a stored trace by its sha256 digest without
-// re-recording. With -daemon the job is submitted to a perfplayd node
+// or the mmap-friendly columnar layout). All readers sniff the format,
+// so any encoding works with -replay, -diff, and the corpus. With
+// -save-trace it is stored in the local content-addressed corpus
+// (-corpus, the same on-disk layout perfplayd serves), and -trace-digest
+// re-analyzes a stored trace by its sha256 digest without re-recording.
+// With -daemon the job is submitted to a perfplayd node
 // instead of running locally — following any 503 Retry-Peer admission
 // redirect to an idler cluster node — and the daemon's (byte-identical)
 // report is printed. Each mode honours a fixed set of flags (modes); a
@@ -58,8 +58,7 @@ var (
 	top       = flag.Int("top", 5, "number of recommendations to print")
 	schemes   = flag.Bool("schemes", false, "also replay the recording under all four schedulers")
 	traceOut  = flag.String("trace", "", "write the recorded trace to this file")
-	jsonOut   = flag.Bool("json", false, "write the trace as JSON instead of binary (shorthand for -trace-format json)")
-	traceFmt  = flag.String("trace-format", "", "on-disk encoding for -trace: binary, json, or columnar (default binary)")
+	traceFmt  = flag.String("trace-format", trace.FormatBinary, "on-disk encoding for -trace: binary, json, or columnar")
 	replayIn  = flag.String("replay", "", "replay an existing trace file instead of recording")
 	races     = flag.Bool("races", false, "run the happens-before detector on the transformed trace")
 	list      = flag.Bool("list", false, "list available workloads")
@@ -98,7 +97,7 @@ var modes = []struct {
 	{"-case", func() bool { return *caseNum != 0 }, "case threads scale seed top schemes races verify"},
 	{"-runs", func() bool { return *runs > 1 }, "runs app threads input scale seed top"},
 	{"-app", func() bool { return true }, "app runs threads input scale seed top schemes races verify " +
-		"le timeline trace json trace-format save-trace corpus"},
+		"le timeline trace trace-format save-trace corpus"},
 }
 
 // checkFlags picks the mode the flag values select and reports the first
@@ -124,7 +123,7 @@ func main() {
 	// Subcommand dispatch before the legacy flag surface: `perfplay sim`
 	// is the offline cluster-policy lab (see sim.go).
 	if len(os.Args) > 1 && os.Args[1] == "sim" {
-		os.Exit(runSim(os.Args[2:]))
+		os.Exit(runSim(os.Args[2:], os.Stdout))
 	}
 	flag.Parse()
 	var set []string
@@ -277,20 +276,12 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		format := *traceFmt
-		if format == "" {
-			if *jsonOut {
-				format = trace.FormatJSON
-			} else {
-				format = trace.FormatBinary
-			}
-		}
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		switch format {
+		switch *traceFmt {
 		case trace.FormatBinary:
 			err = analysis.Recorded.Trace.WriteBinary(f)
 		case trace.FormatColumnar:
@@ -298,12 +289,12 @@ func main() {
 		case trace.FormatJSON:
 			err = analysis.Recorded.Trace.WriteJSON(f)
 		default:
-			err = fmt.Errorf("unknown -trace-format %q (want binary, json, or columnar)", format)
+			err = fmt.Errorf("unknown -trace-format %q (want binary, json, or columnar)", *traceFmt)
 		}
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace written to %s (%s, %d events)\n", *traceOut, format, len(analysis.Recorded.Trace.Events))
+		fmt.Printf("trace written to %s (%s, %d events)\n", *traceOut, *traceFmt, len(analysis.Recorded.Trace.Events))
 	}
 
 	if *saveTrace {

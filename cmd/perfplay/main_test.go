@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -96,8 +97,8 @@ func TestUnhonouredFlagIsAnError(t *testing.T) {
 			all = append(all, f.Name)
 		}
 	})
-	if len(all) != 25 {
-		t.Fatalf("perfplay defines %d flags, the table was written for 25: %v", len(all), all)
+	if len(all) != 24 {
+		t.Fatalf("perfplay defines %d flags, the table was written for 24: %v", len(all), all)
 	}
 	// check sets the named flags, asks checkFlags, and restores defaults.
 	check := func(set []string) (string, error) {
@@ -129,7 +130,7 @@ func TestUnhonouredFlagIsAnError(t *testing.T) {
 		{"-diff", "diff", "diff with"},
 		{"-case", "case", "case verify" + recording + reporting},
 		{"-runs", "app runs", "app runs input top" + recording},
-		{"-app", "app", "app runs input verify le timeline trace json trace-format " +
+		{"-app", "app", "app runs input verify le timeline trace trace-format " +
 			"save-trace corpus daemon" + recording + reporting},
 	} {
 		selectors := strings.Fields(m.selectors)
@@ -149,5 +150,22 @@ func TestUnhonouredFlagIsAnError(t *testing.T) {
 				t.Errorf("%v: error does not name the flag and the mode: %v", set, err)
 			}
 		}
+	}
+}
+
+// TestSimProbeFanoutReachesStealScenarios: every simulated scenario runs
+// the shipped node, so the cache knobs reach the steal scenarios too —
+// -probe-fanout used to be silently ignored outside the cache scenarios.
+func TestSimProbeFanoutReachesStealScenarios(t *testing.T) {
+	sim := func(args ...string) string {
+		var out bytes.Buffer
+		if code := runSim(args, &out); code != 0 {
+			t.Fatalf("perfplay sim %v exited %d", args, code)
+		}
+		return out.String()
+	}
+	def := sim("-scenario", "skewed")
+	if one := sim("-scenario", "skewed", "-probe-fanout", "1"); one == def {
+		t.Fatalf("-probe-fanout 1 left the skewed report unchanged:\n%s", def)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"perfplay/internal/clustersim"
@@ -11,10 +12,10 @@ import (
 // runSim is the `perfplay sim` subcommand: the offline policy lab.
 // It runs seeded cluster scenarios through internal/clustersim —
 // the real scheduler and cache policy code over a simulated fabric —
-// and prints the deterministic report (same seed, same bytes). With
-// -sweep it grids the policy knobs instead and prints the ranked
+// and prints the deterministic report (same seed, same bytes) to out.
+// With -sweep it grids the policy knobs instead and prints the ranked
 // table.
-func runSim(argv []string) int {
+func runSim(argv []string, out io.Writer) int {
 	fs := flag.NewFlagSet("perfplay sim", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: perfplay sim [flags]\n\n"+
@@ -26,7 +27,7 @@ func runSim(argv []string) int {
 	var (
 		scenario = fs.String("scenario", "skewed", `scenario: uniform, skewed, slownode, crash, cachewarm, partition, admission, or "all"`)
 		seed     = fs.Int64("seed", 42, "simulation seed (all randomness derives from it)")
-		sweep    = fs.Bool("sweep", false, "grid the policy knobs over the scenario and rank the results (cache scenarios grid the cache knobs)")
+		sweep    = fs.Bool("sweep", false, "grid steal interval × probe fan-out × probe timeout × hint breadth over the scenario and rank the results")
 
 		nodes    = fs.Int("nodes", 0, "cluster size (0 = scenario default)")
 		workers  = fs.Int("workers", 0, "workers per node (0 = scenario default)")
@@ -35,16 +36,14 @@ func runSim(argv []string) int {
 		arrival  = fs.Int64("arrival", 0, "mean inter-arrival gap, ms (0 = scenario default)")
 		interval = fs.Int64("steal-interval", 0, "stealer tick cadence, ms (0 = scenario default)")
 		lease    = fs.Int64("lease", 0, "steal lease, ms (0 = scenario default)")
-		hints    = fs.Bool("hints", true, "hint-driven steal ordering (prefer cache-warm victims)")
 		slow     = fs.Int64("slow-factor", 0, "slow-node cost multiplier for slownode (0 = default)")
 		crashN   = fs.Int("crash-node", -1, "crash scenario: node to kill (-1 = busiest thief)")
 		crashAt  = fs.Int64("crash-at", 0, "crash scenario: kill time, ms (0 = default)")
 
-		probeFanout  = fs.Int("probe-fanout", -1, "cache scenarios: peers probed per cache-missed job (0 disables probing; -1 = scenario default)")
-		probeTimeout = fs.Int64("probe-timeout", 0, "cache scenarios: per-peer probe timeout, ms (0 = scenario default)")
-		hintBreadth  = fs.Int("hint-breadth", -1, "cache scenarios: recent result keys gossiped as hints (-1 = scenario default)")
-		maxHops      = fs.Int("max-hops", -1, "cache scenarios: Retry-Peer admission hop bound (-1 = scenario default)")
-		warmNodes    = fs.Int("warm-nodes", -1, "cache scenarios: nodes pre-warmed with the corpus (-1 = scenario default)")
+		probeFanout  = fs.Int("probe-fanout", -1, "peers probed per cache-missed job (0 disables probing; -1 = perfplayd default)")
+		probeTimeout = fs.Int64("probe-timeout", 0, "per-peer cache probe timeout, ms (0 = perfplayd default)")
+		hintBreadth  = fs.Int("hint-breadth", -1, "recent result keys gossiped as cache hints (-1 = perfplayd default)")
+		warmNodes    = fs.Int("warm-nodes", -1, "nodes pre-warmed with the whole digest pool (-1 = scenario default)")
 	)
 	fs.Parse(argv)
 	if fs.NArg() > 0 {
@@ -79,7 +78,6 @@ func runSim(argv []string) int {
 		if *lease > 0 {
 			cfg.LeaseMS = *lease
 		}
-		cfg.HintSteals = *hints
 		if *slow > 0 {
 			cfg.SlowFactor = *slow
 		}
@@ -87,45 +85,29 @@ func runSim(argv []string) int {
 		if *crashAt > 0 {
 			cfg.CrashAtMS = *crashAt
 		}
-		if cfg.CacheLayer {
-			if *probeFanout >= 0 {
-				cfg.ProbeFanout = *probeFanout
-			}
-			if *probeTimeout > 0 {
-				cfg.ProbeTimeoutMS = *probeTimeout
-			}
-			if *hintBreadth >= 0 {
-				cfg.HintBreadth = *hintBreadth
-			}
-			if *maxHops >= 0 {
-				cfg.MaxHops = *maxHops
-			}
-			if *warmNodes >= 0 {
-				cfg.WarmNodes = *warmNodes
-			}
+		if *probeFanout >= 0 {
+			cfg.ProbeFanout = *probeFanout
+		}
+		if *probeTimeout > 0 {
+			cfg.ProbeTimeoutMS = *probeTimeout
+		}
+		if *hintBreadth >= 0 {
+			cfg.HintBreadth = *hintBreadth
+		}
+		if *warmNodes >= 0 {
+			cfg.WarmNodes = *warmNodes
 		}
 
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
 		if *sweep {
-			// Cache scenarios sweep the cache knobs; legacy scenarios
-			// sweep the steal knobs, exactly as before.
-			if cfg.CacheLayer {
-				results, err := clustersim.CacheSweep(cfg)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "perfplay sim:", err)
-					return 1
-				}
-				fmt.Print(clustersim.RenderCacheSweep(sc, *seed, results))
-				continue
-			}
 			results, err := clustersim.Sweep(cfg)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "perfplay sim:", err)
 				return 1
 			}
-			fmt.Print(clustersim.RenderSweep(sc, *seed, results))
+			fmt.Fprint(out, clustersim.RenderSweep(sc, *seed, results))
 			continue
 		}
 		report, err := clustersim.Run(cfg)
@@ -133,7 +115,7 @@ func runSim(argv []string) int {
 			fmt.Fprintln(os.Stderr, "perfplay sim:", err)
 			return 1
 		}
-		fmt.Print(report.String())
+		fmt.Fprint(out, report.String())
 	}
 	return 0
 }

@@ -35,7 +35,7 @@ import (
 //
 // The decisions themselves — who to probe, in what order, how many,
 // when to give up — live in internal/cachepolicy; this file is the HTTP
-// adapter behind its Transport seam (fetch, decode, validate) plus the
+// adapter behind its Fetcher seam (fetch, decode, validate) plus the
 // daemon-side accounting. internal/clustersim drives the same policy
 // code over a virtual-clock transport, which is what lets the policy
 // lab's sweep results (docs/POLICIES.md) speak for this daemon.
@@ -168,10 +168,10 @@ func (s *Server) prober(tc spanCtx) *cachepolicy.Prober[*pipeline.WireResult, *p
 	}
 }
 
-// httpCacheTransport is the daemon's side of the cachepolicy.Transport
-// seam: fetch, decode and validate peer cache artifacts over HTTP, with
-// the job's trace context riding as headers. Artifacts it returns are
-// already verified; the policy layer never opens them.
+// httpCacheTransport is the daemon's cachepolicy.Fetcher: fetch, decode
+// and validate peer cache artifacts over HTTP, with the job's trace
+// context riding as headers. Artifacts it returns are already verified;
+// the policy layer never opens them.
 type httpCacheTransport struct {
 	s  *Server
 	tc spanCtx

@@ -113,6 +113,35 @@ type Config struct {
 	EnablePprof bool
 }
 
+// validate rejects sizes and bounds no daemon can run with: a negative
+// worker count panics Start, a negative queue depth rejects every
+// submit, and a negative probe fan-out would silently probe every peer.
+// Zero keeps meaning "the default". StealInterval is exempt: negative
+// means "stealing off".
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Workers", int64(c.Workers)},
+		{"QueueDepth", int64(c.QueueDepth)},
+		{"CacheSize", int64(c.CacheSize)},
+		{"MaxJobs", int64(c.MaxJobs)},
+		{"MaxTraceBytes", c.MaxTraceBytes},
+		{"MaxQueuedTraceBytes", c.MaxQueuedTraceBytes},
+		{"CorpusMaxBytes", c.CorpusMaxBytes},
+		{"StealLease", int64(c.StealLease)},
+		{"CacheProbeTimeout", int64(c.CacheProbeTimeout)},
+		{"CacheProbeFanout", int64(c.CacheProbeFanout)},
+		{"CacheHintKeys", int64(c.CacheHintKeys)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("config: %s must not be negative (got %d)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 2
@@ -298,6 +327,9 @@ type Server struct {
 
 // NewServer builds a server; call Start to launch its workers.
 func NewServer(cfg Config) (*Server, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:         cfg,

@@ -747,6 +747,48 @@ func TestCorpusDisabled(t *testing.T) {
 	}
 }
 
+// TestNewServerRefusesNegativeConfig: a negative size or bound is a
+// config error naming the field. Unchecked, -workers -5 panicked Start,
+// -workers -1 answered 202 to jobs no worker would pop, -queue -1
+// rejected every submit and -cache-probe-fanout -1 probed every peer. A
+// negative StealInterval stays legal: it turns stealing off.
+func TestNewServerRefusesNegativeConfig(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Workers", func(c *Config) { c.Workers = -5 }},
+		{"Workers", func(c *Config) { c.Workers = -1 }},
+		{"QueueDepth", func(c *Config) { c.QueueDepth = -1 }},
+		{"CacheSize", func(c *Config) { c.CacheSize = -1 }},
+		{"MaxJobs", func(c *Config) { c.MaxJobs = -1 }},
+		{"MaxTraceBytes", func(c *Config) { c.MaxTraceBytes = -1 }},
+		{"MaxQueuedTraceBytes", func(c *Config) { c.MaxQueuedTraceBytes = -1 }},
+		{"CorpusMaxBytes", func(c *Config) { c.CorpusMaxBytes = -1 }},
+		{"StealLease", func(c *Config) { c.StealLease = -time.Second }},
+		{"CacheProbeTimeout", func(c *Config) { c.CacheProbeTimeout = -time.Millisecond }},
+		{"CacheProbeFanout", func(c *Config) { c.CacheProbeFanout = -1 }},
+		{"CacheHintKeys", func(c *Config) { c.CacheHintKeys = -1 }},
+	} {
+		var cfg Config
+		c.set(&cfg)
+		s, err := NewServer(cfg)
+		if err == nil {
+			s.Close()
+			t.Errorf("negative %s accepted", c.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), " "+c.field+" must") {
+			t.Errorf("negative %s: error %q does not name the field", c.field, err)
+		}
+	}
+	s, err := NewServer(Config{StealInterval: -1})
+	if err != nil {
+		t.Fatalf("negative StealInterval (stealing off) refused: %v", err)
+	}
+	s.Close()
+}
+
 func TestJobEviction(t *testing.T) {
 	s, ts := testServer(t, Config{MaxJobs: 2})
 

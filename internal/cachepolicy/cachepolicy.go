@@ -3,16 +3,16 @@
 // the idlest), bounded fan-out, degrade-to-local probing, and the
 // multi-hop Retry-Peer admission chain. The daemon (cmd/perfplayd)
 // drives it over HTTP; the offline policy lab (internal/clustersim)
-// drives the same code over an in-memory virtual-clock transport —
-// mirroring the scheduler.Transport seam, so the simulator's sweep
-// results speak for the code production runs.
+// drives the same code over an in-memory virtual-clock fabric, so the
+// simulator's sweep results speak for the code production runs.
 //
-// The package deliberately knows nothing about wire formats: the
-// Transport seam is generic over the result and table artifact types,
-// and adapters own fetching, decoding, and validating bytes. That keeps
-// the dependency graph acyclic (corpus → cachepolicy, while
-// pipeline → corpus) and keeps every policy decision — who to ask, how
-// many, when to give up — in one testable place.
+// The package deliberately knows nothing about wire formats: probing
+// goes through a Fetcher generic over the result and table artifact
+// types, admission through a SubmitFunc, and adapters own fetching,
+// decoding, and validating bytes. That keeps the dependency graph
+// acyclic (corpus → cachepolicy, while pipeline → corpus) and keeps
+// every policy decision — who to ask, how many, when to give up — in
+// one testable place.
 package cachepolicy
 
 import (
@@ -26,7 +26,8 @@ import (
 // the simulator's scenarios. Defaults returns the single source of
 // truth for their default values, so the two cannot drift: perfplayd
 // flag declarations print these values, Config.withDefaults applies
-// them, and clustersim's cache scenarios start from them.
+// them, corpus.Remote passes SubmitHops, and every clustersim scenario
+// starts from them.
 type Knobs struct {
 	// ProbeFanout bounds how many peers one cache-missed job probes.
 	ProbeFanout int
@@ -103,23 +104,7 @@ type Fetcher[R, T any] interface {
 	FetchTable(peer, key string) (T, error)
 }
 
-// Transport is the cache layer's full seam between policy and
-// mechanism, mirroring scheduler.Transport: fetching cached artifacts
-// from peers plus submitting jobs through the admission chain. The
-// daemon implements it over HTTP (fetch, decode, validate — a returned
-// artifact is already trusted), and clustersim substitutes a
-// virtual-clock in-memory one. Probe-only callers need just the
-// Fetcher half; submit-only callers (corpus.Remote) pass a SubmitFunc.
-type Transport[R, T any] interface {
-	Fetcher[R, T]
-	// Submit submits the adapter's job spec to one node's admission
-	// endpoint. The error return is transport-level (unreachable peer,
-	// un-decodable accept); a reachable node that rejects reports why in
-	// SubmitReply.Reject.
-	Submit(base string) (SubmitReply, error)
-}
-
-// Prober runs the degrade-to-local cache probe policy over a Transport:
+// Prober runs the degrade-to-local cache probe policy over a Fetcher:
 // walk ProbeOrder, take the first usable artifact, and treat a miss
 // everywhere as the normal path. It never returns an error — every
 // failure on this path degrades to local execution.

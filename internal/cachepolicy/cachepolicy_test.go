@@ -56,8 +56,8 @@ func TestProbeOrderDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// fakeFetcher is an in-memory Transport over string artifacts.
-var _ Transport[string, string] = (*fakeFetcher)(nil)
+// fakeFetcher is an in-memory Fetcher over string artifacts.
+var _ Fetcher[string, string] = (*fakeFetcher)(nil)
 
 type fakeFetcher struct {
 	results map[string]map[string]string // peer -> key -> artifact
@@ -86,10 +86,6 @@ func (f *fakeFetcher) FetchTable(peer, key string) (string, error) {
 		return art, nil
 	}
 	return "", errors.New("cache miss")
-}
-
-func (f *fakeFetcher) Submit(base string) (SubmitReply, error) {
-	return SubmitReply{}, errors.New("not an admission transport")
 }
 
 func TestProbeResultFirstHitWins(t *testing.T) {

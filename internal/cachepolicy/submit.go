@@ -15,14 +15,15 @@ type SubmitReply struct {
 	// empty for rejections that are not retryable elsewhere.
 	RetryPeer string
 	// Reject is why a reachable node turned the job away (nil when
-	// accepted). Transport-level failures travel on Submit's error
-	// return instead.
+	// accepted). Transport-level failures travel on the SubmitFunc's
+	// error return instead.
 	Reject error
 }
 
-// SubmitFunc submits one job spec (held by the closure) to one node.
-// It is the narrow slice of Transport that FollowRedirects needs, so
-// submit-only clients like corpus.Remote avoid the full seam.
+// SubmitFunc submits one job spec (held by the closure) to one node:
+// the admission half of the cache transport seam. The error return is
+// transport-level (unreachable peer, un-decodable accept); a reachable
+// node that rejects reports why in SubmitReply.Reject.
 type SubmitFunc func(base string) (SubmitReply, error)
 
 // FollowRedirects drives the steal-aware admission chain: submit to

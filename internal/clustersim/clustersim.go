@@ -3,17 +3,20 @@
 // perfplayd nodes and runs seeded workload scenarios against the REAL
 // policy code — scheduler.Queue admission and leases, scheduler.Stealer
 // probe/claim ordering, scheduler.Gossip views, scheduler.IdlestPeer
-// admission redirects, and (in the cache scenarios) the cluster cache
-// layer — cachepolicy.Prober probe ordering/fan-out and the
-// cachepolicy.FollowRedirects multi-hop admission chain — with only
-// the transport and the clock replaced. The same Stealer loop that
-// steals over HTTP in production steals over an in-memory fabric here,
-// injected through the scheduler.Transport seam, and the same Prober
-// that probes peer caches over HTTP probes them over the virtual-clock
-// cache transport; nothing scheduling-relevant is reimplemented, so a
-// policy knob that wins in the simulator is exercising the exact code
-// that ships. Every scenario additionally runs under an invariant
-// checker (invariants.go) whose violations land on the report.
+// admission redirects, and the cluster cache layer: cachepolicy.Prober
+// probe ordering/fan-out and the cachepolicy.FollowRedirects multi-hop
+// admission chain — with only the transport and the clock replaced.
+// Every scenario runs one node model, the perfplayd that ships: a job
+// admits through FollowRedirects, settles from the local result cache
+// when it can, probes its peers' caches, and otherwise runs. The same
+// Stealer loop that steals over HTTP in production steals over an
+// in-memory fabric here, injected through the scheduler.Transport seam,
+// and the same Prober that probes peer caches over HTTP probes them
+// through a virtual-clock cachepolicy.Fetcher; nothing
+// scheduling-relevant is reimplemented, so a policy knob that wins in
+// the simulator is exercising the exact code that ships. Every scenario
+// additionally runs under an invariant checker (invariants.go) whose
+// violations land on the report.
 //
 // Everything random flows from one scenario seed through a
 // subsystem-partitioned RNG (arrival process, job costs, link
@@ -47,11 +50,11 @@ const (
 	// mid-run: its claimed leases must expire on the victims and the
 	// jobs re-run to completion.
 	ScenarioCrash = "crash"
-	// ScenarioCacheWarm enables the cluster cache layer with a warm
-	// island: the first WarmNodes nodes hold every digest's result
-	// pre-computed, arrivals aim at the cold nodes, and the cold nodes
-	// must find the warm results through hint-gossiped cache probes
-	// (the real cachepolicy.Prober over a virtual-clock transport).
+	// ScenarioCacheWarm starts the cluster with a warm island: the
+	// first WarmNodes nodes hold every digest's artifacts pre-computed,
+	// arrivals aim at the cold nodes, and the cold nodes must find the
+	// warm results through hint-gossiped cache probes (the real
+	// cachepolicy.Prober over a virtual-clock transport).
 	ScenarioCacheWarm = "cachewarm"
 	// ScenarioPartition is cachewarm plus a partial network partition:
 	// for a window mid-run the warm island and the cold nodes cannot
@@ -74,16 +77,6 @@ func Scenarios() []string {
 	}
 }
 
-// cacheScenario reports whether a scenario turns the cache layer on by
-// default.
-func cacheScenario(scenario string) bool {
-	switch scenario {
-	case ScenarioCacheWarm, ScenarioPartition, ScenarioAdmission:
-		return true
-	}
-	return false
-}
-
 // Config parameterizes one simulated run. The zero value is unusable;
 // start from DefaultConfig.
 type Config struct {
@@ -104,9 +97,6 @@ type Config struct {
 	StealIntervalMS int64
 	// LeaseMS is the steal-lease duration granted by victims.
 	LeaseMS int64
-	// HintSteals wires Stealer.HasCached so thieves aim at victims
-	// advertising digests the thief has warm.
-	HintSteals bool
 	// SlowFactor multiplies the slow node's run durations
 	// (ScenarioSlowNode).
 	SlowFactor int64
@@ -117,15 +107,9 @@ type Config struct {
 	CrashNode int
 	CrashAtMS int64
 	// DigestPool is how many distinct trace digests the workload draws
-	// from — small pools make cache hints matter.
+	// from — small pools make result-cache hits and cache hints matter.
 	DigestPool int
 
-	// CacheLayer enables the cluster cache layer: result/table cache
-	// probing before cold runs (cachepolicy.Prober) and multi-hop
-	// Retry-Peer admission (cachepolicy.FollowRedirects), both running
-	// the real policy code over the in-memory transport. Legacy
-	// scenarios leave it off and are bit-for-bit unaffected.
-	CacheLayer bool
 	// ProbeFanout bounds peers probed per cache-missed job. Unlike the
 	// daemon (where 0 means "apply the default"), 0 here disables
 	// probing entirely — the sweep's no-probe baseline.
@@ -136,8 +120,6 @@ type Config struct {
 	// HintBreadth is how many recent result-cache keys each node
 	// gossips in its probe responses (0 = no cache hints).
 	HintBreadth int
-	// MaxHops bounds the Retry-Peer admission chain.
-	MaxHops int
 	// WarmNodes pre-warms nodes [0, WarmNodes) with every pool digest's
 	// result at t=0 (the warm island).
 	WarmNodes int
@@ -150,14 +132,23 @@ type Config struct {
 }
 
 // DefaultConfig returns the baseline lab cluster for a scenario: four
-// 2-worker nodes under a minute of moderate load. The crash scenario
-// arrives hotter: the point is to kill a thief mid-steal, which needs
-// the thieves saturated with stolen work when the clock hits CrashAtMS.
+// 2-worker nodes under a minute of moderate load, every node running
+// the shared cachepolicy defaults — the same values the daemon's flags
+// print.
+//
+// The steal scenarios (uniform, skewed, slownode, crash) draw from
+// 1,024 digests, so most jobs miss every result cache and run: the
+// backlog stays something to steal. The crash scenario arrives hotter:
+// the point is to kill a thief mid-steal, which needs the thieves
+// saturated with stolen work when the clock hits CrashAtMS.
+//
+// The cache scenarios draw from 64 digests, sized to the run (~600
+// arrivals): repeats are common enough for caching to matter, but a
+// cold node keeps discovering new digests for most of the run —
+// coupon-collector pacing — so probe traffic stays alive through the
+// partition window instead of converging in the first few seconds.
 func DefaultConfig(scenario string, seed int64) Config {
-	arrival := int64(100)
-	if scenario == ScenarioCrash {
-		arrival = 60
-	}
+	d := cachepolicy.Defaults()
 	cfg := Config{
 		Scenario:        scenario,
 		Seed:            seed,
@@ -165,43 +156,34 @@ func DefaultConfig(scenario string, seed int64) Config {
 		WorkersPerNode:  2,
 		QueueDepth:      8,
 		DurationMS:      60_000,
-		ArrivalEveryMS:  arrival,
+		ArrivalEveryMS:  100,
 		StealIntervalMS: 250,
 		LeaseMS:         2_000,
-		HintSteals:      true,
 		SlowFactor:      4,
 		CrashNode:       -1,
 		CrashAtMS:       10_000,
-		DigestPool:      32,
+		DigestPool:      1024,
+		ProbeFanout:     d.ProbeFanout,
+		ProbeTimeoutMS:  d.ProbeTimeout.Milliseconds(),
+		HintBreadth:     d.HintKeys,
 	}
-	if cacheScenario(scenario) {
-		// Cache scenarios start from the shared cachepolicy defaults —
-		// the same values the daemon's flags print. The digest pool is
-		// sized to the run (~600 arrivals over 64 digests): repeats are
-		// common enough for caching to matter, but a cold node keeps
-		// discovering new digests for most of the run — coupon-collector
-		// pacing — so probe traffic stays alive through the partition
-		// window instead of converging in the first few seconds.
-		d := cachepolicy.Defaults()
-		cfg.CacheLayer = true
-		cfg.ProbeFanout = d.ProbeFanout
-		cfg.ProbeTimeoutMS = d.ProbeTimeout.Milliseconds()
-		cfg.HintBreadth = d.HintKeys
-		cfg.MaxHops = d.SubmitHops
+	switch scenario {
+	case ScenarioCrash:
+		cfg.ArrivalEveryMS = 60
+	case ScenarioPartition:
+		cfg.PartitionAtMS = 10_000
+		cfg.HealAtMS = 40_000
+		fallthrough
+	case ScenarioCacheWarm:
 		cfg.DigestPool = 64
 		cfg.WarmNodes = 2
-		switch scenario {
-		case ScenarioPartition:
-			cfg.PartitionAtMS = 10_000
-			cfg.HealAtMS = 40_000
-		case ScenarioAdmission:
-			// No warm island: the point is organic cache build-up under
-			// admission pressure, with shallow queues forcing multi-hop
-			// Retry-Peer chains.
-			cfg.WarmNodes = 0
-			cfg.QueueDepth = 4
-			cfg.ArrivalEveryMS = 60
-		}
+	case ScenarioAdmission:
+		// No warm island: the point is organic cache build-up under
+		// admission pressure, with shallow queues forcing multi-hop
+		// Retry-Peer chains.
+		cfg.DigestPool = 64
+		cfg.QueueDepth = 4
+		cfg.ArrivalEveryMS = 60
 	}
 	return cfg
 }
@@ -226,16 +208,14 @@ func (cfg Config) validate() error {
 	if cfg.Scenario == ScenarioCrash && cfg.CrashNode >= cfg.Nodes {
 		return fmt.Errorf("crash node %d out of range [0,%d) (negative = auto-target)", cfg.CrashNode, cfg.Nodes)
 	}
-	if cfg.CacheLayer {
-		if cfg.ProbeFanout < 0 || cfg.HintBreadth < 0 || cfg.MaxHops < 0 {
-			return errors.New("cache knobs must be non-negative")
-		}
-		if cfg.ProbeFanout > 0 && cfg.ProbeTimeoutMS < 1 {
-			return errors.New("probe timeout must be positive when probing is on")
-		}
-		if cfg.WarmNodes < 0 || cfg.WarmNodes > cfg.Nodes {
-			return fmt.Errorf("warm nodes %d out of range [0,%d]", cfg.WarmNodes, cfg.Nodes)
-		}
+	if cfg.ProbeFanout < 0 || cfg.HintBreadth < 0 {
+		return errors.New("cache knobs must be non-negative")
+	}
+	if cfg.ProbeFanout > 0 && cfg.ProbeTimeoutMS < 1 {
+		return errors.New("probe timeout must be positive when probing is on")
+	}
+	if cfg.WarmNodes < 0 || cfg.WarmNodes > cfg.Nodes {
+		return fmt.Errorf("warm nodes %d out of range [0,%d]", cfg.WarmNodes, cfg.Nodes)
 	}
 	if cfg.Scenario == ScenarioPartition && cfg.PartitionAtMS >= cfg.HealAtMS {
 		return errors.New("partition window must open before it heals")
@@ -249,13 +229,17 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := newCluster(cfg)
+	return newCluster(cfg).run(), nil
+}
+
+// run draws the workload, drives the event loop and reports.
+func (c *Cluster) run() *Report {
 	c.generateWorkload()
 	c.scheduleHousekeeping()
 	// Hard cap: a pathological policy (leases never expiring, a crash
 	// stranding the whole backlog) must terminate with an honest
 	// "unfinished" count rather than spin the heap forever.
-	hardCap := cfg.DurationMS*20 + 10*cfg.LeaseMS
+	hardCap := c.cfg.DurationMS*20 + 10*c.cfg.LeaseMS
 	for c.events.Len() > 0 && !c.drained() {
 		ev := heap.Pop(&c.events).(*event)
 		if ev.at > hardCap {
@@ -264,7 +248,7 @@ func Run(cfg Config) (*Report, error) {
 		c.now = ev.at
 		ev.fn()
 	}
-	return c.report(), nil
+	return c.report()
 }
 
 // MustRun is Run for callers whose config is known valid (tests, the

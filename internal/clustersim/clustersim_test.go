@@ -113,20 +113,19 @@ func TestSlowNodeSheds(t *testing.T) {
 	}
 }
 
-// TestHintedStealsFire: with hint-driven stealing on and a small
-// digest pool, some claims must be aimed by cache hints; with it off,
-// none may be.
+// TestHintedStealsFire: hint-driven victim ordering is always on, as in
+// perfplayd. Steal hints ride the victims' stealable digests, not the
+// gossiped cache keys, so some claims are hint-aimed with or without
+// cache hints — and never more claims than were made.
 func TestHintedStealsFire(t *testing.T) {
-	on := short(ScenarioSkewed, 42)
-	on.DigestPool = 4 // small pool → thieves warm up fast → hints match
-	r := MustRun(on)
-	if r.HintedClaims == 0 {
-		t.Fatalf("hint-driven stealing never fired:\n%s", r)
-	}
-	off := on
-	off.HintSteals = false
-	if r := MustRun(off); r.HintedClaims != 0 {
-		t.Fatalf("hints disabled but %d hinted claims counted", r.HintedClaims)
+	cfg := short(ScenarioSkewed, 42)
+	for _, breadth := range []int{cfg.HintBreadth, 0} {
+		cfg.HintBreadth = breadth
+		r := MustRun(cfg)
+		if r.HintedClaims == 0 || r.HintedClaims > r.Claims {
+			t.Fatalf("breadth %d: %d hinted of %d claims, want some and at most all:\n%s",
+				breadth, r.HintedClaims, r.Claims, r)
+		}
 	}
 }
 
@@ -150,6 +149,8 @@ func TestValidation(t *testing.T) {
 		func() Config { c := DefaultConfig(ScenarioUniform, 1); c.Nodes = 1; return c }(),
 		func() Config { c := DefaultConfig(ScenarioCrash, 1); c.CrashNode = 99; return c }(),
 		func() Config { c := DefaultConfig(ScenarioUniform, 1); c.LeaseMS = 0; return c }(),
+		func() Config { c := DefaultConfig(ScenarioUniform, 1); c.ProbeFanout = -1; return c }(),
+		func() Config { c := DefaultConfig(ScenarioSkewed, 1); c.WarmNodes = 5; return c }(),
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

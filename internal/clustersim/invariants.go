@@ -27,6 +27,8 @@ type invariants struct {
 	// running is the shadow worker book: how many jobs each node (by
 	// URL) is executing right now.
 	running map[string]int
+	// chains counts the admission chains recounted: one per arrival.
+	chains int
 
 	violations []string
 }
@@ -148,6 +150,7 @@ type chainCheck struct {
 }
 
 func (v *invariants) chain(jobID string) *chainCheck {
+	v.chains++
 	return &chainCheck{v: v, jobID: jobID, seen: make(map[string]bool)}
 }
 

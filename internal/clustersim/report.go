@@ -45,7 +45,6 @@ type Report struct {
 	Claims        int `json:"claims"`
 	HintedClaims  int `json:"hinted_claims"`
 	LeasesExpired int `json:"leases_expired"`
-	Redirects     int `json:"redirects"`
 	WarmRuns      int `json:"warm_runs"`
 
 	LatencyP50 int64 `json:"latency_p50_ms"`
@@ -55,9 +54,9 @@ type Report struct {
 	// MakespanMS is when the last completion landed.
 	MakespanMS int64 `json:"makespan_ms"`
 
-	// Cache is the cache-layer activity; nil (and unrendered) for
-	// legacy scenarios, keeping their reports byte-stable.
-	Cache *CacheReport `json:"cache,omitempty"`
+	// Cache is the cache layer's activity. Its AdmissionHops are the
+	// Retry-Peer redirects, rendered on the steals line too.
+	Cache CacheReport `json:"cache"`
 	// Violations are the invariant checker's findings. Always rendered
 	// when non-empty — a shipped scenario producing any is a bug.
 	Violations []string `json:"violations,omitempty"`
@@ -86,7 +85,6 @@ func (c *Cluster) report() *Report {
 		Lost:       c.lostJobs,
 		Duplicates: c.duplicates,
 		Orphans:    c.orphans,
-		Redirects:  c.redirects,
 		Completed:  len(c.latencies),
 		Unfinished: len(c.jobs) - c.resolved,
 		LatencyP50: percentile(c.latencies, 50),
@@ -94,17 +92,7 @@ func (c *Cluster) report() *Report {
 		LatencyP99: percentile(c.latencies, 99),
 		LatencyMax: percentile(c.latencies, 100),
 		MakespanMS: c.lastCompleted,
-	}
-	if c.cfg.CacheLayer {
-		r.Cache = &CacheReport{
-			Probes:        c.cache.probes,
-			RemoteHits:    c.cache.remoteHits,
-			LocalHits:     c.cache.localHits,
-			TableImports:  c.cache.tableImports,
-			ProbeTimeouts: c.cache.probeTimeouts,
-			Degraded:      c.cache.degraded,
-			AdmissionHops: c.cache.admissionHops,
-		}
+		Cache:      c.cache,
 	}
 	for _, n := range c.nodes {
 		st := n.stealer.Stats()
@@ -144,12 +132,10 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  latency ms: p50=%d p90=%d p99=%d max=%d makespan=%d\n",
 		r.LatencyP50, r.LatencyP90, r.LatencyP99, r.LatencyMax, r.MakespanMS)
 	fmt.Fprintf(&b, "  steals: claims=%d hinted=%d lease-expired=%d redirects=%d warm-runs=%d\n",
-		r.Claims, r.HintedClaims, r.LeasesExpired, r.Redirects, r.WarmRuns)
-	if r.Cache != nil {
-		fmt.Fprintf(&b, "  cache: probes=%d remote-hits=%d local-hits=%d table-imports=%d timeouts=%d degraded=%d admission-hops=%d\n",
-			r.Cache.Probes, r.Cache.RemoteHits, r.Cache.LocalHits, r.Cache.TableImports,
-			r.Cache.ProbeTimeouts, r.Cache.Degraded, r.Cache.AdmissionHops)
-	}
+		r.Claims, r.HintedClaims, r.LeasesExpired, r.Cache.AdmissionHops, r.WarmRuns)
+	fmt.Fprintf(&b, "  cache: probes=%d remote-hits=%d local-hits=%d table-imports=%d timeouts=%d degraded=%d admission-hops=%d\n",
+		r.Cache.Probes, r.Cache.RemoteHits, r.Cache.LocalHits, r.Cache.TableImports,
+		r.Cache.ProbeTimeouts, r.Cache.Degraded, r.Cache.AdmissionHops)
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "  INVARIANT VIOLATION: %s\n", v)
 	}

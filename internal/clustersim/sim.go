@@ -37,7 +37,6 @@ type simJob struct {
 	done    bool  // completed (or orphaned) — resolved for accounting
 	// penalty is latency charged outside the event clock: the link time
 	// a multi-hop admission chain spent before the job landed anywhere.
-	// Always 0 on the legacy (non-cache-layer) path.
 	penalty int64
 }
 
@@ -77,9 +76,9 @@ type node struct {
 	pendingStolen int
 	active        []*activeJob
 	cache         map[string]bool
-	// results is the node's result cache (cache-layer scenarios only):
-	// result keys it computed or imported, servable to probing peers.
-	// recent is the MRU tail of those keys, gossiped as cache hints.
+	// results is the node's result cache: result keys it computed or
+	// imported, servable to probing peers. recent is the MRU tail of
+	// those keys, gossiped as cache hints.
 	results map[string]bool
 	recent  []string
 	speed   int64 // run-duration multiplier (1 = nominal)
@@ -99,7 +98,7 @@ func (n *node) idle() bool {
 }
 
 // addResult records a result key in the node's cache and its MRU hint
-// tail. Cache-layer scenarios only.
+// tail.
 func (n *node) addResult(key string) {
 	if n.results[key] {
 		return
@@ -143,7 +142,6 @@ type Cluster struct {
 	latencies []int64
 
 	// Cluster-wide counters (per-node ones live on node / its metrics).
-	redirects     int
 	rejected      int
 	duplicates    int
 	orphans       int
@@ -153,19 +151,8 @@ type Cluster struct {
 	// inv is the always-on invariant checker; its violations land on
 	// the report (and must be empty for every shipped scenario).
 	inv *invariants
-	// cache totals the cache-layer activity (CacheLayer configs only).
-	cache cacheCounters
-}
-
-// cacheCounters are the cluster-wide cache-layer totals.
-type cacheCounters struct {
-	probes        int // individual peer fetch attempts (result + table)
-	remoteHits    int // jobs settled from a peer's result cache
-	localHits     int // jobs settled from the local result cache
-	tableImports  int // verdict tables adopted from a peer
-	probeTimeouts int // probes that burned their timeout (partition/slow)
-	degraded      int // probed jobs that missed everywhere and ran locally
-	admissionHops int // extra Retry-Peer hops walked by admission chains
+	// cache totals the cache layer's activity, filled in place.
+	cache CacheReport
 }
 
 func newCluster(cfg Config) *Cluster {
@@ -192,24 +179,21 @@ func newCluster(cfg Config) *Cluster {
 	if cfg.Scenario == ScenarioSlowNode {
 		c.nodes[cfg.Nodes-1].speed = cfg.SlowFactor
 	}
-	if cfg.CacheLayer {
-		// Pre-warm the warm island: nodes [0, WarmNodes) ran the whole
-		// corpus yesterday. Like the daemon's two-tier cache, the tiers
-		// age differently: the verdict tables and trace artifacts are
-		// still on disk for every digest, but the LRU result cache has
-		// since evicted half the pool — so probes for evicted digests
-		// miss on results, fall through to the table probe, and the cold
-		// node runs warm instead of settling for free.
+	// Pre-warm the warm island: nodes [0, WarmNodes) ran the whole
+	// corpus yesterday. Like the daemon's two-tier cache, the tiers age
+	// differently: the verdict tables and trace artifacts are still on
+	// disk for every digest, but the LRU result cache has since evicted
+	// half the pool — so probes for evicted digests miss on results,
+	// fall through to the table probe, and the cold node runs warm
+	// instead of settling for free.
+	for _, n := range c.nodes[:cfg.WarmNodes] {
 		for di, digest := range digestPool(cfg.DigestPool) {
-			for i := 0; i < cfg.WarmNodes; i++ {
-				n := c.nodes[i]
-				n.cache[digest] = true
-				if di%2 == 0 {
-					n.addResult(resultKey(digest))
-					c.inv.computedResult(n, resultKey(digest), digest)
-				} else {
-					c.inv.importedTable(n, digest)
-				}
+			n.cache[digest] = true
+			if di%2 == 0 {
+				n.addResult(resultKey(digest))
+				c.inv.computedResult(n, resultKey(digest), digest)
+			} else {
+				c.inv.importedTable(n, digest)
 			}
 		}
 	}
@@ -275,13 +259,15 @@ func (c *Cluster) latencyMS() int64 {
 }
 
 func (c *Cluster) newStealer(n *node) *scheduler.Stealer {
-	s := &scheduler.Stealer{
-		Self:      n.url,
-		Peers:     c.peersOf(n),
-		Idle:      n.idle,
-		Gossip:    n.gossip,
-		Metrics:   n.metrics,
-		Now:       c.clock,
+	return &scheduler.Stealer{
+		Self:    n.url,
+		Peers:   c.peersOf(n),
+		Idle:    n.idle,
+		Gossip:  n.gossip,
+		Metrics: n.metrics,
+		Now:     c.clock,
+		// Hint-driven victim ordering, as perfplayd's StartStealer wires it.
+		HasCached: func(digest string) bool { return n.cache[digest] },
 		Transport: &memTransport{c: c, from: n},
 		Execute: func(victim string, sj scheduler.StolenJob) error {
 			// The real daemon executes synchronously inside the steal
@@ -310,10 +296,6 @@ func (c *Cluster) newStealer(n *node) *scheduler.Stealer {
 			return nil
 		},
 	}
-	if c.cfg.HintSteals {
-		s.HasCached = func(digest string) bool { return n.cache[digest] }
-	}
-	return s
 }
 
 // memTransport carries the steal protocol between simulated nodes: the
@@ -344,16 +326,13 @@ func (t *memTransport) Probe(peer string) (scheduler.PeerStatus, error) {
 	if err != nil {
 		return scheduler.PeerStatus{}, err
 	}
-	st := scheduler.PeerStatus{
+	return scheduler.PeerStatus{
 		QueueLen:         v.queue.Len(),
 		QueueCap:         v.queue.Cap(),
 		Stealable:        v.queue.Stealable(),
 		StealableDigests: v.queue.StealableDigests(8),
-	}
-	if t.c.cfg.CacheLayer {
-		st.CacheKeys = v.recentKeys(t.c.cfg.HintBreadth)
-	}
-	return st, nil
+		CacheKeys:        v.recentKeys(t.c.cfg.HintBreadth),
+	}, nil
 }
 
 func (t *memTransport) Claim(peer, thief string) (scheduler.StolenJob, bool, error) {
@@ -381,7 +360,7 @@ func (t *memTransport) Settle(victim, jobID string, res clusterapi.StealResult) 
 }
 
 // cacheLatencyMS draws one cache-probe round trip. Its own stream, so
-// cache scenarios do not perturb the steal path's latency draws.
+// probe traffic does not perturb the steal path's latency draws.
 func (c *Cluster) cacheLatencyMS() int64 {
 	return 1 + c.rng.Stream("cachelat").Int64N(4)
 }
@@ -410,7 +389,7 @@ var _ cachepolicy.Fetcher[string, string] = (*simCacheTransport)(nil)
 
 // fetch resolves one probe's target and charges its virtual cost.
 func (t *simCacheTransport) fetch(peer string) (*node, error) {
-	t.c.cache.probes++
+	t.c.cache.Probes++
 	target := t.c.byURL(peer)
 	if target == nil || target.crashed {
 		t.elapsed++ // refused connections fail fast
@@ -418,13 +397,13 @@ func (t *simCacheTransport) fetch(peer string) (*node, error) {
 	}
 	if !t.c.linkUp(t.from, target) {
 		t.elapsed += t.c.cfg.ProbeTimeoutMS
-		t.c.cache.probeTimeouts++
+		t.c.cache.ProbeTimeouts++
 		return nil, fmt.Errorf("probe %s: timeout (blackholed)", peer)
 	}
 	rtt := t.c.cacheLatencyMS()
 	if rtt > t.c.cfg.ProbeTimeoutMS {
 		t.elapsed += t.c.cfg.ProbeTimeoutMS
-		t.c.cache.probeTimeouts++
+		t.c.cache.ProbeTimeouts++
 		return nil, fmt.Errorf("probe %s: timeout", peer)
 	}
 	t.elapsed += rtt
@@ -485,7 +464,7 @@ func (c *Cluster) probeCaches(n *node, j *simJob) (hit bool, elapsed int64) {
 	view := n.gossip.Snapshot()
 	key := resultKey(j.digest)
 	if _, _, ok := pr.ProbeResult(peers, view, key, 0); ok {
-		c.cache.remoteHits++
+		c.cache.RemoteHits++
 		n.addResult(key)
 		c.inv.importedResult(n, key)
 		hit = true
@@ -494,14 +473,14 @@ func (c *Cluster) probeCaches(n *node, j *simJob) (hit bool, elapsed int64) {
 		// the verdict table so the local run goes warm. accept is
 		// unconditional: the sim's artifacts cannot be corrupt.
 		if _, ok := pr.ProbeTable(peers, view, j.digest, tableKey(j.digest), func(string) bool { return true }); ok {
-			c.cache.tableImports++
+			c.cache.TableImports++
 			n.cache[j.digest] = true
 			c.inv.importedTable(n, j.digest)
 		}
 	}
 	c.inv.probeBound(tr.resultCalls, tr.tableCalls, c.cfg.ProbeFanout)
 	if !hit {
-		c.cache.degraded++
+		c.cache.Degraded++
 	}
 	return hit, tr.elapsed
 }
@@ -552,12 +531,7 @@ func (c *Cluster) generateWorkload() {
 		}
 		c.jobs = append(c.jobs, j)
 		c.byID[j.id] = j
-		at, node := j.arrival, origin
-		if c.cfg.CacheLayer {
-			c.schedule(at, kindArrival, func() { c.admit(j, c.nodes[node]) })
-		} else {
-			c.schedule(at, kindArrival, func() { c.arrive(j, c.nodes[node], 0) })
-		}
+		c.schedule(j.arrival, kindArrival, func() { c.admit(j, c.nodes[origin]) })
 	}
 }
 
@@ -635,38 +609,6 @@ const sampleEveryMS = 100
 // account (completed, lost, or orphaned) — the run's natural end.
 func (c *Cluster) drained() bool { return c.resolved >= len(c.jobs) }
 
-// arrive admits a job at a node, or redirects it through the same
-// steal-aware admission policy the daemon applies: a full queue sends
-// the submitter to scheduler.IdlestPeer's pick from this node's gossip
-// view. hops bounds the redirect chain like the CLI client does.
-func (c *Cluster) arrive(j *simJob, n *node, hops int) {
-	if j.done {
-		return
-	}
-	if !n.crashed {
-		qj := &scheduler.Job{
-			ID:   j.id,
-			Spec: clusterapi.Spec{App: "sim", TraceDigest: j.digest, Seed: c.cfg.Seed},
-		}
-		if n.queue.Push(qj) {
-			c.assign(n)
-			return
-		}
-	}
-	if hops >= 2 {
-		c.reject(j)
-		return
-	}
-	peer, ok := scheduler.IdlestPeer(c.peersOf(n), n.gossip.Snapshot())
-	if !ok {
-		c.reject(j)
-		return
-	}
-	c.redirects++
-	target := c.byURL(peer)
-	c.schedule(c.now+c.latencyMS(), kindArrival, func() { c.arrive(j, target, hops+1) })
-}
-
 func (c *Cluster) reject(j *simJob) {
 	j.done = true
 	c.rejected++
@@ -674,18 +616,17 @@ func (c *Cluster) reject(j *simJob) {
 	c.inv.terminalOnce(j.id, "rejected")
 }
 
-// admit is the cache-layer admission path: the real multi-hop chain,
-// cachepolicy.FollowRedirects — hop bound, visited set, the exact code
-// corpus.Remote submits through — over an in-memory submit adapter. A
-// full node's rejection names its gossip-picked idlest peer as the
-// Retry-Peer, and the chain walks on. The walk is synchronous at the
-// arrival instant (the queues cannot shift mid-chain, unlike the
-// event-spaced legacy path); its link time is charged to the job as a
-// latency penalty instead.
+// admit walks one arrival through the real multi-hop admission chain,
+// cachepolicy.FollowRedirects — the exact code, hop bound and visited
+// set corpus.Remote submits through, with the bound it passes
+// (cachepolicy.Defaults().SubmitHops) — over an in-memory submit
+// adapter. A full node's rejection names its gossip-picked idlest peer
+// as the Retry-Peer, and the chain walks on; a crashed node refuses the
+// connection, which ends the chain as it ends a real client's. The walk
+// is synchronous at the arrival instant; its link time is charged to
+// the job as a latency penalty.
 func (c *Cluster) admit(j *simJob, origin *node) {
-	if j.done {
-		return
-	}
+	maxHops := cachepolicy.Defaults().SubmitHops
 	var (
 		elapsed  int64
 		accepted *node
@@ -697,7 +638,7 @@ func (c *Cluster) admit(j *simJob, origin *node) {
 		if hops > 0 {
 			elapsed += c.latencyMS()
 		}
-		chain.visit(base, c.cfg.MaxHops)
+		chain.visit(base, maxHops)
 		n := c.byURL(base)
 		if n == nil || n.crashed {
 			return cachepolicy.SubmitReply{}, fmt.Errorf("dial %s: connection refused", base)
@@ -716,9 +657,8 @@ func (c *Cluster) admit(j *simJob, origin *node) {
 		}
 		return reply, nil
 	}
-	_, _, err := cachepolicy.FollowRedirects(submit, origin.url, c.cfg.MaxHops)
-	c.redirects += hops
-	c.cache.admissionHops += hops
+	_, _, err := cachepolicy.FollowRedirects(submit, origin.url, maxHops)
+	c.cache.AdmissionHops += hops
 	if err != nil || accepted == nil {
 		c.reject(j)
 		return
@@ -728,27 +668,25 @@ func (c *Cluster) admit(j *simJob, origin *node) {
 }
 
 // startJob registers a job as started on n, waiting for a worker.
-// victim is non-nil for stolen jobs. With the cache layer on, the job
-// first consults the result caches like the daemon's executeJob: local hit
-// settles instantly, a probed remote hit settles after the probe round
-// trip, a table hit warms the run, and a miss everywhere degrades to
-// the cold run with the probe time charged up front.
+// victim is non-nil for stolen jobs. The job first consults the result
+// caches like the daemon's executeJob: a local hit settles instantly, a
+// probed remote hit settles after the probe round trip, a table hit
+// warms the run, and a miss everywhere degrades to the cold run with
+// the probe time charged up front.
 func (c *Cluster) startJob(n *node, j *simJob, victim *node) {
+	if n.results[resultKey(j.digest)] {
+		c.cache.LocalHits++
+		c.settleCached(n, j, victim, 1)
+		return
+	}
 	var pre int64
-	if c.cfg.CacheLayer {
-		if n.results[resultKey(j.digest)] {
-			c.cache.localHits++
-			c.settleCached(n, j, victim, 1)
+	if c.cfg.ProbeFanout > 0 {
+		hit, elapsed := c.probeCaches(n, j)
+		if hit {
+			c.settleCached(n, j, victim, elapsed+1)
 			return
 		}
-		if c.cfg.ProbeFanout > 0 {
-			hit, elapsed := c.probeCaches(n, j)
-			if hit {
-				c.settleCached(n, j, victim, elapsed+1)
-				return
-			}
-			pre = elapsed
-		}
+		pre = elapsed
 	}
 	aj := &activeJob{
 		job:    j,
@@ -823,10 +761,8 @@ func (c *Cluster) finishJob(n *node, aj *activeJob) {
 		// A real run warms the node; a cache-settled job built nothing
 		// locally beyond the result it already imported.
 		n.cache[aj.job.digest] = true
-		if c.cfg.CacheLayer {
-			n.addResult(resultKey(aj.job.digest))
-			c.inv.computedResult(n, resultKey(aj.job.digest), aj.job.digest)
-		}
+		n.addResult(resultKey(aj.job.digest))
+		c.inv.computedResult(n, resultKey(aj.job.digest), aj.job.digest)
 	}
 	if aj.victim != nil {
 		tr := memTransport{c: c, from: n}
