@@ -60,7 +60,7 @@ var (
 	traceOut  = flag.String("trace", "", "write the recorded trace to this file")
 	traceFmt  = flag.String("trace-format", trace.FormatBinary, "on-disk encoding for -trace: binary, json, or columnar")
 	replayIn  = flag.String("replay", "", "replay an existing trace file instead of recording")
-	races     = flag.Bool("races", false, "run the happens-before detector on the transformed trace")
+	races     = flag.Bool("races", false, "run the happens-before detector over the ULCP-free replay")
 	list      = flag.Bool("list", false, "list available workloads")
 	scheduler = flag.String("sched", "elsc", "replay scheme for -replay: orig, elsc, sync, mem")
 	runs      = flag.Int("runs", 1, "aggregate the analysis over N differently-seeded traces (multi-trace mode)")

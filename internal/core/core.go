@@ -25,16 +25,16 @@ type Analysis struct {
 	CSs []*trace.CritSec
 	// Report is the ULCP identification outcome.
 	Report *ulcp.Report
-	// Transformed is the ULCP-free schedule and its construction
-	// artifacts: always the plan over the recording, and its Trace only
-	// when the run verified Theorem 1 or detected races.
+	// Transformed is the ULCP-free schedule: the plan over the recording
+	// and its counters. Its Trace is nil on every run — the replay, the
+	// Theorem 1 check and the race detector all read the plan.
 	Transformed *transform.Result
 	// OrigReplay and FreeReplay are the two ELSC replays PerfPlay
 	// compares (Sec. 4).
 	OrigReplay, FreeReplay *replay.Result
 	// Debug holds Eq. 1/Eq. 2 results and the fused recommendations.
 	Debug *perfdbg.Debug
-	// Races are happens-before conflicts surfaced in the transformed
+	// Races are happens-before conflicts surfaced over the ULCP-free
 	// replay, if race detection was requested.
 	Races []race.Race
 	// Theorem1 is the correctness verdict, if VerifyTheorem1 was set.

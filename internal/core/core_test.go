@@ -6,6 +6,7 @@ import (
 
 	"perfplay/internal/core"
 	"perfplay/internal/pipeline"
+	"perfplay/internal/replay"
 	"perfplay/internal/sim"
 	"perfplay/internal/ulcp"
 	"perfplay/internal/vtime"
@@ -233,15 +234,34 @@ func TestVerifyTheorem1Integration(t *testing.T) {
 	}
 }
 
+// TestAnalyzeWithDLSAndLocksetCost: the dynamic locking strategy and the
+// lockset cost model are replay options over an analysis's plan, as
+// Table 3 runs them; the analysis itself replays on default options.
 func TestAnalyzeWithDLSAndLocksetCost(t *testing.T) {
-	a := analyze(t, pipeline.Request{Program: readHeavy(2, 6), Seed: 5, DLS: true, LocksetCost: 8})
+	dls := func(a *core.Analysis) *replay.Result {
+		t.Helper()
+		res, err := replay.Run(a.Recorded.Trace, replay.Options{
+			Sched: replay.ELSCS, DLS: true, LocksetCost: 8, Plan: a.Transformed.Plan,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a := analyze(t, pipeline.Request{Program: readHeavy(2, 6), Seed: 5})
 	// Read-only workloads have no causal edges, so no locksets and no
 	// overhead; the options must still be accepted.
-	if a.FreeReplay.LocksetOverhead != 0 {
-		t.Fatalf("lockset overhead = %v on a lockset-free trace", a.FreeReplay.LocksetOverhead)
+	if r := dls(a); r.LocksetOverhead != 0 {
+		t.Fatalf("lockset overhead = %v on a lockset-free trace", r.LocksetOverhead)
 	}
-	b := analyze(t, pipeline.Request{Program: writeConflict(3, 6), Seed: 5, DLS: true, LocksetCost: 8})
-	if b.Transformed.LocksetNodes > 0 && b.FreeReplay.LocksetAcqs == 0 {
-		t.Fatal("lockset acquisitions not counted")
+	b := analyze(t, pipeline.Request{Program: writeConflict(3, 6), Seed: 5})
+	if b.Transformed.LocksetNodes == 0 {
+		t.Fatal("write-conflict fixture has no lockset node")
+	}
+	if r := dls(b); r.LocksetAcqs == 0 || r.LocksetOverhead == 0 {
+		t.Fatalf("lockset acquisitions %d, overhead %v: DLS and the cost model were not applied", r.LocksetAcqs, r.LocksetOverhead)
+	}
+	if b.FreeReplay.LocksetOverhead != 0 {
+		t.Fatalf("default-option replay charged %v of lockset overhead", b.FreeReplay.LocksetOverhead)
 	}
 }

@@ -22,6 +22,10 @@ func TestGoldenReports(t *testing.T) {
 	}{
 		{"pbzip2", Request{App: "pbzip2", Threads: 2, Scale: 0.2, Seed: 3, TopK: 5, Schemes: true}},
 		{"mysql", Request{App: "mysql", Threads: 4, Scale: 0.2, Seed: 7, TopK: 5, DetectRaces: true}},
+		// The race detector and the Theorem 1 check together; x264
+		// reports a race.
+		{"openldap-races-verify", Request{App: "openldap", Threads: 4, Scale: 0.2, Seed: 42, TopK: 5, DetectRaces: true, VerifyTheorem1: true}},
+		{"x264-races-verify", Request{App: "x264", Threads: 4, Scale: 0.2, Seed: 42, TopK: 5, DetectRaces: true, VerifyTheorem1: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -32,7 +32,6 @@ import (
 	"perfplay/internal/transform"
 	"perfplay/internal/ulcp"
 	"perfplay/internal/verify"
-	"perfplay/internal/vtime"
 	"perfplay/internal/workload"
 )
 
@@ -84,15 +83,10 @@ type Request struct {
 	Schemes bool
 
 	// DetectRaces runs the happens-before detector over the ULCP-free
-	// replay (Theorem 1's fallback reporting); MaxRaces caps the
-	// reported races (0 = 32).
+	// replay (Theorem 1's fallback reporting); MaxRaces caps the races
+	// it and the Theorem 1 check report (0 = 32).
 	DetectRaces bool
 	MaxRaces    int
-	// DLS applies the dynamic locking strategy in the ULCP-free replay,
-	// and LocksetCost its lockset maintenance cost model (Table 3);
-	// zero disables the cost model.
-	DLS         bool
-	LocksetCost vtime.Duration
 	// VerifyTheorem1 runs the full Theorem 1 check (outcome comparison
 	// plus race attribution) and stores the report on the analysis.
 	VerifyTheorem1 bool
@@ -152,9 +146,9 @@ func (r Request) CacheKey() string {
 	if r.TraceDigest != "" {
 		src = r.TraceDigest
 	}
-	return fmt.Sprintf("%s|in%d|t%d|s%g|seed%d|sch%t|races%t|mr%d|dls%t|lc%d|v%t|id{%d,%t,%d}",
+	return fmt.Sprintf("%s|in%d|t%d|s%g|seed%d|sch%t|races%t|mr%d|v%t|id{%d,%t,%d}",
 		src, r.Input, r.Threads, r.Scale, r.Seed, r.Schemes,
-		r.DetectRaces, r.MaxRaces, r.DLS, r.LocksetCost, r.VerifyTheorem1,
+		r.DetectRaces, r.MaxRaces, r.VerifyTheorem1,
 		r.Identify.MaxScanPerThread, r.Identify.DisableReversedReplay, r.Identify.MaxReversedReplays)
 }
 
@@ -421,12 +415,10 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 	// reversed-replay verdict table (cached by trace digest, or built by
 	// one identification pass), run the per-lock shards against it and
 	// merge their reports in sorted lock order, and build the
-	// ULCP-free schedule as a plan over the recording — written out as a
-	// second trace only for the two readers that need events, the
-	// Theorem 1 check and the race detector. Both paths below produce the
-	// same report bytes: shards with the table are pure functions of
-	// (trace, group, options, table), and the table itself is a pure
-	// function of (trace, options).
+	// ULCP-free schedule as a plan over the recording. Both paths below
+	// produce the same report bytes: shards with the table are pure
+	// functions of (trace, group, options, table), and the table itself
+	// is a pure function of (trace, options).
 	if err := stage("classify", func() error {
 		a.CSs = tr.ExtractCS()
 		var table *ulcp.VerdictTable
@@ -464,47 +456,37 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 			a.Report.ReversedReplays += table.Replays
 		}
 		var err error
-		if req.VerifyTheorem1 || req.DetectRaces {
-			a.Transformed, err = transform.Apply(tr, a.CSs, a.Report)
-		} else {
-			a.Transformed, err = transform.Plan(a.CSs, a.Report)
-		}
+		a.Transformed, err = transform.Plan(a.CSs, a.Report)
 		return err
 	}); err != nil {
 		return nil, err
 	}
 
 	// Stage 4 — Quantify: replay the recording under the ULCP-free plan
-	// and ELSC, run the Theorem 1 check when requested, then evaluate
-	// Eq. 1/Eq. 2 and optionally the happens-before detector, which reads
-	// the materialised trace in the order the plan replay started its
-	// events: the two are index-aligned.
+	// and ELSC; when requested, run the happens-before detector, which
+	// walks the recording under the plan in the order that replay started
+	// its events, and the Theorem 1 check over the two ELSC replays, which
+	// shares that order; then evaluate Eq. 1/Eq. 2.
 	if err := stage("quantify", func() error {
 		maxRaces := req.MaxRaces
 		if maxRaces == 0 {
 			maxRaces = 32
 		}
+		plan := a.Transformed.Plan
 		var err error
-		a.FreeReplay, err = replay.Run(tr, replay.Options{
-			Sched:       replay.ELSCS,
-			DLS:         req.DLS,
-			LocksetCost: req.LocksetCost,
-			Plan:        a.Transformed.Plan,
-		})
+		a.FreeReplay, err = replay.Run(tr, replay.Options{Sched: replay.ELSCS, Plan: plan})
 		if err != nil {
 			return fmt.Errorf("pipeline: ULCP-free replay: %w", err)
 		}
+		var order []int32
+		if req.DetectRaces {
+			order = race.OrderByStart(a.FreeReplay.EventStart)
+			a.Races = race.Detect(tr, plan, order, maxRaces)
+		}
 		if req.VerifyTheorem1 {
-			a.Theorem1, err = verify.Check(tr, a.Transformed.Trace, req.MaxRaces)
-			if err != nil {
-				return fmt.Errorf("pipeline: theorem 1 check: %w", err)
-			}
+			a.Theorem1 = verify.Check(tr, plan, a.OrigReplay, a.FreeReplay, order, maxRaces)
 		}
 		a.Debug = perfdbg.Evaluate(tr, a.CSs, a.Report, a.OrigReplay, a.FreeReplay, tr.NumThreads)
-		if req.DetectRaces {
-			order := race.OrderByStart(a.FreeReplay.EventStart)
-			a.Races = race.Detect(a.Transformed.Trace, order, maxRaces)
-		}
 		return nil
 	}); err != nil {
 		return nil, err

@@ -1,17 +1,18 @@
-// Package race implements a happens-before data-race detector over
-// (possibly transformed) traces.
+// Package race implements a happens-before data-race detector over a
+// recording, as recorded or under its ULCP-free plan.
 //
-// Theorem 1 guarantees that a transformed ULCP-free trace either preserves
-// the original program semantics or surfaces interleaving-sensitive data
+// Theorem 1 guarantees that the ULCP-free schedule either preserves the
+// original program semantics or surfaces interleaving-sensitive data
 // races between the segments the transformation made concurrent. This
-// detector is how PerfPlay surfaces them: it linearizes a replay of the
-// transformed trace and runs a DJIT+-style vector-clock analysis whose
-// synchronization edges are original locks, auxiliary lockset members, and
-// the transformation's explicit happens-before constraints.
+// detector is how PerfPlay surfaces them: it linearizes the replay of the
+// recording under the plan and runs a DJIT+-style vector-clock analysis
+// whose synchronization edges are original locks, auxiliary lockset
+// members, and the transformation's explicit happens-before constraints.
 package race
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"perfplay/internal/memmodel"
@@ -58,10 +59,13 @@ type accessState struct {
 
 // Detect runs the analysis over the events of tr in the given
 // linearization (event indices in execution order, e.g. sorted by a
-// replay's start times). A nil order uses trace order. At most limit races
-// are returned (0 means no limit); duplicates per (address, site pair) are
-// suppressed.
-func Detect(tr *trace.Trace, order []int32, limit int) []Race {
+// replay's start times). A nil order uses trace order. A nil plan reads
+// the recording as recorded; under a plan replay.Run accepted for tr, a
+// section's lock operations act on its lockset, Locks[Off[i]:Off[i+1]]
+// (nothing if empty), and the plan's constraints follow the trace's. At
+// most limit races are returned (0 means no limit); duplicates per
+// (address, site pair) are suppressed.
+func Detect(tr *trace.Trace, plan *trace.Plan, order []int32, limit int) []Race {
 	n := tr.NumThreads
 	if order == nil {
 		order = make([]int32, len(tr.Events))
@@ -80,7 +84,16 @@ func Detect(tr *trace.Trace, order []int32, limit int) []Race {
 	consSrc := make(map[int32]vclock.VC)
 	wanted := make(map[int32]bool)
 	prereq := make(map[int32][]int32)
-	for _, c := range tr.Constraints {
+	var sec []int32 // 1 + the plan's section whose boundary event i is
+	cons := tr.Constraints
+	if plan != nil {
+		sec = make([]int32, len(tr.Events))
+		for i := range plan.Acq {
+			sec[plan.Acq[i]], sec[plan.Rel[i]] = int32(i)+1, int32(i)+1
+		}
+		cons = slices.Concat(cons, plan.Constraints)
+	}
+	for _, c := range cons {
 		wanted[c.After] = true
 		prereq[c.Before] = append(prereq[c.Before], c.After)
 	}
@@ -150,24 +163,24 @@ func Detect(tr *trace.Trace, order []int32, limit int) []Race {
 			}
 		}
 		switch e.Kind {
-		case trace.KLockAcq:
-			if lv, ok := lockVC[e.Lock]; ok {
-				vc.Join(lv)
+		case trace.KLockAcq, trace.KLockRel:
+			locks := []trace.LockID{e.Lock}
+			if sec != nil {
+				s := sec[idx] - 1
+				locks = plan.Locks[plan.Off[s]:plan.Off[s+1]]
 			}
-		case trace.KLockRel:
-			lockVC[e.Lock] = vc.Copy()
-			vc.Tick(t)
-		case trace.KLocksetAcq:
-			for _, l := range tr.Ext(e).Locks {
-				if lv, ok := lockVC[l]; ok {
-					vc.Join(lv)
+			if e.Kind == trace.KLockAcq {
+				for _, l := range locks {
+					if lv, ok := lockVC[l]; ok {
+						vc.Join(lv)
+					}
 				}
+			} else if len(locks) > 0 {
+				for _, l := range locks {
+					lockVC[l] = vc.Copy()
+				}
+				vc.Tick(t)
 			}
-		case trace.KLocksetRel:
-			for _, l := range tr.Ext(e).Locks {
-				lockVC[l] = vc.Copy()
-			}
-			vc.Tick(t)
 		case trace.KBarrier:
 			k := barKey{e.Lock, e.Value}
 			barMembers[k] = append(barMembers[k], t)

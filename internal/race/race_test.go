@@ -11,7 +11,7 @@ func TestDetectUnsyncedWriteWrite(t *testing.T) {
 	tr := trace.New("r", 2)
 	tr.Append(trace.Event{Thread: 0, Kind: trace.KWrite, Addr: 1, Value: 5})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KWrite, Addr: 1, Value: 6})
-	races := Detect(tr, nil, 0)
+	races := Detect(tr, nil, nil, 0)
 	if len(races) != 1 {
 		t.Fatalf("races = %d, want 1", len(races))
 	}
@@ -24,7 +24,7 @@ func TestDetectReadWrite(t *testing.T) {
 	tr := trace.New("r", 2)
 	tr.Append(trace.Event{Thread: 0, Kind: trace.KWrite, Addr: 1, Value: 5})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KRead, Addr: 1})
-	races := Detect(tr, nil, 0)
+	races := Detect(tr, nil, nil, 0)
 	if len(races) != 1 {
 		t.Fatalf("races = %d, want 1", len(races))
 	}
@@ -42,7 +42,7 @@ func TestLockOrderingSuppressesRace(t *testing.T) {
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KLockAcq, Lock: l})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KWrite, Addr: 1, Value: 6})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KLockRel, Lock: l})
-	if races := Detect(tr, nil, 0); len(races) != 0 {
+	if races := Detect(tr, nil, nil, 0); len(races) != 0 {
 		t.Fatalf("locked accesses raced: %v", races)
 	}
 }
@@ -55,22 +55,41 @@ func TestDifferentLocksDoNotOrder(t *testing.T) {
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KLockAcq, Lock: 2})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KWrite, Addr: 9, Value: 6})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KLockRel, Lock: 2})
-	if races := Detect(tr, nil, 0); len(races) != 1 {
+	if races := Detect(tr, nil, nil, 0); len(races) != 1 {
 		t.Fatalf("races = %d, want 1 (different locks give no ordering)", len(races))
 	}
 }
 
+// TestLocksetOrderingSuppressesRace: under a plan, a section's lock
+// operations act on its lockset and nothing else. Two sections of
+// different original locks that share an auxiliary member are ordered;
+// the same two sections with empty locksets are not, even where they
+// shared one original lock.
 func TestLocksetOrderingSuppressesRace(t *testing.T) {
 	aux := trace.AuxLockBase + 1
-	tr := trace.New("r", 2)
-	tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq}, trace.EventExt{Locks: []trace.LockID{aux}})
-	tr.Append(trace.Event{Thread: 0, Kind: trace.KWrite, Addr: 3, Value: 5})
-	tr.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel}, trace.EventExt{Locks: []trace.LockID{aux}})
-	tr.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetAcq}, trace.EventExt{Locks: []trace.LockID{aux}})
-	tr.Append(trace.Event{Thread: 1, Kind: trace.KWrite, Addr: 3, Value: 6})
-	tr.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetRel}, trace.EventExt{Locks: []trace.LockID{aux}})
-	if races := Detect(tr, nil, 0); len(races) != 0 {
+	sections := func(l0, l1 trace.LockID) (*trace.Trace, []int32, []int32) {
+		tr := trace.New("r", 2)
+		a0 := tr.Append(trace.Event{Thread: 0, Kind: trace.KLockAcq, Lock: l0})
+		tr.Append(trace.Event{Thread: 0, Kind: trace.KWrite, Addr: 3, Value: 5})
+		r0 := tr.Append(trace.Event{Thread: 0, Kind: trace.KLockRel, Lock: l0})
+		a1 := tr.Append(trace.Event{Thread: 1, Kind: trace.KLockAcq, Lock: l1})
+		tr.Append(trace.Event{Thread: 1, Kind: trace.KWrite, Addr: 3, Value: 6})
+		r1 := tr.Append(trace.Event{Thread: 1, Kind: trace.KLockRel, Lock: l1})
+		return tr, []int32{a0, a1}, []int32{r0, r1}
+	}
+	tr, acq, rel := sections(1, 2)
+	if races := Detect(tr, nil, nil, 0); len(races) != 1 {
+		t.Fatalf("races = %d as recorded, want 1 (different locks give no ordering)", len(races))
+	}
+	shared := &trace.Plan{Acq: acq, Rel: rel, Off: []int32{0, 1, 2},
+		Locks: []trace.LockID{aux, aux}, Sources: []int32{-1, rel[0]}}
+	if races := Detect(tr, shared, nil, 0); len(races) != 0 {
 		t.Fatalf("lockset-protected accesses raced: %v", races)
+	}
+	tr, acq, rel = sections(1, 1)
+	removed := &trace.Plan{Acq: acq, Rel: rel, Off: []int32{0, 0, 0}}
+	if races := Detect(tr, removed, nil, 0); len(races) != 1 {
+		t.Fatalf("races = %d with both sections' locks removed, want 1", len(races))
 	}
 }
 
@@ -78,9 +97,15 @@ func TestConstraintOrderingSuppressesRace(t *testing.T) {
 	tr := trace.New("r", 2)
 	w0 := tr.Append(trace.Event{Thread: 0, Kind: trace.KWrite, Addr: 4, Value: 5})
 	w1 := tr.Append(trace.Event{Thread: 1, Kind: trace.KWrite, Addr: 4, Value: 6})
-	tr.Constraints = []trace.Constraint{{After: w0, Before: w1}}
-	if races := Detect(tr, nil, 0); len(races) != 0 {
+	ordered := []trace.Constraint{{After: w0, Before: w1}}
+	tr.Constraints = ordered
+	if races := Detect(tr, nil, nil, 0); len(races) != 0 {
 		t.Fatalf("constraint-ordered accesses raced: %v", races)
+	}
+	// A plan's constraints order as the recording's do.
+	tr.Constraints = nil
+	if races := Detect(tr, &trace.Plan{Off: []int32{0}, Constraints: ordered}, nil, 0); len(races) != 0 {
+		t.Fatalf("accesses ordered by a plan constraint raced: %v", races)
 	}
 }
 
@@ -90,7 +115,7 @@ func TestBarrierOrderingSuppressesRace(t *testing.T) {
 	tr.Append(trace.Event{Thread: 0, Kind: trace.KBarrier, Lock: 1, Value: 0})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KBarrier, Lock: 1, Value: 0})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KWrite, Addr: 5, Value: 2})
-	if races := Detect(tr, nil, 0); len(races) != 0 {
+	if races := Detect(tr, nil, nil, 0); len(races) != 0 {
 		t.Fatalf("barrier-separated accesses raced: %v", races)
 	}
 }
@@ -100,7 +125,7 @@ func TestRaceWithoutBarrierDetected(t *testing.T) {
 	tr := trace.New("r", 2)
 	tr.Append(trace.Event{Thread: 0, Kind: trace.KWrite, Addr: 5, Value: 1})
 	tr.Append(trace.Event{Thread: 1, Kind: trace.KWrite, Addr: 5, Value: 2})
-	if races := Detect(tr, nil, 0); len(races) != 1 {
+	if races := Detect(tr, nil, nil, 0); len(races) != 1 {
 		t.Fatal("unsynchronized writes must race")
 	}
 }
@@ -113,7 +138,7 @@ func TestLimitAndDedup(t *testing.T) {
 		tr.Append(trace.Event{Thread: 1, Kind: trace.KWrite, Addr: 7, Value: int64(i + 10), Site: site})
 	}
 	// All conflicts share (addr, site pair): deduplicated to one report.
-	races := Detect(tr, nil, 0)
+	races := Detect(tr, nil, nil, 0)
 	if len(races) != 1 {
 		t.Fatalf("races = %d, want 1 after dedup", len(races))
 	}

@@ -1,0 +1,302 @@
+package race
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"perfplay/internal/memmodel"
+	"perfplay/internal/replay"
+	"perfplay/internal/sim"
+	"perfplay/internal/simtest"
+	"perfplay/internal/trace"
+	"perfplay/internal/transform"
+	"perfplay/internal/ulcp"
+	"perfplay/internal/vclock"
+	"perfplay/internal/vtime"
+	"perfplay/internal/workload"
+)
+
+// detectRef is the detector as it read the ULCP-free schedule before the
+// plan: from the trace transform.Apply writes, whose lockset members ride
+// on KLocksetAcq/KLocksetRel events. Detect under the plan is held
+// against it.
+func detectRef(tr *trace.Trace, order []int32, limit int) []Race {
+	n := tr.NumThreads
+	if order == nil {
+		order = make([]int32, len(tr.Events))
+		for i := range order {
+			order[i] = int32(i)
+		}
+	}
+
+	threadVC := make([]vclock.VC, n)
+	for i := range threadVC {
+		threadVC[i] = vclock.New(n)
+		threadVC[i].Tick(int32(i))
+	}
+	lockVC := make(map[trace.LockID]vclock.VC)
+	// Completion clocks of constraint sources, captured when executed.
+	consSrc := make(map[int32]vclock.VC)
+	wanted := make(map[int32]bool)
+	prereq := make(map[int32][]int32)
+	for _, c := range tr.Constraints {
+		wanted[c.After] = true
+		prereq[c.Before] = append(prereq[c.Before], c.After)
+	}
+
+	// Barrier episodes: member event indices per (barrier, generation),
+	// and arrivals seen so far. When the last member is processed, every
+	// participant's clock joins the episode-wide maximum: all post-barrier
+	// code happens after all pre-barrier code.
+	type barKey struct {
+		bar trace.LockID
+		gen int64
+	}
+	barGroups := make(map[barKey]int)
+	for i := range tr.Events {
+		if tr.Events[i].Kind == trace.KBarrier {
+			barGroups[barKey{tr.Events[i].Lock, tr.Events[i].Value}]++
+		}
+	}
+	barMembers := make(map[barKey][]int32)
+
+	mem := make(map[memmodel.Addr]*accessState)
+	state := func(a memmodel.Addr) *accessState {
+		st, ok := mem[a]
+		if !ok {
+			st = &accessState{
+				readVC: vclock.New(n), writeVC: vclock.New(n),
+				lastRd: make([]int32, n), lastWr: make([]int32, n),
+			}
+			for i := range st.lastRd {
+				st.lastRd[i], st.lastWr[i] = -1, -1
+			}
+			mem[a] = st
+		}
+		return st
+	}
+
+	var races []Race
+	seen := make(map[string]bool)
+	report := func(addr memmodel.Addr, first, second int32, ww bool) {
+		e1, e2 := &tr.Events[first], &tr.Events[second]
+		r := Race{
+			Addr: addr, AddrName: tr.MemNames[addr],
+			First: first, Second: second,
+			Threads:    [2]int32{e1.Thread, e2.Thread},
+			WriteWrite: ww,
+		}
+		if tr.Sites != nil {
+			r.Sites[0] = tr.Sites.At(e1.Site)
+			r.Sites[1] = tr.Sites.At(e2.Site)
+		}
+		key := fmt.Sprintf("%d/%d/%d/%v", addr, e1.Site, e2.Site, ww)
+		if seen[key] {
+			return
+		}
+		seen[key] = true
+		races = append(races, r)
+	}
+
+	for _, idx := range order {
+		e := &tr.Events[idx]
+		t := e.Thread
+		vc := threadVC[t]
+		// Constraint edges join the source's completion clock.
+		for _, p := range prereq[idx] {
+			if src, ok := consSrc[p]; ok {
+				vc.Join(src)
+			}
+		}
+		switch e.Kind {
+		case trace.KLockAcq:
+			if lv, ok := lockVC[e.Lock]; ok {
+				vc.Join(lv)
+			}
+		case trace.KLockRel:
+			lockVC[e.Lock] = vc.Copy()
+			vc.Tick(t)
+		case trace.KLocksetAcq:
+			for _, l := range tr.Ext(e).Locks {
+				if lv, ok := lockVC[l]; ok {
+					vc.Join(lv)
+				}
+			}
+		case trace.KLocksetRel:
+			for _, l := range tr.Ext(e).Locks {
+				lockVC[l] = vc.Copy()
+			}
+			vc.Tick(t)
+		case trace.KBarrier:
+			k := barKey{e.Lock, e.Value}
+			barMembers[k] = append(barMembers[k], t)
+			if len(barMembers[k]) == barGroups[k] {
+				joined := vclock.New(n)
+				for _, m := range barMembers[k] {
+					joined.Join(threadVC[m])
+				}
+				for _, m := range barMembers[k] {
+					threadVC[m].Join(joined)
+					threadVC[m].Tick(m)
+				}
+				delete(barMembers, k)
+			}
+		case trace.KRead:
+			st := state(e.Addr)
+			for o := int32(0); o < int32(n); o++ {
+				if o != t && st.writeVC.At(o) > vc.At(o) {
+					report(e.Addr, st.lastWr[o], idx, false)
+				}
+			}
+			st.readVC[t] = vc.At(t)
+			st.lastRd[t] = idx
+		case trace.KWrite:
+			st := state(e.Addr)
+			for o := int32(0); o < int32(n); o++ {
+				if o == t {
+					continue
+				}
+				if st.writeVC.At(o) > vc.At(o) {
+					report(e.Addr, st.lastWr[o], idx, true)
+				}
+				if st.readVC.At(o) > vc.At(o) {
+					report(e.Addr, st.lastRd[o], idx, false)
+				}
+			}
+			st.writeVC[t] = vc.At(t)
+			st.lastWr[t] = idx
+		}
+		if wanted[idx] {
+			consSrc[idx] = vc.Copy()
+			vc.Tick(t)
+		}
+		if limit > 0 && len(races) >= limit {
+			break
+		}
+	}
+	sort.Slice(races, func(i, j int) bool {
+		if races[i].Addr != races[j].Addr {
+			return races[i].Addr < races[j].Addr
+		}
+		return races[i].First < races[j].First
+	})
+	return races
+}
+
+// requireDetectUnderPlanMatchesMaterialised holds Detect over the
+// recording under its plan against detectRef over Apply's trace, in the
+// order the plan replay started the events, uncapped and capped at one
+// race. It returns the races found and the lockset members the plan
+// names.
+func requireDetectUnderPlanMatchesMaterialised(t testing.TB, what string, tr *trace.Trace) (races, members int) {
+	t.Helper()
+	css := tr.ExtractCS()
+	mat, err := transform.Apply(tr, css, ulcp.Identify(tr, css, ulcp.Options{}))
+	if err != nil {
+		t.Fatalf("%s: Apply: %v", what, err)
+	}
+	free, err := replay.Run(tr, replay.Options{Sched: replay.ELSCS, Plan: mat.Plan})
+	if err != nil {
+		t.Fatalf("%s: plan replay: %v", what, err)
+	}
+	order := OrderByStart(free.EventStart)
+	for _, limit := range []int{0, 1} {
+		want := detectRef(mat.Trace, order, limit)
+		got := Detect(tr, mat.Plan, order, limit)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: limit %d: Detect under the plan found %v, over the materialised trace %v", what, limit, got, want)
+		}
+		if limit == 0 {
+			races = len(got)
+		}
+	}
+	return races, len(mat.Plan.Locks)
+}
+
+// quickProgram is one of the twelve randomized programs
+// TestTransformTheorem1Quick checks Theorem 1 on.
+func quickProgram(seed int64) *trace.Trace {
+	p := sim.NewProgram("q")
+	var locks []trace.LockID
+	for i := 0; i < 1+int(seed%3); i++ {
+		locks = append(locks, p.NewLock("L"))
+	}
+	cells := p.Mem.AllocN("c", 3, 0)
+	s := p.Site("q.c", 1, "f")
+	for i := 0; i < 2+int(seed%2); i++ {
+		p.AddThread(func(th *sim.Thread) {
+			for j := 0; j < 7; j++ {
+				th.Compute(vtime.Duration(40 + th.Intn(300)))
+				l := locks[th.Intn(len(locks))]
+				th.Lock(l, s)
+				switch th.Intn(4) {
+				case 0: // null
+				case 1:
+					th.Read(cells[th.Intn(len(cells))], s)
+				case 2:
+					th.Add(cells[th.Intn(len(cells))], 1, s)
+				default:
+					c := cells[th.Intn(len(cells))]
+					th.Read(c, s)
+					th.Add(c, 2, s)
+				}
+				th.Compute(vtime.Duration(30 + th.Intn(200)))
+				th.Unlock(l, s)
+			}
+		})
+	}
+	return sim.Run(p, sim.Config{Seed: seed}).Trace
+}
+
+// TestDetectUnderPlanMatchesMaterialised is the detector's oracle over
+// every registered workload × threads {2,4} × seeds {7,42}, the ten
+// appendix cases and the twelve randomized programs of
+// TestTransformTheorem1Quick.
+func TestDetectUnderPlanMatchesMaterialised(t *testing.T) {
+	races, members := 0, 0
+	check := func(what string, tr *trace.Trace) {
+		r, m := requireDetectUnderPlanMatchesMaterialised(t, what, tr)
+		races, members = races+r, members+m
+	}
+	for _, app := range workload.SortedNames() {
+		for _, threads := range []int{2, 4} {
+			for _, seed := range []int64{7, 42} {
+				p := workload.MustGet(app).Build(workload.Config{Threads: threads, Scale: 0.05, Seed: seed})
+				check(fmt.Sprintf("%s/threads=%d/seed=%d", app, threads, seed), sim.Run(p, sim.Config{Seed: seed}).Trace)
+			}
+		}
+	}
+	for n := 1; n <= 10; n++ {
+		p, err := workload.BuildCase(n, workload.Config{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("case%d", n), sim.Run(p, sim.Config{Seed: 42}).Trace)
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		check(fmt.Sprintf("quick/%d", seed), quickProgram(seed))
+	}
+	if races == 0 || members == 0 {
+		t.Fatalf("%d races, %d lockset members over the corpus: the oracle went unexercised", races, members)
+	}
+}
+
+// FuzzRaceUnderPlan holds the same relation over generated programs with
+// selectively recorded ranges and barrier episodes: any seed, two to
+// four threads, one to three locks, one to eight critical sections per
+// thread, with and without spin locks.
+func FuzzRaceUnderPlan(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(5), false)
+	f.Add(int64(11), uint8(1), uint8(1), uint8(5), true)
+	f.Add(int64(12), uint8(2), uint8(2), uint8(7), false)
+	f.Fuzz(func(t *testing.T, seed int64, threads, locks, iters uint8, spin bool) {
+		with := simtest.Skips | simtest.Barriers
+		if spin {
+			with |= simtest.SpinLocks
+		}
+		rec := simtest.RandomProgram(seed, 2+int(threads%3), 1+int(locks%3), 1+int(iters%8), with)
+		requireDetectUnderPlanMatchesMaterialised(t, "fuzz", rec.Trace)
+	})
+}

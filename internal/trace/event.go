@@ -50,7 +50,7 @@ const (
 	KLockAcq
 	KLockRel
 	// KLocksetAcq and KLocksetRel acquire/release an auxiliary lockset;
-	// they appear only in transformed traces (RULE 3/4).
+	// only transform.Apply's test-and-bench-only traces carry them.
 	KLocksetAcq
 	KLocksetRel
 	// KRead and KWrite are shared-memory accesses.

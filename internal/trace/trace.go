@@ -23,10 +23,11 @@ type Constraint struct {
 // recording rather than a second trace: which lockset replaces each
 // critical section's lock operations (RULES 3 and 4) and which
 // happens-before edges join them (RULES 1 and 2). transform.Plan builds
-// it, replay.Run steps the recording under it, and transform.Apply
-// writes it out as events for the readers that need a trace. It lives
-// here, beside Constraint, because transform builds it and replay — whose
-// tests import transform — consumes it. Nothing mutates a built plan.
+// it, replay.Run steps the recording under it, race.Detect and
+// verify.Check read it, and transform.Apply writes it out as events for
+// the tests. It lives here, beside Constraint, because transform builds
+// it and replay — whose tests import transform — consumes it. Nothing
+// mutates a built plan.
 type Plan struct {
 	// Acq and Rel are each critical section's boundary events, in
 	// extraction order. Together they name every KLockAcq and KLockRel of
@@ -147,7 +148,8 @@ func (tr *Trace) Ext(e *Event) *EventExt {
 // kind, lock, cost, extension; never the thread. The events and an
 // extension table with room for extra more entries are the copy's own;
 // everything else is shared, the per-thread index included if tr has
-// built it: the copy has the same threads at the same indices.
+// built it: the copy has the same threads at the same indices. Outside
+// tests its one caller is transform.Apply.
 func (tr *Trace) Aligned(extra int) *Trace {
 	out := *tr
 	out.Events = slices.Clone(tr.Events)

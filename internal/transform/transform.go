@@ -10,12 +10,13 @@
 //	         the replayer acquiring all member locks atomically.
 //
 // The rules run once, in Plan, and yield a trace.Plan: data about the
-// recording that replay.Run steps the recording under. Apply writes the
-// same plan out as a second trace for the readers that need events. Either
-// way the ULCP-free schedule is index-aligned with the original — every
-// event keeps its global index (removed synchronization becomes a
-// zero-cost no-op) — so per-event timestamps from the two replays can be
-// compared directly when evaluating Eq. 1.
+// recording that replay.Run steps the recording under, and that the
+// Theorem 1 check and the race detector read. Apply writes the same plan
+// out as a second trace; no product path asks for it. Either way the
+// ULCP-free schedule is index-aligned with the original — every event
+// keeps its global index (removed synchronization becomes a zero-cost
+// no-op) — so per-event timestamps from the two replays can be compared
+// directly when evaluating Eq. 1.
 package transform
 
 import (
@@ -34,12 +35,9 @@ type Result struct {
 	// replay.Run takes beside the recording (replay.Options.Plan).
 	Plan *trace.Plan
 	// Trace is the plan written out as a ULCP-free trace, index-aligned
-	// with the original. Apply fills it; Plan leaves it nil.
+	// with the original. Apply fills it; Plan, and so every pipeline
+	// run, leaves it nil.
 	Trace *trace.Trace
-	// Graph is the causal topology the rules were applied to.
-	Graph *topo.Graph
-	// Assignment is the RULE-3 lockset assignment.
-	Assignment *lockset.Assignment
 	// RemovedSync counts critical sections whose lock operations were
 	// removed entirely (null-locks and standalone nodes).
 	RemovedSync int
@@ -74,7 +72,7 @@ func Plan(css []*trace.CritSec, rep *ulcp.Report) (*Result, error) {
 		Sources: cols[3*n+1:][:0],
 		Locks:   make([]trace.LockID, 0, members),
 	}
-	res := &Result{Plan: p, Graph: g, Assignment: assign}
+	res := &Result{Plan: p}
 	for i, cs := range css {
 		if cs.RelEv < 0 {
 			return nil, fmt.Errorf("transform: %v has no release event", cs)
@@ -120,9 +118,11 @@ func Plan(css []*trace.CritSec, rep *ulcp.Report) (*Result, error) {
 	return res, nil
 }
 
-// Apply performs the transformation and writes the plan out as a trace,
-// for what reads events rather than replays them: the Theorem 1 check,
-// the race detector, trace export.
+// Apply performs the transformation and writes the plan out as a trace.
+// No product path calls it. It stays for two readers: the tests that hold
+// the plan path against it (plan replay, race detection, the Theorem 1
+// check), and the benchmark harness's layer pass, which still times it
+// and replays its trace.
 func Apply(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*Result, error) {
 	res, err := Plan(css, rep)
 	if err != nil {

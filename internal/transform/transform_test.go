@@ -256,14 +256,19 @@ func TestTransformTheorem1Quick(t *testing.T) {
 		rec := sim.Run(p, sim.Config{Seed: seed})
 		css := rec.Trace.ExtractCS()
 		rep := ulcp.Identify(rec.Trace, css, ulcp.Options{})
-		res, err := Apply(rec.Trace, css, rep)
+		res, err := Plan(css, rep)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		chk, err := verify.Check(rec.Trace, res.Trace, 8)
+		orig, err := replay.Run(rec.Trace, replay.Options{Sched: replay.ELSCS})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		free, err := replay.Run(rec.Trace, replay.Options{Sched: replay.ELSCS, Plan: res.Plan})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		chk := verify.Check(rec.Trace, res.Plan, orig, free, nil, 8)
 		if !chk.Ok() {
 			t.Fatalf("seed %d: theorem 1 violated\n%s", seed, chk)
 		}

@@ -1,8 +1,9 @@
-// Package verify implements the Theorem 1 check: a transformed ULCP-free
-// trace "is performed with a guarantee of either the program correctness
-// or reporting the data races". The verifier replays original and
-// transformed traces, compares their observable outcomes (final memory
-// and every value observed by every read), and, on divergence, runs the
+// Package verify implements the Theorem 1 check: the ULCP-free schedule
+// "is performed with a guarantee of either the program correctness or
+// reporting the data races". The verifier compares the observable
+// outcomes (final memory and every value observed by every read) of the
+// two ELSC replays the pipeline already ran — the recording's and the
+// recording's under its plan — and, on divergence, runs the
 // happens-before detector to surface the interleaving-sensitive races
 // responsible.
 package verify
@@ -74,37 +75,31 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Check replays both traces under ELSC and applies Theorem 1. maxRaces
-// caps detector output (0 = 16).
-func Check(orig, transformed *trace.Trace, maxRaces int) (*Report, error) {
-	if maxRaces == 0 {
-		maxRaces = 16
-	}
-	o, err := replay.Run(orig, replay.Options{Sched: replay.ELSCS})
-	if err != nil {
-		return nil, fmt.Errorf("verify: original replay: %w", err)
-	}
-	t, err := replay.Run(transformed, replay.Options{Sched: replay.ELSCS})
-	if err != nil {
-		return nil, fmt.Errorf("verify: transformed replay: %w", err)
-	}
+// Check applies Theorem 1 to two ELSC replays of the recording tr: orig as
+// recorded, free under plan. It replays nothing itself. order is free's
+// linearization, race.OrderByStart(free.EventStart), when the caller has
+// it, else nil and Check builds it if the outcomes diverge. maxRaces caps
+// detector output (0 = no cap).
+func Check(tr *trace.Trace, plan *trace.Plan, orig, free *replay.Result, order []int32, maxRaces int) *Report {
 	rep := &Report{
-		SameFinalState: t.FinalMem.Equal(o.FinalMem),
-		SameReads:      t.ReadHash == o.ReadHash,
+		SameFinalState: free.FinalMem.Equal(orig.FinalMem),
+		SameReads:      free.ReadHash == orig.ReadHash,
 	}
-	if o.Total > 0 {
-		rep.Speedup = float64(t.Total) / float64(o.Total)
+	if orig.Total > 0 {
+		rep.Speedup = float64(free.Total) / float64(orig.Total)
 	}
 	if rep.SameFinalState && rep.SameReads {
 		rep.Verdict = SemanticsPreserved
-		return rep, nil
+		return rep
 	}
-	order := race.OrderByStart(t.EventStart)
-	rep.Races = race.Detect(transformed, order, maxRaces)
+	if order == nil {
+		order = race.OrderByStart(free.EventStart)
+	}
+	rep.Races = race.Detect(tr, plan, order, maxRaces)
 	if len(rep.Races) > 0 {
 		rep.Verdict = RacesReported
 	} else {
 		rep.Verdict = Violated
 	}
-	return rep, nil
+	return rep
 }
