@@ -165,15 +165,24 @@ func BenchmarkExtractCS(b *testing.B) {
 	}
 }
 
+// Identification alone, per classified pair as bench/ reports it
+// (ulcp.build_table_ns_per_pair).
 func BenchmarkIdentify(b *testing.B) {
 	rec := recordApp(b, "mysql")
 	css := rec.Trace.ExtractCS()
+	var rep *ulcp.Report
+	var m0, m1 runtime.MemStats
 	b.ResetTimer()
 	b.ReportAllocs()
+	runtime.ReadMemStats(&m0)
 	for i := 0; i < b.N; i++ {
-		rep := ulcp.Identify(rec.Trace, css, ulcp.Options{})
-		b.ReportMetric(float64(rep.NumULCPs()), "ulcps")
+		rep = ulcp.Identify(rec.Trace, css, ulcp.Options{})
 	}
+	runtime.ReadMemStats(&m1)
+	pairs := float64(len(rep.Pairs)) * float64(b.N)
+	b.ReportMetric(float64(rep.NumULCPs()), "ulcps")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pairs, "ns/pair")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/pairs, "B/pair")
 }
 
 // The shard path every table-hit re-run takes: each sorted lock group

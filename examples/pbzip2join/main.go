@@ -27,7 +27,7 @@ func main() {
 	// syncGetProducerDone (pbzip2.cpp:534) and the consumer poll loop.
 	rr := 0
 	for _, pair := range analysis.Report.Pairs {
-		if pair.Cat == ulcp.ReadRead && pair.C1.Region.File == "pbzip2.cpp" {
+		if pair.Cat == ulcp.ReadRead && analysis.CSs[pair.C1].Region.File == "pbzip2.cpp" {
 			rr++
 		}
 	}

@@ -280,8 +280,8 @@ func TableStatic(cfg Config) *report.Table {
 		p := app.Build(workload.Config{Threads: 2, Scale: cfg.Scale, Seed: cfg.Seed})
 		rec := sim.Run(p, sim.Config{Seed: cfg.Seed})
 		static := staticcheck.Analyze(rec.Trace)
-		dyn := ulcp.Identify(rec.Trace, rec.Trace.ExtractCS(), ulcp.Options{})
-		static.CompareWithDynamic(dyn)
+		css := rec.Trace.ExtractCS()
+		static.CompareWithDynamic(ulcp.Identify(rec.Trace, css, ulcp.Options{}), css)
 		claims := 0
 		for _, f := range static.Findings {
 			if f.Cat.IsULCP() {

@@ -102,13 +102,13 @@ type csEntry struct {
 	region  int32 // fuser identity of cs.Region
 }
 
-// csTable holds one csEntry per critical section, indexed by CritSec.ID.
-// ExtractCS hands out IDs as dense extraction indices, but the table does
-// not rely on it: it spans the largest ID present, and an ID it has no
-// critical section for reads as the zero entry.
+// csTable holds one csEntry per critical section, indexed by CritSec.ID —
+// the IDs a report's pair rows name. ExtractCS hands out IDs as dense
+// extraction indices, but the table does not rely on it: it spans the
+// largest ID present, and an ID it has no critical section for has no
+// entry.
 type csTable struct {
 	byID []csEntry
-	f    *fuser
 }
 
 // newCSTable computes the segment boundaries of every critical section
@@ -145,22 +145,16 @@ func newCSTable(tr *trace.Trace, css []*trace.CritSec, f *fuser) csTable {
 		}
 		prev[cs.Thread] = e
 	}
-	return csTable{byID: byID, f: f}
+	return csTable{byID: byID}
 }
 
-// lookup returns the entry recorded under cs's ID — the zero boundaries
-// when the table has none — with the region identity of cs itself, which
-// for a pair rehydrated against other critical sections is not the
-// table's.
-func (tab csTable) lookup(cs *trace.CritSec) csEntry {
-	var e csEntry
-	if id := cs.ID; id >= 0 && id < len(tab.byID) {
-		e = tab.byID[id]
+// lookup returns the entry recorded under a critical-section ID, or nil
+// when the table has none.
+func (tab csTable) lookup(id int32) *csEntry {
+	if id < 0 || int(id) >= len(tab.byID) || tab.byID[id].cs == nil {
+		return nil
 	}
-	if e.cs != cs {
-		e.region = tab.f.intern(cs.Region)
-	}
-	return e
+	return &tab.byID[id]
 }
 
 // times resolves (Time1, Time2) for a CS under one replay: the start of
@@ -179,7 +173,8 @@ func (e *csEntry) times(res *replay.Result) (t1, t2 vtime.Time) {
 
 // eachULCP computes Eq. 1 for every ULCP of rep, in report order, and
 // hands visit the pair, the interned regions of its two critical sections
-// and ∆T_ULCP = ∆MAX{Time2, Time3} − ∆Time1, clamped at zero.
+// and ∆T_ULCP = ∆MAX{Time2, Time3} − ∆Time1, clamped at zero. A pair
+// naming an ID the table has no critical section for is skipped.
 func (tab csTable) eachULCP(rep *ulcp.Report, orig, free *replay.Result,
 	visit func(p *ulcp.Pair, r1, r2 int32, dt vtime.Duration)) {
 
@@ -189,6 +184,9 @@ func (tab csTable) eachULCP(rep *ulcp.Report, orig, free *replay.Result,
 			continue
 		}
 		a, b := tab.lookup(p.C1), tab.lookup(p.C2)
+		if a == nil || b == nil {
+			continue
+		}
 		t1o, t2o := a.times(orig)
 		_, t3o := b.times(orig)
 		t1n, t2n := a.times(free)

@@ -268,7 +268,9 @@ func TestGroupCatsTally(t *testing.T) {
 
 // evaluateRef is the Evaluate this package shipped before the streaming
 // fold, kept as the oracle: Eq. 1 per ULCP materialized into a slice,
-// boundaries in maps keyed by thread and CritSec.ID, and stage 1 of
+// each pair's IDs resolved through a map over css (a pair naming an ID
+// css does not hold is skipped), boundaries in maps keyed by thread and
+// CritSec.ID, and stage 1 of
 // Algorithm 2 keyed by the two regions' rendered text. Stage 2 and the
 // ranking are the production functions.
 func evaluateRef(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report, orig, free *replay.Result) *Debug {
@@ -318,29 +320,39 @@ func evaluateRef(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report, orig, 
 	d.Trw = max((orig.Waited+orig.SpinWaste)-(free.Waited+free.SpinWaste), 0)
 
 	type pairPerf struct {
-		pair   ulcp.Pair
+		c1, c2 *trace.CritSec
+		cat    ulcp.Category
 		deltaT vtime.Duration
 	}
 	var perPair []pairPerf
 	bds := bounds()
+	byID := make(map[int]*trace.CritSec, len(css))
+	for _, cs := range css {
+		byID[cs.ID] = cs
+	}
 	for _, p := range rep.Pairs {
 		if !p.Cat.IsULCP() {
 			continue
 		}
-		ba, bb := bds[p.C1.ID], bds[p.C2.ID]
+		c1, ok1 := byID[int(p.C1)]
+		c2, ok2 := byID[int(p.C2)]
+		if !ok1 || !ok2 {
+			continue
+		}
+		ba, bb := bds[c1.ID], bds[c2.ID]
 		t1o, t2o := times(ba, orig)
 		_, t3o := times(bb, orig)
 		t1n, t2n := times(ba, free)
 		_, t3n := times(bb, free)
 		dt := max(vtime.Max(t2o, t3o).Sub(vtime.Max(t2n, t3n))-t1o.Sub(t1n), 0)
-		perPair = append(perPair, pairPerf{p, dt})
+		perPair = append(perPair, pairPerf{c1, c2, p.Cat, dt})
 		d.SumDelta += dt
 	}
 
 	byKey := make(map[string]*Group)
 	var groups []*Group
 	for _, pp := range perPair {
-		cr1, cr2 := normPair(pp.pair.C1.Region, pp.pair.C2.Region)
+		cr1, cr2 := normPair(pp.c1.Region, pp.c2.Region)
 		key := cr1.String() + "|" + cr2.String()
 		g, ok := byKey[key]
 		if !ok {
@@ -350,7 +362,7 @@ func evaluateRef(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report, orig, 
 		}
 		g.DeltaT += pp.deltaT
 		g.Count++
-		g.Cats[pp.pair.Cat]++
+		g.Cats[pp.cat]++
 	}
 	d.Groups = rank(fuseOverlaps(groups))
 	return d
@@ -434,8 +446,8 @@ func TestEvaluateMatchesReferenceCrossedRegions(t *testing.T) {
 	orientations := map[bool]bool{}
 	newCSTable(in.tr, in.css, f).eachULCP(in.rep, in.orig, in.free,
 		func(p *ulcp.Pair, r1, r2 int32, dt vtime.Duration) {
-			if p.C1.Region.File == "f.c" {
-				orientations[p.C1.Region.Less(p.C2.Region)] = true
+			if c1, c2 := in.css[p.C1], in.css[p.C2]; c1.Region.File == "f.c" {
+				orientations[c1.Region.Less(c2.Region)] = true
 			}
 			f.add(r1, r2, p.Cat, dt)
 		})
@@ -455,58 +467,52 @@ func TestEvaluateMatchesReferenceCrossedRegions(t *testing.T) {
 
 // TestEvaluateUntrustedIDs pins the slice-indexed boundary table to the
 // reference's map lookup on inputs ExtractCS never produces:
-// CritSec.IDs that are not the dense extraction indices, css
-// out of event order, and report pairs whose critical sections are not in
-// css at all. An ID without an entry reads as the zero boundaries; none
-// of it may panic or index out of range.
+// CritSec.IDs that are not the dense extraction indices, css out of event
+// order, and pair rows naming IDs css does not hold. A row naming an ID
+// without an entry is skipped; none of it may panic or index out of
+// range.
 func TestEvaluateUntrustedIDs(t *testing.T) {
-	// foreign returns a copy of cs — the same events, another code region —
-	// under the given ID, as a report rehydrated against the wrong
-	// critical sections would hold.
-	foreign := func(cs *trace.CritSec, id int) *trace.CritSec {
-		c := *cs
-		c.ID = id
-		c.Region = trace.Region{File: "elsewhere.c", StartLine: 1 + id%3, EndLine: 9}
-		return &c
-	}
 	cases := []struct {
 		name   string
 		mutate func(in *inputs)
+		// none: every row names an ID css does not hold, so no group
+		// forms.
+		none bool
 	}{
-		{"dense", func(in *inputs) {}},
+		{"dense", func(in *inputs) {}, false},
 		{"sparse IDs", func(in *inputs) {
 			for _, cs := range in.css {
 				cs.ID = cs.ID*3 + 5
 			}
-		}},
+		}, false},
 		{"css reversed", func(in *inputs) {
 			for i, j := 0, len(in.css)-1; i < j; i, j = i+1, j-1 {
 				in.css[i], in.css[j] = in.css[j], in.css[i]
 			}
-		}},
-		{"css empty", func(in *inputs) { in.css = nil }},
-		{"css missing its tail", func(in *inputs) { in.css = in.css[:len(in.css)/2] }},
-		{"foreign pairs", func(in *inputs) {
-			n := len(in.css)
+		}, false},
+		{"css empty", func(in *inputs) { in.css = nil }, true},
+		{"css missing its tail", func(in *inputs) { in.css = in.css[:len(in.css)/2] }, false},
+		{"IDs css does not hold", func(in *inputs) {
+			n := int32(len(in.css))
 			for i := range in.rep.Pairs {
 				p := &in.rep.Pairs[i]
 				switch i % 4 {
 				case 0:
-					p.C1 = foreign(p.C1, n+100+i) // beyond the table
+					p.C1 = n + 100 + int32(i) // beyond the table
 				case 1:
-					p.C2 = foreign(p.C2, -1-i) // negative
+					p.C2 = -1 - int32(i) // negative
 				case 2:
-					p.C1 = foreign(p.C1, p.C2.ID) // another section's ID
+					p.C1 = p.C2 // another section's ID
 				}
 			}
-		}},
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			in := prepareApp(t, "mysql", 4, 0.1, 7)
 			tc.mutate(&in)
-			if d := in.requireMatchesRef(t, tc.name); len(d.Groups) == 0 {
-				t.Fatal("no groups: the case exercised nothing")
+			if d := in.requireMatchesRef(t, tc.name); (len(d.Groups) == 0) != tc.none {
+				t.Fatalf("%d groups, want none: %v", len(d.Groups), tc.none)
 			}
 		})
 	}

@@ -421,16 +421,14 @@ func TestTableCacheSkipsReplays(t *testing.T) {
 		t.Fatalf("cached-table run reports %d replays, want %d (table's)", got, want)
 	}
 	// DetectRaces only adds a races line; the classification itself must
-	// be pair-for-pair what the build pass produced. The two runs
-	// extracted separate CritSec values, so compare by ID, not pointer.
+	// be pair-for-pair what the build pass produced.
 	fp, sp := first.Analysis.Report.Pairs, second.Analysis.Report.Pairs
 	if len(fp) != len(sp) {
 		t.Fatalf("cached-table run: %d pairs, want %d", len(sp), len(fp))
 	}
 	for i := range fp {
-		if fp[i].C1.ID != sp[i].C1.ID || fp[i].C2.ID != sp[i].C2.ID || fp[i].Cat != sp[i].Cat {
-			t.Fatalf("cached-table pair %d differs: (%d, %d, %v) vs (%d, %d, %v)", i,
-				sp[i].C1.ID, sp[i].C2.ID, sp[i].Cat, fp[i].C1.ID, fp[i].C2.ID, fp[i].Cat)
+		if fp[i] != sp[i] {
+			t.Fatalf("cached-table pair %d differs: %+v vs %+v", i, sp[i], fp[i])
 		}
 	}
 	if second.Analysis.Report.Counts != first.Analysis.Report.Counts {

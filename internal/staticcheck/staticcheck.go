@@ -98,8 +98,9 @@ func Analyze(tr *trace.Trace) *Report {
 
 // CompareWithDynamic fills the confusion matrix against a dynamic report:
 // region pairs the dynamic analysis proved unnecessary at runtime versus
-// the static view's verdicts.
-func (r *Report) CompareWithDynamic(dyn *ulcp.Report) {
+// the static view's verdicts. css are the critical sections dyn was
+// identified over; its pair rows name them by index.
+func (r *Report) CompareWithDynamic(dyn *ulcp.Report, css []*trace.CritSec) {
 	type key struct{ a, b string }
 	norm := func(x, y trace.Region) key {
 		if y.Less(x) {
@@ -110,7 +111,7 @@ func (r *Report) CompareWithDynamic(dyn *ulcp.Report) {
 	dynULCP := make(map[key]bool)
 	for _, p := range dyn.Pairs {
 		if p.Cat.IsULCP() {
-			dynULCP[norm(p.C1.Region, p.C2.Region)] = true
+			dynULCP[norm(css[p.C1].Region, css[p.C2].Region)] = true
 		}
 	}
 	for _, f := range r.Findings {

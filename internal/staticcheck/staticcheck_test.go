@@ -49,7 +49,7 @@ func TestStaticOverClaimsConflicts(t *testing.T) {
 	if dyn.Counts[ulcp.ReadRead] == 0 {
 		t.Fatalf("dynamic counts = %v, want read-read ULCPs", dyn.Counts)
 	}
-	static.CompareWithDynamic(dyn)
+	static.CompareWithDynamic(dyn, css)
 	if static.Missed == 0 {
 		t.Fatal("static analysis should have missed the dynamic ULCPs of the sometimes-writing region")
 	}
@@ -94,7 +94,7 @@ func TestStaticFalsePositives(t *testing.T) {
 	}
 	css := rec.Trace.ExtractCS()
 	dyn := ulcp.Identify(rec.Trace, css, ulcp.Options{})
-	static.CompareWithDynamic(dyn)
+	static.CompareWithDynamic(dyn, css)
 	if static.FalsePositive == 0 {
 		t.Fatalf("expected static false positives for phase-separated regions (tp=%d fp=%d)",
 			static.TruePositive, static.FalsePositive)
@@ -114,7 +114,7 @@ func TestStaticOnRealWorkloads(t *testing.T) {
 		static := Analyze(rec.Trace)
 		css := rec.Trace.ExtractCS()
 		dyn := ulcp.Identify(rec.Trace, css, ulcp.Options{})
-		static.CompareWithDynamic(dyn)
+		static.CompareWithDynamic(dyn, css)
 		if static.Missed == 0 {
 			t.Errorf("%s: static analysis missed no dynamic ULCPs — implausible per Sec. 7.2 (tp=%d fp=%d)",
 				name, static.TruePositive, static.FalsePositive)

@@ -362,9 +362,10 @@ func TestMergeMatchesSetReferences(t *testing.T) {
 				sets := allSetsOf(tr, css)
 				id := newIdentifier(tr, nil, Options{}, nil)
 				for _, p := range Identify(tr, css, Options{}).Pairs {
-					checkPairAgainstReferences(t, id, sets, p.C1, p.C2)
-					if alg1 := Classify(p.C1, p.C2); (alg1 == TLCP) != (p.Cat == TLCP || p.Cat == Benign) || (alg1 != TLCP && alg1 != p.Cat) {
-						t.Fatalf("%s: pair (cs%d, cs%d) reported %v, Algorithm 1 says %v", app.Name, p.C1.ID, p.C2.ID, p.Cat, alg1)
+					c1, c2 := css[p.C1], css[p.C2]
+					checkPairAgainstReferences(t, id, sets, c1, c2)
+					if alg1 := Classify(c1, c2); (alg1 == TLCP) != (p.Cat == TLCP || p.Cat == Benign) || (alg1 != TLCP && alg1 != p.Cat) {
+						t.Fatalf("%s: pair (cs%d, cs%d) reported %v, Algorithm 1 says %v", app.Name, p.C1, p.C2, p.Cat, alg1)
 					}
 				}
 			}
@@ -382,8 +383,8 @@ func TestBenignLookupsAllocateNothing(t *testing.T) {
 	table, rep := BuildVerdictTable(tr, css, Options{})
 	var c1, c2 *trace.CritSec
 	for _, p := range rep.Pairs {
-		if Classify(p.C1, p.C2) == TLCP {
-			c1, c2 = p.C1, p.C2
+		if Classify(css[p.C1], css[p.C2]) == TLCP {
+			c1, c2 = css[p.C1], css[p.C2]
 			break
 		}
 	}

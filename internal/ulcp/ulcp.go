@@ -45,10 +45,11 @@ func (c Category) String() string {
 // IsULCP reports whether the category denotes an unnecessary pair.
 func (c Category) IsULCP() bool { return c != TLCP }
 
-// Pair is one classified same-lock pair; C1 precedes C2 in the lock's
-// recorded acquisition order.
+// Pair is one classified same-lock pair as a pointer-free row: C1 and C2
+// are CritSec.IDs — indices into the slice ExtractCS returned — and C1
+// precedes C2 in the lock's recorded acquisition order.
 type Pair struct {
-	C1, C2 *trace.CritSec
+	C1, C2 int32
 	Cat    Category
 }
 
@@ -88,7 +89,9 @@ func (o Options) withDefaults() Options {
 // Report is the identification outcome.
 type Report struct {
 	// Pairs holds every classified pair (ULCPs and the first-matched
-	// TLCPs that terminate each RULE-1 scan).
+	// TLCPs that terminate each RULE-1 scan) as rows of critical-section
+	// IDs; resolve a row through the critical sections it was identified
+	// over, css[p.C1] and css[p.C2].
 	Pairs []Pair
 	// Counts tallies pairs per category, indexed by Category.
 	Counts [NumCategories]int
@@ -99,17 +102,6 @@ type Report struct {
 	Truncated int
 	// ReversedReplays counts full reversed replays performed.
 	ReversedReplays int
-}
-
-// ULCPs returns only the unnecessary pairs.
-func (r *Report) ULCPs() []Pair {
-	out := make([]Pair, 0, len(r.Pairs))
-	for _, p := range r.Pairs {
-		if p.Cat.IsULCP() {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // NumULCPs counts unnecessary pairs.
@@ -189,6 +181,10 @@ type identifier struct {
 	css  []*trace.CritSec
 	opts Options
 	rep  *Report
+	// chunks holds the run's pair rows until finish copies them into
+	// rep.Pairs, and pairs counts them. See addPair.
+	chunks [][]Pair
+	pairs  int
 	// benignMemo caches reversed-replay verdicts per code-region pair.
 	benignMemo map[string]bool
 	// table, when set, is a precomputed cross-shard verdict table
@@ -246,7 +242,7 @@ func Identify(tr *trace.Trace, css []*trace.CritSec, opts Options) *Report {
 func IdentifyShardWithVerdicts(tr *trace.Trace, lockCSs []*trace.CritSec, opts Options, table *VerdictTable) *Report {
 	id := newIdentifier(tr, lockCSs, opts, table)
 	id.runLock(lockCSs)
-	return id.rep
+	return id.finish()
 }
 
 // SortedLockGroups returns CSByLock's groups in ascending lock order —
@@ -300,10 +296,48 @@ func MergeReports(reports ...*Report) *Report {
 	return out
 }
 
-func (id *identifier) run() {
+// run scans every lock group in ascending lock order and returns the
+// finished report.
+func (id *identifier) run() *Report {
 	for _, g := range SortedLockGroups(id.css) {
 		id.runLock(g)
 	}
+	return id.finish()
+}
+
+// maxPairChunk bounds a chunk of pair rows (128 KiB).
+const maxPairChunk = 8192
+
+// addPair appends one row to the run's pairs. Rows collect in chunks —
+// the first with room for one row per critical section of the run, each
+// next one as large as everything before it, up to maxPairChunk — and
+// finish copies them once into an array of exactly their number: an
+// array grown by append is copied at every quarter once it is large,
+// each time onto fresh pages.
+func (id *identifier) addPair(p Pair) {
+	n := len(id.chunks)
+	if n == 0 || len(id.chunks[n-1]) == cap(id.chunks[n-1]) {
+		if n == 0 {
+			id.chunks = make([][]Pair, 0, 16)
+		}
+		id.chunks = append(id.chunks, make([]Pair, 0, min(max(id.pairs, len(id.css), 64), maxPairChunk)))
+		n++
+	}
+	id.chunks[n-1] = append(id.chunks[n-1], p)
+	id.pairs++
+}
+
+// finish copies the run's pair rows into the report and returns it. A
+// run without pairs keeps the nil slice MergeReports gives an empty
+// merge.
+func (id *identifier) finish() *Report {
+	if id.pairs > 0 {
+		id.rep.Pairs = make([]Pair, 0, id.pairs)
+		for _, c := range id.chunks {
+			id.rep.Pairs = append(id.rep.Pairs, c...)
+		}
+	}
+	return id.rep
 }
 
 // runLock scans one lock's critical sections: per thread in acquisition
@@ -336,7 +370,6 @@ func (id *identifier) runLock(lockCSs []*trace.CritSec) {
 	for _, cs := range lockCSs {
 		perThread[cs.Thread] = append(perThread[cs.Thread], member{cs, id.intern(cs.Region)})
 	}
-	id.rep.Pairs = slices.Grow(id.rep.Pairs, len(lockCSs)*(active-1))
 	id.rep.CausalEdges = slices.Grow(id.rep.CausalEdges, len(lockCSs))
 	for _, cs := range lockCSs {
 		cur := perThread[cs.Thread][next[cs.Thread]]
@@ -379,7 +412,7 @@ func (id *identifier) scan(cur member, peer []member) {
 		if cat == TLCP && !id.opts.DisableReversedReplay && id.benign(cur, p) {
 			cat = Benign
 		}
-		id.rep.Pairs = append(id.rep.Pairs, Pair{C1: cur.cs, C2: p.cs, Cat: cat})
+		id.addPair(Pair{C1: int32(cur.cs.ID), C2: int32(p.cs.ID), Cat: cat})
 		id.rep.Counts[cat]++
 		if cat == TLCP {
 			// Matched: first true contention establishes the causal edge

@@ -1,8 +1,10 @@
 package ulcp
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"perfplay/internal/memmodel"
 	"perfplay/internal/sim"
@@ -256,17 +258,26 @@ func TestIdentifyScanCap(t *testing.T) {
 	}
 }
 
-func TestNumULCPsAndULCPs(t *testing.T) {
+func TestNumULCPs(t *testing.T) {
 	rep := &Report{Counts: [NumCategories]int{ReadRead: 3, TLCP: 2, NullLock: 1}}
-	rep.Pairs = []Pair{
-		{Cat: ReadRead}, {Cat: ReadRead}, {Cat: ReadRead},
-		{Cat: TLCP}, {Cat: TLCP}, {Cat: NullLock},
-	}
 	if got := rep.NumULCPs(); got != 4 {
 		t.Errorf("NumULCPs = %d, want 4", got)
 	}
-	if got := len(rep.ULCPs()); got != 4 {
-		t.Errorf("ULCPs len = %d, want 4", got)
+}
+
+// TestPairLayout: a pair is a 16-byte row of two critical-section IDs and
+// a category, with no pointer for the collector to scan.
+func TestPairLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Pair{}); size != 16 {
+		t.Fatalf("Pair is %d bytes, want 16", size)
+	}
+	typ := reflect.TypeOf(Pair{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int, reflect.Int32:
+		default:
+			t.Errorf("Pair.%s is a %v: the row must stay pointer-free", f.Name, f.Type.Kind())
+		}
 	}
 }
 

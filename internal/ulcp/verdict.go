@@ -42,6 +42,6 @@ type VerdictTable struct {
 // every replay (see the pipeline's digest-keyed table cache).
 func BuildVerdictTable(tr *trace.Trace, css []*trace.CritSec, opts Options) (*VerdictTable, *Report) {
 	id := newIdentifier(tr, css, opts, nil)
-	id.run()
-	return &VerdictTable{Verdicts: id.benignMemo, Replays: id.rep.ReversedReplays}, id.rep
+	rep := id.run()
+	return &VerdictTable{Verdicts: id.benignMemo, Replays: rep.ReversedReplays}, rep
 }
