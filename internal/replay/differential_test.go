@@ -3,10 +3,13 @@ package replay
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
+	"perfplay/internal/memmodel"
 	"perfplay/internal/sim"
+	"perfplay/internal/simtest"
 	"perfplay/internal/trace"
 	"perfplay/internal/transform"
 	"perfplay/internal/ulcp"
@@ -23,13 +26,20 @@ func requireMatchesRef(t *testing.T, what string, tr *trace.Trace, opts Options)
 	t.Helper()
 	got, gotErr := Run(tr, opts)
 	want, wantErr := runRef(tr, opts)
+	requireSameReplay(t, what, got, gotErr, want, wantErr)
+	return got
+}
+
+// requireSameReplay requires an engine's replay to equal the reference
+// engine's: whole Results, or the same error text.
+func requireSameReplay(t *testing.T, what string, got *Result, gotErr error, want *Result, wantErr error) {
+	t.Helper()
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-		t.Fatalf("%s: Run error %v, reference error %v", what, gotErr, wantErr)
+		t.Fatalf("%s: engine error %v, reference error %v", what, gotErr, wantErr)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: Run diverged from the reference engine\n got %+v\nwant %+v", what, summary(got), summary(want))
+		t.Fatalf("%s: engine diverged from the reference engine\n got %+v\nwant %+v", what, summary(got), summary(want))
 	}
-	return got
 }
 
 // summary keeps a failure message readable: the scalars of a Result.
@@ -207,6 +217,35 @@ func TestEngineMatchesReferenceHandBuilt(t *testing.T) {
 			requireMatchesRef(t, fmt.Sprintf("hand locksets/variant=%d/%v", i, sch), ls, opts)
 		}
 	}
+
+	// A member DLS drops while another thread still holds it, which
+	// transform never emits (a source section holds its own lock until it
+	// finishes): thread 1's acquisition of a1 waits until thread 2's event
+	// finishes, not for thread 0's release, and then thread 1 takes a2
+	// before thread 2 does. Thread 2 also reads a cell nothing stores to,
+	// which FinalMem must leave out.
+	dls := trace.New("dls", 3)
+	dls.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a1}, Sources: []int32{-1}})
+	dls.Append(trace.Event{Thread: 0, Kind: trace.KCompute, Cost: 1000})
+	dls.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a1}})
+	dls.Append(trace.Event{Thread: 2, Kind: trace.KCompute, Cost: 300})
+	src := dls.Append(trace.Event{Thread: 2, Kind: trace.KCompute, Cost: 200})
+	dls.Append(trace.Event{Thread: 2, Kind: trace.KRead, Addr: 9, Cost: 5})
+	dls.Append(trace.Event{Thread: 1, Kind: trace.KCompute, Cost: 20})
+	dls.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a1}, Sources: []int32{src}})
+	dls.Append(trace.Event{Thread: 1, Kind: trace.KCompute, Cost: 10})
+	dls.AppendExt(trace.Event{Thread: 1, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a1}})
+	for _, th := range []int32{1, 2} {
+		dls.AppendExt(trace.Event{Thread: th, Kind: trace.KLocksetAcq, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a2}, Sources: []int32{-1}})
+		dls.Append(trace.Event{Thread: th, Kind: trace.KCompute, Cost: 100})
+		dls.AppendExt(trace.Event{Thread: th, Kind: trace.KLocksetRel, Cost: 10}, trace.EventExt{Locks: []trace.LockID{a2}})
+	}
+	for i, opts := range locksetVariants {
+		for _, sch := range allScheds {
+			opts.Sched = sch
+			requireMatchesRef(t, fmt.Sprintf("dropped while held/variant=%d/%v", i, sch), dls, opts)
+		}
+	}
 }
 
 // TestEngineMatchesReferencePooled: one recycled engine crosses trace
@@ -249,12 +288,7 @@ func TestEngineMatchesReferencePooled(t *testing.T) {
 				refTr, refOpts.Plan = free, nil
 			}
 			want, wantErr := runRef(refTr, refOpts)
-			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-				t.Fatalf("%s: engine error %v, reference error %v", what, gotErr, wantErr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: engine diverged from the reference engine\n got %+v\nwant %+v", what, summary(got), summary(want))
-			}
+			requireSameReplay(t, what, got, gotErr, want, wantErr)
 		}
 	}
 }
@@ -265,11 +299,12 @@ func workloadTrace(app string, threads int, scale float64, seed int64) *trace.Tr
 }
 
 // TestLockSlotLookupDoesNotShow: reset finds an auxiliary lock's slot
-// through an array over the ordinals transform hands out and every other
-// lock's through a map. Which of the two serves a lock changes no replay:
-// a recording whose lock is renamed into the auxiliary range keeps its
-// enforced order under every scheme, and a transformed trace whose
-// auxiliary locks are renamed past the array keeps its locksets.
+// through a table over the ordinals transform hands out and every other
+// lock's through a table over its ID. Which of the two serves a lock
+// changes no replay: a recording whose lock is renamed into the
+// auxiliary range keeps its enforced order under every scheme, and a
+// transformed trace whose auxiliary locks are renamed past the tables'
+// arrays keeps its locksets.
 func TestLockSlotLookupDoesNotShow(t *testing.T) {
 	rec := buildContended(3, 5).Trace
 	renamed := rec.Aligned(0)
@@ -305,4 +340,151 @@ func TestLockSlotLookupDoesNotShow(t *testing.T) {
 			t.Fatalf("variant %d: renaming the auxiliary locks past the array changed the replay", i)
 		}
 	}
+}
+
+// TestDenseTablesDoNotShow: reset keeps lock IDs, addresses, barrier IDs
+// and generations below a bound set by the trace's size in arrays and
+// the rest in maps. Renaming every one past the bound — one of each to
+// 0xFFFFFFF0, and an address to 1<<24 — changes no replay under any
+// scheme beyond the addresses its memory image and read digest name, and
+// reset sizes no array from them.
+func TestDenseTablesDoNotShow(t *testing.T) {
+	rec := simtest.RandomProgram(5, 3, 2, 6, simtest.Barriers|simtest.Skips|simtest.Conds|simtest.SpinLocks).Trace
+	off := len(rec.Events) + len(rec.InitMem) + 1
+	const hostile, far1 = 0xFFFFFFF0, 1 << 24
+	addr := func(a memmodel.Addr) memmodel.Addr {
+		switch a {
+		case 1:
+			return hostile
+		case 2:
+			return far1 // past the bound, far below the hostile ID
+		}
+		return a + memmodel.Addr(off)
+	}
+	id := func(l, first trace.LockID) trace.LockID {
+		if l == first {
+			return trace.LockID(int32(-16)) // 0xFFFFFFF0 as a LockID
+		}
+		return l + trace.LockID(off)
+	}
+	far := rec.Aligned(0)
+	var firstLock, firstBar trace.LockID
+	var firstGen int64 = -1
+	hostileAddr := false
+	for i := range far.Events {
+		e := &far.Events[i]
+		switch e.Kind {
+		case trace.KRead, trace.KWrite:
+			e.Addr = addr(e.Addr)
+			hostileAddr = hostileAddr || e.Addr == hostile
+		case trace.KLockAcq, trace.KLockRel:
+			if firstLock == 0 {
+				firstLock = e.Lock
+			}
+			e.Lock = id(e.Lock, firstLock)
+		case trace.KBarrier:
+			if firstBar == 0 {
+				firstBar, firstGen = e.Lock, e.Value
+			}
+			e.Lock = id(e.Lock, firstBar)
+			if e.Value == firstGen {
+				e.Value = hostile
+			} else {
+				e.Value += int64(off)
+			}
+		}
+	}
+	renameMem := func(s memmodel.Snapshot, rename func(memmodel.Addr) memmodel.Addr) memmodel.Snapshot {
+		out := make(memmodel.Snapshot, len(s))
+		for a, v := range s {
+			out[rename(a)] = v
+		}
+		return out
+	}
+	far.InitMem = renameMem(rec.InitMem, addr)
+	skips := 0
+	for i := range far.Exts {
+		if d := far.Exts[i].Delta; d != nil {
+			far.Exts[i].Delta = renameMem(d, addr)
+			skips++
+		}
+	}
+	if firstLock == 0 || firstBar == 0 || skips == 0 || !hostileAddr {
+		t.Fatalf("lock %v, barrier %v, %d skips, address %#x accessed: %t — not every table is exercised",
+			firstLock, firstBar, skips, hostile, hostileAddr)
+	}
+	back := func(a memmodel.Addr) memmodel.Addr {
+		switch a {
+		case hostile:
+			return 1
+		case far1:
+			return 2
+		}
+		return a - memmodel.Addr(off)
+	}
+
+	for _, opts := range []Options{{Sched: OrigS, Seed: 3}, {Sched: ELSCS}, {Sched: SyncS}, {Sched: MemS}} {
+		want := requireMatchesRef(t, "dense/"+opts.Sched.String(), rec, opts)
+		got := *requireMatchesRef(t, "renamed/"+opts.Sched.String(), far, opts)
+		// The read digest folds each address in; everything else must hold.
+		got.FinalMem = renameMem(got.FinalMem, back)
+		got.ReadHash, got.readHashes = want.ReadHash, want.readHashes
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("%v: renaming past the dense bound changed the replay\n got %+v\nwant %+v", opts.Sched, summary(&got), summary(want))
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := new(engine).reset(far, Options{Sched: ELSCS}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(far.Events)); per >= 1024 {
+		t.Fatalf("reset allocated %.0f B per event of a trace with hostile IDs; want < 1 KiB", per)
+	}
+
+	// Every event its own barrier, each at the last generation below the
+	// bound: a generation array per barrier sized by the trace's bound
+	// would cost the square of the trace.
+	const n = 2000
+	bars := &trace.Trace{NumThreads: 1, Events: make([]trace.Event, n)}
+	for i := range bars.Events {
+		bars.Events[i] = trace.Event{Thread: 0, Kind: trace.KBarrier, Lock: trace.LockID(i + 1), Value: n - 1}
+	}
+	requireMatchesRef(t, "barriers", bars, Options{Sched: ELSCS})
+	runtime.ReadMemStats(&before)
+	if err := new(engine).reset(bars, Options{Sched: ELSCS}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per >= 1024 {
+		t.Fatalf("reset allocated %.0f B per event of %d barriers at generation %d; want < 1 KiB", per, n, n-1)
+	}
+}
+
+// FuzzEngineMatchesReference holds Run ≡ runRef over generated programs —
+// locks, spin locks, conds, barriers and skips — under every scheme (ORIG-S
+// at two seeds), and the recording under its ULCP-free plan, with and
+// without DLS and the lockset cost model, against the reference's replay
+// of the materialised trace: whole Results, or the same error text.
+func FuzzEngineMatchesReference(f *testing.F) {
+	all := uint8(simtest.Barriers | simtest.Skips | simtest.Conds | simtest.SpinLocks)
+	f.Add(int64(1), uint8(0), uint8(0), uint8(5), uint8(0))
+	f.Add(int64(11), uint8(1), uint8(1), uint8(5), uint8(simtest.Skips|simtest.SpinLocks))
+	f.Add(int64(12), uint8(2), uint8(2), uint8(7), uint8(simtest.Barriers|simtest.Conds))
+	f.Add(int64(-3), uint8(1), uint8(2), uint8(6), all)
+	f.Fuzz(func(t *testing.T, seed int64, threads, locks, iters, with uint8) {
+		tr := simtest.RandomProgram(seed, 2+int(threads%3), 1+int(locks%3), 1+int(iters%8), simtest.Feature(with&all)).Trace
+		for _, opts := range []Options{{Sched: OrigS, Seed: seed}, {Sched: OrigS, Seed: seed + 1}, {Sched: ELSCS}, {Sched: SyncS}, {Sched: MemS}} {
+			requireMatchesRef(t, fmt.Sprintf("%v/seed=%d", opts.Sched, opts.Seed), tr, opts)
+		}
+		tres := transformed(t, tr)
+		for i, opts := range locksetVariants {
+			want, wantErr := runRef(tres.Trace, opts)
+			opts.Plan = tres.Plan
+			got, gotErr := Run(tr, opts)
+			requireSameReplay(t, fmt.Sprintf("plan/variant=%d", i), got, gotErr, want, wantErr)
+		}
+	})
 }

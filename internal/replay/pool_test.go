@@ -164,10 +164,7 @@ func BenchmarkPooledReplay(b *testing.B) {
 // allocates what escapes a replay — the Result, its four arrays and the
 // memory snapshot — and nothing inside the stepping loop, so the count
 // does not follow the event count. The engine is held out of the pool:
-// the pool drops engines at collections (and at random under -race). The
-// count is not exactly constant either: clear() reseeds the episode-slot
-// map, and refilling a map of a thousand episodes under a new seed now
-// and then grows one of its tables.
+// the pool drops engines at collections (and at random under -race).
 func TestReplayAllocsIndependentOfEvents(t *testing.T) {
 	type variant struct {
 		name       string

@@ -12,6 +12,12 @@ import (
 	"perfplay/internal/vtime"
 )
 
+// barKey identifies one barrier episode.
+type barKey struct {
+	bar trace.LockID
+	gen int64
+}
+
 type refLockState struct {
 	held   bool
 	freeAt vtime.Time

@@ -153,20 +153,32 @@ func (r *Result) CPUTotal() vtime.Duration {
 
 // lockState is one lock's replay state, found by slot (see engine.evSlot).
 type lockState struct {
-	held   bool
-	freeAt vtime.Time
+	held bool
 	// ELSC: the enforced acquisition order of this lock and the cursor
 	// into it. A lock the order does not name is not enforced.
 	enforced bool
-	order    []int32
-	pos      int
+	// waiters lists the threads parked until the lock is released.
+	waiters int32
+	freeAt  vtime.Time
+	order   []int32
+	pos     int
 }
 
 // episode is one barrier episode: how many recorded participants it
-// has, how many are parked at it, and the latest arrival clock.
+// has, how many have registered at it, and the latest arrival clock.
 type episode struct {
-	members, arrived int
-	maxAt            vtime.Time
+	members, arrived int32
+	// waiters lists the threads parked until the last participant arrives.
+	waiters int32
+	maxAt   vtime.Time
+}
+
+// memCell is one cell of the replayed memory image. A cell that was only
+// read stays out of FinalMem, as it would in a memmodel.Memory.
+type memCell struct {
+	addr memmodel.Addr
+	set  bool
+	v    int64
 }
 
 // openSet is the member subset a lockset acquisition actually took:
@@ -187,26 +199,84 @@ type threadState struct {
 	// barMark is the barrier event this thread last registered at.
 	barMark int32
 	// open stacks the thread's unreleased lockset acquisitions (transform
-	// emits them well nested); nsets sizes it before the run.
+	// emits them well nested); nsets, its acquisitions of locksets or,
+	// under a plan, of locks, sizes it before the run.
 	open  []openSet
 	nsets int
+	// parked is set while the thread waits on a list (see engine.park);
+	// parkNext is the next thread on that list, as thread index+1.
+	parked   bool
+	parkNext int32
+	// waiters lists the threads parked until an event of this thread is
+	// done, each naming its event in waitFor.
+	waiters, waitFor int32
 }
 
-// barKey identifies one barrier episode.
-type barKey struct {
-	bar trace.LockID
-	gen int64
+// slotTable gives IDs dense slots: IDs below a bound set by the trace's
+// size live in an array (slot+1; 0 is none) that grows as they show up,
+// the rest in a map — so an untrusted ID far past the trace costs a map
+// entry, never an array that long.
+type slotTable[K ~int32 | ~uint32 | ~int64] struct {
+	arr   []int32
+	bound int
+	m     map[K]int32
 }
 
-// engine replays one trace. reset gives every lock and barrier episode
-// the trace names a dense slot and lays every lockset out in its own
-// arrays — from the trace's extensions or from Options.Plan — so the
-// stepping loop (loop, eligible, exec, kendoBarrier) indexes slices only
-// and is the same loop for a transformed trace and a planned recording.
+// reset empties the table for IDs below bound, keeping its capacity.
+func (t *slotTable[K]) reset(bound int) {
+	t.arr, t.bound = t.arr[:0], bound
+	clear(t.m)
+}
+
+// find returns k's slot, if it has one.
+func (t *slotTable[K]) find(k K) (int32, bool) {
+	switch {
+	case uint64(k) < uint64(len(t.arr)):
+		return t.arr[k] - 1, t.arr[k] != 0
+	case uint64(k) < uint64(t.bound):
+		return 0, false
+	}
+	s, ok := t.m[k]
+	return s, ok
+}
+
+// get returns k's slot and true, or records next as its slot and
+// returns next and false.
+func (t *slotTable[K]) get(k K, next int32) (int32, bool) {
+	if s, ok := t.find(k); ok {
+		return s, true
+	}
+	if uint64(k) >= uint64(t.bound) {
+		if t.m == nil {
+			t.m = make(map[K]int32)
+		}
+		t.m[k] = next
+		return next, false
+	}
+	if n := len(t.arr); uint64(k) >= uint64(n) {
+		m := min(t.bound, max(int(k)+1, 2*n))
+		t.arr = slices.Grow(t.arr, m-n)[:m]
+		clear(t.arr[n:])
+	}
+	t.arr[k] = next + 1
+	return next, false
+}
+
+// engine replays one trace. reset gives every lock, barrier episode and
+// memory cell the trace names a dense slot and lays every lockset out in
+// its own arrays — from the trace's extensions or from Options.Plan — so
+// the stepping loop (loop, eligible, exec, kendoBarrier) indexes slices
+// only and is the same loop for a transformed trace and a planned
+// recording.
+//
+// A thread whose next event waits on something only one event can change
+// — an unfinished constraint target, a held lock or an ELSC cursor at
+// another acquisition, an incomplete barrier episode — parks on that
+// slot's waiter list, and loop skips it until the event that can change
+// it wakes the list. Every other wait is polled.
 type engine struct {
 	tr   *trace.Trace
 	opts Options
-	mem  *memmodel.Memory
 
 	threads []threadState
 	locks   []lockState
@@ -215,8 +285,8 @@ type engine struct {
 	kind []trace.Kind
 	// evSlot[i] is event i's index into locks (KLockAcq, KLockRel), the
 	// offset of its lockset in setSlots (KLocksetAcq), its lockset's size
-	// (KLocksetRel) or its index into episodes (KBarrier); other kinds
-	// never read it.
+	// (KLocksetRel), its index into episodes (KBarrier) or into cells
+	// (KRead, KWrite); other kinds never read it.
 	evSlot []int32
 	// A lockset of n members is n at setSlots[off] and the members' lock
 	// slots behind it; setSrc parallels setSlots with each member's
@@ -224,6 +294,7 @@ type engine struct {
 	setSlots, setSrc []int32
 	episodes         []episode
 	openBuf          []openSet // backs every threadState.open
+	cells            []memCell // the memory image
 
 	// Constraints in CSR form: event i must wait for
 	// preTgt[preOff[i]:preOff[i+1]]. preOff is empty without constraints.
@@ -243,23 +314,23 @@ type engine struct {
 
 	res *Result
 
-	// Slot assignment scratch, touched by reset only (see find).
-	lockSlot map[trace.LockID]int32
-	auxSlot  []int32
-	epSlot   map[barKey]int32
+	// polls counts eligible calls, for the tests that pin parking.
+	polls int
+
+	// Slot assignment scratch, touched by reset only (see find): lock
+	// IDs, auxiliary lock ordinals, addresses, barrier IDs and, per
+	// barrier, generations.
+	lockIDs, auxIDs slotTable[trace.LockID]
+	addrs           slotTable[memmodel.Addr]
+	barIDs          slotTable[trace.LockID]
+	barGens         []slotTable[int64]
 }
 
 // enginePool recycles engine scratch state across replays. The ULCP
 // pipeline replays the same trace hundreds of times (per scheme, per
 // transformed variant, per quantification sample); everything the
 // engine allocates except the escaping Result is reusable.
-var enginePool = sync.Pool{New: func() any {
-	return &engine{
-		mem:      memmodel.New(),
-		lockSlot: make(map[trace.LockID]int32),
-		epSlot:   make(map[barKey]int32),
-	}
-}}
+var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
 // sized returns s with length n, reusing its array when it is large
 // enough. The contents are unspecified.
@@ -270,36 +341,66 @@ func sized[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// find returns the lock's index into e.locks, if it has one. transform
-// numbers auxiliary locks densely from AuxLockBase+1, at most one per
-// critical section, so an array over the ordinals holds theirs (slot+1;
-// 0 is none); the map holds every other lock's.
-func (e *engine) find(l trace.LockID) (int32, bool) {
-	if ord := uint(l - trace.AuxLockBase - 1); ord < uint(len(e.auxSlot)) {
-		return e.auxSlot[ord] - 1, e.auxSlot[ord] != 0
+// lockTable is the table that holds l's slot, and l's key in it: the
+// recorder numbers locks densely from 1, and transform numbers auxiliary
+// locks densely from AuxLockBase+1, so each kind is keyed by its ordinal.
+func (e *engine) lockTable(l trace.LockID) (*slotTable[trace.LockID], trace.LockID) {
+	if l.IsAux() {
+		return &e.auxIDs, l - trace.AuxLockBase - 1
 	}
-	s, ok := e.lockSlot[l]
-	return s, ok
+	return &e.lockIDs, l
+}
+
+// find returns the lock's index into e.locks, if it has one.
+func (e *engine) find(l trace.LockID) (int32, bool) {
+	t, k := e.lockTable(l)
+	return t.find(k)
 }
 
 // slot returns the lock's index into e.locks, assigning the next free
-// one on first sight. The first auxiliary lock of a run sizes the array
-// find reads, so a recording, which has none, does not pay for it.
+// one on first sight.
 func (e *engine) slot(l trace.LockID) int32 {
-	s, ok := e.find(l)
-	if ok {
-		return s
+	t, k := e.lockTable(l)
+	s, ok := t.get(k, int32(len(e.locks)))
+	if !ok {
+		e.locks = append(e.locks, lockState{})
 	}
-	s = int32(len(e.locks))
-	e.locks = append(e.locks, lockState{})
-	if len(e.auxSlot) == 0 && l.IsAux() {
-		e.auxSlot = sized(e.auxSlot, len(e.kind))
-		clear(e.auxSlot)
+	return s
+}
+
+// cell returns the address's index into e.cells, assigning the next free
+// one on first sight.
+func (e *engine) cell(a memmodel.Addr) int32 {
+	s, ok := e.addrs.get(a, int32(len(e.cells)))
+	if !ok {
+		e.cells = append(e.cells, memCell{addr: a})
 	}
-	if ord := uint(l - trace.AuxLockBase - 1); ord < uint(len(e.auxSlot)) {
-		e.auxSlot[ord] = s + 1
-	} else {
-		e.lockSlot[l] = s
+	return s
+}
+
+// barrier returns the index into e.barGens of barrier bar's generation
+// table, assigning the next free one on first sight, and counts one more
+// event of bar in that table's bound: a barrier with k events has at
+// most k episodes, so its generations below k are the ones worth an
+// array, and all barriers' arrays together stay within the trace's size.
+func (e *engine) barrier(bar trace.LockID) int32 {
+	b, ok := e.barIDs.get(bar, int32(len(e.barGens)))
+	if !ok {
+		// Past the length may lie a recycled table: reset keeps its array.
+		e.barGens = slices.Grow(e.barGens, 1)[:b+1]
+		e.barGens[b].reset(0)
+	}
+	e.barGens[b].bound++
+	return b
+}
+
+// episodeSlot returns the index into e.episodes of episode gen of the
+// barrier whose generation table is e.barGens[b], assigning the next free
+// one on first sight. The recorder counts generations from 0.
+func (e *engine) episodeSlot(b int32, gen int64) int32 {
+	s, ok := e.barGens[b].get(gen, int32(len(e.episodes)))
+	if !ok {
+		e.episodes = append(e.episodes, episode{})
 	}
 	return s
 }
@@ -312,7 +413,6 @@ func (e *engine) slot(l trace.LockID) int32 {
 // keeping capacity from previous runs.
 func (e *engine) reset(tr *trace.Trace, opts Options) error {
 	e.tr, e.opts = tr, opts
-	e.mem.Reset()
 	nev, nt := len(tr.Events), tr.NumThreads
 	if nt < 0 {
 		return fmt.Errorf("replay: thread count %d", nt)
@@ -323,15 +423,20 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 	e.evSlot = sized(e.evSlot, nev)
 	e.done = sized(e.done, nev)
 	clear(e.done)
-	clear(e.lockSlot)
-	clear(e.epSlot)
-	e.auxSlot = e.auxSlot[:0]
-	e.locks, e.episodes = e.locks[:0], e.episodes[:0]
+	// The tables' arrays stop at a bound linear in the trace's size, so
+	// no ID the trace names can size one past that.
+	bound := nev + len(tr.InitMem)
+	e.lockIDs.reset(bound)
+	e.auxIDs.reset(bound)
+	e.addrs.reset(bound)
+	e.barIDs.reset(bound)
+	e.barGens = e.barGens[:0]
+	e.locks, e.episodes, e.cells = e.locks[:0], e.episodes[:0], e.cells[:0]
 	e.setSlots, e.setSrc = e.setSlots[:0], e.setSrc[:0]
-	e.executed, e.lastEnd, e.newArrival = 0, 0, false
+	e.executed, e.lastEnd, e.newArrival, e.polls = 0, 0, false, 0
 
 	planned := opts.Plan != nil
-	lockOps := 0
+	lockOps, barriers := 0, 0
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		if uint(ev.Thread) >= uint(nt) {
@@ -348,6 +453,9 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 		case trace.KLockAcq, trace.KLockRel:
 			if planned {
 				lockOps++ // the plan gives it a lockset, or removes it
+				if ev.Kind == trace.KLockAcq {
+					e.threads[ev.Thread].nsets++
+				}
 			} else {
 				e.evSlot[i] = e.slot(ev.Lock)
 			}
@@ -355,7 +463,8 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 			e.evSlot[i] = int32(len(tr.Ext(ev).Locks))
 		case trace.KLocksetAcq:
 			x := tr.Ext(ev)
-			e.evSlot[i] = e.openLockset(ev.Thread, len(x.Locks))
+			e.evSlot[i] = e.openLockset(len(x.Locks))
+			e.threads[ev.Thread].nsets++
 			for _, l := range x.Locks {
 				e.setSlots = append(e.setSlots, e.slot(l))
 			}
@@ -372,16 +481,29 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 				}
 			}
 		case trace.KBarrier:
-			k := barKey{bar: ev.Lock, gen: ev.Value}
-			s, ok := e.epSlot[k]
-			if !ok {
-				s = int32(len(e.episodes))
-				e.epSlot[k] = s
-				e.episodes = append(e.episodes, episode{})
+			e.evSlot[i] = e.barrier(ev.Lock)
+			barriers++
+		case trace.KRead, trace.KWrite:
+			e.evSlot[i] = e.cell(ev.Addr)
+		case trace.KSkip:
+			for a := range tr.Ext(ev).Delta {
+				e.cell(a)
 			}
+		}
+	}
+	// Episodes wait for every barrier's event count, which bounds its
+	// generation table; they take slots in event order all the same.
+	for i := 0; barriers > 0; i++ {
+		if e.kind[i] == trace.KBarrier {
+			s := e.episodeSlot(e.evSlot[i], tr.Events[i].Value)
 			e.episodes[s].members++
 			e.evSlot[i] = s
+			barriers--
 		}
+	}
+	for a, v := range tr.InitMem {
+		c := &e.cells[e.cell(a)]
+		c.v, c.set = v, true
 	}
 	if planned {
 		if err := e.layPlan(opts.Plan, lockOps); err != nil {
@@ -453,14 +575,13 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 	return nil
 }
 
-// openLockset starts the layout of a lockset of n members acquired by
-// thread t: the count goes down here, the caller appends the n member
-// slots and sources behind it. It returns the lockset's offset.
-func (e *engine) openLockset(t int32, n int) int32 {
+// openLockset starts the layout of a lockset of n members: the count goes
+// down here, the caller appends the n member slots and sources behind
+// it. It returns the lockset's offset.
+func (e *engine) openLockset(n int) int32 {
 	off := int32(len(e.setSlots))
 	e.setSlots = append(e.setSlots, int32(n))
 	e.setSrc = append(e.setSrc, -1)
-	e.threads[t].nsets++
 	return off
 }
 
@@ -511,7 +632,7 @@ func (e *engine) layPlan(p *trace.Plan, lockOps int) error {
 			continue
 		}
 		e.kind[acq], e.kind[rel] = trace.KLocksetAcq, trace.KLocksetRel
-		e.evSlot[acq], e.evSlot[rel] = e.openLockset(e.tr.Events[acq].Thread, int(hi-lo)), hi-lo
+		e.evSlot[acq], e.evSlot[rel] = e.openLockset(int(hi-lo)), hi-lo
 		for _, l := range p.Locks[lo:hi] {
 			e.setSlots = append(e.setSlots, int32(l-trace.AuxLockBase-1))
 		}
@@ -551,9 +672,6 @@ func (e *engine) run(tr *trace.Trace, opts Options) (*Result, error) {
 	if err := e.reset(tr, opts); err != nil {
 		return nil, err
 	}
-	for a, v := range tr.InitMem {
-		e.mem.Store(a, v)
-	}
 	if err := e.loop(); err != nil {
 		return nil, err
 	}
@@ -567,7 +685,7 @@ func (e *engine) run(tr *trace.Trace, opts Options) (*Result, error) {
 		res.PerThreadCPU[i] = ts.cpu
 	}
 	res.Total = vtime.Duration(total)
-	res.FinalMem = e.mem.Snapshot()
+	res.FinalMem = e.snapshot()
 	for t, h := range res.readHashes {
 		// Mix per-thread digests order-independently across threads.
 		x := h + uint64(t)*0x9e3779b97f4a7c15
@@ -578,6 +696,24 @@ func (e *engine) run(tr *trace.Trace, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// snapshot returns the cells anything stored to, as memmodel.Memory's
+// Snapshot would.
+func (e *engine) snapshot() memmodel.Snapshot {
+	n := 0
+	for i := range e.cells {
+		if e.cells[i].set {
+			n++
+		}
+	}
+	s := make(memmodel.Snapshot, n)
+	for _, c := range e.cells {
+		if c.set {
+			s[c.addr] = c.v
+		}
+	}
+	return s
+}
+
 // next returns the thread's next pending event index, or -1.
 func (ts *threadState) next() int32 {
 	if ts.pos >= len(ts.evs) {
@@ -586,19 +722,25 @@ func (ts *threadState) next() int32 {
 	return ts.evs[ts.pos]
 }
 
-// loop steps the replay: each pass polls every thread's pending event
-// and executes the one that can start earliest. Threads are few, so
-// polling beats keeping a ready queue equal to this rule.
+// loop steps the replay: each pass polls every unparked thread's pending
+// event, in thread order, and executes the one that can start earliest,
+// the lowest thread on a tie. A parked thread's poll would fail and
+// change nothing (see park), so skipping it leaves every pass's winner
+// and every barrier registration as they were.
 func (e *engine) loop() error {
 	for e.executed < len(e.tr.Events) {
 		best := -1
 		var bestStart, bestPrio vtime.Time
 		for i := range e.threads {
 			ts := &e.threads[i]
+			if ts.parked {
+				continue
+			}
 			idx := ts.next()
 			if idx < 0 {
 				continue
 			}
+			e.polls++
 			start, ok := e.eligible(ts, idx)
 			if !ok {
 				continue
@@ -644,8 +786,44 @@ func (e *engine) jitter(idx int32) vtime.Duration {
 	return vtime.Duration(h % uint64(e.opts.JitterWindow))
 }
 
+// park takes the thread off the polling loop until the waiter list is
+// woken. A thread parks only where its poll fails until one event — the
+// one that wakes the list — has run, and where the failed polls have no
+// side effect: a barrier arrival registers on the poll that parks it, or
+// on a poll after its constraints' targets are done.
+func (e *engine) park(ts *threadState, list *int32) {
+	ts.parked, ts.parkNext = true, *list
+	*list = ts.id + 1
+}
+
+// wake returns every thread parked on the list to the polling loop.
+func (e *engine) wake(list *int32) {
+	for t := *list; t != 0; t = e.threads[t-1].parkNext {
+		e.threads[t-1].parked = false
+	}
+	*list = 0
+}
+
+// wakeFor returns to the polling loop the threads parked until ts's
+// event idx is done, and keeps the rest, which wait for later events of
+// ts, on its list.
+func (e *engine) wakeFor(ts *threadState, idx int32) {
+	t := ts.waiters
+	ts.waiters = 0
+	for t != 0 {
+		w := &e.threads[t-1]
+		next := w.parkNext
+		if w.waitFor == idx {
+			w.parked = false
+		} else {
+			w.parkNext, ts.waiters = ts.waiters, t
+		}
+		t = next
+	}
+}
+
 // eligible reports whether the event can execute now and the earliest
-// virtual time it may start.
+// virtual time it may start, parking the thread where it cannot.
 func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 	kind := e.kind[idx]
 	start := ts.clock
@@ -653,6 +831,8 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 	if len(e.preOff) > 0 {
 		for _, p := range e.preTgt[e.preOff[idx]:e.preOff[idx+1]] {
 			if !e.done[p] {
+				ts.waitFor = p
+				e.park(ts, &e.threads[e.tr.Events[p].Thread].waiters)
 				return 0, false
 			}
 			if e.res.EventEnd[p] > start {
@@ -672,6 +852,11 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 		}
 		ep.arrived++
 		e.newArrival = true
+		if ep.arrived == ep.members {
+			// Later threads of this pass see the episode complete, as
+			// their polls would have.
+			e.wake(&ep.waiters)
+		}
 	}
 
 	// MEM-S enforces a total order over all shared-memory access points:
@@ -690,8 +875,12 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 
 	switch kind {
 	case trace.KLockAcq:
+		// A held lock stays held, and an ELSC cursor stays put, until the
+		// lock's next release: only an acquisition moves the cursor, and
+		// it leaves the lock held.
 		ls := &e.locks[e.evSlot[idx]]
-		if ls.enforced && (ls.pos >= len(ls.order) || ls.order[ls.pos] != idx) {
+		if ls.held || ls.enforced && (ls.pos >= len(ls.order) || ls.order[ls.pos] != idx) {
+			e.park(ts, &ls.waiters)
 			return 0, false
 		}
 		if e.opts.Sched == SyncS {
@@ -701,14 +890,12 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 			// ones at every acquisition — the enforced waiting Fig. 12
 			// contrasts with ELSC. Threads already parked on a held lock
 			// are exempt (their logical clocks advance while spinning).
+			// The gate reads every thread, so a thread it stops polls.
 			if wait, ok := e.kendoBarrier(ts); !ok {
 				return 0, false
 			} else if wait > start {
 				start = wait
 			}
-		}
-		if ls.held {
-			return 0, false
 		}
 		if ls.freeAt > start {
 			start = ls.freeAt
@@ -721,6 +908,10 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 			}
 			ls := &e.locks[e.setSlots[i]]
 			if ls.held {
+				// A member DLS may yet drop frees up without a release.
+				if !e.opts.DLS || e.setSrc[i] < 0 {
+					e.park(ts, &ls.waiters)
+				}
 				return 0, false
 			}
 			if ls.freeAt > start {
@@ -730,7 +921,8 @@ func (e *engine) eligible(ts *threadState, idx int32) (vtime.Time, bool) {
 	case trace.KBarrier:
 		ep := &e.episodes[e.evSlot[idx]]
 		if ep.arrived < ep.members {
-			return 0, false // waiting for the other participants
+			e.park(ts, &ep.waiters) // waiting for the other participants
+			return 0, false
 		}
 		if ep.maxAt > start {
 			start = ep.maxAt
@@ -823,6 +1015,7 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 		ls := &e.locks[e.evSlot[idx]]
 		ls.held = false
 		ls.freeAt = start.Add(cost)
+		e.wake(&ls.waiters)
 	case trace.KLocksetAcq:
 		// Take the effective members, compacting their slots to the front
 		// of this lockset's members: the matching release frees exactly
@@ -856,23 +1049,26 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 			e.res.LocksetOverhead += maint
 			end := start.Add(cost)
 			for _, s := range e.setSlots[held.off : held.off+held.n] {
-				e.locks[s].held = false
-				e.locks[s].freeAt = end
+				ls := &e.locks[s]
+				ls.held = false
+				ls.freeAt = end
+				e.wake(&ls.waiters)
 			}
 		}
 	case trace.KRead:
 		// Re-execute the load against the replayed memory image and fold
 		// the observed value into the thread's read digest.
-		v := e.mem.Load(ev.Addr)
+		v := e.cells[e.evSlot[idx]].v
 		h := e.res.readHashes[ts.id]
 		h = h*1099511628211 + uint64(v) + uint64(ev.Addr)<<32
 		e.res.readHashes[ts.id] = h
 	case trace.KWrite:
-		cur := e.mem.Load(ev.Addr)
-		e.mem.Store(ev.Addr, ev.Op.Apply(cur, ev.Value))
+		c := &e.cells[e.evSlot[idx]]
+		c.v, c.set = ev.Op.Apply(c.v, ev.Value), true
 	case trace.KSkip:
 		for a, v := range e.tr.Ext(ev).Delta {
-			e.mem.Store(a, v)
+			s, _ := e.addrs.find(a) // reset gave every address a cell
+			e.cells[s].v, e.cells[s].set = v, true
 		}
 	}
 
@@ -885,5 +1081,8 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 	e.res.EventStart[idx] = start
 	e.res.EventEnd[idx] = end
 	e.done[idx] = true
+	if ts.waiters != 0 {
+		e.wakeFor(ts, idx)
+	}
 	ts.pos++
 }
