@@ -185,6 +185,28 @@ func BenchmarkIdentify(b *testing.B) {
 	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/pairs, "B/pair")
 }
 
+// Identification on the cli-scan shape (fluidanimate, 4 threads, ×0.04,
+// seed 42): most pairs conflict and fall into a handful of classes, so
+// this times the class memo and the RULE-1 scan more than replays.
+func BenchmarkIdentifyConflicts(b *testing.B) {
+	p := workload.MustGet("fluidanimate").Build(workload.Config{Threads: 4, Scale: 0.04, Seed: 42})
+	tr := sim.Run(p, sim.Config{Seed: 42}).Trace.Warm()
+	css := tr.ExtractCS()
+	var rep *ulcp.Report
+	var m0, m1 runtime.MemStats
+	b.ResetTimer()
+	b.ReportAllocs()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < b.N; i++ {
+		_, rep = ulcp.BuildVerdictTable(tr, css, ulcp.Options{})
+	}
+	runtime.ReadMemStats(&m1)
+	pairs := float64(len(rep.Pairs)) * float64(b.N)
+	b.ReportMetric(float64(rep.Counts[ulcp.TLCP]+rep.Counts[ulcp.Benign]), "conflicts")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pairs, "ns/pair")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/pairs, "B/pair")
+}
+
 // The shard path every table-hit re-run takes: each sorted lock group
 // classified against a prebuilt verdict table (zero replays), merged in
 // lock order.

@@ -3,10 +3,13 @@ package transform
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"perfplay/internal/sim"
+	"perfplay/internal/simtest"
 	"perfplay/internal/trace"
 	"perfplay/internal/ulcp"
 	"perfplay/internal/workload"
@@ -16,56 +19,22 @@ import (
 // by CritSec.ID — edge de-duplication by map, causal nodes from a set,
 // members sorted with sort.Slice, one Sources slice per lockset,
 // constraints de-duplicated by map — folded into one function. It
-// returns the trace and the three counters of Result.
-func applyRef(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*trace.Trace, [3]int) {
-	out, in := make(map[int][]int), make(map[int][]int)
-	var edges []ulcp.Edge
-	seen := make(map[ulcp.Edge]bool)
-	for _, e := range rep.CausalEdges {
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		edges = append(edges, e)
-		out[e.From] = append(out[e.From], e.To)
-		in[e.To] = append(in[e.To], e.From)
+// returns the trace and the three counters of Result, or an error for
+// the input Plan must refuse: css not indexed by ID, an edge naming a
+// node outside css, a cycle (found by depth-first search), a section
+// without a release, or an output that does not validate.
+func applyRef(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*trace.Trace, [3]int, error) {
+	g, err := buildRefGraph(css, rep.CausalEdges)
+	if err != nil {
+		return nil, [3]int{}, err
 	}
-	set := make(map[int]struct{})
-	for _, e := range edges {
-		set[e.From] = struct{}{}
-		set[e.To] = struct{}{}
-	}
-	causal := make([]int, 0, len(set))
-	for id := range set {
-		causal = append(causal, id)
-	}
-	sort.Ints(causal)
-
-	own, numAux := make(map[int]trace.LockID), 0
-	for _, id := range causal {
-		if len(out[id]) > 0 {
-			numAux++
-			own[id] = trace.AuxLockBase + trace.LockID(numAux)
+	for _, cs := range css {
+		if cs.RelEv < 0 {
+			return nil, [3]int{}, fmt.Errorf("%v has no release", cs)
 		}
 	}
-	type member struct {
-		lock trace.LockID
-		src  int
-	}
-	locksets := make(map[int][]member)
-	for _, id := range causal {
-		var members []member
-		if l, ok := own[id]; ok {
-			members = append(members, member{l, -1})
-		}
-		for _, src := range in[id] {
-			if l, ok := own[src]; ok {
-				members = append(members, member{l, src})
-			}
-		}
-		sort.Slice(members, func(i, j int) bool { return members[i].lock < members[j].lock })
-		locksets[id] = members
-	}
+	locksets := assignRef(g)
+	edges := g.edges
 
 	res := trace.New(tr.App, tr.NumThreads)
 	res.Sites, res.MemNames, res.InitMem, res.FinalMem = tr.Sites, tr.MemNames, tr.InitMem, tr.FinalMem
@@ -104,7 +73,235 @@ func applyRef(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*trace.T
 		}
 	}
 	counts[2] = len(res.Constraints)
-	return res, counts
+	if err := res.Validate(); err != nil {
+		return nil, [3]int{}, err
+	}
+	return res, counts, nil
+}
+
+// refGraph is the RULE-1 topology as maps keyed by CritSec.ID: the
+// de-duplicated edges in first-seen order, each node's targets and
+// sources, and the causal nodes, sorted.
+type refGraph struct {
+	edges   []ulcp.Edge
+	out, in map[int][]int
+	causal  []int
+}
+
+// buildRefGraph is applyRef's graph step. It refuses css not indexed by
+// ID, an edge naming a node outside css, and a cycle, found by
+// depth-first search.
+func buildRefGraph(css []*trace.CritSec, edges []ulcp.Edge) (*refGraph, error) {
+	for i, cs := range css {
+		if cs.ID != i {
+			return nil, fmt.Errorf("index %d holds ID %d", i, cs.ID)
+		}
+	}
+	g := &refGraph{out: make(map[int][]int), in: make(map[int][]int)}
+	seen := make(map[ulcp.Edge]bool)
+	for _, e := range edges {
+		if e.From < 0 || e.From >= len(css) || e.To < 0 || e.To >= len(css) {
+			return nil, fmt.Errorf("edge %v outside [0,%d)", e, len(css))
+		}
+		if seen[e] {
+			continue
+		}
+		seen[e] = true
+		g.edges = append(g.edges, e)
+		g.out[e.From] = append(g.out[e.From], e.To)
+		g.in[e.To] = append(g.in[e.To], e.From)
+	}
+	const (
+		unvisited = iota
+		onPath
+		done
+	)
+	state := make(map[int]int)
+	var cyclic func(v int) bool
+	cyclic = func(v int) bool {
+		state[v] = onPath
+		for _, w := range g.out[v] {
+			if state[w] == onPath || state[w] == unvisited && cyclic(w) {
+				return true
+			}
+		}
+		state[v] = done
+		return false
+	}
+	for v := range g.out {
+		if state[v] == unvisited && cyclic(v) {
+			return nil, fmt.Errorf("cycle through node %d", v)
+		}
+	}
+	set := make(map[int]struct{})
+	for _, e := range g.edges {
+		set[e.From] = struct{}{}
+		set[e.To] = struct{}{}
+	}
+	g.causal = make([]int, 0, len(set))
+	for id := range set {
+		g.causal = append(g.causal, id)
+	}
+	sort.Ints(g.causal)
+	return g, nil
+}
+
+// member is one lockset entry of the reference assignment: the auxiliary
+// lock and the node that owns it, or -1 for the node's own lock.
+type member struct {
+	lock trace.LockID
+	src  int
+}
+
+// assignRef is applyRef's RULE-3/RULE-4 step: each causal node with an
+// out-edge owns a fresh auxiliary lock, numbered in node order, and a
+// causal node's lockset is its own lock and its sources', sorted.
+func assignRef(g *refGraph) map[int][]member {
+	own, numAux := make(map[int]trace.LockID), 0
+	for _, id := range g.causal {
+		if len(g.out[id]) > 0 {
+			numAux++
+			own[id] = trace.AuxLockBase + trace.LockID(numAux)
+		}
+	}
+	locksets := make(map[int][]member)
+	for _, id := range g.causal {
+		var members []member
+		if l, ok := own[id]; ok {
+			members = append(members, member{l, -1})
+		}
+		for _, src := range g.in[id] {
+			if l, ok := own[src]; ok {
+				members = append(members, member{l, src})
+			}
+		}
+		sort.Slice(members, func(i, j int) bool { return members[i].lock < members[j].lock })
+		locksets[id] = members
+	}
+	return locksets
+}
+
+// recording is one registered workload's trace, its critical sections
+// and its ULCP report.
+type recording struct {
+	what string
+	tr   *trace.Trace
+	css  []*trace.CritSec
+	rep  *ulcp.Report
+}
+
+// recordings runs every registered workload at two and four threads
+// under seeds 7 and 42, once for all the tests that read them.
+var recordings = sync.OnceValue(func() []recording {
+	var out []recording
+	for _, app := range workload.SortedNames() {
+		for _, threads := range []int{2, 4} {
+			for _, seed := range []int64{7, 42} {
+				p := workload.MustGet(app).Build(workload.Config{Threads: threads, Scale: 0.1, Seed: seed})
+				tr := sim.Run(p, sim.Config{Seed: seed}).Trace
+				css := tr.ExtractCS()
+				out = append(out, recording{fmt.Sprintf("%s/threads=%d/seed=%d", app, threads, seed),
+					tr, css, ulcp.Identify(tr, css, ulcp.Options{})})
+			}
+		}
+	}
+	return out
+})
+
+// doubled is rep with its causal edges once more behind themselves.
+func doubled(rep *ulcp.Report) *ulcp.Report {
+	d := *rep
+	d.CausalEdges = slices.Concat(rep.CausalEdges, rep.CausalEdges)
+	return &d
+}
+
+// TestPlanGraphMatchesMapReference: on every registered workload's causal
+// edges, once and doubled, the plan carries the map graph: one
+// constraint per distinct edge, in first-seen order; a lockset for
+// exactly the causal nodes; an own lock for exactly the nodes with an
+// out-edge; and, beside it, one member per source, released by that
+// source.
+func TestPlanGraphMatchesMapReference(t *testing.T) {
+	causal := 0
+	for _, r := range recordings() {
+		for _, rep := range []*ulcp.Report{r.rep, doubled(r.rep)} {
+			what := fmt.Sprintf("%s/%d edges", r.what, len(rep.CausalEdges))
+			res, err := Plan(r.css, rep)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			g, err := buildRefGraph(r.css, rep.CausalEdges)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", what, err)
+			}
+			p := res.Plan
+			var cons []trace.Constraint
+			for _, e := range g.edges {
+				cons = append(cons, trace.Constraint{After: r.css[e.From].RelEv, Before: r.css[e.To].AcqEv})
+			}
+			if !slices.Equal(p.Constraints, cons) {
+				t.Fatalf("%s: %d constraints, reference edges give %d", what, len(p.Constraints), len(cons))
+			}
+			if res.LocksetNodes != len(g.causal) || res.RemovedSync != len(r.css)-len(g.causal) {
+				t.Fatalf("%s: %d lockset nodes, %d removed; reference %d causal of %d", what, res.LocksetNodes, res.RemovedSync, len(g.causal), len(r.css))
+			}
+			for id := range r.css {
+				_, sources := lockset(p, id)
+				var want []int32
+				if len(g.out[id]) > 0 {
+					want = append(want, -1)
+				}
+				for _, src := range g.in[id] {
+					want = append(want, r.css[src].RelEv)
+				}
+				if got := slices.Sorted(slices.Values(sources)); !slices.Equal(got, slices.Sorted(slices.Values(want))) {
+					t.Fatalf("%s: node %d: members from %v; reference out %v in %v", what, id, sources, g.out[id], g.in[id])
+				}
+			}
+			causal += len(g.causal)
+		}
+	}
+	if causal == 0 {
+		t.Fatal("no workload produced a causal edge")
+	}
+}
+
+// TestPlanLocksetsMatchMapReference: on every registered workload, each
+// section's lockset and its sources, in order, equal the map
+// assignment's, and a section the map has no lockset for has none.
+func TestPlanLocksetsMatchMapReference(t *testing.T) {
+	members := 0
+	for _, r := range recordings() {
+		res, err := Plan(r.css, r.rep)
+		if err != nil {
+			t.Fatalf("%s: %v", r.what, err)
+		}
+		g, err := buildRefGraph(r.css, r.rep.CausalEdges)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", r.what, err)
+		}
+		ref := assignRef(g)
+		for id := range r.css {
+			locks, sources := lockset(res.Plan, id)
+			want := ref[id]
+			if len(locks) != len(want) || len(sources) != len(want) {
+				t.Fatalf("%s: node %d lockset %v from %v, reference %v", r.what, id, locks, sources, want)
+			}
+			for i, m := range want {
+				src := int32(-1)
+				if m.src >= 0 {
+					src = r.css[m.src].RelEv
+				}
+				if locks[i] != m.lock || sources[i] != src {
+					t.Fatalf("%s: node %d lockset %v from %v, reference %v", r.what, id, locks, sources, want)
+				}
+			}
+			members += len(want)
+		}
+	}
+	if members == 0 {
+		t.Fatal("no workload produced a lockset")
+	}
 }
 
 // TestApplyMatchesMapReference: the transformed trace — every event,
@@ -112,38 +309,93 @@ func applyRef(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) (*trace.T
 // map-based transformation's on every registered workload.
 func TestApplyMatchesMapReference(t *testing.T) {
 	locksets := 0
-	for _, app := range workload.SortedNames() {
-		for _, threads := range []int{2, 4} {
-			for _, seed := range []int64{7, 42} {
-				what := fmt.Sprintf("%s/threads=%d/seed=%d", app, threads, seed)
-				p := workload.MustGet(app).Build(workload.Config{Threads: threads, Scale: 0.1, Seed: seed})
-				tr := sim.Run(p, sim.Config{Seed: seed}).Trace
-				css := tr.ExtractCS()
-				rep := ulcp.Identify(tr, css, ulcp.Options{})
-				// The report's edges once more behind themselves: the
-				// duplicates must change nothing.
-				doubled := *rep
-				doubled.CausalEdges = append(append([]ulcp.Edge(nil), rep.CausalEdges...), rep.CausalEdges...)
-				for _, r := range []*ulcp.Report{rep, &doubled} {
-					got, err := Apply(tr, css, r)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					want, counts := applyRef(tr, css, r)
-					if !reflect.DeepEqual(got.Trace, want) {
-						t.Fatalf("%s: transformed trace differs from the map reference's", what)
-					}
-					if gotCounts := [3]int{got.RemovedSync, got.LocksetNodes, got.Constraints}; gotCounts != counts {
-						t.Fatalf("%s: removed/lockset/constraints = %v, reference %v", what, gotCounts, counts)
-					}
-					locksets += got.LocksetNodes
-				}
+	for _, r := range recordings() {
+		// The report's edges once more behind themselves: the duplicates
+		// must change nothing.
+		for _, rep := range []*ulcp.Report{r.rep, doubled(r.rep)} {
+			got := requireApplyMatchesRef(t, r.what, r.tr, r.css, rep)
+			if got == nil {
+				t.Fatalf("%s: the report's own edges were refused", r.what)
 			}
+			locksets += got.LocksetNodes
 		}
 	}
 	if locksets == 0 {
 		t.Fatal("no workload produced a lockset node")
 	}
+}
+
+// requireApplyMatchesRef fails unless Apply and applyRef agree on rep:
+// both refuse it, or both accept it with the same transformed trace —
+// every event, lockset, source and constraint, in order — and the same
+// counters. It returns Apply's result.
+func requireApplyMatchesRef(t testing.TB, what string, tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report) *Result {
+	t.Helper()
+	got, err := Apply(tr, css, rep)
+	want, counts, wantErr := applyRef(tr, css, rep)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s: Apply error %v, reference error %v", what, err, wantErr)
+	}
+	if err != nil {
+		return nil
+	}
+	if !reflect.DeepEqual(got.Trace, want) {
+		t.Fatalf("%s: transformed trace differs from the map reference's", what)
+	}
+	if gotCounts := [3]int{got.RemovedSync, got.LocksetNodes, got.Constraints}; gotCounts != counts {
+		t.Fatalf("%s: removed/lockset/constraints = %v, reference %v", what, gotCounts, counts)
+	}
+	return got
+}
+
+// FuzzPlanMatchesReference holds Apply to applyRef over generated
+// programs — any seed, two to four threads, one to three locks, one to
+// eight critical sections per thread, with and without skips and
+// barriers — and the report's causal edges mangled by a byte script:
+// each three bytes (op, x, y) duplicate an edge, add a backward edge,
+// add an edge between any two sections (across locks, or a self-loop),
+// add one naming a section out of range, reverse an edge (a cycle), or
+// drop one, at a position the script picks; 64 steps at most. Both must
+// refuse the same inputs.
+func FuzzPlanMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(5), uint8(0), []byte{})
+	f.Add(int64(7), uint8(1), uint8(1), uint8(6), uint8(simtest.Skips), []byte{0, 0, 0, 1, 3, 1, 2, 5, 9})
+	f.Add(int64(42), uint8(2), uint8(2), uint8(7), uint8(simtest.Barriers), []byte{4, 1, 0})
+	f.Add(int64(-3), uint8(1), uint8(0), uint8(3), uint8(0), []byte{3, 2, 7, 5, 0, 0, 2, 4, 4})
+	f.Fuzz(func(t *testing.T, seed int64, threads, locks, iters, with uint8, script []byte) {
+		tr := simtest.RandomProgram(seed, 2+int(threads%3), 1+int(locks%3), 1+int(iters%8),
+			simtest.Feature(with)&(simtest.Skips|simtest.Barriers)).Trace
+		css := tr.ExtractCS()
+		rep := ulcp.Identify(tr, css, ulcp.Options{})
+		edges, n := slices.Clone(rep.CausalEdges), len(css)
+		for script = script[:min(len(script), 3*64)]; len(script) >= 3 && n > 0; script = script[3:] {
+			op, x, y := script[0]%6, int(script[1]), int(script[2])
+			a, b := x%n, y%n
+			var e ulcp.Edge
+			switch {
+			case op == 0 && len(edges) > 0:
+				e = edges[x%len(edges)]
+			case op == 1 && a != b:
+				e = ulcp.Edge{From: max(a, b), To: min(a, b)}
+			case op == 2:
+				e = ulcp.Edge{From: a, To: b}
+			case op == 3 && x%2 == 0:
+				e = ulcp.Edge{From: a, To: n + y}
+			case op == 3:
+				e = ulcp.Edge{From: -1 - x, To: b}
+			case op == 4 && len(edges) > 0:
+				r := edges[x%len(edges)]
+				e = ulcp.Edge{From: r.To, To: r.From}
+			case op == 5 && len(edges) > 0:
+				edges = slices.Delete(edges, x%len(edges), x%len(edges)+1)
+				continue
+			default:
+				continue
+			}
+			edges = slices.Insert(edges, y%(len(edges)+1), e)
+		}
+		requireApplyMatchesRef(t, "fuzz", tr, css, &ulcp.Report{CausalEdges: edges})
+	})
 }
 
 // TestApplyRejectsForeignEdges: a report whose causal edges name critical

@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"slices"
 
-	"perfplay/internal/lockset"
-	"perfplay/internal/topo"
 	"perfplay/internal/trace"
 	"perfplay/internal/ulcp"
 )
@@ -50,54 +48,34 @@ type Result struct {
 
 // Plan applies the four rules and returns the ULCP-free schedule as a
 // plan over the recording css was extracted from. Nothing here reads or
-// copies the events: the plan's columns share one array sized by the
-// critical sections and the lockset members.
+// copies the events. The rules run over int32 arrays indexed by
+// CritSec.ID, which ExtractCS hands out as the dense index into css, and
+// the locksets are written straight into the plan's columns, which share
+// one array sized by the critical sections and the lockset members. It
+// is an error for css not to be indexed by ID, for an edge to name a
+// node outside it, for the edges to form a cycle, or for a section to
+// have no release event.
 func Plan(css []*trace.CritSec, rep *ulcp.Report) (*Result, error) {
-	g, err := topo.Build(css, rep.CausalEdges)
-	if err == nil {
-		_, err = g.TopoSort()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("transform: %w", err)
-	}
-	assign := lockset.Assign(g)
-
-	// A lockset is the node's own lock plus one per incoming edge.
-	n, members := len(css), assign.NumAux+g.NumEdges()
-	cols := make([]int32, 3*n+1+members)
-	p := &trace.Plan{
-		Acq:     cols[:n:n],
-		Rel:     cols[n : 2*n : 2*n],
-		Off:     cols[2*n : 3*n+1 : 3*n+1],
-		Sources: cols[3*n+1:][:0],
-		Locks:   make([]trace.LockID, 0, members),
-	}
-	res := &Result{Plan: p}
+	n, edges := len(css), rep.CausalEdges
 	for i, cs := range css {
-		if cs.RelEv < 0 {
-			return nil, fmt.Errorf("transform: %v has no release event", cs)
-		}
-		p.Acq[i], p.Rel[i], p.Off[i] = cs.AcqEv, cs.RelEv, int32(len(p.Locks))
-		ls := assign.LS(i)
-		if len(ls) == 0 {
-			// Null-locks and standalone nodes: "PerfPlay removes
-			// lock/unlock events of all null-locks and all standalone
-			// nodes" (Sec. 3.2).
-			res.RemovedSync++
-			continue
-		}
-		res.LocksetNodes++
-		p.Locks = append(p.Locks, ls...)
-		for _, src := range assign.Sources[i] {
-			rel := int32(-1) // the node's own lock
-			if src >= 0 {
-				rel = css[src].RelEv
-			}
-			p.Sources = append(p.Sources, rel)
+		if cs.ID != i {
+			return nil, fmt.Errorf("transform: critical section at index %d has ID %d", i, cs.ID)
 		}
 	}
-	p.Off[n] = int32(len(p.Locks))
-
+	// RULE 1: the causal graph. Out-lists sized by out-degree, duplicates
+	// included, share one array: node v's is adj[start[v]:][:outdeg[v]].
+	scratch := make([]int32, 4*n+1+len(edges))
+	start, outdeg, indeg := scratch[:n+1], scratch[n+1:2*n+1], scratch[2*n+1:3*n+1]
+	queue, adj := scratch[3*n+1:4*n+1], scratch[4*n+1:]
+	for _, e := range edges {
+		if uint(e.From) >= uint(n) || uint(e.To) >= uint(n) {
+			return nil, fmt.Errorf("transform: edge %d->%d names a node outside [0,%d)", e.From, e.To, n)
+		}
+		start[e.From+1]++
+	}
+	for v := range n {
+		start[v+1] += start[v]
+	}
 	// RULE 1 + RULE 2: every causal edge becomes a happens-before
 	// constraint (release of the source before acquisition of the
 	// target). Because mutually conflicting nodes of one lock all scan
@@ -106,15 +84,106 @@ func Plan(css []*trace.CritSec, rep *ulcp.Report) (*Result, error) {
 	// RULE 2 requires (the {R1 ≺ W1 ≺ W1 ≺ W1} chain of Fig. 7 arises
 	// from the edges alone). Non-conflicting causal nodes stay unordered
 	// and may overlap: that is the parallelism the transformation exposes.
-	// The graph's edges are distinct and every node has its own boundary
-	// events, so the constraints are distinct too.
-	if edges := g.Edges(); len(edges) > 0 {
-		p.Constraints = make([]trace.Constraint, len(edges))
-		for i, e := range edges {
-			p.Constraints[i] = trace.Constraint{After: css[e.From].RelEv, Before: css[e.To].AcqEv}
+	// A duplicate edge is dropped, the first kept: a node's out-degree is
+	// below the thread count for edges ulcp produces, so scanning its list
+	// is the cheap test. Every node has its own boundary events, so the
+	// constraints are distinct too.
+	var cons []trace.Constraint
+	if len(edges) > 0 {
+		cons = make([]trace.Constraint, 0, len(edges))
+	}
+	for _, e := range edges {
+		from, to := e.From, int32(e.To)
+		if out := adj[start[from]:][:outdeg[from]]; slices.Contains(out, to) {
+			continue
+		}
+		adj[start[from]+outdeg[from]] = to
+		outdeg[from]++
+		indeg[to]++
+		cons = append(cons, trace.Constraint{After: css[from].RelEv, Before: css[to].AcqEv})
+	}
+
+	// RULE 3: a node with out-degree owns a fresh auxiliary lock; a
+	// node's lockset is its own lock, if it has one, plus its sources'.
+	// Section i's lockset is Locks[Off[i]:Off[i+1]]; until the locksets
+	// are laid, Off[i+1] is where section i's next member goes.
+	members := len(cons)
+	for _, d := range outdeg {
+		if d > 0 {
+			members++
 		}
 	}
-	res.Constraints = len(p.Constraints)
+	cols := make([]int32, 3*n+1+members)
+	p := &trace.Plan{
+		Acq:         cols[:n:n],
+		Rel:         cols[n : 2*n : 2*n],
+		Off:         cols[2*n : 3*n+1 : 3*n+1],
+		Sources:     cols[3*n+1:],
+		Locks:       make([]trace.LockID, members),
+		Constraints: cons,
+	}
+	for v := 1; v < n; v++ {
+		p.Off[v+1] = p.Off[v] + indeg[v-1]
+		if outdeg[v-1] > 0 {
+			p.Off[v+1]++
+		}
+	}
+
+	// Kahn's algorithm, for the acyclicity the causal edges promise:
+	// they point forward in the original acquisition order.
+	q := queue[:0]
+	for v, d := range indeg {
+		if d == 0 {
+			q = append(q, int32(v))
+		}
+	}
+	for head := 0; head < len(q); head++ {
+		v := q[head]
+		for _, to := range adj[start[v]:][:outdeg[v]] {
+			if indeg[to]--; indeg[to] == 0 {
+				q = append(q, to)
+			}
+		}
+	}
+	if len(q) != n {
+		return nil, fmt.Errorf("transform: causal graph has a cycle (%d of %d nodes ordered)", len(q), n)
+	}
+
+	// Auxiliary locks are numbered in ascending node order, and node v's
+	// lock joins v's lockset and its targets' at step v, so every lockset
+	// fills in ascending lock order: sorted, with no sort.
+	aux := trace.AuxLockBase
+	add := func(i, src int32) {
+		k := p.Off[i+1]
+		p.Locks[k], p.Sources[k] = aux, src
+		p.Off[i+1]++
+	}
+	for v := range n {
+		if outdeg[v] == 0 {
+			continue
+		}
+		aux++
+		add(int32(v), -1) // the node's own lock
+		for _, to := range adj[start[v]:][:outdeg[v]] {
+			add(to, css[v].RelEv)
+		}
+	}
+
+	res := &Result{Plan: p, Constraints: len(cons)}
+	for i, cs := range css {
+		if cs.RelEv < 0 {
+			return nil, fmt.Errorf("transform: %v has no release event", cs)
+		}
+		p.Acq[i], p.Rel[i] = cs.AcqEv, cs.RelEv
+		if p.Off[i] == p.Off[i+1] {
+			// Null-locks and standalone nodes: "PerfPlay removes
+			// lock/unlock events of all null-locks and all standalone
+			// nodes" (Sec. 3.2).
+			res.RemovedSync++
+		} else {
+			res.LocksetNodes++
+		}
+	}
 	return res, nil
 }
 

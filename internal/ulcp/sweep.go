@@ -171,17 +171,35 @@ func (id *identifier) reversedReplayEqual(c1, c2 *trace.CritSec) bool {
 
 // pairKey identifies the memoization class of a conflicting pair: the
 // two code regions plus the write-op signature of the conflicting
-// addresses (id.sig, as classify left it). The signature matters because
-// one code region can emit both commutative updates (benign) and
-// order-sensitive stores (TLCP); a shared key would let one verdict shadow
-// the other. The key is built into the identifier's reusable buffer — the
-// returned bytes are valid until the next pairKey call — and pinned by
-// test against an allocating reference, because it is the wire format of
-// shipped and cached verdict tables.
+// addresses (id.sig, as classify left it), spelled per address as how
+// each side touches it — r=read, then one letter per distinct write op
+// (s/a/&/|) in first-seen order — each side ended by ':' and ';'. The
+// signature matters because one code region can emit both commutative
+// updates (benign) and order-sensitive stores (TLCP); a shared key would
+// let one verdict shadow the other. The key is built into the
+// identifier's reusable buffer — the returned bytes are valid until the
+// next pairKey call — and pinned by test against an allocating
+// reference, because it is the wire format of shipped and cached verdict
+// tables.
 func (id *identifier) pairKey(r1, r2 int32) []byte {
+	id.keys++
 	b := append(id.key[:0], id.regionKey[r1]...)
 	b = append(b, id.regionKey[r2]...)
-	b = append(b, id.sig...)
+	for _, w := range id.sig {
+		b = append(appendTouch(b, trace.Touch(w>>16)), ':')
+		b = append(appendTouch(b, trace.Touch(w)), ';')
+	}
 	id.key = b
+	return b
+}
+
+func appendTouch(b []byte, t trace.Touch) []byte {
+	if t.Read() {
+		b = append(b, 'r')
+	}
+	ops, n := t.Ops()
+	for _, op := range ops[:n] {
+		b = append(b, "sa&|"[op&3])
+	}
 	return b
 }

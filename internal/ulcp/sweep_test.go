@@ -373,11 +373,10 @@ func TestMergeMatchesSetReferences(t *testing.T) {
 	}
 }
 
-// TestBenignLookupsAllocateNothing pins the two paths nearly every
-// conflicting pair takes — a class this run already memoised, and a class
-// the shared verdict table holds — at zero allocations: the key is looked
-// up straight from the scratch bytes, and becomes a string only when a
-// new class is memoised.
+// TestBenignLookupsAllocateNothing pins the path nearly every conflicting
+// pair takes — a class this run has seen, whether it replayed the class
+// or found it in the shared verdict table — at zero allocations and no
+// key built: the class memo finds it by hash and signature.
 func TestBenignLookupsAllocateNothing(t *testing.T) {
 	tr, css := recordedCS(t, "openldap", 4, 7)
 	table, rep := BuildVerdictTable(tr, css, Options{})
@@ -402,14 +401,20 @@ func TestBenignLookupsAllocateNothing(t *testing.T) {
 		t.Fatalf("first sight performed %d replays, want 1", memo.rep.ReversedReplays)
 	}
 	hit := newIdentifier(tr, css, Options{}, table)
-	benign(hit) // sizes the scratch
-	for name, id := range map[string]*identifier{"memoised class": memo, "table hit": hit} {
+	if benign(hit) != want { // the table's verdict, memoised
+		t.Fatal("the table's verdict differs from the replay's")
+	}
+	for name, id := range map[string]*identifier{"replayed class": memo, "table class": hit} {
+		keys := id.keys
 		if allocs := testing.AllocsPerRun(20, func() {
 			if benign(id) != want {
 				t.Fatalf("%s: verdict changed", name)
 			}
 		}); allocs != 0 {
 			t.Errorf("%s: benign allocates %v times per pair, want 0", name, allocs)
+		}
+		if id.keys != keys {
+			t.Errorf("%s: lookups built %d keys, want none", name, id.keys-keys)
 		}
 	}
 	if memo.rep.ReversedReplays != 1 || hit.rep.ReversedReplays != 0 {

@@ -11,7 +11,6 @@ package ulcp
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"perfplay/internal/memmodel"
 	"perfplay/internal/trace"
@@ -126,9 +125,9 @@ func Classify(c1, c2 *trace.CritSec) Category {
 // classify is Algorithm 1 as one merge over the two ascending access
 // lists: an address both sections touch conflicts when either writes it.
 // It appends to sig the pair's conflict signature — per conflicting
-// address, in ascending order, how each side touches it: r=read, then one
-// letter per distinct write op (s/a/&/|) in first-seen order.
-func classify(c1, c2 *trace.CritSec, sig []byte) (Category, []byte) {
+// address, in ascending order, how each side touches it, as one
+// Touch<<16|Touch word (pairKey spells it out).
+func classify(c1, c2 *trace.CritSec, sig []uint32) (Category, []uint32) {
 	switch {
 	case c1.Empty() || c2.Empty():
 		return NullLock, sig
@@ -147,25 +146,13 @@ func classify(c1, c2 *trace.CritSec, sig []byte) (Category, []byte) {
 		default:
 			if x.Touch.Writes() || y.Touch.Writes() {
 				cat = TLCP
-				sig = append(appendTouch(sig, x.Touch), ':')
-				sig = append(appendTouch(sig, y.Touch), ';')
+				sig = append(sig, uint32(x.Touch)<<16|uint32(y.Touch))
 			}
 			i++
 			j++
 		}
 	}
 	return cat, sig
-}
-
-func appendTouch(b []byte, t trace.Touch) []byte {
-	if t.Read() {
-		b = append(b, 'r')
-	}
-	ops, n := t.Ops()
-	for _, op := range ops[:n] {
-		b = append(b, "sa&|"[op&3])
-	}
-	return b
 }
 
 // member is one critical section of the lock group being scanned, with
@@ -185,7 +172,10 @@ type identifier struct {
 	// rep.Pairs, and pairs counts them. See addPair.
 	chunks [][]Pair
 	pairs  int
-	// benignMemo caches reversed-replay verdicts per code-region pair.
+	// memo holds the verdict of every conflict class the run has seen;
+	// benignMemo holds the verdicts the run replayed or defaulted under
+	// pairKey's bytes, the wire format of VerdictTable.
+	memo       classMemo
 	benignMemo map[string]bool
 	// table, when set, is a precomputed cross-shard verdict table
 	// consulted before benignMemo; hits cost no replay.
@@ -196,10 +186,13 @@ type identifier struct {
 	scratch *pairScratch
 	// regions interns code regions; regionKey[r] is region r as pairKey
 	// spells it, rendered once. sig and key are the buffers the current
-	// pair's conflict signature and memo key are built in.
+	// pair's conflict signature and memo key are built in; keys counts
+	// the keys built.
 	regions   map[trace.Region]int32
 	regionKey [][]byte
-	sig, key  []byte
+	sig       []uint32
+	key       []byte
+	keys      int
 }
 
 // newIdentifier starts one identification run over css with a fresh
@@ -255,7 +248,7 @@ func SortedLockGroups(css []*trace.CritSec) [][]*trace.CritSec {
 	for l := range byLock {
 		locks = append(locks, l)
 	}
-	sort.Slice(locks, func(i, j int) bool { return locks[i] < locks[j] })
+	slices.Sort(locks)
 	groups := make([][]*trace.CritSec, len(locks))
 	for i, l := range locks {
 		groups[i] = byLock[l]
@@ -297,12 +290,46 @@ func MergeReports(reports ...*Report) *Report {
 }
 
 // run scans every lock group in ascending lock order and returns the
-// finished report.
+// finished report. The causal edges are sized once, for the most the
+// groups can yield.
 func (id *identifier) run() *Report {
-	for _, g := range SortedLockGroups(id.css) {
+	groups := SortedLockGroups(id.css)
+	edges := 0
+	for _, g := range groups {
+		edges += maxEdges(g)
+	}
+	if edges > 0 {
+		id.rep.CausalEdges = make([]Edge, 0, edges)
+	}
+	for _, g := range groups {
 		id.runLock(g)
 	}
 	return id.finish()
+}
+
+// maxEdges bounds the causal edges a lock group yields: RULE 1 ends each
+// (section, peer thread) scan at its first edge, so a section has at most
+// one per other thread that holds the lock.
+func maxEdges(group []*trace.CritSec) int {
+	_, active := threadCounts(group)
+	return len(group) * (active - 1)
+}
+
+// threadCounts counts a lock group's sections per thread, and the
+// threads that have any.
+func threadCounts(group []*trace.CritSec) (counts []int, active int) {
+	threads := 0
+	for _, cs := range group {
+		threads = max(threads, int(cs.Thread)+1)
+	}
+	counts = make([]int, threads)
+	for _, cs := range group {
+		if counts[cs.Thread] == 0 {
+			active++
+		}
+		counts[cs.Thread]++
+	}
+	return counts, active
 }
 
 // maxPairChunk bounds a chunk of pair rows (128 KiB).
@@ -343,24 +370,16 @@ func (id *identifier) finish() *Report {
 // runLock scans one lock's critical sections: per thread in acquisition
 // order, with peer threads visited in ascending order.
 func (id *identifier) runLock(lockCSs []*trace.CritSec) {
-	threads := 0
-	for _, cs := range lockCSs {
-		threads = max(threads, int(cs.Thread)+1)
-	}
-	// next[t] counts thread t's sections, then walks them.
-	next := make([]int, threads)
-	active := 0
-	for _, cs := range lockCSs {
-		if next[cs.Thread] == 0 {
-			active++
-		}
-		next[cs.Thread]++
-	}
+	// next[t] counts thread t's sections, then walks them: the group is
+	// in acquisition order, so while a section is scanned, thread t's
+	// sections after it are perThread[t][next[t]:], and each peer's
+	// cursor only moves forward.
+	next, active := threadCounts(lockCSs)
 	if active < 2 {
 		return // single-thread lock: no cross-thread pairs
 	}
 	members := make([]member, len(lockCSs))
-	perThread := make([][]member, threads)
+	perThread := make([][]member, len(next))
 	off := 0
 	for t, n := range next {
 		perThread[t] = members[off : off : off+n]
@@ -370,13 +389,13 @@ func (id *identifier) runLock(lockCSs []*trace.CritSec) {
 	for _, cs := range lockCSs {
 		perThread[cs.Thread] = append(perThread[cs.Thread], member{cs, id.intern(cs.Region)})
 	}
-	id.rep.CausalEdges = slices.Grow(id.rep.CausalEdges, len(lockCSs))
+	id.rep.CausalEdges = slices.Grow(id.rep.CausalEdges, len(lockCSs)*(active-1))
 	for _, cs := range lockCSs {
 		cur := perThread[cs.Thread][next[cs.Thread]]
 		next[cs.Thread]++
 		for t, peer := range perThread {
 			if int32(t) != cs.Thread && len(peer) > 0 {
-				id.scan(cur, peer)
+				id.scan(cur, peer[next[t]:])
 			}
 		}
 	}
@@ -394,14 +413,12 @@ func (id *identifier) intern(r trace.Region) int32 {
 }
 
 // scan performs the RULE-1 sequential search: walk the peer thread's
-// critical sections after cur in the lock's acquisition order, classify
-// each pair, and stop at the first true contention (which becomes a
-// causal edge).
+// critical sections after cur (peer, in the lock's acquisition order),
+// classify each pair, and stop at the first true contention (which
+// becomes a causal edge).
 func (id *identifier) scan(cur member, peer []member) {
-	// peer is in acquisition order; start just past cur's position.
-	lo := sort.Search(len(peer), func(i int) bool { return peer[i].cs.SeqInLock > cur.cs.SeqInLock })
 	steps := 0
-	for _, p := range peer[lo:] {
+	for _, p := range peer {
 		steps++
 		if steps > id.opts.MaxScanPerThread {
 			id.rep.Truncated++
@@ -427,10 +444,24 @@ func (id *identifier) scan(cur member, peer []member) {
 // the trace with the two critical sections' enforced order reversed and
 // comparing final memory states (the reversed-replay extension of
 // Narayanasamy et al. the paper adopts). Verdicts are memoized per
-// code-region pair; once the replay budget is exhausted, unseen region
-// pairs conservatively classify as true contention. classify has left the
-// pair's conflict signature in id.sig.
+// conflict class — the two code regions and the conflict signature
+// classify has left in id.sig — and a class the run has seen costs only
+// the memo probe.
 func (id *identifier) benign(c1, c2 member) bool {
+	h := hashClass(c1.region, c2.region, id.sig)
+	if v, ok := id.memo.get(h, c1.region, c2.region, id.sig); ok {
+		return v
+	}
+	v := id.verdict(c1, c2)
+	id.memo.put(h, c1.region, c2.region, id.sig, v)
+	return v
+}
+
+// verdict resolves a class the run has not seen under pairKey's bytes:
+// the shared table's verdict, or the one memoised under the same bytes,
+// or else a reversed replay; once the replay budget is exhausted, unseen
+// classes conservatively classify as true contention.
+func (id *identifier) verdict(c1, c2 member) bool {
 	// key aliases the identifier's scratch buffer: lookups convert it in
 	// place (no allocation), and only a newly memoized class pays for a
 	// string of its own.
@@ -443,10 +474,6 @@ func (id *identifier) benign(c1, c2 member) bool {
 	if v, ok := id.benignMemo[string(key)]; ok {
 		return v
 	}
-	// Fast pre-filter: order-sensitive only if some conflicting address
-	// is written non-commutatively with distinct effects. Commutative-only
-	// conflicts (adds, or-bits) are benign without a replay; we still
-	// verify a sample of them through the replayer when budget allows.
 	if id.rep.ReversedReplays >= id.opts.MaxReversedReplays {
 		id.benignMemo[string(key)] = false
 		return false
