@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"perfplay/internal/cachepolicy"
 	"perfplay/internal/corpus"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/scheduler"
@@ -244,15 +245,15 @@ func TestAdmissionRedirectLandsOnIdlestPeer(t *testing.T) {
 func TestRetryPeerLoopBound(t *testing.T) {
 	aSrv, aTS := saturatedVictim(t, Config{QueueDepth: 1})
 	bSrv, bTS := saturatedVictim(t, Config{QueueDepth: 1})
-	aSrv.cfg.Peers = []string{bTS.URL}
-	bSrv.cfg.Peers = []string{aTS.URL}
+	aSrv.node.Peers = []string{bTS.URL}
+	bSrv.node.Peers = []string{aTS.URL}
 
 	// Occupy both queues, then poison both gossip views with stale
 	// "peer is idle" observations.
 	subA := decode[map[string]string](t, postJSON(t, aTS.URL+"/analyze", goldenSpecs[0].spec))
 	subB := decode[map[string]string](t, postJSON(t, bTS.URL+"/analyze", goldenSpecs[0].spec))
-	aSrv.gossip.Record(bTS.URL, scheduler.PeerStatus{QueueLen: 0, QueueCap: 1})
-	bSrv.gossip.Record(aTS.URL, scheduler.PeerStatus{QueueLen: 0, QueueCap: 1})
+	aSrv.node.Gossip.Record(bTS.URL, scheduler.PeerStatus{QueueLen: 0, QueueCap: 1})
+	bSrv.node.Gossip.Record(aTS.URL, scheduler.PeerStatus{QueueLen: 0, QueueCap: 1})
 
 	remote := &corpus.Remote{Base: aTS.URL}
 	start := time.Now()
@@ -364,7 +365,7 @@ func TestStaleCacheHintFallsBack(t *testing.T) {
 		t.Fatal("no cache key")
 	}
 	// Stale gossip: the peer once advertised this key (then evicted it).
-	srv.gossip.Record(empty.URL, scheduler.PeerStatus{QueueLen: 0, QueueCap: 64, CacheKeys: []string{key}})
+	srv.node.Gossip.Record(empty.URL, scheduler.PeerStatus{QueueLen: 0, QueueCap: 64, CacheKeys: []string{key}})
 
 	report := runJobReport(t, ts.URL, digestSpec(digest))
 	if report != want {
@@ -384,7 +385,7 @@ func TestAdmissionRedirectRecoversAfterFailedProbes(t *testing.T) {
 	srv, ts := saturatedVictim(t, Config{QueueDepth: 1, Peers: []string{idleTS.URL}})
 	first := postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec)
 	first.Body.Close()
-	srv.gossip.RecordErr(idleTS.URL, errors.New("connection refused"))
+	srv.node.Gossip.RecordErr(idleTS.URL, errors.New("connection refused"))
 
 	resp := postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec)
 	defer resp.Body.Close()
@@ -403,21 +404,24 @@ func TestAdmissionRedirectRecoversAfterFailedProbes(t *testing.T) {
 func TestCacheProbeOrderRanking(t *testing.T) {
 	peers := []string{"http://failed", "http://busy", "http://hinted", "http://unseen"}
 	srv, _ := testServer(t, Config{Peers: peers, CacheProbeFanout: 4})
-	srv.gossip.Record("http://failed", scheduler.PeerStatus{QueueLen: 0, QueueCap: 64})
-	srv.gossip.RecordErr("http://failed", errors.New("connection refused"))
-	srv.gossip.Record("http://busy", scheduler.PeerStatus{QueueLen: 5, QueueCap: 64})
-	srv.gossip.Record("http://hinted", scheduler.PeerStatus{QueueLen: 9, QueueCap: 64, CacheKeys: []string{"K"}})
+	srv.node.Gossip.Record("http://failed", scheduler.PeerStatus{QueueLen: 0, QueueCap: 64})
+	srv.node.Gossip.RecordErr("http://failed", errors.New("connection refused"))
+	srv.node.Gossip.Record("http://busy", scheduler.PeerStatus{QueueLen: 5, QueueCap: 64})
+	srv.node.Gossip.Record("http://hinted", scheduler.PeerStatus{QueueLen: 9, QueueCap: 64, CacheKeys: []string{"K"}})
 
 	hints := func(key string) func(scheduler.PeerStatus) bool {
 		return func(st scheduler.PeerStatus) bool { return st.HintsKey(key) }
 	}
-	got := srv.cacheProbeOrder(hints("K"))
+	order := func(hinted func(scheduler.PeerStatus) bool) []string {
+		return cachepolicy.ProbeOrder(srv.node.Peers, srv.node.Gossip.Snapshot(), hinted, srv.node.Fanout)
+	}
+	got := order(hints("K"))
 	want := []string{"http://hinted", "http://busy", "http://failed", "http://unseen"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("probe order = %v, want %v", got, want)
 	}
 	// Without the hint, depth decides among the healthy.
-	got = srv.cacheProbeOrder(hints("other-key"))
+	got = order(hints("other-key"))
 	if got[0] != "http://busy" {
 		t.Fatalf("unhinted order = %v, want the healthy peer first", got)
 	}
@@ -435,7 +439,7 @@ func TestQueueFullWithoutViablePeerOmitsRetryPeer(t *testing.T) {
 	srv, ts := saturatedVictim(t, Config{QueueDepth: 1, Peers: []string{peerTS.URL}})
 	first := postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec)
 	first.Body.Close()
-	srv.gossip.Record(peerTS.URL, scheduler.PeerStatus{QueueLen: 1, QueueCap: 1})
+	srv.node.Gossip.Record(peerTS.URL, scheduler.PeerStatus{QueueLen: 1, QueueCap: 1})
 
 	resp := postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec)
 	defer resp.Body.Close()

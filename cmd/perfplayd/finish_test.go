@@ -13,6 +13,7 @@ import (
 
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
+	"perfplay/internal/jobs"
 )
 
 // completedCounts scrapes perfplay_jobs_completed_total by status.
@@ -85,12 +86,12 @@ func TestEveryTerminalPathCountsAndRootsTheJob(t *testing.T) {
 			// Close the queue in the window between the reaper taking the
 			// expired lease and requeueing it: the reaper resets the job's
 			// state under the mutex in between, so holding it parks it there.
-			srv.mu.Lock()
-			for srv.queue.ClaimedCount() > 0 {
-				time.Sleep(time.Millisecond)
-			}
-			srv.queue.Close()
-			srv.mu.Unlock()
+			srv.node.With(id, func(*jobs.Job) {
+				for srv.node.Queue.ClaimedCount() > 0 {
+					time.Sleep(time.Millisecond)
+				}
+				srv.node.Queue.Close()
+			})
 			return base, id
 		}},
 		{"lost at boot", statusFailed, func(t *testing.T) (string, string) {

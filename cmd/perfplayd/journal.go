@@ -2,13 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"perfplay/internal/core"
+	"perfplay/internal/jobs"
 	"perfplay/internal/journal"
+	"perfplay/internal/pipeline"
 	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
 )
@@ -65,7 +68,7 @@ func (s *Server) Transition(op string, qj *scheduler.Job, thief string) {
 	rec := journal.Record{Op: op, Job: qj.ID, Thief: thief}
 	if op == scheduler.TransitionAdmitted {
 		rec.Spec, _ = json.Marshal(qj.Spec)
-		if j, ok := qj.Payload.(*job); ok {
+		if j, ok := qj.Payload.(*jobs.Job); ok {
 			rec.Meta = map[string]string{
 				jmetaTraceID:   j.TraceID,
 				jmetaSubmitted: j.Submitted.UTC().Format(time.RFC3339Nano),
@@ -79,16 +82,6 @@ func (s *Server) Transition(op string, qj *scheduler.Job, thief string) {
 		}
 	}
 	s.appendJournal(rec)
-}
-
-// journalTerminal records a job's terminal transition reached outside
-// the queue (local completion, failure, eviction) — the queue only sees
-// admission, claims and requeues; the owner sees the end.
-func (s *Server) journalTerminal(op, id string) {
-	if s.journal == nil {
-		return
-	}
-	s.appendJournal(journal.Record{Op: op, Job: id})
 }
 
 func (s *Server) appendJournal(rec journal.Record) {
@@ -110,17 +103,14 @@ func (s *Server) openJournal(cfg Config) error {
 	s.jrecovered = s.metrics.NewCounterVec("perfplay_journal_recovered_jobs_total",
 		"Jobs recovered from the journal at boot, by outcome (requeued, released, lost).",
 		"outcome")
-	// The queue journals through the server from here on; the replayed
-	// live jobs below re-admit themselves through the same path, which
-	// keeps the journal's view identical to the queue's.
-	s.queue.Journal = s
-
 	live := jr.Live()
 	if st := jr.Stats(); st.TruncatedTail {
 		s.logger.Warn("journal had a torn final record (crash mid-append); tail truncated",
 			"dir", cfg.JournalDir)
 	}
-	var claimed []*scheduler.Job
+	// Recovered jobs re-admit through the queue, which journals them
+	// again, so the journal's view stays identical to the queue's.
+	var queued, claimed []*jobs.Job
 	for _, lj := range live {
 		var spec scheduler.Spec
 		if len(lj.Spec) > 0 {
@@ -128,48 +118,39 @@ func (s *Server) openJournal(cfg Config) error {
 				return fmt.Errorf("journal: job %s: bad spec: %w", lj.Job, err)
 			}
 		}
-		j := s.recoveredJob(lj)
-		s.jobs[j.ID] = j
-		if n, ok := jobSeq(j.ID); ok && n > s.seq {
-			s.seq = n
-		}
+		j := recoveredJob(lj, spec)
+		s.node.Restore(j)
 		// An empty (unstealable) spec means the trace lived only in the
 		// dead process's memory — unrecoverable by construction.
 		if !spec.Stealable() {
-			s.failRecoveredLocked(j, fmt.Errorf("job lost in restart: its uploaded trace existed only in the previous process's memory (store traces via POST /traces to survive restarts)"))
+			s.lost(j, fmt.Errorf("job lost in restart: its uploaded trace existed only in the previous process's memory (store traces via POST /traces to survive restarts)"))
 			continue
 		}
 		req, err := s.requestFor("", spec, spanCtx{})
 		if err != nil {
-			s.failRecoveredLocked(j, fmt.Errorf("job not recovered: %w", err))
+			s.lost(j, fmt.Errorf("job not recovered: %w", err))
 			continue
 		}
-		j.req = req
-		qj := &scheduler.Job{ID: j.ID, Spec: spec, Payload: j}
+		state(j).req = req
 		if lj.Claimed {
-			// Out on a steal lease when the node died: the PR 4 expired-
-			// lease semantics apply verbatim — requeue at the front,
-			// after the queued backlog is restored below.
-			claimed = append(claimed, qj)
-			continue
-		}
-		if !s.queue.Push(qj) {
-			s.failRecoveredLocked(j, fmt.Errorf("job not recovered: queue full after restart (depth %d)", s.queue.Cap()))
-			continue
-		}
-		s.recovered.Requeued++
-		s.jrecovered.With("requeued").Inc()
-	}
-	if len(claimed) > 0 {
-		if dropped := s.queue.Requeue(claimed); len(dropped) > 0 {
-			// Unreachable in practice — the queue cannot be closed this
-			// early — but never silently lose a job.
-			for _, qj := range dropped {
-				s.failRecoveredLocked(qj.Payload.(*job), fmt.Errorf("job not recovered: queue closed during recovery"))
-			}
+			claimed = append(claimed, j) // out on a lease: requeued at the front
 		} else {
-			s.recovered.Released = len(claimed)
-			s.jrecovered.With("released").Add(float64(len(claimed)))
+			queued = append(queued, j)
+		}
+	}
+	requeued, released := len(queued), len(claimed)
+	for _, j := range s.node.Recover(queued, claimed) {
+		if slices.Contains(claimed, j) {
+			released = 0 // the front requeue is refused whole
+		} else {
+			requeued--
+		}
+		s.lost(j, errors.New(j.Error)) // already failed: only counted here
+	}
+	s.recovered.Requeued, s.recovered.Released = requeued, released
+	for outcome, n := range map[string]int{"requeued": requeued, "released": released} {
+		if n > 0 {
+			s.jrecovered.With(outcome).Add(float64(n))
 		}
 	}
 	if len(live) > 0 {
@@ -184,14 +165,9 @@ func (s *Server) openJournal(cfg Config) error {
 // live entry. The job keeps its original ID — clients polling GET
 // /jobs/{id} across the restart just see "queued" again — and its
 // original trace ID, so the distributed timeline survives too.
-func (s *Server) recoveredJob(lj journal.LiveJob) *job {
-	j := &job{
-		ID:      lj.Job,
-		Status:  statusQueued,
-		changed: make(chan struct{}),
-		spanID:  telemetry.NewSpanID(),
-	}
-	j.TraceID = lj.Meta[jmetaTraceID]
+func recoveredJob(lj journal.LiveJob, spec scheduler.Spec) *jobs.Job {
+	j := newJob(pipeline.Request{}, lj.Meta[jmetaTraceID], 0)
+	j.ID, j.Spec = lj.Job, spec
 	if !telemetry.ValidTraceID(j.TraceID) {
 		j.TraceID = telemetry.NewTraceID()
 	}
@@ -207,29 +183,11 @@ func (s *Server) recoveredJob(lj journal.LiveJob) *job {
 	return j
 }
 
-// failRecoveredLocked marks an unrecoverable journaled job failed —
-// visible to its client with a clear error, never silently dropped —
-// and records the loss. Called from NewServer, before any concurrency;
-// "Locked" in the sense that s.mu protection is not yet needed.
-func (s *Server) failRecoveredLocked(j *job, err error) {
-	s.journalTerminal(journal.OpFailed, j.ID)
-	s.finishLocked(j, core.Rendered{}, err)
+// lost fails an unrecoverable journaled job — visible to its client
+// with a clear error, never silently dropped — and counts the loss.
+func (s *Server) lost(j *jobs.Job, err error) {
+	s.node.Finish(j.ID, core.Rendered{}, "", err)
 	s.recovered.Lost++
 	s.jrecovered.With("lost").Inc()
 	s.logger.Warn("journaled job not recoverable", "job", j.ID, "err", err)
-}
-
-// jobSeq parses the numeric suffix of a "job-N" ID so recovery can
-// advance the ID sequence past every recovered job — a fresh submit
-// must never collide with a resurrected ID.
-func jobSeq(id string) (int64, bool) {
-	rest, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(rest, 10, 64)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }

@@ -1,29 +1,11 @@
 // Command perfplayd is the PerfPlay analysis daemon: a long-running
-// HTTP service that accepts analysis jobs — a workload spec or an
-// uploaded trace file — runs up to -workers of them at once through
-// internal/pipeline, one goroutine each, off a bounded job queue, and
-// serves the ranked reports back as JSON.
-//
-// The full HTTP API reference — every route, request/response schema,
-// error code and curl example — lives in docs/API.md (kept in sync with
-// the registered mux by CI via the -print-routes flag). In brief:
-//
-//	POST   /analyze           submit a job (workload spec, stored-trace
-//	                          reference, or raw trace upload); a full
-//	                          queue 503s with a Retry-Peer redirect
-//	GET    /jobs/{id}         job status/report; ?wait= long-polls
-//	GET    /jobs/{id}/trace   the job's distributed span timeline
-//	POST   /jobs/claim        a peer claims a whole queued job (work stealing)
-//	POST   /jobs/{id}/result  the thief reports the finished job back
-//	GET    /steal             stealable-backlog + cache-hint probe
-//	GET    /cache/results/{key}  export a cached analysis result (wire form)
-//	GET    /cache/tables/{key}   export a cached verdict table
-//	GET    /healthz           liveness, occupancy, cluster gossip
-//	GET    /metrics           Prometheus text-format metrics
-//	POST   /traces            store a trace in the content-addressed corpus
-//	GET    /traces[/{digest}] list / download stored traces
-//	DELETE /traces/{digest}   evict a stored trace
-//	PATCH  /traces/{digest}   pin or unpin a stored trace
+// HTTP service that accepts analysis jobs — a workload spec, a stored
+// trace's digest, or an uploaded trace — runs up to -workers of them at
+// once through internal/pipeline, one goroutine each, off a bounded job
+// queue, and serves the ranked reports back as JSON. Every job moves
+// through the lifecycle in internal/jobs; this command is its HTTP
+// front end. docs/API.md is the route reference (CI diffs it against
+// -print-routes), docs/OBSERVABILITY.md the metric and span catalog.
 //
 // Usage:
 //
@@ -37,40 +19,21 @@
 //	          [-cache-probe-fanout 2] [-cache-hint-keys 32]
 //	          [-node name] [-pprof] [-print-routes]
 //
-// Observability: GET /metrics serves every counter, gauge and histogram
-// in the Prometheus text format; GET /jobs/{id}/trace serves a job's
-// cross-node span timeline; logs are structured (log/slog) and carry
-// the node name plus job/trace IDs. -pprof additionally mounts the
-// net/http/pprof handlers under /debug/pprof/ (off by default). See
-// docs/OBSERVABILITY.md for the metric catalog and span names.
-//
 // On SIGINT/SIGTERM the daemon stops accepting connections, waits for
 // in-flight requests and running jobs, then exits.
 //
-// Durability: every job queue transition is fsynced to an append-only
-// journal (-journal-dir, by default <corpus>-journal next to the
-// corpus), and a restarted daemon replays it — jobs queued at crash
-// time re-enter the queue in admit order, jobs out on a steal lease
-// are requeued at the front like any expired lease, and determinism
-// makes the recovered runs byte-identical to what the lost runs would
-// have produced. GET /healthz's "journal" section and the
-// perfplay_journal_* metrics show the log's size, live backlog and
-// what the last boot recovered. -journal-dir "" disables durability.
+// Durability: every job transition is fsynced to an append-only journal
+// (-journal-dir, by default <corpus>-journal), and a restarted daemon
+// replays it — queued jobs re-enter the queue in admit order, jobs out
+// on a steal lease are requeued at the front, and determinism makes the
+// re-runs byte-identical to the lost ones. -journal-dir "" disables it.
 //
-// Cluster mode: give every node the same -corpus-backed setup and point
-// each at its peers with -peers. Each node then runs a whole-job
-// stealer: when idle it claims entire queued jobs from the busiest
-// peer, executes them locally (fetching the trace blob by content
-// digest when needed), and reports the results back — so the cluster
-// is a symmetric pool, not a star. Cached analysis results are a
-// cluster resource too: before executing a cache-missed job over a
-// stored trace, a node probes its peers' result caches by content-
-// addressed key (gossip-ordered, bounded fan-out) and a hit settles the
-// job with zero replays; a full node's 503 redirects submitters to the
-// idlest peer via the Retry-Peer header. Those are the only ways work
-// moves between nodes: a job never leaves its node mid-run. See
-// docs/ARCHITECTURE.md for the topology and README "Cluster mode" for
-// a quickstart.
+// Cluster mode: give every node a -corpus and point it at its peers
+// with -peers. An idle node steals whole queued jobs from the busiest
+// peer; before running a cache-missed job over a stored trace it probes
+// its peers' result and verdict-table caches; a full node's 503 names
+// the idlest peer in a Retry-Peer header. A job never leaves its node
+// mid-run. See docs/ARCHITECTURE.md "Job lifecycle".
 package main
 
 import (

@@ -80,7 +80,7 @@ func TestPartitionSeversOnlyWarmPeerMidProbe(t *testing.T) {
 	}
 	// The hint is genuine as of the last gossip exchange; the partition
 	// happened after.
-	srv.gossip.Record(severed, scheduler.PeerStatus{QueueLen: 0, QueueCap: 64, CacheKeys: []string{key}})
+	srv.node.Gossip.Record(severed, scheduler.PeerStatus{QueueLen: 0, QueueCap: 64, CacheKeys: []string{key}})
 
 	report := runJobReport(t, ts.URL, digestSpec(digest))
 	if report != want {

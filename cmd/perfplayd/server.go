@@ -21,6 +21,7 @@ import (
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
 	"perfplay/internal/corpus"
+	"perfplay/internal/jobs"
 	"perfplay/internal/journal"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/scheduler"
@@ -29,13 +30,13 @@ import (
 	"perfplay/internal/workload"
 )
 
-// Config sizes the daemon.
+// Config sizes the daemon. Zero means the default named per field.
 type Config struct {
-	// Workers is the number of job-executor goroutines (0 = 2), each
-	// running one analysis at a time.
+	// Workers is the number of job-executor goroutines, each running one
+	// analysis at a time (0 = 2).
 	Workers int
-	// QueueDepth bounds the pending-job queue; submissions beyond it
-	// are rejected with 503 so memory stays bounded under load (0 = 64).
+	// QueueDepth bounds the pending-job queue; submissions beyond it get
+	// 503 (0 = 64).
 	QueueDepth int
 	// CacheSize is the pipeline's LRU result cache capacity (0 = 128).
 	CacheSize int
@@ -44,72 +45,46 @@ type Config struct {
 	MaxJobs int
 	// MaxTraceBytes caps each uploaded trace body (0 = 64 MiB).
 	MaxTraceBytes int64
-	// MaxQueuedTraceBytes caps the sum of upload sizes across all
-	// queued-but-unstarted trace jobs plus uploads still being
-	// buffered in handlers — a parsed trace lives in memory until a
-	// worker drains it, so the count-based queue bound alone would
-	// still admit QueueDepth×MaxTraceBytes of retained trace data.
-	// Chunked uploads (no Content-Length) can overshoot by at most one
-	// MaxTraceBytes body each before their size is known (0 = 256 MiB).
+	// MaxQueuedTraceBytes caps the upload bytes of queued-but-unstarted
+	// jobs plus uploads still being buffered: a parsed trace lives in
+	// memory until a worker drains it. A chunked upload can overshoot by
+	// one body before its size is known (0 = 256 MiB).
 	MaxQueuedTraceBytes int64
-	// CorpusDir roots the content-addressed trace store behind the
-	// /traces endpoints and "trace": "sha256:..." analyze requests.
-	// Empty disables the corpus (those requests get 503).
+	// CorpusDir roots the content-addressed trace store behind /traces
+	// and "trace": "sha256:..." analyze requests; empty disables it.
 	CorpusDir string
-	// CorpusMaxBytes caps the corpus blob bytes; least-recently-used
-	// unpinned traces are evicted beyond it (0 = 1 GiB).
+	// CorpusMaxBytes caps the corpus; least-recently-used unpinned
+	// traces are evicted beyond it (0 = 1 GiB).
 	CorpusMaxBytes int64
-	// JournalDir roots the crash-durable job journal: every queue
-	// transition is fsynced there, and a restarted daemon replays it to
-	// resurrect jobs that were queued (re-enqueued in admit order) or
-	// out on a steal lease (requeued at the front, like an expired
-	// lease) when the previous process died. Empty disables the journal
-	// — a restart then loses the queue, the pre-journal behavior. The
-	// perfplayd binary defaults it next to the corpus (-journal-dir).
+	// JournalDir roots the crash-durable job journal a restarted daemon
+	// replays (see journal.go); empty disables it.
 	JournalDir string
-	// Peers lists peer daemon base URLs ("http://host:8080"). When
-	// non-empty this node steals whole queued jobs from them when idle,
-	// probes their result/table caches before running a cache-missed
-	// job, and redirects submitters to the idlest of them when its own
-	// queue is full. A job never leaves its node mid-run, so a dead
-	// peer degrades throughput, never correctness.
+	// Peers lists peer base URLs ("http://host:8080") to steal whole jobs
+	// from, probe caches of, and redirect full-queue submitters to.
 	Peers []string
-	// StealLease bounds how long a peer that claimed a whole job
-	// (POST /jobs/claim) may hold it before reporting a result; past
-	// the lease the job is re-enqueued locally at the front of the
-	// queue, so a crashed thief costs one lease of latency, never the
-	// job (0 = 2 min).
+	// StealLease bounds how long a thief may hold a claimed job before
+	// it is requeued here, at the front (0 = 2 min).
 	StealLease time.Duration
-	// StealInterval is the idle-poll cadence of this node's own
-	// stealer loop, started by StartStealer (0 = 1s; negative disables
-	// stealing even when peers are configured).
+	// StealInterval is the idle-poll cadence of this node's stealer
+	// (0 = 1s; negative disables stealing).
 	StealInterval time.Duration
-	// CacheProbeTimeout bounds each cluster-cache probe (GET
-	// /cache/results/{key}, GET /cache/tables/{key}) and each
-	// on-demand admission probe. Short by design: a probe saves a
-	// whole replay pipeline when it hits, but must cost almost nothing
-	// when the peer is dead (0 = cachepolicy.Defaults().ProbeTimeout).
+	// CacheProbeTimeout bounds each cluster-cache probe and each
+	// admission probe (0 = cachepolicy.Defaults().ProbeTimeout).
 	CacheProbeTimeout time.Duration
-	// CacheProbeFanout bounds how many peers one cache-missed job
-	// probes before running locally (0 =
-	// cachepolicy.Defaults().ProbeFanout; it also caps the admission
-	// path's on-demand probe round).
+	// CacheProbeFanout bounds the peers one probe round asks
+	// (0 = cachepolicy.Defaults().ProbeFanout).
 	CacheProbeFanout int
-	// CacheHintKeys bounds the recent result-cache keys gossiped in
-	// each GET /steal response — the cache-population hints peers use
-	// to aim their probes (0 = cachepolicy.Defaults().HintKeys).
+	// CacheHintKeys bounds the result-cache keys, and the stealable
+	// digests, each GET /steal advertises (0 =
+	// cachepolicy.Defaults().HintKeys).
 	CacheHintKeys int
-	// NodeName labels this node's spans and structured log lines, so a
-	// cross-node trace reads as a story of named machines (0 = the
+	// NodeName labels this node's spans and log lines (empty = the
 	// hostname).
 	NodeName string
 	// Logger receives the daemon's structured logs (nil =
-	// slog.Default()). Every line carries the node name; job-lifecycle
-	// lines carry job, trace and span IDs.
+	// slog.Default()).
 	Logger *slog.Logger
-	// EnablePprof mounts net/http/pprof under GET /debug/pprof/ —
-	// off by default because profiling endpoints leak operational
-	// detail and cost CPU when scraped.
+	// EnablePprof mounts net/http/pprof under GET /debug/pprof/.
 	EnablePprof bool
 }
 
@@ -170,9 +145,7 @@ func (c Config) withDefaults() Config {
 	if c.StealInterval == 0 {
 		c.StealInterval = time.Second
 	}
-	// The cache-layer knobs share cachepolicy.Defaults() with the
-	// perfplayd flag declarations and the clustersim policy lab, so the
-	// sweep-backed values cannot drift between surfaces.
+	// Shared with the flag declarations and the policy lab.
 	d := cachepolicy.Defaults()
 	if c.CacheProbeTimeout == 0 {
 		c.CacheProbeTimeout = d.ProbeTimeout
@@ -191,65 +164,42 @@ func (c Config) withDefaults() Config {
 
 // Job states.
 const (
-	statusQueued  = "queued"
-	statusRunning = "running"
-	statusDone    = "done"
-	statusFailed  = "failed"
+	statusQueued  = jobs.Queued
+	statusRunning = jobs.Running
+	statusDone    = jobs.Done
+	statusFailed  = jobs.Failed
 )
 
-// job is one submitted analysis. Only the rendered summary is retained
-// after completion — never the traces — so a long-running daemon's
-// footprint is bounded by MaxJobs small records.
-type job struct {
-	ID        string    `json:"id"`
-	Status    string    `json:"status"`
-	Submitted time.Time `json:"submitted"`
-	Finished  time.Time `json:"finished,omitzero"`
-	Error     string    `json:"error,omitempty"`
+// node is the daemon's instance of the shared job lifecycle, probing
+// peers' caches for wire results and verdict tables.
+type node = jobs.Node[*pipeline.WireResult, *pipeline.WireTable]
 
-	TraceDigest string `json:"trace_digest,omitempty"`
-	Seed        int64  `json:"seed,omitempty"`
-	// StolenBy is the peer currently holding (or that completed) this
-	// job's steal lease — empty for jobs that ran locally.
-	StolenBy string `json:"stolen_by,omitempty"`
-	// CachePeer is the peer whose cluster cache settled this job (a
-	// remote result-cache hit: zero local replays) — empty for jobs
-	// computed locally or stolen.
-	CachePeer string `json:"cache_peer,omitempty"`
-	// TraceID is the job's distributed trace — minted at submit (or
-	// adopted from the client's X-Perfplay-Trace header) and propagated
-	// across every steal and cache probe. GET
-	// /jobs/{id}/trace serves the recorded timeline.
-	TraceID string `json:"trace_id,omitempty"`
-
-	// Rendered is the finished summary at the job's report depth — the
-	// same struct whether a local worker filled it, a thief posted it
-	// back (POST /jobs/{id}/result) or a peer's cache exported it, which
-	// is what makes the job's JSON field for field the same wherever it
-	// was computed.
-	core.Rendered
-
+// jobState is what the daemon keeps per job beside the lifecycle
+// (jobs.Job.Local). Only the rendered summary outlives the run — never
+// the trace — so retained jobs stay small.
+type jobState struct {
 	req pipeline.Request
-	// traceBytes is the uploaded body size (an estimate of the parsed
-	// trace's footprint) counted against MaxQueuedTraceBytes until the
-	// job starts.
+	// traceBytes is the uploaded body size counted against
+	// MaxQueuedTraceBytes until the job starts.
 	traceBytes int64
-	// changed is closed (and replaced) on every status transition, so
-	// GET /jobs/{id}?wait=... long-polls wake on state change rather
-	// than spinning. Guarded by Server.mu.
+	// changed is closed and replaced on every status change, so GET
+	// /jobs/{id}?wait= wakes on a transition. Guarded by the node's lock.
 	changed chan struct{}
-	// spanID is the job's root span, minted at submit so children
-	// (queue wait, execution — local, stolen or cache-served) can
-	// parent onto it before the root itself is recorded at completion.
+	// spanID is the job's root span, minted at submit so children can
+	// parent onto it before the root is recorded at completion.
 	spanID string
 }
 
-// notifyLocked broadcasts a job state change: every waiting long-poll
-// wakes, and later waiters get a fresh channel. Call with Server.mu
-// held.
-func (j *job) notifyLocked() {
-	close(j.changed)
-	j.changed = make(chan struct{})
+func state(j *jobs.Job) *jobState { return j.Local.(*jobState) }
+
+func newJob(req pipeline.Request, traceID string, traceBytes int64) *jobs.Job {
+	return &jobs.Job{
+		TraceDigest: req.TraceDigest,
+		Seed:        req.Seed,
+		TraceID:     traceID,
+		Spec:        specFor(req),
+		Local:       &jobState{req: req, traceBytes: traceBytes, changed: make(chan struct{}), spanID: telemetry.NewSpanID()},
+	}
 }
 
 // analyzeSpec is the JSON body of POST /analyze.
@@ -265,32 +215,24 @@ type analyzeSpec struct {
 	Races   bool    `json:"races"`
 }
 
-// Server is the perfplayd HTTP front end: a bounded *stealable* job
-// queue drained by a fixed set of workers, each running one job's
-// pipeline at a time. Idle peers may claim whole queued jobs over HTTP
-// and run them remotely (see internal/scheduler); the server's own
-// stealer loop does the same against its peers.
+// Server is the perfplayd HTTP front end over one jobs.Node: handlers
+// and the worker, reaper and stealer loops decode, call the node and
+// encode; spans, long polls and pipeline.Run stay here as its hooks.
 type Server struct {
 	cfg    Config
 	pl     *pipeline.Pipeline
 	corpus *corpus.Store // nil when Config.CorpusDir is empty
-	queue  *scheduler.Queue
-	gossip *scheduler.Gossip
-	// cacheClient issues cluster-cache and admission probes under the
-	// short CacheProbeTimeout; peerClient carries the calls that move a
-	// whole job or a trace blob (steal probe/claim/settle, trace fetch)
-	// under peerCallTimeout.
+	node   *node
+	// cacheClient carries cache and admission probes under the short
+	// CacheProbeTimeout; peerClient the calls that move a whole job or a
+	// trace blob, under peerCallTimeout.
 	cacheClient *http.Client
 	peerClient  *http.Client
-	// cacheStats counts cluster-cache traffic (see cache.go); its
-	// counters live in the metrics registry, so /healthz and /metrics
-	// render the same numbers.
-	cacheStats cacheStats
+	cacheStats  cacheStats
 
-	// metrics is the process-wide registry behind GET /metrics; every
-	// subsystem (pipeline, scheduler, corpus, the handlers) registers
-	// its instruments here. traces holds per-job span timelines behind
-	// GET /jobs/{id}/trace. See telemetry.go.
+	// The process-wide registry behind GET /metrics, the span store
+	// behind GET /jobs/{id}/trace, and the daemon's instruments; see
+	// telemetry.go.
 	metrics      *telemetry.Registry
 	traces       *telemetry.TraceStore
 	logger       *slog.Logger
@@ -300,24 +242,16 @@ type Server struct {
 	httpReqs     *telemetry.CounterVec
 	jobsDone     *telemetry.CounterVec
 
-	// journal is the crash-durable transition log (nil when
-	// Config.JournalDir is empty); recovered/jrecovered count what the
-	// boot-time replay resurrected. See journal.go.
+	// journal is the crash-durable transition log (nil without
+	// Config.JournalDir); see journal.go.
 	journal    *journal.Journal
 	jrecovered *telemetry.CounterVec
 	recovered  recoveredStats
 
 	mu               sync.Mutex
-	jobs             map[string]*job
-	order            []string // finished job IDs, oldest first, for eviction
-	seq              int64
 	queuedTraceBytes int64 // upload bytes awaiting a worker
 	inflightBytes    int64 // upload bytes being buffered/parsed in handlers
-	running          int   // jobs executing right now (local + stolen)
 	stealer          *scheduler.Stealer
-	// lastAdmissionProbe rate-limits idlestPeer's synchronous fallback
-	// probe round (see admissionProbeAllowed).
-	lastAdmissionProbe time.Time
 
 	wg      sync.WaitGroup
 	stop    chan struct{} // closed on Close; stops reaper and stealer
@@ -333,20 +267,42 @@ func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:         cfg,
-		queue:       scheduler.NewQueue(cfg.QueueDepth),
-		gossip:      scheduler.NewGossip(),
-		jobs:        make(map[string]*job),
 		cacheClient: &http.Client{Timeout: cfg.CacheProbeTimeout},
 		peerClient:  &http.Client{Timeout: peerCallTimeout},
 		stop:        make(chan struct{}),
 	}
-	// The registry must exist before any subsystem that registers
-	// instruments into it — the pipeline, the corpus, the queue and the
-	// cluster-cache counters all share it.
+	// Every subsystem registers its instruments in the one registry.
 	s.initTelemetry(cfg)
 	s.pl = pipeline.New(pipeline.Options{CacheSize: cfg.CacheSize, Metrics: s.metrics})
-	s.queue.Metrics = s.schedMetrics
 	s.cacheStats = newCacheStats(s.metrics)
+	s.node = jobs.New[*pipeline.WireResult](jobs.Config[*pipeline.WireTable]{
+		QueueDepth:    cfg.QueueDepth,
+		Peers:         cfg.Peers,
+		Lease:         cfg.StealLease,
+		StealInterval: cfg.StealInterval,
+		MaxJobs:       cfg.MaxJobs,
+		Fanout:        cfg.CacheProbeFanout,
+		HintKeys:      cfg.CacheHintKeys,
+		Local:         localCache{s},
+		Probe:         func(peer string) (scheduler.PeerStatus, error) { return scheduler.Probe(s.cacheClient, peer) },
+		Journal:       s,
+		Metrics:       s.schedMetrics,
+		Hooks: jobs.Hooks{
+			Changed: func(j *jobs.Job) {
+				st := state(j)
+				close(st.changed)
+				st.changed = make(chan struct{})
+			},
+			Finished: s.finished,
+			Expired: func(j *jobs.Job, now time.Time) {
+				s.logger.Warn("steal lease expired; re-queued locally",
+					"job", j.ID, "thief", j.StolenBy, "trace", j.TraceID, "span", state(j).spanID)
+				s.span(spanCtx{trace: j.TraceID, parent: state(j).spanID}, "lease_expired",
+					now, now, map[string]string{"job": j.ID, "thief": j.StolenBy})
+			},
+		},
+	})
+	scheduler.RegisterQueueGauges(s.metrics, s.node.Queue)
 	if cfg.CorpusDir != "" {
 		st, err := corpus.Open(cfg.CorpusDir, corpus.Options{MaxBytes: cfg.CorpusMaxBytes, Metrics: s.metrics})
 		if err != nil {
@@ -394,11 +350,11 @@ func (s *Server) StartStealer(self string) {
 	}
 	s.stealer = &scheduler.Stealer{
 		Self:      self,
-		Peers:     s.cfg.Peers,
+		Peers:     s.node.Peers,
 		Interval:  s.cfg.StealInterval,
 		Idle:      s.idle,
 		Execute:   s.executeStolen,
-		Gossip:    s.gossip,
+		Gossip:    s.node.Gossip,
 		Transport: s.stealTransport(),
 		// Hint-driven victim ordering: prefer stealing jobs whose trace
 		// artifacts (result or verdict table) are already cached here.
@@ -416,14 +372,12 @@ func (s *Server) StartStealer(self string) {
 // idle reports whether this node has spare capacity for stolen work:
 // nothing waiting locally and at least one worker unoccupied.
 func (s *Server) idle() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queue.Len() == 0 && s.running < s.cfg.Workers
+	return s.node.Queue.Len() == 0 && s.node.Running() < s.cfg.Workers
 }
 
 // Close stops accepting jobs and waits for in-flight ones (including
 // the reaper and stealer loops). Submissions racing with Close get a
-// 503 — enqueue checks the closed flag under the mutex.
+// 503.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -432,7 +386,7 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	close(s.stop)
-	s.queue.Close()
+	s.node.Queue.Close()
 	s.mu.Unlock()
 	s.wg.Wait()
 	// Close the journal only after every worker and the reaper have
@@ -449,136 +403,73 @@ func (s *Server) Close() {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		qj, ok := s.queue.Pop()
+		qj, ok := s.node.Queue.Pop()
 		if !ok {
 			return
 		}
-		s.runJob(qj.Payload.(*job))
+		s.runJob(s.node.Begin(qj))
 	}
 }
 
-// reaper re-enqueues jobs whose steal lease expired — the thief crashed
-// or lost its network — so they run locally instead of being lost.
+// reaper requeues jobs whose steal lease expired — the thief crashed or
+// lost its network — so they run locally instead of being lost.
 func (s *Server) reaper() {
 	defer s.wg.Done()
-	interval := min(s.cfg.StealLease/4, time.Second)
-	if interval <= 0 {
-		interval = time.Second
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(jobs.ReapInterval(s.cfg.StealLease))
 	defer ticker.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
-		case now := <-ticker.C:
-			expired := s.queue.TakeExpired(now)
-			if len(expired) == 0 {
-				continue
-			}
-			// Reset each job's visible state BEFORE Requeue makes it
-			// poppable again — a worker could otherwise pop and even
-			// finish the job (result-cache hit) and then have its
-			// terminal status clobbered back to "queued" here.
-			s.mu.Lock()
-			for _, qj := range expired {
-				j := qj.Payload.(*job)
-				s.logger.Warn("steal lease expired; re-queued locally",
-					"job", j.ID, "thief", j.StolenBy, "trace", j.TraceID, "span", j.spanID)
-				s.span(spanCtx{trace: j.TraceID, parent: j.spanID}, "lease_expired",
-					now, now, map[string]string{"job": j.ID, "thief": j.StolenBy})
-				j.StolenBy = ""
-				j.Status = statusQueued
-				j.notifyLocked()
-			}
-			s.mu.Unlock()
-			// A closed queue admits no requeues: the jobs come back as
-			// dropped (journaled as abandoned by the queue) and are
-			// marked failed so their clients see the loss instead of a
-			// "queued" job no worker will ever run.
-			if dropped := s.queue.Requeue(expired); len(dropped) > 0 {
-				s.mu.Lock()
-				for _, qj := range dropped {
-					j := qj.Payload.(*job)
-					s.finishLocked(j, core.Rendered{}, errors.New("abandoned: steal lease expired while the server was shutting down"))
-					s.logger.Warn("expired-lease job abandoned: queue closed", "job", j.ID)
-				}
-				s.mu.Unlock()
-			}
+		case <-ticker.C:
+			s.node.Reap()
 		}
 	}
 }
 
-func (s *Server) runJob(j *job) {
+func (s *Server) runJob(j jobs.Job) {
 	popped := time.Now()
+	st := state(&j)
 	s.mu.Lock()
-	j.Status = statusRunning
-	j.notifyLocked()
-	s.queuedTraceBytes -= j.traceBytes // the upload has left the queue
-	s.running++
-	submitted := j.Submitted
-	tc := spanCtx{trace: j.TraceID, parent: j.spanID}
+	s.queuedTraceBytes -= st.traceBytes // the upload has left the queue
 	s.mu.Unlock()
-	s.span(tc, "queue_wait", submitted, popped, nil)
-
-	sum, cachePeer, err := s.executeJob(j.req, tc)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running--
-	j.CachePeer = cachePeer
+	release := s.node.Occupy(j.ID)
+	tc := spanCtx{trace: j.TraceID, parent: st.spanID}
+	s.span(tc, "queue_wait", j.Submitted, popped, nil)
+	sum, cachePeer, err := s.execute(st.req, tc)
+	release()
 	// The pop left the job live in the journal on purpose — a crash
-	// mid-run replays it as queued and re-runs it. Only a terminal
-	// status retires the record.
-	if err != nil {
-		s.journalTerminal(journal.OpFailed, j.ID)
-	} else {
-		s.journalTerminal(journal.OpSettled, j.ID)
-	}
-	s.finishLocked(j, sum, err)
+	// mid-run replays it as queued and re-runs it. Only Finish's
+	// terminal record retires it.
+	s.node.Finish(j.ID, sum, cachePeer, err)
 }
 
-// finishLocked is the one place a job becomes terminal, whichever path
-// ended it — a local run, a thief's report, a lease that expired into a
-// closed queue, a loss at boot: status with summary or error, waiters,
-// the completed counter, the root span and retention. Journal appends
-// stay with the callers, where they differ. Call with Server.mu held
-// (or before any concurrency, from NewServer).
-func (s *Server) finishLocked(j *job, sum core.Rendered, err error) {
-	j.Finished = time.Now()
-	j.req = pipeline.Request{} // release any uploaded trace
-	if err != nil {
-		j.Status, j.Error = statusFailed, err.Error()
-	} else {
-		j.Status, j.Rendered = statusDone, sum
-	}
-	j.notifyLocked()
+// finished is the node's terminal hook, whichever path ended the job:
+// it releases any uploaded trace, counts the job and records its root
+// span.
+func (s *Server) finished(j *jobs.Job) {
+	st := state(j)
+	st.req = pipeline.Request{}
 	s.jobsDone.With(j.Status).Inc()
-	s.recordSpan(spanCtx{trace: j.TraceID, parent: j.spanID}, telemetry.Span{
-		ID: j.spanID, Name: "job", Start: j.Submitted, End: j.Finished,
+	s.recordSpan(spanCtx{trace: j.TraceID, parent: st.spanID}, telemetry.Span{
+		ID: st.spanID, Name: "job", Start: j.Submitted, End: j.Finished,
 		Attrs: map[string]string{"job": j.ID, "status": j.Status},
 	})
-	s.order = append(s.order, j.ID)
-	s.evictLocked()
 }
 
-// executeJob produces one job's summary: settled from a peer's cluster
-// cache when the local cache misses but a peer's hits (zero replays,
-// zero parses — the wire result is the finished summary), else by running
-// the pipeline locally — after best-effort importing the job's verdict
-// table from a peer, so even the local run can skip every reversed
-// replay. A job the local result cache can already answer probes no
-// one: the run below settles instantly without consulting the table
-// cache, so even an evicted table would be wasted network I/O. The
-// returned peer is non-empty only for remote cache hits.
-func (s *Server) executeJob(req pipeline.Request, tc spanCtx) (core.Rendered, string, error) {
-	if key, ok := s.pl.CacheKeyFor(req); !ok || !s.pl.HasResult(key) {
-		if wr, peer, ok := s.probePeerCaches(req, tc); ok {
-			sum := wr.Rendered
-			sum.CacheHit = true
-			return sum, peer, nil
-		}
-		s.probePeerTables(req, tc)
+// execute produces one job's summary, local or stolen. The node picks
+// the source: the local result cache or the run (both pipeline.Run),
+// or a peer's cached result — zero replays, zero parses. The returned
+// peer is non-empty only for a peer's hit.
+func (s *Server) execute(req pipeline.Request, tc spanCtx) (core.Rendered, string, error) {
+	k := jobs.Keys{Digest: req.TraceDigest, TopK: req.TopK}
+	k.Result, _ = s.pl.CacheKeyFor(req)
+	k.Table, _ = s.pl.TableKeyFor(req)
+	if src, wr, peer := s.node.Start(k, &httpCacheTransport{s: s, tc: tc}, s.observeProbe(tc)); src == jobs.PeerResult {
+		s.cacheStats.remoteHits.Inc()
+		sum := wr.Rendered
+		sum.CacheHit = true
+		return sum, peer, nil
 	}
 	// The pipeline records per-stage timings; execution itself is one
 	// span with a stage:<name> child per pipeline stage actually run.
@@ -609,15 +500,6 @@ func (s *Server) executeJob(req pipeline.Request, tc spanCtx) (core.Rendered, st
 	sum := res.Summary.At(res.Request.TopK)
 	sum.CacheHit = res.CacheHit
 	return sum, "", nil
-}
-
-// evictLocked drops the oldest finished jobs beyond MaxJobs.
-func (s *Server) evictLocked() {
-	for len(s.order) > s.cfg.MaxJobs {
-		delete(s.jobs, s.order[0])
-		s.journalTerminal(journal.OpEvicted, s.order[0])
-		s.order = s.order[1:]
-	}
 }
 
 // route pairs a mux pattern with its handler. The daemon's whole HTTP
@@ -863,14 +745,12 @@ func (s *Server) handleTracePin(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Cheap admission pre-checks before buffering the body, so overload
-	// rejection doesn't pay the read-and-parse cost; the authoritative
-	// checks re-run under the mutex at enqueue time.
+	// rejection doesn't pay the read-and-parse cost; Admit decides.
 	ct := r.Header.Get("Content-Type")
 	jsonish := ct == "" || strings.HasPrefix(ct, "application/json")
-	// Every submission gets a distributed trace ID — minted here, or
-	// adopted from the client's X-Perfplay-Trace header so a caller (or
-	// an upstream redirecting node) can stitch the job into its own
-	// trace. The ID is echoed on every response, including rejections.
+	// Every submission gets a distributed trace ID, minted here or
+	// adopted from the client's X-Perfplay-Trace header, and echoed on
+	// every response, rejections included.
 	traceID := r.Header.Get(telemetry.TraceHeader)
 	if !telemetry.ValidTraceID(traceID) {
 		traceID = telemetry.NewTraceID()
@@ -883,15 +763,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, clusterapi.CodeShuttingDown, "server shutting down")
 		return
 	}
-	if s.queue.Len() >= s.queue.Cap() {
+	if s.node.Queue.Len() >= s.node.Queue.Cap() {
 		s.rejectQueueFull(w, traceID)
 		return
 	}
 
-	// Trace bytes are budgeted from the moment they start buffering,
-	// not just once queued (see reserveInflight). Known-length uploads
-	// reserve before the body is read; chunked ones reserve as soon as
-	// their size is known, right after buffering.
+	// Trace bytes are budgeted from the moment they start buffering
+	// (see reserveInflight): known-length uploads before the body is
+	// read, chunked ones right after.
 	var release func()
 	reserve := func(n int64) bool {
 		release = s.reserveInflight(n)
@@ -903,9 +782,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	backlogFull := func() { s.backlogFull(w) }
-	// Declared-trace bodies go through the shared admission checks;
-	// jsonish bodies might still be workload specs, so their (possible)
-	// trace bytes are only reserved after sniffing, below.
+	// jsonish bodies might still be workload specs: they reserve only
+	// after sniffing, below.
 	if !jsonish {
 		var ok bool
 		if release, ok = s.admitUpload(w, r); !ok {
@@ -951,10 +829,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		uploadBytes = int64(buf.Len())
-		// Analysis options ride as query parameters on upload requests
-		// (the body is the trace itself). The body's content digest keys
-		// the result cache, so re-uploading identical bytes — or
-		// analyzing the same content stored in the corpus — is a hit.
+		// Options ride as query parameters; the body's content digest
+		// keys the result cache, so identical bytes — uploaded or stored
+		// — hit it.
 		q := r.URL.Query()
 		top, terr := queryInt(q, "top")
 		schemes, serr := queryBool(q, "schemes")
@@ -977,21 +854,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if spec.Trace != "" {
-			// Analyze a stored trace by digest: no re-upload, and the
-			// digest-keyed result cache is shared with direct uploads of
-			// the same bytes. The blob is NOT read here — a TraceLoader
-			// defers disk I/O and parsing to the worker, and only on a
-			// cache miss, so repeats of an already-analyzed trace cost
-			// neither memory while queued nor a redundant parse. That
-			// also means digest jobs draw nothing from the upload byte
-			// budget: at most Workers traces are in memory at once.
+			// A stored trace by digest. The blob is not read here: the
+			// TraceLoader defers I/O and parsing to the worker, on a cache
+			// miss only, so digest jobs draw nothing from the upload budget.
 			if !s.requireCorpus(w) {
 				return
 			}
-			// Touch, not Stat: referencing a trace by digest must count
-			// as use for LRU purposes even when the job is later served
-			// from the result cache without re-reading the blob —
-			// otherwise hot traces would be the first evicted.
+			// Touch, not Stat: a reference counts as use for the LRU even
+			// when the result cache serves the job.
 			meta, err := s.corpus.Touch(spec.Trace)
 			if err != nil {
 				corpusError(w, err)
@@ -1026,41 +896,23 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// The bytes move to queuedTraceBytes (released when a worker picks
+	// the job up) before the deferred handler releases the reservation.
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, clusterapi.CodeShuttingDown, "server shutting down")
-		return
-	}
-	// The byte budget was enforced when the upload reserved its
-	// in-flight bytes; enqueueing transfers the accounting from
-	// inflightBytes (released by the deferred handler) to
-	// queuedTraceBytes (released when a worker picks the job up).
-	s.seq++
-	j := &job{
-		ID:          fmt.Sprintf("job-%d", s.seq),
-		Status:      statusQueued,
-		Submitted:   time.Now(),
-		Seed:        req.Seed,
-		TraceDigest: req.TraceDigest,
-		TraceID:     traceID,
-		req:         req,
-		traceBytes:  uploadBytes,
-		changed:     make(chan struct{}),
-		spanID:      telemetry.NewSpanID(),
-	}
-	s.jobs[j.ID] = j
-	// Push is non-blocking (the queue is bounded), so holding the mutex
-	// across it is fine.
-	enqueued := s.queue.Push(&scheduler.Job{ID: j.ID, Spec: specFor(req), Payload: j})
-	if enqueued {
-		s.queuedTraceBytes += uploadBytes
-	} else {
-		delete(s.jobs, j.ID)
-	}
+	closed = s.closed
+	s.queuedTraceBytes += uploadBytes
 	s.mu.Unlock()
-	if !enqueued {
-		s.rejectQueueFull(w, traceID)
+	j := newJob(req, traceID, uploadBytes)
+	if closed || !s.node.Admit(j) {
+		s.mu.Lock()
+		s.queuedTraceBytes -= uploadBytes
+		closed = s.closed
+		s.mu.Unlock()
+		if closed {
+			httpError(w, http.StatusServiceUnavailable, clusterapi.CodeShuttingDown, "server shutting down")
+		} else {
+			s.rejectQueueFull(w, traceID)
+		}
 		return
 	}
 	w.Header().Set("Location", "/jobs/"+j.ID)
@@ -1085,16 +937,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var snapshot job
+	var snapshot jobs.Job
 	var changed chan struct{}
-	if ok {
-		snapshot = *j
-		changed = j.changed
-	}
-	s.mu.Unlock()
-	if !ok {
+	if !s.node.With(id, func(j *jobs.Job) { snapshot, changed = *j, state(j).changed }) {
 		httpError(w, http.StatusNotFound, clusterapi.CodeJobNotFound, "no such job")
 		return
 	}
@@ -1112,11 +957,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		}
-		s.mu.Lock()
-		if j, ok := s.jobs[id]; ok {
-			snapshot = *j
-		}
-		s.mu.Unlock()
+		s.node.With(id, func(j *jobs.Job) { snapshot = *j })
 	}
 	writeJSON(w, http.StatusOK, &snapshot)
 }
@@ -1155,21 +996,19 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = min(n, jobListMaxLimit)
 	}
-	s.mu.Lock()
-	list := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
+	list := []*jobs.Job{}
+	s.node.Each(func(j *jobs.Job) {
 		if state == "" || j.Status == state {
 			snapshot := *j
 			list = append(list, &snapshot)
 		}
-	}
-	s.mu.Unlock()
+	})
 	// Newest submission first: the numeric submit sequence inside the ID
 	// ("job-42"), not the lexical ID ("job-10" sorts before "job-9") and
 	// not Submitted stamps (equal at clock granularity under load).
 	sort.Slice(list, func(i, k int) bool {
-		si, iok := jobSeq(list[i].ID)
-		sk, kok := jobSeq(list[k].ID)
+		si, iok := jobs.Seq(list[i].ID)
+		sk, kok := jobs.Seq(list[k].ID)
 		if iok && kok && si != sk {
 			return si > sk
 		}
@@ -1183,13 +1022,10 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
 	counts := map[string]int{}
-	for _, j := range s.jobs {
-		counts[j.Status]++
-	}
+	s.node.Each(func(j *jobs.Job) { counts[j.Status]++ })
+	s.mu.Lock()
 	queuedBytes := s.queuedTraceBytes
-	running := s.running
 	stealer := s.stealer
 	s.mu.Unlock()
 	var corpusTraces int
@@ -1203,13 +1039,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// the cluster shows where the backlog lives.
 	steal := map[string]any{
 		"enabled":   stealer != nil,
-		"stealable": s.queue.Stealable(),
-		"claimed":   s.queue.ClaimedCount(),
+		"stealable": s.node.Queue.Stealable(),
+		"claimed":   s.node.Queue.ClaimedCount(),
 	}
 	if stealer != nil {
 		steal["stats"] = stealer.Stats()
 	}
-	if peers := s.gossip.Snapshot(); len(peers) > 0 {
+	if peers := s.node.Gossip.Snapshot(); len(peers) > 0 {
 		steal["peer_queues"] = peers
 	}
 	// The cache section merges the pipeline's own hit accounting with
@@ -1230,9 +1066,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"ok":                 true,
 		"jobs":               counts,
 		"queue_depth":        s.cfg.QueueDepth,
-		"queue_len":          s.queue.Len(),
+		"queue_len":          s.node.Queue.Len(),
 		"queued_trace_bytes": queuedBytes,
-		"running":            running,
+		"running":            s.node.Running(),
 		"cached":             s.pl.CacheLen(),
 		"cached_tables":      s.pl.TableCacheLen(),
 		"cache":              cache,

@@ -15,6 +15,7 @@ import (
 
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/corpus"
+	"perfplay/internal/jobs"
 	"perfplay/internal/sim"
 	"perfplay/internal/workload"
 )
@@ -799,9 +800,12 @@ func TestJobEviction(t *testing.T) {
 		waitDone(t, ts.URL, sub["id"])
 		ids = append(ids, sub["id"])
 	}
-	s.mu.Lock()
-	retained := len(s.order)
-	s.mu.Unlock()
+	retained := 0
+	s.node.Each(func(j *jobs.Job) {
+		if j.Status == statusDone || j.Status == statusFailed {
+			retained++
+		}
+	})
 	if retained != 2 {
 		t.Fatalf("retained %d finished jobs, want 2", retained)
 	}

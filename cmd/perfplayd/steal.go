@@ -174,14 +174,7 @@ func (r *stealResult) wire() (clusterapi.StealResult, error) {
 // failures instead return an error WITHOUT settling the job: the
 // victim's lease requeues it there, where it can still succeed.
 func (s *Server) executeStolen(victim string, sj scheduler.StolenJob) error {
-	s.mu.Lock()
-	s.running++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.running--
-		s.mu.Unlock()
-	}()
+	defer s.node.Occupy(sj.ID)()
 
 	// Spans recorded during the stolen execution are collected for the
 	// report body as well as stored locally — the victim owns the job's
@@ -204,11 +197,10 @@ func (s *Server) executeStolen(victim string, sj scheduler.StolenJob) error {
 	result := stealResult{Thief: s.stealer.Self}
 	req, err := s.requestFor(victim, sj.Spec, tc)
 	if err == nil {
-		// executeJob, not a bare pipeline run: a stolen digest job
-		// deserves the same peer-cache probe as a local one — a third
-		// node (or the victim itself) may hold the finished result,
-		// and a steal must not re-pay a pipeline the cluster already ran.
-		result.Summary, _, err = s.executeJob(req, tc)
+		// execute, not a bare pipeline run: a stolen digest job deserves
+		// the same peer-cache probe as a local one — a third node (or the
+		// victim itself) may hold the finished result.
+		result.Summary, _, err = s.execute(req, tc)
 	}
 	s.recordSpan(tc, telemetry.Span{
 		ID: execSpanID, Parent: sj.Span, Name: "steal_execute",
@@ -248,22 +240,12 @@ func (s *Server) stealTransport() scheduler.Transport {
 }
 
 // handleSteal (GET /steal) is the probe half of the steal protocol: a
-// cheap, mutation-free advertisement of how much of this node's backlog
-// a thief could take, plus the admission headroom (queue cap) and the
-// node's hottest result-cache keys — the cache-population hints that
-// let peers aim their cluster-cache probes at the likely holder.
+// cheap, mutation-free advertisement of this node's stealable backlog
+// (with its digests, so a thief holding their artifacts can aim here),
+// its admission headroom and its hottest result-cache keys — the hints
+// that let peers aim their cache probes.
 func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, scheduler.PeerStatus{
-		QueueLen:  s.queue.Len(),
-		QueueCap:  s.queue.Cap(),
-		Stealable: s.queue.Stealable(),
-		// The digests of the stealable backlog ride along so a thief
-		// that already holds cached artifacts for one of them can aim
-		// its steal here — that steal settles from cache.
-		StealableDigests: s.queue.StealableDigests(s.cfg.CacheHintKeys),
-		CacheKeys:        s.pl.RecentResultKeys(s.cfg.CacheHintKeys),
-		Seen:             time.Now(),
-	})
+	writeJSON(w, http.StatusOK, s.node.Status(s.pl.RecentResultKeys(s.cfg.CacheHintKeys)))
 }
 
 // handleClaim (POST /jobs/claim) hands the newest stealable queued job
@@ -282,28 +264,21 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if body.Thief == "" {
 		body.Thief = r.RemoteAddr
 	}
-	qj, deadline, ok := s.queue.Claim(body.Thief, s.cfg.StealLease)
+	j, deadline, ok := s.node.Claim(body.Thief)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	j := qj.Payload.(*job)
-	s.mu.Lock()
-	j.Status = statusRunning
-	j.StolenBy = body.Thief
-	j.notifyLocked()
-	traceID, parent := j.TraceID, j.spanID
-	s.mu.Unlock()
 	// The claim span marks the hand-off on the victim's timeline; its ID
 	// ships to the thief as the parent for everything recorded remotely.
 	now := time.Now()
-	claimSpan := s.span(spanCtx{trace: traceID, parent: parent}, "steal_claim",
+	claimSpan := s.span(spanCtx{trace: j.TraceID, parent: state(&j).spanID}, "steal_claim",
 		now, now, map[string]string{"thief": body.Thief, "job": j.ID})
 	writeJSON(w, http.StatusOK, scheduler.StolenJob{
-		ID:      qj.ID,
-		Spec:    qj.Spec,
+		ID:      j.ID,
+		Spec:    j.Spec,
 		LeaseMS: time.Until(deadline).Milliseconds(),
-		Trace:   traceID,
+		Trace:   j.TraceID,
 		Span:    claimSpan,
 	})
 }
@@ -331,28 +306,17 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "bad result body: %v", err)
 		return
 	}
-	qj, ok := s.queue.Complete(id)
-	if !ok {
+	j, err := s.node.Settle(id, result.Thief, result.Summary, result.Error)
+	if err != nil {
 		httpError(w, http.StatusConflict, clusterapi.CodeLeaseExpired, "job %s is not on lease (expired, settled, or never claimed)", id)
 		return
 	}
-	j := qj.Payload.(*job)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if result.Thief != "" {
-		j.StolenBy = result.Thief
-	}
-	var failure error
-	if result.Error != "" {
-		failure = errors.New(result.Error)
-	}
-	// Adopt the thief's spans onto the job's timeline, then close it
-	// out exactly like a local run, plus a settle marker.
-	tc := spanCtx{trace: j.TraceID, parent: j.spanID}
+	// Adopt the thief's spans onto the job's timeline, plus a settle
+	// marker.
+	tc := spanCtx{trace: j.TraceID, parent: state(&j).spanID}
 	for _, sp := range result.Spans {
 		s.recordSpan(tc, sp)
 	}
-	s.finishLocked(j, result.Summary, failure)
 	s.span(tc, "steal_settle", j.Finished, j.Finished,
 		map[string]string{"thief": j.StolenBy, "status": j.Status})
 	writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": j.Status})

@@ -258,7 +258,7 @@ func TestClaimEndpointEdges(t *testing.T) {
 	if up.StatusCode != http.StatusAccepted {
 		t.Fatalf("upload submit: status %d", up.StatusCode)
 	}
-	if n := srv.queue.Stealable(); n != 0 {
+	if n := srv.node.Queue.Stealable(); n != 0 {
 		t.Fatalf("%d upload jobs advertised as stealable", n)
 	}
 	resp = postJSON(t, ts.URL+"/jobs/claim", `{"thief":"http://x"}`)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"perfplay/internal/clusterapi"
+	"perfplay/internal/jobs"
 	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
 )
@@ -48,13 +49,8 @@ func (s *Server) initTelemetry(cfg Config) {
 	s.jobsDone = s.metrics.NewCounterVec("perfplay_jobs_completed_total",
 		"Analysis jobs finished, by terminal status.", "status")
 	s.metrics.NewGaugeFunc("perfplay_jobs_running",
-		"Jobs executing right now (local and stolen).", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.running)
-		})
+		"Jobs executing right now (local and stolen).", func() float64 { return float64(s.node.Running()) })
 	s.schedMetrics = scheduler.NewMetrics(s.metrics)
-	scheduler.RegisterQueueGauges(s.metrics, s.queue)
 }
 
 // defaultNodeName labels this process's spans and log lines when the
@@ -165,14 +161,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // reconstructs the whole cross-node story.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
 	var traceID string
-	if ok {
-		traceID = j.TraceID
-	}
-	s.mu.Unlock()
-	if !ok {
+	if !s.node.With(id, func(j *jobs.Job) { traceID = j.TraceID }) {
 		httpError(w, http.StatusNotFound, clusterapi.CodeJobNotFound, "no such job")
 		return
 	}

@@ -75,6 +75,27 @@ type CacheReport struct {
 	AdmissionHops int `json:"admission_hops"`
 }
 
+// account books a job's terminal outcome, once: "completed" (with its
+// latency), "rejected" at admission, or "lost" with a crashed node. A
+// node's own completions arrive through its lifecycle's terminal hook.
+func (c *Cluster) account(j *simJob, how string) {
+	if j.done {
+		return
+	}
+	j.done = true
+	c.resolved++
+	switch how {
+	case "completed":
+		c.latencies = append(c.latencies, c.now-j.arrival+j.penalty)
+		c.lastCompleted = max(c.lastCompleted, c.now)
+	case "rejected":
+		c.rejected++
+	case "lost":
+		c.lostJobs++
+	}
+	c.inv.terminalOnce(j.id, how)
+}
+
 // report assembles the Report once the event loop stops.
 func (c *Cluster) report() *Report {
 	r := &Report{

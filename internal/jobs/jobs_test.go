@@ -1,0 +1,365 @@
+package jobs
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"perfplay/internal/core"
+	"perfplay/internal/scheduler"
+)
+
+// clock is a fake clock tests advance by hand.
+type clock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *clock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *clock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// journal is an in-memory TransitionLog: one "op job" line per record.
+type journal struct {
+	mu   sync.Mutex
+	recs []string
+}
+
+func (l *journal) Transition(op string, j *scheduler.Job, _ string) {
+	l.mu.Lock()
+	l.recs = append(l.recs, op+" "+j.ID)
+	l.mu.Unlock()
+}
+
+func (l *journal) ops(id string) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, r := range l.recs {
+		if op, job, _ := strings.Cut(r, " "); job == id {
+			out = append(out, op)
+		}
+	}
+	return out
+}
+
+// cache is a fake local artifact store.
+type cache struct {
+	results, tables map[string]bool
+	imported        []string
+}
+
+func (c *cache) HasResult(key string) bool { return c.results[key] }
+func (c *cache) HasTable(key string) bool  { return c.tables[key] }
+func (c *cache) ImportTable(key, t string) bool {
+	c.imported = append(c.imported, key)
+	return t == "good"
+}
+
+// fetcher is a fake cachepolicy.Fetcher: each peer holds the named
+// artifacts; every call is logged as "kind peer".
+type fetcher struct {
+	results, tables map[string]string // peer → artifact
+	calls           []string
+}
+
+func (f *fetcher) FetchResult(peer, key string, _ int) (string, error) {
+	f.calls = append(f.calls, "result "+peer)
+	if r, ok := f.results[peer]; ok {
+		return r, nil
+	}
+	return "", errors.New("miss")
+}
+
+func (f *fetcher) FetchTable(peer, key string) (string, error) {
+	f.calls = append(f.calls, "table "+peer)
+	if t, ok := f.tables[peer]; ok {
+		return t, nil
+	}
+	return "", errors.New("miss")
+}
+
+type harness struct {
+	n        *Node[string, string]
+	clk      *clock
+	log      *journal
+	cache    *cache
+	finished map[string]int
+}
+
+func newHarness(cfg Config[string]) *harness {
+	h := &harness{
+		clk:      &clock{now: time.Unix(1000, 0)},
+		log:      &journal{},
+		cache:    &cache{results: map[string]bool{}, tables: map[string]bool{}},
+		finished: map[string]int{},
+	}
+	if cfg.QueueDepth == 0 {
+		cfg.QueueDepth = 8
+	}
+	if cfg.Lease == 0 {
+		cfg.Lease = time.Minute
+	}
+	cfg.Now, cfg.Journal, cfg.Local = h.clk.Now, h.log, h.cache
+	cfg.Finished = func(j *Job) { h.finished[j.ID]++ }
+	h.n = New[string](cfg)
+	return h
+}
+
+func (h *harness) admit(t *testing.T) string {
+	t.Helper()
+	j := &Job{Spec: scheduler.Spec{App: "pbzip2"}}
+	if !h.n.Admit(j) {
+		t.Fatal("admit refused")
+	}
+	return j.ID
+}
+
+func (h *harness) status(id string) (st Job) {
+	h.n.With(id, func(j *Job) { st = *j })
+	return st
+}
+
+func terminal(ops []string) int {
+	n := 0
+	for _, op := range ops {
+		switch op {
+		case scheduler.TransitionSettled, TransitionFailed, TransitionEvicted, scheduler.TransitionAbandoned:
+			n++
+		}
+	}
+	return n
+}
+
+// A thief reporting after its lease was taken back gets ErrLeaseExpired;
+// the requeued local run is the job's one terminal record.
+func TestLateSettleAfterExpiry(t *testing.T) {
+	h := newHarness(Config[string]{})
+	id := h.admit(t)
+	if _, _, ok := h.n.Claim("thief"); !ok {
+		t.Fatal("nothing to claim")
+	}
+	if st := h.status(id); st.Status != Running || st.StolenBy != "thief" {
+		t.Fatalf("claimed job = %+v", st)
+	}
+	h.clk.advance(2 * time.Minute)
+	if n := h.n.Reap(); n != 1 {
+		t.Fatalf("reaped %d, want 1", n)
+	}
+	if st := h.status(id); st.Status != Queued || st.StolenBy != "" {
+		t.Fatalf("reaped job = %+v, want queued with no thief", st)
+	}
+	if _, err := h.n.Settle(id, "thief", core.Rendered{Report: "stale"}, ""); !errors.Is(err, scheduler.ErrLeaseExpired) {
+		t.Fatalf("late settle: err = %v, want ErrLeaseExpired", err)
+	}
+	qj, ok := h.n.Queue.TryPop()
+	if !ok || qj.ID != id {
+		t.Fatal("expired job not requeued")
+	}
+	h.n.Begin(qj)
+	if !h.n.Finish(id, core.Rendered{Report: "fresh"}, "", nil) || h.n.Finish(id, core.Rendered{}, "", nil) {
+		t.Fatal("Finish must succeed exactly once")
+	}
+	if got := h.log.ops(id); terminal(got) != 1 || got[len(got)-1] != scheduler.TransitionSettled {
+		t.Fatalf("journal for %s = %v, want exactly one terminal record (settled)", id, got)
+	}
+	if st := h.status(id); st.Report != "fresh" || h.finished[id] != 1 {
+		t.Fatalf("job = %+v finished %d times", st, h.finished[id])
+	}
+}
+
+// A lease that expires into a closed queue is abandoned and fails the
+// job, counted once.
+func TestReapIntoClosedQueue(t *testing.T) {
+	h := newHarness(Config[string]{})
+	id := h.admit(t)
+	h.n.Claim("thief")
+	h.clk.advance(2 * time.Minute)
+	// The daemon's shutdown can close the queue between TakeExpired and
+	// Requeue; the Expired hook runs in that window.
+	h.n.Expired = func(*Job, time.Time) { h.n.Queue.Close() }
+	h.n.Reap()
+	st := h.status(id)
+	if st.Status != Failed || !strings.Contains(st.Error, "abandoned") {
+		t.Fatalf("job = %+v, want failed as abandoned", st)
+	}
+	if got := h.log.ops(id); !slices.Equal(got, []string{"admitted", "claimed", "abandoned"}) {
+		t.Fatalf("journal = %v, want admitted, claimed, abandoned", got)
+	}
+	if h.finished[id] != 1 {
+		t.Fatalf("finished hook ran %d times, want 1", h.finished[id])
+	}
+}
+
+// Past MaxJobs the oldest finished job leaves the table with an evicted
+// record.
+func TestEvictionPastMaxJobs(t *testing.T) {
+	h := newHarness(Config[string]{MaxJobs: 2})
+	var ids []string
+	for range 3 {
+		id := h.admit(t)
+		qj, _ := h.n.Queue.TryPop()
+		h.n.Begin(qj)
+		h.n.Finish(id, core.Rendered{}, "", nil)
+		ids = append(ids, id)
+	}
+	if h.n.With(ids[0], func(*Job) {}) {
+		t.Fatalf("%s still retained past MaxJobs", ids[0])
+	}
+	if got := h.log.ops(ids[0]); got[len(got)-1] != TransitionEvicted {
+		t.Fatalf("journal for %s = %v, want an evicted record last", ids[0], got)
+	}
+	if got := h.log.ops(ids[2]); terminal(got) != 1 {
+		t.Fatalf("journal for %s = %v, want only its settle", ids[2], got)
+	}
+}
+
+var keys = Keys{Digest: "sha256:d", Result: "sha256:d|r", Table: "sha256:d|t"}
+
+// A local result answers without a single probe.
+func TestLocalResultProbesNoOne(t *testing.T) {
+	h := newHarness(Config[string]{Peers: []string{"p1", "p2"}, Fanout: 2})
+	h.cache.results[keys.Result] = true
+	f := &fetcher{results: map[string]string{"p1": "r"}}
+	if src, _, _ := h.n.Start(keys, f, nil); src != LocalResult || len(f.calls) != 0 {
+		t.Fatalf("source %v after probes %v, want a local hit and none", src, f.calls)
+	}
+}
+
+// A peer's table is fetched only after the result probe misses
+// everywhere, and only when no local table exists.
+func TestTableImportOrder(t *testing.T) {
+	peers := []string{"p1", "p2"}
+	h := newHarness(Config[string]{Peers: peers, Fanout: 2})
+
+	f := &fetcher{results: map[string]string{"p2": "r"}, tables: map[string]string{"p1": "good"}}
+	if src, r, peer := h.n.Start(keys, f, nil); src != PeerResult || r != "r" || peer != "p2" {
+		t.Fatalf("Start = %v %q %q, want p2's result", src, r, peer)
+	}
+	if slices.ContainsFunc(f.calls, func(c string) bool { return strings.HasPrefix(c, "table") }) {
+		t.Fatalf("probes %v: a table was fetched although a result hit", f.calls)
+	}
+
+	f = &fetcher{tables: map[string]string{"p1": "bad", "p2": "good"}}
+	if src, _, _ := h.n.Start(keys, f, nil); src != Run {
+		t.Fatalf("source %v, want run", src)
+	}
+	want := []string{"result p1", "result p2", "table p1", "table p2"}
+	if !slices.Equal(f.calls, want) || !slices.Equal(h.cache.imported, []string{keys.Table, keys.Table}) {
+		t.Fatalf("probes %v imports %v, want %v and both tables offered", f.calls, h.cache.imported, want)
+	}
+
+	h.cache.tables[keys.Table] = true
+	f = &fetcher{tables: map[string]string{"p1": "good"}}
+	h.n.Start(keys, f, nil)
+	if !slices.Equal(f.calls, []string{"result p1", "result p2"}) {
+		t.Fatalf("probes %v with a local table, want result probes only", f.calls)
+	}
+
+	h0 := newHarness(Config[string]{Peers: peers}) // fan-out 0: probing off
+	f = &fetcher{results: map[string]string{"p1": "r"}}
+	if src, _, _ := h0.n.Start(keys, f, nil); src != Run || len(f.calls) != 0 {
+		t.Fatalf("fan-out 0: source %v probes %v, want a run and no probes", src, f.calls)
+	}
+}
+
+// The admission fallback probe runs only when gossip knows no healthy
+// peer, at most once per StealInterval, and never with fan-out 0.
+func TestRetryPeerFallbackRateLimited(t *testing.T) {
+	var probes int
+	probe := func(peer string) (scheduler.PeerStatus, error) {
+		probes++
+		return scheduler.PeerStatus{QueueLen: 0, QueueCap: 4}, nil
+	}
+	h := newHarness(Config[string]{Peers: []string{"p1"}, Fanout: 1, StealInterval: time.Second, Probe: probe})
+	if peer, ok := h.n.RetryPeer(); !ok || peer != "p1" || probes != 1 {
+		t.Fatalf("RetryPeer = %q %v after %d probes, want p1 after one", peer, ok, probes)
+	}
+	h.n.Gossip.RecordErr("p1", errors.New("down"))
+	if _, ok := h.n.RetryPeer(); ok || probes != 1 {
+		t.Fatalf("second round inside the interval: ok=%v probes=%d", ok, probes)
+	}
+	h.clk.advance(time.Second)
+	if _, ok := h.n.RetryPeer(); !ok || probes != 2 {
+		t.Fatalf("round after the interval: ok=%v probes=%d", ok, probes)
+	}
+	h.n.Gossip.Record("p1", scheduler.PeerStatus{QueueLen: 4, QueueCap: 4})
+	h.clk.advance(time.Second)
+	if _, ok := h.n.RetryPeer(); ok || probes != 2 {
+		t.Fatalf("healthy-but-full view: ok=%v probes=%d, want no redirect and no probe", ok, probes)
+	}
+	off := newHarness(Config[string]{Peers: []string{"p1"}, Probe: probe})
+	if _, ok := off.n.RetryPeer(); ok || probes != 2 {
+		t.Fatal("fan-out 0 probed")
+	}
+}
+
+// Admit, Claim, Settle, Begin/Finish and Reap racing from many
+// goroutines: every job ends exactly once (run with -race).
+func TestConcurrentLifecycle(t *testing.T) {
+	h := newHarness(Config[string]{QueueDepth: 1 << 10, Lease: time.Millisecond})
+	var fin sync.Mutex
+	h.n.Finished = func(j *Job) {
+		fin.Lock()
+		h.finished[j.ID]++
+		fin.Unlock()
+	}
+	const jobs = 200
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs / 4 {
+				h.n.Admit(&Job{Spec: scheduler.Spec{App: fmt.Sprint(g, i)}})
+				if j, _, ok := h.n.Claim("thief"); ok && i%3 != 0 {
+					h.n.Settle(j.ID, "thief", core.Rendered{}, "")
+				}
+				h.clk.advance(time.Millisecond)
+				h.n.Reap()
+				if qj, ok := h.n.Queue.TryPop(); ok {
+					j := h.n.Begin(qj)
+					release := h.n.Occupy(j.ID)
+					h.n.Finish(j.ID, core.Rendered{}, "", nil)
+					release()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for {
+		h.clk.advance(time.Minute)
+		h.n.Reap()
+		qj, ok := h.n.Queue.TryPop()
+		if !ok && h.n.Queue.ClaimedCount() == 0 {
+			break
+		}
+		if ok {
+			h.n.Finish(h.n.Begin(qj).ID, core.Rendered{}, "", nil)
+		}
+	}
+	done := 0
+	h.n.Each(func(j *Job) {
+		if j.Status == Done {
+			done++
+		}
+		if h.finished[j.ID] != 1 || terminal(h.log.ops(j.ID)) != 1 {
+			t.Errorf("%s finished %d times, journal %v", j.ID, h.finished[j.ID], h.log.ops(j.ID))
+		}
+	})
+	if done != jobs || h.n.Running() != 0 {
+		t.Fatalf("%d of %d jobs done, %d workers busy", done, jobs, h.n.Running())
+	}
+}
