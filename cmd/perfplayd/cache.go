@@ -29,21 +29,15 @@ import (
 // a virtual-clock transport, so the policy lab's sweep results
 // (docs/POLICIES.md) speak for this daemon.
 
-// cacheStats counts this node's cluster-cache and admission traffic.
-// The counters live in the daemon's metrics registry — /healthz's
-// cluster-cache section and /metrics render the same series, so the
-// two surfaces cannot drift.
+// cacheStats counts this node's cluster-cache and admission traffic in
+// the metrics registry, so /healthz and /metrics render the same series:
+// probes issued and answered (tables: adopted), artifacts exported to
+// probing peers, and queue-full 503s that carried a Retry-Peer.
 type cacheStats struct {
-	// probes / remoteHits count result-cache probes to peers.
-	probes, remoteHits *telemetry.Counter
-	// tableProbes / tableImports count verdict-table probes and the
-	// tables actually adopted.
-	tableProbes, tableImports *telemetry.Counter
-	// servedResults / servedTables count exports to probing peers.
+	probes, remoteHits          *telemetry.Counter
+	tableProbes, tableImports   *telemetry.Counter
 	servedResults, servedTables *telemetry.Counter
-	// admissionRedirects counts queue-full 503s that carried a
-	// Retry-Peer header.
-	admissionRedirects *telemetry.Counter
+	admissionRedirects          *telemetry.Counter
 }
 
 func newCacheStats(reg *telemetry.Registry) cacheStats {
@@ -160,37 +154,27 @@ func (c localCache) ImportTable(key string, wt *pipeline.WireTable) bool {
 	return true
 }
 
-// httpCacheTransport is the daemon's cachepolicy.Fetcher: fetch, decode
-// and validate peer cache artifacts over HTTP, with the job's trace
-// context riding as headers. Artifacts it returns are already verified;
-// the policy layer never opens them.
+// httpCacheTransport is the daemon's cachepolicy.Fetcher: fetch and
+// decode peer cache artifacts over HTTP, with the job's trace context
+// riding as headers.
 type httpCacheTransport struct {
 	s  *Server
 	tc spanCtx
 }
 
-func (t *httpCacheTransport) FetchResult(peer, key string, topK int) (*pipeline.WireResult, error) {
-	return t.s.fetchWireResult(peer, key, topK, t.tc)
-}
-
-func (t *httpCacheTransport) FetchTable(peer, key string) (*pipeline.WireTable, error) {
-	return t.s.fetchWireTable(peer, key, t.tc)
-}
-
-// probeGet issues one cluster-cache probe with the job's trace context
-// riding as headers, so the serving peer's span lands on the same
-// timeline as the probe span recorded here, and returns the body of a
-// 200; anything else is an error — a miss.
-func (s *Server) probeGet(urlStr string, tc spanCtx) (io.ReadCloser, error) {
+// get issues one cluster-cache probe, carrying the job's trace context
+// so the serving peer's span lands on the same timeline, and returns the
+// body of a 200; anything else is an error — a miss.
+func (t *httpCacheTransport) get(urlStr string) (io.ReadCloser, error) {
 	req, err := http.NewRequest(http.MethodGet, urlStr, nil)
 	if err != nil {
 		return nil, err
 	}
-	if tc.trace != "" {
-		req.Header.Set(telemetry.TraceHeader, tc.trace)
-		req.Header.Set(telemetry.SpanHeader, tc.parent)
+	if t.tc.trace != "" {
+		req.Header.Set(telemetry.TraceHeader, t.tc.trace)
+		req.Header.Set(telemetry.SpanHeader, t.tc.parent)
 	}
-	resp, err := s.cacheClient.Do(req)
+	resp, err := t.s.cacheClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -202,11 +186,11 @@ func (s *Server) probeGet(urlStr string, tc spanCtx) (io.ReadCloser, error) {
 	return resp.Body, nil
 }
 
-// fetchWireResult fetches and validates one peer's cached result. A body
+// FetchResult fetches and validates one peer's cached result. A body
 // past maxSummaryBytes, or in any shape but the current one, fails to
 // decode and so reads as a miss.
-func (s *Server) fetchWireResult(peer, key string, topK int, tc spanCtx) (*pipeline.WireResult, error) {
-	body, err := s.probeGet(peer+"/cache/results/"+url.PathEscape(key)+"?top="+strconv.Itoa(topK), tc)
+func (t *httpCacheTransport) FetchResult(peer, key string, topK int) (*pipeline.WireResult, error) {
+	body, err := t.get(peer + "/cache/results/" + url.PathEscape(key) + "?top=" + strconv.Itoa(topK))
 	if err != nil {
 		return nil, err
 	}
@@ -214,18 +198,16 @@ func (s *Server) fetchWireResult(peer, key string, topK int, tc spanCtx) (*pipel
 	return pipeline.ReadWireResult(io.LimitReader(body, maxSummaryBytes), key, topK)
 }
 
-// fetchWireTable fetches and decodes one peer's cached verdict table.
-// Key validation happens in the accept hook: it needs the table key the
-// prober matched by digest, and adoption (ImportTable) is the real
-// acceptance test.
-func (s *Server) fetchWireTable(peer, key string, tc spanCtx) (*pipeline.WireTable, error) {
-	body, err := s.probeGet(peer+"/cache/tables/"+url.PathEscape(key), tc)
+// FetchTable fetches and decodes one peer's cached verdict table;
+// localCache.ImportTable validates and adopts it.
+func (t *httpCacheTransport) FetchTable(peer, key string) (*pipeline.WireTable, error) {
+	body, err := t.get(peer + "/cache/tables/" + url.PathEscape(key))
 	if err != nil {
 		return nil, err
 	}
 	defer body.Close()
 	var wt pipeline.WireTable
-	if err := json.NewDecoder(io.LimitReader(body, s.cfg.MaxTraceBytes)).Decode(&wt); err != nil {
+	if err := json.NewDecoder(io.LimitReader(body, t.s.cfg.MaxTraceBytes)).Decode(&wt); err != nil {
 		return nil, fmt.Errorf("table probe %s: %w", peer, err)
 	}
 	return &wt, nil

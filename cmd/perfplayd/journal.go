@@ -16,25 +16,14 @@ import (
 	"perfplay/internal/telemetry"
 )
 
-// This file is the daemon half of crash durability (the log itself
-// lives in internal/journal): every queue transition is appended to the
-// journal synchronously — the scheduler.Queue calls Transition under
-// its own lock, so record order always matches queue order — and a
-// restarted daemon replays the journal in NewServer, before any worker
-// starts, to resurrect the previous process's backlog:
-//
-//   - jobs that were queued re-enter the queue in their original admit
-//     order, so the recovered backlog runs in the order clients
-//     submitted it;
-//   - jobs that were out on a steal lease are requeued at the FRONT,
-//     exactly the expired-lease semantics — the thief is gone (or will
-//     be told 409 when it reports against the restarted node);
-//   - upload-only jobs (trace lived solely in the dead process's
-//     memory) are unrecoverable and surface as failed with a clear
-//     error instead of vanishing.
-//
-// Determinism makes recovery safe: a re-run job produces the
-// byte-identical report the lost run would have.
+// This file is the daemon half of crash durability (the log is
+// internal/journal): the job node reports every transition — the
+// queue's under its lock, the terminal ones from Finish — and Transition
+// appends it before the call returns. NewServer replays the log before
+// any worker starts: queued jobs re-enter the queue in admit order, jobs
+// out on a steal lease are requeued at the front like any expired lease,
+// and upload-only jobs, whose trace died with the process, fail with a
+// clear error. Determinism makes a re-run byte-identical to the lost run.
 
 // Meta keys an admitted record carries so the restarted daemon can
 // rebuild the client-visible job, not just the pipeline request.
@@ -45,22 +34,17 @@ const (
 	jmetaDigest    = "trace_digest"
 )
 
-// recoveredStats counts one boot's journal recovery, for /healthz.
+// recoveredStats counts one boot's journal recovery, for /healthz: jobs
+// requeued, released from a lease, and lost (failed).
 type recoveredStats struct {
-	// Requeued jobs were queued at crash time and re-entered the queue.
 	Requeued int `json:"requeued"`
-	// Released jobs were out on a steal lease and were requeued at the
-	// front, like any expired lease.
 	Released int `json:"released"`
-	// Lost jobs could not be recovered (memory-only uploads, traces
-	// since evicted from the corpus); they surface as failed.
-	Lost int `json:"lost"`
+	Lost     int `json:"lost"`
 }
 
-// Transition implements scheduler.TransitionLog: the queue reports
-// every state change and the journal makes it durable before the queue
-// operation returns. Append errors are logged, not propagated — a full
-// disk must degrade durability, not take down job admission.
+// Transition implements scheduler.TransitionLog for the job node.
+// Append errors are logged, not propagated: a full disk degrades
+// durability, not admission.
 func (s *Server) Transition(op string, qj *scheduler.Job, thief string) {
 	if s.journal == nil {
 		return
@@ -81,10 +65,6 @@ func (s *Server) Transition(op string, qj *scheduler.Job, thief string) {
 			}
 		}
 	}
-	s.appendJournal(rec)
-}
-
-func (s *Server) appendJournal(rec journal.Record) {
 	if err := s.journal.Append(rec); err != nil {
 		s.logger.Error("journal append failed; durability degraded",
 			"op", rec.Op, "job", rec.Job, "err", err)
@@ -131,7 +111,7 @@ func (s *Server) openJournal(cfg Config) error {
 			s.lost(j, fmt.Errorf("job not recovered: %w", err))
 			continue
 		}
-		state(j).req = req
+		stateOf(j).req = req
 		if lj.Claimed {
 			claimed = append(claimed, j) // out on a lease: requeued at the front
 		} else {

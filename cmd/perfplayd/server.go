@@ -190,7 +190,7 @@ type jobState struct {
 	spanID string
 }
 
-func state(j *jobs.Job) *jobState { return j.Local.(*jobState) }
+func stateOf(j *jobs.Job) *jobState { return j.Local.(*jobState) }
 
 func newJob(req pipeline.Request, traceID string, traceBytes int64) *jobs.Job {
 	return &jobs.Job{
@@ -289,15 +289,15 @@ func NewServer(cfg Config) (*Server, error) {
 		Metrics:       s.schedMetrics,
 		Hooks: jobs.Hooks{
 			Changed: func(j *jobs.Job) {
-				st := state(j)
+				st := stateOf(j)
 				close(st.changed)
 				st.changed = make(chan struct{})
 			},
 			Finished: s.finished,
 			Expired: func(j *jobs.Job, now time.Time) {
 				s.logger.Warn("steal lease expired; re-queued locally",
-					"job", j.ID, "thief", j.StolenBy, "trace", j.TraceID, "span", state(j).spanID)
-				s.span(spanCtx{trace: j.TraceID, parent: state(j).spanID}, "lease_expired",
+					"job", j.ID, "thief", j.StolenBy, "trace", j.TraceID, "span", stateOf(j).spanID)
+				s.span(spanCtx{trace: j.TraceID, parent: stateOf(j).spanID}, "lease_expired",
 					now, now, map[string]string{"job": j.ID, "thief": j.StolenBy})
 			},
 		},
@@ -336,12 +336,10 @@ func (s *Server) Start() {
 	go s.reaper()
 }
 
-// StartStealer launches this node's thief loop against Config.Peers.
-// self is the base URL peers can reach this node at (victim-side
-// diagnostics only). A no-op without peers or with a negative
-// StealInterval. Separate from Start because the advertised URL is
-// often only known after the listener binds (httptest, ephemeral
-// ports).
+// StartStealer launches this node's thief loop against Config.Peers;
+// self is the URL peers see this node at, often known only once the
+// listener binds. A no-op without peers or with a negative
+// StealInterval.
 func (s *Server) StartStealer(self string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -356,9 +354,7 @@ func (s *Server) StartStealer(self string) {
 		Execute:   s.executeStolen,
 		Gossip:    s.node.Gossip,
 		Transport: s.stealTransport(),
-		// Hint-driven victim ordering: prefer stealing jobs whose trace
-		// artifacts (result or verdict table) are already cached here.
-		HasCached: s.pl.HasDigestCached,
+		HasCached: s.pl.HasDigestCached, // prefer victims whose digests are cached here
 		Metrics:   s.schedMetrics,
 	}
 	st := s.stealer
@@ -389,10 +385,8 @@ func (s *Server) Close() {
 	s.node.Queue.Close()
 	s.mu.Unlock()
 	s.wg.Wait()
-	// Close the journal only after every worker and the reaper have
-	// stopped appending. Jobs still queued or claimed at this point
-	// stay live in it — that is the durability contract: the next boot
-	// recovers them.
+	// Jobs still queued or claimed stay live in the journal: the next
+	// boot recovers them.
 	if s.journal != nil {
 		if err := s.journal.Close(); err != nil {
 			s.logger.Warn("journal close", "err", err)
@@ -429,7 +423,7 @@ func (s *Server) reaper() {
 
 func (s *Server) runJob(j jobs.Job) {
 	popped := time.Now()
-	st := state(&j)
+	st := stateOf(&j)
 	s.mu.Lock()
 	s.queuedTraceBytes -= st.traceBytes // the upload has left the queue
 	s.mu.Unlock()
@@ -448,7 +442,7 @@ func (s *Server) runJob(j jobs.Job) {
 // it releases any uploaded trace, counts the job and records its root
 // span.
 func (s *Server) finished(j *jobs.Job) {
-	st := state(j)
+	st := stateOf(j)
 	st.req = pipeline.Request{}
 	s.jobsDone.With(j.Status).Inc()
 	s.recordSpan(spanCtx{trace: j.TraceID, parent: st.spanID}, telemetry.Span{
@@ -939,15 +933,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var snapshot jobs.Job
 	var changed chan struct{}
-	if !s.node.With(id, func(j *jobs.Job) { snapshot, changed = *j, state(j).changed }) {
+	if !s.node.With(id, func(j *jobs.Job) { snapshot, changed = *j, stateOf(j).changed }) {
 		httpError(w, http.StatusNotFound, clusterapi.CodeJobNotFound, "no such job")
 		return
 	}
-	// Long-poll: park until the job changes state (queued→running or
-	// →done/failed), the wait expires, or the client goes away — then
-	// answer with whatever the job looks like now. Terminal jobs answer
-	// immediately; "state change" includes starting, so a caller
-	// tracking progress sees each transition with one request apiece.
+	// Long-poll: park until the job's status changes (the node's Changed
+	// hook closes the channel), the wait expires or the client leaves.
 	if wait > 0 && (snapshot.Status == statusQueued || snapshot.Status == statusRunning) {
 		timer := time.NewTimer(wait)
 		defer timer.Stop()
@@ -962,20 +953,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, &snapshot)
 }
 
-// jobListDefaultLimit / jobListMaxLimit bound GET /jobs responses: the
-// retained-job map holds up to MaxJobs (1024 by default) records, and
-// an unbounded listing would serialize all of them per poll.
+// jobListDefaultLimit / jobListMaxLimit bound a GET /jobs page.
 const (
 	jobListDefaultLimit = 100
 	jobListMaxLimit     = 1000
 )
 
 // handleJobList (GET /jobs?state=&limit=) lists this node's retained
-// jobs newest-first — the operator's "what is this node doing"
-// endpoint, complementing the per-ID lookup. ?state= filters by job
-// state; ?limit= bounds the page (default 100, capped at 1000). The
-// response's total counts every match before the limit was applied, so
-// a truncated page is detectable.
+// jobs newest-first, filtered by ?state=; total counts every match
+// before ?limit= cut the page.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	state := q.Get("state")
@@ -1003,9 +989,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 			list = append(list, &snapshot)
 		}
 	})
-	// Newest submission first: the numeric submit sequence inside the ID
-	// ("job-42"), not the lexical ID ("job-10" sorts before "job-9") and
-	// not Submitted stamps (equal at clock granularity under load).
+	// Newest first by the number in the ID ("job-10" after "job-9").
 	sort.Slice(list, func(i, k int) bool {
 		si, iok := jobs.Seq(list[i].ID)
 		sk, kok := jobs.Seq(list[k].ID)
@@ -1034,9 +1018,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		corpusTraces = s.corpus.Len()
 		corpusBytes = s.corpus.TotalBytes()
 	}
-	// The steal section gossips this node's own depth alongside its
-	// last-known view of every peer's, so one healthz poll anywhere in
-	// the cluster shows where the backlog lives.
+	// This node's backlog beside its gossip view of every peer's.
 	steal := map[string]any{
 		"enabled":   stealer != nil,
 		"stealable": s.node.Queue.Stealable(),
@@ -1048,15 +1030,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if peers := s.node.Gossip.Snapshot(); len(peers) > 0 {
 		steal["peer_queues"] = peers
 	}
-	// The cache section merges the pipeline's own hit accounting with
-	// the cluster exchange counters: how often this node's caches
-	// answered (locally and to peers) versus how often a peer's did.
+	// The pipeline's hit accounting beside the cluster exchange counters.
 	cache := map[string]any{
 		"pipeline": s.pl.Stats(),
 		"cluster":  s.cacheStats.snapshot(),
 	}
-	// The journal section shows the durability story: the log's size
-	// and live backlog, plus what this boot's replay recovered.
+	// The log's size and live backlog, and what this boot recovered.
 	jnl := map[string]any{"enabled": s.journal != nil}
 	if s.journal != nil {
 		jnl["stats"] = s.journal.Stats()

@@ -18,17 +18,15 @@ import (
 	"perfplay/internal/workload"
 )
 
-// This file is the daemon half of the whole-job work-stealing protocol
-// (the policy lives in internal/scheduler):
+// This file is the daemon half of whole-job work stealing (the policy
+// is internal/scheduler's, the lease internal/jobs'):
 //
 //	GET  /steal             victim advertises its stealable backlog
 //	POST /jobs/claim        thief takes the newest stealable job, on a lease
 //	POST /jobs/{id}/result  thief reports the finished summary back
 //
-// A stolen job's trace ships content-addressed: the claim carries only
-// the corpus digest, and the thief fetches the blob from the victim
-// (GET /traces/{digest}, hash-verified) only when its own corpus misses
-// it.
+// A claim carries only the trace's digest; the thief fetches the blob
+// (GET /traces/{digest}, hash-verified) when its own corpus misses it.
 
 // specFor derives the wire-stealable description of a request. Uploaded
 // traces held only in this process's memory yield a zero (unstealable)
@@ -60,20 +58,16 @@ func specFor(req pipeline.Request) scheduler.Spec {
 	}
 }
 
-// errStolenTraceUnavailable marks failures to *obtain* a stolen job's
-// trace — transport or storage trouble on the thief, not a property of
-// the job. These must never settle the job as failed on the victim
-// (which may well hold the trace and run it fine); the thief abandons
-// the steal and the victim's lease requeues the job.
+// errStolenTraceUnavailable marks a thief's failure to obtain a stolen
+// job's trace — its trouble, not the job's. The thief abandons the steal
+// and the victim's lease requeues the job, which may run fine there.
 var errStolenTraceUnavailable = errors.New("stolen trace unavailable")
 
-// requestFor is specFor's inverse: the pipeline request that reproduces
-// the spec's job byte-for-byte, on a thief or on the node that journaled
-// it. Digest specs resolve their trace from the local corpus, else a
-// hash-verified fetch from the victim — performed eagerly, so an
-// unfetchable blob aborts the steal before anything is reported. An
-// empty victim (boot recovery) resolves purely locally: a trace the
-// corpus cannot produce is an error, never a fetch.
+// requestFor is specFor's inverse, on a thief or at boot recovery. A
+// digest resolves from the local corpus, else by an eager hash-verified
+// fetch from the victim, so an unfetchable blob aborts the steal before
+// anything is reported. With no victim (recovery) a trace the corpus
+// cannot produce is an error, never a fetch.
 func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pipeline.Request, error) {
 	req := pipeline.Request{
 		TopK:        spec.TopK,
@@ -94,9 +88,7 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 	digest := spec.TraceDigest
 	req.TraceDigest = digest
 	if s.corpus != nil {
-		// Touch, not Stat: a stolen job referencing a locally stored
-		// trace counts as use for LRU purposes, exactly like the
-		// victim's own digest path.
+		// Touch, not Stat: a reference counts as use for the LRU.
 		if _, err := s.corpus.Touch(digest); err == nil {
 			req.TraceLoader = func() (*trace.Trace, error) {
 				tr, _, err := s.corpus.Load(digest)
@@ -137,34 +129,15 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 	return req, nil
 }
 
-// stealResult is the body of POST /jobs/{id}/result: the thief's
-// identity, either an analysis error or the finished summary, exactly
-// as a local run would have recorded it.
+// stealResult is the body of POST /jobs/{id}/result as the victim reads
+// it (clusterapi.StealResult carries Summary and Spans as raw JSON): the
+// thief, an analysis error or the finished summary, and the spans the
+// thief recorded, so the victim's timeline has no hole.
 type stealResult struct {
-	Thief   string        `json:"thief"`
-	Error   string        `json:"error,omitempty"`
-	Summary core.Rendered `json:"summary"`
-	// Spans are the spans the thief recorded while executing the job —
-	// shipped back so the victim's GET /jobs/{id}/trace shows the whole
-	// cross-node timeline, not a hole where the stolen execution went.
-	Spans []telemetry.Span `json:"spans,omitempty"`
-}
-
-// wire converts the daemon-typed result into the transport-level
-// clusterapi.StealResult: the summary and spans travel as raw JSON so
-// internal/scheduler never needs the daemon's report types.
-func (r *stealResult) wire() (clusterapi.StealResult, error) {
-	out := clusterapi.StealResult{Thief: r.Thief, Error: r.Error}
-	var err error
-	if out.Summary, err = json.Marshal(&r.Summary); err != nil {
-		return clusterapi.StealResult{}, err
-	}
-	if len(r.Spans) > 0 {
-		if out.Spans, err = json.Marshal(r.Spans); err != nil {
-			return clusterapi.StealResult{}, err
-		}
-	}
-	return out, nil
+	Thief   string           `json:"thief"`
+	Error   string           `json:"error,omitempty"`
+	Summary core.Rendered    `json:"summary"`
+	Spans   []telemetry.Span `json:"spans,omitempty"`
 }
 
 // executeStolen is the thief side of one steal: run the job on the
@@ -176,11 +149,9 @@ func (r *stealResult) wire() (clusterapi.StealResult, error) {
 func (s *Server) executeStolen(victim string, sj scheduler.StolenJob) error {
 	defer s.node.Occupy(sj.ID)()
 
-	// Spans recorded during the stolen execution are collected for the
-	// report body as well as stored locally — the victim owns the job's
-	// timeline, but this node keeps its own copy for operators looking
-	// at the thief. The steal_execute span's ID is minted up front so
-	// children can parent onto it before it is itself recorded.
+	// Spans recorded here are stored locally and shipped with the
+	// report; steal_execute's ID is minted first so children can parent
+	// onto it.
 	var (
 		spanMu  sync.Mutex
 		shipped []telemetry.Span
@@ -194,38 +165,36 @@ func (s *Server) executeStolen(victim string, sj scheduler.StolenJob) error {
 	tc := spanCtx{trace: sj.Trace, parent: execSpanID, rec: collect}
 	execStart := time.Now()
 
-	result := stealResult{Thief: s.stealer.Self}
+	var sum core.Rendered
 	req, err := s.requestFor(victim, sj.Spec, tc)
 	if err == nil {
-		// execute, not a bare pipeline run: a stolen digest job deserves
-		// the same peer-cache probe as a local one — a third node (or the
-		// victim itself) may hold the finished result.
-		result.Summary, _, err = s.execute(req, tc)
+		// execute, so a stolen job probes peers' caches like a local one.
+		sum, _, err = s.execute(req, tc)
 	}
 	s.recordSpan(tc, telemetry.Span{
 		ID: execSpanID, Parent: sj.Span, Name: "steal_execute",
 		Start: execStart, End: time.Now(),
 		Attrs: map[string]string{"victim": victim, "job": sj.ID},
 	})
-	spanMu.Lock()
-	result.Spans = shipped
-	spanMu.Unlock()
-	if err != nil {
-		if errors.Is(err, errStolenTraceUnavailable) {
-			return err // abandon: the lease recovers the job on the victim
-		}
-		result.Error = err.Error()
+	if errors.Is(err, errStolenTraceUnavailable) {
+		return err // abandon: the lease recovers the job on the victim
 	}
-
-	// The report rides the same transport the claim came over. A
-	// lease-expired settle (the victim re-owns the job; our result is
-	// stale and discarded) surfaces as an error, which is exactly the
-	// abandon the stealer's failure accounting wants.
-	wire, merr := result.wire()
-	if merr != nil {
+	res := clusterapi.StealResult{Thief: s.stealer.Self}
+	if err != nil {
+		res.Error = err.Error()
+	}
+	var merr error
+	if res.Summary, merr = json.Marshal(&sum); merr != nil {
 		return merr
 	}
-	return s.stealTransport().Settle(victim, sj.ID, wire)
+	spanMu.Lock()
+	if len(shipped) > 0 {
+		res.Spans, _ = json.Marshal(shipped)
+	}
+	spanMu.Unlock()
+	// A lease-expired settle (our result is stale) is an error: the
+	// abandon the stealer's failure accounting wants.
+	return s.stealTransport().Settle(victim, sj.ID, res)
 }
 
 // peerCallTimeout bounds each call that moves a whole job or a trace
@@ -248,11 +217,8 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.node.Status(s.pl.RecentResultKeys(s.cfg.CacheHintKeys)))
 }
 
-// handleClaim (POST /jobs/claim) hands the newest stealable queued job
-// to a thief under a lease. 204 means nothing is stealable. The job
-// becomes "running" from its client's point of view — work is underway,
-// just elsewhere; if the thief vanishes, the reaper flips it back to
-// "queued".
+// handleClaim (POST /jobs/claim) leases the newest stealable job to a
+// thief; 204 means nothing is stealable. Its client sees it running.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Thief string `json:"thief"`
@@ -272,7 +238,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	// The claim span marks the hand-off on the victim's timeline; its ID
 	// ships to the thief as the parent for everything recorded remotely.
 	now := time.Now()
-	claimSpan := s.span(spanCtx{trace: j.TraceID, parent: state(&j).spanID}, "steal_claim",
+	claimSpan := s.span(spanCtx{trace: j.TraceID, parent: stateOf(&j).spanID}, "steal_claim",
 		now, now, map[string]string{"thief": body.Thief, "job": j.ID})
 	writeJSON(w, http.StatusOK, scheduler.StolenJob{
 		ID:      j.ID,
@@ -289,10 +255,8 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 const maxSummaryBytes = 4 << 20
 
 // handleJobResult (POST /jobs/{id}/result) settles a stolen job with
-// the thief's outcome. A job that is no longer on lease — the lease
-// expired and the reaper re-queued it — answers 409 and the late result
-// is discarded; determinism makes that safe (the local re-run produces
-// the identical summary).
+// the thief's outcome. A job no longer on lease answers 409 and the late
+// result is discarded: the requeued run produces the identical summary.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var result stealResult
@@ -313,7 +277,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	}
 	// Adopt the thief's spans onto the job's timeline, plus a settle
 	// marker.
-	tc := spanCtx{trace: j.TraceID, parent: state(&j).spanID}
+	tc := spanCtx{trace: j.TraceID, parent: stateOf(&j).spanID}
 	for _, sp := range result.Spans {
 		s.recordSpan(tc, sp)
 	}

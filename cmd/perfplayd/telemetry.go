@@ -14,13 +14,9 @@ import (
 	"perfplay/internal/telemetry"
 )
 
-// This file is the daemon's observability wiring: the process-wide
-// metrics registry behind GET /metrics, the per-job span timelines
-// behind GET /jobs/{id}/trace, the per-route HTTP instrumentation, and
-// the structured logger every subsystem shares. The instruments
-// themselves live where the work happens (pipeline, scheduler, corpus,
-// the steal/cache handlers); this file owns their one registry
-// so /metrics and /healthz are two renderings of the same counters.
+// This file is the daemon's observability wiring: the one metrics
+// registry behind GET /metrics and /healthz, the span timelines behind
+// GET /jobs/{id}/trace, per-route HTTP instruments and the logger.
 
 // Trace-store bounds: enough for every retained job (MaxJobs default)
 // plus in-flight cross-node traffic.

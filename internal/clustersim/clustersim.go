@@ -1,31 +1,19 @@
 // Package clustersim is the offline policy lab for perfplay's cluster
 // scheduling: a discrete-event simulator that stands up N virtual
-// perfplayd nodes and runs seeded workload scenarios against the REAL
-// policy code — scheduler.Queue admission and leases, scheduler.Stealer
-// probe/claim ordering, scheduler.Gossip views, scheduler.IdlestPeer
-// admission redirects, and the cluster cache layer: cachepolicy.Prober
-// probe ordering/fan-out and the cachepolicy.FollowRedirects multi-hop
-// admission chain — with only the transport and the clock replaced.
-// Every scenario runs one node model, the perfplayd that ships: a job
-// admits through FollowRedirects, settles from the local result cache
-// when it can, probes its peers' caches, and otherwise runs. The same
-// Stealer loop that steals over HTTP in production steals over an
-// in-memory fabric here, injected through the scheduler.Transport seam,
-// and the same Prober that probes peer caches over HTTP probes them
-// through a virtual-clock cachepolicy.Fetcher; nothing
-// scheduling-relevant is reimplemented, so a policy knob that wins in
-// the simulator is exercising the exact code that ships. Every scenario
-// additionally runs under an invariant checker (invariants.go) whose
-// violations land on the report.
+// perfplayd nodes and runs seeded workload scenarios through the code
+// the daemon ships. Each node is an internal/jobs Node — admission and
+// Retry-Peer, the start decision and its cache probes, leases, settle,
+// finish and reap — with a real scheduler.Stealer beside it; clients
+// submit through cachepolicy.FollowRedirects. Only the transports, the
+// clock and the analysis run are simulated, so a knob that wins here
+// exercises the exact code that ships. An invariant checker
+// (invariants.go) rides every run and puts its findings on the report.
 //
 // Everything random flows from one scenario seed through a
-// subsystem-partitioned RNG (arrival process, job costs, link
-// latencies), all time is simulated milliseconds driven by an event
-// heap with a total order on (timestamp, kind, sequence), and the
-// report renders through integer-only formatting — so the same seed
-// produces byte-identical output, run after run, machine after
-// machine. That determinism is what makes A/B policy comparisons
-// honest: two sweeps differing in one knob see the identical workload.
+// subsystem-partitioned RNG, time is simulated milliseconds on an event
+// heap totally ordered by (timestamp, kind, sequence), and the report
+// renders integers only — so a seed renders byte-identical output, and
+// two sweeps differing in one knob see the identical workload.
 package clustersim
 
 import (

@@ -2,17 +2,15 @@ package clustersim
 
 import "fmt"
 
-// invariants is the run-wide safety checker: a shadow bookkeeper fed by
-// the same simulation events that drive the accounting, verifying after
-// every step what the report can only assert in aggregate. It keeps its
-// OWN record of which node computed or imported which artifact — never
-// reading the nodes' cache maps — so a regression where the transport
-// serves a result the serving node never held, or the policy probes
-// wider than its fan-out, or an admission chain revisits a node, or a
-// node runs more jobs than it has workers, is caught at the moment it
-// happens rather than laundered into a plausible-looking latency
-// number. Violations are deterministic strings rendered on the report;
-// every shipped scenario must produce none.
+// invariants is the run-wide safety checker. Its terminal and worker
+// books are fed by each node's jobs.Node hooks (Finished, Occupied) —
+// the shipped lifecycle, not the simulator's bookkeeping — and it keeps
+// its OWN record of which node computed or imported which artifact,
+// never reading the nodes' cache maps. So a double settle, a serve the
+// serving node never held, a probe wider than its fan-out, a revisiting
+// admission chain or a node running more jobs than it has workers is
+// caught when it happens. Violations are deterministic strings on the
+// report; every shipped scenario must produce none.
 type invariants struct {
 	c *Cluster
 	// terminal maps job id → how it reached its terminal account
@@ -66,9 +64,9 @@ func (v *invariants) terminalOnce(id, how string) {
 	v.terminal[id] = how
 }
 
-// jobStarted and jobStopped bracket one job's run on a worker: a node
-// never runs more than WorkersPerNode jobs at once. (A crashed node's
-// runs are never stopped — nor does it start another.)
+// jobStarted and jobStopped bracket one job's run on a worker (the
+// node's Occupied hook): a node never runs more than WorkersPerNode jobs
+// at once. A crashed node's runs are never stopped, nor started.
 func (v *invariants) jobStarted(n *node) {
 	v.running[n.url]++
 	if got := v.running[n.url]; got > v.c.cfg.WorkersPerNode {

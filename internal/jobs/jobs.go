@@ -5,14 +5,11 @@
 // peer's verdict table, else "run"), leases it to thieves and settles
 // their reports, finishes it exactly once, and reaps expired leases.
 //
-// perfplayd drives it from its handlers and worker, reaper and stealer
-// loops; internal/clustersim drives one Node per virtual perfplayd on
-// its event clock. Everything the two differ in is injected: the clock,
-// the cache-probe transport, the admission probe, the transition log,
-// and hooks for what the owner observes (long polls, spans, counters).
-// The analysis itself is not here — Start reports "run", and the owner
-// runs it (pipeline.Run in the daemon, a scheduled completion in the
-// simulator) and calls Finish.
+// perfplayd drives it from its handlers and loops; internal/clustersim
+// drives one Node per virtual perfplayd on its event clock. What the two
+// differ in is injected: the clock, the transports, the transition log
+// and observer hooks. The analysis is the owner's: Start reports "run",
+// and the owner runs it and calls Finish.
 package jobs
 
 import (
@@ -43,8 +40,8 @@ const (
 	TransitionEvicted = "evicted" // a finished job left the table (MaxJobs)
 )
 
-// Job is one submitted analysis as its node tracks it, and the JSON a
-// client polls. Only the rendered summary is kept after it finishes.
+// Job is one submitted analysis as its node tracks it: the JSON a
+// client polls.
 type Job struct {
 	ID        string    `json:"id"`
 	Status    string    `json:"status"`
@@ -54,22 +51,14 @@ type Job struct {
 
 	TraceDigest string `json:"trace_digest,omitempty"`
 	Seed        int64  `json:"seed,omitempty"`
-	// StolenBy is the peer holding (or that settled) the job's steal
-	// lease — empty for jobs run by this node.
-	StolenBy string `json:"stolen_by,omitempty"`
-	// CachePeer is the peer whose result cache settled the job.
-	CachePeer string `json:"cache_peer,omitempty"`
-	// TraceID is the job's distributed trace.
-	TraceID string `json:"trace_id,omitempty"`
+	StolenBy    string `json:"stolen_by,omitempty"`  // the thief holding (or that settled) its lease
+	CachePeer   string `json:"cache_peer,omitempty"` // the peer whose result cache settled it
+	TraceID     string `json:"trace_id,omitempty"`   // its distributed trace
 
-	// Rendered is the finished summary, however it was obtained.
-	core.Rendered
+	core.Rendered // the finished summary, however obtained
 
-	// Spec is the wire-stealable description (zero = not stealable).
-	Spec scheduler.Spec `json:"-"`
-	// Local is the owner's per-job state (the daemon's request and
-	// long-poll channel, the simulator's cost model).
-	Local any `json:"-"`
+	Spec  scheduler.Spec `json:"-"` // wire-stealable description (zero: not stealable)
+	Local any            `json:"-"` // the owner's per-job state
 }
 
 // Cache is the node's local artifact store, in the keys Keys names.
@@ -96,12 +85,11 @@ type Hooks struct {
 }
 
 // Config sizes a node and injects what differs between the daemon and
-// the simulator. Zero values mean "none" or "unbounded", never a
-// default: the owner resolves defaults.
+// the simulator. Zero means "none" or "unbounded"; owners resolve
+// defaults.
 type Config[T any] struct {
 	QueueDepth int
-	// Peers are the other nodes' base URLs: steal victims, probe
-	// targets and Retry-Peer candidates.
+	// Peers are the other nodes' base URLs.
 	Peers []string
 	// Lease is how long a thief may hold a claimed job.
 	Lease time.Duration
@@ -172,14 +160,8 @@ func ReapInterval(lease time.Duration) time.Duration {
 // Seq parses the number in a "job-N" ID.
 func Seq(id string) (int64, bool) {
 	rest, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return 0, false
-	}
 	n, err := strconv.ParseInt(rest, 10, 64)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
+	return n, ok && err == nil && n >= 0
 }
 
 // setStatus changes a job's status and tells the owner. Call with n.mu
@@ -306,24 +288,19 @@ func (n *Node[R, T]) Begin(qj *scheduler.Job) Job {
 	return *j
 }
 
-// Occupy counts a worker busy with job id until the returned release
-// runs. Stolen jobs, which are not in this node's table, count too.
+// Occupy counts a worker busy with job id — stolen jobs, not in this
+// table, too — until the returned release runs.
 func (n *Node[R, T]) Occupy(id string) (release func()) {
-	n.occupy(id, true)
-	return func() { n.occupy(id, false) }
-}
-
-func (n *Node[R, T]) occupy(id string, busy bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if busy {
-		n.running++
-	} else {
-		n.running--
+	occupy := func(busy bool, delta int) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.running += delta
+		if n.Occupied != nil {
+			n.Occupied(id, busy)
+		}
 	}
-	if n.Occupied != nil {
-		n.Occupied(id, busy)
-	}
+	occupy(true, 1)
+	return func() { occupy(false, -1) }
 }
 
 // Running counts busy workers.
@@ -382,12 +359,15 @@ func (n *Node[R, T]) Start(k Keys, f cachepolicy.Fetcher[R, T], observe func(pee
 // Claim leases the newest stealable job to a thief and marks it running
 // elsewhere. It returns the job and the lease deadline.
 func (n *Node[R, T]) Claim(thief string) (Job, time.Time, bool) {
+	// Claim under the node's lock: a reaper taking back a lease that
+	// lapsed at once must find the job marked claimed, not have its
+	// requeue overwritten.
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	qj, deadline, ok := n.Queue.Claim(thief, n.Lease)
 	if !ok {
 		return Job{}, time.Time{}, false
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	j := qj.Payload.(*Job)
 	j.StolenBy = thief
 	n.setStatus(j, Running)
