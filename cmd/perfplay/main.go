@@ -31,15 +31,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"slices"
 	"strings"
+	"time"
 
 	"perfplay/internal/core"
 	"perfplay/internal/corpus"
 	"perfplay/internal/elision"
+	"perfplay/internal/jobs"
 	"perfplay/internal/multi"
+	"perfplay/internal/peerclient"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/replay"
 	timelinepkg "perfplay/internal/timeline"
@@ -305,59 +307,32 @@ func main() {
 }
 
 // runOnDaemon submits one job to a perfplayd daemon (following
-// Retry-Peer admission redirects via corpus.Remote) and long-polls the
-// accepting node until the job settles, printing its report — which the
-// determinism contract guarantees is byte-identical to what a local run
-// of the same description would print.
+// Retry-Peer admission redirects) and long-polls the accepting node
+// until the job settles, printing its report — which the determinism
+// contract guarantees is byte-identical to what a local run of the same
+// description would print.
 func runOnDaemon(base string, spec map[string]any) error {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return err
 	}
-	remote := &corpus.Remote{Base: strings.TrimRight(base, "/")}
-	id, accepted, err := remote.SubmitAnalyze(body)
+	base = strings.TrimRight(base, "/")
+	id, accepted, err := (&peerclient.Client{}).Submit(base, body)
 	if err != nil {
 		return err
 	}
-	if accepted != strings.TrimRight(base, "/") {
+	if accepted != base {
 		fmt.Fprintf(os.Stderr, "perfplay: redirected to %s (submitted node was full)\n", accepted)
 	}
-	for {
-		resp, err := http.Get(accepted + "/jobs/" + id + "?wait=30s")
-		if err != nil {
-			return err
-		}
-		var j struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-			Report string `json:"report"`
-		}
-		derr := json.NewDecoder(resp.Body).Decode(&j)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			// E.g. 404 after the finished job aged out of -max-jobs;
-			// answers immediately (no ?wait parking), so looping on it
-			// would be a hot request storm, not patience.
-			msg := j.Error
-			if msg == "" {
-				msg = resp.Status
-			}
-			return fmt.Errorf("poll %s/jobs/%s: %s", accepted, id, msg)
-		}
-		if derr != nil {
-			return fmt.Errorf("poll %s/jobs/%s: %w", accepted, id, derr)
-		}
-		switch j.Status {
-		case "done":
-			fmt.Print(j.Report)
-			return nil
-		case "failed":
-			return fmt.Errorf("daemon job %s failed: %s", id, j.Error)
-		case "queued", "running":
-		default:
-			return fmt.Errorf("poll %s/jobs/%s: unknown status %q", accepted, id, j.Status)
-		}
+	j, err := (&peerclient.Client{}).Wait(accepted, id, 30*time.Second)
+	if err != nil {
+		return err
 	}
+	if j.Status == jobs.Failed {
+		return fmt.Errorf("daemon job %s failed: %s", id, j.Error)
+	}
+	fmt.Print(j.Report)
+	return nil
 }
 
 // saveToCorpus stores the recording in the local content-addressed

@@ -1,12 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"time"
 
 	"perfplay/internal/clusterapi"
@@ -23,11 +18,11 @@ import (
 //	                          idlest peer instead of turning them away
 //
 // When to probe, whom, and in what order live in internal/jobs (Start,
-// RetryPeer) over internal/cachepolicy; this file is the HTTP adapter
-// behind the cachepolicy.Fetcher seam (fetch, decode, validate) plus the
-// daemon-side accounting. internal/clustersim drives the same node over
-// a virtual-clock transport, so the policy lab's sweep results
-// (docs/POLICIES.md) speak for this daemon.
+// RetryPeer) over internal/cachepolicy; the fetches go through
+// internal/peerclient behind the cachepolicy.Fetcher seam, and this file
+// holds the serving side plus the daemon's accounting. internal/clustersim
+// drives the same node over a virtual-clock transport, so the policy
+// lab's sweep results (docs/POLICIES.md) speak for this daemon.
 
 // cacheStats counts this node's cluster-cache and admission traffic in
 // the metrics registry, so /healthz and /metrics render the same series:
@@ -152,65 +147,6 @@ func (c localCache) ImportTable(key string, wt *pipeline.WireTable) bool {
 	}
 	c.s.cacheStats.tableImports.Inc()
 	return true
-}
-
-// httpCacheTransport is the daemon's cachepolicy.Fetcher: fetch and
-// decode peer cache artifacts over HTTP, with the job's trace context
-// riding as headers.
-type httpCacheTransport struct {
-	s  *Server
-	tc spanCtx
-}
-
-// get issues one cluster-cache probe, carrying the job's trace context
-// so the serving peer's span lands on the same timeline, and returns the
-// body of a 200; anything else is an error — a miss.
-func (t *httpCacheTransport) get(urlStr string) (io.ReadCloser, error) {
-	req, err := http.NewRequest(http.MethodGet, urlStr, nil)
-	if err != nil {
-		return nil, err
-	}
-	if t.tc.trace != "" {
-		req.Header.Set(telemetry.TraceHeader, t.tc.trace)
-		req.Header.Set(telemetry.SpanHeader, t.tc.parent)
-	}
-	resp, err := t.s.cacheClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		return nil, fmt.Errorf("cache probe %s: status %d", urlStr, resp.StatusCode)
-	}
-	return resp.Body, nil
-}
-
-// FetchResult fetches and validates one peer's cached result. A body
-// past maxSummaryBytes, or in any shape but the current one, fails to
-// decode and so reads as a miss.
-func (t *httpCacheTransport) FetchResult(peer, key string, topK int) (*pipeline.WireResult, error) {
-	body, err := t.get(peer + "/cache/results/" + url.PathEscape(key) + "?top=" + strconv.Itoa(topK))
-	if err != nil {
-		return nil, err
-	}
-	defer body.Close()
-	return pipeline.ReadWireResult(io.LimitReader(body, maxSummaryBytes), key, topK)
-}
-
-// FetchTable fetches and decodes one peer's cached verdict table;
-// localCache.ImportTable validates and adopts it.
-func (t *httpCacheTransport) FetchTable(peer, key string) (*pipeline.WireTable, error) {
-	body, err := t.get(peer + "/cache/tables/" + url.PathEscape(key))
-	if err != nil {
-		return nil, err
-	}
-	defer body.Close()
-	var wt pipeline.WireTable
-	if err := json.NewDecoder(io.LimitReader(body, t.s.cfg.MaxTraceBytes)).Decode(&wt); err != nil {
-		return nil, fmt.Errorf("table probe %s: %w", peer, err)
-	}
-	return &wt, nil
 }
 
 // rejectQueueFull answers a submit that found the queue full. With a

@@ -13,6 +13,7 @@ import (
 
 	"perfplay/internal/cachepolicy"
 	"perfplay/internal/corpus"
+	"perfplay/internal/peerclient"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/scheduler"
 	"perfplay/internal/trace"
@@ -217,8 +218,8 @@ func TestAdmissionRedirectLandsOnIdlestPeer(t *testing.T) {
 		t.Fatalf("occupy submitted node: status %d", first.StatusCode)
 	}
 
-	remote := &corpus.Remote{Base: subTS.URL}
-	id, accepted, err := remote.SubmitAnalyze([]byte(goldenSpecs[0].spec))
+	remote := &peerclient.Client{}
+	id, accepted, err := remote.Submit(subTS.URL, []byte(goldenSpecs[0].spec))
 	if err != nil {
 		t.Fatalf("redirected submit failed: %v", err)
 	}
@@ -255,9 +256,9 @@ func TestRetryPeerLoopBound(t *testing.T) {
 	aSrv.node.Gossip.Record(bTS.URL, scheduler.PeerStatus{QueueLen: 0, QueueCap: 1})
 	bSrv.node.Gossip.Record(aTS.URL, scheduler.PeerStatus{QueueLen: 0, QueueCap: 1})
 
-	remote := &corpus.Remote{Base: aTS.URL}
+	remote := &peerclient.Client{}
 	start := time.Now()
-	_, _, err := remote.SubmitAnalyze([]byte(goldenSpecs[0].spec))
+	_, _, err := remote.Submit(aTS.URL, []byte(goldenSpecs[0].spec))
 	if err == nil {
 		t.Fatal("submit into a mutually-full cluster succeeded")
 	}

@@ -23,6 +23,7 @@ import (
 	"perfplay/internal/corpus"
 	"perfplay/internal/jobs"
 	"perfplay/internal/journal"
+	"perfplay/internal/peerclient"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
@@ -226,8 +227,8 @@ type Server struct {
 	// cacheClient carries cache and admission probes under the short
 	// CacheProbeTimeout; peerClient the calls that move a whole job or a
 	// trace blob, under peerCallTimeout.
-	cacheClient *http.Client
-	peerClient  *http.Client
+	cacheClient peerclient.Client
+	peerClient  peerclient.Client
 	cacheStats  cacheStats
 
 	// The process-wide registry behind GET /metrics, the span store
@@ -267,8 +268,8 @@ func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:         cfg,
-		cacheClient: &http.Client{Timeout: cfg.CacheProbeTimeout},
-		peerClient:  &http.Client{Timeout: peerCallTimeout},
+		cacheClient: peerclient.Client{HTTP: &http.Client{Timeout: cfg.CacheProbeTimeout}},
+		peerClient:  peerclient.Client{HTTP: &http.Client{Timeout: peerCallTimeout}},
 		stop:        make(chan struct{}),
 	}
 	// Every subsystem registers its instruments in the one registry.
@@ -284,7 +285,7 @@ func NewServer(cfg Config) (*Server, error) {
 		Fanout:        cfg.CacheProbeFanout,
 		HintKeys:      cfg.CacheHintKeys,
 		Local:         localCache{s},
-		Probe:         func(peer string) (scheduler.PeerStatus, error) { return scheduler.Probe(s.cacheClient, peer) },
+		Probe:         s.cacheClient.Probe,
 		Journal:       s,
 		Metrics:       s.schedMetrics,
 		Hooks: jobs.Hooks{
@@ -353,7 +354,7 @@ func (s *Server) StartStealer(self string) {
 		Idle:      s.idle,
 		Execute:   s.executeStolen,
 		Gossip:    s.node.Gossip,
-		Transport: s.stealTransport(),
+		Transport: &s.peerClient,
 		HasCached: s.pl.HasDigestCached, // prefer victims whose digests are cached here
 		Metrics:   s.schedMetrics,
 	}
@@ -459,7 +460,7 @@ func (s *Server) execute(req pipeline.Request, tc spanCtx) (core.Rendered, strin
 	k := jobs.Keys{Digest: req.TraceDigest, TopK: req.TopK}
 	k.Result, _ = s.pl.CacheKeyFor(req)
 	k.Table, _ = s.pl.TableKeyFor(req)
-	if src, wr, peer := s.node.Start(k, &httpCacheTransport{s: s, tc: tc}, s.observeProbe(tc)); src == jobs.PeerResult {
+	if src, wr, peer := s.node.Start(k, s.cacheClient.WithTrace(tc.trace, tc.parent), s.observeProbe(tc)); src == jobs.PeerResult {
 		s.cacheStats.remoteHits.Inc()
 		sum := wr.Rendered
 		sum.CacheHit = true

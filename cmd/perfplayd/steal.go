@@ -11,6 +11,7 @@ import (
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
 	"perfplay/internal/corpus"
+	"perfplay/internal/peerclient"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
@@ -105,14 +106,9 @@ func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pip
 	if victim == "" {
 		return pipeline.Request{}, fmt.Errorf("it references stored trace %s but the corpus is disabled", digest)
 	}
-	remote := &corpus.Remote{
-		Base:    victim,
-		Client:  s.peerClient,
-		TraceID: tc.trace,
-		SpanID:  tc.parent,
-	}
+	// A blob this node's own corpus could not hold is not worth buffering.
 	fetchStart := time.Now()
-	data, err := remote.Fetch(digest)
+	data, err := s.peerClient.WithTrace(tc.trace, tc.parent).FetchTrace(victim, digest, s.cfg.CorpusMaxBytes)
 	s.span(tc, "blob_fetch", fetchStart, time.Now(),
 		map[string]string{"victim": victim, "digest": digest, "outcome": probeOutcome(err == nil)})
 	if err != nil {
@@ -194,19 +190,13 @@ func (s *Server) executeStolen(victim string, sj scheduler.StolenJob) error {
 	spanMu.Unlock()
 	// A lease-expired settle (our result is stale) is an error: the
 	// abandon the stealer's failure accounting wants.
-	return s.stealTransport().Settle(victim, sj.ID, res)
+	return s.peerClient.Settle(victim, sj.ID, res)
 }
 
 // peerCallTimeout bounds each call that moves a whole job or a trace
 // blob between nodes: steal probe, claim and settle, and the thief's
 // trace fetch from the victim.
 const peerCallTimeout = 120 * time.Second
-
-// stealTransport is the transport the stealer probes and claims over
-// and stolen jobs settle over.
-func (s *Server) stealTransport() scheduler.Transport {
-	return &scheduler.HTTPTransport{Client: s.peerClient}
-}
 
 // handleSteal (GET /steal) is the probe half of the steal protocol: a
 // cheap, mutation-free advertisement of this node's stealable backlog
@@ -249,10 +239,10 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxSummaryBytes bounds a peer-supplied summary: a thief's settle body
-// (summary plus spans) or a cluster-cache export. Neither grows with the
-// trace it derives from, so neither is read under the upload bound.
-const maxSummaryBytes = 4 << 20
+// maxSummaryBytes bounds a thief's settle body (summary plus spans) as
+// peerclient bounds a cache export: neither grows with its trace, so
+// neither is read under the upload bound.
+const maxSummaryBytes = peerclient.MaxSummaryBytes
 
 // handleJobResult (POST /jobs/{id}/result) settles a stolen job with
 // the thief's outcome. A job no longer on lease answers 409 and the late

@@ -1,18 +1,18 @@
 // Package cachepolicy is the transport-independent policy half of the
 // cluster cache layer: probe ordering (gossip-hinted peers first, then
 // the idlest), bounded fan-out, degrade-to-local probing, and the
-// multi-hop Retry-Peer admission chain. The daemon (cmd/perfplayd)
-// drives it over HTTP; the offline policy lab (internal/clustersim)
-// drives the same code over an in-memory virtual-clock fabric, so the
-// simulator's sweep results speak for the code production runs.
+// multi-hop Retry-Peer admission chain. internal/peerclient drives it
+// over HTTP; the offline policy lab (internal/clustersim) drives the
+// same code over an in-memory virtual-clock fabric, so the simulator's
+// sweep results speak for the code production runs.
 //
 // The package deliberately knows nothing about wire formats: probing
 // goes through a Fetcher generic over the result and table artifact
 // types, admission through a SubmitFunc, and adapters own fetching,
-// decoding, and validating bytes. That keeps the dependency graph
-// acyclic (corpus → cachepolicy, while pipeline → corpus) and keeps
-// every policy decision — who to ask, how many, when to give up — in
-// one testable place.
+// decoding, and validating bytes. That lets the simulator instantiate
+// the seam over bare cache keys, keeps net/http and the pipeline out of
+// this package, and keeps every policy decision — who to ask, how
+// many, when to give up — in one testable place.
 package cachepolicy
 
 import (
@@ -26,8 +26,8 @@ import (
 // the simulator's scenarios. Defaults returns the single source of
 // truth for their default values, so the two cannot drift: perfplayd
 // flag declarations print these values, Config.withDefaults applies
-// them, corpus.Remote passes SubmitHops, and every clustersim scenario
-// starts from them.
+// them, peerclient.Client.Submit passes SubmitHops, and every clustersim
+// scenario starts from them.
 type Knobs struct {
 	// ProbeFanout bounds how many peers one cache-missed job probes.
 	ProbeFanout int

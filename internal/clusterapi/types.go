@@ -2,9 +2,9 @@
 // nodes — job specs, steal-protocol bodies, gossip status — and the
 // documented error envelope every route returns. It exists so the
 // policy packages (internal/scheduler, internal/pipeline) and the
-// transports that carry them (the daemon's HTTP client code, the
-// clustersim in-memory transport) can share one vocabulary without the
-// policy code importing net/http.
+// transports that carry them (internal/peerclient, the clustersim
+// in-memory transport) can share one vocabulary without the policy code
+// importing net/http.
 package clusterapi
 
 import (

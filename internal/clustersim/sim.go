@@ -396,7 +396,7 @@ func (c *Cluster) cacheLatencyMS() int64 {
 }
 
 // simCacheTransport is the cachepolicy.Fetcher of one job's probe
-// session, the counterpart of the daemon's httpCacheTransport. elapsed
+// session, the counterpart of the daemon's peerclient.Client. elapsed
 // accumulates its virtual cost: one latency draw per healthy peer, 1 ms
 // per refusal, the full timeout per blackholed link. The artifacts are
 // the cache keys themselves.
@@ -580,10 +580,10 @@ const sampleEveryMS = 100
 func (c *Cluster) drained() bool { return c.resolved >= len(c.jobs) }
 
 // submit is the client side of one arrival: cachepolicy.FollowRedirects
-// with the hop bound corpus.Remote passes, against each node's Admit and
-// RetryPeer — what perfplayd's POST /analyze calls. A crashed node
-// refuses the connection and ends the chain. The walk happens at the
-// arrival instant; its link time is charged to the job as a penalty.
+// with the hop bound peerclient's Submit passes, against each node's
+// Admit and RetryPeer — what perfplayd's POST /analyze calls. A crashed
+// node refuses the connection and ends the chain. The walk happens at
+// the arrival instant; its link time is charged to the job as a penalty.
 func (c *Cluster) submit(j *simJob, origin *node) {
 	maxHops := cachepolicy.Defaults().SubmitHops
 	var (

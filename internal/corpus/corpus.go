@@ -69,6 +69,12 @@ func parseDigest(d string) (string, error) {
 	return hexPart, nil
 }
 
+// CheckDigest reports a malformed digest as ErrInvalid.
+func CheckDigest(d string) error {
+	_, err := parseDigest(d)
+	return err
+}
+
 // Meta describes one stored trace.
 type Meta struct {
 	Digest   string    `json:"digest"`

@@ -1,4 +1,4 @@
-package corpus
+package corpus_test
 
 import (
 	"bytes"
@@ -10,14 +10,20 @@ import (
 	"testing"
 
 	"perfplay/internal/cachepolicy"
+	"perfplay/internal/corpus"
+	"perfplay/internal/peerclient"
 	"perfplay/internal/sim"
 	"perfplay/internal/workload"
 )
 
+// These tests drive peerclient's blob fetch and submit against stubs
+// over a real Store; the external test package is what lets them import
+// peerclient, which imports corpus, without a cycle.
+
 // tracesStub serves a perfplayd-shaped GET /traces/{digest} over a real
-// Store, so Remote is tested against the store semantics it will meet
-// in production without importing the daemon.
-func tracesStub(t *testing.T, st *Store) *httptest.Server {
+// Store, so the fetch is tested against the store semantics it will
+// meet in production without importing the daemon.
+func tracesStub(t *testing.T, st *corpus.Store) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /traces/{digest}", func(w http.ResponseWriter, r *http.Request) {
@@ -48,12 +54,13 @@ func remotePayload(t *testing.T) []byte {
 // TestRemoteFetch: a blob stored on the peer fetches back verified
 // against its digest, and unknown digests surface as ErrNotFound.
 func TestRemoteFetch(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
+	st, err := corpus.Open(t.TempDir(), corpus.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := tracesStub(t, st)
-	rem := &Remote{Base: ts.URL}
+	rem := &peerclient.Client{}
+	const maxBytes = 1 << 30
 
 	payload := remotePayload(t)
 	meta, _, err := st.Put(payload, false)
@@ -61,7 +68,7 @@ func TestRemoteFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := rem.Fetch(meta.Digest)
+	got, err := rem.FetchTrace(ts.URL, meta.Digest, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +76,10 @@ func TestRemoteFetch(t *testing.T) {
 		t.Fatalf("fetched %d bytes differ from stored %d", len(got), len(payload))
 	}
 
-	if _, err := rem.Fetch(Digest([]byte("never stored"))); !errors.Is(err, ErrNotFound) {
+	if _, err := rem.FetchTrace(ts.URL, corpus.Digest([]byte("never stored")), maxBytes); !errors.Is(err, corpus.ErrNotFound) {
 		t.Fatalf("unknown digest: err = %v, want ErrNotFound", err)
 	}
-	if _, err := rem.Fetch("sha256:nope"); !errors.Is(err, ErrInvalid) {
+	if _, err := rem.FetchTrace(ts.URL, "sha256:nope", maxBytes); !errors.Is(err, corpus.ErrInvalid) {
 		t.Fatalf("malformed digest: err = %v, want ErrInvalid", err)
 	}
 }
@@ -82,19 +89,18 @@ func TestRemoteFetch(t *testing.T) {
 // must be rejected, never trusted into a digest-keyed cache.
 func TestRemoteFetchRejectsBadBytes(t *testing.T) {
 	payload := remotePayload(t)
-	digest := Digest(payload)
+	digest := corpus.Digest(payload)
 	lying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("not the bytes you hashed"))
 	}))
 	defer lying.Close()
 
-	rem := &Remote{Base: lying.URL}
-	if _, err := rem.Fetch(digest); !errors.Is(err, ErrInvalid) {
+	rem := &peerclient.Client{}
+	if _, err := rem.FetchTrace(lying.URL, digest, 1<<30); !errors.Is(err, corpus.ErrInvalid) {
 		t.Fatalf("mismatched bytes: err = %v, want ErrInvalid", err)
 	}
 
-	rem.MaxFetchBytes = 8
-	if _, err := rem.Fetch(digest); err == nil || !strings.Contains(err.Error(), "more than 8 bytes") {
+	if _, err := rem.FetchTrace(lying.URL, digest, 8); err == nil || !strings.Contains(err.Error(), "more than 8 bytes") {
 		t.Fatalf("oversized body: err = %v, want size-bound rejection", err)
 	}
 }
@@ -132,8 +138,8 @@ func TestSubmitAnalyzeFollowsRetryPeer(t *testing.T) {
 	idle, idleCalls := analyzeStub(t, true, nil)
 	full, fullCalls := analyzeStub(t, false, func() string { return idle.URL })
 
-	rem := &Remote{Base: full.URL}
-	id, base, err := rem.SubmitAnalyze([]byte(`{"app":"x"}`))
+	rem := &peerclient.Client{}
+	id, base, err := rem.Submit(full.URL, []byte(`{"app":"x"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +155,8 @@ func TestSubmitAnalyzeFollowsRetryPeer(t *testing.T) {
 // an error after exactly one attempt, and a direct accept needs none.
 func TestSubmitAnalyzeNoRedirect(t *testing.T) {
 	full, fullCalls := analyzeStub(t, false, func() string { return "" })
-	rem := &Remote{Base: full.URL}
-	if _, _, err := rem.SubmitAnalyze([]byte(`{}`)); err == nil {
+	rem := &peerclient.Client{}
+	if _, _, err := rem.Submit(full.URL, []byte(`{}`)); err == nil {
 		t.Fatal("503 without Retry-Peer did not error")
 	}
 	if *fullCalls != 1 {
@@ -158,7 +164,7 @@ func TestSubmitAnalyzeNoRedirect(t *testing.T) {
 	}
 
 	ok, okCalls := analyzeStub(t, true, nil)
-	if _, base, err := (&Remote{Base: ok.URL}).SubmitAnalyze([]byte(`{}`)); err != nil || base != ok.URL {
+	if _, base, err := rem.Submit(ok.URL, []byte(`{}`)); err != nil || base != ok.URL {
 		t.Fatalf("direct accept: base=%q err=%v", base, err)
 	}
 	if *okCalls != 1 {
@@ -183,7 +189,7 @@ func TestSubmitAnalyzeHopBound(t *testing.T) {
 	}
 	head := chain[len(chain)-1]
 
-	_, _, err := (&Remote{Base: head.URL}).SubmitAnalyze([]byte(`{}`))
+	_, _, err := (&peerclient.Client{}).Submit(head.URL, []byte(`{}`))
 	if err == nil || !strings.Contains(err.Error(), "Retry-Peer hops") {
 		t.Fatalf("err = %v, want hop-bound rejection", err)
 	}

@@ -1,9 +1,9 @@
 // Package scheduler is the cluster-level job scheduler behind
 // perfplayd's work-stealing pool. It turns the daemon's bounded
 // pending-job queue into a *stealable* queue: any idle peer can claim a
-// whole queued job over HTTP (POST /jobs/claim), execute it on its own
-// pipeline, and report the finished summary back to the victim — so a
-// job submitted to node A completes on an idle node B while A's clients
+// whole queued job (POST /jobs/claim), execute it on its own pipeline,
+// and report the finished summary back to the victim — so a job
+// submitted to node A completes on an idle node B while A's clients
 // keep polling A, and the cluster behaves as a symmetric pool instead
 // of a star with one coordinator.
 //
@@ -19,6 +19,9 @@
 //     backlog, and hands each stolen job to an executor callback.
 //   - Gossip: the stealer's last-known view of every peer's queue
 //     depth, surfaced through the daemon's /healthz for operators.
+//
+// Every peer call crosses the Transport seam (internal/peerclient in the
+// daemon, an in-memory fabric in the simulator): no net/http here.
 //
 // Jobs are shipped as a Spec — a content-addressed description (a
 // workload spec, or a trace digest the thief fetches from the victim's

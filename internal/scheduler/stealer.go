@@ -1,7 +1,6 @@
 package scheduler
 
 import (
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -110,12 +109,8 @@ type Stealer struct {
 	Execute func(victim string, job StolenJob) error
 	// Gossip, when set, receives every probe observation.
 	Gossip *Gossip
-	// Transport carries probes and claims. Nil falls back to
-	// HTTPTransport over Client.
+	// Transport carries probes and claims (required).
 	Transport Transport
-	// Client overrides http.DefaultClient for the fallback HTTP
-	// transport (ignored when Transport is set).
-	Client *http.Client
 	// HasCached, when set, reports whether this node holds cached
 	// artifacts for a trace digest. Victims advertise the digests of
 	// their stealable jobs; a victim advertising a digest this node has
@@ -162,14 +157,6 @@ func (s *Stealer) Stats() StealerStats {
 		Failures:     int(m.StealFailures.Int()),
 		HintedClaims: int(m.StealHintedClaims.Int()),
 	}
-}
-
-// transport returns the injected Transport, or the HTTP default.
-func (s *Stealer) transport() Transport {
-	if s.Transport != nil {
-		return s.Transport
-	}
-	return &HTTPTransport{Client: s.Client}
 }
 
 // Run loops until stop closes, calling Tick once per interval. Call it
@@ -226,7 +213,6 @@ type peerDepth struct {
 // finish.
 func (s *Stealer) probeAll(stop <-chan struct{}) []peerDepth {
 	m := s.metrics()
-	tr := s.transport()
 	var depths []peerDepth
 	for _, peer := range s.Peers {
 		select {
@@ -234,7 +220,7 @@ func (s *Stealer) probeAll(stop <-chan struct{}) []peerDepth {
 			return nil
 		default:
 		}
-		st, err := tr.Probe(peer)
+		st, err := s.Transport.Probe(peer)
 		m.StealProbes.Inc()
 		if err != nil {
 			m.GossipUpdates.With("err").Inc()
@@ -279,9 +265,8 @@ func (s *Stealer) stealOnce(stop <-chan struct{}) bool {
 		return depths[i].stealable > depths[j].stealable
 	})
 	m := s.metrics()
-	tr := s.transport()
 	for _, d := range depths {
-		job, ok, err := tr.Claim(d.peer, s.Self)
+		job, ok, err := s.Transport.Claim(d.peer, s.Self)
 		if err != nil || !ok {
 			continue // someone beat us to it, or the peer went away
 		}

@@ -1,4 +1,4 @@
-package scheduler
+package scheduler_test
 
 import (
 	"encoding/json"
@@ -7,14 +7,25 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"perfplay/internal/peerclient"
+	"perfplay/internal/scheduler"
 )
 
+// These tests drive the Stealer over real HTTP through peerclient, the
+// daemon's transport; the external test package is what lets them
+// import it without a cycle.
+
+func stealableJob(id string) *scheduler.Job {
+	return &scheduler.Job{ID: id, Spec: scheduler.Spec{App: "mysql", Threads: 4, Seed: 7}}
+}
+
 // fakeVictim serves the victim half of the steal protocol from a Queue.
-func fakeVictim(t *testing.T, q *Queue) *httptest.Server {
+func fakeVictim(t *testing.T, q *scheduler.Queue) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /steal", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(PeerStatus{
+		json.NewEncoder(w).Encode(scheduler.PeerStatus{
 			QueueLen:  q.Len(),
 			QueueCap:  q.Cap(),
 			Stealable: q.Stealable(),
@@ -27,7 +38,7 @@ func fakeVictim(t *testing.T, q *Queue) *httptest.Server {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		json.NewEncoder(w).Encode(StolenJob{ID: j.ID, Spec: j.Spec, LeaseMS: time.Until(deadline).Milliseconds()})
+		json.NewEncoder(w).Encode(scheduler.StolenJob{ID: j.ID, Spec: j.Spec, LeaseMS: time.Until(deadline).Milliseconds()})
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -35,9 +46,9 @@ func fakeVictim(t *testing.T, q *Queue) *httptest.Server {
 }
 
 func TestStealerDrainsDeepestPeer(t *testing.T) {
-	shallow := NewQueue(8)
+	shallow := scheduler.NewQueue(8)
 	shallow.Push(stealableJob("s1"))
-	deep := NewQueue(8)
+	deep := scheduler.NewQueue(8)
 	for _, id := range []string{"d1", "d2", "d3"} {
 		deep.Push(stealableJob(id))
 	}
@@ -47,17 +58,18 @@ func TestStealerDrainsDeepestPeer(t *testing.T) {
 	var order []string
 	idle := true
 	done := make(chan struct{})
-	st := &Stealer{
-		Self:     "http://self",
-		Peers:    []string{tsShallow.URL, tsDeep.URL},
-		Interval: 5 * time.Millisecond,
-		Gossip:   NewGossip(),
+	st := &scheduler.Stealer{
+		Self:      "http://self",
+		Peers:     []string{tsShallow.URL, tsDeep.URL},
+		Interval:  5 * time.Millisecond,
+		Gossip:    scheduler.NewGossip(),
+		Transport: &peerclient.Client{},
 		Idle: func() bool {
 			mu.Lock()
 			defer mu.Unlock()
 			return idle
 		},
-		Execute: func(victim string, job StolenJob) error {
+		Execute: func(victim string, job scheduler.StolenJob) error {
 			mu.Lock()
 			defer mu.Unlock()
 			order = append(order, job.ID)
@@ -98,15 +110,16 @@ func TestStealerDrainsDeepestPeer(t *testing.T) {
 }
 
 func TestStealerRespectsIdle(t *testing.T) {
-	q := NewQueue(8)
+	q := scheduler.NewQueue(8)
 	q.Push(stealableJob("a"))
 	ts := fakeVictim(t, q)
-	st := &Stealer{
-		Self:     "http://self",
-		Peers:    []string{ts.URL},
-		Interval: 5 * time.Millisecond,
-		Idle:     func() bool { return false },
-		Execute: func(string, StolenJob) error {
+	st := &scheduler.Stealer{
+		Self:      "http://self",
+		Peers:     []string{ts.URL},
+		Interval:  5 * time.Millisecond,
+		Transport: &peerclient.Client{},
+		Idle:      func() bool { return false },
+		Execute: func(string, scheduler.StolenJob) error {
 			t.Error("executed a steal while not idle")
 			return nil
 		},
@@ -120,15 +133,15 @@ func TestStealerRespectsIdle(t *testing.T) {
 	}
 }
 
-// TestProbe: the exported probe carries the peer's full status —
-// admission headroom and cache hints included — and fails loudly
-// against a dead peer.
+// TestProbe: the probe carries the peer's full status — admission
+// headroom and cache hints included — and fails loudly against a dead
+// peer.
 func TestProbe(t *testing.T) {
-	q := NewQueue(8)
+	q := scheduler.NewQueue(8)
 	q.Push(stealableJob("a"))
 	ts := fakeVictim(t, q)
 
-	st, err := Probe(nil, ts.URL)
+	st, err := (&peerclient.Client{}).Probe(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +151,7 @@ func TestProbe(t *testing.T) {
 	if !st.HintsKey("hot-key") || st.HintsKey("cold-key") {
 		t.Fatalf("cache hints wrong: %v", st.CacheKeys)
 	}
-	hinted := PeerStatus{CacheKeys: []string{"sha256:abc|in0|t2|rest"}}
+	hinted := scheduler.PeerStatus{CacheKeys: []string{"sha256:abc|in0|t2|rest"}}
 	if !hinted.HintsDigest("sha256:abc") || hinted.HintsDigest("sha256:ab") || hinted.HintsDigest("sha256:abd") {
 		t.Fatalf("digest hints wrong: %v", hinted.CacheKeys)
 	}
@@ -146,7 +159,7 @@ func TestProbe(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close()
-	if _, err := Probe(nil, deadURL); err == nil {
+	if _, err := (&peerclient.Client{}).Probe(deadURL); err == nil {
 		t.Fatal("probe of a dead peer succeeded")
 	}
 }
@@ -156,16 +169,17 @@ func TestProbe(t *testing.T) {
 // Retry-Peer redirect target, and the view must not go stale exactly
 // when the node is overloaded — while never actually claiming work.
 func TestBusyNodeStillGossips(t *testing.T) {
-	q := NewQueue(8)
+	q := scheduler.NewQueue(8)
 	q.Push(stealableJob("a"))
 	ts := fakeVictim(t, q)
-	st := &Stealer{
-		Self:     "http://self",
-		Peers:    []string{ts.URL},
-		Interval: 5 * time.Millisecond,
-		Gossip:   NewGossip(),
-		Idle:     func() bool { return false },
-		Execute: func(string, StolenJob) error {
+	st := &scheduler.Stealer{
+		Self:      "http://self",
+		Peers:     []string{ts.URL},
+		Interval:  5 * time.Millisecond,
+		Gossip:    scheduler.NewGossip(),
+		Transport: &peerclient.Client{},
+		Idle:      func() bool { return false },
+		Execute: func(string, scheduler.StolenJob) error {
 			t.Error("executed a steal while not idle")
 			return nil
 		},
@@ -198,19 +212,20 @@ func TestStealerSurvivesDeadPeer(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close()
-	q := NewQueue(8)
+	q := scheduler.NewQueue(8)
 	q.Push(stealableJob("a"))
 	ts := fakeVictim(t, q)
 
 	done := make(chan struct{})
 	var once sync.Once
-	st := &Stealer{
-		Self:     "http://self",
-		Peers:    []string{deadURL, ts.URL},
-		Interval: 5 * time.Millisecond,
-		Gossip:   NewGossip(),
-		Idle:     func() bool { return true },
-		Execute: func(victim string, job StolenJob) error {
+	st := &scheduler.Stealer{
+		Self:      "http://self",
+		Peers:     []string{deadURL, ts.URL},
+		Interval:  5 * time.Millisecond,
+		Gossip:    scheduler.NewGossip(),
+		Transport: &peerclient.Client{},
+		Idle:      func() bool { return true },
+		Execute: func(victim string, job scheduler.StolenJob) error {
 			once.Do(func() { close(done) })
 			return nil
 		},
@@ -232,7 +247,7 @@ func TestStealerSurvivesDeadPeer(t *testing.T) {
 // died before the result could be reported) is a counted failure, not a
 // wedge — the loop keeps going.
 func TestStealerCountsReportFailures(t *testing.T) {
-	q := NewQueue(8)
+	q := scheduler.NewQueue(8)
 	q.Push(stealableJob("a"))
 	q.Push(stealableJob("b"))
 	ts := fakeVictim(t, q)
@@ -240,12 +255,13 @@ func TestStealerCountsReportFailures(t *testing.T) {
 	drained := make(chan struct{})
 	var calls int
 	var mu sync.Mutex
-	st := &Stealer{
-		Self:     "http://self",
-		Peers:    []string{ts.URL},
-		Interval: 5 * time.Millisecond,
-		Idle:     func() bool { return true },
-		Execute: func(victim string, job StolenJob) error {
+	st := &scheduler.Stealer{
+		Self:      "http://self",
+		Peers:     []string{ts.URL},
+		Interval:  5 * time.Millisecond,
+		Transport: &peerclient.Client{},
+		Idle:      func() bool { return true },
+		Execute: func(victim string, job scheduler.StolenJob) error {
 			mu.Lock()
 			defer mu.Unlock()
 			calls++
@@ -269,47 +285,16 @@ func TestStealerCountsReportFailures(t *testing.T) {
 	}
 }
 
-// TestGossipFakeClock: Seen stamps come from the injectable clock, both
-// on successful observations and failures — and the stealer's own clock
-// wins over the victim's, so a peer with a skewed wall clock cannot
-// make its gossip entry look fresher (or staler) than it is.
-func TestGossipFakeClock(t *testing.T) {
-	clock := newFakeClock()
-	g := NewGossip()
-	g.Now = clock.Now
-
-	g.Record("http://a", PeerStatus{QueueLen: 3})
-	if got := g.Snapshot()["http://a"].Seen; !got.Equal(clock.Now()) {
-		t.Fatalf("Seen = %v, want the fake clock's %v", got, clock.Now())
-	}
-	clock.Advance(time.Minute)
-	g.RecordErr("http://a", errProbe{})
-	if got := g.Snapshot()["http://a"].Seen; !got.Equal(clock.Now()) {
-		t.Fatalf("Seen after error = %v, want %v", got, clock.Now())
-	}
-	// A caller that pre-stamped observation time keeps its stamp.
-	stamp := clock.Advance(time.Minute)
-	clock.Advance(time.Hour)
-	g.Record("http://b", PeerStatus{Seen: stamp})
-	if got := g.Snapshot()["http://b"].Seen; !got.Equal(stamp) {
-		t.Fatalf("pre-stamped Seen = %v, want %v", got, stamp)
-	}
-}
-
-type errProbe struct{}
-
-func (errProbe) Error() string { return "probe failed" }
-
 // TestStealerStampsGossipWithOwnClock: the full probe path — Probe
 // discards the victim's self-stamped Seen, and the stealer stamps the
 // observation with its own (injectable) clock before recording it.
 func TestStealerStampsGossipWithOwnClock(t *testing.T) {
-	q := NewQueue(8)
+	q := scheduler.NewQueue(8)
 	q.Push(stealableJob("a"))
 	ts := fakeVictim(t, q)
 
 	// The wire status carries the victim's wall clock...
-	wire, err := Probe(nil, ts.URL)
+	wire, err := (&peerclient.Client{}).Probe(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,15 +303,16 @@ func TestStealerStampsGossipWithOwnClock(t *testing.T) {
 		t.Fatalf("Probe kept the victim's Seen stamp %v", wire.Seen)
 	}
 
-	clock := newFakeClock()
-	st := &Stealer{
-		Self:     "http://self",
-		Peers:    []string{ts.URL},
-		Interval: 5 * time.Millisecond,
-		Gossip:   NewGossip(),
-		Now:      clock.Now,
-		Idle:     func() bool { return false }, // gossip-only ticks
-		Execute:  func(string, StolenJob) error { return nil },
+	stamp := time.Unix(1_700_000_000, 0)
+	st := &scheduler.Stealer{
+		Self:      "http://self",
+		Peers:     []string{ts.URL},
+		Interval:  5 * time.Millisecond,
+		Gossip:    scheduler.NewGossip(),
+		Transport: &peerclient.Client{},
+		Now:       func() time.Time { return stamp },
+		Idle:      func() bool { return false }, // gossip-only ticks
+		Execute:   func(string, scheduler.StolenJob) error { return nil },
 	}
 	stop := make(chan struct{})
 	defer close(stop)
@@ -335,8 +321,8 @@ func TestStealerStampsGossipWithOwnClock(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if pst, ok := st.Gossip.Snapshot()[ts.URL]; ok && pst.Err == "" {
-			if !pst.Seen.Equal(clock.Now()) {
-				t.Fatalf("gossip Seen = %v, want the stealer clock's %v", pst.Seen, clock.Now())
+			if !pst.Seen.Equal(stamp) {
+				t.Fatalf("gossip Seen = %v, want the stealer clock's %v", pst.Seen, stamp)
 			}
 			break
 		}

@@ -1,13 +1,7 @@
 package scheduler
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"net/http"
-	"time"
 
 	"perfplay/internal/clusterapi"
 )
@@ -21,7 +15,7 @@ var ErrLeaseExpired = errors.New("job lease expired on victim")
 
 // Transport carries the steal protocol to a peer. The policy code
 // (Stealer, admission's idlest-peer selection, the cluster simulator)
-// speaks only this interface; HTTPTransport is the production
+// speaks only this interface; internal/peerclient is the HTTP
 // implementation, and clustersim substitutes an in-memory one so the
 // identical policy code runs deterministically offline.
 type Transport interface {
@@ -36,102 +30,6 @@ type Transport interface {
 	// ErrLeaseExpired (possibly wrapped) means the victim re-owns the
 	// job and discarded the result.
 	Settle(victim, jobID string, res clusterapi.StealResult) error
-}
-
-// HTTPTransport is the production Transport: the steal protocol over
-// the daemon's HTTP routes (GET /steal, POST /jobs/claim,
-// POST /jobs/{id}/result).
-type HTTPTransport struct {
-	// Client overrides http.DefaultClient.
-	Client *http.Client
-}
-
-func (t *HTTPTransport) client() *http.Client {
-	if t != nil && t.Client != nil {
-		return t.Client
-	}
-	return http.DefaultClient
-}
-
-// Probe asks one peer for its queue and cache status (GET /steal).
-func (t *HTTPTransport) Probe(peer string) (PeerStatus, error) {
-	resp, err := t.client().Get(peer + "/steal")
-	if err != nil {
-		return PeerStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return PeerStatus{}, fmt.Errorf("probe %s: status %d", peer, resp.StatusCode)
-	}
-	var st PeerStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return PeerStatus{}, fmt.Errorf("probe %s: %w", peer, err)
-	}
-	// The victim stamps Seen with its own clock; observation time is
-	// the observer's business (and victim clock skew would poison
-	// staleness checks), so clear it for Gossip.Record to re-stamp.
-	st.Seen = time.Time{}
-	return st, nil
-}
-
-// Claim attempts to take one whole job from a peer (POST /jobs/claim).
-func (t *HTTPTransport) Claim(peer, thief string) (StolenJob, bool, error) {
-	body, _ := json.Marshal(map[string]string{"thief": thief})
-	resp, err := t.client().Post(peer+"/jobs/claim", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return StolenJob{}, false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNoContent:
-		return StolenJob{}, false, nil
-	default:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return StolenJob{}, false, fmt.Errorf("claim from %s: status %d", peer, resp.StatusCode)
-	}
-	var job StolenJob
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		return StolenJob{}, false, fmt.Errorf("claim from %s: %w", peer, err)
-	}
-	if job.ID == "" || !job.Spec.Stealable() {
-		return StolenJob{}, false, fmt.Errorf("claim from %s: unusable job %+v", peer, job)
-	}
-	return job, true, nil
-}
-
-// Settle reports a stolen job's outcome (POST /jobs/{id}/result).
-func (t *HTTPTransport) Settle(victim, jobID string, res clusterapi.StealResult) error {
-	body, err := json.Marshal(&res)
-	if err != nil {
-		return err
-	}
-	resp, err := t.client().Post(victim+"/jobs/"+jobID+"/result", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("report stolen job %s to %s: %w", jobID, victim, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		return nil
-	}
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode == http.StatusConflict {
-		return fmt.Errorf("report stolen job %s to %s: %w", jobID, victim, ErrLeaseExpired)
-	}
-	if apiErr := clusterapi.DecodeError(raw); apiErr != nil {
-		return fmt.Errorf("report stolen job %s to %s: status %d: %w", jobID, victim, resp.StatusCode, apiErr)
-	}
-	return fmt.Errorf("report stolen job %s to %s: status %d", jobID, victim, resp.StatusCode)
-}
-
-// Probe asks one peer for its queue and cache status over HTTP.
-// Exported as a free function because the stealer loop is not the only
-// consumer: steal-aware admission probes on demand when its gossip view
-// is empty (a node without a running stealer still wants a Retry-Peer
-// target).
-func Probe(client *http.Client, peer string) (PeerStatus, error) {
-	return (&HTTPTransport{Client: client}).Probe(peer)
 }
 
 // IdlestPeer picks the best admission-redirect (or load-shedding)

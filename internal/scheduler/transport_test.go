@@ -279,3 +279,34 @@ func TestTakeExpiredDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestGossipFakeClock: Seen stamps come from the injectable clock, both
+// on successful observations and failures — and the stealer's own clock
+// wins over the victim's, so a peer with a skewed wall clock cannot
+// make its gossip entry look fresher (or staler) than it is.
+func TestGossipFakeClock(t *testing.T) {
+	clock := newFakeClock()
+	g := NewGossip()
+	g.Now = clock.Now
+
+	g.Record("http://a", PeerStatus{QueueLen: 3})
+	if got := g.Snapshot()["http://a"].Seen; !got.Equal(clock.Now()) {
+		t.Fatalf("Seen = %v, want the fake clock's %v", got, clock.Now())
+	}
+	clock.Advance(time.Minute)
+	g.RecordErr("http://a", errProbe{})
+	if got := g.Snapshot()["http://a"].Seen; !got.Equal(clock.Now()) {
+		t.Fatalf("Seen after error = %v, want %v", got, clock.Now())
+	}
+	// A caller that pre-stamped observation time keeps its stamp.
+	stamp := clock.Advance(time.Minute)
+	clock.Advance(time.Hour)
+	g.Record("http://b", PeerStatus{Seen: stamp})
+	if got := g.Snapshot()["http://b"].Seen; !got.Equal(stamp) {
+		t.Fatalf("pre-stamped Seen = %v, want %v", got, stamp)
+	}
+}
+
+type errProbe struct{}
+
+func (errProbe) Error() string { return "probe failed" }
