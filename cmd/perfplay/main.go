@@ -1,8 +1,7 @@
 // Command perfplay runs the PerfPlay pipeline on a modelled workload and
 // prints the ranked list of ULCP optimization opportunities — the
 // "List: ULCP optimization benefits" of the paper's Fig. 5. All analysis
-// goes through internal/pipeline, one job on one goroutine; -runs N is
-// the only mode that uses more than one core (N whole jobs side by side).
+// goes through internal/pipeline, one job on one goroutine.
 //
 // Usage:
 //
@@ -15,7 +14,7 @@
 // With -trace the recorded execution is also written to disk, replayable
 // later via -replay; -trace-format selects the encoding (binary, json,
 // or the mmap-friendly columnar layout). All readers sniff the format,
-// so any encoding works with -replay, -diff, and the corpus. With
+// so any encoding works with -replay and the corpus. With
 // -save-trace it is stored in the local content-addressed corpus
 // (-corpus, the same on-disk layout perfplayd serves), and -trace-digest
 // re-analyzes a stored trace by its sha256 digest without re-recording.
@@ -31,22 +30,19 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
 	"time"
 
-	"perfplay/internal/core"
 	"perfplay/internal/corpus"
 	"perfplay/internal/elision"
 	"perfplay/internal/jobs"
-	"perfplay/internal/multi"
 	"perfplay/internal/peerclient"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/replay"
-	timelinepkg "perfplay/internal/timeline"
 	"perfplay/internal/trace"
-	"perfplay/internal/tracediff"
 	"perfplay/internal/ulcp"
 	"perfplay/internal/workload"
 )
@@ -65,11 +61,7 @@ var (
 	races     = flag.Bool("races", false, "run the happens-before detector over the ULCP-free replay")
 	list      = flag.Bool("list", false, "list available workloads")
 	scheduler = flag.String("sched", "elsc", "replay scheme for -replay: orig, elsc, sync, mem")
-	runs      = flag.Int("runs", 1, "aggregate the analysis over N differently-seeded traces (multi-trace mode)")
-	timeline  = flag.Bool("timeline", false, "print an ASCII per-thread timeline of the recorded trace")
 	caseNum   = flag.Int("case", 0, "analyze an appendix real-world case (1-10) instead of a full workload")
-	diffA     = flag.String("diff", "", "diff two trace files per code region: -diff a.trace -with b.trace")
-	diffB     = flag.String("with", "", "second trace file for -diff")
 	corpusDir = flag.String("corpus", "perfplay-corpus", "content-addressed trace corpus directory (shared layout with perfplayd)")
 	saveTrace = flag.Bool("save-trace", false, "store the recorded trace in the corpus and print its sha256 digest")
 	digestIn  = flag.String("trace-digest", "", "analyze a stored trace from the corpus by sha256 digest instead of recording")
@@ -83,8 +75,7 @@ var (
 // line is an error, not a silent no-op: a user asking for -verify must
 // not get an unverified run that exits 0. Daemon mode ships the job
 // description, not the work, so it honours only what the daemon's spec
-// can express; -runs merges quantification artifacts only, so scheme
-// replays, Theorem 1 checks and race reports would be discarded.
+// can express.
 var modes = []struct {
 	name     string
 	selected func() bool
@@ -95,11 +86,9 @@ var modes = []struct {
 	{"-daemon -trace-digest", func() bool { return *daemon != "" && *digestIn != "" }, "daemon trace-digest top schemes races"},
 	{"-daemon", func() bool { return *daemon != "" }, "daemon app threads input scale seed top schemes races"},
 	{"-trace-digest", func() bool { return *digestIn != "" }, "trace-digest corpus top schemes races verify"},
-	{"-diff", func() bool { return *diffA != "" }, "diff with"},
 	{"-case", func() bool { return *caseNum != 0 }, "case threads scale seed top schemes races verify"},
-	{"-runs", func() bool { return *runs > 1 }, "runs app threads input scale seed top"},
-	{"-app", func() bool { return true }, "app runs threads input scale seed top schemes races verify " +
-		"le timeline trace trace-format save-trace corpus"},
+	{"-app", func() bool { return true }, "app threads input scale seed top schemes races verify " +
+		"le trace trace-format save-trace corpus"},
 }
 
 // checkFlags picks the mode the flag values select and reports the first
@@ -186,16 +175,6 @@ func main() {
 		return
 	}
 
-	if mode == "-diff" {
-		if *diffB == "" {
-			fatal(fmt.Errorf("-diff requires -with"))
-		}
-		if err := diffFiles(*diffA, *diffB); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	req := pipeline.Request{
 		Threads:        *threads,
 		Scale:          *scale,
@@ -236,41 +215,39 @@ func main() {
 	}
 	req.Input = in
 
-	if mode == "-runs" {
-		// Multi-trace mode (Sec. 6.7 extension): analyze several
-		// differently-seeded recordings, one whole job per core, and
-		// recommend only the code regions whose opportunity holds in
-		// every one.
-		seeds := make([]int64, *runs)
-		for r := range seeds {
-			seeds[r] = *seed + int64(r)
-		}
-		results, err := pipeline.New(pipeline.Options{}).RunSeeds(req, seeds)
-		if err != nil {
-			fatal(err)
-		}
-		analyses := make([]*core.Analysis, len(results))
-		for i, r := range results {
-			analyses[i] = r.Analysis
-		}
-		fmt.Print(multi.Merge(analyses).Summary(*top))
-		return
-	}
-
-	res, err := pipeline.Run(req)
-	if err != nil {
+	if err := analyzeApp(req); err != nil {
 		fatal(err)
 	}
+}
+
+// traceWriters maps each -trace-format to its encoder.
+var traceWriters = map[string]func(*trace.Trace, io.Writer) error{
+	trace.FormatBinary:   (*trace.Trace).WriteBinary,
+	trace.FormatColumnar: (*trace.Trace).WriteColumnar,
+	trace.FormatJSON:     (*trace.Trace).WriteJSON,
+}
+
+// analyzeApp is -app mode: record and analyze the workload, print the
+// report, then run the -le baseline and write or store the recording as
+// asked. -trace-format is checked first, so a bad one fails before the
+// analysis runs and before any file is created.
+func analyzeApp(req pipeline.Request) error {
+	write, ok := traceWriters[*traceFmt]
+	if !ok {
+		return fmt.Errorf("unknown -trace-format %q (want binary, json, or columnar)", *traceFmt)
+	}
+	res, err := pipeline.Run(req)
+	if err != nil {
+		return err
+	}
 	analysis := res.Analysis
+	tr := analysis.Recorded.Trace
 
 	fmt.Print(res.Report)
-	if *timeline {
-		fmt.Println(timelinepkg.Render(analysis.Recorded.Trace, timelinepkg.Options{Width: 100}))
-	}
 	if *le {
-		leRes, err := elision.Run(analysis.Recorded.Trace, elision.Options{Seed: *seed})
+		leRes, err := elision.Run(tr, elision.Options{Seed: *seed})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("lock elision baseline: total %v (locked %v, ULCP-free %v); %d commits, %d aborts (%d false), %d fallbacks, %v wasted\n",
 			leRes.Total, analysis.Debug.Tut, analysis.Debug.Tuft,
@@ -278,32 +255,30 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
+		if err := writeTraceFile(*traceOut, tr, write); err != nil {
+			return err
 		}
-		defer f.Close()
-		switch *traceFmt {
-		case trace.FormatBinary:
-			err = analysis.Recorded.Trace.WriteBinary(f)
-		case trace.FormatColumnar:
-			err = analysis.Recorded.Trace.WriteColumnar(f)
-		case trace.FormatJSON:
-			err = analysis.Recorded.Trace.WriteJSON(f)
-		default:
-			err = fmt.Errorf("unknown -trace-format %q (want binary, json, or columnar)", *traceFmt)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace written to %s (%s, %d events)\n", *traceOut, *traceFmt, len(analysis.Recorded.Trace.Events))
+		fmt.Printf("trace written to %s (%s, %d events)\n", *traceOut, *traceFmt, len(tr.Events))
 	}
 
 	if *saveTrace {
-		if err := saveToCorpus(*corpusDir, analysis.Recorded.Trace); err != nil {
-			fatal(err)
-		}
+		return saveToCorpus(*corpusDir, tr)
 	}
+	return nil
+}
+
+// writeTraceFile encodes tr into a new file at path. Close's error is
+// returned too: some file systems report a failed write only there.
+func writeTraceFile(path string, tr *trace.Trace, write func(*trace.Trace, io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(tr, f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runOnDaemon submits one job to a perfplayd daemon (following
@@ -387,25 +362,6 @@ func analyzeDigest(dir, digest string, req pipeline.Request) error {
 	return nil
 }
 
-// diffFiles loads two trace files and prints the per-region lock profile
-// diff (e.g. a buggy recording against a patched one).
-func diffFiles(pathA, pathB string) error {
-	a, err := trace.ReadFile(pathA)
-	if err != nil {
-		return err
-	}
-	b, err := trace.ReadFile(pathB)
-	if err != nil {
-		return err
-	}
-	tbl, err := tracediff.Compare(pathA, a, pathB, b)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tbl)
-	return nil
-}
-
 // replayFile loads a trace from disk and replays it under the chosen
 // scheme, reporting the replayed time and ULCP summary.
 func replayFile(path, scheme string) error {
@@ -428,6 +384,11 @@ func replayFile(path, scheme string) error {
 	}
 	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
+	}
+	// Validate's loops are vacuous on an event-free trace; reject it as the
+	// pipeline does rather than replay nothing.
+	if len(tr.Events) == 0 || tr.NumThreads == 0 {
+		return fmt.Errorf("%s: empty trace (%d events, %d threads)", path, len(tr.Events), tr.NumThreads)
 	}
 	res, err := replay.Run(tr, replay.Options{Sched: sched})
 	if err != nil {

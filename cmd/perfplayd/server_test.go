@@ -469,6 +469,30 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestPprofOptIn: -pprof mounts the profiler index, the default leaves it
+// unmounted, and -print-routes (the documented API) never lists it.
+func TestPprofOptIn(t *testing.T) {
+	for _, tc := range []struct {
+		enable bool
+		want   int
+	}{{true, http.StatusOK}, {false, http.StatusNotFound}} {
+		_, ts := testServer(t, Config{EnablePprof: tc.enable})
+		resp, err := http.Get(ts.URL + "/debug/pprof/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("EnablePprof=%t: GET /debug/pprof/ = %d, want %d", tc.enable, resp.StatusCode, tc.want)
+		}
+	}
+	for _, p := range routePatterns() {
+		if strings.Contains(p, "pprof") {
+			t.Errorf("-print-routes lists %q", p)
+		}
+	}
+}
+
 // recordedPayload serializes a small deterministic recording.
 func recordedPayload(t *testing.T, seed int64) []byte {
 	t.Helper()

@@ -2,7 +2,7 @@
 // stages — Record → Replay → Classify → Quantify → Report — as one
 // staged job with a typed Request/Result API. One job runs on one
 // goroutine, start to finish; parallelism lives across whole jobs
-// (RunSeeds, cmd/experiments, perfplayd -workers), never inside one. A
+// (cmd/experiments -workers, perfplayd -workers), never inside one. A
 // job never leaves its node mid-run: the cluster moves whole jobs
 // (stealing) and finished results/tables (cache probes).
 //
@@ -19,7 +19,6 @@ package pipeline
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"perfplay/internal/core"
@@ -283,26 +282,6 @@ func (p *Pipeline) Run(req Request) (*Result, error) {
 		p.cache.put(key, res.Summary)
 	}
 	return res, nil
-}
-
-// RunSeeds runs the same request across several seeds — the multi-trace
-// mode of Sec. 6.7 — spreading whole jobs over the machine's cores and
-// returning results in seed order. Like Run, a seed served from the
-// result cache comes back without artifacts.
-func (p *Pipeline) RunSeeds(req Request, seeds []int64) ([]*Result, error) {
-	results := make([]*Result, len(seeds))
-	errs := make([]error, len(seeds))
-	NewPool(runtime.GOMAXPROCS(0)).Each(len(seeds), func(i int) {
-		r := req
-		r.Seed = seeds[i]
-		results[i], errs[i] = p.Run(r)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }
 
 // Run executes one request without a cache; the convenience entry point

@@ -70,45 +70,36 @@ func TestTraceRequest(t *testing.T) {
 	}
 }
 
-func TestRunSeeds(t *testing.T) {
-	p := New(Options{})
-	seeds := []int64{1, 2, 3}
-	results, err := p.RunSeeds(Request{App: "pbzip2", Scale: 0.2}, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(seeds) {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, r := range results {
-		if r.Request.Seed != seeds[i] {
-			t.Fatalf("result %d has seed %d, want %d", i, r.Request.Seed, seeds[i])
-		}
-	}
-}
-
-// TestRunSeedsWidthIndependent: RunSeeds spreads whole jobs over
-// GOMAXPROCS goroutines; the reports, in seed order, must not depend on
-// that width. Every optional stage is on.
-func TestRunSeedsWidthIndependent(t *testing.T) {
+// TestSideBySideJobsWidthIndependent: whole jobs run side by side on one
+// Pipeline (as under cmd/experiments -workers and perfplayd -workers)
+// share the replay engines' pool and the pipeline's caches; the reports
+// must not depend on how many run at once. Every optional stage is on.
+func TestSideBySideJobsWidthIndependent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	req := Request{App: "mysql", Threads: 4, Scale: 0.2, Schemes: true, DetectRaces: true, VerifyTheorem1: true}
 	seeds := []int64{1, 2, 3}
 	var want []string
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		results, err := New(Options{}).RunSeeds(req, seeds)
-		if err != nil {
-			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
-		}
-		for i, r := range results {
-			if r.Request.Seed != seeds[i] || !strings.Contains(r.Report, "PerfPlay analysis") {
-				t.Fatalf("GOMAXPROCS=%d: result %d is seed %d, report %q", procs, i, r.Request.Seed, r.Report)
+	for _, width := range []int{1, 4} {
+		runtime.GOMAXPROCS(width)
+		p := New(Options{})
+		reports := make([]string, len(seeds))
+		errs := make([]error, len(seeds))
+		NewPool(width).Each(len(seeds), func(i int) {
+			r := req
+			r.Seed = seeds[i]
+			var res *Result
+			if res, errs[i] = p.Run(r); res != nil {
+				reports[i] = res.Report
 			}
-			if procs == 1 {
-				want = append(want, r.Report)
-			} else if r.Report != want[i] {
-				t.Fatalf("seed %d: GOMAXPROCS=4 report differs from GOMAXPROCS=1:\n%s\n---\n%s", seeds[i], want[i], r.Report)
+		})
+		for i, report := range reports {
+			if errs[i] != nil || !strings.Contains(report, "PerfPlay analysis") {
+				t.Fatalf("width %d: seed %d: report %q, err %v", width, seeds[i], report, errs[i])
+			}
+			if width == 1 {
+				want = append(want, report)
+			} else if report != want[i] {
+				t.Fatalf("seed %d: width 4 report differs from width 1:\n%s\n---\n%s", seeds[i], want[i], report)
 			}
 		}
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // Pool is a fixed-width parallel-for over index-addressed tasks, used
-// only at the job level: RunSeeds spreads whole seeds over it and
-// cmd/experiments whole experiments; a single job never touches it. Each
+// only at the job level: cmd/experiments -workers spreads whole
+// experiments over it; a single job never touches it. Each
 // task writes its result into a caller-owned slot picked by task index,
 // so output order never depends on goroutine scheduling.
 type Pool struct {

@@ -35,8 +35,8 @@ func DetectFormat(data []byte) string {
 // sniffing the format by attempting the magic-guarded binary formats
 // first and falling back to JSON. This is the loader every consumer of
 // stored or uploaded traces shares — the corpus, the analysis daemon's
-// upload and steal paths, and (through ReadFile) the CLI's -replay and
-// -diff. The trace keeps no reference to data.
+// upload and steal paths, and (through ReadFile) the CLI's -replay. The
+// trace keeps no reference to data.
 func Decode(data []byte) (*Trace, error) {
 	tr, berr := DecodeBinary(data)
 	if berr == nil {
