@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"perfplay/internal/clustersim"
 )
@@ -61,7 +62,7 @@ func runSim(argv []string, out io.Writer) int {
 			cfg.Nodes = *nodes
 		}
 		if *workers > 0 {
-			cfg.WorkersPerNode = *workers
+			cfg.Workers = *workers
 		}
 		if *queue > 0 {
 			cfg.QueueDepth = *queue
@@ -73,10 +74,10 @@ func runSim(argv []string, out io.Writer) int {
 			cfg.ArrivalEveryMS = *arrival
 		}
 		if *interval > 0 {
-			cfg.StealIntervalMS = *interval
+			cfg.StealInterval = time.Duration(*interval) * time.Millisecond
 		}
 		if *lease > 0 {
-			cfg.LeaseMS = *lease
+			cfg.Lease = time.Duration(*lease) * time.Millisecond
 		}
 		if *slow > 0 {
 			cfg.SlowFactor = *slow
@@ -89,10 +90,10 @@ func runSim(argv []string, out io.Writer) int {
 			cfg.ProbeFanout = *probeFanout
 		}
 		if *probeTimeout > 0 {
-			cfg.ProbeTimeoutMS = *probeTimeout
+			cfg.ProbeTimeout = time.Duration(*probeTimeout) * time.Millisecond
 		}
 		if *hintBreadth >= 0 {
-			cfg.HintBreadth = *hintBreadth
+			cfg.HintKeys = *hintBreadth
 		}
 		if *warmNodes >= 0 {
 			cfg.WarmNodes = *warmNodes

@@ -13,6 +13,7 @@ import (
 
 	"perfplay/internal/cachepolicy"
 	"perfplay/internal/corpus"
+	"perfplay/internal/jobs"
 	"perfplay/internal/peerclient"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/scheduler"
@@ -199,7 +200,7 @@ func TestCacheEndpoints(t *testing.T) {
 // committed golden.
 func TestAdmissionRedirectLandsOnIdlestPeer(t *testing.T) {
 	// fullPeer: queue of one, occupied, no workers — would 503 too.
-	_, fullPeerTS := saturatedVictim(t, Config{QueueDepth: 1})
+	_, fullPeerTS := saturatedVictim(t, Config{Policy: jobs.Policy{QueueDepth: 1}})
 	occupy := postJSON(t, fullPeerTS.URL+"/analyze", goldenSpecs[0].spec)
 	occupy.Body.Close()
 	if occupy.StatusCode != http.StatusAccepted {
@@ -211,7 +212,7 @@ func TestAdmissionRedirectLandsOnIdlestPeer(t *testing.T) {
 
 	// The submitted node: full, with the full peer listed FIRST — the
 	// redirect must still pick the idle one.
-	subSrv, subTS := saturatedVictim(t, Config{QueueDepth: 1, Peers: []string{fullPeerTS.URL, idlePeerTS.URL}})
+	subSrv, subTS := saturatedVictim(t, Config{Policy: jobs.Policy{QueueDepth: 1}, Peers: []string{fullPeerTS.URL, idlePeerTS.URL}})
 	first := postJSON(t, subTS.URL+"/analyze", goldenSpecs[0].spec)
 	first.Body.Close()
 	if first.StatusCode != http.StatusAccepted {
@@ -244,8 +245,8 @@ func TestAdmissionRedirectLandsOnIdlestPeer(t *testing.T) {
 // ping-ponging forever — and the backlogged jobs still complete locally
 // with golden-identical output once capacity frees.
 func TestRetryPeerLoopBound(t *testing.T) {
-	aSrv, aTS := saturatedVictim(t, Config{QueueDepth: 1})
-	bSrv, bTS := saturatedVictim(t, Config{QueueDepth: 1})
+	aSrv, aTS := saturatedVictim(t, Config{Policy: jobs.Policy{QueueDepth: 1}})
+	bSrv, bTS := saturatedVictim(t, Config{Policy: jobs.Policy{QueueDepth: 1}})
 	aSrv.node.Peers = []string{bTS.URL}
 	bSrv.node.Peers = []string{aTS.URL}
 
@@ -319,8 +320,8 @@ func TestCacheProbePeerDiesDegradesLocal(t *testing.T) {
 	want := runJobReport(t, ref.URL, digestSpec(digest))
 
 	srv, ts := testServer(t, Config{
-		Peers:             []string{deadURL, aborting.URL},
-		CacheProbeTimeout: 500 * time.Millisecond,
+		Peers:  []string{deadURL, aborting.URL},
+		Policy: jobs.Policy{ProbeTimeout: 500 * time.Millisecond},
 	})
 	if _, _, err := srv.corpus.Put(payload, false); err != nil {
 		t.Fatal(err)
@@ -383,7 +384,7 @@ func TestStaleCacheHintFallsBack(t *testing.T) {
 // re-probes and redirects to the recovered peer.
 func TestAdmissionRedirectRecoversAfterFailedProbes(t *testing.T) {
 	_, idleTS := testServer(t, Config{})
-	srv, ts := saturatedVictim(t, Config{QueueDepth: 1, Peers: []string{idleTS.URL}})
+	srv, ts := saturatedVictim(t, Config{Policy: jobs.Policy{QueueDepth: 1}, Peers: []string{idleTS.URL}})
 	first := postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec)
 	first.Body.Close()
 	srv.node.Gossip.RecordErr(idleTS.URL, errors.New("connection refused"))
@@ -404,7 +405,7 @@ func TestAdmissionRedirectRecoversAfterFailedProbes(t *testing.T) {
 // stale) no matter how idle they once looked.
 func TestCacheProbeOrderRanking(t *testing.T) {
 	peers := []string{"http://failed", "http://busy", "http://hinted", "http://unseen"}
-	srv, _ := testServer(t, Config{Peers: peers, CacheProbeFanout: 4})
+	srv, _ := testServer(t, Config{Peers: peers, Policy: jobs.Policy{ProbeFanout: 4}})
 	srv.node.Gossip.Record("http://failed", scheduler.PeerStatus{QueueLen: 0, QueueCap: 64})
 	srv.node.Gossip.RecordErr("http://failed", errors.New("connection refused"))
 	srv.node.Gossip.Record("http://busy", scheduler.PeerStatus{QueueLen: 5, QueueCap: 64})
@@ -414,7 +415,7 @@ func TestCacheProbeOrderRanking(t *testing.T) {
 		return func(st scheduler.PeerStatus) bool { return st.HintsKey(key) }
 	}
 	order := func(hinted func(scheduler.PeerStatus) bool) []string {
-		return cachepolicy.ProbeOrder(srv.node.Peers, srv.node.Gossip.Snapshot(), hinted, srv.node.Fanout)
+		return cachepolicy.ProbeOrder(srv.node.Peers, srv.node.Gossip.Snapshot(), hinted, srv.node.ProbeFanout)
 	}
 	got := order(hints("K"))
 	want := []string{"http://hinted", "http://busy", "http://failed", "http://unseen"}
@@ -433,11 +434,11 @@ func TestCacheProbeOrderRanking(t *testing.T) {
 // redirect target — bouncing a submitter into another full queue helps
 // no one.
 func TestQueueFullWithoutViablePeerOmitsRetryPeer(t *testing.T) {
-	_, peerTS := saturatedVictim(t, Config{QueueDepth: 1})
+	_, peerTS := saturatedVictim(t, Config{Policy: jobs.Policy{QueueDepth: 1}})
 	occupy := postJSON(t, peerTS.URL+"/analyze", goldenSpecs[0].spec)
 	occupy.Body.Close()
 
-	srv, ts := saturatedVictim(t, Config{QueueDepth: 1, Peers: []string{peerTS.URL}})
+	srv, ts := saturatedVictim(t, Config{Policy: jobs.Policy{QueueDepth: 1}, Peers: []string{peerTS.URL}})
 	first := postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec)
 	first.Body.Close()
 	srv.node.Gossip.Record(peerTS.URL, scheduler.PeerStatus{QueueLen: 1, QueueCap: 1})

@@ -81,7 +81,7 @@ func TestEveryTerminalPathCountsAndRootsTheJob(t *testing.T) {
 		{"thief settles", statusDone, settle(`{"thief":"http://thief:1","summary":{"report":"r"}}`)},
 		{"thief reports failure", statusFailed, settle(`{"thief":"http://thief:1","error":"boom"}`)},
 		{"lease expires into a closed queue", statusFailed, func(t *testing.T) (string, string) {
-			srv, base, id := claimed(t, Config{StealLease: 300 * time.Millisecond})
+			srv, base, id := claimed(t, Config{Policy: jobs.Policy{Lease: 300 * time.Millisecond}})
 			srv.Start() // arms the reaper; the thief never reports
 			// Close the queue in the window between the reaper taking the
 			// expired lease and requeueing it: the reaper resets the job's
@@ -273,7 +273,7 @@ func TestPeerSuppliedResultMustFitAndMatchShape(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			srv, ts := testServer(t, Config{Peers: []string{wirePeer(t, body)}, CacheProbeTimeout: 5 * time.Second})
+			srv, ts := testServer(t, Config{Peers: []string{wirePeer(t, body)}, Policy: jobs.Policy{ProbeTimeout: 5 * time.Second}})
 			if _, _, err := srv.corpus.Put(payload, false); err != nil {
 				t.Fatal(err)
 			}

@@ -11,13 +11,17 @@
 //
 //	perfplayd [-addr :8080] [-workers 2]
 //	          [-queue 64] [-cache 128] [-max-jobs 1024]
-//	          [-corpus perfplay-corpus] [-corpus-max-bytes 1073741824]
+//	          [-corpus perfplay-corpus] [-corpus-max-bytes 0]
 //	          [-journal-dir auto|DIR|""]
 //	          [-peers http://h1:8080,http://h2:8080]
 //	          [-advertise http://me:8080] [-steal-interval 1s]
-//	          [-steal-lease 2m] [-cache-probe-timeout 250ms]
+//	          [-steal-lease 2m0s] [-cache-probe-timeout 250ms]
 //	          [-cache-probe-fanout 2] [-cache-hint-keys 32]
 //	          [-node name] [-pprof] [-print-routes]
+//
+// Each value shown is the flag's default. The scheduling knobs'
+// defaults are jobs.Defaults(), and an explicit 0 for one of them is
+// refused; -corpus-max-bytes 0 means 1 GiB.
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, waits for
 // in-flight requests and running jobs, then exits.
@@ -48,18 +52,13 @@ import (
 	"os"
 	"os/signal"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
-	"perfplay/internal/cachepolicy"
+	"perfplay/internal/jobs"
 )
-
-// cacheKnobs seeds the cache-layer flag defaults from the shared
-// cachepolicy.Defaults() struct — the same values Config.withDefaults
-// applies and the clustersim policy lab sweeps — so `-help` prints the
-// true, sweep-backed defaults instead of a "0 means N" convention.
-var cacheKnobs = cachepolicy.Defaults()
 
 // gcPercent is the daemon's GC pacing unless the operator sets GOGC. A
 // finished job leaves only its summary behind, so the live heap is the
@@ -78,91 +77,36 @@ func main() {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(gcPercent)
 	}
-	var (
-		addr          = flag.String("addr", ":8080", "listen address")
-		workers       = flag.Int("workers", 2, "concurrent analysis jobs, each on one goroutine")
-		queueDepth    = flag.Int("queue", 64, "pending-job queue depth (further submits get 503)")
-		cacheSize     = flag.Int("cache", 128, "LRU result cache capacity")
-		maxJobs       = flag.Int("max-jobs", 1024, "finished jobs retained before eviction")
-		corpusDir     = flag.String("corpus", "perfplay-corpus", "trace corpus directory (same layout as perfplay -corpus; empty disables /traces)")
-		corpusBytes   = flag.Int64("corpus-max-bytes", 0, "corpus byte budget; LRU-evicts unpinned traces beyond it (0 = 1 GiB)")
-		journalDir    = flag.String("journal-dir", "auto", `crash-durable job journal directory; "auto" derives <corpus>-journal next to the corpus, empty disables durability`)
-		peers         = flag.String("peers", "", "comma-separated peer base URLs for whole-job stealing, cache probes and admission redirects")
-		advertise     = flag.String("advertise", "", "base URL peers should see this node as (default http://<addr>)")
-		stealInterval = flag.Duration("steal-interval", 0, "idle poll cadence of the whole-job stealer (0 = 1s; negative disables stealing)")
-		stealLease    = flag.Duration("steal-lease", 0, "how long a thief may hold a claimed job before it re-queues locally (0 = 2m)")
-		probeTimeout  = flag.Duration("cache-probe-timeout", cacheKnobs.ProbeTimeout, "per-peer cluster-cache probe timeout")
-		probeFanout   = flag.Int("cache-probe-fanout", cacheKnobs.ProbeFanout, "max peers probed per cache-missed job (sweep-derived; see docs/POLICIES.md)")
-		hintKeys      = flag.Int("cache-hint-keys", cacheKnobs.HintKeys, "recent result-cache keys gossiped per GET /steal (cache-population hints)")
-		nodeName      = flag.String("node", "", "node name on spans and log lines (default: hostname)")
-		enablePprof   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
-		printRoutes   = flag.Bool("print-routes", false, "print the registered HTTP routes, one per line, and exit")
-	)
-	flag.Parse()
-
-	if *printRoutes {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if o.printRoutes {
 		for _, p := range routePatterns() {
 			fmt.Println(p)
 		}
 		return
 	}
 
-	var peerList []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, strings.TrimRight(p, "/"))
-		}
-	}
-	if len(peerList) > 0 && *corpusDir == "" {
-		log.Fatal("perfplayd: -peers requires a -corpus (cluster transfers reference traces by digest)")
-	}
-
-	// "auto" puts the journal next to the corpus: both are the node's
-	// durable state, and a node without a corpus (memory-only uploads
-	// are unrecoverable anyway) runs without a journal too.
-	jdir := *journalDir
-	if jdir == "auto" {
-		jdir = ""
-		if *corpusDir != "" {
-			jdir = strings.TrimRight(*corpusDir, "/") + "-journal"
-		}
-	}
-
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	srv, err := NewServer(Config{
-		Workers:           *workers,
-		QueueDepth:        *queueDepth,
-		CacheSize:         *cacheSize,
-		MaxJobs:           *maxJobs,
-		CorpusDir:         *corpusDir,
-		CorpusMaxBytes:    *corpusBytes,
-		JournalDir:        jdir,
-		Peers:             peerList,
-		StealInterval:     *stealInterval,
-		StealLease:        *stealLease,
-		CacheProbeTimeout: *probeTimeout,
-		CacheProbeFanout:  *probeFanout,
-		CacheHintKeys:     *hintKeys,
-		NodeName:          *nodeName,
-		Logger:            logger,
-		EnablePprof:       *enablePprof,
-	})
+	o.cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	srv, err := NewServer(o.cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	srv.Start()
-	srv.StartStealer(strings.TrimRight(selfURL(*advertise, *addr), "/"))
+	srv.StartStealer(strings.TrimRight(selfURL(o.advertise, o.addr), "/"))
 	cluster := ""
-	if len(peerList) > 0 {
-		cluster = " in a pool with " + strings.Join(peerList, ", ")
+	if len(srv.cfg.Peers) > 0 {
+		cluster = " in a pool with " + strings.Join(srv.cfg.Peers, ", ")
 	}
 	srv.logger.Info(fmt.Sprintf("perfplayd listening on %s (%d job workers, queue %d)%s",
-		*addr, *workers, *queueDepth, cluster))
+		o.addr, srv.cfg.Workers, srv.cfg.QueueDepth, cluster))
 
 	// Graceful shutdown: SIGINT/SIGTERM stops the listener, drains
 	// in-flight HTTP requests, then waits for running jobs. A second
 	// signal during the drain kills the process the default way.
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: o.addr, Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)
@@ -184,6 +128,83 @@ func main() {
 	}
 	srv.Close()
 	srv.logger.Info("perfplayd stopped")
+}
+
+// options is what the command line sets: the server's Config and the
+// few settings main reads itself.
+type options struct {
+	cfg         Config
+	addr        string
+	advertise   string
+	printRoutes bool
+}
+
+// zeroIsDefault names the flags whose Config field reads 0 as "the
+// default". Each prints its real default, so an explicit 0 is a
+// mistake the daemon would otherwise silently rewrite; parseFlags
+// refuses it.
+var zeroIsDefault = []string{
+	"workers", "queue", "cache", "max-jobs", "steal-interval", "steal-lease",
+	"cache-probe-timeout", "cache-probe-fanout", "cache-hint-keys",
+}
+
+// parseFlags declares perfplayd's flags on fs, parses args, and
+// resolves them into options. The scheduling knobs default to
+// jobs.Defaults().
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	c, d := &o.cfg, jobs.Defaults()
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.Workers, "workers", d.Workers, "concurrent analysis jobs, each on one goroutine")
+	fs.IntVar(&c.QueueDepth, "queue", d.QueueDepth, "pending-job queue depth (further submits get 503)")
+	fs.IntVar(&c.CacheSize, "cache", defaultCacheSize, "LRU result cache capacity")
+	fs.IntVar(&c.MaxJobs, "max-jobs", d.MaxJobs, "finished jobs retained before eviction")
+	fs.StringVar(&c.CorpusDir, "corpus", "perfplay-corpus", "trace corpus directory (same layout as perfplay -corpus; empty disables /traces)")
+	fs.Int64Var(&c.CorpusMaxBytes, "corpus-max-bytes", 0, "corpus byte budget; LRU-evicts unpinned traces beyond it (0 = 1 GiB)")
+	journalDir := fs.String("journal-dir", "auto", `crash-durable job journal directory; "auto" derives <corpus>-journal next to the corpus, empty disables durability`)
+	peers := fs.String("peers", "", "comma-separated peer base URLs for whole-job stealing, cache probes and admission redirects")
+	fs.StringVar(&o.advertise, "advertise", "", "base URL peers should see this node as (default http://<addr>)")
+	fs.DurationVar(&c.StealInterval, "steal-interval", d.StealInterval, "idle poll cadence of the whole-job stealer (negative disables stealing)")
+	fs.DurationVar(&c.Lease, "steal-lease", d.Lease, "how long a thief may hold a claimed job before it re-queues locally")
+	fs.DurationVar(&c.ProbeTimeout, "cache-probe-timeout", d.ProbeTimeout, "per-peer cluster-cache probe timeout")
+	fs.IntVar(&c.ProbeFanout, "cache-probe-fanout", d.ProbeFanout, "max peers probed per cache-missed job (sweep-derived; see docs/POLICIES.md)")
+	fs.IntVar(&c.HintKeys, "cache-hint-keys", d.HintKeys, "recent result-cache keys gossiped per GET /steal (cache-population hints)")
+	fs.StringVar(&c.NodeName, "node", "", "node name on spans and log lines (default: hostname)")
+	fs.BoolVar(&c.EnablePprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
+	fs.BoolVar(&o.printRoutes, "print-routes", false, "print the registered HTTP routes, one per line, and exit")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if v := f.Value.String(); err == nil && slices.Contains(zeroIsDefault, f.Name) && (v == "0" || v == "0s") {
+			err = fmt.Errorf("perfplayd: -%s %s: 0 is not a setting of this flag (its default is %s)", f.Name, v, f.DefValue)
+		}
+	})
+	if err != nil {
+		return o, err
+	}
+
+	for _, p := range strings.Split(*peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			c.Peers = append(c.Peers, strings.TrimRight(p, "/"))
+		}
+	}
+	if len(c.Peers) > 0 && c.CorpusDir == "" {
+		return o, errors.New("perfplayd: -peers requires a -corpus (cluster transfers reference traces by digest)")
+	}
+	// "auto" puts the journal next to the corpus: both are the node's
+	// durable state, and a node without a corpus (memory-only uploads
+	// are unrecoverable anyway) runs without a journal too.
+	c.JournalDir = *journalDir
+	if c.JournalDir == "auto" {
+		c.JournalDir = ""
+		if c.CorpusDir != "" {
+			c.JournalDir = strings.TrimRight(c.CorpusDir, "/") + "-journal"
+		}
+	}
+	return o, nil
 }
 
 // selfURL derives the node's advertised base URL. A bare ":8080"-style

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -10,8 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"perfplay/internal/cachepolicy"
 	"perfplay/internal/corpus"
+	"perfplay/internal/jobs"
 	"perfplay/internal/scheduler"
 )
 
@@ -68,8 +70,8 @@ func TestPartitionSeversOnlyWarmPeerMidProbe(t *testing.T) {
 
 	severed := blackholePeer(t)
 	srv, ts := testServer(t, Config{
-		Peers:             []string{severed},
-		CacheProbeTimeout: 200 * time.Millisecond,
+		Peers:  []string{severed},
+		Policy: jobs.Policy{ProbeTimeout: 200 * time.Millisecond},
 	})
 	if _, _, err := srv.corpus.Put(payload, false); err != nil {
 		t.Fatal(err)
@@ -120,8 +122,8 @@ func TestProbeTimeoutRacesLocalExecution(t *testing.T) {
 	want := runJobReport(t, ref.URL, digestSpec(digest))
 
 	srv, ts := testServer(t, Config{
-		Peers:             []string{slow.URL},
-		CacheProbeTimeout: 150 * time.Millisecond,
+		Peers:  []string{slow.URL},
+		Policy: jobs.Policy{ProbeTimeout: 150 * time.Millisecond},
 	})
 	if _, _, err := srv.corpus.Put(payload, false); err != nil {
 		t.Fatal(err)
@@ -143,35 +145,55 @@ func TestProbeTimeoutRacesLocalExecution(t *testing.T) {
 	}
 }
 
-// TestCacheFlagZeroEqualsExplicitDefault pins the shared-defaults
-// contract that replaced the "0 means N" convention: a zero-valued
-// Config and a Config explicitly set to cachepolicy.Defaults() resolve
-// to the same cache knobs, and both match the single source of truth
-// the flag declarations print. If Defaults() and withDefaults ever
-// drift, this fails.
+// TestCacheFlagZeroEqualsExplicitDefault pins the one-declaration
+// contract for the node's knobs: a zero-valued Config and a Config
+// explicitly set to jobs.Defaults() resolve to the same Policy, every
+// field of it jobs.Defaults(), and the flags print those same values
+// as their defaults.
 func TestCacheFlagZeroEqualsExplicitDefault(t *testing.T) {
-	d := cachepolicy.Defaults()
+	d := jobs.Defaults()
 	zero := Config{}.withDefaults()
-	explicit := Config{
-		CacheProbeTimeout: d.ProbeTimeout,
-		CacheProbeFanout:  d.ProbeFanout,
-		CacheHintKeys:     d.HintKeys,
-	}.withDefaults()
-
+	explicit := Config{Policy: d}.withDefaults()
 	for _, cfg := range []Config{zero, explicit} {
-		if cfg.CacheProbeTimeout != d.ProbeTimeout {
-			t.Fatalf("CacheProbeTimeout = %v, want %v", cfg.CacheProbeTimeout, d.ProbeTimeout)
+		if cfg.Policy != d {
+			t.Fatalf("resolved policy %+v, want jobs.Defaults() %+v", cfg.Policy, d)
 		}
-		if cfg.CacheProbeFanout != d.ProbeFanout {
-			t.Fatalf("CacheProbeFanout = %d, want %d", cfg.CacheProbeFanout, d.ProbeFanout)
-		}
-		if cfg.CacheHintKeys != d.HintKeys {
-			t.Fatalf("CacheHintKeys = %d, want %d", cfg.CacheHintKeys, d.HintKeys)
+		if cfg.CacheSize != defaultCacheSize {
+			t.Fatalf("CacheSize = %d, want %d", cfg.CacheSize, defaultCacheSize)
 		}
 	}
-	// The flag declarations seed from the same struct, so -help prints
-	// the true defaults rather than a "0 means N" convention.
-	if cacheKnobs != d {
-		t.Fatalf("flag-default knobs %+v drifted from cachepolicy.Defaults() %+v", cacheKnobs, d)
+	o, err := parseFlags(flag.NewFlagSet("perfplayd", flag.ContinueOnError), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.cfg.Policy != d || o.cfg.CacheSize != defaultCacheSize {
+		t.Fatalf("flag defaults %+v (cache %d) drifted from jobs.Defaults() %+v (cache %d)",
+			o.cfg.Policy, o.cfg.CacheSize, d, defaultCacheSize)
+	}
+}
+
+// TestExplicitZeroFlagIsRefused: every flag whose Config field reads 0
+// as "the default" refuses an explicit 0, naming the flag, instead of
+// silently serving with the default. A negative -steal-interval still
+// turns stealing off, and -corpus-max-bytes, whose printed default is
+// 0, takes 0.
+func TestExplicitZeroFlagIsRefused(t *testing.T) {
+	parse := func(args ...string) (options, error) {
+		fs := flag.NewFlagSet("perfplayd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		return parseFlags(fs, args)
+	}
+	for _, name := range zeroIsDefault {
+		_, err := parse("-"+name, "0")
+		if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+			t.Errorf("-%s 0: err = %v, want a refusal naming the flag", name, err)
+		}
+	}
+	o, err := parse("-steal-interval", "-1s", "-corpus-max-bytes", "0", "-workers", "3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.cfg.StealInterval != -time.Second || o.cfg.Workers != 3 {
+		t.Fatalf("parsed %+v", o.cfg.Policy)
 	}
 }

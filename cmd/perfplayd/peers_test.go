@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"perfplay/internal/jobs"
 )
 
 // recordingPeer is a started daemon behind a handler that records every
@@ -56,7 +58,7 @@ func (p *recordingPeer) requests() []string {
 // committed golden.
 func TestPeersConfiguredClassificationStaysHome(t *testing.T) {
 	p1, p2 := newRecordingPeer(t), newRecordingPeer(t)
-	_, node := testServer(t, Config{Peers: []string{p1.url, p2.url}, StealInterval: -1})
+	_, node := testServer(t, Config{Peers: []string{p1.url, p2.url}, Policy: jobs.Policy{StealInterval: -1}})
 
 	for _, g := range goldenSpecs {
 		runJobReport(t, node.URL, g.warmup) // builds + caches the verdict table

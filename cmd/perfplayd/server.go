@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"perfplay/internal/cachepolicy"
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
 	"perfplay/internal/corpus"
@@ -31,19 +30,14 @@ import (
 	"perfplay/internal/workload"
 )
 
-// Config sizes the daemon. Zero means the default named per field.
+// Config sizes the daemon. Zero means the default: jobs.Defaults() for
+// the Policy knobs, and the value named per field for the rest.
 type Config struct {
-	// Workers is the number of job-executor goroutines, each running one
-	// analysis at a time (0 = 2).
-	Workers int
-	// QueueDepth bounds the pending-job queue; submissions beyond it get
-	// 503 (0 = 64).
-	QueueDepth int
+	// Policy holds the node's scheduling knobs. A negative
+	// StealInterval disables stealing.
+	jobs.Policy
 	// CacheSize is the pipeline's LRU result cache capacity (0 = 128).
 	CacheSize int
-	// MaxJobs bounds retained finished jobs; the oldest are evicted
-	// (0 = 1024).
-	MaxJobs int
 	// MaxTraceBytes caps each uploaded trace body (0 = 64 MiB).
 	MaxTraceBytes int64
 	// MaxQueuedTraceBytes caps the upload bytes of queued-but-unstarted
@@ -63,22 +57,6 @@ type Config struct {
 	// Peers lists peer base URLs ("http://host:8080") to steal whole jobs
 	// from, probe caches of, and redirect full-queue submitters to.
 	Peers []string
-	// StealLease bounds how long a thief may hold a claimed job before
-	// it is requeued here, at the front (0 = 2 min).
-	StealLease time.Duration
-	// StealInterval is the idle-poll cadence of this node's stealer
-	// (0 = 1s; negative disables stealing).
-	StealInterval time.Duration
-	// CacheProbeTimeout bounds each cluster-cache probe and each
-	// admission probe (0 = cachepolicy.Defaults().ProbeTimeout).
-	CacheProbeTimeout time.Duration
-	// CacheProbeFanout bounds the peers one probe round asks
-	// (0 = cachepolicy.Defaults().ProbeFanout).
-	CacheProbeFanout int
-	// CacheHintKeys bounds the result-cache keys, and the stealable
-	// digests, each GET /steal advertises (0 =
-	// cachepolicy.Defaults().HintKeys).
-	CacheHintKeys int
 	// NodeName labels this node's spans and log lines (empty = the
 	// hostname).
 	NodeName string
@@ -88,6 +66,10 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under GET /debug/pprof/.
 	EnablePprof bool
 }
+
+// defaultCacheSize is the result cache's capacity when Config leaves it
+// zero.
+const defaultCacheSize = 128
 
 // validate rejects sizes and bounds no daemon can run with: a negative
 // worker count panics Start, a negative queue depth rejects every
@@ -106,10 +88,10 @@ func (c Config) validate() error {
 		{"MaxTraceBytes", c.MaxTraceBytes},
 		{"MaxQueuedTraceBytes", c.MaxQueuedTraceBytes},
 		{"CorpusMaxBytes", c.CorpusMaxBytes},
-		{"StealLease", int64(c.StealLease)},
-		{"CacheProbeTimeout", int64(c.CacheProbeTimeout)},
-		{"CacheProbeFanout", int64(c.CacheProbeFanout)},
-		{"CacheHintKeys", int64(c.CacheHintKeys)},
+		{"Lease", int64(c.Lease)},
+		{"ProbeTimeout", int64(c.ProbeTimeout)},
+		{"ProbeFanout", int64(c.ProbeFanout)},
+		{"HintKeys", int64(c.HintKeys)},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("config: %s must not be negative (got %d)", f.name, f.v)
@@ -119,17 +101,9 @@ func (c Config) validate() error {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers == 0 {
-		c.Workers = 2
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 64
-	}
+	c.Policy = c.Policy.Or(jobs.Defaults())
 	if c.CacheSize == 0 {
-		c.CacheSize = 128
-	}
-	if c.MaxJobs == 0 {
-		c.MaxJobs = 1024
+		c.CacheSize = defaultCacheSize
 	}
 	if c.MaxTraceBytes == 0 {
 		c.MaxTraceBytes = 64 << 20
@@ -139,23 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CorpusMaxBytes == 0 {
 		c.CorpusMaxBytes = 1 << 30
-	}
-	if c.StealLease == 0 {
-		c.StealLease = 2 * time.Minute
-	}
-	if c.StealInterval == 0 {
-		c.StealInterval = time.Second
-	}
-	// Shared with the flag declarations and the policy lab.
-	d := cachepolicy.Defaults()
-	if c.CacheProbeTimeout == 0 {
-		c.CacheProbeTimeout = d.ProbeTimeout
-	}
-	if c.CacheProbeFanout == 0 {
-		c.CacheProbeFanout = d.ProbeFanout
-	}
-	if c.CacheHintKeys == 0 {
-		c.CacheHintKeys = d.HintKeys
 	}
 	if c.NodeName == "" {
 		c.NodeName = defaultNodeName()
@@ -225,7 +182,7 @@ type Server struct {
 	corpus *corpus.Store // nil when Config.CorpusDir is empty
 	node   *node
 	// cacheClient carries cache and admission probes under the short
-	// CacheProbeTimeout; peerClient the calls that move a whole job or a
+	// ProbeTimeout; peerClient the calls that move a whole job or a
 	// trace blob, under peerCallTimeout.
 	cacheClient peerclient.Client
 	peerClient  peerclient.Client
@@ -268,7 +225,7 @@ func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:         cfg,
-		cacheClient: peerclient.Client{HTTP: &http.Client{Timeout: cfg.CacheProbeTimeout}},
+		cacheClient: peerclient.Client{HTTP: &http.Client{Timeout: cfg.ProbeTimeout}},
 		peerClient:  peerclient.Client{HTTP: &http.Client{Timeout: peerCallTimeout}},
 		stop:        make(chan struct{}),
 	}
@@ -277,17 +234,12 @@ func NewServer(cfg Config) (*Server, error) {
 	s.pl = pipeline.New(pipeline.Options{CacheSize: cfg.CacheSize, Metrics: s.metrics})
 	s.cacheStats = newCacheStats(s.metrics)
 	s.node = jobs.New[*pipeline.WireResult](jobs.Config[*pipeline.WireTable]{
-		QueueDepth:    cfg.QueueDepth,
-		Peers:         cfg.Peers,
-		Lease:         cfg.StealLease,
-		StealInterval: cfg.StealInterval,
-		MaxJobs:       cfg.MaxJobs,
-		Fanout:        cfg.CacheProbeFanout,
-		HintKeys:      cfg.CacheHintKeys,
-		Local:         localCache{s},
-		Probe:         s.cacheClient.Probe,
-		Journal:       s,
-		Metrics:       s.schedMetrics,
+		Policy:  cfg.Policy,
+		Peers:   cfg.Peers,
+		Local:   localCache{s},
+		Probe:   s.cacheClient.Probe,
+		Journal: s,
+		Metrics: s.schedMetrics,
 		Hooks: jobs.Hooks{
 			Changed: func(j *jobs.Job) {
 				st := stateOf(j)
@@ -410,7 +362,7 @@ func (s *Server) worker() {
 // lost its network — so they run locally instead of being lost.
 func (s *Server) reaper() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(jobs.ReapInterval(s.cfg.StealLease))
+	ticker := time.NewTicker(jobs.ReapInterval(s.cfg.Lease))
 	defer ticker.Stop()
 	for {
 		select {

@@ -393,7 +393,7 @@ func TestJobNotFound(t *testing.T) {
 func TestQueueBounded(t *testing.T) {
 	// No Start(): nothing drains the depth-1 queue, so the second
 	// submission must be rejected rather than buffered without bound.
-	s, err := NewServer(Config{QueueDepth: 1, CorpusDir: t.TempDir()})
+	s, err := NewServer(Config{Policy: jobs.Policy{QueueDepth: 1}, CorpusDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestQueuedTraceBytesBounded(t *testing.T) {
 	}
 	payload := buf.Bytes()
 
-	s, err := NewServer(Config{QueueDepth: 16, MaxQueuedTraceBytes: int64(len(payload)) + 1, CorpusDir: t.TempDir()})
+	s, err := NewServer(Config{Policy: jobs.Policy{QueueDepth: 16}, MaxQueuedTraceBytes: int64(len(payload)) + 1, CorpusDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -790,10 +790,10 @@ func TestNewServerRefusesNegativeConfig(t *testing.T) {
 		{"MaxTraceBytes", func(c *Config) { c.MaxTraceBytes = -1 }},
 		{"MaxQueuedTraceBytes", func(c *Config) { c.MaxQueuedTraceBytes = -1 }},
 		{"CorpusMaxBytes", func(c *Config) { c.CorpusMaxBytes = -1 }},
-		{"StealLease", func(c *Config) { c.StealLease = -time.Second }},
-		{"CacheProbeTimeout", func(c *Config) { c.CacheProbeTimeout = -time.Millisecond }},
-		{"CacheProbeFanout", func(c *Config) { c.CacheProbeFanout = -1 }},
-		{"CacheHintKeys", func(c *Config) { c.CacheHintKeys = -1 }},
+		{"Lease", func(c *Config) { c.Lease = -time.Second }},
+		{"ProbeTimeout", func(c *Config) { c.ProbeTimeout = -time.Millisecond }},
+		{"ProbeFanout", func(c *Config) { c.ProbeFanout = -1 }},
+		{"HintKeys", func(c *Config) { c.HintKeys = -1 }},
 	} {
 		var cfg Config
 		c.set(&cfg)
@@ -807,7 +807,7 @@ func TestNewServerRefusesNegativeConfig(t *testing.T) {
 			t.Errorf("negative %s: error %q does not name the field", c.field, err)
 		}
 	}
-	s, err := NewServer(Config{StealInterval: -1})
+	s, err := NewServer(Config{Policy: jobs.Policy{StealInterval: -1}})
 	if err != nil {
 		t.Fatalf("negative StealInterval (stealing off) refused: %v", err)
 	}
@@ -815,7 +815,7 @@ func TestNewServerRefusesNegativeConfig(t *testing.T) {
 }
 
 func TestJobEviction(t *testing.T) {
-	s, ts := testServer(t, Config{MaxJobs: 2})
+	s, ts := testServer(t, Config{Policy: jobs.Policy{MaxJobs: 2}})
 
 	var ids []string
 	for i := 0; i < 4; i++ {

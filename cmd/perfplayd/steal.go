@@ -204,7 +204,7 @@ const peerCallTimeout = 120 * time.Second
 // its admission headroom and its hottest result-cache keys — the hints
 // that let peers aim their cache probes.
 func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.node.Status(s.pl.RecentResultKeys(s.cfg.CacheHintKeys)))
+	writeJSON(w, http.StatusOK, s.node.Status(s.pl.RecentResultKeys(s.cfg.HintKeys)))
 }
 
 // handleClaim (POST /jobs/claim) leases the newest stealable job to a

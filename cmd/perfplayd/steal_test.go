@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"perfplay/internal/jobs"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/scheduler"
 )
@@ -38,7 +39,7 @@ func saturatedVictim(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // victims at test cadence.
 func thiefServer(t *testing.T, victims ...string) (*Server, *httptest.Server) {
 	t.Helper()
-	s, ts := testServer(t, Config{Peers: victims, StealInterval: 5 * time.Millisecond})
+	s, ts := testServer(t, Config{Peers: victims, Policy: jobs.Policy{StealInterval: 5 * time.Millisecond}})
 	s.StartStealer(ts.URL)
 	return s, ts
 }
@@ -132,7 +133,7 @@ func TestWholeJobStealTraceDigest(t *testing.T) {
 // worker completes it with golden-identical output, and the thief's
 // eventual late result is rejected with 409.
 func TestThiefCrashLeaseExpiry(t *testing.T) {
-	srv, ts := saturatedVictim(t, Config{StealLease: 50 * time.Millisecond})
+	srv, ts := saturatedVictim(t, Config{Policy: jobs.Policy{Lease: 50 * time.Millisecond}})
 
 	resp := postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec)
 	sub := decode[map[string]string](t, resp)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"perfplay/internal/jobs"
 	"perfplay/internal/telemetry"
 )
 
@@ -230,9 +231,9 @@ func TestJobTraceSpansTwoNodes(t *testing.T) {
 	}
 
 	thiefSrv, thiefTS := testServer(t, Config{
-		NodeName:      "thief-node",
-		Peers:         []string{victim.URL},
-		StealInterval: 5 * time.Millisecond,
+		NodeName: "thief-node",
+		Peers:    []string{victim.URL},
+		Policy:   jobs.Policy{StealInterval: 5 * time.Millisecond},
 	})
 	thiefSrv.StartStealer(thiefTS.URL)
 

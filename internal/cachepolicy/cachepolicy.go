@@ -22,43 +22,10 @@ import (
 	"perfplay/internal/clusterapi"
 )
 
-// Knobs are the cache-layer tunables shared by the daemon's flags and
-// the simulator's scenarios. Defaults returns the single source of
-// truth for their default values, so the two cannot drift: perfplayd
-// flag declarations print these values, Config.withDefaults applies
-// them, peerclient.Client.Submit passes SubmitHops, and every clustersim
-// scenario starts from them.
-type Knobs struct {
-	// ProbeFanout bounds how many peers one cache-missed job probes.
-	ProbeFanout int
-	// ProbeTimeout bounds each individual peer probe.
-	ProbeTimeout time.Duration
-	// HintKeys bounds the recent result-cache keys gossiped in each
-	// steal/status response (the cache-population hints).
-	HintKeys int
-	// SubmitHops bounds how many Retry-Peer admission redirects one
-	// submit will follow.
-	SubmitHops int
-}
-
-// Defaults returns the shared cache-layer defaults. ProbeFanout and
-// ProbeTimeout are sweep-derived (docs/POLICIES.md, `perfplay sim
-// -sweep` over the cache scenarios): fan-out 2 is within a hair of the
-// per-scenario best everywhere — fan-out 1 is fragile when caches
-// populate organically and hints lag, while 4 doubles the timeout burn
-// under partial partitions — and a short 250ms probe timeout is what
-// keeps partitions cheap: a blackholed link costs the full timeout per
-// probe on the job-execution hot path, and the sweep's 2s rows are the
-// worst non-disabled configurations in the partition scenario, while
-// 250ms is indistinguishable from 50ms everywhere else.
-func Defaults() Knobs {
-	return Knobs{
-		ProbeFanout:  2,
-		ProbeTimeout: 250 * time.Millisecond,
-		HintKeys:     32,
-		SubmitHops:   3,
-	}
-}
+// SubmitHops bounds how many Retry-Peer admission redirects one submit
+// follows: peerclient.Client.Submit passes it, and so does the policy
+// lab's simulated client.
+const SubmitHops = 3
 
 // ProbeOrder ranks peers for one cache probe: peers whose gossiped
 // hints satisfy the matcher first, then known-healthy peers by queue

@@ -166,10 +166,3 @@ func TestProbeObserveHook(t *testing.T) {
 		t.Fatalf("observations %v", seen)
 	}
 }
-
-func TestDefaultsAreSane(t *testing.T) {
-	d := Defaults()
-	if d.ProbeFanout <= 0 || d.ProbeTimeout <= 0 || d.HintKeys <= 0 || d.SubmitHops <= 0 {
-		t.Fatalf("Defaults() has a non-positive knob: %+v", d)
-	}
-}

@@ -3,8 +3,9 @@ package clustersim
 import (
 	"strings"
 	"testing"
+	"time"
 
-	"perfplay/internal/cachepolicy"
+	"perfplay/internal/jobs"
 )
 
 // requireClean fails the test if the invariant checker flagged anything
@@ -92,7 +93,7 @@ func TestAdmissionWalksMultiHopChains(t *testing.T) {
 func TestHintBreadthMatters(t *testing.T) {
 	withHints := MustRun(short(ScenarioAdmission, 42))
 	cfg := short(ScenarioAdmission, 42)
-	cfg.HintBreadth = 0
+	cfg.HintKeys = 0
 	noHints := MustRun(cfg)
 	requireClean(t, noHints)
 	if noHints.Cache.RemoteHits >= withHints.Cache.RemoteHits {
@@ -103,19 +104,14 @@ func TestHintBreadthMatters(t *testing.T) {
 
 // TestEveryScenarioRunsTheShippedNode: there is one node model, the
 // perfplayd that ships. Every scenario renders the cache line, admits
-// every arrival through the recounted FollowRedirects chain, and starts
-// from the daemon's cache knobs; the steal scenarios still steal, and
-// most of their jobs still run rather than settle from a cache.
+// every arrival through the recounted FollowRedirects chain (that it
+// runs the daemon's knobs is TestDeparturesAreDeclared); the steal
+// scenarios still steal, and most of their jobs still run rather than
+// settle from a cache.
 func TestEveryScenarioRunsTheShippedNode(t *testing.T) {
-	d := cachepolicy.Defaults()
 	steal := map[string]bool{ScenarioUniform: true, ScenarioSkewed: true, ScenarioSlowNode: true, ScenarioCrash: true}
 	for _, sc := range Scenarios() {
-		cfg := short(sc, 42)
-		if cfg.ProbeFanout != d.ProbeFanout || cfg.ProbeTimeoutMS != d.ProbeTimeout.Milliseconds() || cfg.HintBreadth != d.HintKeys {
-			t.Errorf("%s: cache knobs fanout=%d timeout=%dms breadth=%d, want the daemon's %+v",
-				sc, cfg.ProbeFanout, cfg.ProbeTimeoutMS, cfg.HintBreadth, d)
-		}
-		c := newCluster(cfg)
+		c := newCluster(short(sc, 42))
 		r := c.run()
 		requireClean(t, r)
 		if !strings.Contains(r.String(), "\n  cache: probes=") {
@@ -150,13 +146,9 @@ func TestSweepRanksAndCovers(t *testing.T) {
 		if len(rs) != 72 {
 			t.Fatalf("%s: sweep ran %d grid points, want 72", sc, len(rs))
 		}
-		type point struct {
-			iv, to int64
-			fo, hb int
-		}
-		seen := make(map[point]bool)
+		seen := make(map[jobs.Policy]bool)
 		for i, r := range rs {
-			seen[point{r.StealIntervalMS, r.ProbeTimeoutMS, r.ProbeFanout, r.HintBreadth}] = true
+			seen[r.Policy] = true
 			requireClean(t, r.Report)
 			if i == 0 {
 				continue
@@ -166,14 +158,19 @@ func TestSweepRanksAndCovers(t *testing.T) {
 				t.Fatalf("%s: rank %d (p90=%d makespan=%d) worse than rank %d (p90=%d makespan=%d)",
 					sc, i, a.LatencyP90, a.MakespanMS, i+1, b.LatencyP90, b.MakespanMS)
 			}
-			if r.ProbeFanout == 0 && r.Report.Cache.Probes != 0 {
+			if r.Policy.ProbeFanout == 0 && r.Report.Cache.Probes != 0 {
 				t.Fatalf("%s: fan-out 0 baseline probed %d times", sc, r.Report.Cache.Probes)
 			}
 		}
 		if len(seen) != 72 {
 			t.Fatalf("%s: sweep covered %d distinct grid points, want 72", sc, len(seen))
 		}
-		if !seen[point{250, 250, 0, 0}] || !seen[point{250, 250, 0, 32}] || !seen[point{250, 250, 2, 0}] {
+		at := func(fo, hb int) jobs.Policy {
+			p := cfg.Policy
+			p.StealInterval, p.ProbeTimeout, p.ProbeFanout, p.HintKeys = 250*time.Millisecond, 250*time.Millisecond, fo, hb
+			return p
+		}
+		if !seen[at(0, 0)] || !seen[at(0, 32)] || !seen[at(2, 0)] {
 			t.Fatalf("%s: sweep grid lost its fan-out 0 / breadth 0 baselines", sc)
 		}
 		out := RenderSweep(sc, 42, rs)
@@ -248,7 +245,7 @@ func TestInvariantProbeBoundFires(t *testing.T) {
 
 func TestInvariantWorkerBoundFires(t *testing.T) {
 	c, inv := invHarness()
-	for i := 0; i < c.cfg.WorkersPerNode; i++ {
+	for i := 0; i < c.cfg.Workers; i++ {
 		inv.jobStarted(c.nodes[0])
 	}
 	inv.jobStarted(c.nodes[1]) // another node's run is not this node's

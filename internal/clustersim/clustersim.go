@@ -20,8 +20,10 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"reflect"
+	"time"
 
-	"perfplay/internal/cachepolicy"
+	"perfplay/internal/jobs"
 )
 
 // Scenario names, selectable by Config.Scenario.
@@ -70,21 +72,19 @@ func Scenarios() []string {
 type Config struct {
 	Scenario string
 	Seed     int64
-	// Nodes and WorkersPerNode shape the virtual cluster.
-	Nodes          int
-	WorkersPerNode int
-	// QueueDepth is each node's admission bound (scheduler.NewQueue).
-	QueueDepth int
+	// Policy is every node's scheduling knobs, perfplayd's own struct.
+	// Unlike the daemon, a zero ProbeFanout turns probing off and a
+	// zero HintKeys gossips no cache hints — the sweep's baselines. The
+	// durations are read in whole simulated milliseconds.
+	jobs.Policy
+	// Nodes is the virtual cluster's size.
+	Nodes int
 	// DurationMS bounds the arrival window; the run itself continues
 	// until the admitted backlog drains (or the hard cap trips).
 	DurationMS int64
 	// ArrivalEveryMS is the mean inter-arrival gap across the whole
 	// cluster (exponential).
 	ArrivalEveryMS int64
-	// StealIntervalMS is each node's stealer tick cadence.
-	StealIntervalMS int64
-	// LeaseMS is the steal-lease duration granted by victims.
-	LeaseMS int64
 	// SlowFactor multiplies the slow node's run durations
 	// (ScenarioSlowNode).
 	SlowFactor int64
@@ -97,17 +97,6 @@ type Config struct {
 	// DigestPool is how many distinct trace digests the workload draws
 	// from — small pools make result-cache hits and cache hints matter.
 	DigestPool int
-
-	// ProbeFanout bounds peers probed per cache-missed job. Unlike the
-	// daemon (where 0 means "apply the default"), 0 here disables
-	// probing entirely — the sweep's no-probe baseline.
-	ProbeFanout int
-	// ProbeTimeoutMS bounds each individual peer probe; a probe across
-	// a partitioned (blackholed) link burns the full timeout.
-	ProbeTimeoutMS int64
-	// HintBreadth is how many recent result-cache keys each node
-	// gossips in its probe responses (0 = no cache hints).
-	HintBreadth int
 	// WarmNodes pre-warms nodes [0, WarmNodes) with every pool digest's
 	// result at t=0 (the warm island).
 	WarmNodes int
@@ -119,10 +108,34 @@ type Config struct {
 	HealAtMS      int64
 }
 
+// departure is one knob a scenario's nodes run at a value other than
+// jobs.Defaults(): Knob names a jobs.Policy field, Value is of its type.
+type departure struct {
+	Scenario string // "" = every scenario
+	Knob     string
+	Value    any
+}
+
+// departures is every way the lab's node differs from the node
+// perfplayd runs, applied in order by DefaultConfig (docs/POLICIES.md
+// renders them per scenario). Everything else is jobs.Defaults().
+var departures = []departure{
+	// A minute of arrivals at 10/s on four 2-worker nodes never fills a
+	// queue of 64: nothing would overflow into a Retry-Peer.
+	{"", "QueueDepth", 8},
+	// The cadence every sweep has ranked from; ROADMAP's open cadence
+	// item sweeps the daemon's 1 s before either value moves.
+	{"", "StealInterval", 250 * time.Millisecond},
+	// A crashed thief's leases must expire, and their jobs re-run,
+	// inside the run rather than two minutes after it.
+	{"", "Lease", 2 * time.Second},
+	// Shallow queues force multi-hop Retry-Peer chains.
+	{ScenarioAdmission, "QueueDepth", 4},
+}
+
 // DefaultConfig returns the baseline lab cluster for a scenario: four
-// 2-worker nodes under a minute of moderate load, every node running
-// the shared cachepolicy defaults — the same values the daemon's flags
-// print.
+// perfplayd nodes — jobs.Defaults() but for the scenario's departures —
+// under a minute of moderate load.
 //
 // The steal scenarios (uniform, skewed, slownode, crash) draw from
 // 1,024 digests, so most jobs miss every result cache and run: the
@@ -136,24 +149,22 @@ type Config struct {
 // coupon-collector pacing — so probe traffic stays alive through the
 // partition window instead of converging in the first few seconds.
 func DefaultConfig(scenario string, seed int64) Config {
-	d := cachepolicy.Defaults()
 	cfg := Config{
-		Scenario:        scenario,
-		Seed:            seed,
-		Nodes:           4,
-		WorkersPerNode:  2,
-		QueueDepth:      8,
-		DurationMS:      60_000,
-		ArrivalEveryMS:  100,
-		StealIntervalMS: 250,
-		LeaseMS:         2_000,
-		SlowFactor:      4,
-		CrashNode:       -1,
-		CrashAtMS:       10_000,
-		DigestPool:      1024,
-		ProbeFanout:     d.ProbeFanout,
-		ProbeTimeoutMS:  d.ProbeTimeout.Milliseconds(),
-		HintBreadth:     d.HintKeys,
+		Scenario:       scenario,
+		Seed:           seed,
+		Policy:         jobs.Defaults(),
+		Nodes:          4,
+		DurationMS:     60_000,
+		ArrivalEveryMS: 100,
+		SlowFactor:     4,
+		CrashNode:      -1,
+		CrashAtMS:      10_000,
+		DigestPool:     1024,
+	}
+	for _, d := range departures {
+		if d.Scenario == "" || d.Scenario == scenario {
+			reflect.ValueOf(&cfg.Policy).Elem().FieldByName(d.Knob).Set(reflect.ValueOf(d.Value))
+		}
 	}
 	switch scenario {
 	case ScenarioCrash:
@@ -167,10 +178,8 @@ func DefaultConfig(scenario string, seed int64) Config {
 		cfg.WarmNodes = 2
 	case ScenarioAdmission:
 		// No warm island: the point is organic cache build-up under
-		// admission pressure, with shallow queues forcing multi-hop
-		// Retry-Peer chains.
+		// admission pressure.
 		cfg.DigestPool = 64
-		cfg.QueueDepth = 4
 		cfg.ArrivalEveryMS = 60
 	}
 	return cfg
@@ -187,19 +196,19 @@ func (cfg Config) validate() error {
 	if cfg.Nodes < 2 {
 		return errors.New("need at least 2 nodes: with one node there is nothing to steal from")
 	}
-	if cfg.WorkersPerNode < 1 || cfg.QueueDepth < 1 {
+	if cfg.Workers < 1 || cfg.QueueDepth < 1 {
 		return errors.New("workers and queue depth must be positive")
 	}
-	if cfg.DurationMS < 1 || cfg.ArrivalEveryMS < 1 || cfg.StealIntervalMS < 1 || cfg.LeaseMS < 1 {
+	if cfg.DurationMS < 1 || cfg.ArrivalEveryMS < 1 || cfg.StealInterval < time.Millisecond || cfg.Lease < time.Millisecond {
 		return errors.New("durations must be positive")
 	}
 	if cfg.Scenario == ScenarioCrash && cfg.CrashNode >= cfg.Nodes {
 		return fmt.Errorf("crash node %d out of range [0,%d) (negative = auto-target)", cfg.CrashNode, cfg.Nodes)
 	}
-	if cfg.ProbeFanout < 0 || cfg.HintBreadth < 0 {
+	if cfg.ProbeFanout < 0 || cfg.HintKeys < 0 {
 		return errors.New("cache knobs must be non-negative")
 	}
-	if cfg.ProbeFanout > 0 && cfg.ProbeTimeoutMS < 1 {
+	if cfg.ProbeFanout > 0 && cfg.ProbeTimeout < time.Millisecond {
 		return errors.New("probe timeout must be positive when probing is on")
 	}
 	if cfg.WarmNodes < 0 || cfg.WarmNodes > cfg.Nodes {
@@ -227,7 +236,7 @@ func (c *Cluster) run() *Report {
 	// Hard cap: a pathological policy (leases never expiring, a crash
 	// stranding the whole backlog) must terminate with an honest
 	// "unfinished" count rather than spin the heap forever.
-	hardCap := c.cfg.DurationMS*20 + 10*c.cfg.LeaseMS
+	hardCap := c.cfg.DurationMS*20 + 10*c.cfg.Lease.Milliseconds()
 	for c.events.Len() > 0 && !c.drained() {
 		ev := heap.Pop(&c.events).(*event)
 		if ev.at > hardCap {

@@ -119,8 +119,8 @@ func TestSlowNodeSheds(t *testing.T) {
 // cache hints — and never more claims than were made.
 func TestHintedStealsFire(t *testing.T) {
 	cfg := short(ScenarioSkewed, 42)
-	for _, breadth := range []int{cfg.HintBreadth, 0} {
-		cfg.HintBreadth = breadth
+	for _, breadth := range []int{cfg.HintKeys, 0} {
+		cfg.HintKeys = breadth
 		r := MustRun(cfg)
 		if r.HintedClaims == 0 || r.HintedClaims > r.Claims {
 			t.Fatalf("breadth %d: %d hinted of %d claims, want some and at most all:\n%s",
@@ -148,7 +148,7 @@ func TestValidation(t *testing.T) {
 		{Scenario: "nope"},
 		func() Config { c := DefaultConfig(ScenarioUniform, 1); c.Nodes = 1; return c }(),
 		func() Config { c := DefaultConfig(ScenarioCrash, 1); c.CrashNode = 99; return c }(),
-		func() Config { c := DefaultConfig(ScenarioUniform, 1); c.LeaseMS = 0; return c }(),
+		func() Config { c := DefaultConfig(ScenarioUniform, 1); c.Lease = 0; return c }(),
 		func() Config { c := DefaultConfig(ScenarioUniform, 1); c.ProbeFanout = -1; return c }(),
 		func() Config { c := DefaultConfig(ScenarioSkewed, 1); c.WarmNodes = 5; return c }(),
 	}

@@ -65,12 +65,12 @@ func (v *invariants) terminalOnce(id, how string) {
 }
 
 // jobStarted and jobStopped bracket one job's run on a worker (the
-// node's Occupied hook): a node never runs more than WorkersPerNode jobs
+// node's Occupied hook): a node never runs more than Workers jobs
 // at once. A crashed node's runs are never stopped, nor started.
 func (v *invariants) jobStarted(n *node) {
 	v.running[n.url]++
-	if got := v.running[n.url]; got > v.c.cfg.WorkersPerNode {
-		v.violatef("%s runs %d jobs at once on %d workers (t=%d)", n.url, got, v.c.cfg.WorkersPerNode, v.c.now)
+	if got := v.running[n.url]; got > v.c.cfg.Workers {
+		v.violatef("%s runs %d jobs at once on %d workers (t=%d)", n.url, got, v.c.cfg.Workers, v.c.now)
 	}
 }
 

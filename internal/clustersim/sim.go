@@ -178,7 +178,7 @@ func newCluster(cfg Config) *Cluster {
 			idx:         i,
 			url:         fmt.Sprintf("sim://node-%d", i),
 			metrics:     scheduler.NewMetrics(nil),
-			freeWorkers: cfg.WorkersPerNode,
+			freeWorkers: cfg.Workers,
 			cache:       make(map[string]bool),
 			results:     make(map[string]bool),
 			speed:       1,
@@ -213,18 +213,13 @@ func newCluster(cfg Config) *Cluster {
 // on the simulated clock and fabric. The node's terminal and worker
 // hooks feed the report's ledger and the invariant checker.
 func (c *Cluster) newLifecycle(n *node) *lifecycle {
-	ms := time.Millisecond
 	return jobs.New[string](jobs.Config[string]{
-		QueueDepth:    c.cfg.QueueDepth,
-		Peers:         c.peersOf(n),
-		Lease:         time.Duration(c.cfg.LeaseMS) * ms,
-		StealInterval: time.Duration(c.cfg.StealIntervalMS) * ms,
-		Fanout:        c.cfg.ProbeFanout,
-		HintKeys:      c.cfg.HintBreadth,
-		Local:         n,
-		Probe:         (&memTransport{c: c, from: n}).Probe,
-		Metrics:       n.metrics,
-		Now:           c.clock,
+		Policy:  c.cfg.Policy,
+		Peers:   c.peersOf(n),
+		Local:   n,
+		Probe:   (&memTransport{c: c, from: n}).Probe,
+		Metrics: n.metrics,
+		Now:     c.clock,
 		Hooks: jobs.Hooks{
 			Finished: func(j *jobs.Job) {
 				how := "completed"
@@ -363,7 +358,7 @@ func (t *memTransport) Probe(peer string) (scheduler.PeerStatus, error) {
 	if err != nil {
 		return scheduler.PeerStatus{}, err
 	}
-	st := v.life.Status(v.recentKeys(t.c.cfg.HintBreadth))
+	st := v.life.Status(v.recentKeys(t.c.cfg.HintKeys))
 	st.Seen = time.Time{} // observation time is the observer's
 	return st, nil
 }
@@ -377,7 +372,7 @@ func (t *memTransport) Claim(peer, thief string) (scheduler.StolenJob, bool, err
 	if !ok {
 		return scheduler.StolenJob{}, false, nil
 	}
-	return scheduler.StolenJob{ID: j.ID, Spec: j.Spec, LeaseMS: t.c.cfg.LeaseMS}, true, nil
+	return scheduler.StolenJob{ID: j.ID, Spec: j.Spec, LeaseMS: t.c.cfg.Lease.Milliseconds()}, true, nil
 }
 
 func (t *memTransport) Settle(victim, jobID string, res clusterapi.StealResult) error {
@@ -420,13 +415,13 @@ func (t *simCacheTransport) fetch(peer string) (*node, error) {
 		return nil, err
 	}
 	if err != nil { // a blackholed link burns the whole timeout
-		t.elapsed += t.c.cfg.ProbeTimeoutMS
+		t.elapsed += t.c.cfg.ProbeTimeout.Milliseconds()
 		t.c.cache.ProbeTimeouts++
 		return nil, err
 	}
 	rtt := t.c.cacheLatencyMS()
-	if rtt > t.c.cfg.ProbeTimeoutMS {
-		t.elapsed += t.c.cfg.ProbeTimeoutMS
+	if rtt > t.c.cfg.ProbeTimeout.Milliseconds() {
+		t.elapsed += t.c.cfg.ProbeTimeout.Milliseconds()
 		t.c.cache.ProbeTimeouts++
 		return nil, fmt.Errorf("probe %s: timeout", peer)
 	}
@@ -543,10 +538,11 @@ func (c *Cluster) pickOrigin(f float64, uniform int) int {
 // scenario's crash.
 func (c *Cluster) scheduleHousekeeping() {
 	// The daemon's reaper cadence: a quarter lease, at most a second.
-	reap := max(jobs.ReapInterval(time.Duration(c.cfg.LeaseMS)*time.Millisecond).Milliseconds(), 1)
+	reap := max(jobs.ReapInterval(c.cfg.Lease).Milliseconds(), 1)
+	interval := c.cfg.StealInterval.Milliseconds()
 	for _, n := range c.nodes {
 		// First ticks are staggered by node index.
-		c.every(c.cfg.StealIntervalMS+int64(n.idx), c.cfg.StealIntervalMS, kindStealTick, func() {
+		c.every(interval+int64(n.idx), interval, kindStealTick, func() {
 			if !n.crashed {
 				n.stealer.Tick(nil)
 			}
@@ -585,7 +581,7 @@ func (c *Cluster) drained() bool { return c.resolved >= len(c.jobs) }
 // node refuses the connection and ends the chain. The walk happens at
 // the arrival instant; its link time is charged to the job as a penalty.
 func (c *Cluster) submit(j *simJob, origin *node) {
-	maxHops := cachepolicy.Defaults().SubmitHops
+	maxHops := cachepolicy.SubmitHops
 	var (
 		elapsed  int64
 		accepted *node

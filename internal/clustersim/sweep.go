@@ -4,26 +4,26 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
+
+	"perfplay/internal/jobs"
 )
 
 // Sweep knob grids, the same 72 points for every scenario. Fan-out 0
 // (probing off) and breadth 0 (no cache hints) are baselines, not
-// deployable settings — perfplayd maps 0 to the default — kept so every
+// deployable settings — perfplayd refuses 0 for both — kept so every
 // ranking shows what the cache layer is worth against not having one.
 var (
-	sweepIntervals = []int64{100, 250, 500}
+	sweepIntervals = []time.Duration{100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond}
 	sweepFanouts   = []int{0, 1, 2, 4}
-	sweepTimeouts  = []int64{50, 250, 2000}
+	sweepTimeouts  = []time.Duration{50 * time.Millisecond, 250 * time.Millisecond, 2 * time.Second}
 	sweepBreadths  = []int{0, 32}
 )
 
 // SweepResult is one grid point's knobs and outcome.
 type SweepResult struct {
-	StealIntervalMS int64
-	ProbeFanout     int
-	ProbeTimeoutMS  int64
-	HintBreadth     int
-	Report          *Report
+	Policy jobs.Policy
+	Report *Report
 }
 
 // Sweep grids steal interval × probe fan-out × probe timeout × hint
@@ -44,11 +44,11 @@ func Sweep(base Config) ([]SweepResult, error) {
 			for _, to := range sweepTimeouts {
 				for _, hb := range sweepBreadths {
 					cfg := base
-					cfg.StealIntervalMS = iv
+					cfg.StealInterval = iv
 					cfg.ProbeFanout = fo
-					cfg.ProbeTimeoutMS = to
-					cfg.HintBreadth = hb
-					out = append(out, SweepResult{iv, fo, to, hb, MustRun(cfg)})
+					cfg.ProbeTimeout = to
+					cfg.HintKeys = hb
+					out = append(out, SweepResult{cfg.Policy, MustRun(cfg)})
 				}
 			}
 		}
@@ -74,9 +74,9 @@ func RenderSweep(scenario string, seed int64, rs []SweepResult) string {
 		"rank", "steal-ms", "fanout", "timeout-ms", "breadth", "p50-ms", "p90-ms", "makespan",
 		"claims", "l-hit", "r-hit", "t-imp", "timeouts", "viol")
 	for i, r := range rs {
-		c := r.Report.Cache
+		c, p := r.Report.Cache, r.Policy
 		fmt.Fprintf(&b, "%4d  %8d  %6d  %10d  %7d  %6d  %6d  %8d  %6d  %5d  %5d  %5d  %8d  %4d\n",
-			i+1, r.StealIntervalMS, r.ProbeFanout, r.ProbeTimeoutMS, r.HintBreadth,
+			i+1, p.StealInterval.Milliseconds(), p.ProbeFanout, p.ProbeTimeout.Milliseconds(), p.HintKeys,
 			r.Report.LatencyP50, r.Report.LatencyP90, r.Report.MakespanMS, r.Report.Claims,
 			c.LocalHits, c.RemoteHits, c.TableImports, c.ProbeTimeouts, len(r.Report.Violations))
 	}

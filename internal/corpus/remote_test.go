@@ -176,7 +176,7 @@ func TestSubmitAnalyzeNoRedirect(t *testing.T) {
 // bound ends in an error naming the bound — never an unbounded crawl.
 func TestSubmitAnalyzeHopBound(t *testing.T) {
 	// Build a chain: each full node redirects to the next.
-	maxHops := cachepolicy.Defaults().SubmitHops
+	maxHops := cachepolicy.SubmitHops
 	next := ""
 	var chain []*httptest.Server
 	var counts []*int

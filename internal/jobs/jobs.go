@@ -13,6 +13,7 @@
 package jobs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strconv"
@@ -84,25 +85,86 @@ type Hooks struct {
 	Occupied func(id string, busy bool)
 }
 
+// Policy is a node's scheduling knobs, declared once: perfplayd's
+// flags and Config, this package's Config and the policy lab's
+// scenarios all carry this struct. Defaults holds the values perfplayd
+// runs with.
+type Policy struct {
+	// Workers is how many jobs the node runs at once, one goroutine
+	// each. The owner runs them; the Node does not read it.
+	Workers int
+	// QueueDepth bounds the pending-job queue; a submit past it is
+	// refused and pointed at a Retry-Peer.
+	QueueDepth int
+	// MaxJobs bounds retained finished jobs; the oldest are evicted
+	// (0 = keep all).
+	MaxJobs int
+	// Lease is how long a thief may hold a claimed job before it is
+	// requeued here, at the front.
+	Lease time.Duration
+	// StealInterval is the stealer's idle-poll cadence, and
+	// rate-limits the admission fallback probe to one round per
+	// interval (non-positive = one per second). perfplayd reads a
+	// negative interval as "stealing off".
+	StealInterval time.Duration
+	// ProbeFanout bounds the peers one cache probe round, and the
+	// admission fallback round, asks. 0 turns all probing off.
+	ProbeFanout int
+	// ProbeTimeout bounds each cache and admission probe. The owner's
+	// transport applies it; the Node does not read it.
+	ProbeTimeout time.Duration
+	// HintKeys bounds the result-cache keys, and the stealable digests,
+	// each status answer advertises (0 = no result keys, every
+	// stealable digest).
+	HintKeys int
+}
+
+// Defaults returns the knobs perfplayd runs with: its flag defaults,
+// and what its Config reads a zero knob as. ProbeFanout and
+// ProbeTimeout are sweep-derived (docs/POLICIES.md, `perfplay sim
+// -sweep` over the cache scenarios): fan-out 2 is within a hair of the
+// per-scenario best everywhere — fan-out 1 is fragile when caches
+// populate organically and hints lag, while 4 doubles the timeout burn
+// under partial partitions — and a short 250ms probe timeout is what
+// keeps partitions cheap: a blackholed link costs the full timeout per
+// probe on the job-execution hot path, and the sweep's 2s rows are the
+// worst non-disabled configurations in the partition scenario, while
+// 250ms is indistinguishable from 50ms everywhere else.
+func Defaults() Policy {
+	return Policy{
+		Workers:       2,
+		QueueDepth:    64,
+		MaxJobs:       1024,
+		Lease:         2 * time.Minute,
+		StealInterval: time.Second,
+		ProbeFanout:   2,
+		ProbeTimeout:  250 * time.Millisecond,
+		HintKeys:      32,
+	}
+}
+
+// Or returns p with every zero knob taken from d: how perfplayd reads
+// its Config, where zero means "the default".
+func (p Policy) Or(d Policy) Policy {
+	return Policy{
+		Workers:       cmp.Or(p.Workers, d.Workers),
+		QueueDepth:    cmp.Or(p.QueueDepth, d.QueueDepth),
+		MaxJobs:       cmp.Or(p.MaxJobs, d.MaxJobs),
+		Lease:         cmp.Or(p.Lease, d.Lease),
+		StealInterval: cmp.Or(p.StealInterval, d.StealInterval),
+		ProbeFanout:   cmp.Or(p.ProbeFanout, d.ProbeFanout),
+		ProbeTimeout:  cmp.Or(p.ProbeTimeout, d.ProbeTimeout),
+		HintKeys:      cmp.Or(p.HintKeys, d.HintKeys),
+	}
+}
+
 // Config sizes a node and injects what differs between the daemon and
 // the simulator. Zero means "none" or "unbounded"; owners resolve
 // defaults.
 type Config[T any] struct {
-	QueueDepth int
+	Policy
 	// Peers are the other nodes' base URLs.
 	Peers []string
-	// Lease is how long a thief may hold a claimed job.
-	Lease time.Duration
-	// StealInterval rate-limits the admission fallback probe to one
-	// round per interval (non-positive = one per second).
-	StealInterval time.Duration
-	// MaxJobs bounds retained finished jobs (0 = keep all).
-	MaxJobs int
-	// Fanout bounds the peers one cache probe round, and the admission
-	// fallback round, asks. 0 turns all probing off.
-	Fanout int
-	// HintKeys bounds the stealable digests Status advertises (0 = all).
-	HintKeys int
 
 	Local Cache[T]
 	// Probe asks one peer for its status: the admission fallback probe
@@ -237,10 +299,10 @@ func (n *Node[R, T]) RetryPeer() (string, bool) {
 			return "", false
 		}
 	}
-	if n.Probe == nil || n.Fanout == 0 || !n.probeAllowed() {
+	if n.Probe == nil || n.ProbeFanout == 0 || !n.probeAllowed() {
 		return "", false
 	}
-	peers := n.Peers[:min(n.Fanout, len(n.Peers))]
+	peers := n.Peers[:min(n.ProbeFanout, len(n.Peers))]
 	for _, peer := range peers {
 		if st, err := n.Probe(peer); err != nil {
 			n.Gossip.RecordErr(peer, err)
@@ -340,10 +402,10 @@ func (n *Node[R, T]) Start(k Keys, f cachepolicy.Fetcher[R, T], observe func(pee
 	if k.Result != "" && n.Local.HasResult(k.Result) {
 		return LocalResult, r, ""
 	}
-	if n.Fanout == 0 || len(n.Peers) == 0 || k.Digest == "" {
+	if n.ProbeFanout == 0 || len(n.Peers) == 0 || k.Digest == "" {
 		return Run, r, ""
 	}
-	p := &cachepolicy.Prober[R, T]{Transport: f, Fanout: n.Fanout, Observe: observe}
+	p := &cachepolicy.Prober[R, T]{Transport: f, Fanout: n.ProbeFanout, Observe: observe}
 	view := n.Gossip.Snapshot()
 	if k.Result != "" {
 		if r, peer, ok := p.ProbeResult(n.Peers, view, k.Result, k.TopK); ok {

@@ -206,7 +206,7 @@ func TestReapIntoClosedQueue(t *testing.T) {
 // Past MaxJobs the oldest finished job leaves the table with an evicted
 // record.
 func TestEvictionPastMaxJobs(t *testing.T) {
-	h := newHarness(Config[string]{MaxJobs: 2})
+	h := newHarness(Config[string]{Policy: Policy{MaxJobs: 2}})
 	var ids []string
 	for range 3 {
 		id := h.admit(t)
@@ -230,7 +230,7 @@ var keys = Keys{Digest: "sha256:d", Result: "sha256:d|r", Table: "sha256:d|t"}
 
 // A local result answers without a single probe.
 func TestLocalResultProbesNoOne(t *testing.T) {
-	h := newHarness(Config[string]{Peers: []string{"p1", "p2"}, Fanout: 2})
+	h := newHarness(Config[string]{Peers: []string{"p1", "p2"}, Policy: Policy{ProbeFanout: 2}})
 	h.cache.results[keys.Result] = true
 	f := &fetcher{results: map[string]string{"p1": "r"}}
 	if src, _, _ := h.n.Start(keys, f, nil); src != LocalResult || len(f.calls) != 0 {
@@ -242,7 +242,7 @@ func TestLocalResultProbesNoOne(t *testing.T) {
 // everywhere, and only when no local table exists.
 func TestTableImportOrder(t *testing.T) {
 	peers := []string{"p1", "p2"}
-	h := newHarness(Config[string]{Peers: peers, Fanout: 2})
+	h := newHarness(Config[string]{Peers: peers, Policy: Policy{ProbeFanout: 2}})
 
 	f := &fetcher{results: map[string]string{"p2": "r"}, tables: map[string]string{"p1": "good"}}
 	if src, r, peer := h.n.Start(keys, f, nil); src != PeerResult || r != "r" || peer != "p2" {
@@ -283,7 +283,7 @@ func TestRetryPeerFallbackRateLimited(t *testing.T) {
 		probes++
 		return scheduler.PeerStatus{QueueLen: 0, QueueCap: 4}, nil
 	}
-	h := newHarness(Config[string]{Peers: []string{"p1"}, Fanout: 1, StealInterval: time.Second, Probe: probe})
+	h := newHarness(Config[string]{Peers: []string{"p1"}, Policy: Policy{ProbeFanout: 1, StealInterval: time.Second}, Probe: probe})
 	if peer, ok := h.n.RetryPeer(); !ok || peer != "p1" || probes != 1 {
 		t.Fatalf("RetryPeer = %q %v after %d probes, want p1 after one", peer, ok, probes)
 	}
@@ -309,7 +309,7 @@ func TestRetryPeerFallbackRateLimited(t *testing.T) {
 // Admit, Claim, Settle, Begin/Finish and Reap racing from many
 // goroutines: every job ends exactly once (run with -race).
 func TestConcurrentLifecycle(t *testing.T) {
-	h := newHarness(Config[string]{QueueDepth: 1 << 10, Lease: time.Millisecond})
+	h := newHarness(Config[string]{Policy: Policy{QueueDepth: 1 << 10, Lease: time.Millisecond}})
 	var fin sync.Mutex
 	h.n.Finished = func(j *Job) {
 		fin.Lock()
@@ -361,5 +361,28 @@ func TestConcurrentLifecycle(t *testing.T) {
 	})
 	if done != jobs || h.n.Running() != 0 {
 		t.Fatalf("%d of %d jobs done, %d workers busy", done, jobs, h.n.Running())
+	}
+}
+
+func TestDefaultsAreSane(t *testing.T) {
+	d := Defaults()
+	if d.Workers <= 0 || d.QueueDepth <= 0 || d.MaxJobs <= 0 || d.Lease <= 0 || d.StealInterval <= 0 ||
+		d.ProbeFanout <= 0 || d.ProbeTimeout <= 0 || d.HintKeys <= 0 {
+		t.Fatalf("Defaults() has a non-positive knob: %+v", d)
+	}
+}
+
+// Or fills zero knobs only: a set knob, a negative StealInterval
+// (stealing off) included, survives.
+func TestOrFillsOnlyZeroKnobs(t *testing.T) {
+	d := Defaults()
+	if got := (Policy{}).Or(d); got != d {
+		t.Fatalf("zero policy resolved to %+v, want %+v", got, d)
+	}
+	set := Policy{Workers: 7, StealInterval: -1, HintKeys: 3}
+	want := d
+	want.Workers, want.StealInterval, want.HintKeys = 7, -1, 3
+	if got := set.Or(d); got != want {
+		t.Fatalf("got %+v, want %+v", got, want)
 	}
 }

@@ -238,7 +238,7 @@ func (c *Client) Submit(base string, spec []byte) (id, accepted string, err erro
 		}
 		return cachepolicy.SubmitReply{ID: accept.ID}, nil
 	}
-	return cachepolicy.FollowRedirects(submit, base, cachepolicy.Defaults().SubmitHops)
+	return cachepolicy.FollowRedirects(submit, base, cachepolicy.SubmitHops)
 }
 
 // Wait long-polls GET {base}/jobs/{id}?wait= until the job is done or

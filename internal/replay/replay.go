@@ -136,12 +136,6 @@ type Result struct {
 	readHashes []uint64
 }
 
-// SameOutcome reports whether two replays observed the same reads and
-// reached the same final state — the equality test of the reversed replay.
-func (r *Result) SameOutcome(o *Result) bool {
-	return r.ReadHash == o.ReadHash && r.FinalMem.Equal(o.FinalMem)
-}
-
 // CPUTotal sums per-thread CPU.
 func (r *Result) CPUTotal() vtime.Duration {
 	var s vtime.Duration

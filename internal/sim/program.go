@@ -102,15 +102,6 @@ func (p *Program) Site(file string, line int, fn string) trace.SiteID {
 	return p.Sites.Intern(trace.Site{File: file, Line: line, Func: fn})
 }
 
-// LockName returns the declared name of a lock.
-func (p *Program) LockName(l trace.LockID) string {
-	i := int(l) - 1
-	if i < 0 || i >= len(p.locks) {
-		return l.String()
-	}
-	return p.locks[i].name
-}
-
 func (p *Program) lockSpin(l trace.LockID) bool {
 	i := int(l) - 1
 	if i < 0 || i >= len(p.locks) {
