@@ -12,11 +12,11 @@ import (
 	"time"
 
 	"perfplay/internal/cachepolicy"
+	"perfplay/internal/clusterapi"
 	"perfplay/internal/corpus"
 	"perfplay/internal/jobs"
 	"perfplay/internal/peerclient"
 	"perfplay/internal/pipeline"
-	"perfplay/internal/scheduler"
 	"perfplay/internal/trace"
 )
 
@@ -254,8 +254,8 @@ func TestRetryPeerLoopBound(t *testing.T) {
 	// "peer is idle" observations.
 	subA := decode[map[string]string](t, postJSON(t, aTS.URL+"/analyze", goldenSpecs[0].spec))
 	subB := decode[map[string]string](t, postJSON(t, bTS.URL+"/analyze", goldenSpecs[0].spec))
-	aSrv.node.Gossip.Record(bTS.URL, scheduler.PeerStatus{QueueLen: 0, QueueCap: 1})
-	bSrv.node.Gossip.Record(aTS.URL, scheduler.PeerStatus{QueueLen: 0, QueueCap: 1})
+	aSrv.node.Gossip.Record(bTS.URL, clusterapi.PeerStatus{QueueLen: 0, QueueCap: 1})
+	bSrv.node.Gossip.Record(aTS.URL, clusterapi.PeerStatus{QueueLen: 0, QueueCap: 1})
 
 	remote := &peerclient.Client{}
 	start := time.Now()
@@ -367,7 +367,7 @@ func TestStaleCacheHintFallsBack(t *testing.T) {
 		t.Fatal("no cache key")
 	}
 	// Stale gossip: the peer once advertised this key (then evicted it).
-	srv.node.Gossip.Record(empty.URL, scheduler.PeerStatus{QueueLen: 0, QueueCap: 64, CacheKeys: []string{key}})
+	srv.node.Gossip.Record(empty.URL, clusterapi.PeerStatus{QueueLen: 0, QueueCap: 64, CacheKeys: []string{key}})
 
 	report := runJobReport(t, ts.URL, digestSpec(digest))
 	if report != want {
@@ -406,15 +406,15 @@ func TestAdmissionRedirectRecoversAfterFailedProbes(t *testing.T) {
 func TestCacheProbeOrderRanking(t *testing.T) {
 	peers := []string{"http://failed", "http://busy", "http://hinted", "http://unseen"}
 	srv, _ := testServer(t, Config{Peers: peers, Policy: jobs.Policy{ProbeFanout: 4}})
-	srv.node.Gossip.Record("http://failed", scheduler.PeerStatus{QueueLen: 0, QueueCap: 64})
+	srv.node.Gossip.Record("http://failed", clusterapi.PeerStatus{QueueLen: 0, QueueCap: 64})
 	srv.node.Gossip.RecordErr("http://failed", errors.New("connection refused"))
-	srv.node.Gossip.Record("http://busy", scheduler.PeerStatus{QueueLen: 5, QueueCap: 64})
-	srv.node.Gossip.Record("http://hinted", scheduler.PeerStatus{QueueLen: 9, QueueCap: 64, CacheKeys: []string{"K"}})
+	srv.node.Gossip.Record("http://busy", clusterapi.PeerStatus{QueueLen: 5, QueueCap: 64})
+	srv.node.Gossip.Record("http://hinted", clusterapi.PeerStatus{QueueLen: 9, QueueCap: 64, CacheKeys: []string{"K"}})
 
-	hints := func(key string) func(scheduler.PeerStatus) bool {
-		return func(st scheduler.PeerStatus) bool { return st.HintsKey(key) }
+	hints := func(key string) func(clusterapi.PeerStatus) bool {
+		return func(st clusterapi.PeerStatus) bool { return st.HintsKey(key) }
 	}
-	order := func(hinted func(scheduler.PeerStatus) bool) []string {
+	order := func(hinted func(clusterapi.PeerStatus) bool) []string {
 		return cachepolicy.ProbeOrder(srv.node.Peers, srv.node.Gossip.Snapshot(), hinted, srv.node.ProbeFanout)
 	}
 	got := order(hints("K"))
@@ -441,7 +441,7 @@ func TestQueueFullWithoutViablePeerOmitsRetryPeer(t *testing.T) {
 	srv, ts := saturatedVictim(t, Config{Policy: jobs.Policy{QueueDepth: 1}, Peers: []string{peerTS.URL}})
 	first := postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec)
 	first.Body.Close()
-	srv.node.Gossip.Record(peerTS.URL, scheduler.PeerStatus{QueueLen: 1, QueueCap: 1})
+	srv.node.Gossip.Record(peerTS.URL, clusterapi.PeerStatus{QueueLen: 1, QueueCap: 1})
 
 	resp := postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec)
 	defer resp.Body.Close()

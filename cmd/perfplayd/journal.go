@@ -8,18 +8,17 @@ import (
 	"strconv"
 	"time"
 
+	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
 	"perfplay/internal/jobs"
 	"perfplay/internal/journal"
 	"perfplay/internal/pipeline"
-	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
 )
 
 // This file is the daemon half of crash durability (the log is
-// internal/journal): the job node reports every transition — the
-// queue's under its lock, the terminal ones from Finish — and Transition
-// appends it before the call returns. NewServer replays the log before
+// internal/journal): the job node reports every transition under its
+// lock, and Transition appends it before the call returns. NewServer replays the log before
 // any worker starts: queued jobs re-enter the queue in admit order, jobs
 // out on a steal lease are requeued at the front like any expired lease,
 // and upload-only jobs, whose trace died with the process, fail with a
@@ -42,27 +41,25 @@ type recoveredStats struct {
 	Lost     int `json:"lost"`
 }
 
-// Transition implements scheduler.TransitionLog for the job node.
+// Transition implements jobs.TransitionLog for the job node.
 // Append errors are logged, not propagated: a full disk degrades
 // durability, not admission.
-func (s *Server) Transition(op string, qj *scheduler.Job, thief string) {
+func (s *Server) Transition(op string, j *jobs.Job, thief string) {
 	if s.journal == nil {
 		return
 	}
-	rec := journal.Record{Op: op, Job: qj.ID, Thief: thief}
-	if op == scheduler.TransitionAdmitted {
-		rec.Spec, _ = json.Marshal(qj.Spec)
-		if j, ok := qj.Payload.(*jobs.Job); ok {
-			rec.Meta = map[string]string{
-				jmetaTraceID:   j.TraceID,
-				jmetaSubmitted: j.Submitted.UTC().Format(time.RFC3339Nano),
-			}
-			if j.Seed != 0 {
-				rec.Meta[jmetaSeed] = strconv.FormatInt(j.Seed, 10)
-			}
-			if j.TraceDigest != "" {
-				rec.Meta[jmetaDigest] = j.TraceDigest
-			}
+	rec := journal.Record{Op: op, Job: j.ID, Thief: thief}
+	if op == journal.OpAdmitted {
+		rec.Spec, _ = json.Marshal(j.Spec)
+		rec.Meta = map[string]string{
+			jmetaTraceID:   j.TraceID,
+			jmetaSubmitted: j.Submitted.UTC().Format(time.RFC3339Nano),
+		}
+		if j.Seed != 0 {
+			rec.Meta[jmetaSeed] = strconv.FormatInt(j.Seed, 10)
+		}
+		if j.TraceDigest != "" {
+			rec.Meta[jmetaDigest] = j.TraceDigest
 		}
 	}
 	if err := s.journal.Append(rec); err != nil {
@@ -88,11 +85,11 @@ func (s *Server) openJournal(cfg Config) error {
 		s.logger.Warn("journal had a torn final record (crash mid-append); tail truncated",
 			"dir", cfg.JournalDir)
 	}
-	// Recovered jobs re-admit through the queue, which journals them
-	// again, so the journal's view stays identical to the queue's.
+	// Recovered jobs re-admit through the node, which journals them
+	// again, so the journal's view stays identical to the node's.
 	var queued, claimed []*jobs.Job
 	for _, lj := range live {
-		var spec scheduler.Spec
+		var spec clusterapi.Spec
 		if len(lj.Spec) > 0 {
 			if err := json.Unmarshal(lj.Spec, &spec); err != nil {
 				return fmt.Errorf("journal: job %s: bad spec: %w", lj.Job, err)
@@ -145,7 +142,7 @@ func (s *Server) openJournal(cfg Config) error {
 // live entry. The job keeps its original ID — clients polling GET
 // /jobs/{id} across the restart just see "queued" again — and its
 // original trace ID, so the distributed timeline survives too.
-func recoveredJob(lj journal.LiveJob, spec scheduler.Spec) *jobs.Job {
+func recoveredJob(lj journal.LiveJob, spec clusterapi.Spec) *jobs.Job {
 	j := newJob(pipeline.Request{}, lj.Meta[jmetaTraceID], 0)
 	j.ID, j.Spec = lj.Job, spec
 	if !telemetry.ValidTraceID(j.TraceID) {

@@ -12,9 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"perfplay/internal/clusterapi"
 	"perfplay/internal/corpus"
 	"perfplay/internal/jobs"
-	"perfplay/internal/scheduler"
 )
 
 // blackholePeer models a partial partition: the listener accepts TCP
@@ -82,7 +82,7 @@ func TestPartitionSeversOnlyWarmPeerMidProbe(t *testing.T) {
 	}
 	// The hint is genuine as of the last gossip exchange; the partition
 	// happened after.
-	srv.node.Gossip.Record(severed, scheduler.PeerStatus{QueueLen: 0, QueueCap: 64, CacheKeys: []string{key}})
+	srv.node.Gossip.Record(severed, clusterapi.PeerStatus{QueueLen: 0, QueueCap: 64, CacheKeys: []string{key}})
 
 	report := runJobReport(t, ts.URL, digestSpec(digest))
 	if report != want {

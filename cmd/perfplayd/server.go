@@ -255,7 +255,7 @@ func NewServer(cfg Config) (*Server, error) {
 			},
 		},
 	})
-	scheduler.RegisterQueueGauges(s.metrics, s.node.Queue)
+	s.node.RegisterGauges(s.metrics)
 	if cfg.CorpusDir != "" {
 		st, err := corpus.Open(cfg.CorpusDir, corpus.Options{MaxBytes: cfg.CorpusMaxBytes, Metrics: s.metrics})
 		if err != nil {
@@ -321,7 +321,7 @@ func (s *Server) StartStealer(self string) {
 // idle reports whether this node has spare capacity for stolen work:
 // nothing waiting locally and at least one worker unoccupied.
 func (s *Server) idle() bool {
-	return s.node.Queue.Len() == 0 && s.node.Running() < s.cfg.Workers
+	return s.node.QueueLen() == 0 && s.node.Running() < s.cfg.Workers
 }
 
 // Close stops accepting jobs and waits for in-flight ones (including
@@ -335,7 +335,7 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	close(s.stop)
-	s.node.Queue.Close()
+	s.node.Close()
 	s.mu.Unlock()
 	s.wg.Wait()
 	// Jobs still queued or claimed stay live in the journal: the next
@@ -350,11 +350,11 @@ func (s *Server) Close() {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		qj, ok := s.node.Queue.Pop()
+		j, ok := s.node.Pop()
 		if !ok {
 			return
 		}
-		s.runJob(s.node.Begin(qj))
+		s.runJob(s.node.Begin(j))
 	}
 }
 
@@ -710,7 +710,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, clusterapi.CodeShuttingDown, "server shutting down")
 		return
 	}
-	if s.node.Queue.Len() >= s.node.Queue.Cap() {
+	if s.node.QueueLen() >= s.cfg.QueueDepth {
 		s.rejectQueueFull(w, traceID)
 		return
 	}
@@ -974,8 +974,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// This node's backlog beside its gossip view of every peer's.
 	steal := map[string]any{
 		"enabled":   stealer != nil,
-		"stealable": s.node.Queue.Stealable(),
-		"claimed":   s.node.Queue.ClaimedCount(),
+		"stealable": s.node.Status(nil).Stealable,
+		"claimed":   s.node.ClaimedCount(),
 	}
 	if stealer != nil {
 		steal["stats"] = stealer.Stats()
@@ -998,7 +998,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"ok":                 true,
 		"jobs":               counts,
 		"queue_depth":        s.cfg.QueueDepth,
-		"queue_len":          s.node.Queue.Len(),
+		"queue_len":          s.node.QueueLen(),
 		"queued_trace_bytes": queuedBytes,
 		"running":            s.node.Running(),
 		"cached":             s.pl.CacheLen(),

@@ -13,7 +13,6 @@ import (
 	"perfplay/internal/corpus"
 	"perfplay/internal/peerclient"
 	"perfplay/internal/pipeline"
-	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
 	"perfplay/internal/trace"
 	"perfplay/internal/workload"
@@ -32,10 +31,10 @@ import (
 // specFor derives the wire-stealable description of a request. Uploaded
 // traces held only in this process's memory yield a zero (unstealable)
 // spec; workload specs and corpus-backed digest jobs ship whole.
-func specFor(req pipeline.Request) scheduler.Spec {
+func specFor(req pipeline.Request) clusterapi.Spec {
 	switch {
 	case req.App != "":
-		return scheduler.Spec{
+		return clusterapi.Spec{
 			App:     req.App,
 			Threads: req.Threads,
 			Input:   int(req.Input),
@@ -48,14 +47,14 @@ func specFor(req pipeline.Request) scheduler.Spec {
 	case req.TraceDigest != "" && req.TraceLoader != nil:
 		// Only corpus-backed jobs are stealable by digest: the victim
 		// must be able to serve the blob to the thief.
-		return scheduler.Spec{
+		return clusterapi.Spec{
 			TraceDigest: req.TraceDigest,
 			TopK:        req.TopK,
 			Schemes:     req.Schemes,
 			Races:       req.DetectRaces,
 		}
 	default:
-		return scheduler.Spec{}
+		return clusterapi.Spec{}
 	}
 }
 
@@ -69,7 +68,7 @@ var errStolenTraceUnavailable = errors.New("stolen trace unavailable")
 // fetch from the victim, so an unfetchable blob aborts the steal before
 // anything is reported. With no victim (recovery) a trace the corpus
 // cannot produce is an error, never a fetch.
-func (s *Server) requestFor(victim string, spec scheduler.Spec, tc spanCtx) (pipeline.Request, error) {
+func (s *Server) requestFor(victim string, spec clusterapi.Spec, tc spanCtx) (pipeline.Request, error) {
 	req := pipeline.Request{
 		TopK:        spec.TopK,
 		Schemes:     spec.Schemes,
@@ -142,7 +141,7 @@ type stealResult struct {
 // fail on the victim too). Trace-availability and report-delivery
 // failures instead return an error WITHOUT settling the job: the
 // victim's lease requeues it there, where it can still succeed.
-func (s *Server) executeStolen(victim string, sj scheduler.StolenJob) error {
+func (s *Server) executeStolen(victim string, sj clusterapi.StolenJob) error {
 	defer s.node.Occupy(sj.ID)()
 
 	// Spans recorded here are stored locally and shipped with the
@@ -230,7 +229,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	claimSpan := s.span(spanCtx{trace: j.TraceID, parent: stateOf(&j).spanID}, "steal_claim",
 		now, now, map[string]string{"thief": body.Thief, "job": j.ID})
-	writeJSON(w, http.StatusOK, scheduler.StolenJob{
+	writeJSON(w, http.StatusOK, clusterapi.StolenJob{
 		ID:      j.ID,
 		Spec:    j.Spec,
 		LeaseMS: time.Until(deadline).Milliseconds(),

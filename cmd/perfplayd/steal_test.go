@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"perfplay/internal/clusterapi"
 	"perfplay/internal/jobs"
 	"perfplay/internal/pipeline"
-	"perfplay/internal/scheduler"
 )
 
 // saturatedVictim builds a daemon whose workers never start — the
@@ -143,7 +143,7 @@ func TestThiefCrashLeaseExpiry(t *testing.T) {
 	if claim.StatusCode != http.StatusOK {
 		t.Fatalf("claim: status %d", claim.StatusCode)
 	}
-	stolen := decode[scheduler.StolenJob](t, claim)
+	stolen := decode[clusterapi.StolenJob](t, claim)
 	if stolen.ID != sub["id"] || stolen.Spec.App != "pbzip2" {
 		t.Fatalf("claimed %+v, want job %s", stolen, sub["id"])
 	}
@@ -259,7 +259,7 @@ func TestClaimEndpointEdges(t *testing.T) {
 	if up.StatusCode != http.StatusAccepted {
 		t.Fatalf("upload submit: status %d", up.StatusCode)
 	}
-	if n := srv.node.Queue.Stealable(); n != 0 {
+	if n := srv.node.Status(nil).Stealable; n != 0 {
 		t.Fatalf("%d upload jobs advertised as stealable", n)
 	}
 	resp = postJSON(t, ts.URL+"/jobs/claim", `{"thief":"http://x"}`)
@@ -275,7 +275,7 @@ func TestClaimEndpointEdges(t *testing.T) {
 	}
 
 	// GET /steal is a cheap truthful probe.
-	probe := decode[scheduler.PeerStatus](t, mustGet(t, ts.URL+"/steal"))
+	probe := decode[clusterapi.PeerStatus](t, mustGet(t, ts.URL+"/steal"))
 	if probe.QueueLen != 1 || probe.Stealable != 0 {
 		t.Fatalf("probe = %+v, want 1 queued / 0 stealable", probe)
 	}
@@ -291,7 +291,7 @@ func TestStolenTraceFetchFailureAbandons(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 
-	spec := scheduler.Spec{TraceDigest: "sha256:" + strings.Repeat("ab", 32)}
+	spec := clusterapi.Spec{TraceDigest: "sha256:" + strings.Repeat("ab", 32)}
 	_, err := srv.requestFor(deadURL, spec, spanCtx{})
 	if err == nil || !strings.Contains(err.Error(), "stolen trace unavailable") {
 		t.Fatalf("unreachable victim: err = %v, want errStolenTraceUnavailable", err)
@@ -302,7 +302,7 @@ func TestStolenTraceFetchFailureAbandons(t *testing.T) {
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	req, err := srv.requestFor(deadURL, scheduler.Spec{TraceDigest: meta.Digest}, spanCtx{})
+	req, err := srv.requestFor(deadURL, clusterapi.Spec{TraceDigest: meta.Digest}, spanCtx{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestStolenTraceFetchFailureAbandons(t *testing.T) {
 // local corpus cannot produce (missing blob, or no corpus at all) is an
 // error, never a remote fetch.
 func TestRequestForWithoutVictimResolvesLocally(t *testing.T) {
-	spec := scheduler.Spec{TraceDigest: "sha256:" + strings.Repeat("ab", 32)}
+	spec := clusterapi.Spec{TraceDigest: "sha256:" + strings.Repeat("ab", 32)}
 
 	srv, _ := testServer(t, Config{})
 	if _, err := srv.requestFor("", spec, spanCtx{}); err == nil || strings.Contains(err.Error(), "fetch from") {

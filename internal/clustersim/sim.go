@@ -300,7 +300,7 @@ func (c *Cluster) newStealer(n *node) *scheduler.Stealer {
 		// Hint-driven victim ordering, as perfplayd's StartStealer wires it.
 		HasCached: func(digest string) bool { return n.cache[digest] },
 		Transport: &memTransport{c: c, from: n},
-		Execute: func(victim string, sj scheduler.StolenJob) error {
+		Execute: func(victim string, sj clusterapi.StolenJob) error {
 			// The daemon executes inside the steal loop; here the claim
 			// reserves a worker and the job lands after the link delay.
 			// Failures surface as expired leases on the victim.
@@ -353,26 +353,26 @@ func (t *memTransport) lookup(peer string) (*node, error) {
 	return n, err
 }
 
-func (t *memTransport) Probe(peer string) (scheduler.PeerStatus, error) {
+func (t *memTransport) Probe(peer string) (clusterapi.PeerStatus, error) {
 	v, err := t.lookup(peer)
 	if err != nil {
-		return scheduler.PeerStatus{}, err
+		return clusterapi.PeerStatus{}, err
 	}
 	st := v.life.Status(v.recentKeys(t.c.cfg.HintKeys))
 	st.Seen = time.Time{} // observation time is the observer's
 	return st, nil
 }
 
-func (t *memTransport) Claim(peer, thief string) (scheduler.StolenJob, bool, error) {
+func (t *memTransport) Claim(peer, thief string) (clusterapi.StolenJob, bool, error) {
 	v, err := t.lookup(peer)
 	if err != nil {
-		return scheduler.StolenJob{}, false, err
+		return clusterapi.StolenJob{}, false, err
 	}
 	j, _, ok := v.life.Claim(thief)
 	if !ok {
-		return scheduler.StolenJob{}, false, nil
+		return clusterapi.StolenJob{}, false, nil
 	}
-	return scheduler.StolenJob{ID: j.ID, Spec: j.Spec, LeaseMS: t.c.cfg.Lease.Milliseconds()}, true, nil
+	return clusterapi.StolenJob{ID: j.ID, Spec: j.Spec, LeaseMS: t.c.cfg.Lease.Milliseconds()}, true, nil
 }
 
 func (t *memTransport) Settle(victim, jobID string, res clusterapi.StealResult) error {
@@ -674,13 +674,13 @@ func (c *Cluster) assign(n *node) {
 			}
 		}
 		if aj == nil {
-			qj, ok := n.life.Queue.TryPop()
+			j, ok := n.life.TryPop()
 			if !ok {
 				return
 			}
-			if j := qj.Payload.(*jobs.Job).Local.(*simJob); !j.done {
-				n.life.Begin(qj)
-				c.begin(n, j, nil)
+			if sj := j.Local.(*simJob); !sj.done {
+				n.life.Begin(j)
+				c.begin(n, sj, nil)
 			}
 			continue
 		}
@@ -748,7 +748,7 @@ func (c *Cluster) retire(n *node, aj *activeJob) {
 func (c *Cluster) sample() {
 	for _, n := range c.nodes {
 		if !n.crashed {
-			n.depthSamples = append(n.depthSamples, int64(n.life.Queue.Len()))
+			n.depthSamples = append(n.depthSamples, int64(n.life.QueueLen()))
 		}
 	}
 }
@@ -768,16 +768,16 @@ func (c *Cluster) crash() {
 		return
 	}
 	n.crashed = true
-	// Drain the dying queue first: TryPop still serves a closed queue,
+	// Drain the dying queue first: TryPop still serves a closed node,
 	// so this enumerates the exact queued jobs that die with the node.
 	for {
-		qj, ok := n.life.Queue.TryPop()
+		j, ok := n.life.TryPop()
 		if !ok {
 			break
 		}
-		c.account(qj.Payload.(*jobs.Job).Local.(*simJob), "lost")
+		c.account(j.Local.(*simJob), "lost")
 	}
-	n.life.Queue.Close()
+	n.life.Close()
 	for _, aj := range n.active {
 		if aj.victim == nil {
 			c.account(aj.job, "lost")
@@ -799,7 +799,7 @@ func (c *Cluster) crashTarget() *node {
 			continue
 		}
 		for _, v := range c.nodes {
-			thief, ok := v.life.Queue.Claimant(j.id)
+			thief, ok := v.life.Claimant(j.id)
 			if !ok {
 				continue
 			}

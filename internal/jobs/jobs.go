@@ -1,29 +1,39 @@
 // Package jobs is the job lifecycle of one perfplayd node, free of
-// HTTP: a mutex-guarded job table over the node's stealable queue,
-// gossip view, cache-probe policy and transition log. It admits a job
-// (or names a Retry-Peer), starts it (local result, a peer's result, a
+// HTTP. A Node holds every job's state under one mutex: the table a
+// client polls, the bounded pending queue the owner's workers pop from
+// the front and thieves claim from the back, the steal leases with their
+// deadlines, and the closed flag. Beside it sit the gossip view, the
+// cache-probe policy and the transition log. The node admits a job (or
+// names a Retry-Peer), starts it (local result, a peer's result, a
 // peer's verdict table, else "run"), leases it to thieves and settles
-// their reports, finishes it exactly once, and reaps expired leases.
+// their reports, finishes it exactly once, and requeues the jobs whose
+// lease lapsed at the front, so a vanished thief costs one lease of
+// latency, never the job.
 //
 // perfplayd drives it from its handlers and loops; internal/clustersim
 // drives one Node per virtual perfplayd on its event clock. What the two
 // differ in is injected: the clock, the transports, the transition log
 // and observer hooks. The analysis is the owner's: Start reports "run",
-// and the owner runs it and calls Finish.
+// and the owner runs it and calls Finish. The node spawns no goroutines:
+// the owner drives expiry (Reap) and shutdown (Close).
 package jobs
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"perfplay/internal/cachepolicy"
+	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
+	"perfplay/internal/journal"
 	"perfplay/internal/scheduler"
+	"perfplay/internal/telemetry"
 )
 
 // Job statuses.
@@ -34,12 +44,15 @@ const (
 	Failed  = "failed"
 )
 
-// Terminal transitions the node logs itself; the queue logs the rest
-// (scheduler.Transition*). Both mirror internal/journal's record ops.
-const (
-	TransitionFailed  = "failed"  // a job ended with an error outside a lease
-	TransitionEvicted = "evicted" // a finished job left the table (MaxJobs)
-)
+// TransitionLog receives every job transition as one of
+// internal/journal's ops, synchronously and under the node's lock, so
+// its record order is the order the node changed state: what makes it
+// safe to replay after a crash. thief is set on the claimed record and
+// on a thief's settled or failed one. Implementations must not call back
+// into the Node.
+type TransitionLog interface {
+	Transition(op string, j *Job, thief string)
+}
 
 // Job is one submitted analysis as its node tracks it: the JSON a
 // client polls.
@@ -58,8 +71,10 @@ type Job struct {
 
 	core.Rendered // the finished summary, however obtained
 
-	Spec  scheduler.Spec `json:"-"` // wire-stealable description (zero: not stealable)
-	Local any            `json:"-"` // the owner's per-job state
+	Spec  clusterapi.Spec `json:"-"` // wire-stealable description (zero: not stealable)
+	Local any             `json:"-"` // the owner's per-job state
+
+	deadline time.Time // when its steal lease lapses, while it has one
 }
 
 // Cache is the node's local artifact store, in the keys Keys names.
@@ -169,10 +184,11 @@ type Config[T any] struct {
 	Local Cache[T]
 	// Probe asks one peer for its status: the admission fallback probe
 	// (nil = none).
-	Probe func(peer string) (scheduler.PeerStatus, error)
-	// Journal receives every transition: the queue's and the terminal
-	// ones (nil = none).
-	Journal scheduler.TransitionLog
+	Probe func(peer string) (clusterapi.PeerStatus, error)
+	// Journal receives every transition (nil = none).
+	Journal TransitionLog
+	// Metrics counts the lease lifecycle: granted by Claim, settled by
+	// Settle, expired by Reap (nil = none).
 	Metrics *scheduler.Metrics
 	// Now is the clock (nil = time.Now).
 	Now func() time.Time
@@ -183,30 +199,33 @@ type Config[T any] struct {
 // artifact types its cache probes fetch.
 type Node[R, T any] struct {
 	Config[T]
-	Queue  *scheduler.Queue
 	Gossip *scheduler.Gossip
 
 	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []string // finished job IDs, oldest first, for eviction
+	notEmpty  sync.Cond       // on mu: the queue gained a job, or closed
+	jobs      map[string]*Job // every job the node tracks
+	pending   []*Job          // queued jobs, oldest first; at most QueueDepth admitted
+	leases    map[string]*Job // jobs out on a steal lease
+	closed    bool            // admits and leases nothing more
+	order     []string        // finished job IDs, oldest first, for eviction
 	seq       int64
 	running   int
 	lastProbe time.Time // last admission fallback round
 }
 
-// New builds a node over a fresh queue and gossip view.
+// New builds an empty node with a fresh gossip view.
 func New[R, T any](cfg Config[T]) *Node[R, T] {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	n := &Node[R, T]{
 		Config: cfg,
-		Queue:  scheduler.NewQueue(cfg.QueueDepth),
 		Gossip: scheduler.NewGossip(),
 		jobs:   make(map[string]*Job),
+		leases: make(map[string]*Job),
 	}
-	n.Queue.Now, n.Gossip.Now = cfg.Now, cfg.Now
-	n.Queue.Journal, n.Queue.Metrics = cfg.Journal, cfg.Metrics
+	n.notEmpty.L = &n.mu
+	n.Gossip.Now = cfg.Now
 	return n
 }
 
@@ -263,6 +282,9 @@ func (n *Node[R, T]) Each(fn func(j *Job)) {
 func (n *Node[R, T]) Admit(j *Job) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.closed || len(n.pending) >= n.QueueDepth {
+		return false
+	}
 	if j.ID == "" {
 		n.seq++
 		j.ID = fmt.Sprintf("job-%d", n.seq)
@@ -272,11 +294,112 @@ func (n *Node[R, T]) Admit(j *Job) bool {
 	}
 	j.Status = Queued
 	n.jobs[j.ID] = j
-	if !n.Queue.Push(&scheduler.Job{ID: j.ID, Spec: j.Spec, Payload: j}) {
-		delete(n.jobs, j.ID)
+	n.push(j)
+	return true
+}
+
+// push appends an admitted job to the queue. Call with n.mu held.
+func (n *Node[R, T]) push(j *Job) {
+	n.pending = append(n.pending, j)
+	n.log(journal.OpAdmitted, j, "")
+	n.notEmpty.Signal()
+}
+
+// requeue puts jobs back at the front of the queue, past QueueDepth:
+// they were admitted once and already waited, and refusing them would
+// turn a thief's crash into job loss. A closed node takes none back:
+// each is logged abandoned and requeue reports false. Call with n.mu
+// held.
+func (n *Node[R, T]) requeue(js []*Job) bool {
+	if n.closed {
+		for _, j := range js {
+			n.log(journal.OpAbandoned, j, "")
+		}
 		return false
 	}
+	for _, j := range js {
+		n.log(journal.OpRequeued, j, "")
+	}
+	n.pending = slices.Concat(js, n.pending)
+	n.notEmpty.Broadcast()
 	return true
+}
+
+// Pop blocks until a job is queued and returns the oldest, or reports
+// false once the node is closed and its queue drained. The daemon's
+// workers loop on it, then Begin the job.
+func (n *Node[R, T]) Pop() (*Job, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for len(n.pending) == 0 && !n.closed {
+		n.notEmpty.Wait()
+	}
+	return n.pop()
+}
+
+// TryPop is Pop without the wait: false when nothing is queued right
+// now. The simulator's event loop, which owns the clock, uses it. A
+// closed node still serves its queue.
+func (n *Node[R, T]) TryPop() (*Job, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.pop()
+}
+
+func (n *Node[R, T]) pop() (*Job, bool) {
+	if len(n.pending) == 0 {
+		return nil, false
+	}
+	j := n.pending[0]
+	n.pending = n.pending[1:]
+	return j, true
+}
+
+// Close stops admission and claims and wakes every blocked Pop; queued
+// jobs still drain. Jobs out on a lease stay leased: the journal replays
+// them as claimed at the next boot, and a lease that lapses first is
+// abandoned by Reap.
+func (n *Node[R, T]) Close() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.closed = true
+	n.notEmpty.Broadcast()
+}
+
+// QueueLen counts queued (unclaimed) jobs.
+func (n *Node[R, T]) QueueLen() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.pending)
+}
+
+// ClaimedCount counts outstanding steal leases.
+func (n *Node[R, T]) ClaimedCount() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.leases)
+}
+
+// Claimant names the thief holding a job's lease, if anyone does.
+func (n *Node[R, T]) Claimant(id string) (string, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	j, ok := n.leases[id]
+	if !ok {
+		return "", false
+	}
+	return j.StolenBy, true
+}
+
+// RegisterGauges exposes the queue and lease state as gauges evaluated
+// at scrape time.
+func (n *Node[R, T]) RegisterGauges(reg *telemetry.Registry) {
+	reg.NewGaugeFunc("perfplay_scheduler_queue_depth",
+		"Queued (unclaimed) jobs.", func() float64 { return float64(n.QueueLen()) })
+	reg.NewGaugeFunc("perfplay_scheduler_queue_capacity",
+		"Admission bound of the job queue.", func() float64 { return float64(n.QueueDepth) })
+	reg.NewGaugeFunc("perfplay_scheduler_leases_outstanding",
+		"Stolen jobs currently out on a lease.", func() float64 { return float64(n.ClaimedCount()) })
 }
 
 // RetryPeer names the admission redirect target for a submit this node
@@ -329,23 +452,34 @@ func (n *Node[R, T]) probeAllowed() bool {
 }
 
 // Status is what this node advertises to a probing peer: its backlog,
-// the digests a thief could claim, and the result keys it caches.
-func (n *Node[R, T]) Status(cacheKeys []string) scheduler.PeerStatus {
-	return scheduler.PeerStatus{
-		QueueLen:         n.Queue.Len(),
-		QueueCap:         n.Queue.Cap(),
-		Stealable:        n.Queue.Stealable(),
-		StealableDigests: n.Queue.StealableDigests(n.HintKeys),
-		CacheKeys:        cacheKeys,
-		Seen:             n.Now(),
+// how much of it a thief could claim, the digests of those jobs newest
+// first (claim order, at most HintKeys, 0 = all), and the result keys it
+// caches.
+func (n *Node[R, T]) Status(cacheKeys []string) clusterapi.PeerStatus {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	st := clusterapi.PeerStatus{
+		QueueLen:  len(n.pending),
+		QueueCap:  n.QueueDepth,
+		CacheKeys: cacheKeys,
+		Seen:      n.Now(),
 	}
+	for _, j := range slices.Backward(n.pending) {
+		if !j.Spec.Stealable() {
+			continue
+		}
+		st.Stealable++
+		if j.Spec.TraceDigest != "" && (n.HintKeys == 0 || len(st.StealableDigests) < n.HintKeys) {
+			st.StealableDigests = append(st.StealableDigests, j.Spec.TraceDigest)
+		}
+	}
+	return st
 }
 
 // Begin marks a job popped off the queue as running here.
-func (n *Node[R, T]) Begin(qj *scheduler.Job) Job {
+func (n *Node[R, T]) Begin(j *Job) Job {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	j := qj.Payload.(*Job)
 	n.setStatus(j, Running)
 	return *j
 }
@@ -418,63 +552,81 @@ func (n *Node[R, T]) Start(k Keys, f cachepolicy.Fetcher[R, T], observe func(pee
 	return Run, r, ""
 }
 
-// Claim leases the newest stealable job to a thief and marks it running
-// elsewhere. It returns the job and the lease deadline.
+// Claim leases the newest stealable queued job to a thief until
+// now+Lease and marks it running elsewhere. It returns the job and the
+// lease deadline; false when nothing is stealable or the node is closed.
 func (n *Node[R, T]) Claim(thief string) (Job, time.Time, bool) {
-	// Claim under the node's lock: a reaper taking back a lease that
-	// lapsed at once must find the job marked claimed, not have its
-	// requeue overwritten.
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	qj, deadline, ok := n.Queue.Claim(thief, n.Lease)
-	if !ok {
+	if n.closed {
 		return Job{}, time.Time{}, false
 	}
-	j := qj.Payload.(*Job)
-	j.StolenBy = thief
-	n.setStatus(j, Running)
-	return *j, deadline, true
+	for i := len(n.pending) - 1; i >= 0; i-- {
+		j := n.pending[i]
+		if !j.Spec.Stealable() {
+			continue
+		}
+		n.pending = slices.Delete(n.pending, i, i+1)
+		j.deadline = n.Now().Add(n.Lease)
+		n.leases[j.ID] = j
+		n.log(journal.OpClaimed, j, thief)
+		if n.Metrics != nil {
+			n.Metrics.LeasesGranted.Inc()
+		}
+		j.StolenBy = thief
+		n.setStatus(j, Running)
+		return *j, j.deadline, true
+	}
+	return Job{}, time.Time{}, false
 }
 
 // Settle finishes a claimed job with its thief's report (errMsg
-// non-empty for a failed analysis). A job no longer on lease answers
-// scheduler.ErrLeaseExpired: its result is stale, and the requeued run
-// is the one that counts.
+// non-empty for a failed analysis), journaled settled or failed. A job
+// no longer on lease answers scheduler.ErrLeaseExpired: its result is
+// stale, and the requeued run is the one that counts.
 func (n *Node[R, T]) Settle(id, thief string, sum core.Rendered, errMsg string) (Job, error) {
-	qj, ok := n.Queue.Complete(id)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	j, ok := n.leases[id]
 	if !ok {
 		return Job{}, fmt.Errorf("job %s: %w", id, scheduler.ErrLeaseExpired)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	j := qj.Payload.(*Job)
-	if thief != "" {
-		j.StolenBy = thief
+	delete(n.leases, id)
+	if n.Metrics != nil {
+		n.Metrics.LeasesSettled.Inc()
 	}
 	var err error
 	if errMsg != "" {
 		err = errors.New(errMsg)
 	}
-	n.finish(j, sum, "", err, "") // the queue logged the settle
+	n.log(outcome(err), j, j.StolenBy)
+	if thief != "" {
+		j.StolenBy = thief
+	}
+	n.finish(j, sum, "", err, "")
 	return *j, nil
+}
+
+// outcome is the terminal op a job ending with err is journaled under.
+func outcome(err error) string {
+	if err != nil {
+		return journal.OpFailed
+	}
+	return journal.OpSettled
 }
 
 // Finish ends a job this node ran (or failed to recover): the summary
 // and the peer whose cache served it, or the error. False when the job
 // is gone or already finished.
 func (n *Node[R, T]) Finish(id string, sum core.Rendered, cachePeer string, err error) bool {
-	op := scheduler.TransitionSettled
-	if err != nil {
-		op = TransitionFailed
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	j, ok := n.jobs[id]
-	return ok && n.finish(j, sum, cachePeer, err, op)
+	return ok && n.finish(j, sum, cachePeer, err, outcome(err))
 }
 
 // finish is the one place a job turns terminal, exactly once: the
-// transition record (op, unless the queue already logged one), the
+// transition record (op, unless the caller already logged one), the
 // status with summary or error, the owner's hooks, retention and
 // eviction past MaxJobs. Call with n.mu held.
 func (n *Node[R, T]) finish(j *Job, sum core.Rendered, cachePeer string, err error, op string) bool {
@@ -482,7 +634,7 @@ func (n *Node[R, T]) finish(j *Job, sum core.Rendered, cachePeer string, err err
 		return false
 	}
 	if op != "" {
-		n.log(op, j)
+		n.log(op, j, "")
 	}
 	j.Finished = n.Now()
 	j.CachePeer = cachePeer
@@ -498,50 +650,56 @@ func (n *Node[R, T]) finish(j *Job, sum core.Rendered, cachePeer string, err err
 	}
 	n.order = append(n.order, j.ID)
 	for n.MaxJobs > 0 && len(n.order) > n.MaxJobs {
-		n.log(TransitionEvicted, n.jobs[n.order[0]])
+		n.log(journal.OpEvicted, n.jobs[n.order[0]], "")
 		delete(n.jobs, n.order[0])
 		n.order = n.order[1:]
 	}
 	return true
 }
 
-func (n *Node[R, T]) log(op string, j *Job) {
+func (n *Node[R, T]) log(op string, j *Job, thief string) {
 	if n.Journal != nil {
-		n.Journal.Transition(op, &scheduler.Job{ID: j.ID, Spec: j.Spec, Payload: j}, "")
+		n.Journal.Transition(op, j, thief)
 	}
 }
 
-// errAbandoned fails a job whose lease expired into a closed queue.
+// errAbandoned fails a job whose lease expired into a closed node.
 var errAbandoned = errors.New("abandoned: steal lease expired while the server was shutting down")
 
-// Reap requeues every job whose steal lease expired — at the front, so
-// a vanished thief costs one lease of latency, never the job — and
-// returns how many. A closed queue takes none back: those jobs are
-// logged abandoned and failed, so their clients see the loss.
+// Reap takes back every lease that lapsed, oldest deadline first (ties
+// by job ID, so an injected coarse clock still recovers in a fixed
+// order), and requeues those jobs at the front, so a vanished thief
+// costs one lease of latency, never the job. It returns how many. A
+// closed node takes none back: those jobs are logged abandoned and
+// failed, so their clients see the loss.
 func (n *Node[R, T]) Reap() int {
-	now := n.Now()
-	expired := n.Queue.TakeExpired(now)
-	if len(expired) == 0 {
-		return 0
-	}
-	// Reset each job before Requeue makes it poppable: a worker could
-	// otherwise pop and finish it, then see it clobbered back to queued.
 	n.mu.Lock()
-	for _, qj := range expired {
-		j := qj.Payload.(*Job)
+	defer n.mu.Unlock()
+	now := n.Now()
+	var expired []*Job
+	for id, j := range n.leases {
+		if now.After(j.deadline) {
+			expired = append(expired, j)
+			delete(n.leases, id)
+		}
+	}
+	slices.SortFunc(expired, func(a, b *Job) int {
+		return cmp.Or(a.deadline.Compare(b.deadline), cmp.Compare(a.ID, b.ID))
+	})
+	if n.Metrics != nil && len(expired) > 0 {
+		n.Metrics.LeasesExpired.Add(float64(len(expired)))
+	}
+	for _, j := range expired {
 		if n.Expired != nil {
 			n.Expired(j, now)
 		}
 		j.StolenBy = ""
 		n.setStatus(j, Queued)
 	}
-	n.mu.Unlock()
-	if dropped := n.Queue.Requeue(expired); len(dropped) > 0 {
-		n.mu.Lock()
-		for _, qj := range dropped {
-			n.finish(qj.Payload.(*Job), core.Rendered{}, "", errAbandoned, "")
+	if !n.requeue(expired) {
+		for _, j := range expired {
+			n.finish(j, core.Rendered{}, "", errAbandoned, "")
 		}
-		n.mu.Unlock()
 	}
 	return len(expired)
 }
@@ -560,24 +718,27 @@ func (n *Node[R, T]) Restore(j *Job) {
 }
 
 // Recover queues restored jobs: queued ones at the back in the order
-// given, then the ones that were out on a lease at the front, as an
-// expired lease would be. It fails and returns those the queue refuses.
+// given, up to QueueDepth, then the ones that were out on a lease at the
+// front, as an expired lease would be. It fails and returns those the
+// queue refuses.
 func (n *Node[R, T]) Recover(queued, claimed []*Job) (lost []*Job) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	fail := func(j *Job, err error) {
-		n.Finish(j.ID, core.Rendered{}, "", err)
+		n.finish(j, core.Rendered{}, "", err, journal.OpFailed)
 		lost = append(lost, j)
 	}
 	for _, j := range queued {
-		if !n.Queue.Push(&scheduler.Job{ID: j.ID, Spec: j.Spec, Payload: j}) {
-			fail(j, fmt.Errorf("job not recovered: queue full after restart (depth %d)", n.Queue.Cap()))
+		if n.closed || len(n.pending) >= n.QueueDepth {
+			fail(j, fmt.Errorf("job not recovered: queue full after restart (depth %d)", n.QueueDepth))
+			continue
 		}
+		n.push(j)
 	}
-	qjs := make([]*scheduler.Job, len(claimed))
-	for i, j := range claimed {
-		qjs[i] = &scheduler.Job{ID: j.ID, Spec: j.Spec, Payload: j}
-	}
-	for _, qj := range n.Queue.Requeue(qjs) {
-		fail(qj.Payload.(*Job), errors.New("job not recovered: queue closed during recovery"))
+	if !n.requeue(claimed) {
+		for _, j := range claimed {
+			fail(j, errors.New("job not recovered: queue closed during recovery"))
+		}
 	}
 	return lost
 }

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
+	"perfplay/internal/journal"
 	"perfplay/internal/scheduler"
 )
 
@@ -31,24 +33,34 @@ func (c *clock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// journal is an in-memory TransitionLog: one "op job" line per record.
-type journal struct {
+// memLog is an in-memory TransitionLog: one "op job[@thief]" line per
+// record.
+type memLog struct {
 	mu   sync.Mutex
 	recs []string
 }
 
-func (l *journal) Transition(op string, j *scheduler.Job, _ string) {
-	l.mu.Lock()
-	l.recs = append(l.recs, op+" "+j.ID)
-	l.mu.Unlock()
-}
-
-func (l *journal) ops(id string) []string {
+func (l *memLog) Transition(op string, j *Job, thief string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	rec := op + " " + j.ID
+	if thief != "" {
+		rec += "@" + thief
+	}
+	l.recs = append(l.recs, rec)
+}
+
+func (l *memLog) all() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.recs)
+}
+
+func (l *memLog) ops(id string) []string {
 	var out []string
-	for _, r := range l.recs {
-		if op, job, _ := strings.Cut(r, " "); job == id {
+	for _, r := range l.all() {
+		op, job, _ := strings.Cut(r, " ")
+		if job, _, _ = strings.Cut(job, "@"); job == id {
 			out = append(out, op)
 		}
 	}
@@ -94,7 +106,7 @@ func (f *fetcher) FetchTable(peer, key string) (string, error) {
 type harness struct {
 	n        *Node[string, string]
 	clk      *clock
-	log      *journal
+	log      *memLog
 	cache    *cache
 	finished map[string]int
 }
@@ -102,7 +114,7 @@ type harness struct {
 func newHarness(cfg Config[string]) *harness {
 	h := &harness{
 		clk:      &clock{now: time.Unix(1000, 0)},
-		log:      &journal{},
+		log:      &memLog{},
 		cache:    &cache{results: map[string]bool{}, tables: map[string]bool{}},
 		finished: map[string]int{},
 	}
@@ -120,7 +132,13 @@ func newHarness(cfg Config[string]) *harness {
 
 func (h *harness) admit(t *testing.T) string {
 	t.Helper()
-	j := &Job{Spec: scheduler.Spec{App: "pbzip2"}}
+	return h.admitSpec(t, clusterapi.Spec{App: "pbzip2"})
+}
+
+// admitSpec admits a job with the given spec and returns its ID.
+func (h *harness) admitSpec(t *testing.T, spec clusterapi.Spec) string {
+	t.Helper()
+	j := &Job{Spec: spec}
 	if !h.n.Admit(j) {
 		t.Fatal("admit refused")
 	}
@@ -136,7 +154,7 @@ func terminal(ops []string) int {
 	n := 0
 	for _, op := range ops {
 		switch op {
-		case scheduler.TransitionSettled, TransitionFailed, TransitionEvicted, scheduler.TransitionAbandoned:
+		case journal.OpSettled, journal.OpFailed, journal.OpEvicted, journal.OpAbandoned:
 			n++
 		}
 	}
@@ -164,7 +182,7 @@ func TestLateSettleAfterExpiry(t *testing.T) {
 	if _, err := h.n.Settle(id, "thief", core.Rendered{Report: "stale"}, ""); !errors.Is(err, scheduler.ErrLeaseExpired) {
 		t.Fatalf("late settle: err = %v, want ErrLeaseExpired", err)
 	}
-	qj, ok := h.n.Queue.TryPop()
+	qj, ok := h.n.TryPop()
 	if !ok || qj.ID != id {
 		t.Fatal("expired job not requeued")
 	}
@@ -172,7 +190,7 @@ func TestLateSettleAfterExpiry(t *testing.T) {
 	if !h.n.Finish(id, core.Rendered{Report: "fresh"}, "", nil) || h.n.Finish(id, core.Rendered{}, "", nil) {
 		t.Fatal("Finish must succeed exactly once")
 	}
-	if got := h.log.ops(id); terminal(got) != 1 || got[len(got)-1] != scheduler.TransitionSettled {
+	if got := h.log.ops(id); terminal(got) != 1 || got[len(got)-1] != journal.OpSettled {
 		t.Fatalf("journal for %s = %v, want exactly one terminal record (settled)", id, got)
 	}
 	if st := h.status(id); st.Report != "fresh" || h.finished[id] != 1 {
@@ -180,26 +198,36 @@ func TestLateSettleAfterExpiry(t *testing.T) {
 	}
 }
 
-// A lease that expires into a closed queue is abandoned and fails the
-// job, counted once.
+// Leases that expire into a closed node are abandoned: each job fails,
+// counted once, and none re-enters the queue a closed node's workers no
+// longer drain.
 func TestReapIntoClosedQueue(t *testing.T) {
 	h := newHarness(Config[string]{})
-	id := h.admit(t)
+	ids := []string{h.admit(t), h.admit(t)}
 	h.n.Claim("thief")
+	h.n.Claim("thief")
+	h.n.Close()
 	h.clk.advance(2 * time.Minute)
-	// The daemon's shutdown can close the queue between TakeExpired and
-	// Requeue; the Expired hook runs in that window.
-	h.n.Expired = func(*Job, time.Time) { h.n.Queue.Close() }
-	h.n.Reap()
-	st := h.status(id)
-	if st.Status != Failed || !strings.Contains(st.Error, "abandoned") {
-		t.Fatalf("job = %+v, want failed as abandoned", st)
+	if n := h.n.Reap(); n != 2 {
+		t.Fatalf("reaped %d, want 2", n)
 	}
-	if got := h.log.ops(id); !slices.Equal(got, []string{"admitted", "claimed", "abandoned"}) {
-		t.Fatalf("journal = %v, want admitted, claimed, abandoned", got)
+	for _, id := range ids {
+		st := h.status(id)
+		if st.Status != Failed || !strings.Contains(st.Error, "abandoned") {
+			t.Fatalf("job = %+v, want failed as abandoned", st)
+		}
+		if got := h.log.ops(id); !slices.Equal(got, []string{"admitted", "claimed", "abandoned"}) {
+			t.Fatalf("journal = %v, want admitted, claimed, abandoned", got)
+		}
+		if h.finished[id] != 1 {
+			t.Fatalf("finished hook ran %d times, want 1", h.finished[id])
+		}
 	}
-	if h.finished[id] != 1 {
-		t.Fatalf("finished hook ran %d times, want 1", h.finished[id])
+	if n := h.n.QueueLen(); n != 0 {
+		t.Fatalf("queue len = %d: abandoned jobs re-entered the closed node", n)
+	}
+	if _, ok := h.n.Pop(); ok {
+		t.Fatal("a worker popped from the closed node after the abandon")
 	}
 }
 
@@ -210,7 +238,7 @@ func TestEvictionPastMaxJobs(t *testing.T) {
 	var ids []string
 	for range 3 {
 		id := h.admit(t)
-		qj, _ := h.n.Queue.TryPop()
+		qj, _ := h.n.TryPop()
 		h.n.Begin(qj)
 		h.n.Finish(id, core.Rendered{}, "", nil)
 		ids = append(ids, id)
@@ -218,7 +246,7 @@ func TestEvictionPastMaxJobs(t *testing.T) {
 	if h.n.With(ids[0], func(*Job) {}) {
 		t.Fatalf("%s still retained past MaxJobs", ids[0])
 	}
-	if got := h.log.ops(ids[0]); got[len(got)-1] != TransitionEvicted {
+	if got := h.log.ops(ids[0]); got[len(got)-1] != journal.OpEvicted {
 		t.Fatalf("journal for %s = %v, want an evicted record last", ids[0], got)
 	}
 	if got := h.log.ops(ids[2]); terminal(got) != 1 {
@@ -279,9 +307,9 @@ func TestTableImportOrder(t *testing.T) {
 // peer, at most once per StealInterval, and never with fan-out 0.
 func TestRetryPeerFallbackRateLimited(t *testing.T) {
 	var probes int
-	probe := func(peer string) (scheduler.PeerStatus, error) {
+	probe := func(peer string) (clusterapi.PeerStatus, error) {
 		probes++
-		return scheduler.PeerStatus{QueueLen: 0, QueueCap: 4}, nil
+		return clusterapi.PeerStatus{QueueLen: 0, QueueCap: 4}, nil
 	}
 	h := newHarness(Config[string]{Peers: []string{"p1"}, Policy: Policy{ProbeFanout: 1, StealInterval: time.Second}, Probe: probe})
 	if peer, ok := h.n.RetryPeer(); !ok || peer != "p1" || probes != 1 {
@@ -295,7 +323,7 @@ func TestRetryPeerFallbackRateLimited(t *testing.T) {
 	if _, ok := h.n.RetryPeer(); !ok || probes != 2 {
 		t.Fatalf("round after the interval: ok=%v probes=%d", ok, probes)
 	}
-	h.n.Gossip.Record("p1", scheduler.PeerStatus{QueueLen: 4, QueueCap: 4})
+	h.n.Gossip.Record("p1", clusterapi.PeerStatus{QueueLen: 4, QueueCap: 4})
 	h.clk.advance(time.Second)
 	if _, ok := h.n.RetryPeer(); ok || probes != 2 {
 		t.Fatalf("healthy-but-full view: ok=%v probes=%d, want no redirect and no probe", ok, probes)
@@ -323,13 +351,13 @@ func TestConcurrentLifecycle(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs / 4 {
-				h.n.Admit(&Job{Spec: scheduler.Spec{App: fmt.Sprint(g, i)}})
+				h.n.Admit(&Job{Spec: clusterapi.Spec{App: fmt.Sprint(g, i)}})
 				if j, _, ok := h.n.Claim("thief"); ok && i%3 != 0 {
 					h.n.Settle(j.ID, "thief", core.Rendered{}, "")
 				}
 				h.clk.advance(time.Millisecond)
 				h.n.Reap()
-				if qj, ok := h.n.Queue.TryPop(); ok {
+				if qj, ok := h.n.TryPop(); ok {
 					j := h.n.Begin(qj)
 					release := h.n.Occupy(j.ID)
 					h.n.Finish(j.ID, core.Rendered{}, "", nil)
@@ -342,8 +370,8 @@ func TestConcurrentLifecycle(t *testing.T) {
 	for {
 		h.clk.advance(time.Minute)
 		h.n.Reap()
-		qj, ok := h.n.Queue.TryPop()
-		if !ok && h.n.Queue.ClaimedCount() == 0 {
+		qj, ok := h.n.TryPop()
+		if !ok && h.n.ClaimedCount() == 0 {
 			break
 		}
 		if ok {

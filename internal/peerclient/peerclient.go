@@ -134,10 +134,10 @@ func (c *Client) do(cl call) (*http.Response, []byte, error) {
 }
 
 // Probe asks one peer for its queue and cache status (GET /steal).
-func (c *Client) Probe(peer string) (scheduler.PeerStatus, error) {
-	var st scheduler.PeerStatus
+func (c *Client) Probe(peer string) (clusterapi.PeerStatus, error) {
+	var st clusterapi.PeerStatus
 	if _, _, err := c.do(call{method: http.MethodGet, url: peer + "/steal", limit: maxControlBytes, into: &st}); err != nil {
-		return scheduler.PeerStatus{}, err
+		return clusterapi.PeerStatus{}, err
 	}
 	// Observation time is the observer's (a victim's skewed clock would
 	// poison staleness checks): Gossip.Record re-stamps a zero Seen.
@@ -147,15 +147,15 @@ func (c *Client) Probe(peer string) (scheduler.PeerStatus, error) {
 
 // Claim attempts to take one whole job from a peer (POST /jobs/claim);
 // a 204 means nothing was stealable.
-func (c *Client) Claim(peer, thief string) (scheduler.StolenJob, bool, error) {
+func (c *Client) Claim(peer, thief string) (clusterapi.StolenJob, bool, error) {
 	body, _ := json.Marshal(map[string]string{"thief": thief})
-	var job scheduler.StolenJob
+	var job clusterapi.StolenJob
 	resp, _, err := c.do(call{method: http.MethodPost, url: peer + "/jobs/claim", body: body, limit: maxControlBytes, into: &job})
 	if err != nil || resp.StatusCode == http.StatusNoContent {
-		return scheduler.StolenJob{}, false, err
+		return clusterapi.StolenJob{}, false, err
 	}
 	if job.ID == "" || !job.Spec.Stealable() {
-		return scheduler.StolenJob{}, false, fmt.Errorf("claim from %s: unusable job %+v", peer, job)
+		return clusterapi.StolenJob{}, false, fmt.Errorf("claim from %s: unusable job %+v", peer, job)
 	}
 	return job, true, nil
 }

@@ -37,7 +37,7 @@ func TestProbeRejectsOversizedStatus(t *testing.T) {
 		Gossip:    scheduler.NewGossip(),
 		Transport: &Client{},
 		Idle:      func() bool { return false }, // one gossip-only round
-		Execute:   func(string, scheduler.StolenJob) error { return nil },
+		Execute:   func(string, clusterapi.StolenJob) error { return nil },
 	}
 	st.Tick(nil)
 	entry := st.Gossip.Snapshot()[ts.URL]

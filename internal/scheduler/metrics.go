@@ -2,10 +2,10 @@ package scheduler
 
 import "perfplay/internal/telemetry"
 
-// Metrics bundles the scheduler's telemetry instruments. One value is
-// shared by the Queue (lease lifecycle), the Stealer (thief-side
-// activity) and the Gossip view (probe bookkeeping) of a node, so the
-// whole steal protocol reports into one consistent family set.
+// Metrics bundles the steal protocol's telemetry instruments. One value
+// is shared by a node's Stealer (thief-side activity and probe
+// bookkeeping) and its jobs.Node (the lease lifecycle), so the whole
+// protocol reports into one consistent family set.
 //
 // A nil *Metrics is legal everywhere and records nothing; NewMetrics
 // with a nil registry backs the instruments with a private one, which
@@ -18,10 +18,10 @@ type Metrics struct {
 	StealFailures     *telemetry.Counter // executor returns that errored
 	StealHintedClaims *telemetry.Counter // claims aimed by cache-hint matches
 
-	// Victim side (lease lifecycle on the queue).
+	// Victim side (lease lifecycle on the job node).
 	LeasesGranted *telemetry.Counter // Claim handed a job to a thief
-	LeasesSettled *telemetry.Counter // Complete accepted a thief's result
-	LeasesExpired *telemetry.Counter // TakeExpired recovered a job
+	LeasesSettled *telemetry.Counter // Settle accepted a thief's result
+	LeasesExpired *telemetry.Counter // Reap recovered a job
 
 	// Gossip bookkeeping, labeled by probe result.
 	GossipUpdates *telemetry.CounterVec // result=ok|err
@@ -53,19 +53,4 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		GossipUpdates: reg.NewCounterVec("perfplay_scheduler_gossip_updates_total",
 			"Gossip view updates by probe result.", "result"),
 	}
-}
-
-// RegisterQueueGauges exposes a queue's live state as callback gauges —
-// evaluated at scrape time, so the rendered depth is current rather
-// than as of the last push/pop.
-func RegisterQueueGauges(reg *telemetry.Registry, q *Queue) {
-	if reg == nil || q == nil {
-		return
-	}
-	reg.NewGaugeFunc("perfplay_scheduler_queue_depth",
-		"Queued (unclaimed) jobs.", func() float64 { return float64(q.Len()) })
-	reg.NewGaugeFunc("perfplay_scheduler_queue_capacity",
-		"Admission bound of the job queue.", func() float64 { return float64(q.Cap()) })
-	reg.NewGaugeFunc("perfplay_scheduler_leases_outstanding",
-		"Stolen jobs currently out on a lease.", func() float64 { return float64(q.ClaimedCount()) })
 }

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"perfplay/internal/clusterapi"
 )
 
 // Gossip is a node's last-known view of its peers' queue depths,
@@ -16,11 +18,11 @@ type Gossip struct {
 	Now func() time.Time
 
 	mu    sync.Mutex
-	peers map[string]PeerStatus
+	peers map[string]clusterapi.PeerStatus
 }
 
 // NewGossip returns an empty view.
-func NewGossip() *Gossip { return &Gossip{peers: make(map[string]PeerStatus)} }
+func NewGossip() *Gossip { return &Gossip{peers: make(map[string]clusterapi.PeerStatus)} }
 
 func (g *Gossip) now() time.Time {
 	if g.Now != nil {
@@ -33,7 +35,7 @@ func (g *Gossip) now() time.Time {
 // Err from a previous failed probe. A zero Seen is stamped with the
 // view's clock; a caller that already stamped observation time (the
 // stealer, with its own injectable clock) keeps its stamp.
-func (g *Gossip) Record(peer string, st PeerStatus) {
+func (g *Gossip) Record(peer string, st clusterapi.PeerStatus) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if st.Seen.IsZero() {
@@ -55,10 +57,10 @@ func (g *Gossip) RecordErr(peer string, err error) {
 }
 
 // Snapshot copies the current view.
-func (g *Gossip) Snapshot() map[string]PeerStatus {
+func (g *Gossip) Snapshot() map[string]clusterapi.PeerStatus {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make(map[string]PeerStatus, len(g.peers))
+	out := make(map[string]clusterapi.PeerStatus, len(g.peers))
 	for k, v := range g.peers {
 		out[k] = v
 	}
@@ -106,7 +108,7 @@ type Stealer struct {
 	// Execute runs one stolen job end to end — analyze and report the
 	// result back to the victim. An error counts as a failure; the
 	// victim's lease makes it safe to just drop the job.
-	Execute func(victim string, job StolenJob) error
+	Execute func(victim string, job clusterapi.StolenJob) error
 	// Gossip, when set, receives every probe observation.
 	Gossip *Gossip
 	// Transport carries probes and claims (required).

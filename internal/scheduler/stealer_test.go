@@ -8,37 +8,45 @@ import (
 	"testing"
 	"time"
 
+	"perfplay/internal/clusterapi"
+	"perfplay/internal/jobs"
 	"perfplay/internal/peerclient"
 	"perfplay/internal/scheduler"
 )
 
 // These tests drive the Stealer over real HTTP through peerclient, the
-// daemon's transport; the external test package is what lets them
-// import it without a cycle.
+// daemon's transport, against victims that are the daemon's own job
+// node; the external test package is what lets them import both without
+// a cycle.
 
-func stealableJob(id string) *scheduler.Job {
-	return &scheduler.Job{ID: id, Spec: scheduler.Spec{App: "mysql", Threads: 4, Seed: 7}}
+type victim = jobs.Node[struct{}, struct{}]
+
+// newVictim returns a node (queue depth 8) holding one stealable job per
+// ID, oldest first.
+func newVictim(ids ...string) *victim {
+	v := jobs.New[struct{}](jobs.Config[struct{}]{Policy: jobs.Policy{QueueDepth: 8, Lease: time.Minute}})
+	for _, id := range ids {
+		v.Admit(&jobs.Job{ID: id, Spec: clusterapi.Spec{App: "mysql", Threads: 4, Seed: 7}})
+	}
+	return v
 }
 
-// fakeVictim serves the victim half of the steal protocol from a Queue.
-func fakeVictim(t *testing.T, q *scheduler.Queue) *httptest.Server {
+func stealable(v *victim) int { return v.Status(nil).Stealable }
+
+// fakeVictim serves the victim half of the steal protocol from a node.
+func fakeVictim(t *testing.T, v *victim) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /steal", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(scheduler.PeerStatus{
-			QueueLen:  q.Len(),
-			QueueCap:  q.Cap(),
-			Stealable: q.Stealable(),
-			CacheKeys: []string{"hot-key"},
-		})
+		json.NewEncoder(w).Encode(v.Status([]string{"hot-key"}))
 	})
 	mux.HandleFunc("POST /jobs/claim", func(w http.ResponseWriter, r *http.Request) {
-		j, deadline, ok := q.Claim("test-thief", time.Minute)
+		j, deadline, ok := v.Claim("test-thief")
 		if !ok {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		json.NewEncoder(w).Encode(scheduler.StolenJob{ID: j.ID, Spec: j.Spec, LeaseMS: time.Until(deadline).Milliseconds()})
+		json.NewEncoder(w).Encode(clusterapi.StolenJob{ID: j.ID, Spec: j.Spec, LeaseMS: time.Until(deadline).Milliseconds()})
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -46,12 +54,7 @@ func fakeVictim(t *testing.T, q *scheduler.Queue) *httptest.Server {
 }
 
 func TestStealerDrainsDeepestPeer(t *testing.T) {
-	shallow := scheduler.NewQueue(8)
-	shallow.Push(stealableJob("s1"))
-	deep := scheduler.NewQueue(8)
-	for _, id := range []string{"d1", "d2", "d3"} {
-		deep.Push(stealableJob(id))
-	}
+	shallow, deep := newVictim("s1"), newVictim("d1", "d2", "d3")
 	tsShallow, tsDeep := fakeVictim(t, shallow), fakeVictim(t, deep)
 
 	var mu sync.Mutex
@@ -69,7 +72,7 @@ func TestStealerDrainsDeepestPeer(t *testing.T) {
 			defer mu.Unlock()
 			return idle
 		},
-		Execute: func(victim string, job scheduler.StolenJob) error {
+		Execute: func(victim string, job clusterapi.StolenJob) error {
 			mu.Lock()
 			defer mu.Unlock()
 			order = append(order, job.ID)
@@ -95,8 +98,8 @@ func TestStealerDrainsDeepestPeer(t *testing.T) {
 	if order[0] != "d3" {
 		t.Fatalf("first steal = %q, want d3 (deepest peer, newest job)", order[0])
 	}
-	if shallow.Stealable() != 0 || deep.Stealable() != 0 {
-		t.Fatalf("backlogs not drained: shallow=%d deep=%d", shallow.Stealable(), deep.Stealable())
+	if stealable(shallow) != 0 || stealable(deep) != 0 {
+		t.Fatalf("backlogs not drained: shallow=%d deep=%d", stealable(shallow), stealable(deep))
 	}
 	stats := st.Stats()
 	if stats.Claims != 4 || stats.Executed != 4 || stats.Failures != 0 {
@@ -110,8 +113,7 @@ func TestStealerDrainsDeepestPeer(t *testing.T) {
 }
 
 func TestStealerRespectsIdle(t *testing.T) {
-	q := scheduler.NewQueue(8)
-	q.Push(stealableJob("a"))
+	q := newVictim("a")
 	ts := fakeVictim(t, q)
 	st := &scheduler.Stealer{
 		Self:      "http://self",
@@ -119,7 +121,7 @@ func TestStealerRespectsIdle(t *testing.T) {
 		Interval:  5 * time.Millisecond,
 		Transport: &peerclient.Client{},
 		Idle:      func() bool { return false },
-		Execute: func(string, scheduler.StolenJob) error {
+		Execute: func(string, clusterapi.StolenJob) error {
 			t.Error("executed a steal while not idle")
 			return nil
 		},
@@ -128,7 +130,7 @@ func TestStealerRespectsIdle(t *testing.T) {
 	go st.Run(stop)
 	time.Sleep(100 * time.Millisecond)
 	close(stop)
-	if q.Stealable() != 1 {
+	if stealable(q) != 1 {
 		t.Fatal("busy node stole anyway")
 	}
 }
@@ -137,8 +139,7 @@ func TestStealerRespectsIdle(t *testing.T) {
 // headroom and cache hints included — and fails loudly against a dead
 // peer.
 func TestProbe(t *testing.T) {
-	q := scheduler.NewQueue(8)
-	q.Push(stealableJob("a"))
+	q := newVictim("a")
 	ts := fakeVictim(t, q)
 
 	st, err := (&peerclient.Client{}).Probe(ts.URL)
@@ -151,7 +152,7 @@ func TestProbe(t *testing.T) {
 	if !st.HintsKey("hot-key") || st.HintsKey("cold-key") {
 		t.Fatalf("cache hints wrong: %v", st.CacheKeys)
 	}
-	hinted := scheduler.PeerStatus{CacheKeys: []string{"sha256:abc|in0|t2|rest"}}
+	hinted := clusterapi.PeerStatus{CacheKeys: []string{"sha256:abc|in0|t2|rest"}}
 	if !hinted.HintsDigest("sha256:abc") || hinted.HintsDigest("sha256:ab") || hinted.HintsDigest("sha256:abd") {
 		t.Fatalf("digest hints wrong: %v", hinted.CacheKeys)
 	}
@@ -169,8 +170,7 @@ func TestProbe(t *testing.T) {
 // Retry-Peer redirect target, and the view must not go stale exactly
 // when the node is overloaded — while never actually claiming work.
 func TestBusyNodeStillGossips(t *testing.T) {
-	q := scheduler.NewQueue(8)
-	q.Push(stealableJob("a"))
+	q := newVictim("a")
 	ts := fakeVictim(t, q)
 	st := &scheduler.Stealer{
 		Self:      "http://self",
@@ -179,7 +179,7 @@ func TestBusyNodeStillGossips(t *testing.T) {
 		Gossip:    scheduler.NewGossip(),
 		Transport: &peerclient.Client{},
 		Idle:      func() bool { return false },
-		Execute: func(string, scheduler.StolenJob) error {
+		Execute: func(string, clusterapi.StolenJob) error {
 			t.Error("executed a steal while not idle")
 			return nil
 		},
@@ -201,7 +201,7 @@ func TestBusyNodeStillGossips(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if q.Stealable() != 1 {
+	if stealable(q) != 1 {
 		t.Fatal("busy node stole the job while gossiping")
 	}
 }
@@ -212,8 +212,7 @@ func TestStealerSurvivesDeadPeer(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close()
-	q := scheduler.NewQueue(8)
-	q.Push(stealableJob("a"))
+	q := newVictim("a")
 	ts := fakeVictim(t, q)
 
 	done := make(chan struct{})
@@ -225,7 +224,7 @@ func TestStealerSurvivesDeadPeer(t *testing.T) {
 		Gossip:    scheduler.NewGossip(),
 		Transport: &peerclient.Client{},
 		Idle:      func() bool { return true },
-		Execute: func(victim string, job scheduler.StolenJob) error {
+		Execute: func(victim string, job clusterapi.StolenJob) error {
 			once.Do(func() { close(done) })
 			return nil
 		},
@@ -247,10 +246,7 @@ func TestStealerSurvivesDeadPeer(t *testing.T) {
 // died before the result could be reported) is a counted failure, not a
 // wedge — the loop keeps going.
 func TestStealerCountsReportFailures(t *testing.T) {
-	q := scheduler.NewQueue(8)
-	q.Push(stealableJob("a"))
-	q.Push(stealableJob("b"))
-	ts := fakeVictim(t, q)
+	ts := fakeVictim(t, newVictim("a", "b"))
 
 	drained := make(chan struct{})
 	var calls int
@@ -261,7 +257,7 @@ func TestStealerCountsReportFailures(t *testing.T) {
 		Interval:  5 * time.Millisecond,
 		Transport: &peerclient.Client{},
 		Idle:      func() bool { return true },
-		Execute: func(victim string, job scheduler.StolenJob) error {
+		Execute: func(victim string, job clusterapi.StolenJob) error {
 			mu.Lock()
 			defer mu.Unlock()
 			calls++
@@ -289,8 +285,7 @@ func TestStealerCountsReportFailures(t *testing.T) {
 // discards the victim's self-stamped Seen, and the stealer stamps the
 // observation with its own (injectable) clock before recording it.
 func TestStealerStampsGossipWithOwnClock(t *testing.T) {
-	q := scheduler.NewQueue(8)
-	q.Push(stealableJob("a"))
+	q := newVictim("a")
 	ts := fakeVictim(t, q)
 
 	// The wire status carries the victim's wall clock...
@@ -312,7 +307,7 @@ func TestStealerStampsGossipWithOwnClock(t *testing.T) {
 		Transport: &peerclient.Client{},
 		Now:       func() time.Time { return stamp },
 		Idle:      func() bool { return false }, // gossip-only ticks
-		Execute:   func(string, scheduler.StolenJob) error { return nil },
+		Execute:   func(string, clusterapi.StolenJob) error { return nil },
 	}
 	stop := make(chan struct{})
 	defer close(stop)

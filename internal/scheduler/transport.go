@@ -22,10 +22,10 @@ type Transport interface {
 	// Probe asks one peer for its queue and cache status. The
 	// implementation must clear the peer's self-stamped Seen —
 	// observation time is the observer's business.
-	Probe(peer string) (PeerStatus, error)
+	Probe(peer string) (clusterapi.PeerStatus, error)
 	// Claim attempts to take one whole job from a peer on a lease.
 	// ok=false with a nil error means the peer had nothing stealable.
-	Claim(peer, thief string) (StolenJob, bool, error)
+	Claim(peer, thief string) (clusterapi.StolenJob, bool, error)
 	// Settle reports a stolen job's outcome back to its victim.
 	// ErrLeaseExpired (possibly wrapped) means the victim re-owns the
 	// job and discarded the result.
@@ -40,7 +40,7 @@ type Transport interface {
 // bounce them around the cluster. ok=false means no peer is known to
 // have room. Shared by the daemon's steal-aware admission and the
 // cluster simulator, so tuning runs exercise the production policy.
-func IdlestPeer(peers []string, view map[string]PeerStatus) (string, bool) {
+func IdlestPeer(peers []string, view map[string]clusterapi.PeerStatus) (string, bool) {
 	var best string
 	bestLen, found := 0, false
 	for _, peer := range peers {

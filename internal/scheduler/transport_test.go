@@ -3,6 +3,7 @@ package scheduler
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,9 +15,9 @@ import (
 // awkward: timeouts, garbage statuses, peers vanishing between probe
 // and claim.
 type fakeTransport struct {
-	status map[string]PeerStatus // probe responses
-	errs   map[string]error      // probe failures
-	claims map[string][]StolenJob
+	status map[string]clusterapi.PeerStatus // probe responses
+	errs   map[string]error                 // probe failures
+	claims map[string][]clusterapi.StolenJob
 	// claimErr fails Claim for a peer even when its probe succeeded —
 	// the peer vanished (or started refusing) mid-claim.
 	claimErr map[string]error
@@ -30,22 +31,22 @@ type settleErr struct {
 	settled []string
 }
 
-func (f *fakeTransport) Probe(peer string) (PeerStatus, error) {
+func (f *fakeTransport) Probe(peer string) (clusterapi.PeerStatus, error) {
 	f.probed = append(f.probed, peer)
 	if err := f.errs[peer]; err != nil {
-		return PeerStatus{}, err
+		return clusterapi.PeerStatus{}, err
 	}
 	return f.status[peer], nil
 }
 
-func (f *fakeTransport) Claim(peer, thief string) (StolenJob, bool, error) {
+func (f *fakeTransport) Claim(peer, thief string) (clusterapi.StolenJob, bool, error) {
 	f.claimed = append(f.claimed, peer)
 	if err := f.claimErr[peer]; err != nil {
-		return StolenJob{}, false, err
+		return clusterapi.StolenJob{}, false, err
 	}
 	q := f.claims[peer]
 	if len(q) == 0 {
-		return StolenJob{}, false, nil
+		return clusterapi.StolenJob{}, false, nil
 	}
 	j := q[0]
 	f.claims[peer] = q[1:]
@@ -57,9 +58,9 @@ func (f *fakeTransport) Settle(victim, jobID string, res clusterapi.StealResult)
 	return f.err
 }
 
-func stealerOver(t *testing.T, tr Transport, peers ...string) (*Stealer, *[]StolenJob) {
+func stealerOver(t *testing.T, tr Transport, peers ...string) (*Stealer, *[]clusterapi.StolenJob) {
 	t.Helper()
-	var got []StolenJob
+	var got []clusterapi.StolenJob
 	idle := true
 	s := &Stealer{
 		Self:      "http://thief:1",
@@ -67,7 +68,7 @@ func stealerOver(t *testing.T, tr Transport, peers ...string) (*Stealer, *[]Stol
 		Transport: tr,
 		Gossip:    NewGossip(),
 		Idle:      func() bool { return idle },
-		Execute: func(victim string, j StolenJob) error {
+		Execute: func(victim string, j clusterapi.StolenJob) error {
 			got = append(got, j)
 			idle = false // one steal fills the fake node
 			return nil
@@ -82,8 +83,8 @@ func stealerOver(t *testing.T, tr Transport, peers ...string) (*Stealer, *[]Stol
 func TestStealerSkipsTimedOutPeer(t *testing.T) {
 	tr := &fakeTransport{
 		errs:   map[string]error{"http://dead:1": errors.New("probe http://dead:1: context deadline exceeded")},
-		status: map[string]PeerStatus{"http://live:1": {QueueLen: 3, Stealable: 3}},
-		claims: map[string][]StolenJob{"http://live:1": {{ID: "job-1", Spec: Spec{App: "x"}}}},
+		status: map[string]clusterapi.PeerStatus{"http://live:1": {QueueLen: 3, Stealable: 3}},
+		claims: map[string][]clusterapi.StolenJob{"http://live:1": {{ID: "job-1", Spec: clusterapi.Spec{App: "x"}}}},
 	}
 	s, got := stealerOver(t, tr, "http://dead:1", "http://live:1")
 	s.Tick(nil)
@@ -107,8 +108,8 @@ func TestStealerSurvivesMalformedStatus(t *testing.T) {
 		errs: map[string]error{
 			"http://garbled:1": fmt.Errorf("probe http://garbled:1: invalid character '<' looking for beginning of value"),
 		},
-		status: map[string]PeerStatus{"http://ok:1": {QueueLen: 1, Stealable: 1}},
-		claims: map[string][]StolenJob{"http://ok:1": {{ID: "job-2", Spec: Spec{App: "x"}}}},
+		status: map[string]clusterapi.PeerStatus{"http://ok:1": {QueueLen: 1, Stealable: 1}},
+		claims: map[string][]clusterapi.StolenJob{"http://ok:1": {{ID: "job-2", Spec: clusterapi.Spec{App: "x"}}}},
 	}
 	s, got := stealerOver(t, tr, "http://garbled:1", "http://ok:1")
 	s.Tick(nil)
@@ -126,12 +127,12 @@ func TestStealerSurvivesMalformedStatus(t *testing.T) {
 // rather than giving up.
 func TestStealerPeerVanishesMidClaim(t *testing.T) {
 	tr := &fakeTransport{
-		status: map[string]PeerStatus{
+		status: map[string]clusterapi.PeerStatus{
 			"http://deep:1":    {QueueLen: 9, Stealable: 9},
 			"http://shallow:1": {QueueLen: 1, Stealable: 1},
 		},
 		claimErr: map[string]error{"http://deep:1": errors.New("claim http://deep:1: connection refused")},
-		claims:   map[string][]StolenJob{"http://shallow:1": {{ID: "job-3", Spec: Spec{App: "x"}}}},
+		claims:   map[string][]clusterapi.StolenJob{"http://shallow:1": {{ID: "job-3", Spec: clusterapi.Spec{App: "x"}}}},
 	}
 	s, got := stealerOver(t, tr, "http://deep:1", "http://shallow:1")
 	s.Tick(nil)
@@ -151,13 +152,13 @@ func TestStealerPeerVanishesMidClaim(t *testing.T) {
 // and the aimed claim is counted.
 func TestStealerPrefersHintedVictim(t *testing.T) {
 	tr := &fakeTransport{
-		status: map[string]PeerStatus{
+		status: map[string]clusterapi.PeerStatus{
 			"http://deep:1": {QueueLen: 9, Stealable: 9},
 			"http://warm:1": {QueueLen: 1, Stealable: 1, StealableDigests: []string{"sha256:abc"}},
 		},
-		claims: map[string][]StolenJob{
-			"http://deep:1": {{ID: "job-deep", Spec: Spec{App: "x"}}},
-			"http://warm:1": {{ID: "job-warm", Spec: Spec{TraceDigest: "sha256:abc"}}},
+		claims: map[string][]clusterapi.StolenJob{
+			"http://deep:1": {{ID: "job-deep", Spec: clusterapi.Spec{App: "x"}}},
+			"http://warm:1": {{ID: "job-warm", Spec: clusterapi.Spec{TraceDigest: "sha256:abc"}}},
 		},
 	}
 	s, got := stealerOver(t, tr, "http://deep:1", "http://warm:1")
@@ -176,12 +177,12 @@ func TestStealerPrefersHintedVictim(t *testing.T) {
 // rules.
 func TestStealerHintIgnoredWithoutCache(t *testing.T) {
 	tr := &fakeTransport{
-		status: map[string]PeerStatus{
+		status: map[string]clusterapi.PeerStatus{
 			"http://deep:1": {QueueLen: 9, Stealable: 9},
 			"http://warm:1": {QueueLen: 1, Stealable: 1, StealableDigests: []string{"sha256:abc"}},
 		},
-		claims: map[string][]StolenJob{
-			"http://deep:1": {{ID: "job-deep", Spec: Spec{App: "x"}}},
+		claims: map[string][]clusterapi.StolenJob{
+			"http://deep:1": {{ID: "job-deep", Spec: clusterapi.Spec{App: "x"}}},
 		},
 	}
 	s, got := stealerOver(t, tr, "http://deep:1", "http://warm:1")
@@ -200,7 +201,7 @@ func TestStealerHintIgnoredWithoutCache(t *testing.T) {
 // peer order.
 func TestIdlestPeer(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
-	view := map[string]PeerStatus{
+	view := map[string]clusterapi.PeerStatus{
 		"http://a:1": {QueueLen: 5, QueueCap: 8},
 		"http://b:1": {QueueLen: 2, QueueCap: 8, Err: "probe failed"},
 		"http://c:1": {QueueLen: 8, QueueCap: 8}, // full
@@ -210,73 +211,13 @@ func TestIdlestPeer(t *testing.T) {
 		t.Fatalf("IdlestPeer = %q/%v, want http://d:1", peer, ok)
 	}
 	// Ties break on peer order.
-	view["http://a:1"] = PeerStatus{QueueLen: 3, QueueCap: 8}
+	view["http://a:1"] = clusterapi.PeerStatus{QueueLen: 3, QueueCap: 8}
 	if peer, _ := IdlestPeer(peers, view); peer != "http://a:1" {
 		t.Fatalf("tie broke to %q, want the earlier http://a:1", peer)
 	}
 	// Nothing usable.
-	if _, ok := IdlestPeer(peers, map[string]PeerStatus{}); ok {
+	if _, ok := IdlestPeer(peers, map[string]clusterapi.PeerStatus{}); ok {
 		t.Fatal("empty view must report no peer")
-	}
-}
-
-// TestQueueTryPop covers the non-blocking pop the simulator's event
-// loop uses.
-func TestQueueTryPop(t *testing.T) {
-	q := NewQueue(2)
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on empty queue reported a job")
-	}
-	q.Push(&Job{ID: "a"})
-	q.Push(&Job{ID: "b"})
-	if j, ok := q.TryPop(); !ok || j.ID != "a" {
-		t.Fatalf("TryPop = %v/%v, want the oldest job a", j, ok)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("len = %d after TryPop, want 1", q.Len())
-	}
-}
-
-// TestQueueStealableDigests: newest-first (claim order), digestless
-// and unstealable jobs skipped, bounded by max.
-func TestQueueStealableDigests(t *testing.T) {
-	q := NewQueue(8)
-	q.Push(&Job{ID: "1", Spec: Spec{TraceDigest: "sha256:aa"}})
-	q.Push(&Job{ID: "2", Spec: Spec{App: "x"}}) // stealable, no digest
-	q.Push(&Job{ID: "3", Spec: Spec{TraceDigest: "sha256:bb"}})
-	q.Push(&Job{ID: "4"}) // not stealable
-	got := q.StealableDigests(0)
-	if len(got) != 2 || got[0] != "sha256:bb" || got[1] != "sha256:aa" {
-		t.Fatalf("digests = %v, want [sha256:bb sha256:aa]", got)
-	}
-	if got := q.StealableDigests(1); len(got) != 1 || got[0] != "sha256:bb" {
-		t.Fatalf("bounded digests = %v, want [sha256:bb]", got)
-	}
-}
-
-// TestTakeExpiredDeterministicOrder: equal deadlines (one coarse
-// injected clock reading) must recover in job-ID order, not map order.
-func TestTakeExpiredDeterministicOrder(t *testing.T) {
-	now := time.Unix(100, 0)
-	q := NewQueue(8)
-	q.Now = func() time.Time { return now }
-	for _, id := range []string{"c", "a", "b"} {
-		q.Push(&Job{ID: id, Spec: Spec{App: "x"}})
-	}
-	for range 3 {
-		if _, _, ok := q.Claim("thief", time.Second); !ok {
-			t.Fatal("claim failed")
-		}
-	}
-	expired := q.TakeExpired(now.Add(2 * time.Second))
-	if len(expired) != 3 {
-		t.Fatalf("recovered %d jobs, want 3", len(expired))
-	}
-	got := []string{expired[0].ID, expired[1].ID, expired[2].ID}
-	for i, want := range []string{"a", "b", "c"} {
-		if got[i] != want {
-			t.Fatalf("recovery order %v, want [a b c]", got)
-		}
 	}
 }
 
@@ -289,7 +230,7 @@ func TestGossipFakeClock(t *testing.T) {
 	g := NewGossip()
 	g.Now = clock.Now
 
-	g.Record("http://a", PeerStatus{QueueLen: 3})
+	g.Record("http://a", clusterapi.PeerStatus{QueueLen: 3})
 	if got := g.Snapshot()["http://a"].Seen; !got.Equal(clock.Now()) {
 		t.Fatalf("Seen = %v, want the fake clock's %v", got, clock.Now())
 	}
@@ -301,10 +242,32 @@ func TestGossipFakeClock(t *testing.T) {
 	// A caller that pre-stamped observation time keeps its stamp.
 	stamp := clock.Advance(time.Minute)
 	clock.Advance(time.Hour)
-	g.Record("http://b", PeerStatus{Seen: stamp})
+	g.Record("http://b", clusterapi.PeerStatus{Seen: stamp})
 	if got := g.Snapshot()["http://b"].Seen; !got.Equal(stamp) {
 		t.Fatalf("pre-stamped Seen = %v, want %v", got, stamp)
 	}
+}
+
+// fakeClock is an injectable clock: time moves by Advance, not by
+// sleeping.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) Advance(d time.Duration) time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+	return c.t
 }
 
 type errProbe struct{}
