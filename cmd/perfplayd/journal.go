@@ -21,8 +21,8 @@ import (
 // lock, and Transition appends it before the call returns. NewServer replays the log before
 // any worker starts: queued jobs re-enter the queue in admit order, jobs
 // out on a steal lease are requeued at the front like any expired lease,
-// and upload-only jobs, whose trace died with the process, fail with a
-// clear error. Determinism makes a re-run byte-identical to the lost run.
+// and a job whose trace the corpus no longer holds fails with a clear
+// error. Determinism makes a re-run byte-identical to the lost run.
 
 // Meta keys an admitted record carries so the restarted daemon can
 // rebuild the client-visible job, not just the pipeline request.
@@ -97,8 +97,8 @@ func (s *Server) openJournal(cfg Config) error {
 		}
 		j := recoveredJob(lj, spec)
 		s.node.Restore(j)
-		// An empty (unstealable) spec means the trace lived only in the
-		// dead process's memory — unrecoverable by construction.
+		// An empty spec is an upload-only job an older binary journaled:
+		// its trace lived only in that process's memory.
 		if !spec.Stealable() {
 			s.lost(j, fmt.Errorf("job lost in restart: its uploaded trace existed only in the previous process's memory (store traces via POST /traces to survive restarts)"))
 			continue
@@ -143,7 +143,7 @@ func (s *Server) openJournal(cfg Config) error {
 // /jobs/{id} across the restart just see "queued" again — and its
 // original trace ID, so the distributed timeline survives too.
 func recoveredJob(lj journal.LiveJob, spec clusterapi.Spec) *jobs.Job {
-	j := newJob(pipeline.Request{}, lj.Meta[jmetaTraceID], 0)
+	j := newJob(pipeline.Request{}, lj.Meta[jmetaTraceID])
 	j.ID, j.Spec = lj.Job, spec
 	if !telemetry.ValidTraceID(j.TraceID) {
 		j.TraceID = telemetry.NewTraceID()

@@ -1,13 +1,18 @@
 package main
 
 import (
-	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"perfplay/internal/clusterapi"
+	"perfplay/internal/journal"
+	"perfplay/internal/telemetry"
 )
 
 // TestJournalKillAndRestartRecovers is the durability acceptance test:
@@ -135,29 +140,33 @@ func TestJournalKillAndRestartRecovers(t *testing.T) {
 	_ = bSrv
 }
 
-// TestJournalRestartFailsUploadOnlyJob: a job whose trace existed only
-// in the dead process's memory is unrecoverable by construction — it
+// TestJournalRestartFailsUploadOnlyJob: an older binary journaled raw
+// trace uploads with an empty spec; their trace existed only in that
+// process's memory, so they are unrecoverable by construction — each
 // must surface as failed with a clear error, never vanish.
 func TestJournalRestartFailsUploadOnlyJob(t *testing.T) {
 	base := t.TempDir()
 	cfg := Config{CorpusDir: filepath.Join(base, "corpus"), JournalDir: filepath.Join(base, "journal")}
 
-	aSrv, err := NewServer(cfg) // workers never started
+	// The admitted record such a binary wrote for an upload.
+	const id = "job-1"
+	jr, err := journal.Open(cfg.JournalDir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aTS := httptest.NewServer(aSrv.Handler())
-	resp, err := http.Post(aTS.URL+"/analyze", "application/octet-stream",
-		bytes.NewReader(recordedPayload(t, 3)))
+	spec, err := json.Marshal(clusterapi.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("upload submit: status %d", resp.StatusCode)
+	if err := jr.Append(journal.Record{Op: journal.OpAdmitted, Job: id, Spec: spec, Meta: map[string]string{
+		jmetaTraceID:   telemetry.NewTraceID(),
+		jmetaSubmitted: time.Now().UTC().Format(time.RFC3339Nano),
+	}}); err != nil {
+		t.Fatal(err)
 	}
-	id := decode[map[string]string](t, resp)["id"]
-	aTS.Close()
-	aSrv.Close()
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	_, b := testServer(t, cfg)
 	j := decode[map[string]any](t, mustGet(t, b.URL+"/jobs/"+id))

@@ -1,8 +1,8 @@
 // Command perfplayd is the PerfPlay analysis daemon: a long-running
-// HTTP service that accepts analysis jobs — a workload spec, a stored
-// trace's digest, or an uploaded trace — runs up to -workers of them at
-// once through internal/pipeline, one goroutine each, off a bounded job
-// queue, and serves the ranked reports back as JSON. Every job moves
+// HTTP service that accepts analysis jobs — a workload spec or a stored
+// trace's digest — runs up to -workers of them at once through
+// internal/pipeline, one goroutine each, off a bounded job queue, and
+// serves the ranked reports back as JSON. Every job moves
 // through the lifecycle in internal/jobs; this command is its HTTP
 // front end. docs/API.md is the route reference (CI diffs it against
 // -print-routes), docs/OBSERVABILITY.md the metric and span catalog.
@@ -62,7 +62,7 @@ import (
 
 // gcPercent is the daemon's GC pacing unless the operator sets GOGC. A
 // finished job leaves only its summary behind, so the live heap is the
-// in-flight jobs plus queued uploads — tens of MiB — which Go's default
+// in-flight jobs plus buffered uploads — tens of MiB — which Go's default
 // of 100 collects every few jobs. daemon-reuse, seed 60, median of three
 // runs, GOGC → cpu_ms_per_kevent / op_p50_ms / peak_rss_mb: 100 → 2.22 /
 // 12.6 / 48, 200 → 1.62 / 9.3 / 72, 400 → 1.53 / 8.9 / 121, 800 → 1.30 /
@@ -70,7 +70,7 @@ import (
 // analyses as an accidental ballast, 1.54 / 8.4 / 595. 400 keeps the
 // parent's CPU per event at a fifth of its footprint.
 // Worst case the heap goal is 5× that live heap, which -workers and
-// MaxQueuedTraceBytes bound (docs/PERF.md entry 4).
+// the 256 MiB upload buffer bound (docs/PERF.md entry 4).
 const gcPercent = 400
 
 func main() {
@@ -195,8 +195,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 		return o, errors.New("perfplayd: -peers requires a -corpus (cluster transfers reference traces by digest)")
 	}
 	// "auto" puts the journal next to the corpus: both are the node's
-	// durable state, and a node without a corpus (memory-only uploads
-	// are unrecoverable anyway) runs without a journal too.
+	// durable state. A node without a corpus has nowhere to derive it
+	// from and runs without a journal; -journal-dir DIR still gives it one.
 	c.JournalDir = *journalDir
 	if c.JournalDir == "auto" {
 		c.JournalDir = ""

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,13 +36,8 @@ type Config struct {
 	jobs.Policy
 	// CacheSize is the pipeline's LRU result cache capacity (0 = 128).
 	CacheSize int
-	// MaxTraceBytes caps each uploaded trace body (0 = 64 MiB).
+	// MaxTraceBytes caps each POST /traces body (0 = 64 MiB).
 	MaxTraceBytes int64
-	// MaxQueuedTraceBytes caps the upload bytes of queued-but-unstarted
-	// jobs plus uploads still being buffered: a parsed trace lives in
-	// memory until a worker drains it. A chunked upload can overshoot by
-	// one body before its size is known (0 = 256 MiB).
-	MaxQueuedTraceBytes int64
 	// CorpusDir roots the content-addressed trace store behind /traces
 	// and "trace": "sha256:..." analyze requests; empty disables it.
 	CorpusDir string
@@ -86,7 +79,6 @@ func (c Config) validate() error {
 		{"CacheSize", int64(c.CacheSize)},
 		{"MaxJobs", int64(c.MaxJobs)},
 		{"MaxTraceBytes", c.MaxTraceBytes},
-		{"MaxQueuedTraceBytes", c.MaxQueuedTraceBytes},
 		{"CorpusMaxBytes", c.CorpusMaxBytes},
 		{"Lease", int64(c.Lease)},
 		{"ProbeTimeout", int64(c.ProbeTimeout)},
@@ -107,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTraceBytes == 0 {
 		c.MaxTraceBytes = 64 << 20
-	}
-	if c.MaxQueuedTraceBytes == 0 {
-		c.MaxQueuedTraceBytes = 256 << 20
 	}
 	if c.CorpusMaxBytes == 0 {
 		c.CorpusMaxBytes = 1 << 30
@@ -137,9 +126,6 @@ type node = jobs.Node[*pipeline.WireResult, *pipeline.WireTable]
 // the trace — so retained jobs stay small.
 type jobState struct {
 	req pipeline.Request
-	// traceBytes is the uploaded body size counted against
-	// MaxQueuedTraceBytes until the job starts.
-	traceBytes int64
 	// changed is closed and replaced on every status change, so GET
 	// /jobs/{id}?wait= wakes on a transition. Guarded by the node's lock.
 	changed chan struct{}
@@ -150,17 +136,19 @@ type jobState struct {
 
 func stateOf(j *jobs.Job) *jobState { return j.Local.(*jobState) }
 
-func newJob(req pipeline.Request, traceID string, traceBytes int64) *jobs.Job {
+func newJob(req pipeline.Request, traceID string) *jobs.Job {
 	return &jobs.Job{
 		TraceDigest: req.TraceDigest,
 		Seed:        req.Seed,
 		TraceID:     traceID,
 		Spec:        specFor(req),
-		Local:       &jobState{req: req, traceBytes: traceBytes, changed: make(chan struct{}), spanID: telemetry.NewSpanID()},
+		Local:       &jobState{req: req, changed: make(chan struct{}), spanID: telemetry.NewSpanID()},
 	}
 }
 
-// analyzeSpec is the JSON body of POST /analyze.
+// analyzeSpec is the body of POST /analyze, whatever its Content-Type,
+// and holds no other field. A job names a workload (App) or a stored
+// trace (Trace); a trace reaches a job only through POST /traces.
 type analyzeSpec struct {
 	App     string  `json:"app"`
 	Trace   string  `json:"trace"` // corpus digest ("sha256:..."); overrides App
@@ -206,10 +194,9 @@ type Server struct {
 	jrecovered *telemetry.CounterVec
 	recovered  recoveredStats
 
-	mu               sync.Mutex
-	queuedTraceBytes int64 // upload bytes awaiting a worker
-	inflightBytes    int64 // upload bytes being buffered/parsed in handlers
-	stealer          *scheduler.Stealer
+	mu            sync.Mutex
+	inflightBytes int64 // POST /traces bytes being buffered and stored
+	stealer       *scheduler.Stealer
 
 	wg      sync.WaitGroup
 	stop    chan struct{} // closed on Close; stops reaper and stealer
@@ -377,9 +364,6 @@ func (s *Server) reaper() {
 func (s *Server) runJob(j jobs.Job) {
 	popped := time.Now()
 	st := stateOf(&j)
-	s.mu.Lock()
-	s.queuedTraceBytes -= st.traceBytes // the upload has left the queue
-	s.mu.Unlock()
 	release := s.node.Occupy(j.ID)
 	tc := spanCtx{trace: j.TraceID, parent: st.spanID}
 	s.span(tc, "queue_wait", j.Submitted, popped, nil)
@@ -392,8 +376,8 @@ func (s *Server) runJob(j jobs.Job) {
 }
 
 // finished is the node's terminal hook, whichever path ended the job:
-// it releases any uploaded trace, counts the job and records its root
-// span.
+// it drops the request (and with it any loaded trace), counts the job
+// and records its root span.
 func (s *Server) finished(j *jobs.Job) {
 	st := stateOf(j)
 	st.req = pipeline.Request{}
@@ -511,15 +495,19 @@ func routePatterns() []string {
 	return patterns
 }
 
-// reserveInflight reserves n upload bytes against MaxQueuedTraceBytes
-// and returns their release func, or nil when the backlog is full. The
-// budget covers bodies still being buffered in handlers as well as
-// queued jobs, so N concurrent uploads cannot transiently hold
-// N×MaxTraceBytes.
+// maxInflightUploadBytes bounds the POST /traces bytes being buffered
+// and stored at once, so N concurrent uploads cannot hold
+// N×MaxTraceBytes. A chunked upload can overshoot by one body before
+// its size is known.
+const maxInflightUploadBytes = 256 << 20
+
+// reserveInflight reserves n upload bytes against
+// maxInflightUploadBytes and returns their release func, or nil when
+// the budget is full.
 func (s *Server) reserveInflight(n int64) func() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.queuedTraceBytes+s.inflightBytes+n > s.cfg.MaxQueuedTraceBytes {
+	if s.inflightBytes+n > maxInflightUploadBytes {
 		return nil
 	}
 	s.inflightBytes += n
@@ -530,32 +518,36 @@ func (s *Server) reserveInflight(n int64) func() {
 	}
 }
 
-func (s *Server) backlogFull(w http.ResponseWriter) {
+func backlogFull(w http.ResponseWriter) {
 	httpError(w, http.StatusServiceUnavailable, clusterapi.CodeTraceBacklogFull,
-		"trace backlog full (limit %d bytes)", s.cfg.MaxQueuedTraceBytes)
+		"trace upload buffer full (limit %d bytes)", maxInflightUploadBytes)
 }
 
-// admitUpload runs the declared-length admission checks shared by the
-// trace-body endpoints: a Content-Length beyond the per-trace cap can
-// never be accepted, so it answers 413 up front instead of reserving
-// doomed budget that would 503 legitimate concurrent uploads while the
-// body dribbles in toward MaxBytesReader's cutoff; known-length bodies
-// reserve their in-flight bytes before buffering begins. Chunked bodies
-// (no Content-Length) pass through and must be reserved by the caller
-// once buffered. ok=false means the response has been written.
-func (s *Server) admitUpload(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	if r.ContentLength > s.cfg.MaxTraceBytes {
+// bufferBody buffers a request body under limit. A declared length over
+// the limit is answered 413 before anything is read, as is a body that
+// turns out longer; any other read failure — a body cut short or
+// aborted — is the client's malformed request, 400. hint ends the 413
+// message. ok=false means the response has been written.
+func bufferBody(w http.ResponseWriter, r *http.Request, limit int64, hint string) (data []byte, ok bool) {
+	tooLarge := func() {
 		httpError(w, http.StatusRequestEntityTooLarge, clusterapi.CodeBodyTooLarge,
-			"trace body %d bytes exceeds limit %d", r.ContentLength, s.cfg.MaxTraceBytes)
+			"request body over %d bytes%s", limit, hint)
+	}
+	if r.ContentLength > limit {
+		tooLarge()
 		return nil, false
 	}
-	if r.ContentLength > 0 {
-		if release = s.reserveInflight(r.ContentLength); release == nil {
-			s.backlogFull(w)
-			return nil, false
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		var over *http.MaxBytesError
+		if errors.As(err, &over) {
+			tooLarge()
+		} else {
+			httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "request body: %v", err)
 		}
+		return nil, false
 	}
-	return release, true
+	return buf.Bytes(), true
 }
 
 // requireCorpus 503s when the daemon runs without a trace store.
@@ -591,31 +583,35 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	if !s.requireCorpus(w) {
 		return
 	}
-	// Corpus uploads buffer their whole body while it is parsed and
-	// written, so they draw on the same in-flight byte budget as
-	// /analyze uploads; chunked bodies reserve once their size is known.
-	release, ok := s.admitUpload(w, r)
-	if !ok {
-		return
-	}
+	// The body is buffered whole while it is parsed and written, so it
+	// draws on the in-flight byte budget: a known length before the read,
+	// a chunked body once its size is known. A declared length over the
+	// per-trace cap reserves nothing — bufferBody answers it 413 up front,
+	// instead of holding budget that would 503 concurrent uploads while
+	// the doomed body streams in.
+	var release func()
 	defer func() {
 		if release != nil {
 			release()
 		}
 	}()
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxTraceBytes)
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(body); err != nil {
-		httpError(w, http.StatusRequestEntityTooLarge, clusterapi.CodeBodyTooLarge, "request body: %v", err)
-		return
-	}
-	if release == nil {
-		if release = s.reserveInflight(int64(buf.Len())); release == nil {
-			s.backlogFull(w)
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxTraceBytes {
+		if release = s.reserveInflight(n); release == nil {
+			backlogFull(w)
 			return
 		}
 	}
-	meta, created, err := s.corpus.Put(buf.Bytes(), r.URL.Query().Get("pin") == "true")
+	data, ok := bufferBody(w, r, s.cfg.MaxTraceBytes, "")
+	if !ok {
+		return
+	}
+	if release == nil {
+		if release = s.reserveInflight(int64(len(data))); release == nil {
+			backlogFull(w)
+			return
+		}
+	}
+	meta, created, err := s.corpus.Put(data, r.URL.Query().Get("pin") == "true")
 	if err != nil {
 		corpusError(w, err)
 		return
@@ -690,11 +686,17 @@ func (s *Server) handleTracePin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"digest": digest, "pinned": pin == "true"})
 }
 
+// maxSpecBytes caps a POST /analyze body: a job spec is a few hundred
+// bytes.
+const maxSpecBytes = 16 << 10
+
+// tracesHint ends every POST /analyze refusal of a body that is not a
+// job spec: the one way a trace reaches a job.
+const tracesHint = ` — store a trace with POST /traces, then submit {"trace":"sha256:…"}`
+
+// handleAnalyze admits one job. Every body, whatever its Content-Type,
+// is an analyzeSpec naming a workload or a stored trace.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	// Cheap admission pre-checks before buffering the body, so overload
-	// rejection doesn't pay the read-and-parse cost; Admit decides.
-	ct := r.Header.Get("Content-Type")
-	jsonish := ct == "" || strings.HasPrefix(ct, "application/json")
 	// Every submission gets a distributed trace ID, minted here or
 	// adopted from the client's X-Perfplay-Trace header, and echoed on
 	// every response, rejections included.
@@ -703,10 +705,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		traceID = telemetry.NewTraceID()
 	}
 	w.Header().Set(telemetry.TraceHeader, traceID)
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	// Cheap admission pre-checks before reading the body; Admit decides.
+	if s.isClosed() {
 		httpError(w, http.StatusServiceUnavailable, clusterapi.CodeShuttingDown, "server shutting down")
 		return
 	}
@@ -715,147 +715,75 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Trace bytes are budgeted from the moment they start buffering
-	// (see reserveInflight): known-length uploads before the body is
-	// read, chunked ones right after.
-	var release func()
-	reserve := func(n int64) bool {
-		release = s.reserveInflight(n)
-		return release != nil
-	}
-	defer func() {
-		if release != nil {
-			release()
-		}
-	}()
-	backlogFull := func() { s.backlogFull(w) }
-	// jsonish bodies might still be workload specs: they reserve only
-	// after sniffing, below.
-	if !jsonish {
-		var ok bool
-		if release, ok = s.admitUpload(w, r); !ok {
-			return
-		}
-	}
-
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxTraceBytes)
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(body); err != nil {
-		httpError(w, http.StatusRequestEntityTooLarge, clusterapi.CodeBodyTooLarge, "request body: %v", err)
+	data, ok := bufferBody(w, r, maxSpecBytes, tracesHint)
+	if !ok {
 		return
 	}
-
-	// A JSON-encoded trace arrives with the same content type as a
-	// workload spec; traces carry an "events" array, specs never do.
-	isTrace := !jsonish
-	if jsonish {
-		var probe struct {
-			Events json.RawMessage `json:"events"`
-		}
-		if json.Unmarshal(buf.Bytes(), &probe) == nil && probe.Events != nil {
-			isTrace = true
-		}
+	// Strict: a field the spec lacks is an error, so a JSON trace — whose
+	// "app" would otherwise read as a workload to re-record — or a
+	// misspelt option is refused, never silently run.
+	var spec analyzeSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	if err == nil && dec.More() {
+		err = errors.New("data after the spec")
 	}
-
+	if err != nil {
+		httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "bad job spec: %v%s", err, tracesHint)
+		return
+	}
 	var req pipeline.Request
-	var uploadBytes int64
-	if isTrace {
-		if release == nil && !reserve(int64(buf.Len())) {
-			backlogFull()
+	switch {
+	case spec.Trace != "":
+		// A stored trace by digest. The blob is not read here: the
+		// TraceLoader defers I/O and parsing to the worker, on a cache
+		// miss only.
+		if !s.requireCorpus(w) {
 			return
 		}
-		tr, err := trace.Decode(buf.Bytes())
+		// Touch, not Stat: a reference counts as use for the LRU even
+		// when the result cache serves the job.
+		meta, err := s.corpus.Touch(spec.Trace)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, clusterapi.CodeInvalidTrace, "%v", err)
+			corpusError(w, err)
 			return
 		}
-		if len(tr.Events) == 0 || tr.NumThreads == 0 {
-			httpError(w, http.StatusBadRequest, clusterapi.CodeInvalidTrace,
-				"empty trace (%d events, %d threads) — did you mean a JSON workload spec?",
-				len(tr.Events), tr.NumThreads)
+		digest := meta.Digest
+		req = pipeline.Request{
+			TraceLoader: func() (*trace.Trace, error) {
+				tr, _, err := s.corpus.Load(digest)
+				return tr, err
+			},
+			TraceDigest: digest,
+			TopK:        spec.Top,
+			Schemes:     spec.Schemes,
+			DetectRaces: spec.Races,
+		}
+	case spec.App != "":
+		if _, ok := workload.Get(spec.App); !ok {
+			httpError(w, http.StatusBadRequest, clusterapi.CodeUnknownWorkload, "unknown workload %q", spec.App)
 			return
 		}
-		uploadBytes = int64(buf.Len())
-		// Options ride as query parameters; the body's content digest
-		// keys the result cache, so identical bytes — uploaded or stored
-		// — hit it.
-		q := r.URL.Query()
-		top, terr := queryInt(q, "top")
-		schemes, serr := queryBool(q, "schemes")
-		races, rerr := queryBool(q, "races")
-		if err := cmp.Or(terr, serr, rerr); err != nil {
+		input, err := workload.ParseInputSize(spec.Input)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "%v", err)
 			return
 		}
 		req = pipeline.Request{
-			Trace:       tr,
-			TraceDigest: corpus.Digest(buf.Bytes()),
-			TopK:        top,
-			Schemes:     schemes,
-			DetectRaces: races,
+			App: spec.App, Threads: spec.Threads, Input: input,
+			Scale: spec.Scale, Seed: spec.Seed, TopK: spec.Top,
+			Schemes: spec.Schemes, DetectRaces: spec.Races,
 		}
-	} else {
-		var spec analyzeSpec
-		if err := json.Unmarshal(buf.Bytes(), &spec); err != nil {
-			httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "bad request body: %v", err)
-			return
-		}
-		if spec.Trace != "" {
-			// A stored trace by digest. The blob is not read here: the
-			// TraceLoader defers I/O and parsing to the worker, on a cache
-			// miss only, so digest jobs draw nothing from the upload budget.
-			if !s.requireCorpus(w) {
-				return
-			}
-			// Touch, not Stat: a reference counts as use for the LRU even
-			// when the result cache serves the job.
-			meta, err := s.corpus.Touch(spec.Trace)
-			if err != nil {
-				corpusError(w, err)
-				return
-			}
-			digest := meta.Digest
-			req = pipeline.Request{
-				TraceLoader: func() (*trace.Trace, error) {
-					tr, _, err := s.corpus.Load(digest)
-					return tr, err
-				},
-				TraceDigest: digest,
-				TopK:        spec.Top,
-				Schemes:     spec.Schemes,
-				DetectRaces: spec.Races,
-			}
-		} else {
-			if _, ok := workload.Get(spec.App); !ok {
-				httpError(w, http.StatusBadRequest, clusterapi.CodeUnknownWorkload, "unknown workload %q", spec.App)
-				return
-			}
-			input, err := workload.ParseInputSize(spec.Input)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "%v", err)
-				return
-			}
-			req = pipeline.Request{
-				App: spec.App, Threads: spec.Threads, Input: input,
-				Scale: spec.Scale, Seed: spec.Seed, TopK: spec.Top,
-				Schemes: spec.Schemes, DetectRaces: spec.Races,
-			}
-		}
+	default:
+		httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest,
+			`job spec names neither "app" nor "trace"%s`, tracesHint)
+		return
 	}
 
-	// The bytes move to queuedTraceBytes (released when a worker picks
-	// the job up) before the deferred handler releases the reservation.
-	s.mu.Lock()
-	closed = s.closed
-	s.queuedTraceBytes += uploadBytes
-	s.mu.Unlock()
-	j := newJob(req, traceID, uploadBytes)
-	if closed || !s.node.Admit(j) {
-		s.mu.Lock()
-		s.queuedTraceBytes -= uploadBytes
-		closed = s.closed
-		s.mu.Unlock()
-		if closed {
+	j := newJob(req, traceID)
+	if !s.node.Admit(j) {
+		if s.isClosed() {
 			httpError(w, http.StatusServiceUnavailable, clusterapi.CodeShuttingDown, "server shutting down")
 		} else {
 			s.rejectQueueFull(w, traceID)
@@ -866,6 +794,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]string{
 		"id": j.ID, "status": statusQueued, "trace_id": traceID,
 	})
+}
+
+// isClosed reports whether Close has begun.
+func (s *Server) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
 }
 
 // maxJobWait caps GET /jobs/{id}?wait= long-polls so a daemon never
@@ -962,7 +897,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	counts := map[string]int{}
 	s.node.Each(func(j *jobs.Job) { counts[j.Status]++ })
 	s.mu.Lock()
-	queuedBytes := s.queuedTraceBytes
 	stealer := s.stealer
 	s.mu.Unlock()
 	var corpusTraces int
@@ -995,22 +929,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		jnl["recovered"] = s.recovered
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":                 true,
-		"jobs":               counts,
-		"queue_depth":        s.cfg.QueueDepth,
-		"queue_len":          s.node.QueueLen(),
-		"queued_trace_bytes": queuedBytes,
-		"running":            s.node.Running(),
-		"cached":             s.pl.CacheLen(),
-		"cached_tables":      s.pl.TableCacheLen(),
-		"cache":              cache,
-		"workers":            s.cfg.Workers,
-		"corpus_enabled":     s.corpus != nil,
-		"corpus_traces":      corpusTraces,
-		"corpus_bytes":       corpusBytes,
-		"peers":              len(s.cfg.Peers),
-		"steal":              steal,
-		"journal":            jnl,
+		"ok":             true,
+		"jobs":           counts,
+		"queue_depth":    s.cfg.QueueDepth,
+		"queue_len":      s.node.QueueLen(),
+		"running":        s.node.Running(),
+		"cached":         s.pl.CacheLen(),
+		"cached_tables":  s.pl.TableCacheLen(),
+		"cache":          cache,
+		"workers":        s.cfg.Workers,
+		"corpus_enabled": s.corpus != nil,
+		"corpus_traces":  corpusTraces,
+		"corpus_bytes":   corpusBytes,
+		"peers":          len(s.cfg.Peers),
+		"steal":          steal,
+		"journal":        jnl,
 	})
 }
 
@@ -1034,8 +967,8 @@ func httpError(w http.ResponseWriter, status int, code clusterapi.ErrorCode, for
 	writeJSON(w, status, clusterapi.Envelope{Err: *clusterapi.NewError(code, format, args...)})
 }
 
-// queryInt and queryBool read one optional query parameter: absent is
-// the zero value, malformed an error naming the parameter.
+// queryInt reads one optional integer query parameter: absent is 0,
+// malformed an error naming the parameter.
 func queryInt(q url.Values, name string) (int, error) {
 	v := q.Get(name)
 	if v == "" {
@@ -1046,16 +979,4 @@ func queryInt(q url.Values, name string) (int, error) {
 		return 0, fmt.Errorf("bad %s %q: want an integer", name, v)
 	}
 	return n, nil
-}
-
-func queryBool(q url.Values, name string) (bool, error) {
-	v := q.Get(name)
-	if v == "" {
-		return false, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("bad %s %q: want true or false", name, v)
-	}
-	return b, nil
 }

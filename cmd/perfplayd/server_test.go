@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -180,6 +182,20 @@ func TestAnalyzeWorkloadSpec(t *testing.T) {
 	}
 }
 
+// storeTrace uploads a trace body through POST /traces and returns its
+// digest.
+func storeTrace(t *testing.T, base string, body []byte) string {
+	t.Helper()
+	resp, err := http.Post(base+"/traces", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /traces: status %d", resp.StatusCode)
+	}
+	return decode[map[string]any](t, resp)["trace"].(map[string]any)["digest"].(string)
+}
+
 func TestAnalyzeTraceUpload(t *testing.T) {
 	_, ts := testServer(t, Config{})
 
@@ -190,18 +206,8 @@ func TestAnalyzeTraceUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Post(ts.URL+"/analyze?schemes=true", "application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	sub := decode[map[string]string](t, resp)
-	j := waitDone(t, ts.URL, sub["id"])
-	if j["status"] != statusDone {
-		t.Fatalf("upload job failed: %v", j["error"])
-	}
+	digest := storeTrace(t, ts.URL, buf.Bytes())
+	j := runJob(t, ts.URL, fmt.Sprintf(`{"trace":%q,"schemes":true}`, digest))
 	report, _ := j["report"].(string)
 	if !strings.Contains(report, "pbzip2") {
 		t.Fatalf("report = %q", report)
@@ -214,40 +220,47 @@ func TestAnalyzeTraceUpload(t *testing.T) {
 	}
 }
 
-// TestAnalyzeJSONTraceUpload: a JSON-encoded trace posted with
-// Content-Type: application/json must be recognized as a trace (it
-// carries an "events" array), not misparsed as a workload spec that
-// would silently re-record a fresh run.
+// TestAnalyzeJSONTraceUpload: a JSON-encoded trace stored through POST
+// /traces and analyzed by digest reports the trace's own critical
+// sections; the same bytes posted to /analyze are not a job spec and get
+// a 400 that points to /traces, never a re-recorded run.
 func TestAnalyzeJSONTraceUpload(t *testing.T) {
 	_, ts := testServer(t, Config{})
 
+	// Small enough to fit under maxSpecBytes, so the refusal below is
+	// the spec check, not the body cap.
 	app := workload.MustGet("pbzip2")
-	rec := sim.Run(app.Build(workload.Config{Threads: 2, Scale: 0.2, Seed: 3}), sim.Config{Seed: 3})
+	rec := sim.Run(app.Build(workload.Config{Threads: 2, Scale: 0.01, Seed: 3}), sim.Config{Seed: 3})
 	var buf bytes.Buffer
 	if err := rec.Trace.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if buf.Len() > maxSpecBytes {
+		t.Fatalf("JSON trace is %d bytes, over the %d-byte spec cap", buf.Len(), maxSpecBytes)
+	}
 
-	resp := postJSON(t, ts.URL+"/analyze", buf.String())
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	sub := decode[map[string]string](t, resp)
-	j := waitDone(t, ts.URL, sub["id"])
-	if j["status"] != statusDone {
-		t.Fatalf("json trace job failed: %v", j["error"])
-	}
-	// An analyzed upload reports the trace's own event count; a
-	// misrouted spec job would have re-recorded and shown a seed field.
-	if got := j["critical_sections"].(float64); int(got) != len(rec.Trace.ExtractCS()) {
-		t.Fatalf("critical_sections = %v, want %d (trace was re-recorded, not analyzed?)",
-			got, len(rec.Trace.ExtractCS()))
-	}
+	t.Run("stored and analyzed by digest", func(t *testing.T) {
+		j := runJob(t, ts.URL, digestSpec(storeTrace(t, ts.URL, buf.Bytes())))
+		// An analyzed trace reports its own critical sections; a
+		// misrouted spec job would have re-recorded a fresh run.
+		if got := j["critical_sections"].(float64); int(got) != len(rec.Trace.ExtractCS()) {
+			t.Fatalf("critical_sections = %v, want %d (trace was re-recorded, not analyzed?)",
+				got, len(rec.Trace.ExtractCS()))
+		}
+	})
+	t.Run("posted to analyze", func(t *testing.T) {
+		resp := postJSON(t, ts.URL+"/analyze", buf.String())
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", resp.StatusCode)
+		}
+		if e := apiError(t, resp); e.Code != clusterapi.CodeBadRequest || !strings.Contains(e.Message, "POST /traces") {
+			t.Fatalf("error = %+v, want code %q naming POST /traces", e, clusterapi.CodeBadRequest)
+		}
+	})
 }
 
-// TestAnalyzeSpecWrongContentType: a spec body sent without the JSON
-// content type (curl -d default) decodes as a zero-event trace and must
-// be rejected loudly, not analyzed into an all-zero report.
+// TestAnalyzeSpecWrongContentType: POST /analyze ignores Content-Type,
+// so a spec sent as curl -d's default form encoding runs like any other.
 func TestAnalyzeSpecWrongContentType(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, err := http.Post(ts.URL+"/analyze", "application/x-www-form-urlencoded",
@@ -255,12 +268,12 @@ func TestAnalyzeSpecWrongContentType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusAccepted {
+		resp.Body.Close()
+		t.Fatalf("status %d, want 202", resp.StatusCode)
 	}
-	if e := apiError(t, resp); e.Code != clusterapi.CodeInvalidTrace || !strings.Contains(e.Message, "empty trace") {
-		t.Fatalf("error = %+v, want code %q mentioning an empty trace", e, clusterapi.CodeInvalidTrace)
+	if j := waitDone(t, ts.URL, decode[map[string]string](t, resp)["id"]); j["status"] != statusDone {
+		t.Fatalf("job ended %v (%v), want done", j["status"], j["error"])
 	}
 }
 
@@ -345,36 +358,19 @@ func TestAnalyzeRejectsBadInput(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(ts.URL+"/analyze", "application/octet-stream",
-		strings.NewReader("definitely not a trace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage trace: status %d", resp.StatusCode)
-	}
-
-	// Options on a trace upload ride in the query: a malformed one is a
-	// 400 naming the parameter; every spelling ParseBool takes is honoured.
-	payload := recordedPayload(t, 3)
-	upload := func(query string) *http.Response {
-		resp, err := http.Post(ts.URL+"/analyze?"+query, "application/octet-stream", bytes.NewReader(payload))
+	// A body that is not JSON, a spec naming neither app nor trace, and
+	// one with a field the spec lacks are bad requests pointing to POST
+	// /traces.
+	for _, body := range []string{"definitely not a trace", `{}`, `{"app":"mysql","schems":true}`} {
+		resp, err := http.Post(ts.URL+"/analyze", "application/octet-stream", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
-	}
-	for query, param := range map[string]string{"top=abc": "top", "schemes=yes": "schemes", "top=3&races=on": "races"} {
-		resp := upload(query)
 		if e := apiError(t, resp); resp.StatusCode != http.StatusBadRequest ||
-			e.Code != clusterapi.CodeBadRequest || !strings.Contains(e.Message, "bad "+param+" ") {
-			t.Fatalf("?%s: status %d, error %+v: want a 400 naming %q", query, resp.StatusCode, e, param)
+			e.Code != clusterapi.CodeBadRequest || !strings.Contains(e.Message, "POST /traces") {
+			t.Fatalf("body %q: status %d, error %+v: want a 400 %q naming POST /traces",
+				body, resp.StatusCode, e, clusterapi.CodeBadRequest)
 		}
-	}
-	j := waitDone(t, ts.URL, decode[map[string]string](t, upload("schemes=1&races=True"))["id"])
-	if report, _ := j["report"].(string); !strings.Contains(report, "scheme replays") {
-		t.Fatalf("?schemes=1 was accepted and ignored: %v", j)
 	}
 }
 
@@ -415,42 +411,61 @@ func TestQueueBounded(t *testing.T) {
 	}
 }
 
-func TestQueuedTraceBytesBounded(t *testing.T) {
-	// No Start(): uploads accumulate in the queue, so the aggregate
-	// byte budget — not just the job count — must push back.
-	app := workload.MustGet("pbzip2")
-	rec := sim.Run(app.Build(workload.Config{Threads: 2, Scale: 0.2, Seed: 3}), sim.Config{Seed: 3})
-	var buf bytes.Buffer
-	if err := rec.Trace.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	payload := buf.Bytes()
+// TestUploadBufferBounded: POST /traces bodies being buffered share one
+// byte budget, so a full budget pushes back with 503 trace_backlog_full
+// and admits the upload once the bytes are released.
+func TestUploadBufferBounded(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	payload := recordedPayload(t, 3)
 
-	s, err := NewServer(Config{Policy: jobs.Policy{QueueDepth: 16}, MaxQueuedTraceBytes: int64(len(payload)) + 1, CorpusDir: t.TempDir()})
+	release := s.reserveInflight(maxInflightUploadBytes)
+	if release == nil {
+		t.Fatal("an empty budget refused a full reservation")
+	}
+	full, err := http.Post(ts.URL+"/traces", "application/octet-stream", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	first, err := http.Post(ts.URL+"/analyze", "application/octet-stream", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
+	if full.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("upload into a full budget: status %d, want 503", full.StatusCode)
 	}
-	first.Body.Close()
-	if first.StatusCode != http.StatusAccepted {
-		t.Fatalf("first upload: status %d", first.StatusCode)
-	}
-	second, err := http.Post(ts.URL+"/analyze", "application/octet-stream", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Body.Close()
-	if second.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("second upload: status %d, want 503", second.StatusCode)
-	}
-	if e := apiError(t, second); e.Code != clusterapi.CodeTraceBacklogFull {
+	if e := apiError(t, full); e.Code != clusterapi.CodeTraceBacklogFull {
 		t.Fatalf("error = %+v, want code %q", e, clusterapi.CodeTraceBacklogFull)
+	}
+	release()
+	freed, err := http.Post(ts.URL+"/traces", "application/octet-stream", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed.Body.Close()
+	if freed.StatusCode != http.StatusCreated {
+		t.Fatalf("upload after release: status %d, want 201", freed.StatusCode)
+	}
+}
+
+// TestTruncatedBodyIsBadRequest: a body that ends before its declared
+// Content-Length is a malformed request (400), not an oversized one;
+// only a body over the route's cap is 413.
+func TestTruncatedBodyIsBadRequest(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, path := range []string{"/traces", "/analyze"} {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: perfplayd\r\nContent-Length: 100\r\n\r\n0123456789", path)
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := apiError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != clusterapi.CodeBadRequest {
+			t.Errorf("POST %s with a truncated body: status %d, error %+v, want 400 %q",
+				path, resp.StatusCode, e, clusterapi.CodeBadRequest)
+		}
+		conn.Close()
 	}
 }
 
@@ -713,18 +728,6 @@ func TestAnalyzeByDigest(t *testing.T) {
 		t.Fatal("cached digest report differs")
 	}
 
-	// A direct upload of the identical bytes shares the same cache
-	// entry — content addressing, not transport, keys the cache.
-	resp2, err := http.Post(ts.URL+"/analyze?schemes=true", "application/octet-stream", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub = decode[map[string]string](t, resp2)
-	j3 := waitDone(t, ts.URL, sub["id"])
-	if j3["cache_hit"] != true {
-		t.Fatal("identical direct upload missed the digest-keyed cache")
-	}
-
 	if n := s.pl.CacheLen(); n != 1 {
 		t.Fatalf("pipeline cache holds %d entries, want 1", n)
 	}
@@ -788,7 +791,6 @@ func TestNewServerRefusesNegativeConfig(t *testing.T) {
 		{"CacheSize", func(c *Config) { c.CacheSize = -1 }},
 		{"MaxJobs", func(c *Config) { c.MaxJobs = -1 }},
 		{"MaxTraceBytes", func(c *Config) { c.MaxTraceBytes = -1 }},
-		{"MaxQueuedTraceBytes", func(c *Config) { c.MaxQueuedTraceBytes = -1 }},
 		{"CorpusMaxBytes", func(c *Config) { c.CorpusMaxBytes = -1 }},
 		{"Lease", func(c *Config) { c.Lease = -time.Second }},
 		{"ProbeTimeout", func(c *Config) { c.ProbeTimeout = -time.Millisecond }},

@@ -28,12 +28,11 @@ import (
 // A claim carries only the trace's digest; the thief fetches the blob
 // (GET /traces/{digest}, hash-verified) when its own corpus misses it.
 
-// specFor derives the wire-stealable description of a request. Uploaded
-// traces held only in this process's memory yield a zero (unstealable)
-// spec; workload specs and corpus-backed digest jobs ship whole.
+// specFor derives a request's wire description: a workload spec, or a
+// digest the victim's corpus serves to the thief. Every job has one, so
+// every job is stealable.
 func specFor(req pipeline.Request) clusterapi.Spec {
-	switch {
-	case req.App != "":
+	if req.App != "" {
 		return clusterapi.Spec{
 			App:     req.App,
 			Threads: req.Threads,
@@ -44,17 +43,12 @@ func specFor(req pipeline.Request) clusterapi.Spec {
 			Schemes: req.Schemes,
 			Races:   req.DetectRaces,
 		}
-	case req.TraceDigest != "" && req.TraceLoader != nil:
-		// Only corpus-backed jobs are stealable by digest: the victim
-		// must be able to serve the blob to the thief.
-		return clusterapi.Spec{
-			TraceDigest: req.TraceDigest,
-			TopK:        req.TopK,
-			Schemes:     req.Schemes,
-			Races:       req.DetectRaces,
-		}
-	default:
-		return clusterapi.Spec{}
+	}
+	return clusterapi.Spec{
+		TraceDigest: req.TraceDigest,
+		TopK:        req.TopK,
+		Schemes:     req.Schemes,
+		Races:       req.DetectRaces,
 	}
 }
 
@@ -64,8 +58,10 @@ func specFor(req pipeline.Request) clusterapi.Spec {
 var errStolenTraceUnavailable = errors.New("stolen trace unavailable")
 
 // requestFor is specFor's inverse, on a thief or at boot recovery. A
-// digest resolves from the local corpus, else by an eager hash-verified
-// fetch from the victim, so an unfetchable blob aborts the steal before
+// digest resolves from the local corpus; a thief that misses it fetches
+// the blob from the victim (hash-verified) and stores it there first, so
+// a trace enters a node only through its corpus and the next steal of
+// it is free. An unfetchable or unstorable blob aborts the steal before
 // anything is reported. With no victim (recovery) a trace the corpus
 // cannot produce is an error, never a fetch.
 func (s *Server) requestFor(victim string, spec clusterapi.Spec, tc spanCtx) (pipeline.Request, error) {
@@ -86,41 +82,36 @@ func (s *Server) requestFor(victim string, spec clusterapi.Spec, tc spanCtx) (pi
 		return req, nil
 	}
 	digest := spec.TraceDigest
-	req.TraceDigest = digest
-	if s.corpus != nil {
-		// Touch, not Stat: a reference counts as use for the LRU.
-		if _, err := s.corpus.Touch(digest); err == nil {
-			req.TraceLoader = func() (*trace.Trace, error) {
-				tr, _, err := s.corpus.Load(digest)
-				if err != nil {
-					return nil, fmt.Errorf("%w: %v", errStolenTraceUnavailable, err)
-				}
-				return tr, nil
-			}
-			return req, nil
-		} else if victim == "" || !errors.Is(err, corpus.ErrNotFound) {
-			return pipeline.Request{}, fmt.Errorf("%w: %v", errStolenTraceUnavailable, err)
+	if s.corpus == nil {
+		return pipeline.Request{}, fmt.Errorf("%w: it references stored trace %s but the corpus is disabled",
+			errStolenTraceUnavailable, digest)
+	}
+	// Touch, not Stat: a reference counts as use for the LRU.
+	_, err := s.corpus.Touch(digest)
+	if errors.Is(err, corpus.ErrNotFound) && victim != "" {
+		// A blob this node's own corpus could not hold is not worth buffering.
+		fetchStart := time.Now()
+		var data []byte
+		data, err = s.peerClient.WithTrace(tc.trace, tc.parent).FetchTrace(victim, digest, s.cfg.CorpusMaxBytes)
+		s.span(tc, "blob_fetch", fetchStart, time.Now(),
+			map[string]string{"victim": victim, "digest": digest, "outcome": probeOutcome(err == nil)})
+		if err != nil {
+			err = fmt.Errorf("fetch from %s: %v", victim, err)
+		} else {
+			_, _, err = s.corpus.Put(data, false)
 		}
 	}
-	if victim == "" {
-		return pipeline.Request{}, fmt.Errorf("it references stored trace %s but the corpus is disabled", digest)
-	}
-	// A blob this node's own corpus could not hold is not worth buffering.
-	fetchStart := time.Now()
-	data, err := s.peerClient.WithTrace(tc.trace, tc.parent).FetchTrace(victim, digest, s.cfg.CorpusMaxBytes)
-	s.span(tc, "blob_fetch", fetchStart, time.Now(),
-		map[string]string{"victim": victim, "digest": digest, "outcome": probeOutcome(err == nil)})
 	if err != nil {
-		return pipeline.Request{}, fmt.Errorf("%w: fetch from %s: %v", errStolenTraceUnavailable, victim, err)
+		return pipeline.Request{}, fmt.Errorf("%w: %v", errStolenTraceUnavailable, err)
 	}
-	if s.corpus != nil {
-		// Best-effort local cache: the next steal of this trace is free.
-		if _, _, err := s.corpus.Put(data, false); err != nil {
-			s.logger.Warn("could not cache stolen trace locally",
-				"digest", digest, "victim", victim, "err", err)
+	req.TraceDigest = digest
+	req.TraceLoader = func() (*trace.Trace, error) {
+		tr, _, err := s.corpus.Load(digest)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", errStolenTraceUnavailable, err)
 		}
+		return tr, nil
 	}
-	req.TraceLoader = func() (*trace.Trace, error) { return trace.Decode(data) }
 	return req, nil
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -233,7 +232,7 @@ func TestVictimCrashMidSteal(t *testing.T) {
 }
 
 // TestClaimEndpointEdges pins the protocol's edges: empty queue → 204,
-// malformed body → 400, an unstealable (in-memory upload) job is never
+// malformed body → 400, a job with an empty (unstealable) spec is never
 // offered, and a result for an unclaimed job → 409.
 func TestClaimEndpointEdges(t *testing.T) {
 	srv, ts := saturatedVictim(t, Config{})
@@ -250,22 +249,18 @@ func TestClaimEndpointEdges(t *testing.T) {
 		t.Fatalf("malformed claim: status %d, want 400", resp.StatusCode)
 	}
 
-	// A raw trace upload lives only in victim memory: not stealable.
-	up, err := http.Post(ts.URL+"/analyze", "application/octet-stream", bytes.NewReader(recordedPayload(t, 5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	up.Body.Close()
-	if up.StatusCode != http.StatusAccepted {
-		t.Fatalf("upload submit: status %d", up.StatusCode)
+	// No route admits a job a peer could not reproduce; the node still
+	// refuses to offer one.
+	if !srv.node.Admit(newJob(pipeline.Request{}, "")) {
+		t.Fatal("admit refused")
 	}
 	if n := srv.node.Status(nil).Stealable; n != 0 {
-		t.Fatalf("%d upload jobs advertised as stealable", n)
+		t.Fatalf("%d empty-spec jobs advertised as stealable", n)
 	}
 	resp = postJSON(t, ts.URL+"/jobs/claim", `{"thief":"http://x"}`)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("claim with only an upload queued: status %d, want 204", resp.StatusCode)
+		t.Fatalf("claim with only an empty-spec job queued: status %d, want 204", resp.StatusCode)
 	}
 
 	resp = postJSON(t, ts.URL+"/jobs/job-999/result", `{"thief":"x","summary":{}}`)

@@ -19,8 +19,9 @@ const (
 	// CodeUnknownWorkload rejects an analyze request naming an app the
 	// node has no recorder for.
 	CodeUnknownWorkload ErrorCode = "unknown_workload"
-	// CodeInvalidTrace rejects an uploaded or referenced trace that
-	// fails to parse or sniff as any supported format.
+	// CodeInvalidTrace rejects a POST /traces body that fails to parse
+	// as any supported format or holds no events, and a malformed
+	// digest.
 	CodeInvalidTrace ErrorCode = "invalid_trace"
 	// CodeBodyTooLarge rejects a request body over the route's byte
 	// bound.
@@ -29,8 +30,8 @@ const (
 	// capacity. The response may carry a Retry-Peer header naming an
 	// idler node.
 	CodeQueueFull ErrorCode = "queue_full"
-	// CodeTraceBacklogFull means admission failed on the queued-trace
-	// byte budget rather than the job count.
+	// CodeTraceBacklogFull means the POST /traces bodies being buffered
+	// are at their byte capacity.
 	CodeTraceBacklogFull ErrorCode = "trace_backlog_full"
 	// CodeJobNotFound means the job ID is unknown to this node.
 	CodeJobNotFound ErrorCode = "job_not_found"
@@ -47,9 +48,6 @@ const (
 	// CodeCorpusFull means the corpus byte budget cannot admit the
 	// blob even after eviction.
 	CodeCorpusFull ErrorCode = "corpus_full"
-	// CodeDigestMismatch means a pushed blob hashed to a different
-	// digest than its URL claimed.
-	CodeDigestMismatch ErrorCode = "digest_mismatch"
 	// CodeLeaseExpired rejects a stolen-job result reported after the
 	// victim's lease ran out (the job was re-enqueued; the late result
 	// is discarded).

@@ -20,8 +20,9 @@ import (
 // stored in the victim's corpus (the thief fetches the blob by digest
 // when its own corpus misses it, verifying the hash on arrival).
 //
-// Jobs whose input is neither — an uploaded trace held only in victim
-// memory — have a zero Spec and are not stealable.
+// A zero Spec names no input and is not stealable. perfplayd admits
+// none; a journal an older binary wrote holds one per raw trace upload,
+// whose trace lived only in that process's memory.
 type Spec struct {
 	// App names a registered workload (mutually exclusive with
 	// TraceDigest).
@@ -44,8 +45,7 @@ type Spec struct {
 }
 
 // Stealable reports whether the spec describes a job a peer could
-// reproduce — i.e. whether its input is content-addressed rather than
-// held in the owner's memory.
+// reproduce — i.e. whether it names a workload or a stored trace.
 func (s Spec) Stealable() bool { return s.App != "" || s.TraceDigest != "" }
 
 // StolenJob is what a successful claim hands the thief: the victim's
