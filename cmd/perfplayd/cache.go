@@ -25,9 +25,9 @@ import (
 // lab's sweep results (docs/POLICIES.md) speak for this daemon.
 
 // cacheStats counts this node's cluster-cache and admission traffic in
-// the metrics registry, so /healthz and /metrics render the same series:
-// probes issued and answered (tables: adopted), artifacts exported to
-// probing peers, and queue-full 503s that carried a Retry-Peer.
+// the metrics registry: probes issued and answered (tables: adopted),
+// artifacts exported to probing peers, and queue-full 503s that carried
+// a Retry-Peer.
 type cacheStats struct {
 	probes, remoteHits          *telemetry.Counter
 	tableProbes, tableImports   *telemetry.Counter
@@ -51,18 +51,6 @@ func newCacheStats(reg *telemetry.Registry) cacheStats {
 		servedTables:  served.With("table"),
 		admissionRedirects: reg.NewCounter("perfplay_admission_redirects_total",
 			"Queue-full 503s that carried a Retry-Peer redirect."),
-	}
-}
-
-func (c *cacheStats) snapshot() map[string]int64 {
-	return map[string]int64{
-		"probes":              c.probes.Int(),
-		"remote_hits":         c.remoteHits.Int(),
-		"table_probes":        c.tableProbes.Int(),
-		"table_imports":       c.tableImports.Int(),
-		"served_results":      c.servedResults.Int(),
-		"served_tables":       c.servedTables.Int(),
-		"admission_redirects": c.admissionRedirects.Int(),
 	}
 }
 

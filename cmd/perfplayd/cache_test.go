@@ -74,8 +74,11 @@ func TestPeerCacheHitOnColdNode(t *testing.T) {
 	if n := coldSrv.pl.CacheLen(); n != 0 {
 		t.Fatalf("cold node cached %d local results, want 0 (no local run)", n)
 	}
-	if st := coldSrv.pl.Stats(); st != (pipeline.CacheStats{}) {
-		t.Fatalf("cold node's pipeline ran: stats %+v", st)
+	coldMetrics := scrape(t, cold.URL)
+	for series, n := range coldMetrics {
+		if strings.HasPrefix(series, "perfplay_pipeline_cache_requests_total{") && n != 0 {
+			t.Fatalf("cold node's pipeline ran: %s = %v", series, n)
+		}
 	}
 	if got := coldSrv.cacheStats.remoteHits.Int(); got != 1 {
 		t.Fatalf("remote hits = %d, want 1", got)
@@ -84,11 +87,12 @@ func TestPeerCacheHitOnColdNode(t *testing.T) {
 		t.Fatalf("warm node served %d results, want 1", got)
 	}
 
-	// The healthz cache section surfaces the exchange on both sides.
-	h := decode[map[string]any](t, mustGet(t, cold.URL+"/healthz"))
-	cluster, _ := h["cache"].(map[string]any)["cluster"].(map[string]any)
-	if cluster["remote_hits"] != float64(1) {
-		t.Fatalf("cold healthz cluster cache stats = %v", cluster)
+	// /metrics surfaces the exchange on both sides.
+	if got := coldMetrics[`perfplay_cluster_cache_hits_total{kind="result"}`]; got != 1 {
+		t.Fatalf("cold node's perfplay_cluster_cache_hits_total{kind=\"result\"} = %v, want 1", got)
+	}
+	if got := scrape(t, warm.URL)[`perfplay_cluster_cache_served_total{kind="result"}`]; got != 1 {
+		t.Fatalf("warm node's perfplay_cluster_cache_served_total{kind=\"result\"} = %v, want 1", got)
 	}
 }
 
@@ -127,8 +131,8 @@ func TestPeerTableImport(t *testing.T) {
 	if got := coldSrv.cacheStats.tableImports.Int(); got != 1 {
 		t.Fatalf("table imports = %d, want 1", got)
 	}
-	if st := coldSrv.pl.Stats(); st.TableHits != 1 {
-		t.Fatalf("cold node rebuilt the table: stats %+v", st)
+	if got := scrape(t, cold.URL)[`perfplay_pipeline_cache_requests_total{cache="table",outcome="hit"}`]; got != 1 {
+		t.Fatalf("cold node rebuilt the table: %v table hits, want 1", got)
 	}
 	if got := warmSrv.cacheStats.servedTables.Int(); got != 1 {
 		t.Fatalf("warm node served %d tables, want 1", got)
@@ -212,7 +216,7 @@ func TestAdmissionRedirectLandsOnIdlestPeer(t *testing.T) {
 
 	// The submitted node: full, with the full peer listed FIRST — the
 	// redirect must still pick the idle one.
-	subSrv, subTS := saturatedVictim(t, Config{Policy: jobs.Policy{QueueDepth: 1}, Peers: []string{fullPeerTS.URL, idlePeerTS.URL}})
+	_, subTS := saturatedVictim(t, Config{Policy: jobs.Policy{QueueDepth: 1}, Peers: []string{fullPeerTS.URL, idlePeerTS.URL}})
 	first := postJSON(t, subTS.URL+"/analyze", goldenSpecs[0].spec)
 	first.Body.Close()
 	if first.StatusCode != http.StatusAccepted {
@@ -227,8 +231,8 @@ func TestAdmissionRedirectLandsOnIdlestPeer(t *testing.T) {
 	if accepted != idlePeerTS.URL {
 		t.Fatalf("job accepted at %s, want the idle peer %s", accepted, idlePeerTS.URL)
 	}
-	if got := subSrv.cacheStats.admissionRedirects.Int(); got != 1 {
-		t.Fatalf("admission redirects = %d, want 1", got)
+	if got := scrape(t, subTS.URL)["perfplay_admission_redirects_total"]; got != 1 {
+		t.Fatalf("perfplay_admission_redirects_total = %v, want 1", got)
 	}
 	j := waitDone(t, accepted, id)
 	if j["status"] != statusDone {

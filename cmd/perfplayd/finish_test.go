@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,15 +16,19 @@ import (
 	"perfplay/internal/jobs"
 )
 
-// completedCounts scrapes perfplay_jobs_completed_total by status.
-func completedCounts(t *testing.T, base string) map[string]float64 {
+// scrape reads GET /metrics into one value per series, keyed as the
+// series is rendered (`perfplay_jobs_completed_total{status="done"}`).
+// A series not yet recorded reads 0.
+func scrape(t *testing.T, base string) map[string]float64 {
 	t.Helper()
 	out := map[string]float64{}
 	for _, line := range strings.Split(readBody(t, mustGet(t, base+"/metrics")), "\n") {
-		var status string
-		var n float64
-		if _, err := fmt.Sscanf(line, `perfplay_jobs_completed_total{status=%q} %g`, &status, &n); err == nil {
-			out[status] = n
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if n, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+			out[line[:i]] = n
 		}
 	}
 	return out
@@ -31,9 +36,12 @@ func completedCounts(t *testing.T, base string) map[string]float64 {
 
 // TestEveryTerminalPathCountsAndRootsTheJob: however a job ends — a
 // local run, a thief's report, a lease that expires into a closed
-// queue, a loss at boot — the completed counter agrees with /healthz
-// and the job's trace has exactly one root span. The last two paths
-// used to set the status by hand and skipped both.
+// queue, a loss at boot — it passes through jobs.Node.finish, so the
+// completed counter counts it and the job's trace has exactly one root
+// span. The last two paths used to set the status by hand and skipped
+// both. No job is evicted here, so the counter also equals /healthz's
+// retained jobs by status; past MaxJobs the counter keeps counting the
+// evicted ones.
 func TestEveryTerminalPathCountsAndRootsTheJob(t *testing.T) {
 	// claimed submits one job to a node whose workers never start and
 	// has a thief claim it.
@@ -117,15 +125,18 @@ func TestEveryTerminalPathCountsAndRootsTheJob(t *testing.T) {
 				t.Fatalf("job ended %v (%v), want %s", j["status"], j["error"], tc.status)
 			}
 			health, _ := decode[map[string]any](t, mustGet(t, base+"/healthz"))["jobs"].(map[string]any)
-			counted := completedCounts(t, base)
+			metrics := scrape(t, base)
+			counted := func(status string) float64 {
+				return metrics[fmt.Sprintf("perfplay_jobs_completed_total{status=%q}", status)]
+			}
 			for _, status := range []string{statusDone, statusFailed} {
 				have, _ := health[status].(float64)
-				if counted[status] != have {
-					t.Errorf("perfplay_jobs_completed_total{status=%q} = %v, /healthz counts %v", status, counted[status], have)
+				if counted(status) != have {
+					t.Errorf("perfplay_jobs_completed_total{status=%q} = %v, /healthz counts %v", status, counted(status), have)
 				}
 			}
-			if counted[tc.status] != 1 {
-				t.Errorf("completed{%s} = %v, want 1", tc.status, counted[tc.status])
+			if counted(tc.status) != 1 {
+				t.Errorf("completed{%s} = %v, want 1", tc.status, counted(tc.status))
 			}
 			roots := getTrace(t, base, id).byName("job")
 			if len(roots) != 1 || roots[0].Attrs["status"] != tc.status {

@@ -33,14 +33,6 @@ const (
 	jmetaDigest    = "trace_digest"
 )
 
-// recoveredStats counts one boot's journal recovery, for /healthz: jobs
-// requeued, released from a lease, and lost (failed).
-type recoveredStats struct {
-	Requeued int `json:"requeued"`
-	Released int `json:"released"`
-	Lost     int `json:"lost"`
-}
-
 // Transition implements jobs.TransitionLog for the job node.
 // Append errors are logged, not propagated: a full disk degrades
 // durability, not admission.
@@ -77,9 +69,6 @@ func (s *Server) openJournal(cfg Config) error {
 		return err
 	}
 	s.journal = jr
-	s.jrecovered = s.metrics.NewCounterVec("perfplay_journal_recovered_jobs_total",
-		"Jobs recovered from the journal at boot, by outcome (requeued, released, lost).",
-		"outcome")
 	live := jr.Live()
 	if st := jr.Stats(); st.TruncatedTail {
 		s.logger.Warn("journal had a torn final record (crash mid-append); tail truncated",
@@ -88,6 +77,7 @@ func (s *Server) openJournal(cfg Config) error {
 	// Recovered jobs re-admit through the node, which journals them
 	// again, so the journal's view stays identical to the node's.
 	var queued, claimed []*jobs.Job
+	lost := 0
 	for _, lj := range live {
 		var spec clusterapi.Spec
 		if len(lj.Spec) > 0 {
@@ -101,11 +91,13 @@ func (s *Server) openJournal(cfg Config) error {
 		// its trace lived only in that process's memory.
 		if !spec.Stealable() {
 			s.lost(j, fmt.Errorf("job lost in restart: its uploaded trace existed only in the previous process's memory (store traces via POST /traces to survive restarts)"))
+			lost++
 			continue
 		}
 		req, err := s.requestFor("", spec, spanCtx{})
 		if err != nil {
 			s.lost(j, fmt.Errorf("job not recovered: %w", err))
+			lost++
 			continue
 		}
 		stateOf(j).req = req
@@ -122,18 +114,20 @@ func (s *Server) openJournal(cfg Config) error {
 		} else {
 			requeued--
 		}
-		s.lost(j, errors.New(j.Error)) // already failed: only counted here
+		s.lost(j, errors.New(j.Error)) // already failed: only logged here
+		lost++
 	}
-	s.recovered.Requeued, s.recovered.Released = requeued, released
-	for outcome, n := range map[string]int{"requeued": requeued, "released": released} {
+	recovered := s.metrics.NewCounterVec("perfplay_journal_recovered_jobs_total",
+		"Jobs recovered from the journal at boot, by outcome (requeued, released, lost).",
+		"outcome")
+	for outcome, n := range map[string]int{"requeued": requeued, "released": released, "lost": lost} {
 		if n > 0 {
-			s.jrecovered.With(outcome).Add(float64(n))
+			recovered.With(outcome).Add(float64(n))
 		}
 	}
 	if len(live) > 0 {
 		s.logger.Info("journal recovery: previous backlog restored",
-			"dir", cfg.JournalDir, "requeued", s.recovered.Requeued,
-			"released", s.recovered.Released, "lost", s.recovered.Lost)
+			"dir", cfg.JournalDir, "requeued", requeued, "released", released, "lost", lost)
 	}
 	return nil
 }
@@ -161,10 +155,8 @@ func recoveredJob(lj journal.LiveJob, spec clusterapi.Spec) *jobs.Job {
 }
 
 // lost fails an unrecoverable journaled job — visible to its client
-// with a clear error, never silently dropped — and counts the loss.
+// with a clear error, never silently dropped — and logs the loss.
 func (s *Server) lost(j *jobs.Job, err error) {
 	s.node.Finish(j.ID, core.Rendered{}, "", err)
-	s.recovered.Lost++
-	s.jrecovered.With("lost").Inc()
 	s.logger.Warn("journaled job not recoverable", "job", j.ID, "err", err)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -88,14 +89,10 @@ func TestJournalKillAndRestartRecovers(t *testing.T) {
 	// worker pops.
 	bSrv, b := testServer(t, Config{CorpusDir: corpusDir, JournalDir: journalDir})
 	health := decode[map[string]any](t, mustGet(t, b.URL+"/healthz"))
-	jnl, _ := health["journal"].(map[string]any)
-	if jnl["enabled"] != true {
-		t.Fatalf("journal = %v, want enabled:true", jnl)
+	if jnl, _ := health["journal"].(map[string]any); jnl["enabled"] != true {
+		t.Fatalf("journal = %v, want enabled:true", health["journal"])
 	}
-	rec, _ := jnl["recovered"].(map[string]any)
-	if rec["requeued"] != 2.0 || rec["released"] != 1.0 || rec["lost"] != 0.0 {
-		t.Fatalf("recovered = %v, want requeued:2 released:1 lost:0", rec)
-	}
+	wantRecovered(t, b.URL, 2, 1, 0)
 
 	// Every job finishes under its ORIGINAL ID, byte-identical to the
 	// serial reference (digest jobs) and the committed golden (app job).
@@ -131,7 +128,6 @@ func TestJournalKillAndRestartRecovers(t *testing.T) {
 		"perfplay_journal_records_total",
 		"perfplay_journal_recovered_jobs_total",
 		"perfplay_journal_live_jobs",
-		"perfplay_journal_segments",
 	} {
 		if !strings.Contains(metrics, name) {
 			t.Errorf("metrics missing %s", name)
@@ -176,12 +172,7 @@ func TestJournalRestartFailsUploadOnlyJob(t *testing.T) {
 	if errMsg, _ := j["error"].(string); !strings.Contains(errMsg, "lost in restart") {
 		t.Fatalf("error = %q, want a clear lost-in-restart explanation", errMsg)
 	}
-	health := decode[map[string]any](t, mustGet(t, b.URL+"/healthz"))
-	jnl, _ := health["journal"].(map[string]any)
-	rec, _ := jnl["recovered"].(map[string]any)
-	if rec["lost"] != 1.0 {
-		t.Fatalf("recovered = %v, want lost:1", rec)
-	}
+	wantRecovered(t, b.URL, 0, 0, 1)
 }
 
 // TestJournalSettledJobsStayRetired: a journal-enabled node that ran
@@ -201,14 +192,21 @@ func TestJournalSettledJobsStayRetired(t *testing.T) {
 	aSrv.Close()
 
 	_, b := testServer(t, Config{CorpusDir: cfg.CorpusDir, JournalDir: cfg.JournalDir})
-	health := decode[map[string]any](t, mustGet(t, b.URL+"/healthz"))
-	jnl, _ := health["journal"].(map[string]any)
-	rec, _ := jnl["recovered"].(map[string]any)
-	if rec["requeued"] != 0.0 || rec["released"] != 0.0 || rec["lost"] != 0.0 {
-		t.Fatalf("recovered = %v, want nothing to recover", rec)
+	wantRecovered(t, b.URL, 0, 0, 0)
+	if n := scrape(t, b.URL)["perfplay_scheduler_queue_depth"]; n != 0 {
+		t.Fatalf("perfplay_scheduler_queue_depth = %v after recovering a settled journal", n)
 	}
-	if health["queue_len"] != 0.0 {
-		t.Fatalf("queue_len = %v after recovering a settled journal", health["queue_len"])
+}
+
+// wantRecovered checks this boot's perfplay_journal_recovered_jobs_total
+// by outcome.
+func wantRecovered(t *testing.T, base string, requeued, released, lost float64) {
+	t.Helper()
+	m := scrape(t, base)
+	for outcome, want := range map[string]float64{"requeued": requeued, "released": released, "lost": lost} {
+		if got := m[fmt.Sprintf("perfplay_journal_recovered_jobs_total{outcome=%q}", outcome)]; got != want {
+			t.Errorf("recovered{outcome=%q} = %v, want %v", outcome, got, want)
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ func main() {
 		return
 	}
 
-	o.cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	srv, err := NewServer(o.cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -36,8 +36,6 @@ type Config struct {
 	jobs.Policy
 	// CacheSize is the pipeline's LRU result cache capacity (0 = 128).
 	CacheSize int
-	// MaxTraceBytes caps each POST /traces body (0 = 64 MiB).
-	MaxTraceBytes int64
 	// CorpusDir roots the content-addressed trace store behind /traces
 	// and "trace": "sha256:..." analyze requests; empty disables it.
 	CorpusDir string
@@ -53,9 +51,6 @@ type Config struct {
 	// NodeName labels this node's spans and log lines (empty = the
 	// hostname).
 	NodeName string
-	// Logger receives the daemon's structured logs (nil =
-	// slog.Default()).
-	Logger *slog.Logger
 	// EnablePprof mounts net/http/pprof under GET /debug/pprof/.
 	EnablePprof bool
 }
@@ -78,7 +73,6 @@ func (c Config) validate() error {
 		{"QueueDepth", int64(c.QueueDepth)},
 		{"CacheSize", int64(c.CacheSize)},
 		{"MaxJobs", int64(c.MaxJobs)},
-		{"MaxTraceBytes", c.MaxTraceBytes},
 		{"CorpusMaxBytes", c.CorpusMaxBytes},
 		{"Lease", int64(c.Lease)},
 		{"ProbeTimeout", int64(c.ProbeTimeout)},
@@ -96,9 +90,6 @@ func (c Config) withDefaults() Config {
 	c.Policy = c.Policy.Or(jobs.Defaults())
 	if c.CacheSize == 0 {
 		c.CacheSize = defaultCacheSize
-	}
-	if c.MaxTraceBytes == 0 {
-		c.MaxTraceBytes = 64 << 20
 	}
 	if c.CorpusMaxBytes == 0 {
 		c.CorpusMaxBytes = 1 << 30
@@ -190,9 +181,7 @@ type Server struct {
 
 	// journal is the crash-durable transition log (nil without
 	// Config.JournalDir); see journal.go.
-	journal    *journal.Journal
-	jrecovered *telemetry.CounterVec
-	recovered  recoveredStats
+	journal *journal.Journal
 
 	mu            sync.Mutex
 	inflightBytes int64 // POST /traces bytes being buffered and stored
@@ -495,11 +484,15 @@ func routePatterns() []string {
 	return patterns
 }
 
+// Upload bounds. maxTraceBytes caps each POST /traces body.
 // maxInflightUploadBytes bounds the POST /traces bytes being buffered
 // and stored at once, so N concurrent uploads cannot hold
-// N×MaxTraceBytes. A chunked upload can overshoot by one body before
+// N×maxTraceBytes. A chunked upload can overshoot by one body before
 // its size is known.
-const maxInflightUploadBytes = 256 << 20
+const (
+	maxTraceBytes          = 64 << 20
+	maxInflightUploadBytes = 256 << 20
+)
 
 // reserveInflight reserves n upload bytes against
 // maxInflightUploadBytes and returns their release func, or nil when
@@ -595,13 +588,13 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 			release()
 		}
 	}()
-	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxTraceBytes {
+	if n := r.ContentLength; n > 0 && n <= maxTraceBytes {
 		if release = s.reserveInflight(n); release == nil {
 			backlogFull(w)
 			return
 		}
 	}
-	data, ok := bufferBody(w, r, s.cfg.MaxTraceBytes, "")
+	data, ok := bufferBody(w, r, maxTraceBytes, "")
 	if !ok {
 		return
 	}
@@ -893,57 +886,29 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": list, "total": total})
 }
 
+// handleHealthz reports liveness and the node state /metrics has no
+// family for. Every counter and gauge lives on /metrics only.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	counts := map[string]int{}
 	s.node.Each(func(j *jobs.Job) { counts[j.Status]++ })
 	s.mu.Lock()
-	stealer := s.stealer
+	stealing := s.stealer != nil
 	s.mu.Unlock()
-	var corpusTraces int
-	var corpusBytes int64
-	if s.corpus != nil {
-		corpusTraces = s.corpus.Len()
-		corpusBytes = s.corpus.TotalBytes()
-	}
 	// This node's backlog beside its gossip view of every peer's.
 	steal := map[string]any{
-		"enabled":   stealer != nil,
+		"enabled":   stealing,
 		"stealable": s.node.Status(nil).Stealable,
-		"claimed":   s.node.ClaimedCount(),
-	}
-	if stealer != nil {
-		steal["stats"] = stealer.Stats()
 	}
 	if peers := s.node.Gossip.Snapshot(); len(peers) > 0 {
 		steal["peer_queues"] = peers
 	}
-	// The pipeline's hit accounting beside the cluster exchange counters.
-	cache := map[string]any{
-		"pipeline": s.pl.Stats(),
-		"cluster":  s.cacheStats.snapshot(),
-	}
-	// The log's size and live backlog, and what this boot recovered.
-	jnl := map[string]any{"enabled": s.journal != nil}
-	if s.journal != nil {
-		jnl["stats"] = s.journal.Stats()
-		jnl["recovered"] = s.recovered
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":             true,
-		"jobs":           counts,
-		"queue_depth":    s.cfg.QueueDepth,
-		"queue_len":      s.node.QueueLen(),
-		"running":        s.node.Running(),
-		"cached":         s.pl.CacheLen(),
-		"cached_tables":  s.pl.TableCacheLen(),
-		"cache":          cache,
-		"workers":        s.cfg.Workers,
-		"corpus_enabled": s.corpus != nil,
-		"corpus_traces":  corpusTraces,
-		"corpus_bytes":   corpusBytes,
-		"peers":          len(s.cfg.Peers),
-		"steal":          steal,
-		"journal":        jnl,
+		"ok":            true,
+		"jobs":          counts,
+		"cached":        s.pl.CacheLen(),
+		"cached_tables": s.pl.TableCacheLen(),
+		"steal":         steal,
+		"journal":       map[string]bool{"enabled": s.journal != nil},
 	})
 }
 

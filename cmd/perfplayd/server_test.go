@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -469,6 +471,11 @@ func TestTruncatedBodyIsBadRequest(t *testing.T) {
 	}
 }
 
+// TestHealthz pins /healthz to liveness and the node state /metrics has
+// no family for. Each key has a reader: jobs (finish_test), cached
+// (bench/measure.go), steal (steal_test), journal (journal_test). A key
+// added without one fails here; a counter belongs on /metrics.
+// steal.peer_queues appears once gossip has seen a peer (steal_test).
 func TestHealthz(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -481,6 +488,23 @@ func TestHealthz(t *testing.T) {
 	h := decode[map[string]any](t, resp)
 	if h["ok"] != true {
 		t.Fatalf("healthz = %v", h)
+	}
+	keys := func(m any) []string {
+		obj, _ := m.(map[string]any)
+		return slices.Sorted(maps.Keys(obj))
+	}
+	for _, c := range []struct {
+		section string
+		got     []string
+		want    []string
+	}{
+		{"/healthz", keys(h), []string{"cached", "cached_tables", "jobs", "journal", "ok", "steal"}},
+		{"steal", keys(h["steal"]), []string{"enabled", "stealable"}},
+		{"journal", keys(h["journal"]), []string{"enabled"}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s keys = %v, want %v", c.section, c.got, c.want)
+		}
 	}
 }
 
@@ -621,17 +645,34 @@ func httpPatch(url string) (*http.Response, error) {
 // answer 413 immediately instead of reserving shared budget (and 503ing
 // other clients) while the doomed body streams in.
 func TestOversizedDeclaredLengthRejectedEarly(t *testing.T) {
-	_, ts := testServer(t, Config{MaxTraceBytes: 1 << 10})
-	oversized := make([]byte, 64<<10)
-	for _, path := range []string{"/traces", "/analyze"} {
-		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(oversized))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("POST %s with oversized Content-Length: status %d, want 413", path, resp.StatusCode)
-		}
+	_, ts := testServer(t, Config{})
+	// POST /traces declares one byte over maxTraceBytes and sends no
+	// body: only an answer before any read can arrive.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "POST /traces HTTP/1.1\r\nHost: perfplayd\r\nContent-Length: %d\r\n\r\n", maxTraceBytes+1)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("POST /traces with oversized Content-Length and no body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST /traces with oversized Content-Length: status %d, want 413", resp.StatusCode)
+	}
+	// POST /analyze reads a job spec under a 16 KiB cap.
+	resp, err = http.Post(ts.URL+"/analyze", "application/octet-stream", bytes.NewReader(make([]byte, 64<<10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST /analyze with oversized Content-Length: status %d, want 413", resp.StatusCode)
 	}
 }
 
@@ -790,7 +831,6 @@ func TestNewServerRefusesNegativeConfig(t *testing.T) {
 		{"QueueDepth", func(c *Config) { c.QueueDepth = -1 }},
 		{"CacheSize", func(c *Config) { c.CacheSize = -1 }},
 		{"MaxJobs", func(c *Config) { c.MaxJobs = -1 }},
-		{"MaxTraceBytes", func(c *Config) { c.MaxTraceBytes = -1 }},
 		{"CorpusMaxBytes", func(c *Config) { c.CorpusMaxBytes = -1 }},
 		{"Lease", func(c *Config) { c.Lease = -time.Second }},
 		{"ProbeTimeout", func(c *Config) { c.ProbeTimeout = -time.Millisecond }},

@@ -51,7 +51,7 @@ func thiefServer(t *testing.T, victims ...string) (*Server, *httptest.Server) {
 // stolen_by field.
 func TestWholeJobStealCompletesOnIdlePeer(t *testing.T) {
 	_, victim := saturatedVictim(t, Config{})
-	thiefSrv, thief := thiefServer(t, victim.URL)
+	_, thief := thiefServer(t, victim.URL)
 
 	resp := postJSON(t, victim.URL+"/analyze", goldenSpecs[0].spec)
 	if resp.StatusCode != http.StatusAccepted {
@@ -68,8 +68,9 @@ func TestWholeJobStealCompletesOnIdlePeer(t *testing.T) {
 	if j["stolen_by"] != thief.URL {
 		t.Fatalf("stolen_by = %v, want %s", j["stolen_by"], thief.URL)
 	}
-	if stats := thiefSrv.stealer.Stats(); stats.Claims != 1 || stats.Failures != 0 {
-		t.Fatalf("thief stats = %+v", stats)
+	m := scrape(t, thief.URL)
+	if claims, failures := m["perfplay_scheduler_steal_claims_total"], m["perfplay_scheduler_steal_failures_total"]; claims != 1 || failures != 0 {
+		t.Fatalf("thief steal claims = %v, failures = %v, want 1 and 0", claims, failures)
 	}
 
 	// The thief's healthz gossips the victim's queue depth.

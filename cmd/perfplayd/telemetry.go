@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the daemon's observability wiring: the one metrics
-// registry behind GET /metrics and /healthz, the span timelines behind
+// registry behind GET /metrics, the span timelines behind
 // GET /jobs/{id}/trace, per-route HTTP instruments and the logger.
 
 // Trace-store bounds: enough for every retained job (MaxJobs default)
@@ -32,11 +32,7 @@ func (s *Server) initTelemetry(cfg Config) {
 	s.metrics = telemetry.NewRegistry()
 	s.traces = telemetry.NewTraceStore(traceStoreTraces, traceSpanCap)
 	s.nodeName = cfg.NodeName
-	logger := cfg.Logger
-	if logger == nil {
-		logger = slog.Default()
-	}
-	s.logger = logger.With("node", s.nodeName)
+	s.logger = slog.Default().With("node", s.nodeName)
 
 	s.httpDur = s.metrics.NewHistogramVec("perfplay_http_request_duration_seconds",
 		"HTTP request latency by route pattern.", telemetry.DurationBuckets, "route")

@@ -2,6 +2,9 @@ package main
 
 import (
 	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -122,6 +125,85 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := srv.jobsDone.With(statusDone).Int(); got != 1 {
 		t.Errorf("jobs completed counter = %d, want 1", got)
+	}
+}
+
+// TestNodeStateOnMetrics: the node's occupancy — queue length and
+// capacity, running jobs, outstanding leases, the corpus and the
+// journal — reads off its /metrics families, the one place each
+// number is published.
+func TestNodeStateOnMetrics(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := saturatedVictim(t, Config{
+		Policy:     jobs.Policy{QueueDepth: 5},
+		CorpusDir:  filepath.Join(dir, "corpus"),
+		JournalDir: filepath.Join(dir, "journal"),
+	})
+	payload := recordedPayload(t, 3)
+	if _, _, err := srv.corpus.Put(payload, false); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if resp := postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: status %d", resp.StatusCode)
+		}
+	}
+	if claim := postJSON(t, ts.URL+"/jobs/claim", `{"thief":"http://thief:1"}`); claim.StatusCode != http.StatusOK {
+		t.Fatalf("claim: status %d", claim.StatusCode)
+	}
+	m := scrape(t, ts.URL)
+	for series, want := range map[string]float64{
+		"perfplay_scheduler_queue_depth":                2,
+		"perfplay_scheduler_queue_capacity":             5,
+		"perfplay_scheduler_leases_outstanding":         1,
+		"perfplay_jobs_running":                         0,
+		"perfplay_corpus_traces":                        1,
+		"perfplay_corpus_blob_bytes":                    float64(len(payload)),
+		"perfplay_journal_live_jobs":                    3,
+		"perfplay_journal_dead_ratio":                   0,
+		`perfplay_journal_records_total{op="admitted"}`: 3,
+		`perfplay_journal_records_total{op="claimed"}`:  1,
+	} {
+		if got, ok := m[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %t), want %v", series, got, ok, want)
+		}
+	}
+}
+
+// catalogRow matches a metric row of docs/OBSERVABILITY.md's catalog:
+// | `perfplay_…` | type | labels | meaning |
+var catalogRow = regexp.MustCompile("^\\| `(perfplay_[a-z0-9_]+)` \\| ([a-z]+) \\|")
+
+// TestMetricCatalogMatchesDocs: every family a node with a corpus and a
+// journal registers has a row in docs/OBSERVABILITY.md under its type,
+// and every row names a registered family.
+func TestMetricCatalogMatchesDocs(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := saturatedVictim(t, Config{CorpusDir: filepath.Join(dir, "corpus"), JournalDir: filepath.Join(dir, "journal")})
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]string{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		if row := catalogRow.FindStringSubmatch(line); row != nil {
+			documented[row[1]] = row[2]
+		}
+	}
+	registered := map[string]bool{}
+	for _, name := range srv.metrics.FamilyNames() {
+		registered[name] = true
+		kind, _ := srv.metrics.FamilyKind(name)
+		if typ, ok := documented[name]; !ok {
+			t.Errorf("%s (%s) is registered but has no row in docs/OBSERVABILITY.md", name, kind)
+		} else if typ != string(kind) {
+			t.Errorf("%s is a %s, docs/OBSERVABILITY.md says %s", name, kind, typ)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("docs/OBSERVABILITY.md documents %s, which no node registers", name)
+		}
 	}
 }
 

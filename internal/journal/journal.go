@@ -12,13 +12,15 @@
 //
 // with one JSON-encoded Record per frame, and every Append is fsynced
 // before it returns — a record the caller saw committed is durable.
-// Frames live in numbered segment files (journal-00000001.wal, ...);
-// the active segment rotates past Options.SegmentBytes, and once the
-// dead-record ratio (records that no longer contribute to live state)
-// passes Options.CompactRatio the journal compacts: live state is
-// rewritten into a fresh segment and every older segment is deleted, so
-// a long-running daemon's journal is bounded by its live backlog, not
-// its lifetime job count.
+// Frames live in numbered segment files (journal-00000001.wal, ...),
+// appended to the newest. Once the journal holds minCompactRecords
+// records and the dead-record ratio (records that no longer contribute
+// to live state) reaches compactRatio, it compacts: live state is
+// rewritten into the next segment and every older segment is deleted,
+// so a long-running daemon's journal is bounded by its live backlog,
+// not its lifetime job count. Replay still reads several segments: a
+// crash between a compaction's rename and its deletes leaves two, and
+// older binaries rotated segments by size.
 //
 // Recovery semantics on Open:
 //
@@ -114,15 +116,6 @@ type LiveJob struct {
 
 // Options tunes the journal. The zero value is production-ready.
 type Options struct {
-	// SegmentBytes rotates the active segment past this size
-	// (0 = 4 MiB).
-	SegmentBytes int64
-	// CompactRatio triggers compaction once dead records make up this
-	// fraction of all records (0 = 0.5). Values >= 1 never compact.
-	CompactRatio float64
-	// MinCompactRecords is the record count below which compaction is
-	// never considered, so a small journal doesn't churn (0 = 1024).
-	MinCompactRecords int
 	// NoSync skips the per-append fsync — only for tests, where the
 	// process outlives every assertion anyway.
 	NoSync bool
@@ -131,30 +124,25 @@ type Options struct {
 	Metrics *telemetry.Registry
 }
 
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes == 0 {
-		o.SegmentBytes = 4 << 20
-	}
-	if o.CompactRatio == 0 {
-		o.CompactRatio = 0.5
-	}
-	if o.MinCompactRecords == 0 {
-		o.MinCompactRecords = 1024
-	}
-	return o
-}
+// Compaction thresholds: a journal compacts once it holds
+// minCompactRecords records, so a small one doesn't churn, and dead
+// records make up compactRatio of them.
+const (
+	compactRatio      = 0.5
+	minCompactRecords = 1024
+)
 
-// Stats is a point-in-time summary for /healthz and operators.
+// Stats is a point-in-time summary, behind the perfplay_journal_*
+// gauges.
 type Stats struct {
-	Segments    int     `json:"segments"`
-	Records     int     `json:"records"`
-	LiveJobs    int     `json:"live_jobs"`
-	DeadRatio   float64 `json:"dead_ratio"`
-	Bytes       int64   `json:"bytes"`
-	Compactions int64   `json:"compactions"`
+	Records     int
+	LiveJobs    int
+	DeadRatio   float64
+	Bytes       int64
+	Compactions int64
 	// TruncatedTail reports that Open salvaged a torn final record —
 	// evidence the previous process died mid-append.
-	TruncatedTail bool `json:"truncated_tail,omitempty"`
+	TruncatedTail bool
 }
 
 // ErrCorrupt marks a record whose checksum or framing is damaged
@@ -190,7 +178,6 @@ type Journal struct {
 	mu        sync.Mutex
 	active    *os.File
 	activeSeq int
-	activeLen int64
 	segments  []int // sorted segment sequence numbers, activeSeq last
 	totalLen  int64 // bytes across all segments
 
@@ -207,7 +194,6 @@ type Journal struct {
 // returns the journal positioned to append. See the package comment
 // for the torn-tail salvage and fail-closed corruption semantics.
 func Open(dir string, opts Options) (*Journal, error) {
-	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -225,10 +211,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 			"Job-journal compactions (live state rewritten, old segments deleted).")
 		j.errorsTotal = reg.NewCounter("perfplay_journal_errors_total",
 			"Job-journal append or compaction failures (durability degraded).")
-		reg.NewGaugeFunc("perfplay_journal_segments",
-			"Job-journal segment files on disk.", func() float64 {
-				return float64(j.Stats().Segments)
-			})
 		reg.NewGaugeFunc("perfplay_journal_live_jobs",
 			"Jobs the journal would recover after a crash right now.", func() float64 {
 				return float64(j.Stats().LiveJobs)
@@ -238,7 +220,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 				return j.Stats().DeadRatio
 			})
 		reg.NewGaugeFunc("perfplay_journal_size_bytes",
-			"Job-journal bytes on disk across all segments.", func() float64 {
+			"Job-journal bytes on disk.", func() float64 {
 				return float64(j.Stats().Bytes)
 			})
 	}
@@ -364,9 +346,6 @@ func (j *Journal) replaySegment(seq int, last bool) error {
 		off += headerBytes + length
 	}
 	j.totalLen += size
-	if last {
-		j.activeLen = size
-	}
 	return nil
 }
 
@@ -418,21 +397,7 @@ func (j *Journal) apply(rec Record) {
 func (j *Journal) Live() []LiveJob {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]LiveJob, 0, len(j.live))
-	for _, id := range j.order {
-		lj, ok := j.live[id]
-		if !ok {
-			continue
-		}
-		out = append(out, LiveJob{
-			Job:     id,
-			Spec:    lj.spec,
-			Meta:    lj.meta,
-			Claimed: lj.claimed,
-			Thief:   lj.thief,
-		})
-	}
-	return out
+	return j.liveSnapshotLocked()
 }
 
 // Append commits one record: framed, written, fsynced, applied. The
@@ -452,19 +417,11 @@ func (j *Journal) Append(rec Record) error {
 	if j.recordsByOp != nil {
 		j.recordsByOp.With(rec.Op).Inc()
 	}
-	// Housekeeping after the durable write: compact when mostly dead,
-	// else rotate an oversized active segment. Failures here degrade
-	// space reclamation, never durability — the record is on disk.
-	if err := j.maybeCompactLocked(); err != nil {
-		if j.errorsTotal != nil {
-			j.errorsTotal.Inc()
-		}
-		return nil
-	}
-	if j.activeLen >= j.opts.SegmentBytes {
-		if err := j.openSegment(j.activeSeq + 1); err != nil && j.errorsTotal != nil {
-			j.errorsTotal.Inc()
-		}
+	// Housekeeping after the durable write: compact when mostly dead.
+	// A failure here degrades space reclamation, never durability — the
+	// record is on disk.
+	if err := j.maybeCompactLocked(); err != nil && j.errorsTotal != nil {
+		j.errorsTotal.Inc()
 	}
 	return nil
 }
@@ -497,7 +454,6 @@ func (j *Journal) appendLocked(rec Record) error {
 			return fmt.Errorf("journal: fsync: %w", err)
 		}
 	}
-	j.activeLen += int64(len(buf))
 	j.totalLen += int64(len(buf))
 	j.records++
 	j.apply(rec)
@@ -520,7 +476,6 @@ func (j *Journal) openSegment(seq int) error {
 	}
 	j.active = f
 	j.activeSeq = seq
-	j.activeLen = 0
 	j.segments = append(j.segments, seq)
 	j.syncDir()
 	return nil
@@ -539,11 +494,11 @@ func (j *Journal) syncDir() {
 // deletes every older one, once the journal is large enough and mostly
 // dead.
 func (j *Journal) maybeCompactLocked() error {
-	if j.records < j.opts.MinCompactRecords {
+	if j.records < minCompactRecords {
 		return nil
 	}
 	dead := float64(j.records-j.liveRecs) / float64(j.records)
-	if dead < j.opts.CompactRatio {
+	if dead < compactRatio {
 		return nil
 	}
 	seq := j.activeSeq + 1
@@ -601,7 +556,6 @@ func (j *Journal) maybeCompactLocked() error {
 	}
 	j.active = af
 	j.activeSeq = seq
-	j.activeLen = written
 	j.totalLen = written
 	j.segments = []int{seq}
 	j.records = nrecs
@@ -625,7 +579,8 @@ func (j *Journal) maybeCompactLocked() error {
 	return nil
 }
 
-// liveSnapshotLocked is Live without locking (for compaction).
+// liveSnapshotLocked lists the live jobs in admit order; the caller
+// holds j.mu.
 func (j *Journal) liveSnapshotLocked() []LiveJob {
 	out := make([]LiveJob, 0, len(j.live))
 	for _, id := range j.order {
@@ -638,12 +593,11 @@ func (j *Journal) liveSnapshotLocked() []LiveJob {
 	return out
 }
 
-// Stats summarizes the journal for /healthz.
+// Stats summarizes the journal.
 func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := Stats{
-		Segments:      len(j.segments),
 		Records:       j.records,
 		LiveJobs:      len(j.live),
 		Bytes:         j.totalLen,

@@ -4,14 +4,19 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"perfplay/internal/telemetry"
 )
 
 // testOpts keeps tests fast: no fsync (the process outlives every
-// assertion) and default rotation/compaction unless overridden.
+// assertion).
 func testOpts() Options { return Options{NoSync: true} }
 
 func mustOpen(t *testing.T, dir string, opts Options) *Journal {
@@ -34,6 +39,18 @@ func mustAppend(t *testing.T, j *Journal, recs ...Record) {
 
 func admitted(id string) Record {
 	return Record{Op: OpAdmitted, Job: id, Spec: json.RawMessage(`{"app":"pbzip2"}`), Meta: map[string]string{"trace_id": "t-" + id}}
+}
+
+// nextSegment starts a new segment, as a crash between a compaction's
+// rename and its deletes, or an older binary's size rotation, leaves
+// behind.
+func nextSegment(t *testing.T, j *Journal) {
+	t.Helper()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.openSegment(j.activeSeq + 1); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func liveIDs(j *Journal) []string {
@@ -228,11 +245,12 @@ func TestCorruptChecksumOnFinalRecordSalvaged(t *testing.T) {
 // exists past the damage — that is corruption, not a torn tail.
 func TestTruncationInNonFinalSegmentFailsClosed(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOpts()
-	opts.SegmentBytes = 1 // rotate after every record
-	opts.CompactRatio = 2 // never compact
-	j := mustOpen(t, dir, opts)
-	mustAppend(t, j, admitted("a"), admitted("b"), admitted("c"))
+	j := mustOpen(t, dir, testOpts())
+	mustAppend(t, j, admitted("a"))
+	nextSegment(t, j)
+	mustAppend(t, j, admitted("b"))
+	nextSegment(t, j)
+	mustAppend(t, j, admitted("c"))
 	j.Close()
 
 	// Segment 1 holds record "a"; cut into it.
@@ -244,36 +262,33 @@ func TestTruncationInNonFinalSegmentFailsClosed(t *testing.T) {
 	if err := os.Truncate(seg, info.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Open(dir, opts)
+	_, err = Open(dir, testOpts())
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
 // TestCompactionPreservesLiveClaims: compaction rewrites live state —
-// including the claimed flag and thief — and deletes old segments.
+// including the claimed flag and thief — and deletes every older
+// segment.
 func TestCompactionPreservesLiveClaims(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOpts()
-	opts.MinCompactRecords = 8
-	opts.CompactRatio = 0.5
-	j := mustOpen(t, dir, opts)
+	j := mustOpen(t, dir, testOpts())
 
 	mustAppend(t, j, admitted("keep-queued"), admitted("keep-claimed"))
 	mustAppend(t, j, Record{Op: OpClaimed, Job: "keep-claimed", Thief: "http://thief:9"})
-	// Churn enough settled jobs to push the dead ratio past 0.5.
-	for _, id := range []string{"x1", "x2", "x3", "x4", "x5"} {
+	nextSegment(t, j)
+	// Churn settled jobs past minCompactRecords: the dead ratio is far
+	// past compactRatio by then.
+	for i := 0; j.Stats().Compactions == 0; i++ {
+		if i > minCompactRecords {
+			t.Fatalf("no compaction after %d churned jobs: %+v", i, j.Stats())
+		}
+		id := fmt.Sprintf("x%d", i)
 		mustAppend(t, j, admitted(id), Record{Op: OpSettled, Job: id})
 	}
-	st := j.Stats()
-	if st.Compactions == 0 {
-		t.Fatalf("no compaction after churn: %+v", st)
-	}
-	if st.Segments != 1 {
-		t.Errorf("segments = %d after compaction, want 1", st.Segments)
-	}
-	if st.DeadRatio >= opts.CompactRatio {
-		t.Errorf("dead ratio = %v, want < %v after compaction", st.DeadRatio, opts.CompactRatio)
+	if st := j.Stats(); st.DeadRatio >= compactRatio {
+		t.Errorf("dead ratio = %v, want < %v after compaction", st.DeadRatio, compactRatio)
 	}
 
 	// Only the compacted segment may remain on disk.
@@ -286,7 +301,7 @@ func TestCompactionPreservesLiveClaims(t *testing.T) {
 	}
 	j.Close()
 
-	j2 := mustOpen(t, dir, opts)
+	j2 := mustOpen(t, dir, testOpts())
 	defer j2.Close()
 	live := j2.Live()
 	if len(live) != 2 {
@@ -303,26 +318,73 @@ func TestCompactionPreservesLiveClaims(t *testing.T) {
 	}
 }
 
-// TestSegmentRotation: the active segment rotates past SegmentBytes and
-// replay walks all segments in order.
-func TestSegmentRotation(t *testing.T) {
+// TestReplayWalksSegmentsInOrder: replay reads every segment in
+// sequence order, and appends go to the last one.
+func TestReplayWalksSegmentsInOrder(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOpts()
-	opts.SegmentBytes = 64 // tiny: rotate every record or two
-	opts.CompactRatio = 2  // never compact; rotation is the subject
-	j := mustOpen(t, dir, opts)
-	for _, id := range []string{"a", "b", "c", "d", "e"} {
-		mustAppend(t, j, admitted(id))
-	}
-	if st := j.Stats(); st.Segments < 2 {
-		t.Fatalf("segments = %d, want rotation", st.Segments)
-	}
+	j := mustOpen(t, dir, testOpts())
+	mustAppend(t, j, admitted("a"), admitted("b"))
+	nextSegment(t, j)
+	mustAppend(t, j, admitted("c"), Record{Op: OpSettled, Job: "a"})
+	nextSegment(t, j)
+	mustAppend(t, j, admitted("d"))
 	j.Close()
 
-	j2 := mustOpen(t, dir, opts)
-	defer j2.Close()
-	if got := liveIDs(j2); len(got) != 5 || got[0] != "a" || got[4] != "e" {
-		t.Fatalf("live = %v, want [a..e] in order", got)
+	j2 := mustOpen(t, dir, testOpts())
+	mustAppend(t, j2, admitted("e"))
+	j2.Close()
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 3 {
+		t.Fatalf("dir holds %d files (%v), want 3 segments", len(entries), err)
+	}
+	j3 := mustOpen(t, dir, testOpts())
+	defer j3.Close()
+	if got := liveIDs(j3); strings.Join(got, ",") != "b,c,d,e" {
+		t.Fatalf("live = %v, want [b c d e] in order", got)
+	}
+}
+
+// TestAppendConcurrentWithScrape: a /metrics scrape evaluates the
+// journal's gauges while appends, and the compaction they trigger, run
+// on other goroutines; the race detector watches the shared state.
+func TestAppendConcurrentWithScrape(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	opts := testOpts()
+	opts.Metrics = reg
+	j := mustOpen(t, t.TempDir(), opts)
+	defer j.Close()
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range minCompactRecords / 2 {
+				id := fmt.Sprintf("w%d-%d", w, i)
+				for _, rec := range []Record{admitted(id), {Op: OpSettled, Job: id}} {
+					if err := j.Append(rec); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := j.Stats(); st.Compactions == 0 || st.LiveJobs != 0 {
+		t.Fatalf("after %d churned jobs: %+v, want a compaction and nothing live", minCompactRecords, st)
 	}
 }
 

@@ -184,32 +184,11 @@ type Pipeline struct {
 	cache  *lruCache[*core.Summary]
 	tables *lruCache[*ulcp.VerdictTable]
 
-	// Cache traffic and stage timings live in telemetry instruments so
-	// /metrics and /healthz read the same numbers (see CacheStats).
+	// Cache traffic and stage timings live in telemetry instruments,
+	// rendered by the owner's /metrics.
 	resultHits, resultMisses *telemetry.Counter
 	tableHits, tableMisses   *telemetry.Counter
 	stageDur                 *telemetry.HistogramVec
-}
-
-// CacheStats is a snapshot of the pipeline's cache-hit accounting.
-// Only cacheable (digest- or workload-keyed) requests count; the table
-// counters tick once per table lookup during a cache-missed execution.
-type CacheStats struct {
-	ResultHits   int64 `json:"result_hits"`
-	ResultMisses int64 `json:"result_misses"`
-	TableHits    int64 `json:"table_hits"`
-	TableMisses  int64 `json:"table_misses"`
-}
-
-// Stats returns the pipeline's lifetime cache counters — read from the
-// same telemetry series /metrics renders, so the two can never drift.
-func (p *Pipeline) Stats() CacheStats {
-	return CacheStats{
-		ResultHits:   p.resultHits.Int(),
-		ResultMisses: p.resultMisses.Int(),
-		TableHits:    p.tableHits.Int(),
-		TableMisses:  p.tableMisses.Int(),
-	}
 }
 
 // Options configures a Pipeline.
@@ -217,9 +196,11 @@ type Options struct {
 	// CacheSize bounds the LRU result cache (0 disables caching).
 	CacheSize int
 	// Metrics, when set, hosts the pipeline's instruments (stage
-	// duration histograms, cache hit/miss counters). Nil uses a private
-	// registry so the instruments always exist — Stats() reads them
-	// either way — they just aren't exported anywhere.
+	// duration histograms, cache hit/miss counters). Only cacheable
+	// (digest- or workload-keyed) requests count as result lookups; the
+	// table counters tick once per table lookup during a cache-missed
+	// execution. Nil uses a private registry, so the instruments always
+	// exist; they just aren't exported anywhere.
 	Metrics *telemetry.Registry
 }
 

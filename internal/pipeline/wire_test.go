@@ -3,16 +3,38 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"perfplay/internal/core"
 	"perfplay/internal/corpus"
 	"perfplay/internal/sim"
+	"perfplay/internal/telemetry"
 	"perfplay/internal/ulcp"
 	"perfplay/internal/workload"
 )
+
+// cacheRequests scrapes perfplay_pipeline_cache_requests_total off reg,
+// keyed "cache/outcome".
+func cacheRequests(t *testing.T, reg *telemetry.Registry) map[string]float64 {
+	t.Helper()
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(text.String(), "\n") {
+		var cache, outcome string
+		var n float64
+		if _, err := fmt.Sscanf(line, `perfplay_pipeline_cache_requests_total{cache=%q,outcome=%q} %g`, &cache, &outcome, &n); err == nil {
+			out[cache+"/"+outcome] = n
+		}
+	}
+	return out
+}
 
 // recordedDigestRequest builds a digest-keyed trace request — the only
 // kind the cluster cache exchanges — from a small deterministic
@@ -176,7 +198,8 @@ func TestTableExportImport(t *testing.T) {
 	}
 	table := wt.Table
 
-	dst := New(Options{CacheSize: 4})
+	reg := telemetry.NewRegistry()
+	dst := New(Options{CacheSize: 4, Metrics: reg})
 	if dst.HasTable(key) {
 		t.Fatal("fresh pipeline claims the table")
 	}
@@ -199,8 +222,8 @@ func TestTableExportImport(t *testing.T) {
 	if res.Report != ref.Report {
 		t.Fatal("run over imported table differs from source pipeline")
 	}
-	if st := dst.Stats(); st.TableHits != 1 || st.TableMisses != 0 {
-		t.Fatalf("importer stats = %+v, want one table hit", st)
+	if st := cacheRequests(t, reg); st["table/hit"] != 1 || st["table/miss"] != 0 {
+		t.Fatalf("importer cache requests = %v, want one table hit", st)
 	}
 
 	for name, tc := range map[string]struct {
@@ -220,7 +243,8 @@ func TestTableExportImport(t *testing.T) {
 // TestCacheStatsAndRecentKeys: hit/miss accounting and the
 // most-recent-first hint ordering peers gossip.
 func TestCacheStatsAndRecentKeys(t *testing.T) {
-	p := New(Options{CacheSize: 4})
+	reg := telemetry.NewRegistry()
+	p := New(Options{CacheSize: 4, Metrics: reg})
 	reqA := recordedDigestRequest(t, 3)
 	reqB := recordedDigestRequest(t, 5)
 	for _, r := range []Request{reqA, reqB, reqA} {
@@ -228,12 +252,12 @@ func TestCacheStatsAndRecentKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := p.Stats()
-	if st.ResultHits != 1 || st.ResultMisses != 2 {
-		t.Fatalf("stats = %+v, want 1 hit / 2 misses", st)
+	st := cacheRequests(t, reg)
+	if st["result/hit"] != 1 || st["result/miss"] != 2 {
+		t.Fatalf("cache requests = %v, want 1 hit / 2 misses", st)
 	}
-	if st.TableMisses != 2 || st.TableHits != 0 {
-		t.Fatalf("stats = %+v, want 2 table misses (each first run builds)", st)
+	if st["table/miss"] != 2 || st["table/hit"] != 0 {
+		t.Fatalf("cache requests = %v, want 2 table misses (each first run builds)", st)
 	}
 
 	keyA, _ := p.CacheKeyFor(reqA)

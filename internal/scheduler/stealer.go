@@ -148,8 +148,8 @@ func (s *Stealer) metrics() *Metrics {
 	return s.Metrics
 }
 
-// Stats returns a copy of the lifetime counters — read straight off the
-// telemetry series, so /healthz and /metrics can never disagree.
+// Stats returns a copy of the lifetime counters, read straight off the
+// telemetry series; the policy lab's report prints them.
 func (s *Stealer) Stats() StealerStats {
 	m := s.metrics()
 	return StealerStats{

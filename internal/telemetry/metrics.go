@@ -7,9 +7,8 @@
 // The package deliberately imports nothing beyond the standard library
 // so every internal package — pipeline, scheduler, corpus — can hang
 // instruments on its hot seams without dragging a client library into
-// the build. perfplayd owns the one Registry per process, serves it at
-// GET /metrics, and re-backs its /healthz counter sections with the
-// same instruments so the two surfaces can never drift.
+// the build. perfplayd owns the one Registry per process and serves it
+// at GET /metrics, the one place each of its numbers is published.
 //
 // Instruments are cheap: counters and gauges are a single atomic word,
 // histogram observations touch one bucket counter plus the sum. None of
@@ -203,8 +202,7 @@ func (c *Counter) Add(v float64) {
 	c.s.addFloat(&c.s.value, v)
 }
 
-// Value reads the current total — the hook that lets /healthz report
-// the same numbers /metrics exposes.
+// Value reads the current total.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.s.value.Load()) }
 
 // Int reads the current total as an integer (counters here count
@@ -314,8 +312,8 @@ func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels 
 	return &HistogramVec{f: r.register(name, help, KindHistogram, labels, buckets)}
 }
 
-// FamilyNames lists every registered family name, sorted — the input
-// LintFamilies and the CI metric-name lint consume.
+// FamilyNames lists every registered family name, sorted; perfplayd's
+// metric catalog test checks them against docs/OBSERVABILITY.md.
 func (r *Registry) FamilyNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
