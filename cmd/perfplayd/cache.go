@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"perfplay/internal/clusterapi"
+	"perfplay/internal/jobs"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/telemetry"
 )
@@ -18,11 +19,11 @@ import (
 //	                          idlest peer instead of turning them away
 //
 // When to probe, whom, and in what order live in internal/jobs (Start,
-// RetryPeer) over internal/cachepolicy; the fetches go through
-// internal/peerclient behind the cachepolicy.Fetcher seam, and this file
-// holds the serving side plus the daemon's accounting. internal/clustersim
-// drives the same node over a virtual-clock transport, so the policy
-// lab's sweep results (docs/POLICIES.md) speak for this daemon.
+// RetryPeer); the fetches go through internal/peerclient, the node's
+// jobs.Peer, and this file holds the serving side plus the daemon's
+// accounting. internal/clustersim drives the same node over an in-memory
+// jobs.Peer on a virtual clock, so the policy lab's sweep results
+// (docs/POLICIES.md) speak for this daemon.
 
 // cacheStats counts this node's cluster-cache and admission traffic in
 // the metrics registry: probes issued and answered (tables: adopted),
@@ -106,7 +107,7 @@ func probeOutcome(ok bool) string {
 // observeProbe is the node's probe observer for one job: one
 // cache_probe/table_probe span and one kind-labelled counter increment
 // per attempt.
-func (s *Server) observeProbe(tc spanCtx) func(peer, kind string, hit bool, start, end time.Time) {
+func (s *Server) observeProbe(tc spanCtx) jobs.Observer {
 	return func(peer, kind string, hit bool, start, end time.Time) {
 		name := "cache_probe"
 		if kind == "table" {
@@ -124,8 +125,9 @@ func (s *Server) observeProbe(tc spanCtx) func(peer, kind string, hit bool, star
 // table caches.
 type localCache struct{ s *Server }
 
-func (c localCache) HasResult(key string) bool { return c.s.pl.HasResult(key) }
-func (c localCache) HasTable(key string) bool  { return c.s.pl.HasTable(key) }
+func (c localCache) HasResult(key string) bool    { return c.s.pl.HasResult(key) }
+func (c localCache) HasTable(key string) bool     { return c.s.pl.HasTable(key) }
+func (c localCache) HasCached(digest string) bool { return c.s.pl.HasDigestCached(digest) }
 
 // ImportTable adopts a peer's verdict table when it validates: the
 // local run then classifies with zero reversed replays.

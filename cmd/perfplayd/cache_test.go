@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"perfplay/internal/cachepolicy"
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/corpus"
 	"perfplay/internal/jobs"
@@ -419,7 +418,7 @@ func TestCacheProbeOrderRanking(t *testing.T) {
 		return func(st clusterapi.PeerStatus) bool { return st.HintsKey(key) }
 	}
 	order := func(hinted func(clusterapi.PeerStatus) bool) []string {
-		return cachepolicy.ProbeOrder(srv.node.Peers, srv.node.Gossip.Snapshot(), hinted, srv.node.ProbeFanout)
+		return jobs.ProbeOrder(srv.node.Peers, srv.node.Gossip.Snapshot(), hinted, srv.node.ProbeFanout)
 	}
 	got := order(hints("K"))
 	want := []string{"http://hinted", "http://busy", "http://failed", "http://unseen"}

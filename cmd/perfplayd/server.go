@@ -22,7 +22,6 @@ import (
 	"perfplay/internal/journal"
 	"perfplay/internal/peerclient"
 	"perfplay/internal/pipeline"
-	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
 	"perfplay/internal/trace"
 	"perfplay/internal/workload"
@@ -160,9 +159,9 @@ type Server struct {
 	pl     *pipeline.Pipeline
 	corpus *corpus.Store // nil when Config.CorpusDir is empty
 	node   *node
-	// cacheClient carries cache and admission probes under the short
-	// ProbeTimeout; peerClient the calls that move a whole job or a
-	// trace blob, under peerCallTimeout.
+	// cacheClient is the node's Peer for cache and admission probes,
+	// under the short ProbeTimeout; peerClient the stealer's, for the
+	// calls that move a whole job or a trace blob, under peerCallTimeout.
 	cacheClient peerclient.Client
 	peerClient  peerclient.Client
 	cacheStats  cacheStats
@@ -170,14 +169,13 @@ type Server struct {
 	// The process-wide registry behind GET /metrics, the span store
 	// behind GET /jobs/{id}/trace, and the daemon's instruments; see
 	// telemetry.go.
-	metrics      *telemetry.Registry
-	traces       *telemetry.TraceStore
-	logger       *slog.Logger
-	nodeName     string
-	schedMetrics *scheduler.Metrics
-	httpDur      *telemetry.HistogramVec
-	httpReqs     *telemetry.CounterVec
-	jobsDone     *telemetry.CounterVec
+	metrics  *telemetry.Registry
+	traces   *telemetry.TraceStore
+	logger   *slog.Logger
+	nodeName string
+	httpDur  *telemetry.HistogramVec
+	httpReqs *telemetry.CounterVec
+	jobsDone *telemetry.CounterVec
 
 	// journal is the crash-durable transition log (nil without
 	// Config.JournalDir); see journal.go.
@@ -185,7 +183,7 @@ type Server struct {
 
 	mu            sync.Mutex
 	inflightBytes int64 // POST /traces bytes being buffered and stored
-	stealer       *scheduler.Stealer
+	stealer       *jobs.Stealer[*pipeline.WireResult, *pipeline.WireTable]
 
 	wg      sync.WaitGroup
 	stop    chan struct{} // closed on Close; stops reaper and stealer
@@ -209,13 +207,13 @@ func NewServer(cfg Config) (*Server, error) {
 	s.initTelemetry(cfg)
 	s.pl = pipeline.New(pipeline.Options{CacheSize: cfg.CacheSize, Metrics: s.metrics})
 	s.cacheStats = newCacheStats(s.metrics)
-	s.node = jobs.New[*pipeline.WireResult](jobs.Config[*pipeline.WireTable]{
+	s.node = jobs.New(jobs.Config[*pipeline.WireResult, *pipeline.WireTable]{
 		Policy:  cfg.Policy,
 		Peers:   cfg.Peers,
 		Local:   localCache{s},
-		Probe:   s.cacheClient.Probe,
+		Peer:    &s.cacheClient,
 		Journal: s,
-		Metrics: s.schedMetrics,
+		Metrics: jobs.NewMetrics(s.metrics),
 		Hooks: jobs.Hooks{
 			Changed: func(j *jobs.Job) {
 				st := stateOf(j)
@@ -275,17 +273,7 @@ func (s *Server) StartStealer(self string) {
 	if s.stealer != nil || s.closed || len(s.cfg.Peers) == 0 || s.cfg.StealInterval < 0 {
 		return
 	}
-	s.stealer = &scheduler.Stealer{
-		Self:      self,
-		Peers:     s.node.Peers,
-		Interval:  s.cfg.StealInterval,
-		Idle:      s.idle,
-		Execute:   s.executeStolen,
-		Gossip:    s.node.Gossip,
-		Transport: &s.peerClient,
-		HasCached: s.pl.HasDigestCached, // prefer victims whose digests are cached here
-		Metrics:   s.schedMetrics,
-	}
+	s.stealer = s.node.NewStealer(self, &s.peerClient, s.idle, s.executeStolen)
 	st := s.stealer
 	s.wg.Add(1)
 	go func() {

@@ -19,7 +19,7 @@ import (
 )
 
 // This file is the daemon half of whole-job work stealing (the policy
-// is internal/scheduler's, the lease internal/jobs'):
+// and the lease are internal/jobs'):
 //
 //	GET  /steal             victim advertises its stealable backlog
 //	POST /jobs/claim        thief takes the newest stealable job, on a lease

@@ -219,7 +219,7 @@ func TestVictimCrashMidSteal(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(30 * time.Second)
-	for thiefSrv.stealer.Stats().Failures == 0 {
+	for thiefSrv.node.Metrics.StealFailures.Int() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("thief never recorded the failed result report")
 		}

@@ -10,7 +10,6 @@ import (
 
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/jobs"
-	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
 )
 
@@ -42,7 +41,6 @@ func (s *Server) initTelemetry(cfg Config) {
 		"Analysis jobs finished, by terminal status.", "status")
 	s.metrics.NewGaugeFunc("perfplay_jobs_running",
 		"Jobs executing right now (local and stolen).", func() float64 { return float64(s.node.Running()) })
-	s.schedMetrics = scheduler.NewMetrics(s.metrics)
 }
 
 // defaultNodeName labels this process's spans and log lines when the

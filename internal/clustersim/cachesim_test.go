@@ -18,7 +18,7 @@ func requireClean(t *testing.T, r *Report) {
 }
 
 // TestCacheWarmProbesSettleJobs: the warm island's results must reach
-// the cold nodes through the real cachepolicy.Prober — remote hits for
+// the cold nodes through the node's real cache probe — remote hits for
 // cached results, table imports (and so warm runs) for digests whose
 // results the island's LRU already evicted — and the run must stay
 // invariant-clean.
@@ -77,7 +77,7 @@ func TestPartitionBurnsTimeoutsThenHeals(t *testing.T) {
 
 // TestAdmissionWalksMultiHopChains: with near-total skew over a
 // shallow queue, admission must follow Retry-Peer chains (the real
-// cachepolicy.FollowRedirects), and the chain bound must hold — the
+// jobs.FollowRedirects), and the chain bound must hold — the
 // invariant checker independently recounts every chain.
 func TestAdmissionWalksMultiHopChains(t *testing.T) {
 	r := MustRun(short(ScenarioAdmission, 42))

@@ -3,8 +3,8 @@
 // perfplayd nodes and runs seeded workload scenarios through the code
 // the daemon ships. Each node is an internal/jobs Node — admission and
 // Retry-Peer, the start decision and its cache probes, leases, settle,
-// finish and reap — with a real scheduler.Stealer beside it; clients
-// submit through cachepolicy.FollowRedirects. Only the transports, the
+// finish and reap, and its Stealer; clients submit through
+// jobs.FollowRedirects. Only the jobs.Peer (an in-memory fabric), the
 // clock and the analysis run are simulated, so a knob that wins here
 // exercises the exact code that ships. An invariant checker
 // (invariants.go) rides every run and puts its findings on the report.
@@ -44,7 +44,7 @@ const (
 	// first WarmNodes nodes hold every digest's artifacts pre-computed,
 	// arrivals aim at the cold nodes, and the cold nodes must find the
 	// warm results through hint-gossiped cache probes (the real
-	// cachepolicy.Prober over a virtual-clock transport).
+	// jobs.Node cache probe over a virtual-clock jobs.Peer).
 	ScenarioCacheWarm = "cachewarm"
 	// ScenarioPartition is cachewarm plus a partial network partition:
 	// for a window mid-run the warm island and the cold nodes cannot
@@ -54,7 +54,7 @@ const (
 	ScenarioPartition = "partition"
 	// ScenarioAdmission aims nearly all arrivals at node 0 with a
 	// shallow queue, so admission overflows and submits walk multi-hop
-	// Retry-Peer chains — the real cachepolicy.FollowRedirects, hop
+	// Retry-Peer chains — the real jobs.FollowRedirects, hop
 	// bound and visited set included.
 	ScenarioAdmission = "admission"
 )

@@ -138,7 +138,7 @@ func (v *invariants) probeBound(resultCalls, tableCalls, fanout int) {
 }
 
 // chainCheck independently re-counts one admission chain — it does not
-// trust cachepolicy.FollowRedirects' own visited set, which is exactly
+// trust jobs.FollowRedirects' own visited set, which is exactly
 // the code under test.
 type chainCheck struct {
 	v     *invariants

@@ -116,16 +116,16 @@ func (c *Cluster) report() *Report {
 		Cache:      c.cache,
 	}
 	for _, n := range c.nodes {
-		st := n.stealer.Stats()
+		m := n.life.Metrics
 		nr := NodeReport{
 			Node:            fmt.Sprintf("node-%d", n.idx),
 			CompletedLocal:  n.completedLocal,
 			CompletedStolen: n.completedStolen,
-			StolenFrom:      int(n.metrics.LeasesGranted.Int()),
-			LeasesExpired:   int(n.metrics.LeasesExpired.Int()),
-			Probes:          st.Probes,
-			Claims:          st.Claims,
-			HintedClaims:    st.HintedClaims,
+			StolenFrom:      int(m.LeasesGranted.Int()),
+			LeasesExpired:   int(m.LeasesExpired.Int()),
+			Probes:          int(m.StealProbes.Int()),
+			Claims:          int(m.StealClaims.Int()),
+			HintedClaims:    int(m.StealHintedClaims.Int()),
 			WarmRuns:        n.warmRuns,
 			DepthP50:        percentile(n.depthSamples, 50),
 			DepthP90:        percentile(n.depthSamples, 90),

@@ -5,11 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"perfplay/internal/cachepolicy"
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
 	"perfplay/internal/jobs"
-	"perfplay/internal/scheduler"
 )
 
 // epoch anchors simulated time: node clocks read epoch + now·1ms.
@@ -61,8 +59,7 @@ type node struct {
 	url string
 
 	life    *lifecycle
-	stealer *scheduler.Stealer
-	metrics *scheduler.Metrics
+	stealer *jobs.Stealer[string, string]
 
 	freeWorkers int
 	// pendingStolen reserves workers for claims still in flight over
@@ -87,8 +84,8 @@ type node struct {
 	depthSamples    []int64
 }
 
-// idle implements Stealer.Idle: spare capacity not already promised to
-// an in-flight claim.
+// idle is the stealer's idle test: spare capacity not already promised
+// to an in-flight claim.
 func (n *node) idle() bool {
 	return !n.crashed && n.freeWorkers-n.pendingStolen > 0
 }
@@ -115,10 +112,12 @@ func (n *node) recentKeys(k int) []string {
 	return n.recent
 }
 
-// HasResult, HasTable and ImportTable make the node's cache model the
-// lifecycle's jobs.Cache. Imported tables cannot be corrupt here.
-func (n *node) HasResult(key string) bool { return n.results[key] }
-func (n *node) HasTable(key string) bool  { return n.cache[tableDigest(key)] }
+// HasResult, HasTable, HasCached and ImportTable make the node's cache
+// model the lifecycle's jobs.Cache. Imported tables cannot be corrupt
+// here.
+func (n *node) HasResult(key string) bool    { return n.results[key] }
+func (n *node) HasTable(key string) bool     { return n.cache[tableDigest(key)] }
+func (n *node) HasCached(digest string) bool { return n.cache[digest] }
 
 func (n *node) ImportTable(key, _ string) bool {
 	digest := tableDigest(key)
@@ -155,7 +154,8 @@ type Cluster struct {
 	resolved  int // jobs done, lost, or orphaned — never coming back
 	latencies []int64
 
-	// Cluster-wide counters (per-node ones live on node / its metrics).
+	// Cluster-wide counters (per-node ones live on node / its lifecycle's
+	// Metrics).
 	rejected      int
 	duplicates    int
 	orphans       int
@@ -177,7 +177,6 @@ func newCluster(cfg Config) *Cluster {
 			c:           c,
 			idx:         i,
 			url:         fmt.Sprintf("sim://node-%d", i),
-			metrics:     scheduler.NewMetrics(nil),
 			freeWorkers: cfg.Workers,
 			cache:       make(map[string]bool),
 			results:     make(map[string]bool),
@@ -213,13 +212,12 @@ func newCluster(cfg Config) *Cluster {
 // on the simulated clock and fabric. The node's terminal and worker
 // hooks feed the report's ledger and the invariant checker.
 func (c *Cluster) newLifecycle(n *node) *lifecycle {
-	return jobs.New[string](jobs.Config[string]{
-		Policy:  c.cfg.Policy,
-		Peers:   c.peersOf(n),
-		Local:   n,
-		Probe:   (&memTransport{c: c, from: n}).Probe,
-		Metrics: n.metrics,
-		Now:     c.clock,
+	return jobs.New(jobs.Config[string, string]{
+		Policy: c.cfg.Policy,
+		Peers:  c.peersOf(n),
+		Local:  n,
+		Peer:   &simPeer{c: c, from: n},
+		Now:    c.clock,
 		Hooks: jobs.Hooks{
 			Finished: func(j *jobs.Job) {
 				how := "completed"
@@ -257,7 +255,7 @@ func (c *Cluster) linkUp(a, b *node) bool {
 	return (a.idx < c.cfg.WarmNodes) == (b.idx < c.cfg.WarmNodes)
 }
 
-// clock renders simulated time for the lifecycle and the stealer.
+// clock renders simulated time for the lifecycle and its gossip view.
 func (c *Cluster) clock() time.Time {
 	return epoch.Add(time.Duration(c.now) * time.Millisecond)
 }
@@ -289,50 +287,48 @@ func (c *Cluster) latencyMS() int64 {
 	return 1 + c.rng.Stream("latency").Int64N(4)
 }
 
-func (c *Cluster) newStealer(n *node) *scheduler.Stealer {
-	return &scheduler.Stealer{
-		Self:    n.url,
-		Peers:   c.peersOf(n),
-		Idle:    n.idle,
-		Gossip:  n.life.Gossip,
-		Metrics: n.metrics,
-		Now:     c.clock,
-		// Hint-driven victim ordering, as perfplayd's StartStealer wires it.
-		HasCached: func(digest string) bool { return n.cache[digest] },
-		Transport: &memTransport{c: c, from: n},
-		Execute: func(victim string, sj clusterapi.StolenJob) error {
-			// The daemon executes inside the steal loop; here the claim
-			// reserves a worker and the job lands after the link delay.
-			// Failures surface as expired leases on the victim.
-			var job *simJob
-			v := c.byURL(victim)
-			if v == nil || !v.life.With(sj.ID, func(j *jobs.Job) { job = j.Local.(*simJob) }) {
-				return fmt.Errorf("claimed unknown job %q from %q", sj.ID, victim)
+// newStealer builds n's thief loop as perfplayd's StartStealer does.
+// The daemon executes inside the steal loop; here the claim reserves a
+// worker and the job lands after the link delay. Failures surface as
+// expired leases on the victim.
+func (c *Cluster) newStealer(n *node) *jobs.Stealer[string, string] {
+	return n.life.NewStealer(n.url, &simPeer{c: c, from: n}, n.idle, func(victim string, sj clusterapi.StolenJob) error {
+		var job *simJob
+		v := c.byURL(victim)
+		if v == nil || !v.life.With(sj.ID, func(j *jobs.Job) { job = j.Local.(*simJob) }) {
+			return fmt.Errorf("claimed unknown job %q from %q", sj.ID, victim)
+		}
+		n.pendingStolen++
+		delay := c.latencyMS()
+		if !n.cache[job.digest] {
+			delay += job.total / traceFetchDivisor
+		}
+		c.schedule(c.now+delay, kindStolenStart, func() {
+			n.pendingStolen--
+			if n.crashed {
+				return // the claim dies with the thief; the victim's lease recovers it
 			}
-			n.pendingStolen++
-			delay := c.latencyMS()
-			if !n.cache[job.digest] {
-				delay += job.total / traceFetchDivisor
-			}
-			c.schedule(c.now+delay, kindStolenStart, func() {
-				n.pendingStolen--
-				if n.crashed {
-					return // the claim dies with the thief; the victim's lease recovers it
-				}
-				c.begin(n, job, v)
-				c.assign(n)
-			})
-			return nil
-		},
-	}
+			c.begin(n, job, v)
+			c.assign(n)
+		})
+		return nil
+	})
 }
 
-// memTransport is the steal protocol's scheduler.Transport from node
-// from: the calls perfplayd's GET /steal, POST /jobs/claim and POST
-// /jobs/{id}/result handlers make on the victim's lifecycle.
-type memTransport struct {
-	c    *Cluster
-	from *node
+// simPeer is node from's jobs.Peer, the counterpart of the daemon's
+// peerclient.Client. Probe, Claim and Settle are the calls perfplayd's
+// GET /steal, POST /jobs/claim and POST /jobs/{id}/result handlers make
+// on the victim's lifecycle. The fetches are one job's cache probe
+// session: elapsed accumulates their virtual cost, one latency draw per
+// healthy peer, 1 ms per refusal, the full timeout per blackholed link.
+// The artifacts are the cache keys themselves.
+type simPeer struct {
+	c       *Cluster
+	from    *node
+	elapsed int64
+	// Fetches per round, for the fan-out invariant.
+	resultCalls int
+	tableCalls  int
 }
 
 // dial resolves peer as seen from from: a crashed or unknown node
@@ -348,22 +344,20 @@ func (c *Cluster) dial(from *node, peer string) (n *node, refused bool, err erro
 	return n, false, nil
 }
 
-func (t *memTransport) lookup(peer string) (*node, error) {
+func (t *simPeer) lookup(peer string) (*node, error) {
 	n, _, err := t.c.dial(t.from, peer)
 	return n, err
 }
 
-func (t *memTransport) Probe(peer string) (clusterapi.PeerStatus, error) {
+func (t *simPeer) Probe(peer string) (clusterapi.PeerStatus, error) {
 	v, err := t.lookup(peer)
 	if err != nil {
 		return clusterapi.PeerStatus{}, err
 	}
-	st := v.life.Status(v.recentKeys(t.c.cfg.HintKeys))
-	st.Seen = time.Time{} // observation time is the observer's
-	return st, nil
+	return v.life.Status(v.recentKeys(t.c.cfg.HintKeys)), nil
 }
 
-func (t *memTransport) Claim(peer, thief string) (clusterapi.StolenJob, bool, error) {
+func (t *simPeer) Claim(peer, thief string) (clusterapi.StolenJob, bool, error) {
 	v, err := t.lookup(peer)
 	if err != nil {
 		return clusterapi.StolenJob{}, false, err
@@ -375,7 +369,7 @@ func (t *memTransport) Claim(peer, thief string) (clusterapi.StolenJob, bool, er
 	return clusterapi.StolenJob{ID: j.ID, Spec: j.Spec, LeaseMS: t.c.cfg.Lease.Milliseconds()}, true, nil
 }
 
-func (t *memTransport) Settle(victim, jobID string, res clusterapi.StealResult) error {
+func (t *simPeer) Settle(victim, jobID string, res clusterapi.StealResult) error {
 	v, err := t.lookup(victim)
 	if err != nil {
 		return err
@@ -390,24 +384,8 @@ func (c *Cluster) cacheLatencyMS() int64 {
 	return 1 + c.rng.Stream("cachelat").Int64N(4)
 }
 
-// simCacheTransport is the cachepolicy.Fetcher of one job's probe
-// session, the counterpart of the daemon's peerclient.Client. elapsed
-// accumulates its virtual cost: one latency draw per healthy peer, 1 ms
-// per refusal, the full timeout per blackholed link. The artifacts are
-// the cache keys themselves.
-type simCacheTransport struct {
-	c       *Cluster
-	from    *node
-	elapsed int64
-	// Fetches per round, for the fan-out invariant.
-	resultCalls int
-	tableCalls  int
-}
-
-var _ cachepolicy.Fetcher[string, string] = (*simCacheTransport)(nil)
-
 // fetch resolves one probe's target and charges its virtual cost.
-func (t *simCacheTransport) fetch(peer string) (*node, error) {
+func (t *simPeer) fetch(peer string) (*node, error) {
 	t.c.cache.Probes++
 	target, refused, err := t.c.dial(t.from, peer)
 	if refused {
@@ -429,7 +407,7 @@ func (t *simCacheTransport) fetch(peer string) (*node, error) {
 	return target, nil
 }
 
-func (t *simCacheTransport) FetchResult(peer, key string, topK int) (string, error) {
+func (t *simPeer) FetchResult(peer, key string, topK int) (string, error) {
 	t.resultCalls++
 	target, err := t.fetch(peer)
 	if err != nil {
@@ -442,7 +420,7 @@ func (t *simCacheTransport) FetchResult(peer, key string, topK int) (string, err
 	return key, nil
 }
 
-func (t *simCacheTransport) FetchTable(peer, key string) (string, error) {
+func (t *simPeer) FetchTable(peer, key string) (string, error) {
 	t.tableCalls++
 	target, err := t.fetch(peer)
 	if err != nil {
@@ -575,20 +553,20 @@ const sampleEveryMS = 100
 // account (completed, lost, or orphaned) — the run's natural end.
 func (c *Cluster) drained() bool { return c.resolved >= len(c.jobs) }
 
-// submit is the client side of one arrival: cachepolicy.FollowRedirects
+// submit is the client side of one arrival: jobs.FollowRedirects
 // with the hop bound peerclient's Submit passes, against each node's
 // Admit and RetryPeer — what perfplayd's POST /analyze calls. A crashed
 // node refuses the connection and ends the chain. The walk happens at
 // the arrival instant; its link time is charged to the job as a penalty.
 func (c *Cluster) submit(j *simJob, origin *node) {
-	maxHops := cachepolicy.SubmitHops
+	maxHops := jobs.SubmitHops
 	var (
 		elapsed  int64
 		accepted *node
 		hops     = -1 // first submit is hop 0
 		chain    = c.inv.chain(j.id)
 	)
-	submit := func(base string) (cachepolicy.SubmitReply, error) {
+	submit := func(base string) (jobs.SubmitReply, error) {
 		hops++
 		if hops > 0 {
 			elapsed += c.latencyMS()
@@ -596,18 +574,18 @@ func (c *Cluster) submit(j *simJob, origin *node) {
 		chain.visit(base, maxHops)
 		n, _, err := c.dial(nil, base) // a client reaches every live node
 		if err != nil {
-			return cachepolicy.SubmitReply{}, err
+			return jobs.SubmitReply{}, err
 		}
 		spec := clusterapi.Spec{App: "sim", TraceDigest: j.digest, Seed: c.cfg.Seed}
 		if n.life.Admit(&jobs.Job{ID: j.id, Spec: spec, Local: j}) {
 			accepted = n
-			return cachepolicy.SubmitReply{ID: j.id}, nil
+			return jobs.SubmitReply{ID: j.id}, nil
 		}
-		reply := cachepolicy.SubmitReply{Reject: fmt.Errorf("queue full at %s", base)}
+		reply := jobs.SubmitReply{Reject: fmt.Errorf("queue full at %s", base)}
 		reply.RetryPeer, _ = n.life.RetryPeer()
 		return reply, nil
 	}
-	_, _, err := cachepolicy.FollowRedirects(submit, origin.url, maxHops)
+	_, _, err := jobs.FollowRedirects(submit, origin.url, maxHops)
 	c.cache.AdmissionHops += hops
 	if err != nil || accepted == nil {
 		c.account(j, "rejected")
@@ -623,7 +601,7 @@ func (c *Cluster) submit(j *simJob, origin *node) {
 // after the probe round, with no worker; a run waits for one, warm when
 // n holds the verdict table, with the probe round charged on top.
 func (c *Cluster) begin(n *node, j *simJob, victim *node) {
-	tr := &simCacheTransport{c: c, from: n}
+	tr := &simPeer{c: c, from: n}
 	key := resultKey(j.digest)
 	src, _, _ := n.life.Start(jobs.Keys{Digest: j.digest, Result: key, Table: tableKey(j.digest)}, tr, nil)
 	if src != jobs.LocalResult && c.cfg.ProbeFanout > 0 {
@@ -707,8 +685,8 @@ func (c *Cluster) jobDone(n *node, aj *activeJob) {
 }
 
 // retire delivers a finished job: the node's own through its
-// lifecycle's Finish, a stolen one back to its victim through the
-// transport's Settle. A run warms the node; a cache-settled job built
+// lifecycle's Finish, a stolen one back to its victim through its
+// Peer's Settle. A run warms the node; a cache-settled job built
 // nothing locally beyond the result it already imported.
 func (c *Cluster) retire(n *node, aj *activeJob) {
 	for i, a := range n.active {
@@ -727,7 +705,7 @@ func (c *Cluster) retire(n *node, aj *activeJob) {
 		n.life.Finish(aj.job.id, core.Rendered{}, "", nil)
 		return
 	}
-	err := (&memTransport{c: c, from: n}).Settle(aj.victim.url, aj.job.id, clusterapi.StealResult{Thief: n.url})
+	err := (&simPeer{c: c, from: n}).Settle(aj.victim.url, aj.job.id, clusterapi.StealResult{Thief: n.url})
 	switch {
 	case err == nil:
 		n.completedStolen++

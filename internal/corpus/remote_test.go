@@ -9,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"perfplay/internal/cachepolicy"
 	"perfplay/internal/corpus"
+	"perfplay/internal/jobs"
 	"perfplay/internal/peerclient"
 	"perfplay/internal/sim"
 	"perfplay/internal/workload"
@@ -176,7 +176,7 @@ func TestSubmitAnalyzeNoRedirect(t *testing.T) {
 // bound ends in an error naming the bound — never an unbounded crawl.
 func TestSubmitAnalyzeHopBound(t *testing.T) {
 	// Build a chain: each full node redirects to the next.
-	maxHops := cachepolicy.SubmitHops
+	maxHops := jobs.SubmitHops
 	next := ""
 	var chain []*httptest.Server
 	var counts []*int

@@ -8,14 +8,21 @@
 // peer's verdict table, else "run"), leases it to thieves and settles
 // their reports, finishes it exactly once, and requeues the jobs whose
 // lease lapsed at the front, so a vanished thief costs one lease of
-// latency, never the job.
+// latency, never the job. Its Stealer is the thief side: while the node
+// is idle it claims whole jobs from its peers' queues.
+//
+// Every call on another node crosses one interface, Peer: status probes,
+// claims and settles, cache fetches. Admission's client side is
+// FollowRedirects. No net/http here: internal/peerclient implements Peer
+// over HTTP.
 //
 // perfplayd drives it from its handlers and loops; internal/clustersim
 // drives one Node per virtual perfplayd on its event clock. What the two
-// differ in is injected: the clock, the transports, the transition log
-// and observer hooks. The analysis is the owner's: Start reports "run",
-// and the owner runs it and calls Finish. The node spawns no goroutines:
-// the owner drives expiry (Reap) and shutdown (Close).
+// differ in is injected: the clock, the Peer, the transition log and
+// observer hooks. The analysis is the owner's: Start reports "run", and
+// the owner runs it and calls Finish. The node spawns no goroutines: the
+// owner drives expiry (Reap), stealing (Stealer.Run or Tick) and
+// shutdown (Close).
 package jobs
 
 import (
@@ -28,11 +35,9 @@ import (
 	"sync"
 	"time"
 
-	"perfplay/internal/cachepolicy"
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
 	"perfplay/internal/journal"
-	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
 )
 
@@ -84,6 +89,10 @@ type Cache[T any] interface {
 	// ImportTable validates and adopts a peer's verdict table; false
 	// means keep probing.
 	ImportTable(key string, t T) bool
+	// HasCached reports whether the node holds cached artifacts for a
+	// trace digest: the stealer prefers a victim advertising one, since
+	// that steal settles from cache instead of re-running the pipeline.
+	HasCached(digest string) bool
 }
 
 // Hooks are the owner's observers. Each runs with the node's lock
@@ -176,20 +185,19 @@ func (p Policy) Or(d Policy) Policy {
 // Config sizes a node and injects what differs between the daemon and
 // the simulator. Zero means "none" or "unbounded"; owners resolve
 // defaults.
-type Config[T any] struct {
+type Config[R, T any] struct {
 	Policy
 	// Peers are the other nodes' base URLs.
 	Peers []string
 
 	Local Cache[T]
-	// Probe asks one peer for its status: the admission fallback probe
-	// (nil = none).
-	Probe func(peer string) (clusterapi.PeerStatus, error)
+	// Peer carries the admission fallback probe (nil = none).
+	Peer Peer[R, T]
 	// Journal receives every transition (nil = none).
 	Journal TransitionLog
-	// Metrics counts the lease lifecycle: granted by Claim, settled by
-	// Settle, expired by Reap (nil = none).
-	Metrics *scheduler.Metrics
+	// Metrics counts the steal protocol: leases, steals and gossip
+	// writes (nil = a private registry's).
+	Metrics *Metrics
 	// Now is the clock (nil = time.Now).
 	Now func() time.Time
 	Hooks
@@ -198,8 +206,8 @@ type Config[T any] struct {
 // Node is one node's job table. R and T are the result and verdict-table
 // artifact types its cache probes fetch.
 type Node[R, T any] struct {
-	Config[T]
-	Gossip *scheduler.Gossip
+	Config[R, T]
+	Gossip *Gossip
 
 	mu        sync.Mutex
 	notEmpty  sync.Cond       // on mu: the queue gained a job, or closed
@@ -213,19 +221,21 @@ type Node[R, T any] struct {
 	lastProbe time.Time // last admission fallback round
 }
 
-// New builds an empty node with a fresh gossip view.
-func New[R, T any](cfg Config[T]) *Node[R, T] {
+// New builds an empty node with a fresh gossip view on its clock.
+func New[R, T any](cfg Config[R, T]) *Node[R, T] {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetrics(nil)
+	}
 	n := &Node[R, T]{
 		Config: cfg,
-		Gossip: scheduler.NewGossip(),
+		Gossip: newGossip(cfg.Now),
 		jobs:   make(map[string]*Job),
 		leases: make(map[string]*Job),
 	}
 	n.notEmpty.L = &n.mu
-	n.Gossip.Now = cfg.Now
 	return n
 }
 
@@ -414,7 +424,7 @@ func (n *Node[R, T]) RetryPeer() (string, bool) {
 		return "", false
 	}
 	snap := n.Gossip.Snapshot()
-	if peer, ok := scheduler.IdlestPeer(n.Peers, snap); ok {
+	if peer, ok := IdlestPeer(n.Peers, snap); ok {
 		return peer, true
 	}
 	for _, peer := range n.Peers {
@@ -422,18 +432,14 @@ func (n *Node[R, T]) RetryPeer() (string, bool) {
 			return "", false
 		}
 	}
-	if n.Probe == nil || n.ProbeFanout == 0 || !n.probeAllowed() {
+	if n.Peer == nil || n.ProbeFanout == 0 || !n.probeAllowed() {
 		return "", false
 	}
 	peers := n.Peers[:min(n.ProbeFanout, len(n.Peers))]
 	for _, peer := range peers {
-		if st, err := n.Probe(peer); err != nil {
-			n.Gossip.RecordErr(peer, err)
-		} else {
-			n.Gossip.Record(peer, st)
-		}
+		n.probe(n.Peer, peer)
 	}
-	return scheduler.IdlestPeer(peers, n.Gossip.Snapshot())
+	return IdlestPeer(peers, n.Gossip.Snapshot())
 }
 
 func (n *Node[R, T]) probeAllowed() bool {
@@ -529,25 +535,24 @@ const (
 
 // Start decides where a local or stolen job's result comes from: this
 // node's result cache; else, when probing is on, a peer's result cache
-// (cachepolicy.Prober over f, gossip-ordered, bounded fan-out); else the
-// run — after adopting a peer's verdict table when this node holds
-// none. observe, when set, sees every probe attempt.
-func (n *Node[R, T]) Start(k Keys, f cachepolicy.Fetcher[R, T], observe func(peer, kind string, hit bool, start, end time.Time)) (src Source, r R, peer string) {
+// fetched through p (gossip-ordered, bounded fan-out); else the run —
+// after adopting a peer's verdict table when this node holds none.
+// observe, when set, sees every probe attempt.
+func (n *Node[R, T]) Start(k Keys, p Peer[R, T], observe Observer) (src Source, r R, peer string) {
 	if k.Result != "" && n.Local.HasResult(k.Result) {
 		return LocalResult, r, ""
 	}
 	if n.ProbeFanout == 0 || len(n.Peers) == 0 || k.Digest == "" {
 		return Run, r, ""
 	}
-	p := &cachepolicy.Prober[R, T]{Transport: f, Fanout: n.ProbeFanout, Observe: observe}
 	view := n.Gossip.Snapshot()
 	if k.Result != "" {
-		if r, peer, ok := p.ProbeResult(n.Peers, view, k.Result, k.TopK); ok {
+		if r, peer, ok := n.probeResult(p, view, k.Result, k.TopK, observe); ok {
 			return PeerResult, r, peer
 		}
 	}
 	if k.Table != "" && !n.Local.HasTable(k.Table) {
-		p.ProbeTable(n.Peers, view, k.Digest, k.Table, func(t T) bool { return n.Local.ImportTable(k.Table, t) })
+		n.probeTable(p, view, k.Digest, k.Table, observe)
 	}
 	return Run, r, ""
 }
@@ -570,9 +575,7 @@ func (n *Node[R, T]) Claim(thief string) (Job, time.Time, bool) {
 		j.deadline = n.Now().Add(n.Lease)
 		n.leases[j.ID] = j
 		n.log(journal.OpClaimed, j, thief)
-		if n.Metrics != nil {
-			n.Metrics.LeasesGranted.Inc()
-		}
+		n.Metrics.LeasesGranted.Inc()
 		j.StolenBy = thief
 		n.setStatus(j, Running)
 		return *j, j.deadline, true
@@ -582,19 +585,17 @@ func (n *Node[R, T]) Claim(thief string) (Job, time.Time, bool) {
 
 // Settle finishes a claimed job with its thief's report (errMsg
 // non-empty for a failed analysis), journaled settled or failed. A job
-// no longer on lease answers scheduler.ErrLeaseExpired: its result is
-// stale, and the requeued run is the one that counts.
+// no longer on lease answers ErrLeaseExpired: its result is stale, and
+// the requeued run is the one that counts.
 func (n *Node[R, T]) Settle(id, thief string, sum core.Rendered, errMsg string) (Job, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	j, ok := n.leases[id]
 	if !ok {
-		return Job{}, fmt.Errorf("job %s: %w", id, scheduler.ErrLeaseExpired)
+		return Job{}, fmt.Errorf("job %s: %w", id, ErrLeaseExpired)
 	}
 	delete(n.leases, id)
-	if n.Metrics != nil {
-		n.Metrics.LeasesSettled.Inc()
-	}
+	n.Metrics.LeasesSettled.Inc()
 	var err error
 	if errMsg != "" {
 		err = errors.New(errMsg)
@@ -686,9 +687,7 @@ func (n *Node[R, T]) Reap() int {
 	slices.SortFunc(expired, func(a, b *Job) int {
 		return cmp.Or(a.deadline.Compare(b.deadline), cmp.Compare(a.ID, b.ID))
 	})
-	if n.Metrics != nil && len(expired) > 0 {
-		n.Metrics.LeasesExpired.Add(float64(len(expired)))
-	}
+	n.Metrics.LeasesExpired.Add(float64(len(expired)))
 	for _, j := range expired {
 		if n.Expired != nil {
 			n.Expired(j, now)

@@ -12,7 +12,6 @@ import (
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
 	"perfplay/internal/journal"
-	"perfplay/internal/scheduler"
 )
 
 // clock is a fake clock tests advance by hand.
@@ -67,27 +66,77 @@ func (l *memLog) ops(id string) []string {
 	return out
 }
 
-// cache is a fake local artifact store.
+// cache is a fake local artifact store. It adopts only "good" tables
+// and logs every table offered to it.
 type cache struct {
-	results, tables map[string]bool
-	imported        []string
+	results, tables, digests map[string]bool
+	imported                 []string
 }
 
-func (c *cache) HasResult(key string) bool { return c.results[key] }
-func (c *cache) HasTable(key string) bool  { return c.tables[key] }
+func (c *cache) HasResult(key string) bool    { return c.results[key] }
+func (c *cache) HasTable(key string) bool     { return c.tables[key] }
+func (c *cache) HasCached(digest string) bool { return c.digests[digest] }
 func (c *cache) ImportTable(key, t string) bool {
-	c.imported = append(c.imported, key)
+	c.imported = append(c.imported, t)
 	return t == "good"
 }
 
-// fetcher is a fake cachepolicy.Fetcher: each peer holds the named
-// artifacts; every call is logged as "kind peer".
-type fetcher struct {
+// fakePeer scripts every peer a node calls, with no HTTP anywhere: the
+// error paths httptest fixtures make awkward — timeouts, garbage
+// statuses, peers vanishing between probe and claim. Each peer answers
+// a probe with its status or error, a claim with its next job (or its
+// claim error), and a fetch with its one result or table artifact, any
+// other fetch missing. Every call is logged as "kind peer".
+type fakePeer struct {
+	status          map[string]clusterapi.PeerStatus
+	probeErr        map[string]error
+	claims          map[string][]clusterapi.StolenJob
+	claimErr        map[string]error
+	settleErr       error
 	results, tables map[string]string // peer → artifact
 	calls           []string
 }
 
-func (f *fetcher) FetchResult(peer, key string, _ int) (string, error) {
+var _ Peer[string, string] = (*fakePeer)(nil)
+
+// called lists the peers the calls of one kind went to, in order.
+func (f *fakePeer) called(kind string) []string {
+	var peers []string
+	for _, c := range f.calls {
+		if k, peer, _ := strings.Cut(c, " "); k == kind {
+			peers = append(peers, peer)
+		}
+	}
+	return peers
+}
+
+func (f *fakePeer) Probe(peer string) (clusterapi.PeerStatus, error) {
+	f.calls = append(f.calls, "probe "+peer)
+	if err := f.probeErr[peer]; err != nil {
+		return clusterapi.PeerStatus{}, err
+	}
+	return f.status[peer], nil
+}
+
+func (f *fakePeer) Claim(peer, thief string) (clusterapi.StolenJob, bool, error) {
+	f.calls = append(f.calls, "claim "+peer)
+	if err := f.claimErr[peer]; err != nil {
+		return clusterapi.StolenJob{}, false, err
+	}
+	q := f.claims[peer]
+	if len(q) == 0 {
+		return clusterapi.StolenJob{}, false, nil
+	}
+	f.claims[peer] = q[1:]
+	return q[0], true, nil
+}
+
+func (f *fakePeer) Settle(victim, jobID string, res clusterapi.StealResult) error {
+	f.calls = append(f.calls, "settle "+victim)
+	return f.settleErr
+}
+
+func (f *fakePeer) FetchResult(peer, key string, _ int) (string, error) {
 	f.calls = append(f.calls, "result "+peer)
 	if r, ok := f.results[peer]; ok {
 		return r, nil
@@ -95,7 +144,7 @@ func (f *fetcher) FetchResult(peer, key string, _ int) (string, error) {
 	return "", errors.New("miss")
 }
 
-func (f *fetcher) FetchTable(peer, key string) (string, error) {
+func (f *fakePeer) FetchTable(peer, key string) (string, error) {
 	f.calls = append(f.calls, "table "+peer)
 	if t, ok := f.tables[peer]; ok {
 		return t, nil
@@ -111,11 +160,11 @@ type harness struct {
 	finished map[string]int
 }
 
-func newHarness(cfg Config[string]) *harness {
+func newHarness(cfg Config[string, string]) *harness {
 	h := &harness{
 		clk:      &clock{now: time.Unix(1000, 0)},
 		log:      &memLog{},
-		cache:    &cache{results: map[string]bool{}, tables: map[string]bool{}},
+		cache:    &cache{results: map[string]bool{}, tables: map[string]bool{}, digests: map[string]bool{}},
 		finished: map[string]int{},
 	}
 	if cfg.QueueDepth == 0 {
@@ -126,7 +175,7 @@ func newHarness(cfg Config[string]) *harness {
 	}
 	cfg.Now, cfg.Journal, cfg.Local = h.clk.Now, h.log, h.cache
 	cfg.Finished = func(j *Job) { h.finished[j.ID]++ }
-	h.n = New[string](cfg)
+	h.n = New(cfg)
 	return h
 }
 
@@ -164,7 +213,7 @@ func terminal(ops []string) int {
 // A thief reporting after its lease was taken back gets ErrLeaseExpired;
 // the requeued local run is the job's one terminal record.
 func TestLateSettleAfterExpiry(t *testing.T) {
-	h := newHarness(Config[string]{})
+	h := newHarness(Config[string, string]{})
 	id := h.admit(t)
 	if _, _, ok := h.n.Claim("thief"); !ok {
 		t.Fatal("nothing to claim")
@@ -179,7 +228,7 @@ func TestLateSettleAfterExpiry(t *testing.T) {
 	if st := h.status(id); st.Status != Queued || st.StolenBy != "" {
 		t.Fatalf("reaped job = %+v, want queued with no thief", st)
 	}
-	if _, err := h.n.Settle(id, "thief", core.Rendered{Report: "stale"}, ""); !errors.Is(err, scheduler.ErrLeaseExpired) {
+	if _, err := h.n.Settle(id, "thief", core.Rendered{Report: "stale"}, ""); !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("late settle: err = %v, want ErrLeaseExpired", err)
 	}
 	qj, ok := h.n.TryPop()
@@ -202,7 +251,7 @@ func TestLateSettleAfterExpiry(t *testing.T) {
 // counted once, and none re-enters the queue a closed node's workers no
 // longer drain.
 func TestReapIntoClosedQueue(t *testing.T) {
-	h := newHarness(Config[string]{})
+	h := newHarness(Config[string, string]{})
 	ids := []string{h.admit(t), h.admit(t)}
 	h.n.Claim("thief")
 	h.n.Claim("thief")
@@ -234,7 +283,7 @@ func TestReapIntoClosedQueue(t *testing.T) {
 // Past MaxJobs the oldest finished job leaves the table with an evicted
 // record.
 func TestEvictionPastMaxJobs(t *testing.T) {
-	h := newHarness(Config[string]{Policy: Policy{MaxJobs: 2}})
+	h := newHarness(Config[string, string]{Policy: Policy{MaxJobs: 2}})
 	var ids []string
 	for range 3 {
 		id := h.admit(t)
@@ -258,9 +307,9 @@ var keys = Keys{Digest: "sha256:d", Result: "sha256:d|r", Table: "sha256:d|t"}
 
 // A local result answers without a single probe.
 func TestLocalResultProbesNoOne(t *testing.T) {
-	h := newHarness(Config[string]{Peers: []string{"p1", "p2"}, Policy: Policy{ProbeFanout: 2}})
+	h := newHarness(Config[string, string]{Peers: []string{"p1", "p2"}, Policy: Policy{ProbeFanout: 2}})
 	h.cache.results[keys.Result] = true
-	f := &fetcher{results: map[string]string{"p1": "r"}}
+	f := &fakePeer{results: map[string]string{"p1": "r"}}
 	if src, _, _ := h.n.Start(keys, f, nil); src != LocalResult || len(f.calls) != 0 {
 		t.Fatalf("source %v after probes %v, want a local hit and none", src, f.calls)
 	}
@@ -270,9 +319,9 @@ func TestLocalResultProbesNoOne(t *testing.T) {
 // everywhere, and only when no local table exists.
 func TestTableImportOrder(t *testing.T) {
 	peers := []string{"p1", "p2"}
-	h := newHarness(Config[string]{Peers: peers, Policy: Policy{ProbeFanout: 2}})
+	h := newHarness(Config[string, string]{Peers: peers, Policy: Policy{ProbeFanout: 2}})
 
-	f := &fetcher{results: map[string]string{"p2": "r"}, tables: map[string]string{"p1": "good"}}
+	f := &fakePeer{results: map[string]string{"p2": "r"}, tables: map[string]string{"p1": "good"}}
 	if src, r, peer := h.n.Start(keys, f, nil); src != PeerResult || r != "r" || peer != "p2" {
 		t.Fatalf("Start = %v %q %q, want p2's result", src, r, peer)
 	}
@@ -280,24 +329,24 @@ func TestTableImportOrder(t *testing.T) {
 		t.Fatalf("probes %v: a table was fetched although a result hit", f.calls)
 	}
 
-	f = &fetcher{tables: map[string]string{"p1": "bad", "p2": "good"}}
+	f = &fakePeer{tables: map[string]string{"p1": "bad", "p2": "good"}}
 	if src, _, _ := h.n.Start(keys, f, nil); src != Run {
 		t.Fatalf("source %v, want run", src)
 	}
 	want := []string{"result p1", "result p2", "table p1", "table p2"}
-	if !slices.Equal(f.calls, want) || !slices.Equal(h.cache.imported, []string{keys.Table, keys.Table}) {
+	if !slices.Equal(f.calls, want) || !slices.Equal(h.cache.imported, []string{"bad", "good"}) {
 		t.Fatalf("probes %v imports %v, want %v and both tables offered", f.calls, h.cache.imported, want)
 	}
 
 	h.cache.tables[keys.Table] = true
-	f = &fetcher{tables: map[string]string{"p1": "good"}}
+	f = &fakePeer{tables: map[string]string{"p1": "good"}}
 	h.n.Start(keys, f, nil)
 	if !slices.Equal(f.calls, []string{"result p1", "result p2"}) {
 		t.Fatalf("probes %v with a local table, want result probes only", f.calls)
 	}
 
-	h0 := newHarness(Config[string]{Peers: peers}) // fan-out 0: probing off
-	f = &fetcher{results: map[string]string{"p1": "r"}}
+	h0 := newHarness(Config[string, string]{Peers: peers}) // fan-out 0: probing off
+	f = &fakePeer{results: map[string]string{"p1": "r"}}
 	if src, _, _ := h0.n.Start(keys, f, nil); src != Run || len(f.calls) != 0 {
 		t.Fatalf("fan-out 0: source %v probes %v, want a run and no probes", src, f.calls)
 	}
@@ -306,38 +355,55 @@ func TestTableImportOrder(t *testing.T) {
 // The admission fallback probe runs only when gossip knows no healthy
 // peer, at most once per StealInterval, and never with fan-out 0.
 func TestRetryPeerFallbackRateLimited(t *testing.T) {
-	var probes int
-	probe := func(peer string) (clusterapi.PeerStatus, error) {
-		probes++
-		return clusterapi.PeerStatus{QueueLen: 0, QueueCap: 4}, nil
-	}
-	h := newHarness(Config[string]{Peers: []string{"p1"}, Policy: Policy{ProbeFanout: 1, StealInterval: time.Second}, Probe: probe})
-	if peer, ok := h.n.RetryPeer(); !ok || peer != "p1" || probes != 1 {
-		t.Fatalf("RetryPeer = %q %v after %d probes, want p1 after one", peer, ok, probes)
+	p := &fakePeer{status: map[string]clusterapi.PeerStatus{"p1": {QueueLen: 0, QueueCap: 4}}}
+	probes := func() int { return len(p.called("probe")) }
+	h := newHarness(Config[string, string]{Peers: []string{"p1"}, Policy: Policy{ProbeFanout: 1, StealInterval: time.Second}, Peer: p})
+	if peer, ok := h.n.RetryPeer(); !ok || peer != "p1" || probes() != 1 {
+		t.Fatalf("RetryPeer = %q %v after %d probes, want p1 after one", peer, ok, probes())
 	}
 	h.n.Gossip.RecordErr("p1", errors.New("down"))
-	if _, ok := h.n.RetryPeer(); ok || probes != 1 {
-		t.Fatalf("second round inside the interval: ok=%v probes=%d", ok, probes)
+	if _, ok := h.n.RetryPeer(); ok || probes() != 1 {
+		t.Fatalf("second round inside the interval: ok=%v probes=%d", ok, probes())
 	}
 	h.clk.advance(time.Second)
-	if _, ok := h.n.RetryPeer(); !ok || probes != 2 {
-		t.Fatalf("round after the interval: ok=%v probes=%d", ok, probes)
+	if _, ok := h.n.RetryPeer(); !ok || probes() != 2 {
+		t.Fatalf("round after the interval: ok=%v probes=%d", ok, probes())
 	}
 	h.n.Gossip.Record("p1", clusterapi.PeerStatus{QueueLen: 4, QueueCap: 4})
 	h.clk.advance(time.Second)
-	if _, ok := h.n.RetryPeer(); ok || probes != 2 {
-		t.Fatalf("healthy-but-full view: ok=%v probes=%d, want no redirect and no probe", ok, probes)
+	if _, ok := h.n.RetryPeer(); ok || probes() != 2 {
+		t.Fatalf("healthy-but-full view: ok=%v probes=%d, want no redirect and no probe", ok, probes())
 	}
-	off := newHarness(Config[string]{Peers: []string{"p1"}, Probe: probe})
-	if _, ok := off.n.RetryPeer(); ok || probes != 2 {
+	off := newHarness(Config[string, string]{Peers: []string{"p1"}, Peer: p})
+	if _, ok := off.n.RetryPeer(); ok || probes() != 2 {
 		t.Fatal("fan-out 0 probed")
+	}
+}
+
+// Every gossip write counts, the admission fallback round's included:
+// one healthy and one failing peer make one update of each result.
+func TestRetryPeerFallbackCountsGossipUpdates(t *testing.T) {
+	p := &fakePeer{
+		status:   map[string]clusterapi.PeerStatus{"up": {QueueLen: 0, QueueCap: 4}},
+		probeErr: map[string]error{"down": errors.New("connection refused")},
+	}
+	h := newHarness(Config[string, string]{Peers: []string{"down", "up"}, Policy: Policy{ProbeFanout: 2}, Peer: p})
+	if peer, ok := h.n.RetryPeer(); !ok || peer != "up" {
+		t.Fatalf("RetryPeer = %q %v, want up", peer, ok)
+	}
+	updates := h.n.Metrics.GossipUpdates
+	if ok, errs := updates.With("ok").Int(), updates.With("err").Int(); ok != 1 || errs != 1 {
+		t.Fatalf("gossip updates ok=%d err=%d, want 1 and 1", ok, errs)
+	}
+	if n := h.n.Metrics.StealProbes.Int(); n != 0 {
+		t.Fatalf("steal probes = %d: the admission round is not the stealer's", n)
 	}
 }
 
 // Admit, Claim, Settle, Begin/Finish and Reap racing from many
 // goroutines: every job ends exactly once (run with -race).
 func TestConcurrentLifecycle(t *testing.T) {
-	h := newHarness(Config[string]{Policy: Policy{QueueDepth: 1 << 10, Lease: time.Millisecond}})
+	h := newHarness(Config[string, string]{Policy: Policy{QueueDepth: 1 << 10, Lease: time.Millisecond}})
 	var fin sync.Mutex
 	h.n.Finished = func(j *Job) {
 		fin.Lock()

@@ -1,15 +1,11 @@
-package scheduler
+package jobs
 
 import "perfplay/internal/telemetry"
 
-// Metrics bundles the steal protocol's telemetry instruments. One value
-// is shared by a node's Stealer (thief-side activity and probe
-// bookkeeping) and its jobs.Node (the lease lifecycle), so the whole
-// protocol reports into one consistent family set.
-//
-// A nil *Metrics is legal everywhere and records nothing; NewMetrics
-// with a nil registry backs the instruments with a private one, which
-// keeps Stats() readable even on nodes that never export /metrics.
+// Metrics bundles a node's steal-protocol instruments: its Stealer's
+// thief-side activity, its lease lifecycle and its gossip writes, in one
+// family set. New backs a node without one with a private registry, so
+// the counters are readable on nodes that never export /metrics.
 type Metrics struct {
 	// Thief side.
 	StealProbes       *telemetry.Counter // probe rounds issued
@@ -23,12 +19,12 @@ type Metrics struct {
 	LeasesSettled *telemetry.Counter // Settle accepted a thief's result
 	LeasesExpired *telemetry.Counter // Reap recovered a job
 
-	// Gossip bookkeeping, labeled by probe result.
+	// Gossip writes, labeled by probe result.
 	GossipUpdates *telemetry.CounterVec // result=ok|err
 }
 
-// NewMetrics registers the scheduler families on reg (a nil reg uses a
-// private registry).
+// NewMetrics registers the perfplay_scheduler_* families on reg (a nil
+// reg uses a private registry).
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	if reg == nil {
 		reg = telemetry.NewRegistry()

@@ -10,7 +10,6 @@ import (
 
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
-	"perfplay/internal/scheduler"
 )
 
 // These tests hold the node's queue and lease behaviour: FIFO pops from
@@ -31,7 +30,7 @@ func popIDs(n *Node[string, string]) []string {
 
 // Admission stops at QueueDepth, and Pop takes the oldest job.
 func TestQueueFIFOAndBound(t *testing.T) {
-	h := newHarness(Config[string]{Policy: Policy{QueueDepth: 2}})
+	h := newHarness(Config[string, string]{Policy: Policy{QueueDepth: 2}})
 	a, b := h.admit(t), h.admit(t)
 	if h.n.Admit(&Job{Spec: clusterapi.Spec{App: "x"}}) {
 		t.Fatal("admit beyond QueueDepth accepted")
@@ -50,7 +49,7 @@ func TestQueueFIFOAndBound(t *testing.T) {
 // TryPop takes the oldest job like Pop, and reports an empty queue
 // without waiting.
 func TestQueueTryPop(t *testing.T) {
-	h := newHarness(Config[string]{})
+	h := newHarness(Config[string, string]{})
 	if _, ok := h.n.TryPop(); ok {
 		t.Fatal("TryPop on an empty queue reported a job")
 	}
@@ -66,7 +65,7 @@ func TestQueueTryPop(t *testing.T) {
 // A thief claims the newest stealable job; a newer upload job stays for
 // the local workers.
 func TestClaimTakesNewestStealable(t *testing.T) {
-	h := newHarness(Config[string]{})
+	h := newHarness(Config[string, string]{})
 	old, newer, upload := h.admit(t), h.admit(t), h.admitSpec(t, local)
 
 	j, deadline, ok := h.n.Claim("http://thief")
@@ -102,16 +101,16 @@ func TestClaimTakesNewestStealable(t *testing.T) {
 // A lease settles once: a second report, and a report for a job never
 // claimed, answer ErrLeaseExpired.
 func TestSettleOnce(t *testing.T) {
-	h := newHarness(Config[string]{})
+	h := newHarness(Config[string, string]{})
 	id := h.admit(t)
 	h.n.Claim("thief")
 	if j, err := h.n.Settle(id, "thief", core.Rendered{}, ""); err != nil || j.Status != Done {
 		t.Fatalf("settle = %+v, %v", j, err)
 	}
-	if _, err := h.n.Settle(id, "thief", core.Rendered{}, ""); !errors.Is(err, scheduler.ErrLeaseExpired) {
+	if _, err := h.n.Settle(id, "thief", core.Rendered{}, ""); !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("double settle: err = %v, want ErrLeaseExpired", err)
 	}
-	if _, err := h.n.Settle("never-claimed", "thief", core.Rendered{}, ""); !errors.Is(err, scheduler.ErrLeaseExpired) {
+	if _, err := h.n.Settle("never-claimed", "thief", core.Rendered{}, ""); !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("settle of an unclaimed job: err = %v, want ErrLeaseExpired", err)
 	}
 	if h.n.ClaimedCount() != 0 {
@@ -121,7 +120,7 @@ func TestSettleOnce(t *testing.T) {
 
 // A thief's failure report is journaled failed, not settled.
 func TestFailedSettleJournaledFailed(t *testing.T) {
-	h := newHarness(Config[string]{})
+	h := newHarness(Config[string, string]{})
 	id := h.admit(t)
 	h.n.Claim("thief")
 	j, err := h.n.Settle(id, "thief", core.Rendered{}, "boom")
@@ -136,7 +135,7 @@ func TestFailedSettleJournaledFailed(t *testing.T) {
 // A lapsed lease comes back at the front of the queue, ahead of jobs
 // that have not waited yet, and before that the lease is held.
 func TestExpiredLeaseRequeuesAtFront(t *testing.T) {
-	h := newHarness(Config[string]{})
+	h := newHarness(Config[string, string]{})
 	waiting, stolen := h.admit(t), h.admit(t)
 	if j, _, ok := h.n.Claim("thief"); !ok || j.ID != stolen {
 		t.Fatal("claim failed")
@@ -167,7 +166,7 @@ func TestReapOrder(t *testing.T) {
 		{"ties by job ID", 0, []string{"job-1", "job-2", "job-3"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness(Config[string]{})
+			h := newHarness(Config[string, string]{})
 			for range 3 {
 				h.admit(t)
 			}
@@ -191,7 +190,7 @@ func TestReapOrder(t *testing.T) {
 // A full queue still takes back its own lapsed leases: refusing them
 // would turn a thief's crash into job loss.
 func TestReapPastQueueDepth(t *testing.T) {
-	h := newHarness(Config[string]{Policy: Policy{QueueDepth: 1}})
+	h := newHarness(Config[string, string]{Policy: Policy{QueueDepth: 1}})
 	h.admit(t)
 	h.n.Claim("thief")
 	h.admit(t) // fills the queue again
@@ -208,7 +207,7 @@ func TestReapPastQueueDepth(t *testing.T) {
 // it, with the thief on the claimed and settled records; a refused
 // admit logs nothing.
 func TestTransitionLog(t *testing.T) {
-	h := newHarness(Config[string]{Policy: Policy{QueueDepth: 2}})
+	h := newHarness(Config[string, string]{Policy: Policy{QueueDepth: 2}})
 	a, b := h.admit(t), h.admit(t)
 	h.n.Admit(&Job{ID: "refused", Spec: clusterapi.Spec{App: "x"}})
 	h.n.Claim("thief") // takes b
@@ -241,7 +240,7 @@ func TestTransitionLog(t *testing.T) {
 // Pop waits for an admit; Close wakes a waiting Pop with false and
 // stops admits and claims.
 func TestPopBlocksUntilAdmitOrClose(t *testing.T) {
-	h := newHarness(Config[string]{})
+	h := newHarness(Config[string, string]{})
 	got := make(chan *Job, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -290,7 +289,7 @@ func TestPopBlocksUntilAdmitOrClose(t *testing.T) {
 
 // Jobs queued before Close still pop.
 func TestQueueDrainsAfterClose(t *testing.T) {
-	h := newHarness(Config[string]{})
+	h := newHarness(Config[string, string]{})
 	id := h.admit(t)
 	h.n.Close()
 	if j, ok := h.n.Pop(); !ok || j.ID != id {
@@ -311,7 +310,7 @@ func TestStatusAdvertisesStealableDigests(t *testing.T) {
 		{0, []string{"sha256:bb", "sha256:aa"}},
 		{1, []string{"sha256:bb"}},
 	} {
-		h := newHarness(Config[string]{Policy: Policy{HintKeys: tc.hintKeys}})
+		h := newHarness(Config[string, string]{Policy: Policy{HintKeys: tc.hintKeys}})
 		h.admitSpec(t, clusterapi.Spec{TraceDigest: "sha256:aa"})
 		h.admitSpec(t, clusterapi.Spec{App: "x"}) // stealable, no digest
 		h.admitSpec(t, clusterapi.Spec{TraceDigest: "sha256:bb"})
@@ -327,7 +326,7 @@ func TestStatusAdvertisesStealableDigests(t *testing.T) {
 // the overflow as lost; jobs that were out on a lease requeue at the
 // front past it.
 func TestRecoverPastQueueDepth(t *testing.T) {
-	h := newHarness(Config[string]{Policy: Policy{QueueDepth: 2}})
+	h := newHarness(Config[string, string]{Policy: Policy{QueueDepth: 2}})
 	restore := func(ids ...string) []*Job {
 		var js []*Job
 		for _, id := range ids {
@@ -360,7 +359,7 @@ func TestRecoverPastQueueDepth(t *testing.T) {
 // failed and handed back as lost, so the caller knows exactly which
 // were dropped; none enters the queue a closed node no longer drains.
 func TestRecoverIntoClosedQueue(t *testing.T) {
-	h := newHarness(Config[string]{})
+	h := newHarness(Config[string, string]{})
 	var claimed []*Job
 	for _, id := range []string{"job-1", "job-2"} {
 		j := &Job{ID: id, Spec: clusterapi.Spec{App: "x"}}

@@ -1,4 +1,4 @@
-package scheduler_test
+package jobs_test
 
 import (
 	"encoding/json"
@@ -11,20 +11,20 @@ import (
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/jobs"
 	"perfplay/internal/peerclient"
-	"perfplay/internal/scheduler"
+	"perfplay/internal/pipeline"
 )
 
 // These tests drive the Stealer over real HTTP through peerclient, the
-// daemon's transport, against victims that are the daemon's own job
-// node; the external test package is what lets them import both without
-// a cycle.
+// daemon's Peer, against victims that are the daemon's own job node;
+// the external test package is what lets them import both without a
+// cycle.
 
 type victim = jobs.Node[struct{}, struct{}]
 
 // newVictim returns a node (queue depth 8) holding one stealable job per
 // ID, oldest first.
 func newVictim(ids ...string) *victim {
-	v := jobs.New[struct{}](jobs.Config[struct{}]{Policy: jobs.Policy{QueueDepth: 8, Lease: time.Minute}})
+	v := jobs.New(jobs.Config[struct{}, struct{}]{Policy: jobs.Policy{QueueDepth: 8, Lease: time.Minute}})
 	for _, id := range ids {
 		v.Admit(&jobs.Job{ID: id, Spec: clusterapi.Spec{App: "mysql", Threads: 4, Seed: 7}})
 	}
@@ -53,6 +53,42 @@ func fakeVictim(t *testing.T, v *victim) *httptest.Server {
 	return ts
 }
 
+// noCache is a thief's local cache that holds nothing.
+type noCache struct{}
+
+func (noCache) HasResult(string) bool                        { return false }
+func (noCache) HasTable(string) bool                         { return false }
+func (noCache) HasCached(string) bool                        { return false }
+func (noCache) ImportTable(string, *pipeline.WireTable) bool { return false }
+
+type thiefNode = jobs.Node[*pipeline.WireResult, *pipeline.WireTable]
+
+// newThief returns a node over peers that polls every 5ms on now
+// (nil = the wall clock).
+func newThief(now func() time.Time, peers ...string) *thiefNode {
+	return jobs.New(jobs.Config[*pipeline.WireResult, *pipeline.WireTable]{
+		Policy: jobs.Policy{StealInterval: 5 * time.Millisecond},
+		Peers:  peers,
+		Local:  noCache{},
+		Now:    now,
+	})
+}
+
+// run starts st's loop and returns the function that stops it and waits
+// for Run to return, after which its counters are final.
+func run(st *jobs.Stealer[*pipeline.WireResult, *pipeline.WireTable]) (stop func()) {
+	quit, ran := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ran)
+		st.Run(quit)
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(quit) })
+		<-ran
+	}
+}
+
 func TestStealerDrainsDeepestPeer(t *testing.T) {
 	shallow, deep := newVictim("s1"), newVictim("d1", "d2", "d3")
 	tsShallow, tsDeep := fakeVictim(t, shallow), fakeVictim(t, deep)
@@ -61,18 +97,14 @@ func TestStealerDrainsDeepestPeer(t *testing.T) {
 	var order []string
 	idle := true
 	done := make(chan struct{})
-	st := &scheduler.Stealer{
-		Self:      "http://self",
-		Peers:     []string{tsShallow.URL, tsDeep.URL},
-		Interval:  5 * time.Millisecond,
-		Gossip:    scheduler.NewGossip(),
-		Transport: &peerclient.Client{},
-		Idle: func() bool {
+	n := newThief(nil, tsShallow.URL, tsDeep.URL)
+	st := n.NewStealer("http://self", &peerclient.Client{},
+		func() bool {
 			mu.Lock()
 			defer mu.Unlock()
 			return idle
 		},
-		Execute: func(victim string, job clusterapi.StolenJob) error {
+		func(victim string, job clusterapi.StolenJob) error {
 			mu.Lock()
 			defer mu.Unlock()
 			order = append(order, job.ID)
@@ -81,17 +113,16 @@ func TestStealerDrainsDeepestPeer(t *testing.T) {
 				close(done)
 			}
 			return nil
-		},
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go st.Run(stop)
+		})
+	stop := run(st)
+	defer stop()
 
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatalf("stealer stalled; stole %v", order)
 	}
+	stop()
 	mu.Lock()
 	defer mu.Unlock()
 	// The deeper backlog must be hit first; claims take the newest job.
@@ -101,12 +132,12 @@ func TestStealerDrainsDeepestPeer(t *testing.T) {
 	if stealable(shallow) != 0 || stealable(deep) != 0 {
 		t.Fatalf("backlogs not drained: shallow=%d deep=%d", stealable(shallow), stealable(deep))
 	}
-	stats := st.Stats()
-	if stats.Claims != 4 || stats.Executed != 4 || stats.Failures != 0 {
-		t.Fatalf("stats = %+v", stats)
+	m := n.Metrics
+	if c, e, f := m.StealClaims.Int(), m.StealExecuted.Int(), m.StealFailures.Int(); c != 4 || e != 4 || f != 0 {
+		t.Fatalf("claims/executed/failures = %d/%d/%d, want 4/4/0", c, e, f)
 	}
 	// Gossip observed both peers.
-	snap := st.Gossip.Snapshot()
+	snap := n.Gossip.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("gossip tracks %d peers, want 2", len(snap))
 	}
@@ -115,21 +146,15 @@ func TestStealerDrainsDeepestPeer(t *testing.T) {
 func TestStealerRespectsIdle(t *testing.T) {
 	q := newVictim("a")
 	ts := fakeVictim(t, q)
-	st := &scheduler.Stealer{
-		Self:      "http://self",
-		Peers:     []string{ts.URL},
-		Interval:  5 * time.Millisecond,
-		Transport: &peerclient.Client{},
-		Idle:      func() bool { return false },
-		Execute: func(string, clusterapi.StolenJob) error {
+	st := newThief(nil, ts.URL).NewStealer("http://self", &peerclient.Client{},
+		func() bool { return false },
+		func(string, clusterapi.StolenJob) error {
 			t.Error("executed a steal while not idle")
 			return nil
-		},
-	}
-	stop := make(chan struct{})
-	go st.Run(stop)
+		})
+	stop := run(st)
 	time.Sleep(100 * time.Millisecond)
-	close(stop)
+	stop()
 	if stealable(q) != 1 {
 		t.Fatal("busy node stole anyway")
 	}
@@ -172,25 +197,18 @@ func TestProbe(t *testing.T) {
 func TestBusyNodeStillGossips(t *testing.T) {
 	q := newVictim("a")
 	ts := fakeVictim(t, q)
-	st := &scheduler.Stealer{
-		Self:      "http://self",
-		Peers:     []string{ts.URL},
-		Interval:  5 * time.Millisecond,
-		Gossip:    scheduler.NewGossip(),
-		Transport: &peerclient.Client{},
-		Idle:      func() bool { return false },
-		Execute: func(string, clusterapi.StolenJob) error {
+	n := newThief(nil, ts.URL)
+	st := n.NewStealer("http://self", &peerclient.Client{},
+		func() bool { return false },
+		func(string, clusterapi.StolenJob) error {
 			t.Error("executed a steal while not idle")
 			return nil
-		},
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go st.Run(stop)
+		})
+	defer run(st)()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if pst, ok := st.Gossip.Snapshot()[ts.URL]; ok && pst.Err == "" {
+		if pst, ok := n.Gossip.Snapshot()[ts.URL]; ok && pst.Err == "" {
 			if pst.QueueLen != 1 || pst.QueueCap != 8 {
 				t.Fatalf("gossip entry = %+v", pst)
 			}
@@ -217,27 +235,20 @@ func TestStealerSurvivesDeadPeer(t *testing.T) {
 
 	done := make(chan struct{})
 	var once sync.Once
-	st := &scheduler.Stealer{
-		Self:      "http://self",
-		Peers:     []string{deadURL, ts.URL},
-		Interval:  5 * time.Millisecond,
-		Gossip:    scheduler.NewGossip(),
-		Transport: &peerclient.Client{},
-		Idle:      func() bool { return true },
-		Execute: func(victim string, job clusterapi.StolenJob) error {
+	n := newThief(nil, deadURL, ts.URL)
+	st := n.NewStealer("http://self", &peerclient.Client{},
+		func() bool { return true },
+		func(victim string, job clusterapi.StolenJob) error {
 			once.Do(func() { close(done) })
 			return nil
-		},
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go st.Run(stop)
+		})
+	defer run(st)()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("live peer never drained past the dead one")
 	}
-	if st.Gossip.Snapshot()[deadURL].Err == "" {
+	if n.Gossip.Snapshot()[deadURL].Err == "" {
 		t.Fatal("dead peer's probe failure not recorded in gossip")
 	}
 }
@@ -251,13 +262,10 @@ func TestStealerCountsReportFailures(t *testing.T) {
 	drained := make(chan struct{})
 	var calls int
 	var mu sync.Mutex
-	st := &scheduler.Stealer{
-		Self:      "http://self",
-		Peers:     []string{ts.URL},
-		Interval:  5 * time.Millisecond,
-		Transport: &peerclient.Client{},
-		Idle:      func() bool { return true },
-		Execute: func(victim string, job clusterapi.StolenJob) error {
+	n := newThief(nil, ts.URL)
+	st := n.NewStealer("http://self", &peerclient.Client{},
+		func() bool { return true },
+		func(victim string, job clusterapi.StolenJob) error {
 			mu.Lock()
 			defer mu.Unlock()
 			calls++
@@ -265,59 +273,49 @@ func TestStealerCountsReportFailures(t *testing.T) {
 				close(drained)
 			}
 			return &json.SyntaxError{} // any error: "victim unreachable"
-		},
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go st.Run(stop)
+		})
+	stop := run(st)
+	defer stop()
 	select {
 	case <-drained:
 	case <-time.After(5 * time.Second):
 		t.Fatal("stealer wedged after a failed report")
 	}
-	stats := st.Stats()
-	if stats.Failures != 2 || stats.Executed != 2 {
-		t.Fatalf("stats = %+v, want 2 executed / 2 failures", stats)
+	stop()
+	if f, e := n.Metrics.StealFailures.Int(), n.Metrics.StealExecuted.Int(); f != 2 || e != 2 {
+		t.Fatalf("executed/failures = %d/%d, want 2 executed / 2 failures", e, f)
 	}
 }
 
-// TestStealerStampsGossipWithOwnClock: the full probe path — Probe
-// discards the victim's self-stamped Seen, and the stealer stamps the
-// observation with its own (injectable) clock before recording it.
+// TestStealerStampsGossipWithOwnClock: the full probe path — the wire
+// status carries the victim's own Seen stamp, and the gossip entry
+// carries the thief node's clock instead.
 func TestStealerStampsGossipWithOwnClock(t *testing.T) {
 	q := newVictim("a")
 	ts := fakeVictim(t, q)
 
+	stamp := time.Unix(1_700_000_000, 0)
 	// The wire status carries the victim's wall clock...
 	wire, err := (&peerclient.Client{}).Probe(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ...but Probe clears it: observation time is the observer's.
-	if !wire.Seen.IsZero() {
-		t.Fatalf("Probe kept the victim's Seen stamp %v", wire.Seen)
+	if wire.Seen.IsZero() || wire.Seen.Equal(stamp) {
+		t.Fatalf("wire Seen = %v, want the victim's own stamp", wire.Seen)
 	}
 
-	stamp := time.Unix(1_700_000_000, 0)
-	st := &scheduler.Stealer{
-		Self:      "http://self",
-		Peers:     []string{ts.URL},
-		Interval:  5 * time.Millisecond,
-		Gossip:    scheduler.NewGossip(),
-		Transport: &peerclient.Client{},
-		Now:       func() time.Time { return stamp },
-		Idle:      func() bool { return false }, // gossip-only ticks
-		Execute:   func(string, clusterapi.StolenJob) error { return nil },
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go st.Run(stop)
+	// ...but gossip records the observer's.
+	n := newThief(func() time.Time { return stamp }, ts.URL)
+	st := n.NewStealer("http://self", &peerclient.Client{},
+		func() bool { return false }, // gossip-only ticks
+		func(string, clusterapi.StolenJob) error { return nil })
+	defer run(st)()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if pst, ok := st.Gossip.Snapshot()[ts.URL]; ok && pst.Err == "" {
+		if pst, ok := n.Gossip.Snapshot()[ts.URL]; ok && pst.Err == "" {
 			if !pst.Seen.Equal(stamp) {
-				t.Fatalf("gossip Seen = %v, want the stealer clock's %v", pst.Seen, stamp)
+				t.Fatalf("gossip Seen = %v, want the node clock's %v", pst.Seen, stamp)
 			}
 			break
 		}

@@ -1,9 +1,14 @@
-package cachepolicy
+package jobs
 
 import (
 	"fmt"
 	"strings"
 )
+
+// SubmitHops bounds how many Retry-Peer admission redirects one submit
+// follows: peerclient.Client.Submit passes it, and so does the policy
+// lab's simulated client.
+const SubmitHops = 3
 
 // SubmitReply is one node's answer to an admission submit.
 type SubmitReply struct {
@@ -21,9 +26,11 @@ type SubmitReply struct {
 }
 
 // SubmitFunc submits one job spec (held by the closure) to one node:
-// the admission half of the cache transport seam. The error return is
-// transport-level (unreachable peer, un-decodable accept); a reachable
-// node that rejects reports why in SubmitReply.Reject.
+// the client's side of admission, not a Peer call, since its callers
+// (peerclient's Submit, the policy lab's client) send different bodies.
+// The error return is transport-level (unreachable peer, un-decodable
+// accept); a reachable node that rejects reports why in
+// SubmitReply.Reject.
 type SubmitFunc func(base string) (SubmitReply, error)
 
 // FollowRedirects drives the steal-aware admission chain: submit to

@@ -1,4 +1,4 @@
-package cachepolicy
+package jobs
 
 import (
 	"errors"

@@ -1,10 +1,9 @@
 // Package peerclient is the one client for perfplayd's HTTP API: every
-// call a node makes on a peer (steal probe, claim and settle, cache and
-// trace fetches, the admission probe) and the CLI's submit and long-poll
-// go through Client.do. Client satisfies scheduler.Transport and
-// cachepolicy.Fetcher and drives cachepolicy.FollowRedirects, so the
-// policy packages behind those seams never link net/http; the cluster
-// simulator satisfies the same seams in memory.
+// call a node makes on a peer (status probe, claim and settle, cache and
+// trace fetches) and the CLI's submit and long-poll go through
+// Client.do. Client is the node's jobs.Peer and drives
+// jobs.FollowRedirects, so internal/jobs never links net/http; the
+// cluster simulator implements the same jobs.Peer in memory.
 package peerclient
 
 import (
@@ -19,14 +18,14 @@ import (
 	"strconv"
 	"time"
 
-	"perfplay/internal/cachepolicy"
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/corpus"
 	"perfplay/internal/jobs"
 	"perfplay/internal/pipeline"
-	"perfplay/internal/scheduler"
 	"perfplay/internal/telemetry"
 )
+
+var _ jobs.Peer[*pipeline.WireResult, *pipeline.WireTable] = (*Client)(nil)
 
 // Client calls perfplayd nodes. The zero value uses http.DefaultClient
 // and sends no trace context.
@@ -68,7 +67,7 @@ var (
 		http.StatusBadRequest:            corpus.ErrInvalid,
 		http.StatusRequestEntityTooLarge: corpus.ErrInvalid,
 	}
-	leaseSentinels = map[int]error{http.StatusConflict: scheduler.ErrLeaseExpired}
+	leaseSentinels = map[int]error{http.StatusConflict: jobs.ErrLeaseExpired}
 )
 
 // call is one request: its JSON body (nil = none), the 2xx body's bound
@@ -139,9 +138,6 @@ func (c *Client) Probe(peer string) (clusterapi.PeerStatus, error) {
 	if _, _, err := c.do(call{method: http.MethodGet, url: peer + "/steal", limit: maxControlBytes, into: &st}); err != nil {
 		return clusterapi.PeerStatus{}, err
 	}
-	// Observation time is the observer's (a victim's skewed clock would
-	// poison staleness checks): Gossip.Record re-stamps a zero Seen.
-	st.Seen = time.Time{}
 	return st, nil
 }
 
@@ -161,7 +157,7 @@ func (c *Client) Claim(peer, thief string) (clusterapi.StolenJob, bool, error) {
 }
 
 // Settle reports a stolen job's outcome (POST /jobs/{id}/result). A 409
-// wraps scheduler.ErrLeaseExpired: the victim re-owns the job.
+// wraps jobs.ErrLeaseExpired: the victim re-owns the job.
 func (c *Client) Settle(victim, jobID string, res clusterapi.StealResult) error {
 	body, err := json.Marshal(&res)
 	if err != nil {
@@ -213,10 +209,10 @@ func (c *Client) FetchTrace(base, digest string, maxBytes int64) ([]byte, error)
 }
 
 // Submit submits a JSON job spec to base's POST /analyze, following
-// Retry-Peer redirects through cachepolicy.FollowRedirects. It returns
+// Retry-Peer redirects through jobs.FollowRedirects. It returns
 // the job id and the base that accepted it: the node to poll.
 func (c *Client) Submit(base string, spec []byte) (id, accepted string, err error) {
-	submit := func(base string) (cachepolicy.SubmitReply, error) {
+	submit := func(base string) (jobs.SubmitReply, error) {
 		var accept struct {
 			ID string `json:"id"`
 		}
@@ -224,7 +220,7 @@ func (c *Client) Submit(base string, spec []byte) (id, accepted string, err erro
 			limit: maxControlBytes, into: &accept, sentinels: corpusSentinels})
 		if err != nil && resp != nil && resp.StatusCode/100 != 2 {
 			// A rejection; only a 503's Retry-Peer names a peer with room.
-			reply := cachepolicy.SubmitReply{Reject: err}
+			reply := jobs.SubmitReply{Reject: err}
 			if resp.StatusCode == http.StatusServiceUnavailable {
 				reply.RetryPeer = resp.Header.Get("Retry-Peer")
 			}
@@ -234,11 +230,11 @@ func (c *Client) Submit(base string, spec []byte) (id, accepted string, err erro
 			err = errors.New("accept response carries no job id")
 		}
 		if err != nil {
-			return cachepolicy.SubmitReply{}, fmt.Errorf("submit to %s: %w", base, err)
+			return jobs.SubmitReply{}, fmt.Errorf("submit to %s: %w", base, err)
 		}
-		return cachepolicy.SubmitReply{ID: accept.ID}, nil
+		return jobs.SubmitReply{ID: accept.ID}, nil
 	}
-	return cachepolicy.FollowRedirects(submit, base, cachepolicy.SubmitHops)
+	return jobs.FollowRedirects(submit, base, jobs.SubmitHops)
 }
 
 // Wait long-polls GET {base}/jobs/{id}?wait= until the job is done or

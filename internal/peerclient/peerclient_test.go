@@ -13,7 +13,7 @@ import (
 
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/jobs"
-	"perfplay/internal/scheduler"
+	"perfplay/internal/pipeline"
 	"perfplay/internal/telemetry"
 )
 
@@ -32,15 +32,11 @@ func TestProbeRejectsOversizedStatus(t *testing.T) {
 	if _, err := (&Client{}).Probe(ts.URL); !errors.Is(err, errTooLarge) {
 		t.Fatalf("oversized status: err = %v, want errTooLarge", err)
 	}
-	st := &scheduler.Stealer{
-		Peers:     []string{ts.URL},
-		Gossip:    scheduler.NewGossip(),
-		Transport: &Client{},
-		Idle:      func() bool { return false }, // one gossip-only round
-		Execute:   func(string, clusterapi.StolenJob) error { return nil },
-	}
-	st.Tick(nil)
-	entry := st.Gossip.Snapshot()[ts.URL]
+	n := jobs.New(jobs.Config[*pipeline.WireResult, *pipeline.WireTable]{Peers: []string{ts.URL}})
+	n.NewStealer("", &Client{},
+		func() bool { return false }, // one gossip-only round
+		func(string, clusterapi.StolenJob) error { return nil }).Tick(nil)
+	entry := n.Gossip.Snapshot()[ts.URL]
 	if entry.Err == "" || len(entry.CacheKeys) != 0 || entry.QueueLen != 0 {
 		t.Fatalf("gossip entry = %+v, want a bare error entry", entry)
 	}
@@ -107,7 +103,7 @@ func TestStatusErrorWrapsEnvelopeAndSentinel(t *testing.T) {
 
 	c := (&Client{}).WithTrace("trace-1", "span-1")
 	err := c.Settle(ts.URL, "job-3", clusterapi.StealResult{Thief: "http://thief:1"})
-	if !errors.Is(err, scheduler.ErrLeaseExpired) {
+	if !errors.Is(err, jobs.ErrLeaseExpired) {
 		t.Fatalf("err = %v, want ErrLeaseExpired", err)
 	}
 	var apiErr *clusterapi.APIError
@@ -116,7 +112,7 @@ func TestStatusErrorWrapsEnvelopeAndSentinel(t *testing.T) {
 	}
 	// The same status on a route without a sentinel wraps only the
 	// envelope.
-	if _, err := c.Probe(ts.URL); errors.Is(err, scheduler.ErrLeaseExpired) || !errors.As(err, &apiErr) {
+	if _, err := c.Probe(ts.URL); errors.Is(err, jobs.ErrLeaseExpired) || !errors.As(err, &apiErr) {
 		t.Fatalf("probe err = %v, want the envelope alone", err)
 	}
 }
