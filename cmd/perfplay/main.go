@@ -1,7 +1,8 @@
 // Command perfplay runs the PerfPlay pipeline on a modelled workload and
 // prints the ranked list of ULCP optimization opportunities — the
 // "List: ULCP optimization benefits" of the paper's Fig. 5. All analysis
-// goes through internal/pipeline, one job on one goroutine.
+// goes through internal/pipeline: one job on main's goroutine, plus the
+// job's one fork, which replays the recording beside classification.
 //
 // Usage:
 //

@@ -1,7 +1,8 @@
 // Command perfplayd is the PerfPlay analysis daemon: a long-running
 // HTTP service that accepts analysis jobs — a workload spec or a stored
 // trace's digest — runs up to -workers of them at once through
-// internal/pipeline, one goroutine each, off a bounded job queue, and
+// internal/pipeline, one goroutine each (a job forks its replays beside
+// classification, so it may hold two cores), off a bounded job queue, and
 // serves the ranked reports back as JSON. Every job moves
 // through the lifecycle in internal/jobs; this command is its HTTP
 // front end. docs/API.md is the route reference (CI diffs it against
@@ -155,7 +156,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	c, d := &o.cfg, jobs.Defaults()
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&c.Workers, "workers", d.Workers, "concurrent analysis jobs, each on one goroutine")
+	fs.IntVar(&c.Workers, "workers", d.Workers, "concurrent analysis jobs; a job may hold two cores while its replays run beside classification")
 	fs.IntVar(&c.QueueDepth, "queue", d.QueueDepth, "pending-job queue depth (further submits get 503)")
 	fs.IntVar(&c.CacheSize, "cache", defaultCacheSize, "LRU result cache capacity")
 	fs.IntVar(&c.MaxJobs, "max-jobs", d.MaxJobs, "finished jobs retained before eviction")

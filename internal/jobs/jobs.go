@@ -115,7 +115,8 @@ type Hooks struct {
 // runs with.
 type Policy struct {
 	// Workers is how many jobs the node runs at once, one goroutine
-	// each. The owner runs them; the Node does not read it.
+	// each, though a job forks its replays beside classification and so
+	// may hold two cores. The owner runs them; the Node does not read it.
 	Workers int
 	// QueueDepth bounds the pending-job queue; a submit past it is
 	// refused and pointed at a Retry-Peer.

@@ -1,8 +1,11 @@
 // Package pipeline is the analysis orchestrator: it runs the PerfPlay
-// stages — Record → Replay → Classify → Quantify → Report — as one
-// staged job with a typed Request/Result API. One job runs on one
-// goroutine, start to finish; parallelism lives across whole jobs
-// (cmd/experiments -workers, perfplayd -workers), never inside one. A
+// stages — Record → Replay ∥ Classify → Quantify → Report — as one
+// staged job with a typed Request/Result API. A job runs on the
+// goroutine that called Run, with exactly one fork: once the trace is
+// recorded and warmed, the recording's replays run beside
+// classification, which never reads them, and the two join before
+// quantify. Parallelism lives across whole jobs side by side
+// (cmd/experiments -workers, perfplayd -workers) plus that one fork. A
 // job never leaves its node mid-run: the cluster moves whole jobs
 // (stealing) and finished results/tables (cache probes).
 //
@@ -18,6 +21,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -287,25 +291,32 @@ func tableKey(req Request) string {
 		req.Identify.MaxScanPerThread, req.Identify.DisableReversedReplay, req.Identify.MaxReversedReplays)
 }
 
-// exec is the staged orchestrator: straight-line code on the calling
-// goroutine.
+// exec is the staged orchestrator. It runs on the calling goroutine
+// except for its one fork: once the record stage has warmed the trace,
+// the replay and classify stages run side by side, since neither reads
+// what the other computes, and join before quantify.
 func (p *Pipeline) exec(req Request) (*Result, error) {
 	res := &Result{Request: req}
 	a := &core.Analysis{}
 	res.Analysis = a
 
-	stage := func(name string, f func() error) error {
+	timed := func(name string, f func() error) (core.StageTiming, error) {
 		start := time.Now()
 		err := f()
-		wall := time.Since(start)
-		res.Timings = append(res.Timings, core.StageTiming{Stage: name, Wall: wall, Start: start})
-		p.stageDur.With(name).Observe(wall.Seconds())
+		t := core.StageTiming{Stage: name, Wall: time.Since(start), Start: start}
+		p.stageDur.With(name).Observe(t.Wall.Seconds())
+		return t, err
+	}
+	stage := func(name string, f func() error) error {
+		t, err := timed(name, f)
+		res.Timings = append(res.Timings, t)
 		return err
 	}
 
 	// Stage 1 — Record: build and run the workload under the recording
 	// simulator, unless the caller supplied a trace. The trace is warmed
-	// here, once, for every later stage that indexes it.
+	// here, once, so the two branches below and every later stage can
+	// read it concurrently.
 	tr := req.Trace
 	if err := stage("record", func() error {
 		if tr == nil && req.TraceLoader != nil {
@@ -348,8 +359,9 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 	// Stage 2 — Replay: the scheduler replays of the recorded trace. The
 	// ELSC run doubles as the quantification baseline (core's
 	// OrigReplay), so it always runs; the other three schemes run beside
-	// it, in scheduler order, when requested.
-	if err := stage("replay", func() error {
+	// it, in scheduler order, when requested. Writes only OrigReplay and
+	// Schemes.
+	replayStage := func() error {
 		scheds := []replay.Scheduler{replay.ELSCS}
 		if req.Schemes {
 			scheds = []replay.Scheduler{replay.OrigS, replay.ELSCS, replay.SyncS, replay.MemS}
@@ -367,8 +379,6 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 			}
 		}
 		return nil
-	}); err != nil {
-		return nil, err
 	}
 
 	// Stage 3 — Classify: extract critical sections, obtain the shared
@@ -378,8 +388,9 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 	// ULCP-free schedule as a plan over the recording. Both paths below
 	// produce the same report bytes: shards with the table are pure
 	// functions of (trace, group, options, table), and the table itself
-	// is a pure function of (trace, options).
-	if err := stage("classify", func() error {
+	// is a pure function of (trace, options). Writes only CSs, Report
+	// and Transformed.
+	classifyStage := func() error {
 		a.CSs = tr.ExtractCS()
 		var table *ulcp.VerdictTable
 		var buildRep *ulcp.Report
@@ -418,7 +429,23 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 		var err error
 		a.Transformed, err = transform.Plan(a.CSs, a.Report)
 		return err
-	}); err != nil {
+	}
+
+	// The fork: each branch fills its own timing and error slot, so the
+	// timings keep the stage order and, when both fail, the replay error
+	// wins, as it did when replay ran first. Both branches have returned
+	// (or a panic has re-raised here) before exec goes on.
+	names := [2]string{"replay", "classify"}
+	branches := [2]func() error{replayStage, classifyStage}
+	var (
+		forked [2]core.StageTiming
+		errs   [2]error
+	)
+	NewPool(2).Each(2, func(i int) {
+		forked[i], errs[i] = timed(names[i], branches[i])
+	})
+	res.Timings = append(res.Timings, forked[:]...)
+	if err := cmp.Or(errs[:]...); err != nil {
 		return nil, err
 	}
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"perfplay/internal/corpus"
 	"perfplay/internal/replay"
@@ -102,6 +103,79 @@ func TestSideBySideJobsWidthIndependent(t *testing.T) {
 				t.Fatalf("seed %d: width 4 report differs from width 1:\n%s\n---\n%s", seeds[i], want[i], report)
 			}
 		}
+	}
+}
+
+// TestForkedJobsMatchSerial is the race oracle for the fork inside a
+// job: uncached jobs over two workloads, every optional stage on, run
+// side by side on one Pipeline — each forking its replays beside
+// classification — and each report must equal the one a serial run of
+// the same request renders. The second round repeats the requests, so
+// its classify branches take the table-hit shard path while the first
+// round's build fresh tables.
+func TestForkedJobsMatchSerial(t *testing.T) {
+	var reqs []Request
+	for _, app := range []string{"mysql", "openldap"} {
+		for _, seed := range []int64{1, 2} {
+			reqs = append(reqs, Request{App: app, Threads: 4, Scale: 0.1, Seed: seed,
+				Schemes: true, DetectRaces: true, VerifyTheorem1: true})
+		}
+	}
+	want := make([]string, len(reqs))
+	for i, req := range reqs {
+		res, err := Run(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Report
+	}
+	p := New(Options{})
+	for round := 0; round < 2; round++ {
+		reports := make([]string, len(reqs))
+		errs := make([]error, len(reqs))
+		NewPool(len(reqs)).Each(len(reqs), func(i int) {
+			var res *Result
+			if res, errs[i] = p.Run(reqs[i]); res != nil {
+				reports[i] = res.Report
+			}
+		})
+		for i := range reqs {
+			if errs[i] != nil || reports[i] != want[i] {
+				t.Fatalf("round %d: %s seed %d: err %v; side-by-side report differs from serial:\n%s\n---\n%s",
+					round, reqs[i].App, reqs[i].Seed, errs[i], want[i], reports[i])
+			}
+		}
+	}
+	if got := p.TableCacheLen(); got != len(reqs) {
+		t.Fatalf("table cache holds %d entries, want %d", got, len(reqs))
+	}
+}
+
+// TestReplayErrorWinsAcrossFork: a two-constraint cycle passes Validate,
+// which only range-checks constraints, but no replay can step past it.
+// The replay branch's error is the one Run returns even though
+// classification ran beside it, and no goroutine outlives the job.
+func TestReplayErrorWinsAcrossFork(t *testing.T) {
+	app := workload.MustGet("pbzip2")
+	tr := sim.Run(app.Build(workload.Config{Threads: 2, Scale: 0.2, Seed: 3}), sim.Config{Seed: 3}).Trace
+	pt := tr.PerThread()
+	a, b := pt[0][0], pt[1][0]
+	tr.Constraints = append(tr.Constraints,
+		trace.Constraint{After: a, Before: b}, trace.Constraint{After: b, Before: a})
+
+	base := runtime.NumGoroutine()
+	_, err := Run(Request{Trace: tr})
+	const want = "pipeline: ELSC-S replay: replay stuck under ELSC-S: "
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("Run = %v, want an error starting %q", err, want)
+	}
+	// A finished worker has called wg.Done but may not have returned yet.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after Run, %d before", got, base)
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a fixed-width parallel-for over index-addressed tasks, used
-// only at the job level: cmd/experiments -workers spreads whole
-// experiments over it; a single job never touches it. Each
+// Pool is a fixed-width parallel-for over index-addressed tasks:
+// cmd/experiments -workers spreads whole experiments over it, and each
+// job forks its replay and classify stages on it at width 2. Each
 // task writes its result into a caller-owned slot picked by task index,
 // so output order never depends on goroutine scheduling.
 type Pool struct {
