@@ -8,16 +8,24 @@
 //
 // On-disk layout (one directory per store):
 //
-//	<dir>/index.json     metadata for every stored trace
+//	<dir>/index.json     snapshot: metadata for every trace stored when it was written
+//	<dir>/index.log      one JSON record per line for each mutation since the snapshot
 //	<dir>/blobs/<hex>    the raw trace bytes (binary or JSON encoding)
 //
-// Blobs and the index are written atomically (temp file + rename in the
-// same directory), so a crashed writer never leaves a partial blob
-// under a valid name. A configurable byte budget bounds the store;
-// exceeding it evicts least-recently-used unpinned traces.
+// Blobs and the snapshot are written atomically (temp file + rename in
+// the same directory), so a crashed writer never leaves a partial blob
+// under a valid name. Put, Pin and Delete each append one fsync'd line
+// to index.log instead of rewriting the index, so a mutation's index
+// write does not grow with the corpus; the append that takes the log
+// past max(64, live traces) records also folds it into a fresh
+// snapshot and removes it. Recency (LastUsed) moves in memory and
+// reaches disk with the records of the trace it belongs to and at each
+// snapshot. A configurable byte budget bounds the store; exceeding it
+// evicts least-recently-used unpinned traces.
 package corpus
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -116,13 +124,28 @@ type Store struct {
 	mu    sync.Mutex
 	metas map[string]*Meta // digest → meta
 	total int64            // sum of stored blob sizes
+	logN  int              // records in index.log since the snapshot
 }
 
-// Open opens (creating if needed) the store at dir and reconciles the
-// index with the blobs actually on disk: index entries whose blob
-// vanished are dropped, and blobs missing from the index (e.g. after a
-// crash between blob rename and index write) are re-adopted by
-// re-parsing them.
+// logRecord is one line of index.log: exactly one of Put (the trace's
+// whole metadata, for a store or a pin change) and Delete (a digest, for
+// a delete or an eviction) is set.
+type logRecord struct {
+	Put    *Meta  `json:"put,omitempty"`
+	Delete string `json:"delete,omitempty"`
+}
+
+// minCompact is the fewest log records that trigger a snapshot, so a
+// small corpus is not re-snapshotted every few mutations.
+const minCompact = 64
+
+// Open opens (creating if needed) the store at dir, reads the snapshot
+// and applies index.log over it, and reconciles the result with the
+// blobs actually on disk: index entries whose blob vanished are dropped,
+// and blobs missing from the index (e.g. after a crash between blob
+// rename and log append) are re-adopted by re-parsing them. A torn final
+// log record is cut off; a bad record with good ones after it is
+// corruption, and Open fails.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
@@ -137,6 +160,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.now = time.Now
 	}
 	if err := s.loadIndex(); err != nil {
+		return nil, err
+	}
+	if err := s.replayLog(); err != nil {
 		return nil, err
 	}
 	if err := s.reconcile(); err != nil {
@@ -158,6 +184,7 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 func (s *Store) indexPath() string        { return filepath.Join(s.dir, "index.json") }
+func (s *Store) logPath() string          { return filepath.Join(s.dir, "index.log") }
 func (s *Store) blobPath(h string) string { return filepath.Join(s.dir, "blobs", h) }
 
 func (s *Store) loadIndex() error {
@@ -178,11 +205,67 @@ func (s *Store) loadIndex() error {
 	return nil
 }
 
+// replayLog applies index.log's records, in order, over the snapshot.
+// Replaying records the snapshot already holds ends in the snapshot's
+// traces, sizes and pins, so a crash between a compaction's snapshot and
+// the log's removal replays harmlessly (only the recency of a trace the
+// log deletes and then stores again can fall back). Lines that do not
+// parse at the end of the file are a write torn by a crash (never
+// acknowledged): the log is truncated to its last good record before
+// anything can append after them. A line that does not parse with a
+// good one after it is corruption.
+func (s *Store) replayLog() error {
+	data, err := os.ReadFile(s.logPath())
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("corpus: read index.log: %w", err)
+	}
+	var good int   // bytes up to the end of the last good record
+	var bad []byte // the first unparsable line since then
+	badLine := 0
+	for line, rest := 1, data; len(rest) > 0; line++ {
+		text, tail, complete := bytes.Cut(rest, []byte("\n"))
+		var rec logRecord
+		if !complete || json.Unmarshal(text, &rec) != nil || (rec.Put == nil) == (rec.Delete == "") {
+			if bad == nil {
+				bad, badLine = text, line
+			}
+			rest = tail
+			continue
+		}
+		if bad != nil {
+			return fmt.Errorf("corpus: parse index.log line %d: %.40q is not a record, and good records follow it", badLine, bad)
+		}
+		if rec.Put != nil {
+			// Recency only moves forward: a record the snapshot already
+			// holds (replayed after a crash mid-compaction) must not
+			// roll back a later LastUsed that the snapshot caught.
+			if old, ok := s.metas[rec.Put.Digest]; ok && old.LastUsed.After(rec.Put.LastUsed) {
+				rec.Put.LastUsed = old.LastUsed
+			}
+			s.metas[rec.Put.Digest] = rec.Put
+		} else {
+			delete(s.metas, rec.Delete)
+		}
+		s.logN++
+		rest = tail
+		good = len(data) - len(rest)
+	}
+	if good < len(data) {
+		if err := os.Truncate(s.logPath(), int64(good)); err != nil {
+			return fmt.Errorf("corpus: truncate torn index.log tail: %w", err)
+		}
+	}
+	return nil
+}
+
 // reconcile makes the in-memory index agree with the blobs directory,
 // and sweeps the store's own crash leftovers (tmp-* files abandoned
-// between CreateTemp and rename) so they cannot accumulate. It rewrites
-// index.json only when it changed an entry: opening a store that needed
-// no repair writes nothing.
+// between CreateTemp and rename) so they cannot accumulate. It persists
+// the index (as a fresh snapshot) only when it changed an entry: opening
+// a store that needed no repair writes nothing.
 func (s *Store) reconcile() error {
 	for _, sub := range []string{s.dir, filepath.Join(s.dir, "blobs")} {
 		entries, err := os.ReadDir(sub)
@@ -258,12 +341,60 @@ func (s *Store) reconcile() error {
 	if !changed {
 		return nil
 	}
-	return s.saveIndexLocked()
+	return s.compactLocked()
 }
 
-// saveIndexLocked atomically rewrites index.json; call with mu held (or
-// during Open, before the store is shared).
-func (s *Store) saveIndexLocked() error {
+// appendLocked appends records to index.log in one write and one fsync,
+// then compacts once the log outgrows max(minCompact, live traces) —
+// each snapshot costs O(live traces) and comes only after as many
+// records, so a mutation costs O(1) amortised. A failed append is cut
+// back off, so a later good record never follows a torn one. Call with
+// mu held.
+func (s *Store) appendLocked(recs ...logRecord) error {
+	var buf bytes.Buffer
+	for _, r := range recs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return fmt.Errorf("corpus: encode index.log record: %w", err)
+		}
+		buf.Write(line)
+		buf.WriteByte('\n')
+	}
+	f, err := os.OpenFile(s.logPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("corpus: %w", err)
+	}
+	info, werr := f.Stat()
+	if werr == nil {
+		_, werr = f.Write(buf.Bytes())
+		if serr := f.Sync(); werr == nil {
+			werr = serr
+		}
+		if werr != nil {
+			// Best effort: should the cut fail too, a later good record
+			// follows the bad one and the next Open reports its line.
+			_ = f.Truncate(info.Size())
+		}
+	}
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return fmt.Errorf("corpus: append index.log: %w", werr)
+	}
+	s.logN += len(recs)
+	if s.logN > max(minCompact, len(s.metas)) {
+		// The records are durable already; a failed snapshot leaves the
+		// log whole, and the next append tries again.
+		_ = s.compactLocked()
+	}
+	return nil
+}
+
+// compactLocked atomically writes the whole index as a fresh snapshot,
+// then removes the log it subsumes. Call with mu held (or during Open,
+// before the store is shared).
+func (s *Store) compactLocked() error {
 	metas := make([]*Meta, 0, len(s.metas))
 	for _, m := range s.metas {
 		metas = append(metas, m)
@@ -273,7 +404,14 @@ func (s *Store) saveIndexLocked() error {
 	if err != nil {
 		return fmt.Errorf("corpus: encode index: %w", err)
 	}
-	return atomicWrite(s.indexPath(), data)
+	if err := atomicWrite(s.indexPath(), data); err != nil {
+		return err
+	}
+	if err := os.Remove(s.logPath()); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("corpus: %w", err)
+	}
+	s.logN = 0
+	return nil
 }
 
 // atomicWrite writes data to path via a temp file + rename in the same
@@ -336,9 +474,8 @@ func (s *Store) Put(data []byte, pin bool) (Meta, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m, ok := s.metas[digest]; ok { // lost the race to an identical Put
-		m.LastUsed = s.now()
-		m.Pinned = m.Pinned || pin
-		return *m, false, nil
+		dm, err := s.dedupeLocked(m, pin)
+		return dm, false, err
 	}
 	now := s.now()
 	m := &Meta{
@@ -354,7 +491,8 @@ func (s *Store) Put(data []byte, pin bool) (Meta, bool, error) {
 	}
 	s.metas[digest] = m
 	s.total += m.Size
-	if err := s.evictLocked(digest); err != nil {
+	victims, err := s.evictLocked(digest)
+	if err != nil {
 		// Near-unreachable given the admission check (eviction can
 		// normally free enough unpinned bytes; only a pin racing in
 		// between admit and insert changes that), kept as a rollback so
@@ -364,7 +502,11 @@ func (s *Store) Put(data []byte, pin bool) (Meta, bool, error) {
 		os.Remove(s.blobPath(hexPart))
 		return Meta{}, false, err
 	}
-	if err := s.saveIndexLocked(); err != nil {
+	recs := []logRecord{{Put: m}}
+	for _, v := range victims {
+		recs = append(recs, logRecord{Delete: v})
+	}
+	if err := s.appendLocked(recs...); err != nil {
 		return Meta{}, false, err
 	}
 	return *m, true, nil
@@ -381,18 +523,8 @@ func (s *Store) admitLocked(digest string, pin bool, size int64) (Meta, bool, er
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m, ok := s.metas[digest]; ok {
-		m.LastUsed = s.now()
-		// The common idempotent re-upload only moves recency, which —
-		// like Get — stays in memory until the next real mutation;
-		// rewriting the index per duplicate POST would turn dedupe into
-		// synchronous disk I/O.
-		if pin && !m.Pinned {
-			m.Pinned = true
-			if err := s.saveIndexLocked(); err != nil {
-				return Meta{}, true, err
-			}
-		}
-		return *m, true, nil
+		dm, err := s.dedupeLocked(m, pin)
+		return dm, true, err
 	}
 	if s.maxBytes > 0 {
 		if size > s.maxBytes {
@@ -412,9 +544,27 @@ func (s *Store) admitLocked(digest string, pin bool, size int64) (Meta, bool, er
 	return Meta{}, false, nil
 }
 
+// dedupeLocked is both of Put's answers to content already stored:
+// refresh its recency and, when pin upgrades it, log the pin. The common
+// idempotent re-upload only moves recency, which — like Get — stays in
+// memory; appending a record per duplicate POST would turn dedupe into
+// synchronous disk I/O.
+func (s *Store) dedupeLocked(m *Meta, pin bool) (Meta, error) {
+	m.LastUsed = s.now()
+	if pin && !m.Pinned {
+		m.Pinned = true
+		if err := s.appendLocked(logRecord{Put: m}); err != nil {
+			return Meta{}, err
+		}
+	}
+	return *m, nil
+}
+
 // evictLocked removes least-recently-used unpinned traces until the
-// store fits its budget, never evicting keep (the blob just inserted).
-func (s *Store) evictLocked(keep string) error {
+// store fits its budget, never evicting keep (the blob just inserted),
+// and returns the evicted digests.
+func (s *Store) evictLocked(keep string) ([]string, error) {
+	var victims []string
 	for s.maxBytes > 0 && s.total > s.maxBytes {
 		var victim *Meta
 		var pinned int64
@@ -429,19 +579,20 @@ func (s *Store) evictLocked(keep string) error {
 			}
 		}
 		if victim == nil {
-			return fmt.Errorf("%w: %d bytes stored, %d pinned or just inserted", ErrBudget, s.total, pinned)
+			return nil, fmt.Errorf("%w: %d bytes stored, %d pinned or just inserted", ErrBudget, s.total, pinned)
 		}
 		hexPart, _ := parseDigest(victim.Digest)
 		if err := os.Remove(s.blobPath(hexPart)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("corpus: evict %s: %w", victim.Digest, err)
+			return nil, fmt.Errorf("corpus: evict %s: %w", victim.Digest, err)
 		}
 		s.total -= victim.Size
 		delete(s.metas, victim.Digest)
+		victims = append(victims, victim.Digest)
 		if s.evictions != nil {
 			s.evictions.Inc()
 		}
 	}
-	return nil
+	return victims, nil
 }
 
 // Stat returns the metadata for a digest without touching its recency.
@@ -474,10 +625,11 @@ func (s *Store) Touch(digest string) (Meta, error) {
 }
 
 // touch looks a digest up and refreshes its LRU recency, returning a
-// meta snapshot. Recency moves in memory only — rewriting the index on
-// every read would serialize reads behind synchronous disk I/O — and is
-// persisted by the next mutating operation (Put/Delete/Pin); across a
-// restart the order degrades gracefully to the last persisted one.
+// meta snapshot. Recency moves in memory only — writing the index on
+// every read would serialize reads behind synchronous disk I/O — and
+// reaches disk at the next snapshot (or with the trace's own next Pin
+// record); across a restart the order degrades gracefully to the last
+// persisted one.
 func (s *Store) touch(digest string) (Meta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -560,7 +712,7 @@ func (s *Store) Pin(digest string, pinned bool) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, digest)
 	}
 	m.Pinned = pinned
-	return s.saveIndexLocked()
+	return s.appendLocked(logRecord{Put: m})
 }
 
 // Delete removes a stored trace, pinned or not.
@@ -580,7 +732,7 @@ func (s *Store) Delete(digest string) error {
 	}
 	s.total -= m.Size
 	delete(s.metas, digest)
-	return s.saveIndexLocked()
+	return s.appendLocked(logRecord{Delete: digest})
 }
 
 // List returns metadata for every stored trace, newest first (ties

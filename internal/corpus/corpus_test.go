@@ -288,10 +288,14 @@ func TestReopenPersistsIndexAndRecoversStrays(t *testing.T) {
 		t.Fatalf("pin lost across reopen: %+v err=%v", sa, err)
 	}
 
-	// Losing the index (crash between blob rename and index write, or a
-	// deleted index.json) must not lose identifiable blobs.
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
+	// Losing the index (crash between blob rename and log append, or a
+	// deleted snapshot and log) must not lose identifiable blobs. Two
+	// Puts into a fresh store are two log records and no snapshot yet.
+	if err := os.Remove(filepath.Join(dir, "index.log")); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "index.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("two Puts wrote a snapshot: %v", err)
 	}
 	s3, err := Open(dir, Options{})
 	if err != nil {
@@ -399,10 +403,11 @@ func TestPutColumnarTrace(t *testing.T) {
 }
 
 // TestOpenRewritesIndexOnlyWhenReconcileChangedIt: opening a store that
-// needs no repair leaves index.json alone (every CLI run and daemon boot
-// used to pay a temp file, an fsync and a rename for it), while each of
-// reconcile's three repairs — a dropped entry, a corrected size, an
-// adopted blob — still persists.
+// needs no repair leaves index.json and index.log alone (every CLI run
+// and daemon boot used to pay a temp file, an fsync and a rename for
+// it), while each of reconcile's three repairs — a dropped entry, a
+// corrected size, an adopted blob — still persists, as a fresh snapshot
+// that subsumes the log.
 func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -412,13 +417,23 @@ func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 	ma, _, _ := s.Put(sampleTrace(t, 40), false)
 	mb, _, _ := s.Put(sampleTrace(t, 41), false)
 	index := filepath.Join(dir, "index.json")
-	stat := func() os.FileInfo {
+	logPath := filepath.Join(dir, "index.log")
+	stat := func(path string) os.FileInfo {
 		t.Helper()
-		info, err := os.Stat(index)
+		info, err := os.Stat(path)
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		return info
+	}
+	same := func(a, b os.FileInfo) bool {
+		if a == nil || b == nil {
+			return a == b
+		}
+		return os.SameFile(a, b) && a.ModTime().Equal(b.ModTime()) && a.Size() == b.Size()
 	}
 	reopen := func() *Store {
 		t.Helper()
@@ -428,14 +443,25 @@ func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 		}
 		return s
 	}
+	// persisted reports that the last reopen wrote a new snapshot and
+	// removed the log it folded in.
+	persisted := func(before os.FileInfo) bool {
+		after := stat(index)
+		return after != nil && (before == nil || !os.SameFile(before, after)) && stat(logPath) == nil
+	}
 	blob := func(m Meta) string { return filepath.Join(dir, "blobs", strings.TrimPrefix(m.Digest, DigestPrefix)) }
 
-	before := stat()
+	// After two Puts the index is two log records and no snapshot.
+	beforeIndex, beforeLog := stat(index), stat(logPath)
+	if beforeIndex != nil || beforeLog == nil {
+		t.Fatalf("after two Puts: index.json present=%v, index.log present=%v; want only the log",
+			beforeIndex != nil, beforeLog != nil)
+	}
 	if s2 := reopen(); s2.Len() != 2 {
 		t.Fatalf("reopened %d traces, want 2", s2.Len())
 	}
-	if after := stat(); !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
-		t.Fatal("opening an unchanged corpus rewrote index.json")
+	if !same(beforeIndex, stat(index)) || !same(beforeLog, stat(logPath)) {
+		t.Fatal("opening an unchanged corpus wrote its index")
 	}
 
 	// A corrected size: the blob grew behind the index's back.
@@ -449,9 +475,9 @@ func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before = stat()
+	before := stat(index)
 	reopen()
-	if os.SameFile(before, stat()) {
+	if !persisted(before) {
 		t.Fatal("a corrected size was not persisted")
 	}
 
@@ -459,11 +485,11 @@ func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 	if err := os.Remove(blob(ma)); err != nil {
 		t.Fatal(err)
 	}
-	before = stat()
+	before = stat(index)
 	if s2 := reopen(); s2.Len() != 1 {
 		t.Fatalf("%d traces after a blob vanished, want 1", s2.Len())
 	}
-	if os.SameFile(before, stat()) {
+	if !persisted(before) {
 		t.Fatal("a dropped entry was not persisted")
 	}
 
@@ -471,19 +497,19 @@ func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 	if err := os.WriteFile(index, []byte("[]"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before = stat()
+	before = stat(index)
 	if s2 := reopen(); s2.Len() != 1 {
 		t.Fatalf("%d traces adopted, want 1", s2.Len())
 	}
-	if os.SameFile(before, stat()) {
+	if !persisted(before) {
 		t.Fatal("an adopted blob was not persisted")
 	}
 	// And what was persisted is the repaired index: nothing left to do.
-	before = stat()
+	before = stat(index)
 	if _, err := reopen().Stat(mb.Digest); err != nil {
 		t.Fatal(err)
 	}
-	if !os.SameFile(before, stat()) {
-		t.Fatal("reopening the repaired corpus rewrote index.json")
+	if !same(before, stat(index)) || stat(logPath) != nil {
+		t.Fatal("reopening the repaired corpus wrote its index")
 	}
 }
