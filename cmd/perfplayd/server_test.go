@@ -3,10 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +23,7 @@ import (
 	"perfplay/internal/corpus"
 	"perfplay/internal/jobs"
 	"perfplay/internal/sim"
+	"perfplay/internal/trace"
 	"perfplay/internal/workload"
 )
 
@@ -542,6 +545,37 @@ func recordedPayload(t *testing.T, seed int64) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestUploadImplausibleThreadCount: a recording whose header claims
+// 2^32-1 threads is refused as invalid_trace before anything is sized by
+// the claim, and the corpus stores nothing.
+func TestUploadImplausibleThreadCount(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	payload := recordedPayload(t, 3)
+	tr, err := trace.Decode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, version, the app name (length, bytes), then the thread count.
+	off := 12 + len(tr.App)
+	if n := binary.LittleEndian.Uint32(payload[off:]); int(n) != tr.NumThreads {
+		t.Fatalf("thread count at offset %d reads %d, want %d", off, n, tr.NumThreads)
+	}
+	binary.LittleEndian.PutUint32(payload[off:], math.MaxUint32)
+	resp, err := http.Post(ts.URL+"/traces", "application/octet-stream", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if e := apiError(t, resp); e.Code != clusterapi.CodeInvalidTrace {
+		t.Fatalf("error %+v, want code %q", e, clusterapi.CodeInvalidTrace)
+	}
+	if n := s.corpus.Len(); n != 0 {
+		t.Fatalf("corpus holds %d traces after the refused upload, want 0", n)
+	}
 }
 
 // TestTraceCorpusLifecycle drives the full /traces surface: upload,

@@ -46,10 +46,6 @@ const (
 // columns: five u32 columns and three i64 columns.
 const colEventStride = 5*4 + 3*8
 
-// maxThreads bounds the thread count in untrusted columnar input before
-// the per-thread index is allocated.
-const maxThreads = 1 << 20
-
 // Columnar is a zero-copy view over columnar trace bytes. Accessors
 // decode single fields straight out of the raw buffer; nothing is
 // materialized until Trace is called. A Columnar and any Trace built

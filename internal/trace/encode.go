@@ -111,6 +111,9 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	if err := checkEventCount(uint64(len(jt.Events))); err != nil {
 		return nil, err
 	}
+	if jt.NumThreads < 0 || jt.NumThreads > maxThreads {
+		return nil, fmt.Errorf("trace: implausible thread count %d", jt.NumThreads)
+	}
 	tr := &Trace{
 		App:         jt.App,
 		NumThreads:  jt.NumThreads,
@@ -309,7 +312,11 @@ func DecodeBinary(data []byte) (*Trace, error) {
 		SpinLocks: make(map[LockID]bool),
 	}
 	tr.App = r.str()
-	tr.NumThreads = int(r.u32())
+	nt := r.u32()
+	if r.err == nil && nt > maxThreads {
+		return nil, fmt.Errorf("trace: implausible thread count %d", nt)
+	}
+	tr.NumThreads = int(nt)
 	tr.TotalTime = vtime.Duration(r.i64())
 
 	if sites := r.sites(); len(sites) > 0 {

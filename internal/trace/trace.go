@@ -229,19 +229,24 @@ func (tr *Trace) CountKind(k Kind) int {
 // "#Locks" column of Table 1.
 func (tr *Trace) DynamicLocks() int { return tr.CountKind(KLockAcq) }
 
-// Validate checks structural invariants: thread IDs in range, lock
-// acquire/release nesting well-formed per thread, write operations known,
-// extension indices, constraint indices and lockset sources in range. A
-// trace that fails validation indicates a recorder or transformation bug,
-// or a file nothing here wrote.
+// maxThreads bounds the thread count of a trace: every decoder refuses a
+// header claiming more before anything is sized by it, and Validate
+// refuses a trace built with more.
+const maxThreads = 1 << 20
+
+// Validate checks structural invariants: a thread count within
+// maxThreads, thread IDs in range, lock acquire/release nesting
+// well-formed per thread, write operations known, extension indices,
+// constraint indices and lockset sources in range. A trace that fails
+// validation indicates a recorder or transformation bug, or a file
+// nothing here wrote.
 func (tr *Trace) Validate() error {
-	if tr.NumThreads < 0 {
+	if tr.NumThreads < 0 || tr.NumThreads > maxThreads {
 		return fmt.Errorf("thread count %d", tr.NumThreads)
 	}
+	// A thread's map is made at its first acquisition, so threads that
+	// take no lock cost a nil entry.
 	held := make([]map[LockID]int, tr.NumThreads)
-	for i := range held {
-		held[i] = make(map[LockID]int)
-	}
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		if e.Thread < 0 || int(e.Thread) >= tr.NumThreads {
@@ -254,6 +259,9 @@ func (tr *Trace) Validate() error {
 		case KLockAcq:
 			if held[e.Thread][e.Lock] > 0 {
 				return fmt.Errorf("event %d: T%d re-acquires held %v", i, e.Thread, e.Lock)
+			}
+			if held[e.Thread] == nil {
+				held[e.Thread] = make(map[LockID]int)
 			}
 			held[e.Thread][e.Lock]++
 		case KLockRel:
@@ -278,10 +286,15 @@ func (tr *Trace) Validate() error {
 		}
 	}
 	for t, h := range held {
+		// Name the lowest lock held, not whichever the map yields first.
+		lowest, holding := LockID(0), false
 		for l, n := range h {
-			if n != 0 {
-				return fmt.Errorf("thread %d ends holding %v", t, l)
+			if n != 0 && (!holding || l < lowest) {
+				lowest, holding = l, true
 			}
+		}
+		if holding {
+			return fmt.Errorf("thread %d ends holding %v", t, lowest)
 		}
 	}
 	for _, c := range tr.Constraints {

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -159,6 +162,72 @@ func TestValidateCatchesBadNesting(t *testing.T) {
 	tr3.Append(Event{Thread: 5, Kind: KCompute})
 	if err := tr3.Validate(); err == nil {
 		t.Fatal("out-of-range thread must fail validation")
+	}
+}
+
+// TestValidateNamesLowestHeldLock: a thread that ends holding several
+// locks is reported by its lowest lock ID, the same on every call.
+func TestValidateNamesLowestHeldLock(t *testing.T) {
+	tr := New("held", 1)
+	for _, l := range []LockID{9, 3, 7, 5, 12, 4} {
+		tr.Append(Event{Thread: 0, Kind: KLockAcq, Lock: l})
+	}
+	for i := 0; i < 50; i++ {
+		err := tr.Validate()
+		if err == nil || err.Error() != "thread 0 ends holding L3" {
+			t.Fatalf("call %d: Validate = %v, want \"thread 0 ends holding L3\"", i, err)
+		}
+	}
+}
+
+// TestImplausibleThreadCountRefused: a header claiming 2^32-1 threads
+// fails to decode in every format without allocating for the threads,
+// and Validate refuses a trace built with more than maxThreads.
+func TestImplausibleThreadCountRefused(t *testing.T) {
+	tr := New("many", 2)
+	tr.Append(Event{Thread: 0, Kind: KWrite, Addr: 1, Value: 1})
+	tr.Append(Event{Thread: 1, Kind: KRead, Addr: 1})
+	claim := func(write func(io.Writer) error) []byte {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		b := buf.Bytes()
+		// magic, version, then the app name (length, bytes): the thread
+		// count follows, in both binary formats.
+		off := 12 + len(tr.App)
+		if n := binary.LittleEndian.Uint32(b[off:]); n != 2 {
+			t.Fatalf("thread count at offset %d reads %d, want 2", off, n)
+		}
+		binary.LittleEndian.PutUint32(b[off:], math.MaxUint32)
+		return b
+	}
+	var js bytes.Buffer
+	if err := tr.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[string][]byte{
+		"binary":   claim(tr.WriteBinary),
+		"columnar": claim(tr.WriteColumnar),
+		"json":     bytes.Replace(js.Bytes(), []byte(`"threads": 2`), []byte(`"threads": 4294967295`), 1),
+	}
+	if bytes.Equal(bodies["json"], js.Bytes()) {
+		t.Fatal("JSON encoding has no \"threads\": 2 to replace")
+	}
+	for format, body := range bodies {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Decode(body)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: Decode accepted %d threads", format, got.NumThreads)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: Decode allocated %d bytes refusing it", format, n)
+		}
+	}
+	if err := (&Trace{NumThreads: maxThreads + 1}).Validate(); err == nil {
+		t.Fatal("Validate accepted a thread count past maxThreads")
 	}
 }
 
