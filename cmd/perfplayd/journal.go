@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
@@ -17,12 +16,13 @@ import (
 )
 
 // This file is the daemon half of crash durability (the log is
-// internal/journal): the job node reports every transition under its
-// lock, and Transition appends it before the call returns. NewServer replays the log before
-// any worker starts: queued jobs re-enter the queue in admit order, jobs
-// out on a steal lease are requeued at the front like any expired lease,
-// and a job whose trace the corpus no longer holds fails with a clear
-// error. Determinism makes a re-run byte-identical to the lost run.
+// internal/journal): the job node reports each job's admission and its
+// one terminal transition under its lock, and Transition appends the
+// record before the call returns. NewServer replays the log before any
+// worker starts: every job admitted and not finished, queued or out on a
+// steal lease, re-enters the queue in admit order, and a job whose trace
+// the corpus no longer holds fails with a clear error. Determinism makes
+// a re-run byte-identical to the lost run.
 
 // Meta keys an admitted record carries so the restarted daemon can
 // rebuild the client-visible job, not just the pipeline request.
@@ -36,11 +36,11 @@ const (
 // Transition implements jobs.TransitionLog for the job node.
 // Append errors are logged, not propagated: a full disk degrades
 // durability, not admission.
-func (s *Server) Transition(op string, j *jobs.Job, thief string) {
+func (s *Server) Transition(op string, j *jobs.Job) {
 	if s.journal == nil {
 		return
 	}
-	rec := journal.Record{Op: op, Job: j.ID, Thief: thief}
+	rec := journal.Record{Op: op, Job: j.ID}
 	if op == journal.OpAdmitted {
 		rec.Spec, _ = json.Marshal(j.Spec)
 		rec.Meta = map[string]string{
@@ -76,7 +76,7 @@ func (s *Server) openJournal(cfg Config) error {
 	}
 	// Recovered jobs re-admit through the node, which journals them
 	// again, so the journal's view stays identical to the node's.
-	var queued, claimed []*jobs.Job
+	var queued []*jobs.Job
 	lost := 0
 	for _, lj := range live {
 		var spec clusterapi.Spec
@@ -87,13 +87,6 @@ func (s *Server) openJournal(cfg Config) error {
 		}
 		j := recoveredJob(lj, spec)
 		s.node.Restore(j)
-		// An empty spec is an upload-only job an older binary journaled:
-		// its trace lived only in that process's memory.
-		if !spec.Stealable() {
-			s.lost(j, fmt.Errorf("job lost in restart: its uploaded trace existed only in the previous process's memory (store traces via POST /traces to survive restarts)"))
-			lost++
-			continue
-		}
 		req, err := s.requestFor("", spec, spanCtx{})
 		if err != nil {
 			s.lost(j, fmt.Errorf("job not recovered: %w", err))
@@ -101,33 +94,25 @@ func (s *Server) openJournal(cfg Config) error {
 			continue
 		}
 		stateOf(j).req = req
-		if lj.Claimed {
-			claimed = append(claimed, j) // out on a lease: requeued at the front
-		} else {
-			queued = append(queued, j)
-		}
+		queued = append(queued, j)
 	}
-	requeued, released := len(queued), len(claimed)
-	for _, j := range s.node.Recover(queued, claimed) {
-		if slices.Contains(claimed, j) {
-			released = 0 // the front requeue is refused whole
-		} else {
-			requeued--
-		}
+	requeued := len(queued)
+	for _, j := range s.node.Recover(queued) {
 		s.lost(j, errors.New(j.Error)) // already failed: only logged here
+		requeued--
 		lost++
 	}
 	recovered := s.metrics.NewCounterVec("perfplay_journal_recovered_jobs_total",
-		"Jobs recovered from the journal at boot, by outcome (requeued, released, lost).",
+		"Jobs recovered from the journal at boot, by outcome (requeued, lost).",
 		"outcome")
-	for outcome, n := range map[string]int{"requeued": requeued, "released": released, "lost": lost} {
+	for outcome, n := range map[string]int{"requeued": requeued, "lost": lost} {
 		if n > 0 {
 			recovered.With(outcome).Add(float64(n))
 		}
 	}
 	if len(live) > 0 {
 		s.logger.Info("journal recovery: previous backlog restored",
-			"dir", cfg.JournalDir, "requeued", requeued, "released", released, "lost", lost)
+			"dir", cfg.JournalDir, "requeued", requeued, "lost", lost)
 	}
 	return nil
 }

@@ -18,9 +18,10 @@ import (
 
 // TestJournalKillAndRestartRecovers is the durability acceptance test:
 // a node stopped with a non-empty queue AND a job out on a steal lease
-// recovers every job on restart — same IDs, reports byte-identical to
-// what a single-node serial run produces (the determinism invariant is
-// what makes "re-run the backlog" a correct recovery strategy).
+// recovers every job on restart, in admit order — same IDs, reports
+// byte-identical to what a single-node serial run produces (the
+// determinism invariant is what makes "re-run the backlog" a correct
+// recovery strategy).
 func TestJournalKillAndRestartRecovers(t *testing.T) {
 	base := t.TempDir()
 	corpusDir := filepath.Join(base, "corpus")
@@ -92,7 +93,7 @@ func TestJournalKillAndRestartRecovers(t *testing.T) {
 	if jnl, _ := health["journal"].(map[string]any); jnl["enabled"] != true {
 		t.Fatalf("journal = %v, want enabled:true", health["journal"])
 	}
-	wantRecovered(t, b.URL, 2, 1, 0)
+	wantRecovered(t, b.URL, 3, 0)
 
 	// Every job finishes under its ORIGINAL ID, byte-identical to the
 	// serial reference (digest jobs) and the committed golden (app job).
@@ -136,43 +137,46 @@ func TestJournalKillAndRestartRecovers(t *testing.T) {
 	_ = bSrv
 }
 
-// TestJournalRestartFailsUploadOnlyJob: an older binary journaled raw
-// trace uploads with an empty spec; their trace existed only in that
-// process's memory, so they are unrecoverable by construction — each
+// TestJournalRestartFailsUploadOnlyJob: an admitted job whose input the
+// restarted node cannot rebuild, a digest job whose blob the corpus no
+// longer holds or a spec naming no input at all, is unrecoverable; it
 // must surface as failed with a clear error, never vanish.
 func TestJournalRestartFailsUploadOnlyJob(t *testing.T) {
-	base := t.TempDir()
-	cfg := Config{CorpusDir: filepath.Join(base, "corpus"), JournalDir: filepath.Join(base, "journal")}
+	missing := clusterapi.Spec{TraceDigest: "sha256:" + strings.Repeat("ab", 32)}
+	for name, spec := range map[string]clusterapi.Spec{"missing blob": missing, "empty spec": {}} {
+		base := t.TempDir()
+		cfg := Config{CorpusDir: filepath.Join(base, "corpus"), JournalDir: filepath.Join(base, "journal")}
 
-	// The admitted record such a binary wrote for an upload.
-	const id = "job-1"
-	jr, err := journal.Open(cfg.JournalDir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := json.Marshal(clusterapi.Spec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jr.Append(journal.Record{Op: journal.OpAdmitted, Job: id, Spec: spec, Meta: map[string]string{
-		jmetaTraceID:   telemetry.NewTraceID(),
-		jmetaSubmitted: time.Now().UTC().Format(time.RFC3339Nano),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
-	}
+		const id = "job-1"
+		jr, err := journal.Open(cfg.JournalDir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jr.Append(journal.Record{Op: journal.OpAdmitted, Job: id, Spec: raw, Meta: map[string]string{
+			jmetaTraceID:   telemetry.NewTraceID(),
+			jmetaSubmitted: time.Now().UTC().Format(time.RFC3339Nano),
+			jmetaDigest:    spec.TraceDigest,
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := jr.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	_, b := testServer(t, cfg)
-	j := decode[map[string]any](t, mustGet(t, b.URL+"/jobs/"+id))
-	if j["status"] != statusFailed {
-		t.Fatalf("upload-only job after restart = %v, want failed", j["status"])
+		_, b := testServer(t, cfg)
+		j := decode[map[string]any](t, mustGet(t, b.URL+"/jobs/"+id))
+		if j["status"] != statusFailed {
+			t.Fatalf("%s: job after restart = %v, want failed", name, j["status"])
+		}
+		if errMsg, _ := j["error"].(string); !strings.Contains(errMsg, "job not recovered") {
+			t.Fatalf("%s: error = %q, want a clear job-not-recovered explanation", name, errMsg)
+		}
+		wantRecovered(t, b.URL, 0, 1)
 	}
-	if errMsg, _ := j["error"].(string); !strings.Contains(errMsg, "lost in restart") {
-		t.Fatalf("error = %q, want a clear lost-in-restart explanation", errMsg)
-	}
-	wantRecovered(t, b.URL, 0, 0, 1)
 }
 
 // TestJournalSettledJobsStayRetired: a journal-enabled node that ran
@@ -192,7 +196,7 @@ func TestJournalSettledJobsStayRetired(t *testing.T) {
 	aSrv.Close()
 
 	_, b := testServer(t, Config{CorpusDir: cfg.CorpusDir, JournalDir: cfg.JournalDir})
-	wantRecovered(t, b.URL, 0, 0, 0)
+	wantRecovered(t, b.URL, 0, 0)
 	if n := scrape(t, b.URL)["perfplay_scheduler_queue_depth"]; n != 0 {
 		t.Fatalf("perfplay_scheduler_queue_depth = %v after recovering a settled journal", n)
 	}
@@ -200,10 +204,10 @@ func TestJournalSettledJobsStayRetired(t *testing.T) {
 
 // wantRecovered checks this boot's perfplay_journal_recovered_jobs_total
 // by outcome.
-func wantRecovered(t *testing.T, base string, requeued, released, lost float64) {
+func wantRecovered(t *testing.T, base string, requeued, lost float64) {
 	t.Helper()
 	m := scrape(t, base)
-	for outcome, want := range map[string]float64{"requeued": requeued, "released": released, "lost": lost} {
+	for outcome, want := range map[string]float64{"requeued": requeued, "lost": lost} {
 		if got := m[fmt.Sprintf("perfplay_journal_recovered_jobs_total{outcome=%q}", outcome)]; got != want {
 			t.Errorf("recovered{outcome=%q} = %v, want %v", outcome, got, want)
 		}

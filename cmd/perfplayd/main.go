@@ -27,11 +27,12 @@
 // On SIGINT/SIGTERM the daemon stops accepting connections, waits for
 // in-flight requests and running jobs, then exits.
 //
-// Durability: every job transition is fsynced to an append-only journal
-// (-journal-dir, by default <corpus>-journal), and a restarted daemon
-// replays it — queued jobs re-enter the queue in admit order, jobs out
-// on a steal lease are requeued at the front, and determinism makes the
-// re-runs byte-identical to the lost ones. -journal-dir "" disables it.
+// Durability: each job's admission and its one terminal record (settled
+// or failed) are fsynced to an append-only journal (-journal-dir, by
+// default <corpus>-journal), and a restarted daemon replays it — every
+// job admitted and not finished, queued or out on a steal lease,
+// re-enters the queue in admit order, and determinism makes the re-runs
+// byte-identical to the lost ones. -journal-dir "" disables it.
 //
 // Cluster mode: give every node a -corpus and point it at its peers
 // with -peers. An idle node steals whole queued jobs from the busiest

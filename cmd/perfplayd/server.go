@@ -302,8 +302,8 @@ func (s *Server) Close() {
 	s.node.Close()
 	s.mu.Unlock()
 	s.wg.Wait()
-	// Jobs still queued or claimed stay live in the journal: the next
-	// boot recovers them.
+	// Jobs still queued or out on a lease stay live in the journal: the
+	// next boot recovers them.
 	if s.journal != nil {
 		if err := s.journal.Close(); err != nil {
 			s.logger.Warn("journal close", "err", err)
@@ -749,6 +749,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		input, err := workload.ParseInputSize(spec.Input)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "%v", err)
+			return
+		}
+		if spec.Threads < 0 || spec.Threads > trace.MaxThreads {
+			httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest,
+				"threads %d outside [0, %d] (0 = the default)", spec.Threads, trace.MaxThreads)
 			return
 		}
 		req = pipeline.Request{

@@ -379,6 +379,33 @@ func TestAnalyzeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// A workload spec's thread count past either end of [0, MaxThreads] is
+// refused before admission: no job is queued and nothing is recorded.
+func TestAnalyzeRejectsThreadsOutOfRange(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, threads := range []int{-1, trace.MaxThreads + 1} {
+		resp := postJSON(t, ts.URL+"/analyze", fmt.Sprintf(`{"app":"pbzip2","threads":%d}`, threads))
+		if e := apiError(t, resp); resp.StatusCode != http.StatusBadRequest ||
+			e.Code != clusterapi.CodeBadRequest || !strings.Contains(e.Message, "threads") {
+			t.Fatalf("threads %d: status %d, error %+v: want a 400 %q naming threads",
+				threads, resp.StatusCode, e, clusterapi.CodeBadRequest)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/jobs/job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /jobs/job-1: status %d, want 404: a refused spec was admitted", resp.StatusCode)
+	}
+	for series, n := range scrape(t, ts.URL) {
+		if strings.HasPrefix(series, "perfplay_pipeline_stage_duration_seconds") && strings.Contains(series, `stage="record"`) && n != 0 {
+			t.Fatalf("%s = %v: a refused spec was recorded", series, n)
+		}
+	}
+}
+
 func TestJobNotFound(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/jobs/job-999")

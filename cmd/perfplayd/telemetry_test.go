@@ -162,10 +162,15 @@ func TestNodeStateOnMetrics(t *testing.T) {
 		"perfplay_journal_live_jobs":                    3,
 		"perfplay_journal_dead_ratio":                   0,
 		`perfplay_journal_records_total{op="admitted"}`: 3,
-		`perfplay_journal_records_total{op="claimed"}`:  1,
 	} {
 		if got, ok := m[series]; !ok || got != want {
 			t.Errorf("%s = %v (present %t), want %v", series, got, ok, want)
+		}
+	}
+	// The claim journals nothing: a lease never survives a restart.
+	for series := range m {
+		if strings.HasPrefix(series, "perfplay_journal_records_total{") && series != `perfplay_journal_records_total{op="admitted"}` {
+			t.Errorf("%s = %v, want no record but the admits", series, m[series])
 		}
 	}
 }

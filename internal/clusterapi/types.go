@@ -21,8 +21,7 @@ import (
 // when its own corpus misses it, verifying the hash on arrival).
 //
 // A zero Spec names no input and is not stealable. perfplayd admits
-// none; a journal an older binary wrote holds one per raw trace upload,
-// whose trace lived only in that process's memory.
+// none.
 type Spec struct {
 	// App names a registered workload (mutually exclusive with
 	// TraceDigest).

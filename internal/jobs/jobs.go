@@ -49,14 +49,15 @@ const (
 	Failed  = "failed"
 )
 
-// TransitionLog receives every job transition as one of
-// internal/journal's ops, synchronously and under the node's lock, so
-// its record order is the order the node changed state: what makes it
-// safe to replay after a crash. thief is set on the claimed record and
-// on a thief's settled or failed one. Implementations must not call back
-// into the Node.
+// TransitionLog receives what a restart must know of each job as one of
+// internal/journal's ops: admitted when it enters the queue, then
+// settled or failed once, when it finishes. Claims and requeues are not
+// logged: a lease never survives a restart. Calls come synchronously and
+// under the node's lock, so the record order is the order the node
+// changed state: what makes it safe to replay after a crash.
+// Implementations must not call back into the Node.
 type TransitionLog interface {
-	Transition(op string, j *Job, thief string)
+	Transition(op string, j *Job)
 }
 
 // Job is one submitted analysis as its node tracks it: the JSON a
@@ -312,24 +313,17 @@ func (n *Node[R, T]) Admit(j *Job) bool {
 // push appends an admitted job to the queue. Call with n.mu held.
 func (n *Node[R, T]) push(j *Job) {
 	n.pending = append(n.pending, j)
-	n.log(journal.OpAdmitted, j, "")
+	n.log(journal.OpAdmitted, j)
 	n.notEmpty.Signal()
 }
 
 // requeue puts jobs back at the front of the queue, past QueueDepth:
 // they were admitted once and already waited, and refusing them would
-// turn a thief's crash into job loss. A closed node takes none back:
-// each is logged abandoned and requeue reports false. Call with n.mu
-// held.
+// turn a thief's crash into job loss. A closed node takes none back and
+// requeue reports false. Call with n.mu held.
 func (n *Node[R, T]) requeue(js []*Job) bool {
 	if n.closed {
-		for _, j := range js {
-			n.log(journal.OpAbandoned, j, "")
-		}
 		return false
-	}
-	for _, j := range js {
-		n.log(journal.OpRequeued, j, "")
 	}
 	n.pending = slices.Concat(js, n.pending)
 	n.notEmpty.Broadcast()
@@ -367,9 +361,9 @@ func (n *Node[R, T]) pop() (*Job, bool) {
 }
 
 // Close stops admission and claims and wakes every blocked Pop; queued
-// jobs still drain. Jobs out on a lease stay leased: the journal replays
-// them as claimed at the next boot, and a lease that lapses first is
-// abandoned by Reap.
+// jobs still drain. Jobs out on a lease stay leased: the journal still
+// holds them as admitted, so the next boot queues them again, and a
+// lease that lapses first is failed as abandoned by Reap.
 func (n *Node[R, T]) Close() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -575,7 +569,6 @@ func (n *Node[R, T]) Claim(thief string) (Job, time.Time, bool) {
 		n.pending = slices.Delete(n.pending, i, i+1)
 		j.deadline = n.Now().Add(n.Lease)
 		n.leases[j.ID] = j
-		n.log(journal.OpClaimed, j, thief)
 		n.Metrics.LeasesGranted.Inc()
 		j.StolenBy = thief
 		n.setStatus(j, Running)
@@ -601,20 +594,11 @@ func (n *Node[R, T]) Settle(id, thief string, sum core.Rendered, errMsg string) 
 	if errMsg != "" {
 		err = errors.New(errMsg)
 	}
-	n.log(outcome(err), j, j.StolenBy)
 	if thief != "" {
 		j.StolenBy = thief
 	}
-	n.finish(j, sum, "", err, "")
+	n.finish(j, sum, "", err)
 	return *j, nil
-}
-
-// outcome is the terminal op a job ending with err is journaled under.
-func outcome(err error) string {
-	if err != nil {
-		return journal.OpFailed
-	}
-	return journal.OpSettled
 }
 
 // Finish ends a job this node ran (or failed to recover): the summary
@@ -624,26 +608,25 @@ func (n *Node[R, T]) Finish(id string, sum core.Rendered, cachePeer string, err 
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	j, ok := n.jobs[id]
-	return ok && n.finish(j, sum, cachePeer, err, outcome(err))
+	return ok && n.finish(j, sum, cachePeer, err)
 }
 
-// finish is the one place a job turns terminal, exactly once: the
-// transition record (op, unless the caller already logged one), the
-// status with summary or error, the owner's hooks, retention and
-// eviction past MaxJobs. Call with n.mu held.
-func (n *Node[R, T]) finish(j *Job, sum core.Rendered, cachePeer string, err error, op string) bool {
+// finish is the one place a job turns terminal, exactly once: its one
+// terminal record (failed with err, else settled), the status with
+// summary or error, the owner's hooks, retention and eviction past
+// MaxJobs. Call with n.mu held.
+func (n *Node[R, T]) finish(j *Job, sum core.Rendered, cachePeer string, err error) bool {
 	if j.Status == Done || j.Status == Failed {
 		return false
-	}
-	if op != "" {
-		n.log(op, j, "")
 	}
 	j.Finished = n.Now()
 	j.CachePeer = cachePeer
 	status := Done
 	if err != nil {
+		n.log(journal.OpFailed, j)
 		status, j.Error = Failed, err.Error()
 	} else {
+		n.log(journal.OpSettled, j)
 		j.Rendered = sum
 	}
 	n.setStatus(j, status)
@@ -652,16 +635,15 @@ func (n *Node[R, T]) finish(j *Job, sum core.Rendered, cachePeer string, err err
 	}
 	n.order = append(n.order, j.ID)
 	for n.MaxJobs > 0 && len(n.order) > n.MaxJobs {
-		n.log(journal.OpEvicted, n.jobs[n.order[0]], "")
 		delete(n.jobs, n.order[0])
 		n.order = n.order[1:]
 	}
 	return true
 }
 
-func (n *Node[R, T]) log(op string, j *Job, thief string) {
+func (n *Node[R, T]) log(op string, j *Job) {
 	if n.Journal != nil {
-		n.Journal.Transition(op, j, thief)
+		n.Journal.Transition(op, j)
 	}
 }
 
@@ -672,8 +654,8 @@ var errAbandoned = errors.New("abandoned: steal lease expired while the server w
 // by job ID, so an injected coarse clock still recovers in a fixed
 // order), and requeues those jobs at the front, so a vanished thief
 // costs one lease of latency, never the job. It returns how many. A
-// closed node takes none back: those jobs are logged abandoned and
-// failed, so their clients see the loss.
+// closed node takes none back: those jobs fail as abandoned, so their
+// clients see the loss.
 func (n *Node[R, T]) Reap() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -698,7 +680,7 @@ func (n *Node[R, T]) Reap() int {
 	}
 	if !n.requeue(expired) {
 		for _, j := range expired {
-			n.finish(j, core.Rendered{}, "", errAbandoned, "")
+			n.finish(j, core.Rendered{}, "", errAbandoned)
 		}
 	}
 	return len(expired)
@@ -717,28 +699,20 @@ func (n *Node[R, T]) Restore(j *Job) {
 	}
 }
 
-// Recover queues restored jobs: queued ones at the back in the order
-// given, up to QueueDepth, then the ones that were out on a lease at the
-// front, as an expired lease would be. It fails and returns those the
-// queue refuses.
-func (n *Node[R, T]) Recover(queued, claimed []*Job) (lost []*Job) {
+// Recover queues restored jobs at the back in the order given, the
+// journal's admit order, past QueueDepth: each was admitted once, as a
+// requeued lease was. A closed node takes none: it fails and returns
+// them.
+func (n *Node[R, T]) Recover(live []*Job) (lost []*Job) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	fail := func(j *Job, err error) {
-		n.finish(j, core.Rendered{}, "", err, journal.OpFailed)
-		lost = append(lost, j)
-	}
-	for _, j := range queued {
-		if n.closed || len(n.pending) >= n.QueueDepth {
-			fail(j, fmt.Errorf("job not recovered: queue full after restart (depth %d)", n.QueueDepth))
+	for _, j := range live {
+		if n.closed {
+			n.finish(j, core.Rendered{}, "", errors.New("job not recovered: queue closed during recovery"))
+			lost = append(lost, j)
 			continue
 		}
 		n.push(j)
-	}
-	if !n.requeue(claimed) {
-		for _, j := range claimed {
-			fail(j, errors.New("job not recovered: queue closed during recovery"))
-		}
 	}
 	return lost
 }

@@ -32,21 +32,16 @@ func (c *clock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// memLog is an in-memory TransitionLog: one "op job[@thief]" line per
-// record.
+// memLog is an in-memory TransitionLog: one "op job" line per record.
 type memLog struct {
 	mu   sync.Mutex
 	recs []string
 }
 
-func (l *memLog) Transition(op string, j *Job, thief string) {
+func (l *memLog) Transition(op string, j *Job) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec := op + " " + j.ID
-	if thief != "" {
-		rec += "@" + thief
-	}
-	l.recs = append(l.recs, rec)
+	l.recs = append(l.recs, op+" "+j.ID)
 }
 
 func (l *memLog) all() []string {
@@ -58,8 +53,7 @@ func (l *memLog) all() []string {
 func (l *memLog) ops(id string) []string {
 	var out []string
 	for _, r := range l.all() {
-		op, job, _ := strings.Cut(r, " ")
-		if job, _, _ = strings.Cut(job, "@"); job == id {
+		if op, job, _ := strings.Cut(r, " "); job == id {
 			out = append(out, op)
 		}
 	}
@@ -202,12 +196,20 @@ func (h *harness) status(id string) (st Job) {
 func terminal(ops []string) int {
 	n := 0
 	for _, op := range ops {
-		switch op {
-		case journal.OpSettled, journal.OpFailed, journal.OpEvicted, journal.OpAbandoned:
+		if op == journal.OpSettled || op == journal.OpFailed {
 			n++
 		}
 	}
 	return n
+}
+
+// finishedAs fails the test unless the journal holds exactly ops for the
+// finished job id, one terminal record among them.
+func (h *harness) finishedAs(t *testing.T, id string, ops ...string) {
+	t.Helper()
+	if got := h.log.ops(id); terminal(got) != 1 || !slices.Equal(got, ops) {
+		t.Fatalf("journal for %s = %v, want %v with exactly one terminal record", id, got, ops)
+	}
 }
 
 // A thief reporting after its lease was taken back gets ErrLeaseExpired;
@@ -239,17 +241,15 @@ func TestLateSettleAfterExpiry(t *testing.T) {
 	if !h.n.Finish(id, core.Rendered{Report: "fresh"}, "", nil) || h.n.Finish(id, core.Rendered{}, "", nil) {
 		t.Fatal("Finish must succeed exactly once")
 	}
-	if got := h.log.ops(id); terminal(got) != 1 || got[len(got)-1] != journal.OpSettled {
-		t.Fatalf("journal for %s = %v, want exactly one terminal record (settled)", id, got)
-	}
+	h.finishedAs(t, id, journal.OpAdmitted, journal.OpSettled)
 	if st := h.status(id); st.Report != "fresh" || h.finished[id] != 1 {
 		t.Fatalf("job = %+v finished %d times", st, h.finished[id])
 	}
 }
 
 // Leases that expire into a closed node are abandoned: each job fails,
-// counted once, and none re-enters the queue a closed node's workers no
-// longer drain.
+// counted once and journaled failed once, and none re-enters the queue
+// a closed node's workers no longer drain.
 func TestReapIntoClosedQueue(t *testing.T) {
 	h := newHarness(Config[string, string]{})
 	ids := []string{h.admit(t), h.admit(t)}
@@ -265,9 +265,7 @@ func TestReapIntoClosedQueue(t *testing.T) {
 		if st.Status != Failed || !strings.Contains(st.Error, "abandoned") {
 			t.Fatalf("job = %+v, want failed as abandoned", st)
 		}
-		if got := h.log.ops(id); !slices.Equal(got, []string{"admitted", "claimed", "abandoned"}) {
-			t.Fatalf("journal = %v, want admitted, claimed, abandoned", got)
-		}
+		h.finishedAs(t, id, journal.OpAdmitted, journal.OpFailed)
 		if h.finished[id] != 1 {
 			t.Fatalf("finished hook ran %d times, want 1", h.finished[id])
 		}
@@ -280,8 +278,8 @@ func TestReapIntoClosedQueue(t *testing.T) {
 	}
 }
 
-// Past MaxJobs the oldest finished job leaves the table with an evicted
-// record.
+// Past MaxJobs the oldest finished job leaves the table and writes no
+// record: its settle already retired it from the journal.
 func TestEvictionPastMaxJobs(t *testing.T) {
 	h := newHarness(Config[string, string]{Policy: Policy{MaxJobs: 2}})
 	var ids []string
@@ -295,11 +293,8 @@ func TestEvictionPastMaxJobs(t *testing.T) {
 	if h.n.With(ids[0], func(*Job) {}) {
 		t.Fatalf("%s still retained past MaxJobs", ids[0])
 	}
-	if got := h.log.ops(ids[0]); got[len(got)-1] != journal.OpEvicted {
-		t.Fatalf("journal for %s = %v, want an evicted record last", ids[0], got)
-	}
-	if got := h.log.ops(ids[2]); terminal(got) != 1 {
-		t.Fatalf("journal for %s = %v, want only its settle", ids[2], got)
+	for _, id := range ids {
+		h.finishedAs(t, id, journal.OpAdmitted, journal.OpSettled)
 	}
 }
 
@@ -449,7 +444,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 		if j.Status == Done {
 			done++
 		}
-		if h.finished[j.ID] != 1 || terminal(h.log.ops(j.ID)) != 1 {
+		if ops := h.log.ops(j.ID); h.finished[j.ID] != 1 || terminal(ops) != 1 || len(ops) != 2 {
 			t.Errorf("%s finished %d times, journal %v", j.ID, h.finished[j.ID], h.log.ops(j.ID))
 		}
 	})

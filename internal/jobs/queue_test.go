@@ -10,6 +10,7 @@ import (
 
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
+	"perfplay/internal/journal"
 )
 
 // These tests hold the node's queue and lease behaviour: FIFO pops from
@@ -127,9 +128,7 @@ func TestFailedSettleJournaledFailed(t *testing.T) {
 	if err != nil || j.Status != Failed || j.Error != "boom" {
 		t.Fatalf("settle = %+v, %v; want failed with boom", j, err)
 	}
-	if got := h.log.ops(id); !slices.Equal(got, []string{"admitted", "claimed", "failed"}) {
-		t.Fatalf("journal = %v, want admitted, claimed, failed", got)
-	}
+	h.finishedAs(t, id, journal.OpAdmitted, journal.OpFailed)
 }
 
 // A lapsed lease comes back at the front of the queue, ahead of jobs
@@ -203,11 +202,11 @@ func TestReapPastQueueDepth(t *testing.T) {
 	}
 }
 
-// Every lease transition reaches the log in the order the node made
-// it, with the thief on the claimed and settled records; a refused
-// admit logs nothing.
+// The log holds each job's admission and its one terminal record, in
+// the order the node made them; a refused admit, a claim, a requeue and
+// an eviction log nothing, and a lease abandoned at shutdown is failed.
 func TestTransitionLog(t *testing.T) {
-	h := newHarness(Config[string, string]{Policy: Policy{QueueDepth: 2}})
+	h := newHarness(Config[string, string]{Policy: Policy{QueueDepth: 2, MaxJobs: 1}})
 	a, b := h.admit(t), h.admit(t)
 	h.n.Admit(&Job{ID: "refused", Spec: clusterapi.Spec{App: "x"}})
 	h.n.Claim("thief") // takes b
@@ -219,18 +218,14 @@ func TestTransitionLog(t *testing.T) {
 	h.n.Claim("thief3") // takes c
 	h.n.Close()
 	h.clk.advance(2 * time.Minute)
-	h.n.Reap() // c abandoned
+	h.n.Reap() // c abandoned; b evicted past MaxJobs
 
 	want := []string{
 		"admitted " + a,
 		"admitted " + b,
-		"claimed " + b + "@thief",
-		"settled " + b + "@thief",
-		"claimed " + a + "@thief2",
-		"requeued " + a,
+		"settled " + b,
 		"admitted " + c,
-		"claimed " + c + "@thief3",
-		"abandoned " + c,
+		"failed " + c,
 	}
 	if got := h.log.all(); !slices.Equal(got, want) {
 		t.Fatalf("transitions:\n got %v\nwant %v", got, want)
@@ -322,62 +317,53 @@ func TestStatusAdvertisesStealableDigests(t *testing.T) {
 	}
 }
 
-// Recovery queues the journal's queued jobs up to QueueDepth and fails
-// the overflow as lost; jobs that were out on a lease requeue at the
-// front past it.
+// Recovery queues every restored job at the back in admit order, past
+// QueueDepth, as a requeued lease would be: none is lost.
 func TestRecoverPastQueueDepth(t *testing.T) {
 	h := newHarness(Config[string, string]{Policy: Policy{QueueDepth: 2}})
-	restore := func(ids ...string) []*Job {
-		var js []*Job
-		for _, id := range ids {
-			j := &Job{ID: id, Spec: clusterapi.Spec{App: "x"}}
-			h.n.Restore(j)
-			js = append(js, j)
+	var live []*Job
+	for _, id := range []string{"job-1", "job-2", "job-3", "job-4", "job-5"} {
+		j := &Job{ID: id, Spec: clusterapi.Spec{App: "x"}}
+		h.n.Restore(j)
+		live = append(live, j)
+	}
+	if lost := h.n.Recover(live); len(lost) != 0 {
+		t.Fatalf("lost = %v, want none", lost)
+	}
+	for _, j := range live {
+		if got := h.log.ops(j.ID); !slices.Equal(got, []string{journal.OpAdmitted}) {
+			t.Fatalf("journal for %s = %v, want admitted again", j.ID, got)
 		}
-		return js
 	}
-	queued, claimed := restore("job-1", "job-2", "job-3"), restore("job-4", "job-5")
-	lost := h.n.Recover(queued, claimed)
-	if len(lost) != 1 || lost[0].ID != "job-3" {
-		t.Fatalf("lost = %v, want job-3 alone", lost)
-	}
-	if st := h.status("job-3"); st.Status != Failed || !strings.Contains(st.Error, "queue full after restart") {
-		t.Fatalf("overflow job = %+v, want failed: queue full after restart", st)
-	}
-	if got := h.log.ops("job-3"); !slices.Equal(got, []string{"failed"}) {
-		t.Fatalf("journal for job-3 = %v, want failed", got)
-	}
-	if got := popIDs(h.n); !slices.Equal(got, []string{"job-4", "job-5", "job-1", "job-2"}) {
-		t.Fatalf("queue = %v, want the leased jobs first, past QueueDepth", got)
+	if got := popIDs(h.n); !slices.Equal(got, []string{"job-1", "job-2", "job-3", "job-4", "job-5"}) {
+		t.Fatalf("queue = %v, want every job in admit order, past QueueDepth", got)
 	}
 	if h.admit(t) != "job-6" {
 		t.Fatal("the ID sequence did not move past the restored jobs")
 	}
 }
 
-// Jobs that were out on a lease and recover into a closed node are
-// failed and handed back as lost, so the caller knows exactly which
-// were dropped; none enters the queue a closed node no longer drains.
+// Jobs that recover into a closed node are failed and handed back as
+// lost, so the caller knows exactly which were dropped; none enters the
+// queue a closed node no longer drains.
 func TestRecoverIntoClosedQueue(t *testing.T) {
 	h := newHarness(Config[string, string]{})
-	var claimed []*Job
+	var live []*Job
 	for _, id := range []string{"job-1", "job-2"} {
 		j := &Job{ID: id, Spec: clusterapi.Spec{App: "x"}}
 		h.n.Restore(j)
-		claimed = append(claimed, j)
+		live = append(live, j)
 	}
 	h.n.Close()
-	lost := h.n.Recover(nil, claimed)
+	lost := h.n.Recover(live)
 	if len(lost) != 2 || lost[0].ID != "job-1" || lost[1].ID != "job-2" {
 		t.Fatalf("lost = %v, want job-1 and job-2", lost)
 	}
-	for _, j := range claimed {
+	for _, j := range live {
 		if st := h.status(j.ID); st.Status != Failed || !strings.Contains(st.Error, "queue closed during recovery") {
 			t.Fatalf("job = %+v, want failed: queue closed during recovery", st)
 		}
-		if got := h.log.ops(j.ID); !slices.Equal(got, []string{"abandoned", "failed"}) {
-			t.Fatalf("journal for %s = %v, want abandoned, failed", j.ID, got)
-		}
+		h.finishedAs(t, j.ID, journal.OpFailed)
 	}
 	if n := h.n.QueueLen(); n != 0 {
 		t.Fatalf("queue len = %d: lost jobs entered the closed node", n)

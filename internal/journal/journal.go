@@ -1,10 +1,10 @@
 // Package journal is perfplayd's crash-durable job journal: an
-// append-only log of job state transitions (admitted, claimed,
-// requeued, settled, failed, evicted, abandoned) that lets a restarted
-// daemon reconstruct exactly which jobs were queued or out on a steal
-// lease when the previous process died. The trace blobs themselves
-// already survive in the content-addressed corpus; the journal is the
-// missing piece that makes the *queue* survive too.
+// append-only log of two records per job, admitted and one terminal
+// record (settled or failed), that lets a restarted daemon reconstruct
+// exactly which jobs it had admitted and not yet finished when the
+// previous process died. The trace blobs themselves already survive in
+// the content-addressed corpus; the journal is the missing piece that
+// makes the *queue* survive too.
 //
 // Records are framed on disk as
 //
@@ -25,9 +25,9 @@
 // Recovery semantics on Open:
 //
 //   - a clean log replays fully; Live() returns every job that was
-//     admitted but never settled/failed/evicted/abandoned, in admit
-//     order, with its claim state (a job out on a steal lease at crash
-//     time replays as Claimed).
+//     admitted but never settled or failed, in admit order. A job out
+//     on a steal lease at crash time is simply live: a lease never
+//     survives a restart.
 //   - a torn tail — the final record of the final segment cut short or
 //     checksum-damaged by a crash mid-write — is salvaged: the tail is
 //     truncated away and replay succeeds with everything before it.
@@ -36,7 +36,8 @@
 //     acknowledged.
 //   - a checksum mismatch anywhere else is real corruption, not a torn
 //     write, and Open fails closed with ErrCorrupt naming the segment
-//     and offset rather than silently dropping committed jobs.
+//     and offset rather than silently dropping committed jobs. So does
+//     a record whose op is none of the three.
 package journal
 
 import (
@@ -55,63 +56,37 @@ import (
 )
 
 // Ops are the journaled job state transitions. Admitted records carry
-// the job's spec and metadata; every other op only references the job
+// the job's spec and metadata; the terminal ops only reference the job
 // by ID.
 const (
 	// OpAdmitted: the job entered the queue (or was re-enqueued at
-	// recovery). Upserts the job into live state as queued.
+	// recovery). Upserts the job into live state.
 	OpAdmitted = "admitted"
-	// OpClaimed: a thief took the job on a steal lease.
-	OpClaimed = "claimed"
-	// OpRequeued: a claimed job's lease expired and it went back in the
-	// queue — the job is live and queued again.
-	OpRequeued = "requeued"
 	// OpSettled: the job finished successfully (locally or via a
-	// thief's reported result). Terminal.
+	// thief's reported result). Retires it.
 	OpSettled = "settled"
-	// OpFailed: the job finished with an error, or could not be
-	// recovered at restart. Terminal.
+	// OpFailed: the job finished with an error, was abandoned at
+	// shutdown, or could not be recovered at restart. Retires it.
 	OpFailed = "failed"
-	// OpEvicted: the finished job's record was dropped from the
-	// daemon's retention window. Terminal (normally a no-op for live
-	// state — eviction follows settlement).
-	OpEvicted = "evicted"
-	// OpAbandoned: the job was dropped on a closed queue (requeue after
-	// shutdown began) and will not run. Terminal.
-	OpAbandoned = "abandoned"
 )
-
-// terminalOp reports whether op removes the job from live state.
-func terminalOp(op string) bool {
-	switch op {
-	case OpSettled, OpFailed, OpEvicted, OpAbandoned:
-		return true
-	}
-	return false
-}
 
 // Record is one journaled state transition. Spec is opaque to the
 // journal — the daemon stores its wire-stealable scheduler spec there
 // and unmarshals it back at recovery — as is Meta (trace ID, submit
 // time, and whatever else the owner wants to restore).
 type Record struct {
-	Op    string            `json:"op"`
-	Job   string            `json:"job"`
-	Thief string            `json:"thief,omitempty"`
-	Spec  json.RawMessage   `json:"spec,omitempty"`
-	Meta  map[string]string `json:"meta,omitempty"`
+	Op   string            `json:"op"`
+	Job  string            `json:"job"`
+	Spec json.RawMessage   `json:"spec,omitempty"`
+	Meta map[string]string `json:"meta,omitempty"`
 }
 
 // LiveJob is one job reconstructed by replay: admitted but not yet
-// terminal. Claimed means the job was out on a steal lease when the
-// journal was last written — the recovery code treats that exactly like
-// an expired lease.
+// settled or failed.
 type LiveJob struct {
-	Job     string
-	Spec    json.RawMessage
-	Meta    map[string]string
-	Claimed bool
-	Thief   string
+	Job  string
+	Spec json.RawMessage
+	Meta map[string]string
 }
 
 // Options tunes the journal. The zero value is production-ready.
@@ -158,10 +133,8 @@ const (
 
 // liveJob is the mutable replay state for one non-terminal job.
 type liveJob struct {
-	spec    json.RawMessage
-	meta    map[string]string
-	claimed bool
-	thief   string
+	spec json.RawMessage
+	meta map[string]string
 }
 
 // Journal is the append-only log. All methods are safe for concurrent
@@ -184,7 +157,6 @@ type Journal struct {
 	live      map[string]*liveJob
 	order     []string // admit order; may hold IDs since removed
 	records   int      // records across all segments
-	liveRecs  int      // records a compaction would rewrite
 	compacted int64
 	truncated bool
 	closed    bool
@@ -341,7 +313,9 @@ func (j *Journal) replaySegment(seq int, last bool) error {
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return fmt.Errorf("%w: undecodable record at %s offset %d: %v", ErrCorrupt, segmentName(seq), off, err)
 		}
-		j.apply(rec)
+		if err := j.apply(rec); err != nil {
+			return fmt.Errorf("%w: %v at %s offset %d", ErrCorrupt, err, segmentName(seq), off)
+		}
 		j.records++
 		off += headerBytes + length
 	}
@@ -349,48 +323,30 @@ func (j *Journal) replaySegment(seq int, last bool) error {
 	return nil
 }
 
-// apply folds one record into live state.
-func (j *Journal) apply(rec Record) {
-	switch {
-	case rec.Op == OpAdmitted:
+// apply folds one record into live state: admitted upserts the job,
+// settled or failed retires it, and any other op is refused.
+func (j *Journal) apply(rec Record) error {
+	switch rec.Op {
+	case OpAdmitted:
 		lj, ok := j.live[rec.Job]
 		if !ok {
 			lj = &liveJob{}
 			j.live[rec.Job] = lj
 			j.order = append(j.order, rec.Job)
-			j.liveRecs++
 		}
-		// Upsert: a re-admit at recovery refreshes spec/meta and resets
-		// any stale claim (the job is back in a queue).
+		// Upsert: a re-admit at recovery refreshes spec and meta.
 		if len(rec.Spec) > 0 {
 			lj.spec = rec.Spec
 		}
 		if rec.Meta != nil {
 			lj.meta = rec.Meta
 		}
-		if lj.claimed {
-			lj.claimed, lj.thief = false, ""
-			j.liveRecs--
-		}
-	case rec.Op == OpClaimed:
-		if lj, ok := j.live[rec.Job]; ok && !lj.claimed {
-			lj.claimed, lj.thief = true, rec.Thief
-			j.liveRecs++
-		}
-	case rec.Op == OpRequeued:
-		if lj, ok := j.live[rec.Job]; ok && lj.claimed {
-			lj.claimed, lj.thief = false, ""
-			j.liveRecs--
-		}
-	case terminalOp(rec.Op):
-		if lj, ok := j.live[rec.Job]; ok {
-			if lj.claimed {
-				j.liveRecs--
-			}
-			j.liveRecs--
-			delete(j.live, rec.Job)
-		}
+	case OpSettled, OpFailed:
+		delete(j.live, rec.Job)
+	default:
+		return fmt.Errorf("unknown op %q", rec.Op)
 	}
+	return nil
 }
 
 // Live returns the replayed non-terminal jobs in admit order.
@@ -407,6 +363,9 @@ func (j *Journal) Append(rec Record) error {
 	defer j.mu.Unlock()
 	if j.closed {
 		return errors.New("journal: closed")
+	}
+	if rec.Op != OpAdmitted && rec.Op != OpSettled && rec.Op != OpFailed {
+		return fmt.Errorf("journal: unknown op %q", rec.Op)
 	}
 	if err := j.appendLocked(rec); err != nil {
 		if j.errorsTotal != nil {
@@ -456,7 +415,7 @@ func (j *Journal) appendLocked(rec Record) error {
 	}
 	j.totalLen += int64(len(buf))
 	j.records++
-	j.apply(rec)
+	_ = j.apply(rec) // cannot fail: Append checked the op
 	if j.bytesTotal != nil {
 		j.bytesTotal.Add(float64(len(buf)))
 	}
@@ -497,8 +456,7 @@ func (j *Journal) maybeCompactLocked() error {
 	if j.records < minCompactRecords {
 		return nil
 	}
-	dead := float64(j.records-j.liveRecs) / float64(j.records)
-	if dead < compactRatio {
+	if j.deadRatioLocked() < compactRatio {
 		return nil
 	}
 	seq := j.activeSeq + 1
@@ -516,21 +474,15 @@ func (j *Journal) maybeCompactLocked() error {
 		return fmt.Errorf("journal: compact: %w", err)
 	}
 	for _, lj := range j.liveSnapshotLocked() {
-		recs := []Record{{Op: OpAdmitted, Job: lj.Job, Spec: lj.Spec, Meta: lj.Meta}}
-		if lj.Claimed {
-			recs = append(recs, Record{Op: OpClaimed, Job: lj.Job, Thief: lj.Thief})
+		buf, err := frame(Record{Op: OpAdmitted, Job: lj.Job, Spec: lj.Spec, Meta: lj.Meta})
+		if err != nil {
+			return fail(err)
 		}
-		for _, rec := range recs {
-			buf, err := frame(rec)
-			if err != nil {
-				return fail(err)
-			}
-			if _, err := f.Write(buf); err != nil {
-				return fail(err)
-			}
-			written += int64(len(buf))
-			nrecs++
+		if _, err := f.Write(buf); err != nil {
+			return fail(err)
 		}
+		written += int64(len(buf))
+		nrecs++
 	}
 	if !j.opts.NoSync {
 		if err := f.Sync(); err != nil {
@@ -559,7 +511,6 @@ func (j *Journal) maybeCompactLocked() error {
 	j.totalLen = written
 	j.segments = []int{seq}
 	j.records = nrecs
-	j.liveRecs = nrecs
 	j.compacted++
 	if j.compactions != nil {
 		j.compactions.Inc()
@@ -588,7 +539,7 @@ func (j *Journal) liveSnapshotLocked() []LiveJob {
 		if !ok {
 			continue
 		}
-		out = append(out, LiveJob{Job: id, Spec: lj.spec, Meta: lj.meta, Claimed: lj.claimed, Thief: lj.thief})
+		out = append(out, LiveJob{Job: id, Spec: lj.spec, Meta: lj.meta})
 	}
 	return out
 }
@@ -597,17 +548,23 @@ func (j *Journal) liveSnapshotLocked() []LiveJob {
 func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Records:       j.records,
 		LiveJobs:      len(j.live),
+		DeadRatio:     j.deadRatioLocked(),
 		Bytes:         j.totalLen,
 		Compactions:   j.compacted,
 		TruncatedTail: j.truncated,
 	}
-	if j.records > 0 {
-		st.DeadRatio = float64(j.records-j.liveRecs) / float64(j.records)
+}
+
+// deadRatioLocked is the share of records a compaction would drop: all
+// but one admitted record per live job.
+func (j *Journal) deadRatioLocked() float64 {
+	if j.records == 0 {
+		return 0
 	}
-	return st
+	return float64(j.records-len(j.live)) / float64(j.records)
 }
 
 // Close syncs and closes the active segment. Appends after Close fail.

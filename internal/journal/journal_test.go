@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -66,10 +67,7 @@ func TestRoundTrip(t *testing.T) {
 	j := mustOpen(t, dir, testOpts())
 	mustAppend(t, j,
 		admitted("a"), admitted("b"), admitted("c"), admitted("d"),
-		Record{Op: OpClaimed, Job: "b", Thief: "http://thief:1"},
 		Record{Op: OpSettled, Job: "a"},
-		Record{Op: OpClaimed, Job: "c", Thief: "http://thief:2"},
-		Record{Op: OpRequeued, Job: "c"}, // lease expired, back in queue
 		Record{Op: OpFailed, Job: "d"},
 	)
 	if err := j.Close(); err != nil {
@@ -85,12 +83,6 @@ func TestRoundTrip(t *testing.T) {
 	// Admit order: b before c.
 	if live[0].Job != "b" || live[1].Job != "c" {
 		t.Fatalf("live order = %s,%s; want b,c", live[0].Job, live[1].Job)
-	}
-	if !live[0].Claimed || live[0].Thief != "http://thief:1" {
-		t.Errorf("b = %+v, want claimed by http://thief:1", live[0])
-	}
-	if live[1].Claimed {
-		t.Errorf("c = %+v, want unclaimed (requeued)", live[1])
 	}
 	if string(live[0].Spec) != `{"app":"pbzip2"}` {
 		t.Errorf("spec = %s", live[0].Spec)
@@ -108,7 +100,6 @@ func TestReplayIdempotence(t *testing.T) {
 	j := mustOpen(t, dir, testOpts())
 	mustAppend(t, j,
 		admitted("a"), admitted("b"), admitted("c"),
-		Record{Op: OpClaimed, Job: "a", Thief: "x"},
 		Record{Op: OpSettled, Job: "b"},
 	)
 	j.Close()
@@ -131,11 +122,6 @@ func TestReplayIdempotence(t *testing.T) {
 	for i := range first {
 		if first[i].Job != second[i].Job {
 			t.Errorf("live[%d] = %s, then %s", i, first[i].Job, second[i].Job)
-		}
-		// Re-admission resets claims by design: the job is back in a
-		// queue, not out on a lease.
-		if second[i].Claimed {
-			t.Errorf("live[%d] %s still claimed after re-admission", i, second[i].Job)
 		}
 	}
 }
@@ -268,15 +254,16 @@ func TestTruncationInNonFinalSegmentFailsClosed(t *testing.T) {
 	}
 }
 
-// TestCompactionPreservesLiveClaims: compaction rewrites live state —
-// including the claimed flag and thief — and deletes every older
-// segment.
-func TestCompactionPreservesLiveClaims(t *testing.T) {
+// TestCompactionPreservesLiveJobs: compaction rewrites live state, one
+// admitted record per live job with its spec and meta, in admit order,
+// and deletes every older segment.
+func TestCompactionPreservesLiveJobs(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, testOpts())
 
-	mustAppend(t, j, admitted("keep-queued"), admitted("keep-claimed"))
-	mustAppend(t, j, Record{Op: OpClaimed, Job: "keep-claimed", Thief: "http://thief:9"})
+	mustAppend(t, j, admitted("keep-1"), admitted("keep-2"))
+	// A recovery-style re-admit: still one live job, folded by compaction.
+	mustAppend(t, j, admitted("keep-1"))
 	nextSegment(t, j)
 	// Churn settled jobs past minCompactRecords: the dead ratio is far
 	// past compactRatio by then.
@@ -287,8 +274,11 @@ func TestCompactionPreservesLiveClaims(t *testing.T) {
 		id := fmt.Sprintf("x%d", i)
 		mustAppend(t, j, admitted(id), Record{Op: OpSettled, Job: id})
 	}
-	if st := j.Stats(); st.DeadRatio >= compactRatio {
-		t.Errorf("dead ratio = %v, want < %v after compaction", st.DeadRatio, compactRatio)
+	// The compaction kept one record per job live at that moment (keep-1's
+	// two admits folded into one); at most one settle followed it.
+	st := j.Stats()
+	if st.Records > st.LiveJobs+2 {
+		t.Errorf("%d records for %d live jobs after compaction", st.Records, st.LiveJobs)
 	}
 
 	// Only the compacted segment may remain on disk.
@@ -304,17 +294,55 @@ func TestCompactionPreservesLiveClaims(t *testing.T) {
 	j2 := mustOpen(t, dir, testOpts())
 	defer j2.Close()
 	live := j2.Live()
-	if len(live) != 2 {
-		t.Fatalf("live = %v, want keep-queued, keep-claimed", liveIDs(j2))
+	if got := liveIDs(j2); strings.Join(got, ",") != "keep-1,keep-2" {
+		t.Fatalf("live = %v, want keep-1, keep-2", got)
 	}
-	if live[0].Job != "keep-queued" || live[0].Claimed {
-		t.Errorf("live[0] = %+v, want unclaimed keep-queued", live[0])
+	if got := j2.Stats().Records; got != st.Records {
+		t.Errorf("reopened journal holds %d records, want %d", got, st.Records)
 	}
-	if live[1].Job != "keep-claimed" || !live[1].Claimed || live[1].Thief != "http://thief:9" {
-		t.Errorf("live[1] = %+v, want keep-claimed claimed by http://thief:9", live[1])
+	if live[1].Meta["trace_id"] != "t-keep-2" || string(live[1].Spec) != `{"app":"pbzip2"}` {
+		t.Errorf("spec or meta lost in compaction: %+v", live[1])
 	}
-	if live[1].Meta["trace_id"] != "t-keep-claimed" {
-		t.Errorf("meta lost in compaction: %v", live[1].Meta)
+}
+
+// TestUnknownOpFailsClosed: a record whose op is neither admitted,
+// settled nor failed, such as the claimed, requeued, evicted and
+// abandoned records an earlier format wrote, fails Open with ErrCorrupt
+// naming the op, segment and offset; Append refuses to write one.
+func TestUnknownOpFailsClosed(t *testing.T) {
+	for _, op := range []string{"claimed", "requeued", "evicted", "abandoned", ""} {
+		dir := t.TempDir()
+		j := mustOpen(t, dir, testOpts())
+		mustAppend(t, j, admitted("a"))
+		if err := j.Append(Record{Op: op, Job: "a"}); err == nil {
+			t.Fatalf("Append accepted op %q", op)
+		}
+		off := j.Stats().Bytes
+		j.Close()
+
+		buf, err := frame(Record{Op: op, Job: "a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg := filepath.Join(dir, segmentName(1))
+		f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		_, err = Open(dir, testOpts())
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("op %q: err = %v, want ErrCorrupt", op, err)
+		}
+		for _, want := range []string{fmt.Sprintf("%q", op), segmentName(1), fmt.Sprintf("offset %d", off)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("op %q: err %q should name %s", op, err, want)
+			}
+		}
 	}
 }
 
@@ -407,4 +435,53 @@ func TestForeignFilesIgnored(t *testing.T) {
 	if got := liveIDs(j); len(got) != 1 {
 		t.Fatalf("live = %v", got)
 	}
+}
+
+// FuzzOpenJournal opens a journal whose final segment holds arbitrary
+// bytes, after a well-formed first segment. Open must never panic, must
+// either succeed or fail with ErrCorrupt, and when it succeeds a second
+// Open of the (possibly salvaged) directory must hold the same live
+// jobs with no torn tail left to salvage.
+func FuzzOpenJournal(f *testing.F) {
+	frames := func(recs ...Record) []byte {
+		var seg []byte
+		for _, rec := range recs {
+			buf, err := frame(rec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			seg = append(seg, buf...)
+		}
+		return seg
+	}
+	first := frames(admitted("a"), admitted("b"))
+	seg := frames(admitted("b"), Record{Op: OpSettled, Job: "a"}, admitted("c"), Record{Op: OpFailed, Job: "b"})
+	f.Add(seg)
+	f.Add(seg[:len(seg)-3]) // a torn tail
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		for seq, seg := range map[int][]byte{1: first, 2: data} {
+			if err := os.WriteFile(filepath.Join(dir, segmentName(seq)), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j, err := Open(dir, testOpts())
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open: %v, want success or ErrCorrupt", err)
+			}
+			return
+		}
+		live := j.Live()
+		j.Close()
+		j2, err := Open(dir, testOpts())
+		if err != nil {
+			t.Fatalf("second Open: %v", err)
+		}
+		defer j2.Close()
+		if !reflect.DeepEqual(j2.Live(), live) || j2.Stats().TruncatedTail {
+			t.Fatalf("second Open: live %+v (torn tail %t), want %+v and no torn tail", j2.Live(), j2.Stats().TruncatedTail, live)
+		}
+	})
 }

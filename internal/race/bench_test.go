@@ -113,3 +113,28 @@ func hasBarrier(tr *trace.Trace) bool {
 	}
 	return false
 }
+
+// TestDetectAtThreadBound: the detector's clocks are as wide as the
+// trace's thread count, so a stored trace that claims the most threads
+// any decoder admits, with only two events, bounds what one -races job
+// can allocate.
+func TestDetectAtThreadBound(t *testing.T) {
+	tr := trace.New("widest", trace.MaxThreads)
+	tr.Append(trace.Event{Thread: 0, Kind: trace.KWrite, Addr: 1, Value: 1})
+	tr.Append(trace.Event{Thread: trace.MaxThreads - 1, Kind: trace.KRead, Addr: 1})
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	races := Detect(tr, nil, nil, 32)
+	runtime.ReadMemStats(&after)
+	if len(races) != 1 {
+		t.Fatalf("%d races, want the one unordered write/read pair", len(races))
+	}
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d threads, 2 events: Detect allocated %d bytes", trace.MaxThreads, n)
+	if n >= 16<<20 {
+		t.Fatalf("Detect allocated %d bytes over %d threads and 2 events, want < 16 MiB", n, trace.MaxThreads)
+	}
+}

@@ -428,7 +428,7 @@ func ParseColumnar(data []byte) (*Columnar, error) {
 	}
 	c.app = r.str()
 	nt := r.u32()
-	if r.err == nil && nt > maxThreads {
+	if r.err == nil && nt > MaxThreads {
 		return nil, fmt.Errorf("trace: implausible thread count %d", nt)
 	}
 	c.numThreads = int(nt)

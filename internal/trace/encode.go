@@ -111,7 +111,7 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	if err := checkEventCount(uint64(len(jt.Events))); err != nil {
 		return nil, err
 	}
-	if jt.NumThreads < 0 || jt.NumThreads > maxThreads {
+	if jt.NumThreads < 0 || jt.NumThreads > MaxThreads {
 		return nil, fmt.Errorf("trace: implausible thread count %d", jt.NumThreads)
 	}
 	tr := &Trace{
@@ -313,7 +313,7 @@ func DecodeBinary(data []byte) (*Trace, error) {
 	}
 	tr.App = r.str()
 	nt := r.u32()
-	if r.err == nil && nt > maxThreads {
+	if r.err == nil && nt > MaxThreads {
 		return nil, fmt.Errorf("trace: implausible thread count %d", nt)
 	}
 	tr.NumThreads = int(nt)

@@ -229,19 +229,21 @@ func (tr *Trace) CountKind(k Kind) int {
 // "#Locks" column of Table 1.
 func (tr *Trace) DynamicLocks() int { return tr.CountKind(KLockAcq) }
 
-// maxThreads bounds the thread count of a trace: every decoder refuses a
+// MaxThreads bounds the thread count of a trace: every decoder refuses a
 // header claiming more before anything is sized by it, and Validate
-// refuses a trace built with more.
-const maxThreads = 1 << 20
+// refuses a trace built with more. Analysis sizes some state by the
+// square of the claimed count (the race detector's thread clocks), so
+// the bound is what one stored trace can make a job allocate.
+const MaxThreads = 1 << 10
 
 // Validate checks structural invariants: a thread count within
-// maxThreads, thread IDs in range, lock acquire/release nesting
+// MaxThreads, thread IDs in range, lock acquire/release nesting
 // well-formed per thread, write operations known, extension indices,
 // constraint indices and lockset sources in range. A trace that fails
 // validation indicates a recorder or transformation bug, or a file
 // nothing here wrote.
 func (tr *Trace) Validate() error {
-	if tr.NumThreads < 0 || tr.NumThreads > maxThreads {
+	if tr.NumThreads < 0 || tr.NumThreads > MaxThreads {
 		return fmt.Errorf("thread count %d", tr.NumThreads)
 	}
 	// A thread's map is made at its first acquisition, so threads that

@@ -182,7 +182,7 @@ func TestValidateNamesLowestHeldLock(t *testing.T) {
 
 // TestImplausibleThreadCountRefused: a header claiming 2^32-1 threads
 // fails to decode in every format without allocating for the threads,
-// and Validate refuses a trace built with more than maxThreads.
+// and Validate refuses a trace built with more than MaxThreads.
 func TestImplausibleThreadCountRefused(t *testing.T) {
 	tr := New("many", 2)
 	tr.Append(Event{Thread: 0, Kind: KWrite, Addr: 1, Value: 1})
@@ -226,8 +226,8 @@ func TestImplausibleThreadCountRefused(t *testing.T) {
 			t.Errorf("%s: Decode allocated %d bytes refusing it", format, n)
 		}
 	}
-	if err := (&Trace{NumThreads: maxThreads + 1}).Validate(); err == nil {
-		t.Fatal("Validate accepted a thread count past maxThreads")
+	if err := (&Trace{NumThreads: MaxThreads + 1}).Validate(); err == nil {
+		t.Fatal("Validate accepted a thread count past MaxThreads")
 	}
 }
 
