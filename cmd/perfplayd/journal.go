@@ -69,6 +69,7 @@ func (s *Server) openJournal(cfg Config) error {
 		return err
 	}
 	s.journal = jr
+	s.node.Reserve(jr.Newest())
 	live := jr.Live()
 	if st := jr.Stats(); st.TruncatedTail {
 		s.logger.Warn("journal had a torn final record (crash mid-append); tail truncated",

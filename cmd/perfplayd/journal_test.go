@@ -172,10 +172,52 @@ func TestJournalRestartFailsUploadOnlyJob(t *testing.T) {
 		if j["status"] != statusFailed {
 			t.Fatalf("%s: job after restart = %v, want failed", name, j["status"])
 		}
-		if errMsg, _ := j["error"].(string); !strings.Contains(errMsg, "job not recovered") {
+		// No steal happened, so the error must not blame one.
+		if errMsg, _ := j["error"].(string); !strings.HasPrefix(errMsg, "job not recovered: ") || strings.Contains(errMsg, "stolen") {
 			t.Fatalf("%s: error = %q, want a clear job-not-recovered explanation", name, errMsg)
 		}
 		wantRecovered(t, b.URL, 0, 1)
+	}
+}
+
+// TestJournalRestartDoesNotReuseIDs: a node restarted over a journal
+// numbers new jobs past every job the journal was given, settled ones
+// included, and still does after a compaction dropped every retired
+// record.
+func TestJournalRestartDoesNotReuseIDs(t *testing.T) {
+	base := t.TempDir()
+	cfg := Config{CorpusDir: filepath.Join(base, "corpus"), JournalDir: filepath.Join(base, "journal")}
+	run := func() string {
+		t.Helper()
+		srv, ts := testServer(t, cfg)
+		defer srv.Close()
+		defer ts.Close()
+		id, _ := runJob(t, ts.URL, goldenSpecs[0].spec)["id"].(string)
+		return id
+	}
+	if id := run(); id != "job-1" {
+		t.Fatalf("first job = %q, want job-1", id)
+	}
+	if id := run(); id != "job-2" {
+		t.Fatalf("first job after a restart = %q, want job-2", id)
+	}
+	jr, err := journal.Open(cfg.JournalDir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for jr.Stats().Compactions == 0 {
+		if err := jr.Append(journal.Record{Op: journal.OpFailed, Job: "job-2"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := jr.Stats(); st.Records != 2 || st.LiveJobs != 0 {
+		t.Fatalf("compacted journal: %+v, want job-2's two records only", st)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if id := run(); id != "job-3" {
+		t.Fatalf("first job after a compaction and a restart = %q, want job-3", id)
 	}
 }
 

@@ -63,8 +63,14 @@ var errStolenTraceUnavailable = errors.New("stolen trace unavailable")
 // a trace enters a node only through its corpus and the next steal of
 // it is free. An unfetchable or unstorable blob aborts the steal before
 // anything is reported. With no victim (recovery) a trace the corpus
-// cannot produce is an error, never a fetch.
+// cannot produce is the job's own error, never a fetch.
 func (s *Server) requestFor(victim string, spec clusterapi.Spec, tc spanCtx) (pipeline.Request, error) {
+	unavailable := func(err error) error {
+		if victim == "" {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errStolenTraceUnavailable, err)
+	}
 	req := pipeline.Request{
 		TopK:        spec.TopK,
 		Schemes:     spec.Schemes,
@@ -83,8 +89,7 @@ func (s *Server) requestFor(victim string, spec clusterapi.Spec, tc spanCtx) (pi
 	}
 	digest := spec.TraceDigest
 	if s.corpus == nil {
-		return pipeline.Request{}, fmt.Errorf("%w: it references stored trace %s but the corpus is disabled",
-			errStolenTraceUnavailable, digest)
+		return pipeline.Request{}, unavailable(fmt.Errorf("it references stored trace %s but the corpus is disabled", digest))
 	}
 	// Touch, not Stat: a reference counts as use for the LRU.
 	_, err := s.corpus.Touch(digest)
@@ -102,13 +107,13 @@ func (s *Server) requestFor(victim string, spec clusterapi.Spec, tc spanCtx) (pi
 		}
 	}
 	if err != nil {
-		return pipeline.Request{}, fmt.Errorf("%w: %v", errStolenTraceUnavailable, err)
+		return pipeline.Request{}, unavailable(err)
 	}
 	req.TraceDigest = digest
 	req.TraceLoader = func() (*trace.Trace, error) {
 		tr, _, err := s.corpus.Load(digest)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errStolenTraceUnavailable, err)
+			return nil, unavailable(err)
 		}
 		return tr, nil
 	}

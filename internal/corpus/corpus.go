@@ -8,32 +8,31 @@
 //
 // On-disk layout (one directory per store):
 //
-//	<dir>/index.json     snapshot: metadata for every trace stored when it was written
-//	<dir>/index.log      one JSON record per line for each mutation since the snapshot
+//	<dir>/index.wal      an internal/wal log of put and delete records
 //	<dir>/blobs/<hex>    the raw trace bytes (binary or JSON encoding)
 //
-// Blobs and the snapshot are written atomically (temp file + rename in
-// the same directory), so a crashed writer never leaves a partial blob
-// under a valid name. Put, Pin and Delete each append one fsync'd line
-// to index.log instead of rewriting the index, so a mutation's index
-// write does not grow with the corpus; the append that takes the log
-// past max(64, live traces) records also folds it into a fresh
-// snapshot and removes it. Recency (LastUsed) moves in memory and
-// reaches disk with the records of the trace it belongs to and at each
-// snapshot. A configurable byte budget bounds the store; exceeding it
-// evicts least-recently-used unpinned traces.
+// Blobs are written atomically (wal.WriteFile: temp file, fsync, rename
+// in the same directory), so a crashed writer never leaves a partial
+// blob under a valid name. Put, Pin and Delete each append their records
+// to index.wal in one fsync'd write instead of rewriting the index, so a
+// mutation's index write does not grow with the corpus; once dead
+// records outnumber live ones the log is rewritten as one put per
+// stored trace. Recency (LastUsed) moves in memory and reaches disk with
+// the records of the trace it belongs to and at each rewrite. A
+// configurable byte budget bounds the store; exceeding it evicts
+// least-recently-used unpinned traces.
 package corpus
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -41,6 +40,7 @@ import (
 
 	"perfplay/internal/telemetry"
 	"perfplay/internal/trace"
+	"perfplay/internal/wal"
 )
 
 // DigestPrefix is the algorithm tag every corpus digest carries.
@@ -122,12 +122,12 @@ type Store struct {
 	evictions *telemetry.Counter // nil when no registry was supplied
 
 	mu    sync.Mutex
+	log   *wal.Log
 	metas map[string]*Meta // digest → meta
 	total int64            // sum of stored blob sizes
-	logN  int              // records in index.log since the snapshot
 }
 
-// logRecord is one line of index.log: exactly one of Put (the trace's
+// logRecord is one record of index.wal: exactly one of Put (the trace's
 // whole metadata, for a store or a pin change) and Delete (a digest, for
 // a delete or an eviction) is set.
 type logRecord struct {
@@ -135,18 +135,21 @@ type logRecord struct {
 	Delete string `json:"delete,omitempty"`
 }
 
-// minCompact is the fewest log records that trigger a snapshot, so a
-// small corpus is not re-snapshotted every few mutations.
-const minCompact = 64
-
-// Open opens (creating if needed) the store at dir, reads the snapshot
-// and applies index.log over it, and reconciles the result with the
-// blobs actually on disk: index entries whose blob vanished are dropped,
-// and blobs missing from the index (e.g. after a crash between blob
-// rename and log append) are re-adopted by re-parsing them. A torn final
-// log record is cut off; a bad record with good ones after it is
-// corruption, and Open fails.
+// Open opens (creating if needed) the store at dir, replays index.wal,
+// and reconciles the result with the blobs actually on disk: index
+// entries whose blob vanished are dropped, and blobs missing from the
+// index (e.g. after a crash between blob rename and log append) are
+// re-adopted by re-parsing them. A torn final record is cut off; damage
+// anywhere else is corruption, and Open fails. A dir holding index.json
+// or index.log, the snapshot+log index of earlier builds, is refused
+// with an error naming the file, and left as it is.
 func Open(dir string, opts Options) (*Store, error) {
+	for _, name := range []string{"index.json", "index.log"} {
+		if _, err := os.Lstat(filepath.Join(dir, name)); err == nil {
+			return nil, fmt.Errorf("corpus: %s is the index of an earlier corpus layout, which this build does not read; store its traces again in a fresh directory",
+				filepath.Join(dir, name))
+		}
+	}
 	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
@@ -159,11 +162,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	if s.now == nil {
 		s.now = time.Now
 	}
-	if err := s.loadIndex(); err != nil {
-		return nil, err
-	}
-	if err := s.replayLog(); err != nil {
-		return nil, err
+	var err error
+	if s.log, err = wal.Open(filepath.Join(dir, "index.wal"), s.apply); err != nil {
+		return nil, fmt.Errorf("corpus: %w", err)
 	}
 	if err := s.reconcile(); err != nil {
 		return nil, err
@@ -183,107 +184,37 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) indexPath() string        { return filepath.Join(s.dir, "index.json") }
-func (s *Store) logPath() string          { return filepath.Join(s.dir, "index.log") }
 func (s *Store) blobPath(h string) string { return filepath.Join(s.dir, "blobs", h) }
 
-func (s *Store) loadIndex() error {
-	data, err := os.ReadFile(s.indexPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+// apply replays one index.wal record.
+func (s *Store) apply(rec logRecord) error {
+	if (rec.Put == nil) == (rec.Delete == "") {
+		return errors.New("record is neither a put nor a delete")
 	}
-	if err != nil {
-		return fmt.Errorf("corpus: read index: %w", err)
-	}
-	var metas []*Meta
-	if err := json.Unmarshal(data, &metas); err != nil {
-		return fmt.Errorf("corpus: parse index: %w", err)
-	}
-	for _, m := range metas {
-		s.metas[m.Digest] = m
-	}
-	return nil
-}
-
-// replayLog applies index.log's records, in order, over the snapshot.
-// Replaying records the snapshot already holds ends in the snapshot's
-// traces, sizes and pins, so a crash between a compaction's snapshot and
-// the log's removal replays harmlessly (only the recency of a trace the
-// log deletes and then stores again can fall back). Lines that do not
-// parse at the end of the file are a write torn by a crash (never
-// acknowledged): the log is truncated to its last good record before
-// anything can append after them. A line that does not parse with a
-// good one after it is corruption.
-func (s *Store) replayLog() error {
-	data, err := os.ReadFile(s.logPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("corpus: read index.log: %w", err)
-	}
-	var good int   // bytes up to the end of the last good record
-	var bad []byte // the first unparsable line since then
-	badLine := 0
-	for line, rest := 1, data; len(rest) > 0; line++ {
-		text, tail, complete := bytes.Cut(rest, []byte("\n"))
-		var rec logRecord
-		if !complete || json.Unmarshal(text, &rec) != nil || (rec.Put == nil) == (rec.Delete == "") {
-			if bad == nil {
-				bad, badLine = text, line
-			}
-			rest = tail
-			continue
-		}
-		if bad != nil {
-			return fmt.Errorf("corpus: parse index.log line %d: %.40q is not a record, and good records follow it", badLine, bad)
-		}
-		if rec.Put != nil {
-			// Recency only moves forward: a record the snapshot already
-			// holds (replayed after a crash mid-compaction) must not
-			// roll back a later LastUsed that the snapshot caught.
-			if old, ok := s.metas[rec.Put.Digest]; ok && old.LastUsed.After(rec.Put.LastUsed) {
-				rec.Put.LastUsed = old.LastUsed
-			}
-			s.metas[rec.Put.Digest] = rec.Put
-		} else {
-			delete(s.metas, rec.Delete)
-		}
-		s.logN++
-		rest = tail
-		good = len(data) - len(rest)
-	}
-	if good < len(data) {
-		if err := os.Truncate(s.logPath(), int64(good)); err != nil {
-			return fmt.Errorf("corpus: truncate torn index.log tail: %w", err)
-		}
+	if rec.Put != nil {
+		s.metas[rec.Put.Digest] = rec.Put
+	} else {
+		delete(s.metas, rec.Delete)
 	}
 	return nil
 }
 
 // reconcile makes the in-memory index agree with the blobs directory,
-// and sweeps the store's own crash leftovers (tmp-* files abandoned
-// between CreateTemp and rename) so they cannot accumulate. It persists
-// the index (as a fresh snapshot) only when it changed an entry: opening
-// a store that needed no repair writes nothing.
+// and sweeps blob writes abandoned between their temp file and rename
+// ("<hex>.tmp…") so they cannot accumulate. It persists the index
+// (rewriting index.wal) only when it changed an entry: opening a store
+// that needed no repair writes nothing.
 func (s *Store) reconcile() error {
-	for _, sub := range []string{s.dir, filepath.Join(s.dir, "blobs")} {
-		entries, err := os.ReadDir(sub)
-		if err != nil {
-			return fmt.Errorf("corpus: %w", err)
-		}
-		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), "tmp-") {
-				os.Remove(filepath.Join(sub, e.Name()))
-			}
-		}
-	}
 	entries, err := os.ReadDir(filepath.Join(s.dir, "blobs"))
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
 	onDisk := make(map[string]int64, len(entries))
 	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			os.Remove(s.blobPath(e.Name()))
+			continue
+		}
 		info, err := e.Info()
 		if err != nil || !info.Mode().IsRegular() {
 			continue
@@ -341,101 +272,34 @@ func (s *Store) reconcile() error {
 	if !changed {
 		return nil
 	}
-	return s.compactLocked()
+	return s.rewriteLocked()
 }
 
-// appendLocked appends records to index.log in one write and one fsync,
-// then compacts once the log outgrows max(minCompact, live traces) —
-// each snapshot costs O(live traces) and comes only after as many
-// records, so a mutation costs O(1) amortised. A failed append is cut
-// back off, so a later good record never follows a torn one. Call with
-// mu held.
-func (s *Store) appendLocked(recs ...logRecord) error {
-	var buf bytes.Buffer
-	for _, r := range recs {
-		line, err := json.Marshal(r)
-		if err != nil {
-			return fmt.Errorf("corpus: encode index.log record: %w", err)
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	f, err := os.OpenFile(s.logPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+// appendLocked appends records to index.wal in one write and one fsync,
+// then rewrites the log once it is due. Call with mu held.
+func (s *Store) appendLocked(recs ...any) error {
+	if err := s.log.Append(recs...); err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
-	info, werr := f.Stat()
-	if werr == nil {
-		_, werr = f.Write(buf.Bytes())
-		if serr := f.Sync(); werr == nil {
-			werr = serr
-		}
-		if werr != nil {
-			// Best effort: should the cut fail too, a later good record
-			// follows the bad one and the next Open reports its line.
-			_ = f.Truncate(info.Size())
-		}
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("corpus: append index.log: %w", werr)
-	}
-	s.logN += len(recs)
-	if s.logN > max(minCompact, len(s.metas)) {
-		// The records are durable already; a failed snapshot leaves the
+	if s.log.Due(len(s.metas)) {
+		// The records are durable already; a failed rewrite leaves the
 		// log whole, and the next append tries again.
-		_ = s.compactLocked()
+		_ = s.rewriteLocked()
 	}
 	return nil
 }
 
-// compactLocked atomically writes the whole index as a fresh snapshot,
-// then removes the log it subsumes. Call with mu held (or during Open,
-// before the store is shared).
-func (s *Store) compactLocked() error {
-	metas := make([]*Meta, 0, len(s.metas))
-	for _, m := range s.metas {
-		metas = append(metas, m)
+// rewriteLocked replaces index.wal with one put record per stored
+// trace, in digest order. Call with mu held (or during Open, before the
+// store is shared).
+func (s *Store) rewriteLocked() error {
+	digests := slices.Sorted(maps.Keys(s.metas))
+	recs := make([]any, len(digests))
+	for i, d := range digests {
+		recs[i] = logRecord{Put: s.metas[d]}
 	}
-	sort.Slice(metas, func(i, j int) bool { return metas[i].Digest < metas[j].Digest })
-	data, err := json.MarshalIndent(metas, "", " ")
-	if err != nil {
-		return fmt.Errorf("corpus: encode index: %w", err)
-	}
-	if err := atomicWrite(s.indexPath(), data); err != nil {
-		return err
-	}
-	if err := os.Remove(s.logPath()); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := s.log.Rewrite(recs); err != nil {
 		return fmt.Errorf("corpus: %w", err)
-	}
-	s.logN = 0
-	return nil
-}
-
-// atomicWrite writes data to path via a temp file + rename in the same
-// directory, so readers never observe a partial file.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	tmp := f.Name()
-	_, werr := f.Write(data)
-	if serr := f.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("corpus: write %s: %w", filepath.Base(path), werr)
 	}
 	return nil
 }
@@ -467,8 +331,8 @@ func (s *Store) Put(data []byte, pin bool) (Meta, bool, error) {
 	if m, existed, err := s.admitLocked(digest, pin, int64(len(data))); existed || err != nil {
 		return m, false, err
 	}
-	if err := atomicWrite(s.blobPath(hexPart), data); err != nil {
-		return Meta{}, false, err
+	if err := wal.WriteFile(s.blobPath(hexPart), data); err != nil {
+		return Meta{}, false, fmt.Errorf("corpus: %w", err)
 	}
 
 	s.mu.Lock()
@@ -502,7 +366,7 @@ func (s *Store) Put(data []byte, pin bool) (Meta, bool, error) {
 		os.Remove(s.blobPath(hexPart))
 		return Meta{}, false, err
 	}
-	recs := []logRecord{{Put: m}}
+	recs := []any{logRecord{Put: m}}
 	for _, v := range victims {
 		recs = append(recs, logRecord{Delete: v})
 	}
@@ -627,9 +491,9 @@ func (s *Store) Touch(digest string) (Meta, error) {
 // touch looks a digest up and refreshes its LRU recency, returning a
 // meta snapshot. Recency moves in memory only — writing the index on
 // every read would serialize reads behind synchronous disk I/O — and
-// reaches disk at the next snapshot (or with the trace's own next Pin
-// record); across a restart the order degrades gracefully to the last
-// persisted one.
+// reaches disk at the next rewrite of index.wal (or with the trace's own
+// next Pin record); across a restart the order degrades gracefully to
+// the last persisted one.
 func (s *Store) touch(digest string) (Meta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -289,13 +289,9 @@ func TestReopenPersistsIndexAndRecoversStrays(t *testing.T) {
 	}
 
 	// Losing the index (crash between blob rename and log append, or a
-	// deleted snapshot and log) must not lose identifiable blobs. Two
-	// Puts into a fresh store are two log records and no snapshot yet.
-	if err := os.Remove(filepath.Join(dir, "index.log")); err != nil {
+	// deleted index.wal) must not lose identifiable blobs.
+	if err := os.Remove(filepath.Join(dir, "index.wal")); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("two Puts wrote a snapshot: %v", err)
 	}
 	s3, err := Open(dir, Options{})
 	if err != nil {
@@ -325,10 +321,10 @@ func TestReopenPersistsIndexAndRecoversStrays(t *testing.T) {
 		t.Fatalf("corrupt blob deleted: %v", err)
 	}
 
-	// Crash-leftover temp files (the store's own naming) are swept on
-	// Open; nothing else may linger either.
-	for _, sub := range []string{dir, filepath.Join(dir, "blobs")} {
-		if err := os.WriteFile(filepath.Join(sub, "tmp-123456"), []byte("partial"), 0o644); err != nil {
+	// Crash-leftover temp files (the store's own naming: an index rewrite's
+	// and a blob write's) are swept on Open; nothing else may linger either.
+	for _, tmp := range []string{"index.wal.tmp123456", filepath.Join("blobs", strings.Repeat("cd", 32)+".tmp123456")} {
+		if err := os.WriteFile(filepath.Join(dir, tmp), []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +337,7 @@ func TestReopenPersistsIndexAndRecoversStrays(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), "tmp-") {
+			if strings.Contains(e.Name(), ".tmp") {
 				t.Fatalf("leftover temp file %s", e.Name())
 			}
 		}
@@ -403,11 +399,10 @@ func TestPutColumnarTrace(t *testing.T) {
 }
 
 // TestOpenRewritesIndexOnlyWhenReconcileChangedIt: opening a store that
-// needs no repair leaves index.json and index.log alone (every CLI run
-// and daemon boot used to pay a temp file, an fsync and a rename for
-// it), while each of reconcile's three repairs — a dropped entry, a
-// corrected size, an adopted blob — still persists, as a fresh snapshot
-// that subsumes the log.
+// needs no repair leaves index.wal alone (every CLI run and daemon boot
+// would otherwise pay a temp file, an fsync and a rename for it), while
+// each of reconcile's three repairs — a dropped entry, a corrected
+// size, an adopted blob — still persists, as a rewrite of index.wal.
 func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -416,23 +411,16 @@ func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 	}
 	ma, _, _ := s.Put(sampleTrace(t, 40), false)
 	mb, _, _ := s.Put(sampleTrace(t, 41), false)
-	index := filepath.Join(dir, "index.json")
-	logPath := filepath.Join(dir, "index.log")
-	stat := func(path string) os.FileInfo {
+	index := filepath.Join(dir, "index.wal")
+	stat := func() os.FileInfo {
 		t.Helper()
-		info, err := os.Stat(path)
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
+		info, err := os.Stat(index)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return info
 	}
 	same := func(a, b os.FileInfo) bool {
-		if a == nil || b == nil {
-			return a == b
-		}
 		return os.SameFile(a, b) && a.ModTime().Equal(b.ModTime()) && a.Size() == b.Size()
 	}
 	reopen := func() *Store {
@@ -443,24 +431,15 @@ func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 		}
 		return s
 	}
-	// persisted reports that the last reopen wrote a new snapshot and
-	// removed the log it folded in.
-	persisted := func(before os.FileInfo) bool {
-		after := stat(index)
-		return after != nil && (before == nil || !os.SameFile(before, after)) && stat(logPath) == nil
-	}
+	// persisted reports that the last reopen rewrote index.wal.
+	persisted := func(before os.FileInfo) bool { return !os.SameFile(before, stat()) }
 	blob := func(m Meta) string { return filepath.Join(dir, "blobs", strings.TrimPrefix(m.Digest, DigestPrefix)) }
 
-	// After two Puts the index is two log records and no snapshot.
-	beforeIndex, beforeLog := stat(index), stat(logPath)
-	if beforeIndex != nil || beforeLog == nil {
-		t.Fatalf("after two Puts: index.json present=%v, index.log present=%v; want only the log",
-			beforeIndex != nil, beforeLog != nil)
-	}
+	before := stat()
 	if s2 := reopen(); s2.Len() != 2 {
 		t.Fatalf("reopened %d traces, want 2", s2.Len())
 	}
-	if !same(beforeIndex, stat(index)) || !same(beforeLog, stat(logPath)) {
+	if !same(before, stat()) {
 		t.Fatal("opening an unchanged corpus wrote its index")
 	}
 
@@ -475,7 +454,7 @@ func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before := stat(index)
+	before = stat()
 	reopen()
 	if !persisted(before) {
 		t.Fatal("a corrected size was not persisted")
@@ -485,7 +464,7 @@ func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 	if err := os.Remove(blob(ma)); err != nil {
 		t.Fatal(err)
 	}
-	before = stat(index)
+	before = stat()
 	if s2 := reopen(); s2.Len() != 1 {
 		t.Fatalf("%d traces after a blob vanished, want 1", s2.Len())
 	}
@@ -494,10 +473,10 @@ func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 	}
 
 	// An adopted blob: on disk, absent from the index.
-	if err := os.WriteFile(index, []byte("[]"), 0o644); err != nil {
+	if err := os.WriteFile(index, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before = stat(index)
+	before = stat()
 	if s2 := reopen(); s2.Len() != 1 {
 		t.Fatalf("%d traces adopted, want 1", s2.Len())
 	}
@@ -505,11 +484,11 @@ func TestOpenRewritesIndexOnlyWhenReconcileChangedIt(t *testing.T) {
 		t.Fatal("an adopted blob was not persisted")
 	}
 	// And what was persisted is the repaired index: nothing left to do.
-	before = stat(index)
+	before = stat()
 	if _, err := reopen().Stat(mb.Digest); err != nil {
 		t.Fatal(err)
 	}
-	if !same(before, stat(index)) || stat(logPath) != nil {
+	if !same(before, stat()) {
 		t.Fatal("reopening the repaired corpus wrote its index")
 	}
 }

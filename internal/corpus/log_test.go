@@ -12,20 +12,36 @@ import (
 	"time"
 
 	"perfplay/internal/sim"
+	"perfplay/internal/wal"
 	"perfplay/internal/workload"
 )
 
-// logRecords counts the records in dir's index.log (0 when it is absent).
+// logRecords counts the records in dir's index.wal.
 func logRecords(t testing.TB, dir string) int {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, "index.log"))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0
-	}
+	l, err := wal.Open(filepath.Join(dir, "index.wal"), func(logRecord) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bytes.Count(data, []byte("\n"))
+	return l.Records()
+}
+
+// framed is recs as the frames of an index.wal.
+func framed(t testing.TB, recs ...any) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "index.wal")
+	l, err := wal.Open(path, func(logRecord) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // sameList reports whether two List results agree entry by entry,
@@ -47,7 +63,7 @@ func sameList(a, b []Meta) bool {
 	return true
 }
 
-// copyStore copies a store directory's index files and blobs into a
+// copyStore copies a store directory's index.wal and blobs into a
 // fresh directory, the log cut to its first logLen bytes.
 func copyStore(t testing.TB, src, dst string, logLen int) {
 	t.Helper()
@@ -58,7 +74,7 @@ func copyStore(t testing.TB, src, dst string, logLen int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"index.json", "index.log"}
+	names := []string{"index.wal"}
 	for _, b := range blobs {
 		names = append(names, filepath.Join("blobs", b.Name()))
 	}
@@ -70,7 +86,7 @@ func copyStore(t testing.TB, src, dst string, logLen int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name == "index.log" {
+		if name == "index.wal" {
 			data = data[:logLen]
 		}
 		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
@@ -165,23 +181,20 @@ func TestTornLogTailAtEveryOffset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			lastStart := s.log.Size()
 			mb, _, err := s.Put(b, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tc.last != nil {
+				lastStart = s.log.Size()
 				if err := tc.last(s, mb); err != nil {
 					t.Fatal(err)
 				}
 			}
-			full, err := os.ReadFile(filepath.Join(src, "index.log"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lastStart := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1
-			for cut := lastStart; cut < len(full); cut++ {
+			for cut := lastStart; cut < s.log.Size(); cut++ {
 				dir := t.TempDir()
-				copyStore(t, src, dir, cut)
+				copyStore(t, src, dir, int(cut))
 				s, err := Open(dir, Options{})
 				if err != nil {
 					t.Fatalf("cut at %d: %v", cut, err)
@@ -215,95 +228,76 @@ func TestTornLogTailAtEveryOffset(t *testing.T) {
 	}
 }
 
-// TestDamagedLogRecordFailsOpen: a record that does not parse with good
-// records after it cannot be a torn append — it is corruption, and Open
-// fails closed naming the file and the line instead of guessing.
+// TestDamagedLogRecordFailsOpen: a record that does not check out with
+// good records after it cannot be a torn append — it is corruption, and
+// Open fails closed naming the file and the offset instead of guessing.
 func TestDamagedLogRecordFailsOpen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var second int64
 	for seed := int64(70); seed < 73; seed++ {
 		if _, _, err := s.Put(sampleTrace(t, seed), false); err != nil {
 			t.Fatal(err)
 		}
+		if seed == 70 {
+			second = s.log.Size()
+		}
 	}
-	path := filepath.Join(dir, "index.log")
+	path := filepath.Join(dir, "index.wal")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := bytes.IndexByte(data, '\n') + 1
-	data[second] = 'x' // line 2's opening brace
+	data[second+8] = 'x' // record 2's opening brace
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = Open(dir, Options{})
-	if err == nil || !strings.Contains(err.Error(), "index.log line 2") {
-		t.Fatalf("Open over a damaged record: err = %v, want one naming index.log line 2", err)
+	if want := fmt.Sprintf("index.wal offset %d", second); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open over a damaged record: err = %v, want one naming %s", err, want)
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
 		t.Fatal("a failed Open rewrote the damaged log")
 	}
 }
 
-// TestCrashBetweenSnapshotAndLogRemoval replays a whole log over the
-// snapshot that already subsumes it — the state a crash between a
-// compaction's rename and the log's removal leaves — and must arrive at
-// the same index, recency included, that the store held in memory.
-func TestCrashBetweenSnapshotAndLogRemoval(t *testing.T) {
-	tr := manyTraces(t, 4)
-	dir := t.TempDir()
-	budget := int64(len(tr[0]) + len(tr[1]) + len(tr[2]))
-	s, err := Open(dir, Options{MaxBytes: budget, now: fakeClock()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ms []Meta
-	for i, data := range tr {
-		m, _, err := s.Put(data, i == 1)
-		if err != nil {
-			t.Fatal(err)
+// TestOpenRefusesSnapshotLayout: a corpus holding index.json and
+// index.log, the snapshot+log index of earlier builds, fails Open naming
+// the file, and Open changes nothing on disk.
+func TestOpenRefusesSnapshotLayout(t *testing.T) {
+	for _, names := range [][]string{{"index.json", "index.log"}, {"index.log"}} {
+		dir := t.TempDir()
+		files := map[string][]byte{"blobs/" + strings.Repeat("ab", 32): []byte("blob")}
+		for _, name := range names {
+			files[name] = []byte(name + " bytes")
 		}
-		ms = append(ms, m)
-		if i == 0 {
-			if _, _, err := s.Get(m.Digest); err != nil { // recency only, no record
+		for name, data := range files {
+			if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if err := s.Pin(ms[1].Digest, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(ms[3].Digest); err != nil {
-		t.Fatal(err)
-	}
-	// ms[0] was evicted by the fourth Put; touch a survivor after its
-	// last record, so only the snapshot holds its recency.
-	if _, _, err := s.Get(ms[2].Digest); err != nil {
-		t.Fatal(err)
-	}
-	logPath := filepath.Join(dir, "index.log")
-	log, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	err = s.compactLocked()
-	s.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(logPath, log, 0o644); err != nil { // the removal never happened
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, Options{MaxBytes: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameList(s2.List(), s.List()) {
-		t.Fatalf("replaying a subsumed log: reopened %+v, want %+v", s2.List(), s.List())
+		_, err := Open(dir, Options{})
+		if want := filepath.Join(dir, names[0]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open over %v: err = %v, want one naming %s", names, err, want)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(names)+1 {
+			t.Fatalf("Open over %v left %d entries, want %d", names, len(entries), len(names)+1)
+		}
+		for name, want := range files {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("Open over %v changed %s: %q %v", names, name, got, err)
+			}
+		}
 	}
 }
 
@@ -360,25 +354,33 @@ func TestEvictingPutSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestLogStaysBounded pins the amortised bound: across 300 Puts the log
-// never holds more than max(64, live traces) records, and the snapshot
-// is replaced at most ⌈log2(300/64)⌉+1 = 4 times. Deleting 200 of them
-// then shrinks the store under its log, and compaction must keep the
-// same bound.
+// TestLogStaysBounded pins the amortised bound: after every mutation
+// the log holds at most max(wal.MinCompact, 2×live traces) records.
+// 300 Puts are all live and never rewrite it; deleting 200 of them then
+// shrinks the store under its log, and the rewrites that keep the bound
+// come at most 4 times.
 func TestLogStaysBounded(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var last os.FileInfo
+	rewrites := 0
 	check := func(what string) {
 		t.Helper()
-		if n, bound := logRecords(t, dir), max(minCompact, s.Len()); n > bound {
+		if n, bound := logRecords(t, dir), max(wal.MinCompact, 2*s.Len()); n > bound {
 			t.Fatalf("after %s: %d log records, bound %d", what, n, bound)
 		}
+		info, err := os.Stat(filepath.Join(dir, "index.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last != nil && !os.SameFile(last, info) {
+			rewrites++
+		}
+		last = info
 	}
-	var last os.FileInfo
-	replaced := 0
 	var ms []Meta
 	for i, data := range manyTraces(t, 300) {
 		m, _, err := s.Put(data, false)
@@ -387,13 +389,9 @@ func TestLogStaysBounded(t *testing.T) {
 		}
 		ms = append(ms, m)
 		check(fmt.Sprintf("Put %d", i+1))
-		if info, err := os.Stat(filepath.Join(dir, "index.json")); err == nil && (last == nil || !os.SameFile(last, info)) {
-			replaced++
-			last = info
-		}
 	}
-	if replaced > 4 {
-		t.Fatalf("index.json replaced %d times in 300 Puts, want at most 4", replaced)
+	if rewrites != 0 {
+		t.Fatalf("index.wal rewritten %d times in 300 Puts, want 0", rewrites)
 	}
 	for i, m := range ms[:200] {
 		if err := s.Delete(m.Digest); err != nil {
@@ -401,12 +399,15 @@ func TestLogStaysBounded(t *testing.T) {
 		}
 		check(fmt.Sprintf("Delete %d", i+1))
 	}
+	if rewrites == 0 || rewrites > 4 {
+		t.Fatalf("index.wal rewritten %d times in 200 Deletes, want 1 to 4", rewrites)
+	}
 }
 
-// TestCompactionFoldsLogIntoSnapshot: once the log outgrows
-// max(64, live traces), the next mutation writes a snapshot and removes
-// the log, and the store reopens from the snapshot alone.
-func TestCompactionFoldsLogIntoSnapshot(t *testing.T) {
+// TestCompactionRewritesIndex: the mutation that takes the log past
+// max(wal.MinCompact, 2×live traces) records rewrites it as one record
+// per trace, and the store reopens from that alone.
+func TestCompactionRewritesIndex(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{now: fakeClock()})
 	if err != nil {
@@ -420,23 +421,22 @@ func TestCompactionFoldsLogIntoSnapshot(t *testing.T) {
 		}
 		ms = append(ms, m)
 	}
-	index := filepath.Join(dir, "index.json")
 	for i := 0; ; i++ {
 		if err := s.Pin(ms[0].Digest, i%2 == 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := os.Stat(index); err == nil {
-			if records := 3 + i + 1; records != minCompact+1 {
-				t.Fatalf("snapshot written after %d records, want %d", records, minCompact+1)
+		if s.log.Records() == 3 {
+			if records := 3 + i + 1; records != wal.MinCompact+1 {
+				t.Fatalf("rewritten after %d records, want %d", records, wal.MinCompact+1)
 			}
 			break
 		}
-		if i > minCompact {
-			t.Fatal("no snapshot after more than 64 records")
+		if i > wal.MinCompact {
+			t.Fatalf("no rewrite after more than %d records", wal.MinCompact)
 		}
 	}
-	if n := logRecords(t, dir); n != 0 {
-		t.Fatalf("%d log records left after compaction", n)
+	if n := logRecords(t, dir); n != 3 {
+		t.Fatalf("%d log records after the rewrite, want 3", n)
 	}
 	s2, err := Open(dir, Options{})
 	if err != nil {
@@ -447,11 +447,10 @@ func TestCompactionFoldsLogIntoSnapshot(t *testing.T) {
 	}
 }
 
-// FuzzOpenIndexLog opens a store whose index.log holds arbitrary bytes,
-// beside a real snapshot and real blobs. Open must never panic; when it
-// succeeds every listed trace names a blob on disk, and opening the
-// (possibly salvaged or repaired) store again succeeds with the same
-// index.
+// FuzzOpenIndexLog opens a store whose index.wal holds arbitrary bytes,
+// beside real blobs. Open must never panic; when it succeeds every
+// listed trace names a blob on disk, and opening the (possibly salvaged
+// or repaired) store again succeeds with the same index.
 func FuzzOpenIndexLog(f *testing.F) {
 	tmpl := f.TempDir()
 	s, err := Open(tmpl, Options{now: fakeClock()})
@@ -466,28 +465,24 @@ func FuzzOpenIndexLog(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s.mu.Lock()
-	err = s.compactLocked()
-	s.mu.Unlock()
-	if err != nil {
-		f.Fatal(err)
-	}
 	if err := s.Pin(mb.Digest, true); err != nil {
 		f.Fatal(err)
 	}
-	log, err := os.ReadFile(filepath.Join(tmpl, "index.log"))
+	log, err := os.ReadFile(filepath.Join(tmpl, "index.wal"))
 	if err != nil {
 		f.Fatal(err)
 	}
+	damaged := bytes.Clone(log)
+	damaged[len(damaged)/3] ^= 0xff
 	f.Add(log)
-	f.Add(log[:len(log)/2])                                    // a torn line
-	f.Add(bytes.ReplaceAll(log, []byte("\n"), []byte("\r\n"))) // a CRLF line
-	f.Add([]byte{})                                            // an empty file
-	f.Add([]byte(`{"put":{"digest":"` + Digest([]byte("missing")) + `","size":7,"format":"binary","events":1,"threads":1,"created":"2026-07-26T00:00:00Z","last_used":"2026-07-26T00:00:00Z"}}` + "\n"))
+	f.Add(log[:len(log)/2]) // a torn record
+	f.Add(damaged)          // a damaged record
+	f.Add([]byte{})         // an empty log
+	f.Add(framed(f, logRecord{Put: &Meta{Digest: Digest([]byte("missing")), Size: 7, Format: "binary", Events: 1, Threads: 1}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		copyStore(t, tmpl, dir, 0)
-		if err := os.WriteFile(filepath.Join(dir, "index.log"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "index.wal"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(dir, Options{})
@@ -514,7 +509,7 @@ func FuzzOpenIndexLog(f *testing.F) {
 // several goroutines at once, enough of them to cross a compaction, all
 // survive a reopen exactly as acknowledged.
 func TestConcurrentMutationsSurviveReopen(t *testing.T) {
-	const workers, each = 4, 20
+	const workers, each = 4, 40
 	tr := manyTraces(t, workers*each)
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -548,8 +543,8 @@ func TestConcurrentMutationsSurviveReopen(t *testing.T) {
 	if want := workers * (each - each/4); s.Len() != want {
 		t.Fatalf("%d traces stored, want %d", s.Len(), want)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatalf("%d mutations crossed no compaction: %v", workers*each*7/4, err)
+	if n, mutations := s.log.Records(), workers*each*7/4; n >= mutations {
+		t.Fatalf("%d mutations crossed no compaction: %d records", mutations, n)
 	}
 	s2, err := Open(dir, Options{})
 	if err != nil {

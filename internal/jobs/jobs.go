@@ -694,7 +694,20 @@ func (n *Node[R, T]) Restore(j *Job) {
 	defer n.mu.Unlock()
 	j.Status = Queued
 	n.jobs[j.ID] = j
-	if s, ok := Seq(j.ID); ok && s > n.seq {
+	n.reserveLocked(j.ID)
+}
+
+// Reserve moves the ID sequence past id, so Admit never hands it out: a
+// restarted node reserves the newest ID its journal was given, whether
+// or not that job finished before the restart.
+func (n *Node[R, T]) Reserve(id string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.reserveLocked(id)
+}
+
+func (n *Node[R, T]) reserveLocked(id string) {
+	if s, ok := Seq(id); ok && s > n.seq {
 		n.seq = s
 	}
 }

@@ -6,21 +6,14 @@
 // the content-addressed corpus; the journal is the missing piece that
 // makes the *queue* survive too.
 //
-// Records are framed on disk as
-//
-//	[4-byte LE payload length][4-byte LE CRC32-IEEE of payload][payload]
-//
-// with one JSON-encoded Record per frame, and every Append is fsynced
-// before it returns — a record the caller saw committed is durable.
-// Frames live in numbered segment files (journal-00000001.wal, ...),
-// appended to the newest. Once the journal holds minCompactRecords
-// records and the dead-record ratio (records that no longer contribute
-// to live state) reaches compactRatio, it compacts: live state is
-// rewritten into the next segment and every older segment is deleted,
-// so a long-running daemon's journal is bounded by its live backlog,
-// not its lifetime job count. Replay still reads several segments: a
-// crash between a compaction's rename and its deletes leaves two, and
-// older binaries rotated segments by size.
+// The journal is one internal/wal log, <dir>/journal.wal, with one
+// JSON-encoded Record per frame, and every Append is fsynced before it
+// returns — a record the caller saw committed is durable. Once dead
+// records outnumber live ones in a log of over wal.MinCompact records,
+// the journal rewrites itself as one admitted record per live job, so a
+// long-running daemon's journal is bounded by its live backlog, not its
+// lifetime job count. The rewrite keeps the newest job's two records
+// too, so a restarted daemon never hands out an ID it already used.
 //
 // Recovery semantics on Open:
 //
@@ -28,31 +21,28 @@
 //     admitted but never settled or failed, in admit order. A job out
 //     on a steal lease at crash time is simply live: a lease never
 //     survives a restart.
-//   - a torn tail — the final record of the final segment cut short or
-//     checksum-damaged by a crash mid-write — is salvaged: the tail is
-//     truncated away and replay succeeds with everything before it.
-//     Only the record being written at the instant of the crash can be
-//     in that position, and by the fsync contract it was never
-//     acknowledged.
-//   - a checksum mismatch anywhere else is real corruption, not a torn
-//     write, and Open fails closed with ErrCorrupt naming the segment
-//     and offset rather than silently dropping committed jobs. So does
-//     a record whose op is none of the three.
+//   - a torn tail — the final record cut short or checksum-damaged by a
+//     crash mid-write — is cut off and replay succeeds with everything
+//     before it. Only the record being written at the instant of the
+//     crash can be in that position, and by the fsync contract it was
+//     never acknowledged.
+//   - damage anywhere else is real corruption, not a torn write, and
+//     Open fails closed with ErrCorrupt naming the file and offset
+//     rather than silently dropping committed jobs. So does a record
+//     whose op is none of the three.
 package journal
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
 	"perfplay/internal/telemetry"
+	"perfplay/internal/wal"
 )
 
 // Ops are the journaled job state transitions. Admitted records carry
@@ -99,14 +89,6 @@ type Options struct {
 	Metrics *telemetry.Registry
 }
 
-// Compaction thresholds: a journal compacts once it holds
-// minCompactRecords records, so a small one doesn't churn, and dead
-// records make up compactRatio of them.
-const (
-	compactRatio      = 0.5
-	minCompactRecords = 1024
-)
-
 // Stats is a point-in-time summary, behind the perfplay_journal_*
 // gauges.
 type Stats struct {
@@ -123,64 +105,63 @@ type Stats struct {
 // ErrCorrupt marks a record whose checksum or framing is damaged
 // somewhere fsync promised it couldn't be — replay fails closed rather
 // than silently dropping committed jobs.
-var ErrCorrupt = errors.New("journal: corrupt record")
+var ErrCorrupt = wal.ErrCorrupt
 
-// frame framing constants.
-const (
-	headerBytes = 8        // 4-byte length + 4-byte CRC32
-	maxRecord   = 16 << 20 // sanity bound on one record's payload
-)
-
-// liveJob is the mutable replay state for one non-terminal job.
-type liveJob struct {
-	spec json.RawMessage
-	meta map[string]string
-}
+// fileName is the journal's one log file in its directory.
+const fileName = "journal.wal"
 
 // Journal is the append-only log. All methods are safe for concurrent
 // use; Append serializes on an internal mutex (the fsync dominates).
 type Journal struct {
-	dir  string
-	opts Options
-
 	recordsByOp *telemetry.CounterVec
 	bytesTotal  *telemetry.Counter
 	compactions *telemetry.Counter
 	errorsTotal *telemetry.Counter
 
-	mu        sync.Mutex
-	active    *os.File
-	activeSeq int
-	segments  []int // sorted segment sequence numbers, activeSeq last
-	totalLen  int64 // bytes across all segments
-
-	live      map[string]*liveJob
-	order     []string // admit order; may hold IDs since removed
-	records   int      // records across all segments
-	compacted int64
-	truncated bool
-	closed    bool
+	mu    sync.Mutex
+	log   *wal.Log
+	live  map[string]*LiveJob
+	order []string // admit order; may hold IDs since removed
+	// newest is the last job admitted while not live, and newestEnd its
+	// terminal op once it has one: a rewrite keeps both records, so
+	// Newest survives compaction.
+	newest, newestEnd string
+	compacted         int64
+	closed            bool
 }
 
-// Open replays every segment in dir (creating it if needed) and
-// returns the journal positioned to append. See the package comment
-// for the torn-tail salvage and fail-closed corruption semantics.
+// Open replays <dir>/journal.wal (creating dir and the log if needed)
+// and returns the journal positioned to append. See the package comment
+// for the torn-tail salvage and fail-closed corruption semantics. A dir
+// holding journal-*.wal segments, the multi-file layout of earlier
+// builds, is refused with an error naming the segment, and left as it
+// is.
 func Open(dir string, opts Options) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{
-		dir:  dir,
-		opts: opts,
-		live: make(map[string]*liveJob),
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
 	}
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, "journal-") && strings.HasSuffix(name, ".wal") {
+			return nil, fmt.Errorf("journal: %s is a segment of the multi-file journal layout, which this build does not read; let the build that wrote it finish its jobs, then remove it",
+				filepath.Join(dir, name))
+		}
+	}
+	j := &Journal{live: make(map[string]*LiveJob)}
+	if j.log, err = wal.Open(filepath.Join(dir, fileName), j.apply); err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	j.log.NoSync = opts.NoSync
 	if reg := opts.Metrics; reg != nil {
 		j.recordsByOp = reg.NewCounterVec("perfplay_journal_records_total",
 			"Job-journal records appended, by transition op.", "op")
 		j.bytesTotal = reg.NewCounter("perfplay_journal_appended_bytes_total",
 			"Bytes appended to the job journal (frames included).")
 		j.compactions = reg.NewCounter("perfplay_journal_compactions_total",
-			"Job-journal compactions (live state rewritten, old segments deleted).")
+			"Job-journal compactions (the log rewritten as its live state).")
 		j.errorsTotal = reg.NewCounter("perfplay_journal_errors_total",
 			"Job-journal append or compaction failures (durability degraded).")
 		reg.NewGaugeFunc("perfplay_journal_live_jobs",
@@ -196,131 +177,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 				return float64(j.Stats().Bytes)
 			})
 	}
-	if err := j.replay(); err != nil {
-		return nil, err
-	}
 	return j, nil
-}
-
-func segmentName(seq int) string { return fmt.Sprintf("journal-%08d.wal", seq) }
-
-// segmentSeq parses a segment filename; ok=false for foreign files.
-func segmentSeq(name string) (int, bool) {
-	var seq int
-	if n, err := fmt.Sscanf(name, "journal-%d.wal", &seq); n != 1 || err != nil {
-		return 0, false
-	}
-	if !strings.HasSuffix(name, ".wal") {
-		return 0, false
-	}
-	return seq, true
-}
-
-// replay loads every segment and opens the last (or a fresh first one)
-// for appending.
-func (j *Journal) replay() error {
-	entries, err := os.ReadDir(j.dir)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	var seqs []int
-	for _, e := range entries {
-		if seq, ok := segmentSeq(e.Name()); ok && !e.IsDir() {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Ints(seqs)
-	for i, seq := range seqs {
-		if err := j.replaySegment(seq, i == len(seqs)-1); err != nil {
-			return err
-		}
-	}
-	j.segments = seqs
-	if len(seqs) == 0 {
-		return j.openSegment(1)
-	}
-	// Re-open the last segment for appending, positioned at its
-	// (possibly truncated) end.
-	last := seqs[len(seqs)-1]
-	f, err := os.OpenFile(filepath.Join(j.dir, segmentName(last)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	j.active = f
-	j.activeSeq = last
-	return nil
-}
-
-// replaySegment reads one segment, applying every record. last selects
-// the torn-tail salvage semantics.
-func (j *Journal) replaySegment(seq int, last bool) error {
-	path := filepath.Join(j.dir, segmentName(seq))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	size := int64(len(data))
-	off := int64(0)
-	for off < size {
-		// A frame cut short (header or payload) is a torn tail when it
-		// runs to EOF of the final segment; anywhere else it's
-		// corruption the fsync contract says cannot happen.
-		salvage := func(reason string) error {
-			if !last {
-				return fmt.Errorf("%w: %s at %s offset %d (not the final segment)", ErrCorrupt, reason, segmentName(seq), off)
-			}
-			if err := os.Truncate(path, off); err != nil {
-				return fmt.Errorf("journal: truncating torn tail of %s: %w", segmentName(seq), err)
-			}
-			size = off
-			j.truncated = true
-			return nil
-		}
-		if size-off < headerBytes {
-			if err := salvage("truncated frame header"); err != nil {
-				return err
-			}
-			break
-		}
-		length := int64(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if length == 0 || length > maxRecord {
-			if err := salvage(fmt.Sprintf("implausible record length %d", length)); err != nil {
-				return err
-			}
-			break
-		}
-		if size-off-headerBytes < length {
-			if err := salvage("truncated record payload"); err != nil {
-				return err
-			}
-			break
-		}
-		payload := data[off+headerBytes : off+headerBytes+length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			// A bad checksum on the very last frame of the final
-			// segment is a torn write of the payload; anywhere earlier
-			// it is silent corruption of an acknowledged record.
-			if last && off+headerBytes+length == size {
-				if err := salvage("checksum mismatch on torn tail"); err != nil {
-					return err
-				}
-				break
-			}
-			return fmt.Errorf("%w: checksum mismatch at %s offset %d", ErrCorrupt, segmentName(seq), off)
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("%w: undecodable record at %s offset %d: %v", ErrCorrupt, segmentName(seq), off, err)
-		}
-		if err := j.apply(rec); err != nil {
-			return fmt.Errorf("%w: %v at %s offset %d", ErrCorrupt, err, segmentName(seq), off)
-		}
-		j.records++
-		off += headerBytes + length
-	}
-	j.totalLen += size
-	return nil
 }
 
 // apply folds one record into live state: admitted upserts the job,
@@ -330,18 +187,22 @@ func (j *Journal) apply(rec Record) error {
 	case OpAdmitted:
 		lj, ok := j.live[rec.Job]
 		if !ok {
-			lj = &liveJob{}
+			lj = &LiveJob{Job: rec.Job}
 			j.live[rec.Job] = lj
 			j.order = append(j.order, rec.Job)
+			j.newest, j.newestEnd = rec.Job, ""
 		}
 		// Upsert: a re-admit at recovery refreshes spec and meta.
 		if len(rec.Spec) > 0 {
-			lj.spec = rec.Spec
+			lj.Spec = rec.Spec
 		}
 		if rec.Meta != nil {
-			lj.meta = rec.Meta
+			lj.Meta = rec.Meta
 		}
 	case OpSettled, OpFailed:
+		if rec.Job == j.newest {
+			j.newestEnd = rec.Op
+		}
 		delete(j.live, rec.Job)
 	default:
 		return fmt.Errorf("unknown op %q", rec.Op)
@@ -356,6 +217,15 @@ func (j *Journal) Live() []LiveJob {
 	return j.liveSnapshotLocked()
 }
 
+// Newest is the ID of the last job first admitted to the journal, live
+// or retired ("" for an empty journal): a restarted daemon numbers new
+// jobs past it.
+func (j *Journal) Newest() string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.newest
+}
+
 // Append commits one record: framed, written, fsynced, applied. The
 // record is durable when Append returns nil.
 func (j *Journal) Append(rec Record) error {
@@ -367,166 +237,57 @@ func (j *Journal) Append(rec Record) error {
 	if rec.Op != OpAdmitted && rec.Op != OpSettled && rec.Op != OpFailed {
 		return fmt.Errorf("journal: unknown op %q", rec.Op)
 	}
-	if err := j.appendLocked(rec); err != nil {
+	size := j.log.Size()
+	if err := j.log.Append(rec); err != nil {
 		if j.errorsTotal != nil {
 			j.errorsTotal.Inc()
 		}
-		return err
+		return fmt.Errorf("journal: %w", err)
 	}
+	_ = j.apply(rec) // cannot fail: the op was checked above
 	if j.recordsByOp != nil {
 		j.recordsByOp.With(rec.Op).Inc()
+		j.bytesTotal.Add(float64(j.log.Size() - size))
 	}
-	// Housekeeping after the durable write: compact when mostly dead.
-	// A failure here degrades space reclamation, never durability — the
-	// record is on disk.
+	// Housekeeping after the durable write. A failure here degrades
+	// space reclamation, never durability — the record is on disk.
 	if err := j.maybeCompactLocked(); err != nil && j.errorsTotal != nil {
 		j.errorsTotal.Inc()
 	}
 	return nil
 }
 
-func frame(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encode: %w", err)
+// maybeCompactLocked rewrites the log as one admitted record per live
+// job, in admit order, followed by the newest job's two records if it
+// is retired, once the log is due.
+func (j *Journal) maybeCompactLocked() error {
+	kept := len(j.live)
+	if j.newestEnd != "" {
+		kept += 2
 	}
-	if len(payload) > maxRecord {
-		return nil, fmt.Errorf("journal: record %d bytes exceeds %d", len(payload), maxRecord)
+	if !j.log.Due(kept) {
+		return nil
 	}
-	buf := make([]byte, headerBytes+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	copy(buf[headerBytes:], payload)
-	return buf, nil
-}
-
-func (j *Journal) appendLocked(rec Record) error {
-	buf, err := frame(rec)
-	if err != nil {
+	live := j.liveSnapshotLocked()
+	recs := make([]any, 0, kept)
+	for _, lj := range live {
+		recs = append(recs, Record{Op: OpAdmitted, Job: lj.Job, Spec: lj.Spec, Meta: lj.Meta})
+	}
+	if j.newestEnd != "" {
+		recs = append(recs, Record{Op: OpAdmitted, Job: j.newest}, Record{Op: j.newestEnd, Job: j.newest})
+	}
+	if err := j.log.Rewrite(recs); err != nil {
 		return err
 	}
-	if _, err := j.active.Write(buf); err != nil {
-		return fmt.Errorf("journal: write: %w", err)
-	}
-	if !j.opts.NoSync {
-		if err := j.active.Sync(); err != nil {
-			return fmt.Errorf("journal: fsync: %w", err)
-		}
-	}
-	j.totalLen += int64(len(buf))
-	j.records++
-	_ = j.apply(rec) // cannot fail: Append checked the op
-	if j.bytesTotal != nil {
-		j.bytesTotal.Add(float64(len(buf)))
-	}
-	return nil
-}
-
-// openSegment closes the active segment (if any) and starts a fresh
-// one with the given sequence number.
-func (j *Journal) openSegment(seq int) error {
-	if j.active != nil {
-		j.active.Close()
-	}
-	f, err := os.OpenFile(filepath.Join(j.dir, segmentName(seq)),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	j.active = f
-	j.activeSeq = seq
-	j.segments = append(j.segments, seq)
-	j.syncDir()
-	return nil
-}
-
-// syncDir best-effort fsyncs the journal directory so segment
-// creations and renames are themselves durable.
-func (j *Journal) syncDir() {
-	if d, err := os.Open(j.dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-}
-
-// maybeCompactLocked rewrites live state into a fresh segment and
-// deletes every older one, once the journal is large enough and mostly
-// dead.
-func (j *Journal) maybeCompactLocked() error {
-	if j.records < minCompactRecords {
-		return nil
-	}
-	if j.deadRatioLocked() < compactRatio {
-		return nil
-	}
-	seq := j.activeSeq + 1
-	path := filepath.Join(j.dir, segmentName(seq))
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	var written int64
-	var nrecs int
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	for _, lj := range j.liveSnapshotLocked() {
-		buf, err := frame(Record{Op: OpAdmitted, Job: lj.Job, Spec: lj.Spec, Meta: lj.Meta})
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(buf); err != nil {
-			return fail(err)
-		}
-		written += int64(len(buf))
-		nrecs++
-	}
-	if !j.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			return fail(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fail(err)
-	}
-	j.syncDir()
-	// The compacted segment is durable under its final name; everything
-	// older is now redundant. From here on, failures only leak files.
-	old := j.segments
-	if j.active != nil {
-		j.active.Close()
-	}
-	af, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: compact: reopen: %w", err)
-	}
-	j.active = af
-	j.activeSeq = seq
-	j.totalLen = written
-	j.segments = []int{seq}
-	j.records = nrecs
 	j.compacted++
 	if j.compactions != nil {
 		j.compactions.Inc()
 	}
-	for _, s := range old {
-		_ = os.Remove(filepath.Join(j.dir, segmentName(s)))
-	}
 	// Drop tombstoned IDs from the admit-order slice while we're here.
-	keep := j.order[:0]
-	for _, id := range j.order {
-		if _, ok := j.live[id]; ok {
-			keep = append(keep, id)
-		}
+	j.order = j.order[:0]
+	for _, lj := range live {
+		j.order = append(j.order, lj.Job)
 	}
-	j.order = keep
-	j.syncDir()
 	return nil
 }
 
@@ -535,11 +296,9 @@ func (j *Journal) maybeCompactLocked() error {
 func (j *Journal) liveSnapshotLocked() []LiveJob {
 	out := make([]LiveJob, 0, len(j.live))
 	for _, id := range j.order {
-		lj, ok := j.live[id]
-		if !ok {
-			continue
+		if lj, ok := j.live[id]; ok {
+			out = append(out, *lj)
 		}
-		out = append(out, LiveJob{Job: id, Spec: lj.spec, Meta: lj.meta})
 	}
 	return out
 }
@@ -548,46 +307,26 @@ func (j *Journal) liveSnapshotLocked() []LiveJob {
 func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return Stats{
-		Records:       j.records,
+	st := Stats{
+		Records:       j.log.Records(),
 		LiveJobs:      len(j.live),
-		DeadRatio:     j.deadRatioLocked(),
-		Bytes:         j.totalLen,
+		Bytes:         j.log.Size(),
 		Compactions:   j.compacted,
-		TruncatedTail: j.truncated,
+		TruncatedTail: j.log.Truncated(),
 	}
+	if st.Records > 0 {
+		// The share of records a compaction would drop: all but one
+		// admitted record per live job.
+		st.DeadRatio = float64(st.Records-st.LiveJobs) / float64(st.Records)
+	}
+	return st
 }
 
-// deadRatioLocked is the share of records a compaction would drop: all
-// but one admitted record per live job.
-func (j *Journal) deadRatioLocked() float64 {
-	if j.records == 0 {
-		return 0
-	}
-	return float64(j.records-len(j.live)) / float64(j.records)
-}
-
-// Close syncs and closes the active segment. Appends after Close fail.
+// Close ends the journal: appends after Close fail. Every appended
+// record is already durable, and no file stays open between appends.
 func (j *Journal) Close() error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
 	j.closed = true
-	if j.active == nil {
-		return nil
-	}
-	var err error
-	if !j.opts.NoSync {
-		err = j.active.Sync()
-	}
-	if cerr := j.active.Close(); err == nil {
-		err = cerr
-	}
-	j.active = nil
-	if err != nil {
-		return fmt.Errorf("journal: close: %w", err)
-	}
+	j.mu.Unlock()
 	return nil
 }

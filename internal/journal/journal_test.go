@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"perfplay/internal/telemetry"
+	"perfplay/internal/wal"
 )
 
 // testOpts keeps tests fast: no fsync (the process outlives every
@@ -42,15 +44,18 @@ func admitted(id string) Record {
 	return Record{Op: OpAdmitted, Job: id, Spec: json.RawMessage(`{"app":"pbzip2"}`), Meta: map[string]string{"trace_id": "t-" + id}}
 }
 
-// nextSegment starts a new segment, as a crash between a compaction's
-// rename and its deletes, or an older binary's size rotation, leaves
-// behind.
-func nextSegment(t *testing.T, j *Journal) {
+// appendRaw frames recs onto the log at path as they are, past Append's
+// op check.
+func appendRaw(t testing.TB, path string, recs ...Record) {
 	t.Helper()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.openSegment(j.activeSeq + 1); err != nil {
+	l, err := wal.Open(path, func(Record) error { return nil })
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -89,6 +94,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if live[1].Meta["trace_id"] != "t-c" {
 		t.Errorf("meta = %v", live[1].Meta)
+	}
+	if got := j2.Newest(); got != "d" {
+		t.Errorf("Newest = %q, want d", got)
 	}
 }
 
@@ -137,7 +145,7 @@ func TestTruncatedFinalRecord(t *testing.T) {
 		mustAppend(t, j, admitted("torn"))
 		j.Close()
 
-		seg := filepath.Join(dir, segmentName(1))
+		seg := filepath.Join(dir, fileName)
 		if err := os.Truncate(seg, sizeBefore+cut); err != nil {
 			t.Fatal(err)
 		}
@@ -172,14 +180,14 @@ func TestCorruptChecksumMidSegment(t *testing.T) {
 	mustAppend(t, j, admitted("a"), admitted("b"), admitted("c"))
 	j.Close()
 
-	seg := filepath.Join(dir, segmentName(1))
+	seg := filepath.Join(dir, fileName)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip one byte inside the FIRST record's payload.
 	length := binary.LittleEndian.Uint32(data)
-	data[headerBytes+length/2] ^= 0xFF
+	data[8+length/2] ^= 0xFF
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +199,8 @@ func TestCorruptChecksumMidSegment(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
 	}
-	if !strings.Contains(err.Error(), segmentName(1)) || !strings.Contains(err.Error(), "offset") {
-		t.Errorf("err %q should name the segment and offset", err)
+	if !strings.Contains(err.Error(), fileName+" offset 0") {
+		t.Errorf("err %q should name the file and offset", err)
 	}
 }
 
@@ -204,7 +212,7 @@ func TestCorruptChecksumOnFinalRecordSalvaged(t *testing.T) {
 	mustAppend(t, j, admitted("a"), admitted("torn"))
 	j.Close()
 
-	seg := filepath.Join(dir, segmentName(1))
+	seg := filepath.Join(dir, fileName)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -227,36 +235,9 @@ func TestCorruptChecksumOnFinalRecordSalvaged(t *testing.T) {
 	}
 }
 
-// Truncation anywhere but the final segment means a whole later segment
-// exists past the damage — that is corruption, not a torn tail.
-func TestTruncationInNonFinalSegmentFailsClosed(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, testOpts())
-	mustAppend(t, j, admitted("a"))
-	nextSegment(t, j)
-	mustAppend(t, j, admitted("b"))
-	nextSegment(t, j)
-	mustAppend(t, j, admitted("c"))
-	j.Close()
-
-	// Segment 1 holds record "a"; cut into it.
-	seg := filepath.Join(dir, segmentName(1))
-	info, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(seg, info.Size()-3); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(dir, testOpts())
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-}
-
 // TestCompactionPreservesLiveJobs: compaction rewrites live state, one
 // admitted record per live job with its spec and meta, in admit order,
-// and deletes every older segment.
+// and the newest job's two records, so Newest survives it.
 func TestCompactionPreservesLiveJobs(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, testOpts())
@@ -264,24 +245,25 @@ func TestCompactionPreservesLiveJobs(t *testing.T) {
 	mustAppend(t, j, admitted("keep-1"), admitted("keep-2"))
 	// A recovery-style re-admit: still one live job, folded by compaction.
 	mustAppend(t, j, admitted("keep-1"))
-	nextSegment(t, j)
-	// Churn settled jobs past minCompactRecords: the dead ratio is far
-	// past compactRatio by then.
+	// Churn settled jobs past wal.MinCompact records: dead ones far
+	// outnumber live ones by then.
+	var id string
 	for i := 0; j.Stats().Compactions == 0; i++ {
-		if i > minCompactRecords {
+		if i > wal.MinCompact {
 			t.Fatalf("no compaction after %d churned jobs: %+v", i, j.Stats())
 		}
-		id := fmt.Sprintf("x%d", i)
+		id = fmt.Sprintf("x%d", i)
 		mustAppend(t, j, admitted(id), Record{Op: OpSettled, Job: id})
 	}
 	// The compaction kept one record per job live at that moment (keep-1's
-	// two admits folded into one); at most one settle followed it.
+	// two admits folded into one) and the churned job's admit; its settle
+	// followed, before or after.
 	st := j.Stats()
 	if st.Records > st.LiveJobs+2 {
 		t.Errorf("%d records for %d live jobs after compaction", st.Records, st.LiveJobs)
 	}
 
-	// Only the compacted segment may remain on disk.
+	// Only the compacted log may remain on disk.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -300,6 +282,9 @@ func TestCompactionPreservesLiveJobs(t *testing.T) {
 	if got := j2.Stats().Records; got != st.Records {
 		t.Errorf("reopened journal holds %d records, want %d", got, st.Records)
 	}
+	if got := j2.Newest(); got != id {
+		t.Errorf("Newest after compaction = %q, want %q", got, id)
+	}
 	if live[1].Meta["trace_id"] != "t-keep-2" || string(live[1].Spec) != `{"app":"pbzip2"}` {
 		t.Errorf("spec or meta lost in compaction: %+v", live[1])
 	}
@@ -308,7 +293,7 @@ func TestCompactionPreservesLiveJobs(t *testing.T) {
 // TestUnknownOpFailsClosed: a record whose op is neither admitted,
 // settled nor failed, such as the claimed, requeued, evicted and
 // abandoned records an earlier format wrote, fails Open with ErrCorrupt
-// naming the op, segment and offset; Append refuses to write one.
+// naming the op, file and offset; Append refuses to write one.
 func TestUnknownOpFailsClosed(t *testing.T) {
 	for _, op := range []string{"claimed", "requeued", "evicted", "abandoned", ""} {
 		dir := t.TempDir()
@@ -320,54 +305,16 @@ func TestUnknownOpFailsClosed(t *testing.T) {
 		off := j.Stats().Bytes
 		j.Close()
 
-		buf, err := frame(Record{Op: op, Job: "a"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg := filepath.Join(dir, segmentName(1))
-		f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(buf); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-
-		_, err = Open(dir, testOpts())
+		appendRaw(t, filepath.Join(dir, fileName), Record{Op: op, Job: "a"})
+		_, err := Open(dir, testOpts())
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("op %q: err = %v, want ErrCorrupt", op, err)
 		}
-		for _, want := range []string{fmt.Sprintf("%q", op), segmentName(1), fmt.Sprintf("offset %d", off)} {
+		for _, want := range []string{fmt.Sprintf("%q", op), fmt.Sprintf("%s offset %d", fileName, off)} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("op %q: err %q should name %s", op, err, want)
 			}
 		}
-	}
-}
-
-// TestReplayWalksSegmentsInOrder: replay reads every segment in
-// sequence order, and appends go to the last one.
-func TestReplayWalksSegmentsInOrder(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, testOpts())
-	mustAppend(t, j, admitted("a"), admitted("b"))
-	nextSegment(t, j)
-	mustAppend(t, j, admitted("c"), Record{Op: OpSettled, Job: "a"})
-	nextSegment(t, j)
-	mustAppend(t, j, admitted("d"))
-	j.Close()
-
-	j2 := mustOpen(t, dir, testOpts())
-	mustAppend(t, j2, admitted("e"))
-	j2.Close()
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 3 {
-		t.Fatalf("dir holds %d files (%v), want 3 segments", len(entries), err)
-	}
-	j3 := mustOpen(t, dir, testOpts())
-	defer j3.Close()
-	if got := liveIDs(j3); strings.Join(got, ",") != "b,c,d,e" {
-		t.Fatalf("live = %v, want [b c d e] in order", got)
 	}
 }
 
@@ -385,7 +332,7 @@ func TestAppendConcurrentWithScrape(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range minCompactRecords / 2 {
+			for i := range wal.MinCompact / 2 {
 				id := fmt.Sprintf("w%d-%d", w, i)
 				for _, rec := range []Record{admitted(id), {Op: OpSettled, Job: id}} {
 					if err := j.Append(rec); err != nil {
@@ -412,7 +359,7 @@ func TestAppendConcurrentWithScrape(t *testing.T) {
 		}
 	}
 	if st := j.Stats(); st.Compactions == 0 || st.LiveJobs != 0 {
-		t.Fatalf("after %d churned jobs: %+v, want a compaction and nothing live", minCompactRecords, st)
+		t.Fatalf("after %d churned jobs: %+v, want a compaction and nothing live", wal.MinCompact, st)
 	}
 }
 
@@ -437,34 +384,48 @@ func TestForeignFilesIgnored(t *testing.T) {
 	}
 }
 
-// FuzzOpenJournal opens a journal whose final segment holds arbitrary
-// bytes, after a well-formed first segment. Open must never panic, must
-// either succeed or fail with ErrCorrupt, and when it succeeds a second
-// Open of the (possibly salvaged) directory must hold the same live
-// jobs with no torn tail left to salvage.
-func FuzzOpenJournal(f *testing.F) {
-	frames := func(recs ...Record) []byte {
-		var seg []byte
-		for _, rec := range recs {
-			buf, err := frame(rec)
-			if err != nil {
-				f.Fatal(err)
-			}
-			seg = append(seg, buf...)
-		}
-		return seg
+// TestOpenRefusesSegmentLayout: a dir holding a segment of the
+// multi-file layout fails Open naming the segment, and Open changes
+// nothing on disk.
+func TestOpenRefusesSegmentLayout(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "journal-00000001.wal")
+	appendRaw(t, seg, admitted("a"))
+	want, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := frames(admitted("a"), admitted("b"))
-	seg := frames(admitted("b"), Record{Op: OpSettled, Job: "a"}, admitted("c"), Record{Op: OpFailed, Job: "b"})
-	f.Add(seg)
-	f.Add(seg[:len(seg)-3]) // a torn tail
+	if _, err := Open(dir, testOpts()); err == nil || !strings.Contains(err.Error(), seg) {
+		t.Fatalf("Open over a segment: err = %v, want one naming %s", err, seg)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(seg); len(entries) != 1 || !bytes.Equal(got, want) {
+		t.Fatalf("Open changed the dir: %d entries, segment intact %t", len(entries), bytes.Equal(got, want))
+	}
+}
+
+// FuzzOpenJournal opens a journal whose log holds arbitrary bytes. Open
+// must never panic, must either succeed or fail with ErrCorrupt, and
+// when it succeeds a second Open of the (possibly salvaged) directory
+// must hold the same live jobs and newest job with no torn tail left to
+// salvage.
+func FuzzOpenJournal(f *testing.F) {
+	path := filepath.Join(f.TempDir(), fileName)
+	appendRaw(f, path, admitted("a"), admitted("b"), Record{Op: OpSettled, Job: "a"}, admitted("c"), Record{Op: OpFailed, Job: "b"})
+	log, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-3]) // a torn tail
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		for seq, seg := range map[int][]byte{1: first, 2: data} {
-			if err := os.WriteFile(filepath.Join(dir, segmentName(seq)), seg, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.WriteFile(filepath.Join(dir, fileName), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 		j, err := Open(dir, testOpts())
 		if err != nil {
@@ -473,15 +434,16 @@ func FuzzOpenJournal(f *testing.F) {
 			}
 			return
 		}
-		live := j.Live()
+		live, newest := j.Live(), j.Newest()
 		j.Close()
 		j2, err := Open(dir, testOpts())
 		if err != nil {
 			t.Fatalf("second Open: %v", err)
 		}
 		defer j2.Close()
-		if !reflect.DeepEqual(j2.Live(), live) || j2.Stats().TruncatedTail {
-			t.Fatalf("second Open: live %+v (torn tail %t), want %+v and no torn tail", j2.Live(), j2.Stats().TruncatedTail, live)
+		if !reflect.DeepEqual(j2.Live(), live) || j2.Newest() != newest || j2.Stats().TruncatedTail {
+			t.Fatalf("second Open: live %+v, newest %q (torn tail %t), want %+v, %q and no torn tail",
+				j2.Live(), j2.Newest(), j2.Stats().TruncatedTail, live, newest)
 		}
 	})
 }
