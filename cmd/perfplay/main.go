@@ -14,8 +14,9 @@
 //
 // With -trace the recorded execution is also written to disk, replayable
 // later via -replay; -trace-format selects the encoding (binary, json,
-// or the mmap-friendly columnar layout). All readers sniff the format,
-// so any encoding works with -replay and the corpus. With
+// or the columnar layout, which stores the side indexes too). All
+// readers sniff the format, so any encoding works with -replay and the
+// corpus. With
 // -save-trace it is stored in the local content-addressed corpus
 // (-corpus, the same on-disk layout perfplayd serves), and -trace-digest
 // re-analyzes a stored trace by its sha256 digest without re-recording.

@@ -742,18 +742,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			DetectRaces: spec.Races,
 		}
 	case spec.App != "":
-		if _, ok := workload.Get(spec.App); !ok {
-			httpError(w, http.StatusBadRequest, clusterapi.CodeUnknownWorkload, "unknown workload %q", spec.App)
+		if code, err := checkWorkloadSpec(spec.App, spec.Threads); err != nil {
+			httpError(w, http.StatusBadRequest, code, "%v", err)
 			return
 		}
 		input, err := workload.ParseInputSize(spec.Input)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "%v", err)
-			return
-		}
-		if spec.Threads < 0 || spec.Threads > trace.MaxThreads {
-			httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest,
-				"threads %d outside [0, %d] (0 = the default)", spec.Threads, trace.MaxThreads)
 			return
 		}
 		req = pipeline.Request{

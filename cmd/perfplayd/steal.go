@@ -57,6 +57,21 @@ func specFor(req pipeline.Request) clusterapi.Spec {
 // and the victim's lease requeues the job, which may run fine there.
 var errStolenTraceUnavailable = errors.New("stolen trace unavailable")
 
+// checkWorkloadSpec is the one check a workload job's spec passes before
+// anything is recorded, whether it arrived by POST /analyze, a steal or
+// the journal: a registered workload, and a thread count in [0,
+// trace.MaxThreads] (0 = the default). The code is the one POST /analyze
+// answers with.
+func checkWorkloadSpec(app string, threads int) (clusterapi.ErrorCode, error) {
+	if _, ok := workload.Get(app); !ok {
+		return clusterapi.CodeUnknownWorkload, fmt.Errorf("unknown workload %q", app)
+	}
+	if threads < 0 || threads > trace.MaxThreads {
+		return clusterapi.CodeBadRequest, fmt.Errorf("threads %d outside [0, %d] (0 = the default)", threads, trace.MaxThreads)
+	}
+	return "", nil
+}
+
 // requestFor is specFor's inverse, on a thief or at boot recovery. A
 // digest resolves from the local corpus; a thief that misses it fetches
 // the blob from the victim (hash-verified) and stores it there first, so
@@ -77,8 +92,8 @@ func (s *Server) requestFor(victim string, spec clusterapi.Spec, tc spanCtx) (pi
 		DetectRaces: spec.Races,
 	}
 	if spec.App != "" {
-		if _, ok := workload.Get(spec.App); !ok {
-			return pipeline.Request{}, fmt.Errorf("unknown workload %q", spec.App)
+		if _, err := checkWorkloadSpec(spec.App, spec.Threads); err != nil {
+			return pipeline.Request{}, err
 		}
 		req.App = spec.App
 		req.Threads = spec.Threads

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/jobs"
 	"perfplay/internal/pipeline"
+	"perfplay/internal/trace"
 )
 
 // saturatedVictim builds a daemon whose workers never start — the
@@ -366,5 +368,43 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 	if got, want := thiefReq.CacheKey(), victimReq.CacheKey(); got != want {
 		t.Fatalf("thief cache key %q != victim %q", got, want)
+	}
+}
+
+// TestStolenSpecThreadsOutOfRange: a workload spec a peer hands over with
+// more threads than POST /analyze admits fails the job with an error
+// naming the bound, and nothing is recorded for it; boot recovery refuses
+// the same spec.
+func TestStolenSpecThreadsOutOfRange(t *testing.T) {
+	settled := make(chan clusterapi.StealResult, 1)
+	victim := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/jobs/job-1/result" {
+			http.NotFound(w, r) // the thief's steal probes find nothing here
+			return
+		}
+		var res clusterapi.StealResult
+		if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
+			t.Errorf("settle body: %v", err)
+		}
+		settled <- res
+	}))
+	defer victim.Close()
+
+	srv, ts := thiefServer(t, victim.URL)
+	spec := clusterapi.Spec{App: "pbzip2", Threads: trace.MaxThreads + 1}
+	bound := fmt.Sprintf("threads %d outside [0, %d]", trace.MaxThreads+1, trace.MaxThreads)
+	if err := srv.executeStolen(victim.URL, clusterapi.StolenJob{ID: "job-1", Spec: spec}); err != nil {
+		t.Fatalf("executeStolen: %v, want the failure settled", err)
+	}
+	if res := <-settled; !strings.Contains(res.Error, bound) {
+		t.Fatalf("settled error %q, want it to name %q", res.Error, bound)
+	}
+	if _, err := srv.requestFor("", spec, spanCtx{}); err == nil || !strings.Contains(err.Error(), bound) {
+		t.Fatalf("recovery: err = %v, want it to name %q", err, bound)
+	}
+	for series, n := range scrape(t, ts.URL) {
+		if strings.HasPrefix(series, "perfplay_pipeline_stage_duration_seconds") && strings.Contains(series, `stage="record"`) && n != 0 {
+			t.Fatalf("%s = %v: a refused spec was recorded", series, n)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,26 +13,23 @@ import (
 	"perfplay/internal/vtime"
 )
 
-// Columnar trace format ("PCOL"). The third on-disk encoding, designed
-// for the replay hot path rather than for compactness: every per-event
-// field lives in its own fixed-stride column, so a reader can address
-// field i of event j by arithmetic alone — no per-event decode, no
-// per-event allocation, and a file mapped (or read) into memory is
-// directly usable as the backing store of the column views. Rare
-// variable-length payloads (lockset membership, skip deltas) live in
-// sidecar tables keyed by event index, keeping the columns truly
-// fixed-stride. The file also carries the two side indexes every
-// analysis warms up front — per-thread event lists and per-lock
-// acquisition order — so a columnar load skips the O(events) index
-// build that Trace.Warm performs for the other formats.
+// Columnar trace format ("PCOL"). The third on-disk encoding: every
+// per-event field lives in its own fixed-stride column, so the event
+// array decodes in one pass of fixed-offset loads with no per-event
+// branch on variable-length data. Rare variable-length payloads
+// (lockset membership, skip deltas) live in sidecar tables keyed by
+// event index, keeping the columns truly fixed-stride. The file also
+// carries the two side indexes every analysis warms up front —
+// per-thread event lists and per-lock acquisition order — so a columnar
+// load skips the O(events) index build that Trace.Warm performs for the
+// other formats.
 //
 // Layout (all integers little-endian):
 //
 //	u32 magic "PCOL"      u32 version
 //	metadata: app, threads, total time, sites, memnames, spinlocks,
-//	          initial/final snapshots, constraints (same primitives as
-//	          the row-binary format)
-//	u32 nev
+//	          initial/final snapshots, constraints, u32 nev (writeHeader,
+//	          shared with the row-binary format)
 //	columns, each contiguous: thread, flags(kind|spin|op), lock, addr,
 //	          site (4-byte stride); value, cost, time (8-byte stride)
 //	sidecars: locksets (event idx → locks+sources), deltas (event idx →
@@ -46,174 +44,21 @@ const (
 // columns: five u32 columns and three i64 columns.
 const colEventStride = 5*4 + 3*8
 
-// Columnar is a zero-copy view over columnar trace bytes. Accessors
-// decode single fields straight out of the raw buffer; nothing is
-// materialized until Trace is called. A Columnar and any Trace built
-// from it share the underlying buffer only for reads — neither mutates
-// it — so both are safe for concurrent readers.
-type Columnar struct {
-	app        string
-	numThreads int
-	totalTime  vtime.Duration
-
-	sites       []Site
-	memNames    map[memmodel.Addr]string
-	spinLocks   map[LockID]bool
-	initMem     memmodel.Snapshot
-	finalMem    memmodel.Snapshot
-	constraints []Constraint
-
-	n int
-	// Raw column views into the decoded buffer.
-	thread, flags, lock, addr, site []byte // 4-byte stride
-	value, cost, time               []byte // 8-byte stride
-
-	locksets map[int32]locksetEntry
-	deltas   map[int32]memmodel.Snapshot
-
-	perThread [][]int32
-	lockOrder map[LockID][]int32
-}
-
-type locksetEntry struct {
-	locks   []LockID
-	sources []int32
-}
-
-// NumEvents reports the event count.
-func (c *Columnar) NumEvents() int { return c.n }
-
-// App names the recorded workload.
-func (c *Columnar) App() string { return c.app }
-
-// NumThreads reports the recorded thread count.
-func (c *Columnar) NumThreads() int { return c.numThreads }
-
-func (c *Columnar) u32At(col []byte, i int) uint32 {
-	return binary.LittleEndian.Uint32(col[i*4:])
-}
-
-func (c *Columnar) i64At(col []byte, i int) int64 {
-	return int64(binary.LittleEndian.Uint64(col[i*8:]))
-}
-
-// Thread returns event i's thread without materializing the event.
-func (c *Columnar) Thread(i int) int32 { return int32(c.u32At(c.thread, i)) }
-
-// Kind returns event i's kind.
-func (c *Columnar) Kind(i int) Kind { return Kind(c.u32At(c.flags, i) & 0xff) }
-
-// Spin reports event i's spin flag.
-func (c *Columnar) Spin(i int) bool { return c.u32At(c.flags, i)&(1<<8) != 0 }
-
-// Op returns event i's write operation.
-func (c *Columnar) Op(i int) WriteOp { return WriteOp(c.u32At(c.flags, i) >> 9) }
-
-// Lock returns event i's lock.
-func (c *Columnar) Lock(i int) LockID { return LockID(c.u32At(c.lock, i)) }
-
-// Addr returns event i's address.
-func (c *Columnar) Addr(i int) memmodel.Addr { return memmodel.Addr(c.u32At(c.addr, i)) }
-
-// Site returns event i's code site.
-func (c *Columnar) Site(i int) SiteID { return SiteID(c.u32At(c.site, i)) }
-
-// Value returns event i's value.
-func (c *Columnar) Value(i int) int64 { return c.i64At(c.value, i) }
-
-// Cost returns event i's virtual cost.
-func (c *Columnar) Cost(i int) vtime.Duration { return vtime.Duration(c.i64At(c.cost, i)) }
-
-// Time returns event i's recorded completion timestamp.
-func (c *Columnar) Time(i int) vtime.Time { return vtime.Time(c.i64At(c.time, i)) }
-
-// Event materializes event i's row. Its sidecar payloads are not part of
-// the row; Trace attaches them.
-func (c *Columnar) Event(i int) Event {
-	return Event{
-		Thread: c.Thread(i),
-		Kind:   c.Kind(i),
-		Spin:   c.Spin(i),
-		Op:     c.Op(i),
-		Lock:   c.Lock(i),
-		Addr:   c.Addr(i),
-		Value:  c.Value(i),
-		Cost:   c.Cost(i),
-		Time:   c.Time(i),
-		Site:   c.Site(i),
-	}
-}
-
 // WriteColumnar writes the trace in the columnar format.
 func (tr *Trace) WriteColumnar(w io.Writer) error {
-	if len(tr.Events) > MaxEvents {
-		return fmt.Errorf("trace: %d events exceed the int32 index range", len(tr.Events))
+	if err := checkEventCount(uint64(len(tr.Events))); err != nil {
+		return err
 	}
 	b := &binWriter{w: bufio.NewWriter(w)}
-	b.u32(colMagic)
-	b.u32(colVersion)
-	b.str(tr.App)
-	b.u32(uint32(tr.NumThreads))
-	b.i64(int64(tr.TotalTime))
-
-	var sites []Site
-	if tr.Sites != nil {
-		sites = tr.Sites.All()
-	}
-	b.u32(uint32(len(sites)))
-	for _, s := range sites {
-		b.str(s.File)
-		b.u32(uint32(s.Line))
-		b.str(s.Func)
-	}
-
-	names := make([]memmodel.Addr, 0, len(tr.MemNames))
-	for a := range tr.MemNames {
-		names = append(names, a)
-	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	b.u32(uint32(len(names)))
-	for _, a := range names {
-		b.u32(uint32(a))
-		b.str(tr.MemNames[a])
-	}
-
-	spins := make([]LockID, 0, len(tr.SpinLocks))
-	for l, v := range tr.SpinLocks {
-		if v {
-			spins = append(spins, l)
-		}
-	}
-	sort.Slice(spins, func(i, j int) bool { return spins[i] < spins[j] })
-	b.u32(uint32(len(spins)))
-	for _, l := range spins {
-		b.u32(uint32(l))
-	}
-
-	writeSnapshot(b, tr.InitMem)
-	writeSnapshot(b, tr.FinalMem)
-
-	b.u32(uint32(len(tr.Constraints)))
-	for _, c := range tr.Constraints {
-		b.u32(uint32(c.After))
-		b.u32(uint32(c.Before))
-	}
+	writeHeader(b, colMagic, colVersion, tr)
 
 	// Columns: one pass over the events per column keeps each column's
-	// bytes contiguous on disk, which is what makes the reader's views
-	// fixed-stride slices of one buffer.
-	b.u32(uint32(len(tr.Events)))
+	// bytes contiguous on disk.
 	for i := range tr.Events {
 		b.u32(uint32(tr.Events[i].Thread))
 	}
 	for i := range tr.Events {
-		e := &tr.Events[i]
-		flags := uint32(e.Kind)
-		if e.Spin {
-			flags |= 1 << 8
-		}
-		flags |= uint32(e.Op) << 9
-		b.u32(flags)
+		b.u32(packFlags(&tr.Events[i]))
 	}
 	for i := range tr.Events {
 		b.u32(uint32(tr.Events[i].Lock))
@@ -408,246 +253,151 @@ func (r *sliceReader) constraints() []Constraint {
 	return cons
 }
 
-// ParseColumnar builds a zero-copy Columnar view over raw columnar
-// bytes. The metadata (sites, snapshots, indexes) is decoded eagerly —
-// it is small — while the event columns stay as views into data, so the
-// call does no per-event work beyond validating section lengths.
-// Callers must not mutate data while the view (or any Trace built from
-// it) is alive.
-func ParseColumnar(data []byte) (*Columnar, error) {
+// sidecar is one entry of a columnar file's lockset or delta table.
+type sidecar struct {
+	event int32
+	delta bool // a delta entry, not a lockset one
+	x     EventExt
+}
+
+// ParseColumnar decodes a trace previously written by WriteColumnar. The
+// sidecars become the extension table in event order, whatever order the
+// file lists them in; where one event is listed twice in a table, the
+// later entry wins. The stored side indexes are adopted, making Warm a
+// no-op, but only after validateIndexes has checked them against the
+// events, so a file whose indexes lie fails closed. The trace keeps no
+// reference to data.
+func ParseColumnar(data []byte) (*Trace, error) {
 	r := &sliceReader{data: data}
-	if m := r.u32(); r.err == nil && m != colMagic {
-		return nil, fmt.Errorf("trace: bad columnar magic %#x", m)
+	tr, err := readHeader(r, colMagic, colVersion, colEventStride)
+	if err != nil {
+		return nil, err
 	}
-	if v := r.u32(); r.err == nil && v != colVersion {
-		return nil, fmt.Errorf("trace: unsupported columnar version %d", v)
-	}
-	c := &Columnar{
-		memNames:  make(map[memmodel.Addr]string),
-		spinLocks: make(map[LockID]bool),
-	}
-	c.app = r.str()
-	nt := r.u32()
-	if r.err == nil && nt > MaxThreads {
-		return nil, fmt.Errorf("trace: implausible thread count %d", nt)
-	}
-	c.numThreads = int(nt)
-	c.totalTime = vtime.Duration(r.i64())
-
-	c.sites = r.sites()
-
-	nnames := r.u32()
-	for i := uint32(0); i < nnames && r.err == nil; i++ {
-		a := memmodel.Addr(r.u32())
-		c.memNames[a] = r.str()
-	}
-
-	nspin := r.u32()
-	for i := uint32(0); i < nspin && r.err == nil; i++ {
-		c.spinLocks[LockID(r.u32())] = true
-	}
-
-	c.initMem = r.snapshot()
-	c.finalMem = r.snapshot()
-
-	c.constraints = r.constraints()
-
-	nev := r.u32()
-	if r.err == nil {
-		if err := checkEventCount(uint64(nev)); err != nil {
-			return nil, err
-		}
-		// The columns need nev*stride bytes; checking the total up front
-		// turns a hostile count into one clear error instead of eight.
-		if int64(len(data)-r.off) < int64(nev)*colEventStride {
-			return nil, fmt.Errorf("trace: columnar columns truncated (%d events need %d bytes, have %d)",
-				nev, int64(nev)*colEventStride, len(data)-r.off)
+	n := len(tr.Events)
+	if cols := r.take(n * colEventStride); cols != nil {
+		u32 := func(col, i int) uint32 { return binary.LittleEndian.Uint32(cols[4*(col*n+i):]) }
+		i64 := func(col, i int) int64 { return int64(binary.LittleEndian.Uint64(cols[20*n+8*(col*n+i):])) }
+		for i := range tr.Events {
+			e := &tr.Events[i]
+			e.Kind, e.Spin, e.Op = unpackFlags(u32(1, i))
+			e.Thread, e.Lock, e.Addr, e.Site = int32(u32(0, i)), LockID(u32(2, i)), memmodel.Addr(u32(3, i)), SiteID(u32(4, i))
+			e.Value, e.Cost, e.Time = i64(0, i), vtime.Duration(i64(1, i)), vtime.Time(i64(2, i))
 		}
 	}
-	c.n = int(nev)
-	c.thread = r.take(c.n * 4)
-	c.flags = r.take(c.n * 4)
-	c.lock = r.take(c.n * 4)
-	c.addr = r.take(c.n * 4)
-	c.site = r.take(c.n * 4)
-	c.value = r.take(c.n * 8)
-	c.cost = r.take(c.n * 8)
-	c.time = r.take(c.n * 8)
 
-	nls := r.u32()
-	if nls > 0 && r.err == nil {
-		pre := nls
-		if pre > 65536 {
-			pre = 65536
-		}
-		c.locksets = make(map[int32]locksetEntry, pre)
-	}
-	for i := uint32(0); i < nls && r.err == nil; i++ {
-		idx := r.u32()
-		if idx >= nev {
-			return nil, fmt.Errorf("trace: lockset sidecar references event %d of %d", idx, nev)
-		}
-		var ls locksetEntry
-		ls.locks = u32s[LockID](r, r.u32())
-		ls.sources = u32s[int32](r, r.u32())
-		c.locksets[int32(idx)] = ls
-	}
-
-	nd := r.u32()
-	if nd > 0 && r.err == nil {
-		pre := nd
-		if pre > 65536 {
-			pre = 65536
-		}
-		c.deltas = make(map[int32]memmodel.Snapshot, pre)
-	}
-	for i := uint32(0); i < nd && r.err == nil; i++ {
-		idx := r.u32()
-		if idx >= nev {
-			return nil, fmt.Errorf("trace: delta sidecar references event %d of %d", idx, nev)
-		}
-		c.deltas[int32(idx)] = r.snapshot()
-	}
-
-	c.perThread = make([][]int32, c.numThreads)
-	for t := 0; t < c.numThreads && r.err == nil; t++ {
+	var side []sidecar
+	for _, table := range []string{"lockset", "delta"} {
+		delta := table == "delta"
 		cnt := r.u32()
-		if cnt > nev {
-			return nil, fmt.Errorf("trace: thread %d index claims %d of %d events", t, cnt, nev)
+		for k := uint32(0); k < cnt && r.err == nil; k++ {
+			idx := r.u32()
+			if r.err == nil && idx >= uint32(n) {
+				return nil, fmt.Errorf("trace: %s sidecar references event %d of %d", table, idx, n)
+			}
+			if r.err == nil && delta && tr.Events[idx].Kind != KSkip {
+				return nil, fmt.Errorf("trace: delta sidecar references event %d, a %v, not a skip", idx, tr.Events[idx].Kind)
+			}
+			s := sidecar{event: int32(idx), delta: delta}
+			if delta {
+				s.x.Delta = r.snapshot()
+			} else {
+				s.x.Locks = u32s[LockID](r, r.u32())
+				s.x.Sources = u32s[int32](r, r.u32())
+			}
+			side = append(side, s)
 		}
-		if cnt == 0 {
-			continue
+	}
+	slices.SortStableFunc(side, func(a, b sidecar) int { return cmp.Compare(a.event, b.event) })
+	for k := 0; k < len(side); {
+		var x EventExt
+		i := side[k].event
+		for ; k < len(side) && side[k].event == i; k++ {
+			if side[k].delta {
+				x.Delta = side[k].x.Delta
+			} else {
+				x.Locks, x.Sources = side[k].x.Locks, side[k].x.Sources
+			}
 		}
-		evs := make([]int32, cnt)
-		for j := uint32(0); j < cnt && r.err == nil; j++ {
-			evs[j] = int32(r.u32())
-		}
-		c.perThread[t] = evs
+		tr.setExt(int(i), x)
 	}
 
+	perThread := make([][]int32, tr.NumThreads)
+	for t := 0; t < tr.NumThreads && r.err == nil; t++ {
+		cnt := r.u32()
+		if cnt > uint32(n) {
+			return nil, fmt.Errorf("trace: thread %d index claims %d of %d events", t, cnt, n)
+		}
+		perThread[t] = u32s[int32](r, cnt)
+	}
+	var lockOrder map[LockID][]int32
 	nlocks := r.u32()
 	if nlocks > 0 && r.err == nil {
-		pre := nlocks
-		if pre > 65536 {
-			pre = 65536
-		}
-		c.lockOrder = make(map[LockID][]int32, pre)
+		lockOrder = make(map[LockID][]int32, min(nlocks, 65536)) // untrusted count: cap the preallocation
 	}
-	for i := uint32(0); i < nlocks && r.err == nil; i++ {
+	for k := uint32(0); k < nlocks && r.err == nil; k++ {
 		l := LockID(r.u32())
 		cnt := r.u32()
-		if cnt > nev {
-			return nil, fmt.Errorf("trace: lock %v index claims %d of %d events", l, cnt, nev)
+		if cnt > uint32(n) {
+			return nil, fmt.Errorf("trace: lock %v index claims %d of %d events", l, cnt, n)
 		}
-		order := make([]int32, cnt)
-		for j := uint32(0); j < cnt && r.err == nil; j++ {
-			order[j] = int32(r.u32())
-		}
-		c.lockOrder[l] = order
+		lockOrder[l] = u32s[int32](r, cnt)
 	}
-
 	if r.err != nil {
 		return nil, fmt.Errorf("trace: read columnar: %w", r.err)
 	}
-	return c, nil
-}
-
-// Trace materializes the full *Trace from the view: events are decoded
-// in one tight bulk pass over the columns, and the stored side indexes
-// — validated against the columns first, so a corrupt file fails closed
-// instead of mis-attributing events — are adopted directly, making the
-// subsequent Warm a no-op.
-func (c *Columnar) Trace() (*Trace, error) {
-	tr := &Trace{
-		App:         c.app,
-		NumThreads:  c.numThreads,
-		TotalTime:   c.totalTime,
-		Sites:       NewSiteTable(),
-		MemNames:    c.memNames,
-		SpinLocks:   c.spinLocks,
-		InitMem:     c.initMem,
-		FinalMem:    c.finalMem,
-		Constraints: c.constraints,
-	}
-	if len(c.sites) > 0 {
-		tr.Sites.sites = c.sites
-		tr.Sites.rebuildIndex()
-	}
-	events := make([]Event, c.n)
-	for i := range events {
-		events[i] = c.Event(i)
-	}
-	tr.Events = events
-	// The sidecars become the extension table in event order, whatever
-	// order the file listed them in.
-	withExt := make([]int32, 0, len(c.locksets)+len(c.deltas))
-	for i := range c.locksets {
-		withExt = append(withExt, i)
-	}
-	for i := range c.deltas {
-		if _, both := c.locksets[i]; !both {
-			withExt = append(withExt, i)
-		}
-	}
-	slices.Sort(withExt)
-	for _, i := range withExt {
-		ls := c.locksets[i]
-		tr.setExt(int(i), EventExt{Locks: ls.locks, Sources: ls.sources, Delta: c.deltas[i]})
-	}
-	if err := c.validateIndexes(); err != nil {
+	if err := validateIndexes(tr.Events, perThread, lockOrder); err != nil {
 		return nil, err
 	}
-	tr.perThread = c.perThread
-	tr.lockOrder = c.lockOrder
+	tr.perThread, tr.lockOrder = perThread, lockOrder
 	return tr, nil
 }
 
-// validateIndexes cross-checks the stored side indexes against the
-// columns: every listed event must exist, belong to the claimed
-// thread/lock, appear in ascending order, and the lists must be
-// complete (totals match the column contents). This is O(events) of
-// pure column reads — far cheaper than rebuilding the indexes — and
-// fails closed: an index the file got wrong would otherwise silently
-// corrupt every replay ordering decision downstream.
-func (c *Columnar) validateIndexes() error {
+// validateIndexes cross-checks stored side indexes against the events:
+// every listed event must exist, belong to the claimed thread/lock,
+// appear in ascending order, and the lists must be complete (totals match
+// the events). This is O(events) — far cheaper than rebuilding the
+// indexes — and fails closed: an index the file got wrong would otherwise
+// silently corrupt every replay ordering decision downstream.
+func validateIndexes(events []Event, perThread [][]int32, lockOrder map[LockID][]int32) error {
+	n := len(events)
 	total := 0
-	for t, evs := range c.perThread {
+	for t, evs := range perThread {
 		prev := int32(-1)
 		for _, idx := range evs {
-			if idx < 0 || int(idx) >= c.n {
-				return fmt.Errorf("trace: thread %d index entry %d out of range [0,%d)", t, idx, c.n)
+			if idx < 0 || int(idx) >= n {
+				return fmt.Errorf("trace: thread %d index entry %d out of range [0,%d)", t, idx, n)
 			}
 			if idx <= prev {
 				return fmt.Errorf("trace: thread %d index not ascending at event %d", t, idx)
 			}
-			if c.Thread(int(idx)) != int32(t) {
-				return fmt.Errorf("trace: thread %d index lists event %d of thread %d", t, idx, c.Thread(int(idx)))
+			if events[idx].Thread != int32(t) {
+				return fmt.Errorf("trace: thread %d index lists event %d of thread %d", t, idx, events[idx].Thread)
 			}
 			prev = idx
 		}
 		total += len(evs)
 	}
-	if total != c.n {
-		return fmt.Errorf("trace: per-thread index covers %d of %d events", total, c.n)
+	if total != n {
+		return fmt.Errorf("trace: per-thread index covers %d of %d events", total, n)
 	}
 	acqs := 0
-	for i := 0; i < c.n; i++ {
-		if c.Kind(i) == KLockAcq {
+	for i := range events {
+		if events[i].Kind == KLockAcq {
 			acqs++
 		}
 	}
 	listed := 0
-	for l, order := range c.lockOrder {
+	for l, order := range lockOrder {
 		prev := int32(-1)
 		for _, idx := range order {
-			if idx < 0 || int(idx) >= c.n {
-				return fmt.Errorf("trace: lock %v index entry %d out of range [0,%d)", l, idx, c.n)
+			if idx < 0 || int(idx) >= n {
+				return fmt.Errorf("trace: lock %v index entry %d out of range [0,%d)", l, idx, n)
 			}
 			if idx <= prev {
 				return fmt.Errorf("trace: lock %v index not ascending at event %d", l, idx)
 			}
-			if c.Kind(int(idx)) != KLockAcq || c.Lock(int(idx)) != l {
-				return fmt.Errorf("trace: lock %v index lists event %d (%v of %v)", l, idx, c.Kind(int(idx)), c.Lock(int(idx)))
+			if e := &events[idx]; e.Kind != KLockAcq || e.Lock != l {
+				return fmt.Errorf("trace: lock %v index lists event %d (%v of %v)", l, idx, e.Kind, e.Lock)
 			}
 			prev = idx
 		}
@@ -659,17 +409,11 @@ func (c *Columnar) validateIndexes() error {
 	return nil
 }
 
-// ReadColumnar parses a columnar trace from a reader (reading it fully
-// into memory first; use ParseColumnar directly over mapped or already
-// in-memory bytes to keep the load zero-copy).
+// ReadColumnar is ParseColumnar over everything left in r.
 func ReadColumnar(r io.Reader) (*Trace, error) {
 	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: read columnar: %w", err)
 	}
-	c, err := ParseColumnar(data)
-	if err != nil {
-		return nil, err
-	}
-	return c.Trace()
+	return ParseColumnar(data)
 }

@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,37 +66,6 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnarAccessors checks the zero-copy field accessors against the
-// materialized events, field by field.
-func TestColumnarAccessors(t *testing.T) {
-	tr := buildRichSample()
-	var buf bytes.Buffer
-	if err := tr.WriteColumnar(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c, err := ParseColumnar(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumEvents() != len(tr.Events) || c.App() != tr.App || c.NumThreads() != tr.NumThreads {
-		t.Fatalf("header mismatch: %d events, app %q, %d threads", c.NumEvents(), c.App(), c.NumThreads())
-	}
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		if c.Thread(i) != e.Thread || c.Kind(i) != e.Kind || c.Spin(i) != e.Spin ||
-			c.Op(i) != e.Op || c.Lock(i) != e.Lock || c.Addr(i) != e.Addr ||
-			c.Value(i) != e.Value || c.Cost(i) != e.Cost || c.Time(i) != e.Time ||
-			c.Site(i) != e.Site {
-			t.Fatalf("accessor mismatch at event %d: %+v", i, *e)
-		}
-		want := *e
-		want.Ext = 0 // the row carries no sidecar
-		if got := c.Event(i); got != want {
-			t.Fatalf("Event(%d) = %+v, want %+v", i, got, want)
-		}
-	}
-}
-
 // TestColumnarIndexAdoption: a trace loaded from columnar bytes must
 // carry the file's side indexes, and they must equal what Warm computes
 // from scratch.
@@ -115,6 +87,94 @@ func TestColumnarIndexAdoption(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.lockOrder, tr.LockOrder()) {
 		t.Fatalf("lockOrder = %v, want %v", got.lockOrder, tr.LockOrder())
+	}
+}
+
+// TestColumnarSidecarOrder: sidecar tables listed out of event order and
+// with an event twice decode to the extension table in ascending event
+// order, the later entry of a table winning — as the view-based reader
+// did, whose map kept the last entry per event.
+func TestColumnarSidecarOrder(t *testing.T) {
+	tr := buildRichSample()
+	var full bytes.Buffer
+	if err := tr.WriteColumnar(&full); err != nil {
+		t.Fatal(err)
+	}
+	var ls, skip int32 = -1, -1
+	for i := range tr.Events {
+		switch tr.Events[i].Kind {
+		case KLocksetAcq:
+			ls = int32(i)
+		case KSkip:
+			skip = int32(i)
+		}
+	}
+	if ls < 0 || skip <= ls {
+		t.Fatalf("sample has lockset %d and skip %d, want the lockset first", ls, skip)
+	}
+	// Find the sidecar section: after the header and the columns.
+	r := &sliceReader{data: full.Bytes()}
+	if _, err := readHeader(r, colMagic, colVersion, colEventStride); err != nil {
+		t.Fatal(err)
+	}
+	r.take(len(tr.Events) * colEventStride)
+	start := r.off
+	for k, n := 0, r.u32(); k < int(n); k++ {
+		r.u32()
+		u32s[LockID](r, r.u32())
+		u32s[int32](r, r.u32())
+	}
+	for k, n := 0, r.u32(); k < int(n); k++ {
+		r.u32()
+		r.snapshot()
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+
+	lsx, skipx := *tr.Ext(&tr.Events[ls]), *tr.Ext(&tr.Events[skip])
+	var side bytes.Buffer
+	b := &binWriter{w: bufio.NewWriter(&side)}
+	lockset := func(i int32, locks []LockID, sources []int32) {
+		b.u32(uint32(i))
+		b.u32(uint32(len(locks)))
+		for _, l := range locks {
+			b.u32(uint32(l))
+		}
+		b.u32(uint32(len(sources)))
+		for _, s := range sources {
+			b.u32(uint32(s))
+		}
+	}
+	b.u32(3)
+	lockset(skip, []LockID{7}, []int32{-1})
+	lockset(ls, []LockID{9}, nil)
+	lockset(ls, lsx.Locks, lsx.Sources)
+	b.u32(2)
+	b.u32(uint32(skip))
+	writeSnapshot(b, memmodel.Snapshot{2: 1})
+	b.u32(uint32(skip))
+	writeSnapshot(b, skipx.Delta)
+	if err := b.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := append(append(append([]byte{}, full.Bytes()[:start]...), side.Bytes()...), full.Bytes()[r.off:]...)
+
+	got, err := ParseColumnar(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := readColumnarRef(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameTrace(got, want); err != nil {
+		t.Fatal(err)
+	}
+	wantExts := []EventExt{lsx, {Locks: []LockID{7}, Sources: []int32{-1}, Delta: skipx.Delta}}
+	if !reflect.DeepEqual(got.Exts, wantExts) || got.Events[ls].Ext != 1 || got.Events[skip].Ext != 2 {
+		t.Fatalf("extensions %+v (lockset event → %d, skip → %d), want %+v at 1 and 2",
+			got.Exts, got.Events[ls].Ext, got.Events[skip].Ext, wantExts)
 	}
 }
 
@@ -146,61 +206,49 @@ func TestColumnarRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestColumnarIndexValidation corrupts each stored side index in turn;
-// Trace() must fail closed rather than adopt a lying index.
+// TestColumnarIndexValidation writes each side index corrupted in turn;
+// ParseColumnar must fail closed rather than adopt a lying index. The
+// writer stores whatever the trace's cached indexes hold, so corrupting
+// the cache corrupts the file.
 func TestColumnarIndexValidation(t *testing.T) {
-	tr := buildRichSample()
-	var buf bytes.Buffer
-	if err := tr.WriteColumnar(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c, err := ParseColumnar(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	corrupt := func(mutate func(c *Columnar)) error {
-		cc := *c
-		cc.perThread = append([][]int32{}, c.perThread...)
-		for i := range cc.perThread {
-			cc.perThread[i] = append([]int32{}, c.perThread[i]...)
+	parse := func(mutate func(tr *Trace)) error {
+		tr := buildRichSample().Warm()
+		mutate(tr)
+		var buf bytes.Buffer
+		if err := tr.WriteColumnar(&buf); err != nil {
+			t.Fatal(err)
 		}
-		cc.lockOrder = make(map[LockID][]int32, len(c.lockOrder))
-		for l, o := range c.lockOrder {
-			cc.lockOrder[l] = append([]int32{}, o...)
-		}
-		mutate(&cc)
-		_, err := cc.Trace()
+		_, err := ParseColumnar(buf.Bytes())
 		return err
 	}
 
-	if err := corrupt(func(c *Columnar) { c.perThread[0][0] = c.perThread[1][0] }); err == nil {
+	if err := parse(func(tr *Trace) { tr.perThread[0][0] = tr.perThread[1][0] }); err == nil {
 		t.Fatal("wrong-thread index entry accepted")
 	}
-	if err := corrupt(func(c *Columnar) { c.perThread[0] = c.perThread[0][1:] }); err == nil {
+	if err := parse(func(tr *Trace) { tr.perThread[0] = tr.perThread[0][1:] }); err == nil {
 		t.Fatal("incomplete per-thread index accepted")
 	}
-	if err := corrupt(func(c *Columnar) { c.perThread[0][0] = int32(c.n) }); err == nil {
+	if err := parse(func(tr *Trace) { tr.perThread[0][0] = int32(len(tr.Events)) }); err == nil {
 		t.Fatal("out-of-range index entry accepted")
 	}
-	if err := corrupt(func(c *Columnar) {
-		for l, o := range c.lockOrder {
+	if err := parse(func(tr *Trace) {
+		for l, o := range tr.lockOrder {
 			if len(o) > 1 {
 				o[0], o[1] = o[1], o[0]
-				c.lockOrder[l] = o
+				tr.lockOrder[l] = o
 			}
 		}
 	}); err == nil {
 		t.Fatal("out-of-order lock index accepted")
 	}
-	if err := corrupt(func(c *Columnar) {
-		for l, o := range c.lockOrder {
-			c.lockOrder[l] = o[:len(o)-1]
+	if err := parse(func(tr *Trace) {
+		for l, o := range tr.lockOrder {
+			tr.lockOrder[l] = o[:len(o)-1]
 		}
 	}); err == nil {
 		t.Fatal("incomplete lock index accepted")
 	}
-	if err := corrupt(func(c *Columnar) {}); err != nil {
+	if err := parse(func(tr *Trace) {}); err != nil {
 		t.Fatalf("uncorrupted copy rejected: %v", err)
 	}
 }
@@ -246,7 +294,7 @@ func TestEventCountBoundary(t *testing.T) {
 	}
 	t.Run("binary", func(t *testing.T) {
 		patch(t, 4, (*Trace).WriteBinary, func(d []byte) error {
-			_, err := ReadBinary(bytes.NewReader(d))
+			_, err := DecodeBinary(d)
 			return err
 		})
 	})
@@ -276,10 +324,12 @@ func TestDetectFormatColumnar(t *testing.T) {
 	}
 }
 
-// FuzzReadColumnar: arbitrary bytes must never panic the columnar
-// parser, and any trace it accepts must re-encode and re-parse to the
-// same thing (the corpus canonicalization contract), with DetectFormat
-// agreeing about the magic.
+// FuzzReadColumnar: for any bytes, ParseColumnar and the view-based
+// reader it replaced agree on whether they are a trace and, if so, on
+// the header, every event and extension, and the side indexes adopted;
+// DetectFormat calls accepted bytes columnar, and an accepted trace
+// re-encodes to bytes that parse back to the same trace (the corpus
+// canonicalization contract).
 func FuzzReadColumnar(f *testing.F) {
 	for _, tr := range []*Trace{buildSample(), buildRichSample(), New("empty", 0)} {
 		var buf bytes.Buffer
@@ -292,26 +342,41 @@ func FuzzReadColumnar(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x50, 0x43, 0x4F, 0x4C, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadColumnar(bytes.NewReader(data))
+		got, err := ParseColumnar(data)
+		want, rerr := readColumnarRef(data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("ParseColumnar: %v; reference: %v", err, rerr)
+		}
 		if err != nil {
 			return
 		}
-		if tr == nil {
-			t.Fatal("nil trace without error")
+		if err := sameTrace(got, want); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.perThread) != len(want.perThread) {
+			t.Fatalf("per-thread index has %d threads, reference %d", len(got.perThread), len(want.perThread))
+		}
+		for th := range got.perThread {
+			if !slices.Equal(got.perThread[th], want.perThread[th]) {
+				t.Fatalf("thread %d index %v, reference %v", th, got.perThread[th], want.perThread[th])
+			}
+		}
+		if !maps.EqualFunc(got.lockOrder, want.lockOrder, slices.Equal) || (got.lockOrder == nil) != (want.lockOrder == nil) {
+			t.Fatalf("lock index %v, reference %v", got.lockOrder, want.lockOrder)
 		}
 		if DetectFormat(data) != FormatColumnar {
 			t.Fatal("accepted columnar bytes DetectFormat does not call columnar")
 		}
 		var buf bytes.Buffer
-		if err := tr.WriteColumnar(&buf); err != nil {
+		if err := got.WriteColumnar(&buf); err != nil {
 			t.Fatalf("re-encode accepted trace: %v", err)
 		}
-		again, err := ReadColumnar(bytes.NewReader(buf.Bytes()))
+		again, err := ParseColumnar(buf.Bytes())
 		if err != nil {
 			t.Fatalf("re-parse re-encoded trace: %v", err)
 		}
-		if len(again.Events) != len(tr.Events) {
-			t.Fatalf("round trip changed event count %d → %d", len(tr.Events), len(again.Events))
+		if err := sameTrace(again, got); err != nil {
+			t.Fatalf("round trip changed the trace: %v", err)
 		}
 	})
 }

@@ -12,14 +12,15 @@ import (
 	"perfplay/internal/vtime"
 )
 
-// Serialization. Two formats are provided:
+// Serialization. This file holds two of the three formats (columnar.go
+// holds the third) and the primitives the two binary ones share:
 //
 //   - a compact little-endian binary format (the recorder's native output,
 //     analogous to the paper's on-disk trace whose loading cost Sec. 6.7
 //     explicitly excludes from measurement), and
 //   - JSON, for human inspection and tooling.
 //
-// Both round-trip every field the replayer consumes.
+// All round-trip every field the replayer consumes.
 
 const (
 	binMagic   = 0x50455246 // "PERF"
@@ -199,19 +200,22 @@ func writeSnapshot(b *binWriter, s memmodel.Snapshot) {
 	}
 }
 
-// WriteBinary writes the trace in the compact binary format.
-func (tr *Trace) WriteBinary(w io.Writer) error {
-	if err := checkEventCount(uint64(len(tr.Events))); err != nil {
-		return err
-	}
-	b := &binWriter{w: bufio.NewWriter(w)}
-	b.u32(binMagic)
-	b.u32(binVersion)
+// writeHeader writes what the v3 and PCOL formats share, in this order:
+// magic, version, app, threads, total time, sites, memory names, spin
+// locks, the initial and final memory images, the constraints and the
+// event count. The tables are written sorted, so equal traces write
+// equal bytes.
+func writeHeader(b *binWriter, magic, version uint32, tr *Trace) {
+	b.u32(magic)
+	b.u32(version)
 	b.str(tr.App)
 	b.u32(uint32(tr.NumThreads))
 	b.i64(int64(tr.TotalTime))
 
-	sites := tr.Sites.All()
+	var sites []Site
+	if tr.Sites != nil {
+		sites = tr.Sites.All()
+	}
 	b.u32(uint32(len(sites)))
 	for _, s := range sites {
 		b.str(s.File)
@@ -250,17 +254,97 @@ func (tr *Trace) WriteBinary(w io.Writer) error {
 		b.u32(uint32(c.After))
 		b.u32(uint32(c.Before))
 	}
-
 	b.u32(uint32(len(tr.Events)))
+}
+
+// readHeader reads what writeHeader wrote and returns a trace with its
+// events allocated, still zero. A wrong magic or version, more than
+// MaxThreads threads, or an event count past MaxEvents is an error. A
+// truncation, or an event count the remaining bytes cannot back at
+// eventMin bytes an event, is left in r.err for the caller to report.
+func readHeader(r *sliceReader, magic, version uint32, eventMin int) (*Trace, error) {
+	if m := r.u32(); r.err == nil && m != magic {
+		return nil, fmt.Errorf("trace: bad magic %#x, want %#x", m, magic)
+	}
+	if v := r.u32(); r.err == nil && v != version {
+		return nil, fmt.Errorf("trace: unsupported version %d, want %d", v, version)
+	}
+	tr := &Trace{
+		Sites:     NewSiteTable(),
+		MemNames:  make(map[memmodel.Addr]string),
+		SpinLocks: make(map[LockID]bool),
+	}
+	tr.App = r.str()
+	nt := r.u32()
+	if r.err == nil && nt > MaxThreads {
+		return nil, fmt.Errorf("trace: implausible thread count %d", nt)
+	}
+	tr.NumThreads = int(nt)
+	tr.TotalTime = vtime.Duration(r.i64())
+
+	if sites := r.sites(); len(sites) > 0 {
+		tr.Sites.sites = sites
+		tr.Sites.rebuildIndex()
+	}
+
+	nnames := r.u32()
+	for i := uint32(0); i < nnames && r.err == nil; i++ {
+		a := memmodel.Addr(r.u32())
+		tr.MemNames[a] = r.str()
+	}
+
+	nspin := r.u32()
+	for i := uint32(0); i < nspin && r.err == nil; i++ {
+		tr.SpinLocks[LockID(r.u32())] = true
+	}
+
+	tr.InitMem = r.snapshot()
+	tr.FinalMem = r.snapshot()
+	tr.Constraints = r.constraints()
+
+	nev := r.u32()
+	if r.err != nil {
+		return tr, nil
+	}
+	if err := checkEventCount(uint64(nev)); err != nil {
+		return nil, err
+	}
+	// The count is untrusted input: one the remaining bytes cannot back
+	// is refused before anything is allocated for it.
+	if rest := len(r.data) - r.off; int64(nev) > int64(rest/eventMin) {
+		r.err = fmt.Errorf("%d events need at least %d bytes, have %d", nev, int64(nev)*int64(eventMin), rest)
+		return tr, nil
+	}
+	tr.Events = make([]Event, nev)
+	return tr, nil
+}
+
+// packFlags and unpackFlags convert an event's kind, spin flag and write
+// op to and from the flags word both binary formats store:
+// kind | spin<<8 | op<<9.
+func packFlags(e *Event) uint32 {
+	flags := uint32(e.Kind) | uint32(e.Op)<<9
+	if e.Spin {
+		flags |= 1 << 8
+	}
+	return flags
+}
+
+func unpackFlags(flags uint32) (Kind, bool, WriteOp) {
+	return Kind(flags & 0xff), flags&(1<<8) != 0, WriteOp(flags >> 9)
+}
+
+// WriteBinary writes the trace in the compact binary format.
+func (tr *Trace) WriteBinary(w io.Writer) error {
+	if err := checkEventCount(uint64(len(tr.Events))); err != nil {
+		return err
+	}
+	b := &binWriter{w: bufio.NewWriter(w)}
+	writeHeader(b, binMagic, binVersion, tr)
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		b.u32(uint32(e.Thread))
-		flags := uint32(e.Kind)
-		if e.Spin {
-			flags |= 1 << 8
-		}
-		flags |= uint32(e.Op) << 9
-		b.u32(flags)
+		b.u32(packFlags(e))
 		b.u32(uint32(e.Lock))
 		b.u32(uint32(e.Addr))
 		b.i64(e.Value)
@@ -300,56 +384,9 @@ const (
 // no reference to data.
 func DecodeBinary(data []byte) (*Trace, error) {
 	r := &sliceReader{data: data}
-	if m := r.u32(); r.err == nil && m != binMagic {
-		return nil, fmt.Errorf("trace: bad magic %#x", m)
-	}
-	if v := r.u32(); r.err == nil && v != binVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", v)
-	}
-	tr := &Trace{
-		Sites:     NewSiteTable(),
-		MemNames:  make(map[memmodel.Addr]string),
-		SpinLocks: make(map[LockID]bool),
-	}
-	tr.App = r.str()
-	nt := r.u32()
-	if r.err == nil && nt > MaxThreads {
-		return nil, fmt.Errorf("trace: implausible thread count %d", nt)
-	}
-	tr.NumThreads = int(nt)
-	tr.TotalTime = vtime.Duration(r.i64())
-
-	if sites := r.sites(); len(sites) > 0 {
-		tr.Sites.sites = sites
-		tr.Sites.rebuildIndex()
-	}
-
-	nnames := r.u32()
-	for i := uint32(0); i < nnames && r.err == nil; i++ {
-		a := memmodel.Addr(r.u32())
-		tr.MemNames[a] = r.str()
-	}
-
-	nspin := r.u32()
-	for i := uint32(0); i < nspin && r.err == nil; i++ {
-		tr.SpinLocks[LockID(r.u32())] = true
-	}
-
-	tr.InitMem = r.snapshot()
-	tr.FinalMem = r.snapshot()
-	tr.Constraints = r.constraints()
-
-	nev := r.u32()
-	if r.err == nil {
-		if err := checkEventCount(uint64(nev)); err != nil {
-			return nil, err
-		}
-		// The count is untrusted input: one the remaining bytes cannot
-		// back is refused before anything is allocated for it.
-		if rest := len(data) - r.off; int64(nev) > int64(rest/BinaryEventMin) {
-			return nil, fmt.Errorf("trace: read binary: %d events need at least %d bytes, have %d", nev, int64(nev)*BinaryEventMin, rest)
-		}
-		tr.Events = make([]Event, nev)
+	tr, err := readHeader(r, binMagic, binVersion, BinaryEventMin)
+	if err != nil {
+		return nil, err
 	}
 	for i := range tr.Events {
 		// One bounds check per event: the fixed part and both counts.
@@ -358,13 +395,13 @@ func DecodeBinary(data []byte) (*Trace, error) {
 			break
 		}
 		b := data[r.off : r.off+BinaryEventMin]
-		flags := binary.LittleEndian.Uint32(b[4:])
 		e := &tr.Events[i]
+		kind, spin, op := unpackFlags(binary.LittleEndian.Uint32(b[4:]))
 		*e = Event{
 			Thread: int32(binary.LittleEndian.Uint32(b)),
-			Kind:   Kind(flags & 0xff),
-			Spin:   flags&(1<<8) != 0,
-			Op:     WriteOp(flags >> 9),
+			Kind:   kind,
+			Spin:   spin,
+			Op:     op,
 			Lock:   LockID(binary.LittleEndian.Uint32(b[8:])),
 			Addr:   memmodel.Addr(binary.LittleEndian.Uint32(b[12:])),
 			Value:  int64(binary.LittleEndian.Uint64(b[16:])),

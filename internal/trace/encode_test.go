@@ -12,7 +12,7 @@ import (
 )
 
 func TestReadBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
+	if _, err := DecodeBinary([]byte{1, 2, 3, 4, 5, 6, 7, 8}); err == nil {
 		t.Fatal("bad magic accepted")
 	} else if !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("err = %v", err)
@@ -27,7 +27,7 @@ func TestReadBinaryBadVersion(t *testing.T) {
 	}
 	b := buf.Bytes()
 	b[4] = 0xEE // clobber the version word
-	if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
+	if _, err := DecodeBinary(b); err == nil {
 		t.Fatal("bad version accepted")
 	}
 }
@@ -40,7 +40,7 @@ func TestReadBinaryTruncated(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, n := range []int{9, len(full) / 2, len(full) - 3} {
-		if _, err := ReadBinary(bytes.NewReader(full[:n])); err == nil {
+		if _, err := DecodeBinary(full[:n]); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", n)
 		}
 	}
@@ -58,7 +58,7 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 	if err := tr.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := DecodeBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBinaryCodecAllocsPerEvent(t *testing.T) {
 		}
 	})
 	decode := testing.AllocsPerRun(5, func() {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+		if _, err := DecodeBinary(data); err != nil {
 			t.Fatal(err)
 		}
 	})

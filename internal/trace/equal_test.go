@@ -26,3 +26,21 @@ func tracesEqual(a, b *Trace) error {
 	}
 	return nil
 }
+
+// sameTrace compares two decoded traces: the header and its tables, then
+// the events as tracesEqual does.
+func sameTrace(got, want *Trace) error {
+	if got.App != want.App || got.NumThreads != want.NumThreads || got.TotalTime != want.TotalTime {
+		return fmt.Errorf("header %q/%d/%v, reference %q/%d/%v", got.App, got.NumThreads, got.TotalTime, want.App, want.NumThreads, want.TotalTime)
+	}
+	for what, pair := range map[string][2]any{
+		"sites": {got.Sites.All(), want.Sites.All()}, "memnames": {got.MemNames, want.MemNames},
+		"spinlocks": {got.SpinLocks, want.SpinLocks}, "initmem": {got.InitMem, want.InitMem},
+		"finalmem": {got.FinalMem, want.FinalMem}, "constraints": {got.Constraints, want.Constraints},
+	} {
+		if !reflect.DeepEqual(pair[0], pair[1]) {
+			return fmt.Errorf("%s: %v, reference %v", what, pair[0], pair[1])
+		}
+	}
+	return tracesEqual(want, got)
+}

@@ -4,10 +4,11 @@ package trace
 // test package (the fuzz target that needs ulcp, which imports trace).
 var BuildSample = buildSample
 
-// TracesEqual and ReadBinaryRef hand the external test package the
-// event-by-event comparison and the reference decoder, for the tests
-// that need sim and transform (which import trace).
+// TracesEqual, SameTrace and ReadBinaryRef hand the external test
+// package the comparisons and the reference decoder, for the tests that
+// need sim and transform (which import trace).
 var (
 	TracesEqual   = tracesEqual
+	SameTrace     = sameTrace
 	ReadBinaryRef = readBinaryRef
 )

@@ -53,7 +53,7 @@ func FuzzReadAny(f *testing.F) {
 		if err := got.WriteBinary(&buf); err != nil {
 			t.Fatalf("re-encode accepted trace: %v", err)
 		}
-		if _, err := trace.ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := trace.DecodeBinary(buf.Bytes()); err != nil {
 			t.Fatalf("re-parse re-encoded trace: %v", err)
 		}
 		// Validate and ExtractCS keep per-thread state; a header may claim

@@ -7,8 +7,8 @@ import (
 
 // FuzzDetectFormat: the format sniffer must be total and deterministic,
 // and must agree with the magic-guarded decoders — anything it calls
-// JSON has to be refused by both ReadBinary and ParseColumnar, and
-// anything it calls columnar refused by ReadBinary (and vice versa), or
+// JSON has to be refused by both DecodeBinary and ParseColumnar, and
+// anything it calls columnar refused by DecodeBinary (and vice versa), or
 // the sniffer and the loaders would disagree about how to parse the
 // same corpus blob.
 func FuzzDetectFormat(f *testing.F) {
@@ -37,7 +37,7 @@ func FuzzDetectFormat(f *testing.F) {
 			t.Fatalf("non-deterministic: %q then %q", got, again)
 		}
 		if got != FormatBinary {
-			if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+			if _, err := DecodeBinary(data); err == nil {
 				t.Fatalf("binary decoder accepted bytes DetectFormat called %s", got)
 			}
 		}

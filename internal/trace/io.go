@@ -32,25 +32,22 @@ func DetectFormat(data []byte) string {
 }
 
 // Decode decodes a trace in the row-binary, columnar, or JSON encoding,
-// sniffing the format by attempting the magic-guarded binary formats
-// first and falling back to JSON. This is the loader every consumer of
-// stored or uploaded traces shares — the corpus, the analysis daemon's
-// upload and steal paths, and (through ReadFile) the CLI's -replay. The
-// trace keeps no reference to data.
+// handing it to the one decoder DetectFormat names: neither magic can
+// start a JSON text, so no input is refused that another decoder would
+// take. This is the loader every consumer of stored or uploaded traces
+// shares — the corpus, the analysis daemon's upload and steal paths,
+// and (through ReadFile) the CLI's -replay. The trace keeps no
+// reference to data.
 func Decode(data []byte) (*Trace, error) {
-	tr, berr := DecodeBinary(data)
-	if berr == nil {
-		return tr, nil
+	switch DetectFormat(data) {
+	case FormatBinary:
+		return DecodeBinary(data)
+	case FormatColumnar:
+		return ParseColumnar(data)
 	}
-	var cerr error
-	if c, err := ParseColumnar(data); err != nil {
-		cerr = err
-	} else if tr, cerr = c.Trace(); cerr == nil {
-		return tr, nil
-	}
-	tr, jerr := ReadJSON(bytes.NewReader(data))
-	if jerr != nil {
-		return nil, fmt.Errorf("trace: neither binary (%v), columnar (%v), nor JSON (%v)", berr, cerr, jerr)
+	tr, err := ReadJSON(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("trace: no binary or columnar magic, and not JSON: %w", err)
 	}
 	return tr, nil
 }
@@ -82,15 +79,6 @@ func ReadAny(r io.ReadSeeker) (*Trace, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return Decode(data)
-}
-
-// ReadBinary is DecodeBinary over everything left in r.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	data, err := readAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read binary: %w", err)
-	}
-	return DecodeBinary(data)
 }
 
 // ReadFile loads a trace file in any encoding.

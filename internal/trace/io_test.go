@@ -9,6 +9,10 @@ import (
 	"testing"
 )
 
+// noMagicNotJSON is what Decode says of bytes that carry neither binary
+// magic and do not parse as JSON: it names all three formats.
+const noMagicNotJSON = "no binary or columnar magic, and not JSON"
+
 func TestReadAnySniffsBothEncodings(t *testing.T) {
 	tr := buildSample()
 
@@ -31,14 +35,15 @@ func TestReadAnySniffsBothEncodings(t *testing.T) {
 
 	if _, err := ReadAny(bytes.NewReader([]byte("not a trace"))); err == nil {
 		t.Fatal("garbage accepted")
-	} else if !strings.Contains(err.Error(), "neither") {
+	} else if !strings.Contains(err.Error(), noMagicNotJSON) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 // TestReadAnyRejectsMalformed table-drives the content-sniffing loader
-// over hostile inputs: every case must come back as an error from both
-// decoders — never a panic, never a silently empty trace.
+// over hostile inputs: every case must come back as an error — never a
+// panic, never a silently empty trace — and from the decoder its magic
+// names: a cut-short binary file gets the binary decoder's own error.
 func TestReadAnyRejectsMalformed(t *testing.T) {
 	tr := buildSample()
 	var bin bytes.Buffer
@@ -57,15 +62,15 @@ func TestReadAnyRejectsMalformed(t *testing.T) {
 		data    []byte
 		wantErr string // substring of the returned error
 	}{
-		"empty file":             {data: nil, wantErr: "neither"},
-		"truncated header":       {data: bin.Bytes()[:6], wantErr: "neither"},
-		"truncated mid-events":   {data: bin.Bytes()[:bin.Len()/2], wantErr: "neither"},
-		"truncated last byte":    {data: bin.Bytes()[:bin.Len()-1], wantErr: "neither"},
-		"bad magic":              {data: []byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}, wantErr: "bad magic"},
+		"empty file":             {data: nil, wantErr: noMagicNotJSON},
+		"truncated header":       {data: bin.Bytes()[:6], wantErr: "trace: read binary: "},
+		"truncated mid-events":   {data: bin.Bytes()[:bin.Len()/2], wantErr: "trace: read binary: "},
+		"truncated last byte":    {data: bin.Bytes()[:bin.Len()-1], wantErr: "trace: read binary: "},
+		"bad magic":              {data: []byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}, wantErr: noMagicNotJSON},
 		"oversized string field": {data: oversized, wantErr: "exceeds limit"},
 		"invalid json":           {data: []byte(`{"app": "x", "events": [`), wantErr: "json"},
 		"json wrong shape":       {data: []byte(`{"events": "not-an-array"}`), wantErr: "json"},
-		"garbage text":           {data: []byte("definitely not a trace"), wantErr: "neither"},
+		"garbage text":           {data: []byte("definitely not a trace"), wantErr: noMagicNotJSON},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

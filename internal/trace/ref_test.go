@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"perfplay/internal/memmodel"
 	"perfplay/internal/vtime"
@@ -27,7 +28,11 @@ func readBinaryRef(r io.Reader) (*Trace, error) {
 		SpinLocks: make(map[LockID]bool),
 	}
 	tr.App = b.str()
-	tr.NumThreads = int(b.u32())
+	nt := b.u32()
+	if b.err == nil && nt > MaxThreads {
+		return nil, fmt.Errorf("trace: implausible thread count %d", nt)
+	}
+	tr.NumThreads = int(nt)
 	tr.TotalTime = vtime.Duration(b.i64())
 
 	nsites := b.u32()
@@ -157,4 +162,199 @@ func (b *binReader) snapshot() memmodel.Snapshot {
 		s[a] = b.i64()
 	}
 	return s
+}
+
+// readColumnarRef is the reader ParseColumnar replaced — the header read
+// field by field, the columns kept as views into data, the sidecars in
+// maps keyed by event, the indexes validated against the columns — kept
+// as the oracle FuzzReadColumnar holds ParseColumnar against. Like
+// ParseColumnar, it returns the trace with the stored indexes adopted.
+func readColumnarRef(data []byte) (*Trace, error) {
+	r := &sliceReader{data: data}
+	if m := r.u32(); r.err == nil && m != colMagic {
+		return nil, fmt.Errorf("trace: bad columnar magic %#x", m)
+	}
+	if v := r.u32(); r.err == nil && v != colVersion {
+		return nil, fmt.Errorf("trace: unsupported columnar version %d", v)
+	}
+	tr := &Trace{
+		Sites:     NewSiteTable(),
+		MemNames:  make(map[memmodel.Addr]string),
+		SpinLocks: make(map[LockID]bool),
+	}
+	tr.App = r.str()
+	nt := r.u32()
+	if r.err == nil && nt > MaxThreads {
+		return nil, fmt.Errorf("trace: implausible thread count %d", nt)
+	}
+	tr.NumThreads = int(nt)
+	tr.TotalTime = vtime.Duration(r.i64())
+	if sites := r.sites(); len(sites) > 0 {
+		tr.Sites.sites = sites
+		tr.Sites.rebuildIndex()
+	}
+	nnames := r.u32()
+	for i := uint32(0); i < nnames && r.err == nil; i++ {
+		a := memmodel.Addr(r.u32())
+		tr.MemNames[a] = r.str()
+	}
+	nspin := r.u32()
+	for i := uint32(0); i < nspin && r.err == nil; i++ {
+		tr.SpinLocks[LockID(r.u32())] = true
+	}
+	tr.InitMem = r.snapshot()
+	tr.FinalMem = r.snapshot()
+	tr.Constraints = r.constraints()
+
+	nev := r.u32()
+	if r.err == nil {
+		if err := checkEventCount(uint64(nev)); err != nil {
+			return nil, err
+		}
+		if int64(len(data)-r.off) < int64(nev)*colEventStride {
+			return nil, fmt.Errorf("trace: columnar columns truncated (%d events need %d bytes, have %d)",
+				nev, int64(nev)*colEventStride, len(data)-r.off)
+		}
+	}
+	n := int(nev)
+	thread, flags, lock, addr, site := r.take(n*4), r.take(n*4), r.take(n*4), r.take(n*4), r.take(n*4)
+	value, cost, tm := r.take(n*8), r.take(n*8), r.take(n*8)
+	u32At := func(col []byte, i int) uint32 { return binary.LittleEndian.Uint32(col[i*4:]) }
+	i64At := func(col []byte, i int) int64 { return int64(binary.LittleEndian.Uint64(col[i*8:])) }
+	kindAt := func(i int) Kind { return Kind(u32At(flags, i) & 0xff) }
+
+	type lockset struct {
+		locks   []LockID
+		sources []int32
+	}
+	var locksets map[int32]lockset
+	if nls := r.u32(); r.err == nil {
+		locksets = make(map[int32]lockset, min(nls, 65536))
+		for i := uint32(0); i < nls && r.err == nil; i++ {
+			idx := r.u32()
+			if idx >= nev {
+				return nil, fmt.Errorf("trace: lockset sidecar references event %d of %d", idx, nev)
+			}
+			var ls lockset
+			ls.locks = u32s[LockID](r, r.u32())
+			ls.sources = u32s[int32](r, r.u32())
+			locksets[int32(idx)] = ls
+		}
+	}
+	var deltas map[int32]memmodel.Snapshot
+	if nd := r.u32(); r.err == nil {
+		deltas = make(map[int32]memmodel.Snapshot, min(nd, 65536))
+		for i := uint32(0); i < nd && r.err == nil; i++ {
+			idx := r.u32()
+			if idx >= nev {
+				return nil, fmt.Errorf("trace: delta sidecar references event %d of %d", idx, nev)
+			}
+			if r.err == nil && kindAt(int(idx)) != KSkip {
+				return nil, fmt.Errorf("trace: delta sidecar references event %d, a %v, not a skip", idx, kindAt(int(idx)))
+			}
+			deltas[int32(idx)] = r.snapshot()
+		}
+	}
+
+	perThread := make([][]int32, tr.NumThreads)
+	for t := 0; t < tr.NumThreads && r.err == nil; t++ {
+		cnt := r.u32()
+		if cnt > nev {
+			return nil, fmt.Errorf("trace: thread %d index claims %d of %d events", t, cnt, nev)
+		}
+		if cnt == 0 {
+			continue
+		}
+		evs := make([]int32, cnt)
+		for j := uint32(0); j < cnt && r.err == nil; j++ {
+			evs[j] = int32(r.u32())
+		}
+		perThread[t] = evs
+	}
+	var lockOrder map[LockID][]int32
+	nlocks := r.u32()
+	if nlocks > 0 && r.err == nil {
+		lockOrder = make(map[LockID][]int32, min(nlocks, 65536))
+	}
+	for i := uint32(0); i < nlocks && r.err == nil; i++ {
+		l := LockID(r.u32())
+		cnt := r.u32()
+		if cnt > nev {
+			return nil, fmt.Errorf("trace: lock %v index claims %d of %d events", l, cnt, nev)
+		}
+		order := make([]int32, cnt)
+		for j := uint32(0); j < cnt && r.err == nil; j++ {
+			order[j] = int32(r.u32())
+		}
+		lockOrder[l] = order
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("trace: read columnar: %w", r.err)
+	}
+
+	tr.Events = make([]Event, n)
+	for i := range tr.Events {
+		tr.Events[i] = Event{
+			Thread: int32(u32At(thread, i)),
+			Kind:   kindAt(i),
+			Spin:   u32At(flags, i)&(1<<8) != 0,
+			Op:     WriteOp(u32At(flags, i) >> 9),
+			Lock:   LockID(u32At(lock, i)),
+			Addr:   memmodel.Addr(u32At(addr, i)),
+			Value:  i64At(value, i),
+			Cost:   vtime.Duration(i64At(cost, i)),
+			Time:   vtime.Time(i64At(tm, i)),
+			Site:   SiteID(u32At(site, i)),
+		}
+	}
+	withExt := make([]int32, 0, len(locksets)+len(deltas))
+	for i := range locksets {
+		withExt = append(withExt, i)
+	}
+	for i := range deltas {
+		if _, both := locksets[i]; !both {
+			withExt = append(withExt, i)
+		}
+	}
+	slices.Sort(withExt)
+	for _, i := range withExt {
+		ls := locksets[i]
+		tr.setExt(int(i), EventExt{Locks: ls.locks, Sources: ls.sources, Delta: deltas[i]})
+	}
+
+	total := 0
+	for t, evs := range perThread {
+		prev := int32(-1)
+		for _, idx := range evs {
+			if idx < 0 || int(idx) >= n || idx <= prev || int32(u32At(thread, int(idx))) != int32(t) {
+				return nil, fmt.Errorf("trace: thread %d index entry %d is wrong", t, idx)
+			}
+			prev = idx
+		}
+		total += len(evs)
+	}
+	if total != n {
+		return nil, fmt.Errorf("trace: per-thread index covers %d of %d events", total, n)
+	}
+	acqs, listed := 0, 0
+	for i := 0; i < n; i++ {
+		if kindAt(i) == KLockAcq {
+			acqs++
+		}
+	}
+	for l, order := range lockOrder {
+		prev := int32(-1)
+		for _, idx := range order {
+			if idx < 0 || int(idx) >= n || idx <= prev || kindAt(int(idx)) != KLockAcq || LockID(u32At(lock, int(idx))) != l {
+				return nil, fmt.Errorf("trace: lock %v index entry %d is wrong", l, idx)
+			}
+			prev = idx
+		}
+		listed += len(order)
+	}
+	if listed != acqs {
+		return nil, fmt.Errorf("trace: per-lock index covers %d of %d acquisitions", listed, acqs)
+	}
+	tr.perThread, tr.lockOrder = perThread, lockOrder
+	return tr, nil
 }

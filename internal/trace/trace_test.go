@@ -257,7 +257,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := tr.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := DecodeBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 		if err := tr.WriteBinary(&buf); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := DecodeBinary(buf.Bytes())
 		if err != nil {
 			return false
 		}
