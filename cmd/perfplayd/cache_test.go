@@ -455,3 +455,54 @@ func TestQueueFullWithoutViablePeerOmitsRetryPeer(t *testing.T) {
 		t.Fatalf("Retry-Peer = %q pointing at a known-full peer", rp)
 	}
 }
+
+// TestQueuedDigestJobOutlivesItsBlob: the worker runs a queued job from
+// the spec admission checked and does not check it again. A digest job
+// whose blob is deleted while it waits is served by a warm result cache;
+// with a cold one it fails where the trace is loaded.
+func TestQueuedDigestJobOutlivesItsBlob(t *testing.T) {
+	payload := recordedPayload(t, 3)
+	for _, warm := range []bool{true, false} {
+		srv, ts := saturatedVictim(t, Config{})
+		meta, _, err := srv.corpus.Put(payload, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := decode[map[string]string](t, postJSON(t, ts.URL+"/analyze", digestSpec(meta.Digest)))["id"]
+		var spec clusterapi.Spec
+		if !srv.node.With(id, func(j *jobs.Job) { spec = j.Spec }) {
+			t.Fatalf("job %q not admitted", id)
+		}
+		var want string
+		if warm {
+			res, err := srv.pl.Run(srv.requestOf(spec, ""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = res.Summary.At(res.Request.TopK).Report
+		}
+		resp, err := httpDelete(ts.URL + "/traces/" + meta.Digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete: status %d", resp.StatusCode)
+		}
+
+		srv.Start()
+		j := waitDone(t, ts.URL, id)
+		if !warm {
+			if msg, _ := j["error"].(string); j["status"] != statusFailed || !strings.HasPrefix(msg, "pipeline: load trace: ") {
+				t.Fatalf("cold cache: job = %v (%q), want failed loading the trace", j["status"], msg)
+			}
+			continue
+		}
+		if j["status"] != statusDone || j["cache_hit"] != true {
+			t.Fatalf("warm cache: job = %v, cache_hit %v (%v), want a done cache hit", j["status"], j["cache_hit"], j["error"])
+		}
+		if report, _ := j["report"].(string); report != want || want == "" {
+			t.Fatalf("warm cache: report differs from the cached run's")
+		}
+	}
+}

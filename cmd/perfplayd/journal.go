@@ -4,14 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
 	"perfplay/internal/jobs"
 	"perfplay/internal/journal"
-	"perfplay/internal/pipeline"
 	"perfplay/internal/telemetry"
 )
 
@@ -24,13 +22,11 @@ import (
 // the corpus no longer holds fails with a clear error. Determinism makes
 // a re-run byte-identical to the lost run.
 
-// Meta keys an admitted record carries so the restarted daemon can
-// rebuild the client-visible job, not just the pipeline request.
+// Meta keys an admitted record carries beside the spec, so the restarted
+// daemon can rebuild the client-visible job; the rest is in the spec.
 const (
 	jmetaTraceID   = "trace_id"
 	jmetaSubmitted = "submitted" // RFC3339Nano
-	jmetaSeed      = "seed"
-	jmetaDigest    = "trace_digest"
 )
 
 // Transition implements jobs.TransitionLog for the job node.
@@ -46,12 +42,6 @@ func (s *Server) Transition(op string, j *jobs.Job) {
 		rec.Meta = map[string]string{
 			jmetaTraceID:   j.TraceID,
 			jmetaSubmitted: j.Submitted.UTC().Format(time.RFC3339Nano),
-		}
-		if j.Seed != 0 {
-			rec.Meta[jmetaSeed] = strconv.FormatInt(j.Seed, 10)
-		}
-		if j.TraceDigest != "" {
-			rec.Meta[jmetaDigest] = j.TraceDigest
 		}
 	}
 	if err := s.journal.Append(rec); err != nil {
@@ -88,13 +78,11 @@ func (s *Server) openJournal(cfg Config) error {
 		}
 		j := recoveredJob(lj, spec)
 		s.node.Restore(j)
-		req, err := s.requestFor("", spec, spanCtx{})
-		if err != nil {
+		if _, err := s.requestFor("", spec, spanCtx{}); err != nil {
 			s.lost(j, fmt.Errorf("job not recovered: %w", err))
 			lost++
 			continue
 		}
-		stateOf(j).req = req
 		queued = append(queued, j)
 	}
 	requeued := len(queued)
@@ -123,8 +111,8 @@ func (s *Server) openJournal(cfg Config) error {
 // /jobs/{id} across the restart just see "queued" again — and its
 // original trace ID, so the distributed timeline survives too.
 func recoveredJob(lj journal.LiveJob, spec clusterapi.Spec) *jobs.Job {
-	j := newJob(pipeline.Request{}, lj.Meta[jmetaTraceID])
-	j.ID, j.Spec = lj.Job, spec
+	j := newJob(spec, lj.Meta[jmetaTraceID])
+	j.ID = lj.Job
 	if !telemetry.ValidTraceID(j.TraceID) {
 		j.TraceID = telemetry.NewTraceID()
 	}
@@ -133,10 +121,6 @@ func recoveredJob(lj journal.LiveJob, spec clusterapi.Spec) *jobs.Job {
 	} else {
 		j.Submitted = time.Now()
 	}
-	if seed, err := strconv.ParseInt(lj.Meta[jmetaSeed], 10, 64); err == nil {
-		j.Seed = seed
-	}
-	j.TraceDigest = lj.Meta[jmetaDigest]
 	return j
 }
 

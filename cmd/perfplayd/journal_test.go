@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"perfplay/internal/clusterapi"
+	"perfplay/internal/corpus"
 	"perfplay/internal/journal"
 	"perfplay/internal/telemetry"
 )
@@ -159,7 +160,7 @@ func TestJournalRestartFailsUploadOnlyJob(t *testing.T) {
 		if err := jr.Append(journal.Record{Op: journal.OpAdmitted, Job: id, Spec: raw, Meta: map[string]string{
 			jmetaTraceID:   telemetry.NewTraceID(),
 			jmetaSubmitted: time.Now().UTC().Format(time.RFC3339Nano),
-			jmetaDigest:    spec.TraceDigest,
+			"trace_digest": spec.TraceDigest, // an older daemon's record
 		}}); err != nil {
 			t.Fatal(err)
 		}
@@ -264,4 +265,108 @@ func readBody(t *testing.T, resp *http.Response) string {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// TestJournalAdmittedMetaIsTraceAndSubmitted: an admitted record carries
+// the spec and only the trace_id and submitted meta; the job's seed and
+// digest are the spec's.
+func TestJournalAdmittedMetaIsTraceAndSubmitted(t *testing.T) {
+	base := t.TempDir()
+	cfg := Config{CorpusDir: filepath.Join(base, "corpus"), JournalDir: filepath.Join(base, "journal")}
+	srv, ts := saturatedVictim(t, cfg)
+	meta, _, err := srv.corpus.Put(recordedPayload(t, 3), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{goldenSpecs[0].spec, digestSpec(meta.Digest)} {
+		if resp := postJSON(t, ts.URL+"/analyze", body); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d", body, resp.StatusCode)
+		}
+	}
+	ts.Close()
+	srv.Close()
+
+	jr, err := journal.Open(cfg.JournalDir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.Close()
+	live := jr.Live()
+	if len(live) != 2 {
+		t.Fatalf("%d live jobs, want 2", len(live))
+	}
+	for _, lj := range live {
+		if len(lj.Meta) != 2 || lj.Meta[jmetaTraceID] == "" || lj.Meta[jmetaSubmitted] == "" {
+			t.Errorf("%s: meta = %v, want trace_id and submitted only", lj.Job, lj.Meta)
+		}
+	}
+}
+
+// TestJournalRecoversLegacySpecMeta: an admitted record written with
+// seed and trace_digest meta beside the spec recovers, and the job shows
+// the spec's seed and digest, not the meta's.
+func TestJournalRecoversLegacySpecMeta(t *testing.T) {
+	base := t.TempDir()
+	cfg := Config{CorpusDir: filepath.Join(base, "corpus"), JournalDir: filepath.Join(base, "journal")}
+	payload := recordedPayload(t, 3)
+	st, err := corpus.Open(cfg.CorpusDir, corpus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, _, err := st.Put(payload, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var app clusterapi.Spec
+	if err := json.Unmarshal([]byte(`{"app":"pbzip2","threads":2,"scale":0.2,"seed":3,"top":5,"schemes":true}`), &app); err != nil {
+		t.Fatal(err)
+	}
+	specs := map[string]clusterapi.Spec{
+		"job-1": app,
+		"job-2": {TraceDigest: meta.Digest, Schemes: true},
+	}
+	jr, err := journal.Open(cfg.JournalDir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"job-1", "job-2"} {
+		raw, err := json.Marshal(specs[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jr.Append(journal.Record{Op: journal.OpAdmitted, Job: id, Spec: raw, Meta: map[string]string{
+			jmetaTraceID:   telemetry.NewTraceID(),
+			jmetaSubmitted: time.Now().UTC().Format(time.RFC3339Nano),
+			"seed":         "99",
+			"trace_digest": "sha256:" + strings.Repeat("cd", 32),
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, b := testServer(t, cfg)
+	wantRecovered(t, b.URL, 2, 0)
+	for id, want := range map[string]struct {
+		seed   float64
+		digest any
+		report string
+	}{
+		"job-1": {3, nil, goldenReport(t, "pbzip2")},
+		"job-2": {0, meta.Digest, runJobReport(t, b.URL, digestSpec(meta.Digest))},
+	} {
+		j := waitDone(t, b.URL, id)
+		if j["status"] != statusDone {
+			t.Fatalf("%s failed after recovery: %v", id, j["error"])
+		}
+		seed, _ := j["seed"].(float64)
+		if seed != want.seed || j["trace_digest"] != want.digest {
+			t.Errorf("%s: seed %v, trace_digest %v; want the spec's %v and %v", id, j["seed"], j["trace_digest"], want.seed, want.digest)
+		}
+		if report, _ := j["report"].(string); report != want.report {
+			t.Errorf("%s: recovered report differs from the reference", id)
+		}
+	}
 }

@@ -115,7 +115,6 @@ type node = jobs.Node[*pipeline.WireResult, *pipeline.WireTable]
 // (jobs.Job.Local). Only the rendered summary outlives the run — never
 // the trace — so retained jobs stay small.
 type jobState struct {
-	req pipeline.Request
 	// changed is closed and replaced on every status change, so GET
 	// /jobs/{id}?wait= wakes on a transition. Guarded by the node's lock.
 	changed chan struct{}
@@ -126,13 +125,14 @@ type jobState struct {
 
 func stateOf(j *jobs.Job) *jobState { return j.Local.(*jobState) }
 
-func newJob(req pipeline.Request, traceID string) *jobs.Job {
+// newJob is an admitted or recovered job, described by its spec alone.
+func newJob(spec clusterapi.Spec, traceID string) *jobs.Job {
 	return &jobs.Job{
-		TraceDigest: req.TraceDigest,
-		Seed:        req.Seed,
+		TraceDigest: spec.TraceDigest,
+		Seed:        spec.Seed,
 		TraceID:     traceID,
-		Spec:        specFor(req),
-		Local:       &jobState{req: req, changed: make(chan struct{}), spanID: telemetry.NewSpanID()},
+		Spec:        spec,
+		Local:       &jobState{changed: make(chan struct{}), spanID: telemetry.NewSpanID()},
 	}
 }
 
@@ -340,11 +340,12 @@ func (s *Server) reaper() {
 
 func (s *Server) runJob(j jobs.Job) {
 	popped := time.Now()
-	st := stateOf(&j)
 	release := s.node.Occupy(j.ID)
-	tc := spanCtx{trace: j.TraceID, parent: st.spanID}
+	tc := spanCtx{trace: j.TraceID, parent: stateOf(&j).spanID}
 	s.span(tc, "queue_wait", j.Submitted, popped, nil)
-	sum, cachePeer, err := s.execute(st.req, tc)
+	// The spec is not checked again: a digest whose blob left the corpus
+	// is still served by a cache hit, and fails to load without one.
+	sum, cachePeer, err := s.execute(s.requestOf(j.Spec, ""), tc)
 	release()
 	// The pop left the job live in the journal on purpose — a crash
 	// mid-run replays it as queued and re-runs it. Only Finish's
@@ -353,11 +354,9 @@ func (s *Server) runJob(j jobs.Job) {
 }
 
 // finished is the node's terminal hook, whichever path ended the job:
-// it drops the request (and with it any loaded trace), counts the job
-// and records its root span.
+// it counts the job and records its root span.
 func (s *Server) finished(j *jobs.Job) {
 	st := stateOf(j)
-	st.req = pipeline.Request{}
 	s.jobsDone.With(j.Status).Inc()
 	s.recordSpan(spanCtx{trace: j.TraceID, parent: st.spanID}, telemetry.Span{
 		ID: st.spanID, Name: "job", Start: j.Submitted, End: j.Finished,
@@ -676,7 +675,8 @@ const maxSpecBytes = 16 << 10
 const tracesHint = ` — store a trace with POST /traces, then submit {"trace":"sha256:…"}`
 
 // handleAnalyze admits one job. Every body, whatever its Content-Type,
-// is an analyzeSpec naming a workload or a stored trace.
+// is an analyzeSpec naming a workload or a stored trace; the job it
+// admits is described by the clusterapi.Spec built from it.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Every submission gets a distributed trace ID, minted here or
 	// adopted from the client's X-Perfplay-Trace header, and echoed on
@@ -703,10 +703,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Strict: a field the spec lacks is an error, so a JSON trace — whose
 	// "app" would otherwise read as a workload to re-record — or a
 	// misspelt option is refused, never silently run.
-	var spec analyzeSpec
+	var body analyzeSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
+	err := dec.Decode(&body)
 	if err == nil && dec.More() {
 		err = errors.New("data after the spec")
 	}
@@ -714,55 +714,42 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "bad job spec: %v%s", err, tracesHint)
 		return
 	}
-	var req pipeline.Request
+	spec := clusterapi.Spec{TopK: body.Top, Schemes: body.Schemes, Races: body.Races}
 	switch {
-	case spec.Trace != "":
-		// A stored trace by digest. The blob is not read here: the
-		// TraceLoader defers I/O and parsing to the worker, on a cache
-		// miss only.
+	case body.Trace != "":
+		// A stored trace by digest, and nothing else: the workload fields
+		// are inert for it. The blob is not read here; the worker loads
+		// it on a cache miss only.
 		if !s.requireCorpus(w) {
 			return
 		}
 		// Touch, not Stat: a reference counts as use for the LRU even
 		// when the result cache serves the job.
-		meta, err := s.corpus.Touch(spec.Trace)
+		meta, err := s.corpus.Touch(body.Trace)
 		if err != nil {
 			corpusError(w, err)
 			return
 		}
-		digest := meta.Digest
-		req = pipeline.Request{
-			TraceLoader: func() (*trace.Trace, error) {
-				tr, _, err := s.corpus.Load(digest)
-				return tr, err
-			},
-			TraceDigest: digest,
-			TopK:        spec.Top,
-			Schemes:     spec.Schemes,
-			DetectRaces: spec.Races,
-		}
-	case spec.App != "":
-		if code, err := checkWorkloadSpec(spec.App, spec.Threads); err != nil {
+		spec.TraceDigest = meta.Digest
+	case body.App != "":
+		if code, err := checkWorkloadSpec(body.App, body.Threads); err != nil {
 			httpError(w, http.StatusBadRequest, code, "%v", err)
 			return
 		}
-		input, err := workload.ParseInputSize(spec.Input)
+		input, err := workload.ParseInputSize(body.Input)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "%v", err)
 			return
 		}
-		req = pipeline.Request{
-			App: spec.App, Threads: spec.Threads, Input: input,
-			Scale: spec.Scale, Seed: spec.Seed, TopK: spec.Top,
-			Schemes: spec.Schemes, DetectRaces: spec.Races,
-		}
+		spec.App, spec.Threads, spec.Input = body.App, body.Threads, int(input)
+		spec.Scale, spec.Seed = body.Scale, body.Seed
 	default:
 		httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest,
 			`job spec names neither "app" nor "trace"%s`, tracesHint)
 		return
 	}
 
-	j := newJob(req, traceID)
+	j := newJob(spec, traceID)
 	if !s.node.Admit(j) {
 		if s.isClosed() {
 			httpError(w, http.StatusServiceUnavailable, clusterapi.CodeShuttingDown, "server shutting down")

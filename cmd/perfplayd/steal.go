@@ -28,34 +28,41 @@ import (
 // A claim carries only the trace's digest; the thief fetches the blob
 // (GET /traces/{digest}, hash-verified) when its own corpus misses it.
 
-// specFor derives a request's wire description: a workload spec, or a
-// digest the victim's corpus serves to the thief. Every job has one, so
-// every job is stealable.
-func specFor(req pipeline.Request) clusterapi.Spec {
-	if req.App != "" {
-		return clusterapi.Spec{
-			App:     req.App,
-			Threads: req.Threads,
-			Input:   int(req.Input),
-			Scale:   req.Scale,
-			Seed:    req.Seed,
-			TopK:    req.TopK,
-			Schemes: req.Schemes,
-			Races:   req.DetectRaces,
-		}
-	}
-	return clusterapi.Spec{
-		TraceDigest: req.TraceDigest,
-		TopK:        req.TopK,
-		Schemes:     req.Schemes,
-		Races:       req.DetectRaces,
-	}
-}
-
 // errStolenTraceUnavailable marks a thief's failure to obtain a stolen
 // job's trace — its trouble, not the job's. The thief abandons the steal
 // and the victim's lease requeues the job, which may run fine there.
 var errStolenTraceUnavailable = errors.New("stolen trace unavailable")
+
+// unavailable marks err so on a thief (victim set); other jobs own it.
+func unavailable(victim string, err error) error {
+	if victim == "" {
+		return err
+	}
+	return fmt.Errorf("%w: %v", errStolenTraceUnavailable, err)
+}
+
+// requestOf is the one place a job's spec becomes its pipeline request,
+// for a local, stolen or recovered job alike; victim is the node a
+// stolen job came from. An app wins over a digest. A digest's trace is
+// loaded from the local corpus only when the pipeline needs its events,
+// so a result-cache hit reads no blob.
+func (s *Server) requestOf(spec clusterapi.Spec, victim string) pipeline.Request {
+	req := pipeline.Request{TopK: spec.TopK, Schemes: spec.Schemes, DetectRaces: spec.Races}
+	if spec.App != "" {
+		req.App, req.Threads, req.Input = spec.App, spec.Threads, workload.InputSize(spec.Input)
+		req.Scale, req.Seed = spec.Scale, spec.Seed
+	} else if digest := spec.TraceDigest; digest != "" {
+		req.TraceDigest = digest
+		req.TraceLoader = func() (*trace.Trace, error) {
+			tr, _, err := s.corpus.Load(digest)
+			if err != nil {
+				return nil, unavailable(victim, err)
+			}
+			return tr, nil
+		}
+	}
+	return req
+}
 
 // checkWorkloadSpec is the one check a workload job's spec passes before
 // anything is recorded, whether it arrived by POST /analyze, a steal or
@@ -72,67 +79,45 @@ func checkWorkloadSpec(app string, threads int) (clusterapi.ErrorCode, error) {
 	return "", nil
 }
 
-// requestFor is specFor's inverse, on a thief or at boot recovery. A
-// digest resolves from the local corpus; a thief that misses it fetches
-// the blob from the victim (hash-verified) and stores it there first, so
-// a trace enters a node only through its corpus and the next steal of
-// it is free. An unfetchable or unstorable blob aborts the steal before
-// anything is reported. With no victim (recovery) a trace the corpus
-// cannot produce is the job's own error, never a fetch.
+// requestFor checks a spec that arrived from a peer or the journal, as
+// POST /analyze checks a body, then builds its request with requestOf.
+// A digest resolves from the local corpus; a thief that misses it
+// fetches the blob from the victim (hash-verified) and stores it there
+// first, so a trace enters a node only through its corpus and the next
+// steal of it is free. An unfetchable or unstorable blob aborts the
+// steal before anything is reported. With no victim (recovery) a trace
+// the corpus cannot produce is the job's own error, never a fetch.
 func (s *Server) requestFor(victim string, spec clusterapi.Spec, tc spanCtx) (pipeline.Request, error) {
-	unavailable := func(err error) error {
-		if victim == "" {
-			return err
-		}
-		return fmt.Errorf("%w: %v", errStolenTraceUnavailable, err)
-	}
-	req := pipeline.Request{
-		TopK:        spec.TopK,
-		Schemes:     spec.Schemes,
-		DetectRaces: spec.Races,
-	}
-	if spec.App != "" {
+	digest := spec.TraceDigest
+	var err error
+	switch {
+	case spec.App != "":
 		if _, err := checkWorkloadSpec(spec.App, spec.Threads); err != nil {
 			return pipeline.Request{}, err
 		}
-		req.App = spec.App
-		req.Threads = spec.Threads
-		req.Input = workload.InputSize(spec.Input)
-		req.Scale = spec.Scale
-		req.Seed = spec.Seed
-		return req, nil
-	}
-	digest := spec.TraceDigest
-	if s.corpus == nil {
-		return pipeline.Request{}, unavailable(fmt.Errorf("it references stored trace %s but the corpus is disabled", digest))
-	}
-	// Touch, not Stat: a reference counts as use for the LRU.
-	_, err := s.corpus.Touch(digest)
-	if errors.Is(err, corpus.ErrNotFound) && victim != "" {
-		// A blob this node's own corpus could not hold is not worth buffering.
-		fetchStart := time.Now()
-		var data []byte
-		data, err = s.peerClient.WithTrace(tc.trace, tc.parent).FetchTrace(victim, digest, s.cfg.CorpusMaxBytes)
-		s.span(tc, "blob_fetch", fetchStart, time.Now(),
-			map[string]string{"victim": victim, "digest": digest, "outcome": probeOutcome(err == nil)})
-		if err != nil {
-			err = fmt.Errorf("fetch from %s: %v", victim, err)
-		} else {
-			_, _, err = s.corpus.Put(data, false)
+	case s.corpus == nil:
+		err = fmt.Errorf("it references stored trace %s but the corpus is disabled", digest)
+	default:
+		// Touch, not Stat: a reference counts as use for the LRU.
+		_, err = s.corpus.Touch(digest)
+		if errors.Is(err, corpus.ErrNotFound) && victim != "" {
+			// A blob this node's own corpus could not hold is not worth buffering.
+			fetchStart := time.Now()
+			var data []byte
+			data, err = s.peerClient.WithTrace(tc.trace, tc.parent).FetchTrace(victim, digest, s.cfg.CorpusMaxBytes)
+			s.span(tc, "blob_fetch", fetchStart, time.Now(),
+				map[string]string{"victim": victim, "digest": digest, "outcome": probeOutcome(err == nil)})
+			if err != nil {
+				err = fmt.Errorf("fetch from %s: %v", victim, err)
+			} else {
+				_, _, err = s.corpus.Put(data, false)
+			}
 		}
 	}
 	if err != nil {
-		return pipeline.Request{}, unavailable(err)
+		return pipeline.Request{}, unavailable(victim, err)
 	}
-	req.TraceDigest = digest
-	req.TraceLoader = func() (*trace.Trace, error) {
-		tr, _, err := s.corpus.Load(digest)
-		if err != nil {
-			return nil, unavailable(err)
-		}
-		return tr, nil
-	}
-	return req, nil
+	return s.requestOf(spec, victim), nil
 }
 
 // stealResult is the body of POST /jobs/{id}/result as the victim reads

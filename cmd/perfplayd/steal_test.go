@@ -11,7 +11,6 @@ import (
 
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/jobs"
-	"perfplay/internal/pipeline"
 	"perfplay/internal/trace"
 )
 
@@ -254,7 +253,7 @@ func TestClaimEndpointEdges(t *testing.T) {
 
 	// No route admits a job a peer could not reproduce; the node still
 	// refuses to offer one.
-	if !srv.node.Admit(newJob(pipeline.Request{}, "")) {
+	if !srv.node.Admit(newJob(clusterapi.Spec{}, "")) {
 		t.Fatal("admit refused")
 	}
 	if n := srv.node.Status(nil).Stealable; n != 0 {
@@ -340,34 +339,38 @@ func mustGet(t *testing.T, url string) *http.Response {
 	return resp
 }
 
-// TestSpecRoundTrip pins the wire spec against the request builder: a
-// stolen workload job's thief-side request reproduces the victim's
-// pipeline cache key, which is the determinism contract's foundation.
+// TestSpecRoundTrip pins the admitted spec against the request builder:
+// for every golden job, and a digest job, the request the victim's
+// worker builds from the spec POST /analyze admitted (requestOf) has the
+// cache key of the request a thief builds from the claimed spec
+// (requestFor), which is the determinism contract's foundation.
 func TestSpecRoundTrip(t *testing.T) {
-	srv, err := NewServer(Config{})
+	srv, ts := saturatedVictim(t, Config{})
+	meta, _, err := srv.corpus.Put(recordedPayload(t, 3), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	var spec analyzeSpec
-	if err := json.Unmarshal([]byte(goldenSpecs[1].spec), &spec); err != nil {
-		t.Fatal(err)
+	bodies := []string{digestSpec(meta.Digest)}
+	for _, g := range goldenSpecs {
+		bodies = append(bodies, g.spec)
 	}
-	victimReq := pipeline.Request{
-		App: spec.App, Threads: spec.Threads,
-		Scale: spec.Scale, Seed: spec.Seed, TopK: spec.Top,
-		Schemes: spec.Schemes, DetectRaces: spec.Races,
-	}
-	wire := specFor(victimReq)
-	if !wire.Stealable() {
-		t.Fatal("workload spec not stealable")
-	}
-	thiefReq, err := srv.requestFor("http://victim", wire, spanCtx{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := thiefReq.CacheKey(), victimReq.CacheKey(); got != want {
-		t.Fatalf("thief cache key %q != victim %q", got, want)
+	for _, body := range bodies {
+		id := decode[map[string]string](t, postJSON(t, ts.URL+"/analyze", body))["id"]
+		var spec clusterapi.Spec
+		if !srv.node.With(id, func(j *jobs.Job) { spec = j.Spec }) {
+			t.Fatalf("%s: job %q not admitted", body, id)
+		}
+		if !spec.Stealable() {
+			t.Fatalf("%s: admitted spec %+v not stealable", body, spec)
+		}
+		victimReq := srv.requestOf(spec, "")
+		thiefReq, err := srv.requestFor("http://victim", spec, spanCtx{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := thiefReq.CacheKey(), victimReq.CacheKey(); got != want || got == "" {
+			t.Fatalf("%s: thief cache key %q != victim %q", body, got, want)
+		}
 	}
 }
 

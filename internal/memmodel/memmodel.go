@@ -89,12 +89,6 @@ func (m *Memory) Name(a Addr) string {
 	return fmt.Sprintf("addr#%d", a)
 }
 
-// Lookup resolves a debug name to its address.
-func (m *Memory) Lookup(name string) (Addr, bool) {
-	a, ok := m.byNam[name]
-	return a, ok
-}
-
 // Len reports how many cells are allocated.
 func (m *Memory) Len() int { return len(m.cells) }
 
@@ -168,16 +162,4 @@ func (d Delta) Apply(m *Memory) {
 	for a, v := range d.After {
 		m.Store(a, v)
 	}
-}
-
-// Touched returns the set of cells the delta changes.
-func (d Delta) Touched() []Addr {
-	var out []Addr
-	for a, v := range d.After {
-		if d.Before[a] != v {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -25,9 +25,6 @@ func TestAllocAndAccess(t *testing.T) {
 	if m.Name(Addr(999)) == "" {
 		t.Fatal("anonymous name empty")
 	}
-	if got, ok := m.Lookup("x"); !ok || got != x {
-		t.Fatal("Lookup broken")
-	}
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d", m.Len())
 	}
@@ -126,9 +123,6 @@ func TestDeltaApplyTouched(t *testing.T) {
 	x := m.Alloc("x", 1)
 	y := m.Alloc("y", 2)
 	d := Delta{Before: Snapshot{x: 1, y: 2}, After: Snapshot{x: 10, y: 2}}
-	if got := d.Touched(); len(got) != 1 || got[0] != x {
-		t.Fatalf("Touched = %v", got)
-	}
 	d.Apply(m)
 	if m.Load(x) != 10 || m.Load(y) != 2 {
 		t.Fatal("Apply wrong")

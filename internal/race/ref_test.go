@@ -15,7 +15,6 @@ import (
 	"perfplay/internal/trace"
 	"perfplay/internal/transform"
 	"perfplay/internal/ulcp"
-	"perfplay/internal/vclock"
 	"perfplay/internal/vtime"
 	"perfplay/internal/workload"
 )
@@ -23,10 +22,10 @@ import (
 // accessState is one address's last accesses: per thread, the clock
 // component and event index of its last read and of its last write.
 type accessState struct {
-	readVC  vclock.VC // last read clock per thread
-	writeVC vclock.VC // last write clock per thread
-	lastRd  []int32   // event index of each thread's last read
-	lastWr  []int32   // event index of each thread's last write
+	readVC  refVC   // last read clock per thread
+	writeVC refVC   // last write clock per thread
+	lastRd  []int32 // event index of each thread's last read
+	lastWr  []int32 // event index of each thread's last write
 }
 
 // detectMapRef is Detect as it was written first, over maps keyed by
@@ -48,14 +47,14 @@ func detectMapRef(tr *trace.Trace, plan *trace.Plan, order []int32, limit int) [
 		}
 	}
 
-	threadVC := make([]vclock.VC, n)
+	threadVC := make([]refVC, n)
 	for i := range threadVC {
-		threadVC[i] = vclock.New(n)
+		threadVC[i] = newRefVC(n)
 		threadVC[i].Tick(int32(i))
 	}
-	lockVC := make(map[trace.LockID]vclock.VC)
+	lockVC := make(map[trace.LockID]refVC)
 	// Completion clocks of constraint sources, captured when executed.
-	consSrc := make(map[int32]vclock.VC)
+	consSrc := make(map[int32]refVC)
 	wanted := make(map[int32]bool)
 	prereq := make(map[int32][]int32)
 	var sec []int32 // 1 + the plan's section whose boundary event i is
@@ -93,7 +92,7 @@ func detectMapRef(tr *trace.Trace, plan *trace.Plan, order []int32, limit int) [
 		st, ok := mem[a]
 		if !ok {
 			st = &accessState{
-				readVC: vclock.New(n), writeVC: vclock.New(n),
+				readVC: newRefVC(n), writeVC: newRefVC(n),
 				lastRd: make([]int32, n), lastWr: make([]int32, n),
 			}
 			for i := range st.lastRd {
@@ -159,7 +158,7 @@ func detectMapRef(tr *trace.Trace, plan *trace.Plan, order []int32, limit int) [
 			k := barKey{e.Lock, e.Value}
 			barMembers[k] = append(barMembers[k], t)
 			if len(barMembers[k]) == barGroups[k] {
-				joined := vclock.New(n)
+				joined := newRefVC(n)
 				for _, m := range barMembers[k] {
 					joined.Join(threadVC[m])
 				}
@@ -224,14 +223,14 @@ func detectRef(tr *trace.Trace, order []int32, limit int) []Race {
 		}
 	}
 
-	threadVC := make([]vclock.VC, n)
+	threadVC := make([]refVC, n)
 	for i := range threadVC {
-		threadVC[i] = vclock.New(n)
+		threadVC[i] = newRefVC(n)
 		threadVC[i].Tick(int32(i))
 	}
-	lockVC := make(map[trace.LockID]vclock.VC)
+	lockVC := make(map[trace.LockID]refVC)
 	// Completion clocks of constraint sources, captured when executed.
-	consSrc := make(map[int32]vclock.VC)
+	consSrc := make(map[int32]refVC)
 	wanted := make(map[int32]bool)
 	prereq := make(map[int32][]int32)
 	for _, c := range tr.Constraints {
@@ -260,7 +259,7 @@ func detectRef(tr *trace.Trace, order []int32, limit int) []Race {
 		st, ok := mem[a]
 		if !ok {
 			st = &accessState{
-				readVC: vclock.New(n), writeVC: vclock.New(n),
+				readVC: newRefVC(n), writeVC: newRefVC(n),
 				lastRd: make([]int32, n), lastWr: make([]int32, n),
 			}
 			for i := range st.lastRd {
@@ -326,7 +325,7 @@ func detectRef(tr *trace.Trace, order []int32, limit int) []Race {
 			k := barKey{e.Lock, e.Value}
 			barMembers[k] = append(barMembers[k], t)
 			if len(barMembers[k]) == barGroups[k] {
-				joined := vclock.New(n)
+				joined := newRefVC(n)
 				for _, m := range barMembers[k] {
 					joined.Join(threadVC[m])
 				}

@@ -77,7 +77,6 @@ var locksetVariants = []Options{
 	{Sched: ELSCS, DLS: true},
 	{Sched: ELSCS, LocksetCost: 40},
 	{Sched: ELSCS, DLS: true, LocksetCost: 40},
-	{Sched: ELSCS, DLS: true, LocksetCost: 40, DLSCheckCost: 3},
 }
 
 // TestEngineMatchesReference is the engine's differential oracle over

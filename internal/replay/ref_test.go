@@ -36,6 +36,10 @@ type refEngine struct {
 	opts Options
 	mem  *memmodel.Memory
 
+	// jitterWindow bounds ORIG-S arrival jitter; dlsCheckCost is one END
+	// check under DLS.
+	jitterWindow, dlsCheckCost vtime.Duration
+
 	threads []*refThreadState
 	locks   map[trace.LockID]*refLockState
 
@@ -165,16 +169,12 @@ func (e *refEngine) takeHeldSet(ts *refThreadState, _ *trace.Event) ([]trace.Loc
 
 // runRef replays the trace under the given options on the reference engine.
 func runRef(tr *trace.Trace, opts Options) (*Result, error) {
-	if opts.JitterWindow == 0 {
-		opts.JitterWindow = 200
-	}
-	if opts.DLSCheckCost == 0 && opts.LocksetCost > 0 {
-		opts.DLSCheckCost = opts.LocksetCost / 8
-		if opts.DLSCheckCost == 0 {
-			opts.DLSCheckCost = 1
-		}
-	}
 	e := new(refEngine)
+	// The oracle's own copies of the engine's constants.
+	e.jitterWindow = 200
+	if opts.LocksetCost > 0 {
+		e.dlsCheckCost = max(opts.LocksetCost/8, 1)
+	}
 	e.reset(tr, opts)
 	for i := range tr.Events {
 		if tr.Events[i].Kind == trace.KBarrier {
@@ -311,7 +311,7 @@ func (e *refEngine) jitter(idx int32) vtime.Duration {
 	h ^= h >> 31
 	h *= 0x94d049bb133111eb
 	h ^= h >> 29
-	return vtime.Duration(h % uint64(e.opts.JitterWindow))
+	return vtime.Duration(h % uint64(e.jitterWindow))
 }
 
 // eligible reports whether the event can execute now and the earliest
@@ -530,7 +530,7 @@ func (e *refEngine) exec(ts *refThreadState, start vtime.Time) {
 		var maint vtime.Duration
 		if e.opts.LocksetCost > 0 {
 			if e.opts.DLS {
-				maint = e.opts.DLSCheckCost * vtime.Duration(len(e.tr.Ext(ev).Locks))
+				maint = e.dlsCheckCost * vtime.Duration(len(e.tr.Ext(ev).Locks))
 				if extra := len(members) - 1; extra > 0 {
 					maint += e.opts.LocksetCost * vtime.Duration(extra)
 				}

@@ -63,11 +63,9 @@ func (s Scheduler) String() string {
 type Options struct {
 	// Sched is the enforcement scheme.
 	Sched Scheduler
-	// Seed drives ORIG-S arrival jitter; ignored by the other schemes.
+	// Seed drives ORIG-S arrival jitter (within jitterWindow); ignored
+	// by the other schemes.
 	Seed int64
-	// JitterWindow bounds ORIG-S lock-arrival jitter. Zero selects the
-	// default (200 ticks, a fraction of a typical critical section).
-	JitterWindow vtime.Duration
 	// LockOrder overrides the enforced per-lock acquisition order for
 	// ELSC-S. Keys are lock IDs; values are the global event indices of
 	// that lock's KLockAcq events in the desired order. Nil uses the
@@ -80,11 +78,9 @@ type Options struct {
 	DLS bool
 	// LocksetCost is the modelled per-member maintenance cost charged at
 	// each lockset acquisition (RULE 4 intersection bookkeeping). Zero
-	// disables the cost model; Table 3 compares replays with it on.
+	// disables the cost model; Table 3 compares replays with it on. One
+	// END-flag check under DLS costs max(LocksetCost/8, 1).
 	LocksetCost vtime.Duration
-	// DLSCheckCost is the cost of one END-flag check under DLS (cheaper
-	// than full lockset maintenance). Zero selects LocksetCost/8.
-	DLSCheckCost vtime.Duration
 	// ExtraConstraints adds happens-before edges beyond those in the
 	// trace. The reversed replay of Sec. 3.1 forces "C2 releases before C1
 	// acquires" this way while leaving every other ordering natural.
@@ -654,15 +650,6 @@ func Run(tr *trace.Trace, opts Options) (*Result, error) {
 
 // run is Run on this engine, whatever it replayed before.
 func (e *engine) run(tr *trace.Trace, opts Options) (*Result, error) {
-	if opts.JitterWindow == 0 {
-		opts.JitterWindow = 200
-	}
-	if opts.DLSCheckCost == 0 && opts.LocksetCost > 0 {
-		opts.DLSCheckCost = opts.LocksetCost / 8
-		if opts.DLSCheckCost == 0 {
-			opts.DLSCheckCost = 1
-		}
-	}
 	if err := e.reset(tr, opts); err != nil {
 		return nil, err
 	}
@@ -770,6 +757,10 @@ func (e *engine) stuckErr() error {
 	return fmt.Errorf("replay stuck under %v: pending %v", e.opts.Sched, pend)
 }
 
+// jitterWindow bounds ORIG-S lock-arrival jitter: a fraction of a
+// typical critical section.
+const jitterWindow vtime.Duration = 200
+
 // jitter derives a deterministic pseudo-random arrival perturbation for an
 // event from the replay seed (ORIG-S only).
 func (e *engine) jitter(idx int32) vtime.Duration {
@@ -777,7 +768,7 @@ func (e *engine) jitter(idx int32) vtime.Duration {
 	h ^= h >> 31
 	h *= 0x94d049bb133111eb
 	h ^= h >> 29
-	return vtime.Duration(h % uint64(e.opts.JitterWindow))
+	return vtime.Duration(h % uint64(jitterWindow))
 }
 
 // park takes the thread off the polling loop until the waiter list is
@@ -966,17 +957,23 @@ func (e *engine) dropped(i int32) bool {
 // maintenance is the modelled bookkeeping cost of acquiring or releasing
 // a lockset of full members of which taken are actually held. Without
 // DLS, RULE-4 bookkeeping walks the full lockset. With DLS every member
-// costs one END check (on acquisition; a release checks nothing) and only
-// the members beyond the degenerate single-lock case pay full maintenance
-// (a one-lock set is a plain mutex, whose cost the event already carries).
-func (e *engine) maintenance(full, taken int, check vtime.Duration) vtime.Duration {
+// costs one END check of max(LocksetCost/8, 1) on acquisition (a release
+// checks nothing) and only the members beyond the degenerate single-lock
+// case pay full maintenance (a one-lock set is a plain mutex, whose cost
+// the event already carries).
+func (e *engine) maintenance(full, taken int, acquire bool) vtime.Duration {
+	cost := e.opts.LocksetCost
 	switch {
-	case e.opts.LocksetCost <= 0:
+	case cost <= 0:
 		return 0
 	case !e.opts.DLS:
-		return e.opts.LocksetCost * vtime.Duration(full)
+		return cost * vtime.Duration(full)
 	}
-	return check*vtime.Duration(full) + e.opts.LocksetCost*vtime.Duration(max(taken-1, 0))
+	var check vtime.Duration
+	if acquire {
+		check = max(cost/8, 1)
+	}
+	return check*vtime.Duration(full) + cost*vtime.Duration(max(taken-1, 0))
 }
 
 // exec runs one event starting at the given time.
@@ -1026,7 +1023,7 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 			e.setSlots[n] = s
 			n++
 		}
-		maint := e.maintenance(int(full), int(n-off), e.opts.DLSCheckCost)
+		maint := e.maintenance(int(full), int(n-off), true)
 		cost += maint
 		e.res.LocksetOverhead += maint
 		e.res.LocksetAcqs++
@@ -1038,7 +1035,7 @@ func (e *engine) exec(ts *threadState, start vtime.Time) {
 		if top := len(ts.open) - 1; top >= 0 {
 			held := ts.open[top]
 			ts.open = ts.open[:top]
-			maint := e.maintenance(int(e.evSlot[idx]), int(held.n), 0)
+			maint := e.maintenance(int(e.evSlot[idx]), int(held.n), false)
 			cost += maint
 			e.res.LocksetOverhead += maint
 			end := start.Add(cost)

@@ -80,6 +80,16 @@ func TestDLSCheckCostDefault(t *testing.T) {
 	if res.LocksetOverhead != 2 {
 		t.Fatalf("overhead = %v, want 2 (one END check)", res.LocksetOverhead)
 	}
+	// Without the cost model the check is free too, in both engines.
+	for name, run := range map[string]func(*trace.Trace, Options) (*Result, error){"engine": Run, "reference": runRef} {
+		res, err := run(tr, Options{Sched: OrigS, DLS: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LocksetOverhead != 0 {
+			t.Fatalf("%s: overhead = %v with LocksetCost 0, want 0", name, res.LocksetOverhead)
+		}
+	}
 }
 
 func TestSchedulerStrings(t *testing.T) {

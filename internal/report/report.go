@@ -29,16 +29,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, cells ...interface{}) {
-	parts := make([]string, len(cells))
-	for i, c := range cells {
-		parts[i] = fmt.Sprint(c)
-	}
-	_ = format
-	t.AddRow(parts...)
-}
-
 // AddNote appends a footnote.
 func (t *Table) AddNote(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))

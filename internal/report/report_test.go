@@ -29,14 +29,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("T", "a", "b")
-	tb.AddRowf("", 12, 3.5)
-	if len(tb.Rows) != 1 || tb.Rows[0][0] != "12" || tb.Rows[0][1] != "3.5" {
-		t.Fatalf("rows = %v", tb.Rows)
-	}
-}
-
 func TestFigureRendering(t *testing.T) {
 	f := NewFigure("F", "speed")
 	s := f.Add("series-a")

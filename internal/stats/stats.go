@@ -76,16 +76,6 @@ func (s Sample) Max() float64 {
 	return m
 }
 
-// CV returns the coefficient of variation (σ/μ), the scale-free stability
-// measure used to compare replay schemes; 0 when the mean is 0.
-func (s Sample) CV() float64 {
-	m := s.Mean()
-	if m == 0 {
-		return 0
-	}
-	return s.Std() / m
-}
-
 // Median returns the middle observation.
 func (s Sample) Median() float64 {
 	if len(s) == 0 {
@@ -107,6 +97,3 @@ func Ratio(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// Pct formats a fraction as a percentage value (e.g. 0.051 -> 5.1).
-func Pct(frac float64) float64 { return frac * 100 }

@@ -218,26 +218,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return &Counter{s: v.f.get(labelValues)}
 }
 
-// Gauge is a series that can go up and down.
-type Gauge struct{ s *series }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.s.value.Store(math.Float64bits(v)) }
-
-// Add shifts the gauge by v (negative deltas allowed).
-func (g *Gauge) Add(v float64) { g.s.addFloat(&g.s.value, v) }
-
-// Value reads the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.value.Load()) }
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// With returns the series for one label-value tuple.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return &Gauge{s: v.f.get(labelValues)}
-}
-
 // Histogram is a fixed-bucket distribution series.
 type Histogram struct {
 	f *family
@@ -278,17 +258,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 	return &CounterVec{f: r.register(name, help, KindCounter, labels, nil)}
 }
 
-// NewGauge registers (or returns) an unlabeled gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := r.register(name, help, KindGauge, nil, nil)
-	return &Gauge{s: f.get(nil)}
-}
-
-// NewGaugeVec registers (or returns) a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, KindGauge, labels, nil)}
-}
-
 // NewGaugeFunc registers a callback gauge: fn is evaluated at render
 // time, so values like queue depth or corpus bytes are always current
 // at the instant of the scrape instead of as of the last update. fn
@@ -298,13 +267,6 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.fn = fn
-}
-
-// NewHistogram registers (or returns) an unlabeled histogram. A nil
-// buckets slice uses DurationBuckets.
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, KindHistogram, nil, buckets)
-	return &Histogram{f: f, s: f.get(nil)}
 }
 
 // NewHistogramVec registers (or returns) a labeled histogram family.

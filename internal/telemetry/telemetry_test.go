@@ -19,14 +19,17 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatalf("counter int = %d, want 3", got)
 	}
 
-	g := r.NewGauge("perfplay_depth", "depth")
-	g.Set(5)
-	g.Add(-2)
-	if got := g.Value(); got != 3 {
-		t.Fatalf("gauge = %v, want 3", got)
+	depth := 3.0
+	r.NewGaugeFunc("perfplay_depth", "depth", func() float64 { return depth })
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "perfplay_depth 3\n") {
+		t.Fatalf("gauge not rendered as 3:\n%s", b.String())
 	}
 
-	h := r.NewHistogram("perfplay_wait_seconds", "wait", DurationBuckets)
+	h := r.NewHistogramVec("perfplay_wait_seconds", "wait", DurationBuckets).With()
 	h.Observe(0.0007)
 	h.Observe(0.3)
 	h.Observe(120) // beyond the last bound: only +Inf/_count/_sum
@@ -104,7 +107,7 @@ func TestRegisterIdempotentAndConflicting(t *testing.T) {
 			t.Fatal("conflicting re-registration did not panic")
 		}
 	}()
-	r.NewGauge("perfplay_same_total", "help")
+	r.NewGaugeFunc("perfplay_same_total", "help", func() float64 { return 0 })
 }
 
 func TestRegisterRejectsBadNames(t *testing.T) {
@@ -124,7 +127,7 @@ func TestRegisterRejectsBadNames(t *testing.T) {
 func TestExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("perfplay_jobs_total", "jobs").Add(4)
-	r.NewGaugeVec("perfplay_temp", "temp", "zone").With(`we"ird\zone`).Set(1.5)
+	r.NewCounterVec("perfplay_temp_total", "temp", "zone").With(`we"ird\zone`).Add(1.5)
 	h := r.NewHistogramVec("perfplay_stage_seconds", "stage wall", DurationBuckets, "stage")
 	h.With("record").Observe(0.02)
 	h.With("replay").Observe(2)
@@ -157,7 +160,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 
 func TestHistogramBucketsCumulative(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("perfplay_d_seconds", "d", []float64{1, 2, 4})
+	h := r.NewHistogramVec("perfplay_d_seconds", "d", []float64{1, 2, 4}).With()
 	h.Observe(0.5)
 	h.Observe(1.5)
 	h.Observe(3)
@@ -272,7 +275,7 @@ func TestTraceStoreOrderAndBounds(t *testing.T) {
 func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("perfplay_conc_total", "c")
-	h := r.NewHistogram("perfplay_conc_seconds", "h", DurationBuckets)
+	h := r.NewHistogramVec("perfplay_conc_seconds", "h", DurationBuckets).With()
 	ts := NewTraceStore(8, 64)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

@@ -104,8 +104,8 @@ func sameSections(got []*trace.CritSec, want []*refCS) error {
 			return fmt.Errorf("section %d: %d reads %d writes, reference %d and %d",
 				i, g.NumReads, g.NumWrites, len(w.Reads), len(w.Writes))
 		}
-		if g.Empty() != (len(w.Reads) == 0 && len(w.Writes) == 0) || g.ReadOnly() != (len(w.Writes) == 0 && len(w.Reads) > 0) {
-			return fmt.Errorf("section %d: Empty/ReadOnly disagree with the reference sets", i)
+		if g.Empty() != (len(w.Reads) == 0 && len(w.Writes) == 0) {
+			return fmt.Errorf("section %d: Empty disagrees with the reference sets", i)
 		}
 		union := len(w.Writes)
 		for a := range w.Reads {

@@ -202,18 +202,6 @@ func (tr *Trace) LockOrder() map[LockID][]int32 {
 	return lo
 }
 
-// SharedOrder returns global indices of all shared-memory accesses in
-// recorded order; MEM-S replay enforces this total order.
-func (tr *Trace) SharedOrder() []int32 {
-	var out []int32
-	for i := range tr.Events {
-		if tr.Events[i].IsShared() {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
 // CountKind tallies events of kind k.
 func (tr *Trace) CountKind(k Kind) int {
 	n := 0
@@ -390,9 +378,6 @@ type CritSec struct {
 // Empty reports whether the CS performed no shared access — the paper's
 // null-lock candidate condition (Algorithm 1, line 1).
 func (cs *CritSec) Empty() bool { return len(cs.Acc) == 0 }
-
-// ReadOnly reports whether the CS performed reads but no writes.
-func (cs *CritSec) ReadOnly() bool { return cs.NumWrites == 0 && cs.NumReads > 0 }
 
 // String renders a compact identifier.
 func (cs *CritSec) String() string {

@@ -111,7 +111,7 @@ func TestExtractCS(t *testing.T) {
 	if a.Thread != 0 || b.Thread != 1 {
 		t.Fatalf("threads = %d,%d", a.Thread, b.Thread)
 	}
-	if want := []Access{{Addr: 1, Touch: TouchRead}}; !reflect.DeepEqual(a.Acc, want) || !a.ReadOnly() {
+	if want := []Access{{Addr: 1, Touch: TouchRead}}; !reflect.DeepEqual(a.Acc, want) || a.NumReads != 1 || a.NumWrites != 0 {
 		t.Errorf("CS0 accesses = %v, want the read of addr 1 only", a.Acc)
 	}
 	if want := []Access{{Addr: 2, Touch: Touch(0).WithOp(WSet)}}; !reflect.DeepEqual(b.Acc, want) || b.NumWrites != 1 {
@@ -237,9 +237,8 @@ func TestLockOrderAndSharedOrder(t *testing.T) {
 	if got := lo[1]; len(got) != 2 || got[0] > got[1] {
 		t.Fatalf("lock order = %v", got)
 	}
-	so := tr.SharedOrder()
-	if len(so) != 2 {
-		t.Fatalf("shared order = %v, want 2 accesses", so)
+	if !tr.Events[3].IsShared() || !tr.Events[6].IsShared() || tr.Events[2].IsShared() {
+		t.Fatal("IsShared must hold for the read and the write, not for the acquire")
 	}
 }
 

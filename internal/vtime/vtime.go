@@ -59,25 +59,6 @@ func Min(a, b Time) Time {
 	return b
 }
 
-// MaxDur returns the larger of two durations.
-func MaxDur(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Clamp limits d to the range [lo, hi].
-func Clamp(d, lo, hi Duration) Duration {
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
-}
-
 // String renders a timestamp with its tick unit.
 func (t Time) String() string { return fmt.Sprintf("%dt", int64(t)) }
 

@@ -19,15 +19,6 @@ func TestArithmetic(t *testing.T) {
 	if Max(3, 5) != 5 || Min(3, 5) != 3 {
 		t.Fatal("Max/Min broken")
 	}
-	if MaxDur(3, 5) != 5 {
-		t.Fatal("MaxDur broken")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(10, 0, 5) != 5 || Clamp(-1, 0, 5) != 0 || Clamp(3, 0, 5) != 3 {
-		t.Fatal("Clamp broken")
-	}
 }
 
 func TestStrings(t *testing.T) {

@@ -183,13 +183,6 @@ func All() []*App {
 // Parsec returns the PARSEC benchmark apps.
 func Parsec() []*App { return byKind("parsec") }
 
-// RealWorld returns the five real-world programs.
-func RealWorld() []*App {
-	out := byKind("server")
-	out = append(out, byKind("desktop")...)
-	return out
-}
-
 func byKind(kind string) []*App {
 	var out []*App
 	for _, n := range order {

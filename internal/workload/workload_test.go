@@ -14,8 +14,8 @@ func TestRegistryComplete(t *testing.T) {
 	if len(Parsec()) != 11 {
 		t.Fatalf("parsec apps = %d, want 11", len(Parsec()))
 	}
-	if len(RealWorld()) != 5 {
-		t.Fatalf("real-world apps = %d, want 5", len(RealWorld()))
+	if n := len(byKind("server")) + len(byKind("desktop")); n != 5 {
+		t.Fatalf("real-world apps = %d, want 5", n)
 	}
 	// Table 1 presentation order starts with the servers.
 	if Names()[0] != "openldap" || Names()[1] != "mysql" {
