@@ -207,24 +207,18 @@ func BenchmarkIdentifyConflicts(b *testing.B) {
 	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/pairs, "B/pair")
 }
 
-// The shard path every table-hit re-run takes: each sorted lock group
-// classified against a prebuilt verdict table (zero replays), merged in
-// lock order.
+// The path every table-hit re-run takes: Identify's walk against a
+// prebuilt verdict table (zero replays).
 func BenchmarkIdentifyTableHit(b *testing.B) {
 	rec := recordAppThreads(b, "mysql", 4) // BenchmarkPipelineSerial's input
 	css := rec.Trace.ExtractCS()
-	groups := ulcp.SortedLockGroups(css)
 	table, _ := ulcp.BuildVerdictTable(rec.Trace, css, ulcp.Options{})
-	shards := make([]*ulcp.Report, len(groups))
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for j, g := range groups {
-			shards[j] = ulcp.IdentifyShardWithVerdicts(rec.Trace, g, ulcp.Options{}, table)
-		}
-		rep := ulcp.MergeReports(shards...)
-		if rep.ReversedReplays != 0 {
-			b.Fatalf("table-backed shards performed %d replays", rep.ReversedReplays)
+		rep := ulcp.IdentifyWithVerdicts(rec.Trace, css, ulcp.Options{}, table)
+		if rep.ReversedReplays != table.Replays {
+			b.Fatalf("the table-backed walk performed %d replays", rep.ReversedReplays-table.Replays)
 		}
 		b.ReportMetric(float64(len(rep.Pairs)), "pairs")
 	}

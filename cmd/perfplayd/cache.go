@@ -60,7 +60,6 @@ func newCacheStats(reg *telemetry.Registry) cacheStats {
 // path-escaped pipeline cache key; a miss is 404 — the prober's cue to
 // try the next peer or run locally, never an error.
 func (s *Server) handleCacheResult(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	key := r.PathValue("key")
 	top, err := queryInt(r.URL.Query(), "top")
 	if err != nil {
@@ -68,8 +67,6 @@ func (s *Server) handleCacheResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wr, ok := s.pl.Export(key, top)
-	s.span(s.incomingTrace(r), "cache_serve", start, time.Now(),
-		map[string]string{"kind": "result", "outcome": probeOutcome(ok)})
 	if !ok {
 		httpError(w, http.StatusNotFound, clusterapi.CodeCacheMiss, "no cached result for key %q", key)
 		return
@@ -83,11 +80,8 @@ func (s *Server) handleCacheResult(w http.ResponseWriter, r *http.Request) {
 // both caches can still run its job with zero reversed replays. The
 // response echoes the key for importer-side validation.
 func (s *Server) handleCacheTable(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	key := r.PathValue("key")
 	wt, ok := s.pl.ExportTable(key)
-	s.span(s.incomingTrace(r), "cache_serve", start, time.Now(),
-		map[string]string{"kind": "table", "outcome": probeOutcome(ok)})
 	if !ok {
 		httpError(w, http.StatusNotFound, clusterapi.CodeCacheMiss, "no cached verdict table for key %q", key)
 		return
@@ -144,13 +138,10 @@ func (c localCache) ImportTable(key string, wt *pipeline.WireTable) bool {
 // Retry-Peer header naming it — steal-aware admission: the node cannot
 // take the job, but the cluster can, and the redirected submit lands
 // where a thief would have dragged the job anyway.
-func (s *Server) rejectQueueFull(w http.ResponseWriter, traceID string) {
+func (s *Server) rejectQueueFull(w http.ResponseWriter) {
 	if peer, ok := s.node.RetryPeer(); ok {
 		w.Header().Set("Retry-Peer", peer)
 		s.cacheStats.admissionRedirects.Inc()
-		now := time.Now()
-		s.span(spanCtx{trace: traceID}, "admission_redirect", now, now,
-			map[string]string{"peer": peer})
 		httpError(w, http.StatusServiceUnavailable, clusterapi.CodeQueueFull,
 			"job queue full (%d pending); retry at %s", s.cfg.QueueDepth, peer)
 		return

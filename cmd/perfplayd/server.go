@@ -112,15 +112,17 @@ const (
 type node = jobs.Node[*pipeline.WireResult, *pipeline.WireTable]
 
 // jobState is what the daemon keeps per job beside the lifecycle
-// (jobs.Job.Local). Only the rendered summary outlives the run — never
-// the trace — so retained jobs stay small.
+// (jobs.Job.Local). Only the rendered summary and the span timeline
+// outlive the run — never the trace — so retained jobs stay small.
 type jobState struct {
 	// changed is closed and replaced on every status change, so GET
-	// /jobs/{id}?wait= wakes on a transition. Guarded by the node's lock.
+	// /jobs/{id}?wait= wakes on a transition. Guarded by the node's lock,
+	// as the timeline is.
 	changed chan struct{}
 	// spanID is the job's root span, minted at submit so children can
 	// parent onto it before the root is recorded at completion.
 	spanID string
+	timeline
 }
 
 func stateOf(j *jobs.Job) *jobState { return j.Local.(*jobState) }
@@ -166,11 +168,9 @@ type Server struct {
 	peerClient  peerclient.Client
 	cacheStats  cacheStats
 
-	// The process-wide registry behind GET /metrics, the span store
-	// behind GET /jobs/{id}/trace, and the daemon's instruments; see
-	// telemetry.go.
+	// The process-wide registry behind GET /metrics and the daemon's
+	// instruments; see telemetry.go.
 	metrics  *telemetry.Registry
-	traces   *telemetry.TraceStore
 	logger   *slog.Logger
 	nodeName string
 	httpDur  *telemetry.HistogramVec
@@ -222,9 +222,10 @@ func NewServer(cfg Config) (*Server, error) {
 			},
 			Finished: s.finished,
 			Expired: func(j *jobs.Job, now time.Time) {
+				st := stateOf(j)
 				s.logger.Warn("steal lease expired; re-queued locally",
-					"job", j.ID, "thief", j.StolenBy, "trace", j.TraceID, "span", stateOf(j).spanID)
-				s.span(spanCtx{trace: j.TraceID, parent: stateOf(j).spanID}, "lease_expired",
+					"job", j.ID, "thief", j.StolenBy, "trace", j.TraceID, "span", st.spanID)
+				s.span(spanCtx{parent: st.spanID, sink: st.add}, "lease_expired",
 					now, now, map[string]string{"job": j.ID, "thief": j.StolenBy})
 			},
 		},
@@ -341,7 +342,7 @@ func (s *Server) reaper() {
 func (s *Server) runJob(j jobs.Job) {
 	popped := time.Now()
 	release := s.node.Occupy(j.ID)
-	tc := spanCtx{trace: j.TraceID, parent: stateOf(&j).spanID}
+	tc := spanCtx{parent: stateOf(&j).spanID, sink: s.timelineOf(j.ID)}
 	s.span(tc, "queue_wait", j.Submitted, popped, nil)
 	// The spec is not checked again: a digest whose blob left the corpus
 	// is still served by a cache hit, and fails to load without one.
@@ -358,7 +359,7 @@ func (s *Server) runJob(j jobs.Job) {
 func (s *Server) finished(j *jobs.Job) {
 	st := stateOf(j)
 	s.jobsDone.With(j.Status).Inc()
-	s.recordSpan(spanCtx{trace: j.TraceID, parent: st.spanID}, telemetry.Span{
+	s.recordSpan(spanCtx{sink: st.add}, telemetry.Span{
 		ID: st.spanID, Name: "job", Start: j.Submitted, End: j.Finished,
 		Attrs: map[string]string{"job": j.ID, "status": j.Status},
 	})
@@ -372,7 +373,7 @@ func (s *Server) execute(req pipeline.Request, tc spanCtx) (core.Rendered, strin
 	k := jobs.Keys{Digest: req.TraceDigest, TopK: req.TopK}
 	k.Result, _ = s.pl.CacheKeyFor(req)
 	k.Table, _ = s.pl.TableKeyFor(req)
-	if src, wr, peer := s.node.Start(k, s.cacheClient.WithTrace(tc.trace, tc.parent), s.observeProbe(tc)); src == jobs.PeerResult {
+	if src, wr, peer := s.node.Start(k, &s.cacheClient, s.observeProbe(tc)); src == jobs.PeerResult {
 		s.cacheStats.remoteHits.Inc()
 		sum := wr.Rendered
 		sum.CacheHit = true
@@ -395,9 +396,9 @@ func (s *Server) execute(req pipeline.Request, tc spanCtx) (core.Rendered, strin
 	execID := s.span(tc, "execute", execStart, time.Now(),
 		map[string]string{"cache_hit": strconv.FormatBool(res.CacheHit)})
 	// A cache hit carries the *original* run's timings; replaying those
-	// as spans on this trace would put stale wall clocks on the timeline.
+	// as spans would put stale wall clocks on the timeline.
 	if !res.CacheHit {
-		stageTC := spanCtx{trace: tc.trace, parent: execID, rec: tc.rec}
+		stageTC := spanCtx{parent: execID, sink: tc.sink}
 		for _, st := range res.Timings {
 			if !st.Start.IsZero() {
 				s.span(stageTC, "stage:"+st.Stage, st.Start, st.Start.Add(st.Wall), nil)
@@ -692,7 +693,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.node.QueueLen() >= s.cfg.QueueDepth {
-		s.rejectQueueFull(w, traceID)
+		s.rejectQueueFull(w)
 		return
 	}
 
@@ -754,7 +755,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if s.isClosed() {
 			httpError(w, http.StatusServiceUnavailable, clusterapi.CodeShuttingDown, "server shutting down")
 		} else {
-			s.rejectQueueFull(w, traceID)
+			s.rejectQueueFull(w)
 		}
 		return
 	}

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/core"
 	"perfplay/internal/corpus"
+	"perfplay/internal/jobs"
 	"perfplay/internal/peerclient"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/telemetry"
@@ -104,7 +104,7 @@ func (s *Server) requestFor(victim string, spec clusterapi.Spec, tc spanCtx) (pi
 			// A blob this node's own corpus could not hold is not worth buffering.
 			fetchStart := time.Now()
 			var data []byte
-			data, err = s.peerClient.WithTrace(tc.trace, tc.parent).FetchTrace(victim, digest, s.cfg.CorpusMaxBytes)
+			data, err = s.peerClient.FetchTrace(victim, digest, s.cfg.CorpusMaxBytes)
 			s.span(tc, "blob_fetch", fetchStart, time.Now(),
 				map[string]string{"victim": victim, "digest": digest, "outcome": probeOutcome(err == nil)})
 			if err != nil {
@@ -140,20 +140,11 @@ type stealResult struct {
 func (s *Server) executeStolen(victim string, sj clusterapi.StolenJob) error {
 	defer s.node.Occupy(sj.ID)()
 
-	// Spans recorded here are stored locally and shipped with the
-	// report; steal_execute's ID is minted first so children can parent
-	// onto it.
-	var (
-		spanMu  sync.Mutex
-		shipped []telemetry.Span
-	)
-	collect := func(sp telemetry.Span) {
-		spanMu.Lock()
-		shipped = append(shipped, sp)
-		spanMu.Unlock()
-	}
+	// Spans recorded here, all on this goroutine, ship with the report;
+	// steal_execute's ID is minted first so children can parent onto it.
+	var shipped []telemetry.Span
 	execSpanID := telemetry.NewSpanID()
-	tc := spanCtx{trace: sj.Trace, parent: execSpanID, rec: collect}
+	tc := spanCtx{parent: execSpanID, sink: func(sp telemetry.Span) { shipped = append(shipped, sp) }}
 	execStart := time.Now()
 
 	var sum core.Rendered
@@ -178,11 +169,9 @@ func (s *Server) executeStolen(victim string, sj clusterapi.StolenJob) error {
 	if res.Summary, merr = json.Marshal(&sum); merr != nil {
 		return merr
 	}
-	spanMu.Lock()
 	if len(shipped) > 0 {
 		res.Spans, _ = json.Marshal(shipped)
 	}
-	spanMu.Unlock()
 	// A lease-expired settle (our result is stale) is an error: the
 	// abandon the stealer's failure accounting wants.
 	return s.peerClient.Settle(victim, sj.ID, res)
@@ -223,13 +212,12 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	// The claim span marks the hand-off on the victim's timeline; its ID
 	// ships to the thief as the parent for everything recorded remotely.
 	now := time.Now()
-	claimSpan := s.span(spanCtx{trace: j.TraceID, parent: stateOf(&j).spanID}, "steal_claim",
+	claimSpan := s.span(spanCtx{parent: stateOf(&j).spanID, sink: s.timelineOf(j.ID)}, "steal_claim",
 		now, now, map[string]string{"thief": body.Thief, "job": j.ID})
 	writeJSON(w, http.StatusOK, clusterapi.StolenJob{
 		ID:      j.ID,
 		Spec:    j.Spec,
 		LeaseMS: time.Until(deadline).Milliseconds(),
-		Trace:   j.TraceID,
 		Span:    claimSpan,
 	})
 }
@@ -262,11 +250,13 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	}
 	// Adopt the thief's spans onto the job's timeline, plus a settle
 	// marker.
-	tc := spanCtx{trace: j.TraceID, parent: stateOf(&j).spanID}
-	for _, sp := range result.Spans {
-		s.recordSpan(tc, sp)
-	}
-	s.span(tc, "steal_settle", j.Finished, j.Finished,
-		map[string]string{"thief": j.StolenBy, "status": j.Status})
+	s.node.With(id, func(j *jobs.Job) {
+		st := stateOf(j)
+		for _, sp := range result.Spans {
+			st.add(sp)
+		}
+		s.span(spanCtx{parent: st.spanID, sink: st.add}, "steal_settle", j.Finished, j.Finished,
+			map[string]string{"thief": j.StolenBy, "status": j.Status})
+	})
 	writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": j.Status})
 }

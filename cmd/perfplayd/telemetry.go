@@ -4,7 +4,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -14,22 +14,14 @@ import (
 )
 
 // This file is the daemon's observability wiring: the one metrics
-// registry behind GET /metrics, the span timelines behind
+// registry behind GET /metrics, the per-job span timelines behind
 // GET /jobs/{id}/trace, per-route HTTP instruments and the logger.
 
-// Trace-store bounds: enough for every retained job (MaxJobs default)
-// plus in-flight cross-node traffic.
-const (
-	traceStoreTraces = 2048
-	traceSpanCap     = 256
-)
-
-// initTelemetry builds the registry, trace store, logger and the
-// daemon-level instruments. Called once from NewServer, before any
-// subsystem that registers its own families.
+// initTelemetry builds the registry, logger and the daemon-level
+// instruments. Called once from NewServer, before any subsystem that
+// registers its own families.
 func (s *Server) initTelemetry(cfg Config) {
 	s.metrics = telemetry.NewRegistry()
-	s.traces = telemetry.NewTraceStore(traceStoreTraces, traceSpanCap)
 	s.nodeName = cfg.NodeName
 	s.logger = slog.Default().With("node", s.nodeName)
 
@@ -52,57 +44,67 @@ func defaultNodeName() string {
 	return "perfplayd"
 }
 
-// spanCtx is the tracing context one unit of work runs under: which
-// trace to record into, which span is the parent, and — for work
-// executed on behalf of another node — an override sink so the spans
-// can also be shipped back to the job's owner. A zero spanCtx (empty
-// trace) makes every span call a no-op, which is how untraced paths
-// stay free.
-type spanCtx struct {
-	trace  string
-	parent string
-	// rec, when set, additionally receives every span recorded under
-	// this context (the local store still gets them).
-	rec func(telemetry.Span)
+// maxJobSpans caps one job's timeline; a job that somehow records more
+// keeps its first spans and counts the rest, so a runaway fan-out or a
+// thief's oversized settle cannot grow a retained job.
+const maxJobSpans = 256
+
+// timeline is one job's spans: what this node recorded for it and what
+// a thief shipped back. It lives on the job's jobState, under the
+// node's lock, and is evicted with the job.
+type timeline struct {
+	spans   []telemetry.Span
+	dropped int
 }
 
-// incomingTrace derives the span context an HTTP request carries in its
-// X-Perfplay-Trace/-Span headers; zero when the caller sent none (or
-// sent garbage — tracing never fails a request).
-func (s *Server) incomingTrace(r *http.Request) spanCtx {
-	id := r.Header.Get(telemetry.TraceHeader)
-	if !telemetry.ValidTraceID(id) {
-		return spanCtx{}
-	}
-	return spanCtx{trace: id, parent: r.Header.Get(telemetry.SpanHeader)}
-}
-
-// recordSpan stores one fully-formed span under the context's trace —
-// the low-level hook for spans whose ID was minted in advance (a job's
-// root span, a parent whose children are recorded first).
-func (s *Server) recordSpan(tc spanCtx, sp telemetry.Span) {
-	if tc.trace == "" {
+// add keeps one span, or counts it once the timeline is full. Under the
+// node's lock (a hook's, or With's) it is the job's span sink.
+func (tl *timeline) add(sp telemetry.Span) {
+	if len(tl.spans) >= maxJobSpans {
+		tl.dropped++
 		return
 	}
-	if sp.Node == "" {
-		sp.Node = s.nodeName
+	tl.spans = append(tl.spans, sp)
+}
+
+// spanCtx is the tracing context one unit of work runs under: the
+// parent of the spans it records and the sink they go to — the job's
+// own timeline for a job this node owns, the list shipped back with
+// the settle for a stolen one. A zero spanCtx records nothing.
+type spanCtx struct {
+	parent string
+	sink   func(telemetry.Span)
+}
+
+// timelineOf is the sink for a job this node owns, from outside the
+// node's lock; a span for a job evicted meanwhile goes nowhere.
+func (s *Server) timelineOf(id string) func(telemetry.Span) {
+	return func(sp telemetry.Span) {
+		s.node.With(id, func(j *jobs.Job) { stateOf(j).add(sp) })
 	}
-	s.traces.Add(tc.trace, sp)
-	if tc.rec != nil {
-		tc.rec(sp)
+}
+
+// recordSpan stamps one fully-formed span with this node's name and
+// hands it to the context's sink — the low-level hook for spans whose
+// ID was minted in advance (a job's root span, a parent whose children
+// are recorded first).
+func (s *Server) recordSpan(tc spanCtx, sp telemetry.Span) {
+	if tc.sink == nil {
+		return
 	}
+	sp.Node = s.nodeName
+	tc.sink(sp)
 }
 
 // span records one named, finished span under the context and returns
 // its ID (empty under a zero context).
 func (s *Server) span(tc spanCtx, name string, start, end time.Time, attrs map[string]string) string {
-	if tc.trace == "" {
+	if tc.sink == nil {
 		return ""
 	}
 	sp := telemetry.Span{
 		ID:     telemetry.NewSpanID(),
 		Parent: tc.parent,
-		Node:   s.nodeName,
 		Name:   name,
 		Start:  start,
 		End:    end,
@@ -144,39 +146,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.metrics.WritePrometheus(w)
 }
 
-// handleJobTrace (GET /jobs/{id}/trace) serves a job's distributed span
-// timeline: every span this node recorded or imported for the job's
-// trace ID, sorted by start time — including spans shipped back by the
-// thief that stole the job, so one request to the submitting node
-// reconstructs the whole cross-node story.
+// handleJobTrace (GET /jobs/{id}/trace) serves a job's span timeline,
+// sorted by start time: every span this node recorded for the job,
+// including those a thief shipped back with its settle, so one request
+// to the submitting node reconstructs the whole cross-node story.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var traceID string
-	if !s.node.With(id, func(j *jobs.Job) { traceID = j.TraceID }) {
+	var (
+		traceID string
+		spans   []telemetry.Span
+		dropped int
+	)
+	if !s.node.With(id, func(j *jobs.Job) {
+		st := stateOf(j)
+		traceID, dropped = j.TraceID, st.dropped
+		spans = append([]telemetry.Span{}, st.spans...)
+	}) {
 		httpError(w, http.StatusNotFound, clusterapi.CodeJobNotFound, "no such job")
 		return
 	}
-	if traceID == "" {
-		httpError(w, http.StatusNotFound, clusterapi.CodeTraceUntracked, "job %s predates tracing (no trace ID)", id)
-		return
-	}
-	spans, dropped, _ := s.traces.Get(traceID)
-	if spans == nil {
-		spans = []telemetry.Span{}
-	}
-	nodes := make(map[string]bool)
+	slices.SortStableFunc(spans, func(a, b telemetry.Span) int { return a.Start.Compare(b.Start) })
+	nodes := []string{}
 	for _, sp := range spans {
-		nodes[sp.Node] = true
+		nodes = append(nodes, sp.Node)
 	}
-	nodeList := make([]string, 0, len(nodes))
-	for n := range nodes {
-		nodeList = append(nodeList, n)
-	}
-	sort.Strings(nodeList)
+	slices.Sort(nodes)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"job":           id,
 		"trace_id":      traceID,
-		"nodes":         nodeList,
+		"nodes":         slices.Compact(nodes),
 		"spans":         spans,
 		"dropped_spans": dropped,
 	})

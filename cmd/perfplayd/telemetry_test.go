@@ -1,15 +1,20 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"perfplay/internal/clusterapi"
 	"perfplay/internal/jobs"
+	"perfplay/internal/promtext"
 	"perfplay/internal/telemetry"
 )
 
@@ -68,15 +73,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := scrape.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("content type = %q", ct)
 	}
-	families, err := telemetry.ParseExposition(scrape.Body)
+	families, err := promtext.Parse(scrape.Body)
 	if err != nil {
 		t.Fatalf("scrape violates the text exposition format: %v", err)
 	}
-	if problems := telemetry.LintFamilies(families, "perfplay_"); len(problems) > 0 {
+	if problems := promtext.Lint(families, "perfplay_"); len(problems) > 0 {
 		t.Fatalf("metric naming lint: %v", problems)
 	}
 
-	byName := make(map[string]telemetry.ExpositionFamily, len(families))
+	byName := make(map[string]promtext.Family, len(families))
 	for _, f := range families {
 		byName[f.Name] = f
 	}
@@ -303,20 +308,17 @@ func TestJobTraceClientSuppliedID(t *testing.T) {
 	}
 }
 
-// TestJobTraceSpansTwoNodes is the acceptance test for distributed
-// tracing: one job submitted to a saturated victim is stolen by an idle
-// thief (which also probes the victim's cluster cache on the way), and
-// the victim's single GET /jobs/{id}/trace afterwards shows a span tree
-// covering BOTH nodes — claim and settle on the victim, execution and
-// cache probe on the thief, all stitched by parent IDs.
-func TestJobTraceSpansTwoNodes(t *testing.T) {
+// stolenJobTrace submits one digest job to a saturated victim, lets an
+// idle thief with an empty corpus steal it (fetching the blob and
+// probing the victim's result and table caches on the way), and returns
+// the job's timeline as the victim serves it.
+func stolenJobTrace(t *testing.T) jobTrace {
+	t.Helper()
 	victimSrv, victim := saturatedVictim(t, Config{NodeName: "victim-node"})
-	payload := recordedPayload(t, 3)
-	meta, _, err := victimSrv.corpus.Put(payload, false)
+	meta, _, err := victimSrv.corpus.Put(recordedPayload(t, 3), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	thiefSrv, thiefTS := testServer(t, Config{
 		NodeName: "thief-node",
 		Peers:    []string{victim.URL},
@@ -324,8 +326,7 @@ func TestJobTraceSpansTwoNodes(t *testing.T) {
 	})
 	thiefSrv.StartStealer(thiefTS.URL)
 
-	spec := `{"trace":"` + meta.Digest + `"}`
-	resp := postJSON(t, victim.URL+"/analyze", spec)
+	resp := postJSON(t, victim.URL+"/analyze", `{"trace":"`+meta.Digest+`"}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
@@ -337,8 +338,17 @@ func TestJobTraceSpansTwoNodes(t *testing.T) {
 	if j["stolen_by"] != thiefTS.URL {
 		t.Fatalf("job was not stolen (stolen_by=%v)", j["stolen_by"])
 	}
+	return getTrace(t, victim.URL, sub["id"])
+}
 
-	jt := getTrace(t, victim.URL, sub["id"])
+// TestJobTraceSpansTwoNodes is the acceptance test for distributed
+// tracing: one job submitted to a saturated victim is stolen by an idle
+// thief (which also probes the victim's cluster cache on the way), and
+// the victim's single GET /jobs/{id}/trace afterwards shows a span tree
+// covering BOTH nodes — claim and settle on the victim, execution and
+// cache probe on the thief, all stitched by parent IDs.
+func TestJobTraceSpansTwoNodes(t *testing.T) {
+	jt := stolenJobTrace(t)
 	nodes := strings.Join(jt.Nodes, ",")
 	if !strings.Contains(nodes, "victim-node") || !strings.Contains(nodes, "thief-node") {
 		t.Fatalf("trace nodes = %v, want both victim-node and thief-node", jt.Nodes)
@@ -356,24 +366,164 @@ func TestJobTraceSpansTwoNodes(t *testing.T) {
 	if len(execs) != 1 || execs[0].Node != "thief-node" || execs[0].Parent != claims[0].ID {
 		t.Fatalf("steal_execute span = %+v (claim %s)", execs, claims[0].ID)
 	}
-	// The thief's cache probe against the victim rode the same trace.
+	// The thief's cache probe against the victim is on the timeline too.
 	probes := jt.byName("cache_probe")
 	if len(probes) == 0 || probes[0].Node != "thief-node" || probes[0].Parent != execs[0].ID {
 		t.Fatalf("cache_probe spans = %+v (exec %s)", probes, execs[0].ID)
 	}
-	// ...and the victim, serving that probe, recorded its side too.
-	serves := jt.byName("cache_serve")
-	if len(serves) == 0 || serves[0].Node != "victim-node" {
-		t.Fatalf("cache_serve spans = %+v", serves)
-	}
 	if len(jt.byName("steal_settle")) != 1 {
 		t.Fatalf("want one steal_settle span")
 	}
+}
 
-	// The thief kept its own copy of the spans it recorded.
-	if spans, _, ok := thiefSrv.traces.Get(jt.TraceID); !ok || len(spans) == 0 {
-		t.Fatal("thief's local trace store is missing the stolen job's spans")
+// TestSpanNamesMatchDocs: the spans a local job, a stolen job and a
+// lapsed lease record are exactly the rows of docs/OBSERVABILITY.md's
+// span vocabulary, with every stage:<stage> span matching the
+// `stage:<name>` row.
+func TestSpanNamesMatchDocs(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	_, vocab, ok := strings.Cut(string(doc), "### Span vocabulary\n")
+	if !ok {
+		t.Fatal("docs/OBSERVABILITY.md has no span vocabulary section")
+	}
+	// A row's first cell names one span or several
+	// (`cache_probe` / `table_probe`); the section ends at the next rule.
+	documented := map[string]bool{}
+	for _, line := range strings.Split(vocab, "\n") {
+		if line == "---" {
+			break
+		}
+		cell, ok := strings.CutPrefix(line, "| `")
+		if !ok {
+			continue
+		}
+		cell, _, _ = strings.Cut(cell, " |")
+		for _, name := range strings.Split(cell, " / ") {
+			documented[strings.Trim(name, "`")] = true
+		}
+	}
+
+	recorded := map[string]bool{}
+	see := func(jt jobTrace) {
+		for _, sp := range jt.Spans {
+			name := sp.Name
+			if strings.HasPrefix(name, "stage:") {
+				name = "stage:<name>"
+			}
+			recorded[name] = true
+		}
+	}
+	// A local job.
+	_, local := testServer(t, Config{})
+	see(getTrace(t, local.URL, runJob(t, local.URL, goldenSpecs[0].spec)["id"].(string)))
+	// A stolen job.
+	see(stolenJobTrace(t))
+	// A lease that lapses: its thief never reports.
+	srv, ts := saturatedVictim(t, Config{Policy: jobs.Policy{Lease: time.Millisecond}})
+	id := decode[map[string]string](t, postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec))["id"]
+	if claim := postJSON(t, ts.URL+"/jobs/claim", `{"thief":"http://doomed:1"}`); claim.StatusCode != http.StatusOK {
+		t.Fatalf("claim: status %d", claim.StatusCode)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if n := srv.node.Reap(); n != 1 {
+		t.Fatalf("Reap took back %d leases, want 1", n)
+	}
+	see(getTrace(t, ts.URL, id))
+
+	for name := range recorded {
+		if !documented[name] {
+			t.Errorf("span %s is recorded but has no row in docs/OBSERVABILITY.md", name)
+		}
+	}
+	for name := range documented {
+		if !recorded[name] {
+			t.Errorf("docs/OBSERVABILITY.md documents span %s, which no scenario recorded", name)
+		}
+	}
+}
+
+// TestJobTraceCapsSettledSpans: a settle carrying more thief spans than
+// a timeline holds keeps maxJobSpans of them in all, counts the rest in
+// dropped_spans, and the timeline reads sorted by start.
+func TestJobTraceCapsSettledSpans(t *testing.T) {
+	_, ts := saturatedVictim(t, Config{})
+	id := decode[map[string]string](t, postJSON(t, ts.URL+"/analyze", goldenSpecs[0].spec))["id"]
+	claim := postJSON(t, ts.URL+"/jobs/claim", `{"thief":"http://thief:1"}`)
+	if claim.StatusCode != http.StatusOK {
+		t.Fatalf("claim: status %d", claim.StatusCode)
+	}
+	claimSpan := decode[clusterapi.StolenJob](t, claim).Span
+
+	const shipped = maxJobSpans + 44
+	base := time.Now()
+	spans := make([]telemetry.Span, shipped)
+	for i := range spans {
+		// Starts out of order, so the read has to sort them.
+		spans[i] = telemetry.Span{ID: fmt.Sprintf("s%d", i), Parent: claimSpan, Node: "thief-node",
+			Name: "cache_probe", Start: base.Add(time.Duration(i*7919%shipped) * time.Millisecond)}
+	}
+	res := clusterapi.StealResult{Thief: "http://thief:1", Summary: json.RawMessage(`{"report":"r"}`)}
+	var err error
+	if res.Spans, err = json.Marshal(spans); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := postJSON(t, ts.URL+"/jobs/"+id+"/result", string(body)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("settle: status %d", resp.StatusCode)
+	}
+
+	jt := getTrace(t, ts.URL, id)
+	// steal_claim, the root job span, the thief's spans, steal_settle.
+	if recorded := 1 + 1 + shipped + 1; len(jt.Spans) != maxJobSpans || jt.Dropped != recorded-maxJobSpans {
+		t.Fatalf("timeline holds %d spans, %d dropped; want %d, %d", len(jt.Spans), jt.Dropped, maxJobSpans, recorded-maxJobSpans)
+	}
+	for i := 1; i < len(jt.Spans); i++ {
+		if jt.Spans[i].Start.Before(jt.Spans[i-1].Start) {
+			t.Fatalf("span %d starts %v, before span %d at %v", i, jt.Spans[i].Start, i-1, jt.Spans[i-1].Start)
+		}
+	}
+}
+
+// TestJobTraceReadWhileRecorded: timelines are read while workers,
+// hooks and handlers record into them. Run under -race, it holds every
+// access to a job's spans to the node's lock.
+func TestJobTraceReadWhileRecorded(t *testing.T) {
+	_, ts := testServer(t, Config{Policy: jobs.Policy{Workers: 2}})
+	var wg sync.WaitGroup
+	for seed := range 4 {
+		spec := fmt.Sprintf(`{"app":"pbzip2","threads":2,"scale":0.2,"seed":%d}`, seed+1)
+		id := decode[map[string]string](t, postJSON(t, ts.URL+"/analyze", spec))["id"]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			deadline := time.Now().Add(30 * time.Second)
+			for time.Now().Before(deadline) {
+				resp, err := http.Get(ts.URL + "/jobs/" + id + "/trace")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var jt jobTrace
+				err = json.NewDecoder(resp.Body).Decode(&jt)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(jt.byName("job")) == 1 {
+					return // the root span closes the timeline
+				}
+			}
+			t.Errorf("%s: no root job span within 30s", id)
+		}()
+	}
+	wg.Wait()
 }
 
 // TestJobTraceUnknownJob: the trace endpoint 404s for unknown jobs.

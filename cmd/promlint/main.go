@@ -1,6 +1,6 @@
 // Command promlint validates a Prometheus text-format exposition — the
 // output of perfplayd's GET /metrics — against the strict parser and
-// the repo's metric-naming conventions (see internal/telemetry and
+// the repo's metric-naming conventions (see internal/promtext and
 // docs/OBSERVABILITY.md):
 //
 //   - the exposition parses: # HELP before # TYPE before samples,
@@ -27,7 +27,7 @@ import (
 	"net/http"
 	"os"
 
-	"perfplay/internal/telemetry"
+	"perfplay/internal/promtext"
 )
 
 func main() {
@@ -42,12 +42,12 @@ func main() {
 	}
 	defer in.Close()
 
-	families, err := telemetry.ParseExposition(in)
+	families, err := promtext.Parse(in)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "promlint: %s: exposition format violations:\n%v\n", name, err)
 		os.Exit(1)
 	}
-	if problems := telemetry.LintFamilies(families, *prefix); len(problems) > 0 {
+	if problems := promtext.Lint(families, *prefix); len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintf(os.Stderr, "promlint: %s: %s\n", name, p)
 		}

@@ -37,9 +37,6 @@ const (
 	CodeJobNotFound ErrorCode = "job_not_found"
 	// CodeTraceNotFound means the corpus has no blob for the digest.
 	CodeTraceNotFound ErrorCode = "trace_not_found"
-	// CodeTraceUntracked means the job predates tracing and has no
-	// span timeline.
-	CodeTraceUntracked ErrorCode = "trace_untracked"
 	// CodeCacheMiss means the probed cache key is not resident here.
 	CodeCacheMiss ErrorCode = "cache_miss"
 	// CodeCorpusDisabled means the node runs without a corpus

@@ -56,12 +56,10 @@ type StolenJob struct {
 	// LeaseMS is the victim's lease in milliseconds: the thief must
 	// report a result within it or the victim re-runs the job itself.
 	LeaseMS int64 `json:"lease_ms"`
-	// Trace and Span carry the job's distributed-tracing context across
-	// the steal: the thief adopts Trace as its trace ID and Span (the
-	// victim's claim span) as the parent of the spans it records, so the
-	// stolen execution lands on the same timeline the submit started.
-	Trace string `json:"trace_id,omitempty"`
-	Span  string `json:"span_id,omitempty"`
+	// Span is the victim's claim span: the thief parents the spans it
+	// records onto it and ships them back in the settle, so the stolen
+	// execution lands on the job's timeline on the victim.
+	Span string `json:"span_id,omitempty"`
 }
 
 // PeerStatus is one gossip entry: a peer's queue depth and cache

@@ -118,7 +118,7 @@ func TestDiffQuick(t *testing.T) {
 	}
 }
 
-func TestDeltaApplyTouched(t *testing.T) {
+func TestDeltaApply(t *testing.T) {
 	m := New()
 	x := m.Alloc("x", 1)
 	y := m.Alloc("y", 2)

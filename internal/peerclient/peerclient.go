@@ -22,25 +22,14 @@ import (
 	"perfplay/internal/corpus"
 	"perfplay/internal/jobs"
 	"perfplay/internal/pipeline"
-	"perfplay/internal/telemetry"
 )
 
 var _ jobs.Peer[*pipeline.WireResult, *pipeline.WireTable] = (*Client)(nil)
 
-// Client calls perfplayd nodes. The zero value uses http.DefaultClient
-// and sends no trace context.
+// Client calls perfplayd nodes. The zero value uses http.DefaultClient.
 type Client struct {
 	// HTTP carries the calls; its Timeout bounds each one.
 	HTTP *http.Client
-	// TraceID and SpanID, when set, ride every request as
-	// X-Perfplay-Trace/-Span, keeping a cross-node hop on its job's trace.
-	TraceID, SpanID string
-}
-
-// WithTrace returns a copy of c that carries the given trace context.
-func (c Client) WithTrace(traceID, spanID string) *Client {
-	c.TraceID, c.SpanID = traceID, spanID
-	return &c
 }
 
 // Response body bounds, one per route, so a broken peer cannot balloon
@@ -95,12 +84,6 @@ func (c *Client) do(cl call) (*http.Response, []byte, error) {
 	}
 	if cl.body != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.TraceID != "" {
-		req.Header.Set(telemetry.TraceHeader, c.TraceID)
-	}
-	if c.SpanID != "" {
-		req.Header.Set(telemetry.SpanHeader, c.SpanID)
 	}
 	resp, err := cmp.Or(c.HTTP, http.DefaultClient).Do(req)
 	if err != nil {
@@ -243,7 +226,7 @@ func (c *Client) Submit(base string, spec []byte) (id, accepted string, err erro
 func (c *Client) Wait(base, id string, wait time.Duration) (jobs.Job, error) {
 	hc := *cmp.Or(c.HTTP, http.DefaultClient)
 	hc.Timeout = wait + max(wait/2, time.Second)
-	poll := Client{HTTP: &hc, TraceID: c.TraceID, SpanID: c.SpanID}
+	poll := Client{HTTP: &hc}
 	for {
 		var j jobs.Job
 		if _, _, err := poll.do(call{method: http.MethodGet, url: base + "/jobs/" + id + "?wait=" + wait.String(),

@@ -94,10 +94,10 @@ type Request struct {
 	// plus race attribution) and stores the report on the analysis.
 	VerifyTheorem1 bool
 	// Identify configures ULCP identification. Classification builds
-	// one shared verdict table per trace (ulcp.BuildVerdictTable) and
-	// runs shards against it, so Identify.MaxReversedReplays budgets
-	// reversed replays per trace and recurring region pairs are
-	// replayed once instead of once per contended lock.
+	// one verdict table per trace (ulcp.BuildVerdictTable) and reuses it
+	// from the cache, so Identify.MaxReversedReplays budgets reversed
+	// replays per trace and recurring region pairs are replayed once
+	// instead of once per contended lock.
 	Identify ulcp.Options
 }
 
@@ -381,23 +381,22 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 		return nil
 	}
 
-	// Stage 3 — Classify: extract critical sections, obtain the shared
-	// reversed-replay verdict table (cached by trace digest, or built by
-	// one identification pass), run the per-lock shards against it and
-	// merge their reports in sorted lock order, and build the
-	// ULCP-free schedule as a plan over the recording. Both paths below
-	// produce the same report bytes: shards with the table are pure
-	// functions of (trace, group, options, table), and the table itself
-	// is a pure function of (trace, options). Writes only CSs, Report
-	// and Transformed.
+	// Stage 3 — Classify: extract critical sections, classify their
+	// pairs — against the reversed-replay verdict table cached by trace
+	// digest, or by the one identification pass that builds it — and
+	// build the ULCP-free schedule as a plan over the recording. Both
+	// paths below produce the same report bytes: the walk against the
+	// table is a pure function of (trace, options, table), and the table
+	// itself is a pure function of (trace, options). Writes only CSs,
+	// Report and Transformed.
 	classifyStage := func() error {
 		a.CSs = tr.ExtractCS()
-		var table *ulcp.VerdictTable
-		var buildRep *ulcp.Report
 		key := tableKey(req)
-		if cached, ok := p.tables.get(key); key != "" && ok {
+		if table, ok := p.tables.get(key); key != "" && ok {
+			// Cached table: the same walk, without a single reversed
+			// replay.
 			p.tableHits.Add(1)
-			table = cached
+			a.Report = ulcp.IdentifyWithVerdicts(tr, a.CSs, req.Identify, table)
 		} else {
 			if key != "" {
 				p.tableMisses.Add(1)
@@ -405,26 +404,11 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 			// One full identification pass yields both the table and the
 			// finished report; the replays it spends are the per-trace
 			// total (recurring region pairs pay once, not once per lock).
-			table, buildRep = ulcp.BuildVerdictTable(tr, a.CSs, req.Identify)
+			var table *ulcp.VerdictTable
+			table, a.Report = ulcp.BuildVerdictTable(tr, a.CSs, req.Identify)
 			if key != "" {
 				p.tables.put(key, table)
 			}
-		}
-		if buildRep != nil {
-			// Fresh table: the build pass's report already is the
-			// complete classification — a second walk could only
-			// reproduce it.
-			a.Report = buildRep
-		} else {
-			// Cached table: shards re-derive the report without a single
-			// reversed replay.
-			groups := ulcp.SortedLockGroups(a.CSs)
-			shards := make([]*ulcp.Report, len(groups))
-			for i, g := range groups {
-				shards[i] = ulcp.IdentifyShardWithVerdicts(tr, g, req.Identify, table)
-			}
-			a.Report = ulcp.MergeReports(shards...)
-			a.Report.ReversedReplays += table.Replays
 		}
 		var err error
 		a.Transformed, err = transform.Plan(a.CSs, a.Report)

@@ -1,4 +1,9 @@
-package telemetry
+// Package promtext checks a Prometheus text exposition, perfplayd's
+// GET /metrics, without the daemon linking it: a strict parser and a
+// metric-name lint. The repo's tests hold every scrape to both, and
+// cmd/promlint, the CI smoke check that scrapes a live daemon, runs
+// them as a command.
+package promtext
 
 import (
 	"bufio"
@@ -10,15 +15,8 @@ import (
 	"strings"
 )
 
-// This file is the verification half of the metrics surface: a strict
-// parser for the Prometheus text exposition format and a metric-name
-// lint. Both are consumed twice — by the repo's own tests (every
-// /metrics scrape must parse, with HELP/TYPE discipline and no
-// duplicate series) and by cmd/promlint, the CI smoke check that
-// scrapes a live daemon.
-
-// ExpositionFamily is one parsed metric family from a text exposition.
-type ExpositionFamily struct {
+// Family is one parsed metric family from a text exposition.
+type Family struct {
 	Name string
 	Help string
 	Type string
@@ -36,7 +34,11 @@ var sampleLine = regexp.MustCompile(
 var labelPair = regexp.MustCompile(
 	`^[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"$`)
 
-// ParseExposition parses Prometheus text-format input strictly:
+// snakeCase is the shape Lint wants of a family name, the shape
+// telemetry's registry also enforces.
+var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
+// Parse parses Prometheus text-format input strictly:
 //
 //   - every non-blank line is a # HELP, # TYPE or sample line
 //   - each family's # HELP and # TYPE precede its samples, in that
@@ -48,10 +50,10 @@ var labelPair = regexp.MustCompile(
 //
 // It returns the parsed families in order plus every violation found
 // (not just the first), so a CI failure names all problems at once.
-func ParseExposition(r io.Reader) ([]ExpositionFamily, error) {
+func Parse(r io.Reader) ([]Family, error) {
 	var (
-		families []ExpositionFamily
-		cur      *ExpositionFamily
+		families []Family
+		cur      *Family
 		closed   = map[string]bool{} // families whose sample block ended
 		seen     = map[string]bool{} // full series lines seen (dup check)
 		errs     []error
@@ -83,7 +85,7 @@ func ParseExposition(r io.Reader) ([]ExpositionFamily, error) {
 			if cur != nil {
 				closed[cur.Name] = true
 			}
-			families = append(families, ExpositionFamily{Name: name, Help: rest[len(name)+1:]})
+			families = append(families, Family{Name: name, Help: rest[len(name)+1:]})
 			cur = &families[len(families)-1]
 		case strings.HasPrefix(line, "# TYPE "):
 			fields := strings.Fields(strings.TrimPrefix(line, "# TYPE "))
@@ -207,7 +209,7 @@ func sampleBelongsTo(sample, fam, typ string) bool {
 	return false
 }
 
-// LintFamilies enforces the repo's metric-name conventions over parsed
+// Lint enforces the repo's metric-name conventions over parsed
 // families:
 //
 //   - every name carries the given prefix (e.g. "perfplay_")
@@ -219,7 +221,7 @@ func sampleBelongsTo(sample, fam, typ string) bool {
 //     _ratio) or a bare count noun; they must not end in _total
 //
 // It returns one message per violation, empty when everything passes.
-func LintFamilies(families []ExpositionFamily, prefix string) []string {
+func Lint(families []Family, prefix string) []string {
 	var problems []string
 	bad := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))
@@ -229,7 +231,7 @@ func LintFamilies(families []ExpositionFamily, prefix string) []string {
 		if prefix != "" && !strings.HasPrefix(name, prefix) {
 			bad("%s: missing the %q prefix", name, prefix)
 		}
-		if !validMetricName.MatchString(name) {
+		if !snakeCase.MatchString(name) {
 			bad("%s: not snake_case", name)
 		}
 		switch f.Type {

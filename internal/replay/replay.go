@@ -69,8 +69,9 @@ type Options struct {
 	// LockOrder overrides the enforced per-lock acquisition order for
 	// ELSC-S. Keys are lock IDs; values are the global event indices of
 	// that lock's KLockAcq events in the desired order. Nil uses the
-	// recorded order. The reversed replay of Sec. 3.1 passes a swapped
-	// order here.
+	// recorded order. Only tests set it: the reversed replay of Sec. 3.1
+	// runs on ulcp's overlay (internal/ulcp/sweep.go), not on this
+	// engine.
 	LockOrder map[trace.LockID][]int32
 	// DLS enables the dynamic locking strategy (Fig. 9) on lockset
 	// acquisitions: auxiliary locks whose source critical section already

@@ -50,7 +50,7 @@ func TestFromDurations(t *testing.T) {
 	}
 }
 
-func TestRatioPct(t *testing.T) {
+func TestRatio(t *testing.T) {
 	if Ratio(1, 0) != 0 {
 		t.Fatal("ratio by zero must be 0")
 	}

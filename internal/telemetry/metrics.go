@@ -1,8 +1,9 @@
 // Package telemetry is perfplay's dependency-free observability core:
 // a Prometheus-compatible metrics registry (counters, gauges and
 // fixed-bucket histograms rendered in the text exposition format) and a
-// lightweight distributed-tracing substrate (trace IDs minted per job,
-// named spans collected into bounded per-job timelines).
+// lightweight distributed-tracing vocabulary (trace and span IDs, the
+// Span a job's timeline is made of; perfplayd keeps each timeline on
+// its job).
 //
 // The package deliberately imports nothing beyond the standard library
 // so every internal package — pipeline, scheduler, corpus — can hang
@@ -41,7 +42,7 @@ const (
 
 // validMetricName is the snake_case shape every registered family must
 // have. Prefix and unit-suffix conventions are linted separately (see
-// LintFamilies) so the registry itself stays reusable.
+// internal/promtext) so the registry itself stays reusable.
 var validMetricName = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 
 // validLabelName mirrors the Prometheus label grammar (sans the

@@ -4,7 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"perfplay/internal/promtext"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -137,11 +138,11 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParseExposition(strings.NewReader(b.String()))
+	fams, err := promtext.Parse(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("own exposition failed strict parse: %v\n%s", err, b.String())
 	}
-	byName := map[string]ExpositionFamily{}
+	byName := map[string]promtext.Family{}
 	for _, f := range fams {
 		byName[f.Name] = f
 	}
@@ -153,7 +154,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if got := len(byName["perfplay_stage_seconds"].Series); got != want {
 		t.Fatalf("histogram series = %d, want %d", got, want)
 	}
-	if problems := LintFamilies(fams, "perfplay_"); len(problems) != 0 {
+	if problems := promtext.Lint(fams, "perfplay_"); len(problems) != 0 {
 		t.Fatalf("lint problems on a conforming registry: %v", problems)
 	}
 }
@@ -180,40 +181,6 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
-func TestParseExpositionCatchesViolations(t *testing.T) {
-	cases := map[string]string{
-		"sample before HELP":  "perfplay_x_total 1\n",
-		"missing TYPE":        "# HELP perfplay_x_total x\nperfplay_x_total 1\n",
-		"duplicate series":    "# HELP perfplay_x_total x\n# TYPE perfplay_x_total counter\nperfplay_x_total 1\nperfplay_x_total 2\n",
-		"interleaved family":  "# HELP a_total a\n# TYPE a_total counter\nb_total 1\n",
-		"bad value":           "# HELP a_total a\n# TYPE a_total counter\na_total abc\n",
-		"reopened family":     "# HELP a_total a\n# TYPE a_total counter\na_total 1\n# HELP b b\n# TYPE b gauge\nb 1\n# HELP a_total a\n# TYPE a_total counter\na_total 2\n",
-		"stray comment":       "# a comment\n",
-		"type without help":   "# TYPE a_total counter\na_total 1\n",
-		"unknown metric type": "# HELP a a\n# TYPE a zig\na 1\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseExposition(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: strict parse accepted:\n%s", name, in)
-		}
-	}
-}
-
-func TestLintFamiliesCatchesViolations(t *testing.T) {
-	fams := []ExpositionFamily{
-		{Name: "requests_total", Type: "counter"},         // missing prefix
-		{Name: "perfplay_requests", Type: "counter"},      // counter without _total
-		{Name: "perfplay_wait", Type: "histogram"},        // histogram without unit
-		{Name: "perfplay_depth_total", Type: "gauge"},     // gauge ending _total
-		{Name: "perfplay_ok_total", Type: "counter"},      // conforming
-		{Name: "perfplay_dur_seconds", Type: "histogram"}, // conforming
-	}
-	problems := LintFamilies(fams, "perfplay_")
-	if len(problems) != 4 {
-		t.Fatalf("lint found %d problems, want 4: %v", len(problems), problems)
-	}
-}
-
 func TestTraceIDs(t *testing.T) {
 	a, b := NewTraceID(), NewTraceID()
 	if a == b {
@@ -232,51 +199,10 @@ func TestTraceIDs(t *testing.T) {
 	}
 }
 
-func TestTraceStoreOrderAndBounds(t *testing.T) {
-	ts := NewTraceStore(2, 3)
-	base := time.Now()
-	// Out-of-order insertion sorts by start on read.
-	ts.Add("t1", Span{ID: "b", Name: "second", Start: base.Add(time.Second)})
-	ts.Add("t1", Span{ID: "a", Name: "first", Start: base})
-	spans, dropped, ok := ts.Get("t1")
-	if !ok || dropped != 0 || len(spans) != 2 || spans[0].ID != "a" {
-		t.Fatalf("Get(t1) = %v, %d, %v", spans, dropped, ok)
-	}
-
-	// Per-trace span cap: keep the first maxSpans, count the rest.
-	ts.Add("t1", Span{ID: "c", Start: base})
-	ts.Add("t1", Span{ID: "d", Start: base})
-	spans, dropped, _ = ts.Get("t1")
-	if len(spans) != 3 || dropped != 1 {
-		t.Fatalf("after overflow: %d spans, %d dropped", len(spans), dropped)
-	}
-
-	// Store cap: t1 was just touched, so adding t2 then t3 evicts t2.
-	ts.Add("t2", Span{ID: "x", Start: base})
-	ts.Get("t1")
-	ts.Add("t3", Span{ID: "y", Start: base})
-	if _, _, ok := ts.Get("t2"); ok {
-		t.Fatal("LRU eviction kept the least-recently-touched trace")
-	}
-	if _, _, ok := ts.Get("t1"); !ok {
-		t.Fatal("LRU eviction removed a recently-touched trace")
-	}
-	if ts.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", ts.Len())
-	}
-
-	// Empty trace IDs are silently ignored.
-	ts.Add("", Span{ID: "z"})
-	if ts.Len() != 2 {
-		t.Fatal("empty trace ID created an entry")
-	}
-}
-
 func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("perfplay_conc_total", "c")
 	h := r.NewHistogramVec("perfplay_conc_seconds", "h", DurationBuckets).With()
-	ts := NewTraceStore(8, 64)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -285,7 +211,6 @@ func TestConcurrentInstruments(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				c.Inc()
 				h.Observe(0.001)
-				ts.Add("t", Span{ID: NewSpanID(), Start: time.Now()})
 			}
 		}(i)
 	}
@@ -300,7 +225,7 @@ func TestConcurrentInstruments(t *testing.T) {
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseExposition(strings.NewReader(b.String())); err != nil {
+	if _, err := promtext.Parse(strings.NewReader(b.String())); err != nil {
 		t.Fatalf("exposition after concurrency: %v", err)
 	}
 }

@@ -231,7 +231,7 @@ func TestImplausibleThreadCountRefused(t *testing.T) {
 	}
 }
 
-func TestLockOrderAndSharedOrder(t *testing.T) {
+func TestLockOrderAndIsShared(t *testing.T) {
 	tr := buildSample()
 	lo := tr.LockOrder()
 	if got := lo[1]; len(got) != 2 || got[0] > got[1] {

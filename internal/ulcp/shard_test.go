@@ -78,6 +78,31 @@ func TestShardMergeMatchesIdentify(t *testing.T) {
 	})
 }
 
+// TestIdentifyWithVerdictsMatchesShards: for every workload × threads
+// {2,4} × seeds {7,42}, Identify's walk against the trace's verdict
+// table classifies pair for pair as the table-backed shards merged in
+// sorted lock order, neither replays, and the walk reports the table's
+// replays as its own.
+func TestIdentifyWithVerdictsMatchesShards(t *testing.T) {
+	for _, app := range workload.Names() {
+		for _, threads := range []int{2, 4} {
+			for _, seed := range []int64{7, 42} {
+				t.Run(fmt.Sprintf("%s/t%d/s%d", app, threads, seed), func(t *testing.T) {
+					tr, css := recordedCS(t, app, threads, seed)
+					table, _ := BuildVerdictTable(tr, css, Options{})
+					shards := mergeShards(tr, css, Options{}, table)
+					got := IdentifyWithVerdicts(tr, css, Options{}, table)
+					sameClassification(t, "walk against the table", got, shards)
+					if shards.ReversedReplays != 0 || got.ReversedReplays != table.Replays {
+						t.Fatalf("shards replayed %d, the walk reports %d; want 0 and the table's %d",
+							shards.ReversedReplays, got.ReversedReplays, table.Replays)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestIdentifyDeterministic: two runs over the same trace produce
 // identical reports (sorted lock/thread iteration removed the map-order
 // dependence that made budget consumption racy).

@@ -219,6 +219,18 @@ func Identify(tr *trace.Trace, css []*trace.CritSec, opts Options) *Report {
 	return rep
 }
 
+// IdentifyWithVerdicts is Identify's walk against a verdict table built
+// over the same trace and options (see BuildVerdictTable): every
+// conflicting class reuses the table's verdict, so the walk replays
+// nothing and reproduces the build pass's report pair for pair. Its
+// ReversedReplays are the table's, the replays the report cost when
+// the table was built.
+func IdentifyWithVerdicts(tr *trace.Trace, css []*trace.CritSec, opts Options, table *VerdictTable) *Report {
+	rep := newIdentifier(tr, css, opts, table).run()
+	rep.ReversedReplays += table.Replays
+	return rep
+}
+
 // IdentifyShardWithVerdicts runs identification over a single lock's
 // critical sections (one group of SortedLockGroups) against a
 // precomputed verdict table (see BuildVerdictTable): conflicting pairs
@@ -231,17 +243,18 @@ func Identify(tr *trace.Trace, css []*trace.CritSec, opts Options) *Report {
 // and options, shards perform zero replays and the merged
 // classification is a pure function of (trace, groups, options,
 // table); merging in sorted lock order with MergeReports reproduces
-// Identify's pair order.
+// Identify's pair order. Exported only because bench/layers.go calls
+// it; the pipeline runs IdentifyWithVerdicts.
 func IdentifyShardWithVerdicts(tr *trace.Trace, lockCSs []*trace.CritSec, opts Options, table *VerdictTable) *Report {
 	id := newIdentifier(tr, lockCSs, opts, table)
 	id.runLock(lockCSs)
 	return id.finish()
 }
 
-// SortedLockGroups returns CSByLock's groups in ascending lock order —
-// the canonical shard decomposition shared by Identify and the
-// concurrent pipeline. Keeping it in one place is what keeps the serial
-// and parallel paths byte-identical.
+// SortedLockGroups returns CSByLock's groups in ascending lock order:
+// the order Identify's walk visits them and the shard decomposition of
+// IdentifyShardWithVerdicts. Exported only because bench/layers.go
+// calls it.
 func SortedLockGroups(css []*trace.CritSec) [][]*trace.CritSec {
 	byLock := trace.CSByLock(css)
 	locks := make([]trace.LockID, 0, len(byLock))
@@ -257,6 +270,7 @@ func SortedLockGroups(css []*trace.CritSec) [][]*trace.CritSec {
 }
 
 // MergeReports combines shard reports in call order into one report.
+// Exported only because bench/layers.go calls it.
 func MergeReports(reports ...*Report) *Report {
 	out := &Report{}
 	pairs, edges := 0, 0

@@ -13,12 +13,12 @@ import (
 //
 // A table is a deterministic function of (trace, critical sections,
 // options): it is the memo produced by Identify's own sorted
-// lock/thread walk under its per-trace replay budget. Shards replaying
-// the same walk against the table observe exactly Identify's verdicts —
-// including the RULE-1 early stops those verdicts imply — so
-// IdentifyShardWithVerdicts over sorted lock groups performs zero
-// shard-local replays and merges to a report pair-for-pair identical to
-// Identify's, regardless of which goroutine or machine ran each shard.
+// lock/thread walk under its per-trace replay budget. The same walk
+// against the table (IdentifyWithVerdicts) observes exactly Identify's
+// verdicts — including the RULE-1 early stops those verdicts imply — so
+// it performs zero replays and reproduces Identify's report pair for
+// pair, on whichever node ran it; so do the per-lock shards of
+// IdentifyShardWithVerdicts, merged in sorted lock order.
 type VerdictTable struct {
 	// Verdicts maps pairKey → benign. Every class Identify's walk
 	// replayed (or budget-defaulted) has an entry.
@@ -32,9 +32,8 @@ type VerdictTable struct {
 // verdict memo and the complete report the pass produced along the way.
 // A caller without a table uses the report directly (the pass replaces,
 // not precedes, its classification); a caller handed a cached table runs
-// the per-lock shards against it and merges the shard reports, which
-// reproduce this report byte-for-byte. MaxReversedReplays budgets replays
-// per trace.
+// IdentifyWithVerdicts against it, which reproduces this report
+// byte-for-byte. MaxReversedReplays budgets replays per trace.
 //
 // The table is also the unit of cross-job reuse: it depends only on
 // (trace content, Options), so a daemon analyzing the same stored trace
