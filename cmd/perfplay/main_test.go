@@ -19,19 +19,15 @@ import (
 // encoding stores the index, every decoder assigns it — so that row lives
 // where traces are built in memory (replay's
 // TestRunRejectsWhatTheTraceCannotBack, trace's
-// TestValidateCatchesDanglingIndices).
+// TestValidateCatchesDanglingIndices). Nor are a constraint or a
+// lockset: every writer refuses them and every decoder refuses bytes
+// that carry them (trace's TestDecodeRefusesWhatNoRecordingHolds).
 func malformedTraces() map[string]*trace.Trace {
 	thread := trace.New("thread", 1)
 	thread.Append(trace.Event{Thread: 3, Kind: trace.KCompute, Cost: 10})
 
-	constraint := trace.New("constraint", 1)
-	constraint.Append(trace.Event{Thread: 0, Kind: trace.KCompute, Cost: 10})
-	constraint.Constraints = []trace.Constraint{{After: 99, Before: 0}}
-
-	source := trace.New("source", 1)
-	aux := []trace.LockID{trace.AuxLockBase + 1}
-	source.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetAcq}, trace.EventExt{Locks: aux, Sources: []int32{77}})
-	source.AppendExt(trace.Event{Thread: 0, Kind: trace.KLocksetRel}, trace.EventExt{Locks: aux})
+	held := trace.New("held", 1)
+	held.Append(trace.Event{Thread: 0, Kind: trace.KLockAcq, Lock: 1})
 
 	op := trace.New("op", 2)
 	for th := int32(0); th < 2; th++ { // two sections of one lock writing one address: a conflicting pair
@@ -41,7 +37,7 @@ func malformedTraces() map[string]*trace.Trace {
 	}
 
 	return map[string]*trace.Trace{
-		"thread id": thread, "constraint index": constraint, "lockset source": source, "write op": op,
+		"thread id": thread, "lock held at the end": held, "write op": op,
 		"empty": trace.New("empty", 0),
 	}
 }

@@ -24,27 +24,28 @@ import (
 type Options struct {
 	// Seed drives false-abort selection.
 	Seed int64
-	// MaxRetries is the number of speculative attempts before a critical
-	// section falls back to really acquiring its lock (default 2).
-	MaxRetries int
-	// AbortPenalty is the rollback cost charged per abort (pipeline flush
-	// plus re-fetch; default 150 ticks).
-	AbortPenalty vtime.Duration
-	// FalseAbortPct is the percentage (0-100) of speculative sections
+	// maxRetries is the number of speculative attempts before a critical
+	// section falls back to really acquiring its lock (zero selects 2).
+	// Only the package's tests change it.
+	maxRetries int
+	// falseAbortPct is the percentage (0-100) of speculative sections
 	// aborted by modelled hardware limitations — cache capacity,
-	// unfriendly instructions — independent of real conflicts (default 2).
-	FalseAbortPct int
+	// unfriendly instructions — independent of real conflicts (zero
+	// selects 2; negative disables them). Only the package's tests
+	// change it.
+	falseAbortPct int
 }
 
+// abortPenalty is the rollback cost charged per abort (pipeline flush
+// plus re-fetch).
+const abortPenalty vtime.Duration = 150
+
 func (o Options) withDefaults() Options {
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 2
+	if o.maxRetries == 0 {
+		o.maxRetries = 2
 	}
-	if o.AbortPenalty == 0 {
-		o.AbortPenalty = 150
-	}
-	if o.FalseAbortPct == 0 {
-		o.FalseAbortPct = 2
+	if o.falseAbortPct == 0 {
+		o.falseAbortPct = 2
 	}
 	return o
 }
@@ -192,7 +193,7 @@ func (e *engine) eligible(th *thread) bool {
 	if th.cs != nil && th.cs.fallback {
 		return true // nested acquisition inside a fallback section
 	}
-	wantReal := th.cs == nil && e.retriesFor(th) > e.opts.MaxRetries
+	wantReal := th.cs == nil && e.retriesFor(th) > e.opts.maxRetries
 	if !wantReal {
 		return true // speculative entry never waits
 	}
@@ -230,7 +231,7 @@ func (e *engine) exec(th *thread) bool {
 			writes:  make(map[memmodel.Addr]int64),
 			retries: retries,
 		}
-		if retries > e.opts.MaxRetries {
+		if retries > e.opts.maxRetries {
 			// Fallback: acquire for real and abort every speculative
 			// section on this lock (the lock's cache line transfers).
 			sp.fallback = true
@@ -351,18 +352,18 @@ func (e *engine) abort(th *thread, hw bool) {
 	acqIdx := th.evs[sp.acqPos]
 	e.retryCount[acqIdx] = sp.retries + 1
 	th.pos = sp.acqPos
-	th.clock = th.clock.Add(e.opts.AbortPenalty)
+	th.clock = th.clock.Add(abortPenalty)
 	th.cs = nil
 	th.depth = 0
 }
 
-// falseAbort deterministically selects ~FalseAbortPct% of first-attempt
+// falseAbort deterministically selects ~falseAbortPct% of first-attempt
 // commits for a hardware-style abort.
 func (e *engine) falseAbort(idx int32, retries int) bool {
-	if retries > 0 || e.opts.FalseAbortPct <= 0 {
+	if retries > 0 || e.opts.falseAbortPct <= 0 {
 		return false
 	}
 	h := uint64(e.opts.Seed)*0x9e3779b97f4a7c15 + uint64(idx)*0xd6e8feb86659fd93
 	h ^= h >> 32
-	return int(h%100) < e.opts.FalseAbortPct
+	return int(h%100) < e.opts.falseAbortPct
 }

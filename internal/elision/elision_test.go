@@ -57,7 +57,7 @@ func conflicting(threads, iters int) *sim.Result {
 
 func TestElisionParallelizesReadOnly(t *testing.T) {
 	rec := readOnly(4, 10)
-	le, err := Run(rec.Trace, Options{Seed: 1, FalseAbortPct: -1})
+	le, err := Run(rec.Trace, Options{Seed: 1, falseAbortPct: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestElisionParallelizesReadOnly(t *testing.T) {
 
 func TestElisionAbortsOnRealConflicts(t *testing.T) {
 	rec := conflicting(4, 8)
-	le, err := Run(rec.Trace, Options{Seed: 1, FalseAbortPct: -1})
+	le, err := Run(rec.Trace, Options{Seed: 1, falseAbortPct: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,18 +107,18 @@ func TestElisionAbortsOnRealConflicts(t *testing.T) {
 
 func TestElisionFallbackAfterRetries(t *testing.T) {
 	rec := conflicting(6, 6)
-	le, err := Run(rec.Trace, Options{Seed: 1, MaxRetries: 1, FalseAbortPct: -1})
+	le, err := Run(rec.Trace, Options{Seed: 1, maxRetries: 1, falseAbortPct: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if le.Fallbacks == 0 {
-		t.Fatal("heavy conflicts with MaxRetries=1 must trigger fallbacks")
+		t.Fatal("heavy conflicts with maxRetries=1 must trigger fallbacks")
 	}
 }
 
 func TestFalseAborts(t *testing.T) {
 	rec := readOnly(2, 30)
-	le, err := Run(rec.Trace, Options{Seed: 9, FalseAbortPct: 20})
+	le, err := Run(rec.Trace, Options{Seed: 9, falseAbortPct: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestNestedLocksFlatten(t *testing.T) {
 		})
 	}
 	rec := sim.Run(p, sim.Config{Seed: 2})
-	le, err := Run(rec.Trace, Options{Seed: 2, FalseAbortPct: -1})
+	le, err := Run(rec.Trace, Options{Seed: 2, falseAbortPct: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

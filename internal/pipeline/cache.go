@@ -9,7 +9,7 @@ import (
 // lruCache is a thread-safe fixed-capacity LRU. One implementation
 // backs both of the pipeline's caches: the result cache, keyed by the
 // normalized request (see Request.CacheKey), and the verdict-table
-// cache, keyed by (trace digest, identify options). Entries of both are
+// cache, keyed by the analyzed trace (see tableKey). Entries of both are
 // small — a summary, a table of booleans — and independent of the size
 // of the trace they derive from, so the entry count is the only bound.
 type lruCache[V any] struct {

@@ -86,20 +86,16 @@ type Request struct {
 	Schemes bool
 
 	// DetectRaces runs the happens-before detector over the ULCP-free
-	// replay (Theorem 1's fallback reporting); MaxRaces caps the races
-	// it and the Theorem 1 check report (0 = 32).
+	// replay (Theorem 1's fallback reporting), which reports at most
+	// maxRaces races.
 	DetectRaces bool
-	MaxRaces    int
 	// VerifyTheorem1 runs the full Theorem 1 check (outcome comparison
 	// plus race attribution) and stores the report on the analysis.
 	VerifyTheorem1 bool
-	// Identify configures ULCP identification. Classification builds
-	// one verdict table per trace (ulcp.BuildVerdictTable) and reuses it
-	// from the cache, so Identify.MaxReversedReplays budgets reversed
-	// replays per trace and recurring region pairs are replayed once
-	// instead of once per contended lock.
-	Identify ulcp.Options
 }
+
+// maxRaces caps the races the detector and the Theorem 1 check report.
+const maxRaces = 32
 
 // normalize applies defaults so equivalent requests share a cache key.
 func (r Request) normalize() Request {
@@ -149,10 +145,8 @@ func (r Request) CacheKey() string {
 	if r.TraceDigest != "" {
 		src = r.TraceDigest
 	}
-	return fmt.Sprintf("%s|in%d|t%d|s%g|seed%d|sch%t|races%t|mr%d|v%t|id{%d,%t,%d}",
-		src, r.Input, r.Threads, r.Scale, r.Seed, r.Schemes,
-		r.DetectRaces, r.MaxRaces, r.VerifyTheorem1,
-		r.Identify.MaxScanPerThread, r.Identify.DisableReversedReplay, r.Identify.MaxReversedReplays)
+	return fmt.Sprintf("%s|in%d|t%d|s%g|seed%d|sch%t|races%t|v%t",
+		src, r.Input, r.Threads, r.Scale, r.Seed, r.Schemes, r.DetectRaces, r.VerifyTheorem1)
 }
 
 // SchemeReplay is one scheduler's replay of the recorded trace.
@@ -208,10 +202,10 @@ type Options struct {
 	Metrics *telemetry.Registry
 }
 
-// tableCacheSize bounds the verdict-table cache, keyed by (trace digest,
-// identify options). The result cache misses whenever a reporting flag
+// tableCacheSize bounds the verdict-table cache, keyed by the analyzed
+// trace alone. The result cache misses whenever a reporting flag
 // differs, yet the table — the replay-heavy part of classification —
-// depends on neither, so a second job over the same trace skips every
+// depends on no flag, so a second job over the same trace skips every
 // reversed replay even on a result-cache miss.
 const tableCacheSize = 64
 
@@ -277,8 +271,8 @@ func Run(req Request) (*Result, error) {
 
 // tableKey derives the verdict-table cache key: the fields that define
 // the analyzed trace's content (digest, or the record-stage tuple for
-// workload requests) plus the identify options — and nothing else, so
-// jobs differing only in reporting flags share one table.
+// workload requests) and nothing else, so jobs differing only in
+// reporting flags share one table.
 func tableKey(req Request) string {
 	src := req.App
 	if req.TraceDigest != "" {
@@ -286,9 +280,7 @@ func tableKey(req Request) string {
 	} else if src == "" {
 		return "" // pointer-identified program or digest-less trace
 	}
-	return fmt.Sprintf("%s|in%d|t%d|s%g|seed%d|id{%d,%t,%d}",
-		src, req.Input, req.Threads, req.Scale, req.Seed,
-		req.Identify.MaxScanPerThread, req.Identify.DisableReversedReplay, req.Identify.MaxReversedReplays)
+	return fmt.Sprintf("%s|in%d|t%d|s%g|seed%d", src, req.Input, req.Threads, req.Scale, req.Seed)
 }
 
 // exec is the staged orchestrator. It runs on the calling goroutine
@@ -386,9 +378,9 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 	// digest, or by the one identification pass that builds it — and
 	// build the ULCP-free schedule as a plan over the recording. Both
 	// paths below produce the same report bytes: the walk against the
-	// table is a pure function of (trace, options, table), and the table
-	// itself is a pure function of (trace, options). Writes only CSs,
-	// Report and Transformed.
+	// table is a pure function of (trace, table), and the table itself is
+	// a pure function of the trace. Writes only CSs, Report and
+	// Transformed.
 	classifyStage := func() error {
 		a.CSs = tr.ExtractCS()
 		key := tableKey(req)
@@ -396,7 +388,7 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 			// Cached table: the same walk, without a single reversed
 			// replay.
 			p.tableHits.Add(1)
-			a.Report = ulcp.IdentifyWithVerdicts(tr, a.CSs, req.Identify, table)
+			a.Report = ulcp.IdentifyWithVerdicts(tr, a.CSs, ulcp.Options{}, table)
 		} else {
 			if key != "" {
 				p.tableMisses.Add(1)
@@ -405,7 +397,7 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 			// finished report; the replays it spends are the per-trace
 			// total (recurring region pairs pay once, not once per lock).
 			var table *ulcp.VerdictTable
-			table, a.Report = ulcp.BuildVerdictTable(tr, a.CSs, req.Identify)
+			table, a.Report = ulcp.BuildVerdictTable(tr, a.CSs, ulcp.Options{})
 			if key != "" {
 				p.tables.put(key, table)
 			}
@@ -439,10 +431,6 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 	// its events, and the Theorem 1 check over the two ELSC replays, which
 	// shares that order; then evaluate Eq. 1/Eq. 2.
 	if err := stage("quantify", func() error {
-		maxRaces := req.MaxRaces
-		if maxRaces == 0 {
-			maxRaces = 32
-		}
 		plan := a.Transformed.Plan
 		var err error
 		a.FreeReplay, err = replay.Run(tr, replay.Options{Sched: replay.ELSCS, Plan: plan})

@@ -116,11 +116,10 @@ func (p *Pipeline) ExportTable(key string) (*WireTable, bool) {
 }
 
 // ImportTable adopts a verdict table computed elsewhere under the given
-// key. The caller vouches that the key was derived from the same
-// (trace digest, identify options) tuple — tables are deterministic
-// functions of that tuple, so a correctly-keyed import is
-// indistinguishable from a local build. Nil or verdict-less tables are
-// rejected.
+// key. The caller vouches that the key was derived from the same trace
+// — tables are deterministic functions of it, so a correctly-keyed
+// import is indistinguishable from a local build. Nil or verdict-less
+// tables are rejected.
 func (p *Pipeline) ImportTable(key string, t *ulcp.VerdictTable) bool {
 	if p.tables == nil || key == "" || t == nil || t.Verdicts == nil {
 		return false

@@ -129,7 +129,7 @@ func twoWriters() (*trace.Trace, trace.LockID) {
 }
 
 // TestEngineMatchesReferenceHandBuilt covers what no workload produces:
-// overridden and impossible lock orders, extra constraints, stuck
+// overridden and impossible lock orders, hand-placed constraints, stuck
 // replays (same error text), barrier episodes under every scheme, and
 // lockset events transform never emits.
 func TestEngineMatchesReferenceHandBuilt(t *testing.T) {
@@ -141,22 +141,23 @@ func TestEngineMatchesReferenceHandBuilt(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		opts  Options
+		cons  []trace.Constraint
 		stuck bool
 	}{
-		{"recorded order", Options{Sched: ELSCS}, false},
-		{"reversed order", Options{Sched: ELSCS, LockOrder: map[trace.LockID][]int32{l: swapped}}, false},
-		{"impossible order", Options{Sched: ELSCS, LockOrder: map[trace.LockID][]int32{l: impossible}}, true},
-		{"order too short", Options{Sched: ELSCS, LockOrder: map[trace.LockID][]int32{l: order[:2]}}, true},
-		{"order present but nil", Options{Sched: ELSCS, LockOrder: map[trace.LockID][]int32{l: nil}}, true},
-		{"order names no lock of the trace", Options{Sched: ELSCS, LockOrder: map[trace.LockID][]int32{l + 7: {0, 1}}}, false},
-		{"order ignored outside ELSC", Options{Sched: SyncS, LockOrder: map[trace.LockID][]int32{l: impossible}}, false},
-		{"reversed by constraint", Options{Sched: OrigS, Seed: 3, ExtraConstraints: []trace.Constraint{{After: rel(order[2]), Before: order[0]}}}, false},
-		{"constraints fan in", Options{Sched: ELSCS, ExtraConstraints: []trace.Constraint{
-			{After: 1, Before: order[3]}, {After: rel(order[0]), Before: order[3]}, {After: 1, Before: order[3]}}}, false},
-		{"self-dependent constraint", Options{Sched: ELSCS, ExtraConstraints: []trace.Constraint{{After: 3, Before: 3}}}, true},
-		{"constraint against the lock order", Options{Sched: ELSCS, ExtraConstraints: []trace.Constraint{{After: rel(order[2]), Before: order[0]}}}, true},
+		{"recorded order", Options{Sched: ELSCS}, nil, false},
+		{"reversed order", Options{Sched: ELSCS, lockOrder: map[trace.LockID][]int32{l: swapped}}, nil, false},
+		{"impossible order", Options{Sched: ELSCS, lockOrder: map[trace.LockID][]int32{l: impossible}}, nil, true},
+		{"order too short", Options{Sched: ELSCS, lockOrder: map[trace.LockID][]int32{l: order[:2]}}, nil, true},
+		{"order present but nil", Options{Sched: ELSCS, lockOrder: map[trace.LockID][]int32{l: nil}}, nil, true},
+		{"order names no lock of the trace", Options{Sched: ELSCS, lockOrder: map[trace.LockID][]int32{l + 7: {0, 1}}}, nil, false},
+		{"order ignored outside ELSC", Options{Sched: SyncS, lockOrder: map[trace.LockID][]int32{l: impossible}}, nil, false},
+		{"reversed by constraint", Options{Sched: OrigS, Seed: 3}, []trace.Constraint{{After: rel(order[2]), Before: order[0]}}, false},
+		{"constraints fan in", Options{Sched: ELSCS}, []trace.Constraint{
+			{After: 1, Before: order[3]}, {After: rel(order[0]), Before: order[3]}, {After: 1, Before: order[3]}}, false},
+		{"self-dependent constraint", Options{Sched: ELSCS}, []trace.Constraint{{After: 3, Before: 3}}, true},
+		{"constraint against the lock order", Options{Sched: ELSCS}, []trace.Constraint{{After: rel(order[2]), Before: order[0]}}, true},
 	} {
-		if res := requireMatchesRef(t, c.name, tr, c.opts); (res == nil) != c.stuck {
+		if res := requireMatchesRef(t, c.name, withConstraints(tr, c.cons...), c.opts); (res == nil) != c.stuck {
 			t.Fatalf("%s: stuck = %v, want %v", c.name, res == nil, c.stuck)
 		}
 	}
@@ -190,8 +191,8 @@ func TestEngineMatchesReferenceHandBuilt(t *testing.T) {
 	if bar.Events[lastBarrier].Kind != trace.KBarrier {
 		t.Fatalf("event %d is %v, want thread 0's last barrier", lastBarrier, bar.Events[lastBarrier].Kind)
 	}
-	wedged := Options{Sched: ELSCS, ExtraConstraints: []trace.Constraint{{After: pt[1][len(pt[1])-1], Before: lastBarrier}}}
-	if res := requireMatchesRef(t, "barrier/participant never arrives", bar, wedged); res != nil {
+	wedged := withConstraints(bar, trace.Constraint{After: pt[1][len(pt[1])-1], Before: lastBarrier})
+	if res := requireMatchesRef(t, "barrier/participant never arrives", wedged, Options{Sched: ELSCS}); res != nil {
 		t.Fatal("an episode short of a participant replayed to the end")
 	}
 
@@ -267,10 +268,10 @@ func TestEngineMatchesReferencePooled(t *testing.T) {
 	}{
 		{"elsc-big", big, Options{Sched: ELSCS}},
 		{"free-dls", free, Options{Sched: ELSCS, DLS: true, LocksetCost: 40}},
-		{"stuck-small", small, Options{Sched: ELSCS, LockOrder: map[trace.LockID][]int32{l: {order[1], order[0], order[2], order[3]}}}},
+		{"stuck-small", small, Options{Sched: ELSCS, lockOrder: map[trace.LockID][]int32{l: {order[1], order[0], order[2], order[3]}}}},
 		{"mems-big", big, Options{Sched: MemS}},
 		{"plan-dls", rec, Options{Sched: ELSCS, DLS: true, LocksetCost: 40, Plan: tres.Plan}},
-		{"constrained-small", small, Options{Sched: OrigS, Seed: 5, ExtraConstraints: []trace.Constraint{{After: order[2], Before: order[0]}}}},
+		{"constrained-small", withConstraints(small, trace.Constraint{After: order[2], Before: order[0]}), Options{Sched: OrigS, Seed: 5}},
 		{"free-plain", free, Options{Sched: ELSCS}},
 		{"plan-plain", rec, Options{Sched: ELSCS, Plan: tres.Plan}},
 		{"elsc-recording", rec, Options{Sched: ELSCS}},

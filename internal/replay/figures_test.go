@@ -54,7 +54,7 @@ func TestFigure11OrderSensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rev, err := Run(rec.Trace, Options{Sched: ELSCS,
-		LockOrder: map[trace.LockID][]int32{1: {order[1], order[0]}}})
+		lockOrder: map[trace.LockID][]int32{1: {order[1], order[0]}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,10 +105,10 @@ func TestPooledEngineAfterError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An impossible extra constraint (event waits on itself) wedges the
-	// replay immediately.
-	bad := Options{Sched: ELSCS, ExtraConstraints: []trace.Constraint{{After: 3, Before: 3}}}
-	if _, err := Run(rec.Trace, bad); err == nil {
+	// An impossible constraint (event waits on itself) wedges the replay
+	// immediately.
+	bad := withConstraints(rec.Trace, trace.Constraint{After: 3, Before: 3})
+	if _, err := Run(bad, Options{Sched: ELSCS}); err == nil {
 		t.Fatal("self-dependent constraint replayed successfully")
 	}
 	again, err := Run(rec.Trace, Options{Sched: ELSCS})

@@ -192,7 +192,7 @@ func runRef(tr *trace.Trace, opts Options) (*Result, error) {
 
 	switch opts.Sched {
 	case ELSCS:
-		e.elscOrder = opts.LockOrder
+		e.elscOrder = opts.lockOrder
 		if e.elscOrder == nil {
 			e.elscOrder = tr.LockOrder()
 		}
@@ -211,14 +211,11 @@ func runRef(tr *trace.Trace, opts Options) (*Result, error) {
 		}
 	}
 
-	if len(tr.Constraints)+len(opts.ExtraConstraints) > 0 {
+	if len(tr.Constraints) > 0 {
 		if e.prereqs == nil {
-			e.prereqs = make(map[int32][]int32, len(tr.Constraints)+len(opts.ExtraConstraints))
+			e.prereqs = make(map[int32][]int32, len(tr.Constraints))
 		}
 		for _, c := range tr.Constraints {
-			e.prereqs[c.Before] = append(e.prereqs[c.Before], c.After)
-		}
-		for _, c := range opts.ExtraConstraints {
 			e.prereqs[c.Before] = append(e.prereqs[c.Before], c.After)
 		}
 	}

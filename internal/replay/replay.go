@@ -66,13 +66,13 @@ type Options struct {
 	// Seed drives ORIG-S arrival jitter (within jitterWindow); ignored
 	// by the other schemes.
 	Seed int64
-	// LockOrder overrides the enforced per-lock acquisition order for
+	// lockOrder overrides the enforced per-lock acquisition order for
 	// ELSC-S. Keys are lock IDs; values are the global event indices of
 	// that lock's KLockAcq events in the desired order. Nil uses the
-	// recorded order. Only tests set it: the reversed replay of Sec. 3.1
-	// runs on ulcp's overlay (internal/ulcp/sweep.go), not on this
-	// engine.
-	LockOrder map[trace.LockID][]int32
+	// recorded order. Only the package's tests set it: the reversed
+	// replay of Sec. 3.1 runs on ulcp's overlay (internal/ulcp/sweep.go),
+	// not on this engine.
+	lockOrder map[trace.LockID][]int32
 	// DLS enables the dynamic locking strategy (Fig. 9) on lockset
 	// acquisitions: auxiliary locks whose source critical section already
 	// finished are excluded from the acquired set.
@@ -82,10 +82,6 @@ type Options struct {
 	// disables the cost model; Table 3 compares replays with it on. One
 	// END-flag check under DLS costs max(LocksetCost/8, 1).
 	LocksetCost vtime.Duration
-	// ExtraConstraints adds happens-before edges beyond those in the
-	// trace. The reversed replay of Sec. 3.1 forces "C2 releases before C1
-	// acquires" this way while leaving every other ordering natural.
-	ExtraConstraints []trace.Constraint
 	// Plan, when set, replays the recording's ULCP-free schedule: every
 	// critical section's lock operations act as the plan's lockset
 	// acquisition and release (or cost nothing, where its lockset is
@@ -93,7 +89,7 @@ type Options struct {
 	// replaying transform.Apply's trace yields, without that trace. The
 	// trace must be the recording the plan was built from; a plan it
 	// cannot back is an error. No lock order is enforced: under a plan
-	// no original acquisition is left, so LockOrder is inert.
+	// no original acquisition is left, so lockOrder is inert.
 	Plan *trace.Plan
 }
 
@@ -515,7 +511,7 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 	}
 
 	if opts.Sched == ELSCS && !planned {
-		order := opts.LockOrder
+		order := opts.lockOrder
 		if order == nil {
 			order = tr.LockOrder()
 		}
@@ -527,11 +523,11 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 	}
 
 	e.preOff = e.preOff[:0]
-	cons := [3][]trace.Constraint{tr.Constraints, nil, opts.ExtraConstraints}
+	cons := [2][]trace.Constraint{tr.Constraints, nil}
 	if planned {
 		cons[1] = opts.Plan.Constraints
 	}
-	if n := len(cons[0]) + len(cons[1]) + len(cons[2]); n > 0 {
+	if n := len(cons[0]) + len(cons[1]); n > 0 {
 		e.preOff = sized(e.preOff, nev+1)
 		clear(e.preOff)
 		e.preTgt = sized(e.preTgt, n)

@@ -9,11 +9,21 @@ import (
 	"perfplay/internal/vtime"
 )
 
+// withConstraints returns a copy of tr that also carries cs: the engine
+// reads a trace's own constraints and a plan's through one CSR build.
+func withConstraints(tr *trace.Trace, cs ...trace.Constraint) *trace.Trace {
+	c := *tr
+	c.Constraints = append(slices.Clip(tr.Constraints), cs...)
+	return &c
+}
+
 func TestExtraConstraintsForceOrder(t *testing.T) {
+	// A constraint added on top of the recorded trace (as a plan's edges
+	// are) must hold in the replay.
 	tr := trace.New("x", 2)
 	a := tr.Append(trace.Event{Thread: 0, Kind: trace.KCompute, Cost: 900})
 	b := tr.Append(trace.Event{Thread: 1, Kind: trace.KCompute, Cost: 10})
-	res, err := Run(tr, Options{Sched: OrigS, ExtraConstraints: []trace.Constraint{{After: a, Before: b}}})
+	res, err := Run(withConstraints(tr, trace.Constraint{After: a, Before: b}), Options{Sched: OrigS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +158,7 @@ func TestReplayStuckOnImpossibleOrder(t *testing.T) {
 	rec := sim.Run(p, sim.Config{Seed: 1})
 	order := rec.Trace.LockOrder()[l]
 	rev := map[trace.LockID][]int32{l: {order[1], order[0]}}
-	if _, err := Run(rec.Trace, Options{Sched: ELSCS, LockOrder: rev}); err == nil {
+	if _, err := Run(rec.Trace, Options{Sched: ELSCS, lockOrder: rev}); err == nil {
 		t.Fatal("impossible order not detected")
 	}
 }
@@ -212,7 +222,6 @@ func TestRunRejectsWhatTheTraceCannotBack(t *testing.T) {
 		{"constraint after past the events", constrained(trace.Constraint{After: 99, Before: 0}), Options{}},
 		{"constraint before past the events", constrained(trace.Constraint{After: 0, Before: 99}), Options{}},
 		{"negative constraint index", constrained(trace.Constraint{After: -1, Before: 0}), Options{}},
-		{"extra constraint past the events", one(1, compute), Options{ExtraConstraints: []trace.Constraint{{After: 0, Before: 5}}}},
 		{"lockset source past the events", badSource, Options{DLS: true}},
 		{"extension past the table", one(1, trace.Event{Thread: 0, Kind: trace.KSkip, Ext: 1}), Options{}},
 		{"negative extension", one(1, trace.Event{Thread: 0, Kind: trace.KLocksetAcq, Ext: -1}), Options{}},

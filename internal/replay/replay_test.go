@@ -152,7 +152,7 @@ func TestReversedOrderChangesOrderSensitiveState(t *testing.T) {
 		t.Fatalf("lock order = %v", order)
 	}
 	rev := map[trace.LockID][]int32{l: {order[1], order[0]}}
-	bwd, err := Run(rec.Trace, Options{Sched: ELSCS, LockOrder: rev})
+	bwd, err := Run(rec.Trace, Options{Sched: ELSCS, lockOrder: rev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestReversedOrderKeepsCommutativeState(t *testing.T) {
 	order := rec.Trace.LockOrder()[l]
 	rev := map[trace.LockID][]int32{l: {order[1], order[0]}}
 	fwd, _ := Run(rec.Trace, Options{Sched: ELSCS})
-	bwd, err := Run(rec.Trace, Options{Sched: ELSCS, LockOrder: rev})
+	bwd, err := Run(rec.Trace, Options{Sched: ELSCS, lockOrder: rev})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,40 +10,24 @@ import (
 	"perfplay/internal/vtime"
 )
 
-// Config controls the cost model and determinism seed of a run.
+// Config controls the determinism seed of a run.
 type Config struct {
 	// Seed drives every tie-break and the per-thread RNGs. Identical
 	// (program, Config) pairs produce identical traces.
 	Seed int64
-	// LockCost, UnlockCost and MemCost are the fixed virtual costs of the
-	// corresponding instructions. SyncCost covers condvar signal/barrier
-	// bookkeeping.
-	LockCost, UnlockCost, MemCost, SyncCost vtime.Duration
 }
 
-// DefaultConfig is the cost model used by all experiments: lock operations
-// cost a few tens of ticks, so contention (thousands of ticks of critical
-// section work) dominates — the regime the paper studies.
-func DefaultConfig() Config {
-	return Config{LockCost: 40, UnlockCost: 20, MemCost: 15, SyncCost: 25}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.LockCost == 0 {
-		c.LockCost = d.LockCost
-	}
-	if c.UnlockCost == 0 {
-		c.UnlockCost = d.UnlockCost
-	}
-	if c.MemCost == 0 {
-		c.MemCost = d.MemCost
-	}
-	if c.SyncCost == 0 {
-		c.SyncCost = d.SyncCost
-	}
-	return c
-}
+// The cost model of every recording: lockCost, unlockCost and memCost
+// are the fixed virtual costs of the corresponding instructions, and
+// syncCost covers condvar signal/barrier bookkeeping. Lock operations
+// cost a few tens of ticks, so contention (thousands of ticks of
+// critical section work) dominates — the regime the paper studies.
+const (
+	lockCost   vtime.Duration = 40
+	unlockCost vtime.Duration = 20
+	memCost    vtime.Duration = 15
+	syncCost   vtime.Duration = 25
+)
 
 // Result is the outcome of a simulated run.
 type Result struct {
@@ -321,7 +305,6 @@ type barrierState struct {
 
 type machine struct {
 	prog    *Program
-	cfg     Config
 	tr      *trace.Trace
 	threads []*threadState
 	locks   []lockState
@@ -368,10 +351,8 @@ func Run(p *Program, cfg Config) *Result {
 // passes iter.Pull; the tests also pass a goroutine-and-channels
 // implementation of the same signature, as the reference.
 func run(p *Program, cfg Config, pull func(iter.Seq[request]) (next func() (request, bool), stop func())) *Result {
-	cfg = cfg.withDefaults()
 	m := &machine{
 		prog:  p,
-		cfg:   cfg,
 		tr:    trace.New(p.Name, p.NumThreads()),
 		locks: make([]lockState, len(p.locks)+1),
 		conds: make([][]condWaiter, len(p.conds)+1),
@@ -543,17 +524,17 @@ func (m *machine) exec(ts *threadState) {
 	case opTryLock:
 		m.prog.checkLock(r.lock)
 		ls := &m.locks[r.lock]
-		ts.clock = ts.clock.Add(m.cfg.LockCost)
-		ts.cpu += m.cfg.LockCost
+		ts.clock = ts.clock.Add(lockCost)
+		ts.cpu += lockCost
 		// At the requester's instant the lock counts as held if the last
 		// release lies in the requester's future.
 		if ls.heldBy == -1 && ts.clock >= ls.freeAt {
 			ls.heldBy = id
-			m.record(trace.Event{Thread: id, Kind: trace.KLockAcq, Lock: r.lock, Cost: m.cfg.LockCost, Time: ts.clock, Site: r.site, Spin: m.prog.lockSpin(r.lock)})
+			m.record(trace.Event{Thread: id, Kind: trace.KLockAcq, Lock: r.lock, Cost: lockCost, Time: ts.clock, Site: r.site, Spin: m.prog.lockSpin(r.lock)})
 			m.respond(ts, response{ok: true})
 		} else {
 			// Failed trylock: time passes, no sync event.
-			m.record(trace.Event{Thread: id, Kind: trace.KCompute, Cost: m.cfg.LockCost, Time: ts.clock, Site: r.site})
+			m.record(trace.Event{Thread: id, Kind: trace.KCompute, Cost: lockCost, Time: ts.clock, Site: r.site})
 			m.respond(ts, response{ok: false})
 		}
 	case opUnlock:
@@ -561,16 +542,16 @@ func (m *machine) exec(ts *threadState) {
 		m.respond(ts, response{})
 	case opRead:
 		v := m.prog.Mem.Load(r.addr)
-		ts.clock = ts.clock.Add(m.cfg.MemCost)
-		ts.cpu += m.cfg.MemCost
-		m.record(trace.Event{Thread: id, Kind: trace.KRead, Addr: r.addr, Value: v, Cost: m.cfg.MemCost, Time: ts.clock, Site: r.site})
+		ts.clock = ts.clock.Add(memCost)
+		ts.cpu += memCost
+		m.record(trace.Event{Thread: id, Kind: trace.KRead, Addr: r.addr, Value: v, Cost: memCost, Time: ts.clock, Site: r.site})
 		m.respond(ts, response{val: v})
 	case opWrite:
 		cur := m.prog.Mem.Load(r.addr)
 		m.prog.Mem.Store(r.addr, r.wop.Apply(cur, r.val))
-		ts.clock = ts.clock.Add(m.cfg.MemCost)
-		ts.cpu += m.cfg.MemCost
-		m.record(trace.Event{Thread: id, Kind: trace.KWrite, Addr: r.addr, Value: r.val, Op: r.wop, Cost: m.cfg.MemCost, Time: ts.clock, Site: r.site})
+		ts.clock = ts.clock.Add(memCost)
+		ts.cpu += memCost
+		m.record(trace.Event{Thread: id, Kind: trace.KWrite, Addr: r.addr, Value: r.val, Op: r.wop, Cost: memCost, Time: ts.clock, Site: r.site})
 		m.respond(ts, response{})
 	case opWait, opTimedWait:
 		m.prog.checkCond(r.cond)
@@ -587,16 +568,16 @@ func (m *machine) exec(ts *threadState) {
 		// No respond: the thread stays parked until signal/timeout.
 	case opSignal:
 		m.prog.checkCond(r.cond)
-		ts.clock = ts.clock.Add(m.cfg.SyncCost)
-		ts.cpu += m.cfg.SyncCost
-		m.record(trace.Event{Thread: id, Kind: trace.KCompute, Cost: m.cfg.SyncCost, Time: ts.clock, Site: r.site})
+		ts.clock = ts.clock.Add(syncCost)
+		ts.cpu += syncCost
+		m.record(trace.Event{Thread: id, Kind: trace.KCompute, Cost: syncCost, Time: ts.clock, Site: r.site})
 		m.wakeCond(r.cond, 1, ts.clock)
 		m.respond(ts, response{})
 	case opBroadcast:
 		m.prog.checkCond(r.cond)
-		ts.clock = ts.clock.Add(m.cfg.SyncCost)
-		ts.cpu += m.cfg.SyncCost
-		m.record(trace.Event{Thread: id, Kind: trace.KCompute, Cost: m.cfg.SyncCost, Time: ts.clock, Site: r.site})
+		ts.clock = ts.clock.Add(syncCost)
+		ts.cpu += syncCost
+		m.record(trace.Event{Thread: id, Kind: trace.KCompute, Cost: syncCost, Time: ts.clock, Site: r.site})
 		m.wakeCond(r.cond, len(m.conds[r.cond]), ts.clock)
 		m.respond(ts, response{})
 	case opBarrier:
@@ -614,7 +595,7 @@ func (m *machine) exec(ts *threadState) {
 			// Everyone arrived: release all at the max arrival time. Each
 			// participant records a KBarrier event tagged with the
 			// episode number so replays re-derive the wait semantically.
-			rel := bs.maxAt.Add(m.cfg.SyncCost)
+			rel := bs.maxAt.Add(syncCost)
 			gen := bs.generation
 			bs.maxAt = 0
 			bs.generation++
@@ -624,7 +605,7 @@ func (m *machine) exec(ts *threadState) {
 				m.record(trace.Event{
 					Thread: tid, Kind: trace.KBarrier,
 					Lock: trace.LockID(r.bar), Value: int64(gen),
-					Cost: m.cfg.SyncCost, Time: rel, Site: bs.sites[i],
+					Cost: syncCost, Time: rel, Site: bs.sites[i],
 				})
 				wts.clock = rel
 				wts.blocked = blockNone
@@ -672,9 +653,9 @@ func (m *machine) acquire(ts *threadState, l trace.LockID, site trace.SiteID, fr
 				ts.waitDur += waited
 			}
 		}
-		ts.clock = start.Add(m.cfg.LockCost)
-		ts.cpu += m.cfg.LockCost
-		m.record(trace.Event{Thread: ts.th.id, Kind: trace.KLockAcq, Lock: l, Cost: m.cfg.LockCost, Time: ts.clock, Site: site, Spin: m.prog.lockSpin(l)})
+		ts.clock = start.Add(lockCost)
+		ts.cpu += lockCost
+		m.record(trace.Event{Thread: ts.th.id, Kind: trace.KLockAcq, Lock: l, Cost: lockCost, Time: ts.clock, Site: site, Spin: m.prog.lockSpin(l)})
 		m.respond(ts, response{ok: ok})
 		return
 	}
@@ -691,9 +672,9 @@ func (m *machine) release(ts *threadState, l trace.LockID, site trace.SiteID) {
 	if ls.heldBy != ts.th.id {
 		panic(fmt.Sprintf("sim: T%d unlocks %v held by T%d", ts.th.id, l, ls.heldBy))
 	}
-	ts.clock = ts.clock.Add(m.cfg.UnlockCost)
-	ts.cpu += m.cfg.UnlockCost
-	m.record(trace.Event{Thread: ts.th.id, Kind: trace.KLockRel, Lock: l, Cost: m.cfg.UnlockCost, Time: ts.clock, Site: site})
+	ts.clock = ts.clock.Add(unlockCost)
+	ts.cpu += unlockCost
+	m.record(trace.Event{Thread: ts.th.id, Kind: trace.KLockRel, Lock: l, Cost: unlockCost, Time: ts.clock, Site: site})
 	ls.heldBy = -1
 	ls.freeAt = ts.clock
 	if len(ls.queue) == 0 {
@@ -717,13 +698,13 @@ func (m *machine) release(ts *threadState, l trace.LockID, site trace.SiteID) {
 	} else {
 		wts.waitDur += waited
 	}
-	wts.clock = wake.Add(m.cfg.LockCost)
-	wts.cpu += m.cfg.LockCost
+	wts.clock = wake.Add(lockCost)
+	wts.cpu += lockCost
 	wts.blocked = blockNone
 	wts.condTimed = false
 	wts.deadline = vtime.Infinity
 	ls.heldBy = w.tid
-	m.record(trace.Event{Thread: w.tid, Kind: trace.KLockAcq, Lock: l, Cost: m.cfg.LockCost, Time: wts.clock, Site: w.site, Spin: m.prog.lockSpin(l)})
+	m.record(trace.Event{Thread: w.tid, Kind: trace.KLockAcq, Lock: l, Cost: lockCost, Time: wts.clock, Site: w.site, Spin: m.prog.lockSpin(l)})
 	m.respond(wts, response{ok: w.ok})
 }
 

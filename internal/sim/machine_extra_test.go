@@ -256,19 +256,6 @@ func TestSpinWaitAccountedOnLateGrant(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	d := DefaultConfig()
-	if c != d {
-		t.Fatalf("withDefaults() = %+v, want %+v", c, d)
-	}
-	// Partial override keeps the rest.
-	c2 := Config{LockCost: 99}.withDefaults()
-	if c2.LockCost != 99 || c2.UnlockCost != d.UnlockCost {
-		t.Fatalf("partial defaults broken: %+v", c2)
-	}
-}
-
 func TestBarrierGenerationsRecorded(t *testing.T) {
 	p := NewProgram("gen")
 	b := p.NewBarrier("B", 2)

@@ -2,11 +2,9 @@ package trace
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"perfplay/internal/memmodel"
@@ -16,9 +14,9 @@ import (
 // Columnar trace format ("PCOL"). The third on-disk encoding: every
 // per-event field lives in its own fixed-stride column, so the event
 // array decodes in one pass of fixed-offset loads with no per-event
-// branch on variable-length data. Rare variable-length payloads
-// (lockset membership, skip deltas) live in sidecar tables keyed by
-// event index, keeping the columns truly fixed-stride. The file also
+// branch on variable-length data. The one variable-length payload, a
+// skip's delta, lives in a sidecar table keyed by event index, keeping
+// the columns truly fixed-stride. The file also
 // carries the two side indexes every analysis warms up front —
 // per-thread event lists and per-lock acquisition order — so a columnar
 // load skips the O(events) index build that Trace.Warm performs for the
@@ -32,8 +30,8 @@ import (
 //	          shared with the row-binary format)
 //	columns, each contiguous: thread, flags(kind|spin|op), lock, addr,
 //	          site (4-byte stride); value, cost, time (8-byte stride)
-//	sidecars: locksets (event idx → locks+sources), deltas (event idx →
-//	          snapshot)
+//	sidecars: locksets (a zero count, kept for byte identity), deltas
+//	          (event idx → snapshot, in ascending event order)
 //	indexes:  per-thread event lists, per-lock acquisition order
 const (
 	colMagic   = 0x4C4F4350 // "PCOL"
@@ -46,7 +44,7 @@ const colEventStride = 5*4 + 3*8
 
 // WriteColumnar writes the trace in the columnar format.
 func (tr *Trace) WriteColumnar(w io.Writer) error {
-	if err := checkEventCount(uint64(len(tr.Events))); err != nil {
+	if err := storable(tr); err != nil {
 		return err
 	}
 	b := &binWriter{w: bufio.NewWriter(w)}
@@ -79,31 +77,15 @@ func (tr *Trace) WriteColumnar(w io.Writer) error {
 		b.i64(int64(tr.Events[i].Time))
 	}
 
-	// Sidecars: lockset membership and skip deltas, keyed by event index
-	// in ascending order.
-	var lsIdx, dIdx []int32
+	// Sidecars: an empty lockset table, then the skip deltas keyed by
+	// event index in ascending order.
+	var dIdx []int32
 	for i := range tr.Events {
-		e := &tr.Events[i]
-		if x := tr.Ext(e); len(x.Locks) > 0 || len(x.Sources) > 0 {
-			lsIdx = append(lsIdx, int32(i))
-		}
-		if e.Kind == KSkip {
+		if tr.Events[i].Kind == KSkip {
 			dIdx = append(dIdx, int32(i))
 		}
 	}
-	b.u32(uint32(len(lsIdx)))
-	for _, i := range lsIdx {
-		x := tr.Ext(&tr.Events[i])
-		b.u32(uint32(i))
-		b.u32(uint32(len(x.Locks)))
-		for _, l := range x.Locks {
-			b.u32(uint32(l))
-		}
-		b.u32(uint32(len(x.Sources)))
-		for _, s := range x.Sources {
-			b.u32(uint32(s))
-		}
-	}
+	b.u32(0)
 	b.u32(uint32(len(dIdx)))
 	for _, i := range dIdx {
 		b.u32(uint32(i))
@@ -241,32 +223,12 @@ func (r *sliceReader) sites() []Site {
 	return sites
 }
 
-func (r *sliceReader) constraints() []Constraint {
-	var cons []Constraint
-	n := r.u32()
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		var c Constraint
-		c.After = int32(r.u32())
-		c.Before = int32(r.u32())
-		cons = append(cons, c)
-	}
-	return cons
-}
-
-// sidecar is one entry of a columnar file's lockset or delta table.
-type sidecar struct {
-	event int32
-	delta bool // a delta entry, not a lockset one
-	x     EventExt
-}
-
-// ParseColumnar decodes a trace previously written by WriteColumnar. The
-// sidecars become the extension table in event order, whatever order the
-// file lists them in; where one event is listed twice in a table, the
-// later entry wins. The stored side indexes are adopted, making Warm a
-// no-op, but only after validateIndexes has checked them against the
-// events, so a file whose indexes lie fails closed. The trace keeps no
-// reference to data.
+// ParseColumnar decodes a trace previously written by WriteColumnar. A
+// lockset entry, or a delta table out of ascending event order, is an
+// error. The stored side indexes are adopted, making Warm a no-op, but
+// only after validateIndexes has checked them against the events, so a
+// file whose indexes lie fails closed. The trace keeps no reference to
+// data.
 func ParseColumnar(data []byte) (*Trace, error) {
 	r := &sliceReader{data: data}
 	tr, err := readHeader(r, colMagic, colVersion, colEventStride)
@@ -279,46 +241,25 @@ func ParseColumnar(data []byte) (*Trace, error) {
 		i64 := func(col, i int) int64 { return int64(binary.LittleEndian.Uint64(cols[20*n+8*(col*n+i):])) }
 		for i := range tr.Events {
 			e := &tr.Events[i]
-			e.Kind, e.Spin, e.Op = unpackFlags(u32(1, i))
+			if e.Kind, e.Spin, e.Op = unpackFlags(u32(1, i)); !e.Kind.recorded() {
+				return nil, fmt.Errorf("trace: read columnar: %w", errKind(i, e.Kind))
+			}
 			e.Thread, e.Lock, e.Addr, e.Site = int32(u32(0, i)), LockID(u32(2, i)), memmodel.Addr(u32(3, i)), SiteID(u32(4, i))
 			e.Value, e.Cost, e.Time = i64(0, i), vtime.Duration(i64(1, i)), vtime.Time(i64(2, i))
 		}
 	}
 
-	var side []sidecar
-	for _, table := range []string{"lockset", "delta"} {
-		delta := table == "delta"
-		cnt := r.u32()
-		for k := uint32(0); k < cnt && r.err == nil; k++ {
-			idx := r.u32()
-			if r.err == nil && idx >= uint32(n) {
-				return nil, fmt.Errorf("trace: %s sidecar references event %d of %d", table, idx, n)
-			}
-			if r.err == nil && delta && tr.Events[idx].Kind != KSkip {
-				return nil, fmt.Errorf("trace: delta sidecar references event %d, a %v, not a skip", idx, tr.Events[idx].Kind)
-			}
-			s := sidecar{event: int32(idx), delta: delta}
-			if delta {
-				s.x.Delta = r.snapshot()
-			} else {
-				s.x.Locks = u32s[LockID](r, r.u32())
-				s.x.Sources = u32s[int32](r, r.u32())
-			}
-			side = append(side, s)
-		}
+	if cnt := r.u32(); r.err == nil && cnt != 0 {
+		return nil, fmt.Errorf("trace: %d lockset entries, which no recording holds", cnt)
 	}
-	slices.SortStableFunc(side, func(a, b sidecar) int { return cmp.Compare(a.event, b.event) })
-	for k := 0; k < len(side); {
-		var x EventExt
-		i := side[k].event
-		for ; k < len(side) && side[k].event == i; k++ {
-			if side[k].delta {
-				x.Delta = side[k].x.Delta
-			} else {
-				x.Locks, x.Sources = side[k].x.Locks, side[k].x.Sources
-			}
+	next := uint32(0) // the least event index the next delta may name
+	for k, cnt := uint32(0), r.u32(); k < cnt && r.err == nil; k++ {
+		idx := r.u32()
+		if r.err == nil && (idx < next || idx >= uint32(n) || tr.Events[idx].Kind != KSkip) {
+			return nil, fmt.Errorf("trace: delta sidecar references event %d, want a skip in [%d,%d)", idx, next, n)
 		}
-		tr.setExt(int(i), x)
+		tr.setExt(int(idx), EventExt{Delta: r.snapshot()})
+		next = idx + 1
 	}
 
 	perThread := make([][]int32, tr.NumThreads)

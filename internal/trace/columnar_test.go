@@ -14,10 +14,9 @@ import (
 	"perfplay/internal/memmodel"
 )
 
-// buildRichSample extends buildSample with the features the columnar
-// sidecars carry: lockset-acquire events (Locks/Sources), a skip event
-// with a delta snapshot, constraints, named memory, spin locks, and
-// memory images.
+// buildRichSample extends buildSample with everything else a recording
+// stores: two skip events with delta snapshots (the columnar sidecar),
+// named memory, spin locks, and memory images.
 func buildRichSample() *Trace {
 	tr := buildSample()
 	tr.MemNames[1] = "counter"
@@ -25,8 +24,7 @@ func buildRichSample() *Trace {
 	tr.SpinLocks[LockID(1)] = true
 	tr.InitMem = memmodel.Snapshot{1: 5, 2: 0}
 	tr.FinalMem = memmodel.Snapshot{1: 5, 2: 7}
-	tr.Constraints = []Constraint{{After: 2, Before: 5}}
-	tr.AppendExt(Event{Thread: 0, Kind: KLocksetAcq, Time: 70}, EventExt{Locks: []LockID{1, 2}, Sources: []int32{2, 5}})
+	tr.AppendExt(Event{Thread: 1, Kind: KSkip, Cost: 2, Time: 70}, EventExt{Delta: memmodel.Snapshot{1: 6}})
 	tr.AppendExt(Event{Thread: 0, Kind: KSkip, Cost: 3, Time: 80}, EventExt{Delta: memmodel.Snapshot{2: 9}})
 	tr.Append(Event{Thread: 1, Kind: KCompute, Cost: 11, Time: 90})
 	tr.TotalTime = 90
@@ -90,27 +88,24 @@ func TestColumnarIndexAdoption(t *testing.T) {
 	}
 }
 
-// TestColumnarSidecarOrder: sidecar tables listed out of event order and
-// with an event twice decode to the extension table in ascending event
-// order, the later entry of a table winning — as the view-based reader
-// did, whose map kept the last entry per event.
+// TestColumnarSidecarOrder: the sidecars decode only as the writer
+// writes them, an empty lockset table and the deltas in ascending event
+// order; a lockset entry, a delta table listed out of order or naming
+// one event twice is refused, by ParseColumnar and its oracle alike.
 func TestColumnarSidecarOrder(t *testing.T) {
 	tr := buildRichSample()
 	var full bytes.Buffer
 	if err := tr.WriteColumnar(&full); err != nil {
 		t.Fatal(err)
 	}
-	var ls, skip int32 = -1, -1
+	var skips []int32
 	for i := range tr.Events {
-		switch tr.Events[i].Kind {
-		case KLocksetAcq:
-			ls = int32(i)
-		case KSkip:
-			skip = int32(i)
+		if tr.Events[i].Kind == KSkip {
+			skips = append(skips, int32(i))
 		}
 	}
-	if ls < 0 || skip <= ls {
-		t.Fatalf("sample has lockset %d and skip %d, want the lockset first", ls, skip)
+	if len(skips) != 2 {
+		t.Fatalf("sample has skips %v, want two", skips)
 	}
 	// Find the sidecar section: after the header and the columns.
 	r := &sliceReader{data: full.Bytes()}
@@ -119,10 +114,8 @@ func TestColumnarSidecarOrder(t *testing.T) {
 	}
 	r.take(len(tr.Events) * colEventStride)
 	start := r.off
-	for k, n := 0, r.u32(); k < int(n); k++ {
-		r.u32()
-		u32s[LockID](r, r.u32())
-		u32s[int32](r, r.u32())
+	if n := r.u32(); n != 0 {
+		t.Fatalf("lockset table has %d entries, want none", n)
 	}
 	for k, n := 0, r.u32(); k < int(n); k++ {
 		r.u32()
@@ -132,49 +125,42 @@ func TestColumnarSidecarOrder(t *testing.T) {
 		t.Fatal(r.err)
 	}
 
-	lsx, skipx := *tr.Ext(&tr.Events[ls]), *tr.Ext(&tr.Events[skip])
-	var side bytes.Buffer
-	b := &binWriter{w: bufio.NewWriter(&side)}
-	lockset := func(i int32, locks []LockID, sources []int32) {
-		b.u32(uint32(i))
-		b.u32(uint32(len(locks)))
-		for _, l := range locks {
-			b.u32(uint32(l))
+	// sidecars writes a lockset table of nls entries and a delta table of
+	// the given skips, each with its own delta.
+	sidecars := func(nls int, deltas ...int32) []byte {
+		var side bytes.Buffer
+		b := &binWriter{w: bufio.NewWriter(&side)}
+		b.u32(uint32(nls))
+		for k := 0; k < nls; k++ {
+			b.u32(uint32(skips[0]))
+			b.u32(1)
+			b.u32(uint32(AuxLockBase + 1))
+			b.u32(0)
 		}
-		b.u32(uint32(len(sources)))
-		for _, s := range sources {
-			b.u32(uint32(s))
+		b.u32(uint32(len(deltas)))
+		for _, i := range deltas {
+			b.u32(uint32(i))
+			writeSnapshot(b, tr.Ext(&tr.Events[i]).Delta)
 		}
+		if err := b.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return append(append(append([]byte{}, full.Bytes()[:start]...), side.Bytes()...), full.Bytes()[r.off:]...)
 	}
-	b.u32(3)
-	lockset(skip, []LockID{7}, []int32{-1})
-	lockset(ls, []LockID{9}, nil)
-	lockset(ls, lsx.Locks, lsx.Sources)
-	b.u32(2)
-	b.u32(uint32(skip))
-	writeSnapshot(b, memmodel.Snapshot{2: 1})
-	b.u32(uint32(skip))
-	writeSnapshot(b, skipx.Delta)
-	if err := b.w.Flush(); err != nil {
-		t.Fatal(err)
+	if data := sidecars(0, skips...); !bytes.Equal(data, full.Bytes()) {
+		t.Fatal("the rebuilt sidecars differ from what WriteColumnar wrote")
 	}
-	data := append(append(append([]byte{}, full.Bytes()[:start]...), side.Bytes()...), full.Bytes()[r.off:]...)
-
-	got, err := ParseColumnar(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := readColumnarRef(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameTrace(got, want); err != nil {
-		t.Fatal(err)
-	}
-	wantExts := []EventExt{lsx, {Locks: []LockID{7}, Sources: []int32{-1}, Delta: skipx.Delta}}
-	if !reflect.DeepEqual(got.Exts, wantExts) || got.Events[ls].Ext != 1 || got.Events[skip].Ext != 2 {
-		t.Fatalf("extensions %+v (lockset event → %d, skip → %d), want %+v at 1 and 2",
-			got.Exts, got.Events[ls].Ext, got.Events[skip].Ext, wantExts)
+	for name, data := range map[string][]byte{
+		"lockset entry":     sidecars(1, skips...),
+		"deltas descending": sidecars(0, skips[1], skips[0]),
+		"delta twice":       sidecars(0, skips[0], skips[0], skips[1]),
+	} {
+		if _, err := ParseColumnar(data); err == nil {
+			t.Errorf("%s: ParseColumnar accepted it", name)
+		}
+		if _, err := readColumnarRef(data); err == nil {
+			t.Errorf("%s: readColumnarRef accepted it", name)
+		}
 	}
 }
 

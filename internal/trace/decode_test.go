@@ -3,11 +3,15 @@ package trace_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"perfplay/internal/memmodel"
@@ -27,7 +31,8 @@ func encode(t testing.TB, tr *trace.Trace, write func(*trace.Trace, io.Writer) e
 	return buf.Bytes()
 }
 
-// transformed runs tr through identification and transform.Apply.
+// transformed runs tr through identification and transform.Apply: a
+// trace with lockset events and constraints, which no writer stores.
 func transformed(t testing.TB, tr *trace.Trace) *trace.Trace {
 	t.Helper()
 	css := tr.ExtractCS()
@@ -40,7 +45,7 @@ func transformed(t testing.TB, tr *trace.Trace) *trace.Trace {
 
 // skipAndContend records two threads that contend on one lock around a
 // selectively recorded range: the recording has a KSkip, and its
-// transformation locksets as well.
+// transformation locksets and constraints as well.
 func skipAndContend() *trace.Trace {
 	p := sim.NewProgram("skip-and-contend")
 	l := p.NewLock("L")
@@ -65,34 +70,32 @@ func skipAndContend() *trace.Trace {
 // the header and on every event's fixed fields and extension contents.
 func FuzzReadBinary(f *testing.F) {
 	rec := skipAndContend()
-	ls := transformed(f, rec)
-	recBytes, lsBytes := encode(f, rec, (*trace.Trace).WriteBinary), encode(f, ls, (*trace.Trace).WriteBinary)
+	recBytes := encode(f, rec, (*trace.Trace).WriteBinary)
 	f.Add(recBytes)
-	f.Add(lsBytes)
 	f.Add(encode(f, trace.BuildSample(), (*trace.Trace).WriteBinary))
 	f.Add([]byte{})
 	f.Add([]byte{0x46, 0x52, 0x45, 0x50, 3, 0, 0, 0})
-
-	// The first lockset event cut at each of its 4-byte boundaries (every
-	// field starts on one): the header is as long whatever the event
-	// count, so encoding a prefix of the events finds the offsets.
-	first := -1
-	for i := range ls.Events {
-		if ls.Events[i].Kind == trace.KLocksetAcq {
-			first = i
-			break
+	patches := unrecorded(f, rec)
+	for _, what := range slices.Sorted(maps.Keys(patches)) {
+		if strings.HasPrefix(what, trace.FormatBinary+"/") {
+			f.Add(patches[what])
 		}
 	}
+
+	// The first skip, whose delta is the one variable-length payload, cut
+	// at each of its 4-byte boundaries (every field starts on one):
+	// encoding a prefix of the events finds the offsets.
+	first := slices.IndexFunc(rec.Events, func(e trace.Event) bool { return e.Kind == trace.KSkip })
 	if first < 0 {
-		f.Fatal("the transformed seed has no lockset")
+		f.Fatal("the recorded seed has no skip")
 	}
-	prefix := *ls
-	prefix.Events = ls.Events[:first]
+	prefix := *rec
+	prefix.Events = rec.Events[:first]
 	start := len(encode(f, &prefix, (*trace.Trace).WriteBinary))
-	prefix.Events = ls.Events[:first+1]
+	prefix.Events = rec.Events[:first+1]
 	end := len(encode(f, &prefix, (*trace.Trace).WriteBinary))
 	for cut := start; cut <= end; cut += 4 {
-		f.Add(lsBytes[:cut])
+		f.Add(recBytes[:cut])
 	}
 
 	// A header that declares 2^31-1 events over 60 bytes of them.
@@ -115,12 +118,12 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// TestEncodingsRoundTripAndKeepTheirBytes: every registered workload,
-// recorded and transformed, through each of the three encodings — the
-// decoded trace equals the encoded one event by event, its extension
-// indices ascend in event order, and the bytes hash to what the commit
-// before the event row changed wrote (testdata/encodings_50537f1.json),
-// so no stored trace's content address moves.
+// TestEncodingsRoundTripAndKeepTheirBytes: every registered workload's
+// recording through each of the three encodings — the decoded trace
+// equals the encoded one event by event, its extension indices ascend in
+// event order, and the bytes hash to what the commit before the event
+// row changed wrote (testdata/encodings_50537f1.json), so no stored
+// trace's content address moves.
 func TestEncodingsRoundTripAndKeepTheirBytes(t *testing.T) {
 	raw, err := os.ReadFile("testdata/encodings_50537f1.json")
 	if err != nil {
@@ -171,12 +174,150 @@ func TestEncodingsRoundTripAndKeepTheirBytes(t *testing.T) {
 				p := workload.MustGet(app).Build(workload.Config{Threads: threads, Scale: 0.1, Seed: seed})
 				tr := sim.Run(p, sim.Config{Seed: seed}).Trace
 				check(what+"/recorded", tr)
-				check(what+"/transformed", transformed(t, tr))
-				seen += 2
+				seen++
 			}
 		}
 	}
 	if seen != len(pinned) {
 		t.Fatalf("checked %d traces, testdata pins %d", seen, len(pinned))
+	}
+}
+
+// unrecorded returns rec's bytes in each format patched to carry what no
+// recording holds, keyed by format and patch: event 0 with a lockset
+// kind, KInvalid, kind 200 or the replayer's private 0xff; event 0 with
+// a lock or source list (a lockset table entry in PCOL), or in JSON a
+// delta, which only a skip has; one constraint. Every decoder must
+// refuse each of them.
+func unrecorded(t testing.TB, rec *trace.Trace) map[string][]byte {
+	t.Helper()
+	if rec.Events[0].Kind == trace.KSkip {
+		t.Fatal("event 0 is a skip: the patches assume a fixed-size event")
+	}
+	le := binary.LittleEndian
+	header := *rec
+	header.Events = nil
+	hdr := len(encode(t, &header, (*trace.Trace).WriteBinary)) // ends with the constraint and event counts
+	n := len(rec.Events)
+	// with returns a copy of data with word v at off, and extra inserted
+	// at ins.
+	with := func(data []byte, off int, v uint32, ins int, extra ...uint32) []byte {
+		out := slices.Clone(data)
+		le.PutUint32(out[off:], v)
+		var tail []byte
+		for _, w := range extra {
+			tail = le.AppendUint32(tail, w)
+		}
+		return slices.Insert(out, ins, tail...)
+	}
+	kinds := map[string]trace.Kind{"lockset-acq": trace.KLocksetAcq, "lockset-rel": trace.KLocksetRel, "invalid": trace.KInvalid, "200": 200, "255": 0xff}
+	out := map[string][]byte{}
+	for name, at := range map[string]int{trace.FormatBinary: hdr + 4, trace.FormatColumnar: hdr + 4*n} {
+		data := encode(t, rec, (*trace.Trace).WriteBinary)
+		if name == trace.FormatColumnar {
+			data = encode(t, rec, (*trace.Trace).WriteColumnar)
+		}
+		for k, kind := range kinds {
+			out[name+"/kind="+k] = with(data, at, le.Uint32(data[at:])&^0xff|uint32(kind), 0)
+		}
+		out[name+"/constraint"] = with(data, hdr-8, 1, hdr-4, 0, 1)
+	}
+	bin := encode(t, rec, (*trace.Trace).WriteBinary)
+	out["binary/locks"] = with(bin, hdr+44, 1, hdr+48, uint32(trace.AuxLockBase+1))
+	out["binary/sources"] = with(bin, hdr+48, 1, hdr+52, 0xffffffff)
+	col := encode(t, rec, (*trace.Trace).WriteColumnar)
+	locksets := hdr + n*(5*4+3*8) // past the columns
+	out["columnar/lockset"] = with(col, locksets, 1, locksets+4, 0, 1, uint32(trace.AuxLockBase+1), 0)
+
+	js := encode(t, rec, (*trace.Trace).WriteJSON)
+	patched := func(edit func(doc, ev0 map[string]any)) []byte {
+		var doc map[string]any
+		dec := json.NewDecoder(bytes.NewReader(js))
+		dec.UseNumber()
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		edit(doc, doc["events"].([]any)[0].(map[string]any))
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for k, kind := range kinds {
+		out["json/kind="+k] = patched(func(_, ev0 map[string]any) { ev0["k"] = kind })
+	}
+	out["json/ls"] = patched(func(_, ev0 map[string]any) { ev0["ls"] = []any{trace.AuxLockBase + 1} })
+	out["json/src"] = patched(func(_, ev0 map[string]any) { ev0["src"] = []any{-1} })
+	out["json/d"] = patched(func(_, ev0 map[string]any) { ev0["d"] = map[string]any{"7": 9} })
+	out["json/constraints"] = patched(func(doc, _ map[string]any) { doc["constraints"] = []any{map[string]any{"a": 0, "b": 1}} })
+	return out
+}
+
+// TestDecodeRefusesWhatNoRecordingHolds: every patch of unrecorded, on a
+// hand-built recording and on a mysql one (×0.05, seed 42), is refused by
+// Decode, which hands each format to its own decoder, for what the patch
+// put in; the unpatched bytes decode.
+func TestDecodeRefusesWhatNoRecordingHolds(t *testing.T) {
+	p := workload.MustGet("mysql").Build(workload.Config{Threads: 4, Scale: 0.05, Seed: 42})
+	for name, rec := range map[string]*trace.Trace{"skip-and-contend": skipAndContend(), "mysql": sim.Run(p, sim.Config{Seed: 42}).Trace} {
+		for _, write := range []func(*trace.Trace, io.Writer) error{(*trace.Trace).WriteBinary, (*trace.Trace).WriteColumnar, (*trace.Trace).WriteJSON} {
+			if _, err := trace.Decode(encode(t, rec, write)); err != nil {
+				t.Fatalf("%s: the unpatched recording: %v", name, err)
+			}
+		}
+		patches := unrecorded(t, rec)
+		if len(patches) != 24 {
+			t.Fatalf("%d patches, want 24", len(patches))
+		}
+		for what, data := range patches {
+			got, err := trace.Decode(data)
+			switch {
+			case err == nil:
+				t.Errorf("%s: %s: decoded %d events", name, what, len(got.Events))
+			case !strings.Contains(err.Error(), "which no recording holds") && !strings.Contains(err.Error(), "unknown field"):
+				t.Errorf("%s: %s: refused for another reason: %v", name, what, err)
+			}
+		}
+	}
+}
+
+// TestWritersRefuseWhatNoRecordingHolds: a transformed trace, and a
+// recording given a constraint, a lockset or unknown kind, a lock list
+// or a delta off a skip, is an error from every writer, which writes
+// nothing.
+func TestWritersRefuseWhatNoRecordingHolds(t *testing.T) {
+	rec := skipAndContend()
+	edited := func(edit func(tr *trace.Trace)) *trace.Trace {
+		tr := *rec
+		tr.Events = slices.Clone(rec.Events)
+		tr.Exts = slices.Clone(rec.Exts)
+		edit(&tr)
+		return &tr
+	}
+	bad := map[string]*trace.Trace{
+		"transformed": transformed(t, rec),
+		"constraint":  edited(func(tr *trace.Trace) { tr.Constraints = []trace.Constraint{{After: 0, Before: 1}} }),
+		"lock list": edited(func(tr *trace.Trace) {
+			tr.Exts = append(tr.Exts, trace.EventExt{Locks: []trace.LockID{trace.AuxLockBase + 1}})
+			tr.Events[0].Ext = int32(len(tr.Exts))
+		}),
+		"delta off a skip": edited(func(tr *trace.Trace) {
+			tr.Exts = append(tr.Exts, trace.EventExt{Delta: memmodel.Snapshot{7: 9}})
+			tr.Events[0].Ext = int32(len(tr.Exts))
+		}),
+	}
+	for _, k := range []trace.Kind{trace.KLocksetAcq, trace.KLocksetRel, trace.KInvalid, 200, 0xff} {
+		bad["kind "+k.String()] = edited(func(tr *trace.Trace) { tr.Events[0].Kind = k })
+	}
+	for name, tr := range bad {
+		for format, write := range map[string]func(*trace.Trace, io.Writer) error{
+			trace.FormatBinary: (*trace.Trace).WriteBinary, trace.FormatColumnar: (*trace.Trace).WriteColumnar, trace.FormatJSON: (*trace.Trace).WriteJSON,
+		} {
+			var buf bytes.Buffer
+			if err := write(tr, &buf); err == nil || buf.Len() != 0 {
+				t.Errorf("%s: %s: err %v, %d bytes written", name, format, err, buf.Len())
+			}
+		}
 	}
 }

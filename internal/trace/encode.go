@@ -20,7 +20,9 @@ import (
 //     explicitly excludes from measurement), and
 //   - JSON, for human inspection and tooling.
 //
-// All round-trip every field the replayer consumes.
+// All three store a recording and nothing else (see storable); where the
+// binary formats stored more, they keep a zero count, so no recording's
+// bytes moved.
 
 const (
 	binMagic   = 0x50455246 // "PERF"
@@ -40,59 +42,84 @@ func checkEventCount(n uint64) error {
 	return nil
 }
 
+// errKind refuses event i, whose kind k no recording holds.
+func errKind(i int, k Kind) error {
+	return fmt.Errorf("event %d has kind %v, which no recording holds", i, k)
+}
+
+// storable refuses, before a writer writes a byte, what the recorder
+// never writes: constraints, lockset members, a delta off a skip, a kind
+// it has no use for. Every decoder refuses the same in bytes.
+func storable(tr *Trace) error {
+	if err := checkEventCount(uint64(len(tr.Events))); err != nil {
+		return err
+	}
+	if len(tr.Constraints) > 0 {
+		return fmt.Errorf("trace: %d constraints, which no recording holds", len(tr.Constraints))
+	}
+	for i := range tr.Events {
+		e := &tr.Events[i]
+		if !e.Kind.recorded() {
+			return fmt.Errorf("trace: %w", errKind(i, e.Kind))
+		}
+		if x := tr.Ext(e); len(x.Locks) > 0 || len(x.Sources) > 0 || e.Kind != KSkip && len(x.Delta) > 0 {
+			return fmt.Errorf("trace: event %d, a %v, carries a payload no recording holds", i, e.Kind)
+		}
+	}
+	return nil
+}
+
 // jsonEvent and jsonTrace are the JSON shape of a trace: an event is
-// written with its extension inline, and the keys keep the order files
+// written with its delta inline, and the keys keep the order files
 // already stored (and content-addressed) were written in.
 type jsonEvent struct {
-	Thread  int32             `json:"t"`
-	Kind    Kind              `json:"k"`
-	Lock    LockID            `json:"l,omitempty"`
-	Locks   []LockID          `json:"ls,omitempty"`
-	Addr    memmodel.Addr     `json:"a,omitempty"`
-	Value   int64             `json:"v,omitempty"`
-	Op      WriteOp           `json:"op,omitempty"`
-	Cost    vtime.Duration    `json:"c,omitempty"`
-	Time    vtime.Time        `json:"tm"`
-	Site    SiteID            `json:"s,omitempty"`
-	Spin    bool              `json:"sp,omitempty"`
-	Sources []int32           `json:"src,omitempty"`
-	Delta   memmodel.Snapshot `json:"d,omitempty"`
+	Thread int32             `json:"t"`
+	Kind   Kind              `json:"k"`
+	Lock   LockID            `json:"l,omitempty"`
+	Addr   memmodel.Addr     `json:"a,omitempty"`
+	Value  int64             `json:"v,omitempty"`
+	Op     WriteOp           `json:"op,omitempty"`
+	Cost   vtime.Duration    `json:"c,omitempty"`
+	Time   vtime.Time        `json:"tm"`
+	Site   SiteID            `json:"s,omitempty"`
+	Spin   bool              `json:"sp,omitempty"`
+	Delta  memmodel.Snapshot `json:"d,omitempty"`
 }
 
 type jsonTrace struct {
-	App         string                   `json:"app"`
-	NumThreads  int                      `json:"threads"`
-	Events      []jsonEvent              `json:"events"`
-	MemNames    map[memmodel.Addr]string `json:"memnames,omitempty"`
-	InitMem     memmodel.Snapshot        `json:"initmem,omitempty"`
-	FinalMem    memmodel.Snapshot        `json:"finalmem,omitempty"`
-	TotalTime   vtime.Duration           `json:"total"`
-	Constraints []Constraint             `json:"constraints,omitempty"`
-	SpinLocks   map[LockID]bool          `json:"spinlocks,omitempty"`
-	Sites       []Site                   `json:"sites"`
+	App        string                   `json:"app"`
+	NumThreads int                      `json:"threads"`
+	Events     []jsonEvent              `json:"events"`
+	MemNames   map[memmodel.Addr]string `json:"memnames,omitempty"`
+	InitMem    memmodel.Snapshot        `json:"initmem,omitempty"`
+	FinalMem   memmodel.Snapshot        `json:"finalmem,omitempty"`
+	TotalTime  vtime.Duration           `json:"total"`
+	SpinLocks  map[LockID]bool          `json:"spinlocks,omitempty"`
+	Sites      []Site                   `json:"sites"`
 }
 
 // WriteJSON writes the trace as indented JSON.
 func (tr *Trace) WriteJSON(w io.Writer) error {
+	if err := storable(tr); err != nil {
+		return err
+	}
 	jt := jsonTrace{
-		App:         tr.App,
-		NumThreads:  tr.NumThreads,
-		MemNames:    tr.MemNames,
-		InitMem:     tr.InitMem,
-		FinalMem:    tr.FinalMem,
-		TotalTime:   tr.TotalTime,
-		Constraints: tr.Constraints,
-		SpinLocks:   tr.SpinLocks,
+		App:        tr.App,
+		NumThreads: tr.NumThreads,
+		MemNames:   tr.MemNames,
+		InitMem:    tr.InitMem,
+		FinalMem:   tr.FinalMem,
+		TotalTime:  tr.TotalTime,
+		SpinLocks:  tr.SpinLocks,
 	}
 	if tr.Events != nil {
 		jt.Events = make([]jsonEvent, len(tr.Events))
 	}
 	for i := range tr.Events {
 		e := &tr.Events[i]
-		x := tr.Ext(e)
 		jt.Events[i] = jsonEvent{
-			Thread: e.Thread, Kind: e.Kind, Lock: e.Lock, Locks: x.Locks, Addr: e.Addr, Value: e.Value, Op: e.Op,
-			Cost: e.Cost, Time: e.Time, Site: e.Site, Spin: e.Spin, Sources: x.Sources, Delta: x.Delta,
+			Thread: e.Thread, Kind: e.Kind, Lock: e.Lock, Addr: e.Addr, Value: e.Value, Op: e.Op,
+			Cost: e.Cost, Time: e.Time, Site: e.Site, Spin: e.Spin, Delta: tr.Ext(e).Delta,
 		}
 	}
 	if tr.Sites != nil {
@@ -103,10 +130,13 @@ func (tr *Trace) WriteJSON(w io.Writer) error {
 	return enc.Encode(&jt)
 }
 
-// ReadJSON parses a trace previously written by WriteJSON.
+// ReadJSON parses a trace previously written by WriteJSON. A key
+// WriteJSON does not write is an error.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	var jt jsonTrace
-	if err := json.NewDecoder(r).Decode(&jt); err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&jt); err != nil {
 		return nil, fmt.Errorf("trace: decode json: %w", err)
 	}
 	if err := checkEventCount(uint64(len(jt.Events))); err != nil {
@@ -116,26 +146,31 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: implausible thread count %d", jt.NumThreads)
 	}
 	tr := &Trace{
-		App:         jt.App,
-		NumThreads:  jt.NumThreads,
-		Sites:       NewSiteTable(),
-		MemNames:    jt.MemNames,
-		InitMem:     jt.InitMem,
-		FinalMem:    jt.FinalMem,
-		TotalTime:   jt.TotalTime,
-		Constraints: jt.Constraints,
-		SpinLocks:   jt.SpinLocks,
+		App:        jt.App,
+		NumThreads: jt.NumThreads,
+		Sites:      NewSiteTable(),
+		MemNames:   jt.MemNames,
+		InitMem:    jt.InitMem,
+		FinalMem:   jt.FinalMem,
+		TotalTime:  jt.TotalTime,
+		SpinLocks:  jt.SpinLocks,
 	}
 	if jt.Events != nil {
 		tr.Events = make([]Event, len(jt.Events))
 	}
 	for i := range jt.Events {
 		je := &jt.Events[i]
+		if !je.Kind.recorded() {
+			return nil, fmt.Errorf("trace: decode json: %w", errKind(i, je.Kind))
+		}
+		if je.Kind != KSkip && je.Delta != nil {
+			return nil, fmt.Errorf("trace: decode json: event %d, a %v, carries a delta, which no recording holds", i, je.Kind)
+		}
 		tr.Events[i] = Event{
 			Thread: je.Thread, Kind: je.Kind, Lock: je.Lock, Addr: je.Addr, Value: je.Value, Op: je.Op,
 			Cost: je.Cost, Time: je.Time, Site: je.Site, Spin: je.Spin,
 		}
-		tr.setExt(i, EventExt{Locks: je.Locks, Sources: je.Sources, Delta: je.Delta})
+		tr.setExt(i, EventExt{Delta: je.Delta})
 	}
 	if len(jt.Sites) > 0 {
 		tr.Sites.sites = jt.Sites
@@ -202,9 +237,9 @@ func writeSnapshot(b *binWriter, s memmodel.Snapshot) {
 
 // writeHeader writes what the v3 and PCOL formats share, in this order:
 // magic, version, app, threads, total time, sites, memory names, spin
-// locks, the initial and final memory images, the constraints and the
-// event count. The tables are written sorted, so equal traces write
-// equal bytes.
+// locks, the initial and final memory images, a zero constraint count
+// and the event count. The tables are written sorted, so equal traces
+// write equal bytes.
 func writeHeader(b *binWriter, magic, version uint32, tr *Trace) {
 	b.u32(magic)
 	b.u32(version)
@@ -249,17 +284,14 @@ func writeHeader(b *binWriter, magic, version uint32, tr *Trace) {
 	writeSnapshot(b, tr.InitMem)
 	writeSnapshot(b, tr.FinalMem)
 
-	b.u32(uint32(len(tr.Constraints)))
-	for _, c := range tr.Constraints {
-		b.u32(uint32(c.After))
-		b.u32(uint32(c.Before))
-	}
+	b.u32(0) // constraints: a recording has none
 	b.u32(uint32(len(tr.Events)))
 }
 
 // readHeader reads what writeHeader wrote and returns a trace with its
 // events allocated, still zero. A wrong magic or version, more than
-// MaxThreads threads, or an event count past MaxEvents is an error. A
+// MaxThreads threads, a constraint, or an event count past MaxEvents is
+// an error. A
 // truncation, or an event count the remaining bytes cannot back at
 // eventMin bytes an event, is left in r.err for the caller to report.
 func readHeader(r *sliceReader, magic, version uint32, eventMin int) (*Trace, error) {
@@ -300,7 +332,9 @@ func readHeader(r *sliceReader, magic, version uint32, eventMin int) (*Trace, er
 
 	tr.InitMem = r.snapshot()
 	tr.FinalMem = r.snapshot()
-	tr.Constraints = r.constraints()
+	if n := r.u32(); r.err == nil && n != 0 {
+		return nil, fmt.Errorf("trace: %d constraints, which no recording holds", n)
+	}
 
 	nev := r.u32()
 	if r.err != nil {
@@ -336,7 +370,7 @@ func unpackFlags(flags uint32) (Kind, bool, WriteOp) {
 
 // WriteBinary writes the trace in the compact binary format.
 func (tr *Trace) WriteBinary(w io.Writer) error {
-	if err := checkEventCount(uint64(len(tr.Events))); err != nil {
+	if err := storable(tr); err != nil {
 		return err
 	}
 	b := &binWriter{w: bufio.NewWriter(w)}
@@ -351,17 +385,9 @@ func (tr *Trace) WriteBinary(w io.Writer) error {
 		b.i64(int64(e.Cost))
 		b.i64(int64(e.Time))
 		b.u32(uint32(e.Site))
-		x := tr.Ext(e)
-		b.u32(uint32(len(x.Locks)))
-		for _, l := range x.Locks {
-			b.u32(uint32(l))
-		}
-		b.u32(uint32(len(x.Sources)))
-		for _, s := range x.Sources {
-			b.u32(uint32(s))
-		}
+		b.i64(0) // the lock and source counts: a recording has none
 		if e.Kind == KSkip {
-			writeSnapshot(b, x.Delta)
+			writeSnapshot(b, tr.Ext(e).Delta)
 		}
 	}
 	if b.err != nil {
@@ -370,15 +396,10 @@ func (tr *Trace) WriteBinary(w io.Writer) error {
 	return b.w.Flush()
 }
 
-// binEventFixed is the fixed part of a v3 binary event up to and
-// including its lock count (the lock ids sit between the two counts), and
-// BinaryEventMin the least any event occupies: that plus the source
-// count. A recording's events occupy exactly that, its skips' deltas
-// aside, which lets a writer size its buffer from the event count.
-const (
-	binEventFixed  = 5*4 + 3*8 + 4
-	BinaryEventMin = binEventFixed + 4
-)
+// BinaryEventMin is what a v3 event occupies: the fixed fields and the
+// lock and source counts, both zero. Only a skip's delta follows it,
+// which lets a writer size its buffer from the event count.
+const BinaryEventMin = 5*4 + 3*8 + 8
 
 // DecodeBinary parses a trace previously written by WriteBinary. It keeps
 // no reference to data.
@@ -388,16 +409,24 @@ func DecodeBinary(data []byte) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range tr.Events {
-		// One bounds check per event: the fixed part and both counts.
+	for i := 0; i < len(tr.Events) && r.err == nil; i++ {
+		// One bounds check per event: the fixed fields and both counts.
 		if len(data)-r.off < BinaryEventMin {
 			r.short(BinaryEventMin)
 			break
 		}
 		b := data[r.off : r.off+BinaryEventMin]
-		e := &tr.Events[i]
 		kind, spin, op := unpackFlags(binary.LittleEndian.Uint32(b[4:]))
-		*e = Event{
+		if !kind.recorded() {
+			r.err = errKind(i, kind)
+			break
+		}
+		if binary.LittleEndian.Uint64(b[44:]) != 0 {
+			r.err = fmt.Errorf("event %d carries lockset members, which no recording holds", i)
+			break
+		}
+		r.off += BinaryEventMin
+		tr.Events[i] = Event{
 			Thread: int32(binary.LittleEndian.Uint32(b)),
 			Kind:   kind,
 			Spin:   spin,
@@ -409,21 +438,8 @@ func DecodeBinary(data []byte) (*Trace, error) {
 			Time:   vtime.Time(binary.LittleEndian.Uint64(b[32:])),
 			Site:   SiteID(binary.LittleEndian.Uint32(b[40:])),
 		}
-		nl := binary.LittleEndian.Uint32(b[44:])
-		if nl == 0 && e.Kind != KSkip && binary.LittleEndian.Uint32(b[48:]) == 0 {
-			r.off += BinaryEventMin
-			continue // what all but a few events look like: no extension
-		}
-		// The lock ids sit between the two counts.
-		r.off += binEventFixed
-		x := EventExt{Locks: u32s[LockID](r, nl)}
-		x.Sources = u32s[int32](r, r.u32())
-		if e.Kind == KSkip {
-			x.Delta = r.snapshot()
-		}
-		tr.setExt(i, x)
-		if r.err != nil {
-			break
+		if kind == KSkip {
+			tr.setExt(i, EventExt{Delta: r.snapshot()})
 		}
 	}
 	if r.err != nil {

@@ -84,6 +84,13 @@ var kindNames = [...]string{
 	KBarrier:     "barrier",
 }
 
+// recorded reports whether the recorder writes events of kind k: every
+// declared kind but KInvalid and the lockset kinds. Nothing else is
+// stored.
+func (k Kind) recorded() bool {
+	return k > KInvalid && k <= KBarrier && k != KLocksetAcq && k != KLocksetRel
+}
+
 // String names the kind.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {

@@ -2,6 +2,8 @@ package trace_test
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"testing"
 
 	"perfplay/internal/trace"
@@ -11,10 +13,11 @@ import (
 // FuzzReadAny: the shared loader behind trace uploads, corpus blobs and
 // the CLI's -replay path must never panic on arbitrary bytes, any trace
 // it accepts must survive the binary re-encode + re-parse round trip the
-// corpus performs when it canonicalizes blobs, and one that also passes
-// Validate must survive what every analysis does next: ExtractCS and
-// ULCP identification. It lives in the external test package because
-// ulcp imports trace.
+// corpus performs when it canonicalizes blobs — which, since the writers
+// store nothing but a recording, holds Decode to accepting only that —
+// and one that also passes Validate must survive what every analysis
+// does next: ExtractCS and ULCP identification. It lives in the external
+// test package because ulcp imports trace.
 func FuzzReadAny(f *testing.F) {
 	tr := trace.BuildSample()
 	var bin, js bytes.Buffer
@@ -41,6 +44,12 @@ func FuzzReadAny(f *testing.F) {
 	// out of range.
 	f.Add([]byte(`{"threads": 2, "events": [{"t":0,"k":4,"l":1},{"t":0,"k":9,"a":5,"op":7},{"t":0,"k":5,"l":1},` +
 		`{"t":1,"k":4,"l":1},{"t":1,"k":9,"a":5,"op":2},{"t":1,"k":5,"l":1}]}`))
+	// A recording in each format patched to carry what no recording
+	// holds: Decode must refuse every one.
+	patches := unrecorded(f, skipAndContend())
+	for _, what := range slices.Sorted(maps.Keys(patches)) {
+		f.Add(patches[what])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := trace.ReadAny(bytes.NewReader(data))
 		if err != nil {

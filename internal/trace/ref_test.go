@@ -13,7 +13,9 @@ import (
 
 // readBinaryRef is the decoder DecodeBinary replaced — one io.ReadFull per
 // field through a bufio.Reader, counts capped and then appended to — kept
-// as the oracle FuzzReadBinary holds DecodeBinary against.
+// as the oracle FuzzReadBinary holds DecodeBinary against. Like
+// DecodeBinary, it refuses what no recording holds: a constraint, a kind
+// the recorder does not write, a lock or source list.
 func readBinaryRef(r io.Reader) (*Trace, error) {
 	b := &binReader{r: bufio.NewReader(r)}
 	if m := b.u32(); b.err == nil && m != binMagic {
@@ -63,12 +65,8 @@ func readBinaryRef(r io.Reader) (*Trace, error) {
 	tr.InitMem = b.snapshot()
 	tr.FinalMem = b.snapshot()
 
-	ncons := b.u32()
-	for i := uint32(0); i < ncons && b.err == nil; i++ {
-		var c Constraint
-		c.After = int32(b.u32())
-		c.Before = int32(b.u32())
-		tr.Constraints = append(tr.Constraints, c)
+	if ncons := b.u32(); b.err == nil && ncons != 0 {
+		return nil, fmt.Errorf("trace: %d constraints", ncons)
 	}
 
 	nev := b.u32()
@@ -92,13 +90,19 @@ func readBinaryRef(r io.Reader) (*Trace, error) {
 		e.Cost = vtime.Duration(b.i64())
 		e.Time = vtime.Time(b.i64())
 		e.Site = SiteID(b.u32())
-		nl := b.u32()
-		for j := uint32(0); j < nl && b.err == nil; j++ {
-			x.Locks = append(x.Locks, LockID(b.u32()))
+		nl, ns := b.u32(), b.u32()
+		if b.err != nil {
+			break
 		}
-		ns := b.u32()
-		for j := uint32(0); j < ns && b.err == nil; j++ {
-			x.Sources = append(x.Sources, int32(b.u32()))
+		if nl != 0 || ns != 0 {
+			return nil, fmt.Errorf("trace: event %d: %d locks, %d sources", i, nl, ns)
+		}
+		switch e.Kind {
+		case KInvalid, KLocksetAcq, KLocksetRel:
+			return nil, fmt.Errorf("trace: event %d: kind %v", i, e.Kind)
+		}
+		if e.Kind > KBarrier {
+			return nil, fmt.Errorf("trace: event %d: kind %v", i, e.Kind)
 		}
 		if e.Kind == KSkip {
 			x.Delta = b.snapshot()
@@ -165,10 +169,13 @@ func (b *binReader) snapshot() memmodel.Snapshot {
 }
 
 // readColumnarRef is the reader ParseColumnar replaced — the header read
-// field by field, the columns kept as views into data, the sidecars in
-// maps keyed by event, the indexes validated against the columns — kept
+// field by field, the columns kept as views into data, the deltas in a
+// map keyed by event, the indexes validated against the columns — kept
 // as the oracle FuzzReadColumnar holds ParseColumnar against. Like
-// ParseColumnar, it returns the trace with the stored indexes adopted.
+// ParseColumnar, it returns the trace with the stored indexes adopted,
+// and refuses what no recording holds: a constraint, a kind the recorder
+// does not write, a lockset entry, and a delta table out of ascending
+// event order.
 func readColumnarRef(data []byte) (*Trace, error) {
 	r := &sliceReader{data: data}
 	if m := r.u32(); r.err == nil && m != colMagic {
@@ -204,7 +211,9 @@ func readColumnarRef(data []byte) (*Trace, error) {
 	}
 	tr.InitMem = r.snapshot()
 	tr.FinalMem = r.snapshot()
-	tr.Constraints = r.constraints()
+	if ncons := r.u32(); r.err == nil && ncons != 0 {
+		return nil, fmt.Errorf("trace: %d constraints", ncons)
+	}
 
 	nev := r.u32()
 	if r.err == nil {
@@ -222,37 +231,34 @@ func readColumnarRef(data []byte) (*Trace, error) {
 	u32At := func(col []byte, i int) uint32 { return binary.LittleEndian.Uint32(col[i*4:]) }
 	i64At := func(col []byte, i int) int64 { return int64(binary.LittleEndian.Uint64(col[i*8:])) }
 	kindAt := func(i int) Kind { return Kind(u32At(flags, i) & 0xff) }
-
-	type lockset struct {
-		locks   []LockID
-		sources []int32
-	}
-	var locksets map[int32]lockset
-	if nls := r.u32(); r.err == nil {
-		locksets = make(map[int32]lockset, min(nls, 65536))
-		for i := uint32(0); i < nls && r.err == nil; i++ {
-			idx := r.u32()
-			if idx >= nev {
-				return nil, fmt.Errorf("trace: lockset sidecar references event %d of %d", idx, nev)
+	if r.err == nil {
+		for i := 0; i < n; i++ {
+			if k := kindAt(i); k == KInvalid || k == KLocksetAcq || k == KLocksetRel || k > KBarrier {
+				return nil, fmt.Errorf("trace: event %d: kind %v", i, k)
 			}
-			var ls lockset
-			ls.locks = u32s[LockID](r, r.u32())
-			ls.sources = u32s[int32](r, r.u32())
-			locksets[int32(idx)] = ls
 		}
+	}
+
+	if nls := r.u32(); r.err == nil && nls != 0 {
+		return nil, fmt.Errorf("trace: %d lockset entries", nls)
 	}
 	var deltas map[int32]memmodel.Snapshot
 	if nd := r.u32(); r.err == nil {
 		deltas = make(map[int32]memmodel.Snapshot, min(nd, 65536))
+		prev := int64(-1)
 		for i := uint32(0); i < nd && r.err == nil; i++ {
 			idx := r.u32()
-			if idx >= nev {
-				return nil, fmt.Errorf("trace: delta sidecar references event %d of %d", idx, nev)
+			if r.err != nil {
+				break
 			}
-			if r.err == nil && kindAt(int(idx)) != KSkip {
+			if idx >= nev || int64(idx) <= prev {
+				return nil, fmt.Errorf("trace: delta sidecar references event %d after %d, of %d", idx, prev, nev)
+			}
+			if kindAt(int(idx)) != KSkip {
 				return nil, fmt.Errorf("trace: delta sidecar references event %d, a %v, not a skip", idx, kindAt(int(idx)))
 			}
 			deltas[int32(idx)] = r.snapshot()
+			prev = int64(idx)
 		}
 	}
 
@@ -307,19 +313,13 @@ func readColumnarRef(data []byte) (*Trace, error) {
 			Site:   SiteID(u32At(site, i)),
 		}
 	}
-	withExt := make([]int32, 0, len(locksets)+len(deltas))
-	for i := range locksets {
-		withExt = append(withExt, i)
-	}
+	withExt := make([]int32, 0, len(deltas))
 	for i := range deltas {
-		if _, both := locksets[i]; !both {
-			withExt = append(withExt, i)
-		}
+		withExt = append(withExt, i)
 	}
 	slices.Sort(withExt)
 	for _, i := range withExt {
-		ls := locksets[i]
-		tr.setExt(int(i), EventExt{Locks: ls.locks, Sources: ls.sources, Delta: deltas[i]})
+		tr.setExt(int(i), EventExt{Delta: deltas[i]})
 	}
 
 	total := 0

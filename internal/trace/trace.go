@@ -225,9 +225,10 @@ func (tr *Trace) DynamicLocks() int { return tr.CountKind(KLockAcq) }
 const MaxThreads = 1 << 10
 
 // Validate checks structural invariants: a thread count within
-// MaxThreads, thread IDs in range, lock acquire/release nesting
-// well-formed per thread, write operations known, extension indices,
-// constraint indices and lockset sources in range. A trace that fails
+// MaxThreads, thread IDs in range, kinds declared (the lockset kinds
+// too: transform.Apply validates its output), lock acquire/release
+// nesting well-formed per thread, write operations known, extension
+// indices, constraint indices and lockset sources in range. A trace that fails
 // validation indicates a recorder or transformation bug, or a file
 // nothing here wrote.
 func (tr *Trace) Validate() error {
@@ -244,6 +245,9 @@ func (tr *Trace) Validate() error {
 		}
 		if uint(e.Ext) > uint(len(tr.Exts)) {
 			return fmt.Errorf("event %d: extension %d out of range [0,%d]", i, e.Ext, len(tr.Exts))
+		}
+		if e.Kind == KInvalid || e.Kind > KBarrier {
+			return fmt.Errorf("event %d: undeclared kind %v", i, e.Kind)
 		}
 		switch e.Kind {
 		case KLockAcq:

@@ -248,9 +248,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	tr.FinalMem = memmodel.Snapshot{2: 7}
 	tr.MemNames[1] = "x"
 	tr.SpinLocks[1] = true
-	tr.Constraints = []Constraint{{After: 2, Before: 5}}
-	tr.Exts = []EventExt{{Locks: []LockID{AuxLockBase + 1, AuxLockBase + 2}, Sources: []int32{-1, 4}}}
-	tr.Events[6].Ext = 1
+	tr.AppendExt(Event{Thread: 1, Kind: KSkip, Cost: 5, Time: 70}, EventExt{Delta: memmodel.Snapshot{2: 8}})
 
 	var buf bytes.Buffer
 	if err := tr.WriteBinary(&buf); err != nil {
@@ -397,6 +395,28 @@ func TestValidateCatchesDanglingIndices(t *testing.T) {
 	neg := New("neg", -1)
 	if err := neg.Validate(); err == nil {
 		t.Fatal("negative thread count must fail validation")
+	}
+}
+
+// TestValidateRefusesUndeclaredKinds: KInvalid and every kind past
+// KBarrier fail validation naming the event, so an in-memory trace with
+// one fails the record stage as a decoded one fails its decoder; every
+// declared kind without lock nesting passes, the lockset kinds included,
+// since transform.Apply validates its own output.
+func TestValidateRefusesUndeclaredKinds(t *testing.T) {
+	for k := 0; k < 256; k++ {
+		kind := Kind(k)
+		if kind == KLockAcq || kind == KLockRel {
+			continue
+		}
+		tr := New("kind", 1)
+		tr.Append(Event{Thread: 0, Kind: kind})
+		err := tr.Validate()
+		if bad := kind == KInvalid || kind > KBarrier; bad != (err != nil) {
+			t.Errorf("kind %v: Validate = %v", kind, err)
+		} else if bad && !strings.Contains(err.Error(), "event 0:") {
+			t.Errorf("kind %v: %v does not name the event", kind, err)
+		}
 	}
 }
 

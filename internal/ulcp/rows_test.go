@@ -134,7 +134,7 @@ func FuzzIdentify(f *testing.F) {
 		rec := simtest.RandomProgram(seed, 2+int(threads%3), 1+int(locks%3), 1+int(iters%12), simtest.Feature(features&15))
 		tr := rec.Trace
 		css := tr.ExtractCS()
-		opts := Options{MaxScanPerThread: int(scan % 4), MaxReversedReplays: int(budget % 4)}
+		opts := Options{maxScanPerThread: int(scan % 4), maxReversedReplays: int(budget % 4)}
 		table, built := BuildVerdictTable(tr, css, opts)
 		merged := mergeShards(tr, css, opts, table)
 		if merged.ReversedReplays != 0 {

@@ -73,7 +73,7 @@ func everyWorkload(t *testing.T, f func(t *testing.T, tr *trace.Trace, css []*tr
 // difference only matters when the budget binds.
 func TestShardMergeMatchesIdentify(t *testing.T) {
 	everyWorkload(t, func(t *testing.T, tr *trace.Trace, css []*trace.CritSec) {
-		opts := Options{MaxReversedReplays: 1 << 30}
+		opts := Options{maxReversedReplays: 1 << 30}
 		sameClassification(t, "table-less shards", mergeShards(tr, css, opts, nil), Identify(tr, css, opts))
 	})
 }

@@ -58,29 +58,26 @@ type Edge struct {
 	To   int `json:"to"`
 }
 
-// Options tunes identification. The JSON tags are the job-spec wire
-// format: a stolen or recovered job carries its options verbatim, so
-// whichever node runs it classifies under identical settings.
+// Options holds identification's two bounds. Every caller passes the
+// zero value, which selects the defaults; the package's own tests lower
+// them.
 type Options struct {
-	// MaxScanPerThread caps the RULE-1 sequential search ahead of each
+	// maxScanPerThread caps the RULE-1 sequential search ahead of each
 	// critical section within one peer thread. Zero selects 4096. Scans
 	// cut short are tallied in Report.Truncated.
-	MaxScanPerThread int `json:"max_scan_per_thread,omitempty"`
-	// DisableReversedReplay turns off the benign/TLCP reversed-replay
-	// check; every Algorithm-1 conflict is then reported as TLCP.
-	DisableReversedReplay bool `json:"disable_reversed_replay,omitempty"`
-	// MaxReversedReplays caps full-trace reversed replays; beyond it the
+	maxScanPerThread int
+	// maxReversedReplays caps full-trace reversed replays; beyond it the
 	// memoized per-region verdicts are reused and unseen region pairs
 	// default to TLCP (conservative). Zero selects 128.
-	MaxReversedReplays int `json:"max_reversed_replays,omitempty"`
+	maxReversedReplays int
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxScanPerThread == 0 {
-		o.MaxScanPerThread = 4096
+	if o.maxScanPerThread == 0 {
+		o.maxScanPerThread = 4096
 	}
-	if o.MaxReversedReplays == 0 {
-		o.MaxReversedReplays = 128
+	if o.maxReversedReplays == 0 {
+		o.maxReversedReplays = 128
 	}
 	return o
 }
@@ -97,7 +94,7 @@ type Report struct {
 	// CausalEdges are the RULE-1 first-matched TLCP edges feeding the
 	// topology construction.
 	CausalEdges []Edge
-	// Truncated counts scans cut short by MaxScanPerThread.
+	// Truncated counts scans cut short by the per-thread scan bound.
 	Truncated int
 	// ReversedReplays counts full reversed replays performed.
 	ReversedReplays int
@@ -212,8 +209,8 @@ func newIdentifier(tr *trace.Trace, css []*trace.CritSec, opts Options, table *V
 // Identify runs the full identification pass over a recorded trace.
 // Locks and peer threads are visited in sorted order, so the report —
 // including the reversed-replay budget's consumption order — is a
-// deterministic function of (trace, critical sections, options).
-// MaxReversedReplays budgets replays per trace.
+// deterministic function of (trace, critical sections, options). The
+// reversed-replay budget is per trace.
 func Identify(tr *trace.Trace, css []*trace.CritSec, opts Options) *Report {
 	_, rep := BuildVerdictTable(tr, css, opts)
 	return rep
@@ -434,13 +431,13 @@ func (id *identifier) scan(cur member, peer []member) {
 	steps := 0
 	for _, p := range peer {
 		steps++
-		if steps > id.opts.MaxScanPerThread {
+		if steps > id.opts.maxScanPerThread {
 			id.rep.Truncated++
 			return
 		}
 		var cat Category
 		cat, id.sig = classify(cur.cs, p.cs, id.sig[:0])
-		if cat == TLCP && !id.opts.DisableReversedReplay && id.benign(cur, p) {
+		if cat == TLCP && id.benign(cur, p) {
 			cat = Benign
 		}
 		id.addPair(Pair{C1: int32(cur.cs.ID), C2: int32(p.cs.ID), Cat: cat})
@@ -488,7 +485,7 @@ func (id *identifier) verdict(c1, c2 member) bool {
 	if v, ok := id.benignMemo[string(key)]; ok {
 		return v
 	}
-	if id.rep.ReversedReplays >= id.opts.MaxReversedReplays {
+	if id.rep.ReversedReplays >= id.opts.maxReversedReplays {
 		id.benignMemo[string(key)] = false
 		return false
 	}

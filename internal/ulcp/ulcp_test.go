@@ -206,30 +206,6 @@ func TestIdentifyOrderSensitiveIsTLCP(t *testing.T) {
 	}
 }
 
-func TestIdentifyDisableReversedReplay(t *testing.T) {
-	rec := record(func(p *sim.Program) {
-		l := p.NewLock("L")
-		x := p.Mem.Alloc("x", 0)
-		s := p.Site("f.c", 1, "inc")
-		for i := 0; i < 2; i++ {
-			p.AddThread(func(th *sim.Thread) {
-				th.Compute(100)
-				th.Lock(l, s)
-				th.Add(x, 1, s)
-				th.Unlock(l, s)
-			})
-		}
-	})
-	css := rec.Trace.ExtractCS()
-	rep := Identify(rec.Trace, css, Options{DisableReversedReplay: true})
-	if rep.Counts[Benign] != 0 || rep.Counts[TLCP] != 1 {
-		t.Fatalf("counts = %v, want 1 TLCP and no benign with reversed replay disabled", rep.Counts)
-	}
-	if rep.ReversedReplays != 0 {
-		t.Fatal("reversed replays performed despite being disabled")
-	}
-}
-
 func TestIdentifyScanCap(t *testing.T) {
 	// Many read-only CSs on one lock with no conflict at all: the scan cap
 	// must bound the pair count and report truncation.
@@ -249,7 +225,7 @@ func TestIdentifyScanCap(t *testing.T) {
 		}
 	})
 	css := rec.Trace.ExtractCS()
-	rep := Identify(rec.Trace, css, Options{MaxScanPerThread: 5})
+	rep := Identify(rec.Trace, css, Options{maxScanPerThread: 5})
 	if rep.Truncated == 0 {
 		t.Fatal("expected truncated scans with a tiny cap")
 	}

@@ -33,7 +33,7 @@ type VerdictTable struct {
 // A caller without a table uses the report directly (the pass replaces,
 // not precedes, its classification); a caller handed a cached table runs
 // IdentifyWithVerdicts against it, which reproduces this report
-// byte-for-byte. MaxReversedReplays budgets replays per trace.
+// byte-for-byte. The reversed-replay budget is per trace.
 //
 // The table is also the unit of cross-job reuse: it depends only on
 // (trace content, Options), so a daemon analyzing the same stored trace

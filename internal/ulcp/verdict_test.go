@@ -80,7 +80,7 @@ func TestVerdictTableShardsMatchIdentify(t *testing.T) {
 	// too, so the re-derivation still agrees without replaying.
 	t.Run("binding-budget", func(t *testing.T) {
 		tr, css := openldapFixture(t)
-		table := shardsMatchIdentify(t, tr, css, Options{MaxReversedReplays: 3})
+		table := shardsMatchIdentify(t, tr, css, Options{maxReversedReplays: 3})
 		if table.Replays != 3 {
 			t.Fatalf("table spent %d replays under a budget of 3 — the budget did not bind", table.Replays)
 		}
