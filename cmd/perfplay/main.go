@@ -9,7 +9,6 @@
 //	perfplay -app mysql -threads 2 [-scale 0.5] [-top 5]
 //	         [-trace out.trace] [-trace-format columnar] [-races] [-schemes]
 //	perfplay -trace-digest sha256:... [-corpus dir]
-//	perfplay -daemon http://host:8080 -app mysql | -trace-digest sha256:...
 //	perfplay -list
 //
 // With -trace the recorded execution is also written to disk, replayable
@@ -20,28 +19,23 @@
 // -save-trace it is stored in the local content-addressed corpus
 // (-corpus, the same on-disk layout perfplayd serves), and -trace-digest
 // re-analyzes a stored trace by its sha256 digest without re-recording.
-// With -daemon the job is submitted to a perfplayd node
-// instead of running locally — following any 503 Retry-Peer admission
-// redirect to an idler cluster node — and the daemon's (byte-identical)
-// report is printed. Each mode honours a fixed set of flags (modes); a
-// flag outside it is a usage error (exit 2), never a silent no-op.
+// `perfplayd submit` runs the same analysis on a perfplayd node instead,
+// so this command links no HTTP stack. Each mode honours a fixed set of
+// flags (modes); a flag outside it is a usage error (exit 2), never a
+// silent no-op.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"perfplay/internal/corpus"
 	"perfplay/internal/elision"
-	"perfplay/internal/jobs"
-	"perfplay/internal/peerclient"
 	"perfplay/internal/pipeline"
 	"perfplay/internal/replay"
 	"perfplay/internal/trace"
@@ -69,15 +63,12 @@ var (
 	digestIn  = flag.String("trace-digest", "", "analyze a stored trace from the corpus by sha256 digest instead of recording")
 	le        = flag.Bool("le", false, "also run the speculative lock elision baseline on the recording")
 	verifyT1  = flag.Bool("verify", false, "run the Theorem 1 correctness check on the transformation")
-	daemon    = flag.String("daemon", "", "submit the job to a perfplayd daemon at this base URL instead of analyzing locally (follows 503 Retry-Peer admission redirects)")
 )
 
 // modes lists every mode in dispatch order — the first whose selector
 // holds wins — with the flags it honours. Any other flag on the command
 // line is an error, not a silent no-op: a user asking for -verify must
-// not get an unverified run that exits 0. Daemon mode ships the job
-// description, not the work, so it honours only what the daemon's spec
-// can express.
+// not get an unverified run that exits 0.
 var modes = []struct {
 	name     string
 	selected func() bool
@@ -85,8 +76,6 @@ var modes = []struct {
 }{
 	{"-list", func() bool { return *list }, "list"},
 	{"-replay", func() bool { return *replayIn != "" }, "replay sched"},
-	{"-daemon -trace-digest", func() bool { return *daemon != "" && *digestIn != "" }, "daemon trace-digest top schemes races"},
-	{"-daemon", func() bool { return *daemon != "" }, "daemon app threads input scale seed top schemes races"},
 	{"-trace-digest", func() bool { return *digestIn != "" }, "trace-digest corpus top schemes races verify"},
 	{"-case", func() bool { return *caseNum != 0 }, "case threads scale seed top schemes races verify"},
 	{"-app", func() bool { return true }, "app threads input scale seed top schemes races verify " +
@@ -137,29 +126,6 @@ func main() {
 
 	if mode == "-replay" {
 		if err := replayFile(*replayIn, *scheduler); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if strings.HasPrefix(mode, "-daemon") {
-		// A workload spec or a stored-trace digest the daemon resolves
-		// from its own corpus. The accepting node may differ from the
-		// submitted one under steal-aware admission.
-		spec := map[string]any{"top": *top, "schemes": *schemes, "races": *races}
-		switch {
-		case *digestIn != "":
-			spec["trace"] = *digestIn
-		case *appName != "":
-			spec["app"] = *appName
-			spec["threads"] = *threads
-			spec["input"] = *input
-			spec["scale"] = *scale
-			spec["seed"] = *seed
-		default:
-			fatal(fmt.Errorf("-daemon requires -app or -trace-digest"))
-		}
-		if err := runOnDaemon(*daemon, spec); err != nil {
 			fatal(err)
 		}
 		return
@@ -281,35 +247,6 @@ func writeTraceFile(path string, tr *trace.Trace, write func(*trace.Trace, io.Wr
 		return err
 	}
 	return f.Close()
-}
-
-// runOnDaemon submits one job to a perfplayd daemon (following
-// Retry-Peer admission redirects) and long-polls the accepting node
-// until the job settles, printing its report — which the determinism
-// contract guarantees is byte-identical to what a local run of the same
-// description would print.
-func runOnDaemon(base string, spec map[string]any) error {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	base = strings.TrimRight(base, "/")
-	id, accepted, err := (&peerclient.Client{}).Submit(base, body)
-	if err != nil {
-		return err
-	}
-	if accepted != base {
-		fmt.Fprintf(os.Stderr, "perfplay: redirected to %s (submitted node was full)\n", accepted)
-	}
-	j, err := (&peerclient.Client{}).Wait(accepted, id, 30*time.Second)
-	if err != nil {
-		return err
-	}
-	if j.Status == jobs.Failed {
-		return fmt.Errorf("daemon job %s failed: %s", id, j.Error)
-	}
-	fmt.Print(j.Report)
-	return nil
 }
 
 // saveToCorpus stores the recording in the local content-addressed

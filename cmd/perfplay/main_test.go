@@ -77,14 +77,14 @@ func TestMalformedTraceFilesAreErrors(t *testing.T) {
 // honoured (listed here) or is an error naming the flag and the mode —
 // never a run that silently drops it. A flag that selects an
 // earlier-dispatched mode switches to it; that is accepted only when the
-// new mode honours the original arguments too (-app + -daemon).
+// new mode honours the original arguments too.
 func TestUnhonouredFlagIsAnError(t *testing.T) {
 	const recording = " threads scale seed"
 	const reporting = " top schemes races"
 	// The value each mode-selecting flag gets; every other flag is set to
 	// its default, which Visit still reports as set.
 	values := map[string]string{
-		"list": "true", "replay": "a.trace", "daemon": "http://h", "trace-digest": "sha256:0",
+		"list": "true", "replay": "a.trace", "trace-digest": "sha256:0",
 		"case": "1", "app": "mysql",
 	}
 	var all []string
@@ -93,8 +93,8 @@ func TestUnhonouredFlagIsAnError(t *testing.T) {
 			all = append(all, f.Name)
 		}
 	})
-	if len(all) != 20 {
-		t.Fatalf("perfplay defines %d flags, the table was written for 20: %v", len(all), all)
+	if len(all) != 19 {
+		t.Fatalf("perfplay defines %d flags, the table was written for 19: %v", len(all), all)
 	}
 	// check sets the named flags, asks checkFlags, and restores defaults.
 	check := func(set []string) (string, error) {
@@ -120,12 +120,10 @@ func TestUnhonouredFlagIsAnError(t *testing.T) {
 	}{
 		{"-list", "list", "list"},
 		{"-replay", "replay", "replay sched"},
-		{"-daemon", "daemon app", "daemon app input" + recording + reporting},
-		{"-daemon -trace-digest", "daemon trace-digest", "daemon trace-digest" + reporting},
-		{"-trace-digest", "trace-digest", "trace-digest daemon corpus verify" + reporting},
+		{"-trace-digest", "trace-digest", "trace-digest corpus verify" + reporting},
 		{"-case", "case", "case verify" + recording + reporting},
 		{"-app", "app", "app input verify le trace trace-format " +
-			"save-trace corpus daemon" + recording + reporting},
+			"save-trace corpus" + recording + reporting},
 	} {
 		selectors := strings.Fields(m.selectors)
 		if got, err := check(selectors); got != m.mode || err != nil {

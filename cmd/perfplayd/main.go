@@ -19,6 +19,7 @@
 //	          [-steal-lease 2m0s] [-cache-probe-timeout 250ms]
 //	          [-cache-probe-fanout 2] [-cache-hint-keys 32]
 //	          [-node name] [-pprof] [-print-routes]
+//	perfplayd submit -daemon http://host:8080 -app mysql | -trace-digest sha256:...
 //
 // Each value shown is the flag's default. The scheduling knobs'
 // defaults are jobs.Defaults(), and an explicit 0 for one of them is
@@ -40,6 +41,9 @@
 // its peers' result and verdict-table caches; a full node's 503 names
 // the idlest peer in a Retry-Peer header. A job never leaves its node
 // mid-run. See docs/ARCHITECTURE.md "Job lifecycle".
+//
+// `perfplayd submit` is the daemon's client: it runs one job on a node,
+// following Retry-Peer redirects, and prints the report (submit.go).
 package main
 
 import (
@@ -76,6 +80,11 @@ import (
 const gcPercent = 400
 
 func main() {
+	// The client is dispatched before the server's GC pacing and flags,
+	// as `perfplay sim` is before perfplay's.
+	if len(os.Args) > 1 && os.Args[1] == "submit" {
+		os.Exit(runSubmit(os.Args[2:], os.Stdout, os.Stderr))
+	}
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(gcPercent)
 	}

@@ -590,7 +590,36 @@ func TestUploadImplausibleThreadCount(t *testing.T) {
 		t.Fatalf("thread count at offset %d reads %d, want %d", off, n, tr.NumThreads)
 	}
 	binary.LittleEndian.PutUint32(payload[off:], math.MaxUint32)
-	resp, err := http.Post(ts.URL+"/traces", "application/octet-stream", bytes.NewReader(payload))
+	wantInvalidTrace(t, s, ts.URL, payload)
+}
+
+// TestUploadUnrunnableRecording: a recording that decodes but that no
+// analysis can run (here a write with op 7) is refused as invalid_trace
+// and not stored. It used to be stored, and every job over its digest
+// then failed with "unknown write op 7".
+func TestUploadUnrunnableRecording(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	tr, err := trace.Decode(recordedPayload(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(tr.Events, func(e trace.Event) bool { return e.Kind == trace.KWrite })
+	if i < 0 {
+		t.Fatal("the recording has no write")
+	}
+	tr.Events[i].Op = 7
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wantInvalidTrace(t, s, ts.URL, buf.Bytes())
+}
+
+// wantInvalidTrace uploads payload and expects a 400 invalid_trace that
+// leaves the corpus empty.
+func wantInvalidTrace(t *testing.T, s *Server, base string, payload []byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/traces", "application/octet-stream", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ const (
 	// node has no recorder for.
 	CodeUnknownWorkload ErrorCode = "unknown_workload"
 	// CodeInvalidTrace rejects a POST /traces body that fails to parse
-	// as any supported format or holds no events, and a malformed
-	// digest.
+	// as any supported format, holds no events or fails trace.Validate,
+	// and a malformed digest.
 	CodeInvalidTrace ErrorCode = "invalid_trace"
 	// CodeBodyTooLarge rejects a request body over the route's byte
 	// bound.

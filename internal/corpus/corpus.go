@@ -304,8 +304,10 @@ func (s *Store) rewriteLocked() error {
 	return nil
 }
 
-// Put stores raw trace bytes (either encoding), validating that they
-// parse as a non-empty trace first. It returns the blob's metadata and
+// Put stores raw trace bytes (any encoding), validating first that they
+// parse as a non-empty trace an analysis can run (trace.Validate), so a
+// stored digest never names a job that fails on its own recording. It
+// returns the blob's metadata and
 // whether a new blob was created — false means the content was already
 // present (the digest matched), which refreshes its LRU recency and,
 // when pin is set, pins it.
@@ -317,6 +319,9 @@ func (s *Store) Put(data []byte, pin bool) (Meta, bool, error) {
 	if len(tr.Events) == 0 || tr.NumThreads == 0 {
 		return Meta{}, false, fmt.Errorf("%w: refusing to store empty trace (%d events, %d threads)",
 			ErrInvalid, len(tr.Events), tr.NumThreads)
+	}
+	if err := tr.Validate(); err != nil {
+		return Meta{}, false, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	digest := Digest(data)
 	hexPart, _ := parseDigest(digest)

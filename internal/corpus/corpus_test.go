@@ -135,6 +135,71 @@ func TestRejectsGarbageAndEmptyAndBadDigests(t *testing.T) {
 	}
 }
 
+// TestPutRefusesWhatNoAnalysisCanRun: a recording patched into one that
+// decodes but fails trace.Validate is ErrInvalid, and leaves neither a
+// blob nor an index record behind. Put used to store it, and every job
+// over its digest then failed on the recording.
+func TestPutRefusesWhatNoAnalysisCanRun(t *testing.T) {
+	raw := sampleTrace(t, 1)
+	first := func(tr *trace.Trace, kind trace.Kind) int {
+		for i, e := range tr.Events {
+			if e.Kind == kind {
+				return i
+			}
+		}
+		t.Fatalf("the recording has no %v event", kind)
+		return 0
+	}
+	for _, tc := range []struct {
+		name  string
+		patch func(tr *trace.Trace)
+	}{
+		{"write op 7", func(tr *trace.Trace) { tr.Events[first(tr, trace.KWrite)].Op = 7 }},
+		{"thread past the count", func(tr *trace.Trace) { tr.Events[0].Thread = int32(tr.NumThreads) }},
+		{"unbalanced locks", func(tr *trace.Trace) {
+			i := first(tr, trace.KLockRel)
+			tr.Events = append(tr.Events[:i], tr.Events[i+1:]...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			index, err := os.ReadFile(filepath.Join(dir, "index.wal"))
+			if err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			tr, err := trace.Decode(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("the unpatched recording: %v", err)
+			}
+			tc.patch(tr)
+			var buf bytes.Buffer
+			if err := tr.WriteBinary(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Put(buf.Bytes(), false); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Put = %v, want ErrInvalid", err)
+			}
+			if blobs, err := os.ReadDir(filepath.Join(dir, "blobs")); err != nil || len(blobs) != 0 {
+				t.Fatalf("blobs left behind: %v (%v)", blobs, err)
+			}
+			after, err := os.ReadFile(filepath.Join(dir, "index.wal"))
+			if err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, index) || s.Len() != 0 {
+				t.Fatalf("index.wal went from %d to %d bytes, %d entries", len(index), len(after), s.Len())
+			}
+		})
+	}
+}
+
 func TestDelete(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})

@@ -1,7 +1,7 @@
 // Package peerclient is the one client for perfplayd's HTTP API: every
 // call a node makes on a peer (status probe, claim and settle, cache and
-// trace fetches) and the CLI's submit and long-poll go through
-// Client.do. Client is the node's jobs.Peer and drives
+// trace fetches) and `perfplayd submit`'s submit and long-poll go
+// through Client.do. Client is the node's jobs.Peer and drives
 // jobs.FollowRedirects, so internal/jobs never links net/http; the
 // cluster simulator implements the same jobs.Peer in memory.
 package peerclient
