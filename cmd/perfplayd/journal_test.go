@@ -318,7 +318,7 @@ func TestJournalRecoversLegacySpecMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	var app clusterapi.Spec
-	if err := json.Unmarshal([]byte(`{"app":"pbzip2","threads":2,"scale":0.2,"seed":3,"top":5,"schemes":true}`), &app); err != nil {
+	if err := json.Unmarshal([]byte(`{"app":"pbzip2","threads":2,"input":3,"scale":0.2,"seed":3,"top":5,"schemes":true}`), &app); err != nil {
 		t.Fatal(err)
 	}
 	specs := map[string]clusterapi.Spec{
@@ -369,4 +369,37 @@ func TestJournalRecoversLegacySpecMeta(t *testing.T) {
 			t.Errorf("%s: recovered report differs from the reference", id)
 		}
 	}
+}
+
+// requireRecoveredLost journals spec as an admitted job and boots a
+// daemon over that journal: recovery must fail the job as lost, with an
+// error naming want, and record nothing.
+func requireRecoveredLost(t *testing.T, spec clusterapi.Spec, want string) {
+	t.Helper()
+	cfg := Config{CorpusDir: t.TempDir(), JournalDir: t.TempDir()}
+	jr, err := journal.Open(cfg.JournalDir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Append(journal.Record{Op: journal.OpAdmitted, Job: "job-1", Spec: raw, Meta: map[string]string{
+		jmetaTraceID:   telemetry.NewTraceID(),
+		jmetaSubmitted: time.Now().UTC().Format(time.RFC3339Nano),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := testServer(t, cfg)
+	wantRecovered(t, ts.URL, 0, 1)
+	j := waitDone(t, ts.URL, "job-1")
+	if msg, _ := j["error"].(string); j["status"] == statusDone || !strings.Contains(msg, want) {
+		t.Fatalf("recovered job: status %v, error %q; want it failed naming %q", j["status"], msg, want)
+	}
+	requireNothingRecorded(t, ts.URL)
 }

@@ -733,13 +733,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		spec.TraceDigest = meta.Digest
 	case body.App != "":
-		if code, err := checkWorkloadSpec(body.App, body.Threads); err != nil {
-			httpError(w, http.StatusBadRequest, code, "%v", err)
-			return
-		}
 		input, err := workload.ParseInputSize(body.Input)
+		code := clusterapi.CodeBadRequest
+		if err == nil {
+			code, err = checkWorkloadSpec(body.App, body.Threads, int(input))
+		}
 		if err != nil {
-			httpError(w, http.StatusBadRequest, clusterapi.CodeBadRequest, "%v", err)
+			httpError(w, http.StatusBadRequest, code, "%v", err)
 			return
 		}
 		spec.App, spec.Threads, spec.Input = body.App, body.Threads, int(input)

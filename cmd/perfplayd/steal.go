@@ -66,15 +66,23 @@ func (s *Server) requestOf(spec clusterapi.Spec, victim string) pipeline.Request
 
 // checkWorkloadSpec is the one check a workload job's spec passes before
 // anything is recorded, whether it arrived by POST /analyze, a steal or
-// the journal: a registered workload, and a thread count in [0,
-// trace.MaxThreads] (0 = the default). The code is the one POST /analyze
-// answers with.
-func checkWorkloadSpec(app string, threads int) (clusterapi.ErrorCode, error) {
+// the journal: a registered workload, a thread count in [0,
+// trace.MaxThreads] (0 = the default), and one of the input classes
+// workload.ParseInputSize yields — an input no admitted spec carries
+// would run at the default class under a cache key of its own. The code
+// is the one POST /analyze answers with.
+func checkWorkloadSpec(app string, threads, input int) (clusterapi.ErrorCode, error) {
 	if _, ok := workload.Get(app); !ok {
 		return clusterapi.CodeUnknownWorkload, fmt.Errorf("unknown workload %q", app)
 	}
 	if threads < 0 || threads > trace.MaxThreads {
 		return clusterapi.CodeBadRequest, fmt.Errorf("threads %d outside [0, %d] (0 = the default)", threads, trace.MaxThreads)
+	}
+	switch workload.InputSize(input) {
+	case workload.SimSmall, workload.SimMedium, workload.SimLarge:
+	default:
+		return clusterapi.CodeBadRequest, fmt.Errorf("input %d is not an input class: want %d (%v), %d (%v) or %d (%v)", input,
+			workload.SimSmall, workload.SimSmall, workload.SimMedium, workload.SimMedium, workload.SimLarge, workload.SimLarge)
 	}
 	return "", nil
 }
@@ -92,7 +100,7 @@ func (s *Server) requestFor(victim string, spec clusterapi.Spec, tc spanCtx) (pi
 	var err error
 	switch {
 	case spec.App != "":
-		if _, err := checkWorkloadSpec(spec.App, spec.Threads); err != nil {
+		if _, err := checkWorkloadSpec(spec.App, spec.Threads, spec.Input); err != nil {
 			return pipeline.Request{}, err
 		}
 	case s.corpus == nil:

@@ -379,6 +379,29 @@ func TestSpecRoundTrip(t *testing.T) {
 // naming the bound, and nothing is recorded for it; boot recovery refuses
 // the same spec.
 func TestStolenSpecThreadsOutOfRange(t *testing.T) {
+	spec := clusterapi.Spec{App: "pbzip2", Threads: trace.MaxThreads + 1}
+	requireSpecRefused(t, spec, fmt.Sprintf("threads %d outside [0, %d]", trace.MaxThreads+1, trace.MaxThreads))
+}
+
+// TestStolenSpecInputOutOfRange: a workload spec whose input is none of
+// the classes POST /analyze admits (0 is what a spec without one
+// decodes to) fails the job on the thief, and boot recovery fails it
+// as lost; neither records anything.
+func TestStolenSpecInputOutOfRange(t *testing.T) {
+	for _, input := range []int{0, 7} {
+		spec := clusterapi.Spec{App: "pbzip2", Threads: 2, Input: input, Scale: 0.2, Seed: 3}
+		want := fmt.Sprintf("input %d is not an input class", input)
+		requireSpecRefused(t, spec, want)
+		requireRecoveredLost(t, spec, want)
+	}
+}
+
+// requireSpecRefused hands spec to a thief as a claimed job and to boot
+// recovery's check: the thief must settle the job as failed with an
+// error naming want, recovery must refuse it likewise, and nothing may
+// be recorded.
+func requireSpecRefused(t *testing.T, spec clusterapi.Spec, want string) {
+	t.Helper()
 	settled := make(chan clusterapi.StealResult, 1)
 	victim := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost || r.URL.Path != "/jobs/job-1/result" {
@@ -394,18 +417,22 @@ func TestStolenSpecThreadsOutOfRange(t *testing.T) {
 	defer victim.Close()
 
 	srv, ts := thiefServer(t, victim.URL)
-	spec := clusterapi.Spec{App: "pbzip2", Threads: trace.MaxThreads + 1}
-	bound := fmt.Sprintf("threads %d outside [0, %d]", trace.MaxThreads+1, trace.MaxThreads)
 	if err := srv.executeStolen(victim.URL, clusterapi.StolenJob{ID: "job-1", Spec: spec}); err != nil {
 		t.Fatalf("executeStolen: %v, want the failure settled", err)
 	}
-	if res := <-settled; !strings.Contains(res.Error, bound) {
-		t.Fatalf("settled error %q, want it to name %q", res.Error, bound)
+	if res := <-settled; !strings.Contains(res.Error, want) {
+		t.Fatalf("settled error %q, want it to name %q", res.Error, want)
 	}
-	if _, err := srv.requestFor("", spec, spanCtx{}); err == nil || !strings.Contains(err.Error(), bound) {
-		t.Fatalf("recovery: err = %v, want it to name %q", err, bound)
+	if _, err := srv.requestFor("", spec, spanCtx{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("recovery: err = %v, want it to name %q", err, want)
 	}
-	for series, n := range scrape(t, ts.URL) {
+	requireNothingRecorded(t, ts.URL)
+}
+
+// requireNothingRecorded fails if the daemon at base ran a record stage.
+func requireNothingRecorded(t *testing.T, base string) {
+	t.Helper()
+	for series, n := range scrape(t, base) {
 		if strings.HasPrefix(series, "perfplay_pipeline_stage_duration_seconds") && strings.Contains(series, `stage="record"`) && n != 0 {
 			t.Fatalf("%s = %v: a refused spec was recorded", series, n)
 		}

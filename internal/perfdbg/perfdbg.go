@@ -90,25 +90,34 @@ func (d *Debug) Recommend(k int) []*Group {
 	return d.Groups[:k]
 }
 
-// csEntry is what Evaluate knows about one critical section: its segment
-// boundaries within its thread, expressed as event indices usable against
-// both replays (the transformed trace is index-aligned), and the interned
-// identity of its code region.
+// csEntry is what Evaluate knows about one critical section: the
+// interned identity of its code region and, once eachULCP has read the
+// two replays, the terms of Eq. 1 it brings to a pair — Time2 under the
+// original and the ULCP-free replay, and ∆Time1.
 type csEntry struct {
-	cs      *trace.CritSec
+	t2o, t2n vtime.Time
+	dt1      vtime.Duration
+	region   int32 // fuser identity of cs.Region
+	ok       bool  // a critical section has this ID
+}
+
+// csBounds are a critical section's segment boundaries within its
+// thread, as event indices usable against both replays (the transformed
+// trace is index-aligned).
+type csBounds struct {
 	prevRel int32 // release event of the previous CS on the thread, or -1
 	nextAcq int32 // acquire event of the next CS on the thread, or -1
 	lastEv  int32 // final event of the thread
-	region  int32 // fuser identity of cs.Region
 }
 
-// csTable holds one csEntry per critical section, indexed by CritSec.ID —
-// the IDs a report's pair rows name. ExtractCS hands out IDs as dense
-// extraction indices, but the table does not rely on it: it spans the
-// largest ID present, and an ID it has no critical section for has no
-// entry.
+// csTable holds one csEntry and its csBounds per critical section,
+// indexed by CritSec.ID — the IDs a report's pair rows name. ExtractCS
+// hands out IDs as dense extraction indices, but the table does not
+// rely on it: it spans the largest ID present, and an ID it has no
+// critical section for has no entry.
 type csTable struct {
-	byID []csEntry
+	byID   []csEntry
+	bounds []csBounds
 }
 
 // newCSTable computes the segment boundaries of every critical section
@@ -128,30 +137,32 @@ func newCSTable(tr *trace.Trace, css []*trace.CritSec, f *fuser) csTable {
 		maxID = max(maxID, cs.ID)
 		threads = max(threads, int(cs.Thread)+1)
 	}
-	byID := make([]csEntry, maxID+1)
-	prev := make([]*csEntry, threads) // each thread's latest section so far
+	tab := csTable{byID: make([]csEntry, maxID+1), bounds: make([]csBounds, maxID+1)}
+	prev := make([]*trace.CritSec, threads) // each thread's latest section so far
 	for _, cs := range css {
 		if cs.ID < 0 {
 			continue
 		}
-		e := &byID[cs.ID]
-		*e = csEntry{cs: cs, prevRel: -1, nextAcq: -1, region: f.intern(cs.Region)}
+		tab.byID[cs.ID] = csEntry{region: f.intern(cs.Region), ok: true}
+		b := &tab.bounds[cs.ID]
+		*b = csBounds{prevRel: -1, nextAcq: -1}
 		if t := int(cs.Thread); t < len(pt) && len(pt[t]) > 0 {
-			e.lastEv = pt[t][len(pt[t])-1]
+			b.lastEv = pt[t][len(pt[t])-1]
 		}
 		if p := prev[cs.Thread]; p != nil {
-			e.prevRel = p.cs.RelEv
-			p.nextAcq = cs.AcqEv
+			b.prevRel = p.RelEv
+			tab.bounds[p.ID].nextAcq = cs.AcqEv
 		}
-		prev[cs.Thread] = e
+		prev[cs.Thread] = cs
 	}
-	return csTable{byID: byID}
+	f.index()
+	return tab
 }
 
 // lookup returns the entry recorded under a critical-section ID, or nil
 // when the table has none.
 func (tab csTable) lookup(id int32) *csEntry {
-	if id < 0 || int(id) >= len(tab.byID) || tab.byID[id].cs == nil {
+	if id < 0 || int(id) >= len(tab.byID) || !tab.byID[id].ok {
 		return nil
 	}
 	return &tab.byID[id]
@@ -159,25 +170,34 @@ func (tab csTable) lookup(id int32) *csEntry {
 
 // times resolves (Time1, Time2) for a CS under one replay: the start of
 // its precursor segment and the end of its successor segment (Fig. 10).
-func (e *csEntry) times(res *replay.Result) (t1, t2 vtime.Time) {
-	if e.prevRel >= 0 {
-		t1 = res.EventEnd[e.prevRel]
+func (b *csBounds) times(res *replay.Result) (t1, t2 vtime.Time) {
+	if b.prevRel >= 0 {
+		t1 = res.EventEnd[b.prevRel]
 	}
-	if e.nextAcq >= 0 {
-		t2 = res.EventStart[e.nextAcq]
-	} else if e.lastEv >= 0 {
-		t2 = res.EventEnd[e.lastEv]
+	if b.nextAcq >= 0 {
+		t2 = res.EventStart[b.nextAcq]
+	} else if b.lastEv >= 0 {
+		t2 = res.EventEnd[b.lastEv]
 	}
 	return t1, t2
 }
 
 // eachULCP computes Eq. 1 for every ULCP of rep, in report order, and
 // hands visit the pair, the interned regions of its two critical sections
-// and ∆T_ULCP = ∆MAX{Time2, Time3} − ∆Time1, clamped at zero. A pair
+// and ∆T_ULCP = ∆MAX{Time2, Time3} − ∆Time1, clamped at zero. One pass
+// over the sections first reads their boundary times off both replays,
+// so a pair reads two entries, not the replays' event arrays. A pair
 // naming an ID the table has no critical section for is skipped.
 func (tab csTable) eachULCP(rep *ulcp.Report, orig, free *replay.Result,
 	visit func(p *ulcp.Pair, r1, r2 int32, dt vtime.Duration)) {
 
+	for i := range tab.byID {
+		if e := &tab.byID[i]; e.ok {
+			t1o, t2o := tab.bounds[i].times(orig)
+			t1n, t2n := tab.bounds[i].times(free)
+			e.t2o, e.t2n, e.dt1 = t2o, t2n, t1o.Sub(t1n)
+		}
+	}
 	for i := range rep.Pairs {
 		p := &rep.Pairs[i]
 		if !p.Cat.IsULCP() {
@@ -187,11 +207,7 @@ func (tab csTable) eachULCP(rep *ulcp.Report, orig, free *replay.Result,
 		if a == nil || b == nil {
 			continue
 		}
-		t1o, t2o := a.times(orig)
-		_, t3o := b.times(orig)
-		t1n, t2n := a.times(free)
-		_, t3n := b.times(free)
-		dt := vtime.Max(t2o, t3o).Sub(vtime.Max(t2n, t3n)) - t1o.Sub(t1n)
+		dt := vtime.Max(a.t2o, b.t2o).Sub(vtime.Max(a.t2n, b.t2n)) - a.dt1
 		if dt < 0 {
 			dt = 0
 		}
@@ -203,7 +219,7 @@ func (tab csTable) eachULCP(rep *ulcp.Report, orig, free *replay.Result,
 // (orig) and ULCP-free-trace replay (free), fuses the results per code
 // region (Algorithm 2) and ranks them (Eq. 2). It is one pass over the
 // report's pairs: each ΔT folds straight into its group, and the work per
-// pair is integer compares, table indexing and one map probe.
+// pair is integer compares and table indexing.
 func Evaluate(tr *trace.Trace, css []*trace.CritSec, rep *ulcp.Report,
 	orig, free *replay.Result, threads int) *Debug {
 
@@ -270,15 +286,23 @@ func normPair(a, b trace.Region) (trace.Region, trace.Region) {
 // fuser is stage 1 of Algorithm 2: exact region-pair grouping, which
 // covers the vast majority of pairs and keeps the fixpoint small. Regions
 // are interned to dense integers once per critical section, so grouping a
-// pair is one probe on the unordered pair of its two identities; a region
-// is ordered and formatted as text only when a group or a report line is
-// made.
+// pair indexes a table over the unordered pair of its two identities; a
+// region is ordered and formatted as text only when a group or a report
+// line is made.
 type fuser struct {
 	ids     map[trace.Region]int32
 	regions []trace.Region
-	byKey   map[uint64]*Group
-	groups  []*Group // in first-seen pair order
+	// byPair[lo*width+hi] is 1 + the index in groups of the pair of
+	// regions lo ≤ hi < width; a pair past width is found in byKey.
+	byPair []int32
+	width  int32
+	byKey  map[uint64]*Group
+	groups []*Group // in first-seen pair order
 }
+
+// maxPairIndex bounds the regions the dense pair index covers, so it
+// stays a few pages however many regions a trace has.
+const maxPairIndex = 64
 
 func newFuser() *fuser {
 	return &fuser{ids: make(map[trace.Region]int32), byKey: make(map[uint64]*Group)}
@@ -295,21 +319,43 @@ func (f *fuser) intern(r trace.Region) int32 {
 	return id
 }
 
+// index sizes the dense pair index over the regions interned so far.
+func (f *fuser) index() {
+	f.width = int32(min(len(f.regions), maxPairIndex))
+	f.byPair = make([]int32, f.width*f.width)
+}
+
 // add folds one ULCP between interned regions r1 and r2 into its group.
 func (f *fuser) add(r1, r2 int32, cat ulcp.Category, dt vtime.Duration) {
-	key := uint64(min(r1, r2))<<32 | uint64(max(r1, r2))
-	g := f.byKey[key]
-	if g == nil {
-		g = &Group{}
-		g.CR1, g.CR2 = normPair(f.regions[r1], f.regions[r2])
-		f.byKey[key] = g
-		f.groups = append(f.groups, g)
+	lo, hi := min(r1, r2), max(r1, r2)
+	var g *Group
+	if hi < f.width {
+		slot := &f.byPair[lo*f.width+hi]
+		if *slot == 0 {
+			f.group(r1, r2)
+			*slot = int32(len(f.groups))
+		}
+		g = f.groups[*slot-1]
+	} else {
+		key := uint64(lo)<<32 | uint64(hi)
+		if g = f.byKey[key]; g == nil {
+			g = f.group(r1, r2)
+			f.byKey[key] = g
+		}
 	}
 	g.DeltaT += dt
 	g.Count++
 	if cat >= 0 && cat < ulcp.NumCategories {
 		g.Cats[cat]++
 	}
+}
+
+// group starts the group of regions r1 and r2.
+func (f *fuser) group(r1, r2 int32) *Group {
+	g := &Group{}
+	g.CR1, g.CR2 = normPair(f.regions[r1], f.regions[r2])
+	f.groups = append(f.groups, g)
+	return g
 }
 
 // fuseOverlaps is stage 2 of Algorithm 2: groups whose code-region pairs

@@ -543,3 +543,38 @@ func TestEvaluateAllocsIndependentOfULCPs(t *testing.T) {
 		t.Errorf("allocs %v for ULCPs %v in %v groups: must not grow with the ULCP count", allocs, ulcps, groups)
 	}
 }
+
+// TestEvaluateManyRegions: past maxPairIndex regions, stage 1 groups the
+// pairs of the regions beyond the dense index through its map, and
+// Evaluate still equals the reference field for field.
+func TestEvaluateManyRegions(t *testing.T) {
+	const perThread = maxPairIndex/2 + 8
+	in := prepareBuilt(t, func(p *sim.Program) {
+		l := p.NewLock("L")
+		x := p.Mem.Alloc("x", 4)
+		for th := 0; th < 2; th++ {
+			p.AddThread(func(tt *sim.Thread) {
+				for j := 0; j < perThread; j++ {
+					s := p.Site("many.c", 1000*th+10*j, "f")
+					tt.Lock(l, s)
+					tt.Read(x, s)
+					tt.Compute(300)
+					tt.Unlock(l, s)
+					tt.Compute(50)
+				}
+			})
+		}
+	})
+	f := newFuser()
+	beyond := 0
+	newCSTable(in.tr, in.css, f).eachULCP(in.rep, in.orig, in.free,
+		func(p *ulcp.Pair, r1, r2 int32, dt vtime.Duration) {
+			if max(r1, r2) >= f.width {
+				beyond++
+			}
+		})
+	if len(f.regions) <= maxPairIndex || beyond == 0 {
+		t.Fatalf("%d regions, %d ULCPs past the dense index: the map goes unexercised", len(f.regions), beyond)
+	}
+	in.requireMatchesRef(t, "many regions")
+}

@@ -348,18 +348,25 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 	}
 	a.App = tr.App
 
+	// The job's replays run on one engine: the replay branch lays the
+	// trace out for its first replay, and every later one, quantify's
+	// included, lays out only its own run.
+	eng := replay.NewEngine()
+	defer eng.Release()
+
 	// Stage 2 — Replay: the scheduler replays of the recorded trace. The
 	// ELSC run doubles as the quantification baseline (core's
 	// OrigReplay), so it always runs; the other three schemes run beside
-	// it, in scheduler order, when requested. Writes only OrigReplay and
-	// Schemes.
+	// it, in scheduler order, when requested. The branch is the shorter
+	// of the two on the default op, so it also allocates the Result of
+	// quantify's replay. Writes only OrigReplay and Schemes.
 	replayStage := func() error {
 		scheds := []replay.Scheduler{replay.ELSCS}
 		if req.Schemes {
 			scheds = []replay.Scheduler{replay.OrigS, replay.ELSCS, replay.SyncS, replay.MemS}
 		}
 		for _, s := range scheds {
-			r, err := replay.Run(tr, replay.Options{Sched: s})
+			r, err := eng.Run(tr, replay.Options{Sched: s})
 			if err != nil {
 				return fmt.Errorf("pipeline: %v replay: %w", s, err)
 			}
@@ -370,6 +377,7 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 				res.Schemes = append(res.Schemes, SchemeReplay{Sched: s, Result: r})
 			}
 		}
+		eng.Reserve()
 		return nil
 	}
 
@@ -433,7 +441,7 @@ func (p *Pipeline) exec(req Request) (*Result, error) {
 	if err := stage("quantify", func() error {
 		plan := a.Transformed.Plan
 		var err error
-		a.FreeReplay, err = replay.Run(tr, replay.Options{Sched: replay.ELSCS, Plan: plan})
+		a.FreeReplay, err = eng.Run(tr, replay.Options{Sched: replay.ELSCS, Plan: plan})
 		if err != nil {
 			return fmt.Errorf("pipeline: ULCP-free replay: %w", err)
 		}

@@ -467,7 +467,10 @@ func TestDenseTablesDoNotShow(t *testing.T) {
 // locks, spin locks, conds, barriers and skips — under every scheme (ORIG-S
 // at two seeds), and the recording under its ULCP-free plan, with and
 // without DLS and the lockset cost model, against the reference's replay
-// of the materialised trace: whole Results, or the same error text.
+// of the materialised trace: whole Results, or the same error text. A
+// job's Engine then replays the recording under ELSC, under each plan
+// and under ELSC again, as a job does, and each run must equal both the
+// reference's and a fresh pooled engine's.
 func FuzzEngineMatchesReference(f *testing.F) {
 	all := uint8(simtest.Barriers | simtest.Skips | simtest.Conds | simtest.SpinLocks)
 	f.Add(int64(1), uint8(0), uint8(0), uint8(5), uint8(0))
@@ -486,5 +489,23 @@ func FuzzEngineMatchesReference(f *testing.F) {
 			got, gotErr := Run(tr, opts)
 			requireSameReplay(t, fmt.Sprintf("plan/variant=%d", i), got, gotErr, want, wantErr)
 		}
+
+		eng := NewEngine()
+		defer eng.Release()
+		job := func(what string, opts Options, refTr *trace.Trace, refOpts Options) {
+			got, gotErr := eng.Run(tr, opts)
+			want, wantErr := runRef(refTr, refOpts)
+			requireSameReplay(t, "job engine/"+what, got, gotErr, want, wantErr)
+			fresh, freshErr := Run(tr, opts)
+			requireSameReplay(t, "job engine vs fresh/"+what, got, gotErr, fresh, freshErr)
+		}
+		job("elsc", Options{Sched: ELSCS}, tr, Options{Sched: ELSCS})
+		eng.Reserve()
+		for i, opts := range locksetVariants {
+			planned := opts
+			planned.Plan = tres.Plan
+			job(fmt.Sprintf("plan/variant=%d", i), planned, tres.Trace, opts)
+		}
+		job("elsc again", Options{Sched: ELSCS}, tr, Options{Sched: ELSCS})
 	})
 }

@@ -1,7 +1,9 @@
 package replay
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -146,6 +148,35 @@ func TestPooledEngineAfterError(t *testing.T) {
 	}
 }
 
+// TestJobEngineAfterError: a job's engine whose first run fails — under
+// a plan rejected halfway through laying it out, or a schedule that
+// wedges — keeps no layout, and its next runs, plain and planned, equal
+// a fresh engine's.
+func TestJobEngineAfterError(t *testing.T) {
+	writers, l := twoWriters()
+	tres := transformed(t, writers)
+	broken := *tres.Plan
+	broken.Acq = slices.Clone(broken.Acq)
+	broken.Acq[len(broken.Acq)-1] = broken.Acq[0]
+	order := writers.LockOrder()[l]
+	stuck := Options{Sched: ELSCS, lockOrder: map[trace.LockID][]int32{l: {order[1], order[0], order[2], order[3]}}}
+	for _, first := range []Options{{Sched: ELSCS, Plan: &broken}, stuck} {
+		eng := NewEngine()
+		if _, err := eng.Run(writers, first); err == nil {
+			t.Fatalf("first run (planned=%t) replayed successfully", first.Plan != nil)
+		}
+		if eng.e.laid != nil {
+			t.Fatal("a failed run left its layout behind")
+		}
+		for i, opts := range []Options{{Sched: ELSCS}, {Sched: ELSCS, Plan: tres.Plan}, {Sched: ELSCS}} {
+			got, gotErr := eng.Run(writers, opts)
+			want, wantErr := Run(writers, opts)
+			requireSameReplay(t, fmt.Sprintf("after a failed run (planned=%t): run %d", first.Plan != nil, i), got, gotErr, want, wantErr)
+		}
+		eng.Release()
+	}
+}
+
 // BenchmarkPooledReplay measures the steady-state cost of a full ELSC
 // replay with engine recycling (the pipeline's per-scheme replay path).
 func BenchmarkPooledReplay(b *testing.B) {
@@ -165,20 +196,24 @@ func BenchmarkPooledReplay(b *testing.B) {
 // memory snapshot — and nothing inside the stepping loop, so the count
 // does not follow the event count. The engine is held out of the pool:
 // the pool drops engines at collections (and at random under -race).
+// The relaid-plan variant counts a job's plan replay alone: each one
+// follows an ELSC replay on the same engine, so it lays out only its run.
 func TestReplayAllocsIndependentOfEvents(t *testing.T) {
 	type variant struct {
 		name       string
 		free, plan bool
 		opts       Options
+		before     *Options
 	}
 	for _, app := range []struct {
 		name   string
 		scales [2]float64
 	}{{"fluidanimate", [2]float64{0.05, 0.1}}, {"mysql", [2]float64{0.25, 0.5}}} {
 		for _, v := range []variant{
-			{"elsc", false, false, Options{Sched: ELSCS}},
-			{"free-dls", true, false, Options{Sched: ELSCS, DLS: true, LocksetCost: 40}},
-			{"plan-dls", false, true, Options{Sched: ELSCS, DLS: true, LocksetCost: 40}},
+			{"elsc", false, false, Options{Sched: ELSCS}, nil},
+			{"free-dls", true, false, Options{Sched: ELSCS, DLS: true, LocksetCost: 40}, nil},
+			{"plan-dls", false, true, Options{Sched: ELSCS, DLS: true, LocksetCost: 40}, nil},
+			{"relaid-plan", false, true, Options{Sched: ELSCS}, &Options{Sched: ELSCS}},
 		} {
 			var allocs [2]float64
 			var events [2]int
@@ -192,11 +227,15 @@ func TestReplayAllocsIndependentOfEvents(t *testing.T) {
 				}
 				events[i] = len(tr.Events)
 				e := enginePool.Get().(*engine)
-				allocs[i] = testing.AllocsPerRun(5, func() {
-					if _, err := e.run(tr, v.opts); err != nil {
-						t.Fatal(err)
-					}
-				})
+				if v.before != nil {
+					allocs[i] = allocsAfter(t, e, tr, *v.before, v.opts)
+				} else {
+					allocs[i] = testing.AllocsPerRun(5, func() {
+						if _, err := e.run(tr, v.opts); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
 				e.release()
 			}
 			if events[1] < events[0]*3/2 {
@@ -208,4 +247,32 @@ func TestReplayAllocsIndependentOfEvents(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allocsAfter is testing.AllocsPerRun for a run under opts that follows
+// a run under before on the same engine, which it does not count.
+func allocsAfter(t *testing.T, e *engine, tr *trace.Trace, before, opts Options) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 5
+	var a, b runtime.MemStats
+	var n uint64
+	for i := 0; i <= runs; i++ { // the first is a warm-up
+		if _, err := e.run(tr, before); err != nil {
+			t.Fatal(err)
+		}
+		if e.laid != tr {
+			t.Fatal("the engine dropped the trace's layout after a run")
+		}
+		runtime.ReadMemStats(&a)
+		_, err := e.run(tr, opts)
+		runtime.ReadMemStats(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			n += b.Mallocs - a.Mallocs
+		}
+	}
+	return float64(n) / runs
 }

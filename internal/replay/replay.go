@@ -178,18 +178,22 @@ type openSet struct{ off, n int32 }
 const kRemoved trace.Kind = 0xff
 
 type threadState struct {
-	id    int32
-	evs   []int32 // global indices of this thread's events
+	// The trace's layout: the thread's id, the global indices of its
+	// events, and how many of them acquire a lock and a lockset.
+	id            int32
+	evs           []int32
+	acqs, setAcqs int
+
+	// Everything below is the run's.
 	pos   int
 	clock vtime.Time
 	cpu   vtime.Duration
 	// barMark is the barrier event this thread last registered at.
 	barMark int32
 	// open stacks the thread's unreleased lockset acquisitions (transform
-	// emits them well nested); nsets, its acquisitions of locksets or,
-	// under a plan, of locks, sizes it before the run.
-	open  []openSet
-	nsets int
+	// emits them well nested), sized before the run by its acquisitions
+	// of locksets or, under a plan, of locks.
+	open []openSet
 	// parked is set while the thread waits on a list (see engine.park);
 	// parkNext is the next thread on that list, as thread index+1.
 	parked   bool
@@ -256,6 +260,11 @@ func (t *slotTable[K]) get(k K, next int32) (int32, bool) {
 // only and is the same loop for a transformed trace and a planned
 // recording.
 //
+// The layout comes in two parts. The trace's (layTrace) depends on the
+// trace alone; an engine keeps it for its next run over the same trace
+// (see laid). The run's (layRun) depends on the options too: the lock
+// slots or the plan's locksets, the constraints, and the runtime state.
+//
 // A thread whose next event waits on something only one event can change
 // — an unfinished constraint target, a held lock or an ELSC cursor at
 // another acquisition, an incomplete barrier episode — parks on that
@@ -264,6 +273,12 @@ func (t *slotTable[K]) get(k K, next int32) (int32, bool) {
 type engine struct {
 	tr   *trace.Trace
 	opts Options
+
+	// laid is the trace whose layout the engine holds for its next run, or
+	// nil: a pooled engine, one whose last run failed, and one that last
+	// replayed a trace with locksets (exec compacts their member slots in
+	// place) lay the next trace out in full.
+	laid *trace.Trace
 
 	threads []threadState
 	locks   []lockState
@@ -277,11 +292,22 @@ type engine struct {
 	evSlot []int32
 	// A lockset of n members is n at setSlots[off] and the members' lock
 	// slots behind it; setSrc parallels setSlots with each member's
-	// source release event, or -1 for one DLS never drops.
+	// source release event, or -1 for one DLS never drops. The trace's
+	// own locksets are the first traceSets entries, a plan's follow them.
 	setSlots, setSrc []int32
+	traceSets        int
 	episodes         []episode
 	openBuf          []openSet // backs every threadState.open
-	cells            []memCell // the memory image
+	// cells is the memory image; image is what it holds when a run starts.
+	cells, image []memCell
+
+	// lockOps counts the trace's lock operations, nlocks the locks it
+	// names, and firstSet is its first lockset event, or -1. laidPlan is the
+	// plan whose sections' lock operations the last run laid out as
+	// locksets; the next run lays them out as recorded again.
+	lockOps, nlocks int
+	firstSet        int32
+	laidPlan        *trace.Plan
 
 	// Constraints in CSR form: event i must wait for
 	// preTgt[preOff[i]:preOff[i+1]]. preOff is empty without constraints.
@@ -300,11 +326,14 @@ type engine struct {
 	newArrival bool
 
 	res *Result
+	// next, when set, is the Result the next run over laid fills (see
+	// Engine.Reserve).
+	next *Result
 
 	// polls counts eligible calls, for the tests that pin parking.
 	polls int
 
-	// Slot assignment scratch, touched by reset only (see find): lock
+	// Slot assignment scratch, touched by layTrace only (see find): lock
 	// IDs, auxiliary lock ordinals, addresses, barrier IDs and, per
 	// barrier, generations.
 	lockIDs, auxIDs slotTable[trace.LockID]
@@ -355,12 +384,12 @@ func (e *engine) slot(l trace.LockID) int32 {
 	return s
 }
 
-// cell returns the address's index into e.cells, assigning the next free
-// one on first sight.
+// cell returns the address's index into e.image (and e.cells), assigning
+// the next free one on first sight.
 func (e *engine) cell(a memmodel.Addr) int32 {
-	s, ok := e.addrs.get(a, int32(len(e.cells)))
+	s, ok := e.addrs.get(a, int32(len(e.image)))
 	if !ok {
-		e.cells = append(e.cells, memCell{addr: a})
+		e.image = append(e.image, memCell{addr: a})
 	}
 	return s
 }
@@ -392,14 +421,32 @@ func (e *engine) episodeSlot(b int32, gen int64) int32 {
 	return s
 }
 
-// reset prepares a (possibly recycled) engine for one run: one pass over
-// the events assigns the slots, and is also the input check — a thread
-// id, extension index, lockset source, constraint index or plan the
-// trace cannot back is an error here rather than an index panic in the
-// loop. Every field is rebuilt from (tr, opts) or cleared in place,
-// keeping capacity from previous runs.
+// reset prepares a (possibly recycled) engine for one run: it lays the
+// trace out, unless the engine holds tr's layout already, and then the
+// run. The two passes are also the input check — a thread id, extension
+// index, lockset source, constraint index or plan the trace cannot back
+// is an error here rather than an index panic in the loop. Every field
+// is rebuilt or cleared in place, keeping capacity from previous runs.
 func (e *engine) reset(tr *trace.Trace, opts Options) error {
-	e.tr, e.opts = tr, opts
+	if e.laid != tr {
+		e.laid = nil
+		if err := e.layTrace(tr); err != nil {
+			return err
+		}
+		if e.firstSet < 0 {
+			e.laid = tr
+		}
+	}
+	return e.layRun(opts)
+}
+
+// layTrace lays out what depends on the trace alone: one pass over the
+// events records every event's kind and gives its lock, barrier episode
+// or memory cell a slot, lays out the trace's own locksets, counts the
+// lock operations and each thread's acquisitions, and builds the memory
+// image a run starts from.
+func (e *engine) layTrace(tr *trace.Trace) error {
+	e.tr, e.next = tr, nil
 	nev, nt := len(tr.Events), tr.NumThreads
 	if nt < 0 {
 		return fmt.Errorf("replay: thread count %d", nt)
@@ -408,8 +455,6 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 	clear(e.threads)
 	e.kind = sized(e.kind, nev)
 	e.evSlot = sized(e.evSlot, nev)
-	e.done = sized(e.done, nev)
-	clear(e.done)
 	// The tables' arrays stop at a bound linear in the trace's size, so
 	// no ID the trace names can size one past that.
 	bound := nev + len(tr.InitMem)
@@ -418,12 +463,11 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 	e.addrs.reset(bound)
 	e.barIDs.reset(bound)
 	e.barGens = e.barGens[:0]
-	e.locks, e.episodes, e.cells = e.locks[:0], e.episodes[:0], e.cells[:0]
+	e.locks, e.episodes, e.image = e.locks[:0], e.episodes[:0], e.image[:0]
 	e.setSlots, e.setSrc = e.setSlots[:0], e.setSrc[:0]
-	e.executed, e.lastEnd, e.newArrival, e.polls = 0, 0, false, 0
+	e.lockOps, e.firstSet, e.laidPlan = 0, -1, nil
 
-	planned := opts.Plan != nil
-	lockOps, barriers := 0, 0
+	barriers := 0
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		if uint(ev.Thread) >= uint(nt) {
@@ -432,26 +476,23 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 		if uint(ev.Ext) > uint(len(tr.Exts)) {
 			return fmt.Errorf("replay: event %d: extension %d out of range [0,%d]", i, ev.Ext, len(tr.Exts))
 		}
-		if planned && (ev.Kind == trace.KLocksetAcq || ev.Kind == trace.KLocksetRel) {
-			return fmt.Errorf("replay: event %d: %v in a trace replayed under a plan", i, ev.Kind)
+		if (ev.Kind == trace.KLocksetAcq || ev.Kind == trace.KLocksetRel) && e.firstSet < 0 {
+			e.firstSet = int32(i)
 		}
 		e.kind[i] = ev.Kind
 		switch ev.Kind {
 		case trace.KLockAcq, trace.KLockRel:
-			if planned {
-				lockOps++ // the plan gives it a lockset, or removes it
-				if ev.Kind == trace.KLockAcq {
-					e.threads[ev.Thread].nsets++
-				}
-			} else {
-				e.evSlot[i] = e.slot(ev.Lock)
+			e.evSlot[i] = e.slot(ev.Lock)
+			e.lockOps++
+			if ev.Kind == trace.KLockAcq {
+				e.threads[ev.Thread].acqs++
 			}
 		case trace.KLocksetRel:
 			e.evSlot[i] = int32(len(tr.Ext(ev).Locks))
 		case trace.KLocksetAcq:
 			x := tr.Ext(ev)
 			e.evSlot[i] = e.openLockset(len(x.Locks))
-			e.threads[ev.Thread].nsets++
+			e.threads[ev.Thread].setAcqs++
 			for _, l := range x.Locks {
 				e.setSlots = append(e.setSlots, e.slot(l))
 			}
@@ -489,25 +530,76 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 		}
 	}
 	for a, v := range tr.InitMem {
-		c := &e.cells[e.cell(a)]
+		c := &e.image[e.cell(a)]
 		c.v, c.set = v, true
 	}
-	if planned {
-		if err := e.layPlan(opts.Plan, lockOps); err != nil {
-			return err
+	for t, evs := range tr.PerThread() {
+		e.threads[t].id, e.threads[t].evs = int32(t), evs
+	}
+	e.nlocks, e.traceSets = len(e.locks), len(e.setSlots)
+	return nil
+}
+
+// layRun lays out what depends on the options as well: the lock
+// operations, as recorded or as the plan says, the lock slots, the
+// constraints, the ELSC order and a cleared runtime state.
+func (e *engine) layRun(opts Options) error {
+	tr := e.tr
+	e.opts = opts
+	nev, nt := len(tr.Events), tr.NumThreads
+	planned := opts.Plan != nil
+	if planned && e.firstSet >= 0 {
+		return fmt.Errorf("replay: event %d: %v in a trace replayed under a plan", e.firstSet, e.kind[e.firstSet])
+	}
+	e.done = sized(e.done, nev)
+	clear(e.done)
+	e.cells = append(e.cells[:0], e.image...)
+	for i := range e.episodes {
+		ep := &e.episodes[i]
+		ep.arrived, ep.waiters, ep.maxAt = 0, 0, 0
+	}
+	e.executed, e.lastEnd, e.newArrival, e.polls = 0, 0, false, 0
+
+	e.setSlots, e.setSrc = e.setSlots[:e.traceSets], e.setSrc[:e.traceSets]
+	if p := e.laidPlan; p != nil {
+		e.laidPlan = nil
+		for i := range p.Acq {
+			for _, ev := range [2]int32{p.Acq[i], p.Rel[i]} {
+				e.kind[ev] = tr.Events[ev].Kind
+				e.evSlot[ev], _ = e.find(tr.Events[ev].Lock)
+			}
 		}
 	}
+	if planned {
+		// The plan gives every lock operation a lockset, or removes it.
+		e.laidPlan = opts.Plan
+		if err := e.layPlan(opts.Plan, e.lockOps); err != nil {
+			return err
+		}
+	} else {
+		e.locks = sized(e.locks, e.nlocks)
+		clear(e.locks)
+	}
 
+	// A thread holds at most as many locksets as it acquires, of locks
+	// under a plan.
+	opens := func(ts *threadState) int {
+		if planned {
+			return ts.acqs
+		}
+		return ts.setAcqs
+	}
 	nsets := 0
 	for i := range e.threads {
-		nsets += e.threads[i].nsets
+		nsets += opens(&e.threads[i])
 	}
 	e.openBuf = sized(e.openBuf, nsets)
 	open := e.openBuf
-	for t, evs := range tr.PerThread() {
-		ts := &e.threads[t]
-		ts.id, ts.evs, ts.barMark = int32(t), evs, -1
-		ts.open, open = open[:0:ts.nsets], open[ts.nsets:]
+	for i := range e.threads {
+		ts := &e.threads[i]
+		n := opens(ts)
+		*ts = threadState{id: ts.id, evs: ts.evs, acqs: ts.acqs, setAcqs: ts.setAcqs, barMark: -1, open: open[:0:n]}
+		open = open[n:]
 	}
 
 	if opts.Sched == ELSCS && !planned {
@@ -553,13 +645,22 @@ func (e *engine) reset(tr *trace.Trace, opts Options) error {
 		}
 	}
 
-	e.res = &Result{
+	e.res, e.next = e.next, nil
+	if e.res == nil {
+		e.res = newResult(nev, nt)
+	}
+	return nil
+}
+
+// newResult is a Result with its arrays for a trace of nev events and nt
+// threads.
+func newResult(nev, nt int) *Result {
+	return &Result{
 		EventEnd:     make([]vtime.Time, nev),
 		EventStart:   make([]vtime.Time, nev),
 		PerThreadCPU: make([]vtime.Duration, nt),
 		readHashes:   make([]uint64, nt),
 	}
-	return nil
 }
 
 // openLockset starts the layout of a lockset of n members: the count goes
@@ -632,7 +733,7 @@ func (e *engine) layPlan(p *trace.Plan, lockOps int) error {
 // would otherwise keep the trace, the caller's options, or the escaping
 // Result alive while the engine idles in the pool.
 func (e *engine) release() {
-	e.tr, e.opts, e.res = nil, Options{}, nil
+	e.tr, e.laid, e.laidPlan, e.opts, e.res, e.next = nil, nil, nil, Options{}, nil, nil
 	clear(e.threads)
 	clear(e.locks)
 	enginePool.Put(e)
@@ -645,12 +746,45 @@ func Run(tr *trace.Trace, opts Options) (*Result, error) {
 	return e.run(tr, opts)
 }
 
-// run is Run on this engine, whatever it replayed before.
-func (e *engine) run(tr *trace.Trace, opts Options) (*Result, error) {
-	if err := e.reset(tr, opts); err != nil {
-		return nil, err
+// Engine is a replay engine that one caller holds across several
+// replays of one trace — a job's scheme replays and then its replay
+// under the plan — so only the first of them lays the trace out and
+// each later one lays out only its own run. It comes from, and goes
+// back to, the pool Run draws on. The trace must not change while the
+// Engine replays it, and an Engine serves one goroutine at a time.
+type Engine struct{ e *engine }
+
+// NewEngine takes an engine from the pool; Release gives it back.
+func NewEngine() *Engine { return &Engine{enginePool.Get().(*engine)} }
+
+// Run is Run on this engine: a Result equal to a fresh engine's.
+func (j *Engine) Run(tr *trace.Trace, opts Options) (*Result, error) { return j.e.run(tr, opts) }
+
+// Reserve allocates the Result of the engine's next run over the trace
+// its last run laid out, so a caller with time to spare pays for those
+// arrays there rather than on the next run's path. It does nothing when
+// the engine holds no layout.
+func (j *Engine) Reserve() {
+	if tr := j.e.laid; tr != nil && j.e.next == nil {
+		j.e.next = newResult(len(tr.Events), tr.NumThreads)
 	}
-	if err := e.loop(); err != nil {
+}
+
+// Release returns the engine to the pool. The Engine is unusable after.
+func (j *Engine) Release() {
+	j.e.release()
+	j.e = nil
+}
+
+// run is Run on this engine, whatever it replayed before. A failed run
+// leaves no layout behind.
+func (e *engine) run(tr *trace.Trace, opts Options) (*Result, error) {
+	err := e.reset(tr, opts)
+	if err == nil {
+		err = e.loop()
+	}
+	if err != nil {
+		e.laid = nil
 		return nil, err
 	}
 	res := e.res
