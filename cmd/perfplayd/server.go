@@ -736,7 +736,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		input, err := workload.ParseInputSize(body.Input)
 		code := clusterapi.CodeBadRequest
 		if err == nil {
-			code, err = checkWorkloadSpec(body.App, body.Threads, int(input))
+			code, err = checkWorkloadSpec(body.App, body.Threads, int(input), body.Scale)
 		}
 		if err != nil {
 			httpError(w, http.StatusBadRequest, code, "%v", err)

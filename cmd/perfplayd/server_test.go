@@ -391,7 +391,48 @@ func TestAnalyzeRejectsThreadsOutOfRange(t *testing.T) {
 				threads, resp.StatusCode, e, clusterapi.CodeBadRequest)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/jobs/job-1")
+	requireNothingAdmitted(t, ts.URL)
+}
+
+// A workload spec's scale below 0 or above maxScale — far above, too,
+// where the recording would run for minutes — is refused before
+// admission: no job is queued and nothing is recorded.
+func TestAnalyzeRejectsScaleOutOfRange(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, scale := range []string{"-1", "16.5", "1000", "1e300"} {
+		resp := postJSON(t, ts.URL+"/analyze", fmt.Sprintf(`{"app":"pbzip2","threads":2,"scale":%s}`, scale))
+		if e := apiError(t, resp); resp.StatusCode != http.StatusBadRequest ||
+			e.Code != clusterapi.CodeBadRequest || !strings.Contains(e.Message, "scale") {
+			t.Fatalf("scale %s: status %d, error %+v: want a 400 %q naming scale",
+				scale, resp.StatusCode, e, clusterapi.CodeBadRequest)
+		}
+	}
+	requireNothingAdmitted(t, ts.URL)
+}
+
+// TestCheckWorkloadSpecScale: 0 (the default) through maxScale pass, and
+// anything else — negative, past the bound, not a number — is refused
+// with the code POST /analyze answers.
+func TestCheckWorkloadSpecScale(t *testing.T) {
+	input := int(workload.SimLarge)
+	for _, scale := range []float64{0, 0.05, 1, maxScale} {
+		if code, err := checkWorkloadSpec("mysql", 2, input, scale); err != nil {
+			t.Errorf("scale %g: %s %v, want it admitted", scale, code, err)
+		}
+	}
+	for _, scale := range []float64{-0.5, math.Nextafter(maxScale, math.Inf(1)), 1000, math.Inf(1), math.NaN()} {
+		code, err := checkWorkloadSpec("mysql", 2, input, scale)
+		if err == nil || code != clusterapi.CodeBadRequest || !strings.Contains(err.Error(), fmt.Sprintf("outside [0, %d]", maxScale)) {
+			t.Errorf("scale %g: %q %v, want %q naming the bound", scale, code, err, clusterapi.CodeBadRequest)
+		}
+	}
+}
+
+// requireNothingAdmitted fails if the daemon at base holds a job or ran
+// a record stage.
+func requireNothingAdmitted(t *testing.T, base string) {
+	t.Helper()
+	resp, err := http.Get(base + "/jobs/job-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,11 +440,7 @@ func TestAnalyzeRejectsThreadsOutOfRange(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /jobs/job-1: status %d, want 404: a refused spec was admitted", resp.StatusCode)
 	}
-	for series, n := range scrape(t, ts.URL) {
-		if strings.HasPrefix(series, "perfplay_pipeline_stage_duration_seconds") && strings.Contains(series, `stage="record"`) && n != 0 {
-			t.Fatalf("%s = %v: a refused spec was recorded", series, n)
-		}
-	}
+	requireNothingRecorded(t, base)
 }
 
 func TestJobNotFound(t *testing.T) {

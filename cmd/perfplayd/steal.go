@@ -64,19 +64,29 @@ func (s *Server) requestOf(spec clusterapi.Spec, victim string) pipeline.Request
 	return req
 }
 
+// maxScale bounds a workload job's scale. A recording's length grows
+// with it (mysql records about 13.7k events per unit at 2 threads), and
+// nothing else bounds the work a spec asks for; every golden, -case and
+// experiments table runs at 1 or below.
+const maxScale = 16
+
 // checkWorkloadSpec is the one check a workload job's spec passes before
 // anything is recorded, whether it arrived by POST /analyze, a steal or
 // the journal: a registered workload, a thread count in [0,
-// trace.MaxThreads] (0 = the default), and one of the input classes
+// trace.MaxThreads] (0 = the default), one of the input classes
 // workload.ParseInputSize yields — an input no admitted spec carries
-// would run at the default class under a cache key of its own. The code
-// is the one POST /analyze answers with.
-func checkWorkloadSpec(app string, threads, input int) (clusterapi.ErrorCode, error) {
+// would run at the default class under a cache key of its own — and a
+// scale in [0, maxScale] (0 = the default). The code is the one POST
+// /analyze answers with.
+func checkWorkloadSpec(app string, threads, input int, scale float64) (clusterapi.ErrorCode, error) {
 	if _, ok := workload.Get(app); !ok {
 		return clusterapi.CodeUnknownWorkload, fmt.Errorf("unknown workload %q", app)
 	}
 	if threads < 0 || threads > trace.MaxThreads {
 		return clusterapi.CodeBadRequest, fmt.Errorf("threads %d outside [0, %d] (0 = the default)", threads, trace.MaxThreads)
+	}
+	if !(scale >= 0 && scale <= maxScale) {
+		return clusterapi.CodeBadRequest, fmt.Errorf("scale %g outside [0, %d] (0 = the default)", scale, maxScale)
 	}
 	switch workload.InputSize(input) {
 	case workload.SimSmall, workload.SimMedium, workload.SimLarge:
@@ -100,7 +110,7 @@ func (s *Server) requestFor(victim string, spec clusterapi.Spec, tc spanCtx) (pi
 	var err error
 	switch {
 	case spec.App != "":
-		if _, err := checkWorkloadSpec(spec.App, spec.Threads, spec.Input); err != nil {
+		if _, err := checkWorkloadSpec(spec.App, spec.Threads, spec.Input, spec.Scale); err != nil {
 			return pipeline.Request{}, err
 		}
 	case s.corpus == nil:

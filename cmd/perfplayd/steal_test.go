@@ -12,6 +12,7 @@ import (
 	"perfplay/internal/clusterapi"
 	"perfplay/internal/jobs"
 	"perfplay/internal/trace"
+	"perfplay/internal/workload"
 )
 
 // saturatedVictim builds a daemon whose workers never start — the
@@ -391,6 +392,18 @@ func TestStolenSpecInputOutOfRange(t *testing.T) {
 	for _, input := range []int{0, 7} {
 		spec := clusterapi.Spec{App: "pbzip2", Threads: 2, Input: input, Scale: 0.2, Seed: 3}
 		want := fmt.Sprintf("input %d is not an input class", input)
+		requireSpecRefused(t, spec, want)
+		requireRecoveredLost(t, spec, want)
+	}
+}
+
+// TestStolenSpecScaleOutOfRange: a workload spec whose scale POST
+// /analyze would refuse fails the job on the thief, and boot recovery
+// fails it as lost, with the same message; neither records anything.
+func TestStolenSpecScaleOutOfRange(t *testing.T) {
+	for _, scale := range []float64{-1, 1000} {
+		spec := clusterapi.Spec{App: "pbzip2", Threads: 2, Input: int(workload.SimLarge), Scale: scale, Seed: 3}
+		want := fmt.Sprintf("scale %g outside [0, %d]", scale, maxScale)
 		requireSpecRefused(t, spec, want)
 		requireRecoveredLost(t, spec, want)
 	}

@@ -345,7 +345,7 @@ func (f *fuser) add(r1, r2 int32, cat ulcp.Category, dt vtime.Duration) {
 	}
 	g.DeltaT += dt
 	g.Count++
-	if cat >= 0 && cat < ulcp.NumCategories {
+	if cat < ulcp.NumCategories {
 		g.Cats[cat]++
 	}
 }

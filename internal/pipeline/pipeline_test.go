@@ -12,6 +12,7 @@ import (
 	"perfplay/internal/corpus"
 	"perfplay/internal/replay"
 	"perfplay/internal/sim"
+	"perfplay/internal/telemetry"
 	"perfplay/internal/trace"
 	"perfplay/internal/workload"
 )
@@ -499,5 +500,47 @@ func TestTableCacheSkipsReplays(t *testing.T) {
 	if second.Analysis.Report.Counts != first.Analysis.Report.Counts {
 		t.Fatalf("cached-table counts differ: %v vs %v",
 			second.Analysis.Report.Counts, first.Analysis.Report.Counts)
+	}
+}
+
+// TestThreadAxisReports: above four threads — mysql, openldap and dedup
+// at 32 threads, ×0.05, seed 42 — a Run report is byte for byte the
+// report of a re-run against the verdict table the first run built (the
+// table-hit path a daemon takes for a stored trace, which replays
+// nothing), and the re-run is a table hit.
+func TestThreadAxisReports(t *testing.T) {
+	for _, app := range []string{"mysql", "openldap", "dedup"} {
+		t.Run(app, func(t *testing.T) {
+			rec := sim.Run(workload.MustGet(app).Build(workload.Config{Threads: 32, Scale: 0.05, Seed: 42}), sim.Config{Seed: 42})
+			req := Request{Trace: rec.Trace, TraceDigest: "sha256:thread-axis-" + app}
+			src := New(Options{CacheSize: 1})
+			want, err := src.Run(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, ok := src.TableKeyFor(req)
+			if !ok {
+				t.Fatal("digest request has no table key")
+			}
+			wt, ok := src.ExportTable(key)
+			if !ok {
+				t.Fatal("no table cached after the run")
+			}
+			reg := telemetry.NewRegistry()
+			dst := New(Options{CacheSize: 1, Metrics: reg})
+			if !dst.ImportTable(key, wt.Table) {
+				t.Fatal("table import refused")
+			}
+			got, err := dst.Run(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := cacheRequests(t, reg); st["table/hit"] != 1 || st["table/miss"] != 0 {
+				t.Fatalf("re-run cache requests %v, want one table hit", st)
+			}
+			if got.Report != want.Report {
+				t.Fatalf("table-hit re-run report differs:\n%s\nfirst run:\n%s", got.Report, want.Report)
+			}
+		})
 	}
 }

@@ -100,7 +100,8 @@ func buildRefGraph(css []*trace.CritSec, edges []ulcp.Edge) (*refGraph, error) {
 	g := &refGraph{out: make(map[int][]int), in: make(map[int][]int)}
 	seen := make(map[ulcp.Edge]bool)
 	for _, e := range edges {
-		if e.From < 0 || e.From >= len(css) || e.To < 0 || e.To >= len(css) {
+		from, to := int(e.From), int(e.To)
+		if from < 0 || from >= len(css) || to < 0 || to >= len(css) {
 			return nil, fmt.Errorf("edge %v outside [0,%d)", e, len(css))
 		}
 		if seen[e] {
@@ -108,8 +109,8 @@ func buildRefGraph(css []*trace.CritSec, edges []ulcp.Edge) (*refGraph, error) {
 		}
 		seen[e] = true
 		g.edges = append(g.edges, e)
-		g.out[e.From] = append(g.out[e.From], e.To)
-		g.in[e.To] = append(g.in[e.To], e.From)
+		g.out[from] = append(g.out[from], to)
+		g.in[to] = append(g.in[to], from)
 	}
 	const (
 		unvisited = iota
@@ -135,8 +136,8 @@ func buildRefGraph(css []*trace.CritSec, edges []ulcp.Edge) (*refGraph, error) {
 	}
 	set := make(map[int]struct{})
 	for _, e := range g.edges {
-		set[e.From] = struct{}{}
-		set[e.To] = struct{}{}
+		set[int(e.From)] = struct{}{}
+		set[int(e.To)] = struct{}{}
 	}
 	g.causal = make([]int, 0, len(set))
 	for id := range set {
@@ -367,14 +368,14 @@ func FuzzPlanMatchesReference(f *testing.F) {
 			simtest.Feature(with)&(simtest.Skips|simtest.Barriers)).Trace
 		css := tr.ExtractCS()
 		rep := ulcp.Identify(tr, css, ulcp.Options{})
-		edges, n := slices.Clone(rep.CausalEdges), len(css)
+		edges, n := slices.Clone(rep.CausalEdges), int32(len(css))
 		for script = script[:min(len(script), 3*64)]; len(script) >= 3 && n > 0; script = script[3:] {
-			op, x, y := script[0]%6, int(script[1]), int(script[2])
+			op, x, y := script[0]%6, int32(script[1]), int32(script[2])
 			a, b := x%n, y%n
 			var e ulcp.Edge
 			switch {
 			case op == 0 && len(edges) > 0:
-				e = edges[x%len(edges)]
+				e = edges[int(x)%len(edges)]
 			case op == 1 && a != b:
 				e = ulcp.Edge{From: max(a, b), To: min(a, b)}
 			case op == 2:
@@ -384,15 +385,15 @@ func FuzzPlanMatchesReference(f *testing.F) {
 			case op == 3:
 				e = ulcp.Edge{From: -1 - x, To: b}
 			case op == 4 && len(edges) > 0:
-				r := edges[x%len(edges)]
+				r := edges[int(x)%len(edges)]
 				e = ulcp.Edge{From: r.To, To: r.From}
 			case op == 5 && len(edges) > 0:
-				edges = slices.Delete(edges, x%len(edges), x%len(edges)+1)
+				edges = slices.Delete(edges, int(x)%len(edges), int(x)%len(edges)+1)
 				continue
 			default:
 				continue
 			}
-			edges = slices.Insert(edges, y%(len(edges)+1), e)
+			edges = slices.Insert(edges, int(y)%(len(edges)+1), e)
 		}
 		requireApplyMatchesRef(t, "fuzz", tr, css, &ulcp.Report{CausalEdges: edges})
 	})
@@ -406,7 +407,7 @@ func TestApplyRejectsForeignEdges(t *testing.T) {
 	if len(rep.CausalEdges) == 0 {
 		t.Fatal("fixture has no causal edge")
 	}
-	for _, e := range []ulcp.Edge{{From: 0, To: len(css)}, {From: -1, To: 0}} {
+	for _, e := range []ulcp.Edge{{From: 0, To: int32(len(css))}, {From: -1, To: 0}} {
 		bad := *rep
 		bad.CausalEdges = append(append([]ulcp.Edge(nil), rep.CausalEdges...), e)
 		if _, err := Apply(rec.Trace, css, &bad); err == nil {

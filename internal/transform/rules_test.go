@@ -182,7 +182,7 @@ func TestPlanFig8Locksets(t *testing.T) {
 		return slices.ContainsFunc(a, func(l trace.LockID) bool { return slices.Contains(b, l) })
 	}
 	for _, e := range edges {
-		if !shares(e.From, e.To) {
+		if !shares(int(e.From), int(e.To)) {
 			t.Errorf("RULE 4: sections %d and %d share an edge but no lock", e.From, e.To)
 		}
 	}

@@ -94,10 +94,12 @@ func TestPairsKeepTheirRows(t *testing.T) {
 }
 
 // TestIdentifyBytesPerPair pins what one identification pass allocates
-// per classified pair on the pair-heavy mysql workload at two scales: the
-// rows go into chunks and are copied once, so a pair costs about three
-// 16-byte rows, flat in the trace size (two *trace.CritSec per pair in an
-// append-grown array read 116 and 124 B/pair here).
+// per classified pair on the pair-heavy mysql workload at two scales: a
+// pair is one category byte while the scan runs and one 12-byte row,
+// written once at the end, plus its share of the scan's run and causal
+// edge, flat in the trace size (16-byte rows held in chunks and copied
+// once read 38–43 B/pair here, and two *trace.CritSec per pair in an
+// append-grown array 116 and 124).
 func TestIdentifyBytesPerPair(t *testing.T) {
 	const runs = 3
 	for _, scale := range []float64{0.25, 0.5} {
@@ -113,25 +115,26 @@ func TestIdentifyBytesPerPair(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		perPair := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / float64(len(rep.Pairs))
 		t.Logf("scale %v: %d pairs, %.1f B/pair", scale, len(rep.Pairs), perPair)
-		if perPair > 64 {
-			t.Errorf("scale %v: %.1f B/pair over %d pairs, want <= 64", scale, perPair, len(rep.Pairs))
+		if perPair > 28 {
+			t.Errorf("scale %v: %.1f B/pair over %d pairs, want <= 28", scale, perPair, len(rep.Pairs))
 		}
 	}
 }
 
 // FuzzIdentify holds identification's two paths and its rows together
-// over generated programs: any seed, two to four threads, one to three
+// over generated programs: any seed, two to eight threads, one to three
 // locks, one to twelve critical sections per thread, any program
 // feature, and scan caps and replay budgets that bind. The fresh-table
-// report equals the table-hit shards merged, row for row; every row names
-// two critical sections of one lock on two threads, the first before the
-// second in the lock's order; and Counts tallies the rows.
+// report equals the table-hit shards merged and pairsRef's rows, row for
+// row; every row names two critical sections of one lock on two threads,
+// the first before the second in the lock's order; and Counts tallies
+// the rows.
 func FuzzIdentify(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(5), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(7), uint8(2), uint8(1), uint8(11), uint8(15), uint8(0), uint8(0))
 	f.Add(int64(42), uint8(1), uint8(2), uint8(9), uint8(3), uint8(2), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, threads, locks, iters, features, scan, budget uint8) {
-		rec := simtest.RandomProgram(seed, 2+int(threads%3), 1+int(locks%3), 1+int(iters%12), simtest.Feature(features&15))
+		rec := simtest.RandomProgram(seed, 2+int(threads%7), 1+int(locks%3), 1+int(iters%12), simtest.Feature(features&15))
 		tr := rec.Trace
 		css := tr.ExtractCS()
 		opts := Options{maxScanPerThread: int(scan % 4), maxReversedReplays: int(budget % 4)}
@@ -141,6 +144,7 @@ func FuzzIdentify(f *testing.F) {
 			t.Fatalf("table-hit shards replayed %d times", merged.ReversedReplays)
 		}
 		sameClassification(t, "table-hit shards", merged, built)
+		sameClassification(t, "pairsRef", built, pairsRef(t, tr, css, opts, table))
 		requireRowsWellFormed(t, built, css)
 	})
 }
@@ -160,7 +164,7 @@ func requireRowsWellFormed(t *testing.T, rep *Report, css []*trace.CritSec) {
 			t.Fatalf("row %d %+v: sections on locks %d/%d, threads %d/%d, lock order %d/%d",
 				i, p, c1.Lock, c2.Lock, c1.Thread, c2.Thread, c1.SeqInLock, c2.SeqInLock)
 		}
-		if p.Cat < 0 || p.Cat >= NumCategories {
+		if p.Cat >= NumCategories {
 			t.Fatalf("row %d %+v: no such category", i, p)
 		}
 		counts[p.Cat]++

@@ -149,10 +149,10 @@ func TestParentBuiltTablesStillHit(t *testing.T) {
 }
 
 // TestScanAllocsIndependentOfPairs: a table-hit shard pass allocates per
-// lock group (its report, its per-thread lists, the causal edges sized
-// from the group, a few pair chunks — the first one row per section of
-// the group, each next one as large as all before it up to 8,192 rows —
-// and three times
+// lock group (its report, its thread offsets and members, the section
+// IDs, runs and causal edges sized from the group, a few category chunks
+// — the first one byte per section of the group, each next one as large
+// as all before it up to 128 KiB — the pair rows once, and three times
 // per distinct code region it interns), never per pair.
 func TestScanAllocsIndependentOfPairs(t *testing.T) {
 	pass := func(scale float64) (allocs float64, groups, pairs int) {

@@ -17,7 +17,7 @@ import (
 )
 
 // Category classifies a same-lock critical-section pair.
-type Category int
+type Category uint8
 
 // The paper's four ULCP categories plus true lock contention.
 const (
@@ -44,9 +44,9 @@ func (c Category) String() string {
 // IsULCP reports whether the category denotes an unnecessary pair.
 func (c Category) IsULCP() bool { return c != TLCP }
 
-// Pair is one classified same-lock pair as a pointer-free row: C1 and C2
-// are CritSec.IDs — indices into the slice ExtractCS returned — and C1
-// precedes C2 in the lock's recorded acquisition order.
+// Pair is one classified same-lock pair as a 12-byte pointer-free row:
+// C1 and C2 are CritSec.IDs — indices into the slice ExtractCS returned —
+// and C1 precedes C2 in the lock's recorded acquisition order.
 type Pair struct {
 	C1, C2 int32
 	Cat    Category
@@ -54,8 +54,8 @@ type Pair struct {
 
 // Edge is a RULE-1 causal edge between critical sections (by CS ID).
 type Edge struct {
-	From int `json:"from"`
-	To   int `json:"to"`
+	From int32 `json:"from"`
+	To   int32 `json:"to"`
 }
 
 // Options holds identification's two bounds. Every caller passes the
@@ -165,10 +165,19 @@ type identifier struct {
 	css  []*trace.CritSec
 	opts Options
 	rep  *Report
-	// chunks holds the run's pair rows until finish copies them into
-	// rep.Pairs, and pairs counts them. See addPair.
-	chunks [][]Pair
-	pairs  int
+	// The run's pairs until finish writes them into rep.Pairs. ids holds
+	// every scanned lock group's section IDs, thread by thread, each
+	// thread's in acquisition order; a RULE-1 scan pairs one section with
+	// a contiguous stretch of one peer thread's, so it is one run. cats
+	// holds one category byte per pair, in chunks (see addCat), and
+	// pairs counts them.
+	ids   []int32
+	runs  []run
+	cats  [][]Category
+	pairs int
+	// catChunks backs cats up to 16 chunks, so a walk allocates only the
+	// chunks themselves.
+	catChunks [16][]Category
 	// memo holds the verdict of every conflict class the run has seen;
 	// benignMemo holds the verdicts the run replayed or defaulted under
 	// pairKey's bytes, the wire format of VerdictTable.
@@ -300,17 +309,29 @@ func MergeReports(reports ...*Report) *Report {
 	return out
 }
 
+// run is the pairs of one RULE-1 scan: section c1 against the n sections
+// ids[off:off+n], in the order the scan visited them.
+type run struct {
+	c1, off, n int32
+}
+
 // run scans every lock group in ascending lock order and returns the
-// finished report. The causal edges are sized once, for the most the
-// groups can yield.
+// finished report. The section IDs are sized once, for every group with
+// two threads, and the runs and causal edges once, for the most the
+// groups can yield, so no group grows them.
 func (id *identifier) run() *Report {
 	groups := SortedLockGroups(id.css)
-	edges := 0
+	ids, scans := 0, 0
 	for _, g := range groups {
-		edges += maxEdges(g)
+		if n := maxScans(g); n > 0 {
+			ids += len(g)
+			scans += n
+		}
 	}
-	if edges > 0 {
-		id.rep.CausalEdges = make([]Edge, 0, edges)
+	if scans > 0 {
+		id.ids = make([]int32, 0, ids)
+		id.runs = make([]run, 0, scans)
+		id.rep.CausalEdges = make([]Edge, 0, scans)
 	}
 	for _, g := range groups {
 		id.runLock(g)
@@ -318,95 +339,119 @@ func (id *identifier) run() *Report {
 	return id.finish()
 }
 
-// maxEdges bounds the causal edges a lock group yields: RULE 1 ends each
-// (section, peer thread) scan at its first edge, so a section has at most
-// one per other thread that holds the lock.
-func maxEdges(group []*trace.CritSec) int {
-	_, active := threadCounts(group)
+// maxScans bounds the RULE-1 scans a lock group runs, and so its runs and
+// causal edges: one per section and other thread that holds the lock,
+// and each scan ends at its first edge.
+func maxScans(group []*trace.CritSec) int {
+	_, _, active := threadCounts(group)
 	return len(group) * (active - 1)
 }
 
 // threadCounts counts a lock group's sections per thread, and the
-// threads that have any.
-func threadCounts(group []*trace.CritSec) (counts []int, active int) {
+// threads that have any. start[t] is where thread t's sections begin
+// when the group is laid out thread by thread, and start[threads] is the
+// group's length; the two arrays share one allocation.
+func threadCounts(group []*trace.CritSec) (counts, start []int32, active int) {
 	threads := 0
 	for _, cs := range group {
 		threads = max(threads, int(cs.Thread)+1)
 	}
-	counts = make([]int, threads)
+	buf := make([]int32, 2*threads+1)
+	counts, start = buf[:threads], buf[threads:]
 	for _, cs := range group {
 		if counts[cs.Thread] == 0 {
 			active++
 		}
 		counts[cs.Thread]++
 	}
-	return counts, active
+	for t, n := range counts {
+		start[t+1] = start[t] + n
+	}
+	return counts, start, active
 }
 
-// maxPairChunk bounds a chunk of pair rows (128 KiB).
-const maxPairChunk = 8192
+// maxCatChunk bounds a chunk of category bytes (128 KiB).
+const maxCatChunk = 128 << 10
 
-// addPair appends one row to the run's pairs. Rows collect in chunks —
-// the first with room for one row per critical section of the run, each
-// next one as large as everything before it, up to maxPairChunk — and
-// finish copies them once into an array of exactly their number: an
-// array grown by append is copied at every quarter once it is large,
-// each time onto fresh pages.
-func (id *identifier) addPair(p Pair) {
-	n := len(id.chunks)
-	if n == 0 || len(id.chunks[n-1]) == cap(id.chunks[n-1]) {
+// addCat records one pair's category. The bytes collect in chunks — the
+// first with room for one per critical section of the run, each next one
+// as large as everything before it, up to maxCatChunk — so no byte is
+// copied before finish reads it.
+func (id *identifier) addCat(c Category) {
+	n := len(id.cats)
+	if n == 0 || len(id.cats[n-1]) == cap(id.cats[n-1]) {
 		if n == 0 {
-			id.chunks = make([][]Pair, 0, 16)
+			id.cats = id.catChunks[:0]
 		}
-		id.chunks = append(id.chunks, make([]Pair, 0, min(max(id.pairs, len(id.css), 64), maxPairChunk)))
+		id.cats = append(id.cats, make([]Category, 0, min(max(id.pairs, len(id.css), 64), maxCatChunk)))
 		n++
 	}
-	id.chunks[n-1] = append(id.chunks[n-1], p)
+	id.cats[n-1] = append(id.cats[n-1], c)
 	id.pairs++
 }
 
-// finish copies the run's pair rows into the report and returns it. A
-// run without pairs keeps the nil slice MergeReports gives an empty
-// merge.
+// finish writes the run's pairs into the report, once, at their exact
+// number, and returns it. A run without pairs keeps the nil slice
+// MergeReports gives an empty merge.
 func (id *identifier) finish() *Report {
-	if id.pairs > 0 {
-		id.rep.Pairs = make([]Pair, 0, id.pairs)
-		for _, c := range id.chunks {
-			id.rep.Pairs = append(id.rep.Pairs, c...)
+	if id.pairs == 0 {
+		return id.rep
+	}
+	pairs := make([]Pair, id.pairs)
+	i, chunk, cats := 0, 0, id.cats[0]
+	for _, r := range id.runs {
+		for _, c2 := range id.ids[r.off : r.off+r.n] {
+			if len(cats) == 0 {
+				chunk++
+				cats = id.cats[chunk]
+			}
+			pairs[i] = Pair{C1: r.c1, C2: c2, Cat: cats[0]}
+			cats = cats[1:]
+			i++
 		}
 	}
+	id.rep.Pairs = pairs
 	return id.rep
 }
 
 // runLock scans one lock's critical sections: per thread in acquisition
 // order, with peer threads visited in ascending order.
 func (id *identifier) runLock(lockCSs []*trace.CritSec) {
-	// next[t] counts thread t's sections, then walks them: the group is
-	// in acquisition order, so while a section is scanned, thread t's
-	// sections after it are perThread[t][next[t]:], and each peer's
-	// cursor only moves forward.
-	next, active := threadCounts(lockCSs)
+	next, start, active := threadCounts(lockCSs)
 	if active < 2 {
 		return // single-thread lock: no cross-thread pairs
 	}
+	// Thread t's sections are members[start[t]:start[t+1]], in acquisition
+	// order, and their IDs sit at the same offsets of ids. next[t] walks
+	// them, twice: while a section is scanned, thread t's sections after it
+	// begin at start[t]+next[t], and each peer's cursor only moves forward.
+	clear(next)
+	scans := len(lockCSs) * (active - 1)
+	if id.runs == nil {
+		// A shard's walk: its one group sizes what run sizes for all of
+		// its groups.
+		id.ids = make([]int32, 0, len(lockCSs))
+		id.runs = make([]run, 0, scans)
+		id.rep.CausalEdges = make([]Edge, 0, scans)
+	}
 	members := make([]member, len(lockCSs))
-	perThread := make([][]member, len(next))
-	off := 0
-	for t, n := range next {
-		perThread[t] = members[off : off : off+n]
-		off += n
-		next[t] = 0
-	}
+	base := int32(len(id.ids))
+	id.ids = id.ids[:int(base)+len(lockCSs)]
+	ids := id.ids[base:]
 	for _, cs := range lockCSs {
-		perThread[cs.Thread] = append(perThread[cs.Thread], member{cs, id.intern(cs.Region)})
-	}
-	id.rep.CausalEdges = slices.Grow(id.rep.CausalEdges, len(lockCSs)*(active-1))
-	for _, cs := range lockCSs {
-		cur := perThread[cs.Thread][next[cs.Thread]]
+		i := start[cs.Thread] + next[cs.Thread]
 		next[cs.Thread]++
-		for t, peer := range perThread {
-			if int32(t) != cs.Thread && len(peer) > 0 {
-				id.scan(cur, peer[next[t]:])
+		members[i] = member{cs, id.intern(cs.Region)}
+		ids[i] = int32(cs.ID)
+	}
+	clear(next)
+	for _, cs := range lockCSs {
+		th := cs.Thread
+		cur := members[start[th]+next[th]]
+		next[th]++
+		for t := range next {
+			if lo, hi := start[t]+next[t], start[t+1]; int32(t) != th && lo < hi {
+				id.scan(cur, members[lo:hi], base+lo)
 			}
 		}
 	}
@@ -424,30 +469,33 @@ func (id *identifier) intern(r trace.Region) int32 {
 }
 
 // scan performs the RULE-1 sequential search: walk the peer thread's
-// critical sections after cur (peer, in the lock's acquisition order),
-// classify each pair, and stop at the first true contention (which
-// becomes a causal edge).
-func (id *identifier) scan(cur member, peer []member) {
-	steps := 0
+// critical sections after cur (peer, in the lock's acquisition order,
+// whose IDs begin at ids[off]), classify each pair, and stop at the first
+// true contention (which becomes a causal edge).
+func (id *identifier) scan(cur member, peer []member, off int32) {
+	n := 0
 	for _, p := range peer {
-		steps++
-		if steps > id.opts.maxScanPerThread {
+		if n == id.opts.maxScanPerThread {
 			id.rep.Truncated++
-			return
+			break
 		}
+		n++
 		var cat Category
 		cat, id.sig = classify(cur.cs, p.cs, id.sig[:0])
 		if cat == TLCP && id.benign(cur, p) {
 			cat = Benign
 		}
-		id.addPair(Pair{C1: int32(cur.cs.ID), C2: int32(p.cs.ID), Cat: cat})
+		id.addCat(cat)
 		id.rep.Counts[cat]++
 		if cat == TLCP {
 			// Matched: first true contention establishes the causal edge
 			// and ends this thread's scan (RULE 1).
-			id.rep.CausalEdges = append(id.rep.CausalEdges, Edge{From: cur.cs.ID, To: p.cs.ID})
-			return
+			id.rep.CausalEdges = append(id.rep.CausalEdges, Edge{From: int32(cur.cs.ID), To: int32(p.cs.ID)})
+			break
 		}
+	}
+	if n > 0 {
+		id.runs = append(id.runs, run{c1: int32(cur.cs.ID), off: off, n: int32(n)})
 	}
 }
 

@@ -241,16 +241,20 @@ func TestNumULCPs(t *testing.T) {
 	}
 }
 
-// TestPairLayout: a pair is a 16-byte row of two critical-section IDs and
-// a category, with no pointer for the collector to scan.
+// TestPairLayout: a pair is a 12-byte row of two critical-section IDs and
+// a category byte, with no pointer for the collector to scan, and a
+// causal edge is two 4-byte IDs.
 func TestPairLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Pair{}); size != 16 {
-		t.Fatalf("Pair is %d bytes, want 16", size)
+	if size := unsafe.Sizeof(Pair{}); size != 12 {
+		t.Fatalf("Pair is %d bytes, want 12", size)
+	}
+	if size := unsafe.Sizeof(Edge{}); size != 8 {
+		t.Fatalf("Edge is %d bytes, want 8", size)
 	}
 	typ := reflect.TypeOf(Pair{})
 	for i := 0; i < typ.NumField(); i++ {
 		switch f := typ.Field(i); f.Type.Kind() {
-		case reflect.Int, reflect.Int32:
+		case reflect.Int32, reflect.Uint8:
 		default:
 			t.Errorf("Pair.%s is a %v: the row must stay pointer-free", f.Name, f.Type.Kind())
 		}
