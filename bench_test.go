@@ -224,6 +224,38 @@ func BenchmarkIdentifyTableHit(b *testing.B) {
 	}
 }
 
+// Identification on the thread axis (mysql, 32 threads, ×0.25, seed 42:
+// 79,904 events), where a section pairs with about six sections of every
+// peer thread: the build pass, and the table-hit walk a re-run against a
+// cached verdict table takes.
+func BenchmarkIdentifyWide(b *testing.B) {
+	p := workload.MustGet("mysql").Build(workload.Config{Threads: 32, Scale: 0.25, Seed: 42})
+	tr := sim.Run(p, sim.Config{Seed: 42}).Trace.Warm()
+	css := tr.ExtractCS()
+	table, _ := ulcp.BuildVerdictTable(tr, css, ulcp.Options{})
+	for _, c := range []struct {
+		name string
+		pass func() *ulcp.Report
+	}{
+		{"build", func() *ulcp.Report { _, rep := ulcp.BuildVerdictTable(tr, css, ulcp.Options{}); return rep }},
+		{"table-hit", func() *ulcp.Report { return ulcp.IdentifyWithVerdicts(tr, css, ulcp.Options{}, table) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var rep *ulcp.Report
+			var m0, m1 runtime.MemStats
+			b.ReportAllocs()
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < b.N; i++ {
+				rep = c.pass()
+			}
+			runtime.ReadMemStats(&m1)
+			pairs := float64(len(rep.Pairs)) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pairs, "ns/pair")
+			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/pairs, "B/pair")
+		})
+	}
+}
+
 // Quantification alone (Eq. 1, Algorithm 2, Eq. 2) over replays made once.
 func BenchmarkEvaluate(b *testing.B) {
 	rec := recordAppThreads(b, "mysql", 4) // BenchmarkPipelineSerial's input

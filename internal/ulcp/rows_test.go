@@ -95,11 +95,11 @@ func TestPairsKeepTheirRows(t *testing.T) {
 
 // TestIdentifyBytesPerPair pins what one identification pass allocates
 // per classified pair on the pair-heavy mysql workload at two scales: a
-// pair is one category byte while the scan runs and one 12-byte row,
-// written once at the end, plus its share of the scan's run and causal
-// edge, flat in the trace size (16-byte rows held in chunks and copied
-// once read 38–43 B/pair here, and two *trace.CritSec per pair in an
-// append-grown array 116 and 124).
+// pair is one 12-byte row, written once at the end, plus its share of
+// the scan's run and causal edge, flat in the trace size (with a
+// category byte per pair besides, 21.3 and 19.6 B/pair here; 16-byte
+// rows held in chunks and copied once, 38–43; two *trace.CritSec per
+// pair in an append-grown array, 116 and 124).
 func TestIdentifyBytesPerPair(t *testing.T) {
 	const runs = 3
 	for _, scale := range []float64{0.25, 0.5} {

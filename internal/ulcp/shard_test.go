@@ -149,11 +149,11 @@ func TestParentBuiltTablesStillHit(t *testing.T) {
 }
 
 // TestScanAllocsIndependentOfPairs: a table-hit shard pass allocates per
-// lock group (its report, its thread offsets and members, the section
-// IDs, runs and causal edges sized from the group, a few category chunks
-// — the first one byte per section of the group, each next one as large
-// as all before it up to 128 KiB — the pair rows once, and three times
-// per distinct code region it interns), never per pair.
+// lock group (its report, its thread offsets and members, the sections,
+// runs and causal edges sized from the group, its shapes' hash table and
+// list, twice per doubling past 32 shapes, the category table over them
+// once, the pair rows once, and three times per distinct code region it
+// interns), never per pair.
 func TestScanAllocsIndependentOfPairs(t *testing.T) {
 	pass := func(scale float64) (allocs float64, groups, pairs int) {
 		p := workload.MustGet("fluidanimate").Build(workload.Config{Threads: 4, Scale: scale, Seed: 42})

@@ -394,7 +394,7 @@ func TestBenignLookupsAllocateNothing(t *testing.T) {
 	memo := newIdentifier(tr, css, Options{}, nil)
 	benign := func(id *identifier) bool { // a conflicting pair as scan handles it
 		_, id.sig = classify(c1, c2, id.sig[:0])
-		return id.benign(member{c1, id.intern(c1.Region)}, member{c2, id.intern(c2.Region)})
+		return id.benign(member{cs: c1, region: id.intern(c1.Region)}, member{cs: c2, region: id.intern(c2.Region)})
 	}
 	want := benign(memo) // replays, and memoises the class
 	if memo.rep.ReversedReplays != 1 {

@@ -153,10 +153,16 @@ func classify(c1, c2 *trace.CritSec, sig []uint32) (Category, []uint32) {
 }
 
 // member is one critical section of the lock group being scanned, with
-// the identifier's id for its code region.
+// its shape's number and the identifier's id for its code region.
 type member struct {
-	cs     *trace.CritSec
-	region int32
+	cs            *trace.CritSec
+	shape, region int32
+}
+
+// sec is one scanned section as the pass keeps it for finish: its ID and
+// its shape's number.
+type sec struct {
+	id, shape int32
 }
 
 // identifier carries the state of one identification run.
@@ -165,19 +171,23 @@ type identifier struct {
 	css  []*trace.CritSec
 	opts Options
 	rep  *Report
-	// The run's pairs until finish writes them into rep.Pairs. ids holds
-	// every scanned lock group's section IDs, thread by thread, each
+	// The run's pairs until finish writes them into rep.Pairs. secs holds
+	// every scanned lock group's sections, thread by thread, each
 	// thread's in acquisition order; a RULE-1 scan pairs one section with
-	// a contiguous stretch of one peer thread's, so it is one run. cats
-	// holds one category byte per pair, in chunks (see addCat), and
-	// pairs counts them.
-	ids   []int32
+	// a contiguous stretch of one peer thread's, so it is one run. pairs
+	// counts them.
+	secs  []sec
 	runs  []run
-	cats  [][]Category
 	pairs int
-	// catChunks backs cats up to 16 chunks, so a walk allocates only the
-	// chunks themselves.
-	catChunks [16][]Category
+	// shapes interns the sections' shapes. byShape is the pass's category
+	// table, dim × dim over the first dim shapes (dim ≤ maxShapes): entry
+	// s1*dim+s2 is one more than the category of a pair whose sections
+	// have shapes s1 and s2, or zero before the pass has met one. merges
+	// counts classify's calls.
+	shapes  shapeSet
+	byShape []Category
+	dim     int32
+	merges  int
 	// memo holds the verdict of every conflict class the run has seen;
 	// benignMemo holds the verdicts the run replayed or defaulted under
 	// pairKey's bytes, the wire format of VerdictTable.
@@ -309,27 +319,27 @@ func MergeReports(reports ...*Report) *Report {
 	return out
 }
 
-// run is the pairs of one RULE-1 scan: section c1 against the n sections
-// ids[off:off+n], in the order the scan visited them.
+// run is the pairs of one RULE-1 scan: section secs[at] against the n
+// sections secs[off:off+n], in the order the scan visited them.
 type run struct {
-	c1, off, n int32
+	at, off, n int32
 }
 
 // run scans every lock group in ascending lock order and returns the
-// finished report. The section IDs are sized once, for every group with
+// finished report. The sections are sized once, for every group with
 // two threads, and the runs and causal edges once, for the most the
 // groups can yield, so no group grows them.
 func (id *identifier) run() *Report {
 	groups := SortedLockGroups(id.css)
-	ids, scans := 0, 0
+	secs, scans := 0, 0
 	for _, g := range groups {
 		if n := maxScans(g); n > 0 {
-			ids += len(g)
+			secs += len(g)
 			scans += n
 		}
 	}
 	if scans > 0 {
-		id.ids = make([]int32, 0, ids)
+		id.secs = make([]sec, 0, secs)
 		id.runs = make([]run, 0, scans)
 		id.rep.CausalEdges = make([]Edge, 0, scans)
 	}
@@ -370,48 +380,60 @@ func threadCounts(group []*trace.CritSec) (counts, start []int32, active int) {
 	return counts, start, active
 }
 
-// maxCatChunk bounds a chunk of category bytes (128 KiB).
-const maxCatChunk = 128 << 10
-
-// addCat records one pair's category. The bytes collect in chunks — the
-// first with room for one per critical section of the run, each next one
-// as large as everything before it, up to maxCatChunk — so no byte is
-// copied before finish reads it.
-func (id *identifier) addCat(c Category) {
-	n := len(id.cats)
-	if n == 0 || len(id.cats[n-1]) == cap(id.cats[n-1]) {
-		if n == 0 {
-			id.cats = id.catChunks[:0]
-		}
-		id.cats = append(id.cats, make([]Category, 0, min(max(id.pairs, len(id.css), 64), maxCatChunk)))
-		n++
-	}
-	id.cats[n-1] = append(id.cats[n-1], c)
-	id.pairs++
-}
-
 // finish writes the run's pairs into the report, once, at their exact
-// number, and returns it. A run without pairs keeps the nil slice
-// MergeReports gives an empty merge.
+// number, and returns it: each row's category is its shape pair's entry
+// of the category table, or, for a shape past it, classified again from
+// the shapes' first sections, whose class the memo already holds. A run
+// without pairs keeps the nil slice MergeReports gives an empty merge.
 func (id *identifier) finish() *Report {
 	if id.pairs == 0 {
 		return id.rep
 	}
 	pairs := make([]Pair, id.pairs)
-	i, chunk, cats := 0, 0, id.cats[0]
+	i := 0
 	for _, r := range id.runs {
-		for _, c2 := range id.ids[r.off : r.off+r.n] {
-			if len(cats) == 0 {
-				chunk++
-				cats = id.cats[chunk]
+		c1 := id.secs[r.at]
+		row := id.row(c1.shape)
+		for _, c2 := range id.secs[r.off : r.off+r.n] {
+			var cat Category
+			if c2.shape < int32(len(row)) {
+				cat = row[c2.shape] - 1
+			} else {
+				cat = id.category(id.shapeMember(c1.shape), id.shapeMember(c2.shape))
 			}
-			pairs[i] = Pair{C1: r.c1, C2: c2, Cat: cats[0]}
-			cats = cats[1:]
+			pairs[i] = Pair{C1: c1.id, C2: c2.id, Cat: cat}
 			i++
 		}
 	}
 	id.rep.Pairs = pairs
 	return id.rep
+}
+
+// row returns shape s's row of the category table, or nil for a shape
+// past it.
+func (id *identifier) row(s int32) []Category {
+	if s >= id.dim {
+		return nil
+	}
+	return id.byShape[s*id.dim : (s+1)*id.dim]
+}
+
+// shapeMember returns shape s's first section as a member.
+func (id *identifier) shapeMember(s int32) member {
+	sh := &id.shapes.list[s]
+	return member{cs: sh.cs, shape: s, region: sh.region}
+}
+
+// growTable widens the category table to cover the pass's first n
+// shapes, n ≤ maxShapes: to at least twice its width, at most maxShapes,
+// keeping every entry.
+func (id *identifier) growTable(n int32) {
+	dim := min(maxShapes, max(n, 2*id.dim))
+	t := make([]Category, dim*dim)
+	for s := range id.dim {
+		copy(t[s*dim:], id.byShape[s*id.dim:(s+1)*id.dim])
+	}
+	id.byShape, id.dim = t, dim
 }
 
 // runLock scans one lock's critical sections: per thread in acquisition
@@ -422,7 +444,7 @@ func (id *identifier) runLock(lockCSs []*trace.CritSec) {
 		return // single-thread lock: no cross-thread pairs
 	}
 	// Thread t's sections are members[start[t]:start[t+1]], in acquisition
-	// order, and their IDs sit at the same offsets of ids. next[t] walks
+	// order, and sit at the same offsets of secs. next[t] walks
 	// them, twice: while a section is scanned, thread t's sections after it
 	// begin at start[t]+next[t], and each peer's cursor only moves forward.
 	clear(next)
@@ -430,28 +452,35 @@ func (id *identifier) runLock(lockCSs []*trace.CritSec) {
 	if id.runs == nil {
 		// A shard's walk: its one group sizes what run sizes for all of
 		// its groups.
-		id.ids = make([]int32, 0, len(lockCSs))
+		id.secs = make([]sec, 0, len(lockCSs))
 		id.runs = make([]run, 0, scans)
 		id.rep.CausalEdges = make([]Edge, 0, scans)
 	}
 	members := make([]member, len(lockCSs))
-	base := int32(len(id.ids))
-	id.ids = id.ids[:int(base)+len(lockCSs)]
-	ids := id.ids[base:]
+	base := int32(len(id.secs))
+	id.secs = id.secs[:int(base)+len(lockCSs)]
+	secs := id.secs[base:]
 	for _, cs := range lockCSs {
 		i := start[cs.Thread] + next[cs.Thread]
 		next[cs.Thread]++
-		members[i] = member{cs, id.intern(cs.Region)}
-		ids[i] = int32(cs.ID)
+		s, fresh := id.shapes.intern(cs)
+		if fresh {
+			id.shapes.list[s].region = id.intern(cs.Region)
+		}
+		members[i] = member{cs, s, id.shapes.list[s].region}
+		secs[i] = sec{int32(cs.ID), s}
+	}
+	if n := min(int32(len(id.shapes.list)), maxShapes); n > id.dim {
+		id.growTable(n)
 	}
 	clear(next)
 	for _, cs := range lockCSs {
 		th := cs.Thread
-		cur := members[start[th]+next[th]]
+		at := start[th] + next[th]
 		next[th]++
 		for t := range next {
 			if lo, hi := start[t]+next[t], start[t+1]; int32(t) != th && lo < hi {
-				id.scan(cur, members[lo:hi], base+lo)
+				id.scan(members[at], base+at, members[lo:hi], base+lo)
 			}
 		}
 	}
@@ -469,10 +498,13 @@ func (id *identifier) intern(r trace.Region) int32 {
 }
 
 // scan performs the RULE-1 sequential search: walk the peer thread's
-// critical sections after cur (peer, in the lock's acquisition order,
-// whose IDs begin at ids[off]), classify each pair, and stop at the first
-// true contention (which becomes a causal edge).
-func (id *identifier) scan(cur member, peer []member, off int32) {
+// critical sections after cur (cur sits at secs[at]; peer, in the lock's
+// acquisition order, begins at secs[off]), classify each pair, and stop
+// at the first true contention (which becomes a causal edge). A pair's
+// category comes from the category table; only a shape pair's first
+// pair is classified.
+func (id *identifier) scan(cur member, at int32, peer []member, off int32) {
+	row := id.row(cur.shape)
 	n := 0
 	for _, p := range peer {
 		if n == id.opts.maxScanPerThread {
@@ -481,11 +513,14 @@ func (id *identifier) scan(cur member, peer []member, off int32) {
 		}
 		n++
 		var cat Category
-		cat, id.sig = classify(cur.cs, p.cs, id.sig[:0])
-		if cat == TLCP && id.benign(cur, p) {
-			cat = Benign
+		if p.shape < int32(len(row)) {
+			if row[p.shape] == 0 {
+				row[p.shape] = id.category(cur, p) + 1
+			}
+			cat = row[p.shape] - 1
+		} else {
+			cat = id.category(cur, p)
 		}
-		id.addCat(cat)
 		id.rep.Counts[cat]++
 		if cat == TLCP {
 			// Matched: first true contention establishes the causal edge
@@ -495,8 +530,21 @@ func (id *identifier) scan(cur member, peer []member, off int32) {
 		}
 	}
 	if n > 0 {
-		id.runs = append(id.runs, run{c1: int32(cur.cs.ID), off: off, n: int32(n)})
+		id.runs = append(id.runs, run{at: at, off: off, n: int32(n)})
+		id.pairs += n
 	}
+}
+
+// category classifies a pair: Algorithm 1, and the class's verdict for a
+// conflict.
+func (id *identifier) category(c1, c2 member) Category {
+	id.merges++
+	var cat Category
+	cat, id.sig = classify(c1.cs, c2.cs, id.sig[:0])
+	if cat == TLCP && id.benign(c1, c2) {
+		cat = Benign
+	}
+	return cat
 }
 
 // benign decides whether a conflicting pair is a benign ULCP by replaying
